@@ -1,8 +1,8 @@
 // micro_namespace — namespace hot-path microbenchmark (resolve / create /
 // list / rename), measuring the fsns::Tree directly with wall-clock time
-// (no simulator in the loop). Seeds the bench trajectory for the
-// resolution-cache work: the headline number is resolve throughput with
-// the LRU path cache on vs off vs the seed-style sorted-map walk.
+// (no simulator in the loop). The headline number is resolve throughput
+// of the zero-allocation child-index walk vs the seed-style sorted-map
+// walk.
 //
 // Emits BENCH_namespace.json (override the path with MAMS_BENCH_OUT) and a
 // human-readable summary on stdout.
@@ -72,7 +72,7 @@ void Populate(Tree& tree, const std::vector<std::string>& paths) {
 
 /// Replicates the seed's Tree::Resolve: SplitPath vector + sorted
 /// std::map lookups keyed by a freshly allocated std::string per
-/// component. The baseline the cache speedup is measured against.
+/// component. The baseline the walk's speedup is measured against.
 const Inode* LegacyResolve(const Tree& tree, std::string_view path) {
   const Inode* cur = tree.inode(mams::kRootInode);
   for (std::string_view comp : mams::fsns::SplitPath(path)) {
@@ -137,22 +137,17 @@ int main() {
         elapsed > 0 ? static_cast<double>(paths.size()) / elapsed : 0;
   }
 
-  // --- resolve: cache on / cache off / seed-style walk ----------------------
+  // --- resolve: child-index walk / seed-style walk --------------------------
   auto resolve_once = [&](std::uint64_t i) -> std::uint64_t {
     const Inode* node = tree.FindInode(pick(i));
     return node != nullptr ? node->id : 0;
   };
-  tree.SetResolveCacheCapacity(mams::fsns::ResolveCache::kDefaultCapacity);
   const Throughput warm = Measure(resolve_ops / 10 + 1, resolve_once);
-  const Throughput cache_on = Measure(resolve_ops, resolve_once);
-  const auto cache_stats = tree.resolve_cache().stats();
-  tree.SetResolveCacheCapacity(0);
-  const Throughput cache_off = Measure(resolve_ops, resolve_once);
+  const Throughput walk = Measure(resolve_ops, resolve_once);
   const Throughput legacy = Measure(resolve_ops, [&](std::uint64_t i) {
     const Inode* node = LegacyResolve(tree, pick(i));
     return node != nullptr ? node->id : std::uint64_t{0};
   });
-  tree.SetResolveCacheCapacity(mams::fsns::ResolveCache::kDefaultCapacity);
 
   // --- list -----------------------------------------------------------------
   std::vector<std::string> leaf_dirs;
@@ -183,25 +178,17 @@ int main() {
     return r.ok() ? std::uint64_t{1} : std::uint64_t{0};
   });
 
-  const double speedup_vs_off =
-      cache_off.ops_per_sec > 0 ? cache_on.ops_per_sec / cache_off.ops_per_sec
-                                : 0;
   const double speedup_vs_legacy =
-      legacy.ops_per_sec > 0 ? cache_on.ops_per_sec / legacy.ops_per_sec : 0;
+      legacy.ops_per_sec > 0 ? walk.ops_per_sec / legacy.ops_per_sec : 0;
 
   std::printf("  create:            %12.0f ops/s\n", create_ops_per_sec);
-  std::printf("  resolve cache-on:  %12.0f ops/s (checksum %" PRIu64 ")\n",
-              cache_on.ops_per_sec, cache_on.checksum + warm.checksum);
-  std::printf("  resolve cache-off: %12.0f ops/s\n", cache_off.ops_per_sec);
+  std::printf("  resolve walk:      %12.0f ops/s (checksum %" PRIu64 ")\n",
+              walk.ops_per_sec, walk.checksum + warm.checksum);
   std::printf("  resolve seed-walk: %12.0f ops/s (checksum %" PRIu64 ")\n",
               legacy.ops_per_sec, legacy.checksum);
   std::printf("  listdir:           %12.0f ops/s\n", list.ops_per_sec);
   std::printf("  rename:            %12.0f ops/s\n", rename.ops_per_sec);
-  std::printf("  speedup cache-on vs cache-off: %.2fx\n", speedup_vs_off);
-  std::printf("  speedup cache-on vs seed walk: %.2fx\n", speedup_vs_legacy);
-  std::printf("  cache: hits=%" PRIu64 " misses=%" PRIu64
-              " invalidations=%" PRIu64 "\n",
-              cache_stats.hits, cache_stats.misses, cache_stats.invalidations);
+  std::printf("  speedup walk vs seed walk: %.2fx\n", speedup_vs_legacy);
 
   const char* out_path = std::getenv("MAMS_BENCH_OUT");
   if (out_path == nullptr) out_path = "BENCH_namespace.json";
@@ -216,23 +203,17 @@ int main() {
                "  \"namespace\": {\"depth\": %d, \"leaf_dirs\": %d, "
                "\"files\": %zu},\n"
                "  \"resolve\": {\n"
-               "    \"cache_on_ops_per_sec\": %.0f,\n"
-               "    \"cache_off_ops_per_sec\": %.0f,\n"
+               "    \"walk_ops_per_sec\": %.0f,\n"
                "    \"seed_walk_ops_per_sec\": %.0f,\n"
-               "    \"speedup_cache_on_vs_off\": %.3f,\n"
-               "    \"speedup_cache_on_vs_seed_walk\": %.3f\n"
+               "    \"speedup_walk_vs_seed_walk\": %.3f\n"
                "  },\n"
                "  \"create_ops_per_sec\": %.0f,\n"
                "  \"listdir_ops_per_sec\": %.0f,\n"
-               "  \"rename_ops_per_sec\": %.0f,\n"
-               "  \"cache\": {\"hits\": %" PRIu64 ", \"misses\": %" PRIu64
-               ", \"invalidations\": %" PRIu64 "}\n"
+               "  \"rename_ops_per_sec\": %.0f\n"
                "}\n",
-               depth, dirs, paths.size(), cache_on.ops_per_sec,
-               cache_off.ops_per_sec, legacy.ops_per_sec, speedup_vs_off,
-               speedup_vs_legacy, create_ops_per_sec, list.ops_per_sec,
-               rename.ops_per_sec, cache_stats.hits, cache_stats.misses,
-               cache_stats.invalidations);
+               depth, dirs, paths.size(), walk.ops_per_sec,
+               legacy.ops_per_sec, speedup_vs_legacy, create_ops_per_sec,
+               list.ops_per_sec, rename.ops_per_sec);
   std::fclose(out);
   std::printf("wrote %s\n", out_path);
   return 0;

@@ -323,7 +323,7 @@ RunResult RunSpecOnce(const RunSpec& spec, CheckOptions check) {
       cfg.mds.test_hooks.ignore_apply_deps = true;
       break;
     case Mutation::kIgnoreLeaseRevoke:
-      cfg.mds.test_hooks.ignore_lease_revoke = true;
+      cfg.client.cache.ignore_revoke = true;
       break;
   }
   if (spec.batch_delay > 0) cfg.mds.writer.max_batch_delay = spec.batch_delay;
@@ -339,12 +339,10 @@ RunResult RunSpecOnce(const RunSpec& spec, CheckOptions check) {
     cfg.client.read_routing = cluster::ReadRouting::kRoundRobinStandby;
   }
   // Likewise the lease_revoke mutation is only observable when the client
-  // cache is live, so it forces caching on; the faulty behaviour itself
-  // runs on the client, mirrored from the server-side test hook.
+  // cache is live, so it forces caching on.
   if (spec.client_cache || spec.mutation == Mutation::kIgnoreLeaseRevoke) {
     cfg.mds.client_leases.grant_leases = true;
     cfg.client.cache.enabled = true;
-    cfg.client.cache.ignore_revoke = cfg.mds.test_hooks.ignore_lease_revoke;
   }
   // An op that cannot finish inside one failover should give up and show
   // up as ambiguous rather than pin its client for the whole run.

@@ -72,7 +72,7 @@ struct ClientCacheOptions {
   std::size_t max_dirs = 4096;
   /// Latency-model charge for a locally served hit (no network hop).
   SimTime hit_latency = 1 * kMicrosecond;
-  /// Mutation self-test (core::TestHooks::ignore_lease_revoke): keep
+  /// Mutation self-test (check::Mutation::kIgnoreLeaseRevoke): keep
   /// serving a pushed-revoked lease until its TTL, while still acking the
   /// revocation so the conflicting mutation completes. Never set outside
   /// the checker.
@@ -335,7 +335,7 @@ class FsClient : public net::Host {
   void Issue(std::shared_ptr<core::ClientRequestMsg> req,
              std::function<void(Result<T>)> done, ReadOptions ro = {}) {
     auto state = std::make_shared<OpState>();
-    state->group = OwnerGroup(req->path);
+    state->group = RouteGroup(*req);
     state->request = std::move(req);
     state->require_active = ro.require_active;
     if (!core::IsMutation(state->request->op)) {
@@ -487,7 +487,7 @@ class FsClient : public net::Host {
         newer = true;
       }
     }
-    const GroupId group = OwnerGroup(state->request->path);
+    const GroupId group = RouteGroup(*state->request);
     if (group != state->group) {
       state->group = group;
       if (!core::IsMutation(state->request->op)) {
@@ -716,6 +716,14 @@ class FsClient : public net::Host {
   }
   GroupId OwnerGroupDir(const std::string& path) const {
     return map_.empty() ? partitioner_.OwnerOfDir(path) : map_.OwnerOfDir(path);
+  }
+  /// The group a request is sent to, by the slot the server admits it by
+  /// (ShardAdmitRead/ShardAdmitMutation): a listing enumerates children
+  /// that hash by the directory itself; every other op names an entry that
+  /// hashes by its parent.
+  GroupId RouteGroup(const core::ClientRequestMsg& req) const {
+    return req.op == core::ClientOp::kListDir ? OwnerGroupDir(req.path)
+                                              : OwnerGroup(req.path);
   }
 
   /// Polls the coordination service until the group exposes an active,

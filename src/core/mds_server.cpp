@@ -68,10 +68,6 @@ MdsServer::MdsServer(net::Network& network, std::string name,
   m_.renews_completed = metrics.counter("mds.renews_completed");
   m_.fenced_rejections = metrics.counter("mds.fenced_rejections");
   m_.buffered_during_upgrade = metrics.counter("mds.buffered_during_upgrade");
-  m_.resolve_cache_hits = metrics.counter("mds.resolve_cache_hits");
-  m_.resolve_cache_misses = metrics.counter("mds.resolve_cache_misses");
-  m_.resolve_cache_invalidations =
-      metrics.counter("mds.resolve_cache_invalidations");
   m_.standby_reads_served = metrics.counter("mds.standby_reads_served");
   m_.standby_reads_parked = metrics.counter("mds.standby_reads_parked");
   m_.standby_reads_bounced = metrics.counter("mds.standby_reads_bounced");
@@ -88,7 +84,6 @@ MdsServer::MdsServer(net::Network& network, std::string name,
   m_.standby_read_staleness_sn =
       metrics.histogram("mds.standby_read_staleness_sn");
   m_.last_sn = metrics.gauge("mds.last_sn." + this->name());
-  tree_.SetResolveCacheCapacity(options_.resolve_cache_capacity);
   map_ = options_.partition_map;
   coord_client_ = std::make_unique<coord::CoordClient>(
       *this, coord_, options_.heartbeat_interval);
@@ -1300,19 +1295,6 @@ void MdsServer::ProcessClientRequest(
   });
 }
 
-void MdsServer::PublishCacheStats() {
-  const fsns::ResolveCache::Stats& s = tree_.resolve_cache().stats();
-  auto delta = [](std::uint64_t cur, std::uint64_t& seen) {
-    const std::uint64_t d = cur >= seen ? cur - seen : cur;
-    seen = cur;
-    return d;
-  };
-  m_.resolve_cache_hits->Add(delta(s.hits, cache_published_.hits));
-  m_.resolve_cache_misses->Add(delta(s.misses, cache_published_.misses));
-  m_.resolve_cache_invalidations->Add(
-      delta(s.invalidations, cache_published_.invalidations));
-}
-
 void MdsServer::ExecuteRead(const ClientRequestMsg& req, const ReplyFn& reply) {
   if (!ShardAdmitRead(req, reply)) return;
   ++counters_.ops_served;
@@ -1346,7 +1328,6 @@ void MdsServer::ExecuteRead(const ClientRequestMsg& req, const ReplyFn& reply) {
   m_.resolve_ns->Record(std::chrono::duration_cast<std::chrono::nanoseconds>(
                             std::chrono::steady_clock::now() - resolve_begin)
                             .count());
-  PublishCacheStats();
   MaybeGrantLease(req, *out);
   StampReply(*out, last_sn_);
   reply(out);
@@ -1399,7 +1380,6 @@ void MdsServer::ExecuteMutation(
   ++counters_.mutations;
   m_.ops_served->Add();
   m_.mutations->Add();
-  PublishCacheStats();
   if (!rec.ok()) {
     // Idempotent resend: the op already committed in a previous life of
     // this request; acknowledge success without re-journaling.
@@ -1723,10 +1703,9 @@ void MdsServer::HandleJournalPrepare(const net::Envelope& env,
       // this is exactly the double-apply the paper's sn check prevents
       // (re-added blocks, resurrected files), and the history checker
       // must flag it.
-      fsns::Tree::BatchHint hint;
       for (journal::LogRecord rec : batch.records) {
         rec.txid = 0;
-        (void)tree_.Apply(rec, &hint);
+        (void)tree_.Apply(rec);
       }
       ++counters_.duplicate_batches;
       m_.duplicate_batches->Add();
@@ -1771,17 +1750,16 @@ std::size_t MdsServer::ApplyBatch(
   // inside a wave touch disjoint parts of the namespace, so the simulator
   // executes them in index order while a threaded replayer would fan them
   // out — either order yields byte-identical trees (records carry their
-  // allocated inode ids, so apply order cannot skew the id counter). The
-  // BatchHint still memoizes each record's parent directory across the
-  // whole batch.
+  // allocated inode ids, so apply order cannot skew the id counter). Each
+  // record resolves its paths through the per-directory child indexes;
+  // nothing is memoized across records.
   const journal::ApplyPlan plan =
       options_.test_hooks.ignore_apply_deps
           ? journal::SingleWaveReversedPlan(batch->records.size())
           : journal::BuildApplyPlan(
                 batch->records,
                 [this](std::string_view p) { return tree_.Exists(p); });
-  fsns::Tree::BatchHint hint;
-  Status s = tree_.ApplyPlanned(batch->records, plan, &hint);
+  Status s = tree_.ApplyPlanned(batch->records, plan);
   if (!s.ok()) {
     MAMS_ERROR("mds", "%s: replay divergence: %s", name().c_str(),
                s.ToString().c_str());
@@ -1789,7 +1767,6 @@ std::size_t MdsServer::ApplyBatch(
   counters_.apply_waves += plan.wave_count();
   counters_.apply_records += plan.record_count();
   if (plan.serial_fallback) ++counters_.apply_serial_fallbacks;
-  PublishCacheStats();
   last_sn_ = batch->sn;
   ++counters_.batches_applied;
   m_.batches_applied->Add();
@@ -2146,44 +2123,48 @@ void MdsServer::WriteCheckpoint() {
   if (alive() && role_ != ServerState::kActive) return;
   const SerialNumber sn = last_sn_;
   if (latest_image_.has_value() && latest_image_->second == sn) return;
-  const std::string file = ImageFile(sn);
-  auto bytes = std::make_shared<std::vector<char>>(tree_.SaveImage());
+  auto write = std::make_shared<CheckpointWrite>();
+  write->file = ImageFile(sn);
+  write->sn = sn;
+  write->bytes = tree_.SaveImage();
   // A previous checkpoint abandoned mid-write leaves its span open; close
   // it before starting the next attempt.
   obs_->tracer().End(checkpoint_span_, {{"ok", "abandoned"}});
   checkpoint_span_ = obs_->tracer().Begin(
       "mds", "checkpoint", id(), options_.group,
       {{"sn", static_cast<std::uint64_t>(sn)},
-       {"bytes", static_cast<std::uint64_t>(bytes->size())}});
-  const std::uint64_t logical = static_cast<std::uint64_t>(
-      static_cast<double>(bytes->size()) * options_.image_inflation);
+       {"bytes", static_cast<std::uint64_t>(write->bytes.size())}});
+  write->logical = static_cast<std::uint64_t>(
+      static_cast<double>(write->bytes.size()) * options_.image_inflation);
   const std::uint64_t chunk_logical = options_.image_chunk_bytes;
-  const std::size_t chunks = std::max<std::size_t>(
-      1, (logical + chunk_logical - 1) / chunk_logical);
-  // Write chunks sequentially; each record carries an even slice of the
-  // real bytes and an even share of the logical size.
-  auto write_chunk = std::make_shared<std::function<void(std::size_t)>>();
-  *write_chunk = [this, bytes, chunks, logical, file, sn,
-                  write_chunk](std::size_t i) {
-    if (i >= chunks) {
-      latest_image_ = {file, sn};
-      obs_->tracer().End(checkpoint_span_, {{"ok", "true"}});
-      return;
-    }
-    storage::SspRecord rec;
-    rec.sn = i + 1;  // chunk ordinal
-    rec.fence = fence_;
-    const std::size_t lo = bytes->size() * i / chunks;
-    const std::size_t hi = bytes->size() * (i + 1) / chunks;
-    rec.bytes.assign(bytes->begin() + static_cast<long>(lo),
-                     bytes->begin() + static_cast<long>(hi));
-    rec.logical_bytes = logical / chunks;
-    ssp_->Append(file, std::move(rec), [this, i, write_chunk](Status s) {
-      if (!s.ok()) return;  // abandoned checkpoint; next timer tick retries
-      (*write_chunk)(i + 1);
-    });
-  };
-  (*write_chunk)(0);
+  write->chunks = std::max<std::size_t>(
+      1, (write->logical + chunk_logical - 1) / chunk_logical);
+  WriteCheckpointChunk(std::move(write), 0);
+}
+
+void MdsServer::WriteCheckpointChunk(
+    std::shared_ptr<const CheckpointWrite> write, std::size_t i) {
+  // Chunks go out sequentially; each record carries an even slice of the
+  // real bytes and an even share of the logical size. Only the pending
+  // append's callback holds `write`, so the image bytes are freed once the
+  // last chunk lands or the checkpoint is abandoned.
+  if (i >= write->chunks) {
+    latest_image_ = {write->file, write->sn};
+    obs_->tracer().End(checkpoint_span_, {{"ok", "true"}});
+    return;
+  }
+  storage::SspRecord rec;
+  rec.sn = i + 1;  // chunk ordinal
+  rec.fence = fence_;
+  const std::size_t lo = write->bytes.size() * i / write->chunks;
+  const std::size_t hi = write->bytes.size() * (i + 1) / write->chunks;
+  rec.bytes.assign(write->bytes.begin() + static_cast<long>(lo),
+                   write->bytes.begin() + static_cast<long>(hi));
+  rec.logical_bytes = write->logical / write->chunks;
+  ssp_->Append(write->file, std::move(rec), [this, write, i](Status s) {
+    if (!s.ok()) return;  // abandoned checkpoint; next timer tick retries
+    WriteCheckpointChunk(write, i + 1);
+  });
 }
 
 // --- misc helpers ------------------------------------------------------------

@@ -390,7 +390,18 @@ class MdsServer : public net::Host {
   void ResetShardVolatileState();
 
   // --- checkpointing ----------------------------------------------------------
+  /// One image being written to the SSP, shared by its chunk callbacks.
+  struct CheckpointWrite {
+    std::string file;
+    SerialNumber sn = 0;
+    std::vector<char> bytes;
+    std::uint64_t logical = 0;  ///< bytes × image_inflation
+    std::size_t chunks = 1;
+  };
   void WriteCheckpoint();
+  /// Appends chunk `i` of `write`; the append's completion writes the next.
+  void WriteCheckpointChunk(std::shared_ptr<const CheckpointWrite> write,
+                            std::size_t i);
 
   // --- helpers ---------------------------------------------------------------
   std::string JournalFile() const {
@@ -574,9 +585,6 @@ class MdsServer : public net::Host {
     obs::Counter* renews_completed;
     obs::Counter* fenced_rejections;
     obs::Counter* buffered_during_upgrade;
-    obs::Counter* resolve_cache_hits;
-    obs::Counter* resolve_cache_misses;
-    obs::Counter* resolve_cache_invalidations;
     obs::Counter* standby_reads_served;
     obs::Counter* standby_reads_parked;
     obs::Counter* standby_reads_bounced;
@@ -593,10 +601,6 @@ class MdsServer : public net::Host {
     obs::Histogram* standby_read_staleness_sn;
     obs::Gauge* last_sn;
   } m_{};
-  /// Publishes the tree's cumulative resolve-cache stats into the metrics
-  /// registry as deltas since the previous publish.
-  void PublishCacheStats();
-  fsns::ResolveCache::Stats cache_published_{};
   obs::TraceRecorder::Span election_span_;
   obs::TraceRecorder::Span switch_span_;
   obs::TraceRecorder::Span step_span_;

@@ -58,13 +58,6 @@ struct TestHooks {
   /// parents and scramble parent mtimes — divergence the checker's replica
   /// audit (and any post-failover read) must flag.
   bool ignore_apply_deps = false;
-  /// Client keeps serving a revoked directory lease until its TTL (it still
-  /// acks the revocation, so conflicting mutations complete normally), as
-  /// if the revocation push did not exist: cache hits return pre-mutation
-  /// state after the mutation's ack. The harness mirrors this flag into
-  /// FsClientOptions::cache.ignore_revoke — the faulty behaviour lives on
-  /// the client; this switch keeps all self-test knobs in one place.
-  bool ignore_lease_revoke = false;
 };
 
 /// Standby read offload (session-consistent reads against hot standbys).
@@ -123,12 +116,6 @@ struct MdsOptions {
   /// Pacing for migration RPC retries (chunk resend, control resend, map
   /// publication) — each awaits the peer group's next active.
   SimTime migration_retry_delay = 500 * kMillisecond;
-
-  // Namespace resolution.
-  /// Entries in the tree's LRU path->inode resolution cache; 0 disables
-  /// (the cache-off ablation measured by bench/micro_namespace). Keep it
-  /// above the hot path set — an undersized LRU thrashes.
-  std::size_t resolve_cache_capacity = 65536;
 
   // Coordination (paper Section IV.B).
   SimTime heartbeat_interval = 2 * kSecond;

@@ -92,7 +92,7 @@ Result<fsns::Tree> RecoveryTool::RebuildAt(const storage::FileStore& store,
         // an honest critical-path measure of this exact history.
         const journal::ApplyPlan plan = journal::BuildApplyPlan(
             records, [&tree](std::string_view p) { return tree.Exists(p); });
-        Status s = tree.ApplyPlanned(records, plan, nullptr);
+        Status s = tree.ApplyPlanned(records, plan);
         if (!s.ok()) {
           if (tracer != nullptr) tracer->End(span, {{"ok", "false"}});
           return Status::Corruption("replay diverged during recovery: " +

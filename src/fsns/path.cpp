@@ -66,22 +66,4 @@ bool IsPrefixPath(std::string_view ancestor, std::string_view path) {
   return path.size() == ancestor.size() || path[ancestor.size()] == '/';
 }
 
-std::string_view ChildOf(std::string_view parent,
-                         std::string_view path) noexcept {
-  if (parent.empty() || path.size() <= parent.size()) return {};
-  if (parent == "/") {
-    const std::string_view base = path.substr(1);
-    return base.find('/') == std::string_view::npos ? base
-                                                    : std::string_view{};
-  }
-  if (path.substr(0, parent.size()) != parent ||
-      path[parent.size()] != '/') {
-    return {};
-  }
-  const std::string_view base = path.substr(parent.size() + 1);
-  return !base.empty() && base.find('/') == std::string_view::npos
-             ? base
-             : std::string_view{};
-}
-
 }  // namespace mams::fsns

@@ -100,10 +100,4 @@ std::string JoinPath(std::string_view parent, std::string_view child);
 /// True when `path` equals `ancestor` or lies beneath it.
 bool IsPrefixPath(std::string_view ancestor, std::string_view path);
 
-/// When `path` is a direct child of `parent` ("/a/b" under "/a", or "/a"
-/// under "/"), returns its base name; otherwise an empty view. Used by the
-/// resolve fast paths to answer "can I serve this from the parent's child
-/// index alone?" without allocating.
-std::string_view ChildOf(std::string_view parent, std::string_view path) noexcept;
-
 }  // namespace mams::fsns

@@ -17,8 +17,6 @@ void Tree::Reset() {
   inodes_.clear();
   client_table_.clear();
   shard_ = ShardState{};
-  resolve_cache_.Clear();
-  active_hint_ = nullptr;
   alloc_trace_.clear();
   alloc_script_ = nullptr;
   alloc_script_pos_ = 0;
@@ -37,43 +35,14 @@ const Inode* Tree::Resolve(std::string_view path) const {
   if (!IsValidPath(path)) return nullptr;
   if (path.size() == 1) return &inodes_.at(kRootInode);
 
-  // Batch-apply fast path: when a hint names this path's parent (or the
-  // path itself), answer from the memoized directory with a single child
-  // lookup. The parent's child index is always current — creates earlier
-  // in the batch are visible — so a missing child is a definitive miss.
-  if (active_hint_ != nullptr && active_hint_->parent != kInvalidInode) {
-    if (path == active_hint_->parent_path) {
-      auto pit = inodes_.find(active_hint_->parent);
-      if (pit != inodes_.end()) return &pit->second;
-    } else if (const std::string_view base =
-                   ChildOf(active_hint_->parent_path, path);
-               !base.empty()) {
-      auto pit = inodes_.find(active_hint_->parent);
-      if (pit != inodes_.end() && pit->second.is_dir) {
-        const InodeId* child = pit->second.FindChild(base);
-        if (child == nullptr) return nullptr;
-        auto cit = inodes_.find(*child);
-        return cit == inodes_.end() ? nullptr : &cit->second;
-      }
-    }
-  }
-
-  // LRU cache: one hash probe on the full path. The cached id is
-  // re-validated against the inode table; ids are never reused, so a live
-  // entry can only mean "this exact inode" (stale ids of deleted inodes
-  // simply miss and fall through to the walk, which refreshes the entry).
-  if (resolve_cache_.enabled()) {
-    if (auto id = resolve_cache_.Lookup(path)) {
-      auto it = inodes_.find(*id);
-      if (it != inodes_.end()) return &it->second;
-    }
-  }
-
   // Zero-allocation walk: component cursor over the original string_view,
-  // heterogeneous lookups into each directory's child index. Child ids are
-  // looked up with find, not at: a replica replaying a sabotaged history
-  // (checker mutations) can hold dangling child references, and resolution
-  // must treat those as absent rather than aborting the process.
+  // heterogeneous lookups into each directory's child index: one hash
+  // probe per component, and a pure read of the tree (docs/PERFORMANCE.md
+  // §1 explains why there is no path cache in front of it).
+  // Child ids are looked up with find, not at: a replica replaying a
+  // sabotaged history (checker mutations) can hold dangling child
+  // references, and resolution must treat those as absent rather than
+  // aborting the process.
   const Inode* cur = &inodes_.at(kRootInode);
   for (std::string_view comp : PathComponents(path)) {
     if (!cur->is_dir) return nullptr;
@@ -83,7 +52,6 @@ const Inode* Tree::Resolve(std::string_view path) const {
     if (it == inodes_.end()) return nullptr;
     cur = &it->second;
   }
-  if (resolve_cache_.enabled()) resolve_cache_.Insert(path, cur->id);
   return cur;
 }
 
@@ -191,15 +159,20 @@ Status Tree::DoCreate(std::string_view path, std::uint32_t replication,
   if (!IsValidPath(path) || path == "/") {
     return Status::InvalidArgument("bad path: " + std::string(path));
   }
-  if (Resolve(path) != nullptr) {
-    return Status::AlreadyExists(std::string(path));
+  // One walk to the parent, then one probe of its child index: the same
+  // answer as Resolve(path), without walking the shared prefix twice.
+  const std::string_view parent_path = ParentDir(path);
+  Inode* parent = ResolveMutable(parent_path);
+  if (parent != nullptr && parent->is_dir) {
+    const InodeId* existing = parent->FindChild(BaseName(path));
+    if (existing != nullptr && inodes_.contains(*existing)) {
+      return Status::AlreadyExists(std::string(path));
+    }
   }
   // HDFS create() semantics: missing ancestor directories are materialized.
   // This also lets a hash-partitioned group hold a file whose parent
   // directory entry is owned by a different group (the ancestors appear
   // here as non-authoritative "ghost" directories).
-  const std::string_view parent_path = ParentDir(path);
-  Inode* parent = ResolveMutable(parent_path);
   if (parent == nullptr) {
     Status mk = DoMkdir(parent_path, mtime);
     if (!mk.ok()) return mk;
@@ -308,11 +281,6 @@ Status Tree::DoDelete(std::string_view path, SimTime mtime) {
     CountInode(it->second, -1);
     inodes_.erase(it);
   }
-  // Every cached resolution at or under the deleted root is now dangling
-  // (id validation would catch the staleness, but eager invalidation keeps
-  // the cache from filling with dead weight — and protects the invariant
-  // that a live cached id always means "this exact path").
-  resolve_cache_.InvalidatePrefix(path);
   return Status::Ok();
 }
 
@@ -347,11 +315,6 @@ Status Tree::DoRename(std::string_view src, std::string_view dst,
   node->mtime = mtime;
   new_parent->AddChild(node->name, node->id);
   new_parent->mtime = std::max(new_parent->mtime, mtime);
-  // The whole source subtree now answers to different paths; the dst
-  // prefix is cleared too as cheap insurance (no positive entry can exist
-  // there — dst was just verified absent — but the scan is already paid).
-  resolve_cache_.InvalidatePrefix(src);
-  resolve_cache_.InvalidatePrefix(dst);
   return Status::Ok();
 }
 
@@ -674,45 +637,19 @@ Result<LogRecord> Tree::SetTimes(std::string_view path, SimTime mtime,
 // --- replay -----------------------------------------------------------------
 
 Status Tree::Apply(const journal::LogRecord& record) {
-  return Apply(record, nullptr);
-}
-
-void Tree::PrimeHint(BatchHint& hint, const journal::LogRecord& record) const {
-  const std::string_view parent = ParentDir(record.path);
-  if (parent.empty()) {  // record targets "/": nothing to memoize
-    hint.parent = kInvalidInode;
-    hint.parent_path.clear();
-    return;
-  }
-  if (hint.parent != kInvalidInode && parent == hint.parent_path) {
-    return;  // same directory as the previous record: reuse
-  }
-  hint.parent = kInvalidInode;
-  hint.parent_path.assign(parent);
-  // Resolved without the hint installed (active_hint_ is still null here),
-  // so this walk goes through the LRU cache and fills it as a side effect.
-  const Inode* p = Resolve(parent);
-  if (p != nullptr && p->is_dir) hint.parent = p->id;
-}
-
-Status Tree::Apply(const journal::LogRecord& record, BatchHint* hint) {
   if (record.txid != 0 && record.txid <= last_txid_) {
     return Status::Ok();  // idempotent replay of an already-applied record
   }
-  return ApplyUnguarded(record, hint);
+  return ApplyUnguarded(record);
 }
 
-Status Tree::ApplyUnguarded(const journal::LogRecord& record, BatchHint* hint) {
+Status Tree::ApplyUnguarded(const journal::LogRecord& record) {
   // Install the record's allocation script: ids the active drew while
   // executing this op. Replay consumes them positionally, which detaches
   // inode-id assignment from apply order.
   alloc_trace_.clear();
   alloc_script_ = &record.inode_ids;
   alloc_script_pos_ = 0;
-  if (hint != nullptr) {
-    PrimeHint(*hint, record);
-    if (hint->parent != kInvalidInode) active_hint_ = hint;
-  }
   Status s;
   switch (record.op) {
     case OpCode::kCreate:
@@ -773,15 +710,8 @@ Status Tree::ApplyUnguarded(const journal::LogRecord& record, BatchHint* hint) {
       s = ApplyShardControl(record);
       break;
   }
-  active_hint_ = nullptr;
   alloc_script_ = nullptr;
   alloc_script_pos_ = 0;
-  if (hint != nullptr && journal::MutatesStructure(record.op)) {
-    // The record may have removed or moved the memoized directory (or any
-    // ancestor of it); the next record re-resolves from scratch.
-    hint->parent = kInvalidInode;
-    hint->parent_path.clear();
-  }
   if (!s.ok()) {
     return Status::Internal("replay diverged at txid " +
                             std::to_string(record.txid) + " (" +
@@ -799,7 +729,7 @@ Status Tree::ApplyUnguarded(const journal::LogRecord& record, BatchHint* hint) {
 }
 
 Status Tree::ApplyPlanned(const std::vector<journal::LogRecord>& records,
-                          const journal::ApplyPlan& plan, BatchHint* hint) {
+                          const journal::ApplyPlan& plan) {
   // Guard against the entry snapshot, not the live last_txid_: within the
   // batch, a wave-mate with a higher txid must not make a lower-txid
   // record look already-applied. ApplyUnguarded advances last_txid_ by
@@ -810,7 +740,7 @@ Status Tree::ApplyPlanned(const std::vector<journal::LogRecord>& records,
     for (std::size_t index : wave) {
       const journal::LogRecord& rec = records[index];
       if (rec.txid != 0 && rec.txid <= entry_last) continue;
-      Status s = ApplyUnguarded(rec, hint);
+      Status s = ApplyUnguarded(rec);
       if (!s.ok() && first_error.ok()) first_error = s;
     }
   }
@@ -1012,10 +942,6 @@ Status Tree::LoadImage(const std::vector<char>& bytes) {
   if (!fresh.inodes_.contains(kRootInode)) {
     return Status::Corruption("image missing root");
   }
-  // Keep this tree's cache configuration and cumulative stats across the
-  // swap; the mappings themselves describe the old namespace and go.
-  fresh.resolve_cache_ = std::move(resolve_cache_);
-  fresh.resolve_cache_.Clear();
   *this = std::move(fresh);
   return Status::Ok();
 }

@@ -29,7 +29,6 @@
 #include "common/bytes.hpp"
 #include "common/status.hpp"
 #include "common/types.hpp"
-#include "fsns/resolve_cache.hpp"
 #include "journal/apply_plan.hpp"
 #include "journal/record.hpp"
 
@@ -139,23 +138,6 @@ class Tree {
   /// divergence and returns Internal.
   Status Apply(const journal::LogRecord& record);
 
-  /// Parent-directory memo for batch replay. Journal batches are bursty:
-  /// long runs of records target the same directory (create + addBlock +
-  /// completeFile streams into one hot dir), so the batch-apply fast path
-  /// resolves each record's parent once and reuses it across consecutive
-  /// records. Pass one hint across all Apply() calls of a batch; the tree
-  /// keeps it coherent (structural records — delete/rename — drop it).
-  class BatchHint {
-   public:
-    BatchHint() = default;
-
-   private:
-    friend class Tree;
-    std::string parent_path;
-    InodeId parent = kInvalidInode;
-  };
-  Status Apply(const journal::LogRecord& record, BatchHint* hint);
-
   /// Conflict-checked batch apply: executes `records` wave by wave per
   /// `plan` (journal::BuildApplyPlan). Records within a wave have
   /// pairwise-disjoint footprints, so the tree may apply them in any order
@@ -165,22 +147,13 @@ class Tree {
   /// charge/execute a wave concurrently. Records already folded in when
   /// the call started (txid <= entry last_txid) are skipped, mirroring
   /// Apply()'s idempotent-replay guard but against the entry snapshot so
-  /// a wave-mate's higher txid cannot mask an unapplied record. BatchHint,
-  /// the ResolveCache, and the per-directory child indexes stay coherent
-  /// through the same mechanisms serial Apply() uses. Applies every
-  /// record even after a failure; returns the first non-OK status
-  /// (divergence, as in Apply).
+  /// a wave-mate's higher txid cannot mask an unapplied record. Resolution
+  /// reads only the inode table and the per-directory child indexes, which
+  /// every mutation keeps current, so no replay-side state needs
+  /// invalidating between records. Applies every record even after a
+  /// failure; returns the first non-OK status (divergence, as in Apply).
   Status ApplyPlanned(const std::vector<journal::LogRecord>& records,
-                      const journal::ApplyPlan& plan, BatchHint* hint);
-
-  // --- resolution cache ------------------------------------------------------
-  /// Sizes the LRU path->inode cache consulted by every resolution;
-  /// capacity 0 disables it (benchmark ablation). Survives Reset() and
-  /// LoadImage() (mappings are dropped, configuration and stats persist).
-  void SetResolveCacheCapacity(std::size_t capacity) {
-    resolve_cache_.set_capacity(capacity);
-  }
-  const ResolveCache& resolve_cache() const noexcept { return resolve_cache_; }
+                      const journal::ApplyPlan& plan);
 
   /// Highest txid folded into this tree (from mutations or replay).
   TxId last_txid() const noexcept { return last_txid_; }
@@ -289,11 +262,7 @@ class Tree {
 
   /// Apply() minus the idempotent-replay txid guard; ApplyPlanned guards
   /// against its entry snapshot instead of the live `last_txid_`.
-  Status ApplyUnguarded(const journal::LogRecord& record, BatchHint* hint);
-
-  /// Points `hint` at the parent directory of `record.path`, reusing the
-  /// memo when the parent is unchanged from the previous record.
-  void PrimeHint(BatchHint& hint, const journal::LogRecord& record) const;
+  Status ApplyUnguarded(const journal::LogRecord& record);
 
   /// Remembers a successfully applied client op for duplicate suppression.
   void RememberApplied(ClientOpId client);
@@ -339,14 +308,6 @@ class Tree {
   std::uint64_t file_count_ = 0;
   std::unordered_map<std::uint64_t, ClientEntry> client_table_;
   ShardState shard_;
-
-  /// Pure accelerator state: never serialized, never fingerprinted, never
-  /// observable through query results — only through resolve speed.
-  mutable ResolveCache resolve_cache_;
-  /// Set only while Apply(record, hint) executes its mutation core; lets
-  /// Resolve() answer hinted lookups without threading the hint through
-  /// every Do* signature.
-  const BatchHint* active_hint_ = nullptr;
 
   /// Inode ids drawn while the current op executes (cleared per op); on a
   /// successful mutation they move into the returned record's inode_ids.

@@ -63,17 +63,6 @@ enum class OpCode : std::uint8_t {
 
 const char* OpCodeName(OpCode op) noexcept;
 
-/// True when replaying `op` can remove or relocate existing inodes (as
-/// opposed to adding nodes or mutating attributes in place). Replayers
-/// that keep resolution state across records — parent-directory memos,
-/// path caches — must drop it for the affected prefixes after such a
-/// record; everything else is invalidation-free by construction.
-constexpr bool MutatesStructure(OpCode op) noexcept {
-  return op == OpCode::kDelete || op == OpCode::kRename ||
-         op == OpCode::kShardErase || op == OpCode::kShardMigrateEnd ||
-         op == OpCode::kShardDiscard || op == OpCode::kRenameFinish;
-}
-
 struct LogRecord {
   /// `path` named a leaf file (a non-directory, hence no descendants) when
   /// the active executed this kRename: the apply planner may use point

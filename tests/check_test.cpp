@@ -502,11 +502,11 @@ TEST(StandbyReadSweepTest, SessionConsistentOffloadYieldsNoViolations) {
 
 // --- rename/delete storms across failover -----------------------------------
 
-TEST(ResolveCacheSweepTest, RenameDeleteStormsYieldNoStaleHits) {
-  // Rename/delete-heavy traffic exercises fsns::ResolveCache prefix
-  // invalidation: a stale-positive hit after a rename or delete would
-  // surface as a stale read / lost ack in the history. Faults run
-  // concurrently, so invalidation is also crossed with failover replay.
+TEST(RenameDeleteStormSweepTest, StormsAcrossFailoverStayLinearizable) {
+  // Rename/delete-heavy traffic moves and removes entries under every
+  // replica's resolution walk: a path that still resolved after its rename
+  // or delete would surface as a stale read or lost ack in the history.
+  // Faults run concurrently, so the storms also cross failover replay.
   FuzzProfile profile;
   profile.ops_per_client = 30;
   profile.mix.create = 0.30;

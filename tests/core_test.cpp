@@ -10,6 +10,7 @@
 #include "core/failover_trace.hpp"
 #include "net/network.hpp"
 #include "sim/simulator.hpp"
+#include "test_util.hpp"
 #include "workload/driver.hpp"
 
 namespace mams::core {
@@ -184,6 +185,40 @@ TEST_F(CoreTest, GroupDirectoryTracksActives) {
   cfs_->FindActive(0)->Crash();
   Run(10 * kSecond);
   EXPECT_EQ(cfs_->directory().Active(0), cfs_->FindActive(0)->id());
+}
+
+TEST_F(CoreTest, ForcedCheckpointReleasesItsImageAtTeardown) {
+  // A forced checkpoint streams its image in several chunks, each append's
+  // completion issuing the next. Once the image is in the pool and the
+  // cluster is gone, nothing may still own the image bytes: under
+  // LeakSanitizer (the sanitizer CI job) a chunk callback that keeps its
+  // own closure alive fails this test at exit.
+  cluster::CfsConfig cfg;
+  cfg.groups = 1;
+  cfg.standbys_per_group = 2;
+  cfg.clients = 1;
+  cfg.data_servers = 1;
+  cfg.mds.checkpoint_interval = 3600 * kSecond;  // only the forced one
+  cfg.mds.image_chunk_bytes = 256;
+  Build(cfg);
+  for (int i = 0; i < 10; ++i) {
+    ASSERT_TRUE(CreateFile("/forced/f" + std::to_string(i)).ok());
+  }
+  MdsServer* active = cfs_->FindActive(0);
+  ASSERT_NE(active, nullptr);
+  active->CheckpointNow();
+  auto image_in_pool = [&] {
+    for (int p = 0; p < 3; ++p) {
+      if (!cfs_->pool_node(p).store().List("g0/image-").empty()) return true;
+    }
+    return false;
+  };
+  ASSERT_TRUE(testutil::WaitFor(*sim_, image_in_pool, 10 * kSecond));
+  Run(2 * kSecond);  // the last chunk's replica acks land
+
+  cfs_.reset();
+  net_.reset();
+  sim_.reset();
 }
 
 TEST_F(CoreTest, CountersReflectProtocolActivity) {

@@ -1,8 +1,11 @@
 // Tests for the namespace: paths, tree operations, replay determinism,
-// image round trips, duplicate suppression, block map, and partitioning.
+// batch replay under mutation storms, image round trips, duplicate
+// suppression, block map, and partitioning.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -114,16 +117,6 @@ TEST(PathTest, ParentDirAliasesInput) {
   EXPECT_EQ(ParentDir("/a"), "/");
   EXPECT_EQ(ParentDir("/"), "");
   EXPECT_EQ(ParentDir(""), "");
-}
-
-TEST(PathTest, ChildOf) {
-  EXPECT_EQ(ChildOf("/a", "/a/b"), "b");
-  EXPECT_EQ(ChildOf("/", "/a"), "a");
-  EXPECT_EQ(ChildOf("/a", "/a/b/c"), "");   // grandchild
-  EXPECT_EQ(ChildOf("/a", "/ab"), "");      // sibling with shared prefix
-  EXPECT_EQ(ChildOf("/a", "/a"), "");       // self
-  EXPECT_EQ(ChildOf("/", "/a/b"), "");      // not a direct child of root
-  EXPECT_EQ(ChildOf("", "/a"), "");         // no parent
 }
 
 // --- tree basics -------------------------------------------------------------
@@ -343,11 +336,10 @@ TEST_F(TreeTest, SiblingLeafRenamesConvergeInEitherWaveOrder) {
         return forward.GetFileInfo(std::string(p)).ok();
       });
   ASSERT_EQ(plan.wave_count(), 1u);  // siblings share the wave
-  ASSERT_TRUE(forward.ApplyPlanned(batch, plan, nullptr).ok());
+  ASSERT_TRUE(forward.ApplyPlanned(batch, plan).ok());
   ASSERT_TRUE(
       reversed
-          .ApplyPlanned(batch, journal::SingleWaveReversedPlan(batch.size()),
-                        nullptr)
+          .ApplyPlanned(batch, journal::SingleWaveReversedPlan(batch.size()))
           .ok());
   EXPECT_EQ(forward.Fingerprint(), tree_.Fingerprint());
   EXPECT_EQ(reversed.Fingerprint(), tree_.Fingerprint());
@@ -485,6 +477,271 @@ TEST_P(ReplayPropertyTest, RandomWorkloadReplaysExactly) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ReplayPropertyTest,
                          ::testing::Values(1, 2, 3, 5, 8, 13, 21, 34));
+
+// --- batch replay under mutation storms --------------------------------------
+
+/// Drives identical random namespace mutations through several trees at
+/// once, asserting op-by-op status parity and collecting the journal
+/// records the "active" (first tree) would ship to replicas.
+class MirroredFuzzer {
+ public:
+  explicit MirroredFuzzer(std::uint64_t seed) : rng_(seed) {
+    dirs_.push_back("/");
+  }
+
+  void Attach(Tree* tree) { trees_.push_back(tree); }
+
+  void Step() {
+    const std::uint64_t dice = rng_.Below(100);
+    if (dice < 25) {
+      Mkdir();
+    } else if (dice < 55) {
+      Create();
+    } else if (dice < 70) {
+      Delete();
+    } else if (dice < 85) {
+      Rename();
+    } else {
+      AddBlock();
+    }
+    // Interleave reads, including misses under live directories.
+    for (int i = 0; i < 3; ++i) Probe(RandomKnownPath());
+    Probe(RandomKnownPath() + "/definitely-missing");
+  }
+
+  /// Asserts every attached tree answers FindInode identically for `path`.
+  void Probe(const std::string& path) {
+    const Inode* expect = trees_.front()->FindInode(path);
+    for (std::size_t t = 1; t < trees_.size(); ++t) {
+      const Inode* got = trees_[t]->FindInode(path);
+      ASSERT_EQ(expect == nullptr, got == nullptr) << path;
+      if (expect != nullptr && got != nullptr) {
+        ASSERT_EQ(expect->id, got->id) << path;
+        ASSERT_EQ(expect->is_dir, got->is_dir) << path;
+      }
+    }
+  }
+
+  void ProbeAllKnown() {
+    for (const auto& d : dirs_) Probe(d);
+    for (const auto& f : files_) Probe(f);
+  }
+
+  const std::vector<LogRecord>& records() const { return records_; }
+  std::string RandomKnownPath() {
+    if (!files_.empty() && rng_.Chance(0.5)) {
+      return files_[rng_.Below(files_.size())];
+    }
+    return dirs_[rng_.Below(dirs_.size())];
+  }
+
+ private:
+  ClientOpId NextOp() { return {.client_id = 7, .op_seq = ++seq_}; }
+
+  template <typename Fn>
+  Result<LogRecord> ApplyToAll(Fn&& op) {
+    const ClientOpId client = NextOp();
+    Result<LogRecord> first = op(*trees_.front(), client);
+    for (std::size_t t = 1; t < trees_.size(); ++t) {
+      Result<LogRecord> other = op(*trees_[t], client);
+      EXPECT_EQ(first.ok(), other.ok());
+      if (!first.ok()) {
+        EXPECT_EQ(first.status().code(), other.status().code());
+      }
+    }
+    if (first.ok()) {
+      LogRecord rec = first.value();
+      rec.txid = ++next_txid_;
+      // Mirror the MDS: it stamps the txid and keeps the live tree's
+      // replay cursor in step (Fingerprint covers last_txid).
+      for (Tree* t : trees_) t->set_last_txid(rec.txid);
+      records_.push_back(std::move(rec));
+    }
+    return first;
+  }
+
+  void Mkdir() {
+    const std::string path =
+        JoinPath(dirs_[rng_.Below(dirs_.size())], "d" + std::to_string(++uid_));
+    auto r = ApplyToAll([&](Tree& t, ClientOpId c) {
+      return t.Mkdir(path, static_cast<SimTime>(seq_), c);
+    });
+    if (r.ok()) dirs_.push_back(path);
+  }
+
+  void Create() {
+    const std::string path =
+        JoinPath(dirs_[rng_.Below(dirs_.size())], "f" + std::to_string(++uid_));
+    auto r = ApplyToAll([&](Tree& t, ClientOpId c) {
+      return t.Create(path, 3, static_cast<SimTime>(seq_), c);
+    });
+    if (r.ok()) files_.push_back(path);
+  }
+
+  void Delete() {
+    const std::string path = RandomKnownPath();
+    if (path == "/") return;
+    auto r = ApplyToAll([&](Tree& t, ClientOpId c) {
+      return t.Delete(path, static_cast<SimTime>(seq_), c);
+    });
+    if (r.ok()) Forget(path);
+  }
+
+  void Rename() {
+    const std::string src = RandomKnownPath();
+    if (src == "/") return;
+    const std::string dst =
+        JoinPath(dirs_[rng_.Below(dirs_.size())], "r" + std::to_string(++uid_));
+    if (IsPrefixPath(src, dst)) return;  // cannot move a dir under itself
+    auto r = ApplyToAll([&](Tree& t, ClientOpId c) {
+      return t.Rename(src, dst, static_cast<SimTime>(seq_), c);
+    });
+    if (r.ok()) Redirect(src, dst);
+  }
+
+  void AddBlock() {
+    if (files_.empty()) return;
+    const std::string path = files_[rng_.Below(files_.size())];
+    (void)ApplyToAll([&](Tree& t, ClientOpId c) {
+      return t.AddBlock(path, static_cast<SimTime>(seq_), c);
+    });
+  }
+
+  /// Drops `path` and everything beneath it from the tracked sets.
+  void Forget(const std::string& path) {
+    auto prune = [&](std::vector<std::string>& v) {
+      std::erase_if(v, [&](const std::string& p) {
+        return IsPrefixPath(path, p);
+      });
+    };
+    prune(dirs_);
+    prune(files_);
+  }
+
+  /// Rewrites tracked paths under `src` to live under `dst`.
+  void Redirect(const std::string& src, const std::string& dst) {
+    auto move = [&](std::vector<std::string>& v) {
+      for (std::string& p : v) {
+        if (IsPrefixPath(src, p)) p = dst + p.substr(src.size());
+      }
+    };
+    move(dirs_);
+    move(files_);
+  }
+
+  Rng rng_;
+  std::vector<Tree*> trees_;
+  std::vector<std::string> dirs_;
+  std::vector<std::string> files_;
+  std::vector<LogRecord> records_;
+  std::uint64_t seq_ = 0;
+  std::uint64_t uid_ = 0;
+  TxId next_txid_ = 0;
+};
+
+/// Replays `records[first..last)` into `tree` the way a standby applies
+/// journal batches: `batch_size` records at a time, planned into
+/// conflict-free waves and applied through ApplyPlanned.
+void ReplayBatches(Tree& tree, const std::vector<LogRecord>& records,
+                   std::size_t first, std::size_t last,
+                   std::size_t batch_size = 16) {
+  for (std::size_t lo = first; lo < last; lo += batch_size) {
+    const std::vector<LogRecord> batch(
+        records.begin() + static_cast<long>(lo),
+        records.begin() + static_cast<long>(std::min(last, lo + batch_size)));
+    const journal::ApplyPlan plan = journal::BuildApplyPlan(
+        batch, [&](std::string_view p) { return tree.Exists(p); });
+    ASSERT_TRUE(tree.ApplyPlanned(batch, plan).ok())
+        << "replay diverged in the batch starting at txid " << batch[0].txid;
+  }
+}
+
+TEST(NamespaceReplayTest, BatchReplayMatchesLiveExecution) {
+  Tree active;
+  MirroredFuzzer fuzz(0xbeef);
+  fuzz.Attach(&active);
+  for (int i = 0; i < 1500; ++i) fuzz.Step();
+
+  // A standby replaying the journal batch by batch, and one replaying it
+  // record by record, must both converge on the active's state.
+  Tree standby;
+  Tree serial;
+  ReplayBatches(standby, fuzz.records(), 0, fuzz.records().size());
+  for (const LogRecord& rec : fuzz.records()) {
+    ASSERT_TRUE(serial.Apply(rec).ok()) << "txid " << rec.txid;
+  }
+
+  EXPECT_EQ(active.Fingerprint(), standby.Fingerprint());
+  EXPECT_EQ(active.Fingerprint(), serial.Fingerprint());
+  EXPECT_EQ(active.last_txid(), standby.last_txid());
+
+  fuzz.Attach(&standby);
+  fuzz.Attach(&serial);
+  fuzz.ProbeAllKnown();
+}
+
+TEST(NamespaceReplayTest, FailoverImageLoadDropsStaleEntries) {
+  Tree active;
+  MirroredFuzzer fuzz(0xfa11);
+  fuzz.Attach(&active);
+  for (int i = 0; i < 1000; ++i) fuzz.Step();
+  const std::size_t checkpoint = fuzz.records().size();
+  const std::vector<char> image = active.SaveImage();
+
+  for (int i = 0; i < 1000; ++i) fuzz.Step();  // active keeps going
+
+  // The junior has unrelated state before it formats and catches up —
+  // exactly the failover sequence. None of it may survive LoadImage.
+  Tree junior;
+  ClientOpId none{};
+  ASSERT_TRUE(junior.Mkdir("/stale", 1, none).ok());
+  ASSERT_TRUE(junior.Create("/stale/old", 1, 1, none).ok());
+  ASSERT_NE(junior.FindInode("/stale/old"), nullptr);
+
+  ASSERT_TRUE(junior.LoadImage(image).ok());
+  EXPECT_EQ(junior.FindInode("/stale/old"), nullptr);
+  ReplayBatches(junior, fuzz.records(), checkpoint, fuzz.records().size());
+
+  EXPECT_EQ(active.Fingerprint(), junior.Fingerprint());
+  EXPECT_EQ(active.last_txid(), junior.last_txid());
+  fuzz.Attach(&junior);
+  fuzz.ProbeAllKnown();
+}
+
+TEST(NamespaceReplayTest, DenseStructuralReplayMatchesLiveExecution) {
+  // Dense single-directory batches with deletes and renames sprinkled in:
+  // every batch mixes creates with records that remove or move entries of
+  // the directory the next records resolve through.
+  Tree live;
+  ClientOpId none{};
+  ASSERT_TRUE(live.Mkdir("/hot", 1, none).ok());
+  std::vector<LogRecord> records;
+  TxId txid = 0;
+  // Failed ops (e.g. renaming an already-deleted file) are not journaled —
+  // exactly like the real active.
+  auto push = [&](Result<LogRecord> r) {
+    if (!r.ok()) return;
+    LogRecord rec = r.value();
+    rec.txid = ++txid;
+    live.set_last_txid(rec.txid);
+    records.push_back(std::move(rec));
+  };
+  push(live.Mkdir("/hot", 1, none));  // idempotent mkdir lands in the journal
+  for (int i = 0; i < 200; ++i) {
+    const std::string f = "/hot/f" + std::to_string(i);
+    push(live.Create(f, 3, i, none));
+    if (i % 7 == 3) push(live.Delete(f, i, none));
+    if (i % 11 == 5) {
+      push(live.Rename("/hot/f" + std::to_string(i - 1),
+                       "/hot/g" + std::to_string(i), i, none));
+    }
+  }
+  ASSERT_GT(records.size(), 200u);
+
+  Tree replayed;
+  ReplayBatches(replayed, records, 0, records.size(), 64);
+  EXPECT_EQ(live.Fingerprint(), replayed.Fingerprint());
+}
 
 // --- block map -----------------------------------------------------------
 

@@ -185,6 +185,19 @@ class ShardClusterTest : public ::testing::Test {
     return out;
   }
 
+  Result<std::vector<std::string>> ListSync(const std::string& path,
+                                            int client = 0) {
+    Result<std::vector<std::string>> out = Status::TimedOut("no reply");
+    bool done = false;
+    cluster_->client(client).ListDir(
+        path, [&](Result<std::vector<std::string>> r) {
+          out = std::move(r);
+          done = true;
+        });
+    testutil::WaitFor(*sim_, [&] { return done; }, 60 * kSecond);
+    return out;
+  }
+
   /// First "<base>N" directory whose *children* land in a slot owned by `g`.
   /// Files hash by their parent directory, so picking the directory picks the
   /// slot — every file inside it shares that slot.
@@ -308,6 +321,26 @@ TEST_F(ShardClusterTest, MigrationSurvivesDestinationActiveCrash) {
   Run(30 * kSecond);  // dst failover; source retries against the new active
 
   ExpectExactlyOnce(paths);
+}
+
+TEST_F(ShardClusterTest, ListDirRoutesByTheDirectorysOwnSlot) {
+  Build();
+  // A directory whose own entry hashes (by its parent) to group 0 while
+  // its children hash (by the directory itself) to group 1. Servers admit
+  // a listing by the directory's own slot, so the client must send it to
+  // group 1; routing it by the entry's slot bounces it until it fails.
+  const shard::PartitionMap map = shard::PartitionMap::Seed(2);
+  std::string dir;
+  for (int i = 0; dir.empty(); ++i) {
+    const std::string d = "/lp" + std::to_string(i) + "/d";
+    if (map.OwnerOf(d) == 0 && map.OwnerOfDir(d) == 1) dir = d;
+  }
+  ASSERT_TRUE(CreateFile(dir + "/f").ok());
+
+  const Result<std::vector<std::string>> listing = ListSync(dir);
+  ASSERT_TRUE(listing.ok()) << listing.status().ToString();
+  EXPECT_EQ(listing.value(), std::vector<std::string>{"f"});
+  EXPECT_EQ(cluster_->client(0).counters().shard_bounces, 0u);
 }
 
 TEST_F(ShardClusterTest, CrossGroupRenameIsAtomic) {

@@ -65,7 +65,7 @@ void Usage() {
       "  --faults N         faults per run (default 5)\n"
       "  --profile P        default|renames|migrations|apply_race|cache|\n"
       "                     elastic — renames is rename/delete-heavy\n"
-      "                     (resolve-cache pressure); migrations runs two\n"
+      "                     (subtree moves under replay); migrations runs two\n"
       "                     replica groups with live shard migrations and\n"
       "                     cross-group renames; apply_race points all\n"
       "                     clients at one shared tree with a widened\n"
