@@ -78,10 +78,11 @@ double RunCfs(OpKind kind, int standbys, std::uint64_t seed) {
 
   // Preload every group member with the partition it owns.
   auto paths = bench::PreloadPaths(kPreloadFiles);
+  const shard::PartitionMap& map = cfs.config().mds.partition_map;
   for (GroupId g = 0; g < cfg.groups; ++g) {
     std::vector<std::string> owned;
     for (const auto& p : paths) {
-      if (cfs.partitioner().OwnerOf(p) == g) owned.push_back(p);
+      if (map.OwnerOf(p) == g) owned.push_back(p);
     }
     cfs.PreloadGroup(g, [&owned](fsns::Tree& tree) {
       bench::PreloadTree(tree, owned);

@@ -45,7 +45,8 @@ JobResult RunCfs(std::uint64_t seed, bool inject_failure) {
   workload::MapReduceJob job(sim, workload::MakeApi(cfs.client(0)), {}, seed);
   // Crash the active of the group that owns the job's input splits, so the
   // failure actually lands in the map tasks' metadata path.
-  const GroupId input_group = cfs.partitioner().OwnerOf("/job/in/part-0");
+  const GroupId input_group =
+      cfs.config().mds.partition_map.OwnerOf("/job/in/part-0");
   bool finished = false;
   SimTime job_start = 0;
   job.Setup([&] {

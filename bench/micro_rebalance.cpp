@@ -67,14 +67,13 @@ int main() {
   cfg.standbys_per_group = 2;
   cfg.clients = 1;
   cfg.data_servers = 1;
-  cfg.mds.partition_map = shard::PartitionMap::Seed(2);
   cluster::CfsCluster cfs(net, cfg);
   cfs.Start();
   sim.RunUntil(sim.Now() + 2 * kSecond);
 
   // Preload group 0 with its share of the namespace (only paths the seeded
   // map routes to group 0 — the rest would be unreachable dead weight).
-  const shard::PartitionMap map = shard::PartitionMap::Seed(2);
+  const shard::PartitionMap& map = cfs.config().mds.partition_map;
   std::vector<std::string> paths;
   for (const std::string& p : bench::PreloadPaths(kPreloadFiles)) {
     if (map.OwnerOf(p) == 0) paths.push_back(p);

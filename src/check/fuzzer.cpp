@@ -293,13 +293,7 @@ RunResult RunSpecOnce(const RunSpec& spec, CheckOptions check) {
 
   cluster::CfsConfig cfg;
   const int groups = std::max(1, spec.groups);
-  // One group is the single-active serialization point; more than one
-  // boots a seeded partition map so clients route (and re-route) by slot.
   cfg.groups = static_cast<GroupId>(groups);
-  if (groups > 1) {
-    cfg.mds.partition_map =
-        shard::PartitionMap::Seed(static_cast<GroupId>(groups));
-  }
   cfg.standbys_per_group = spec.standbys;
   cfg.juniors_per_group = 0;
   cfg.data_servers = 1;

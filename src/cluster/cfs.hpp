@@ -20,7 +20,6 @@
 #include "coord/service.hpp"
 #include "core/failover_trace.hpp"
 #include "core/mds_server.hpp"
-#include "fsns/partition.hpp"
 #include "net/network.hpp"
 #include "obs/observability.hpp"
 #include "storage/pool_node.hpp"
@@ -47,8 +46,12 @@ class CfsCluster {
   CfsCluster(net::Network& network, CfsConfig config)
       : network_(network),
         config_(config),
-        partitioner_(config.groups),
         coord_(network, config.coord_replicas, config.coord) {
+    // The partition map is the one routing truth: every server and client
+    // starts from the same seed unless the deployment brings its own.
+    if (config_.mds.partition_map.empty()) {
+      config_.mds.partition_map = shard::PartitionMap::Seed(config_.groups);
+    }
     // Pool nodes first so the SSP addresses exist for every MDS. One pool
     // node per metadata node (co-hosted machine model).
     const int members_per_group =
@@ -90,13 +93,7 @@ class CfsCluster {
     for (int c = 0; c < config_.clients; ++c) {
       clients_.push_back(std::make_unique<FsClient>(
           network, "client" + std::to_string(c), coord_.frontend_id(),
-          partitioner_, config_.client));
-      // Shard subsystem opt-in: when the deployment carries a seed
-      // partition map, clients route by it (and adopt newer epochs from
-      // shard bounces) instead of the static hash partitioner.
-      if (!config_.mds.partition_map.empty()) {
-        clients_.back()->SetPartitionMap(config_.mds.partition_map);
-      }
+          config_.mds.partition_map, config_.client));
     }
 
     InstallProbes();
@@ -137,9 +134,6 @@ class CfsCluster {
   // --- accessors ---------------------------------------------------------
   net::Network& network() noexcept { return network_; }
   const CfsConfig& config() const noexcept { return config_; }
-  const fsns::HashPartitioner& partitioner() const noexcept {
-    return partitioner_;
-  }
   coord::CoordEnsemble& coord() noexcept { return coord_; }
   core::GroupDirectory& directory() noexcept { return directory_; }
 
@@ -316,7 +310,7 @@ class CfsCluster {
       core::MdsServer* active = FindActive(g);
       if (active == nullptr) continue;
       const shard::PartitionMap& map = active->partition_map();
-      if (map.empty() || map.OwnerOfSlot(slot) != g) continue;
+      if (map.OwnerOfSlot(slot) != g) continue;
       const GroupId to =
           dst != kNoGroup ? dst
                           : (g + 1) % static_cast<GroupId>(groups_.size());
@@ -441,7 +435,6 @@ class CfsCluster {
 
   net::Network& network_;
   CfsConfig config_;
-  fsns::HashPartitioner partitioner_;
   coord::CoordEnsemble coord_;
   core::GroupDirectory directory_;
   core::FailoverTraceLog failover_log_;

@@ -1,15 +1,17 @@
 // FsClient — the file-system client library.
 //
-// Routing: the hash partitioner maps each path to its owner group; the
-// client caches each group's active server (and standby list) and talks to
-// them directly. Failover handling reproduces the paper's "client
-// reconnection" stage (Figure 7): on an RPC timeout or a "not active"
-// rejection the client invalidates its cache, polls the coordination
-// service until the group view exposes a (new) active, pays a reconnection
-// charge (TCP + session setup), and resends the request with the SAME
-// ClientOpId — the server's duplicate suppression makes the retry
-// idempotent, so an operation that committed just before the crash is
-// acknowledged, not re-executed.
+// Routing: the partition map assigns each path's slot to its owner group;
+// the client caches each group's active server (and standby list) and
+// talks to them directly. Servers bounce requests routed by a stale map
+// epoch and attach their newer map; the client adopts it and re-routes —
+// no coordination-service round trip on the fast path. Failover handling
+// reproduces the paper's "client reconnection" stage (Figure 7): on an RPC
+// timeout or a "not active" rejection the client invalidates its cache,
+// polls the coordination service until the group view exposes a (new)
+// active, pays a reconnection charge (TCP + session setup), and resends the
+// request with the SAME ClientOpId — the server's duplicate suppression
+// makes the retry idempotent, so an operation that committed just before
+// the crash is acknowledged, not re-executed.
 //
 // Read offload: with ReadRouting::kRoundRobinStandby the client spreads
 // GetFileInfo/ListDir round-robin over the group's live standbys. Session
@@ -49,7 +51,6 @@
 
 #include "coord/client.hpp"
 #include "core/messages.hpp"
-#include "fsns/partition.hpp"
 #include "fsns/path.hpp"
 #include "net/host.hpp"
 #include "net/rpc.hpp"
@@ -126,9 +127,9 @@ class FsClient : public net::Host {
   using Observer = std::function<void(const OpOutcome&)>;
 
   FsClient(net::Network& network, std::string name, NodeId coord,
-           fsns::HashPartitioner partitioner, FsClientOptions options = {})
+           shard::PartitionMap map, FsClientOptions options = {})
       : net::Host(network, std::move(name)),
-        partitioner_(partitioner),
+        map_(std::move(map)),
         options_(options),
         rng_(network.sim().rng().Fork(Fnv1a(this->name()) | 2)) {
     coord_client_ = std::make_unique<coord::CoordClient>(*this, coord);
@@ -143,15 +144,6 @@ class FsClient : public net::Host {
   }
 
   void set_observer(Observer observer) { observer_ = std::move(observer); }
-  const fsns::HashPartitioner& partitioner() const noexcept {
-    return partitioner_;
-  }
-
-  /// Installs the versioned partition map as routing truth (the legacy hash
-  /// partitioner only backstops an empty map). Servers bounce requests
-  /// routed by a stale epoch and attach their newer map; the client adopts
-  /// it and re-routes — no coordination-service round trip on the fast path.
-  void SetPartitionMap(shard::PartitionMap map) { map_ = std::move(map); }
   const shard::PartitionMap& partition_map() const noexcept { return map_; }
 
   /// Session metadata of the last completed op; see OpStamp.
@@ -171,22 +163,19 @@ class FsClient : public net::Host {
   }
 
   void Mkdir(const std::string& path, OpCallback done) {
-    auto req = NewRequest(core::ClientOp::kMkdir, path);
-    req->participant_group = OwnerGroupDir(path);
-    Issue<Ack>(std::move(req), Acked(std::move(done)));
+    Issue<Ack>(NewRequest(core::ClientOp::kMkdir, path),
+               Acked(std::move(done)));
   }
 
   void Delete(const std::string& path, OpCallback done) {
-    auto req = NewRequest(core::ClientOp::kDelete, path);
-    req->participant_group = OwnerGroupDir(path);
-    Issue<Ack>(std::move(req), Acked(std::move(done)));
+    Issue<Ack>(NewRequest(core::ClientOp::kDelete, path),
+               Acked(std::move(done)));
   }
 
   void Rename(const std::string& src, const std::string& dst,
               OpCallback done) {
     auto req = NewRequest(core::ClientOp::kRename, src);
     req->path2 = dst;
-    req->participant_group = OwnerGroup(dst);
     Issue<Ack>(std::move(req), Acked(std::move(done)));
   }
 
@@ -701,7 +690,7 @@ class FsClient : public net::Host {
       // Children of `dir` route by its container slot, so the group that
       // granted the lease (and executes conflicting mutations) is the
       // dir-slot owner for stats and listings alike.
-      if (OwnerGroupDir(it->first) != it->second.group) {
+      if (map_.OwnerOfDir(it->first) != it->second.group) {
         ++counters_.cache_revocations;
         m_cache_revocations_->Add();
         it = cache_.erase(it);
@@ -711,19 +700,13 @@ class FsClient : public net::Host {
     }
   }
 
-  GroupId OwnerGroup(const std::string& path) const {
-    return map_.empty() ? partitioner_.OwnerOf(path) : map_.OwnerOf(path);
-  }
-  GroupId OwnerGroupDir(const std::string& path) const {
-    return map_.empty() ? partitioner_.OwnerOfDir(path) : map_.OwnerOfDir(path);
-  }
   /// The group a request is sent to, by the slot the server admits it by
   /// (ShardAdmitRead/ShardAdmitMutation): a listing enumerates children
   /// that hash by the directory itself; every other op names an entry that
   /// hashes by its parent.
   GroupId RouteGroup(const core::ClientRequestMsg& req) const {
-    return req.op == core::ClientOp::kListDir ? OwnerGroupDir(req.path)
-                                              : OwnerGroup(req.path);
+    return req.op == core::ClientOp::kListDir ? map_.OwnerOfDir(req.path)
+                                              : map_.OwnerOf(req.path);
   }
 
   /// Polls the coordination service until the group exposes an active,
@@ -826,10 +809,8 @@ class FsClient : public net::Host {
     }
   }
 
-  fsns::HashPartitioner partitioner_;
-  /// Versioned routing truth when non-empty; updated from shard bounces.
-  /// Survives crashes (it is config-like: any staleness is corrected by
-  /// the next bounce).
+  /// Versioned routing truth; updated from shard bounces. Survives crashes
+  /// (it is config-like: any staleness is corrected by the next bounce).
   shard::PartitionMap map_;
   FsClientOptions options_;
   Rng rng_;

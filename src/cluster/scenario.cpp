@@ -543,7 +543,7 @@ Status ScenarioRunner::CmdExpectExists(const std::vector<std::string>& args,
     return Status::InvalidArgument(std::string(name) + " <path>");
   }
   if (!RequireCluster(name)) return Status::Ok();
-  const GroupId group = cluster_->partitioner().OwnerOf(args[0]);
+  const GroupId group = cluster_->config().mds.partition_map.OwnerOf(args[0]);
   core::MdsServer* active = cluster_->FindActive(group);
   if (active == nullptr) {
     Fail(std::string(name) + ": no active for " + args[0]);

@@ -164,15 +164,15 @@ Status CmdLoad(ScenarioRunner& r, const std::vector<std::string>& args) {
   opts.directories = dirs;
   if (hot_group >= 0) {
     // Skew arrivals toward one group: weight `hot_weight` for the hot
-    // group, 1 for everyone else, classified by the cluster's partitioner.
-    const auto groups = r.cluster()->config().groups;
-    opts.group_weights.assign(groups, 1.0);
-    if (hot_group < static_cast<int>(groups)) {
+    // group, 1 for everyone else. A directory belongs to the group that
+    // holds its children (the files the load touches), by the cluster map.
+    const CfsConfig& config = r.cluster()->config();
+    opts.group_weights.assign(config.groups, 1.0);
+    if (hot_group < static_cast<int>(config.groups)) {
       opts.group_weights[static_cast<std::size_t>(hot_group)] = hot_weight;
     }
-    const fsns::HashPartitioner* part = &r.cluster()->partitioner();
-    opts.group_of = [part](const std::string& path) {
-      return part->OwnerOf(path);
+    opts.group_of = [map = config.mds.partition_map](const std::string& dir) {
+      return map.OwnerOfDir(dir);
     };
   }
 

@@ -11,10 +11,6 @@
 
 namespace mams::core {
 
-namespace {
-constexpr GroupId kNoParticipant = 0xffffffffu;
-}
-
 const char* ClientOpName(ClientOp op) noexcept {
   switch (op) {
     case ClientOp::kCreate:
@@ -833,14 +829,12 @@ void MdsServer::HandleClientRequest(const net::Envelope&,
       // The leg's validity rests on this group owning the other side of
       // the transaction (the directory's children / rename destination);
       // a moved slot bounces so the coordinator re-routes.
-      if (!map_.empty()) {
-        const std::uint32_t slot = req->op == ClientOp::kRename
-                                       ? map_.SlotOf(req->path2)
-                                       : map_.SlotOfDir(req->path);
-        if (!OwnsSlotForRead(slot)) {
-          ShardBounce(reply, "participant does not own slot");
-          return;
-        }
+      const std::uint32_t slot = req->op == ClientOp::kRename
+                                     ? map_.SlotOf(req->path2)
+                                     : map_.SlotOfDir(req->path);
+      if (!OwnsSlotForRead(slot)) {
+        ShardBounce(reply, "participant does not own slot");
+        return;
       }
       ReplyStatus(reply, Status::Ok());
     });
@@ -1140,7 +1134,7 @@ void MdsServer::HandleLeaseRevokeAck(const net::MessagePtr& msg) {
 }
 
 void MdsServer::RevokeSlotLeases(std::uint32_t slot) {
-  if (leases_.empty() || map_.empty()) return;
+  if (leases_.empty()) return;
   // A lease on directory `dir` protects cached entries for `dir`'s
   // children, whose mutations all route by the container slot
   // SlotOfDir(dir) — exactly the unit a migration moves.
@@ -1226,23 +1220,20 @@ void MdsServer::ProcessClientRequest(
       return;
     }
     // A distributed transaction is only genuinely distributed when the
-    // other side of the operation belongs to a different group; within a
-    // single partition it commutes with ordinary mutations (the 1A3S
-    // configuration of Figures 6/8 pays no transaction overhead).
-    GroupId participant = req->participant_group;
-    if (!map_.empty() && IsDistributedTx(req->op)) {
-      // Route by this server's map, not the client's: the client may carry
-      // a participant computed from a stale epoch.
+    // other side of the operation (the rename destination's entry, or the
+    // directory's children) belongs to a different group; within a single
+    // partition it commutes with ordinary mutations (the 1A3S configuration
+    // of Figures 6/8 pays no transaction overhead).
+    GroupId participant = options_.group;
+    if (IsDistributedTx(req->op)) {
       participant = req->op == ClientOp::kRename ? map_.OwnerOf(req->path2)
                                                  : map_.OwnerOfDir(req->path);
     }
-    const bool cross_group = IsDistributedTx(req->op) &&
-                             participant != kNoParticipant &&
-                             participant != options_.group;
-    if (cross_group && !map_.empty() && req->op == ClientOp::kRename) {
-      // Cross-group rename is a real two-group transaction under the shard
-      // subsystem (intent -> destination commit -> finish), not a
-      // validate-and-charge leg. It paces itself via rename_drives_.
+    const bool cross_group = participant != options_.group;
+    if (cross_group && req->op == ClientOp::kRename) {
+      // Cross-group rename is a real two-group transaction (intent ->
+      // destination commit -> finish), not a validate-and-charge leg. It
+      // paces itself via rename_drives_.
       StartCrossGroupRename(req, participant, reply);
       return;
     }

@@ -529,9 +529,8 @@ class MdsServer : public net::Host {
   std::unique_ptr<sim::PeriodicTimer> renew_progress_timer_;
 
   // --- shard state -------------------------------------------------------------
-  /// Current partition map. Empty on direct-server tests (no admission);
-  /// clusters seed it via MdsOptions::partition_map and servers adopt newer
-  /// maps from coordination-service publications and peer bounces.
+  /// Current partition map, seeded from MdsOptions::partition_map; servers
+  /// adopt newer maps from coordination-service publications.
   shard::PartitionMap map_;
   /// Volatile per-slot engine state on the *source* active. The durable
   /// truth (begun/cutover/ended/aborted) lives in the journal via the

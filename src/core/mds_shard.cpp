@@ -40,7 +40,6 @@ void MdsServer::FetchMapFromCoord() {
 }
 
 bool MdsServer::OwnsSlotForRead(std::uint32_t slot) const {
-  if (map_.empty()) return true;  // no map: legacy single-partition serving
   const fsns::Tree::ShardState& sh = tree_.shard();
   // Journal-derived ownership overrides the cached map in both directions:
   // an acquired slot is served before the new map arrives, and a slot we
@@ -94,7 +93,6 @@ void MdsServer::ShardBounce(const ReplyFn& reply, const char* why) {
 
 bool MdsServer::ShardAdmitRead(const ClientRequestMsg& req,
                                const ReplyFn& reply) {
-  if (map_.empty()) return true;
   if (RenameFenced(req)) {
     // The entry is mid-flight between two groups; its linearization point
     // is the destination commit, so neither side may answer for it yet. A
@@ -117,7 +115,6 @@ bool MdsServer::ShardAdmitRead(const ClientRequestMsg& req,
 
 bool MdsServer::ShardAdmitMutation(const ClientRequestMsg& req,
                                    const ReplyFn& reply) {
-  if (map_.empty()) return true;
   if (RenameFenced(req)) {
     ShardBounce(reply, "cross-group rename in progress");
     return false;
@@ -217,7 +214,6 @@ Status MdsServer::StartShardMigration(std::uint32_t slot, GroupId dst) {
   if (role_ != ServerState::kActive || !alive()) {
     return Status::FailedPrecondition("not active");
   }
-  if (map_.empty()) return Status::FailedPrecondition("no partition map");
   if (slot >= map_.slot_count()) return Status::InvalidArgument("bad slot");
   if (dst == options_.group) return Status::InvalidArgument("dst is self");
   if (!OwnsSlotForWrite(slot)) {
@@ -573,11 +569,6 @@ void MdsServer::PublishMapForSlot(std::uint32_t slot) {
       PublishMapForSlot(slot);
     });
   };
-  if (map_.empty()) {  // resumed before the map fetch landed
-    FetchMapFromCoord();
-    retry();
-    return;
-  }
   shard::PartitionMap next = map_;
   next.Assign(slot, dst);
   coord_client_->PublishMap(
@@ -593,7 +584,7 @@ void MdsServer::PublishMapForSlot(std::uint32_t slot) {
           if (it == drives_.end() || it->second.migration_id != mid) return;
           if (role_ != ServerState::kActive || !alive()) return;
           if (s.ok()) AdoptMap(epoch, bytes);
-          if (!map_.empty() && map_.OwnerOfSlot(slot) == dst) {
+          if (map_.OwnerOfSlot(slot) == dst) {
             it->second.stats.publish_time = sim().Now();
             FinishMigration(slot);
             return;
@@ -602,7 +593,7 @@ void MdsServer::PublishMapForSlot(std::uint32_t slot) {
                      "%s: publish verify for slot %u: epoch %llu owner %u "
                      "(want %u); retrying",
                      name().c_str(), slot, (unsigned long long)map_.epoch(),
-                     map_.empty() ? 0xffffffffu : map_.OwnerOfSlot(slot), dst);
+                     map_.OwnerOfSlot(slot), dst);
           retry();
         });
       });
@@ -1100,16 +1091,14 @@ void MdsServer::HandleRenameCommit(
     ack_status(Status::Ok());  // committed in a previous attempt
     return;
   }
-  if (!map_.empty()) {
-    const std::uint32_t slot = map_.SlotOf(ctl->rename_dst);
-    if (!OwnsSlotForRead(slot)) {
-      ack_status(Status::Unavailable("slot not owned"));
-      return;
-    }
-    if (!OwnsSlotForWrite(slot)) {
-      ack_status(Status::Unavailable("shard cutover in progress"));
-      return;
-    }
+  const std::uint32_t slot = map_.SlotOf(ctl->rename_dst);
+  if (!OwnsSlotForRead(slot)) {
+    ack_status(Status::Unavailable("slot not owned"));
+    return;
+  }
+  if (!OwnsSlotForWrite(slot)) {
+    ack_status(Status::Unavailable("shard cutover in progress"));
+    return;
   }
   if (tree_.FindInode(ctl->rename_dst) != nullptr) {
     ack_status(Status::AlreadyExists(ctl->rename_dst));

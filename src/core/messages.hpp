@@ -66,12 +66,9 @@ struct ClientRequestMsg final : net::Message {
   /// (internal traffic: audits, migration legs, participant probes).
   NodeId requester = kInvalidNode;
   /// Set on cross-group coordination legs (participant side of a tx);
-  /// participants only validate/charge, they do not mutate.
+  /// participants only validate/charge, they do not mutate. The active
+  /// picks the participant group from its own partition map.
   bool tx_participant = false;
-  /// For distributed transactions: the group owning the other side of the
-  /// operation (directory container / rename destination), resolved by the
-  /// client's partitioner. kInvalidNode-like sentinel = no participant.
-  GroupId participant_group = 0xffffffffu;
 
   net::MsgType type() const noexcept override { return net::kClientRequest; }
   std::size_t ByteSize() const noexcept override {

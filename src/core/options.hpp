@@ -101,7 +101,8 @@ struct MdsOptions {
   GroupId group = 0;
 
   /// Seed namespace partition map (slot -> group routing truth at cluster
-  /// birth). Servers adopt newer maps published through the coordination
+  /// birth); CfsCluster fills in PartitionMap::Seed(groups) when left
+  /// empty. Servers adopt newer maps published through the coordination
   /// service; requests for slots the group does not own bounce with the
   /// server's current map attached.
   shard::PartitionMap partition_map;

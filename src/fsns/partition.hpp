@@ -1,31 +1,29 @@
-// Hash-based namespace partitioning across replica groups (the Clover /
-// CFS scheme the paper builds on, ref [28]).
+// Hash slots of the namespace (the Clover / CFS scheme the paper builds
+// on, ref [28]).
 //
-// A path is owned by the group given by hashing its *parent directory*:
-// all entries of one directory live in one partition, so directory-local
-// operations (create, getfileinfo, list) touch exactly one metadata server
-// and scale with the number of groups — this is why Figure 5 shows CFS
-// beating single-NN HDFS on create/getfileinfo.
+// A path's slot is the hash of its *parent directory*: all entries of one
+// directory share a slot, so directory-local operations (create,
+// getfileinfo, list) touch exactly one metadata server and scale with the
+// number of groups — this is why Figure 5 shows CFS beating single-NN HDFS
+// on create/getfileinfo. shard::PartitionMap assigns slots to replica
+// groups.
 //
 // Operations whose arguments span directories owned by different groups
 // (rename across directories, delete of a subtree, mkdir of a chain of new
-// ancestors) are distributed transactions in CFS; the cluster layer routes
-// them through a cross-group commit that costs an extra round trip, which
-// reproduces Figure 5's lower mkdir/delete/rename throughput.
+// ancestors) are distributed transactions in CFS; the servers run them as
+// cross-group commits that cost an extra round trip, which reproduces
+// Figure 5's lower mkdir/delete/rename throughput.
 #pragma once
 
 #include <string_view>
 
 #include "common/bytes.hpp"
-#include "common/types.hpp"
 #include "fsns/path.hpp"
 
 namespace mams::fsns {
 
 /// Slot of the directory `dir` as a container (where its children live)
-/// in a `slot_count`-slot hash space. The shard::PartitionMap assigns
-/// slots to groups; with `slot_count == groups` this degenerates to the
-/// HashPartitioner's direct group hash.
+/// in a `slot_count`-slot hash space.
 inline std::uint32_t DirSlot(std::string_view dir,
                              std::uint32_t slot_count) noexcept {
   return static_cast<std::uint32_t>(Fnv1a(dir) % slot_count);
@@ -37,46 +35,5 @@ inline std::uint32_t PathSlot(std::string_view path,
   if (path.size() <= 1) return DirSlot("/", slot_count);
   return DirSlot(ParentPath(path), slot_count);
 }
-
-class HashPartitioner {
- public:
-  explicit HashPartitioner(GroupId groups) : groups_(groups == 0 ? 1 : groups) {}
-
-  GroupId group_count() const noexcept { return groups_; }
-
-  /// Group owning the directory entry for `path` (hash of its parent).
-  GroupId OwnerOf(std::string_view path) const {
-    if (path.size() <= 1) return HashDir("/");
-    return HashDir(ParentPath(path));
-  }
-
-  /// Group owning the directory *itself* as a container (hash of the path),
-  /// i.e. where its children live.
-  GroupId OwnerOfDir(std::string_view dir) const { return HashDir(dir); }
-
-  /// True when an operation on `path` (and optional `path2`) stays within
-  /// one partition. Each path is hashed exactly once per role: the entry
-  /// owner (parent hash) and the dir-as-container owner (path hash) are
-  /// computed once and compared, instead of re-deriving them per clause.
-  bool IsLocalOp(std::string_view path) const {
-    // A subtree op also involves the dir-as-container partition.
-    return OwnerOf(path) == OwnerOfDir(path);
-  }
-  bool IsLocalOp(std::string_view src, std::string_view dst) const {
-    const GroupId src_entry = OwnerOf(src);
-    const GroupId src_dir = OwnerOfDir(src);
-    if (src_entry != src_dir) return false;
-    const GroupId dst_entry = OwnerOf(dst);
-    if (src_entry != dst_entry) return false;
-    return dst_entry == OwnerOfDir(dst);
-  }
-
- private:
-  GroupId HashDir(std::string_view dir) const {
-    return static_cast<GroupId>(Fnv1a(dir) % groups_);
-  }
-
-  GroupId groups_;
-};
 
 }  // namespace mams::fsns

@@ -1,21 +1,18 @@
-// Versioned namespace partition map — the shard subsystem's source of
-// routing truth.
+// Versioned namespace partition map — the one source of routing truth.
 //
 // The namespace hash space is divided into `slot_count` slots (a path's
 // slot is the hash of its parent directory, fsns::PathSlot); the map
 // assigns contiguous slot ranges to replica groups and carries an epoch
-// that increases on every reassignment. The map is published through the
-// coordination service after a shard migration cuts over; servers enforce
-// it (requests for a slot they do not own bounce, carrying the current
-// map) and clients cache it (a bounce with a newer epoch refreshes the
-// cache and re-routes), mirroring the existing group_epoch rejection path
-// for deposed replicas.
+// that increases on every reassignment. Every cluster boots with
+// Seed(groups); the map is published through the coordination service
+// after a shard migration cuts over. Servers enforce it (requests for a
+// slot they do not own bounce, carrying the current map) and clients
+// cache it (a bounce with a newer epoch refreshes the cache and
+// re-routes), mirroring the group_epoch rejection path for deposed
+// replicas.
 //
-// Seed(groups) interleaves slots round-robin (slot % groups), which is
-// bit-identical to the legacy fsns::HashPartitioner whenever `groups`
-// divides `slot_count` — the default 64-slot space keeps every power-of-
-// two group count compatible with histories produced before the map
-// existed.
+// Seed(groups) interleaves slots round-robin (slot % groups); with one
+// group every slot belongs to group 0.
 #pragma once
 
 #include <cstdint>

@@ -35,7 +35,6 @@ class ClientCacheTest : public ::testing::Test {
     cfg.standbys_per_group = standbys;
     cfg.data_servers = 1;
     cfg.clients = 2;
-    if (groups > 1) cfg.mds.partition_map = shard::PartitionMap::Seed(groups);
     cfg.mds.client_leases.grant_leases = true;
     cfg.client.cache.enabled = true;
     if (tweak) tweak(cfg);

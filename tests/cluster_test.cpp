@@ -13,6 +13,7 @@
 #include "cluster/cfs.hpp"
 #include "core/failover_trace.hpp"
 #include "net/network.hpp"
+#include "shard/partition_map.hpp"
 #include "sim/simulator.hpp"
 #include "test_util.hpp"
 
@@ -57,6 +58,18 @@ class ClusterTest : public ::testing::Test {
     Status out = Status::TimedOut("no reply");
     bool done = false;
     cluster_->client(client).Mkdir(path, [&](Status s) {
+      out = s;
+      done = true;
+    });
+    testutil::WaitFor(*sim_, [&] { return done; }, 60 * kSecond);
+    return out;
+  }
+
+  Status RenameSync(const std::string& src, const std::string& dst,
+                    int client = 0) {
+    Status out = Status::TimedOut("no reply");
+    bool done = false;
+    cluster_->client(client).Rename(src, dst, [&](Status s) {
       out = s;
       done = true;
     });
@@ -325,6 +338,47 @@ TEST_F(ClusterTest, MultiGroupOperationRouting) {
     if (cluster_->FindActive(g)->last_sn() > 0) ++groups_used;
   }
   EXPECT_GE(groups_used, 2);
+}
+
+TEST_F(ClusterTest, CrossGroupRenameWithoutAConfiguredMapMovesTheEntry) {
+  // No partition map in the config: the cluster seeds one, so a rename
+  // between directories whose children live in different groups runs the
+  // two-group transaction and the entry ends up where clients look for it.
+  Build(2, 1);
+  const shard::PartitionMap map = shard::PartitionMap::Seed(2);
+  auto dir_with_children_in = [&map](GroupId g, const std::string& base) {
+    for (int i = 0;; ++i) {
+      const std::string d = base + std::to_string(i);
+      if (map.OwnerOfDir(d) == g) return d;
+    }
+  };
+  // Source children share a group with the root's children (where a
+  // top-level mkdir lands); destination children live in the other group.
+  const GroupId near = map.OwnerOfDir("/");
+  const GroupId far = 1 - near;
+
+  const std::string src = dir_with_children_in(near, "/d") + "/f";
+  const std::string dst_dir = dir_with_children_in(far, "/d");
+  ASSERT_TRUE(CreateFile(src).ok());
+  ASSERT_TRUE(CreateFile(dst_dir + "/x").ok());
+  const Status renamed = RenameSync(src, dst_dir + "/g");
+  EXPECT_TRUE(renamed.ok()) << renamed.ToString();
+  EXPECT_TRUE(StatSync(dst_dir + "/g").ok());
+  EXPECT_EQ(StatSync(src).status().code(), StatusCode::kNotFound);
+
+  // Destination directory made by mkdir instead: whatever the verdict, an
+  // acked rename is visible at its destination and a refused one leaves
+  // the source in place.
+  const std::string src2 = dir_with_children_in(near, "/e") + "/f";
+  const std::string dst2_dir = dir_with_children_in(far, "/e");
+  ASSERT_TRUE(CreateFile(src2).ok());
+  ASSERT_TRUE(MkdirSync(dst2_dir).ok());
+  if (RenameSync(src2, dst2_dir + "/g").ok()) {
+    EXPECT_TRUE(StatSync(dst2_dir + "/g").ok());
+    EXPECT_EQ(StatSync(src2).status().code(), StatusCode::kNotFound);
+  } else {
+    EXPECT_TRUE(StatSync(src2).ok());
+  }
 }
 
 TEST_F(ClusterTest, FailoverInOneGroupLeavesOthersUndisturbed) {

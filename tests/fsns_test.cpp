@@ -1,6 +1,6 @@
 // Tests for the namespace: paths, tree operations, replay determinism,
 // batch replay under mutation storms, image round trips, duplicate
-// suppression, block map, and partitioning.
+// suppression, and the block map.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -11,7 +11,6 @@
 #include "common/rng.hpp"
 #include "fsns/blockmap.hpp"
 #include "journal/apply_plan.hpp"
-#include "fsns/partition.hpp"
 #include "fsns/path.hpp"
 #include "fsns/tree.hpp"
 
@@ -771,37 +770,6 @@ TEST(BlockMapTest, ForgetServerRetractsLocations) {
   EXPECT_EQ(map.Locations(1), std::vector<NodeId>{11});
   map.ForgetServer(11);
   EXPECT_FALSE(map.HasLocations(1));
-}
-
-// --- partitioner -----------------------------------------------------------
-
-TEST(PartitionerTest, StableAndInRange) {
-  HashPartitioner part(3);
-  for (const char* p : {"/a/b", "/c", "/deep/nested/file"}) {
-    const GroupId g = part.OwnerOf(p);
-    EXPECT_LT(g, 3u);
-    EXPECT_EQ(g, part.OwnerOf(p));
-  }
-}
-
-TEST(PartitionerTest, SiblingsShareAGroup) {
-  HashPartitioner part(4);
-  EXPECT_EQ(part.OwnerOf("/dir/f1"), part.OwnerOf("/dir/f2"));
-}
-
-TEST(PartitionerTest, SpreadsDirectoriesAcrossGroups) {
-  HashPartitioner part(3);
-  bool seen[3] = {false, false, false};
-  for (int i = 0; i < 64; ++i) {
-    seen[part.OwnerOfDir("/dir" + std::to_string(i))] = true;
-  }
-  EXPECT_TRUE(seen[0] && seen[1] && seen[2]);
-}
-
-TEST(PartitionerTest, SingleGroupDegeneratesToLocal) {
-  HashPartitioner part(1);
-  EXPECT_TRUE(part.IsLocalOp("/any/path"));
-  EXPECT_TRUE(part.IsLocalOp("/a/b", "/c/d"));
 }
 
 }  // namespace

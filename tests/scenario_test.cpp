@@ -206,6 +206,31 @@ promote 0
   EXPECT_FALSE(runner2.failures().empty());
 }
 
+TEST(ScenarioElasticPackTest, HotGroupSkewLeavesTheColdGroupAMinority) {
+  // hot_group classifies each load directory by the group holding its
+  // children, so weight 8:1 puts roughly a ninth of the ops on group 1.
+  ScenarioRunner runner;
+  ASSERT_TRUE(RegisterElasticCommands(runner).ok());
+  Status s = runner.Run(R"(
+cluster groups=2 standbys=1 clients=2 seed=37
+run 1s
+load open rate=200 create=0.2 hot_group=0 hot_weight=8 ops=4
+run 5s
+load stop
+run 1s
+)");
+  ASSERT_TRUE(s.ok()) << s.ToString();
+  std::uint64_t served[2] = {0, 0};
+  for (GroupId g = 0; g < 2; ++g) {
+    for (const auto& m : runner.cluster()->Members(g)) {
+      served[g] += m.server->counters().ops_served;
+    }
+  }
+  EXPECT_GT(served[1], 0u);
+  EXPECT_LT(4 * served[1], served[0] + served[1]) << served[0] << " vs "
+                                                   << served[1];
+}
+
 TEST(ScenarioTest, AddBackupScenario) {
   ScenarioRunner runner;
   Status s = runner.Run(R"(

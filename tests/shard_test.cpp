@@ -1,6 +1,6 @@
-// Shard subsystem tests: PartitionMap invariants, parity with the legacy
-// HashPartitioner, client redirect on map-epoch bounce, and the migration
-// crash matrix (source/destination active killed at each migration stage).
+// Shard subsystem tests: PartitionMap invariants and seed routing, client
+// redirect on map-epoch bounce, and the migration crash matrix
+// (source/destination active killed at each migration stage).
 #include <gtest/gtest.h>
 
 #include <functional>
@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "cluster/cfs.hpp"
-#include "fsns/partition.hpp"
 #include "net/network.hpp"
 #include "shard/partition_map.hpp"
 #include "sim/simulator.hpp"
@@ -33,20 +32,39 @@ TEST(PartitionMapTest, SeedCoversSpaceExactlyOnce) {
   }
 }
 
-TEST(PartitionMapTest, SeedMatchesHashPartitioner) {
-  // With the default 64-slot space and a group count dividing 64, routing
-  // through the map is bit-identical to the legacy direct hash.
-  for (GroupId groups : {1u, 2u, 4u, 8u}) {
-    PartitionMap map = PartitionMap::Seed(groups);
-    fsns::HashPartitioner legacy(groups);
-    const std::vector<std::string> paths = {
-        "/",     "/a",         "/a/b",     "/a/b/c.txt", "/dir/file",
-        "/x/y0", "/deep/p/q/r", "/bench/d3/f17",         "/fuzz/c1/d2/f0",
-    };
-    for (const auto& p : paths) {
-      EXPECT_EQ(map.OwnerOf(p), legacy.OwnerOf(p)) << p;
-      EXPECT_EQ(map.OwnerOfDir(p), legacy.OwnerOfDir(p)) << p;
+// Seed routing over group counts that divide the 64-slot space and ones
+// that do not (3, 5): every path lands in range, deterministically.
+TEST(PartitionMapTest, StableAndInRange) {
+  for (GroupId groups : {1u, 3u, 4u, 5u}) {
+    const PartitionMap map = PartitionMap::Seed(groups);
+    for (const char* p : {"/", "/a/b", "/c", "/deep/nested/file"}) {
+      const GroupId g = map.OwnerOf(p);
+      EXPECT_LT(g, groups) << p;
+      EXPECT_EQ(g, PartitionMap::Seed(groups).OwnerOf(p)) << p;
+      EXPECT_LT(map.OwnerOfDir(p), groups) << p;
     }
+  }
+}
+
+TEST(PartitionMapTest, SiblingsShareAGroup) {
+  // Entries hash by their parent, so one directory's children live in one
+  // slot — and the directory's own container slot is that same slot.
+  for (GroupId groups : {3u, 4u}) {
+    const PartitionMap map = PartitionMap::Seed(groups);
+    EXPECT_EQ(map.SlotOf("/dir/f1"), map.SlotOf("/dir/f2"));
+    EXPECT_EQ(map.OwnerOf("/dir/f1"), map.OwnerOf("/dir/f2"));
+    EXPECT_EQ(map.SlotOf("/dir/f1"), map.SlotOfDir("/dir"));
+  }
+}
+
+TEST(PartitionMapTest, SpreadsDirectoriesAcrossGroups) {
+  for (GroupId groups : {2u, 3u, 4u}) {
+    const PartitionMap map = PartitionMap::Seed(groups);
+    std::set<GroupId> seen;
+    for (int i = 0; i < 64; ++i) {
+      seen.insert(map.OwnerOfDir("/dir" + std::to_string(i)));
+    }
+    EXPECT_EQ(seen.size(), groups) << "groups=" << groups;
   }
 }
 
@@ -106,23 +124,6 @@ TEST(PartitionMapTest, SerializeRoundTrip) {
   EXPECT_FALSE(PartitionMap::Deserialize(truncated).ok());
 }
 
-TEST(PartitionMapTest, IsLocalOpMatchesSingleOwnerChecks) {
-  // The satellite fix recomputes each owner exactly once; verify the
-  // condensed predicate still agrees with the direct definition.
-  fsns::HashPartitioner part(4);
-  const std::vector<std::string> paths = {
-      "/a/b", "/a/c", "/d/e/f", "/g", "/a/b/c/d", "/x/y/z",
-  };
-  for (const auto& src : paths) {
-    for (const auto& dst : paths) {
-      const bool expected = part.OwnerOf(src) == part.OwnerOfDir(src) &&
-                            part.OwnerOf(src) == part.OwnerOf(dst) &&
-                            part.OwnerOf(dst) == part.OwnerOfDir(dst);
-      EXPECT_EQ(part.IsLocalOp(src, dst), expected) << src << " -> " << dst;
-    }
-  }
-}
-
 }  // namespace
 }  // namespace mams::shard
 
@@ -142,7 +143,6 @@ class ShardClusterTest : public ::testing::Test {
     cfg.standbys_per_group = 2;
     cfg.data_servers = 1;
     cfg.clients = 2;
-    cfg.mds.partition_map = shard::PartitionMap::Seed(2);
     if (tweak) tweak(cfg);
     cluster_ = std::make_unique<CfsCluster>(*net_, cfg);
     cluster_->Start();

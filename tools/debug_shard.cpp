@@ -26,13 +26,12 @@ int main(int argc, char**) {
   cfg.standbys_per_group = 2;
   cfg.clients = 1;
   cfg.data_servers = 1;
-  cfg.mds.partition_map = shard::PartitionMap::Seed(2);
   cluster::CfsCluster cfs(net, cfg);
   cfs.Start();
   sim.RunUntil(sim.Now() + 2 * kSecond);
   std::printf("== booted, t=%.3fs\n", double(sim.Now()) / kSecond);
 
-  const shard::PartitionMap map = shard::PartitionMap::Seed(2);
+  const shard::PartitionMap& map = cfs.config().mds.partition_map;
   std::vector<std::string> paths;
   for (const std::string& p : bench::PreloadPaths(600)) {
     if (map.OwnerOf(p) == 0) paths.push_back(p);
