@@ -402,8 +402,10 @@ class FsClient : public net::Host {
             OnShardBounce(state, *resp);
             return;
           }
-          if (!resp->ok && resp->code == StatusCode::kUnavailable) {
-            // "not active" — the group is failing over.
+          if (resp->from_standby ||
+              (!resp->ok && resp->code == StatusCode::kUnavailable)) {
+            // "not active" — the group is failing over, or the cached
+            // active was deposed and answers as a standby now.
             InvalidateActive(state->group, target);
             ++counters_.retries;
             ++state->outcome.attempts;

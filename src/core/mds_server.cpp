@@ -918,7 +918,7 @@ void MdsServer::ServeStandbyRead(
     }
     ++counters_.standby_reads_served;
     m_.standby_reads_served->Add();
-    ExecuteRead(*req, reply);
+    ExecuteRead(*req, reply, /*from_standby=*/true);
   });
 }
 
@@ -1004,31 +1004,35 @@ void MdsServer::MaybeGrantLease(const ClientRequestMsg& req,
   out.lease_expire_at = it->second.expire_at;
 }
 
+void MdsServer::RevokeDir(
+    const std::string& dir, NodeId own, std::vector<std::uint64_t>& own_ids,
+    std::map<NodeId, std::vector<coord::LeaseRevocation>>& pushes,
+    LeaseBarrier& barrier) {
+  auto it = leases_.find(dir);
+  if (it == leases_.end()) return;
+  for (const auto& [node, grant] : it->second) {
+    if (node == own) {
+      own_ids.push_back(grant.id);
+    } else {
+      pushes[node].push_back({dir, grant.id});
+      barrier.outstanding.emplace(node, grant.id);
+      barrier.release_at = std::max(barrier.release_at, grant.expire_at);
+    }
+    --lease_count_;
+    ++counters_.leases_revoked;
+    m_.leases_revoked->Add();
+  }
+  leases_.erase(it);
+}
+
 void MdsServer::CollectRevocations(
     const std::string& path, NodeId own, std::vector<std::uint64_t>& own_ids,
     std::map<NodeId, std::vector<coord::LeaseRevocation>>& pushes,
     LeaseBarrier& barrier) {
-  auto revoke_dir = [&](const std::string& dir) {
-    auto it = leases_.find(dir);
-    if (it == leases_.end()) return;
-    for (const auto& [node, grant] : it->second) {
-      if (node == own) {
-        own_ids.push_back(grant.id);
-      } else {
-        pushes[node].push_back({dir, grant.id});
-        barrier.outstanding.emplace(node, grant.id);
-        barrier.release_at = std::max(barrier.release_at, grant.expire_at);
-      }
-      --lease_count_;
-      ++counters_.leases_revoked;
-      m_.leases_revoked->Add();
-    }
-    leases_.erase(it);
-  };
   // A mutation of `path` changes its parent's listing and the parent's view
   // of the entry itself...
   const std::string parent = fsns::ParentPath(path);
-  if (!parent.empty()) revoke_dir(parent);
+  if (!parent.empty()) RevokeDir(parent, own, own_ids, pushes, barrier);
   // ...and, when `path` is a directory (delete/rename), invalidates every
   // cached listing at or below it. Scan the contiguous string-prefix region
   // of the sorted table; IsPrefixPath filters siblings like "/a/bc" that
@@ -1037,8 +1041,10 @@ void MdsServer::CollectRevocations(
        it != leases_.end() &&
        it->first.compare(0, path.size(), path) == 0;) {
     const std::string dir = it->first;
-    ++it;  // revoke_dir erases `dir`'s node; `it` already moved past it
-    if (dir == path || fsns::IsPrefixPath(path, dir)) revoke_dir(dir);
+    ++it;  // RevokeDir erases `dir`'s node; `it` already moved past it
+    if (dir == path || fsns::IsPrefixPath(path, dir)) {
+      RevokeDir(dir, own, own_ids, pushes, barrier);
+    }
   }
 }
 
@@ -1120,62 +1126,32 @@ void MdsServer::HandleLeaseRevokeAck(const net::MessagePtr& msg) {
     if (barrier.outstanding.empty()) drained.push_back(txid);
   }
   for (TxId txid : drained) ReleaseLeaseBarrier(txid, /*expired=*/false);
-  // Slot barriers carry no held actions — SendActivate polls them — so an
-  // emptied one is simply dropped.
-  for (auto it = slot_lease_barriers_.begin();
-       it != slot_lease_barriers_.end();) {
-    for (std::uint64_t id : ack.lease_ids)
-      it->second.outstanding.erase({ack.client, id});
-    if (it->second.outstanding.empty())
-      it = slot_lease_barriers_.erase(it);
-    else
-      ++it;
-  }
 }
 
-void MdsServer::RevokeSlotLeases(std::uint32_t slot) {
-  if (leases_.empty()) return;
+void MdsServer::RevokeSlotLeases(std::uint32_t slot, TxId migration_id) {
   // A lease on directory `dir` protects cached entries for `dir`'s
   // children, whose mutations all route by the container slot
   // SlotOfDir(dir) — exactly the unit a migration moves.
+  std::vector<std::uint64_t> own;
   std::map<NodeId, std::vector<coord::LeaseRevocation>> pushes;
-  LeaseBarrier& barrier = slot_lease_barriers_[slot];
+  LeaseBarrier barrier;
   for (auto it = leases_.begin(); it != leases_.end();) {
     if (map_.SlotOfDir(it->first) != slot) {
       ++it;
       continue;
     }
-    for (const auto& [node, grant] : it->second) {
-      pushes[node].push_back({it->first, grant.id});
-      barrier.outstanding.emplace(node, grant.id);
-      barrier.release_at = std::max(barrier.release_at, grant.expire_at);
-      --lease_count_;
-      ++counters_.leases_revoked;
-      m_.leases_revoked->Add();
-    }
-    it = leases_.erase(it);
+    // RevokeDir erases `dir`'s node; `it` has already moved past it.
+    const std::string dir = (it++)->first;
+    RevokeDir(dir, kInvalidNode, own, pushes, barrier);
   }
-  if (barrier.outstanding.empty()) slot_lease_barriers_.erase(slot);
   PushRevocations(std::move(pushes));
-}
-
-bool MdsServer::SlotLeaseBarrierPending(std::uint32_t slot) {
-  auto it = slot_lease_barriers_.find(slot);
-  if (it == slot_lease_barriers_.end()) return false;
-  if (it->second.outstanding.empty() ||
-      sim().Now() >= it->second.release_at) {
-    // Every revoked grant has expired client-side; nothing left to wait on.
-    slot_lease_barriers_.erase(it);
-    return false;
-  }
-  return true;
+  InstallLeaseBarrier(migration_id, std::move(barrier));
 }
 
 void MdsServer::ResetLeaseState() {
   leases_.clear();
   lease_count_ = 0;
   lease_barriers_.clear();
-  slot_lease_barriers_.clear();
 }
 
 void MdsServer::ProcessClientRequest(
@@ -1286,13 +1262,15 @@ void MdsServer::ProcessClientRequest(
   });
 }
 
-void MdsServer::ExecuteRead(const ClientRequestMsg& req, const ReplyFn& reply) {
+void MdsServer::ExecuteRead(const ClientRequestMsg& req, const ReplyFn& reply,
+                            bool from_standby) {
   if (!ShardAdmitRead(req, reply)) return;
   ++counters_.ops_served;
   ++counters_.reads;
   m_.ops_served->Add();
   m_.reads->Add();
   auto out = std::make_shared<ClientResponseMsg>();
+  out->from_standby = from_standby;
   // Wall-clock (not virtual-time) cost of the namespace resolution below;
   // feeds the mds.resolve_ns histogram the bench trajectory tracks. Real
   // nanoseconds never influence simulation state, so determinism holds.

@@ -138,7 +138,9 @@ class MdsServer : public net::Host {
     /// Client-cache directory leases (active side).
     std::uint64_t leases_granted = 0;
     std::uint64_t leases_revoked = 0;
-    std::uint64_t lease_replies_held = 0;   ///< acks held on a revoke barrier
+    /// Actions held on a revoke barrier: mutation acks, and shard activations
+  /// waiting on a migration cutover's barrier.
+  std::uint64_t lease_replies_held = 0;
     std::uint64_t lease_barrier_expiries = 0;  ///< barriers released by TTL
     /// Parallel-apply and pipeline observability (bench/micro_apply).
     std::uint64_t apply_waves = 0;           ///< dependency waves executed
@@ -208,7 +210,8 @@ class MdsServer : public net::Host {
                             const ReplyFn& reply);
   void ExecuteMutation(const std::shared_ptr<const ClientRequestMsg>& req,
                        const ReplyFn& reply, bool tx_commit);
-  void ExecuteRead(const ClientRequestMsg& req, const ReplyFn& reply);
+  void ExecuteRead(const ClientRequestMsg& req, const ReplyFn& reply,
+                   bool from_standby = false);
   SimTime ChargeCpu(SimTime cost);
   void ReplyStatus(const ReplyFn& reply, const Status& status);
   /// Stamps every client-visible reply with this server's applied sn and
@@ -243,8 +246,13 @@ class MdsServer : public net::Host {
   /// the requester's own revoked ids for ack piggybacking.
   std::vector<std::uint64_t> RevokeConflictingLeases(
       const ClientRequestMsg& req, TxId txid);
-  /// Collection core shared with the migration cutover: drops grants on
-  /// `path`'s parent, `path` itself, and its subtree.
+  /// Drops every grant on directory `dir`: `own`'s ids go to `own_ids`,
+  /// every other holder gets a push and a place on `barrier`.
+  void RevokeDir(const std::string& dir, NodeId own,
+                 std::vector<std::uint64_t>& own_ids,
+                 std::map<NodeId, std::vector<coord::LeaseRevocation>>& pushes,
+                 LeaseBarrier& barrier);
+  /// RevokeDir over `path`'s parent, `path` itself, and its subtree.
   void CollectRevocations(
       const std::string& path, NodeId own, std::vector<std::uint64_t>& own_ids,
       std::map<NodeId, std::vector<coord::LeaseRevocation>>& pushes,
@@ -256,10 +264,10 @@ class MdsServer : public net::Host {
   void RunOrHoldOnBarrier(TxId txid, std::function<void()> action);
   void ReleaseLeaseBarrier(TxId txid, bool expired);
   void HandleLeaseRevokeAck(const net::MessagePtr& msg);
-  /// Migration cutover: revoke every grant under the migrating slot into
-  /// the slot barrier; activation of the destination waits on it.
-  void RevokeSlotLeases(std::uint32_t slot);
-  bool SlotLeaseBarrierPending(std::uint32_t slot);
+  /// Migration cutover: revokes every grant under the migrating slot into
+  /// a barrier keyed by the migration id (a TxId, like a mutation's);
+  /// activation of the destination is held on it.
+  void RevokeSlotLeases(std::uint32_t slot, TxId migration_id);
   /// Crash teardown: drops the grant table and every barrier. Held
   /// completions die with the process — their replies were lost anyway,
   /// clients retry, and the TTL bounds how long a revoked copy stays
@@ -343,6 +351,19 @@ class MdsServer : public net::Host {
   /// ExecuteMutation hook: while a migration is capturing, note mutated
   /// paths that live in the migrating slot (shipped in the final chunk).
   void CaptureMigrationDelta(const journal::LogRecord& rec);
+  /// Sends one shard-protocol leg to `group`'s current active as a single
+  /// net::RpcCall: unlimited attempts at a flat `backoff`, a non-ok ack (or
+  /// whatever `hooks.retry_response` says) retries, and the call is
+  /// cancelled once `stale()` holds or this server stops being the active.
+  /// `on_ack` runs on the accepted ack.
+  template <class Ack>
+  void SendShardLeg(GroupId group, net::MessagePtr msg, SimTime backoff,
+                    std::function<bool()> stale,
+                    std::function<void(const Ack&)> on_ack,
+                    net::RpcHooks hooks = {});
+  /// Staleness guard of a migration leg: the slot's drive is gone or now
+  /// drives a different migration.
+  bool MigrationStale(std::uint32_t slot, TxId migration_id) const;
 
   // Source-side migration engine.
   struct MigrationDrive;
@@ -359,7 +380,6 @@ class MdsServer : public net::Host {
   void PublishMapForSlot(std::uint32_t slot);
   void FinishMigration(std::uint32_t slot);
   void AbortOutbound(std::uint32_t slot);
-  void SendAbortToDst(std::uint32_t slot, TxId migration_id, GroupId dst);
   void RollForwardOutbound(std::uint32_t slot);
 
   // Destination side.
@@ -486,10 +506,8 @@ class MdsServer : public net::Host {
   /// until every revoked holder acked (fast path) or the latest revoked
   /// grant expired (TTL backstop), so no client can observe the mutation
   /// complete while a stale cached copy is still servable somewhere.
+  /// A migration cutover's barrier sits here too, under its migration id.
   std::map<TxId, LeaseBarrier> lease_barriers_;
-  /// Migration cutover barriers keyed by slot: SendActivate polls until
-  /// the moved slot's revocations drain before the destination activates.
-  std::map<std::uint32_t, LeaseBarrier> slot_lease_barriers_;
 
   // --- standby-side parked reads ---------------------------------------------
   /// Reads whose min_sn is slightly ahead of last_sn_, keyed by the sn they
@@ -549,10 +567,9 @@ class MdsServer : public net::Host {
   std::map<std::uint32_t, MigrationDrive> drives_;
   /// Volatile side of a pending cross-group rename this active coordinates,
   /// keyed by source path (the durable intent is in the tree). Holds the
-  /// client reply and the in-flight guard for the commit RPC.
+  /// client reply while the commit RPC runs.
   struct RenameDrive {
     ReplyFn reply;  ///< may be null after crash-resume (client already lost)
-    bool inflight = false;
   };
   std::map<std::string, RenameDrive> rename_drives_;
   std::vector<MigrationStats> migration_stats_;

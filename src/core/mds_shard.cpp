@@ -16,6 +16,21 @@
 
 namespace mams::core {
 
+namespace {
+
+// Shard-protocol pacing: the flat resend delay of every leg, and the
+// inbound watchdog's slower query cadence.
+constexpr SimTime kRetryDelay = 500 * kMillisecond;
+constexpr SimTime kWatchdogPeriod = 4 * kRetryDelay;
+/// Records per snapshot chunk streamed to the destination active.
+constexpr std::size_t kChunkRecords = 32;
+/// Cutover drain: the source polls for its writer and in-flight syncs to
+/// drain (at most kDrainPolls times) before shipping the final delta chunk.
+constexpr SimTime kDrainPoll = 50 * kMillisecond;
+constexpr int kDrainPolls = 40;
+
+}  // namespace
+
 // --- partition map ------------------------------------------------------------
 
 void MdsServer::AdoptMap(std::uint64_t epoch, const std::vector<char>& bytes) {
@@ -208,6 +223,46 @@ void MdsServer::CaptureMigrationDelta(const journal::LogRecord& rec) {
   note(rec.path2);
 }
 
+template <class Ack>
+void MdsServer::SendShardLeg(GroupId group, net::MessagePtr msg,
+                             SimTime backoff, std::function<bool()> stale,
+                             std::function<void(const Ack&)> on_ack,
+                             net::RpcHooks hooks) {
+  const net::RpcPolicy policy{
+      .attempt_timeout = options_.fetch_rpc.attempt_timeout,
+      .max_attempts = 0,
+      .backoff_base = backoff,
+      .backoff_multiplier = 1.0,
+      .backoff_cap = backoff,
+      .jitter = 0.0,
+  };
+  std::function<bool()> gone = [this, stale = std::move(stale)] {
+    return role_ != ServerState::kActive || !alive() || (stale && stale());
+  };
+  // The peer group's active is looked up afresh on every attempt, so a
+  // resend follows the peer's failover; kInvalidNode burns the attempt.
+  hooks.target = [this, group](int) { return directory_->Active(group); };
+  if (!hooks.retry_response) {
+    hooks.retry_response = [](const net::MessagePtr& m) {
+      return !net::Cast<Ack>(m).ok;
+    };
+  }
+  hooks.cancelled = gone;
+  net::RpcCall::Start(
+      *this, kInvalidNode, std::move(msg), policy,
+      [gone, on_ack = std::move(on_ack)](Result<net::MessagePtr> r) {
+        // With unlimited attempts the call ends only on an accepted ack or
+        // on cancellation; an ack landing after the drive went stale drops.
+        if (r.ok() && !gone()) on_ack(net::Cast<Ack>(r.value()));
+      },
+      std::move(hooks));
+}
+
+bool MdsServer::MigrationStale(std::uint32_t slot, TxId migration_id) const {
+  auto it = drives_.find(slot);
+  return it == drives_.end() || it->second.migration_id != migration_id;
+}
+
 // --- migration engine: source side --------------------------------------------
 
 Status MdsServer::StartShardMigration(std::uint32_t slot, GroupId dst) {
@@ -302,7 +357,7 @@ void MdsServer::SnapshotShard(MigrationDrive& d) {
   std::vector<journal::LogRecord> cur;
   tree_.ForEachNode([&](const std::string& path, const fsns::Inode& node) {
     if (map_.SlotOf(path) != slot) return;
-    if (cur.size() >= options_.migration_chunk_records) {
+    if (cur.size() >= kChunkRecords) {
       d.chunks.push_back(std::move(cur));
       cur.clear();
     }
@@ -321,40 +376,18 @@ void MdsServer::SendNextChunk(std::uint32_t slot) {
     return;
   }
   const TxId mid = d.migration_id;
-  auto retry = [this, slot, mid] {
-    AfterLocal(options_.migration_retry_delay, [this, slot, mid] {
-      auto it = drives_.find(slot);
-      if (it == drives_.end() || it->second.migration_id != mid) return;
-      SendNextChunk(slot);
-    });
-  };
-  const NodeId peer = directory_ ? directory_->Active(d.dst) : kInvalidNode;
-  if (peer == kInvalidNode) {
-    retry();
-    return;
-  }
   auto msg = std::make_shared<ShardTransferMsg>();
   msg->from_group = options_.group;
   msg->slot = slot;
   msg->migration_id = mid;
   msg->seq = d.next_seq;
-  msg->records = d.chunks[d.next_chunk];
-  net::RpcCall::Start(
-      *this, peer, msg, options_.fetch_rpc,
-      [this, slot, mid, retry](Result<net::MessagePtr> r) {
-        auto it = drives_.find(slot);
-        if (it == drives_.end() || it->second.migration_id != mid) return;
-        if (role_ != ServerState::kActive || !alive()) return;
-        if (!r.ok() || !net::Cast<ShardTransferAckMsg>(r.value()).ok) {
-          MAMS_DEBUG("shard", "%s: chunk for slot %u not acked (%s); retrying",
-                     name().c_str(), slot,
-                     r.ok() ? net::Cast<ShardTransferAckMsg>(r.value()).error.c_str()
-                            : r.status().ToString().c_str());
-          retry();
-          return;
-        }
-        MigrationDrive& d = it->second;
-        d.chunks[d.next_chunk].clear();  // shipped; free the memory
+  // Every resend carries this same message, so it owns the chunk now.
+  msg->records = std::move(d.chunks[d.next_chunk]);
+  SendShardLeg<ShardTransferAckMsg>(
+      d.dst, std::move(msg), kRetryDelay,
+      [this, slot, mid] { return MigrationStale(slot, mid); },
+      [this, slot](const ShardTransferAckMsg&) {
+        MigrationDrive& d = drives_.at(slot);
         ++d.next_chunk;
         ++d.next_seq;
         ++d.stats.chunks;
@@ -377,11 +410,11 @@ void MdsServer::StartCutover(std::uint32_t slot) {
   }
   // Client-cache leases on directories whose children live in this slot are
   // revoked now: after cutover their mutations commit at the destination,
-  // which cannot reach grants recorded here. SendActivate waits for the
-  // revocations to drain before the destination starts serving.
-  RevokeSlotLeases(slot);
+  // which cannot reach grants recorded here. SendActivate holds the
+  // destination's activation on the revocations' barrier.
+  RevokeSlotLeases(slot, d.migration_id);
   d.stats.fence_time = sim().Now();
-  DrainThenShip(slot, options_.migration_drain_polls);
+  DrainThenShip(slot, kDrainPolls);
 }
 
 void MdsServer::DrainThenShip(std::uint32_t slot, int polls_left) {
@@ -399,7 +432,7 @@ void MdsServer::DrainThenShip(std::uint32_t slot, int polls_left) {
     ShipFinalChunk(slot);
     return;
   }
-  AfterLocal(options_.migration_drain_poll, [this, slot, polls_left] {
+  AfterLocal(kDrainPoll, [this, slot, polls_left] {
     DrainThenShip(slot, polls_left - 1);
   });
 }
@@ -451,110 +484,56 @@ void MdsServer::ShipFinalChunk(std::uint32_t slot) {
     }
   }
 
-  // The final chunk is built once and retried verbatim: the dirty set is
-  // consumed above and cannot be rebuilt.
-  auto send = std::make_shared<std::function<void()>>();
-  *send = [this, slot, mid, msg, send] {
-    auto it = drives_.find(slot);
-    if (it == drives_.end() || it->second.migration_id != mid) return;
-    if (role_ != ServerState::kActive || !alive()) return;
-    const NodeId peer = directory_ ? directory_->Active(it->second.dst)
-                                   : kInvalidNode;
-    if (peer == kInvalidNode) {
-      AfterLocal(options_.migration_retry_delay, [send] { (*send)(); });
-      return;
-    }
-    net::RpcCall::Start(
-        *this, peer, msg, options_.fetch_rpc,
-        [this, slot, mid, send](Result<net::MessagePtr> r) {
-          auto it = drives_.find(slot);
-          if (it == drives_.end() || it->second.migration_id != mid) return;
-          if (role_ != ServerState::kActive || !alive()) return;
-          if (!r.ok() || !net::Cast<ShardTransferAckMsg>(r.value()).ok) {
-            MAMS_DEBUG("shard",
-                       "%s: final chunk for slot %u not acked (%s); retrying",
-                       name().c_str(), slot,
-                       r.ok()
-                           ? net::Cast<ShardTransferAckMsg>(r.value()).error.c_str()
-                           : r.status().ToString().c_str());
-            AfterLocal(options_.migration_retry_delay, [send] { (*send)(); });
-            return;
-          }
-          ++it->second.stats.chunks;
-          // The destination holds the full image; make the hand-off durable
-          // on our side. From the moment this record applies, reads for the
-          // slot bounce too (OwnsSlotForRead checks outbound.cutover).
-          journal::LogRecord rec;
-          rec.op = journal::OpCode::kShardMigrateCutover;
-          rec.block = slot;
-          rec.mtime = sim().Now();
-          JournalShardRecord(std::move(rec), [this, slot, mid](bool ok) {
-            auto it = drives_.find(slot);
-            if (it == drives_.end() || it->second.migration_id != mid) return;
-            if (!ok) return;  // deposed; the successor resumes off the journal
-            MAMS_DEBUG("shard", "%s: slot %u cutover durable; activating",
-                       name().c_str(), slot);
-            SendActivate(slot);
-          });
+  // Built once and resent verbatim: the dirty set is consumed above and
+  // cannot be rebuilt.
+  SendShardLeg<ShardTransferAckMsg>(
+      d.dst, std::move(msg), kRetryDelay,
+      [this, slot, mid] { return MigrationStale(slot, mid); },
+      [this, slot, mid](const ShardTransferAckMsg&) {
+        ++drives_.at(slot).stats.chunks;
+        // The destination holds the full image; make the hand-off durable
+        // on our side. From the moment this record applies, reads for the
+        // slot bounce too (OwnsSlotForRead checks outbound.cutover).
+        journal::LogRecord rec;
+        rec.op = journal::OpCode::kShardMigrateCutover;
+        rec.block = slot;
+        rec.mtime = sim().Now();
+        JournalShardRecord(std::move(rec), [this, slot, mid](bool ok) {
+          // Not ok: deposed; the successor resumes off the journal.
+          if (!ok || MigrationStale(slot, mid)) return;
+          MAMS_DEBUG("shard", "%s: slot %u cutover durable; activating",
+                     name().c_str(), slot);
+          SendActivate(slot);
         });
-  };
-  (*send)();
+      });
 }
 
 void MdsServer::SendActivate(std::uint32_t slot) {
   auto it = drives_.find(slot);
   if (it == drives_.end() || role_ != ServerState::kActive || !alive()) return;
   const TxId mid = it->second.migration_id;
-  if (SlotLeaseBarrierPending(slot)) {
-    // The destination must not commit mutations for the slot while a client
-    // could still serve a cached entry leased here. Wait for every revoked
-    // holder's ack — bounded by the lease TTL, which is under the failover
-    // window, so this never stalls a migration indefinitely. (A crash-
-    // resumed migration skips this: the crash dropped the grant table, and
-    // the successor's election already outwaited every possible TTL.)
-    AfterLocal(options_.migration_drain_poll, [this, slot, mid] {
-      auto it2 = drives_.find(slot);
-      if (it2 == drives_.end() || it2->second.migration_id != mid) return;
-      SendActivate(slot);
-    });
-    return;
-  }
-  auto retry = [this, slot, mid] {
-    AfterLocal(options_.migration_retry_delay, [this, slot, mid] {
-      auto it = drives_.find(slot);
-      if (it == drives_.end() || it->second.migration_id != mid) return;
-      SendActivate(slot);
-    });
-  };
-  const NodeId peer =
-      directory_ ? directory_->Active(it->second.dst) : kInvalidNode;
-  if (peer == kInvalidNode) {
-    retry();
-    return;
-  }
-  auto msg = std::make_shared<ShardControlMsg>();
-  msg->kind = ShardControlKind::kActivate;
-  msg->from_group = options_.group;
-  msg->slot = slot;
-  msg->migration_id = mid;
-  net::RpcCall::Start(
-      *this, peer, msg, options_.fetch_rpc,
-      [this, slot, mid, retry](Result<net::MessagePtr> r) {
-        auto it = drives_.find(slot);
-        if (it == drives_.end() || it->second.migration_id != mid) return;
-        if (role_ != ServerState::kActive || !alive()) return;
-        if (!r.ok() || !net::Cast<ShardControlAckMsg>(r.value()).ok) {
-          MAMS_DEBUG("shard", "%s: activate for slot %u not acked (%s); retrying",
-                     name().c_str(), slot,
-                     r.ok() ? net::Cast<ShardControlAckMsg>(r.value()).error.c_str()
-                            : r.status().ToString().c_str());
-          retry();
-          return;
-        }
-        MAMS_DEBUG("shard", "%s: slot %u activated at destination; publishing",
-                   name().c_str(), slot);
-        PublishMapForSlot(slot);
-      });
+  const GroupId dst = it->second.dst;
+  // The destination must not commit mutations for the slot while a client
+  // could still serve a cached entry leased here, so activation is held on
+  // the cutover's lease barrier until every revoked holder acks — bounded
+  // by the lease TTL, which is under the failover window. (A crash-resumed
+  // migration has no barrier: the crash dropped the grant table, and the
+  // successor's election already outwaited every possible TTL.)
+  RunOrHoldOnBarrier(mid, [this, slot, mid, dst] {
+    auto msg = std::make_shared<ShardControlMsg>();
+    msg->kind = ShardControlKind::kActivate;
+    msg->from_group = options_.group;
+    msg->slot = slot;
+    msg->migration_id = mid;
+    SendShardLeg<ShardControlAckMsg>(
+        dst, std::move(msg), kRetryDelay,
+        [this, slot, mid] { return MigrationStale(slot, mid); },
+        [this, slot](const ShardControlAckMsg&) {
+          MAMS_DEBUG("shard", "%s: slot %u activated at destination; publishing",
+                     name().c_str(), slot);
+          PublishMapForSlot(slot);
+        });
+  });
 }
 
 void MdsServer::PublishMapForSlot(std::uint32_t slot) {
@@ -563,10 +542,8 @@ void MdsServer::PublishMapForSlot(std::uint32_t slot) {
   const TxId mid = it->second.migration_id;
   const GroupId dst = it->second.dst;
   auto retry = [this, slot, mid] {
-    AfterLocal(options_.migration_retry_delay, [this, slot, mid] {
-      auto it = drives_.find(slot);
-      if (it == drives_.end() || it->second.migration_id != mid) return;
-      PublishMapForSlot(slot);
+    AfterLocal(kRetryDelay, [this, slot, mid] {
+      if (!MigrationStale(slot, mid)) PublishMapForSlot(slot);
     });
   };
   shard::PartitionMap next = map_;
@@ -635,38 +612,16 @@ void MdsServer::AbortOutbound(std::uint32_t slot) {
   JournalShardRecord(std::move(rec), [this, slot, mid, dst](bool ok) {
     if (!ok) return;
     ++counters_.migrations_aborted;
-    SendAbortToDst(slot, mid, dst);
-  });
-}
-
-void MdsServer::SendAbortToDst(std::uint32_t slot, TxId migration_id,
-                               GroupId dst) {
-  if (role_ != ServerState::kActive || !alive()) return;
-  auto retry = [this, slot, migration_id, dst] {
-    AfterLocal(options_.migration_retry_delay, [this, slot, migration_id, dst] {
-      SendAbortToDst(slot, migration_id, dst);
-    });
-  };
-  const NodeId peer = directory_ ? directory_->Active(dst) : kInvalidNode;
-  if (peer == kInvalidNode) {
     // Best effort: the destination's watchdog queries us and learns the
     // abort from our journal history even if this never gets through.
-    retry();
-    return;
-  }
-  auto msg = std::make_shared<ShardControlMsg>();
-  msg->kind = ShardControlKind::kAbort;
-  msg->from_group = options_.group;
-  msg->slot = slot;
-  msg->migration_id = migration_id;
-  net::RpcCall::Start(*this, peer, msg, options_.fetch_rpc,
-                      [this, retry](Result<net::MessagePtr> r) {
-                        if (role_ != ServerState::kActive || !alive()) return;
-                        if (!r.ok() ||
-                            !net::Cast<ShardControlAckMsg>(r.value()).ok) {
-                          retry();
-                        }
-                      });
+    auto msg = std::make_shared<ShardControlMsg>();
+    msg->kind = ShardControlKind::kAbort;
+    msg->from_group = options_.group;
+    msg->slot = slot;
+    msg->migration_id = mid;
+    SendShardLeg<ShardControlAckMsg>(dst, std::move(msg), kRetryDelay,
+                                     nullptr, [](const ShardControlAckMsg&) {});
+  });
 }
 
 void MdsServer::RollForwardOutbound(std::uint32_t slot) {
@@ -795,53 +750,43 @@ void MdsServer::ArmInboundWatchdog(std::uint32_t slot) {
   // Covers a source that decided (cutover, abort) or vanished without
   // telling us: periodically ask the source group's active what its journal
   // says happened and converge on that verdict.
-  AfterLocal(4 * options_.migration_retry_delay, [this, slot] {
+  AfterLocal(kWatchdogPeriod, [this, slot] {
     if (role_ != ServerState::kActive || !alive()) return;
     const fsns::Tree::ShardState& sh = tree_.shard();
     auto ib = sh.inbound.find(slot);
     if (ib == sh.inbound.end()) return;  // resolved meanwhile
     const TxId mid = ib->second.migration_id;
-    const GroupId from = ib->second.from_group;
-    const NodeId peer = directory_ ? directory_->Active(from) : kInvalidNode;
-    if (peer == kInvalidNode) {
-      ArmInboundWatchdog(slot);
-      return;
-    }
     auto q = std::make_shared<ShardControlMsg>();
     q->kind = ShardControlKind::kQuery;
     q->from_group = options_.group;
     q->slot = slot;
     q->migration_id = mid;
-    net::RpcCall::Start(
-        *this, peer, q, options_.fetch_rpc,
-        [this, slot, mid](Result<net::MessagePtr> r) {
-          if (role_ != ServerState::kActive || !alive()) return;
-          const fsns::Tree::ShardState& sh = tree_.shard();
-          auto ib = sh.inbound.find(slot);
-          if (ib == sh.inbound.end() || ib->second.migration_id != mid) return;
-          if (!r.ok()) {
-            ArmInboundWatchdog(slot);
-            return;
-          }
-          const auto& ack = net::Cast<ShardControlAckMsg>(r.value());
-          if (!ack.ok || ack.outcome == MigrationOutcome::kInProgress) {
-            ArmInboundWatchdog(slot);
-            return;
-          }
+    net::RpcHooks hooks;
+    hooks.retry_response = [](const net::MessagePtr& m) {
+      const auto& ack = net::Cast<ShardControlAckMsg>(m);
+      return !ack.ok || ack.outcome == MigrationOutcome::kInProgress;
+    };
+    SendShardLeg<ShardControlAckMsg>(
+        ib->second.from_group, std::move(q), kWatchdogPeriod,
+        [this, slot, mid] {
+          const auto& inbound = tree_.shard().inbound;
+          auto ib = inbound.find(slot);
+          return ib == inbound.end() || ib->second.migration_id != mid;
+        },
+        [this, slot](const ShardControlAckMsg& ack) {
           journal::LogRecord rec;
+          rec.block = slot;
+          rec.mtime = sim().Now();
           if (ack.outcome == MigrationOutcome::kEnded) {
             // The source cut over; the image we journaled is authoritative.
             rec.op = journal::OpCode::kShardAcquire;
-            rec.block = slot;
-            rec.mtime = sim().Now();
           } else {  // kAborted / kUnknown: drop the half-received slot
             rec.op = journal::OpCode::kShardDiscard;
-            rec.block = slot;
             rec.replication = map_.slot_count();
-            rec.mtime = sim().Now();
           }
           JournalShardRecord(std::move(rec), nullptr);
-        });
+        },
+        std::move(hooks));
   });
 }
 
@@ -993,7 +938,7 @@ void MdsServer::StartCrossGroupRename(
 void MdsServer::SendRenameCommit(const std::string& src) {
   if (role_ != ServerState::kActive || !alive()) return;
   auto it = rename_drives_.find(src);
-  if (it == rename_drives_.end() || it->second.inflight) return;
+  if (it == rename_drives_.end()) return;
   const auto& intents = tree_.shard().rename_intents;
   auto in = intents.find(src);
   if (in == intents.end()) {
@@ -1001,18 +946,6 @@ void MdsServer::SendRenameCommit(const std::string& src) {
     return;
   }
   const fsns::Tree::ShardState::RenameIntent& intent = in->second;
-  auto retry = [this, src] {
-    AfterLocal(options_.migration_retry_delay,
-               [this, src] { SendRenameCommit(src); });
-  };
-  const NodeId peer =
-      directory_ ? directory_->Active(intent.dst_group) : kInvalidNode;
-  if (peer == kInvalidNode) {
-    MAMS_DEBUG("shard", "%s: rename %s: no destination active; retrying",
-               name().c_str(), src.c_str());
-    retry();
-    return;
-  }
   const fsns::Inode* node = tree_.FindInode(src);
   if (node == nullptr || node->is_dir) {
     // The fences make this unreachable in normal operation; abort rather
@@ -1033,44 +966,36 @@ void MdsServer::SendRenameCommit(const std::string& src) {
   msg->mtime = intent.mtime;
   msg->complete = node->complete;
   msg->blocks = node->blocks;
-  it->second.inflight = true;
-  net::RpcCall::Start(
-      *this, peer, msg, options_.fetch_rpc,
-      [this, src, retry](Result<net::MessagePtr> r) {
-        if (role_ != ServerState::kActive || !alive()) return;
-        auto it = rename_drives_.find(src);
-        if (it == rename_drives_.end()) return;
-        it->second.inflight = false;
-        if (!r.ok() || !net::Cast<ShardControlAckMsg>(r.value()).ok) {
-          MAMS_DEBUG("shard", "%s: rename %s commit attempt: %s",
-                     name().c_str(), src.c_str(),
-                     r.ok() ? net::Cast<ShardControlAckMsg>(r.value()).error.c_str()
-                            : r.status().ToString().c_str());
-        }
-        if (!r.ok()) {
-          // Indeterminate: the destination may have committed and the ack
-          // was lost. The intent stays; the retry resolves it (the dedup
-          // point at the destination makes the commit idempotent). The
-          // waiting client is failed now — its own retry is idempotent too.
-          if (it->second.reply) {
-            ReplyStatus(it->second.reply,
-                        Status::Unavailable("rename destination unreachable"));
-            it->second.reply = nullptr;
-          }
-          retry();
-          return;
-        }
-        const auto& ack = net::Cast<ShardControlAckMsg>(r.value());
-        if (ack.ok) {
-          FinishRename(src, /*committed=*/true, Status::Ok());
-          return;
-        }
-        if (ack.code == StatusCode::kUnavailable) {
-          retry();  // destination mid-failover or bouncing; not a verdict
-          return;
-        }
-        FinishRename(src, /*committed=*/false, Status(ack.code, ack.error));
-      });
+  net::RpcHooks hooks;
+  // Unavailable means the destination is mid-failover or bouncing — not a
+  // verdict; any other ack decides the transaction.
+  hooks.retry_response = [](const net::MessagePtr& m) {
+    return net::Cast<ShardControlAckMsg>(m).code == StatusCode::kUnavailable;
+  };
+  hooks.on_retry = [this, src](int, const Status& why) {
+    // A timed-out attempt is indeterminate: the destination may have
+    // committed and the ack was lost. The intent stays and the resend
+    // resolves it (the dedup point at the destination makes the commit
+    // idempotent); the waiting client is failed now — its own retry is
+    // idempotent too.
+    if (why.code() != StatusCode::kTimedOut) return;
+    RenameDrive& drive = rename_drives_.at(src);
+    if (drive.reply) {
+      ReplyStatus(drive.reply,
+                  Status::Unavailable("rename destination unreachable"));
+      drive.reply = nullptr;
+    }
+  };
+  SendShardLeg<ShardControlAckMsg>(
+      intent.dst_group, std::move(msg), kRetryDelay,
+      [this, src] {
+        return !rename_drives_.contains(src) ||
+               !tree_.shard().rename_intents.contains(src);
+      },
+      [this, src](const ShardControlAckMsg& ack) {
+        FinishRename(src, /*committed=*/ack.ok, Status(ack.code, ack.error));
+      },
+      std::move(hooks));
 }
 
 void MdsServer::HandleRenameCommit(

@@ -98,6 +98,10 @@ struct ClientResponseMsg final : net::Message {
   /// client re-routes without an extra round trip — the shard analogue of
   /// the group_epoch rejection above.
   bool shard_bounce = false;
+  /// Served by a standby (session-consistent read offload). A client that
+  /// sent the read to the group's active learns that its cached active was
+  /// deposed and re-resolves, as on "not active". Wire size unchanged.
+  bool from_standby = false;
   std::uint64_t map_epoch = 0;
   std::vector<char> map_bytes;
   // Directory lease grant riding on an active-served read (lease_id 0 = no

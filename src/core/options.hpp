@@ -107,17 +107,6 @@ struct MdsOptions {
   /// server's current map attached.
   shard::PartitionMap partition_map;
 
-  // Shard migration engine.
-  /// Records per transfer chunk streamed to the destination active.
-  std::size_t migration_chunk_records = 32;
-  /// Cutover drain poll cadence and bound: the source waits for its writer
-  /// and in-flight syncs to drain before shipping the final delta chunk.
-  SimTime migration_drain_poll = 50 * kMillisecond;
-  int migration_drain_polls = 40;
-  /// Pacing for migration RPC retries (chunk resend, control resend, map
-  /// publication) — each awaits the peer group's next active.
-  SimTime migration_retry_delay = 500 * kMillisecond;
-
   // Coordination (paper Section IV.B).
   SimTime heartbeat_interval = 2 * kSecond;
   SimTime session_timeout = 5 * kSecond;
@@ -199,7 +188,8 @@ struct MdsOptions {
   };
 
   /// One-shot fetches (journal backfill, cross-group tx legs): callers
-  /// have their own recovery story, so no retries here.
+  /// have their own recovery story, so no retries here. The shard
+  /// protocol's legs reuse its attempt timeout (src/core/mds_shard.cpp).
   net::RpcPolicy fetch_rpc{
       .attempt_timeout = kSecond,
       .max_attempts = 1,

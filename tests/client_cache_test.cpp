@@ -28,6 +28,9 @@ class ClientCacheTest : public ::testing::Test {
  protected:
   void Build(GroupId groups, int standbys, std::uint64_t seed = 7,
              const std::function<void(CfsConfig&)>& tweak = {}) {
+    // A rebuild tears the previous stack down top to bottom first.
+    cluster_.reset();
+    net_.reset();
     sim_ = std::make_unique<sim::Simulator>(seed);
     net_ = std::make_unique<net::Network>(*sim_);
     CfsConfig cfg;
@@ -277,6 +280,62 @@ TEST_F(ClientCacheTest, ShardMigrationInvalidatesMovedLeases) {
   ASSERT_NE(a1, nullptr);
   EXPECT_TRUE(a1->tree().Exists(dir + "/f0"));
   EXPECT_TRUE(a1->tree().Exists(dir + "/f1"));
+}
+
+TEST_F(ClientCacheTest, MigrationActivationWaitsOnTheCutoverLeaseBarrier) {
+  const SimTime ttl = core::ClientLeaseOptions{}.ttl;
+  for (const bool partitioned : {true, false}) {
+    SCOPED_TRACE(partitioned ? "holder partitioned" : "holder reachable");
+    Build(2, 2);
+    const shard::PartitionMap seedmap = shard::PartitionMap::Seed(2);
+    std::string dir;
+    std::uint32_t slot = 0;
+    for (int i = 0;; ++i) {
+      dir = "/mv" + std::to_string(i);
+      slot = seedmap.SlotOfDir(dir);
+      if (seedmap.OwnerOfSlot(slot) == 0) break;
+    }
+    ASSERT_TRUE(CreateFile(dir + "/f0").ok());
+    // Client 0 takes a lease on `dir`; millisecond steps pin its expiry
+    // to [before + ttl, after + ttl].
+    FsClient& holder = cluster_->client(0);
+    bool read = false;
+    const SimTime before = sim_->Now();
+    holder.GetFileInfo(dir + "/f0",
+                       [&](Result<fsns::FileInfo> r) { read = r.ok(); });
+    ASSERT_TRUE(testutil::WaitFor(*sim_, [&] { return read; }, kSecond,
+                                  kMillisecond));
+    const SimTime after = sim_->Now();
+    const auto revocations = holder.counters().cache_revocations;
+    if (partitioned) net_->SetLinkUp(holder.id(), false);
+
+    core::MdsServer* src = cluster_->FindActive(0);
+    core::MdsServer* dst = cluster_->FindActive(1);
+    ASSERT_NE(src, nullptr);
+    ASSERT_NE(dst, nullptr);
+    ASSERT_TRUE(cluster_->StartShardMigration(slot, 1).ok());
+    ASSERT_TRUE(testutil::WaitFor(
+        *sim_, [&] { return dst->tree().shard().acquired.contains(slot); },
+        10 * kSecond, kMillisecond));
+    const SimTime activated = sim_->Now();
+    if (partitioned) {
+      // The revocation never reaches the holder: the destination may only
+      // start serving once the lease is dead client-side, and then at once.
+      EXPECT_GE(activated, before + ttl);
+      EXPECT_LE(activated, after + ttl + 5 * kMillisecond);
+      EXPECT_EQ(src->counters().lease_barrier_expiries, 1u);
+      net_->SetLinkUp(holder.id(), true);
+    } else {
+      // The holder's ack releases the barrier; no TTL wait.
+      EXPECT_LT(activated, before + ttl);
+      EXPECT_GT(holder.counters().cache_revocations, revocations);
+      EXPECT_EQ(src->counters().lease_barrier_expiries, 0u);
+    }
+    Run(5 * kSecond);
+    EXPECT_EQ(src->counters().migrations_completed, 1u);
+    const Result<fsns::FileInfo> moved = StatSync(dir + "/f0");
+    EXPECT_TRUE(moved.ok()) << moved.status().ToString();
+  }
 }
 
 }  // namespace

@@ -514,5 +514,39 @@ TEST_F(ClusterTest, SessionFloorHoldsAcrossFailover) {
   EXPECT_EQ(listing.value().size(), 2u);
 }
 
+TEST_F(ClusterTest, DeposedActiveServingAsStandbyDoesNotAnswerActiveReads) {
+  Build(1, 3, 7, 0, EnableStandbyReads);
+  ASSERT_TRUE(CreateFile("/audit").ok());
+  FsClient& idle = cluster_->client(1);
+  auto audit_stat = [&] {
+    bool done = false;
+    idle.GetFileInfo(
+        "/audit", [&](Result<fsns::FileInfo> r) {
+          EXPECT_TRUE(r.ok()) << r.status().ToString();
+          done = true;
+        },
+        ReadOptions{.require_active = true});
+    testutil::WaitFor(*sim_, [&] { return done; }, 60 * kSecond);
+    return idle.last_stamp().server;
+  };
+  // The idle client caches the current active as its target.
+  core::MdsServer* old_active = cluster_->FindActive(0);
+  ASSERT_NE(old_active, nullptr);
+  EXPECT_EQ(audit_stat(), old_active->id());
+
+  // Depose it; it rejoins as a standby that serves reads, while the idle
+  // client still names it the group's active.
+  cluster_->coord().frontend().AdminForceReleaseLock(0);
+  Run(25 * kSecond);
+  ASSERT_EQ(old_active->role(), ServerState::kStandby);
+  core::MdsServer* new_active = cluster_->FindActive(0);
+  ASSERT_NE(new_active, nullptr);
+  ASSERT_NE(new_active, old_active);
+
+  // An active-only read must be answered by the current active.
+  EXPECT_EQ(audit_stat(), new_active->id());
+  EXPECT_FALSE(idle.last_stamp().via_standby);
+}
+
 }  // namespace
 }  // namespace mams::cluster
