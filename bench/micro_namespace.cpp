@@ -1,8 +1,9 @@
 // micro_namespace — namespace hot-path microbenchmark (resolve / create /
-// list / rename), measuring the fsns::Tree directly with wall-clock time
-// (no simulator in the loop). The headline number is resolve throughput
-// of the zero-allocation child-index walk vs the seed-style sorted-map
-// walk.
+// list / rename) plus the heap cost of a file, measuring the fsns::Tree
+// directly with wall-clock time (no simulator in the loop). bytes_per_file
+// is the live-heap growth (glibc mallinfo2 in-use bytes) across populating
+// the namespace, divided by the file count: the inode, its slot in the
+// inode table and its entry in the parent's child index.
 //
 // Emits BENCH_namespace.json (override the path with MAMS_BENCH_OUT) and a
 // human-readable summary on stdout.
@@ -17,6 +18,7 @@
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
+#include <malloc.h>
 #include <string>
 #include <vector>
 
@@ -70,20 +72,6 @@ void Populate(Tree& tree, const std::vector<std::string>& paths) {
   }
 }
 
-/// Replicates the seed's Tree::Resolve: SplitPath vector + sorted
-/// std::map lookups keyed by a freshly allocated std::string per
-/// component. The baseline the walk's speedup is measured against.
-const Inode* LegacyResolve(const Tree& tree, std::string_view path) {
-  const Inode* cur = tree.inode(mams::kRootInode);
-  for (std::string_view comp : mams::fsns::SplitPath(path)) {
-    if (cur == nullptr || !cur->is_dir) return nullptr;
-    auto it = cur->children.find(std::string(comp));
-    if (it == cur->children.end()) return nullptr;
-    cur = tree.inode(it->second);
-  }
-  return cur;
-}
-
 struct Throughput {
   double ops_per_sec = 0;
   std::uint64_t checksum = 0;  ///< defeats dead-code elimination
@@ -126,28 +114,29 @@ int main() {
     return paths[order[i % order.size()]];
   };
 
-  // --- create ---------------------------------------------------------------
+  // --- create (and the heap it leaves behind) -------------------------------
   Tree tree;
   double create_ops_per_sec = 0;
+  double bytes_per_file = 0;
   {
+    const std::size_t heap_before = mallinfo2().uordblks;
     const double begin = Now();
     Populate(tree, paths);
     const double elapsed = Now() - begin;
+    const std::size_t heap_after = mallinfo2().uordblks;
     create_ops_per_sec =
         elapsed > 0 ? static_cast<double>(paths.size()) / elapsed : 0;
+    bytes_per_file = static_cast<double>(heap_after - heap_before) /
+                     static_cast<double>(paths.size());
   }
 
-  // --- resolve: child-index walk / seed-style walk --------------------------
+  // --- resolve: child-index walk ---------------------------------------------
   auto resolve_once = [&](std::uint64_t i) -> std::uint64_t {
     const Inode* node = tree.FindInode(pick(i));
     return node != nullptr ? node->id : 0;
   };
   const Throughput warm = Measure(resolve_ops / 10 + 1, resolve_once);
   const Throughput walk = Measure(resolve_ops, resolve_once);
-  const Throughput legacy = Measure(resolve_ops, [&](std::uint64_t i) {
-    const Inode* node = LegacyResolve(tree, pick(i));
-    return node != nullptr ? node->id : std::uint64_t{0};
-  });
 
   // --- list -----------------------------------------------------------------
   std::vector<std::string> leaf_dirs;
@@ -178,17 +167,12 @@ int main() {
     return r.ok() ? std::uint64_t{1} : std::uint64_t{0};
   });
 
-  const double speedup_vs_legacy =
-      legacy.ops_per_sec > 0 ? walk.ops_per_sec / legacy.ops_per_sec : 0;
-
   std::printf("  create:            %12.0f ops/s\n", create_ops_per_sec);
+  std::printf("  bytes per file:    %12.1f B\n", bytes_per_file);
   std::printf("  resolve walk:      %12.0f ops/s (checksum %" PRIu64 ")\n",
               walk.ops_per_sec, walk.checksum + warm.checksum);
-  std::printf("  resolve seed-walk: %12.0f ops/s (checksum %" PRIu64 ")\n",
-              legacy.ops_per_sec, legacy.checksum);
   std::printf("  listdir:           %12.0f ops/s\n", list.ops_per_sec);
   std::printf("  rename:            %12.0f ops/s\n", rename.ops_per_sec);
-  std::printf("  speedup walk vs seed walk: %.2fx\n", speedup_vs_legacy);
 
   const char* out_path = std::getenv("MAMS_BENCH_OUT");
   if (out_path == nullptr) out_path = "BENCH_namespace.json";
@@ -202,18 +186,14 @@ int main() {
                "  \"bench\": \"micro_namespace\",\n"
                "  \"namespace\": {\"depth\": %d, \"leaf_dirs\": %d, "
                "\"files\": %zu},\n"
-               "  \"resolve\": {\n"
-               "    \"walk_ops_per_sec\": %.0f,\n"
-               "    \"seed_walk_ops_per_sec\": %.0f,\n"
-               "    \"speedup_walk_vs_seed_walk\": %.3f\n"
-               "  },\n"
+               "  \"bytes_per_file\": %.1f,\n"
+               "  \"resolve\": {\"walk_ops_per_sec\": %.0f},\n"
                "  \"create_ops_per_sec\": %.0f,\n"
                "  \"listdir_ops_per_sec\": %.0f,\n"
                "  \"rename_ops_per_sec\": %.0f\n"
                "}\n",
-               depth, dirs, paths.size(), walk.ops_per_sec,
-               legacy.ops_per_sec, speedup_vs_legacy, create_ops_per_sec,
-               list.ops_per_sec, rename.ops_per_sec);
+               depth, dirs, paths.size(), bytes_per_file, walk.ops_per_sec,
+               create_ops_per_sec, list.ops_per_sec, rename.ops_per_sec);
   std::fclose(out);
   std::printf("wrote %s\n", out_path);
   return 0;

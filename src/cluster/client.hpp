@@ -41,11 +41,13 @@
 // the grant.
 #pragma once
 
+#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
 #include <string>
 #include <type_traits>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -257,6 +259,7 @@ class FsClient : public net::Host {
     session_sn_.clear();
     cache_.clear();
     revoked_leases_.clear();
+    tombstone_fifo_.clear();
     last_stamp_ = OpStamp{};
   }
 
@@ -665,13 +668,24 @@ class FsClient : public net::Host {
   /// that left the active before the revocation can never resurrect it.
   void Tombstone(std::uint64_t lease_id) {
     if (lease_id == 0) return;
-    revoked_leases_[lease_id] = sim().Now() + 30 * kSecond;
+    const SimTime deadline = sim().Now() + kTombstoneLife;
+    revoked_leases_[lease_id] = deadline;
+    tombstone_fifo_.emplace_back(deadline, lease_id);
   }
 
+  /// Deadlines are `now + kTombstoneLife`, so the FIFO is sorted by
+  /// deadline and expired tombstones sit at its front. A re-tombstoned id
+  /// has a later deadline in the map than its older FIFO entry, and only
+  /// the entry whose deadline matches may erase it.
   void PruneTombstones() {
     const SimTime now = sim().Now();
-    for (auto it = revoked_leases_.begin(); it != revoked_leases_.end();) {
-      it = it->second <= now ? revoked_leases_.erase(it) : std::next(it);
+    while (!tombstone_fifo_.empty() && tombstone_fifo_.front().first <= now) {
+      const auto [deadline, lease_id] = tombstone_fifo_.front();
+      tombstone_fifo_.pop_front();
+      auto it = revoked_leases_.find(lease_id);
+      if (it != revoked_leases_.end() && it->second == deadline) {
+        revoked_leases_.erase(it);
+      }
     }
   }
 
@@ -829,7 +843,11 @@ class FsClient : public net::Host {
   /// Tombstones for revoked lease ids (id -> prune deadline): a revocation
   /// and an in-flight grant-carrying reply race on different channels, and
   /// the tombstone keeps the reply from resurrecting the dead lease.
-  std::map<std::uint64_t, SimTime> revoked_leases_;
+  std::unordered_map<std::uint64_t, SimTime> revoked_leases_;
+  /// (deadline, id) per Tombstone call, in call order: PruneTombstones pops
+  /// expired entries from the front instead of scanning the map.
+  std::deque<std::pair<SimTime, std::uint64_t>> tombstone_fifo_;
+  static constexpr SimTime kTombstoneLife = 30 * kSecond;
   obs::Counter* m_cache_hits_ = nullptr;
   obs::Counter* m_cache_misses_ = nullptr;
   obs::Counter* m_cache_revocations_ = nullptr;

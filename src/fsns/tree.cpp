@@ -11,6 +11,20 @@ namespace mams::fsns {
 using journal::LogRecord;
 using journal::OpCode;
 
+std::vector<std::pair<std::string_view, InodeId>> Inode::SortedChildren()
+    const {
+  std::vector<std::pair<std::string_view, InodeId>> sorted;
+  if (child_index == nullptr) return sorted;
+  sorted.reserve(child_index->size());
+  for (const auto& [child_name, child_id] : *child_index) {
+    sorted.emplace_back(child_name, child_id);
+  }
+  std::sort(sorted.begin(), sorted.end(), [](const auto& a, const auto& b) {
+    return a.first < b.first;
+  });
+  return sorted;
+}
+
 Tree::Tree() { Reset(); }
 
 void Tree::Reset() {
@@ -98,9 +112,10 @@ Result<std::vector<std::string>> Tree::ListDir(std::string_view path) const {
   if (!node->is_dir) {
     return Status::FailedPrecondition(std::string(path) + " is not a directory");
   }
+  const auto entries = node->SortedChildren();
   std::vector<std::string> names;
-  names.reserve(node->children.size());
-  for (const auto& [name, id] : node->children) names.push_back(name);
+  names.reserve(entries.size());
+  for (const auto& [name, id] : entries) names.emplace_back(name);
   return names;
 }
 
@@ -259,6 +274,8 @@ Status Tree::DoDelete(std::string_view path, SimTime mtime) {
   // Recursive delete (HDFS delete(path, true) semantics).
   // Child ids resolve via find throughout: a sabotaged replay (checker
   // mutations) can leave dangling references, which delete must tolerate.
+  // The walk reads the child index in hash order: it only collects the
+  // doomed set, whose order nothing observes.
   std::vector<InodeId> stack{node->id};
   std::vector<InodeId> doomed;
   while (!stack.empty()) {
@@ -266,8 +283,8 @@ Status Tree::DoDelete(std::string_view path, SimTime mtime) {
     stack.pop_back();
     doomed.push_back(id);
     auto it = inodes_.find(id);
-    if (it == inodes_.end()) continue;
-    for (const auto& [name, child] : it->second.children) {
+    if (it == inodes_.end() || it->second.child_index == nullptr) continue;
+    for (const auto& [name, child] : *it->second.child_index) {
       stack.push_back(child);
     }
   }
@@ -499,7 +516,7 @@ void Tree::ForEachNode(
     const std::function<void(const std::string&, const Inode&)>& fn) const {
   std::string path;
   std::function<void(const Inode&)> walk = [&](const Inode& node) {
-    for (const auto& [name, child_id] : node.children) {
+    for (const auto& [name, child_id] : node.SortedChildren()) {
       auto it = inodes_.find(child_id);
       if (it == inodes_.end()) continue;  // dangling (sabotaged replay)
       const Inode& child = it->second;
@@ -770,7 +787,7 @@ std::vector<char> Tree::SaveImage() const {
   std::vector<const Inode*> reachable;
   std::function<void(const Inode&)> collect = [&](const Inode& node) {
     reachable.push_back(&node);
-    for (const auto& [name, child] : node.children) {
+    for (const auto& [name, child] : node.SortedChildren()) {
       if (auto it = inodes_.find(child); it != inodes_.end()) {
         collect(it->second);
       }
@@ -962,7 +979,7 @@ std::uint64_t Tree::Fingerprint() const {
     h = Fnv1a(attrs, sizeof(attrs), h);
     h = Fnv1a(node.owner, h);
     for (BlockId b : node.blocks) h = Fnv1a(&b, sizeof(b), h);
-    for (const auto& [name, child] : node.children) {
+    for (const auto& [name, child] : node.SortedChildren()) {
       auto it = inodes_.find(child);
       if (it == inodes_.end()) {
         // Dangling child (sabotaged replay): fold the hole into the hash —

@@ -5,7 +5,9 @@
 // Determinism contract: applying the same sequence of LogRecords to two
 // empty trees yields byte-identical images and equal Fingerprint() values —
 // inode ids come from a counter carried in the image, timestamps come from
-// the records, and iteration orders are sorted.
+// the records, and every walk whose order can be observed (listing, image,
+// fingerprint, migration snapshot) visits a directory's entries through
+// Inode::SortedChildren, never in the child index's hash order.
 //
 // Duplicate suppression: mutating entry points take a ClientOpId. The tree
 // remembers the last op_seq applied per client together with its outcome;
@@ -16,15 +18,16 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <map>
+#include <memory>
 #include <optional>
 #include <set>
 #include <string>
 #include <string_view>
 #include <unordered_map>
+#include <utility>
 #include <vector>
-
-#include <functional>
 
 #include "common/bytes.hpp"
 #include "common/status.hpp"
@@ -43,38 +46,49 @@ struct StringViewHash {
   }
 };
 
+/// A directory's entries: child name -> inode id, looked up by string_view.
+using ChildIndex =
+    std::unordered_map<std::string, InodeId, StringViewHash, std::equal_to<>>;
+
+/// One namespace entry. Every replica holds one per file and directory, so
+/// its size is paid once per inode per replica; the narrow fields sit at
+/// the end, where they pack into one word.
 struct Inode {
   InodeId id = kInvalidInode;
   InodeId parent = kInvalidInode;
   std::string name;
-  bool is_dir = false;
-  std::uint32_t replication = 1;
-  std::uint16_t permission = 0644;   ///< POSIX-style bits (HDFS FsPermission)
   std::string owner = "hdfs";        ///< "user:group"
   SimTime mtime = 0;
-  bool complete = true;              ///< files: closed vs under construction
   std::vector<BlockId> blocks;       ///< files only
 
-  // Directory entries are kept twice: the sorted map drives everything
-  // that needs deterministic order (listing, image export, fingerprint),
-  // the hash index serves the resolve hot path with O(1) heterogeneous
-  // string_view lookups. AddChild/RemoveChild keep the two in lock-step.
-  std::map<std::string, InodeId> children;  ///< dirs only, sorted
-  std::unordered_map<std::string, InodeId, StringViewHash, std::equal_to<>>
-      child_index;  ///< dirs only, mirrors `children`
+  // A directory's entries live in one hash index: O(1) heterogeneous
+  // string_view lookups on the resolve hot path, no sorted twin. The index
+  // is allocated by the first AddChild, so a file (and a directory that
+  // never had a child) carries a null pointer rather than a container.
+  // Hash order must never be observed: ordered walks use SortedChildren.
+  std::unique_ptr<ChildIndex> child_index;  ///< dirs only; null until used
+
+  std::uint32_t replication = 1;
+  std::uint16_t permission = 0644;   ///< POSIX-style bits (HDFS FsPermission)
+  bool is_dir = false;
+  bool complete = true;              ///< files: closed vs under construction
 
   const InodeId* FindChild(std::string_view name_sv) const {
-    auto it = child_index.find(name_sv);
-    return it == child_index.end() ? nullptr : &it->second;
+    if (child_index == nullptr) return nullptr;
+    auto it = child_index->find(name_sv);
+    return it == child_index->end() ? nullptr : &it->second;
   }
   void AddChild(const std::string& child_name, InodeId child_id) {
-    children.emplace(child_name, child_id);
-    child_index.emplace(child_name, child_id);
+    if (child_index == nullptr) child_index = std::make_unique<ChildIndex>();
+    child_index->emplace(child_name, child_id);
   }
   void RemoveChild(const std::string& child_name) {
-    children.erase(child_name);
-    child_index.erase(child_name);
+    if (child_index != nullptr) child_index->erase(child_name);
   }
+  /// The directory's (name, id) entries sorted by name — the only order in
+  /// which the index may be observed. The views alias the index's keys and
+  /// stay valid until the directory's entries change.
+  std::vector<std::pair<std::string_view, InodeId>> SortedChildren() const;
 };
 
 struct FileInfo {

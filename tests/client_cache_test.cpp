@@ -16,6 +16,7 @@
 #include "check/repro.hpp"
 #include "check/shrink.hpp"
 #include "cluster/cfs.hpp"
+#include "coord/messages.hpp"
 #include "net/network.hpp"
 #include "shard/partition_map.hpp"
 #include "sim/simulator.hpp"
@@ -215,6 +216,47 @@ TEST_F(ClientCacheTest, TtlExpiryBoundsALostRevocation) {
   EXPECT_TRUE(Contains(fresh.value(), "x"));
   EXPECT_FALSE(cluster_->client(0).last_stamp().via_cache);
   EXPECT_GE(cluster_->client(0).counters().cache_expiries, 1u);
+}
+
+TEST_F(ClientCacheTest, ReTombstonedLeaseStaysDeadUntilItsLaterDeadline) {
+  // Tombstones expire 30 s after they are set and are pruned from the
+  // front of a FIFO in deadline order. An id tombstoned twice has two FIFO
+  // entries; pruning the older one must not lift the newer tombstone.
+  Build(1, 2);
+  ASSERT_TRUE(MkdirSync("/d").ok());
+  ASSERT_TRUE(CreateFile("/d/a").ok());
+  ASSERT_TRUE(ListSync("/d").ok());
+  core::MdsServer* active = cluster_->FindActive(0);
+  ASSERT_NE(active, nullptr);
+  // The active's first grant, so lease id 1: client 0 on /d. Later reads
+  // of /d are answered under the same grant, which nothing revokes.
+  ASSERT_EQ(active->counters().leases_granted, 1u);
+  FsClient& holder = cluster_->client(0);
+  auto push_revoke = [&] {
+    auto push = std::make_shared<coord::LeaseRevokeMsg>();
+    push->leases.push_back({"/d", 1});
+    net_->Send(net::Envelope{
+        .from = active->id(), .to = holder.id(), .payload = push});
+    Run(10 * kMillisecond);
+  };
+  // The first list adopts the reply's lease unless it is tombstoned; the
+  // second is then served locally.
+  auto second_list_cached = [&] {
+    EXPECT_TRUE(ListSync("/d").ok());
+    EXPECT_TRUE(ListSync("/d").ok());
+    return holder.last_stamp().via_cache;
+  };
+  ASSERT_TRUE(second_list_cached());
+
+  const SimTime t0 = sim_->Now();
+  push_revoke();  // tombstoned until t0 + 30 s
+  EXPECT_FALSE(second_list_cached());
+  Run(20 * kSecond);
+  push_revoke();  // tombstoned again, until t0 + 50 s
+  Run(t0 + 35 * kSecond - sim_->Now());
+  EXPECT_FALSE(second_list_cached());  // prunes the t0 + 30 s entry only
+  Run(t0 + 51 * kSecond - sim_->Now());
+  EXPECT_TRUE(second_list_cached());
 }
 
 TEST_F(ClientCacheTest, FailoverOutlivesEveryLeaseAndCacheRecovers) {

@@ -409,6 +409,143 @@ TEST_F(TreeTest, ResetReturnsToEmptyRoot) {
   EXPECT_EQ(tree_.last_txid(), 0u);
 }
 
+// --- one hashed child index per directory ------------------------------------
+
+/// `count` sibling names in a seeded random order, so the child index's
+/// hash order, the insertion order and the sorted order all differ.
+std::vector<std::string> ShuffledNames(int count, std::uint64_t seed) {
+  std::vector<std::string> names;
+  for (int i = 0; i < count; ++i) names.push_back("n" + std::to_string(i));
+  Rng rng(seed);
+  for (std::size_t i = names.size(); i > 1; --i) {
+    std::swap(names[i - 1], names[rng.Below(i)]);
+  }
+  return names;
+}
+
+std::vector<std::string> Sorted(std::vector<std::string> names) {
+  std::sort(names.begin(), names.end());
+  return names;
+}
+
+TEST_F(TreeTest, SiblingsListSortedThroughCreateRenameAndDelete) {
+  std::vector<std::string> in_d = ShuffledNames(64, 5);
+  for (const std::string& n : in_d) {
+    ASSERT_TRUE(tree_.Create("/d/" + n, 1, 1, Op()).ok());
+  }
+  ASSERT_TRUE(tree_.Mkdir("/e", 1, Op()).ok());
+  for (const std::string& n : ShuffledNames(16, 6)) {
+    ASSERT_TRUE(tree_.Create("/e/m" + n, 1, 1, Op()).ok());
+  }
+  auto expect_listings = [&](const std::vector<std::string>& d) {
+    const auto listed = tree_.ListDir("/d");
+    ASSERT_TRUE(listed.ok());
+    EXPECT_EQ(listed.value(), Sorted(d));
+  };
+  expect_listings(in_d);
+
+  // Rename a third of the entries out, and the other directory's in.
+  for (std::size_t i = 0; i < in_d.size(); i += 3) {
+    ASSERT_TRUE(
+        tree_.Rename("/d/" + in_d[i], "/e/" + in_d[i], 2, Op()).ok());
+  }
+  std::erase_if(in_d, [&](const std::string& n) {
+    return tree_.Exists("/e/" + n);
+  });
+  const auto in_e = tree_.ListDir("/e");
+  ASSERT_TRUE(in_e.ok());
+  for (const std::string& n : in_e.value()) {
+    if (n[0] != 'm') continue;
+    ASSERT_TRUE(tree_.Rename("/e/" + n, "/d/" + n, 3, Op()).ok());
+    in_d.push_back(n);
+  }
+  expect_listings(in_d);
+
+  // Delete every other entry, in shuffled order.
+  for (std::size_t i = 0; i < in_d.size(); i += 2) {
+    ASSERT_TRUE(tree_.Delete("/d/" + in_d[i], 4, Op()).ok());
+  }
+  std::erase_if(in_d, [&](const std::string& n) {
+    return !tree_.Exists("/d/" + n);
+  });
+  expect_listings(in_d);
+}
+
+TEST_F(TreeTest, ImagesAreByteIdenticalAcrossLoadAndReplay) {
+  std::vector<LogRecord> log;
+  auto run = [&](Result<LogRecord> r) {
+    ASSERT_TRUE(r.ok());
+    LogRecord rec = std::move(r).value();
+    rec.txid = static_cast<TxId>(log.size() + 1);
+    tree_.set_last_txid(rec.txid);
+    log.push_back(std::move(rec));
+  };
+  const std::vector<std::string> names = ShuffledNames(48, 9);
+  for (const std::string& n : names) {
+    run(tree_.Create("/a/" + n, 1, 1, Op()));
+    run(tree_.Mkdir("/b/" + n, 2, Op()));
+  }
+  for (std::size_t i = 0; i < 12; ++i) {
+    run(tree_.Rename("/a/" + names[i], "/b/" + names[i] + "/f", 3, Op()));
+  }
+  for (std::size_t i = 6; i < 18; ++i) {
+    run(tree_.Delete("/b/" + names[i], 4, Op()));
+  }
+  const std::vector<char> image = tree_.SaveImage();
+
+  Tree loaded;
+  ASSERT_TRUE(loaded.LoadImage(image).ok());
+  EXPECT_EQ(loaded.SaveImage(), image);
+
+  Tree replayed;
+  for (const LogRecord& rec : log) ASSERT_TRUE(replayed.Apply(rec).ok());
+  EXPECT_EQ(replayed.SaveImage(), image);
+  EXPECT_EQ(replayed.Fingerprint(), tree_.Fingerprint());
+}
+
+TEST_F(TreeTest, FileInodesOwnNoChildStorage) {
+  auto no_index = [&](const Tree& tree, std::string_view path) {
+    const Inode* node = tree.FindInode(path);
+    ASSERT_NE(node, nullptr) << path;
+    EXPECT_FALSE(node->is_dir) << path;
+    EXPECT_EQ(node->child_index, nullptr) << path;
+  };
+  ASSERT_TRUE(tree_.Create("/d/f", 1, 1, Op()).ok());
+  no_index(tree_, "/d/f");
+  ASSERT_TRUE(tree_.Mkdir("/e", 1, Op()).ok());
+  ASSERT_TRUE(tree_.Rename("/d/f", "/e/g", 2, Op()).ok());
+  no_index(tree_, "/e/g");
+
+  LogRecord install;
+  install.txid = 1;
+  install.op = OpCode::kShardInstallFile;
+  install.path = "/e/h";
+  install.path2 = "alice:staff";
+  install.replication = 2;
+  install.block = (0640 << 2) | 0x2;
+  install.mtime = 3;
+  ASSERT_TRUE(tree_.Apply(install).ok());
+  no_index(tree_, "/e/h");
+  install.txid = 2;  // a retried chunk: the upsert rebuilds the file
+  ASSERT_TRUE(tree_.Apply(install).ok());
+  no_index(tree_, "/e/h");
+
+  Tree loaded;
+  ASSERT_TRUE(loaded.LoadImage(tree_.SaveImage()).ok());
+  no_index(loaded, "/e/g");
+  no_index(loaded, "/e/h");
+  // A directory with entries owns one.
+  ASSERT_NE(loaded.FindInode("/e")->child_index, nullptr);
+  EXPECT_EQ(loaded.FindInode("/e")->child_index->size(), 2u);
+}
+
+TEST(InodeLayoutTest, FileInodeCarriesOnePointerOfChildStorage) {
+  // Two strings, a block vector, the index pointer, three 8-byte scalars
+  // and one word of packed narrow fields. The two inline child containers
+  // this replaced added 104 bytes.
+  EXPECT_LE(sizeof(Inode), 128u);
+}
+
 // Property: a random interleaving of operations replayed from the journal
 // always converges to the primary's fingerprint.
 class ReplayPropertyTest : public ::testing::TestWithParam<std::uint64_t> {};
