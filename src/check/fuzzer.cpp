@@ -53,8 +53,6 @@ const char* MutationName(Mutation m) {
       return "min_sn";
     case Mutation::kSkipCutoverFence:
       return "cutover_fence";
-    case Mutation::kIgnoreApplyDeps:
-      return "apply_deps";
     case Mutation::kIgnoreLeaseRevoke:
       return "lease_revoke";
   }
@@ -65,7 +63,6 @@ bool ParseMutation(const std::string& name, Mutation* out) {
   for (const Mutation m : {Mutation::kNone, Mutation::kNoSnDedup,
                            Mutation::kNoFencing, Mutation::kIgnoreMinSn,
                            Mutation::kSkipCutoverFence,
-                           Mutation::kIgnoreApplyDeps,
                            Mutation::kIgnoreLeaseRevoke}) {
     if (name == MutationName(m)) {
       *out = m;
@@ -313,9 +310,6 @@ RunResult RunSpecOnce(const RunSpec& spec, CheckOptions check) {
     case Mutation::kSkipCutoverFence:
       cfg.mds.test_hooks.skip_cutover_fence = true;
       break;
-    case Mutation::kIgnoreApplyDeps:
-      cfg.mds.test_hooks.ignore_apply_deps = true;
-      break;
     case Mutation::kIgnoreLeaseRevoke:
       cfg.client.cache.ignore_revoke = true;
       break;
@@ -490,13 +484,10 @@ RunResult RunSpecOnce(const RunSpec& spec, CheckOptions check) {
         core::MdsServer& mds = cfs.mds(static_cast<GroupId>(g), m);
         std::fprintf(stderr,
                      "dbg %s role=%d applied=%llu apply_records=%llu "
-                     "waves=%llu serial_fb=%llu deferred=%llu synced=%llu "
-                     "fp=%016llx\n",
+                     "deferred=%llu synced=%llu fp=%016llx\n",
                      mds.name().c_str(), static_cast<int>(mds.role()),
                      (unsigned long long)c.batches_applied,
                      (unsigned long long)c.apply_records,
-                     (unsigned long long)c.apply_waves,
-                     (unsigned long long)c.apply_serial_fallbacks,
                      (unsigned long long)c.pipeline_deferred,
                      (unsigned long long)c.batches_synced,
                      (unsigned long long)mds.tree().Fingerprint());

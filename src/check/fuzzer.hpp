@@ -36,11 +36,6 @@ namespace mams::check {
 /// and keeps admitting writes through the cutover, so any mutation
 /// accepted after the snapshot is acknowledged but vanishes when the
 /// shard is erased — a lost-write the checker must catch.
-/// kIgnoreApplyDeps replaces the batch dependency planner with a naive
-/// single-wave reversal on every replica apply path: records that
-/// conflict (two creates in one directory, delete-then-create) land in
-/// the wrong order, so standby fingerprints drift from the active — the
-/// replica-divergence audit must catch it.
 /// kIgnoreLeaseRevoke makes the client cache drop lease-revocation pushes
 /// on the floor (it still acks them, so mutation replies are not held
 /// forever): a conflicting mutation's ack then races ahead of a cache
@@ -53,7 +48,6 @@ enum class Mutation : std::uint8_t {
   kNoFencing,
   kIgnoreMinSn,
   kSkipCutoverFence,
-  kIgnoreApplyDeps,
   kIgnoreLeaseRevoke,
 };
 
@@ -115,8 +109,8 @@ struct RunSpec {
   SimTime run_for = 30 * kSecond;   ///< op/fault phase -> heal
   SimTime quiesce = 45 * kSecond;   ///< heal -> audit reads
   /// Non-zero overrides the writer's aggregation window, so batches grow
-  /// wide enough for intra-batch reordering to matter (the apply_race
-  /// profile raises this; 0 keeps the production default).
+  /// wide enough to carry records that depend on each other (the
+  /// apply_race profile raises this; 0 keeps the production default).
   SimTime batch_delay = 0;
   /// Non-zero overrides MdsOptions::commit_pipeline_depth. Fuzz clients
   /// are closed-loop (at most `clients` mutations outstanding), so with

@@ -6,7 +6,6 @@
 #include <string_view>
 
 #include "fsns/path.hpp"
-#include "journal/apply_plan.hpp"
 #include "net/rpc.hpp"
 
 namespace mams::core {
@@ -1712,30 +1711,21 @@ void MdsServer::ApplyReadyBatches() {
   }
 }
 
-std::size_t MdsServer::ApplyBatch(
-    const std::shared_ptr<const journal::Batch>& batch) {
-  // Parallel apply: plan the batch into conflict-free waves from each
-  // record's inode/directory footprint, then apply wave by wave. Records
-  // inside a wave touch disjoint parts of the namespace, so the simulator
-  // executes them in index order while a threaded replayer would fan them
-  // out — either order yields byte-identical trees (records carry their
-  // allocated inode ids, so apply order cannot skew the id counter). Each
-  // record resolves its paths through the per-directory child indexes;
-  // nothing is memoized across records.
-  const journal::ApplyPlan plan =
-      options_.test_hooks.ignore_apply_deps
-          ? journal::SingleWaveReversedPlan(batch->records.size())
-          : journal::BuildApplyPlan(
-                batch->records,
-                [this](std::string_view p) { return tree_.Exists(p); });
-  Status s = tree_.ApplyPlanned(batch->records, plan);
-  if (!s.ok()) {
-    MAMS_ERROR("mds", "%s: replay divergence: %s", name().c_str(),
-               s.ToString().c_str());
+void MdsServer::ApplyBatch(const std::shared_ptr<const journal::Batch>& batch) {
+  // Every record applies even after a divergence, so a sabotaged replica
+  // keeps advancing and the divergence audit sees its whole drift.
+  Status first_error = Status::Ok();
+  for (const journal::LogRecord& rec : batch->records) {
+    Status s = tree_.Apply(rec);
+    if (!s.ok() && first_error.ok()) first_error = std::move(s);
   }
-  counters_.apply_waves += plan.wave_count();
-  counters_.apply_records += plan.record_count();
-  if (plan.serial_fallback) ++counters_.apply_serial_fallbacks;
+  if (!first_error.ok()) {
+    MAMS_ERROR("mds", "%s: replay divergence: %s", name().c_str(),
+               first_error.ToString().c_str());
+  }
+  counters_.apply_records += batch->records.size();
+  counters_.apply_waves += batch->records.size();
+  ++counters_.apply_serial_fallbacks;
   last_sn_ = batch->sn;
   ++counters_.batches_applied;
   m_.batches_applied->Add();
@@ -1744,7 +1734,6 @@ std::size_t MdsServer::ApplyBatch(
   if (recent_batches_.size() > kRecentBatchCap) recent_batches_.pop_front();
   // Reads parked on this sn (or earlier) can be answered now.
   DrainParkedReads();
-  return plan.CriticalSlots(options_.apply_threads);
 }
 
 void MdsServer::RequestBackfill(NodeId from) {
@@ -1994,8 +1983,6 @@ void MdsServer::RenewFetchJournal() {
         }
         const auto& reply = *r.value();
         std::uint64_t applied_bytes = 0;
-        std::uint64_t applied_records = 0;
-        std::uint64_t applied_slots = 0;
         for (const auto& rec : reply.records) {
           auto batch = journal::Batch::Deserialize(rec.bytes);
           if (!batch.ok()) {
@@ -2004,23 +1991,14 @@ void MdsServer::RenewFetchJournal() {
             continue;
           }
           if (batch.value().sn != last_sn_ + 1) continue;
-          applied_records += batch.value().records.size();
-          applied_slots += ApplyBatch(std::make_shared<const journal::Batch>(
+          ApplyBatch(std::make_shared<const journal::Batch>(
               std::move(batch.value())));
           applied_bytes += rec.bytes.size();
         }
-        // Replay CPU cost: the serial byte-rate model scaled by the
-        // dependency plans' critical path — with `apply_threads` workers a
-        // batch replays in CriticalSlots/records of the serial time
-        // (apply_threads=1 makes the ratio 1.0 and reproduces the old
-        // model exactly). This is where parallel apply shortens MTTR.
-        const double parallel_scale =
-            applied_records > 0 ? static_cast<double>(applied_slots) /
-                                      static_cast<double>(applied_records)
-                                : 1.0;
+        // Replay CPU cost: serial apply at 200 MB/s of journal bytes.
         const SimTime cost =
             ChargeCpu(static_cast<SimTime>(static_cast<double>(applied_bytes) /
-                                           200.0e6 * parallel_scale * kSecond));
+                                           200.0e6 * kSecond));
         AfterLocal(cost, [this, eof = reply.eof] {
           if (role_ != ServerState::kJunior || !renew_.running) return;
           if (!eof) {

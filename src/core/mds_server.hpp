@@ -142,10 +142,11 @@ class MdsServer : public net::Host {
   /// waiting on a migration cutover's barrier.
   std::uint64_t lease_replies_held = 0;
     std::uint64_t lease_barrier_expiries = 0;  ///< barriers released by TTL
-    /// Parallel-apply and pipeline observability (bench/micro_apply).
-    std::uint64_t apply_waves = 0;           ///< dependency waves executed
-    std::uint64_t apply_records = 0;         ///< records applied via plans
-    std::uint64_t apply_serial_fallbacks = 0;  ///< barrier batches
+    /// Replay counters. Apply is serial, so apply_waves counts records and
+    /// apply_serial_fallbacks counts batches; bench/e2e reads all three.
+    std::uint64_t apply_waves = 0;             ///< records applied
+    std::uint64_t apply_records = 0;           ///< records applied
+    std::uint64_t apply_serial_fallbacks = 0;  ///< batches applied
     std::uint64_t pipeline_deferred = 0;     ///< batches parked by the window
     std::uint64_t migrations_started = 0;
     std::uint64_t migrations_completed = 0;
@@ -294,10 +295,8 @@ class MdsServer : public net::Host {
                             const net::MessagePtr& msg, const ReplyFn& reply);
   void ApplyReadyBatches();
   void RequestBackfill(NodeId from);
-  /// Applies a replicated batch through its dependency plan (see
-  /// journal/apply_plan.hpp); returns the plan's critical-path slot count
-  /// under options_.apply_threads, which the renew replay cost model uses.
-  std::size_t ApplyBatch(const std::shared_ptr<const journal::Batch>& batch);
+  /// Applies a replicated batch record by record, in record order.
+  void ApplyBatch(const std::shared_ptr<const journal::Batch>& batch);
 
   // --- election + failover protocol (Section III.C) -------------------------
   void MaybeStartElection(const coord::GroupView& view);

@@ -51,13 +51,6 @@ struct TestHooks {
   /// not exist: writes the source accepts during cutover never reach the
   /// destination and vanish when the slot is dropped.
   bool skip_cutover_fence = false;
-  /// Replay journal batches through the parallel-apply machinery but with
-  /// a single reversed wave instead of the dependency plan, as if the
-  /// conflict graph did not exist: dependent records apply before the
-  /// records they depend on, so standby replicas drop creates into missing
-  /// parents and scramble parent mtimes — divergence the checker's replica
-  /// audit (and any post-failover read) must flag.
-  bool ignore_apply_deps = false;
 };
 
 /// Standby read offload (session-consistent reads against hot standbys).
@@ -153,12 +146,6 @@ struct MdsOptions {
   /// on failover remains closed, and the window is drained wholesale on
   /// view change/fence.
   std::size_t commit_pipeline_depth = 4;
-
-  /// Apply-side parallelism assumed by the replay cost model: journal
-  /// replay (renewing, recovery) charges CriticalSlots(apply_threads)
-  /// slots per batch instead of one per record. 1 models serial apply.
-  /// Live standby apply is not CPU-charged either way (unchanged).
-  int apply_threads = 4;
 
   /// Journal 2PC prepare to each standby: a single bounded attempt — an
   /// unresponsive standby is demoted and backfilled later, never waited

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "journal/apply_plan.hpp"
 #include "journal/record.hpp"
 
 namespace mams::core {
@@ -54,8 +53,7 @@ std::optional<RecoveryTool::ImageCandidate> RecoveryTool::BestImage(
 Result<fsns::Tree> RecoveryTool::RebuildAt(const storage::FileStore& store,
                                            GroupId group, TxId target_txid,
                                            RecoveryReport* report,
-                                           obs::TraceRecorder* tracer,
-                                           int apply_threads) {
+                                           obs::TraceRecorder* tracer) {
   obs::TraceRecorder::Span span;
   if (tracer != nullptr) {
     span = tracer->Begin("recovery", "rebuild_at", kInvalidNode, group,
@@ -82,46 +80,19 @@ Result<fsns::Tree> RecoveryTool::RebuildAt(const storage::FileStore& store,
         ++local.corrupt_batches_skipped;
         continue;
       }
-      const std::vector<journal::LogRecord>& records = batch.value().records;
-      const bool whole_batch =
-          records.empty() || records.back().txid <= target_txid;
-      if (whole_batch) {
-        // Parallel replay: plan the batch into conflict-free waves and
-        // apply through the planned entry point — the same reordering a
-        // threaded replayer would perform, so the report's slot count is
-        // an honest critical-path measure of this exact history.
-        const journal::ApplyPlan plan = journal::BuildApplyPlan(
-            records, [&tree](std::string_view p) { return tree.Exists(p); });
-        Status s = tree.ApplyPlanned(records, plan);
+      bool any = false;
+      for (const auto& rec : batch.value().records) {
+        if (rec.txid > target_txid) break;
+        Status s = tree.Apply(rec);
         if (!s.ok()) {
           if (tracer != nullptr) tracer->End(span, {{"ok", "false"}});
           return Status::Corruption("replay diverged during recovery: " +
                                     s.ToString());
         }
-        local.records_replayed += records.size();
-        local.apply_waves += plan.wave_count();
-        local.apply_slots += plan.CriticalSlots(apply_threads);
-        if (!records.empty()) ++local.batches_replayed;
-      } else {
-        // The target cuts this batch mid-way: replay the covered prefix in
-        // serial record order (reordering could move a past-target record
-        // ahead of the cut).
-        bool any = false;
-        for (const auto& rec : records) {
-          if (rec.txid > target_txid) break;
-          Status s = tree.Apply(rec);
-          if (!s.ok()) {
-            if (tracer != nullptr) tracer->End(span, {{"ok", "false"}});
-            return Status::Corruption("replay diverged during recovery: " +
-                                      s.ToString());
-          }
-          ++local.records_replayed;
-          ++local.apply_waves;
-          ++local.apply_slots;
-          any = true;
-        }
-        if (any) ++local.batches_replayed;
+        ++local.records_replayed;
+        any = true;
       }
+      if (any) ++local.batches_replayed;
       if (tree.last_txid() >= target_txid) break;
     }
   } else if (!local.base_image_sn) {

@@ -29,12 +29,6 @@ struct RecoveryReport {
   std::uint64_t batches_replayed = 0;
   std::uint64_t records_replayed = 0;
   std::uint64_t corrupt_batches_skipped = 0;
-  /// Parallel-replay stats: dependency waves executed across all replayed
-  /// batches and the critical-path slot count under `apply_threads` workers
-  /// (== records_replayed when apply_threads is 1). slots/records is the
-  /// wall-clock fraction a threaded replayer would need vs serial replay.
-  std::uint64_t apply_waves = 0;
-  std::uint64_t apply_slots = 0;
 };
 
 class RecoveryTool {
@@ -45,17 +39,12 @@ class RecoveryTool {
   /// the rebuild (image load + replay), so offline recovery shows up on
   /// the same timeline as the failure that made it necessary.
   ///
-  /// Replay runs through the batch dependency planner (parallel apply):
-  /// whole batches at or below the target replay in conflict-free waves;
-  /// a batch the target cuts mid-way falls back to serial record order,
-  /// since a reordered suffix could smuggle a past-target record in front
-  /// of the cut. `apply_threads` only parameterizes the reported
-  /// RecoveryReport slot count, never the rebuilt tree.
+  /// Replay applies records one by one in record order and stops at the
+  /// first record past the target, which may cut a batch mid-way.
   static Result<fsns::Tree> RebuildAt(const storage::FileStore& store,
                                       GroupId group, TxId target_txid,
                                       RecoveryReport* report = nullptr,
-                                      obs::TraceRecorder* tracer = nullptr,
-                                      int apply_threads = 1);
+                                      obs::TraceRecorder* tracer = nullptr);
 
   /// Latest transaction id recoverable from this store for the group.
   static TxId LatestRecoverableTxid(const storage::FileStore& store,

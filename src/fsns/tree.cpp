@@ -321,11 +321,9 @@ Status Tree::DoRename(std::string_view src, std::string_view dst,
   }
   Inode& old_parent = inodes_.at(node->parent);
   old_parent.RemoveChild(node->name);
-  // Parent mtimes merge by max rather than overwrite: record mtimes are
-  // monotonic in txid order, so in-order replay is unchanged, while two
-  // leaf renames under one directory (which the apply planner may run in
-  // the same wave, in either order) converge on the same parent mtime —
-  // and the same fingerprint — on every replica.
+  // Parent mtimes merge by max rather than overwrite, so a rename never
+  // moves a directory's mtime backwards. Record mtimes are monotonic in
+  // txid order, so in-order replay gives the same result as an overwrite.
   old_parent.mtime = std::max(old_parent.mtime, mtime);
   node->name = std::string(BaseName(dst));
   node->parent = new_parent->id;
@@ -579,16 +577,9 @@ Result<LogRecord> Tree::Delete(std::string_view path, SimTime mtime,
 Result<LogRecord> Tree::Rename(std::string_view src, std::string_view dst,
                                SimTime mtime, ClientOpId client) {
   return Dedup(client, [&]() -> Result<LogRecord> {
-    // Leafness must be judged before the move: afterwards src resolves to
-    // nothing. A file can never gain children, so the flag stays valid for
-    // the record's whole replay life.
-    const Inode* node = Resolve(src);
-    const bool leaf_file = node != nullptr && !node->is_dir;
     Status s = DoRename(src, dst, mtime);
     if (!s.ok()) return s;
-    LogRecord r = MakeRecord(OpCode::kRename, src, dst, 1, 0, mtime, client);
-    if (leaf_file) r.flags |= LogRecord::kFlagRenameLeaf;
-    return r;
+    return MakeRecord(OpCode::kRename, src, dst, 1, 0, mtime, client);
   });
 }
 
@@ -657,13 +648,8 @@ Status Tree::Apply(const journal::LogRecord& record) {
   if (record.txid != 0 && record.txid <= last_txid_) {
     return Status::Ok();  // idempotent replay of an already-applied record
   }
-  return ApplyUnguarded(record);
-}
-
-Status Tree::ApplyUnguarded(const journal::LogRecord& record) {
   // Install the record's allocation script: ids the active drew while
-  // executing this op. Replay consumes them positionally, which detaches
-  // inode-id assignment from apply order.
+  // executing this op. Replay consumes them positionally.
   alloc_trace_.clear();
   alloc_script_ = &record.inode_ids;
   alloc_script_pos_ = 0;
@@ -743,25 +729,6 @@ Status Tree::ApplyUnguarded(const journal::LogRecord& record) {
   }
   if (record.txid > last_txid_) last_txid_ = record.txid;
   return Status::Ok();
-}
-
-Status Tree::ApplyPlanned(const std::vector<journal::LogRecord>& records,
-                          const journal::ApplyPlan& plan) {
-  // Guard against the entry snapshot, not the live last_txid_: within the
-  // batch, a wave-mate with a higher txid must not make a lower-txid
-  // record look already-applied. ApplyUnguarded advances last_txid_ by
-  // max, so the final value is order-independent.
-  const TxId entry_last = last_txid_;
-  Status first_error = Status::Ok();
-  for (const auto& wave : plan.waves) {
-    for (std::size_t index : wave) {
-      const journal::LogRecord& rec = records[index];
-      if (rec.txid != 0 && rec.txid <= entry_last) continue;
-      Status s = ApplyUnguarded(rec);
-      if (!s.ok() && first_error.ok()) first_error = s;
-    }
-  }
-  return first_error;
 }
 
 // --- image ------------------------------------------------------------------

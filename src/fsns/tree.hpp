@@ -32,7 +32,6 @@
 #include "common/bytes.hpp"
 #include "common/status.hpp"
 #include "common/types.hpp"
-#include "journal/apply_plan.hpp"
 #include "journal/record.hpp"
 
 namespace mams::fsns {
@@ -146,28 +145,13 @@ class Tree {
                                       ClientOpId client);
 
   // --- replay ---------------------------------------------------------------
-  /// Applies a journal record from the active (standby/junior path). Replay
-  /// is forgiving about client-visible errors: a record journaled by the
-  /// active always applied successfully there, so failure here means state
-  /// divergence and returns Internal.
+  /// Applies a journal record from the active (standby/junior path). Every
+  /// replayer calls this once per record, in record (txid) order; a record
+  /// whose txid is already folded in is skipped. Replay is forgiving about
+  /// client-visible errors: a record journaled by the active always
+  /// applied successfully there, so failure here means state divergence
+  /// and returns Internal.
   Status Apply(const journal::LogRecord& record);
-
-  /// Conflict-checked batch apply: executes `records` wave by wave per
-  /// `plan` (journal::BuildApplyPlan). Records within a wave have
-  /// pairwise-disjoint footprints, so the tree may apply them in any order
-  /// — this implementation walks each wave left to right, which is
-  /// equivalent by construction; the point of the plan is that the
-  /// simulator's cost model (and a real deployment's thread pool) can
-  /// charge/execute a wave concurrently. Records already folded in when
-  /// the call started (txid <= entry last_txid) are skipped, mirroring
-  /// Apply()'s idempotent-replay guard but against the entry snapshot so
-  /// a wave-mate's higher txid cannot mask an unapplied record. Resolution
-  /// reads only the inode table and the per-directory child indexes, which
-  /// every mutation keeps current, so no replay-side state needs
-  /// invalidating between records. Applies every record even after a
-  /// failure; returns the first non-OK status (divergence, as in Apply).
-  Status ApplyPlanned(const std::vector<journal::LogRecord>& records,
-                      const journal::ApplyPlan& plan);
 
   /// Highest txid folded into this tree (from mutations or replay).
   TxId last_txid() const noexcept { return last_txid_; }
@@ -253,30 +237,31 @@ class Tree {
   const Inode* Resolve(std::string_view path) const;
   Inode* ResolveMutable(std::string_view path);
 
-  /// Inode ids are normally drawn from `next_inode_`, which makes replay
-  /// order-sensitive — the one piece of tree state a conflict-free
-  /// reordering would still diverge (ids are fingerprinted and serialized
-  /// in the image). So execution *records* its draws (`alloc_trace_`, see
-  /// Dedup) into LogRecord::inode_ids, and replay *consumes* them
-  /// (`alloc_script_`, see ApplyUnguarded) instead of the counter, exactly
-  /// as kAddBlock already carries its block id. The counter is bumped past
-  /// each scripted id (max-monotone, so wave order doesn't matter) and
-  /// still serves records without ids (shard installs, legacy tests).
+  /// Inode ids are normally drawn from `next_inode_`. Ids are fingerprinted
+  /// and serialized in the image, so execution *records* its draws
+  /// (`alloc_trace_`, see Dedup) into LogRecord::inode_ids, and replay
+  /// *consumes* them (`alloc_script_`, see Apply) instead of the counter,
+  /// exactly as kAddBlock already carries its block id. The counter is
+  /// bumped past each scripted id and still serves records without ids
+  /// (shard installs, legacy tests).
+  ///
+  /// A scripted id that is already live is replaced by a counter draw. A
+  /// healthy replica never holds one (the active drew it fresh from the
+  /// same state); a replica replaying a sabotaged history (checker
+  /// mutations) can, and reusing it would link the live inode into a
+  /// second place in the tree, possibly under itself.
   InodeId AllocateInode() {
     InodeId id;
     if (alloc_script_ != nullptr && alloc_script_pos_ < alloc_script_->size()) {
       id = (*alloc_script_)[alloc_script_pos_++];
       if (id >= next_inode_) next_inode_ = id + 1;
+      if (inodes_.contains(id)) id = next_inode_++;
     } else {
       id = next_inode_++;
     }
     alloc_trace_.push_back(id);
     return id;
   }
-
-  /// Apply() minus the idempotent-replay txid guard; ApplyPlanned guards
-  /// against its entry snapshot instead of the live `last_txid_`.
-  Status ApplyUnguarded(const journal::LogRecord& record);
 
   /// Remembers a successfully applied client op for duplicate suppression.
   void RememberApplied(ClientOpId client);

@@ -11,7 +11,6 @@ std::uint64_t g_log_record_copies = 0;
 LogRecord::LogRecord(const LogRecord& other)
     : txid(other.txid),
       op(other.op),
-      flags(other.flags),
       path(other.path),
       path2(other.path2),
       replication(other.replication),
@@ -26,7 +25,6 @@ LogRecord& LogRecord::operator=(const LogRecord& other) {
   if (this != &other) {
     txid = other.txid;
     op = other.op;
-    flags = other.flags;
     path = other.path;
     path2 = other.path2;
     replication = other.replication;
@@ -100,7 +98,7 @@ const char* OpCodeName(OpCode op) noexcept {
 void LogRecord::Serialize(ByteWriter& out) const {
   out.U64(txid);
   out.U8(static_cast<std::uint8_t>(op));
-  out.U8(flags);
+  out.U8(0);  // reserved: keeps the record layout and message sizes
   out.Str(path);
   out.Str(path2);
   out.U32(replication);
@@ -116,7 +114,7 @@ Result<LogRecord> LogRecord::Deserialize(ByteReader& in) {
   LogRecord r;
   r.txid = in.U64();
   r.op = static_cast<OpCode>(in.U8());
-  r.flags = in.U8();
+  in.U8();  // reserved
   r.path = in.Str();
   r.path2 = in.Str();
   r.replication = in.U32();
@@ -130,133 +128,6 @@ Result<LogRecord> LogRecord::Deserialize(ByteReader& in) {
   for (std::uint32_t i = 0; i < ids; ++i) r.inode_ids.push_back(in.U64());
   if (!in.ok()) return Status::Corruption("truncated log record");
   return r;
-}
-
-namespace {
-
-// Local path helpers: journal sits below fsns in the layering, so the
-// footprint code re-derives the two string operations it needs instead of
-// pulling in fsns/path.hpp.
-
-// "/a/b" -> "/a", "/a" -> "/", "/" -> "" (no parent).
-std::string_view ParentOf(std::string_view path) noexcept {
-  if (path.size() <= 1) return {};
-  const std::size_t slash = path.find_last_of('/');
-  if (slash == std::string_view::npos) return {};
-  return slash == 0 ? path.substr(0, 1) : path.substr(0, slash);
-}
-
-// Presence reads on every proper ancestor, root excluded (it always
-// exists and is never mutated by merely traversing it).
-void PushAncestorReads(std::string_view path, std::vector<Footprint>& out) {
-  for (std::string_view p = ParentOf(path); p.size() > 1; p = ParentOf(p)) {
-    out.push_back({p, false, false});
-  }
-}
-
-// A point write on `path` plus presence reads above it.
-void PushPointWrite(std::string_view path, std::vector<Footprint>& out) {
-  out.push_back({path, true, false});
-  PushAncestorReads(path, out);
-}
-
-// A subtree write on `path` (delete/rename source or destination), a write
-// on its parent (child-map edit + mtime), and presence reads above that.
-void PushSubtreeWrite(std::string_view path, std::vector<Footprint>& out) {
-  out.push_back({path, true, true});
-  const std::string_view parent = ParentOf(path);
-  if (!parent.empty()) {
-    out.push_back({parent, true, false});
-    PushAncestorReads(parent, out);
-  }
-}
-
-// Create/mkdir: the tree materializes every missing ancestor, so the
-// footprint writes the whole chain from the deepest pre-existing ancestor
-// (the attach point, whose child map and mtime change) down to the target,
-// and reads the untouched ancestors above it.
-void PushCreateChain(std::string_view target,
-                     const std::function<bool(std::string_view)>& exists,
-                     std::vector<Footprint>& out) {
-  std::vector<std::string_view> chain;  // "/a", "/a/b", ..., target
-  std::size_t pos = 1;
-  while (pos <= target.size()) {
-    std::size_t slash = target.find('/', pos);
-    if (slash == std::string_view::npos) slash = target.size();
-    if (slash > pos) chain.push_back(target.substr(0, slash));
-    pos = slash + 1;
-  }
-  // First chain index the record itself creates (everything before it
-  // already exists; root always exists).
-  std::size_t born = 0;
-  while (born + 1 < chain.size() && exists(chain[born])) ++born;
-  if (born == 0) {
-    out.push_back({std::string_view("/"), true, false});  // attach at root
-  } else {
-    out.push_back({chain[born - 1], true, false});  // attach point
-    for (std::size_t i = 0; i + 1 < born; ++i) {
-      out.push_back({chain[i], false, false});
-    }
-  }
-  for (std::size_t i = born; i < chain.size(); ++i) {
-    out.push_back({chain[i], true, false});
-  }
-}
-
-}  // namespace
-
-bool AppendFootprint(const LogRecord& rec,
-                     const std::function<bool(std::string_view)>& exists,
-                     std::vector<Footprint>& out) {
-  if (rec.path.empty() || rec.path[0] != '/') return false;
-  switch (rec.op) {
-    case OpCode::kCreate:
-    case OpCode::kMkdir:
-      PushCreateChain(rec.path, exists, out);
-      return true;
-    case OpCode::kDelete:
-      PushSubtreeWrite(rec.path, out);
-      return true;
-    case OpCode::kRename:
-      if (rec.path2.empty() || rec.path2[0] != '/') return false;
-      if ((rec.flags & LogRecord::kFlagRenameLeaf) != 0) {
-        // The moved inode is a leaf file: no descendants to cover, and the
-        // parents' edits commute (child maps are keyed by name, parent
-        // mtimes merge by max in DoRename), so each endpoint is a point
-        // write with presence reads above — two leaf renames under the
-        // same directory no longer serialize against each other.
-        PushPointWrite(rec.path, out);
-        PushPointWrite(rec.path2, out);
-        return true;
-      }
-      PushSubtreeWrite(rec.path, out);
-      PushSubtreeWrite(rec.path2, out);
-      return true;
-    case OpCode::kSetReplication:
-    case OpCode::kAddBlock:
-    case OpCode::kCompleteFile:
-    case OpCode::kSetOwner:
-    case OpCode::kSetPermission:
-    case OpCode::kSetTimes:
-      PushPointWrite(rec.path, out);
-      return true;
-    default:
-      // Shard migration and cross-group rename control records mutate
-      // ShardState (or install with replica-local id allocation): barrier.
-      return false;
-  }
-}
-
-bool FootprintsConflict(const Footprint& a, const Footprint& b) noexcept {
-  if (!a.write && !b.write) return false;
-  auto covers = [](const Footprint& f, std::string_view p) noexcept {
-    if (f.path == p) return true;
-    if (!f.subtree) return false;
-    if (f.path == "/") return true;
-    return p.size() > f.path.size() &&
-           p.compare(0, f.path.size(), f.path) == 0 && p[f.path.size()] == '/';
-  };
-  return covers(a, b.path) || covers(b, a.path);
 }
 
 std::vector<char> Batch::SealAndSerialize() {

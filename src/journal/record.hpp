@@ -7,9 +7,7 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "common/bytes.hpp"
@@ -64,15 +62,8 @@ enum class OpCode : std::uint8_t {
 const char* OpCodeName(OpCode op) noexcept;
 
 struct LogRecord {
-  /// `path` named a leaf file (a non-directory, hence no descendants) when
-  /// the active executed this kRename: the apply planner may use point
-  /// footprints for both endpoints instead of subtree writes, letting
-  /// sibling leaf renames share a wave.
-  static constexpr std::uint8_t kFlagRenameLeaf = 0x1;
-
   TxId txid = 0;
   OpCode op = OpCode::kCreate;
-  std::uint8_t flags = 0;  ///< kFlag* bits qualifying the op
   std::string path;        ///< primary target
   std::string path2;       ///< rename destination
   std::uint32_t replication = 1;
@@ -81,10 +72,9 @@ struct LogRecord {
   ClientOpId client;       ///< for idempotent retry handling
   /// Inode ids the active allocated while executing this op, in allocation
   /// order (create/mkdir chains allocate one per materialized component).
-  /// Replayers consume these instead of their local counter, which makes
-  /// apply order-independent for records with disjoint footprints: without
-  /// them, reordering two creates would swap their `next_inode_` draws and
-  /// diverge the fingerprint.
+  /// Replayers consume these instead of their local counter, so a
+  /// replica's inode ids never depend on its counter having tracked the
+  /// active's draws one for one.
   std::vector<InodeId> inode_ids;
 
   LogRecord() = default;
@@ -97,6 +87,7 @@ struct LogRecord {
   static Result<LogRecord> Deserialize(ByteReader& in);
 
   /// Approximate serialized size without materializing bytes (batch sizing).
+  /// The second 1 is the reserved byte after the op code.
   std::size_t EncodedSize() const noexcept {
     return 8 + 1 + 1 + 4 + path.size() + 4 + path2.size() + 4 + 8 + 8 + 16 +
            4 + 8 * inode_ids.size();
@@ -109,34 +100,6 @@ struct LogRecord {
 /// `journal_test.cpp` pins an upper bound on this so a stray by-value copy
 /// in that path fails a test instead of silently taxing every mutation.
 std::uint64_t LogRecordCopies() noexcept;
-
-/// One path a record touches, as seen by the batch dependency planner.
-/// `path` views into the record's own strings (or a builder-owned chain
-/// prefix) — entries must not outlive whichever owns those bytes.
-struct Footprint {
-  std::string_view path;
-  bool write = false;    ///< mutates the inode at `path` (vs. needs it present)
-  bool subtree = false;  ///< covers every descendant of `path` too
-};
-
-/// Appends `rec`'s dependency footprint to `out` and returns true, or
-/// returns false for records that act as full barriers (shard migration
-/// and cross-group rename control records mutate ShardState or allocate
-/// from replica-local counters, so they order against everything).
-///
-/// `exists` answers "did this path exist before the batch?" — create/mkdir
-/// footprints depend on the deepest pre-existing ancestor: components the
-/// record itself materializes are writes, ancestors above the attach point
-/// are presence reads. Callers planning a whole batch must fold paths born
-/// earlier in the batch into `exists` (see BuildApplyPlan).
-bool AppendFootprint(const LogRecord& rec,
-                     const std::function<bool(std::string_view)>& exists,
-                     std::vector<Footprint>& out);
-
-/// True when footprints `a` and `b` cannot be applied concurrently:
-/// at least one side writes and one path covers the other (equal, or a
-/// subtree entry covering a descendant).
-bool FootprintsConflict(const Footprint& a, const Footprint& b) noexcept;
 
 /// A batch of records flushed together. The pair <sn, first_txid> is the
 /// paper's journal descriptor; the checksum covers the serialized records.

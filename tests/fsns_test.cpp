@@ -10,7 +10,6 @@
 
 #include "common/rng.hpp"
 #include "fsns/blockmap.hpp"
-#include "journal/apply_plan.hpp"
 #include "fsns/path.hpp"
 #include "fsns/tree.hpp"
 
@@ -303,54 +302,6 @@ TEST_F(TreeTest, ReplayReproducesFingerprint) {
   EXPECT_EQ(replica.last_txid(), tree_.last_txid());
 }
 
-TEST_F(TreeTest, SiblingLeafRenamesConvergeInEitherWaveOrder) {
-  // Two leaf-file renames under one directory now share an apply wave
-  // (point-write footprints); replicas may execute a wave in any order, so
-  // either order must land on the active's fingerprint. The parents'
-  // max-merged mtimes are what make this hold.
-  std::vector<LogRecord> setup;
-  auto run = [&](Result<LogRecord> r, std::vector<LogRecord>& log) {
-    ASSERT_TRUE(r.ok());
-    LogRecord rec = std::move(r).value();
-    rec.txid = static_cast<TxId>(tree_.last_txid() + 1);
-    tree_.set_last_txid(rec.txid);
-    log.push_back(std::move(rec));
-  };
-  run(tree_.Mkdir("/d", 1, Op()), setup);
-  run(tree_.Create("/d/a", 1, 2, Op()), setup);
-  run(tree_.Create("/d/b", 1, 3, Op()), setup);
-
-  std::vector<LogRecord> batch;
-  run(tree_.Rename("/d/a", "/d/a2", 4, Op()), batch);
-  run(tree_.Rename("/d/b", "/d/b2", 5, Op()), batch);
-  EXPECT_NE(batch[0].flags & LogRecord::kFlagRenameLeaf, 0);
-  EXPECT_NE(batch[1].flags & LogRecord::kFlagRenameLeaf, 0);
-
-  Tree forward, reversed;
-  for (Tree* replica : {&forward, &reversed}) {
-    for (const auto& rec : setup) ASSERT_TRUE(replica->Apply(rec).ok());
-  }
-  const journal::ApplyPlan plan = journal::BuildApplyPlan(
-      batch, [&](std::string_view p) {
-        return forward.GetFileInfo(std::string(p)).ok();
-      });
-  ASSERT_EQ(plan.wave_count(), 1u);  // siblings share the wave
-  ASSERT_TRUE(forward.ApplyPlanned(batch, plan).ok());
-  ASSERT_TRUE(
-      reversed
-          .ApplyPlanned(batch, journal::SingleWaveReversedPlan(batch.size()))
-          .ok());
-  EXPECT_EQ(forward.Fingerprint(), tree_.Fingerprint());
-  EXPECT_EQ(reversed.Fingerprint(), tree_.Fingerprint());
-}
-
-TEST_F(TreeTest, DirectoryRenameRecordIsNotLeafFlagged) {
-  ASSERT_TRUE(tree_.Mkdir("/dir/sub", 1, Op()).ok());
-  auto rec = tree_.Rename("/dir/sub", "/dir/sub2", 2, Op());
-  ASSERT_TRUE(rec.ok());
-  EXPECT_EQ(rec.value().flags & LogRecord::kFlagRenameLeaf, 0);
-}
-
 TEST_F(TreeTest, ReplayIsIdempotentPerTxid) {
   LogRecord rec;
   rec.txid = 1;
@@ -361,6 +312,24 @@ TEST_F(TreeTest, ReplayIsIdempotentPerTxid) {
   const auto fp = replica.Fingerprint();
   ASSERT_TRUE(replica.Apply(rec).ok());  // duplicate flush after failover
   EXPECT_EQ(replica.Fingerprint(), fp);
+}
+
+TEST_F(TreeTest, ReplayedLiveInodeIdIsNotLinkedTwice) {
+  // A replica replaying a sabotaged history (the checker's sn_dedup
+  // mutation re-applies old records) can be handed an inode id that is
+  // already live. Reusing it here would make "/c" its own child, and every
+  // later walk of the tree would loop.
+  ASSERT_TRUE(tree_.Mkdir("/c", 1, Op()).ok());
+  const InodeId c = tree_.FindInode("/c")->id;
+  LogRecord rec;
+  rec.op = OpCode::kMkdir;
+  rec.path = "/c/d";
+  rec.inode_ids = {c};
+  ASSERT_TRUE(tree_.Apply(rec).ok());
+  const Inode* d = tree_.FindInode("/c/d");
+  ASSERT_NE(d, nullptr);
+  EXPECT_NE(d->id, c);
+  EXPECT_EQ(tree_.FindInode("/c/d/d"), nullptr);
 }
 
 TEST_F(TreeTest, ReplayDivergenceIsInternalError) {
@@ -776,19 +745,17 @@ class MirroredFuzzer {
 };
 
 /// Replays `records[first..last)` into `tree` the way a standby applies
-/// journal batches: `batch_size` records at a time, planned into
-/// conflict-free waves and applied through ApplyPlanned.
+/// journal batches: `batch_size` records at a time, each batch record by
+/// record in record order.
 void ReplayBatches(Tree& tree, const std::vector<LogRecord>& records,
                    std::size_t first, std::size_t last,
                    std::size_t batch_size = 16) {
   for (std::size_t lo = first; lo < last; lo += batch_size) {
-    const std::vector<LogRecord> batch(
-        records.begin() + static_cast<long>(lo),
-        records.begin() + static_cast<long>(std::min(last, lo + batch_size)));
-    const journal::ApplyPlan plan = journal::BuildApplyPlan(
-        batch, [&](std::string_view p) { return tree.Exists(p); });
-    ASSERT_TRUE(tree.ApplyPlanned(batch, plan).ok())
-        << "replay diverged in the batch starting at txid " << batch[0].txid;
+    for (std::size_t i = lo; i < std::min(last, lo + batch_size); ++i) {
+      ASSERT_TRUE(tree.Apply(records[i]).ok())
+          << "replay diverged at txid " << records[i].txid
+          << " in the batch starting at txid " << records[lo].txid;
+    }
   }
 }
 

@@ -1,15 +1,10 @@
-// Tests for journal records, batches (serialization + checksums), the
-// batching writer (sn/txid assignment, flush policies, reseed), record
-// dependency footprints, and the batch apply planner.
+// Tests for journal records, batches (serialization + checksums) and the
+// batching writer (sn/txid assignment, flush policies, reseed).
 #include <gtest/gtest.h>
 
-#include <functional>
-#include <set>
 #include <string>
-#include <string_view>
 #include <vector>
 
-#include "journal/apply_plan.hpp"
 #include "journal/record.hpp"
 #include "journal/writer.hpp"
 #include "sim/simulator.hpp"
@@ -31,19 +26,18 @@ LogRecord Sample(TxId txid) {
 TEST(LogRecordTest, SerializeRoundTrip) {
   LogRecord r = Sample(42);
   r.op = OpCode::kRename;
-  r.flags = LogRecord::kFlagRenameLeaf;
   r.path2 = "/dir/renamed";
   r.block = 77;
   r.inode_ids = {19, 20, 21};
   ByteWriter w;
   r.Serialize(w);
+  EXPECT_EQ(w.bytes().size(), r.EncodedSize());
   ByteReader in(w.bytes());
   auto back = LogRecord::Deserialize(in);
   ASSERT_TRUE(back.ok());
   const LogRecord& b = back.value();
   EXPECT_EQ(b.txid, r.txid);
   EXPECT_EQ(b.op, r.op);
-  EXPECT_EQ(b.flags, r.flags);
   EXPECT_EQ(b.path, r.path);
   EXPECT_EQ(b.path2, r.path2);
   EXPECT_EQ(b.replication, r.replication);
@@ -215,313 +209,6 @@ TEST_F(WriterTest, AppendAndSealNeverCopyRecords) {
   writer_->Flush();
   EXPECT_EQ(LogRecordCopies(), before);
   EXPECT_EQ(batches_.size(), 3u);
-}
-
-// --- dependency footprints ---------------------------------------------------
-
-using PathSet = std::set<std::string>;
-
-std::vector<Footprint> FootprintOf(
-    const LogRecord& rec, const PathSet& existing = {"/", "/dir"}) {
-  std::vector<Footprint> out;
-  const bool ok = AppendFootprint(
-      rec,
-      [&existing](std::string_view p) {
-        return existing.count(std::string(p)) != 0;
-      },
-      out);
-  EXPECT_TRUE(ok) << "unexpected barrier for op "
-                  << OpCodeName(rec.op);
-  return out;
-}
-
-bool HasWrite(const std::vector<Footprint>& fp, std::string_view path,
-              bool subtree = false) {
-  for (const auto& f : fp) {
-    if (f.path == path && f.write && f.subtree == subtree) return true;
-  }
-  return false;
-}
-
-bool HasRead(const std::vector<Footprint>& fp, std::string_view path) {
-  for (const auto& f : fp) {
-    if (f.path == path && !f.write) return true;
-  }
-  return false;
-}
-
-TEST(FootprintTest, CreateWritesChainFromAttachPoint) {
-  LogRecord r;
-  r.op = OpCode::kCreate;
-  r.path = "/dir/sub/file";
-  const auto fp = FootprintOf(r);  // "/dir" exists, "/dir/sub" does not
-  EXPECT_TRUE(HasWrite(fp, "/dir"));  // attach point: child map + mtime
-  EXPECT_TRUE(HasWrite(fp, "/dir/sub"));
-  EXPECT_TRUE(HasWrite(fp, "/dir/sub/file"));
-}
-
-TEST(FootprintTest, CreateAtRootWritesRoot) {
-  LogRecord r;
-  r.op = OpCode::kMkdir;
-  r.path = "/fresh";
-  const auto fp = FootprintOf(r);
-  EXPECT_TRUE(HasWrite(fp, "/"));
-  EXPECT_TRUE(HasWrite(fp, "/fresh"));
-}
-
-TEST(FootprintTest, CreateUnderDeepExistingParentReadsAncestors) {
-  LogRecord r;
-  r.op = OpCode::kCreate;
-  r.path = "/dir/sub/file";
-  const auto fp = FootprintOf(r, {"/", "/dir", "/dir/sub"});
-  EXPECT_TRUE(HasWrite(fp, "/dir/sub"));       // attach point
-  EXPECT_TRUE(HasRead(fp, "/dir"));            // traversed, untouched
-  EXPECT_TRUE(HasWrite(fp, "/dir/sub/file"));
-  EXPECT_FALSE(HasWrite(fp, "/dir"));
-}
-
-TEST(FootprintTest, DeleteIsSubtreeWritePlusParentWrite) {
-  LogRecord r;
-  r.op = OpCode::kDelete;
-  r.path = "/dir/victim";
-  const auto fp = FootprintOf(r);
-  EXPECT_TRUE(HasWrite(fp, "/dir/victim", /*subtree=*/true));
-  EXPECT_TRUE(HasWrite(fp, "/dir"));  // child-map edit + mtime
-}
-
-TEST(FootprintTest, RenameCoversBothParents) {
-  LogRecord r;
-  r.op = OpCode::kRename;
-  r.path = "/a/src";
-  r.path2 = "/b/dst";
-  const auto fp = FootprintOf(r, {"/", "/a", "/b"});
-  EXPECT_TRUE(HasWrite(fp, "/a/src", /*subtree=*/true));
-  EXPECT_TRUE(HasWrite(fp, "/b/dst", /*subtree=*/true));
-  EXPECT_TRUE(HasWrite(fp, "/a"));  // src parent loses a child + mtime
-  EXPECT_TRUE(HasWrite(fp, "/b"));  // dst parent gains a child + mtime
-}
-
-TEST(FootprintTest, LeafRenameIsPointWritesWithParentReads) {
-  // kFlagRenameLeaf narrows both endpoints to point writes: the moved
-  // inode has no descendants, and the parents' child-map edits and
-  // max-merged mtimes commute, so parents are presence reads only.
-  LogRecord r;
-  r.op = OpCode::kRename;
-  r.flags = LogRecord::kFlagRenameLeaf;
-  r.path = "/a/src";
-  r.path2 = "/b/dst";
-  const auto fp = FootprintOf(r, {"/", "/a", "/b"});
-  EXPECT_TRUE(HasWrite(fp, "/a/src"));
-  EXPECT_TRUE(HasWrite(fp, "/b/dst"));
-  EXPECT_FALSE(HasWrite(fp, "/a/src", /*subtree=*/true));
-  EXPECT_FALSE(HasWrite(fp, "/b/dst", /*subtree=*/true));
-  EXPECT_TRUE(HasRead(fp, "/a"));
-  EXPECT_TRUE(HasRead(fp, "/b"));
-  EXPECT_FALSE(HasWrite(fp, "/a"));
-  EXPECT_FALSE(HasWrite(fp, "/b"));
-}
-
-TEST(FootprintTest, AttributeAndBlockOpsArePointWrites) {
-  for (OpCode op : {OpCode::kSetReplication, OpCode::kAddBlock,
-                    OpCode::kCompleteFile, OpCode::kSetOwner,
-                    OpCode::kSetPermission, OpCode::kSetTimes}) {
-    LogRecord r;
-    r.op = op;
-    r.path = "/dir/file";
-    const auto fp = FootprintOf(r);
-    EXPECT_TRUE(HasWrite(fp, "/dir/file")) << OpCodeName(op);
-    EXPECT_TRUE(HasRead(fp, "/dir")) << OpCodeName(op);
-    EXPECT_FALSE(HasWrite(fp, "/dir")) << OpCodeName(op);
-  }
-}
-
-TEST(FootprintTest, ShardAndRenameControlRecordsAreBarriers) {
-  for (OpCode op :
-       {OpCode::kShardInstallFile, OpCode::kShardInstallDir,
-        OpCode::kShardInstallDedup, OpCode::kShardErase,
-        OpCode::kShardMigrateBegin, OpCode::kShardMigrateCutover,
-        OpCode::kShardMigrateEnd, OpCode::kShardMigrateAbort,
-        OpCode::kShardAcquire, OpCode::kShardDiscard,
-        OpCode::kShardInboundBegin, OpCode::kRenameIntent,
-        OpCode::kRenameCommitDst, OpCode::kRenameFinish,
-        OpCode::kRenameAbort}) {
-    LogRecord r;
-    r.op = op;
-    r.path = "/dir/file";
-    r.path2 = "/dir/other";
-    std::vector<Footprint> out;
-    EXPECT_FALSE(AppendFootprint(
-        r, [](std::string_view) { return true; }, out))
-        << OpCodeName(op);
-  }
-}
-
-TEST(FootprintTest, ConflictRules) {
-  const Footprint write{"/a/b", true, false};
-  const Footprint read{"/a/b", false, false};
-  const Footprint other{"/a/c", true, false};
-  const Footprint subtree{"/a", true, true};
-  EXPECT_TRUE(FootprintsConflict(write, read));    // write vs read, same path
-  EXPECT_FALSE(FootprintsConflict(read, read));    // two reads never conflict
-  EXPECT_FALSE(FootprintsConflict(write, other));  // disjoint paths
-  EXPECT_TRUE(FootprintsConflict(subtree, read));  // subtree covers child
-  EXPECT_TRUE(FootprintsConflict(subtree, other));
-  const Footprint root{"/", true, true};
-  EXPECT_TRUE(FootprintsConflict(root, other));    // root subtree covers all
-}
-
-// --- apply planner -----------------------------------------------------------
-
-LogRecord Op(OpCode op, std::string path, std::string path2 = "") {
-  LogRecord r;
-  r.op = op;
-  r.path = std::move(path);
-  r.path2 = std::move(path2);
-  return r;
-}
-
-std::function<bool(std::string_view)> Oracle(PathSet existing) {
-  return [existing = std::move(existing)](std::string_view p) {
-    return existing.count(std::string(p)) != 0;
-  };
-}
-
-std::size_t WaveOf(const ApplyPlan& plan, std::size_t index) {
-  for (std::size_t w = 0; w < plan.waves.size(); ++w) {
-    for (std::size_t i : plan.waves[w]) {
-      if (i == index) return w;
-    }
-  }
-  ADD_FAILURE() << "index " << index << " missing from plan";
-  return static_cast<std::size_t>(-1);
-}
-
-TEST(ApplyPlanTest, DisjointCreatesShareOneWave) {
-  std::vector<LogRecord> recs;
-  for (int d = 0; d < 4; ++d) {
-    recs.push_back(Op(OpCode::kCreate,
-                      "/d" + std::to_string(d) + "/f"));
-  }
-  const ApplyPlan plan = BuildApplyPlan(
-      recs, Oracle({"/", "/d0", "/d1", "/d2", "/d3"}));
-  EXPECT_FALSE(plan.serial_fallback);
-  ASSERT_EQ(plan.wave_count(), 1u);
-  EXPECT_EQ(plan.max_wave_width(), 4u);
-  EXPECT_EQ(plan.record_count(), 4u);
-}
-
-TEST(ApplyPlanTest, SameDirectoryCreatesSerialize) {
-  // Two creates into one parent both write the parent (child map + mtime):
-  // they must order, or replicas would disagree on the parent's mtime.
-  std::vector<LogRecord> recs = {Op(OpCode::kCreate, "/d/a"),
-                                 Op(OpCode::kCreate, "/d/b")};
-  const ApplyPlan plan = BuildApplyPlan(recs, Oracle({"/", "/d"}));
-  EXPECT_EQ(plan.wave_count(), 2u);
-  EXPECT_LT(WaveOf(plan, 0), WaveOf(plan, 1));
-}
-
-TEST(ApplyPlanTest, DependentChainOrders) {
-  std::vector<LogRecord> recs = {Op(OpCode::kMkdir, "/x"),
-                                 Op(OpCode::kCreate, "/x/f"),
-                                 Op(OpCode::kAddBlock, "/x/f"),
-                                 Op(OpCode::kCreate, "/y/f")};
-  const ApplyPlan plan = BuildApplyPlan(recs, Oracle({"/", "/y"}));
-  EXPECT_LT(WaveOf(plan, 0), WaveOf(plan, 1));
-  EXPECT_LT(WaveOf(plan, 1), WaveOf(plan, 2));
-  // The unrelated create rides the first wave.
-  EXPECT_EQ(WaveOf(plan, 3), 0u);
-}
-
-TEST(ApplyPlanTest, DeleteThenCreateWidensToSurvivingAncestor) {
-  // "/a" dies mid-batch, so the later create re-materializes it from the
-  // root: its chain must include a write on "/" (conflicting with the
-  // delete's parent write), not attach at the stale "/a".
-  std::vector<LogRecord> recs = {Op(OpCode::kDelete, "/a"),
-                                 Op(OpCode::kCreate, "/a/x")};
-  const ApplyPlan plan = BuildApplyPlan(recs, Oracle({"/", "/a"}));
-  EXPECT_LT(WaveOf(plan, 0), WaveOf(plan, 1));
-}
-
-TEST(ApplyPlanTest, BornPathsFeedLaterChains) {
-  // The mkdir materializes "/x"; the create's chain then attaches at "/x"
-  // and still conflicts with it (attach-point write), keeping the order.
-  std::vector<LogRecord> recs = {Op(OpCode::kMkdir, "/x/y"),
-                                 Op(OpCode::kCreate, "/x/y/f")};
-  const ApplyPlan plan = BuildApplyPlan(recs, Oracle({"/"}));
-  EXPECT_LT(WaveOf(plan, 0), WaveOf(plan, 1));
-}
-
-LogRecord LeafRename(std::string src, std::string dst) {
-  LogRecord r = Op(OpCode::kRename, std::move(src), std::move(dst));
-  r.flags = LogRecord::kFlagRenameLeaf;
-  return r;
-}
-
-TEST(ApplyPlanTest, SiblingLeafRenamesShareAWave) {
-  // The satellite: two leaf-file renames under one directory no longer
-  // serialize on the parent — both ride wave 0.
-  std::vector<LogRecord> recs = {LeafRename("/d/a", "/d/a2"),
-                                 LeafRename("/d/b", "/d/b2")};
-  const ApplyPlan plan =
-      BuildApplyPlan(recs, Oracle({"/", "/d", "/d/a", "/d/b"}));
-  EXPECT_FALSE(plan.serial_fallback);
-  ASSERT_EQ(plan.wave_count(), 1u);
-  EXPECT_EQ(plan.max_wave_width(), 2u);
-}
-
-TEST(ApplyPlanTest, DirectoryRenamesUnderOneParentStillSerialize) {
-  // Without the leaf flag the old subtree-write footprint stands: the
-  // parent write keeps sibling renames ordered.
-  std::vector<LogRecord> recs = {Op(OpCode::kRename, "/d/a", "/d/a2"),
-                                 Op(OpCode::kRename, "/d/b", "/d/b2")};
-  const ApplyPlan plan =
-      BuildApplyPlan(recs, Oracle({"/", "/d", "/d/a", "/d/b"}));
-  EXPECT_EQ(plan.wave_count(), 2u);
-  EXPECT_LT(WaveOf(plan, 0), WaveOf(plan, 1));
-}
-
-TEST(ApplyPlanTest, LeafRenameStillOrdersAgainstConflictingOps) {
-  // A sibling create writes the shared parent (attach point): the leaf
-  // rename's parent read must conflict with it. Moving the same file
-  // twice conflicts on the file's own point write.
-  std::vector<LogRecord> chain = {LeafRename("/d/a", "/d/b"),
-                                  LeafRename("/d/b", "/d/c")};
-  const ApplyPlan move_twice =
-      BuildApplyPlan(chain, Oracle({"/", "/d", "/d/a"}));
-  EXPECT_LT(WaveOf(move_twice, 0), WaveOf(move_twice, 1));
-
-  std::vector<LogRecord> with_create = {LeafRename("/d/a", "/d/a2"),
-                                        Op(OpCode::kCreate, "/d/new")};
-  const ApplyPlan plan =
-      BuildApplyPlan(with_create, Oracle({"/", "/d", "/d/a"}));
-  EXPECT_LT(WaveOf(plan, 0), WaveOf(plan, 1));
-}
-
-TEST(ApplyPlanTest, BarrierRecordForcesSerialFallback) {
-  std::vector<LogRecord> recs = {Op(OpCode::kCreate, "/d/a"),
-                                 Op(OpCode::kShardErase, "/d/b"),
-                                 Op(OpCode::kCreate, "/e/c")};
-  const ApplyPlan plan = BuildApplyPlan(recs, Oracle({"/", "/d", "/e"}));
-  EXPECT_TRUE(plan.serial_fallback);
-  ASSERT_EQ(plan.wave_count(), 3u);
-  for (std::size_t w = 0; w < 3; ++w) {
-    ASSERT_EQ(plan.waves[w].size(), 1u);
-    EXPECT_EQ(plan.waves[w][0], w);  // original order, one per wave
-  }
-}
-
-TEST(ApplyPlanTest, CriticalSlotsModel) {
-  ApplyPlan plan;
-  plan.waves = {{0, 1, 2, 3, 4}, {5}};
-  EXPECT_EQ(plan.CriticalSlots(1), 6u);  // serial: one slot per record
-  EXPECT_EQ(plan.CriticalSlots(4), 3u);  // ceil(5/4) + ceil(1/4)
-  EXPECT_EQ(plan.CriticalSlots(8), 2u);  // one slot per wave
-}
-
-TEST(ApplyPlanTest, SingleWaveReversedPlanIsReversed) {
-  const ApplyPlan plan = SingleWaveReversedPlan(3);
-  ASSERT_EQ(plan.wave_count(), 1u);
-  EXPECT_EQ(plan.waves[0], (std::vector<std::size_t>{2, 1, 0}));
 }
 
 }  // namespace

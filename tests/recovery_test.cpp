@@ -5,9 +5,12 @@
 #include <limits>
 
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "cluster/cfs.hpp"
 #include "core/recovery.hpp"
+#include "journal/record.hpp"
 #include "net/network.hpp"
 #include "sim/simulator.hpp"
 #include "test_util.hpp"
@@ -157,6 +160,65 @@ TEST_F(RecoveryTest, RecoveryIgnoresCorruptJournalTail) {
   ASSERT_TRUE(tree.ok());
   EXPECT_EQ(report.corrupt_batches_skipped, 1u);
   EXPECT_GT(tree.value().file_count(), 0u);
+}
+
+TEST_F(RecoveryTest, BatchCutAtEveryTxidMatchesRecordByRecordReplay) {
+  // Hand-built 4-record batches whose records depend on each other: a
+  // create materializes a directory, a rename moves its file out, a second
+  // create refills it and a subtree delete drops it. Rebuilding at every
+  // txid cuts each batch at every position.
+  fsns::Tree live;
+  const ClientOpId none{};
+  std::vector<journal::LogRecord> records;
+  auto push = [&](Result<journal::LogRecord> r) {
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    journal::LogRecord rec = std::move(r).value();
+    rec.txid = static_cast<TxId>(records.size() + 1);
+    live.set_last_txid(rec.txid);
+    records.push_back(std::move(rec));
+  };
+  push(live.Mkdir("/d", 1, none));
+  push(live.Mkdir("/e", 2, none));
+  push(live.Create("/d/seed", 1, 3, none));
+  push(live.Rename("/d/seed", "/e/seed", 4, none));
+  for (int i = 0; i < 8; ++i) {
+    const std::string dir = "/d/a" + std::to_string(i);
+    const SimTime t = 10 * (i + 1);
+    push(live.Create(dir + "/f", 1, t, none));
+    push(live.Rename(dir + "/f", "/e/f" + std::to_string(i), t + 1, none));
+    push(live.Create(dir + "/g", 1, t + 2, none));
+    push(live.Delete(dir, t + 3, none));
+  }
+
+  storage::FileStore store;
+  storage::SharedFile& journal = store.Open("g0/journal");
+  constexpr std::size_t kPerBatch = 4;
+  for (std::size_t lo = 0; lo < records.size(); lo += kPerBatch) {
+    journal::Batch batch;
+    batch.sn = lo / kPerBatch + 1;
+    batch.first_txid = records[lo].txid;
+    batch.records.assign(records.begin() + static_cast<long>(lo),
+                         records.begin() + static_cast<long>(lo + kPerBatch));
+    ASSERT_TRUE(journal.Append({.sn = batch.sn,
+                                .bytes = batch.SealAndSerialize()}));
+  }
+
+  fsns::Tree reference;
+  for (TxId t = 0; t <= records.size(); ++t) {
+    if (t > 0) {
+      ASSERT_TRUE(reference.Apply(records[t - 1]).ok());
+    }
+    RecoveryReport report;
+    auto rebuilt = RecoveryTool::RebuildAt(store, 0, t, &report);
+    ASSERT_TRUE(rebuilt.ok()) << "txid " << t << ": "
+                              << rebuilt.status().ToString();
+    EXPECT_EQ(rebuilt.value().Fingerprint(), reference.Fingerprint())
+        << "txid " << t;
+    EXPECT_EQ(rebuilt.value().last_txid(), reference.last_txid())
+        << "txid " << t;
+    EXPECT_EQ(report.records_replayed, t);
+  }
+  EXPECT_EQ(reference.Fingerprint(), live.Fingerprint());
 }
 
 }  // namespace

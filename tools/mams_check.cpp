@@ -53,11 +53,10 @@ void Usage() {
       "  --seed-base B      first seed (default 1)\n"
       "  --seed S           run exactly one seed\n"
       "  --mutation M       none|sn_dedup|fencing|min_sn|cutover_fence|\n"
-      "                     apply_deps|lease_revoke (default none;\n"
-      "                     cutover_fence implies the migrations profile's\n"
-      "                     two-group topology; apply_deps implies the\n"
-      "                     apply_race profile; lease_revoke implies the\n"
-      "                     cache profile)\n"
+      "                     lease_revoke (default none; cutover_fence\n"
+      "                     implies the migrations profile's two-group\n"
+      "                     topology; lease_revoke implies the cache\n"
+      "                     profile)\n"
       "  --standby-reads    serve reads from standbys (session-consistent\n"
       "                     offload; min_sn mutation implies this)\n"
       "  --clients N        fuzz clients per run (default 2)\n"
@@ -69,11 +68,11 @@ void Usage() {
       "                     replica groups with live shard migrations and\n"
       "                     cross-group renames; apply_race points all\n"
       "                     clients at one shared tree with a widened\n"
-      "                     batch window so batches carry intra-batch\n"
-      "                     dependencies (parallel-apply planner\n"
-      "                     pressure); cache turns on the lease-protected\n"
-      "                     client cache with a mutation-heavy shared\n"
-      "                     tree; elastic runs an aggressive autoscaler\n"
+      "                     batch window so replicas replay wide batches\n"
+      "                     of dependent records; cache turns on the\n"
+      "                     lease-protected client cache with a\n"
+      "                     mutation-heavy shared tree; elastic runs an\n"
+      "                     aggressive autoscaler\n"
       "                     (with standby reads) so membership changes\n"
       "                     interleave with the fault schedule\n"
       "  --no-shrink        skip schedule shrinking on violation\n"
@@ -205,18 +204,16 @@ int Sweep(const Args& args) {
     profile.mix.rename = 0.20;
     profile.mix.remove = 0.15;
     profile.mix.getfileinfo = 0.25;
-  } else if (args.profile == "apply_race" ||
-             args.mutation == Mutation::kIgnoreApplyDeps) {
-    // Parallel-apply pressure: every client mutates one shared tree (so
+  } else if (args.profile == "apply_race") {
+    // Batch-replay pressure: every client mutates one shared tree (so
     // same-batch records collide on directories) and the aggregation
     // window is widened so those collisions land in one batch — the
-    // shape where the dependency planner has real ordering work to do,
-    // and where the apply_deps mutation's naive reversal must diverge.
-    // Eight sub-2ms clients against a two-slot commit window: the
-    // closed-loop backlog exceeds the window, so group commit actually
-    // aggregates multi-record batches (a window as wide as the client
-    // count always has a free slot and every batch degenerates to one
-    // record, which no reordering can disturb).
+    // shape where a replica that applied a batch out of record order
+    // would diverge from the active. Eight sub-2ms clients against a
+    // two-slot commit window: the closed-loop backlog exceeds the
+    // window, so group commit actually aggregates multi-record batches
+    // (a window as wide as the client count always has a free slot and
+    // every batch degenerates to one record).
     profile.clients = std::max(args.clients, 8);
     profile.shared_namespace = true;
     profile.hot_clients = true;
