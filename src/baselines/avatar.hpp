@@ -33,9 +33,8 @@ struct AvatarOptions {
 class AvatarActive : public NameNodeBase {
  public:
   AvatarActive(net::Network& network, std::string name, NodeId nfs_filer,
-               core::OpCosts costs = {},
-               journal::Writer::Options writer_options = {})
-      : NameNodeBase(network, std::move(name), costs, writer_options),
+               core::OpCosts costs = {})
+      : NameNodeBase(network, std::move(name), costs),
         nfs_(nfs_filer) {}
 
   static constexpr const char* kEditsFile = "avatar/edits";

@@ -34,9 +34,8 @@ struct NnEditStreamMsg final : net::Message {
 class BackupNodePrimary : public NameNodeBase {
  public:
   BackupNodePrimary(net::Network& network, std::string name,
-                    core::OpCosts costs = {},
-                    journal::Writer::Options writer_options = {})
-      : NameNodeBase(network, std::move(name), costs, writer_options) {}
+                    core::OpCosts costs = {})
+      : NameNodeBase(network, std::move(name), costs) {}
 
   void SetBackup(NodeId backup) { backup_ = backup; }
 

@@ -37,9 +37,8 @@ inline constexpr const char* kQjmEditsFile = "qjm/edits";
 class HadoopHaActive : public NameNodeBase {
  public:
   HadoopHaActive(net::Network& network, std::string name,
-                 std::vector<NodeId> journal_nodes, core::OpCosts costs = {},
-                 journal::Writer::Options writer_options = {})
-      : NameNodeBase(network, std::move(name), costs, writer_options),
+                 std::vector<NodeId> journal_nodes, core::OpCosts costs = {})
+      : NameNodeBase(network, std::move(name), costs),
         journal_nodes_(std::move(journal_nodes)) {}
 
  protected:

@@ -8,7 +8,7 @@
 //                    filer, quorum of journal nodes, backup stream) — the
 //                    cost of this path is exactly what Figure 6 measures.
 //
-// The base provides the namespace tree, CPU model, batching writer, client
+// The base provides the namespace tree, CPU model, journal writer, client
 // RPC handling with duplicate suppression, reply-on-durable semantics, and
 // block-report ingestion.
 #pragma once
@@ -30,11 +30,8 @@ namespace mams::baselines {
 class NameNodeBase : public net::Host {
  public:
   NameNodeBase(net::Network& network, std::string name,
-               core::OpCosts costs = {},
-               journal::Writer::Options writer_options = {})
-      : net::Host(network, std::move(name)),
-        costs_(costs),
-        writer_options_(writer_options) {
+               core::OpCosts costs = {})
+      : net::Host(network, std::move(name)), costs_(costs) {
     OnRequest(net::kClientRequest,
               [this](const net::Envelope&, const net::MessagePtr& msg,
                      const ReplyFn& reply) { HandleClient(msg, reply); });
@@ -75,7 +72,7 @@ class NameNodeBase : public net::Host {
 
   void OnStart() override {
     writer_ = std::make_unique<journal::Writer>(
-        sim(), writer_options_, [this](journal::Batch b, std::vector<char>) {
+        [this](journal::Batch b, std::vector<char>) {
           last_sn_ = b.sn;
           ++inflight_batches_;
           PersistBatch(std::move(b));
@@ -265,7 +262,6 @@ class NameNodeBase : public net::Host {
     });
   }
 
-  journal::Writer::Options writer_options_;
   std::unique_ptr<journal::Writer> writer_;
   std::map<TxId, std::vector<ReplyFn>> pending_replies_;
   SimTime cpu_free_at_ = 0;

@@ -111,8 +111,6 @@ RunSpec MakeSpec(std::uint64_t seed, const FuzzProfile& profile) {
   spec.standby_reads = profile.standby_reads;
   spec.client_cache = profile.client_cache;
   spec.autoscale = profile.autoscale;
-  spec.batch_delay = profile.batch_delay;
-  spec.pipeline_depth = profile.pipeline_depth;
   // Generation rng is decoupled from the execution seed so that replaying
   // a spec never re-consults it.
   Rng rng(seed * 0x9e3779b97f4a7c15ull + 0x66757a7aull);
@@ -313,11 +311,6 @@ RunResult RunSpecOnce(const RunSpec& spec, CheckOptions check) {
     case Mutation::kIgnoreLeaseRevoke:
       cfg.client.cache.ignore_revoke = true;
       break;
-  }
-  if (spec.batch_delay > 0) cfg.mds.writer.max_batch_delay = spec.batch_delay;
-  if (spec.pipeline_depth > 0) {
-    cfg.mds.commit_pipeline_depth =
-        static_cast<std::size_t>(spec.pipeline_depth);
   }
   // The min_sn mutation is only observable when standbys answer reads, so
   // it forces the offload on; .repro files then replay correctly even if

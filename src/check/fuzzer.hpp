@@ -108,16 +108,6 @@ struct RunSpec {
   SimTime warmup = 2 * kSecond;     ///< boot -> first op
   SimTime run_for = 30 * kSecond;   ///< op/fault phase -> heal
   SimTime quiesce = 45 * kSecond;   ///< heal -> audit reads
-  /// Non-zero overrides the writer's aggregation window, so batches grow
-  /// wide enough to carry records that depend on each other (the
-  /// apply_race profile raises this; 0 keeps the production default).
-  SimTime batch_delay = 0;
-  /// Non-zero overrides MdsOptions::commit_pipeline_depth. Fuzz clients
-  /// are closed-loop (at most `clients` mutations outstanding), so with
-  /// the default window a flush slot is always free and every batch
-  /// carries one record; a window narrower than the client count forces
-  /// a backlog that group commit aggregates into multi-record batches.
-  int pipeline_depth = 0;
   std::vector<OpEntry> ops;
   std::vector<FaultAction> faults;
 };
@@ -154,12 +144,8 @@ struct FuzzProfile {
   /// nothing to order — a shared namespace is what makes intra-batch
   /// dependencies (and planner bugs) reachable.
   bool shared_namespace = false;
-  /// Copied into RunSpec::batch_delay by MakeSpec (0 = writer default).
-  SimTime batch_delay = 0;
-  /// Copied into RunSpec::pipeline_depth by MakeSpec (0 = default).
-  int pipeline_depth = 0;
   /// Clients issue ops with sub-10ms think times instead of 20-400ms.
-  /// Group commit only aggregates records that arrive while the pipeline
+  /// Group commit only aggregates records that arrive while the commit
   /// window is full — clients slower than a sync round produce
   /// single-record batches, which reordering cannot disturb. Hot clients
   /// outrun the sync rounds, so batches grow genuinely multi-record.

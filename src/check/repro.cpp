@@ -50,12 +50,6 @@ std::string SerializeSpec(const RunSpec& spec) {
   if (spec.autoscale) {
     out << "autoscale=1\n";
   }
-  if (spec.batch_delay != 0) {
-    out << "batch_delay_us=" << spec.batch_delay << "\n";
-  }
-  if (spec.pipeline_depth != 0) {
-    out << "pipeline_depth=" << spec.pipeline_depth << "\n";
-  }
   for (const OpEntry& e : spec.ops) {
     out << "op " << e.client << " " << e.think << " " << OpKindName(e.op.kind)
         << " " << e.op.path;
@@ -140,10 +134,6 @@ Result<RunSpec> ParseSpec(const std::string& text) {
           spec.run_for = std::stoll(value);
         } else if (key == "quiesce_us") {
           spec.quiesce = std::stoll(value);
-        } else if (key == "batch_delay_us") {
-          spec.batch_delay = std::stoll(value);
-        } else if (key == "pipeline_depth") {
-          spec.pipeline_depth = std::stoi(value);
         } else {
           return Malformed(line_no, "unknown key '" + key + "'");
         }

@@ -119,9 +119,7 @@ void Autoscaler::EvaluateGroup(GroupId g) {
   gs.util_gauge->Set(gs.utilization);
 
   const bool pressure_up = gs.utilization > options_.scale_up_utilization ||
-                           pb_rate > options_.park_bounce_rate_up ||
-                           active->commit_queue_depth() >=
-                               options_.commit_depth_up;
+                           pb_rate > options_.park_bounce_rate_up;
   const bool pressure_down =
       gs.utilization < options_.scale_down_utilization && pb_rate == 0.0;
   gs.up_breach = pressure_up ? gs.up_breach + 1 : 0;

@@ -2,10 +2,10 @@
 //
 // The paper sizes each replica group statically (MAMS-xAyS). This
 // controller makes y elastic: it watches per-member pressure signals —
-// read throughput against per-standby capacity, parked/bounced
-// standby-read rates, the active's commit-queue depth — and grows the
-// group ahead of demand (promote a junior, restart a retired member, or
-// admit a brand-new node) or shrinks it when standbys sit idle.
+// read throughput against per-standby capacity and parked/bounced
+// standby-read rates — and grows the group ahead of demand (promote a
+// junior, restart a retired member, or admit a brand-new node) or shrinks
+// it when standbys sit idle.
 //
 // Every action rides the existing membership machinery: scale-up goes
 // junior -> renewing -> standby (the ordinary catch-up path, so
@@ -44,9 +44,6 @@ struct AutoscalerOptions {
   /// Parked + bounced standby reads per second that count as pressure even
   /// when raw utilization looks fine (reads are queueing, not flowing).
   double park_bounce_rate_up = 10.0;
-
-  /// Commit-queue depth on the active that counts as write-side pressure.
-  std::size_t commit_depth_up = 8;
 
   /// Consecutive breached evaluations required before acting.
   int breach_ticks = 3;

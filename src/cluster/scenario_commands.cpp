@@ -69,14 +69,12 @@ Status CmdAutoscale(ScenarioRunner& r, const std::vector<std::string>& args) {
       auto d = ScenarioRunner::ParseDuration(value);
       if (!d.ok()) return d.status();
       (key == "period" ? opts.evaluate_period : opts.cooldown) = d.value();
-    } else if (key == "min" || key == "max" || key == "breach" ||
-               key == "commit_depth") {
+    } else if (key == "min" || key == "max" || key == "breach") {
       auto n = ScenarioRunner::ParseInt(value);
       if (!n.ok()) return n.status();
       if (key == "min") opts.min_standbys = n.value();
       else if (key == "max") opts.max_standbys = n.value();
-      else if (key == "breach") opts.breach_ticks = n.value();
-      else opts.commit_depth_up = static_cast<std::size_t>(n.value());
+      else opts.breach_ticks = n.value();
     } else if (key == "capacity" || key == "up" || key == "down" ||
                key == "park_bounce") {
       auto x = ScenarioRunner::ParseDouble(value);
@@ -381,8 +379,7 @@ Status RegisterElasticCommands(ScenarioRunner& runner) {
   const Entry entries[] = {
       {"autoscale",
        "autoscale on|off [period=500ms] [min=N] [max=N] [capacity=R] "
-       "[up=U] [down=U] [breach=N] [cooldown=D] [park_bounce=R] "
-       "[commit_depth=N]",
+       "[up=U] [down=U] [breach=N] [cooldown=D] [park_bounce=R]",
        "Starts or stops the elastic standby controller on the cluster.",
        CmdAutoscale},
       {"load",

@@ -185,7 +185,6 @@ void MdsServer::OnStart() {
             }
             fence_ = r.value().fence;
             writer_ = std::make_unique<journal::Writer>(
-                sim(), options_.writer,
                 [this](journal::Batch b, std::vector<char> bytes) {
                   OnBatchSealed(std::move(b), std::move(bytes));
                 });
@@ -236,7 +235,6 @@ void MdsServer::OnCrash() {
   committed_sn_ = 0;
   cpu_free_at_ = 0;
   pending_sync_.clear();
-  deferred_batches_.clear();
   finalizing_syncs_ = false;
   pending_replies_.clear();
   sync_targets_.clear();
@@ -306,7 +304,6 @@ void MdsServer::BecomeRole(ServerState role) {
     }
     if (!writer_) {
       writer_ = std::make_unique<journal::Writer>(
-          sim(), options_.writer,
           [this](journal::Batch b, std::vector<char> bytes) {
             OnBatchSealed(std::move(b), std::move(bytes));
           });
@@ -743,7 +740,7 @@ void MdsServer::StepDownFromActive(const char* why) {
   // paper handles this by degrading the deposed active to junior; we keep
   // the fast path when the server is provably clean.
   const bool dirty = dirty_ || !pending_replies_.empty() ||
-                     !pending_sync_.empty() || !deferred_batches_.empty() ||
+                     !pending_sync_.empty() ||
                      (writer_ && writer_->pending_records() > 0);
   BecomeRole(ServerState::kJunior);
   fence_ = 0;
@@ -757,10 +754,6 @@ void MdsServer::StepDownFromActive(const char* why) {
   }
   pending_replies_.clear();
   pending_sync_.clear();
-  // The pipeline window drains wholesale on a view change: deferred batches
-  // were never offered to any standby or the SSP, so they are part of the
-  // uncommitted state the dirty path discards.
-  deferred_batches_.clear();
   sync_targets_.clear();
   // Shard drives are this active's volatile plans; the successor rebuilds
   // its own from the journal-derived ShardState.
@@ -1253,11 +1246,11 @@ void MdsServer::ProcessClientRequest(
               ReplyStatus(wrapped, Status::Unavailable(resp.error));
               return;
             }
-            ExecuteMutation(req, wrapped, /*tx_commit=*/true);
+            ExecuteMutation(req, wrapped);
           });
       return;
     }
-    ExecuteMutation(req, reply, /*tx_commit=*/false);
+    ExecuteMutation(req, reply);
   });
 }
 
@@ -1302,8 +1295,7 @@ void MdsServer::ExecuteRead(const ClientRequestMsg& req, const ReplyFn& reply,
 }
 
 void MdsServer::ExecuteMutation(
-    const std::shared_ptr<const ClientRequestMsg>& req, const ReplyFn& reply,
-    bool tx_commit) {
+    const std::shared_ptr<const ClientRequestMsg>& req, const ReplyFn& reply) {
   // Shard admission runs here — synchronously with the tree mutation and
   // journal append — not at request arrival: a cutover fence raised while
   // the request sat in the CPU queue must still bounce it.
@@ -1383,21 +1375,19 @@ void MdsServer::ExecuteMutation(
     }
   }
   pending_replies_[txid].push_back(std::move(final_reply));
-  if (tx_commit) {
-    // Transaction boundary: cross-group transactions commit their own
-    // batch instead of riding the aggregation window.
-    writer_->Flush();
-  } else if (pending_sync_.size() < PipelineDepth() &&
-             deferred_batches_.empty()) {
-    // Pipelined group commit: flush immediately while the 2PC window has a
-    // free slot, so batch N+1 streams while batch N's acks are in flight.
-    // Once the window fills (or sealed batches queue behind it), records
-    // aggregate and flush as soon as an earlier sync finalizes.
-    writer_->Flush();
-  }
+  SealIfSlotFree();
 }
 
 // --- journal sync: active side -------------------------------------------------
+
+bool MdsServer::SealIfSlotFree() {
+  if (!writer_ || writer_->pending_records() == 0 ||
+      pending_sync_.size() >= kCommitWindow) {
+    return false;
+  }
+  writer_->Flush();
+  return true;
+}
 
 void MdsServer::OnBatchSealed(journal::Batch batch, std::vector<char> bytes) {
   // The writer hands over the batch by value exactly once; everything
@@ -1411,27 +1401,16 @@ void MdsServer::OnBatchSealed(journal::Batch batch, std::vector<char> bytes) {
   m_.last_sn->Set(static_cast<std::int64_t>(last_sn_));
   m_.batch_records->Record(static_cast<std::int64_t>(owned->records.size()));
 
-  if (pending_sync_.size() >= PipelineDepth()) {
-    // Pipeline window full (the aggregation timer can seal regardless):
-    // park the batch, in sn order, until an earlier sync finalizes.
-    ++counters_.pipeline_deferred;
-    deferred_batches_.emplace_back(std::move(owned), std::move(bytes));
-    return;
-  }
-  StartBatchSync(std::move(owned), std::move(bytes));
-}
-
-void MdsServer::StartBatchSync(std::shared_ptr<const journal::Batch> batch,
-                               std::vector<char> bytes) {
-  PendingSync& ps = pending_sync_[batch->sn];
-  ps.batch = batch;
+  const SerialNumber sn = owned->sn;
+  PendingSync& ps = pending_sync_[sn];
+  ps.batch = owned;
   ps.awaiting = sync_targets_;
   ps.ssp_done = !options_.ssp_in_commit_path;  // ablation: SSP off-path
   ps.begin = sim().Now();
   ps.span = obs_->tracer().Begin(
       "mds", "sync_batch", id(), options_.group,
-      {{"sn", static_cast<std::uint64_t>(batch->sn)},
-       {"records", static_cast<std::uint64_t>(batch->records.size())},
+      {{"sn", static_cast<std::uint64_t>(sn)},
+       {"records", static_cast<std::uint64_t>(owned->records.size())},
        {"targets", static_cast<std::uint64_t>(ps.awaiting.size())}});
 
   // Replication fan-out costs CPU on the active: the batch was serialized
@@ -1448,8 +1427,7 @@ void MdsServer::StartBatchSync(std::shared_ptr<const journal::Batch> batch,
   auto msg = std::make_shared<JournalPrepareMsg>();
   msg->group = options_.group;
   msg->fence = fence_;
-  msg->batch = batch;
-  const SerialNumber sn = batch->sn;
+  msg->batch = std::move(owned);
   for (NodeId peer : ps.awaiting) {
     AfterLocal(ChargeCpu(per_target), [this, peer, sn, msg] {
       net::RpcCall::Start(
@@ -1476,7 +1454,7 @@ void MdsServer::StartBatchSync(std::shared_ptr<const journal::Batch> batch,
   // The SSP copy (journal segment shared file), fenced with our token. The
   // bytes are the seal-time serialization — no second pass over the records.
   storage::SspRecord record;
-  record.sn = batch->sn;
+  record.sn = sn;
   record.fence = fence_;
   record.bytes = std::move(bytes);
   AfterLocal(ChargeCpu(per_target),
@@ -1512,73 +1490,59 @@ void MdsServer::MaybeCompleteSync(SerialNumber sn) {
 }
 
 void MdsServer::FinalizeCompletedSyncs() {
-  if (finalizing_syncs_) return;  // StartBatchSync below can re-enter
+  // A reply below can journal a shard record whose batch completes at once.
+  if (finalizing_syncs_) return;
   finalizing_syncs_ = true;
-  bool progress = true;
-  while (progress) {
-    progress = false;
-    // Finalization is strictly sn-ordered: with a pipeline window, batch
-    // N+1's acks can land before batch N's, but a standby ack only proves
-    // the peer *received* the batch (it may still be buffering a gap), so
-    // acknowledged client work is a journal prefix only if replies and
-    // committed_sn advance from the front. This keeps the loss on failover
-    // prefix-closed exactly as in the stop-and-wait protocol.
-    while (!pending_sync_.empty() &&
-           pending_sync_.begin()->second.completed) {
-      const SerialNumber sn = pending_sync_.begin()->first;
-      PendingSync ps = std::move(pending_sync_.begin()->second);
-      pending_sync_.erase(pending_sync_.begin());
-      progress = true;
-      ++counters_.batches_synced;
-      m_.batches_synced->Add();
-      if (ps.acks > 0 || ps.ssp_ok) {
-        committed_sn_ = std::max(committed_sn_, sn);
-      }
-      if (ps.acks > 0 && !ps.ssp_ok) {
-        // Committed on standby acks alone — the pool missed it. The SSP is
-        // what a future failover drains, so keep re-appending until the
-        // copy is durable (or we are deposed and the new active
-        // reconciles).
-        AfterLocal(options_.ssp_append_retry,
-                   [this, sn] { RetrySspAppend(sn); });
-      }
-      if (ps.acks == 0 && !ps.ssp_ok) {
-        // The batch completed by timeouts alone: it exists only in this
-        // process. Should we be deposed before it replicates, our
-        // namespace holds uncommitted state and must be rebuilt (see
-        // StepDownFromActive).
-        dirty_ = true;
-      }
-      for (const auto& rec : ps.batch->records) {
-        auto rit = pending_replies_.find(rec.txid);
-        if (rit == pending_replies_.end()) continue;
-        for (auto& reply : rit->second) {
-          // A mutation that revoked remote leases must not complete until
-          // every holder acked (or the last revoked grant expired): its ack
-          // is held on the txid barrier instead of leaving now.
-          RunOrHoldOnBarrier(rec.txid, [this, reply = std::move(reply)] {
-            ReplyStatus(reply, Status::Ok());
-          });
-        }
-        pending_replies_.erase(rit);
-      }
+  // Finalization is strictly sn-ordered: with several rounds in flight,
+  // batch N+1's acks can land before batch N's, but a standby ack only
+  // proves the peer *received* the batch (it may still be buffering a gap),
+  // so acknowledged client work is a journal prefix only if replies and
+  // committed_sn advance from the front. This keeps the loss on failover
+  // prefix-closed exactly as in the stop-and-wait protocol.
+  while (!pending_sync_.empty() && pending_sync_.begin()->second.completed) {
+    const SerialNumber sn = pending_sync_.begin()->first;
+    PendingSync ps = std::move(pending_sync_.begin()->second);
+    pending_sync_.erase(pending_sync_.begin());
+    ++counters_.batches_synced;
+    m_.batches_synced->Add();
+    if (ps.acks > 0 || ps.ssp_ok) {
+      committed_sn_ = std::max(committed_sn_, sn);
     }
-    // Refill the pipeline window from the deferred queue (sn order).
-    while (!deferred_batches_.empty() &&
-           pending_sync_.size() < PipelineDepth()) {
-      auto [batch, bytes] = std::move(deferred_batches_.front());
-      deferred_batches_.pop_front();
-      progress = true;
-      StartBatchSync(std::move(batch), std::move(bytes));
+    if (!ps.ssp_ok) {
+      // The pool missed it. The SSP is what a future failover drains, and
+      // every later batch builds on this one — even one no standby acked
+      // either, which standbys backfill once they are reachable again. A
+      // hole here would end a junior's drain early and lose the committed
+      // batches behind it, so keep re-appending until the copy is durable
+      // (or we are deposed and the new active reconciles).
+      AfterLocal(options_.ssp_append_retry,
+                 [this, sn] { RetrySspAppend(sn); });
+    }
+    if (ps.acks == 0 && !ps.ssp_ok) {
+      // The batch completed by timeouts alone: it exists only in this
+      // process. Should we be deposed before it replicates, our namespace
+      // holds uncommitted state and must be rebuilt (see
+      // StepDownFromActive).
+      dirty_ = true;
+    }
+    for (const auto& rec : ps.batch->records) {
+      auto rit = pending_replies_.find(rec.txid);
+      if (rit == pending_replies_.end()) continue;
+      for (auto& reply : rit->second) {
+        // A mutation that revoked remote leases must not complete until
+        // every holder acked (or the last revoked grant expired): its ack
+        // is held on the txid barrier instead of leaving now.
+        RunOrHoldOnBarrier(rec.txid, [this, reply = std::move(reply)] {
+          ReplyStatus(reply, Status::Ok());
+        });
+      }
+      pending_replies_.erase(rit);
     }
   }
   finalizing_syncs_ = false;
-  // Group commit: release the records that aggregated while the window was
-  // full.
-  if (pending_sync_.size() < PipelineDepth() && deferred_batches_.empty() &&
-      writer_ && writer_->pending_records() > 0) {
-    writer_->Flush();
-  }
+  // Group commit: the records that arrived while the window was full take
+  // the slot this finalization freed.
+  if (SealIfSlotFree()) ++counters_.pipeline_deferred;
 }
 
 void MdsServer::RetrySspAppend(SerialNumber sn) {

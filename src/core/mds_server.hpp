@@ -97,11 +97,12 @@ class MdsServer : public net::Host {
     return parked_reads_.size();
   }
 
-  /// Instantaneous commit-path backlog: syncs in flight plus sealed
-  /// batches deferred past the pipeline window. One of the autoscaler's
-  /// pressure signals (nonzero only on an active).
+  /// Instantaneous commit-path backlog: 2PC rounds in flight, plus one
+  /// while records wait for a window slot to seal. At most
+  /// kCommitWindow + 1 (nonzero only on an active).
   std::size_t commit_queue_depth() const noexcept {
-    return pending_sync_.size() + deferred_batches_.size();
+    const bool waiting = writer_ && writer_->pending_records() > 0;
+    return pending_sync_.size() + (waiting ? 1 : 0);
   }
 
   // --- observability -----------------------------------------------------
@@ -147,7 +148,9 @@ class MdsServer : public net::Host {
     std::uint64_t apply_waves = 0;             ///< records applied
     std::uint64_t apply_records = 0;           ///< records applied
     std::uint64_t apply_serial_fallbacks = 0;  ///< batches applied
-    std::uint64_t pipeline_deferred = 0;     ///< batches parked by the window
+    /// Batches sealed by a finalization: their records arrived while all
+    /// kCommitWindow slots were busy and waited for one to free.
+    std::uint64_t pipeline_deferred = 0;
     std::uint64_t migrations_started = 0;
     std::uint64_t migrations_completed = 0;
     std::uint64_t migrations_aborted = 0;
@@ -210,7 +213,7 @@ class MdsServer : public net::Host {
   void ProcessClientRequest(const std::shared_ptr<const ClientRequestMsg>& req,
                             const ReplyFn& reply);
   void ExecuteMutation(const std::shared_ptr<const ClientRequestMsg>& req,
-                       const ReplyFn& reply, bool tx_commit);
+                       const ReplyFn& reply);
   void ExecuteRead(const ClientRequestMsg& req, const ReplyFn& reply,
                    bool from_standby = false);
   SimTime ChargeCpu(SimTime cost);
@@ -276,17 +279,18 @@ class MdsServer : public net::Host {
   void ResetLeaseState();
 
   // --- active: journal sync (modified 2PC, pipelined) -----------------------
+  /// The one group-commit sealing rule: seals every pending record into one
+  /// batch when fewer than kCommitWindow rounds are in flight. Runs after
+  /// every journal append and after each finalization; returns whether it
+  /// sealed.
+  bool SealIfSlotFree();
+  /// The writer's sink: starts the batch's 2PC round to every standby and
+  /// the SSP.
   void OnBatchSealed(journal::Batch batch, std::vector<char> bytes);
-  void StartBatchSync(std::shared_ptr<const journal::Batch> batch,
-                      std::vector<char> bytes);
   void MaybeCompleteSync(SerialNumber sn);
   /// Finalizes completed syncs strictly from the front of pending_sync_
-  /// (sn order), then refills the pipeline window from deferred_batches_.
+  /// (sn order), then seals what waited for the freed slot.
   void FinalizeCompletedSyncs();
-  std::size_t PipelineDepth() const noexcept {
-    return options_.commit_pipeline_depth == 0 ? 1
-                                               : options_.commit_pipeline_depth;
-  }
   void DemoteUnresponsiveStandby(NodeId peer);
   void RetrySspAppend(SerialNumber sn);
 
@@ -343,8 +347,9 @@ class MdsServer : public net::Host {
   /// Appends one shard control/install record to the journal, applies it to
   /// the tree, and notes it for a capturing migration. Returns its txid.
   TxId AppendShardRecord(journal::LogRecord rec);
-  /// AppendShardRecord + flush + `done(ok)` once the batch commits (standby
-  /// ack or SSP); the record is then as durable as any client mutation.
+  /// AppendShardRecord + SealIfSlotFree + `done(ok)` once the batch commits
+  /// (standby ack or SSP); the record is then as durable as any client
+  /// mutation.
   TxId JournalShardRecord(journal::LogRecord rec,
                           std::function<void(bool)> done);
   /// ExecuteMutation hook: while a migration is capturing, note mutated
@@ -467,13 +472,10 @@ class MdsServer : public net::Host {
     SimTime begin = 0;
     obs::TraceRecorder::Span span;
   };
+  /// 2PC rounds in flight, by sn; never more than kCommitWindow (four: the
+  /// window sweep is in docs/PERFORMANCE.md §3).
   std::map<SerialNumber, PendingSync> pending_sync_;
-  /// Sealed batches past the pipeline window, in sn order, each with its
-  /// serialized bytes; shipped FIFO as earlier syncs finalize. Part of the
-  /// uncommitted window a deposed active must discard (StepDownFromActive).
-  std::deque<std::pair<std::shared_ptr<const journal::Batch>,
-                       std::vector<char>>>
-      deferred_batches_;
+  static constexpr std::size_t kCommitWindow = 4;
   bool finalizing_syncs_ = false;  ///< re-entrancy guard
   std::map<TxId, std::vector<ReplyFn>> pending_replies_;
   std::set<NodeId> sync_targets_;  ///< peers included in 2PC

@@ -204,9 +204,7 @@ TxId MdsServer::JournalShardRecord(journal::LogRecord rec,
       done(resp.ok);
     });
   }
-  if (pending_sync_.size() < PipelineDepth() && deferred_batches_.empty()) {
-    writer_->Flush();
-  }
+  SealIfSlotFree();
   return txid;
 }
 
@@ -421,11 +419,10 @@ void MdsServer::DrainThenShip(std::uint32_t slot, int polls_left) {
   auto it = drives_.find(slot);
   if (it == drives_.end() || role_ != ServerState::kActive || !alive()) return;
   // Every fenced-out writer has already been bounced; what remains is the
-  // journal pipeline — in-flight 2PC syncs, sealed batches parked behind
-  // the pipeline window, and unsealed records. Once all three are empty,
-  // every accepted slot write is committed and sits in `dirty`.
-  const bool drained = pending_sync_.empty() && deferred_batches_.empty() &&
-                       (!writer_ || writer_->pending_records() == 0);
+  // journal pipeline — in-flight 2PC syncs and records waiting for a window
+  // slot. Once both are empty, every accepted slot write is committed and
+  // sits in `dirty`.
+  const bool drained = commit_queue_depth() == 0;
   if (drained || polls_left <= 0) {
     MAMS_DEBUG("shard", "%s: slot %u drained (polls left %d); shipping final",
                name().c_str(), slot, polls_left);
@@ -718,9 +715,7 @@ void MdsServer::HandleShardTransfer(const net::Envelope&,
       out->error = resp.error;
       reply(out);
     });
-    if (pending_sync_.size() < PipelineDepth() && deferred_batches_.empty()) {
-      writer_->Flush();
-    }
+    SealIfSlotFree();
     if (fresh) ArmInboundWatchdog(req->slot);
   });
 }
@@ -1081,9 +1076,7 @@ void MdsServer::HandleRenameCommit(
     ack_status(resp.ok ? Status::Ok()
                        : Status::Unavailable("not committed"));
   });
-  if (pending_sync_.size() < PipelineDepth() && deferred_batches_.empty()) {
-    writer_->Flush();
-  }
+  SealIfSlotFree();
 }
 
 void MdsServer::FinishRename(const std::string& src, bool committed,

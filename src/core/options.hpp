@@ -4,7 +4,6 @@
 #pragma once
 
 #include "common/types.hpp"
-#include "journal/writer.hpp"
 #include "net/rpc.hpp"
 #include "shard/partition_map.hpp"
 #include "storage/ssp.hpp"
@@ -134,18 +133,8 @@ struct MdsOptions {
       .jitter = 0.25,
   };
 
-  // Journal synchronization.
-  journal::Writer::Options writer;
-
-  /// Group-commit pipeline window: sealed batches the active keeps in
-  /// flight through the 2PC at once. 1 reproduces the original
-  /// stop-and-wait behaviour (flush only when no sync is pending); higher
-  /// values stream batch N+1 while batch N's acks are outstanding.
-  /// Completion stays sn-ordered regardless — a batch finalizes (replies,
-  /// committed_sn) only once every earlier batch has — so the loss prefix
-  /// on failover remains closed, and the window is drained wholesale on
-  /// view change/fence.
-  std::size_t commit_pipeline_depth = 4;
+  // Journal synchronization. Batches seal whenever a 2PC window slot is
+  // free (MdsServer::SealIfSlotFree); that is not a setting.
 
   /// Journal 2PC prepare to each standby: a single bounded attempt — an
   /// unresponsive standby is demoted and backfilled later, never waited
@@ -160,9 +149,10 @@ struct MdsOptions {
   /// copy is durable; false writes the SSP copy asynchronously (the
   /// ablation_ssp_vs_direct variant).
   bool ssp_in_commit_path = true;
-  /// Retry cadence for re-appending a batch whose SSP copy failed while the
-  /// sync still committed on standby acks: the pool is the recovery source
-  /// for failovers, so committed batches must become durable there.
+  /// Retry cadence for re-appending a batch whose SSP copy failed, while
+  /// its server stays active: the pool is the recovery source for
+  /// failovers, so every batch later ones build on must become durable
+  /// there.
   SimTime ssp_append_retry = 500 * kMillisecond;
 
   // Failover protocol.

@@ -4,7 +4,9 @@
 // unresponsive standbys, and failover-trace bookkeeping.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <set>
 
 #include "cluster/cfs.hpp"
 #include "core/failover_trace.hpp"
@@ -285,21 +287,16 @@ TEST_F(CoreTest, ReadsServedDuringUpgradeWindow) {
 }
 
 TEST_F(CoreTest, PipelinedCommitDrainsAcrossViewChange) {
-  // The group-commit pipeline keeps several 2PC rounds in flight and parks
-  // sealed batches behind the window. Crash the active while that window
-  // is hot: every acked mutation must survive into the new view and the
-  // deferred/in-flight tail must never be double-applied — replicas
-  // converge to the new active's fingerprint once the dust settles.
+  // Group commit keeps several 2PC rounds in flight while further records
+  // wait for a slot. Crash the active while that window is hot: every
+  // acked mutation must survive into the new view and the waiting and
+  // in-flight tail must never be double-applied — replicas converge to the
+  // new active's fingerprint once the dust settles.
   cluster::CfsConfig cfg;
   cfg.groups = 1;
   cfg.standbys_per_group = 3;
   cfg.clients = 2;
   cfg.data_servers = 1;
-  cfg.mds.commit_pipeline_depth = 2;
-  // Seal well inside a sync round-trip (~200us LAN RTT) so sealed batches
-  // actually queue up behind the two-slot window instead of finding it
-  // empty.
-  cfg.mds.writer.max_batch_delay = 100 * kMicrosecond;
   Build(cfg);
   ASSERT_TRUE(CreateFile("/p/seed").ok());
 
@@ -308,7 +305,7 @@ TEST_F(CoreTest, PipelinedCommitDrainsAcrossViewChange) {
   mix.add_block = 0.15;
   mix.getfileinfo = 0.15;
   workload::DriverOptions dopts;
-  dopts.sessions = 12;  // backlog wider than the 2-slot window
+  dopts.sessions = 12;  // backlog wider than the 4-slot window
   workload::Driver driver(*sim_, workload::MakeApi(cfs_->client(1)), mix, 7,
                           dopts);
   driver.Start();
@@ -320,7 +317,7 @@ TEST_F(CoreTest, PipelinedCommitDrainsAcrossViewChange) {
   ASSERT_NE(old_active, nullptr);
   EXPECT_GT(old_active->counters().pipeline_deferred, 0u);
 
-  old_active->Crash();  // mid-window: syncs in flight, batches deferred
+  old_active->Crash();  // mid-window: syncs in flight, records waiting
   Run(15 * kSecond);
   driver.Stop();
   Run(2 * kSecond);
@@ -341,6 +338,98 @@ TEST_F(CoreTest, PipelinedCommitDrainsAcrossViewChange) {
   }
   // And the new view still serves writes after draining the old window.
   EXPECT_TRUE(CreateFile("/p/after").ok());
+}
+
+TEST_F(CoreTest, BatchNoReplicaAckedStillReachesThePool) {
+  // An active cut off from every peer completes its in-flight round by
+  // timeouts alone: no standby ack, no pool copy. If the cut heals inside
+  // the session timeout it stays active, the standbys backfill the batch
+  // and later batches commit on top of it. The pool must get its copy
+  // too: a hole in the pool's journal ends a junior's drain early and
+  // loses every committed batch behind it.
+  cluster::CfsConfig cfg;
+  cfg.groups = 1;
+  cfg.standbys_per_group = 2;
+  cfg.clients = 1;
+  cfg.data_servers = 1;
+  Build(cfg);
+  ASSERT_TRUE(CreateFile("/hole/a").ok());
+  MdsServer* active = cfs_->FindActive(0);
+  ASSERT_NE(active, nullptr);
+
+  // Cut the active the moment it journals a create: the prepares and the
+  // pool append leave only after the fan-out CPU charge, so all are lost.
+  const std::uint64_t before = active->counters().mutations;
+  cfs_->client(0).Create("/hole/b", [](Status) {});
+  ASSERT_TRUE(testutil::WaitFor(
+      *sim_, [&] { return active->counters().mutations > before; }, kSecond,
+      kMicrosecond));
+  const SerialNumber cut_sn = active->last_sn();
+  net_->SetLinkUp(active->id(), false);
+  Run(2200 * kMillisecond);  // the round and the pool append time out
+  net_->SetLinkUp(active->id(), true);
+  ASSERT_EQ(cfs_->FindActive(0), active);
+  for (int i = 0; i < 5; ++i) {
+    ASSERT_TRUE(CreateFile("/hole/c" + std::to_string(i)).ok());
+  }
+  Run(2 * kSecond);  // past the pool re-append cadence
+
+  std::set<SerialNumber> pooled;
+  for (int p = 0; p < 3; ++p) {
+    const storage::SharedFile* journal =
+        cfs_->pool_node(p).store().Find("g0/journal");
+    if (journal == nullptr) continue;
+    for (const auto& rec : journal->records()) pooled.insert(rec.sn);
+  }
+  EXPECT_TRUE(pooled.contains(cut_sn)) << "sn " << cut_sn;
+  EXPECT_EQ(pooled.size(), active->last_sn());
+}
+
+TEST_F(CoreTest, BatchesSealOnlyIntoAFreeWindowSlot) {
+  // The one sealing rule: a batch seals only while fewer than four 2PC
+  // rounds are in flight. A closed-loop backlog wider than the window may
+  // therefore never put more than four rounds plus the records waiting for
+  // a slot into the commit path, and the records that waited seal together.
+  cluster::CfsConfig cfg;
+  cfg.groups = 1;
+  cfg.standbys_per_group = 3;
+  cfg.clients = 2;
+  cfg.data_servers = 1;
+  Build(cfg);
+  ASSERT_TRUE(CreateFile("/b/seed").ok());
+
+  workload::Mix mix;
+  mix.create = 0.80;
+  mix.add_block = 0.20;
+  workload::DriverOptions dopts;
+  dopts.sessions = 32;
+  workload::Driver driver(*sim_, workload::MakeApi(cfs_->client(1)), mix, 11,
+                          dopts);
+  driver.Start();
+  MdsServer* active = cfs_->FindActive(0);
+  ASSERT_NE(active, nullptr);
+  std::size_t deepest = 0;
+  int waiting_samples = 0;
+  for (int i = 0; i < 40000; ++i) {  // 2 s, sampled every 50 us
+    Run(50 * kMicrosecond);
+    const std::size_t depth = active->commit_queue_depth();
+    deepest = std::max(deepest, depth);
+    if (depth == 5) ++waiting_samples;
+  }
+  driver.Stop();
+  Run(2 * kSecond);
+
+  EXPECT_LE(deepest, 5u);
+  // The backlog really was wider than the window.
+  EXPECT_GT(waiting_samples, 0);
+  EXPECT_GT(active->counters().pipeline_deferred, 0u);
+  // Every standby replayed some batch of more than one record.
+  for (std::size_t m = 0; m < cfs_->group_size(0); ++m) {
+    auto& mds = cfs_->mds(0, static_cast<int>(m));
+    if (&mds == active) continue;
+    EXPECT_GT(mds.counters().apply_records, mds.counters().batches_applied)
+        << mds.name();
+  }
 }
 
 }  // namespace

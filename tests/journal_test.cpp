@@ -1,5 +1,5 @@
 // Tests for journal records, batches (serialization + checksums) and the
-// batching writer (sn/txid assignment, flush policies, reseed).
+// journal sequencer (sn/txid assignment, sealing only on Flush, reseed).
 #include <gtest/gtest.h>
 
 #include <string>
@@ -101,14 +101,10 @@ TEST(BatchTest, HeaderTruncationDetected) {
 class WriterTest : public ::testing::Test {
  protected:
   WriterTest() {
-    Writer::Options opts;
-    opts.max_batch_records = 4;
-    opts.max_batch_delay = 2 * kMillisecond;
-    writer_ = std::make_unique<Writer>(
-        sim_, opts, [this](Batch b, std::vector<char> bytes) {
-          batches_.push_back(std::move(b));
-          bytes_.push_back(std::move(bytes));
-        });
+    writer_ = std::make_unique<Writer>([this](Batch b, std::vector<char> bytes) {
+      batches_.push_back(std::move(b));
+      bytes_.push_back(std::move(bytes));
+    });
   }
 
   LogRecord Rec() {
@@ -124,25 +120,32 @@ class WriterTest : public ::testing::Test {
   std::unique_ptr<Writer> writer_;
 };
 
-TEST_F(WriterTest, FlushesWhenRecordBudgetFills) {
-  for (int i = 0; i < 4; ++i) writer_->Append(Rec());
-  EXPECT_EQ(batches_.size(), 1u);  // flushed synchronously at the cap
-  EXPECT_EQ(batches_[0].records.size(), 4u);
+TEST_F(WriterTest, AppendNeverSealsAndFlushSealsEverythingUnderOneSn) {
+  // The writer only sequences: however many records arrive and however
+  // much virtual time passes, nothing seals and no event is scheduled
+  // until its owner flushes — when a batch seals is the owner's rule.
+  for (int i = 0; i < 300; ++i) writer_->Append(Rec());
+  EXPECT_TRUE(sim_.idle());
+  sim_.RunUntil(kSecond);
+  EXPECT_TRUE(batches_.empty());
+  EXPECT_EQ(writer_->pending_records(), 300u);
+
+  writer_->Flush();
+  ASSERT_EQ(batches_.size(), 1u);
   EXPECT_EQ(batches_[0].sn, 1u);
   EXPECT_EQ(batches_[0].first_txid, 1u);
-}
-
-TEST_F(WriterTest, FlushesOnAggregationWindow) {
-  writer_->Append(Rec());
-  EXPECT_TRUE(batches_.empty());
-  sim_.RunUntil(5 * kMillisecond);
-  ASSERT_EQ(batches_.size(), 1u);
-  EXPECT_EQ(batches_[0].records.size(), 1u);
+  EXPECT_EQ(batches_[0].records.size(), 300u);
+  EXPECT_EQ(writer_->pending_records(), 0u);
+  EXPECT_EQ(writer_->next_sn(), 2u);
 }
 
 TEST_F(WriterTest, TxidsAreContiguousAcrossBatches) {
-  for (int i = 0; i < 10; ++i) writer_->Append(Rec());
+  for (int i = 0; i < 10; ++i) {
+    writer_->Append(Rec());
+    if (i % 3 == 2) writer_->Flush();
+  }
   writer_->Flush();
+  EXPECT_EQ(batches_.size(), 4u);
   TxId expect = 1;
   for (const auto& b : batches_) {
     EXPECT_EQ(b.first_txid, expect);
@@ -152,8 +155,11 @@ TEST_F(WriterTest, TxidsAreContiguousAcrossBatches) {
 }
 
 TEST_F(WriterTest, SnStrictlyIncreases) {
-  for (int i = 0; i < 12; ++i) writer_->Append(Rec());
-  writer_->Flush();
+  for (int i = 0; i < 12; ++i) {
+    writer_->Append(Rec());
+    if (i % 4 == 3) writer_->Flush();
+  }
+  ASSERT_EQ(batches_.size(), 3u);
   SerialNumber prev = 0;
   for (const auto& b : batches_) {
     EXPECT_GT(b.sn, prev);
@@ -208,7 +214,8 @@ TEST_F(WriterTest, AppendAndSealNeverCopyRecords) {
   for (int i = 0; i < 12; ++i) writer_->Append(Rec());
   writer_->Flush();
   EXPECT_EQ(LogRecordCopies(), before);
-  EXPECT_EQ(batches_.size(), 3u);
+  ASSERT_EQ(batches_.size(), 1u);
+  EXPECT_EQ(batches_[0].records.size(), 12u);
 }
 
 }  // namespace

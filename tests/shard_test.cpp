@@ -372,6 +372,81 @@ TEST_F(ShardClusterTest, CrossGroupRenameIsAtomic) {
   EXPECT_EQ(RenameSync(src2, orphan).code(), StatusCode::kNotFound);
 }
 
+TEST_F(ShardClusterTest, CrossGroupTransactionsCommitThroughAFullWindow) {
+  Build();
+  // Entries of `hot` live in group 0. A child whose own directory slot
+  // belongs to group 1 makes a mkdir or delete of it a cross-group
+  // transaction coordinated by group 0's active.
+  const std::string hot = DirOwnedBy(0, "/hot");
+  const shard::PartitionMap map = shard::PartitionMap::Seed(2);
+  std::vector<std::string> cross;
+  for (int i = 0; cross.size() < 8; ++i) {
+    const std::string p = hot + "/x" + std::to_string(i);
+    if (map.OwnerOfDir(p) == 1) cross.push_back(p);
+  }
+  const std::vector<std::string> new_dirs(cross.begin(), cross.begin() + 4);
+  const std::vector<std::string> doomed(cross.begin() + 4, cross.end());
+  for (const std::string& p : doomed) ASSERT_TRUE(CreateFile(p).ok()) << p;
+
+  // 32 closed-loop sessions creating in `hot` keep group 0's four commit
+  // slots busy, so the transactions' records wait for a slot to seal.
+  core::MdsServer* a0 = cluster_->FindActive(0);
+  ASSERT_NE(a0, nullptr);
+  bool load_on = true;
+  int next_file = 0;
+  std::function<void()> load = [&] {
+    if (!load_on) return;
+    cluster_->client(1).Create(hot + "/f" + std::to_string(next_file++),
+                               [&](Status) { load(); });
+  };
+  for (int s = 0; s < 32; ++s) load();
+
+  int issued_into_full_window = 0;
+  auto run_tx = [&](bool mkdir, const std::string& path) {
+    const bool full = testutil::WaitFor(
+        *sim_, [&] { return a0->commit_queue_depth() >= 4; }, kSecond,
+        10 * kMicrosecond);
+    if (full) ++issued_into_full_window;
+    Status out = Status::TimedOut("no reply");
+    bool done = false;
+    auto cb = [&](Status s) {
+      out = s;
+      done = true;
+    };
+    if (mkdir) {
+      cluster_->client(0).Mkdir(path, cb);
+    } else {
+      cluster_->client(0).Delete(path, cb);
+    }
+    testutil::WaitFor(*sim_, [&] { return done; }, 30 * kSecond,
+                      kMillisecond);
+    return out;
+  };
+  for (const std::string& p : new_dirs) {
+    EXPECT_TRUE(run_tx(/*mkdir=*/true, p).ok()) << p;
+  }
+  for (const std::string& p : doomed) {
+    EXPECT_TRUE(run_tx(/*mkdir=*/false, p).ok()) << p;
+  }
+  load_on = false;
+  Run(2 * kSecond);
+
+  EXPECT_EQ(issued_into_full_window, 8);
+  EXPECT_GT(a0->counters().pipeline_deferred, 0u);
+  for (const std::string& p : new_dirs) {
+    EXPECT_TRUE(a0->tree().Exists(p)) << p;
+    const Result<fsns::FileInfo> r = StatSync(p, /*client=*/1);
+    ASSERT_TRUE(r.ok()) << p << ": " << r.status().ToString();
+    EXPECT_TRUE(r.value().is_dir) << p;
+  }
+  for (const std::string& p : doomed) {
+    EXPECT_FALSE(a0->tree().Exists(p)) << p;
+    EXPECT_EQ(StatSync(p, /*client=*/1).status().code(),
+              StatusCode::kNotFound)
+        << p;
+  }
+}
+
 TEST_F(ShardClusterTest, CrossGroupRenameSurvivesDestinationCrash) {
   Build();
   const std::string rdir = DirOwnedBy(1, "/ren");

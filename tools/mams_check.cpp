@@ -66,10 +66,11 @@ void Usage() {
       "                     elastic — renames is rename/delete-heavy\n"
       "                     (subtree moves under replay); migrations runs two\n"
       "                     replica groups with live shard migrations and\n"
-      "                     cross-group renames; apply_race points all\n"
-      "                     clients at one shared tree with a widened\n"
-      "                     batch window so replicas replay wide batches\n"
-      "                     of dependent records; cache turns on the\n"
+      "                     cross-group renames; apply_race points at\n"
+      "                     least 24 hot clients at one shared tree so\n"
+      "                     their backlog overfills the commit window and\n"
+      "                     replicas replay multi-record batches of\n"
+      "                     dependent records; cache turns on the\n"
       "                     lease-protected client cache with a\n"
       "                     mutation-heavy shared tree; elastic runs an\n"
       "                     aggressive autoscaler\n"
@@ -205,20 +206,16 @@ int Sweep(const Args& args) {
     profile.mix.remove = 0.15;
     profile.mix.getfileinfo = 0.25;
   } else if (args.profile == "apply_race") {
-    // Batch-replay pressure: every client mutates one shared tree (so
-    // same-batch records collide on directories) and the aggregation
-    // window is widened so those collisions land in one batch — the
-    // shape where a replica that applied a batch out of record order
-    // would diverge from the active. Eight sub-2ms clients against a
-    // two-slot commit window: the closed-loop backlog exceeds the
-    // window, so group commit actually aggregates multi-record batches
-    // (a window as wide as the client count always has a free slot and
-    // every batch degenerates to one record).
-    profile.clients = std::max(args.clients, 8);
+    // Batch-replay pressure: every client mutates one shared tree, so
+    // same-batch records collide on directories — the shape where a
+    // replica that applied a batch out of record order would diverge from
+    // the active. Batches only grow wide when the closed-loop backlog
+    // exceeds the four-slot commit window (a free slot seals every record
+    // alone), so the profile runs many sub-2ms clients: 24 replay about
+    // 1.5 records per batch.
+    profile.clients = std::max(args.clients, 24);
     profile.shared_namespace = true;
     profile.hot_clients = true;
-    profile.batch_delay = 25 * kMillisecond;
-    profile.pipeline_depth = 2;
     // create/add_block/remove-heavy: create->addBlock->delete chains on
     // one file are the record pairs whose order a replica cannot fudge.
     profile.mix.create = 0.40;
