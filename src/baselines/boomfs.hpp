@@ -26,7 +26,6 @@ struct BoomFsOptions {
   /// Related Work: "centralizing repair action decisions and state
   /// transition ... leads to additional failover time").
   SimTime master_promotion_delay = 12 * kSecond;
-  paxos::ReplicaOptions paxos;
 };
 
 class BoomFsServer : public paxos::Replica {
@@ -37,8 +36,7 @@ class BoomFsServer : public paxos::Replica {
             network, std::move(name),
             [this](paxos::InstanceId inst, const paxos::Value& v) {
               ApplyLogEntry(inst, v);
-            },
-            options.paxos),
+            }),
         options_(options) {
     OnRequest(net::kClientRequest,
               [this](const net::Envelope&, const net::MessagePtr& msg,

@@ -70,11 +70,6 @@ enum class ReadRouting : std::uint8_t {
 /// server-side grant switch core::ClientLeaseOptions::grant_leases.
 struct ClientCacheOptions {
   bool enabled = false;
-  /// Bound on cached directories; at capacity the earliest-expiring
-  /// directory is evicted.
-  std::size_t max_dirs = 4096;
-  /// Latency-model charge for a locally served hit (no network hop).
-  SimTime hit_latency = 1 * kMicrosecond;
   /// Mutation self-test (check::Mutation::kIgnoreLeaseRevoke): keep
   /// serving a pushed-revoked lease until its TTL, while still acking the
   /// revocation so the conflicting mutation completes. Never set outside
@@ -85,7 +80,6 @@ struct ClientCacheOptions {
 struct FsClientOptions {
   SimTime rpc_timeout = 2 * kSecond;
   SimTime resolve_poll = 200 * kMillisecond;  ///< view polling backoff
-  SimTime reconnect_cost = 1500 * kMicrosecond;  ///< TCP + session setup
   int max_attempts = 120;  ///< per op; ~ rpc_timeout * attempts budget
   ReadRouting read_routing = ReadRouting::kActiveOnly;
   ClientCacheOptions cache;
@@ -568,7 +562,7 @@ class FsClient : public net::Host {
     ++counters_.cache_hits;
     m_cache_hits_->Add();
     state->via_cache = true;
-    AfterLocal(options_.cache.hit_latency,
+    AfterLocal(kCacheHitLatency,
                [this, state, resp] { Finish(state, RespPtr(resp)); });
     return true;
   }
@@ -584,7 +578,7 @@ class FsClient : public net::Host {
     if (revoked_leases_.count(resp.lease_id) != 0) return;
     auto it = cache_.find(resp.lease_dir);
     if (it == cache_.end()) {
-      if (cache_.size() >= options_.cache.max_dirs) EvictEarliest();
+      if (cache_.size() >= kMaxCachedDirs) EvictEarliest();
       it = cache_.emplace(resp.lease_dir, DirCache{}).first;
     }
     DirCache& dc = it->second;
@@ -732,7 +726,7 @@ class FsClient : public net::Host {
   /// the paper's "operation returns failure" timestamps.
   void Resolve(const std::shared_ptr<OpState>& state) {
     net::RpcPolicy policy;
-    policy.attempt_timeout = coord_client_->policies().rpc.attempt_timeout;
+    policy.attempt_timeout = coord::CoordClient::kRpcTimeout;
     // Remaining op budget = remaining view polls; at least one.
     policy.max_attempts =
         std::max(1, options_.max_attempts - state->outcome.attempts + 1);
@@ -760,7 +754,7 @@ class FsClient : public net::Host {
             ++counters_.reconnects;
             // Latency-model charge for TCP + session setup on a fresh
             // connection — not a retry timer.
-            AfterLocal(options_.reconnect_cost,
+            AfterLocal(kReconnectCost,
                        [this, state] { Attempt(state); });
           } else {
             Attempt(state);
@@ -848,6 +842,13 @@ class FsClient : public net::Host {
   /// expired entries from the front instead of scanning the map.
   std::deque<std::pair<SimTime, std::uint64_t>> tombstone_fifo_;
   static constexpr SimTime kTombstoneLife = 30 * kSecond;
+  /// Bound on cached directories; at capacity the earliest-expiring
+  /// directory is evicted.
+  static constexpr std::size_t kMaxCachedDirs = 4096;
+  /// Latency-model charge for a locally served hit (no network hop).
+  static constexpr SimTime kCacheHitLatency = 1 * kMicrosecond;
+  /// Latency-model charge for TCP + session setup on a fresh connection.
+  static constexpr SimTime kReconnectCost = 1500 * kMicrosecond;
   obs::Counter* m_cache_hits_ = nullptr;
   obs::Counter* m_cache_misses_ = nullptr;
   obs::Counter* m_cache_revocations_ = nullptr;

@@ -3,11 +3,12 @@
 // that participates in a replica group (metadata servers, backup nodes)
 // or observes one (file-system clients resolving the active).
 //
-// All exchanges run through net::RpcCall under per-family policies
-// (`policies()`): registration retries until the service answers, election
-// bids loop with a fresh draw per attempt (BidLoop), view polls can wait
-// for an active to appear (WaitForActive), and everything else is a single
-// bounded attempt whose failure the owner handles.
+// All exchanges run through net::RpcCall under fixed per-family policies:
+// registration retries until the service answers, election bids loop with
+// a fresh draw per attempt (BidLoop), view polls can wait for an active to
+// appear (WaitForActive), heartbeats go out every kHeartbeatInterval, and
+// everything else is a single bounded attempt (Exchange) whose failure the
+// owner handles.
 //
 // Ownership note: the owning Host must destroy (or Stop()) this object in
 // its OnCrash so heartbeats stop — that is exactly what makes the
@@ -44,44 +45,11 @@ class CoordClient {
   using MapCallback = std::function<void(Status, std::uint64_t,
                                          const std::vector<char>&)>;
 
-  /// Per-call-family retry policies, derived from the ctor's timeouts and
-  /// overridable before the first call.
-  struct Policies {
-    net::RpcPolicy rpc;        ///< single-shot ops: watch/view/state/release
-    net::RpcPolicy register_rpc;  ///< session open: retried until answered
-    net::RpcPolicy trylock;    ///< one bid; BidLoop layers pacing on top
-    net::RpcPolicy heartbeat;  ///< one per beat, never retried
-  };
+  /// Attempt deadline of every exchange with the service (file-system
+  /// clients pace their view polls with it too).
+  static constexpr SimTime kRpcTimeout = 2 * kSecond;
 
-  CoordClient(net::Host& host, NodeId coord,
-              SimTime heartbeat_interval = 2 * kSecond,
-              SimTime rpc_timeout = 2 * kSecond)
-      : host_(host), coord_(coord), heartbeat_interval_(heartbeat_interval) {
-    policies_.rpc.attempt_timeout = rpc_timeout;
-    policies_.rpc.max_attempts = 1;
-
-    // A node that cannot open its session cannot participate at all, so
-    // registration keeps trying; the call is idempotent — the service
-    // answers a retried register from its response cache instead of
-    // opening a second session.
-    policies_.register_rpc.attempt_timeout = rpc_timeout;
-    policies_.register_rpc.max_attempts = 0;
-    policies_.register_rpc.backoff_base = 500 * kMillisecond;
-    policies_.register_rpc.backoff_multiplier = 2.0;
-    policies_.register_rpc.backoff_cap = 2 * kSecond;
-    policies_.register_rpc.jitter = 0.25;
-
-    // Election replies wait out the service-side window; use a roomier
-    // deadline than plain RPCs. Bids are never deduped: each one carries
-    // a fresh random draw.
-    policies_.trylock.attempt_timeout = rpc_timeout + 2 * kSecond;
-    policies_.trylock.max_attempts = 1;
-    policies_.trylock.idempotent = false;
-
-    policies_.heartbeat.attempt_timeout = heartbeat_interval;
-    policies_.heartbeat.max_attempts = 1;
-    policies_.heartbeat.idempotent = false;
-  }
+  CoordClient(net::Host& host, NodeId coord) : host_(host), coord_(coord) {}
 
   ~CoordClient() { Stop(); }
   CoordClient(const CoordClient&) = delete;
@@ -89,12 +57,11 @@ class CoordClient {
 
   SessionId session() const noexcept { return session_; }
   bool registered() const noexcept { return session_ != 0; }
-  Policies& policies() noexcept { return policies_; }
 
   /// Send time of the most recent exchange the service is known to have
   /// processed (registration or acked heartbeat). The service measures
   /// session expiry from *its* receipt of our traffic, which is no earlier
-  /// than this, so `last_ack_time() + session_timeout` lower-bounds the
+  /// than this, so `last_ack_time() + kSessionTimeout` lower-bounds the
   /// instant a successor could possibly be elected. Lease granting uses
   /// this to never issue a lease that could outlive this node's tenure.
   SimTime last_ack_time() const noexcept { return last_ack_; }
@@ -121,8 +88,8 @@ class CoordClient {
   }
 
   /// Opens a session (joining `group` in `initial` state) and starts
-  /// heartbeating. Retries under `policies().register_rpc` until the
-  /// service answers or Stop() cancels the attempt.
+  /// heartbeating. Retries under kRegisterPolicy until the service answers
+  /// or Stop() cancels the attempt.
   void Register(GroupId group, ServerState initial, ViewCallback done) {
     auto req = std::make_shared<CoordRequestMsg>();
     req->op = CoordOp::kRegister;
@@ -133,7 +100,7 @@ class CoordClient {
     hooks.cancelled = [this, epoch = epoch_] { return epoch != epoch_; };
     const SimTime sent = host_.sim().Now();
     net::RpcCall::Start(
-        host_, coord_, std::move(req), policies_.register_rpc,
+        host_, coord_, std::move(req), kRegisterPolicy,
         [this, sent, done = std::move(done)](Result<net::MessagePtr> r) {
           if (!r.ok()) {
             done(r.status());
@@ -158,16 +125,7 @@ class CoordClient {
     req->op = CoordOp::kWatch;
     req->group = group;
     req->session = session_;
-    net::RpcCall::Start(
-        host_, coord_, std::move(req), policies_.rpc,
-        [done = std::move(done)](Result<net::MessagePtr> r) {
-          if (!r.ok()) {
-            done(r.status());
-            return;
-          }
-          const auto& resp = net::Cast<CoordResponseMsg>(r.value());
-          done(resp.ok ? Status::Ok() : Status::Unavailable(resp.error));
-        });
+    Exchange(std::move(req), std::move(done), Acked);
   }
 
   /// Election bid (Algorithm 1): the draw and max_sn establish priority.
@@ -179,7 +137,7 @@ class CoordClient {
     req->session = session_;
     req->draw = draw;
     req->max_sn = max_sn;
-    net::RpcCall::Start(host_, coord_, std::move(req), policies_.trylock,
+    net::RpcCall::Start(host_, coord_, std::move(req), kTryLockPolicy,
                         MapLock(std::move(done)));
   }
 
@@ -219,16 +177,7 @@ class CoordClient {
     req->op = CoordOp::kReleaseLock;
     req->group = group;
     req->session = session_;
-    net::RpcCall::Start(
-        host_, coord_, std::move(req), policies_.rpc,
-        [done = std::move(done)](Result<net::MessagePtr> r) {
-          if (!r.ok()) {
-            done(r.status());
-            return;
-          }
-          const auto& resp = net::Cast<CoordResponseMsg>(r.value());
-          done(resp.ok ? Status::Ok() : Status::Unavailable(resp.error));
-        });
+    Exchange(std::move(req), std::move(done), Acked);
   }
 
   /// Sets `subject`'s state; pass the fence token when flipping a peer.
@@ -241,20 +190,11 @@ class CoordClient {
     req->subject = subject;
     req->state = state;
     req->fence = fence;
-    net::RpcCall::Start(
-        host_, coord_, std::move(req), policies_.rpc,
-        [done = std::move(done)](Result<net::MessagePtr> r) {
-          if (!r.ok()) {
-            done(r.status());
-            return;
-          }
-          const auto& resp = net::Cast<CoordResponseMsg>(r.value());
-          if (!resp.ok) {
-            done(Status::Aborted(resp.error));
-            return;
-          }
-          done(resp.view);
-        });
+    Exchange(std::move(req), std::move(done),
+             [](const CoordResponseMsg& resp) -> Result<GroupView> {
+               if (!resp.ok) return Status::Aborted(resp.error);
+               return resp.view;
+             });
   }
 
   /// Publishes a partition map (one bounded attempt; callers retry — the
@@ -266,16 +206,7 @@ class CoordClient {
     req->session = session_;
     req->map_epoch = epoch;
     req->map_bytes = std::move(bytes);
-    net::RpcCall::Start(
-        host_, coord_, std::move(req), policies_.rpc,
-        [done = std::move(done)](Result<net::MessagePtr> r) {
-          if (!r.ok()) {
-            done(r.status());
-            return;
-          }
-          const auto& resp = net::Cast<CoordResponseMsg>(r.value());
-          done(resp.ok ? Status::Ok() : Status::Unavailable(resp.error));
-        });
+    Exchange(std::move(req), std::move(done), Acked);
   }
 
   /// Asks the frontend to push lease revocations to the listed client
@@ -288,16 +219,7 @@ class CoordClient {
     req->op = CoordOp::kRelayRevoke;
     req->subject = host_.id();
     req->revoke_targets = std::move(targets);
-    net::RpcCall::Start(
-        host_, coord_, std::move(req), policies_.rpc,
-        [done = std::move(done)](Result<net::MessagePtr> r) {
-          if (!r.ok()) {
-            done(r.status());
-            return;
-          }
-          const auto& resp = net::Cast<CoordResponseMsg>(r.value());
-          done(resp.ok ? Status::Ok() : Status::Unavailable(resp.error));
-        });
+    Exchange(std::move(req), std::move(done), Acked);
   }
 
   /// Fetches the currently published partition map (epoch 0: none yet).
@@ -305,16 +227,17 @@ class CoordClient {
     auto req = std::make_shared<CoordRequestMsg>();
     req->op = CoordOp::kGetMap;
     req->session = session_;
-    net::RpcCall::Start(
-        host_, coord_, std::move(req), policies_.rpc,
-        [done = std::move(done)](Result<net::MessagePtr> r) {
+    // The response pointer lives for the duration of the callback.
+    Exchange(
+        std::move(req),
+        [done = std::move(done)](Result<const CoordResponseMsg*> r) {
           if (!r.ok()) {
             done(r.status(), 0, {});
             return;
           }
-          const auto& resp = net::Cast<CoordResponseMsg>(r.value());
-          done(Status::Ok(), resp.map_epoch, resp.map_bytes);
-        });
+          done(Status::Ok(), r.value()->map_epoch, r.value()->map_bytes);
+        },
+        [](const CoordResponseMsg& resp) { return &resp; });
   }
 
   void GetView(GroupId group, ViewCallback done) {
@@ -322,15 +245,10 @@ class CoordClient {
     req->op = CoordOp::kGetView;
     req->group = group;
     req->session = session_;
-    net::RpcCall::Start(
-        host_, coord_, std::move(req), policies_.rpc,
-        [done = std::move(done)](Result<net::MessagePtr> r) {
-          if (!r.ok()) {
-            done(r.status());
-            return;
-          }
-          done(net::Cast<CoordResponseMsg>(r.value()).view);
-        });
+    Exchange(std::move(req), std::move(done),
+             [](const CoordResponseMsg& resp) -> Result<GroupView> {
+               return resp.view;
+             });
   }
 
   /// Polls the group view until an active appears (the paper's client
@@ -378,6 +296,62 @@ class CoordClient {
   }
 
  private:
+  /// Single-shot ops (watch, view, state, release, map, relay): one
+  /// bounded attempt whose failure the owner handles.
+  static constexpr net::RpcPolicy kRpcPolicy{
+      .attempt_timeout = kRpcTimeout,
+      .max_attempts = 1,
+  };
+  /// Session open. A node that cannot open its session cannot participate
+  /// at all, so registration keeps trying; the call is idempotent — the
+  /// service answers a retried register from its response cache instead
+  /// of opening a second session.
+  static constexpr net::RpcPolicy kRegisterPolicy{
+      .attempt_timeout = kRpcTimeout,
+      .max_attempts = 0,
+      .backoff_base = 500 * kMillisecond,
+      .backoff_multiplier = 2.0,
+      .backoff_cap = 2 * kSecond,
+      .jitter = 0.25,
+  };
+  /// One election bid; BidLoop layers its own pacing on top. Replies wait
+  /// out the service-side window, so the deadline is roomier than plain
+  /// RPCs. Bids are never deduped: each one carries a fresh random draw.
+  static constexpr net::RpcPolicy kTryLockPolicy{
+      .attempt_timeout = kRpcTimeout + 2 * kSecond,
+      .max_attempts = 1,
+      .idempotent = false,
+  };
+  /// One per beat, never retried.
+  static constexpr net::RpcPolicy kHeartbeatPolicy{
+      .attempt_timeout = kHeartbeatInterval,
+      .max_attempts = 1,
+      .idempotent = false,
+  };
+
+  /// The exchange behind every single-shot op: one attempt under
+  /// kRpcPolicy. `decode` turns the service's response into `done`'s
+  /// argument; a transport failure reaches `done` as its Status.
+  template <typename Done, typename Decode>
+  void Exchange(std::shared_ptr<CoordRequestMsg> req, Done done,
+                Decode decode) {
+    net::RpcCall::Start(
+        host_, coord_, std::move(req), kRpcPolicy,
+        [done = std::move(done),
+         decode = std::move(decode)](Result<net::MessagePtr> r) {
+          if (!r.ok()) {
+            done(r.status());
+            return;
+          }
+          done(decode(net::Cast<CoordResponseMsg>(r.value())));
+        });
+  }
+
+  /// Decodes a plain acknowledgement: ok, or the service's error.
+  static Status Acked(const CoordResponseMsg& resp) {
+    return resp.ok ? Status::Ok() : Status::Unavailable(resp.error);
+  }
+
   void InstallWatchHook() {
     if (watch_hook_installed_) return;
     watch_hook_installed_ = true;
@@ -415,11 +389,11 @@ class CoordClient {
 
   void StartHeartbeats() {
     heartbeat_ = std::make_unique<sim::PeriodicTimer>(
-        host_.sim(), heartbeat_interval_, [this] {
+        host_.sim(), kHeartbeatInterval, [this] {
           auto hb = std::make_shared<HeartbeatMsg>();
           hb->session = session_;
           const SimTime sent = host_.sim().Now();
-          net::RpcCall::Start(host_, coord_, hb, policies_.heartbeat,
+          net::RpcCall::Start(host_, coord_, hb, kHeartbeatPolicy,
                               [this, sent](Result<net::MessagePtr> r) {
                                 // Timeouts are fine (transient partition);
                                 // an explicit "session expired" is terminal.
@@ -440,8 +414,6 @@ class CoordClient {
 
   net::Host& host_;
   NodeId coord_;
-  SimTime heartbeat_interval_;
-  Policies policies_;
   SessionId session_ = 0;
   SimTime last_ack_ = 0;     ///< see last_ack_time()
   std::uint64_t epoch_ = 0;  ///< bumped by Stop(); cancels in-flight joins

@@ -14,6 +14,14 @@ namespace mams::coord {
 
 using SessionId = std::uint64_t;
 
+/// Session timing (paper §IV.B), owned here and nowhere else: clients
+/// heartbeat every kHeartbeatInterval, and the service expires a session
+/// that stays silent for longer than kSessionTimeout. A metadata server's
+/// lease-grant guard (MdsServer::MaybeGrantLease) relies on the same
+/// timeout to bound how long any of its grants can outlive its tenure.
+inline constexpr SimTime kHeartbeatInterval = 2 * kSecond;
+inline constexpr SimTime kSessionTimeout = 5 * kSecond;
+
 enum class CoordOp : std::uint8_t {
   kRegister,       ///< join a group with an initial state; opens a session
   kSetState,       ///< change own or (as lock holder) a peer's state
@@ -86,7 +94,7 @@ struct WatchEventMsg final : net::Message {
   net::MsgType type() const noexcept override { return net::kCoordWatchEvent; }
 };
 
-/// One-way session keep-alive.
+/// Session keep-alive, sent every kHeartbeatInterval.
 struct HeartbeatMsg final : net::Message {
   SessionId session = 0;
   net::MsgType type() const noexcept override { return net::kCoordHeartbeat; }

@@ -28,12 +28,11 @@
 
 namespace mams::coord {
 
+/// Session timing is not a setting: see kHeartbeatInterval and
+/// kSessionTimeout (coord/messages.hpp).
 struct CoordOptions {
-  SimTime heartbeat_interval = 2 * kSecond;   ///< client side (paper §IV.B)
-  SimTime session_timeout = 5 * kSecond;      ///< paper §IV.B
-  SimTime expiry_scan_period = 250 * kMillisecond;
+  /// How long the lock collects Algorithm-1 bids after the first one.
   SimTime election_window = 50 * kMillisecond;
-  paxos::ReplicaOptions paxos;
 };
 
 class CoordService : public paxos::Replica {
@@ -43,8 +42,6 @@ class CoordService : public paxos::Replica {
 
   /// Wires the consensus peer set (frontend id must be peers[0]).
   using paxos::Replica::SetPeers;
-
-  const CoordOptions& options() const noexcept { return options_; }
 
   /// Read-only view snapshot for in-process observers (benches, tests).
   const GroupView& PeekView(GroupId group) { return machine_.view(group); }

@@ -10,6 +10,89 @@
 
 namespace mams::core {
 
+namespace {
+
+// --- RPC policies (net/rpc.hpp) and protocol timers ----------------------
+// One policy per call family; all retry behaviour is declared here instead
+// of hand-rolled timers at the call sites.
+
+/// Algorithm-1 election bids. Unlimited attempts paced like the paper's
+/// periodic lock polling; not idempotent because every bid redraws its
+/// random number and refreshes max_sn. The attempt timeout must ride out
+/// the coordination service's election window plus the RPC budget.
+constexpr net::RpcPolicy kElectionBid{
+    .attempt_timeout = 4 * kSecond,
+    .max_attempts = 0,
+    .backoff_base = 200 * kMillisecond,
+    .backoff_multiplier = 1.0,
+    .jitter = 0.0,
+    .idempotent = false,
+};
+
+/// Pacing for re-running the whole join workflow (register + watch) after
+/// it is torn down mid-flight. The coordination client already retries the
+/// registration RPC itself, so this backoff only governs the rare outer
+/// loop.
+constexpr net::RpcPolicy kJoinRetry{
+    .attempt_timeout = 2 * kSecond,
+    .max_attempts = 0,
+    .backoff_base = kSecond,
+    .backoff_multiplier = 2.0,
+    .backoff_cap = 8 * kSecond,
+    .jitter = 0.25,
+};
+
+/// Journal 2PC prepare to each standby: a single bounded attempt — an
+/// unresponsive standby is demoted and backfilled later, never waited for
+/// (that is what keeps sync latency flat in Fig. 5).
+constexpr net::RpcPolicy kSyncRpc{
+    .attempt_timeout = 1500 * kMillisecond,
+    .max_attempts = 1,
+};
+
+/// Retry cadence for re-appending a batch whose SSP copy failed, while its
+/// server stays active: the pool is the recovery source for failovers, so
+/// every batch later ones build on must become durable there.
+constexpr SimTime kSspAppendRetry = 500 * kMillisecond;
+
+/// Failover step 5: the gather window, and one registration attempt per
+/// peer inside it — peers that miss it are picked up by the renewing scan.
+constexpr SimTime kRegisterWait = 300 * kMillisecond;
+constexpr net::RpcPolicy kRegisterRpc{
+    .attempt_timeout = 250 * kMillisecond,
+    .max_attempts = 1,
+};
+
+/// Renewing (Section III.D): a junior this few batches behind enters the
+/// final synchronization stage; juniors report progress at this cadence.
+constexpr SerialNumber kFinalSyncGap = 32;
+constexpr SimTime kRenewProgressInterval = 200 * kMillisecond;
+
+/// Junior-side final-sync pulls against the active during renewing:
+/// retried until the junior catches up or the renew is abandoned.
+constexpr net::RpcPolicy kRenewFetchRpc{
+    .attempt_timeout = kSecond,
+    .max_attempts = 0,
+    .backoff_base = 500 * kMillisecond,
+    .backoff_multiplier = 1.0,
+    .jitter = 0.0,
+};
+
+/// Standby read parking. A read whose min_sn is at most kMaxParkGap batches
+/// ahead of the standby's applied sn waits in a queue of at most
+/// kMaxParked reads until the gap closes; larger gaps and overflow bounce
+/// to the active immediately, and a read still parked after kMaxParkWait
+/// bounces too (the standby is lagging, not merely behind by one sync).
+constexpr SerialNumber kMaxParkGap = 64;
+constexpr std::size_t kMaxParked = 64;
+constexpr SimTime kMaxParkWait = 500 * kMillisecond;
+
+/// Bound on outstanding (directory, client) lease grants; at the cap, reads
+/// are served without a lease rather than evicting someone else's.
+constexpr std::size_t kMaxLeaseGrants = 4096;
+
+}  // namespace
+
 const char* ClientOpName(ClientOp op) noexcept {
   switch (op) {
     case ClientOp::kCreate:
@@ -80,8 +163,7 @@ MdsServer::MdsServer(net::Network& network, std::string name,
       metrics.histogram("mds.standby_read_staleness_sn");
   m_.last_sn = metrics.gauge("mds.last_sn." + this->name());
   map_ = options_.partition_map;
-  coord_client_ = std::make_unique<coord::CoordClient>(
-      *this, coord_, options_.heartbeat_interval);
+  coord_client_ = std::make_unique<coord::CoordClient>(*this, coord_);
   coord_client_->SetWatchHandler(
       [this](const coord::GroupView& v) { OnWatchEvent(v); });
   coord_client_->SetMapHandler(
@@ -107,8 +189,7 @@ MdsServer::MdsServer(net::Network& network, std::string name,
       JoinGroup(ServerState::kJunior);
     }
   });
-  ssp_ = std::make_unique<storage::SspClient>(*this, std::move(ssp_pool),
-                                              options_.ssp);
+  ssp_ = std::make_unique<storage::SspClient>(*this, std::move(ssp_pool));
   RegisterHandlers();
 }
 
@@ -162,10 +243,10 @@ void MdsServer::OnStart() {
       // The coordination client retries the registration RPC itself, so a
       // failure here means the join workflow was torn down mid-flight
       // (watch re-arm failed, session stopped during join). Re-run the
-      // whole join, paced by the join_retry policy's backoff rather than
-      // a hardcoded interval.
+      // whole join, paced by kJoinRetry's backoff rather than a hardcoded
+      // interval.
       const SimTime delay =
-          options_.join_retry.BackoffBeforeAttempt(++join_retries_ + 1, rng_);
+          kJoinRetry.BackoffBeforeAttempt(++join_retries_ + 1, rng_);
       MAMS_WARN("mds", "%s: join failed: %s (retrying in %s)", name().c_str(),
                 s.ToString().c_str(), FormatTime(delay).c_str());
       AfterLocal(delay, [this, initial] { OnStartRetry(initial); });
@@ -438,7 +519,7 @@ void MdsServer::BidForLock() {
   // The bid loop re-bids with a fresh draw whenever the coordination RPC
   // fails or a window closes without a grant while the lock is still free
   // ("each standby tries to obtain a distributed lock periodically");
-  // pacing comes from options_.election_bid. It concludes only when the
+  // pacing comes from kElectionBid. It concludes only when the
   // lock is decided — granted to us or observed held by a peer — or the
   // election is abandoned (cancel hook).
   coord_client_->BidLoop(
@@ -450,7 +531,7 @@ void MdsServer::BidForLock() {
                    ? static_cast<std::uint64_t>(rng_.Range(1, 1 << 30))
                    : 0;
       },
-      [this] { return last_sn_; }, options_.election_bid,
+      [this] { return last_sn_; }, kElectionBid,
       [this] { return !election_in_progress_ || !alive(); },
       [this](Result<coord::CoordClient::LockResult> r) {
         if (!election_in_progress_) return;
@@ -558,14 +639,7 @@ void MdsServer::UpgradeStep4DrainReplica(std::size_t replica,
         bool advanced = false;
         bool more = false;
         if (r.ok() && r.value()->found) {
-          for (const auto& rec : r.value()->records) {
-            auto batch = journal::Batch::Deserialize(rec.bytes);
-            if (batch.ok() && batch.value().sn == last_sn_ + 1) {
-              ApplyBatch(std::make_shared<const journal::Batch>(
-                  std::move(batch.value())));
-              advanced = true;
-            }
-          }
+          advanced = ApplyPoolRecords(r.value()->records) > 0;
           more = !r.value()->eof;
         }
         if (advanced && more) {
@@ -619,14 +693,14 @@ void MdsServer::UpgradeStep5Round(bool final_round) {
   for (NodeId peer : members_) {
     if (peer == id()) continue;
     net::RpcCall::Start(
-        *this, peer, req, options_.register_rpc,
+        *this, peer, req, kRegisterRpc,
         [this, peer, acks](Result<net::MessagePtr> r) {
           if (!r.ok()) return;  // dead peer: stays Down in the view
           const auto& ack = net::Cast<GroupRegisterAckMsg>(r.value());
           (*acks)[peer] = ack.max_sn;
         });
   }
-  AfterLocal(options_.register_wait, [this, acks, final_round] {
+  AfterLocal(kRegisterWait, [this, acks, final_round] {
     if (!upgrade_in_progress_) return;
     NodeId source = kInvalidNode;
     SerialNumber target_sn = last_sn_;
@@ -656,19 +730,12 @@ void MdsServer::UpgradeStep5CatchUp(NodeId source, SerialNumber target_sn) {
   req->group = options_.group;
   req->after_sn = last_sn_;
   net::RpcCall::Start(
-      *this, source, req, options_.fetch_rpc,
+      *this, source, req, kFetchRpc,
       [this, source, target_sn,
        before = last_sn_](Result<net::MessagePtr> r) {
         if (!upgrade_in_progress_) return;
         if (r.ok()) {
-          const auto& resp = net::Cast<RenewJournalReplyMsg>(r.value());
-          for (const auto& b : resp.batches) {
-            if (b.sn > last_sn_) {
-              pending_batches_.emplace(
-                  b.sn, std::make_shared<const journal::Batch>(b));
-            }
-          }
-          ApplyReadyBatches();
+          ApplyFetchedBatches(net::Cast<RenewJournalReplyMsg>(r.value()));
         }
         if (r.ok() && last_sn_ > before) {
           UpgradeStep5CatchUp(source, target_sn);  // next chunk
@@ -864,7 +931,6 @@ void MdsServer::HandleClientRequest(const net::Envelope&,
 
 void MdsServer::HandleStandbyRead(
     const std::shared_ptr<const ClientRequestMsg>& req, const ReplyFn& reply) {
-  const StandbyReadOptions& sr = options_.standby_reads;
   const SerialNumber min_sn =
       options_.test_hooks.ignore_min_sn ? 0 : req->min_sn;
   // Staleness as seen at arrival: how far this standby's applied journal
@@ -876,7 +942,7 @@ void MdsServer::HandleStandbyRead(
     return;
   }
   const SerialNumber gap = min_sn - last_sn_;
-  if (gap > sr.max_park_gap || parked_reads_.size() >= sr.max_parked) {
+  if (gap > kMaxParkGap || parked_reads_.size() >= kMaxParked) {
     BounceRead(reply, "standby behind session floor");
     return;
   }
@@ -886,7 +952,7 @@ void MdsServer::HandleStandbyRead(
   m_.standby_reads_parked->Add();
   const std::uint64_t token = ++parked_token_seq_;
   parked_reads_.emplace(min_sn, ParkedRead{req, reply, token});
-  AfterLocal(sr.max_park_wait, [this, token] {
+  AfterLocal(kMaxParkWait, [this, token] {
     for (auto it = parked_reads_.begin(); it != parked_reads_.end(); ++it) {
       if (it->second.token != token) continue;
       ReplyFn reply = std::move(it->second.reply);
@@ -957,19 +1023,19 @@ void MdsServer::FlushParkedReads(const char* why) {
 
 void MdsServer::MaybeGrantLease(const ClientRequestMsg& req,
                                 ClientResponseMsg& out) {
-  const ClientLeaseOptions& cl = options_.client_leases;
-  if (!cl.grant_leases || role_ != ServerState::kActive || !out.ok ||
+  if (!options_.client_leases.grant_leases ||
+      role_ != ServerState::kActive || !out.ok ||
       req.requester == kInvalidNode) {
     return;
   }
   // Never issue a grant that could outlive this node's tenure: the
-  // coordination service expires our session `session_timeout` after its
-  // last confirmed contact, and a successor active (which starts
+  // coordination service expires our session coord::kSessionTimeout after
+  // its last confirmed contact, and a successor active (which starts
   // lease-free) can only be elected after that expiry. `last_ack_time()`
   // under-approximates the contact instant, so this check is conservative
   // even while partitioned.
   const SimTime now = sim().Now();
-  if (now + cl.ttl > coord_client_->last_ack_time() + options_.session_timeout)
+  if (now + kLeaseTtl > coord_client_->last_ack_time() + coord::kSessionTimeout)
     return;
   const std::string dir = req.op == ClientOp::kListDir
                               ? req.path
@@ -978,7 +1044,7 @@ void MdsServer::MaybeGrantLease(const ClientRequestMsg& req,
   auto& holders = leases_[dir];
   auto it = holders.find(req.requester);
   if (it == holders.end()) {
-    if (lease_count_ >= cl.max_grants) {
+    if (lease_count_ >= kMaxLeaseGrants) {
       if (holders.empty()) leases_.erase(dir);
       return;  // at capacity: serve unleased rather than evict someone else
     }
@@ -989,7 +1055,7 @@ void MdsServer::MaybeGrantLease(const ClientRequestMsg& req,
     ++counters_.leases_granted;
     m_.leases_granted->Add();
   }
-  it->second.expire_at = std::max(it->second.expire_at, now + cl.ttl);
+  it->second.expire_at = std::max(it->second.expire_at, now + kLeaseTtl);
   out.lease_dir = dir;
   out.lease_id = it->second.id;
   out.lease_epoch = view_.fence_token;
@@ -1234,7 +1300,7 @@ void MdsServer::ProcessClientRequest(
       auto leg = std::make_shared<ClientRequestMsg>(*req);
       leg->tx_participant = true;
       net::RpcCall::Start(
-          *this, peer, leg, options_.fetch_rpc,
+          *this, peer, leg, kFetchRpc,
           [this, req, wrapped](Result<net::MessagePtr> r) {
             if (!r.ok()) {
               ReplyStatus(wrapped,
@@ -1431,7 +1497,7 @@ void MdsServer::OnBatchSealed(journal::Batch batch, std::vector<char> bytes) {
   for (NodeId peer : ps.awaiting) {
     AfterLocal(ChargeCpu(per_target), [this, peer, sn, msg] {
       net::RpcCall::Start(
-          *this, peer, msg, options_.sync_rpc,
+          *this, peer, msg, kSyncRpc,
           [this, peer, sn](Result<net::MessagePtr> r) {
             auto it = pending_sync_.find(sn);
             if (it == pending_sync_.end()) return;
@@ -1515,8 +1581,7 @@ void MdsServer::FinalizeCompletedSyncs() {
       // hole here would end a junior's drain early and lose the committed
       // batches behind it, so keep re-appending until the copy is durable
       // (or we are deposed and the new active reconciles).
-      AfterLocal(options_.ssp_append_retry,
-                 [this, sn] { RetrySspAppend(sn); });
+      AfterLocal(kSspAppendRetry, [this, sn] { RetrySspAppend(sn); });
     }
     if (ps.acks == 0 && !ps.ssp_ok) {
       // The batch completed by timeouts alone: it exists only in this
@@ -1561,7 +1626,7 @@ void MdsServer::RetrySspAppend(SerialNumber sn) {
   record.bytes = batch->Serialize();
   ssp_->Append(JournalFile(), std::move(record), [this, sn](Status s) {
     if (s.ok() || role_ != ServerState::kActive || !alive()) return;
-    AfterLocal(options_.ssp_append_retry, [this, sn] { RetrySspAppend(sn); });
+    AfterLocal(kSspAppendRetry, [this, sn] { RetrySspAppend(sn); });
   });
 }
 
@@ -1706,21 +1771,39 @@ void MdsServer::RequestBackfill(NodeId from) {
   auto req = std::make_shared<RenewJournalFetchMsg>();
   req->group = options_.group;
   req->after_sn = last_sn_;
-  net::RpcCall::Start(*this, from, req, options_.fetch_rpc,
+  net::RpcCall::Start(*this, from, req, kFetchRpc,
                       [this](Result<net::MessagePtr> r) {
                         backfill_inflight_ = false;
                         if (!r.ok()) return;
-                        const auto& resp =
-                            net::Cast<RenewJournalReplyMsg>(r.value());
-                        for (const auto& b : resp.batches) {
-                          if (b.sn > last_sn_) {
-                            pending_batches_.emplace(
-                                b.sn,
-                                std::make_shared<const journal::Batch>(b));
-                          }
-                        }
-                        ApplyReadyBatches();
+                        ApplyFetchedBatches(
+                            net::Cast<RenewJournalReplyMsg>(r.value()));
                       });
+}
+
+void MdsServer::ApplyFetchedBatches(const RenewJournalReplyMsg& resp) {
+  for (const auto& b : resp.batches) {
+    if (b.sn > last_sn_) {
+      pending_batches_.emplace(b.sn, std::make_shared<const journal::Batch>(b));
+    }
+  }
+  ApplyReadyBatches();
+}
+
+std::uint64_t MdsServer::ApplyPoolRecords(
+    const std::vector<storage::SspRecord>& records) {
+  std::uint64_t applied_bytes = 0;
+  for (const auto& rec : records) {
+    auto batch = journal::Batch::Deserialize(rec.bytes);
+    if (!batch.ok()) {
+      MAMS_ERROR("mds", "%s: corrupt journal batch sn=%llu", name().c_str(),
+                 (unsigned long long)rec.sn);
+      continue;
+    }
+    if (batch.value().sn != last_sn_ + 1) continue;
+    ApplyBatch(std::make_shared<const journal::Batch>(std::move(batch.value())));
+    applied_bytes += rec.bytes.size();
+  }
+  return applied_bytes;
 }
 
 // --- renewing protocol: active side ---------------------------------------------
@@ -1783,7 +1866,7 @@ void MdsServer::HandleRenewProgress(const net::Envelope& env,
 void MdsServer::FinishRenewTarget(NodeId junior, SerialNumber reported_sn) {
   const SerialNumber gap =
       last_sn_ >= reported_sn ? last_sn_ - reported_sn : 0;
-  if (gap > options_.final_sync_gap) return;  // keep catching up
+  if (gap > kFinalSyncGap) return;  // keep catching up
 
   // Final synchronization: include the junior in live replication and
   // resend whatever recent batches it may still miss (sn-deduped).
@@ -1856,7 +1939,7 @@ void MdsServer::HandleRenewCommand(const net::MessagePtr& msg) {
 
   if (!renew_progress_timer_) {
     renew_progress_timer_ = std::make_unique<sim::PeriodicTimer>(
-        sim(), options_.renew_progress_interval,
+        sim(), kRenewProgressInterval,
         [this] { SendRenewProgress(); });
     renew_progress_timer_->Start();
   }
@@ -1946,19 +2029,7 @@ void MdsServer::RenewFetchJournal() {
           return;
         }
         const auto& reply = *r.value();
-        std::uint64_t applied_bytes = 0;
-        for (const auto& rec : reply.records) {
-          auto batch = journal::Batch::Deserialize(rec.bytes);
-          if (!batch.ok()) {
-            MAMS_ERROR("mds", "%s: corrupt journal batch sn=%llu",
-                       name().c_str(), (unsigned long long)rec.sn);
-            continue;
-          }
-          if (batch.value().sn != last_sn_ + 1) continue;
-          ApplyBatch(std::make_shared<const journal::Batch>(
-              std::move(batch.value())));
-          applied_bytes += rec.bytes.size();
-        }
+        const std::uint64_t applied_bytes = ApplyPoolRecords(reply.records);
         // Replay CPU cost: serial apply at 200 MB/s of journal bytes.
         const SimTime cost =
             ChargeCpu(static_cast<SimTime>(static_cast<double>(applied_bytes) /
@@ -1991,29 +2062,21 @@ void MdsServer::RenewFinalSync() {
   auto req = std::make_shared<RenewJournalFetchMsg>();
   req->group = options_.group;
   req->after_sn = last_sn_;
-  // Retried under renew_fetch_rpc until the active answers or the renewal
+  // Retried under kRenewFetchRpc until the active answers or the renewal
   // is abandoned (role change, abort); a crash forgets the call outright.
   net::RpcHooks hooks;
   hooks.cancelled = [this] {
     return role_ != ServerState::kJunior || !renew_.running;
   };
   net::RpcCall::Start(
-      *this, active, req, options_.renew_fetch_rpc,
+      *this, active, req, kRenewFetchRpc,
       [this](Result<net::MessagePtr> r) {
         if (role_ != ServerState::kJunior || !renew_.running) return;
         if (!r.ok()) return;  // cancelled mid-retry
         const auto& resp = net::Cast<RenewJournalReplyMsg>(r.value());
-        for (const auto& b : resp.batches) {
-          if (b.sn == last_sn_ + 1) {
-            ApplyBatch(std::make_shared<const journal::Batch>(b));
-          } else if (b.sn > last_sn_) {
-            pending_batches_.emplace(
-                b.sn, std::make_shared<const journal::Batch>(b));
-          }
-        }
-        ApplyReadyBatches();
+        ApplyFetchedBatches(resp);
         renew_.target_sn = resp.active_sn;
-        if (resp.active_sn > last_sn_ + options_.final_sync_gap) {
+        if (resp.active_sn > last_sn_ + kFinalSyncGap) {
           RenewFinalSync();  // still chasing the live stream
           return;
         }
@@ -2085,18 +2148,6 @@ std::string MdsServer::ImageFile(SerialNumber sn) const {
   // interleaving chunks in one shared file.
   return "g" + std::to_string(options_.group) + "/image-" +
          std::to_string(sn) + "-f" + std::to_string(fence_);
-}
-
-std::vector<NodeId> MdsServer::CurrentStandbys() const {
-  std::vector<NodeId> out;
-  for (const auto& [node, state] : view_.states) {
-    if (node != id() && state == ServerState::kStandby) out.push_back(node);
-  }
-  return out;
-}
-
-bool MdsServer::IsSelfActiveInView() const {
-  return view_.FindActive() == id();
 }
 
 void MdsServer::RegisterHandlers() {

@@ -114,6 +114,12 @@ class MdsServer : public net::Host {
   /// active against the cluster-wide max of this value.
   SerialNumber committed_sn() const noexcept { return committed_sn_; }
   FenceToken fence() const noexcept { return fence_; }
+  /// Send time of the last coordination exchange the service confirmed
+  /// (coord::CoordClient::last_ack_time); no lease this server grants
+  /// expires after it plus coord::kSessionTimeout.
+  SimTime last_session_ack() const noexcept {
+    return coord_client_->last_ack_time();
+  }
   const fsns::Tree& tree() const noexcept { return tree_; }
   fsns::Tree& mutable_tree() noexcept { return tree_; }
   const fsns::BlockMap& blocks() const noexcept { return blocks_; }
@@ -139,9 +145,9 @@ class MdsServer : public net::Host {
     /// Client-cache directory leases (active side).
     std::uint64_t leases_granted = 0;
     std::uint64_t leases_revoked = 0;
-    /// Actions held on a revoke barrier: mutation acks, and shard activations
-  /// waiting on a migration cutover's barrier.
-  std::uint64_t lease_replies_held = 0;
+    /// Actions held on a revoke barrier: mutation acks, and shard
+    /// activations waiting on a migration cutover's barrier.
+    std::uint64_t lease_replies_held = 0;
     std::uint64_t lease_barrier_expiries = 0;  ///< barriers released by TTL
     /// Replay counters. Apply is serial, so apply_waves counts records and
     /// apply_serial_fallbacks counts batches; bench/e2e reads all three.
@@ -299,6 +305,13 @@ class MdsServer : public net::Host {
                             const net::MessagePtr& msg, const ReplyFn& reply);
   void ApplyReadyBatches();
   void RequestBackfill(NodeId from);
+  /// Folds the batches a journal fetch returned (backfill, step-5 catch-up,
+  /// renewal final sync) into the intake queue and applies the ready ones.
+  void ApplyFetchedBatches(const RenewJournalReplyMsg& resp);
+  /// Applies the SSP journal records that extend last_sn_ contiguously
+  /// (failover drain, junior replay); returns the bytes applied.
+  std::uint64_t ApplyPoolRecords(
+      const std::vector<storage::SspRecord>& records);
   /// Applies a replicated batch record by record, in record order.
   void ApplyBatch(const std::shared_ptr<const journal::Batch>& batch);
 
@@ -432,9 +445,15 @@ class MdsServer : public net::Host {
     return "g" + std::to_string(options_.group) + "/journal";
   }
   std::string ImageFile(SerialNumber sn) const;
-  std::vector<NodeId> CurrentStandbys() const;
-  bool IsSelfActiveInView() const;
   void BecomeRole(ServerState role);
+
+  /// One-shot fetches (journal backfill, step-5 catch-up, cross-group tx
+  /// legs): callers have their own recovery story, so no retries here. The
+  /// shard protocol's legs reuse its attempt timeout (mds_shard.cpp).
+  static constexpr net::RpcPolicy kFetchRpc{
+      .attempt_timeout = kSecond,
+      .max_attempts = 1,
+  };
 
   // --- immutable wiring ------------------------------------------------------
   MdsOptions options_;
@@ -495,7 +514,7 @@ class MdsServer : public net::Host {
   /// Volatile grant table: leased directory -> holder node -> grant. Never
   /// persisted or replicated — a successor active starts lease-free, which
   /// is safe because no grant may outlive the granter's coordination
-  /// session (see ClientLeaseOptions).
+  /// session (see kLeaseTtl).
   struct LeaseGrant {
     std::uint64_t id = 0;
     SimTime expire_at = 0;
@@ -525,7 +544,7 @@ class MdsServer : public net::Host {
   // --- election/upgrade state -------------------------------------------------
   bool election_in_progress_ = false;
   bool upgrade_in_progress_ = false;
-  int join_retries_ = 0;  ///< feeds join_retry backoff; reset on success
+  int join_retries_ = 0;  ///< feeds kJoinRetry's backoff; reset on success
   FailoverTrace trace_;
   std::deque<std::pair<std::shared_ptr<const ClientRequestMsg>, ReplyFn>>
       buffered_requests_;

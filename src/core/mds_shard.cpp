@@ -227,7 +227,7 @@ void MdsServer::SendShardLeg(GroupId group, net::MessagePtr msg,
                              std::function<void(const Ack&)> on_ack,
                              net::RpcHooks hooks) {
   const net::RpcPolicy policy{
-      .attempt_timeout = options_.fetch_rpc.attempt_timeout,
+      .attempt_timeout = kFetchRpc.attempt_timeout,
       .max_attempts = 0,
       .backoff_base = backoff,
       .backoff_multiplier = 1.0,

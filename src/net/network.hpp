@@ -105,7 +105,6 @@ class Network {
 
   /// Link administration (fault injection).
   void SetLinkUp(NodeId node, bool up) { link_up_[node] = up; }
-  bool LinkUp(NodeId node) const { return link_up_[node]; }
 
   void Partition(NodeId a, NodeId b) { partitioned_.insert(Key(a, b)); }
   void Heal(NodeId a, NodeId b) { partitioned_.erase(Key(a, b)); }
@@ -116,8 +115,6 @@ class Network {
   /// host). Checked at send and delivery time like every other fault.
   void SetSendUp(NodeId node, bool up) { send_up_[node] = up; }
   void SetRecvUp(NodeId node, bool up) { recv_up_[node] = up; }
-  bool SendUp(NodeId node) const { return send_up_[node]; }
-  bool RecvUp(NodeId node) const { return recv_up_[node]; }
 
   /// Additional queueing noise applied on top of LinkParams::jitter to
   /// every non-loopback message until reset to 0 — a clock-independent

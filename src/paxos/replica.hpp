@@ -33,12 +33,13 @@
 
 namespace mams::paxos {
 
-struct ReplicaOptions {
-  SimTime phase_timeout = 200 * kMillisecond;
-  SimTime retry_backoff_min = 5 * kMillisecond;
-  SimTime retry_backoff_max = 50 * kMillisecond;
-  int max_rounds_per_proposal = 64;
-};
+/// Deadline for each phase's replies before the round is re-run.
+inline constexpr SimTime kPhaseTimeout = 200 * kMillisecond;
+/// Randomized pause before a re-run round, drawn from [min, max].
+inline constexpr SimTime kRetryBackoffMin = 5 * kMillisecond;
+inline constexpr SimTime kRetryBackoffMax = 50 * kMillisecond;
+/// Rounds one proposal may take before it fails with Unavailable.
+inline constexpr int kMaxRoundsPerProposal = 64;
 
 class Replica : public net::Host {
  public:
@@ -48,11 +49,9 @@ class Replica : public net::Host {
   using ApplyFn = std::function<void(InstanceId, const Value&)>;
   using ProposeCallback = std::function<void(Status, InstanceId)>;
 
-  Replica(net::Network& network, std::string name, ApplyFn apply,
-          ReplicaOptions options = {})
+  Replica(net::Network& network, std::string name, ApplyFn apply)
       : net::Host(network, std::move(name)),
         apply_(std::move(apply)),
-        options_(options),
         rng_(network.sim().rng().Fork(Fnv1a(this->name()))),
         obs_(&network.sim().obs()),
         proposals_(obs_->metrics().counter("paxos.propose")),
@@ -166,7 +165,7 @@ class Replica : public net::Host {
 
   void RunRound() {
     if (queue_.empty()) return;
-    if (++attempt_.rounds > options_.max_rounds_per_proposal) {
+    if (++attempt_.rounds > kMaxRoundsPerProposal) {
       auto pending = std::move(queue_.front());
       queue_.pop_front();
       FinishProposalObs(false);
@@ -193,7 +192,7 @@ class Replica : public net::Host {
     prepare->instance = instance;
     prepare->ballot = ballot;
     for (NodeId peer : peers_) {
-      Call(peer, prepare, options_.phase_timeout,
+      Call(peer, prepare, kPhaseTimeout,
            [this, instance, peer, ballot](Result<net::MessagePtr> r) {
              if (!r.ok() || !proposing_ || instance != attempt_.instance ||
                  ballot != attempt_.state->ballot()) {
@@ -220,7 +219,7 @@ class Replica : public net::Host {
     accept->ballot = ballot;
     accept->value = attempt_.state->ChooseValue();
     for (NodeId peer : peers_) {
-      Call(peer, accept, options_.phase_timeout,
+      Call(peer, accept, kPhaseTimeout,
            [this, instance, peer, ballot,
             value = accept->value](Result<net::MessagePtr> r) {
              if (!r.ok() || !proposing_ || instance != attempt_.instance ||
@@ -268,7 +267,7 @@ class Replica : public net::Host {
 
   void ArmRoundTimeout() {
     attempt_.timeout.Cancel();
-    attempt_.timeout = AfterLocal(options_.phase_timeout + Backoff(), [this] {
+    attempt_.timeout = AfterLocal(kPhaseTimeout + Backoff(), [this] {
       if (!proposing_) return;
       RunRound();  // higher ballot, fresh round
     });
@@ -276,7 +275,7 @@ class Replica : public net::Host {
 
   SimTime Backoff() {
     return static_cast<SimTime>(
-        rng_.Range(options_.retry_backoff_min, options_.retry_backoff_max));
+        rng_.Range(kRetryBackoffMin, kRetryBackoffMax));
   }
 
   /// Records latency/round histograms and closes the proposal span.
@@ -306,7 +305,6 @@ class Replica : public net::Host {
   }
 
   ApplyFn apply_;
-  ReplicaOptions options_;
   Rng rng_;
   std::vector<NodeId> peers_;
 

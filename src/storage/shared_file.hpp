@@ -65,10 +65,6 @@ class SharedFile {
     return true;
   }
 
-  bool ContainsSn(SerialNumber sn) const noexcept {
-    return IndexOfSn(sn) != records_.size();
-  }
-
   /// Index of the record with exactly `sn`, or size() when absent.
   std::size_t IndexOfSn(SerialNumber sn) const noexcept {
     const std::size_t i = FirstIndexAfter(sn == 0 ? 0 : sn - 1);

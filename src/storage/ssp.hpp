@@ -1,6 +1,6 @@
 // SspClient — the metadata servers' view of the shared storage pool.
 //
-// Placement: each shared file is replicated on `replication` pool nodes
+// Placement: each shared file is replicated on kReplication pool nodes
 // chosen by consistent hashing of the file name over the pool membership.
 // Appends go to every replica; the operation completes on the first ACK
 // (standby 2PC, not the SSP, is the primary redundancy path for journal
@@ -23,21 +23,20 @@
 
 namespace mams::storage {
 
-struct SspOptions {
-  int replication = 2;
-  SimTime write_timeout = 2 * kSecond;
-  SimTime read_timeout = 5 * kSecond;
-  std::uint64_t read_chunk_bytes = 4u << 20;
-};
-
 class SspClient {
  public:
-  using Options = SspOptions;
+  /// Pool nodes holding a copy of each shared file.
+  static constexpr int kReplication = 2;
+  /// Deadline of each replica's append.
+  static constexpr SimTime kWriteTimeout = 2 * kSecond;
+  /// Deadline of each read (or list) attempt before failing over.
+  static constexpr SimTime kReadTimeout = 5 * kSecond;
+  /// Bytes one read returns at most; callers resume from the reply.
+  static constexpr std::uint64_t kReadChunkBytes = 4u << 20;
 
-  SspClient(net::Host& host, std::vector<NodeId> pool, Options options = {})
+  SspClient(net::Host& host, std::vector<NodeId> pool)
       : host_(host),
         pool_(std::move(pool)),
-        options_(options),
         obs_(&host.network().sim().obs()),
         appends_(obs_->metrics().counter("ssp.append")),
         append_fails_(obs_->metrics().counter("ssp.append_fail")),
@@ -55,7 +54,7 @@ class SspClient {
     const std::size_t n = pool_.size();
     const std::size_t start = Fnv1a(file) % n;
     const std::size_t count =
-        std::min<std::size_t>(static_cast<std::size_t>(options_.replication), n);
+        std::min<std::size_t>(static_cast<std::size_t>(kReplication), n);
     for (std::size_t i = 0; i < count; ++i) {
       replicas.push_back(pool_[(start + i) % n]);
     }
@@ -91,7 +90,7 @@ class SspClient {
       auto msg = std::make_shared<SspWriteMsg>();
       msg->file = file;
       msg->record = record;
-      host_.Call(replica, msg, options_.write_timeout,
+      host_.Call(replica, msg, kWriteTimeout,
                  [state](Result<net::MessagePtr> result) {
                    --state->remaining;
                    if (state->finished) return;
@@ -122,7 +121,7 @@ class SspClient {
     auto msg = std::make_shared<SspReadMsg>();
     msg->file = file;
     msg->after_sn = after_sn;
-    msg->max_bytes = options_.read_chunk_bytes;
+    msg->max_bytes = kReadChunkBytes;
     ReadWithFailover(file, std::move(msg), std::move(done));
   }
 
@@ -137,9 +136,9 @@ class SspClient {
     auto msg = std::make_shared<SspReadMsg>();
     msg->file = file;
     msg->after_sn = after_sn;
-    msg->max_bytes = options_.read_chunk_bytes;
+    msg->max_bytes = kReadChunkBytes;
     reads_->Add();
-    host_.Call(replica, std::move(msg), options_.read_timeout,
+    host_.Call(replica, std::move(msg), kReadTimeout,
                [done = std::move(done)](Result<net::MessagePtr> result) {
                  if (!result.ok()) {
                    done(result.status());
@@ -156,7 +155,7 @@ class SspClient {
     msg->file = file;
     msg->use_index = true;
     msg->from_index = from_index;
-    msg->max_bytes = options_.read_chunk_bytes;
+    msg->max_bytes = kReadChunkBytes;
     ReadWithFailover(file, std::move(msg), std::move(done));
   }
 
@@ -190,7 +189,7 @@ class SspClient {
   /// replica caches out of the picture.
   net::RpcPolicy FailoverPolicy(std::size_t targets) const {
     net::RpcPolicy policy;
-    policy.attempt_timeout = options_.read_timeout;
+    policy.attempt_timeout = kReadTimeout;
     policy.max_attempts = static_cast<int>(targets);
     policy.backoff_base = 0;
     policy.backoff_cap = 0;
@@ -255,7 +254,6 @@ class SspClient {
 
   net::Host& host_;
   std::vector<NodeId> pool_;
-  Options options_;
   obs::Observability* obs_;
   obs::Counter* appends_;
   obs::Counter* append_fails_;

@@ -288,6 +288,77 @@ TEST_F(ClientCacheTest, FailoverOutlivesEveryLeaseAndCacheRecovers) {
   EXPECT_GT(cluster_->client(0).counters().cache_hits, hits);
 }
 
+TEST_F(ClientCacheTest, ActiveCutOffFromCoordinationStopsGrantingLeases) {
+  // The lease-grant guard: a grant must expire inside the granter's
+  // confirmed coordination session. Cut only the active <-> coordination
+  // frontend pair, so the active keeps serving while its session runs out,
+  // and keep reading fresh directories (each read wants a new grant) from
+  // a bare client endpoint that sees every grant's deadline.
+  Build(1, 2);
+  constexpr int kDirs = 80;
+  for (int i = 0; i < kDirs; ++i) {
+    ASSERT_TRUE(MkdirSync("/g" + std::to_string(i)).ok());
+  }
+  core::MdsServer* active = cluster_->FindActive(0);
+  ASSERT_NE(active, nullptr);
+  net::Host reader(*net_, "lease-reader");
+  reader.Boot();
+
+  struct Read {
+    SimTime at = 0;
+    bool ok = false;
+    std::uint64_t lease_id = 0;
+    SimTime lease_expire_at = 0;
+    std::uint64_t granted = 0;  ///< the active's leases_granted at `at`
+  };
+  std::vector<Read> reads;
+  const NodeId coord = cluster_->coord().frontend_id();
+  net_->Partition(active->id(), coord);
+  const SimTime cut = sim_->Now();
+  const SimTime ack = active->last_session_ack();
+  const std::uint64_t granted_at_cut = active->counters().leases_granted;
+  ASSERT_LE(ack, cut);
+
+  for (int i = 0; i < kDirs && active->role() == ServerState::kActive; ++i) {
+    auto req = std::make_shared<core::ClientRequestMsg>();
+    req->op = core::ClientOp::kListDir;
+    req->path = "/g" + std::to_string(i);
+    req->client = {.client_id = 1000, .op_seq = static_cast<std::uint64_t>(i)};
+    req->requester = reader.id();
+    reader.Call(active->id(), req, kSecond, [&](Result<net::MessagePtr> r) {
+      if (!r.ok()) return;
+      const auto& resp = net::Cast<core::ClientResponseMsg>(r.value());
+      reads.push_back({sim_->Now(), resp.ok, resp.lease_id,
+                       resp.lease_expire_at,
+                       active->counters().leases_granted});
+    });
+    Run(100 * kMillisecond);
+  }
+  net_->Heal(active->id(), coord);
+  EXPECT_EQ(active->last_session_ack(), ack);  // nothing confirmed since
+  ASSERT_FALSE(reads.empty());
+
+  // No grant outlives the session the coordination service can expire.
+  const SimTime stop = cut + coord::kSessionTimeout - core::kLeaseTtl;
+  bool granted_after_cut = false;
+  bool answered_after_stop = false;
+  for (const Read& read : reads) {
+    if (read.lease_id != 0) {
+      EXPECT_LE(read.lease_expire_at, ack + coord::kSessionTimeout);
+      granted_after_cut = true;
+    }
+    if (read.at <= stop) continue;
+    // Past kSessionTimeout - kLeaseTtl from the cut the active grants
+    // nothing more, yet keeps answering reads until it is deposed.
+    EXPECT_EQ(read.lease_id, 0u);
+    EXPECT_EQ(read.granted, reads.back().granted);
+    if (read.ok) answered_after_stop = true;
+  }
+  EXPECT_TRUE(granted_after_cut);
+  EXPECT_GT(reads.back().granted, granted_at_cut);
+  EXPECT_TRUE(answered_after_stop);
+}
+
 TEST_F(ClientCacheTest, ShardMigrationInvalidatesMovedLeases) {
   Build(2, 2);
   // A directory whose children (and dir slot) live in group 0.
@@ -325,7 +396,7 @@ TEST_F(ClientCacheTest, ShardMigrationInvalidatesMovedLeases) {
 }
 
 TEST_F(ClientCacheTest, MigrationActivationWaitsOnTheCutoverLeaseBarrier) {
-  const SimTime ttl = core::ClientLeaseOptions{}.ttl;
+  const SimTime ttl = core::kLeaseTtl;
   for (const bool partitioned : {true, false}) {
     SCOPED_TRACE(partitioned ? "holder partitioned" : "holder reachable");
     Build(2, 2);
