@@ -1,0 +1,341 @@
+#include "core/commit_path.hpp"
+
+#include <algorithm>
+
+#include "core/mds_server.hpp"
+#include "net/rpc.hpp"
+
+namespace mams::core {
+
+namespace {
+
+/// Journal 2PC prepare to each standby: a single bounded attempt — an
+/// unresponsive standby is demoted and backfilled later, never waited for
+/// (that is what keeps sync latency flat in Fig. 5).
+constexpr net::RpcPolicy kSyncRpc{
+    .attempt_timeout = 1500 * kMillisecond,
+    .max_attempts = 1,
+};
+
+/// Retry cadence for re-appending a batch whose SSP copy failed, while its
+/// server stays active: the pool is the recovery source for failovers, so
+/// every batch later ones build on must become durable there.
+constexpr SimTime kSspAppendRetry = 500 * kMillisecond;
+
+}  // namespace
+
+CommitPath::CommitPath(MdsServer& server)
+    : s_(server),
+      writer_([this](journal::Batch b, std::vector<char> bytes) {
+        OnBatchSealed(std::move(b), std::move(bytes));
+      }) {
+  writer_.Reseed(s_.last_sn(), s_.tree().last_txid());
+  // Standbys that registered before we became active would otherwise never
+  // receive journals; watch events keep the set fresh afterwards.
+  AddViewStandbys();
+}
+
+void CommitPath::Commit(const ClientRequestMsg& req, journal::LogRecord rec,
+                        const ReplyFn& reply) {
+  s_.shard().CaptureMigrationDelta(rec);
+  const TxId txid = writer_.Append(std::move(rec));
+  s_.mutable_tree().set_last_txid(txid);  // keep the active's replay cursor
+  Await(txid, s_.reads().RevokeConflicting(req, txid, reply));
+  SealIfSlotFree();
+}
+
+void CommitPath::RunCrossGroup(RequestPtr req, ReplyFn reply,
+                               GroupId participant) {
+  if (tx_->inflight >= kTxWindow) {
+    tx_->queue.emplace_back(std::move(req), std::move(reply));
+    return;
+  }
+  ++tx_->inflight;
+  ReplyFn wrapped = [&s = s_, tx = tx_, reply](net::MessagePtr out) {
+    reply(std::move(out));
+    --tx->inflight;
+    if (!tx->queue.empty() && tx->inflight < kTxWindow) {
+      auto [next_req, next_reply] = std::move(tx->queue.front());
+      tx->queue.pop_front();
+      s.ProcessClientRequest(next_req, next_reply);
+    }
+  };
+  // Cross-group prepare leg first (the paper's distributed transactions
+  // synchronize state among servers before commit).
+  if (s_.directory() == nullptr) {
+    s_.ReplyStatus(wrapped, Status::Unavailable("no group directory"));
+    return;
+  }
+  const NodeId peer = s_.directory()->Active(participant);
+  if (peer == kInvalidNode) {
+    s_.ReplyStatus(wrapped, Status::Unavailable("participant unknown"));
+    return;
+  }
+  auto leg = std::make_shared<ClientRequestMsg>(*req);
+  leg->tx_participant = true;
+  net::RpcCall::Start(
+      s_, peer, leg, MdsServer::kFetchRpc,
+      [&s = s_, life = weak_from_this(), req,
+       wrapped](Result<net::MessagePtr> r) {
+        if (!r.ok()) {
+          s.ReplyStatus(wrapped, Status::Unavailable("participant unreachable"));
+          return;
+        }
+        const auto& resp = net::Cast<ClientResponseMsg>(r.value());
+        if (!resp.ok) {
+          s.ReplyStatus(wrapped, Status::Unavailable(resp.error));
+          return;
+        }
+        // A step-down while the leg was out ended this tenure: the deposed
+        // server must not execute the mutation.
+        if (life.expired()) {
+          s.ReplyStatus(wrapped, Status::Unavailable("not active"));
+          return;
+        }
+        s.ExecuteMutation(req, wrapped);
+      });
+}
+
+bool CommitPath::SealIfSlotFree() {
+  if (writer_.pending_records() == 0 ||
+      pending_sync_.size() >= kCommitWindow) {
+    return false;
+  }
+  writer_.Flush();
+  return true;
+}
+
+void CommitPath::OnBatchSealed(journal::Batch batch, std::vector<char> bytes) {
+  // The writer hands over the batch by value exactly once; everything
+  // downstream (recent window, pending sync, prepare messages) shares one
+  // immutable copy instead of duplicating the records per consumer.
+  auto owned = std::make_shared<const journal::Batch>(std::move(batch));
+  s_.AdvanceTo(owned);
+  s_.m().batch_records->Record(static_cast<std::int64_t>(owned->records.size()));
+
+  const SerialNumber sn = owned->sn;
+  PendingSync& ps = pending_sync_[sn];
+  ps.batch = owned;
+  ps.awaiting = targets_;
+  ps.ssp_done = !s_.options().ssp_in_commit_path;  // ablation: SSP off-path
+  ps.begin = s_.sim().Now();
+  ps.span = s_.sim().obs().tracer().Begin(
+      "mds", "sync_batch", s_.id(), s_.group(),
+      {{"sn", static_cast<std::uint64_t>(sn)},
+       {"records", static_cast<std::uint64_t>(owned->records.size())},
+       {"targets", static_cast<std::uint64_t>(ps.awaiting.size())}});
+
+  // Replication fan-out costs CPU on the active: the batch was serialized
+  // and checksummed once at seal time and is sent once per target (plus the
+  // SSP copy), so sends are staggered through the CPU cursor. This is the
+  // per-standby overhead Figure 5 quantifies (~4% per added standby on
+  // transactional ops). Sends already queued go out even if the tenure ends
+  // first; receivers fence them.
+  const OpCosts& costs = s_.options().costs;
+  const auto per_target =
+      costs.sync_cpu_base +
+      static_cast<SimTime>(static_cast<double>(bytes.size()) /
+                           costs.sync_bytes_per_sec *
+                           static_cast<double>(kSecond));
+
+  auto msg = std::make_shared<JournalPrepareMsg>();
+  msg->group = s_.group();
+  msg->fence = s_.fence();
+  msg->batch = std::move(owned);
+  for (NodeId peer : ps.awaiting) {
+    s_.AfterLocal(s_.ChargeCpu(per_target), [&s = s_, life = weak_from_this(),
+                                             peer, sn, msg] {
+      net::RpcCall::Start(s, peer, msg, kSyncRpc,
+                          [life, peer, sn](Result<net::MessagePtr> r) {
+                            // Held: a stale-fence ack deposes this tenure.
+                            if (auto self = life.lock()) {
+                              self->OnPrepareAck(peer, sn, r);
+                            }
+                          });
+    });
+  }
+
+  // The SSP copy (journal segment shared file), fenced with our token. The
+  // bytes are the seal-time serialization — no second pass over the records.
+  storage::SspRecord record;
+  record.sn = sn;
+  record.fence = s_.fence();
+  record.bytes = std::move(bytes);
+  s_.AfterLocal(s_.ChargeCpu(per_target), [this, &s = s_,
+                                           life = weak_from_this(), sn,
+                                           record = std::move(record)]() mutable {
+    s.ssp().Append(s.JournalFile(), std::move(record),
+                   [this, life, sn](Status st) {
+                     if (life.expired()) return;
+                     auto it = pending_sync_.find(sn);
+                     if (it == pending_sync_.end()) return;
+                     if (!st.ok()) {
+                       MAMS_WARN("mds", "%s: ssp append failed: %s",
+                                 s_.name().c_str(), st.ToString().c_str());
+                     }
+                     it->second.ssp_ok = st.ok();
+                     it->second.ssp_done = true;
+                     MaybeCompleteSync(sn);
+                   });
+  });
+  MaybeCompleteSync(sn);
+}
+
+void CommitPath::OnPrepareAck(NodeId peer, SerialNumber sn,
+                              const Result<net::MessagePtr>& r) {
+  auto it = pending_sync_.find(sn);
+  if (it == pending_sync_.end()) return;
+  if (!r.ok()) {
+    DemoteUnresponsiveStandby(peer);
+  } else {
+    const auto& ack = net::Cast<JournalAckMsg>(r.value());
+    if (ack.stale_fence) {
+      s_.StepDownFromActive("standby reported stale fence");
+      return;
+    }
+    ++it->second.acks;
+  }
+  it->second.awaiting.erase(peer);
+  MaybeCompleteSync(sn);
+}
+
+void CommitPath::MaybeCompleteSync(SerialNumber sn) {
+  auto it = pending_sync_.find(sn);
+  if (it == pending_sync_.end()) return;
+  PendingSync& ps = it->second;
+  if (ps.completed || !ps.awaiting.empty() || !ps.ssp_done) return;
+  ps.completed = true;
+  s_.m().sync_batch_ns->Record(s_.sim().Now() - ps.begin);
+  s_.sim().obs().tracer().End(ps.span,
+                              {{"acks", static_cast<std::uint64_t>(ps.acks)},
+                               {"ssp_ok", ps.ssp_ok ? "true" : "false"}});
+  FinalizeCompletedSyncs();
+}
+
+void CommitPath::FinalizeCompletedSyncs() {
+  // A reply below can journal a shard record whose batch completes at once.
+  if (finalizing_syncs_) return;
+  finalizing_syncs_ = true;
+  // Finalization is strictly sn-ordered: with several rounds in flight,
+  // batch N+1's acks can land before batch N's, but a standby ack only
+  // proves the peer *received* the batch (it may still be buffering a gap),
+  // so acknowledged client work is a journal prefix only if replies and
+  // committed_sn advance from the front. This keeps the loss on failover
+  // prefix-closed exactly as in the stop-and-wait protocol.
+  while (!pending_sync_.empty() && pending_sync_.begin()->second.completed) {
+    const SerialNumber sn = pending_sync_.begin()->first;
+    PendingSync ps = std::move(pending_sync_.begin()->second);
+    pending_sync_.erase(pending_sync_.begin());
+    Bump(s_.mutable_counters().batches_synced, s_.m().batches_synced);
+    s_.NoteFinalized(sn, /*replicated=*/ps.acks > 0 || ps.ssp_ok);
+    if (!ps.ssp_ok) {
+      // The pool missed it. The SSP is what a future failover drains, and
+      // every later batch builds on this one — even one no standby acked
+      // either, which standbys backfill once they are reachable again. A
+      // hole here would end a junior's drain early and lose the committed
+      // batches behind it, so keep re-appending until the copy is durable
+      // (or we are deposed and the new active reconciles).
+      RetrySspAppend(sn);
+    }
+    for (const auto& rec : ps.batch->records) {
+      auto rit = pending_replies_.find(rec.txid);
+      if (rit == pending_replies_.end()) continue;
+      for (auto& reply : rit->second) {
+        // A mutation that revoked remote leases must not complete until
+        // every holder acked (or the last revoked grant expired): its ack
+        // is held on the txid barrier instead of leaving now.
+        s_.reads().RunOrHoldOnBarrier(
+            rec.txid, [&s = s_, reply = std::move(reply)] {
+              s.ReplyStatus(reply, Status::Ok());
+            });
+      }
+      pending_replies_.erase(rit);
+    }
+  }
+  finalizing_syncs_ = false;
+  // Group commit: the records that arrived while the window was full take
+  // the slot this finalization freed.
+  if (SealIfSlotFree()) ++s_.mutable_counters().pipeline_deferred;
+}
+
+void CommitPath::RetrySspAppend(SerialNumber sn) {
+  s_.AfterLocal(kSspAppendRetry, [this, life = weak_from_this(), sn] {
+    if (life.expired()) return;
+    const auto& recent = s_.recent_batches();
+    auto it = std::find_if(recent.begin(), recent.end(),
+                           [sn](const auto& b) { return b->sn == sn; });
+    if (it == recent.end()) return;  // evicted; peers cover the drain
+    storage::SspRecord record;
+    record.sn = sn;
+    record.fence = s_.fence();
+    record.bytes = (*it)->Serialize();
+    s_.ssp().Append(s_.JournalFile(), std::move(record),
+                    [this, life, sn](Status s) {
+                      if (!s.ok() && !life.expired()) RetrySspAppend(sn);
+                    });
+  });
+}
+
+void CommitPath::DemoteUnresponsiveStandby(NodeId peer) {
+  if (!targets_.contains(peer)) return;
+  MAMS_INFO("mds", "%s: demoting unresponsive standby node %u",
+            s_.name().c_str(), peer);
+  // Only stop replicating to the peer once the demotion has actually
+  // committed in the global view. If WE are the partitioned one, the
+  // SetState fails and the peer stays a target — dropping it locally
+  // while the view still says "standby" would silently diverge.
+  s_.coord().SetState(
+      s_.group(), peer, ServerState::kJunior, s_.fence(),
+      [this, life = weak_from_this(), peer](Result<coord::GroupView> r) {
+        if (!life.expired() && r.ok()) targets_.erase(peer);
+      });
+}
+
+void CommitPath::FailPending() {
+  // Obsolete buffered data may still be flushed to peers and the SSP; the
+  // sn rule and fencing make it harmless (Section III.C).
+  for (auto& [txid, replies] : pending_replies_) {
+    for (auto& reply : replies) {
+      s_.ReplyStatus(reply, Status::Unavailable("server deposed"));
+    }
+  }
+  pending_replies_.clear();
+}
+
+void CommitPath::AddViewStandbys() {
+  for (const auto& [node, state] : s_.view().states) {
+    if (node != s_.id() && state == ServerState::kStandby) targets_.insert(node);
+  }
+}
+
+void CommitPath::TrackView() {
+  std::erase_if(targets_, [this](NodeId node) {
+    return s_.view().StateOf(node) != ServerState::kStandby;
+  });
+  AddViewStandbys();
+}
+
+void CommitPath::Reconcile() {
+  AddViewStandbys();
+  const auto& recent = s_.recent_batches();
+  if (recent.empty()) return;
+  auto nudge = std::make_shared<JournalPrepareMsg>();
+  nudge->group = s_.group();
+  nudge->fence = s_.fence();
+  nudge->batch = recent.back();
+  for (NodeId peer : targets_) s_.Send(peer, nudge);
+}
+
+void CommitPath::Include(NodeId junior, SerialNumber after_sn) {
+  if (!targets_.insert(junior).second) return;
+  for (const auto& b : s_.recent_batches()) {
+    if (b->sn <= after_sn) continue;
+    auto msg = std::make_shared<JournalPrepareMsg>();
+    msg->group = s_.group();
+    msg->fence = s_.fence();
+    msg->batch = b;
+    s_.Send(junior, msg);
+  }
+}
+
+}  // namespace mams::core

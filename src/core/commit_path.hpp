@@ -1,0 +1,118 @@
+// CommitPath — the active's pipelined modified 2PC and cross-group leg
+// window. It exists exactly while its server is active: the step-down or
+// crash ending the tenure destroys it with every round in flight, and its
+// callbacks hold a weak_ptr and return once it expired. Pending records
+// seal into one batch when a 2PC slot is free (SealIfSlotFree, the one
+// sealing rule); a batch completes once every target standby answered and
+// the SSP copy is durable, and replies leave strictly in sn order.
+#pragma once
+
+#include <deque>
+#include <map>
+#include <memory>
+#include <set>
+#include <vector>
+
+#include "core/messages.hpp"
+#include "journal/writer.hpp"
+#include "obs/trace.hpp"
+
+namespace mams::core {
+
+class MdsServer;
+
+class CommitPath : public std::enable_shared_from_this<CommitPath> {
+ public:
+  /// Continues the journal after the server's last sn and txid.
+  explicit CommitPath(MdsServer& server);
+  CommitPath(const CommitPath&) = delete;
+  CommitPath& operator=(const CommitPath&) = delete;
+
+  /// Journals a record the server already applied; returns its txid.
+  TxId Append(journal::LogRecord rec) { return writer_.Append(std::move(rec)); }
+  /// `reply` gets an ok ClientResponseMsg once `txid`'s batch commits, or
+  /// "server deposed" if the tenure ends first (FailPending).
+  void Await(TxId txid, ReplyFn reply) {
+    pending_replies_[txid].push_back(std::move(reply));
+  }
+  /// The append half of a client mutation: journals `rec`, revokes the
+  /// leases it conflicts with, and replies once its batch commits.
+  void Commit(const ClientRequestMsg& req, journal::LogRecord rec,
+              const ReplyFn& reply);
+  /// A mutation whose other side lives in group `participant`: a prepare leg
+  /// to that group's active first (kTxWindow at once, the rest queue), then
+  /// the server's ExecuteMutation.
+  void RunCrossGroup(RequestPtr req, ReplyFn reply, GroupId participant);
+  /// Seals every pending record into one batch when fewer than
+  /// kCommitWindow rounds are in flight; returns whether it sealed.
+  bool SealIfSlotFree();
+  /// 2PC rounds in flight, plus one while records wait for a slot.
+  std::size_t queue_depth() const noexcept {
+    return pending_sync_.size() + (writer_.pending_records() > 0 ? 1 : 0);
+  }
+  /// Work not yet committed: a step-down then rebuilds the namespace.
+  bool HoldsUncommitted() const noexcept {
+    return !pending_replies_.empty() || queue_depth() > 0;
+  }
+  /// Step-down: fails every pending reply so callers re-resolve the active.
+  void FailPending();
+
+  // The 2PC targets are the view's standbys.
+  /// Drops targets the view no longer calls standby and adds the rest.
+  void TrackView();
+  /// Anti-entropy: adds the view's standbys (a transient partition may have
+  /// left the set stale) and nudges every target with the newest batch, so
+  /// a receiver that silently missed traffic backfills.
+  void Reconcile();
+  /// Final synchronization of a renewed junior: it joins live replication
+  /// and gets the recent batches after `after_sn` (sn-deduped).
+  void Include(NodeId junior, SerialNumber after_sn);
+
+  /// 2PC rounds in flight at most (the sweep is in docs/PERFORMANCE.md §3).
+  static constexpr std::size_t kCommitWindow = 4;
+  /// Cross-group prepare legs in flight at most.
+  static constexpr int kTxWindow = 3;
+
+ private:
+  struct PendingSync {
+    BatchPtr batch;
+    std::set<NodeId> awaiting;  ///< standbys not yet acked
+    int acks = 0;               ///< successful standby replications
+    bool ssp_done = false;
+    bool ssp_ok = false;
+    bool completed = false;
+    SimTime begin = 0;
+    obs::TraceRecorder::Span span;
+  };
+  /// Shared with every leg's reply wrapper: a leg that completes after a
+  /// step-down still frees its slot and starts the next queued request,
+  /// which then answers "not active".
+  struct TxWindow {
+    int inflight = 0;
+    std::deque<std::pair<RequestPtr, ReplyFn>> queue;
+  };
+
+  /// The writer's sink: starts the round to every target and the SSP.
+  void OnBatchSealed(journal::Batch batch, std::vector<char> bytes);
+  void OnPrepareAck(NodeId peer, SerialNumber sn,
+                    const Result<net::MessagePtr>& r);
+  void MaybeCompleteSync(SerialNumber sn);
+  /// Finalizes completed rounds strictly from the front (sn order), then
+  /// seals what waited for the freed slot.
+  void FinalizeCompletedSyncs();
+  /// Re-appends batch `sn` to the SSP after kSspAppendRetry, until it
+  /// sticks or the tenure ends.
+  void RetrySspAppend(SerialNumber sn);
+  void DemoteUnresponsiveStandby(NodeId peer);
+  void AddViewStandbys();
+
+  MdsServer& s_;
+  journal::Writer writer_;
+  std::map<SerialNumber, PendingSync> pending_sync_;
+  bool finalizing_syncs_ = false;  ///< re-entrancy guard
+  std::map<TxId, std::vector<ReplyFn>> pending_replies_;
+  std::set<NodeId> targets_;  ///< peers included in 2PC
+  std::shared_ptr<TxWindow> tx_ = std::make_shared<TxWindow>();
+};
+
+}  // namespace mams::core

@@ -2,7 +2,7 @@
 // the elected standby. The bench computes stage proportions from these.
 //
 // This is a thin adapter over the obs subsystem: the six upgrade steps and
-// the election are recorded live as obs::TraceRecorder spans by MdsServer;
+// the election are recorded live as obs::TraceRecorder spans by Upgrade;
 // this log keeps the aggregate (start/granted/completed) timestamps the
 // fig7 bench consumes. One log per cluster/scenario — there is no process
 // singleton, so repeated bench trials and parallel test shards cannot see

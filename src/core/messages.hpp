@@ -5,6 +5,7 @@
 #pragma once
 
 #include <algorithm>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -33,8 +34,6 @@ enum class ClientOp : std::uint8_t {
   kSetPermission,
   kSetTimes,
 };
-
-const char* ClientOpName(ClientOp op) noexcept;
 
 /// True for operations that mutate the namespace (and hence journal).
 constexpr bool IsMutation(ClientOp op) noexcept {
@@ -75,6 +74,11 @@ struct ClientRequestMsg final : net::Message {
     return 96 + path.size() + path2.size() + owner.size();
   }
 };
+using RequestPtr = std::shared_ptr<const ClientRequestMsg>;
+/// How a request handler answers (net::Host::ReplyFn).
+using ReplyFn = std::function<void(net::MessagePtr)>;
+/// A sealed batch, shared immutably by everything that holds it.
+using BatchPtr = std::shared_ptr<const journal::Batch>;
 
 struct ClientResponseMsg final : net::Message {
   bool ok = false;
@@ -135,7 +139,7 @@ struct JournalPrepareMsg final : net::Message {
   /// every sync target (and keeps it in recent_batches_ / pending_sync_),
   /// so the message references the batch instead of copying its records
   /// once per recipient.
-  std::shared_ptr<const journal::Batch> batch;
+  BatchPtr batch;
 
   net::MsgType type() const noexcept override { return net::kJournalPrepare; }
   std::size_t ByteSize() const noexcept override {
@@ -190,7 +194,6 @@ enum class RenewMode : std::uint8_t {
 struct RenewCommandMsg final : net::Message {
   GroupId group = 0;
   FenceToken fence = 0;
-  RenewMode mode = RenewMode::kJournalOnly;
   std::string image_file;        ///< for kImageFirst: SSP file to load
   SerialNumber image_sn = 0;     ///< sn folded into that image
   SerialNumber active_sn = 0;

@@ -1,0 +1,335 @@
+#include "core/read_service.hpp"
+
+#include <algorithm>
+#include <chrono>
+
+#include "core/mds_server.hpp"
+#include "fsns/path.hpp"
+
+namespace mams::core {
+
+namespace {
+
+/// Standby read parking. A read whose min_sn is at most kMaxParkGap batches
+/// ahead of the standby's applied sn waits in a queue of at most
+/// kMaxParked reads until the gap closes; larger gaps and overflow bounce
+/// to the active immediately, and a read still parked after kMaxParkWait
+/// bounces too (the standby is lagging, not merely behind by one sync).
+constexpr SerialNumber kMaxParkGap = 64;
+constexpr std::size_t kMaxParked = 64;
+constexpr SimTime kMaxParkWait = 500 * kMillisecond;
+
+/// Bound on outstanding (directory, client) lease grants; at the cap, reads
+/// are served without a lease rather than evicting someone else's.
+constexpr std::size_t kMaxLeaseGrants = 4096;
+
+}  // namespace
+
+void ReadService::OnRole(ServerState role) {
+  // A replica that stops being a standby can no longer promise
+  // session-consistent reads; bounce whatever is parked.
+  if (role != ServerState::kStandby) FlushParked("role change");
+  if (role != ServerState::kActive) {
+    grants_.clear();
+    grant_count_ = 0;
+  }
+}
+
+void ReadService::Execute(const ClientRequestMsg& req, const ReplyFn& reply,
+                          bool from_standby) {
+  if (!s_.shard().AdmitRead(req, reply)) return;
+  auto& counters = s_.mutable_counters();
+  Bump(counters.ops_served, s_.m().ops_served);
+  Bump(counters.reads, s_.m().reads);
+  auto out = std::make_shared<ClientResponseMsg>();
+  out->from_standby = from_standby;
+  // Wall-clock (not virtual-time) cost of the namespace resolution below;
+  // feeds the mds.resolve_ns histogram the bench trajectory tracks. Real
+  // nanoseconds never influence simulation state, so determinism holds.
+  const auto resolve_begin = std::chrono::steady_clock::now();
+  auto fill = [&out](auto result, auto& field) {
+    out->ok = result.ok();
+    if (result.ok()) {
+      field = std::move(result).value();
+    } else {
+      out->code = result.status().code();
+      out->error = result.status().message();
+    }
+  };
+  if (req.op == ClientOp::kGetFileInfo) {
+    fill(s_.tree().GetFileInfo(req.path), out->info);
+  } else {  // kListDir
+    fill(s_.tree().ListDir(req.path), out->listing);
+  }
+  s_.m().resolve_ns->Record(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now() - resolve_begin)
+          .count());
+  MaybeGrantLease(req, *out);
+  s_.StampReply(*out, s_.last_sn());
+  reply(out);
+}
+
+// --- standby read offload ----------------------------------------------------
+
+void ReadService::HandleStandbyRead(const RequestPtr& req,
+                                    const ReplyFn& reply) {
+  const SerialNumber last = s_.last_sn();
+  const SerialNumber min_sn =
+      s_.options().test_hooks.ignore_min_sn ? 0 : req->min_sn;
+  // Staleness as seen at arrival: how far this standby's applied journal
+  // trails the client's session floor (0 when already caught up).
+  s_.m().standby_read_staleness_sn->Record(
+      req->min_sn > last ? req->min_sn - last : 0);
+  if (last >= min_sn) {
+    ServeStandbyRead(req, reply);
+    return;
+  }
+  if (min_sn - last > kMaxParkGap || parked_.size() >= kMaxParked) {
+    BounceRead(reply, "standby behind session floor");
+    return;
+  }
+  // Small gap: park until the journal intake applies up to min_sn, with a
+  // deadline so a read never waits out a genuinely lagging replica.
+  Bump(s_.mutable_counters().standby_reads_parked,
+       s_.m().standby_reads_parked);
+  const std::uint64_t token = ++parked_token_seq_;
+  parked_.emplace(min_sn, ParkedRead{req, reply, token});
+  s_.AfterLocal(kMaxParkWait, [this, token] {
+    for (auto it = parked_.begin(); it != parked_.end(); ++it) {
+      if (it->second.token != token) continue;
+      ReplyFn reply = std::move(it->second.reply);
+      parked_.erase(it);
+      BounceRead(reply, "parked read timed out");
+      return;
+    }
+  });
+}
+
+void ReadService::ServeStandbyRead(const RequestPtr& req,
+                                   const ReplyFn& reply) {
+  const SimTime cost = req->op == ClientOp::kListDir
+                           ? s_.options().costs.listdir
+                           : s_.options().costs.getfileinfo;
+  s_.AfterLocal(s_.ChargeCpu(cost), [this, req, reply] {
+    // Re-check: the role may have flipped while the read queued on the CPU.
+    if (s_.role() != ServerState::kStandby) {
+      BounceRead(reply, "no longer standby");
+      return;
+    }
+    Bump(s_.mutable_counters().standby_reads_served,
+         s_.m().standby_reads_served);
+    Execute(*req, reply, /*from_standby=*/true);
+  });
+}
+
+void ReadService::BounceRead(const ReplyFn& reply, const char* why) {
+  Bump(s_.mutable_counters().standby_reads_bounced,
+       s_.m().standby_reads_bounced);
+  auto out = s_.StatusReply(Status::Unavailable(why));
+  out->bounced = true;
+  reply(out);
+}
+
+void ReadService::DrainParked() {
+  while (!parked_.empty() && parked_.begin()->first <= s_.last_sn()) {
+    auto node = parked_.extract(parked_.begin());
+    ServeStandbyRead(node.mapped().req, node.mapped().reply);
+  }
+}
+
+void ReadService::FlushParked(const char* why) {
+  while (!parked_.empty()) {
+    auto node = parked_.extract(parked_.begin());
+    BounceRead(node.mapped().reply, why);
+  }
+}
+
+// --- active: client-cache directory leases -----------------------------------
+
+void ReadService::MaybeGrantLease(const ClientRequestMsg& req,
+                                  ClientResponseMsg& out) {
+  if (!s_.options().client_leases.grant_leases || !s_.commit() || !out.ok ||
+      req.requester == kInvalidNode) {
+    return;
+  }
+  // Never issue a grant that could outlive this node's tenure: the
+  // coordination service expires our session coord::kSessionTimeout after
+  // its last confirmed contact, and a successor active (which starts
+  // lease-free) can only be elected after that expiry. `last_ack_time()`
+  // under-approximates the contact instant, so this check is conservative
+  // even while partitioned.
+  const SimTime now = s_.sim().Now();
+  if (now + kLeaseTtl > s_.last_session_ack() + coord::kSessionTimeout) return;
+  const std::string dir = req.op == ClientOp::kListDir
+                              ? req.path
+                              : fsns::ParentPath(req.path);
+  if (dir.empty()) return;  // stat of "/" has no parent directory to lease
+  auto& holders = grants_[dir];
+  auto it = holders.find(req.requester);
+  if (it == holders.end()) {
+    if (grant_count_ >= kMaxLeaseGrants) {
+      if (holders.empty()) grants_.erase(dir);
+      return;  // at capacity: serve unleased rather than evict someone else
+    }
+    // Fresh grants always draw a fresh id — a revoked id is never reissued,
+    // so a client-side tombstone on it can never collide with a live grant.
+    it = holders.emplace(req.requester, LeaseGrant{++next_lease_id_, 0}).first;
+    ++grant_count_;
+    Bump(s_.mutable_counters().leases_granted, s_.m().leases_granted);
+  }
+  it->second.expire_at = std::max(it->second.expire_at, now + kLeaseTtl);
+  out.lease_dir = dir;
+  out.lease_id = it->second.id;
+  out.lease_epoch = s_.view().fence_token;
+  out.lease_expire_at = it->second.expire_at;
+}
+
+void ReadService::RevokeDir(const std::string& dir, NodeId own,
+                            Revocation& r) {
+  auto it = grants_.find(dir);
+  if (it == grants_.end()) return;
+  for (const auto& [node, grant] : it->second) {
+    if (node == own) {
+      r.own.push_back(grant.id);
+    } else {
+      r.pushes[node].push_back({dir, grant.id});
+      r.barrier.outstanding.emplace(node, grant.id);
+      r.barrier.release_at = std::max(r.barrier.release_at, grant.expire_at);
+    }
+    --grant_count_;
+    Bump(s_.mutable_counters().leases_revoked, s_.m().leases_revoked);
+  }
+  grants_.erase(it);
+}
+
+void ReadService::CollectRevocations(const std::string& path, NodeId own,
+                                     Revocation& r) {
+  // A mutation of `path` changes its parent's listing and the parent's view
+  // of the entry itself...
+  const std::string parent = fsns::ParentPath(path);
+  if (!parent.empty()) RevokeDir(parent, own, r);
+  // ...and, when `path` is a directory (delete/rename), invalidates every
+  // cached listing at or below it. Scan the contiguous string-prefix region
+  // of the sorted table; IsPrefixPath filters siblings like "/a/bc" that
+  // share the byte prefix without being under "/a/b".
+  for (auto it = grants_.lower_bound(path);
+       it != grants_.end() && it->first.compare(0, path.size(), path) == 0;) {
+    const std::string dir = it->first;
+    ++it;  // RevokeDir erases `dir`'s node; `it` already moved past it
+    if (dir == path || fsns::IsPrefixPath(path, dir)) RevokeDir(dir, own, r);
+  }
+}
+
+ReplyFn ReadService::RevokeConflicting(const ClientRequestMsg& req, TxId txid,
+                                       ReplyFn reply) {
+  if (grants_.empty()) return reply;
+  // The requester's own revocations ride its ack (it must drop/patch its
+  // cache before acting on the reply); remote holders are pushed through
+  // the coordination relay and gate the ack via the txid barrier.
+  Revocation r;
+  CollectRevocations(req.path, req.requester, r);
+  if (req.op == ClientOp::kRename && !req.path2.empty())
+    CollectRevocations(req.path2, req.requester, r);
+  std::vector<std::uint64_t> own = std::move(r.own);
+  Revoke(std::move(r), txid);
+  if (own.empty()) return reply;
+  return [reply, own = std::move(own)](net::MessagePtr out) {
+    if (const auto* resp = dynamic_cast<const ClientResponseMsg*>(out.get())) {
+      auto patched = std::make_shared<ClientResponseMsg>(*resp);
+      patched->revoke_lease_ids = own;
+      reply(std::move(patched));
+      return;
+    }
+    reply(std::move(out));
+  };
+}
+
+void ReadService::RevokeUnder(const std::string& path, TxId txid) {
+  if (grants_.empty()) return;
+  Revocation r;
+  CollectRevocations(path, kInvalidNode, r);
+  Revoke(std::move(r), txid);
+}
+
+void ReadService::RevokeSlot(std::uint32_t slot, TxId migration_id) {
+  // A lease on directory `dir` protects cached entries for `dir`'s
+  // children, whose mutations all route by the container slot
+  // SlotOfDir(dir) — exactly the unit a migration moves.
+  Revocation r;
+  for (auto it = grants_.begin(); it != grants_.end();) {
+    if (s_.shard().map().SlotOfDir(it->first) != slot) {
+      ++it;
+      continue;
+    }
+    // RevokeDir erases `dir`'s node; `it` has already moved past it.
+    const std::string dir = (it++)->first;
+    RevokeDir(dir, kInvalidNode, r);
+  }
+  Revoke(std::move(r), migration_id);
+}
+
+void ReadService::Revoke(Revocation r, TxId txid) {
+  if (!r.pushes.empty()) {
+    std::vector<coord::RevokeTarget> targets;
+    targets.reserve(r.pushes.size());
+    for (auto& [node, leases] : r.pushes)
+      targets.push_back({node, std::move(leases)});
+    // Fire-and-forget: a lost relay (or dead coordination frontend) costs
+    // the barrier its fast path, never correctness — the TTL backstop
+    // releases it.
+    s_.coord().RelayLeaseRevokes(std::move(targets), [](Status) {});
+  }
+  if (r.barrier.outstanding.empty()) return;
+  const SimTime release_at = r.barrier.release_at;
+  LeaseBarrier& b = barriers_[txid];
+  b.release_at = std::max(b.release_at, release_at);
+  b.outstanding.insert(r.barrier.outstanding.begin(),
+                       r.barrier.outstanding.end());
+  // TTL backstop. Each install arms a timer for its own release_at; the one
+  // belonging to the final (maximum) deadline performs the release, earlier
+  // ones find the deadline still ahead and stand down.
+  const SimTime now = s_.sim().Now();
+  s_.AfterLocal(release_at > now ? release_at - now : 0, [this, txid] {
+    auto it = barriers_.find(txid);
+    if (it == barriers_.end()) return;  // acks already drained it
+    if (s_.sim().Now() < it->second.release_at) return;  // a later install
+    ReleaseBarrier(txid, /*expired=*/true);
+  });
+}
+
+void ReadService::RunOrHoldOnBarrier(TxId txid, std::function<void()> action) {
+  auto it = barriers_.find(txid);
+  if (it == barriers_.end()) {
+    action();
+    return;
+  }
+  Bump(s_.mutable_counters().lease_replies_held, s_.m().lease_replies_held);
+  it->second.held.push_back(std::move(action));
+}
+
+void ReadService::ReleaseBarrier(TxId txid, bool expired) {
+  auto it = barriers_.find(txid);
+  if (it == barriers_.end()) return;
+  if (expired) {
+    Bump(s_.mutable_counters().lease_barrier_expiries,
+         s_.m().lease_barrier_expiries);
+  }
+  std::vector<std::function<void()>> held = std::move(it->second.held);
+  barriers_.erase(it);
+  for (auto& action : held) action();
+}
+
+void ReadService::HandleRevokeAck(const net::MessagePtr& msg) {
+  const auto& ack = net::Cast<coord::LeaseRevokeAckMsg>(msg);
+  if (ack.client == kInvalidNode || ack.lease_ids.empty()) return;
+  std::vector<TxId> drained;
+  for (auto& [txid, barrier] : barriers_) {
+    for (std::uint64_t id : ack.lease_ids)
+      barrier.outstanding.erase({ack.client, id});
+    if (barrier.outstanding.empty()) drained.push_back(txid);
+  }
+  for (TxId txid : drained) ReleaseBarrier(txid, /*expired=*/false);
+}
+
+}  // namespace mams::core

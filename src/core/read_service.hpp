@@ -1,0 +1,116 @@
+// ReadService — how a server answers reads, and the client-cache leases
+// those reads hand out (docs/PROTOCOLS.md has the state machine). Rebuilt
+// with its server on a crash.
+//
+// A standby answers a read once its applied sn reaches the client's
+// session floor; one slightly ahead parks, one further ahead bounces.
+// Parked reads belong to the standby role.
+//
+// Active-served reads carry a per-(directory, client) lease. A conflicting
+// mutation revokes every overlapping grant (its own ids ride its ack, remote
+// holders get a push) and completes only once every remote holder acked or
+// the last revoked grant expired. The grant table belongs to the active
+// role; the barriers outlive a live step-down, since they hold committed
+// work that acks or the TTL release in any role.
+#pragma once
+
+#include <functional>
+#include <map>
+#include <set>
+#include <string>
+#include <vector>
+
+#include "coord/messages.hpp"
+#include "core/messages.hpp"
+
+namespace mams::core {
+
+class MdsServer;
+
+class ReadService {
+ public:
+  /// Lease ids never repeat, not even across a crash (a client may still
+  /// hold a tombstone for one): `last_lease_id` continues the sequence.
+  ReadService(MdsServer& server, std::uint64_t last_lease_id)
+      : s_(server), next_lease_id_(last_lease_id) {}
+  ReadService(const ReadService&) = delete;
+  ReadService& operator=(const ReadService&) = delete;
+  std::uint64_t last_lease_id() const noexcept { return next_lease_id_; }
+
+  /// A non-standby bounces its parked reads; a non-active drops its grants.
+  void OnRole(ServerState role);
+  /// Shard admission, then the lookup; the active attaches a lease.
+  void Execute(const ClientRequestMsg& req, const ReplyFn& reply,
+               bool from_standby = false);
+  void HandleStandbyRead(const RequestPtr& req, const ReplyFn& reply);
+  /// Serves the parked reads the applied sn now covers.
+  void DrainParked();
+  void FlushParked(const char* why);
+  std::size_t parked_count() const noexcept { return parked_.size(); }
+
+  /// A mutation's revocations, with a barrier under `txid` when any remote
+  /// holder exists; returns `reply` carrying the requester's own ids.
+  ReplyFn RevokeConflicting(const ClientRequestMsg& req, TxId txid,
+                            ReplyFn reply);
+  /// A shard install or removal at `path`: every holder is remote.
+  void RevokeUnder(const std::string& path, TxId txid);
+  /// Migration cutover: every grant under `slot`, barriered under the
+  /// migration id (a TxId, like a mutation's).
+  void RevokeSlot(std::uint32_t slot, TxId migration_id);
+  /// Runs `action` now, or holds it until `txid`'s barrier releases.
+  void RunOrHoldOnBarrier(TxId txid, std::function<void()> action);
+  void HandleRevokeAck(const net::MessagePtr& msg);
+
+ private:
+  struct ParkedRead {
+    RequestPtr req;
+    ReplyFn reply;
+    std::uint64_t token = 0;  ///< identifies the entry to its timeout timer
+  };
+  struct LeaseGrant {
+    std::uint64_t id = 0;
+    SimTime expire_at = 0;
+  };
+  struct LeaseBarrier {
+    /// (client node, lease id) acks still missing.
+    std::set<std::pair<NodeId, std::uint64_t>> outstanding;
+    /// Latest expire_at among the revoked grants: past this instant no
+    /// client can serve them anyway, so the barrier self-releases.
+    SimTime release_at = 0;
+    /// Deferred completions (client acks, cross-group legs) run on release.
+    std::vector<std::function<void()>> held;
+  };
+  /// What one revocation round collects.
+  struct Revocation {
+    std::vector<std::uint64_t> own;  ///< the requester's own grant ids
+    std::map<NodeId, std::vector<coord::LeaseRevocation>> pushes;
+    LeaseBarrier barrier;  ///< remote holders' acks to wait for
+  };
+
+  void ServeStandbyRead(const RequestPtr& req, const ReplyFn& reply);
+  void BounceRead(const ReplyFn& reply, const char* why);
+  void MaybeGrantLease(const ClientRequestMsg& req, ClientResponseMsg& out);
+  /// Drops every grant on directory `dir`: `own`'s ids stay local, every
+  /// other holder gets a push and a place on the barrier.
+  void RevokeDir(const std::string& dir, NodeId own, Revocation& r);
+  /// RevokeDir over `path`'s parent, `path` itself, and its subtree.
+  void CollectRevocations(const std::string& path, NodeId own, Revocation& r);
+  /// Pushes the revocations and installs the barrier under `txid`.
+  void Revoke(Revocation r, TxId txid);
+  void ReleaseBarrier(TxId txid, bool expired);
+
+  MdsServer& s_;
+  /// Keyed by the sn each read waits for.
+  std::multimap<SerialNumber, ParkedRead> parked_;
+  std::uint64_t parked_token_seq_ = 0;
+  /// Leased directory -> holder node -> grant. Never persisted or
+  /// replicated: no grant outlives the granter's session (see kLeaseTtl).
+  std::map<std::string, std::map<NodeId, LeaseGrant>> grants_;
+  std::size_t grant_count_ = 0;
+  std::uint64_t next_lease_id_ = 0;
+  /// By txid (or migration id). A crash drops them with their held
+  /// replies, which clients retry anyway.
+  std::map<TxId, LeaseBarrier> barriers_;
+};
+
+}  // namespace mams::core

@@ -1,18 +1,9 @@
-// Shard subsystem engine for MdsServer: partition-map adoption and
-// enforcement, the journal-backed shard MigrationEngine (source and
-// destination sides), and the two-group cross-group rename transaction.
-//
-// Durability model: every state transition that must survive a failover is
-// a journal record replicated through the group's modified 2PC before it
-// takes externally visible effect (chunk acks, activation acks, client
-// replies). The volatile MigrationDrive/RenameDrive structures only *drive*
-// progress; a promoted active reconstructs what was in flight from the
-// tree's ShardState alone (ResumeShardState) and rolls forward or aborts.
+#include "core/shard_engine.hpp"
+
 #include <algorithm>
 
 #include "core/mds_server.hpp"
 #include "fsns/path.hpp"
-#include "net/rpc.hpp"
 
 namespace mams::core {
 
@@ -29,91 +20,108 @@ constexpr std::size_t kChunkRecords = 32;
 constexpr SimTime kDrainPoll = 50 * kMillisecond;
 constexpr int kDrainPolls = 40;
 
+/// Acks a control leg. By value: the ack often fires from a journal-commit
+/// callback long after the handler's frame is gone.
+std::function<void(const Status&)> ControlAck(ReplyFn reply) {
+  return [reply = std::move(reply)](const Status& s) {
+    auto out = std::make_shared<ShardControlAckMsg>();
+    out->ok = s.ok();
+    out->code = s.code();
+    out->error = s.message();
+    reply(out);
+  };
+}
+
+/// A migration leg's message from `group` about `slot`'s migration `mid`.
+template <class Msg>
+std::shared_ptr<Msg> LegMsg(GroupId group, std::uint32_t slot, TxId mid) {
+  auto msg = std::make_shared<Msg>();
+  msg->from_group = group;
+  msg->slot = slot;
+  msg->migration_id = mid;
+  return msg;
+}
+
 }  // namespace
+
+ShardEngine::ShardEngine(MdsServer& server)
+    : s_(server), map_(server.options().partition_map) {}
 
 // --- partition map ------------------------------------------------------------
 
-void MdsServer::AdoptMap(std::uint64_t epoch, const std::vector<char>& bytes) {
+void ShardEngine::AdoptMap(std::uint64_t epoch,
+                           const std::vector<char>& bytes) {
   if (epoch == 0 || epoch <= map_.epoch()) return;
   auto m = shard::PartitionMap::Deserialize(bytes);
   if (!m.ok()) {
     MAMS_WARN("shard", "%s: undecodable partition map epoch %llu",
-              name().c_str(), (unsigned long long)epoch);
+              s_.name().c_str(), (unsigned long long)epoch);
     return;
   }
   MAMS_INFO("shard", "%s: adopting partition map epoch %llu (was %llu)",
-            name().c_str(), (unsigned long long)epoch,
+            s_.name().c_str(), (unsigned long long)epoch,
             (unsigned long long)map_.epoch());
   map_ = std::move(m).value();
 }
 
-void MdsServer::FetchMapFromCoord() {
-  coord_client_->GetMap(
+void ShardEngine::FetchMapFromCoord() {
+  s_.coord().GetMap(
       [this](Status s, std::uint64_t epoch, const std::vector<char>& bytes) {
         if (s.ok()) AdoptMap(epoch, bytes);
       });
 }
 
-bool MdsServer::OwnsSlotForRead(std::uint32_t slot) const {
-  const fsns::Tree::ShardState& sh = tree_.shard();
+bool ShardEngine::OwnsSlotForRead(std::uint32_t slot) const {
+  const fsns::Tree::ShardState& sh = s_.tree().shard();
   // Journal-derived ownership overrides the cached map in both directions:
   // an acquired slot is served before the new map arrives, and a slot we
   // cut away is bounced even while the map still names us its owner.
   if (sh.acquired.contains(slot)) return true;
-  if (map_.OwnerOfSlot(slot) != options_.group) return false;
+  if (map_.OwnerOfSlot(slot) != s_.group()) return false;
   if (sh.migrated_out.contains(slot)) return false;
   auto ob = sh.outbound.find(slot);
   if (ob != sh.outbound.end() && ob->second.cutover) return false;
   return true;
 }
 
-bool MdsServer::OwnsSlotForWrite(std::uint32_t slot) const {
-  if (!OwnsSlotForRead(slot)) return false;
-  auto it = drives_.find(slot);
-  return it == drives_.end() || !it->second.fence;
+const char* ShardEngine::WriteRefusal(std::uint32_t slot) const {
+  if (!OwnsSlotForRead(slot)) return "slot not owned";
+  // Cutover fence: the slot is mid hand-off. The bounce carries the
+  // *current* map, which the client already has — it backs off one poll
+  // interval rather than spinning its attempt budget away.
+  if (!OwnsSlotForWrite(slot)) return "shard cutover in progress";
+  return nullptr;
 }
 
-bool MdsServer::RenameFenced(const ClientRequestMsg& req) const {
-  const auto& intents = tree_.shard().rename_intents;
-  if (intents.empty()) return false;
-  auto under = [](const std::string& ancestor, const std::string& path) {
-    if (ancestor.size() >= path.size()) return false;
-    if (path.compare(0, ancestor.size(), ancestor) != 0) return false;
-    return ancestor == "/" || path[ancestor.size()] == '/';
-  };
-  for (const auto& [src, intent] : intents) {
-    if (req.path == src || req.path == intent.dst) return true;
-    if (under(req.path, src)) return true;
-    if (!req.path2.empty()) {
-      if (req.path2 == src || req.path2 == intent.dst) return true;
-      if (under(req.path2, src)) return true;
+bool ShardEngine::RenameFenced(const ClientRequestMsg& req) const {
+  for (const auto& [src, intent] : s_.tree().shard().rename_intents) {
+    auto touches = [&](const std::string& p) {
+      return p == intent.dst || fsns::IsPrefixPath(p, src);
+    };
+    if (touches(req.path) || (!req.path2.empty() && touches(req.path2))) {
+      return true;
     }
   }
   return false;
 }
 
-void MdsServer::ShardBounce(const ReplyFn& reply, const char* why) {
-  ++counters_.shard_bounces;
-  m_.shard_bounces->Add();
-  auto out = std::make_shared<ClientResponseMsg>();
-  out->ok = false;
-  out->code = StatusCode::kUnavailable;
-  out->error = why;
+void ShardEngine::Bounce(const ReplyFn& reply, const char* why) {
+  Bump(s_.mutable_counters().shard_bounces, s_.m().shard_bounces);
+  auto out = s_.StatusReply(Status::Unavailable(why));
   out->shard_bounce = true;
   out->map_epoch = map_.epoch();
   out->map_bytes = map_.Serialize();
-  StampReply(*out, last_sn_);
   reply(out);
 }
 
-bool MdsServer::ShardAdmitRead(const ClientRequestMsg& req,
-                               const ReplyFn& reply) {
+bool ShardEngine::AdmitRead(const ClientRequestMsg& req,
+                            const ReplyFn& reply) {
   if (RenameFenced(req)) {
     // The entry is mid-flight between two groups; its linearization point
     // is the destination commit, so neither side may answer for it yet. A
     // bounce (not a bare Unavailable) so the client paces its retries
     // instead of burning its attempt budget against the fence.
-    ShardBounce(reply, "cross-group rename in progress");
+    Bounce(reply, "cross-group rename in progress");
     return false;
   }
   // A listing enumerates the directory's children, which all hash by this
@@ -122,53 +130,38 @@ bool MdsServer::ShardAdmitRead(const ClientRequestMsg& req,
                                  ? map_.SlotOfDir(req.path)
                                  : map_.SlotOf(req.path);
   if (!OwnsSlotForRead(slot)) {
-    ShardBounce(reply, "slot not owned");
+    Bounce(reply, "slot not owned");
     return false;
   }
   return true;
 }
 
-bool MdsServer::ShardAdmitMutation(const ClientRequestMsg& req,
-                                   const ReplyFn& reply) {
+bool ShardEngine::AdmitMutation(const ClientRequestMsg& req,
+                                const ReplyFn& reply) {
   if (RenameFenced(req)) {
-    ShardBounce(reply, "cross-group rename in progress");
+    Bounce(reply, "cross-group rename in progress");
     return false;
   }
   const std::uint32_t slot = map_.SlotOf(req.path);
-  if (!OwnsSlotForRead(slot)) {
-    ShardBounce(reply, "slot not owned");
-    return false;
-  }
-  if (!OwnsSlotForWrite(slot)) {
-    // Cutover fence: the slot is mid hand-off. The bounce carries the
-    // *current* map, which the client already has — it backs off one poll
-    // interval rather than spinning its attempt budget away.
-    ShardBounce(reply, "shard cutover in progress");
-    return false;
-  }
-  if (req.op == ClientOp::kRename) {
+  const char* why = WriteRefusal(slot);
+  if (why == nullptr && req.op == ClientOp::kRename) {
     const std::uint32_t dslot = map_.SlotOf(req.path2);
-    if (dslot != slot) {
-      if (!OwnsSlotForRead(dslot)) {
-        ShardBounce(reply, "slot not owned");
-        return false;
-      }
-      if (!OwnsSlotForWrite(dslot)) {
-        ShardBounce(reply, "shard cutover in progress");
-        return false;
-      }
-    }
+    if (dslot != slot) why = WriteRefusal(dslot);
+  }
+  if (why != nullptr) {
+    Bounce(reply, why);
+    return false;
   }
   // Structural restriction: deleting or renaming a *directory* relocates
   // every descendant entry's slot, which the per-path snapshot/delta
   // machinery cannot track mid-migration. Such ops stall until the
   // namespace stops moving.
   if (req.op == ClientOp::kDelete || req.op == ClientOp::kRename) {
-    const fsns::Inode* node = tree_.FindInode(req.path);
+    const fsns::Inode* node = s_.tree().FindInode(req.path);
     if (node != nullptr && node->is_dir) {
-      const fsns::Tree::ShardState& sh = tree_.shard();
+      const fsns::Tree::ShardState& sh = s_.tree().shard();
       if (!drives_.empty() || !sh.outbound.empty() || !sh.inbound.empty()) {
-        ShardBounce(reply, "namespace repartitioning in progress");
+        Bounce(reply, "namespace repartitioning in progress");
         return false;
       }
     }
@@ -178,37 +171,37 @@ bool MdsServer::ShardAdmitMutation(const ClientRequestMsg& req,
 
 // --- journaling helpers -------------------------------------------------------
 
-TxId MdsServer::AppendShardRecord(journal::LogRecord rec) {
+TxId ShardEngine::AppendShardRecord(journal::LogRecord rec) {
   journal::LogRecord applied = rec;
-  const TxId txid = writer_->Append(std::move(rec));
+  const TxId txid = s_.commit()->Append(std::move(rec));
   applied.txid = txid;
   CaptureMigrationDelta(applied);
-  Status s = tree_.Apply(applied);
+  Status s = s_.mutable_tree().Apply(applied);
   if (!s.ok()) {
-    MAMS_ERROR("shard", "%s: shard record apply failed: %s", name().c_str(),
-               s.ToString().c_str());
+    MAMS_ERROR("shard", "%s: shard record apply failed: %s",
+               s_.name().c_str(), s.ToString().c_str());
   }
   return txid;
 }
 
-TxId MdsServer::JournalShardRecord(journal::LogRecord rec,
-                                   std::function<void(bool)> done) {
-  if (role_ != ServerState::kActive || !writer_) {
+TxId ShardEngine::JournalShardRecord(journal::LogRecord rec,
+                                     std::function<void(bool)> done) {
+  const std::shared_ptr<CommitPath>& commit = s_.commit();
+  if (!commit) {
     if (done) done(false);
     return 0;
   }
   const TxId txid = AppendShardRecord(std::move(rec));
   if (done) {
-    pending_replies_[txid].push_back([done](net::MessagePtr m) {
-      const auto& resp = net::Cast<ClientResponseMsg>(m);
-      done(resp.ok);
+    commit->Await(txid, [done](net::MessagePtr m) {
+      done(net::Cast<ClientResponseMsg>(m).ok);
     });
   }
-  SealIfSlotFree();
+  commit->SealIfSlotFree();
   return txid;
 }
 
-void MdsServer::CaptureMigrationDelta(const journal::LogRecord& rec) {
+void ShardEngine::CaptureMigrationDelta(const journal::LogRecord& rec) {
   if (drives_.empty()) return;
   auto note = [this](const std::string& path) {
     if (path.empty()) return;
@@ -222,24 +215,25 @@ void MdsServer::CaptureMigrationDelta(const journal::LogRecord& rec) {
 }
 
 template <class Ack>
-void MdsServer::SendShardLeg(GroupId group, net::MessagePtr msg,
-                             SimTime backoff, std::function<bool()> stale,
-                             std::function<void(const Ack&)> on_ack,
-                             net::RpcHooks hooks) {
+void ShardEngine::SendLeg(GroupId group, net::MessagePtr msg, SimTime backoff,
+                          std::function<bool()> stale,
+                          std::function<void(const Ack&)> on_ack,
+                          net::RpcHooks hooks) {
   const net::RpcPolicy policy{
-      .attempt_timeout = kFetchRpc.attempt_timeout,
+      .attempt_timeout = MdsServer::kFetchRpc.attempt_timeout,
       .max_attempts = 0,
       .backoff_base = backoff,
       .backoff_multiplier = 1.0,
       .backoff_cap = backoff,
       .jitter = 0.0,
   };
-  std::function<bool()> gone = [this, stale = std::move(stale)] {
-    return role_ != ServerState::kActive || !alive() || (stale && stale());
+  std::function<bool()> gone = [tenure = std::weak_ptr(s_.commit()),
+                                stale = std::move(stale)] {
+    return tenure.expired() || (stale && stale());
   };
   // The peer group's active is looked up afresh on every attempt, so a
   // resend follows the peer's failover; kInvalidNode burns the attempt.
-  hooks.target = [this, group](int) { return directory_->Active(group); };
+  hooks.target = [this, group](int) { return s_.directory()->Active(group); };
   if (!hooks.retry_response) {
     hooks.retry_response = [](const net::MessagePtr& m) {
       return !net::Cast<Ack>(m).ok;
@@ -247,7 +241,7 @@ void MdsServer::SendShardLeg(GroupId group, net::MessagePtr msg,
   }
   hooks.cancelled = gone;
   net::RpcCall::Start(
-      *this, kInvalidNode, std::move(msg), policy,
+      s_, kInvalidNode, std::move(msg), policy,
       [gone, on_ack = std::move(on_ack)](Result<net::MessagePtr> r) {
         // With unlimited attempts the call ends only on an accepted ack or
         // on cancellation; an ack landing after the drive went stale drops.
@@ -256,47 +250,40 @@ void MdsServer::SendShardLeg(GroupId group, net::MessagePtr msg,
       std::move(hooks));
 }
 
-bool MdsServer::MigrationStale(std::uint32_t slot, TxId migration_id) const {
-  auto it = drives_.find(slot);
-  return it == drives_.end() || it->second.migration_id != migration_id;
-}
-
 // --- migration engine: source side --------------------------------------------
 
-Status MdsServer::StartShardMigration(std::uint32_t slot, GroupId dst) {
-  if (role_ != ServerState::kActive || !alive()) {
-    return Status::FailedPrecondition("not active");
-  }
+Status ShardEngine::StartMigration(std::uint32_t slot, GroupId dst) {
+  if (!s_.commit()) return Status::FailedPrecondition("not active");
   if (slot >= map_.slot_count()) return Status::InvalidArgument("bad slot");
-  if (dst == options_.group) return Status::InvalidArgument("dst is self");
+  if (dst == s_.group()) return Status::InvalidArgument("dst is self");
   if (!OwnsSlotForWrite(slot)) {
     return Status::FailedPrecondition("slot not owned");
   }
-  const fsns::Tree::ShardState& sh = tree_.shard();
+  const fsns::Tree::ShardState& sh = s_.tree().shard();
   if (drives_.contains(slot) || sh.outbound.contains(slot) ||
       sh.inbound.contains(slot)) {
     return Status::FailedPrecondition("migration already in flight");
   }
-  ++counters_.migrations_started;
+  ++s_.mutable_counters().migrations_started;
   MigrationDrive& d = drives_[slot];
   d.dst = dst;
   d.stats.slot = slot;
   d.stats.dst = dst;
-  d.stats.begin_time = sim().Now();
+  d.stats.begin_time = s_.sim().Now();
 
   journal::LogRecord begin;
   begin.op = journal::OpCode::kShardMigrateBegin;
   begin.block = slot;
   begin.replication = dst;
-  begin.mtime = sim().Now();
+  begin.mtime = s_.sim().Now();
   const TxId mid = JournalShardRecord(
       std::move(begin), [this, slot](bool ok) {
         auto it = drives_.find(slot);
         if (it == drives_.end()) return;
         if (!ok) {
-          ++counters_.migrations_aborted;
+          ++s_.mutable_counters().migrations_aborted;
           it->second.stats.aborted = true;
-          migration_stats_.push_back(it->second.stats);
+          stats_.push_back(it->second.stats);
           drives_.erase(it);
           return;
         }
@@ -310,18 +297,28 @@ Status MdsServer::StartShardMigration(std::uint32_t slot, GroupId dst) {
   // same instant — nothing can slip between image and delta stream. The
   // cutover_fence mutation knocks out exactly this guarantee: accepted
   // writes are never captured, so everything after the snapshot is lost.
-  d.capturing = !options_.test_hooks.skip_cutover_fence;
-  SnapshotShard(d);
+  d.capturing = !s_.options().test_hooks.skip_cutover_fence;
+  std::vector<journal::LogRecord> cur;
+  s_.tree().ForEachNode([&](const std::string& path, const fsns::Inode& node) {
+    if (map_.SlotOf(path) != slot) return;
+    if (cur.size() >= kChunkRecords) {
+      d.chunks.push_back(std::move(cur));
+      cur.clear();
+    }
+    AppendInstallRecords(path, node, cur);
+    ++d.stats.entries;
+  });
+  if (!cur.empty()) d.chunks.push_back(std::move(cur));
   MAMS_INFO("shard",
             "%s: migration %llu: slot %u -> group %u (%llu entries, %zu chunks)",
-            name().c_str(), (unsigned long long)mid, slot, dst,
+            s_.name().c_str(), (unsigned long long)mid, slot, dst,
             (unsigned long long)d.stats.entries, d.chunks.size());
   return Status::Ok();
 }
 
-void MdsServer::AppendInstallRecords(const std::string& path,
-                                     const fsns::Inode& node,
-                                     std::vector<journal::LogRecord>& out) {
+void ShardEngine::AppendInstallRecords(const std::string& path,
+                                       const fsns::Inode& node,
+                                       std::vector<journal::LogRecord>& out) {
   journal::LogRecord rec;
   rec.path = path;
   rec.path2 = node.owner;
@@ -350,38 +347,20 @@ void MdsServer::AppendInstallRecords(const std::string& path,
   }
 }
 
-void MdsServer::SnapshotShard(MigrationDrive& d) {
-  const std::uint32_t slot = d.stats.slot;
-  std::vector<journal::LogRecord> cur;
-  tree_.ForEachNode([&](const std::string& path, const fsns::Inode& node) {
-    if (map_.SlotOf(path) != slot) return;
-    if (cur.size() >= kChunkRecords) {
-      d.chunks.push_back(std::move(cur));
-      cur.clear();
-    }
-    AppendInstallRecords(path, node, cur);
-    ++d.stats.entries;
-  });
-  if (!cur.empty()) d.chunks.push_back(std::move(cur));
-}
-
-void MdsServer::SendNextChunk(std::uint32_t slot) {
+void ShardEngine::SendNextChunk(std::uint32_t slot) {
   auto it = drives_.find(slot);
-  if (it == drives_.end() || role_ != ServerState::kActive || !alive()) return;
+  if (it == drives_.end()) return;
   MigrationDrive& d = it->second;
   if (d.next_chunk >= d.chunks.size()) {
     StartCutover(slot);
     return;
   }
   const TxId mid = d.migration_id;
-  auto msg = std::make_shared<ShardTransferMsg>();
-  msg->from_group = options_.group;
-  msg->slot = slot;
-  msg->migration_id = mid;
+  auto msg = LegMsg<ShardTransferMsg>(s_.group(), slot, mid);
   msg->seq = d.next_seq;
   // Every resend carries this same message, so it owns the chunk now.
   msg->records = std::move(d.chunks[d.next_chunk]);
-  SendShardLeg<ShardTransferAckMsg>(
+  SendLeg<ShardTransferAckMsg>(
       d.dst, std::move(msg), kRetryDelay,
       [this, slot, mid] { return MigrationStale(slot, mid); },
       [this, slot](const ShardTransferAckMsg&) {
@@ -393,11 +372,11 @@ void MdsServer::SendNextChunk(std::uint32_t slot) {
       });
 }
 
-void MdsServer::StartCutover(std::uint32_t slot) {
+void ShardEngine::StartCutover(std::uint32_t slot) {
   auto it = drives_.find(slot);
   if (it == drives_.end()) return;
   MigrationDrive& d = it->second;
-  if (options_.test_hooks.skip_cutover_fence) {
+  if (s_.options().test_hooks.skip_cutover_fence) {
     // Mutation self-test: keep accepting writes through the cutover but
     // stop capturing them — they are acknowledged, never shipped, and
     // vanish when kShardMigrateEnd drops the slot. The checker must flag
@@ -410,53 +389,48 @@ void MdsServer::StartCutover(std::uint32_t slot) {
   // revoked now: after cutover their mutations commit at the destination,
   // which cannot reach grants recorded here. SendActivate holds the
   // destination's activation on the revocations' barrier.
-  RevokeSlotLeases(slot, d.migration_id);
-  d.stats.fence_time = sim().Now();
+  s_.reads().RevokeSlot(slot, d.migration_id);
+  d.stats.fence_time = s_.sim().Now();
   DrainThenShip(slot, kDrainPolls);
 }
 
-void MdsServer::DrainThenShip(std::uint32_t slot, int polls_left) {
-  auto it = drives_.find(slot);
-  if (it == drives_.end() || role_ != ServerState::kActive || !alive()) return;
+void ShardEngine::DrainThenShip(std::uint32_t slot, int polls_left) {
+  if (!drives_.contains(slot)) return;
   // Every fenced-out writer has already been bounced; what remains is the
   // journal pipeline — in-flight 2PC syncs and records waiting for a window
   // slot. Once both are empty, every accepted slot write is committed and
   // sits in `dirty`.
-  const bool drained = commit_queue_depth() == 0;
+  const bool drained = s_.commit_queue_depth() == 0;
   if (drained || polls_left <= 0) {
     MAMS_DEBUG("shard", "%s: slot %u drained (polls left %d); shipping final",
-               name().c_str(), slot, polls_left);
+               s_.name().c_str(), slot, polls_left);
     ShipFinalChunk(slot);
     return;
   }
-  AfterLocal(kDrainPoll, [this, slot, polls_left] {
+  s_.AfterLocal(kDrainPoll, [this, slot, polls_left] {
     DrainThenShip(slot, polls_left - 1);
   });
 }
 
-void MdsServer::ShipFinalChunk(std::uint32_t slot) {
-  auto it = drives_.find(slot);
-  if (it == drives_.end() || role_ != ServerState::kActive || !alive()) return;
-  MigrationDrive& d = it->second;
+void ShardEngine::ShipFinalChunk(std::uint32_t slot) {
+  MigrationDrive& d = drives_.at(slot);
   const TxId mid = d.migration_id;
   d.capturing = false;
 
-  auto msg = std::make_shared<ShardTransferMsg>();
-  msg->from_group = options_.group;
-  msg->slot = slot;
-  msg->migration_id = mid;
+  auto msg = LegMsg<ShardTransferMsg>(s_.group(), slot, mid);
   msg->seq = d.next_seq;
   msg->final_chunk = true;
   // Delta records: for each path mutated since the snapshot, ship its
   // current state (install) or its absence (erase). std::set iteration
   // keeps the order deterministic.
+  const fsns::Tree& tree = s_.tree();
   for (const std::string& path : d.dirty) {
-    const fsns::Inode* node = tree_.FindInode(path);
+    const fsns::Inode* node = tree.FindInode(path);
     if (node == nullptr) {
       journal::LogRecord er;
       er.op = journal::OpCode::kShardErase;
       er.path = path;
-      er.mtime = sim().Now();
+      er.mtime = s_.sim().Now();
       msg->records.push_back(std::move(er));
     } else {
       AppendInstallRecords(path, *node, msg->records);
@@ -468,12 +442,11 @@ void MdsServer::ShipFinalChunk(std::uint32_t slot) {
   // would have been here. Ascending (client, seq) replay reproduces each
   // entry's max_seq/recent window bit-for-bit.
   std::vector<std::uint64_t> clients;
-  clients.reserve(tree_.client_table().size());
-  for (const auto& [cid, entry] : tree_.client_table()) clients.push_back(cid);
+  clients.reserve(tree.client_table().size());
+  for (const auto& [cid, entry] : tree.client_table()) clients.push_back(cid);
   std::sort(clients.begin(), clients.end());
   for (std::uint64_t cid : clients) {
-    const fsns::Tree::ClientEntry& entry = tree_.client_table().at(cid);
-    for (std::uint64_t seq : entry.recent) {
+    for (std::uint64_t seq : tree.client_table().at(cid).recent) {
       journal::LogRecord dr;
       dr.op = journal::OpCode::kShardInstallDedup;
       dr.client = ClientOpId{cid, seq};
@@ -483,7 +456,7 @@ void MdsServer::ShipFinalChunk(std::uint32_t slot) {
 
   // Built once and resent verbatim: the dirty set is consumed above and
   // cannot be rebuilt.
-  SendShardLeg<ShardTransferAckMsg>(
+  SendLeg<ShardTransferAckMsg>(
       d.dst, std::move(msg), kRetryDelay,
       [this, slot, mid] { return MigrationStale(slot, mid); },
       [this, slot, mid](const ShardTransferAckMsg&) {
@@ -494,20 +467,20 @@ void MdsServer::ShipFinalChunk(std::uint32_t slot) {
         journal::LogRecord rec;
         rec.op = journal::OpCode::kShardMigrateCutover;
         rec.block = slot;
-        rec.mtime = sim().Now();
+        rec.mtime = s_.sim().Now();
         JournalShardRecord(std::move(rec), [this, slot, mid](bool ok) {
           // Not ok: deposed; the successor resumes off the journal.
           if (!ok || MigrationStale(slot, mid)) return;
           MAMS_DEBUG("shard", "%s: slot %u cutover durable; activating",
-                     name().c_str(), slot);
+                     s_.name().c_str(), slot);
           SendActivate(slot);
         });
       });
 }
 
-void MdsServer::SendActivate(std::uint32_t slot) {
+void ShardEngine::SendActivate(std::uint32_t slot) {
   auto it = drives_.find(slot);
-  if (it == drives_.end() || role_ != ServerState::kActive || !alive()) return;
+  if (it == drives_.end()) return;
   const TxId mid = it->second.migration_id;
   const GroupId dst = it->second.dst;
   // The destination must not commit mutations for the slot while a client
@@ -516,88 +489,78 @@ void MdsServer::SendActivate(std::uint32_t slot) {
   // by the lease TTL, which is under the failover window. (A crash-resumed
   // migration has no barrier: the crash dropped the grant table, and the
   // successor's election already outwaited every possible TTL.)
-  RunOrHoldOnBarrier(mid, [this, slot, mid, dst] {
-    auto msg = std::make_shared<ShardControlMsg>();
+  s_.reads().RunOrHoldOnBarrier(mid, [this, slot, mid, dst] {
+    auto msg = LegMsg<ShardControlMsg>(s_.group(), slot, mid);
     msg->kind = ShardControlKind::kActivate;
-    msg->from_group = options_.group;
-    msg->slot = slot;
-    msg->migration_id = mid;
-    SendShardLeg<ShardControlAckMsg>(
+    SendLeg<ShardControlAckMsg>(
         dst, std::move(msg), kRetryDelay,
         [this, slot, mid] { return MigrationStale(slot, mid); },
         [this, slot](const ShardControlAckMsg&) {
           MAMS_DEBUG("shard", "%s: slot %u activated at destination; publishing",
-                     name().c_str(), slot);
+                     s_.name().c_str(), slot);
           PublishMapForSlot(slot);
         });
   });
 }
 
-void MdsServer::PublishMapForSlot(std::uint32_t slot) {
+void ShardEngine::PublishMapForSlot(std::uint32_t slot) {
   auto it = drives_.find(slot);
-  if (it == drives_.end() || role_ != ServerState::kActive || !alive()) return;
+  if (it == drives_.end()) return;
   const TxId mid = it->second.migration_id;
   const GroupId dst = it->second.dst;
-  auto retry = [this, slot, mid] {
-    AfterLocal(kRetryDelay, [this, slot, mid] {
-      if (!MigrationStale(slot, mid)) PublishMapForSlot(slot);
-    });
-  };
   shard::PartitionMap next = map_;
   next.Assign(slot, dst);
-  coord_client_->PublishMap(
-      next.epoch(), next.Serialize(), [this, slot, mid, dst, retry](Status) {
+  s_.coord().PublishMap(
+      next.epoch(), next.Serialize(), [this, slot, mid, dst](Status) {
         // Publish-then-verify: concurrent publishers can collide on the
         // epoch and the service keeps the first arrival, silently dropping
         // the loser. Read the decided map back; if our assignment lost,
         // re-assign on the winner's map (newer epoch) and republish.
-        coord_client_->GetMap([this, slot, mid, dst, retry](
-                                  Status s, std::uint64_t epoch,
-                                  const std::vector<char>& bytes) {
-          auto it = drives_.find(slot);
-          if (it == drives_.end() || it->second.migration_id != mid) return;
-          if (role_ != ServerState::kActive || !alive()) return;
+        s_.coord().GetMap([this, slot, mid, dst](
+                              Status s, std::uint64_t epoch,
+                              const std::vector<char>& bytes) {
+          if (MigrationStale(slot, mid)) return;
           if (s.ok()) AdoptMap(epoch, bytes);
           if (map_.OwnerOfSlot(slot) == dst) {
-            it->second.stats.publish_time = sim().Now();
+            drives_.at(slot).stats.publish_time = s_.sim().Now();
             FinishMigration(slot);
             return;
           }
           MAMS_DEBUG("shard",
                      "%s: publish verify for slot %u: epoch %llu owner %u "
                      "(want %u); retrying",
-                     name().c_str(), slot, (unsigned long long)map_.epoch(),
+                     s_.name().c_str(), slot, (unsigned long long)map_.epoch(),
                      map_.OwnerOfSlot(slot), dst);
-          retry();
+          s_.AfterLocal(kRetryDelay, [this, slot, mid] {
+            if (!MigrationStale(slot, mid)) PublishMapForSlot(slot);
+          });
         });
       });
 }
 
-void MdsServer::FinishMigration(std::uint32_t slot) {
-  auto it = drives_.find(slot);
-  if (it == drives_.end() || role_ != ServerState::kActive || !alive()) return;
-  const TxId mid = it->second.migration_id;
+void ShardEngine::FinishMigration(std::uint32_t slot) {
+  const TxId mid = drives_.at(slot).migration_id;
   journal::LogRecord rec;
   rec.op = journal::OpCode::kShardMigrateEnd;
   rec.block = slot;
   rec.replication = map_.slot_count();
-  rec.mtime = sim().Now();
+  rec.mtime = s_.sim().Now();
   JournalShardRecord(std::move(rec), [this, slot, mid](bool ok) {
-    auto it = drives_.find(slot);
-    if (it == drives_.end() || it->second.migration_id != mid) return;
-    if (!ok) return;  // deposed; the successor re-runs the end off the journal
-    it->second.stats.end_time = sim().Now();
-    ++counters_.migrations_completed;
-    m_.migrations_completed->Add();
+    // Not ok: deposed; the successor re-runs the end off the journal.
+    if (!ok || MigrationStale(slot, mid)) return;
+    MigrationDrive& d = drives_.at(slot);
+    d.stats.end_time = s_.sim().Now();
+    Bump(s_.mutable_counters().migrations_completed,
+         s_.m().migrations_completed);
     MAMS_INFO("shard", "%s: migration %llu done: slot %u -> group %u",
-              name().c_str(), (unsigned long long)mid, slot, it->second.dst);
-    migration_stats_.push_back(it->second.stats);
-    drives_.erase(it);
+              s_.name().c_str(), (unsigned long long)mid, slot, d.dst);
+    stats_.push_back(d.stats);
+    drives_.erase(slot);
   });
 }
 
-void MdsServer::AbortOutbound(std::uint32_t slot) {
-  const fsns::Tree::ShardState& sh = tree_.shard();
+void ShardEngine::AbortOutbound(std::uint32_t slot) {
+  const fsns::Tree::ShardState& sh = s_.tree().shard();
   auto ob = sh.outbound.find(slot);
   if (ob == sh.outbound.end() || ob->second.cutover) return;
   const TxId mid = ob->second.migration_id;
@@ -605,24 +568,21 @@ void MdsServer::AbortOutbound(std::uint32_t slot) {
   journal::LogRecord rec;
   rec.op = journal::OpCode::kShardMigrateAbort;
   rec.block = slot;
-  rec.mtime = sim().Now();
+  rec.mtime = s_.sim().Now();
   JournalShardRecord(std::move(rec), [this, slot, mid, dst](bool ok) {
     if (!ok) return;
-    ++counters_.migrations_aborted;
+    ++s_.mutable_counters().migrations_aborted;
     // Best effort: the destination's watchdog queries us and learns the
     // abort from our journal history even if this never gets through.
-    auto msg = std::make_shared<ShardControlMsg>();
+    auto msg = LegMsg<ShardControlMsg>(s_.group(), slot, mid);
     msg->kind = ShardControlKind::kAbort;
-    msg->from_group = options_.group;
-    msg->slot = slot;
-    msg->migration_id = mid;
-    SendShardLeg<ShardControlAckMsg>(dst, std::move(msg), kRetryDelay,
-                                     nullptr, [](const ShardControlAckMsg&) {});
+    SendLeg<ShardControlAckMsg>(dst, std::move(msg), kRetryDelay, nullptr,
+                                [](const ShardControlAckMsg&) {});
   });
 }
 
-void MdsServer::RollForwardOutbound(std::uint32_t slot) {
-  const fsns::Tree::ShardState& sh = tree_.shard();
+void ShardEngine::RollForwardOutbound(std::uint32_t slot) {
+  const fsns::Tree::ShardState& sh = s_.tree().shard();
   auto ob = sh.outbound.find(slot);
   if (ob == sh.outbound.end() || !ob->second.cutover) return;
   // The previous active journaled the cutover, so the destination holds
@@ -634,52 +594,51 @@ void MdsServer::RollForwardOutbound(std::uint32_t slot) {
   d.stats.slot = slot;
   d.stats.dst = d.dst;
   d.stats.migration_id = d.migration_id;
-  d.stats.begin_time = sim().Now();  // resumed; source-side timings are gone
-  d.stats.fence_time = sim().Now();
+  d.stats.begin_time = s_.sim().Now();  // resumed; source timings are gone
+  d.stats.fence_time = s_.sim().Now();
   MAMS_INFO("shard", "%s: rolling migration %llu forward (slot %u -> %u)",
-            name().c_str(), (unsigned long long)d.migration_id, slot, d.dst);
+            s_.name().c_str(), (unsigned long long)d.migration_id, slot,
+            d.dst);
   SendActivate(slot);
 }
 
 // --- migration engine: destination side ---------------------------------------
 
-void MdsServer::HandleShardTransfer(const net::Envelope&,
-                                    const net::MessagePtr& msg,
-                                    const ReplyFn& reply) {
+void ShardEngine::HandleTransfer(const net::MessagePtr& msg,
+                                 const ReplyFn& reply) {
   auto req = std::static_pointer_cast<const ShardTransferMsg>(msg);
   // Applying a chunk costs CPU like the equivalent client writes would.
-  const SimTime cost =
-      options_.costs.create * static_cast<SimTime>(1 + req->records.size() / 4);
-  AfterLocal(ChargeCpu(cost), [this, req, reply] {
-    auto nack = [&reply](const char* why) {
+  const SimTime cost = s_.options().costs.create *
+                       static_cast<SimTime>(1 + req->records.size() / 4);
+  s_.AfterLocal(s_.ChargeCpu(cost), [this, req, reply] {
+    auto ack = [&reply](bool ok, const char* why) {
       auto out = std::make_shared<ShardTransferAckMsg>();
-      out->ok = false;
+      out->ok = ok;
       out->error = why;
       reply(out);
     };
-    if (role_ != ServerState::kActive || upgrade_in_progress_ || !writer_) {
-      nack("not active");
+    const std::shared_ptr<CommitPath>& commit = s_.commit();
+    if (!commit) {
+      ack(false, "not active");
       return;
     }
-    const fsns::Tree::ShardState& sh = tree_.shard();
+    const fsns::Tree::ShardState& sh = s_.tree().shard();
     if (sh.acquired.contains(req->slot)) {
       // Stale duplicate after activation: ack without touching the tree —
       // replaying the transfer would clobber post-activation client writes.
-      auto out = std::make_shared<ShardTransferAckMsg>();
-      out->ok = true;
-      reply(out);
+      ack(true, "");
       return;
     }
     auto ib = sh.inbound.find(req->slot);
     if (ib != sh.inbound.end() &&
         ib->second.migration_id != req->migration_id) {
-      nack("busy with another migration");
+      ack(false, "busy with another migration");
       return;
     }
     if (ib == sh.inbound.end() && req->seq > 0) {
       // Mid-stream chunk with no inbound state: the migration this chunk
       // belongs to was discarded here. Refuse; the source re-queries.
-      nack("no inbound migration");
+      ack(false, "no inbound migration");
       return;
     }
     const bool fresh = ib == sh.inbound.end();
@@ -703,26 +662,24 @@ void MdsServer::HandleShardTransfer(const net::Envelope&,
       // already safely replicated — ack right away. Registering under an
       // already-committed txid would never fire and the source would retry
       // this chunk forever.
-      auto out = std::make_shared<ShardTransferAckMsg>();
-      out->ok = true;
-      reply(out);
+      ack(true, "");
       return;
     }
-    pending_replies_[last].push_back([reply](net::MessagePtr m) {
+    commit->Await(last, [reply](net::MessagePtr m) {
       const auto& resp = net::Cast<ClientResponseMsg>(m);
       auto out = std::make_shared<ShardTransferAckMsg>();
       out->ok = resp.ok;
       out->error = resp.error;
       reply(out);
     });
-    SealIfSlotFree();
+    commit->SealIfSlotFree();
     if (fresh) ArmInboundWatchdog(req->slot);
   });
 }
 
-MigrationOutcome MdsServer::AnswerMigrationQuery(std::uint32_t slot,
-                                                 TxId migration_id) const {
-  const fsns::Tree::ShardState& sh = tree_.shard();
+MigrationOutcome ShardEngine::AnswerMigrationQuery(std::uint32_t slot,
+                                                   TxId migration_id) const {
+  const fsns::Tree::ShardState& sh = s_.tree().shard();
   auto ob = sh.outbound.find(slot);
   if (ob != sh.outbound.end() && ob->second.migration_id == migration_id) {
     return ob->second.cutover ? MigrationOutcome::kEnded
@@ -741,37 +698,35 @@ MigrationOutcome MdsServer::AnswerMigrationQuery(std::uint32_t slot,
   return MigrationOutcome::kUnknown;
 }
 
-void MdsServer::ArmInboundWatchdog(std::uint32_t slot) {
+void ShardEngine::ArmInboundWatchdog(std::uint32_t slot) {
   // Covers a source that decided (cutover, abort) or vanished without
   // telling us: periodically ask the source group's active what its journal
   // says happened and converge on that verdict.
-  AfterLocal(kWatchdogPeriod, [this, slot] {
-    if (role_ != ServerState::kActive || !alive()) return;
-    const fsns::Tree::ShardState& sh = tree_.shard();
+  s_.AfterLocal(kWatchdogPeriod, [this, slot,
+                                  tenure = std::weak_ptr(s_.commit())] {
+    if (tenure.expired()) return;
+    const fsns::Tree::ShardState& sh = s_.tree().shard();
     auto ib = sh.inbound.find(slot);
     if (ib == sh.inbound.end()) return;  // resolved meanwhile
     const TxId mid = ib->second.migration_id;
-    auto q = std::make_shared<ShardControlMsg>();
+    auto q = LegMsg<ShardControlMsg>(s_.group(), slot, mid);
     q->kind = ShardControlKind::kQuery;
-    q->from_group = options_.group;
-    q->slot = slot;
-    q->migration_id = mid;
     net::RpcHooks hooks;
     hooks.retry_response = [](const net::MessagePtr& m) {
       const auto& ack = net::Cast<ShardControlAckMsg>(m);
       return !ack.ok || ack.outcome == MigrationOutcome::kInProgress;
     };
-    SendShardLeg<ShardControlAckMsg>(
+    SendLeg<ShardControlAckMsg>(
         ib->second.from_group, std::move(q), kWatchdogPeriod,
         [this, slot, mid] {
-          const auto& inbound = tree_.shard().inbound;
+          const auto& inbound = s_.tree().shard().inbound;
           auto ib = inbound.find(slot);
           return ib == inbound.end() || ib->second.migration_id != mid;
         },
         [this, slot](const ShardControlAckMsg& ack) {
           journal::LogRecord rec;
           rec.block = slot;
-          rec.mtime = sim().Now();
+          rec.mtime = s_.sim().Now();
           if (ack.outcome == MigrationOutcome::kEnded) {
             // The source cut over; the image we journaled is authoritative.
             rec.op = journal::OpCode::kShardAcquire;
@@ -785,24 +740,13 @@ void MdsServer::ArmInboundWatchdog(std::uint32_t slot) {
   });
 }
 
-void MdsServer::HandleShardControl(const net::Envelope&,
-                                   const net::MessagePtr& msg,
-                                   const ReplyFn& reply) {
+void ShardEngine::HandleControl(const net::MessagePtr& msg,
+                                const ReplyFn& reply) {
   auto ctl = std::static_pointer_cast<const ShardControlMsg>(msg);
-  // By value: the ack often fires from a journal-commit callback long after
-  // this frame is gone.
-  auto ack_status = [reply](const Status& s) {
-    auto out = std::make_shared<ShardControlAckMsg>();
-    out->ok = s.ok();
-    out->code = s.code();
-    out->error = s.message();
-    reply(out);
-  };
-
   if (ctl->kind == ShardControlKind::kQuery) {
     // Answered at the *source* active, from journal-derived state.
     auto out = std::make_shared<ShardControlAckMsg>();
-    if (role_ != ServerState::kActive) {
+    if (!s_.commit()) {
       out->ok = false;
       out->code = StatusCode::kUnavailable;
       out->error = "not active";
@@ -814,50 +758,42 @@ void MdsServer::HandleShardControl(const net::Envelope&,
     return;
   }
 
-  if (role_ != ServerState::kActive || upgrade_in_progress_ || !writer_) {
+  auto ack_status = ControlAck(reply);
+  if (!s_.commit()) {
     ack_status(Status::Unavailable("not active"));
     return;
   }
-
   if (ctl->kind == ShardControlKind::kRenameCommit) {
-    AfterLocal(ChargeCpu(options_.costs.rename),
-               [this, ctl, reply] { HandleRenameCommit(ctl, reply); });
+    s_.AfterLocal(s_.ChargeCpu(s_.options().costs.rename),
+                  [this, ctl, reply] { HandleRenameCommit(ctl, reply); });
     return;
   }
 
-  const fsns::Tree::ShardState& sh = tree_.shard();
+  const fsns::Tree::ShardState& sh = s_.tree().shard();
+  auto ib = sh.inbound.find(ctl->slot);
+  const bool matches =
+      ib != sh.inbound.end() && ib->second.migration_id == ctl->migration_id;
+  journal::LogRecord rec;
+  rec.block = ctl->slot;
+  rec.mtime = s_.sim().Now();
   if (ctl->kind == ShardControlKind::kActivate) {
     if (sh.acquired.contains(ctl->slot)) {
       ack_status(Status::Ok());  // duplicate after a lost ack
       return;
     }
-    auto ib = sh.inbound.find(ctl->slot);
-    if (ib == sh.inbound.end() ||
-        ib->second.migration_id != ctl->migration_id) {
+    if (!matches) {
       ack_status(Status::FailedPrecondition("no matching inbound migration"));
       return;
     }
-    journal::LogRecord rec;
     rec.op = journal::OpCode::kShardAcquire;
-    rec.block = ctl->slot;
-    rec.mtime = sim().Now();
-    JournalShardRecord(std::move(rec), [ack_status](bool ok) {
-      ack_status(ok ? Status::Ok() : Status::Unavailable("not committed"));
-    });
-    return;
+  } else {  // kAbort
+    if (!matches) {
+      ack_status(Status::Ok());  // nothing to discard (already resolved)
+      return;
+    }
+    rec.op = journal::OpCode::kShardDiscard;
+    rec.replication = map_.slot_count();
   }
-
-  // kAbort
-  auto ib = sh.inbound.find(ctl->slot);
-  if (ib == sh.inbound.end() || ib->second.migration_id != ctl->migration_id) {
-    ack_status(Status::Ok());  // nothing to discard (already resolved)
-    return;
-  }
-  journal::LogRecord rec;
-  rec.op = journal::OpCode::kShardDiscard;
-  rec.block = ctl->slot;
-  rec.replication = map_.slot_count();
-  rec.mtime = sim().Now();
   JournalShardRecord(std::move(rec), [ack_status](bool ok) {
     ack_status(ok ? Status::Ok() : Status::Unavailable("not committed"));
   });
@@ -865,50 +801,44 @@ void MdsServer::HandleShardControl(const net::Envelope&,
 
 // --- cross-group rename -------------------------------------------------------
 
-void MdsServer::StartCrossGroupRename(
-    std::shared_ptr<const ClientRequestMsg> req, GroupId dst_group,
-    const ReplyFn& reply) {
-  if (tree_.IsDuplicate(req->client)) {
+void ShardEngine::StartCrossGroupRename(RequestPtr req, GroupId dst_group,
+                                        const ReplyFn& reply) {
+  if (s_.tree().IsDuplicate(req->client)) {
     // The rename finished in a previous life of this request.
-    ReplyStatus(reply, Status::Ok());
+    s_.ReplyStatus(reply, Status::Ok());
     return;
   }
   if (RenameFenced(*req)) {
-    ShardBounce(reply, "cross-group rename in progress");
+    Bounce(reply, "cross-group rename in progress");
     return;
   }
-  const std::uint32_t slot = map_.SlotOf(req->path);
-  if (!OwnsSlotForRead(slot)) {
-    ShardBounce(reply, "slot not owned");
-    return;
-  }
-  if (!OwnsSlotForWrite(slot)) {
-    ShardBounce(reply, "shard cutover in progress");
+  if (const char* why = WriteRefusal(map_.SlotOf(req->path))) {
+    Bounce(reply, why);
     return;
   }
   // Verdict precedence mirrors the local rename (and the checker's model):
   // argument validity, then rename-under-itself, then source existence.
   if (!fsns::IsValidPath(req->path) || !fsns::IsValidPath(req->path2) ||
       req->path == "/") {
-    ReplyStatus(reply, Status::InvalidArgument("bad rename path"));
+    s_.ReplyStatus(reply, Status::InvalidArgument("bad rename path"));
     return;
   }
   if (fsns::IsPrefixPath(req->path, req->path2)) {
-    ReplyStatus(reply,
-                Status::FailedPrecondition("rename under its own subtree"));
+    s_.ReplyStatus(reply,
+                   Status::FailedPrecondition("rename under its own subtree"));
     return;
   }
-  const fsns::Inode* node = tree_.FindInode(req->path);
+  const fsns::Inode* node = s_.tree().FindInode(req->path);
   if (node == nullptr) {
-    ReplyStatus(reply, Status::NotFound(req->path));
+    s_.ReplyStatus(reply, Status::NotFound(req->path));
     return;
   }
   if (node->is_dir) {
     // A directory's descendants rehash under the new name across arbitrary
     // groups; moving a subtree between groups is out of scope (mirrors
     // real metadata services, which fence or forbid cross-volume renames).
-    ReplyStatus(reply,
-                Status::FailedPrecondition("cross-group rename of a directory"));
+    s_.ReplyStatus(reply, Status::FailedPrecondition(
+                              "cross-group rename of a directory"));
     return;
   }
   // Prepare: journal the intent. From the moment it applies, the fences
@@ -918,11 +848,11 @@ void MdsServer::StartCrossGroupRename(
   rec.path = req->path;
   rec.path2 = req->path2;
   rec.replication = dst_group;
-  rec.mtime = sim().Now();
+  rec.mtime = s_.sim().Now();
   rec.client = req->client;
   JournalShardRecord(std::move(rec), [this, src = req->path, reply](bool ok) {
     if (!ok) {
-      ReplyStatus(reply, Status::Unavailable("server deposed"));
+      s_.ReplyStatus(reply, Status::Unavailable("server deposed"));
       return;
     }
     rename_drives_[src].reply = reply;
@@ -930,18 +860,17 @@ void MdsServer::StartCrossGroupRename(
   });
 }
 
-void MdsServer::SendRenameCommit(const std::string& src) {
-  if (role_ != ServerState::kActive || !alive()) return;
+void ShardEngine::SendRenameCommit(const std::string& src) {
   auto it = rename_drives_.find(src);
   if (it == rename_drives_.end()) return;
-  const auto& intents = tree_.shard().rename_intents;
+  const auto& intents = s_.tree().shard().rename_intents;
   auto in = intents.find(src);
   if (in == intents.end()) {
     rename_drives_.erase(it);
     return;
   }
   const fsns::Tree::ShardState::RenameIntent& intent = in->second;
-  const fsns::Inode* node = tree_.FindInode(src);
+  const fsns::Inode* node = s_.tree().FindInode(src);
   if (node == nullptr || node->is_dir) {
     // The fences make this unreachable in normal operation; abort rather
     // than install garbage at the destination.
@@ -950,7 +879,7 @@ void MdsServer::SendRenameCommit(const std::string& src) {
   }
   auto msg = std::make_shared<ShardControlMsg>();
   msg->kind = ShardControlKind::kRenameCommit;
-  msg->from_group = options_.group;
+  msg->from_group = s_.group();
   msg->slot = map_.SlotOf(intent.dst);
   msg->rename_src = src;
   msg->rename_dst = intent.dst;
@@ -976,16 +905,16 @@ void MdsServer::SendRenameCommit(const std::string& src) {
     if (why.code() != StatusCode::kTimedOut) return;
     RenameDrive& drive = rename_drives_.at(src);
     if (drive.reply) {
-      ReplyStatus(drive.reply,
-                  Status::Unavailable("rename destination unreachable"));
+      s_.ReplyStatus(drive.reply,
+                     Status::Unavailable("rename destination unreachable"));
       drive.reply = nullptr;
     }
   };
-  SendShardLeg<ShardControlAckMsg>(
+  SendLeg<ShardControlAckMsg>(
       intent.dst_group, std::move(msg), kRetryDelay,
       [this, src] {
         return !rename_drives_.contains(src) ||
-               !tree_.shard().rename_intents.contains(src);
+               !s_.tree().shard().rename_intents.contains(src);
       },
       [this, src](const ShardControlAckMsg& ack) {
         FinishRename(src, /*committed=*/ack.ok, Status(ack.code, ack.error));
@@ -993,95 +922,71 @@ void MdsServer::SendRenameCommit(const std::string& src) {
       std::move(hooks));
 }
 
-void MdsServer::HandleRenameCommit(
+void ShardEngine::HandleRenameCommit(
     const std::shared_ptr<const ShardControlMsg>& ctl, const ReplyFn& reply) {
-  // By value: fired from the commit callback after this frame returns.
-  auto ack_status = [reply](const Status& s) {
-    auto out = std::make_shared<ShardControlAckMsg>();
-    out->ok = s.ok();
-    out->code = s.code();
-    out->error = s.message();
-    reply(out);
-  };
-  if (role_ != ServerState::kActive || upgrade_in_progress_ || !writer_) {
+  auto ack_status = ControlAck(reply);
+  const std::shared_ptr<CommitPath>& commit = s_.commit();
+  if (!commit) {
     ack_status(Status::Unavailable("not active"));
     return;
   }
-  if (tree_.IsDuplicate(ctl->client)) {
+  const fsns::Tree& tree = s_.tree();
+  if (tree.IsDuplicate(ctl->client)) {
     ack_status(Status::Ok());  // committed in a previous attempt
     return;
   }
-  const std::uint32_t slot = map_.SlotOf(ctl->rename_dst);
-  if (!OwnsSlotForRead(slot)) {
-    ack_status(Status::Unavailable("slot not owned"));
+  if (const char* why = WriteRefusal(map_.SlotOf(ctl->rename_dst))) {
+    ack_status(Status::Unavailable(why));
     return;
   }
-  if (!OwnsSlotForWrite(slot)) {
-    ack_status(Status::Unavailable("shard cutover in progress"));
-    return;
-  }
-  if (tree_.FindInode(ctl->rename_dst) != nullptr) {
+  if (tree.FindInode(ctl->rename_dst) != nullptr) {
     ack_status(Status::AlreadyExists(ctl->rename_dst));
     return;
   }
   // Rename never materializes ancestors (unlike create): the destination's
   // parent must already exist as a directory, same as the local path.
   const std::string dst_parent(fsns::ParentDir(ctl->rename_dst));
-  const fsns::Inode* parent = tree_.FindInode(dst_parent);
+  const fsns::Inode* parent = tree.FindInode(dst_parent);
   if (parent == nullptr || !parent->is_dir) {
     ack_status(Status::NotFound(dst_parent));
     return;
   }
   // Commit: install the entry (anonymous — the dedup point is the commit
   // record) and stamp the transaction with the real client id.
-  journal::LogRecord inst;
-  inst.op = journal::OpCode::kShardInstallFile;
-  inst.path = ctl->rename_dst;
-  inst.path2 = ctl->owner;
-  inst.replication = ctl->replication;
-  inst.block = (static_cast<BlockId>(ctl->permission) << 2) |
-               (ctl->complete ? 0x2u : 0x0u);
-  inst.mtime = ctl->mtime;
-  AppendShardRecord(std::move(inst));
-  for (BlockId b : ctl->blocks) {
-    journal::LogRecord br;
-    br.op = journal::OpCode::kAddBlock;
-    br.path = ctl->rename_dst;
-    br.block = b;
-    br.mtime = ctl->mtime;
-    AppendShardRecord(std::move(br));
-  }
-  journal::LogRecord commit;
-  commit.op = journal::OpCode::kRenameCommitDst;
-  commit.path = ctl->rename_dst;
-  commit.client = ctl->client;
-  commit.mtime = ctl->mtime;
-  const TxId txid = AppendShardRecord(std::move(commit));
-  if (!leases_.empty()) {
-    // Installing the destination entry conflicts with leases on its parent
-    // (and, defensively, its subtree). Every holder is remote to this
-    // transaction — even the renaming client's own grant is pushed, which
-    // keeps read-your-writes: the push round-trip completes before the
-    // barrier lets the ack (and hence the client's reply at the source)
-    // leave.
-    std::vector<std::uint64_t> own;
-    std::map<NodeId, std::vector<coord::LeaseRevocation>> pushes;
-    LeaseBarrier barrier;
-    CollectRevocations(ctl->rename_dst, kInvalidNode, own, pushes, barrier);
-    PushRevocations(std::move(pushes));
-    InstallLeaseBarrier(txid, std::move(barrier));
-  }
-  pending_replies_[txid].push_back([ack_status](net::MessagePtr m) {
-    const auto& resp = net::Cast<ClientResponseMsg>(m);
-    ack_status(resp.ok ? Status::Ok()
-                       : Status::Unavailable("not committed"));
+  fsns::Inode file;
+  file.owner = ctl->owner;
+  file.mtime = ctl->mtime;
+  file.blocks = ctl->blocks;
+  file.replication = ctl->replication;
+  file.permission = ctl->permission;
+  file.complete = ctl->complete;
+  std::vector<journal::LogRecord> install;
+  AppendInstallRecords(ctl->rename_dst, file, install);
+  for (journal::LogRecord& r : install) AppendShardRecord(std::move(r));
+  journal::LogRecord rec;
+  rec.op = journal::OpCode::kRenameCommitDst;
+  rec.path = ctl->rename_dst;
+  rec.client = ctl->client;
+  rec.mtime = ctl->mtime;
+  const TxId txid = AppendShardRecord(std::move(rec));
+  // Installing the destination entry conflicts with leases on its parent
+  // (and, defensively, its subtree). Every holder is remote to this
+  // transaction — even the renaming client's own grant is pushed, which
+  // keeps read-your-writes: the push round-trip completes before the
+  // barrier lets the ack (and hence the client's reply at the source)
+  // leave.
+  s_.reads().RevokeUnder(ctl->rename_dst, txid);
+  commit->Await(txid, [ack_status](net::MessagePtr m) {
+    ack_status(net::Cast<ClientResponseMsg>(m).ok
+                   ? Status::Ok()
+                   : Status::Unavailable("not committed"));
   });
-  SealIfSlotFree();
+  commit->SealIfSlotFree();
 }
 
-void MdsServer::FinishRename(const std::string& src, bool committed,
-                             const Status& abort_status) {
-  const auto& intents = tree_.shard().rename_intents;
+void ShardEngine::FinishRename(const std::string& src, bool committed,
+                               const Status& abort_status) {
+  const auto& intents = s_.tree().shard().rename_intents;
   auto in = intents.find(src);
   if (in == intents.end()) return;
   journal::LogRecord rec;
@@ -1089,7 +994,7 @@ void MdsServer::FinishRename(const std::string& src, bool committed,
                      : journal::OpCode::kRenameAbort;
   rec.path = src;
   rec.path2 = in->second.dst;
-  rec.mtime = sim().Now();
+  rec.mtime = s_.sim().Now();
   // Finish remembers the real client (the transaction is now durable on
   // both sides); abort stays anonymous so the client's retry re-executes.
   if (committed) rec.client = in->second.client;
@@ -1101,35 +1006,28 @@ void MdsServer::FinishRename(const std::string& src, bool committed,
         rename_drives_.erase(it);
         if (!reply) return;  // crash-resumed drive: the client is long gone
         if (!ok) {
-          ReplyStatus(reply, Status::Unavailable("server deposed"));
+          s_.ReplyStatus(reply, Status::Unavailable("server deposed"));
           return;
         }
         if (committed) {
-          ++counters_.cross_group_renames;
-          m_.cross_group_renames->Add();
-          ReplyStatus(reply, Status::Ok());
+          Bump(s_.mutable_counters().cross_group_renames,
+               s_.m().cross_group_renames);
+          s_.ReplyStatus(reply, Status::Ok());
         } else {
-          ReplyStatus(reply, abort_status);
+          s_.ReplyStatus(reply, abort_status);
         }
       });
-  if (committed && txid != 0 && !leases_.empty()) {
-    // The source entry disappears: revoke leases on its parent (and
-    // subtree) and hold the client's reply on the barrier, mirroring the
-    // destination side of the transaction.
-    std::vector<std::uint64_t> own;
-    std::map<NodeId, std::vector<coord::LeaseRevocation>> pushes;
-    LeaseBarrier barrier;
-    CollectRevocations(src, kInvalidNode, own, pushes, barrier);
-    PushRevocations(std::move(pushes));
-    InstallLeaseBarrier(txid, std::move(barrier));
-  }
+  // The source entry disappears: revoke leases on its parent (and subtree)
+  // and hold the client's reply on the barrier, mirroring the destination
+  // side of the transaction.
+  if (committed && txid != 0) s_.reads().RevokeUnder(src, txid);
 }
 
 // --- failover resume ----------------------------------------------------------
 
-void MdsServer::ResumeShardState() {
+void ShardEngine::Resume() {
   FetchMapFromCoord();
-  const fsns::Tree::ShardState& sh = tree_.shard();
+  const fsns::Tree::ShardState& sh = s_.tree().shard();
   std::vector<std::uint32_t> roll_forward;
   std::vector<std::uint32_t> abort;
   std::vector<std::uint32_t> inbound;
@@ -1151,12 +1049,10 @@ void MdsServer::ResumeShardState() {
   }
 }
 
-void MdsServer::ResetShardVolatileState() {
+void ShardEngine::Abandon() {
   drives_.clear();
   for (auto& [src, rd] : rename_drives_) {
-    if (rd.reply) {
-      ReplyStatus(rd.reply, Status::Unavailable("server deposed"));
-    }
+    if (rd.reply) s_.ReplyStatus(rd.reply, Status::Unavailable("server deposed"));
   }
   rename_drives_.clear();
 }

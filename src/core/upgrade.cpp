@@ -1,0 +1,329 @@
+#include "core/upgrade.hpp"
+
+#include <algorithm>
+
+#include "core/mds_server.hpp"
+
+namespace mams::core {
+
+namespace {
+
+/// Algorithm-1 election bids. Unlimited attempts paced like the paper's
+/// periodic lock polling; not idempotent because every bid redraws its
+/// random number and refreshes max_sn. The attempt timeout must ride out
+/// the coordination service's election window plus the RPC budget.
+constexpr net::RpcPolicy kElectionBid{
+    .attempt_timeout = 4 * kSecond,
+    .max_attempts = 0,
+    .backoff_base = 200 * kMillisecond,
+    .backoff_multiplier = 1.0,
+    .jitter = 0.0,
+    .idempotent = false,
+};
+
+/// Step 5: the gather window, and one registration attempt per peer inside
+/// it — peers that miss it are picked up by the renewing scan.
+constexpr SimTime kRegisterWait = 300 * kMillisecond;
+constexpr net::RpcPolicy kRegisterRpc{
+    .attempt_timeout = 250 * kMillisecond,
+    .max_attempts = 1,
+};
+
+}  // namespace
+
+Upgrade::Upgrade(MdsServer& server) : s_(server) {
+  trace_.group = s_.group();
+  trace_.elected = s_.id();
+  trace_.failure_detected = trace_.election_started = s_.sim().Now();
+  election_span_ = s_.sim().obs().tracer().Begin("failover", "election",
+                                                 s_.id(), s_.group());
+}
+
+void Upgrade::StartStep(std::string step_name) {
+  auto& tracer = s_.sim().obs().tracer();
+  tracer.End(step_span_);
+  step_span_ = tracer.Begin("failover", std::move(step_name), s_.id(),
+                            s_.group());
+}
+
+void Upgrade::EndSpans(bool ok) {
+  auto& tracer = s_.sim().obs().tracer();
+  std::vector<obs::TraceArg> outcome{{"ok", ok ? "true" : "false"}};
+  tracer.End(step_span_, outcome);
+  tracer.End(buffer_span_, outcome);
+  tracer.End(switch_span_, outcome);
+  tracer.End(election_span_, std::move(outcome));
+}
+
+void Upgrade::Buffer(RequestPtr req, ReplyFn reply) {
+  Bump(s_.mutable_counters().buffered_during_upgrade,
+       s_.m().buffered_during_upgrade);
+  buffered_.emplace_back(std::move(req), std::move(reply));
+}
+
+// --- election (Algorithm 1) ---------------------------------------------------
+
+void Upgrade::BidForLock() {
+  // Re-bids with a fresh draw whenever the RPC fails or a window closes
+  // while the lock is still free ("each standby tries to obtain a
+  // distributed lock periodically"), until the lock is decided — granted to
+  // us or held by a peer — or this upgrade is gone (cancel hook).
+  s_.coord().BidLoop(
+      s_.group(),
+      [&s = s_] {
+        // Juniors lose to any standby; sn breaks junior-vs-junior ties.
+        // Re-evaluated per bid so a mid-election demotion takes effect.
+        return s.role() == ServerState::kStandby
+                   ? static_cast<std::uint64_t>(s.rng().Range(1, 1 << 30))
+                   : 0;
+      },
+      [&s = s_] { return s.last_sn(); }, kElectionBid,
+      [life = weak_from_this()] { return life.expired(); },
+      [this, life = weak_from_this()](
+          Result<coord::CoordClient::LockResult> r) {
+        if (life.expired() || !r.ok()) return;  // cancelled mid-flight
+        auto& tracer = s_.sim().obs().tracer();
+        if (r.value().granted) {
+          s_.set_fence(r.value().fence);
+          trace_.lock_granted = s_.sim().Now();
+          Bump(s_.mutable_counters().elections_won, s_.m().elections_won);
+          tracer.End(election_span_,
+                     {{"won", "true"},
+                      {"fence", static_cast<std::uint64_t>(s_.fence())}});
+          switch_span_ =
+              tracer.Begin("failover", "switch", s_.id(), s_.group());
+          buffer_span_ = tracer.Begin("failover", "step3_buffer_mutations",
+                                      s_.id(), s_.group());
+          switching_ = true;
+          StartStep("step1_check_state");
+          Step1CheckState();
+          return;
+        }
+        // Someone else won; they will upgrade. Stop competing (the
+        // coordination events notify us of the outcome).
+        Bump(s_.mutable_counters().elections_lost, s_.m().elections_lost);
+        tracer.End(election_span_, {{"won", "false"}});
+        s_.EndUpgrade();
+      });
+}
+
+// --- the six upgrade steps (Section III.C) -------------------------------------
+
+void Upgrade::Step1CheckState() {
+  s_.coord().GetView(s_.group(), [this, life = weak_from_this()](
+                                     Result<coord::GroupView> r) {
+    if (life.expired()) return;
+    if (!r.ok()) {
+      Abort("cannot read view");
+      return;
+    }
+    s_.mutable_view() = std::move(r).value();
+    // Step 1: a node that was demoted to junior while competing must stop
+    // upgrading and give up the lock; re-election follows.
+    if (s_.view().StateOf(s_.id()) == ServerState::kJunior &&
+        s_.role() == ServerState::kStandby) {
+      Abort("demoted to junior during election");
+      return;
+    }
+    StartStep("step2_flip_states");
+    Step2FlipStates();
+  });
+}
+
+void Upgrade::Step2FlipStates() {
+  // Step 2: set ourselves active in the global view. From this moment
+  // operations from the previous active are refused by all nodes (its
+  // fence token is stale).
+  s_.coord().SetState(
+      s_.group(), s_.id(), ServerState::kActive, s_.fence(),
+      [this, life = weak_from_this()](Result<coord::GroupView> r) {
+        if (life.expired()) return;
+        if (!r.ok()) {
+          Abort("cannot flip own state: " + r.status().ToString());
+          return;
+        }
+        s_.mutable_view() = std::move(r).value();
+        // Step 3 is implicit: mutations buffer while switching().
+        StartStep("step4_reflush_journals");
+        // Before re-flushing, drain any journal tail the previous active
+        // managed to persist in the SSP but never replicated to us (e.g.
+        // while every standby was transiently demoted). Acked operations
+        // must never be lost.
+        //
+        // The drain consults EVERY placement replica, not one read with
+        // failover: appends ack on the first replica, so a pool node that
+        // was down during a write serves a stale-but-successful reply after
+        // restart, which would end a single-read drain early and silently
+        // lose the tail the other replica still holds.
+        Step4DrainReplica(0, /*progressed=*/false);
+      });
+}
+
+void Upgrade::Step4DrainReplica(std::size_t replica, bool progressed) {
+  const std::vector<NodeId> replicas = s_.ssp().Placement(s_.JournalFile());
+  if (replica >= replicas.size()) {
+    // A replica that advanced us may have exposed records another replica
+    // holds the successor of (holes interleave): re-scan until a full
+    // pass over the placement makes no progress.
+    if (progressed) {
+      Step4DrainReplica(0, false);
+    } else {
+      Step4Reflush();
+    }
+    return;
+  }
+  s_.ssp().ReadAfterOn(
+      replicas[replica], s_.JournalFile(), s_.last_sn(),
+      [this, life = weak_from_this(), replica, progressed](
+          Result<std::shared_ptr<const storage::SspReadReplyMsg>> r) {
+        if (life.expired()) return;
+        bool advanced = false;
+        bool more = false;
+        if (r.ok() && r.value()->found) {
+          advanced = s_.ApplyPoolRecords(r.value()->records) > 0;
+          more = !r.value()->eof;
+        }
+        if (advanced && more) {
+          Step4DrainReplica(replica, true);  // keep draining this one
+        } else {
+          // Unreachable, stale, or a hole this replica cannot fill: move
+          // on; an unreadable replica behaves like an empty one.
+          Step4DrainReplica(replica + 1, progressed || advanced);
+        }
+      });
+}
+
+void Upgrade::Step4Reflush() {
+  // Step 4: re-flush the last cached journals to the whole group so that
+  // nothing the previous active half-replicated is missing anywhere.
+  // Receivers dedup by sn, so this is idempotent.
+  const auto& recent = s_.recent_batches();
+  const std::size_t n = std::min<std::size_t>(recent.size(), 8);
+  for (std::size_t i = recent.size() - n; i < recent.size(); ++i) {
+    auto msg = std::make_shared<JournalPrepareMsg>();
+    msg->group = s_.group();
+    msg->fence = s_.fence();
+    msg->batch = recent[i];
+    for (NodeId peer : s_.members()) {
+      if (peer != s_.id()) s_.Send(peer, msg);
+    }
+  }
+  StartStep("step5_gather_registrations");
+  // Step 5: every group member registers with the elected standby, which
+  // confirms each one's state from its journal position. The first round
+  // is a non-destructive probe: a registrant AHEAD of us may hold batches
+  // that committed on standby acks while the SSP copy failed — Algorithm 1
+  // draws randomly among standbys, so the election can pick a laggard.
+  // Those batches must be adopted, not destroyed; only after catching up
+  // does the final round ask still-ahead peers to discard.
+  Step5Round(/*final_round=*/false);
+}
+
+void Upgrade::Step5Round(bool final_round) {
+  auto acks = std::make_shared<std::map<NodeId, SerialNumber>>();
+  auto req = std::make_shared<GroupRegisterMsg>();
+  req->group = s_.group();
+  req->new_active = s_.id();
+  req->fence = s_.fence();
+  req->active_sn = s_.last_sn();
+  req->discard_ahead = final_round;
+  for (NodeId peer : s_.members()) {
+    if (peer == s_.id()) continue;
+    net::RpcCall::Start(s_, peer, req, kRegisterRpc,
+                        [peer, acks](Result<net::MessagePtr> r) {
+                          if (!r.ok()) return;  // dead peer: stays Down
+                          (*acks)[peer] =
+                              net::Cast<GroupRegisterAckMsg>(r.value()).max_sn;
+                        });
+  }
+  s_.AfterLocal(kRegisterWait, [this, life = weak_from_this(), acks,
+                                final_round] {
+    if (life.expired()) return;
+    NodeId source = kInvalidNode;
+    SerialNumber target_sn = s_.last_sn();
+    for (const auto& [peer, sn] : *acks) {
+      if (sn > target_sn) {
+        target_sn = sn;
+        source = peer;
+      }
+    }
+    // Nobody ahead: settle now — the second round (and its extra RTT) only
+    // happens on the rare failover where committed state must be adopted.
+    if (final_round || source == kInvalidNode) {
+      Step5Classify(*acks);
+      return;
+    }
+    Step5CatchUp(source, target_sn);
+  });
+}
+
+void Upgrade::Step5CatchUp(NodeId source, SerialNumber target_sn) {
+  if (s_.last_sn() >= target_sn) {
+    Step5Round(/*final_round=*/true);
+    return;
+  }
+  auto req = std::make_shared<RenewJournalFetchMsg>();
+  req->group = s_.group();
+  req->after_sn = s_.last_sn();
+  net::RpcCall::Start(
+      s_, source, req, MdsServer::kFetchRpc,
+      [this, life = weak_from_this(), source, target_sn,
+       before = s_.last_sn()](Result<net::MessagePtr> r) {
+        if (life.expired()) return;
+        if (r.ok()) {
+          s_.ApplyFetchedBatches(net::Cast<RenewJournalReplyMsg>(r.value()));
+        }
+        if (r.ok() && s_.last_sn() > before) {
+          Step5CatchUp(source, target_sn);  // next chunk
+          return;
+        }
+        // Fetch failed or stalled (peer gone, or its recent-batch window
+        // no longer covers our gap): finalize with what we have — the
+        // peer classifies as a junior and renewal reconciles it.
+        Step5Round(/*final_round=*/true);
+      });
+}
+
+void Upgrade::Step5Classify(const std::map<NodeId, SerialNumber>& acks) {
+  // Peers classified standby join the 2PC targets through the view.
+  for (const auto& [peer, sn] : acks) {
+    const ServerState target =
+        sn == s_.last_sn() ? ServerState::kStandby : ServerState::kJunior;
+    s_.coord().SetState(s_.group(), peer, target, s_.fence(),
+                        [](Result<coord::GroupView>) {});
+  }
+  StartStep("step6_become_active");
+  Step6BecomeActive();
+}
+
+void Upgrade::Step6BecomeActive() {
+  const auto keep = shared_from_this();  // the server lets go next
+  s_.EndUpgrade();
+  s_.BecomeRole(ServerState::kActive);
+  trace_.switch_completed = s_.sim().Now();
+  if (s_.failover_log() != nullptr) s_.failover_log()->Record(trace_);
+  // Resume whatever shard work the previous active left durable in the
+  // journal (roll migrations forward/abort them, re-drive rename intents)
+  // before serving the buffered mutations, which the shard fences gate.
+  s_.shard().Resume();
+  // Commit the requests buffered during the switch (step 3/6).
+  for (auto& [req, reply] : buffered_) s_.ProcessClientRequest(req, reply);
+  auto& tracer = s_.sim().obs().tracer();
+  tracer.End(step_span_);
+  tracer.End(buffer_span_,
+             {{"buffered", static_cast<std::uint64_t>(buffered_.size())}});
+  tracer.End(switch_span_,
+             {{"ok", "true"}, {"sn", static_cast<std::uint64_t>(s_.last_sn())}});
+}
+
+void Upgrade::Abort(const std::string& why) {
+  MAMS_WARN("mds", "%s: upgrade aborted: %s", s_.name().c_str(), why.c_str());
+  EndSpans(/*ok=*/false);
+  s_.coord().ReleaseLock(s_.group(), [](Status) {});
+  s_.set_fence(0);
+  // Buffered mutations cannot be honored here; clients retry at the next
+  // active after their RPC deadline. They die with this upgrade.
+  s_.EndUpgrade();
+}
+
+}  // namespace mams::core

@@ -1,13 +1,18 @@
 // Unit tests for the observability subsystem: span lifecycle and
 // mismatch accounting, histogram quantiles cross-checked against the
 // exact metrics::Cdf, the Chrome trace_event exporter (golden output),
-// and invariant probes catching a deliberately corrupted view.
+// invariant probes catching a deliberately corrupted view, and the metric
+// catalogue in docs/OBSERVABILITY.md matching what a cluster registers.
 #include <gtest/gtest.h>
 
+#include <fstream>
 #include <random>
+#include <set>
 #include <string>
 #include <vector>
 
+#include "cluster/autoscaler.hpp"
+#include "cluster/cfs.hpp"
 #include "coord/state_machine.hpp"
 #include "metrics/series.hpp"
 #include "obs/chrome_trace.hpp"
@@ -264,3 +269,75 @@ TEST(ObservabilityTest, BundleSharesOneClock) {
 
 }  // namespace
 }  // namespace mams::obs
+
+namespace mams::cluster {
+namespace {
+
+/// The catalogue names a family of metrics by a placeholder segment.
+std::string Family(const std::string& name) {
+  for (const std::string prefix : {"net.sent.", "net.bytes."}) {
+    if (name.starts_with(prefix)) return prefix + "<type>";
+  }
+  if (name.starts_with("mds.last_sn.")) return "mds.last_sn.<node>";
+  if (name.starts_with("autoscaler.g")) {
+    return "autoscaler.g<g>" + name.substr(name.find('.', 11));
+  }
+  return name;
+}
+
+/// The first column of the table under "## Metric catalogue".
+std::set<std::string> DocumentedMetrics() {
+  std::ifstream in(MAMS_DOCS_DIR "/OBSERVABILITY.md");
+  std::set<std::string> out;
+  bool catalogue = false;
+  for (std::string line; std::getline(in, line);) {
+    if (line.starts_with("## ")) catalogue = line == "## Metric catalogue";
+    if (catalogue && line.starts_with("| `")) {
+      out.insert(line.substr(3, line.find('`', 3) - 3));
+    }
+  }
+  return out;
+}
+
+TEST(MetricCatalogueTest, DocumentsExactlyWhatAClusterRegisters) {
+  sim::Simulator sim(5);
+  net::Network net(sim);
+  CfsConfig cfg;
+  cfg.groups = 2;
+  cfg.standbys_per_group = 2;
+  cfg.clients = 2;
+  cfg.mds.standby_reads.serve_reads = true;
+  cfg.mds.client_leases.grant_leases = true;
+  cfg.client.read_routing = ReadRouting::kRoundRobinStandby;
+  cfg.client.cache.enabled = true;
+  CfsCluster cfs(net, cfg);
+  Autoscaler scaler(cfs);
+  cfs.Start();
+  scaler.Start();
+  sim.RunUntil(sim.Now() + kSecond);
+  for (int i = 0; i < 8; ++i) {
+    const std::string path = "/cat/d" + std::to_string(i) + "/f";
+    cfs.client(0).Create(path, [](Status) {});
+    cfs.client(1).GetFileInfo(path, [](Result<fsns::FileInfo>) {});
+  }
+  sim.RunUntil(sim.Now() + 3 * kSecond);
+
+  std::set<std::string> registered;
+  const obs::MetricsRegistry& reg = sim.obs().metrics();
+  for (const auto& [name, m] : reg.counters()) registered.insert(Family(name));
+  for (const auto& [name, m] : reg.gauges()) registered.insert(Family(name));
+  for (const auto& [name, m] : reg.histograms()) {
+    registered.insert(Family(name));
+  }
+  const std::set<std::string> documented = DocumentedMetrics();
+  ASSERT_FALSE(documented.empty());
+  for (const std::string& name : registered) {
+    EXPECT_TRUE(documented.contains(name)) << "undocumented: " << name;
+  }
+  for (const std::string& name : documented) {
+    EXPECT_TRUE(registered.contains(name)) << "never registered: " << name;
+  }
+}
+
+}  // namespace
+}  // namespace mams::cluster

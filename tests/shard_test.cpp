@@ -447,6 +447,55 @@ TEST_F(ShardClusterTest, CrossGroupTransactionsCommitThroughAFullWindow) {
   }
 }
 
+TEST_F(ShardClusterTest, StepDownDuringParticipantLegDoesNotExecute) {
+  Build();
+  // A mkdir of `path` is a cross-group transaction coordinated by group 0:
+  // its entry lives in `hot` (group 0), its own slot belongs to group 1.
+  const std::string hot = DirOwnedBy(0, "/hot");
+  ASSERT_TRUE(CreateFile(hot + "/seed").ok());
+  const shard::PartitionMap map = shard::PartitionMap::Seed(2);
+  std::string path;
+  for (int i = 0; path.empty(); ++i) {
+    const std::string p = hot + "/x" + std::to_string(i);
+    if (map.OwnerOfDir(p) == 1) path = p;
+  }
+  core::MdsServer* a0 = cluster_->FindActive(0);
+  ASSERT_NE(a0, nullptr);
+
+  // The client's request and then a0's participant leg to group 1 are the
+  // next two client requests on the wire.
+  const obs::Counter* sent =
+      sim_->obs().metrics().counter("net.sent.client_request");
+  const std::uint64_t before = sent->value;
+  Status out = Status::TimedOut("no reply");
+  bool done = false;
+  cluster_->client(0).Mkdir(path, [&](Status s) {
+    out = s;
+    done = true;
+  });
+  ASSERT_TRUE(testutil::WaitFor(
+      *sim_, [&] { return sent->value >= before + 2; }, kSecond,
+      10 * kMicrosecond));
+
+  // A registration round from a newer fence deposes a0 before the leg's ack
+  // returns; the ack must not execute the mkdir on the deposed server.
+  net::Host rival(*net_, "rival");
+  rival.Boot();
+  auto reg = std::make_shared<core::GroupRegisterMsg>();
+  reg->group = 0;
+  reg->new_active = rival.id();
+  reg->fence = a0->fence() + 1;
+  reg->active_sn = a0->last_sn();
+  reg->discard_ahead = false;
+  rival.Send(a0->id(), reg);
+  Run(50 * kMillisecond);
+
+  EXPECT_NE(a0->role(), ServerState::kActive);
+  EXPECT_FALSE(a0->tree().Exists(path));
+  ASSERT_TRUE(testutil::WaitFor(*sim_, [&] { return done; }, 60 * kSecond));
+  EXPECT_TRUE(out.ok()) << out.ToString();
+}
+
 TEST_F(ShardClusterTest, CrossGroupRenameSurvivesDestinationCrash) {
   Build();
   const std::string rdir = DirOwnedBy(1, "/ren");
