@@ -11,7 +11,6 @@
 #include "cluster/cfs.hpp"
 #include "core/failover_trace.hpp"
 #include "net/network.hpp"
-#include "workload/driver.hpp"
 
 namespace {
 
@@ -48,10 +47,11 @@ Sample RunFailover(SimTime window, int standbys, bool kill_all_standbys,
   cfs.Start();
   sim.RunUntil(sim.Now() + kSecond);
 
-  workload::DriverOptions dopts;
+  workload::LoadEngine::Options dopts;
+  dopts.loop = workload::LoadEngine::Loop::kClosed;
   dopts.sessions = 2;
-  workload::Driver driver(sim, workload::MakeApi(cfs.client(0)),
-                          Mix::Only(OpKind::kCreate), seed, dopts);
+  workload::LoadEngine driver(sim, workload::MakeApi(cfs.client(0)),
+                              Mix::Only(OpKind::kCreate), seed, dopts);
   driver.Start();
   sim.RunUntil(sim.Now() + 3 * kSecond);  // let the junior be renewed
 

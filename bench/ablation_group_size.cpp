@@ -13,7 +13,6 @@
 #include "bench_common.hpp"
 #include "cluster/cfs.hpp"
 #include "net/network.hpp"
-#include "workload/driver.hpp"
 
 namespace {
 
@@ -39,11 +38,12 @@ double MeasureThroughput(int standbys, std::uint64_t seed) {
   cluster::CfsCluster cfs(net, cfg);
   cfs.Start();
   sim.RunUntil(sim.Now() + kSecond);
-  std::vector<std::unique_ptr<workload::Driver>> drivers;
+  std::vector<std::unique_ptr<workload::LoadEngine>> drivers;
   for (int c = 0; c < 4; ++c) {
-    workload::DriverOptions opts;
+    workload::LoadEngine::Options opts;
+    opts.loop = workload::LoadEngine::Loop::kClosed;
     opts.sessions = 8;
-    drivers.push_back(std::make_unique<workload::Driver>(
+    drivers.push_back(std::make_unique<workload::LoadEngine>(
         sim, workload::MakeApi(cfs.client(c)), Mix::Mixed(), seed * 3 + c,
         opts));
     drivers.back()->Start();
@@ -73,10 +73,11 @@ double FailureMttr(int standbys, int extra_kills, std::uint64_t seed) {
   cfs.Start();
   sim.RunUntil(sim.Now() + kSecond);
 
-  workload::DriverOptions dopts;
+  workload::LoadEngine::Options dopts;
+  dopts.loop = workload::LoadEngine::Loop::kClosed;
   dopts.sessions = 2;
-  workload::Driver driver(sim, workload::MakeApi(cfs.client(0)),
-                          Mix::Only(OpKind::kCreate), seed, dopts);
+  workload::LoadEngine driver(sim, workload::MakeApi(cfs.client(0)),
+                              Mix::Only(OpKind::kCreate), seed, dopts);
   driver.Start();
   sim.RunUntil(sim.Now() + 2 * kSecond);
 

@@ -17,7 +17,6 @@
 #include "bench_common.hpp"
 #include "cluster/cfs.hpp"
 #include "net/network.hpp"
-#include "workload/driver.hpp"
 
 namespace {
 
@@ -37,11 +36,12 @@ double Throughput(bool ssp_in_commit_path, std::uint64_t seed) {
   cfs.Start();
   sim.RunUntil(sim.Now() + kSecond);
 
-  std::vector<std::unique_ptr<workload::Driver>> drivers;
+  std::vector<std::unique_ptr<workload::LoadEngine>> drivers;
   for (int c = 0; c < 4; ++c) {
-    workload::DriverOptions opts;
+    workload::LoadEngine::Options opts;
+    opts.loop = workload::LoadEngine::Loop::kClosed;
     opts.sessions = 8;
-    drivers.push_back(std::make_unique<workload::Driver>(
+    drivers.push_back(std::make_unique<workload::LoadEngine>(
         sim, workload::MakeApi(cfs.client(c)), Mix::Mixed(), seed * 3 + c,
         opts));
     drivers.back()->Start();
@@ -69,10 +69,12 @@ double RenewTime(bool ssp_in_commit_path, std::uint64_t seed) {
   sim.RunUntil(sim.Now() + kSecond);
 
   // Build up some journal history.
-  workload::DriverOptions dopts;
+  workload::LoadEngine::Options dopts;
+  dopts.loop = workload::LoadEngine::Loop::kClosed;
   dopts.sessions = 4;
-  workload::Driver driver(sim, workload::MakeApi(cfs.client(0)),
-                          Mix::Only(workload::OpKind::kCreate), seed, dopts);
+  workload::LoadEngine driver(sim, workload::MakeApi(cfs.client(0)),
+                              Mix::Only(workload::OpKind::kCreate), seed,
+                              dopts);
   driver.Start();
   sim.RunUntil(sim.Now() + 5 * kSecond);
 

@@ -18,7 +18,6 @@
 #include "metrics/series.hpp"
 #include "metrics/table.hpp"
 #include "sim/simulator.hpp"
-#include "workload/driver.hpp"
 #include "workload/load_engine.hpp"
 
 namespace mams::bench {

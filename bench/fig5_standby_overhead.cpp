@@ -44,12 +44,13 @@ double RunHdfs(OpKind kind, std::uint64_t seed) {
   auto paths = bench::PreloadPaths(kPreloadFiles);
   bench::PreloadTree(hdfs.namenode().mutable_tree(), paths);
 
-  std::vector<std::unique_ptr<workload::Driver>> drivers;
+  std::vector<std::unique_ptr<workload::LoadEngine>> drivers;
   for (int c = 0; c < 4; ++c) {
-    workload::DriverOptions opts;
+    workload::LoadEngine::Options opts;
+    opts.loop = workload::LoadEngine::Loop::kClosed;
     opts.sessions = kSessionsPerClient;
     opts.seed_files = &paths;
-    drivers.push_back(std::make_unique<workload::Driver>(
+    drivers.push_back(std::make_unique<workload::LoadEngine>(
         sim, workload::MakeApi(hdfs.client(c)), Mix::Only(kind),
         seed * 7 + c, opts));
     drivers.back()->Start();
@@ -89,12 +90,13 @@ double RunCfs(OpKind kind, int standbys, std::uint64_t seed) {
     });
   }
 
-  std::vector<std::unique_ptr<workload::Driver>> drivers;
+  std::vector<std::unique_ptr<workload::LoadEngine>> drivers;
   for (int c = 0; c < 4; ++c) {
-    workload::DriverOptions opts;
+    workload::LoadEngine::Options opts;
+    opts.loop = workload::LoadEngine::Loop::kClosed;
     opts.sessions = kSessionsPerClient;
     opts.seed_files = &paths;
-    drivers.push_back(std::make_unique<workload::Driver>(
+    drivers.push_back(std::make_unique<workload::LoadEngine>(
         sim, workload::MakeApi(cfs.client(c)), Mix::Only(kind),
         seed * 7 + c, opts));
     drivers.back()->Start();

@@ -17,7 +17,6 @@
 #include "cluster/cfs.hpp"
 #include "net/network.hpp"
 #include "workload/client_api.hpp"
-#include "workload/driver.hpp"
 
 namespace {
 
@@ -30,11 +29,12 @@ constexpr int kSessions = 4;
 template <typename MakeClientApi>
 double MeasureMixed(sim::Simulator& sim, MakeClientApi make_api,
                     std::uint64_t seed) {
-  std::vector<std::unique_ptr<workload::Driver>> drivers;
+  std::vector<std::unique_ptr<workload::LoadEngine>> drivers;
   for (int c = 0; c < kClients; ++c) {
-    workload::DriverOptions opts;
+    workload::LoadEngine::Options opts;
+    opts.loop = workload::LoadEngine::Loop::kClosed;
     opts.sessions = kSessions;
-    drivers.push_back(std::make_unique<workload::Driver>(
+    drivers.push_back(std::make_unique<workload::LoadEngine>(
         sim, make_api(c), Mix::Mixed(), seed * 11 + c, opts));
     drivers.back()->Start();
   }

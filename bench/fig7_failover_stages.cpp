@@ -24,7 +24,6 @@
 #include "cluster/cfs.hpp"
 #include "core/failover_trace.hpp"
 #include "net/network.hpp"
-#include "workload/driver.hpp"
 
 namespace {
 
@@ -55,10 +54,11 @@ Trial RunTrial(std::uint64_t seed, const char* trace_out = nullptr) {
   cfs.Start();
   sim.RunUntil(sim.Now() + kSecond);
 
-  workload::DriverOptions opts;
+  workload::LoadEngine::Options opts;
+  opts.loop = workload::LoadEngine::Loop::kClosed;
   opts.sessions = 2;
-  workload::Driver driver(sim, workload::MakeApi(cfs.client(0)),
-                          Mix::Only(OpKind::kCreate), seed, opts);
+  workload::LoadEngine driver(sim, workload::MakeApi(cfs.client(0)),
+                              Mix::Only(OpKind::kCreate), seed, opts);
   driver.Start();
   sim.RunUntil(sim.Now() + 2 * kSecond);
   cfs.FindActive(0)->Crash();

@@ -17,7 +17,6 @@
 #include "bench_common.hpp"
 #include "cluster/cfs.hpp"
 #include "net/network.hpp"
-#include "workload/driver.hpp"
 
 namespace {
 
@@ -56,11 +55,12 @@ ScenarioResult RunScenario(const Scenario& scenario, std::uint64_t seed) {
   Mix mix;
   mix.create = 0.8;
   mix.mkdir = 0.2;
-  std::vector<std::unique_ptr<workload::Driver>> drivers;
+  std::vector<std::unique_ptr<workload::LoadEngine>> drivers;
   for (int c = 0; c < cfg.clients; ++c) {
-    workload::DriverOptions opts;
+    workload::LoadEngine::Options opts;
+    opts.loop = workload::LoadEngine::Loop::kClosed;
     opts.sessions = 4;
-    drivers.push_back(std::make_unique<workload::Driver>(
+    drivers.push_back(std::make_unique<workload::LoadEngine>(
         sim, workload::MakeApi(cfs.client(c)), mix, seed * 5 + c, opts));
     drivers.back()->Start();
   }

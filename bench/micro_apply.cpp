@@ -67,11 +67,12 @@ struct ClusterRun {
     cfs->Start();
     sim.RunUntil(sim.Now() + kSecond);
 
-    std::vector<std::unique_ptr<workload::Driver>> drivers;
+    std::vector<std::unique_ptr<workload::LoadEngine>> drivers;
     for (int c = 0; c < kClients; ++c) {
-      workload::DriverOptions opts;
+      workload::LoadEngine::Options opts;
+      opts.loop = workload::LoadEngine::Loop::kClosed;
       opts.sessions = kSessionsPerClient;
-      drivers.push_back(std::make_unique<workload::Driver>(
+      drivers.push_back(std::make_unique<workload::LoadEngine>(
           sim, workload::MakeApi(cfs->client(c)), CreateHeavyMix(),
           seed * 7 + c, opts));
       drivers.back()->Start();

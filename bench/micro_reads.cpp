@@ -73,12 +73,13 @@ RunStats RunOnce(int standbys, bool offload, std::uint64_t seed) {
     bench::PreloadTree(tree, paths);
   });
 
-  std::vector<std::unique_ptr<workload::Driver>> drivers;
+  std::vector<std::unique_ptr<workload::LoadEngine>> drivers;
   for (int c = 0; c < kClients; ++c) {
-    workload::DriverOptions opts;
+    workload::LoadEngine::Options opts;
+    opts.loop = workload::LoadEngine::Loop::kClosed;
     opts.sessions = kSessionsPerClient;
     opts.seed_files = &paths;
-    drivers.push_back(std::make_unique<workload::Driver>(
+    drivers.push_back(std::make_unique<workload::LoadEngine>(
         sim, workload::MakeApi(cfs.client(c)), ReadHeavyMix(), seed * 7 + c,
         opts));
     drivers.back()->Start();

@@ -20,7 +20,6 @@
 #include "bench_common.hpp"
 #include "cluster/cfs.hpp"
 #include "net/network.hpp"
-#include "workload/driver.hpp"
 
 namespace {
 
@@ -35,10 +34,11 @@ constexpr SimTime kTrialCap = 500 * kSecond;
 template <typename MakeApiFn, typename KillFn>
 double MeasureMttr(sim::Simulator& sim, MakeApiFn make_api, KillFn kill,
                    std::uint64_t seed) {
-  workload::DriverOptions opts;
+  workload::LoadEngine::Options opts;
+  opts.loop = workload::LoadEngine::Loop::kClosed;
   opts.sessions = 2;
-  workload::Driver driver(sim, make_api(), Mix::Only(OpKind::kCreate), seed,
-                          opts);
+  workload::LoadEngine driver(sim, make_api(), Mix::Only(OpKind::kCreate),
+                              seed, opts);
   driver.Start();
   sim.RunUntil(sim.Now() + kKillAt);
   kill();

@@ -7,7 +7,7 @@
 #include "cluster/cfs.hpp"
 #include "net/network.hpp"
 #include "sim/simulator.hpp"
-#include "workload/driver.hpp"
+#include "workload/load_engine.hpp"
 
 using namespace mams;
 
@@ -29,10 +29,11 @@ int main() {
   workload::Mix mix;
   mix.create = 0.7;
   mix.getfileinfo = 0.3;
-  workload::DriverOptions dopts;
+  workload::LoadEngine::Options dopts;
+  dopts.loop = workload::LoadEngine::Loop::kClosed;
   dopts.sessions = 4;
-  workload::Driver driver(sim, workload::MakeApi(cfs.client(0)), mix, 5,
-                          dopts);
+  workload::LoadEngine driver(sim, workload::MakeApi(cfs.client(0)), mix, 5,
+                              dopts);
   driver.Start();
   sim.RunUntil(sim.Now() + 3 * kSecond);
 

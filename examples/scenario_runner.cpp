@@ -217,12 +217,6 @@ int main(int argc, char** argv) {
   }
 
   mams::cluster::ScenarioRunner runner({.echo = !args.quiet});
-  const mams::Status s = mams::cluster::RegisterElasticCommands(runner);
-  if (!s.ok()) {
-    std::fprintf(stderr, "command registration failed: %s\n",
-                 s.ToString().c_str());
-    return 2;
-  }
   const mams::Status result = runner.Run(script);
   if (!result.ok()) {
     std::printf("\nSCENARIO FAILED: %s\n", result.ToString().c_str());

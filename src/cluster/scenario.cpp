@@ -4,6 +4,9 @@
 #include <cstdio>
 #include <sstream>
 
+#include "cluster/autoscaler.hpp"
+#include "workload/load_engine.hpp"
+
 namespace mams::cluster {
 
 namespace {
@@ -82,29 +85,7 @@ ScenarioRunner::ScenarioRunner(Options options) : options_(options) {
   RegisterBuiltins();
 }
 
-ScenarioRunner::~ScenarioRunner() {
-  // Packs hold controllers (autoscaler, load engine) that reference the
-  // cluster and simulator; drop them first.
-  extensions_.clear();
-}
-
-Status ScenarioRunner::RegisterCommand(Command cmd) {
-  if (cmd.name.empty() || !cmd.handler) {
-    return Status::InvalidArgument("command needs a name and a handler");
-  }
-  if (commands_.contains(cmd.name)) {
-    return Status::AlreadyExists("command already registered: " + cmd.name);
-  }
-  commands_.emplace(cmd.name, std::move(cmd));
-  return Status::Ok();
-}
-
-std::vector<const ScenarioRunner::Command*> ScenarioRunner::Commands() const {
-  std::vector<const Command*> out;
-  out.reserve(commands_.size());
-  for (const auto& [name, cmd] : commands_) out.push_back(&cmd);
-  return out;  // std::map iteration is already name-ordered
-}
+ScenarioRunner::~ScenarioRunner() = default;
 
 Status ScenarioRunner::Run(const std::string& script) {
   std::istringstream in(script);
@@ -164,10 +145,9 @@ std::string ScenarioRunner::Suggest(const std::string& cmd) const {
 }
 
 void ScenarioRunner::RegisterBuiltins() {
-  auto add = [this](const char* name, const char* usage, const char* help,
-                    Handler handler) {
-    Status s = RegisterCommand({name, usage, help, std::move(handler)});
-    (void)s;  // builtins are registered once, from here only
+  auto add = [this](const char* name, const std::string& usage,
+                    const char* help, Handler handler) {
+    commands_.emplace(name, Command{usage, help, std::move(handler)});
   };
 
   add("cluster",
@@ -181,7 +161,7 @@ void ScenarioRunner::RegisterBuiltins() {
       "Advances virtual time, e.g. `run 2s`, `run 500ms`.",
       [this](const std::vector<std::string>& a) { return CmdRun(a); });
   for (const char* op : {"create", "mkdir", "delete", "stat"}) {
-    add(op, (std::string(op) + " <path>").c_str(),
+    add(op, std::string(op) + " <path>",
         "Issues the client op through client 0 and waits for the reply. "
         "Failures are logged and counted, not fatal (see expect-ops-ok).",
         [this, op = std::string(op)](const std::vector<std::string>& a) {
@@ -225,8 +205,8 @@ void ScenarioRunner::RegisterBuiltins() {
       });
   add("add-backup", "add-backup <group>",
       "Grows the group by one standby (joins as junior, renewed by the "
-      "active). Alias of the elastic pack's add-standby.",
-      [this](const std::vector<std::string>& a) { return CmdAddBackup(a); });
+      "active). Alias of add-standby.",
+      [this](const std::vector<std::string>& a) { return CmdAddStandby(a); });
   add("help", "help [command]",
       "Lists every registered command, or one command's usage and help.",
       [this](const std::vector<std::string>& a) { return CmdHelp(a); });
@@ -272,6 +252,45 @@ void ScenarioRunner::RegisterBuiltins() {
   add("print-view", "print-view <group>",
       "Prints the group's coordination view row, lock and fence.",
       [this](const std::vector<std::string>& a) { return CmdPrintView(a); });
+  add("autoscale",
+      "autoscale on|off [period=500ms] [min=N] [max=N] [capacity=R] "
+      "[up=U] [down=U] [breach=N] [cooldown=D] [park_bounce=R]",
+      "Starts or stops the elastic standby controller on the cluster.",
+      [this](const std::vector<std::string>& a) { return CmdAutoscale(a); });
+  add("load",
+      "load open [rate=R] [flash_mult=M] [flash_start=D] [flash_len=D] "
+      "[create=F] [think=D] [dirs=N] [ops=N] [hot_group=G] [hot_weight=W] "
+      "| load stop",
+      "Runs open-loop session load against the cluster; flash_* shapes a "
+      "flash crowd, hot_group skews arrivals onto one group.",
+      [this](const std::vector<std::string>& a) { return CmdLoad(a); });
+  add("slow-disk", "slow-disk <group> <member> <factor|off>",
+      "Gray failure: multiplies the co-hosted pool node's disk time.",
+      [this](const std::vector<std::string>& a) { return CmdSlowDisk(a); });
+  add("asymmetry", "asymmetry <group> <member> in|out|off",
+      "Directional link failure: kill only the member's receive half "
+      "(in), its transmit half (out), or restore both (off).",
+      [this](const std::vector<std::string>& a) { return CmdAsymmetry(a); });
+  add("add-standby", "add-standby <group>",
+      "Grows the group by one standby via the membership API.",
+      [this](const std::vector<std::string>& a) { return CmdAddStandby(a); });
+  add("remove-standby", "remove-standby <group>",
+      "Retires one drained standby via the membership API.",
+      [this](const std::vector<std::string>& a) {
+        return CmdRemoveStandby(a);
+      });
+  add("promote", "promote <group>",
+      "Nudges the active to renew a junior into a standby now.",
+      [this](const std::vector<std::string>& a) { return CmdPromote(a); });
+  add("expect-standbys", "expect-standbys <group> <min> [max]",
+      "Waits until the group's alive standby count is within [min, max].",
+      [this](const std::vector<std::string>& a) {
+        return CmdExpectStandbys(a);
+      });
+  add("expect-metric", "expect-metric <name> <op> <value>",
+      "Asserts on a counter, gauge, or histogram stat "
+      "(name.p50/.p90/.p99/.mean/.count); ops: == >= <= > <.",
+      [this](const std::vector<std::string>& a) { return CmdExpectMetric(a); });
 }
 
 bool ScenarioRunner::RequireCluster(const char* cmd) {
@@ -297,6 +316,18 @@ bool ScenarioRunner::PumpUntil(const std::function<bool()>& done,
     sim_->RunUntil(sim_->Now() + 50 * kMillisecond);
   }
   return done();
+}
+
+storage::PoolNode* ScenarioRunner::PoolOf(int group, int member) {
+  // Pool nodes are allocated one per initially-configured metadata node,
+  // co-hosted in construction order: group-major, member-minor.
+  const auto& cfg = cluster_->config();
+  const int members = 1 + cfg.standbys_per_group + cfg.juniors_per_group;
+  if (group < 0 || group >= static_cast<int>(cfg.groups) || member < 0 ||
+      member >= members) {
+    return nullptr;
+  }
+  return &cluster_->pool_node(group * members + member);
 }
 
 Status ScenarioRunner::CmdCluster(const std::vector<std::string>& args) {
@@ -330,9 +361,10 @@ Status ScenarioRunner::CmdCluster(const std::vector<std::string>& args) {
       return Status::InvalidArgument("unknown cluster option: " + key);
     }
   }
-  // Re-running `cluster` rebuilds the world: drop pack state first, it
-  // references the old cluster.
-  extensions_.clear();
+  // Re-running `cluster` rebuilds the world: drop the controllers first,
+  // they reference the old cluster.
+  autoscaler_.reset();
+  load_.reset();
   cluster_.reset();
   net_.reset();
   sim_ = std::make_unique<sim::Simulator>(seed);
@@ -439,22 +471,16 @@ Status ScenarioRunner::CmdCrashPool(const std::vector<std::string>& args,
   auto m = ParseInt(args[1]);
   if (!g.ok()) return g.status();
   if (!m.ok()) return m.status();
-  // Pool nodes are allocated one per initially-configured metadata node,
-  // co-hosted in construction order: group-major, member-minor.
-  const auto& cfg = cluster_->config();
-  const int members =
-      1 + cfg.standbys_per_group + cfg.juniors_per_group;
-  if (m.value() < 0 || m.value() >= members) {
-    return Status::InvalidArgument(std::string(name) +
-                                   ": member out of pool range");
+  storage::PoolNode* pool = PoolOf(g.value(), m.value());
+  if (pool == nullptr) {
+    return Status::InvalidArgument(std::string(name) + ": no such pool node");
   }
-  auto& pool = cluster_->pool_node(g.value() * members + m.value());
   if (restart) {
-    pool.Restart();
-    Note("restarted " + pool.name());
+    pool->Restart();
+    Note("restarted " + pool->name());
   } else {
-    pool.Crash();
-    Note("crashed " + pool.name());
+    pool->Crash();
+    Note("crashed " + pool->name());
   }
   return Status::Ok();
 }
@@ -489,16 +515,6 @@ Status ScenarioRunner::CmdForceLockRelease(
   return Status::Ok();
 }
 
-Status ScenarioRunner::CmdAddBackup(const std::vector<std::string>& args) {
-  if (args.size() != 1) return Status::InvalidArgument("add-backup <group>");
-  if (!RequireCluster("add-backup")) return Status::Ok();
-  auto g = ParseInt(args[0]);
-  if (!g.ok()) return g.status();
-  auto& added = cluster_->AddStandby(static_cast<GroupId>(g.value()));
-  Note("added " + added.name());
-  return Status::Ok();
-}
-
 Status ScenarioRunner::CmdHelp(const std::vector<std::string>& args) {
   if (args.size() > 1) return Status::InvalidArgument("help [command]");
   if (args.size() == 1) {
@@ -514,7 +530,7 @@ Status ScenarioRunner::CmdHelp(const std::vector<std::string>& args) {
     return Status::Ok();
   }
   Note("commands:");
-  for (const Command* cmd : Commands()) Note("  " + cmd->usage);
+  for (const auto& [name, cmd] : commands_) Note("  " + cmd.usage);
   return Status::Ok();
 }
 

@@ -19,12 +19,12 @@
 //   expect-state 0 "S A S S"  # Table II row
 //   print-view 0
 //
-// Commands dispatch through a registry (name -> handler + usage + help),
-// not a hard-coded switch: `help` lists every registered command, an
-// unknown command suggests its nearest neighbour, and command packs —
-// e.g. RegisterElasticCommands, which plugs in `autoscale`, `load`,
-// `slow-disk`, `asymmetry`, `expect-standbys`, `expect-metric` — extend
-// the language without editing this file.
+// Every command is registered once, in RegisterBuiltins, in a name-ordered
+// table (name -> usage + help + handler): `help` lists the table and an
+// unknown command suggests its nearest neighbour. The fault, membership
+// and elastic commands (`autoscale`, `load`, `slow-disk`, `asymmetry`,
+// `add-standby`, `remove-standby`, `promote`, `expect-standbys`,
+// `expect-metric`) are implemented in scenario_commands.cpp.
 //
 // The runner executes commands sequentially, pumping the simulator as
 // needed; failed expectations are collected (not thrown) so a scenario
@@ -42,7 +42,13 @@
 #include "net/network.hpp"
 #include "sim/simulator.hpp"
 
+namespace mams::workload {
+class LoadEngine;
+}  // namespace mams::workload
+
 namespace mams::cluster {
+
+class Autoscaler;
 
 struct ScenarioRunnerOptions {
   bool echo = false;  ///< print each command + outcome to stdout
@@ -51,16 +57,6 @@ struct ScenarioRunnerOptions {
 class ScenarioRunner {
  public:
   using Options = ScenarioRunnerOptions;
-  using Handler = std::function<Status(const std::vector<std::string>& args)>;
-
-  /// One entry in the command registry. `usage` is the one-line synopsis
-  /// shown on arity errors and by `help`; `help` is the prose description.
-  struct Command {
-    std::string name;
-    std::string usage;
-    std::string help;
-    Handler handler;
-  };
 
   explicit ScenarioRunner(Options options = {});
   ~ScenarioRunner();
@@ -68,45 +64,6 @@ class ScenarioRunner {
   /// Runs a whole script; returns OK when every command executed and every
   /// expectation held. Parse errors abort; expectation failures accumulate.
   Status Run(const std::string& script);
-
-  // --- extension surface --------------------------------------------------
-
-  /// Adds a command to the registry. Fails on a duplicate name — a pack
-  /// must not silently shadow a builtin.
-  Status RegisterCommand(Command cmd);
-  bool HasCommand(const std::string& name) const {
-    return commands_.contains(name);
-  }
-  /// Registered commands in name order (drives `help`).
-  std::vector<const Command*> Commands() const;
-
-  /// Named slot for a command pack to stash cross-command state in (an
-  /// Autoscaler, a LoadEngine, ...). The slot lives as long as the runner;
-  /// its contents are destroyed before the cluster on reset/destruction.
-  std::shared_ptr<void>& ExtensionSlot(const std::string& key) {
-    return extensions_[key];
-  }
-
-  // --- helpers for handlers (builtin and pack alike) ----------------------
-
-  /// True when a `cluster` command has run; otherwise records a failure
-  /// attributed to `cmd` and returns false.
-  bool RequireCluster(const char* cmd);
-  /// Records an expectation failure (collected, not thrown).
-  void Fail(std::string what);
-  /// Records a log line (and echoes it when echo is on).
-  void Note(std::string what);
-  /// Pumps the simulator in 50 ms steps until `done` or the budget elapses.
-  bool PumpUntil(const std::function<bool()>& done,
-                 SimTime budget = 120 * kSecond);
-
-  /// Parses "2s" / "500ms" / "250us" into virtual time.
-  static Result<SimTime> ParseDuration(const std::string& s);
-  static Result<int> ParseInt(const std::string& s);
-  static Result<double> ParseDouble(const std::string& s);
-  /// Splits "key=value"; returns false when there is no '='.
-  static bool KeyValue(const std::string& tok, std::string& key,
-                       std::string& value);
 
   // --- observability ------------------------------------------------------
 
@@ -124,14 +81,47 @@ class ScenarioRunner {
   std::uint64_t ops_failed() const noexcept { return ops_failed_; }
 
  private:
+  using Handler = std::function<Status(const std::vector<std::string>& args)>;
+
+  /// One entry in the command table. `usage` is the one-line synopsis
+  /// shown on arity errors and by `help`; `help` is the prose description.
+  struct Command {
+    std::string usage;
+    std::string help;
+    Handler handler;
+  };
+
   void RegisterBuiltins();
   Status Execute(const std::vector<std::string>& tokens, int line_no);
   /// Closest registered command by edit distance, or "" when nothing is
   /// close enough to be a plausible typo.
   std::string Suggest(const std::string& cmd) const;
 
-  // Builtin command implementations (each returns a parse/shape error or
-  // OK; expectation outcomes go to failures_).
+  // --- helpers for handlers ----------------------------------------------
+
+  /// True when a `cluster` command has run; otherwise records a failure
+  /// attributed to `cmd` and returns false.
+  bool RequireCluster(const char* cmd);
+  /// Records an expectation failure (collected, not thrown).
+  void Fail(std::string what);
+  /// Records a log line (and echoes it when echo is on).
+  void Note(std::string what);
+  /// Pumps the simulator in 50 ms steps until `done` or the budget elapses.
+  bool PumpUntil(const std::function<bool()>& done,
+                 SimTime budget = 120 * kSecond);
+  /// The pool node co-hosted with member (group, member), or nullptr.
+  storage::PoolNode* PoolOf(int group, int member);
+
+  /// Parses "2s" / "500ms" / "250us" into virtual time.
+  static Result<SimTime> ParseDuration(const std::string& s);
+  static Result<int> ParseInt(const std::string& s);
+  static Result<double> ParseDouble(const std::string& s);
+  /// Splits "key=value"; returns false when there is no '='.
+  static bool KeyValue(const std::string& tok, std::string& key,
+                       std::string& value);
+
+  // Command implementations (each returns a parse/shape error or OK;
+  // expectation outcomes go to failures_).
   Status CmdCluster(const std::vector<std::string>& args);
   Status CmdRun(const std::vector<std::string>& args);
   Status CmdClientOp(const std::string& op,
@@ -142,7 +132,6 @@ class ScenarioRunner {
   Status CmdCrashPool(const std::vector<std::string>& args, bool restart);
   Status CmdUnplug(const std::vector<std::string>& args, bool up);
   Status CmdForceLockRelease(const std::vector<std::string>& args);
-  Status CmdAddBackup(const std::vector<std::string>& args);
   Status CmdHelp(const std::vector<std::string>& args);
   Status CmdExpectActive(const std::vector<std::string>& args);
   Status CmdExpectExists(const std::vector<std::string>& args, bool want);
@@ -151,27 +140,31 @@ class ScenarioRunner {
   Status CmdExpectCounts(const std::vector<std::string>& args);
   Status CmdExpectProbesClean(const std::vector<std::string>& args);
   Status CmdPrintView(const std::vector<std::string>& args);
+  // scenario_commands.cpp
+  Status CmdAutoscale(const std::vector<std::string>& args);
+  Status CmdLoad(const std::vector<std::string>& args);
+  Status CmdSlowDisk(const std::vector<std::string>& args);
+  Status CmdAsymmetry(const std::vector<std::string>& args);
+  Status CmdAddStandby(const std::vector<std::string>& args);
+  Status CmdRemoveStandby(const std::vector<std::string>& args);
+  Status CmdPromote(const std::vector<std::string>& args);
+  Status CmdExpectStandbys(const std::vector<std::string>& args);
+  Status CmdExpectMetric(const std::vector<std::string>& args);
 
   Options options_;
-  std::map<std::string, Command> commands_;
-  /// Cleared (in the destructor and on cluster reset) before the cluster
-  /// goes away — packs hold controllers that reference it.
-  std::map<std::string, std::shared_ptr<void>> extensions_;
+  std::map<std::string, Command> commands_;  ///< name-ordered, for `help`
   std::unique_ptr<sim::Simulator> sim_;
   std::unique_ptr<net::Network> net_;
   std::unique_ptr<CfsCluster> cluster_;
+  // Both reference the cluster: declared after it so they die first, and
+  // reset before it on a `cluster` rebuild.
+  std::unique_ptr<Autoscaler> autoscaler_;
+  std::unique_ptr<workload::LoadEngine> load_;
   std::vector<std::string> failures_;
   std::vector<std::string> log_;
   int pending_ops_ = 0;
   std::uint64_t ops_ok_ = 0;
   std::uint64_t ops_failed_ = 0;
 };
-
-/// Registers the elastic command pack: `autoscale`, `load`, `slow-disk`,
-/// `asymmetry`, `add-standby`, `remove-standby`, `promote`,
-/// `expect-standbys`, `expect-metric`. Implemented in
-/// scenario_commands.cpp; kept out of the core runner deliberately — it is
-/// the proof that the registry extension surface is sufficient.
-Status RegisterElasticCommands(ScenarioRunner& runner);
 
 }  // namespace mams::cluster

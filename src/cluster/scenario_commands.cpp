@@ -1,9 +1,6 @@
-// The elastic command pack: everything the autoscaler scenarios need,
-// registered through ScenarioRunner's public registry surface — no edits
-// to the core runner. This file doubles as the reference for writing
-// third-party packs: stash cross-command state in ExtensionSlot, report
-// outcomes through Note/Fail, and keep every handler a pure function of
-// (runner, args).
+// ScenarioRunner's elastic and membership commands: the autoscaler, open-loop
+// load, gray and directional faults, typed membership changes, and metric
+// expectations. RegisterBuiltins registers them with the other builtins.
 #include <memory>
 
 #include "cluster/autoscaler.hpp"
@@ -12,48 +9,21 @@
 
 namespace mams::cluster {
 
-namespace {
-
-/// Pack state parked in ExtensionSlot("elastic"): at most one autoscaler
-/// and one load engine per scenario at a time.
-struct ElasticState {
-  std::unique_ptr<Autoscaler> autoscaler;
-  std::unique_ptr<workload::LoadEngine> load;
-};
-
-ElasticState& StateOf(ScenarioRunner& r) {
-  auto& slot = r.ExtensionSlot("elastic");
-  if (!slot) slot = std::make_shared<ElasticState>();
-  return *std::static_pointer_cast<ElasticState>(slot);
-}
-
-/// Resolves (group, member) to the co-hosted pool node, mirroring the
-/// cluster's construction order (group-major over the initial membership).
-storage::PoolNode* PoolOf(ScenarioRunner& r, int g, int m) {
-  const auto& cfg = r.cluster()->config();
-  const int members = 1 + cfg.standbys_per_group + cfg.juniors_per_group;
-  if (g < 0 || g >= static_cast<int>(cfg.groups) || m < 0 || m >= members) {
-    return nullptr;
-  }
-  return &r.cluster()->pool_node(g * members + m);
-}
-
-Status CmdAutoscale(ScenarioRunner& r, const std::vector<std::string>& args) {
+Status ScenarioRunner::CmdAutoscale(const std::vector<std::string>& args) {
   if (args.empty()) {
     return Status::InvalidArgument("autoscale on|off [key=value...]");
   }
-  if (!r.RequireCluster("autoscale")) return Status::Ok();
-  ElasticState& state = StateOf(r);
+  if (!RequireCluster("autoscale")) return Status::Ok();
   if (args[0] == "off") {
-    if (!state.autoscaler) {
-      r.Fail("autoscale off: autoscaler is not running");
+    if (!autoscaler_) {
+      Fail("autoscale off: autoscaler is not running");
       return Status::Ok();
     }
-    state.autoscaler->Stop();
-    const auto& st = state.autoscaler->stats();
-    r.Note("autoscale off: " + std::to_string(st.scale_ups) + " up, " +
-           std::to_string(st.scale_downs) + " down, " +
-           std::to_string(st.ticks) + " ticks");
+    autoscaler_->Stop();
+    const auto& st = autoscaler_->stats();
+    Note("autoscale off: " + std::to_string(st.scale_ups) + " up, " +
+         std::to_string(st.scale_downs) + " down, " +
+         std::to_string(st.ticks) + " ticks");
     return Status::Ok();
   }
   if (args[0] != "on") {
@@ -62,22 +32,22 @@ Status CmdAutoscale(ScenarioRunner& r, const std::vector<std::string>& args) {
   AutoscalerOptions opts;
   for (std::size_t i = 1; i < args.size(); ++i) {
     std::string key, value;
-    if (!ScenarioRunner::KeyValue(args[i], key, value)) {
+    if (!KeyValue(args[i], key, value)) {
       return Status::InvalidArgument("expected key=value, got " + args[i]);
     }
     if (key == "period" || key == "cooldown") {
-      auto d = ScenarioRunner::ParseDuration(value);
+      auto d = ParseDuration(value);
       if (!d.ok()) return d.status();
       (key == "period" ? opts.evaluate_period : opts.cooldown) = d.value();
     } else if (key == "min" || key == "max" || key == "breach") {
-      auto n = ScenarioRunner::ParseInt(value);
+      auto n = ParseInt(value);
       if (!n.ok()) return n.status();
       if (key == "min") opts.min_standbys = n.value();
       else if (key == "max") opts.max_standbys = n.value();
       else opts.breach_ticks = n.value();
     } else if (key == "capacity" || key == "up" || key == "down" ||
                key == "park_bounce") {
-      auto x = ScenarioRunner::ParseDouble(value);
+      auto x = ParseDouble(value);
       if (!x.ok()) return x.status();
       if (key == "capacity") opts.reads_per_standby_capacity = x.value();
       else if (key == "up") opts.scale_up_utilization = x.value();
@@ -87,28 +57,27 @@ Status CmdAutoscale(ScenarioRunner& r, const std::vector<std::string>& args) {
       return Status::InvalidArgument("unknown autoscale option: " + key);
     }
   }
-  state.autoscaler = std::make_unique<Autoscaler>(*r.cluster(), opts);
-  state.autoscaler->Start();
-  r.Note("autoscale on: min=" + std::to_string(opts.min_standbys) +
-         " max=" + std::to_string(opts.max_standbys));
+  autoscaler_ = std::make_unique<Autoscaler>(*cluster_, opts);
+  autoscaler_->Start();
+  Note("autoscale on: min=" + std::to_string(opts.min_standbys) +
+       " max=" + std::to_string(opts.max_standbys));
   return Status::Ok();
 }
 
-Status CmdLoad(ScenarioRunner& r, const std::vector<std::string>& args) {
+Status ScenarioRunner::CmdLoad(const std::vector<std::string>& args) {
   if (args.empty()) {
     return Status::InvalidArgument(
         "load open [key=value...] | load stop");
   }
-  if (!r.RequireCluster("load")) return Status::Ok();
-  ElasticState& state = StateOf(r);
+  if (!RequireCluster("load")) return Status::Ok();
   if (args[0] == "stop") {
-    if (!state.load) {
-      r.Fail("load stop: no load engine running");
+    if (!load_) {
+      Fail("load stop: no load engine running");
       return Status::Ok();
     }
-    state.load->Stop();
-    r.Note("load stopped: " + std::to_string(state.load->completed()) +
-           " ok, " + std::to_string(state.load->failed()) + " failed");
+    load_->Stop();
+    Note("load stopped: " + std::to_string(load_->completed()) +
+         " ok, " + std::to_string(load_->failed()) + " failed");
     return Status::Ok();
   }
   if (args[0] != "open") {
@@ -121,25 +90,25 @@ Status CmdLoad(ScenarioRunner& r, const std::vector<std::string>& args) {
   int hot_group = -1;
   for (std::size_t i = 1; i < args.size(); ++i) {
     std::string key, value;
-    if (!ScenarioRunner::KeyValue(args[i], key, value)) {
+    if (!KeyValue(args[i], key, value)) {
       return Status::InvalidArgument("expected key=value, got " + args[i]);
     }
     if (key == "rate" || key == "flash_mult" || key == "create" ||
         key == "hot_weight") {
-      auto x = ScenarioRunner::ParseDouble(value);
+      auto x = ParseDouble(value);
       if (!x.ok()) return x.status();
       if (key == "rate") rate = x.value();
       else if (key == "flash_mult") flash_mult = x.value();
       else if (key == "create") create_frac = x.value();
       else hot_weight = x.value();
     } else if (key == "flash_start" || key == "flash_len" || key == "think") {
-      auto d = ScenarioRunner::ParseDuration(value);
+      auto d = ParseDuration(value);
       if (!d.ok()) return d.status();
       if (key == "flash_start") flash_start = d.value();
       else if (key == "flash_len") flash_len = d.value();
       else think = d.value();
     } else if (key == "dirs" || key == "ops" || key == "hot_group") {
-      auto n = ScenarioRunner::ParseInt(value);
+      auto n = ParseInt(value);
       if (!n.ok()) return n.status();
       if (key == "dirs") dirs = n.value();
       else if (key == "ops") ops = n.value();
@@ -164,7 +133,7 @@ Status CmdLoad(ScenarioRunner& r, const std::vector<std::string>& args) {
     // Skew arrivals toward one group: weight `hot_weight` for the hot
     // group, 1 for everyone else. A directory belongs to the group that
     // holds its children (the files the load touches), by the cluster map.
-    const CfsConfig& config = r.cluster()->config();
+    const CfsConfig& config = cluster_->config();
     opts.group_weights.assign(config.groups, 1.0);
     if (hot_group < static_cast<int>(config.groups)) {
       opts.group_weights[static_cast<std::size_t>(hot_group)] = hot_weight;
@@ -179,52 +148,52 @@ Status CmdLoad(ScenarioRunner& r, const std::vector<std::string>& args) {
   mix.getfileinfo = 1.0 - create_frac;
 
   std::vector<workload::ClientApi> apis;
-  for (int c = 0; c < r.cluster()->client_count(); ++c) {
-    apis.push_back(workload::MakeApi(r.cluster()->client(c)));
+  for (int c = 0; c < cluster_->client_count(); ++c) {
+    apis.push_back(workload::MakeApi(cluster_->client(c)));
   }
-  state.load = std::make_unique<workload::LoadEngine>(
-      *r.simulator(), std::move(apis), mix, /*seed=*/42, opts);
-  state.load->Start();
-  r.Note("load open: rate=" + std::to_string(rate) +
-         (flash_mult > 1.0 ? " flash x" + std::to_string(flash_mult) : ""));
+  load_ = std::make_unique<workload::LoadEngine>(
+      *sim_, std::move(apis), mix, /*seed=*/42, opts);
+  load_->Start();
+  Note("load open: rate=" + std::to_string(rate) +
+       (flash_mult > 1.0 ? " flash x" + std::to_string(flash_mult) : ""));
   return Status::Ok();
 }
 
-Status CmdSlowDisk(ScenarioRunner& r, const std::vector<std::string>& args) {
+Status ScenarioRunner::CmdSlowDisk(const std::vector<std::string>& args) {
   if (args.size() != 3) {
     return Status::InvalidArgument("slow-disk <group> <member> <factor|off>");
   }
-  if (!r.RequireCluster("slow-disk")) return Status::Ok();
-  auto g = ScenarioRunner::ParseInt(args[0]);
-  auto m = ScenarioRunner::ParseInt(args[1]);
+  if (!RequireCluster("slow-disk")) return Status::Ok();
+  auto g = ParseInt(args[0]);
+  auto m = ParseInt(args[1]);
   if (!g.ok()) return g.status();
   if (!m.ok()) return m.status();
   double factor = 1.0;
   if (args[2] != "off") {
-    auto x = ScenarioRunner::ParseDouble(args[2]);
+    auto x = ParseDouble(args[2]);
     if (!x.ok()) return x.status();
     factor = x.value();
   }
-  storage::PoolNode* pool = PoolOf(r, g.value(), m.value());
+  storage::PoolNode* pool = PoolOf(g.value(), m.value());
   if (pool == nullptr) {
     return Status::InvalidArgument("slow-disk: no such pool node");
   }
   pool->SetDiskSlowdown(factor);
-  r.Note("slow-disk " + pool->name() + " x" + std::to_string(factor));
+  Note("slow-disk " + pool->name() + " x" + std::to_string(factor));
   return Status::Ok();
 }
 
-Status CmdAsymmetry(ScenarioRunner& r, const std::vector<std::string>& args) {
+Status ScenarioRunner::CmdAsymmetry(const std::vector<std::string>& args) {
   if (args.size() != 3) {
     return Status::InvalidArgument("asymmetry <group> <member> in|out|off");
   }
-  if (!r.RequireCluster("asymmetry")) return Status::Ok();
-  auto g = ScenarioRunner::ParseInt(args[0]);
-  auto m = ScenarioRunner::ParseInt(args[1]);
+  if (!RequireCluster("asymmetry")) return Status::Ok();
+  auto g = ParseInt(args[0]);
+  auto m = ParseInt(args[1]);
   if (!g.ok()) return g.status();
   if (!m.ok()) return m.status();
-  auto& mds = r.cluster()->mds(static_cast<GroupId>(g.value()), m.value());
-  net::Network& net = r.cluster()->network();
+  auto& mds = cluster_->mds(static_cast<GroupId>(g.value()), m.value());
+  net::Network& net = cluster_->network();
   if (args[2] == "out") {
     net.SetSendUp(mds.id(), false);  // hears the world, cannot answer
   } else if (args[2] == "in") {
@@ -235,94 +204,90 @@ Status CmdAsymmetry(ScenarioRunner& r, const std::vector<std::string>& args) {
   } else {
     return Status::InvalidArgument("asymmetry <group> <member> in|out|off");
   }
-  r.Note("asymmetry " + mds.name() + " " + args[2]);
+  Note("asymmetry " + mds.name() + " " + args[2]);
   return Status::Ok();
 }
 
-Status CmdAddStandby(ScenarioRunner& r, const std::vector<std::string>& args) {
+Status ScenarioRunner::CmdAddStandby(const std::vector<std::string>& args) {
   if (args.size() != 1) return Status::InvalidArgument("add-standby <group>");
-  if (!r.RequireCluster("add-standby")) return Status::Ok();
-  auto g = ScenarioRunner::ParseInt(args[0]);
+  if (!RequireCluster("add-standby")) return Status::Ok();
+  auto g = ParseInt(args[0]);
   if (!g.ok()) return g.status();
-  auto& added = r.cluster()->AddStandby(static_cast<GroupId>(g.value()));
-  r.Note("added " + added.name());
+  auto& added = cluster_->AddStandby(static_cast<GroupId>(g.value()));
+  Note("added " + added.name());
   return Status::Ok();
 }
 
-Status CmdRemoveStandby(ScenarioRunner& r,
-                        const std::vector<std::string>& args) {
+Status ScenarioRunner::CmdRemoveStandby(const std::vector<std::string>& args) {
   if (args.size() != 1) {
     return Status::InvalidArgument("remove-standby <group>");
   }
-  if (!r.RequireCluster("remove-standby")) return Status::Ok();
-  auto g = ScenarioRunner::ParseInt(args[0]);
+  if (!RequireCluster("remove-standby")) return Status::Ok();
+  auto g = ParseInt(args[0]);
   if (!g.ok()) return g.status();
-  Status s = r.cluster()->RemoveStandby(static_cast<GroupId>(g.value()));
+  Status s = cluster_->RemoveStandby(static_cast<GroupId>(g.value()));
   if (!s.ok()) {
-    r.Fail("remove-standby: " + s.ToString());
+    Fail("remove-standby: " + s.ToString());
   } else {
-    r.Note("removed one standby from group " + args[0]);
+    Note("removed one standby from group " + args[0]);
   }
   return Status::Ok();
 }
 
-Status CmdPromote(ScenarioRunner& r, const std::vector<std::string>& args) {
+Status ScenarioRunner::CmdPromote(const std::vector<std::string>& args) {
   if (args.size() != 1) return Status::InvalidArgument("promote <group>");
-  if (!r.RequireCluster("promote")) return Status::Ok();
-  auto g = ScenarioRunner::ParseInt(args[0]);
+  if (!RequireCluster("promote")) return Status::Ok();
+  auto g = ParseInt(args[0]);
   if (!g.ok()) return g.status();
-  Status s = r.cluster()->PromoteJunior(static_cast<GroupId>(g.value()));
-  if (!s.ok()) r.Fail("promote: " + s.ToString());
+  Status s = cluster_->PromoteJunior(static_cast<GroupId>(g.value()));
+  if (!s.ok()) Fail("promote: " + s.ToString());
   return Status::Ok();
 }
 
-Status CmdExpectStandbys(ScenarioRunner& r,
-                         const std::vector<std::string>& args) {
+Status ScenarioRunner::CmdExpectStandbys(const std::vector<std::string>& args) {
   if (args.size() != 2 && args.size() != 3) {
     return Status::InvalidArgument("expect-standbys <group> <min> [max]");
   }
-  if (!r.RequireCluster("expect-standbys")) return Status::Ok();
-  auto g = ScenarioRunner::ParseInt(args[0]);
-  auto lo = ScenarioRunner::ParseInt(args[1]);
+  if (!RequireCluster("expect-standbys")) return Status::Ok();
+  auto g = ParseInt(args[0]);
+  auto lo = ParseInt(args[1]);
   if (!g.ok()) return g.status();
   if (!lo.ok()) return lo.status();
   int hi = lo.value();
   if (args.size() == 3) {
-    auto x = ScenarioRunner::ParseInt(args[2]);
+    auto x = ParseInt(args[2]);
     if (!x.ok()) return x.status();
     hi = x.value();
   }
   const auto group = static_cast<GroupId>(g.value());
-  const bool ok = r.PumpUntil([&r, group, lo = lo.value(), hi] {
-    const int n = r.cluster()->CountRole(group, ServerState::kStandby);
+  const bool ok = PumpUntil([this, group, lo = lo.value(), hi] {
+    const int n = cluster_->CountRole(group, ServerState::kStandby);
     return n >= lo && n <= hi;
   });
   if (!ok) {
-    r.Fail("expect-standbys: group " + args[0] + " has " +
-           std::to_string(r.cluster()->CountRole(group,
-                                                 ServerState::kStandby)) +
-           " standbys, wanted [" + std::to_string(lo.value()) + ", " +
-           std::to_string(hi) + "]");
+    Fail("expect-standbys: group " + args[0] + " has " +
+         std::to_string(cluster_->CountRole(group, ServerState::kStandby)) +
+         " standbys, wanted [" + std::to_string(lo.value()) + ", " +
+         std::to_string(hi) + "]");
   }
   return Status::Ok();
 }
 
-Status CmdExpectMetric(ScenarioRunner& r,
-                       const std::vector<std::string>& args) {
+Status ScenarioRunner::CmdExpectMetric(const std::vector<std::string>& args) {
   if (args.size() != 3) {
     return Status::InvalidArgument("expect-metric <name> <op> <value>");
   }
-  if (!r.RequireCluster("expect-metric")) return Status::Ok();
+  if (!RequireCluster("expect-metric")) return Status::Ok();
   const std::string& name = args[0];
   const std::string& op = args[1];
-  auto want = ScenarioRunner::ParseDouble(args[2]);
+  auto want = ParseDouble(args[2]);
   if (!want.ok()) return want.status();
 
   // Resolve: counter, gauge, or histogram with a .p50/.p90/.p99/.mean/
   // .count suffix. Resolution failure is an expectation failure, not a
   // parse error — a scenario may legitimately probe a metric that was
   // never touched.
-  const auto& metrics = r.simulator()->obs().metrics();
+  const auto& metrics = sim_->obs().metrics();
   double have = 0;
   bool found = false;
   if (const auto it = metrics.counters().find(name);
@@ -349,7 +314,7 @@ Status CmdExpectMetric(ScenarioRunner& r,
     }
   }
   if (!found) {
-    r.Fail("expect-metric: no metric named " + name);
+    Fail("expect-metric: no metric named " + name);
     return Status::Ok();
   }
 
@@ -361,65 +326,8 @@ Status CmdExpectMetric(ScenarioRunner& r,
   else if (op == "<") ok = have < want.value();
   else return Status::InvalidArgument("expect-metric op must be == >= <= > <");
   if (!ok) {
-    r.Fail("expect-metric: " + name + " = " + std::to_string(have) +
-           ", wanted " + op + " " + args[2]);
-  }
-  return Status::Ok();
-}
-
-}  // namespace
-
-Status RegisterElasticCommands(ScenarioRunner& runner) {
-  struct Entry {
-    const char* name;
-    const char* usage;
-    const char* help;
-    Status (*fn)(ScenarioRunner&, const std::vector<std::string>&);
-  };
-  const Entry entries[] = {
-      {"autoscale",
-       "autoscale on|off [period=500ms] [min=N] [max=N] [capacity=R] "
-       "[up=U] [down=U] [breach=N] [cooldown=D] [park_bounce=R]",
-       "Starts or stops the elastic standby controller on the cluster.",
-       CmdAutoscale},
-      {"load",
-       "load open [rate=R] [flash_mult=M] [flash_start=D] [flash_len=D] "
-       "[create=F] [think=D] [dirs=N] [ops=N] [hot_group=G] [hot_weight=W] "
-       "| load stop",
-       "Runs open-loop session load against the cluster; flash_* shapes a "
-       "flash crowd, hot_group skews arrivals onto one group.",
-       CmdLoad},
-      {"slow-disk", "slow-disk <group> <member> <factor|off>",
-       "Gray failure: multiplies the co-hosted pool node's disk time.",
-       CmdSlowDisk},
-      {"asymmetry", "asymmetry <group> <member> in|out|off",
-       "Directional link failure: kill only the member's receive half "
-       "(in), its transmit half (out), or restore both (off).",
-       CmdAsymmetry},
-      {"add-standby", "add-standby <group>",
-       "Grows the group by one standby via the membership API.",
-       CmdAddStandby},
-      {"remove-standby", "remove-standby <group>",
-       "Retires one drained standby via the membership API.",
-       CmdRemoveStandby},
-      {"promote", "promote <group>",
-       "Nudges the active to renew a junior into a standby now.",
-       CmdPromote},
-      {"expect-standbys", "expect-standbys <group> <min> [max]",
-       "Waits until the group's alive standby count is within [min, max].",
-       CmdExpectStandbys},
-      {"expect-metric", "expect-metric <name> <op> <value>",
-       "Asserts on a counter, gauge, or histogram stat "
-       "(name.p50/.p90/.p99/.mean/.count); ops: == >= <= > <.",
-       CmdExpectMetric},
-  };
-  for (const Entry& e : entries) {
-    Status s = runner.RegisterCommand(
-        {e.name, e.usage, e.help,
-         [&runner, fn = e.fn](const std::vector<std::string>& args) {
-           return fn(runner, args);
-         }});
-    if (!s.ok()) return s;
+    Fail("expect-metric: " + name + " = " + std::to_string(have) +
+         ", wanted " + op + " " + args[2]);
   }
   return Status::Ok();
 }

@@ -152,14 +152,15 @@ void Renewal::WriteCheckpointChunk(
 
 // --- junior side -------------------------------------------------------------
 
-bool Renewal::Renewing() const {
-  return running_ && s_.role() == ServerState::kJunior;
+bool Renewal::Renewing(std::uint64_t run) const {
+  return running_ && run == run_ && s_.role() == ServerState::kJunior;
 }
 
 void Renewal::HandleCommand(const net::MessagePtr& msg) {
   const auto& cmd = net::Cast<RenewCommandMsg>(msg);
   if (s_.role() != ServerState::kJunior || running_) return;  // resume
   running_ = true;
+  ++run_;
   const SerialNumber last = s_.last_sn();
   span_ = s_.sim().obs().tracer().Begin(
       "renew", "renewing", s_.id(), s_.group(),
@@ -210,9 +211,9 @@ void Renewal::FetchImageChunk() {
   // continue to recover from other replicas in the last position".
   s_.ssp().ReadIndex(
       cursor_.image_file, cursor_.image_next_index,
-      [this](
+      [this, run = run_](
           Result<std::shared_ptr<const storage::SspReadReplyMsg>> r) {
-        if (!Renewing()) return;
+        if (!Renewing(run)) return;
         if (!r.ok() || !r.value()->found) {
           // Pool unreachable or image gone: fall back to journal replay.
           cursor_.mode = RenewMode::kJournalOnly;
@@ -235,8 +236,8 @@ void Renewal::FetchImageChunk() {
         const SimTime load_cost = s_.ChargeCpu(static_cast<SimTime>(
             static_cast<double>(cursor_.image_bytes.size()) *
             s_.options().image_inflation / 300.0e6 * kSecond));
-        s_.AfterLocal(load_cost, [this] {
-          if (!Renewing()) return;
+        s_.AfterLocal(load_cost, [this, run] {
+          if (!Renewing(run)) return;
           Status st = s_.mutable_tree().LoadImage(cursor_.image_bytes);
           cursor_.image_bytes.clear();
           cursor_.image_bytes.shrink_to_fit();
@@ -258,9 +259,9 @@ void Renewal::FetchImageChunk() {
 void Renewal::FetchJournal() {
   s_.ssp().ReadAfter(
       s_.JournalFile(), s_.last_sn(),
-      [this](
+      [this, run = run_](
           Result<std::shared_ptr<const storage::SspReadReplyMsg>> r) {
-        if (!Renewing()) return;
+        if (!Renewing(run)) return;
         if (!r.ok()) {
           SendProgress(/*failed=*/true);
           EndRun("ssp_failed");
@@ -271,8 +272,8 @@ void Renewal::FetchJournal() {
         // Replay CPU cost: serial apply at 200 MB/s of journal bytes.
         const SimTime cost = s_.ChargeCpu(static_cast<SimTime>(
             static_cast<double>(applied_bytes) / 200.0e6 * kSecond));
-        s_.AfterLocal(cost, [this, eof = reply.eof] {
-          if (!Renewing()) return;
+        s_.AfterLocal(cost, [this, run, eof = reply.eof] {
+          if (!Renewing(run)) return;
           if (!eof) {
             FetchJournal();
             return;
@@ -300,11 +301,11 @@ void Renewal::FinalSync() {
   // Retried under kRenewFetchRpc until the active answers or the run ends;
   // a crash forgets the call outright.
   net::RpcHooks hooks;
-  hooks.cancelled = [this] { return !Renewing(); };
+  hooks.cancelled = [this, run = run_] { return !Renewing(run); };
   net::RpcCall::Start(
       s_, active, req, kRenewFetchRpc,
-      [this](Result<net::MessagePtr> r) {
-        if (!Renewing() || !r.ok()) return;  // cancelled mid-retry
+      [this, run = run_](Result<net::MessagePtr> r) {
+        if (!Renewing(run) || !r.ok()) return;  // cancelled mid-retry
         const auto& resp = net::Cast<RenewJournalReplyMsg>(r.value());
         s_.ApplyFetchedBatches(resp);
         if (resp.active_sn > s_.last_sn() + kFinalSyncGap) {

@@ -8,9 +8,10 @@
 //
 // Junior side: a run goes image first when far behind, then the SSP
 // journal, then a final sync against the active. The cursor survives active
-// failures, so a later run resumes the image stream where it stopped. A
-// run's continuations go on only while a run is on and the server is still
-// a junior (Renewing); a junior elected active keeps its run marked.
+// failures, so a later run resumes the image stream where it stopped. Each
+// run has an id, and every continuation carries the id of the run that
+// issued it: it goes on only while that run is on and the server is still
+// a junior (Renewing). A junior elected active keeps its run marked.
 #pragma once
 
 #include <memory>
@@ -73,9 +74,10 @@ class Renewal {
   /// Appends chunk `i` of `write`; the append's completion writes the next.
   void WriteCheckpointChunk(std::shared_ptr<const CheckpointWrite> write,
                             std::size_t i);
-  /// A junior-side continuation's liveness check. It is not tied to one
-  /// run: a late continuation of an ended run acts on the current one.
-  bool Renewing() const;
+  /// A junior-side continuation's liveness check: run `run` is still the
+  /// current one. A late reply of an ended run finds a newer id, or no run
+  /// at all, and drops.
+  bool Renewing(std::uint64_t run) const;
   void FetchImageChunk();
   void FetchJournal();
   void FinalSync();
@@ -91,6 +93,7 @@ class Renewal {
   obs::TraceRecorder::Span checkpoint_span_;
   Cursor cursor_;
   bool running_ = false;  ///< from a renew command until the run ends
+  std::uint64_t run_ = 0;  ///< id of the latest run; bumped as one starts
   std::unique_ptr<sim::PeriodicTimer> progress_timer_;
   obs::TraceRecorder::Span span_;
   obs::TraceRecorder::Span phase_span_;

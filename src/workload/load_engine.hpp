@@ -4,9 +4,9 @@
 //
 //   * closed loop — a fixed session pool, each keeping exactly one op in
 //     flight (the paper's "multiple clients on different nodes provide
-//     the workload"). Semantics are identical to the original
-//     workload::Driver, which is now a thin wrapper over this path, so
-//     every figure bench keeps its numbers and its run digest.
+//     the workload"). Every figure and Table I bench drives its cluster
+//     this way, and so do the MTTR probes: the engine records the first
+//     failure and the first success after it (Section IV.B).
 //
 //   * open loop — sessions arrive at a rate λ(t) given by an
 //     ArrivalCurve (constant / diurnal / flash-crowd), run a short op
@@ -185,7 +185,7 @@ class LoadEngine {
     return v;
   }
 
-  // --- closed loop (exactly the original Driver) -------------------------
+  // --- closed loop -------------------------------------------------------
   void IssueClosed(int session) {
     if (!running_) return;
     const Op op =

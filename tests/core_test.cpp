@@ -5,15 +5,18 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <memory>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "cluster/cfs.hpp"
 #include "core/failover_trace.hpp"
 #include "net/network.hpp"
 #include "sim/simulator.hpp"
 #include "test_util.hpp"
-#include "workload/driver.hpp"
+#include "workload/load_engine.hpp"
 
 namespace mams::core {
 namespace {
@@ -261,10 +264,11 @@ TEST_F(CoreTest, ReadsServedDuringUpgradeWindow) {
   workload::Mix mix;
   mix.create = 0.5;
   mix.getfileinfo = 0.5;
-  workload::DriverOptions dopts;
+  workload::LoadEngine::Options dopts;
+  dopts.loop = workload::LoadEngine::Loop::kClosed;
   dopts.sessions = 4;
-  workload::Driver driver(*sim_, workload::MakeApi(cfs_->client(1)), mix, 3,
-                          dopts);
+  workload::LoadEngine driver(*sim_, workload::MakeApi(cfs_->client(1)), mix,
+                              3, dopts);
   driver.Start();
   Run(2 * kSecond);
   cfs_->FindActive(0)->Crash();
@@ -304,10 +308,11 @@ TEST_F(CoreTest, PipelinedCommitDrainsAcrossViewChange) {
   mix.create = 0.70;
   mix.add_block = 0.15;
   mix.getfileinfo = 0.15;
-  workload::DriverOptions dopts;
+  workload::LoadEngine::Options dopts;
+  dopts.loop = workload::LoadEngine::Loop::kClosed;
   dopts.sessions = 12;  // backlog wider than the 4-slot window
-  workload::Driver driver(*sim_, workload::MakeApi(cfs_->client(1)), mix, 7,
-                          dopts);
+  workload::LoadEngine driver(*sim_, workload::MakeApi(cfs_->client(1)), mix,
+                              7, dopts);
   driver.Start();
   Run(3 * kSecond);
 
@@ -401,10 +406,11 @@ TEST_F(CoreTest, BatchesSealOnlyIntoAFreeWindowSlot) {
   workload::Mix mix;
   mix.create = 0.80;
   mix.add_block = 0.20;
-  workload::DriverOptions dopts;
+  workload::LoadEngine::Options dopts;
+  dopts.loop = workload::LoadEngine::Loop::kClosed;
   dopts.sessions = 32;
-  workload::Driver driver(*sim_, workload::MakeApi(cfs_->client(1)), mix, 11,
-                          dopts);
+  workload::LoadEngine driver(*sim_, workload::MakeApi(cfs_->client(1)), mix,
+                              11, dopts);
   driver.Start();
   MdsServer* active = cfs_->FindActive(0);
   ASSERT_NE(active, nullptr);
@@ -430,6 +436,90 @@ TEST_F(CoreTest, BatchesSealOnlyIntoAFreeWindowSlot) {
     EXPECT_GT(mds.counters().apply_records, mds.counters().batches_applied)
         << mds.name();
   }
+}
+
+// A renewal run that ends by promotion while its SSP read is still out
+// leaves that read's reply behind. When the junior is demoted and its next
+// run starts before the reply lands, the stale failure must not end the
+// new run.
+TEST_F(CoreTest, StaleSspReadOfAnEndedRenewalRunSparesTheNextRun) {
+  cluster::CfsConfig cfg;
+  cfg.groups = 1;
+  cfg.standbys_per_group = 2;
+  cfg.clients = 1;
+  cfg.data_servers = 1;
+  Build(cfg);
+  sim_->obs().tracer().set_enabled(true);
+  ASSERT_TRUE(CreateFile("/renew/a").ok());
+  MdsServer* active = cfs_->FindActive(0);
+  ASSERT_NE(active, nullptr);
+  const auto& counters = sim_->obs().metrics().counters();
+  auto count = [&counters](const char* name) {
+    const auto it = counters.find(name);
+    return it == counters.end() ? std::uint64_t{0} : it->second.value;
+  };
+  constexpr SimTime kStep = 10 * kMillisecond;
+
+  // The new member boots as a junior cut off from the pool, so its first
+  // run's journal read hangs for one timeout per replica. Its sn-0 progress
+  // report is within the final-sync gap of this short history, so the
+  // active promotes it while that read is still out.
+  const std::uint64_t reads = count("ssp.read");
+  const std::uint64_t failovers = count("ssp.read_failover");
+  MdsServer& junior = cfs_->AddStandby(0);
+  for (int p = 0; p < 3; ++p) {
+    net_->Partition(junior.id(), cfs_->pool_node(p).id());
+  }
+  ASSERT_TRUE(testutil::WaitFor(
+      *sim_, [&] { return junior.role() == ServerState::kStandby; },
+      10 * kSecond, kStep));
+  ASSERT_EQ(count("ssp.read"), reads + 1);
+
+  // Once the stale read's last attempt is out, demote the new standby:
+  // cut it off from the active and commit a batch.
+  ASSERT_TRUE(testutil::WaitFor(
+      *sim_, [&] { return count("ssp.read_failover") == failovers + 1; },
+      10 * kSecond, kStep));
+  net_->Partition(active->id(), junior.id());
+  ASSERT_TRUE(CreateFile("/renew/b").ok());
+  ASSERT_TRUE(testutil::WaitFor(
+      *sim_, [&] { return junior.role() == ServerState::kJunior; },
+      10 * kSecond, kStep));
+  // Commit one batch per create until the group is further ahead than the
+  // final-sync gap, so no progress report can promote the next run.
+  int created = 0;
+  std::function<void(Status)> next = [&](Status) {
+    if (++created < 40) {
+      cfs_->client(0).Create("/renew/c" + std::to_string(created), next);
+    }
+  };
+  cfs_->client(0).Create("/renew/c0", next);
+  ASSERT_TRUE(testutil::WaitFor(*sim_, [&] { return created == 40; },
+                                5 * kSecond, kStep));
+
+  // The active renews it again. The second run's read goes out, and is
+  // lost, before the stale read times out.
+  net_->Heal(active->id(), junior.id());
+  ASSERT_TRUE(testutil::WaitFor(
+      *sim_, [&] { return count("ssp.read") == reads + 2; }, 10 * kSecond,
+      kStep));
+  // The pool comes back. The second run's retry goes out after the stale
+  // read has failed, and succeeds.
+  net_->HealAll();
+  ASSERT_TRUE(testutil::WaitFor(
+      *sim_, [&] { return junior.role() == ServerState::kStandby; },
+      30 * kSecond, kStep));
+
+  std::vector<std::string> outcomes;
+  for (const auto& span : sim_->obs().tracer().spans()) {
+    if (span.name != "renewing" || span.node != junior.id()) continue;
+    for (const auto& arg : span.args) {
+      if (arg.key == "outcome") outcomes.push_back(arg.value);
+    }
+  }
+  ASSERT_GE(outcomes.size(), 2u);
+  EXPECT_EQ(outcomes[0], "promoted");
+  EXPECT_EQ(outcomes[1], "caught_up");
 }
 
 }  // namespace

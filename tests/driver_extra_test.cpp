@@ -10,7 +10,7 @@
 #include "metrics/availability.hpp"
 #include "net/network.hpp"
 #include "sim/simulator.hpp"
-#include "workload/driver.hpp"
+#include "workload/load_engine.hpp"
 
 namespace mams {
 namespace {
@@ -65,11 +65,12 @@ TEST(AvailabilityIntegrationTest, FailoverShowsAsOneShortOutage) {
   cfs.Start();
   sim.RunUntil(sim.Now() + kSecond);
 
-  workload::DriverOptions opts;
+  workload::LoadEngine::Options opts;
+  opts.loop = workload::LoadEngine::Loop::kClosed;
   opts.sessions = 4;
-  workload::Driver driver(sim, workload::MakeApi(cfs.client(0)),
-                          workload::Mix::Only(workload::OpKind::kCreate), 9,
-                          opts);
+  workload::LoadEngine driver(sim, workload::MakeApi(cfs.client(0)),
+                              workload::Mix::Only(workload::OpKind::kCreate),
+                              9, opts);
   driver.Start();
   sim.RunUntil(sim.Now() + 20 * kSecond);
   cfs.FindActive(0)->Crash();
@@ -108,9 +109,12 @@ TEST(MttrOrderingTest, SmallScaleOrderingMatchesPaper) {
     cluster::CfsCluster cfs(net, cfg);
     cfs.Start();
     sim.RunUntil(sim.Now() + kSecond);
-    workload::Driver driver(sim, workload::MakeApi(cfs.client(0)),
-                            workload::Mix::Only(workload::OpKind::kCreate),
-                            5, {.sessions = 2});
+    workload::LoadEngine::Options load;
+    load.loop = workload::LoadEngine::Loop::kClosed;
+    load.sessions = 2;
+    workload::LoadEngine driver(sim, workload::MakeApi(cfs.client(0)),
+                                workload::Mix::Only(workload::OpKind::kCreate),
+                                5, load);
     driver.Start();
     sim.RunUntil(sim.Now() + 2 * kSecond);
     cfs.FindActive(0)->Crash();
@@ -129,9 +133,12 @@ TEST(MttrOrderingTest, SmallScaleOrderingMatchesPaper) {
     opts.client.rpc_timeout = kSecond;
     baselines::HadoopHaSystem sys(net, opts);
     sim.RunUntil(sim.Now() + kSecond);
-    workload::Driver driver(sim, workload::MakeApi(sys.client(0)),
-                            workload::Mix::Only(workload::OpKind::kCreate),
-                            5, {.sessions = 2});
+    workload::LoadEngine::Options load;
+    load.loop = workload::LoadEngine::Loop::kClosed;
+    load.sessions = 2;
+    workload::LoadEngine driver(sim, workload::MakeApi(sys.client(0)),
+                                workload::Mix::Only(workload::OpKind::kCreate),
+                                5, load);
     driver.Start();
     sim.RunUntil(sim.Now() + 2 * kSecond);
     sys.KillPrimary();
@@ -150,9 +157,12 @@ TEST(MttrOrderingTest, SmallScaleOrderingMatchesPaper) {
     opts.client.rpc_timeout = kSecond;
     baselines::AvatarSystem sys(net, opts);
     sim.RunUntil(sim.Now() + kSecond);
-    workload::Driver driver(sim, workload::MakeApi(sys.client(0)),
-                            workload::Mix::Only(workload::OpKind::kCreate),
-                            5, {.sessions = 2});
+    workload::LoadEngine::Options load;
+    load.loop = workload::LoadEngine::Loop::kClosed;
+    load.sessions = 2;
+    workload::LoadEngine driver(sim, workload::MakeApi(sys.client(0)),
+                                workload::Mix::Only(workload::OpKind::kCreate),
+                                5, load);
     driver.Start();
     sim.RunUntil(sim.Now() + 2 * kSecond);
     sys.KillPrimary();

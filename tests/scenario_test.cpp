@@ -127,38 +127,16 @@ TEST(ScenarioRegistryTest, HelpListsCommandsAndExplainsOne) {
   ScenarioRunner runner;
   EXPECT_TRUE(runner.Run("help\n").ok());
   EXPECT_TRUE(runner.Run("help crash-active\n").ok());
+  // The elastic commands are builtins: no registration step is needed.
+  EXPECT_TRUE(runner.Run("help autoscale\n").ok());
+  EXPECT_TRUE(runner.Run("help expect-metric\n").ok());
   // help for an unknown command is an error, with the same suggestion.
   Status s = runner.Run("help crash-actve\n");
   ASSERT_FALSE(s.ok());
 }
 
-TEST(ScenarioRegistryTest, DuplicateRegistrationRejected) {
-  ScenarioRunner runner;
-  ASSERT_TRUE(runner.HasCommand("create"));
-  Status s = runner.RegisterCommand(
-      {"create", "create <path>", "dup",
-       [](const std::vector<std::string>&) { return Status::Ok(); }});
-  EXPECT_EQ(s.code(), StatusCode::kAlreadyExists);
-}
-
-TEST(ScenarioRegistryTest, CommandPackRegistersAndRuns) {
-  ScenarioRunner runner;
-  int hits = 0;
-  ASSERT_TRUE(runner
-                  .RegisterCommand({"touch-counter", "touch-counter",
-                                    "test-pack command",
-                                    [&hits](const std::vector<std::string>&) {
-                                      ++hits;
-                                      return Status::Ok();
-                                    }})
-                  .ok());
-  EXPECT_TRUE(runner.Run("touch-counter\ntouch-counter\n").ok());
-  EXPECT_EQ(hits, 2);
-}
-
 TEST(ScenarioElasticPackTest, ExpectMetricReadsRegistryValues) {
   ScenarioRunner runner;
-  ASSERT_TRUE(RegisterElasticCommands(runner).ok());
   Status s = runner.Run(R"(
 cluster groups=1 standbys=1 seed=23
 run 500ms
@@ -168,7 +146,6 @@ expect-metric mds.ops_served >= 1
   EXPECT_TRUE(s.ok()) << s.ToString();
   // An unsatisfied comparison is an expectation failure, not a parse error.
   ScenarioRunner runner2;
-  ASSERT_TRUE(RegisterElasticCommands(runner2).ok());
   s = runner2.Run(R"(
 cluster groups=1 standbys=1 seed=23
 run 500ms
@@ -180,7 +157,6 @@ expect-metric mds.ops_served >= 1000000
 
 TEST(ScenarioElasticPackTest, ExpectStandbysWaitsForMembership) {
   ScenarioRunner runner;
-  ASSERT_TRUE(RegisterElasticCommands(runner).ok());
   Status s = runner.Run(R"(
 cluster groups=1 standbys=1 seed=29
 run 1s
@@ -196,7 +172,6 @@ expect-standbys 0 1 1
   // Promoting when no junior exists is an expectation failure, reported
   // through the normal failure channel rather than aborting the script.
   ScenarioRunner runner2;
-  ASSERT_TRUE(RegisterElasticCommands(runner2).ok());
   s = runner2.Run(R"(
 cluster groups=1 standbys=1 seed=31
 run 500ms
@@ -210,7 +185,6 @@ TEST(ScenarioElasticPackTest, HotGroupSkewLeavesTheColdGroupAMinority) {
   // hot_group classifies each load directory by the group holding its
   // children, so weight 8:1 puts roughly a ninth of the ops on group 1.
   ScenarioRunner runner;
-  ASSERT_TRUE(RegisterElasticCommands(runner).ok());
   Status s = runner.Run(R"(
 cluster groups=2 standbys=1 clients=2 seed=37
 run 1s

@@ -1,4 +1,4 @@
-// Tests for the workload layer: op streams, the closed-loop driver (with
+// Tests for the workload layer: op streams, LoadEngine's closed loop (with
 // MTTR probing), and the MapReduce job simulator.
 #include <gtest/gtest.h>
 
@@ -8,7 +8,7 @@
 #include "cluster/cfs.hpp"
 #include "net/network.hpp"
 #include "sim/simulator.hpp"
-#include "workload/driver.hpp"
+#include "workload/load_engine.hpp"
 #include "workload/mapreduce.hpp"
 #include "workload/opstream.hpp"
 
@@ -68,7 +68,7 @@ TEST(OpStreamTest, RenameKeepsTrackedPathFresh) {
   }
 }
 
-TEST(DriverTest, ClosedLoopProducesThroughputOnCfs) {
+TEST(LoadEngineClosedLoopTest, ClosedLoopProducesThroughputOnCfs) {
   sim::Simulator sim(5);
   net::Network net(sim);
   cluster::CfsConfig cfg;
@@ -80,8 +80,11 @@ TEST(DriverTest, ClosedLoopProducesThroughputOnCfs) {
   cfs.Start();
   sim.RunUntil(sim.Now() + kSecond);
 
-  Driver driver(sim, MakeApi(cfs.client(0)), Mix::Only(OpKind::kCreate), 11,
-                {.sessions = 4});
+  LoadEngine::Options options;
+  options.loop = LoadEngine::Loop::kClosed;
+  options.sessions = 4;
+  LoadEngine driver(sim, MakeApi(cfs.client(0)), Mix::Only(OpKind::kCreate),
+                    11, options);
   driver.Start();
   sim.RunUntil(sim.Now() + 5 * kSecond);
   driver.Stop();
@@ -90,7 +93,7 @@ TEST(DriverTest, ClosedLoopProducesThroughputOnCfs) {
   EXPECT_GT(driver.latencies().count(), 0u);
 }
 
-TEST(DriverTest, MttrProbeMeasuresOutageOnCfs) {
+TEST(LoadEngineClosedLoopTest, MttrProbeMeasuresOutageOnCfs) {
   sim::Simulator sim(6);
   net::Network net(sim);
   cluster::CfsConfig cfg;
@@ -104,8 +107,11 @@ TEST(DriverTest, MttrProbeMeasuresOutageOnCfs) {
   cfs.Start();
   sim.RunUntil(sim.Now() + kSecond);
 
-  Driver driver(sim, MakeApi(cfs.client(0)), Mix::Only(OpKind::kCreate), 12,
-                {.sessions = 2});
+  LoadEngine::Options options;
+  options.loop = LoadEngine::Loop::kClosed;
+  options.sessions = 2;
+  LoadEngine driver(sim, MakeApi(cfs.client(0)), Mix::Only(OpKind::kCreate),
+                    12, options);
   driver.Start();
   sim.RunUntil(sim.Now() + 2 * kSecond);
   cfs.FindActive(0)->Crash();
