@@ -82,17 +82,28 @@ inline std::vector<workload::ClientApi> MakeApis(cluster::CfsCluster& cfs) {
 }
 
 /// Steady-state throughput from a driver's rate series, skipping warmup
-/// and the final (partial) bucket.
+/// and the final (partial) bucket. A series too short to keep one steady
+/// bucket is a misconfigured run, not a throughput of 0: the bench exits.
 inline double SteadyThroughput(const metrics::RateSeries& rate,
                                std::size_t warmup_buckets = 2) {
-  if (rate.bucket_count() <= warmup_buckets + 1) return 0.0;
+  const std::size_t min_buckets = warmup_buckets + 2;
+  if (rate.bucket_count() < min_buckets) {
+    const double width = ToSeconds(rate.bucket_width());
+    std::fprintf(stderr,
+                 "error: steady throughput needs a window of at least %g s "
+                 "(%zu rate buckets of %g s: %zu warmup, 1 steady, 1 "
+                 "partial), but the run left %zu; raise MAMS_BENCH_SECONDS\n",
+                 static_cast<double>(min_buckets) * width, min_buckets, width,
+                 warmup_buckets, rate.bucket_count());
+    std::exit(2);
+  }
   double sum = 0;
   std::size_t n = 0;
   for (std::size_t b = warmup_buckets; b + 1 < rate.bucket_count(); ++b) {
     sum += rate.RatePerSecond(b);
     ++n;
   }
-  return n > 0 ? sum / static_cast<double>(n) : 0.0;
+  return sum / static_cast<double>(n);
 }
 
 /// Paper scale: ~7 million files at a 1 GB image.

@@ -31,6 +31,18 @@ namespace {
 using mams::fsns::Inode;
 using mams::fsns::Tree;
 
+/// The journal record of an anonymous client rename.
+mams::journal::LogRecord RenameRecord(const std::string& src,
+                                      const std::string& dst,
+                                      mams::SimTime mtime) {
+  mams::journal::LogRecord rec;
+  rec.op = mams::journal::OpCode::kRename;
+  rec.path = src;
+  rec.path2 = dst;
+  rec.mtime = mtime;
+  return rec;
+}
+
 int EnvInt(const char* name, int fallback) {
   const char* v = std::getenv(name);
   return v != nullptr ? std::atoi(v) : fallback;
@@ -158,12 +170,11 @@ int main() {
       std::min<std::uint64_t>(paths.size(), 4096);
   std::uint64_t rename_seq = 0;
   const Throughput rename = Measure(rename_ops, [&](std::uint64_t i) {
-    mams::ClientOpId none{};
     const std::string& src = paths[i];
     const std::string dst =
         mams::fsns::ParentPath(src) + "/r" + std::to_string(rename_seq++);
-    auto r = tree.Rename(src, dst, 1, none);
-    if (r.ok()) (void)tree.Rename(dst, src, 2, none);  // restore
+    auto r = tree.Execute(RenameRecord(src, dst, 1));
+    if (r.ok()) (void)tree.Execute(RenameRecord(dst, src, 2));  // restore
     return r.ok() ? std::uint64_t{1} : std::uint64_t{0};
   });
 

@@ -1,12 +1,13 @@
 // The Boom-FS baseline (ref [20]): metadata as a Paxos replicated state
 // machine with a globally-consistent distributed log.
 //
-// Every mutation is proposed into the shared Paxos log; all replicas apply
-// the log in order, so any replica can be promoted after a failure. The
-// cost structure the paper exploits in Figures 6/9: consensus on the
-// critical path of every operation (slower failure-free metadata ops) and
-// centralized repair-action decisions on failover (the master replica
-// change stalls in-flight work — Figure 9 shows Boom-FS map tasks
+// Every mutation is proposed into the shared Paxos log as the fields of
+// its journal record (core::RecordFor); all replicas execute the log in
+// order through Tree::Execute, so any replica can be promoted after a
+// failure. The cost structure the paper exploits in Figures 6/9: consensus
+// on the critical path of every operation (slower failure-free metadata
+// ops) and centralized repair-action decisions on failover (the master
+// replica change stalls in-flight work — Figure 9 shows Boom-FS map tasks
 // suspended during recovery, finishing ~28% later than CFS).
 #pragma once
 
@@ -15,7 +16,7 @@
 #include <string>
 
 #include "common/bytes.hpp"
-#include "core/messages.hpp"
+#include "core/ops.hpp"
 #include "paxos/replica.hpp"
 
 namespace mams::baselines {
@@ -83,30 +84,22 @@ class BoomFsServer : public paxos::Replica {
     if (!core::IsMutation(req->op)) {
       // Reads served from the master's applied state.
       auto out = std::make_shared<core::ClientResponseMsg>();
-      if (req->op == core::ClientOp::kGetFileInfo) {
-        auto info = tree_.GetFileInfo(req->path);
-        out->ok = info.ok();
-        if (info.ok()) out->info = std::move(info).value();
-        else out->code = info.status().code();
-      } else {
-        auto names = tree_.ListDir(req->path);
-        out->ok = names.ok();
-        if (names.ok()) out->listing = std::move(names).value();
-        else out->code = names.status().code();
-      }
+      core::FillRead(tree_, *req, *out);
       reply(out);
       return;
     }
-    // Mutation: serialize into the distributed log.
+    // Mutation: serialize its journal record into the distributed log. The
+    // timestamp is decided at apply time.
+    const journal::LogRecord rec = core::RecordFor(*req, 0);
     const std::uint64_t token = ++next_token_;
     pending_[token] = reply;
     ByteWriter w;
-    w.U8(static_cast<std::uint8_t>(req->op));
-    w.Str(req->path);
-    w.Str(req->path2);
-    w.U32(req->replication);
-    w.U64(req->client.client_id);
-    w.U64(req->client.op_seq);
+    w.U8(static_cast<std::uint8_t>(rec.op));
+    w.Str(rec.path);
+    w.Str(rec.path2);
+    w.U32(rec.replication);
+    w.U64(rec.client.client_id);
+    w.U64(rec.client.op_seq);
     w.U32(id());
     w.U64(token);
     Propose(std::string(w.bytes().data(), w.bytes().size()),
@@ -125,56 +118,31 @@ class BoomFsServer : public paxos::Replica {
 
   void ApplyLogEntry(paxos::InstanceId instance, const paxos::Value& v) {
     ByteReader r(v.data(), v.size());
-    const auto op = static_cast<core::ClientOp>(r.U8());
-    const std::string path = r.Str();
-    const std::string path2 = r.Str();
-    const std::uint32_t replication = r.U32();
-    ClientOpId client{r.U64(), r.U64()};
+    journal::LogRecord rec;
+    rec.op = static_cast<journal::OpCode>(r.U8());
+    rec.path = r.Str();
+    rec.path2 = r.Str();
+    rec.replication = r.U32();
+    rec.client = {r.U64(), r.U64()};
     const NodeId proposer = r.U32();
     const std::uint64_t token = r.U64();
     if (!r.ok()) return;
 
     // Deterministic timestamp: the log position (identical on replicas).
-    const SimTime mtime = static_cast<SimTime>(instance);
-    Result<journal::LogRecord> rec = Status::Internal("unhandled");
-    switch (op) {
-      case core::ClientOp::kCreate:
-        rec = tree_.Create(path, replication, mtime, client);
-        break;
-      case core::ClientOp::kMkdir:
-        rec = tree_.Mkdir(path, mtime, client);
-        break;
-      case core::ClientOp::kDelete:
-        rec = tree_.Delete(path, mtime, client);
-        break;
-      case core::ClientOp::kRename:
-        rec = tree_.Rename(path, path2, mtime, client);
-        break;
-      case core::ClientOp::kSetReplication:
-        rec = tree_.SetReplication(path, replication, mtime, client);
-        break;
-      case core::ClientOp::kAddBlock:
-        rec = tree_.AddBlock(path, mtime, client);
-        break;
-      case core::ClientOp::kCompleteFile:
-        rec = tree_.CompleteFile(path, mtime, client);
-        break;
-      default:
-        break;
+    rec.mtime = static_cast<SimTime>(instance);
+    // A resend of an op the log already applied succeeds without running.
+    Status status = Status::Ok();
+    if (!tree_.IsDuplicate(rec.client)) {
+      status = tree_.Execute(std::move(rec)).status();
     }
     // Reply if this replica proposed the entry.
     if (proposer != id()) return;
     auto it = pending_.find(token);
     if (it == pending_.end()) return;
     auto out = std::make_shared<core::ClientResponseMsg>();
-    if (rec.ok() || (rec.status().code() == StatusCode::kAborted &&
-                     rec.status().message() == "duplicate")) {
-      out->ok = true;
-    } else {
-      out->ok = false;
-      out->code = rec.status().code();
-      out->error = rec.status().message();
-    }
+    out->ok = status.ok();
+    out->code = status.code();
+    out->error = status.message();
     it->second(out);
     pending_.erase(it);
   }

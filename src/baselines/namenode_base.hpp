@@ -8,9 +8,13 @@
 //                    filer, quorum of journal nodes, backup stream) — the
 //                    cost of this path is exactly what Figure 6 measures.
 //
-// The base provides the namespace tree, CPU model, journal writer, client
-// RPC handling with duplicate suppression, reply-on-durable semantics, and
-// block-report ingestion.
+// Recovery paths may also override BlockReportCost() and
+// OnBlockReportIngested(). The base owns the namespace tree, CPU model,
+// journal writer and block-report ingestion, and serves clients on the op
+// path MdsServer uses (core/ops.hpp): RecordFor and Tree::Execute for
+// mutations (a resend the tree remembers is answered without executing it
+// again), FillRead for reads, OpCost for CPU. A mutation is answered once
+// its batch is durable.
 #pragma once
 
 #include <map>
@@ -18,7 +22,7 @@
 #include <vector>
 
 #include "core/messages.hpp"
-#include "core/options.hpp"
+#include "core/ops.hpp"
 #include "fsns/blockmap.hpp"
 #include "fsns/tree.hpp"
 #include "journal/writer.hpp"
@@ -136,110 +140,30 @@ class NameNodeBase : public net::Host {
       ReplyStatus(reply, Status::Unavailable("namenode not serving"));
       return;
     }
-    const SimTime cost = CostOf(req->op);
-    AfterLocal(ChargeCpu(cost), [this, req, reply] {
+    AfterLocal(ChargeCpu(core::OpCost(costs_, req->op)), [this, req, reply] {
       if (!Serving()) {
         ReplyStatus(reply, Status::Unavailable("namenode not serving"));
         return;
       }
       ++ops_served_;
       if (!core::IsMutation(req->op)) {
-        ExecuteRead(*req, reply);
+        auto out = std::make_shared<core::ClientResponseMsg>();
+        core::FillRead(tree_, *req, *out);
+        reply(out);
         return;
       }
       ExecuteMutation(*req, reply);
     });
   }
 
-  SimTime CostOf(core::ClientOp op) const {
-    switch (op) {
-      case core::ClientOp::kCreate:
-        return costs_.create;
-      case core::ClientOp::kMkdir:
-        return costs_.mkdir;
-      case core::ClientOp::kDelete:
-        return costs_.remove;
-      case core::ClientOp::kRename:
-        return costs_.rename;
-      case core::ClientOp::kGetFileInfo:
-        return costs_.getfileinfo;
-      case core::ClientOp::kListDir:
-        return costs_.listdir;
-      default:
-        return costs_.add_block;
-    }
-  }
-
-  void ExecuteRead(const core::ClientRequestMsg& req, const ReplyFn& reply) {
-    auto out = std::make_shared<core::ClientResponseMsg>();
-    if (req.op == core::ClientOp::kGetFileInfo) {
-      auto info = tree_.GetFileInfo(req.path);
-      out->ok = info.ok();
-      if (info.ok()) {
-        out->info = std::move(info).value();
-      } else {
-        out->code = info.status().code();
-        out->error = info.status().message();
-      }
-    } else {
-      auto names = tree_.ListDir(req.path);
-      out->ok = names.ok();
-      if (names.ok()) {
-        out->listing = std::move(names).value();
-      } else {
-        out->code = names.status().code();
-        out->error = names.status().message();
-      }
-    }
-    reply(out);
-  }
-
   void ExecuteMutation(const core::ClientRequestMsg& req,
                        const ReplyFn& reply) {
-    const SimTime now = sim().Now();
-    Result<journal::LogRecord> rec = Status::Internal("unhandled op");
-    switch (req.op) {
-      case core::ClientOp::kCreate:
-        rec = tree_.Create(req.path, req.replication, now, req.client);
-        break;
-      case core::ClientOp::kMkdir:
-        rec = tree_.Mkdir(req.path, now, req.client);
-        break;
-      case core::ClientOp::kDelete:
-        rec = tree_.Delete(req.path, now, req.client);
-        break;
-      case core::ClientOp::kRename:
-        rec = tree_.Rename(req.path, req.path2, now, req.client);
-        break;
-      case core::ClientOp::kSetReplication:
-        rec = tree_.SetReplication(req.path, req.replication, now, req.client);
-        break;
-      case core::ClientOp::kAddBlock:
-        rec = tree_.AddBlock(req.path, now, req.client);
-        break;
-      case core::ClientOp::kCompleteFile:
-        rec = tree_.CompleteFile(req.path, now, req.client);
-        break;
-      case core::ClientOp::kSetOwner:
-        rec = tree_.SetOwner(req.path, req.path2, now, req.client);
-        break;
-      case core::ClientOp::kSetPermission:
-        rec = tree_.SetPermission(
-            req.path, static_cast<std::uint16_t>(req.replication), now,
-            req.client);
-        break;
-      case core::ClientOp::kSetTimes:
-        rec = tree_.SetTimes(req.path, now, req.client);
-        break;
-      default:
-        break;
+    if (tree_.IsDuplicate(req.client)) {
+      ReplyStatus(reply, Status::Ok());
+      return;
     }
+    auto rec = tree_.Execute(core::RecordFor(req, sim().Now()));
     if (!rec.ok()) {
-      if (rec.status().code() == StatusCode::kAborted &&
-          rec.status().message() == "duplicate") {
-        ReplyStatus(reply, Status::Ok());
-        return;
-      }
       ReplyStatus(reply, rec.status());
       return;
     }

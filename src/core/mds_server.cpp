@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <limits>
 
+#include "core/ops.hpp"
+
 namespace mams::core {
 
 namespace {
@@ -19,25 +21,6 @@ constexpr net::RpcPolicy kJoinRetry{
     .backoff_cap = 8 * kSecond,
     .jitter = 0.25,
 };
-
-/// CPU service time of `op` at the active, before journaling.
-SimTime OpCost(const OpCosts& c, ClientOp op) {
-  switch (op) {
-    case ClientOp::kCreate: return c.create;
-    case ClientOp::kMkdir: return c.mkdir;
-    case ClientOp::kDelete: return c.remove;
-    case ClientOp::kRename: return c.rename;
-    case ClientOp::kGetFileInfo: return c.getfileinfo;
-    case ClientOp::kListDir: return c.listdir;
-    case ClientOp::kSetReplication:
-    case ClientOp::kAddBlock:
-    case ClientOp::kCompleteFile:
-    case ClientOp::kSetOwner:
-    case ClientOp::kSetPermission:
-    case ClientOp::kSetTimes: return c.add_block;
-  }
-  return c.getfileinfo;
-}
 
 }  // namespace
 
@@ -452,50 +435,17 @@ void MdsServer::ExecuteMutation(const RequestPtr& req, const ReplyFn& reply) {
   // journal append — not at request arrival: a cutover fence raised while
   // the request sat in the CPU queue must still bounce it.
   if (!shard_->AdmitMutation(*req, reply)) return;
-  const SimTime now = sim().Now();
-  Result<journal::LogRecord> rec = Status::Internal("unhandled op");
-  switch (req->op) {
-    case ClientOp::kCreate:
-      rec = tree_.Create(req->path, req->replication, now, req->client);
-      break;
-    case ClientOp::kMkdir:
-      rec = tree_.Mkdir(req->path, now, req->client);
-      break;
-    case ClientOp::kDelete:
-      rec = tree_.Delete(req->path, now, req->client);
-      break;
-    case ClientOp::kRename:
-      rec = tree_.Rename(req->path, req->path2, now, req->client);
-      break;
-    case ClientOp::kSetReplication:
-      rec = tree_.SetReplication(req->path, req->replication, now, req->client);
-      break;
-    case ClientOp::kAddBlock:
-      rec = tree_.AddBlock(req->path, now, req->client);
-      break;
-    case ClientOp::kCompleteFile:
-      rec = tree_.CompleteFile(req->path, now, req->client);
-      break;
-    case ClientOp::kSetOwner:
-      rec = tree_.SetOwner(req->path, req->owner, now, req->client);
-      break;
-    case ClientOp::kSetPermission:
-      rec = tree_.SetPermission(req->path, req->permission, now, req->client);
-      break;
-    case ClientOp::kSetTimes:
-      rec = tree_.SetTimes(req->path, now, req->client);
-      break;
-    default:
-      break;
-  }
   Bump(counters_.ops_served, m_.ops_served);
   Bump(counters_.mutations, m_.mutations);
-  if (!rec.ok()) {
+  if (tree_.IsDuplicate(req->client)) {
     // Idempotent resend: the op already committed in a previous life of
     // this request; acknowledge success without re-journaling.
-    const bool duplicate = rec.status().code() == StatusCode::kAborted &&
-                           rec.status().message() == "duplicate";
-    ReplyStatus(reply, duplicate ? Status::Ok() : rec.status());
+    ReplyStatus(reply, Status::Ok());
+    return;
+  }
+  Result<journal::LogRecord> rec = tree_.Execute(RecordFor(*req, sim().Now()));
+  if (!rec.ok()) {
+    ReplyStatus(reply, rec.status());
     return;
   }
   commit_->Commit(*req, std::move(rec).value(), reply);

@@ -4,6 +4,7 @@
 #include <chrono>
 
 #include "core/mds_server.hpp"
+#include "core/ops.hpp"
 #include "fsns/path.hpp"
 
 namespace mams::core {
@@ -47,20 +48,7 @@ void ReadService::Execute(const ClientRequestMsg& req, const ReplyFn& reply,
   // feeds the mds.resolve_ns histogram the bench trajectory tracks. Real
   // nanoseconds never influence simulation state, so determinism holds.
   const auto resolve_begin = std::chrono::steady_clock::now();
-  auto fill = [&out](auto result, auto& field) {
-    out->ok = result.ok();
-    if (result.ok()) {
-      field = std::move(result).value();
-    } else {
-      out->code = result.status().code();
-      out->error = result.status().message();
-    }
-  };
-  if (req.op == ClientOp::kGetFileInfo) {
-    fill(s_.tree().GetFileInfo(req.path), out->info);
-  } else {  // kListDir
-    fill(s_.tree().ListDir(req.path), out->listing);
-  }
+  FillRead(s_.tree(), req, *out);
   s_.m().resolve_ns->Record(
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           std::chrono::steady_clock::now() - resolve_begin)
@@ -108,9 +96,7 @@ void ReadService::HandleStandbyRead(const RequestPtr& req,
 
 void ReadService::ServeStandbyRead(const RequestPtr& req,
                                    const ReplyFn& reply) {
-  const SimTime cost = req->op == ClientOp::kListDir
-                           ? s_.options().costs.listdir
-                           : s_.options().costs.getfileinfo;
+  const SimTime cost = OpCost(s_.options().costs, req->op);
   s_.AfterLocal(s_.ChargeCpu(cost), [this, req, reply] {
     // Re-check: the role may have flipped while the read queued on the CPU.
     if (s_.role() != ServerState::kStandby) {

@@ -144,29 +144,6 @@ void Tree::RememberApplied(ClientOpId client) {
   }
 }
 
-template <typename Fn>
-Result<journal::LogRecord> Tree::Dedup(ClientOpId client, Fn&& op) {
-  if (IsDuplicate(client)) {
-    // Already applied; nothing to journal again. Signal idempotent success
-    // with an Aborted carrying a recognizable message — callers (the MDS)
-    // translate this into a success response to the client.
-    return Status{StatusCode::kAborted, "duplicate"};
-  }
-  alloc_trace_.clear();
-  alloc_script_ = nullptr;
-  Result<journal::LogRecord> result = op();
-  // Only successes enter the dedup table: failures are not journaled, so
-  // remembering them would make the active's state diverge from replicas.
-  if (result.ok()) {
-    // Carry the inode ids this execution drew so replicas replay them
-    // instead of their own counter (see AllocateInode).
-    result.value().inode_ids = std::move(alloc_trace_);
-    alloc_trace_.clear();
-    RememberApplied(client);
-  }
-  return result;
-}
-
 // --- mutation cores ------------------------------------------------------
 
 Status Tree::DoCreate(std::string_view path, std::uint32_t replication,
@@ -529,176 +506,40 @@ void Tree::ForEachNode(
   walk(inodes_.at(kRootInode));
 }
 
-// --- public mutations -------------------------------------------------------
+// --- execution and replay ----------------------------------------------------
 
-namespace {
-LogRecord MakeRecord(OpCode op, std::string_view path, std::string_view path2,
-                     std::uint32_t replication, BlockId block, SimTime mtime,
-                     ClientOpId client) {
-  LogRecord r;
-  r.op = op;
-  r.path = std::string(path);
-  r.path2 = std::string(path2);
-  r.replication = replication;
-  r.block = block;
-  r.mtime = mtime;
-  r.client = client;
-  return r;
-}
-}  // namespace
-
-Result<LogRecord> Tree::Create(std::string_view path, std::uint32_t replication,
-                               SimTime mtime, ClientOpId client) {
-  return Dedup(client, [&]() -> Result<LogRecord> {
-    Status s = DoCreate(path, replication, mtime);
-    if (!s.ok()) return s;
-    return MakeRecord(OpCode::kCreate, path, {}, replication, 0, mtime, client);
-  });
-}
-
-Result<LogRecord> Tree::Mkdir(std::string_view path, SimTime mtime,
-                              ClientOpId client) {
-  return Dedup(client, [&]() -> Result<LogRecord> {
-    Status s = DoMkdir(path, mtime);
-    if (!s.ok()) return s;
-    return MakeRecord(OpCode::kMkdir, path, {}, 1, 0, mtime, client);
-  });
-}
-
-Result<LogRecord> Tree::Delete(std::string_view path, SimTime mtime,
-                               ClientOpId client) {
-  return Dedup(client, [&]() -> Result<LogRecord> {
-    Status s = DoDelete(path, mtime);
-    if (!s.ok()) return s;
-    return MakeRecord(OpCode::kDelete, path, {}, 1, 0, mtime, client);
-  });
-}
-
-Result<LogRecord> Tree::Rename(std::string_view src, std::string_view dst,
-                               SimTime mtime, ClientOpId client) {
-  return Dedup(client, [&]() -> Result<LogRecord> {
-    Status s = DoRename(src, dst, mtime);
-    if (!s.ok()) return s;
-    return MakeRecord(OpCode::kRename, src, dst, 1, 0, mtime, client);
-  });
-}
-
-Result<LogRecord> Tree::SetReplication(std::string_view path,
-                                       std::uint32_t replication, SimTime mtime,
-                                       ClientOpId client) {
-  return Dedup(client, [&]() -> Result<LogRecord> {
-    Status s = DoSetReplication(path, replication, mtime);
-    if (!s.ok()) return s;
-    return MakeRecord(OpCode::kSetReplication, path, {}, replication, 0, mtime,
-                      client);
-  });
-}
-
-Result<LogRecord> Tree::AddBlock(std::string_view path, SimTime mtime,
-                                 ClientOpId client) {
-  return Dedup(client, [&]() -> Result<LogRecord> {
-    const BlockId block = next_block_;
-    Status s = DoAddBlock(path, block, mtime);
-    if (!s.ok()) return s;
-    return MakeRecord(OpCode::kAddBlock, path, {}, 1, block, mtime, client);
-  });
-}
-
-Result<LogRecord> Tree::CompleteFile(std::string_view path, SimTime mtime,
-                                     ClientOpId client) {
-  return Dedup(client, [&]() -> Result<LogRecord> {
-    Status s = DoCompleteFile(path, mtime);
-    if (!s.ok()) return s;
-    return MakeRecord(OpCode::kCompleteFile, path, {}, 1, 0, mtime, client);
-  });
-}
-
-Result<LogRecord> Tree::SetOwner(std::string_view path, std::string_view owner,
-                                 SimTime mtime, ClientOpId client) {
-  return Dedup(client, [&]() -> Result<LogRecord> {
-    Status s = DoSetOwner(path, owner, mtime);
-    if (!s.ok()) return s;
-    return MakeRecord(OpCode::kSetOwner, path, owner, 1, 0, mtime, client);
-  });
-}
-
-Result<LogRecord> Tree::SetPermission(std::string_view path,
-                                      std::uint16_t permission, SimTime mtime,
-                                      ClientOpId client) {
-  return Dedup(client, [&]() -> Result<LogRecord> {
-    Status s = DoSetPermission(path, permission, mtime);
-    if (!s.ok()) return s;
-    return MakeRecord(OpCode::kSetPermission, path, {}, permission, 0, mtime,
-                      client);
-  });
-}
-
-Result<LogRecord> Tree::SetTimes(std::string_view path, SimTime mtime,
-                                 ClientOpId client) {
-  return Dedup(client, [&]() -> Result<LogRecord> {
-    Status s = DoSetTimes(path, mtime);
-    if (!s.ok()) return s;
-    return MakeRecord(OpCode::kSetTimes, path, {}, 1, 0, mtime, client);
-  });
-}
-
-// --- replay -----------------------------------------------------------------
-
-Status Tree::Apply(const journal::LogRecord& record) {
-  if (record.txid != 0 && record.txid <= last_txid_) {
-    return Status::Ok();  // idempotent replay of an already-applied record
-  }
-  // Install the record's allocation script: ids the active drew while
-  // executing this op. Replay consumes them positionally.
-  alloc_trace_.clear();
-  alloc_script_ = &record.inode_ids;
-  alloc_script_pos_ = 0;
-  Status s;
+Status Tree::Run(const LogRecord& record) {
   switch (record.op) {
     case OpCode::kCreate:
-      s = DoCreate(record.path, record.replication, record.mtime);
-      break;
+      return DoCreate(record.path, record.replication, record.mtime);
     case OpCode::kMkdir:
-      s = DoMkdir(record.path, record.mtime);
-      break;
+      return DoMkdir(record.path, record.mtime);
     case OpCode::kDelete:
-      s = DoDelete(record.path, record.mtime);
-      break;
+      return DoDelete(record.path, record.mtime);
     case OpCode::kRename:
-      s = DoRename(record.path, record.path2, record.mtime);
-      break;
+      return DoRename(record.path, record.path2, record.mtime);
     case OpCode::kSetReplication:
-      s = DoSetReplication(record.path, record.replication, record.mtime);
-      break;
+      return DoSetReplication(record.path, record.replication, record.mtime);
     case OpCode::kAddBlock:
-      s = DoAddBlock(record.path, record.block, record.mtime);
-      break;
+      return DoAddBlock(record.path, record.block, record.mtime);
     case OpCode::kCompleteFile:
-      s = DoCompleteFile(record.path, record.mtime);
-      break;
+      return DoCompleteFile(record.path, record.mtime);
     case OpCode::kSetOwner:
-      s = DoSetOwner(record.path, record.path2, record.mtime);
-      break;
+      return DoSetOwner(record.path, record.path2, record.mtime);
     case OpCode::kSetPermission:
-      s = DoSetPermission(record.path,
-                          static_cast<std::uint16_t>(record.replication),
-                          record.mtime);
-      break;
+      return DoSetPermission(record.path,
+                             static_cast<std::uint16_t>(record.replication),
+                             record.mtime);
     case OpCode::kSetTimes:
-      s = DoSetTimes(record.path, record.mtime);
-      break;
+      return DoSetTimes(record.path, record.mtime);
     case OpCode::kShardInstallFile:
-      s = DoInstallFile(record);
-      break;
+      return DoInstallFile(record);
     case OpCode::kShardInstallDir:
-      s = DoInstallDir(record);
-      break;
+      return DoInstallDir(record);
     case OpCode::kShardInstallDedup:
-      s = Status::Ok();  // only the generic RememberApplied below
-      break;
+      return Status::Ok();  // only the generic RememberApplied in Apply
     case OpCode::kShardErase:
-      s = DoErase(record.path, record.mtime);
-      break;
+      return DoErase(record.path, record.mtime);
     case OpCode::kShardMigrateBegin:
     case OpCode::kShardMigrateCutover:
     case OpCode::kShardMigrateEnd:
@@ -710,9 +551,51 @@ Status Tree::Apply(const journal::LogRecord& record) {
     case OpCode::kRenameCommitDst:
     case OpCode::kRenameFinish:
     case OpCode::kRenameAbort:
-      s = ApplyShardControl(record);
-      break;
+      return ApplyShardControl(record);
   }
+  return Status::Ok();
+}
+
+Result<LogRecord> Tree::Execute(LogRecord record) {
+  if (!journal::IsClientOp(record.op)) {
+    return Status::InvalidArgument(std::string("not a client op: ") +
+                                   journal::OpCodeName(record.op));
+  }
+  if (record.op == OpCode::kAddBlock) record.block = next_block_;
+  alloc_trace_.clear();
+  Status s = Run(record);
+  // Only successes enter the dedup table: failures are not journaled, so
+  // remembering them would make the active's state diverge from replicas.
+  if (!s.ok()) return s;
+  // Carry the inode ids this execution drew so replicas replay them
+  // instead of their own counter (see AllocateInode).
+  record.inode_ids = std::move(alloc_trace_);
+  alloc_trace_.clear();
+  RememberApplied(record.client);
+  return record;
+}
+
+Result<LogRecord> Tree::Create(std::string_view path, std::uint32_t replication,
+                               SimTime mtime, ClientOpId client) {
+  LogRecord record;
+  record.op = OpCode::kCreate;
+  record.path = std::string(path);
+  record.replication = replication;
+  record.mtime = mtime;
+  record.client = client;
+  return Execute(std::move(record));
+}
+
+Status Tree::Apply(const journal::LogRecord& record) {
+  if (record.txid != 0 && record.txid <= last_txid_) {
+    return Status::Ok();  // idempotent replay of an already-applied record
+  }
+  // Install the record's allocation script: ids the active drew while
+  // executing this op. Replay consumes them positionally.
+  alloc_trace_.clear();
+  alloc_script_ = &record.inode_ids;
+  alloc_script_pos_ = 0;
+  const Status s = Run(record);
   alloc_script_ = nullptr;
   alloc_script_pos_ = 0;
   if (!s.ok()) {

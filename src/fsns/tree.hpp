@@ -9,12 +9,16 @@
 // fingerprint, migration snapshot) visits a directory's entries through
 // Inode::SortedChildren, never in the child index's hash order.
 //
-// Duplicate suppression: mutating entry points take a ClientOpId. The tree
-// remembers the last op_seq applied per client together with its outcome;
-// a resent operation (same client, op_seq <= remembered) returns the
-// remembered outcome instead of re-executing. This is what makes client
-// retries across failover idempotent (Section III.C step 4 discusses the
-// server-side analogue for journal batches).
+// One op path: a client mutation is its journal record. The active runs
+// the record through Execute, replicas run the same record through Apply,
+// and both reach the same op switch.
+//
+// Duplicate suppression: Execute and Apply remember every client op they
+// apply (a bounded window of op_seqs per client). A server asks
+// IsDuplicate before executing a request and answers a resend as a success
+// without executing it again. This is what makes client retries across
+// failover idempotent (Section III.C step 4 discusses the server-side
+// analogue for journal batches).
 #pragma once
 
 #include <cstdint>
@@ -115,34 +119,19 @@ class Tree {
   std::size_t inode_count() const noexcept { return inodes_.size(); }
   std::uint64_t file_count() const noexcept { return file_count_; }
 
-  // --- mutations ----------------------------------------------------------
-  // Each returns the applied LogRecord (for journaling) on success. The
-  // caller supplies the timestamp so that replay is deterministic.
+  // --- execution ----------------------------------------------------------
+  /// Executes one client mutation, described by the record it will be
+  /// journaled as, and returns that record on success. The record carries
+  /// the op, its arguments, the caller's timestamp and the client op id;
+  /// execution fills in what it decides (the kAddBlock block id and the
+  /// inode ids it draws) and remembers the client op. Callers answer a
+  /// resend (IsDuplicate) before executing it. Shard and rename records
+  /// are not client ops and are refused: they only enter through Apply.
+  Result<journal::LogRecord> Execute(journal::LogRecord record);
+  /// Executes a kCreate record (preloads build namespaces with it).
   Result<journal::LogRecord> Create(std::string_view path,
                                     std::uint32_t replication, SimTime mtime,
                                     ClientOpId client);
-  Result<journal::LogRecord> Mkdir(std::string_view path, SimTime mtime,
-                                   ClientOpId client);
-  Result<journal::LogRecord> Delete(std::string_view path, SimTime mtime,
-                                    ClientOpId client);
-  Result<journal::LogRecord> Rename(std::string_view src, std::string_view dst,
-                                    SimTime mtime, ClientOpId client);
-  Result<journal::LogRecord> SetReplication(std::string_view path,
-                                            std::uint32_t replication,
-                                            SimTime mtime, ClientOpId client);
-  /// Allocates a new block id for a file; the id is recorded for replay.
-  Result<journal::LogRecord> AddBlock(std::string_view path, SimTime mtime,
-                                      ClientOpId client);
-  Result<journal::LogRecord> CompleteFile(std::string_view path, SimTime mtime,
-                                          ClientOpId client);
-  Result<journal::LogRecord> SetOwner(std::string_view path,
-                                      std::string_view owner, SimTime mtime,
-                                      ClientOpId client);
-  Result<journal::LogRecord> SetPermission(std::string_view path,
-                                           std::uint16_t permission,
-                                           SimTime mtime, ClientOpId client);
-  Result<journal::LogRecord> SetTimes(std::string_view path, SimTime mtime,
-                                      ClientOpId client);
 
   // --- replay ---------------------------------------------------------------
   /// Applies a journal record from the active (standby/junior path). Every
@@ -238,7 +227,7 @@ class Tree {
 
   /// Inode ids are normally drawn from `next_inode_`. Ids are fingerprinted
   /// and serialized in the image, so execution *records* its draws
-  /// (`alloc_trace_`, see Dedup) into LogRecord::inode_ids, and replay
+  /// (`alloc_trace_`, see Execute) into LogRecord::inode_ids, and replay
   /// *consumes* them (`alloc_script_`, see Apply) instead of the counter,
   /// exactly as kAddBlock already carries its block id. The counter is
   /// bumped past each scripted id and still serves records without ids
@@ -265,12 +254,11 @@ class Tree {
   /// Remembers a successfully applied client op for duplicate suppression.
   void RememberApplied(ClientOpId client);
 
-  /// Shared implementation: executes `op` unless it is a duplicate, and
-  /// remembers its outcome.
-  template <typename Fn>
-  Result<journal::LogRecord> Dedup(ClientOpId client, Fn&& op);
+  /// The op switch Execute and Apply share: runs `record` against the
+  /// tree without touching the dedup table or the txid cursor.
+  Status Run(const journal::LogRecord& record);
 
-  // Mutation cores, shared by the public API and Apply().
+  // Mutation cores, one per op in Run's switch.
   Status DoCreate(std::string_view path, std::uint32_t replication,
                   SimTime mtime);
   Status DoMkdir(std::string_view path, SimTime mtime);

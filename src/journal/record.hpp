@@ -61,6 +61,12 @@ enum class OpCode : std::uint8_t {
 
 const char* OpCodeName(OpCode op) noexcept;
 
+/// True for the ten ops a client request executes as (kCreate..kSetTimes);
+/// the shard and rename records after them are server bookkeeping.
+constexpr bool IsClientOp(OpCode op) noexcept {
+  return op >= OpCode::kCreate && op <= OpCode::kSetTimes;
+}
+
 struct LogRecord {
   TxId txid = 0;
   OpCode op = OpCode::kCreate;

@@ -6,12 +6,17 @@
 #include <memory>
 
 #include "cluster/cfs.hpp"
+#include "core/ops.hpp"
 #include "fsns/tree.hpp"
 #include "net/network.hpp"
 #include "sim/simulator.hpp"
+#include "test_util.hpp"
 
 namespace mams {
 namespace {
+
+using journal::OpCode;
+using testutil::Rec;
 
 class AttrTreeTest : public ::testing::Test {
  protected:
@@ -30,7 +35,8 @@ TEST_F(AttrTreeTest, DefaultsAreHdfsLike) {
 
 TEST_F(AttrTreeTest, SetOwnerUpdatesAndJournals) {
   ASSERT_TRUE(tree_.Create("/f", 3, 1, Op()).ok());
-  auto rec = tree_.SetOwner("/f", "alice:staff", 2, Op());
+  auto rec =
+      tree_.Execute(Rec(OpCode::kSetOwner, "/f", 2, Op(), "alice:staff"));
   ASSERT_TRUE(rec.ok());
   EXPECT_EQ(rec.value().op, journal::OpCode::kSetOwner);
   EXPECT_EQ(rec.value().path2, "alice:staff");
@@ -38,21 +44,25 @@ TEST_F(AttrTreeTest, SetOwnerUpdatesAndJournals) {
 }
 
 TEST_F(AttrTreeTest, SetPermissionUpdates) {
-  ASSERT_TRUE(tree_.Mkdir("/d", 1, Op()).ok());
-  ASSERT_TRUE(tree_.SetPermission("/d", 0750, 2, Op()).ok());
+  ASSERT_TRUE(tree_.Execute(Rec(OpCode::kMkdir, "/d", 1, Op())).ok());
+  ASSERT_TRUE(
+      tree_.Execute(Rec(OpCode::kSetPermission, "/d", 2, Op(), {}, 0750)).ok());
   EXPECT_EQ(tree_.GetFileInfo("/d").value().permission, 0750);
 }
 
 TEST_F(AttrTreeTest, SetTimesUpdatesMtime) {
   ASSERT_TRUE(tree_.Create("/f", 1, 1, Op()).ok());
-  ASSERT_TRUE(tree_.SetTimes("/f", 99, Op()).ok());
+  ASSERT_TRUE(tree_.Execute(Rec(OpCode::kSetTimes, "/f", 99, Op())).ok());
   EXPECT_EQ(tree_.GetFileInfo("/f").value().mtime, 99);
 }
 
 TEST_F(AttrTreeTest, AttributeOpsOnMissingPathFail) {
-  EXPECT_FALSE(tree_.SetOwner("/nope", "x:y", 1, Op()).ok());
-  EXPECT_FALSE(tree_.SetPermission("/nope", 0700, 1, Op()).ok());
-  EXPECT_FALSE(tree_.SetTimes("/nope", 1, Op()).ok());
+  EXPECT_FALSE(
+      tree_.Execute(Rec(OpCode::kSetOwner, "/nope", 1, Op(), "x:y")).ok());
+  EXPECT_FALSE(
+      tree_.Execute(Rec(OpCode::kSetPermission, "/nope", 1, Op(), {}, 0700))
+          .ok());
+  EXPECT_FALSE(tree_.Execute(Rec(OpCode::kSetTimes, "/nope", 1, Op())).ok());
 }
 
 TEST_F(AttrTreeTest, ReplayReproducesAttributes) {
@@ -66,9 +76,9 @@ TEST_F(AttrTreeTest, ReplayReproducesAttributes) {
     log.push_back(rec);
   };
   run(tree_.Create("/f", 3, 1, Op()));
-  run(tree_.SetOwner("/f", "bob:eng", 2, Op()));
-  run(tree_.SetPermission("/f", 0600, 3, Op()));
-  run(tree_.SetTimes("/f", 44, Op()));
+  run(tree_.Execute(Rec(OpCode::kSetOwner, "/f", 2, Op(), "bob:eng")));
+  run(tree_.Execute(Rec(OpCode::kSetPermission, "/f", 3, Op(), {}, 0600)));
+  run(tree_.Execute(Rec(OpCode::kSetTimes, "/f", 44, Op())));
 
   fsns::Tree replica;
   for (const auto& rec : log) ASSERT_TRUE(replica.Apply(rec).ok());
@@ -79,8 +89,10 @@ TEST_F(AttrTreeTest, ReplayReproducesAttributes) {
 
 TEST_F(AttrTreeTest, ImageRoundTripKeepsAttributes) {
   ASSERT_TRUE(tree_.Create("/f", 3, 1, Op()).ok());
-  ASSERT_TRUE(tree_.SetOwner("/f", "carol:ops", 2, Op()).ok());
-  ASSERT_TRUE(tree_.SetPermission("/f", 0400, 3, Op()).ok());
+  ASSERT_TRUE(
+      tree_.Execute(Rec(OpCode::kSetOwner, "/f", 2, Op(), "carol:ops")).ok());
+  ASSERT_TRUE(
+      tree_.Execute(Rec(OpCode::kSetPermission, "/f", 3, Op(), {}, 0400)).ok());
   fsns::Tree loaded;
   ASSERT_TRUE(loaded.LoadImage(tree_.SaveImage()).ok());
   EXPECT_EQ(loaded.Fingerprint(), tree_.Fingerprint());
@@ -90,8 +102,43 @@ TEST_F(AttrTreeTest, ImageRoundTripKeepsAttributes) {
 TEST_F(AttrTreeTest, FingerprintSeesAttributeChanges) {
   ASSERT_TRUE(tree_.Create("/f", 3, 1, Op()).ok());
   const auto before = tree_.Fingerprint();
-  ASSERT_TRUE(tree_.SetPermission("/f", 0777, 2, Op()).ok());
+  ASSERT_TRUE(
+      tree_.Execute(Rec(OpCode::kSetPermission, "/f", 2, Op(), {}, 0777)).ok());
   EXPECT_NE(tree_.Fingerprint(), before);
+}
+
+TEST(RecordForTest, EachRequestFieldLandsInItsRecordField) {
+  core::ClientRequestMsg req;
+  req.path = "/f";
+  req.path2 = "/g";
+  req.replication = 3;
+  req.owner = "erin:dev";
+  req.permission = 0711;
+  req.client = {.client_id = 4, .op_seq = 9};
+
+  req.op = core::ClientOp::kSetOwner;
+  const journal::LogRecord owner = core::RecordFor(req, 5);
+  EXPECT_EQ(owner.op, OpCode::kSetOwner);
+  EXPECT_EQ(owner.path, "/f");
+  EXPECT_EQ(owner.path2, "erin:dev");
+  EXPECT_EQ(owner.replication, 1u);
+  EXPECT_EQ(owner.mtime, 5);
+  EXPECT_EQ(owner.client.client_id, 4u);
+  EXPECT_EQ(owner.client.op_seq, 9u);
+
+  req.op = core::ClientOp::kSetPermission;
+  const journal::LogRecord permission = core::RecordFor(req, 6);
+  EXPECT_EQ(permission.op, OpCode::kSetPermission);
+  EXPECT_EQ(permission.path2, "");
+  EXPECT_EQ(permission.replication, 0711u);
+
+  req.op = core::ClientOp::kCreate;
+  EXPECT_EQ(core::RecordFor(req, 7).replication, 3u);
+  req.op = core::ClientOp::kRename;
+  EXPECT_EQ(core::RecordFor(req, 7).path2, "/g");
+  EXPECT_EQ(core::RecordFor(req, 7).replication, 1u);
+  req.op = core::ClientOp::kAddBlock;
+  EXPECT_EQ(core::RecordFor(req, 7).block, 0u);  // execution picks the id
 }
 
 // --- end to end ---------------------------------------------------------------

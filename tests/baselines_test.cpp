@@ -7,10 +7,14 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "baselines/systems.hpp"
+#include "cluster/cfs.hpp"
 #include "net/network.hpp"
 #include "sim/simulator.hpp"
+#include "test_util.hpp"
 
 namespace mams::baselines {
 namespace {
@@ -216,6 +220,130 @@ TEST_F(BaselineTest, BoomFsReadsServedByMaster) {
   boom.client(1).GetFileInfo("/r", [&](Status s) { ok = s.ok(); });
   Run(kSecond);
   EXPECT_TRUE(ok);
+}
+
+// --- one op path ------------------------------------------------------------
+
+TEST_F(BaselineTest, EveryMutationLandsAlikeOnCfsHdfsAndBoomFs) {
+  // One raw request stream covering all ten mutations (and a resend) goes
+  // to a CFS active, an HDFS namenode and the Boom-FS master. Each server
+  // executes it on its own path, so every attribute the stream touches
+  // must read back the same from all three.
+  cluster::CfsConfig cfg;
+  cfg.groups = 1;
+  cfg.standbys_per_group = 1;
+  cfg.clients = 1;
+  cfg.data_servers = 1;
+  cluster::CfsCluster cfs(net_, cfg);
+  cfs.Start();
+  HdfsSystem hdfs(net_, /*clients=*/1, /*data_servers=*/1);
+  BoomFsSystem boom(net_);
+  net::Host sender(net_, "raw-client");
+  sender.Boot();
+  ASSERT_TRUE(testutil::WaitFor(
+      sim_, [&] { return cfs.FindActive(0) != nullptr; }, 10 * kSecond));
+  const std::vector<NodeId> servers{cfs.FindActive(0)->id(),
+                                    hdfs.namenode().id(), boom.server(0).id()};
+  const char* const names[] = {"cfs", "hdfs", "boomfs"};
+
+  using Reply = std::shared_ptr<const core::ClientResponseMsg>;
+  // Sends `req` to every server, one reply awaited at a time.
+  auto send = [&](std::shared_ptr<core::ClientRequestMsg> req) {
+    std::vector<Reply> replies;
+    for (NodeId server : servers) {
+      bool done = false;
+      Reply reply;
+      sender.Call(server, req, 10 * kSecond, [&](Result<net::MessagePtr> r) {
+        if (r.ok()) {
+          reply = std::static_pointer_cast<const core::ClientResponseMsg>(
+              r.value());
+        }
+        done = true;
+      });
+      EXPECT_TRUE(testutil::WaitFor(sim_, [&] { return done; }, 20 * kSecond));
+      replies.push_back(std::move(reply));
+    }
+    return replies;
+  };
+  std::uint64_t seq = 0;
+  auto request = [&](core::ClientOp op, const std::string& path) {
+    auto req = std::make_shared<core::ClientRequestMsg>();
+    req->op = op;
+    req->path = path;
+    req->client = {.client_id = 99, .op_seq = ++seq};
+    return req;
+  };
+  auto mutate = [&](std::shared_ptr<core::ClientRequestMsg> req) {
+    const auto replies = send(req);
+    for (std::size_t i = 0; i < replies.size(); ++i) {
+      ASSERT_NE(replies[i], nullptr) << names[i] << " " << req->path;
+      EXPECT_TRUE(replies[i]->ok)
+          << names[i] << " op " << static_cast<int>(req->op) << " "
+          << req->path << ": " << replies[i]->error;
+    }
+  };
+
+  using core::ClientOp;
+  mutate(request(ClientOp::kMkdir, "/t/d"));
+  mutate(request(ClientOp::kMkdir, "/t/e"));
+  auto create_f = request(ClientOp::kCreate, "/t/d/f");
+  create_f->replication = 2;
+  mutate(create_f);
+  mutate(request(ClientOp::kCreate, "/t/d/g"));
+  mutate(request(ClientOp::kAddBlock, "/t/d/f"));
+  auto add_block = request(ClientOp::kAddBlock, "/t/d/f");
+  mutate(add_block);
+  mutate(add_block);  // a resend: acknowledged, not executed again
+  mutate(request(ClientOp::kCompleteFile, "/t/d/f"));
+  auto set_replication = request(ClientOp::kSetReplication, "/t/d/g");
+  set_replication->replication = 5;
+  mutate(set_replication);
+  auto set_owner = request(ClientOp::kSetOwner, "/t/d/f");
+  set_owner->owner = "alice:staff";
+  mutate(set_owner);
+  auto set_permission = request(ClientOp::kSetPermission, "/t/d");
+  set_permission->permission = 0750;
+  mutate(set_permission);
+  mutate(request(ClientOp::kSetTimes, "/t/d/g"));
+  auto rename = request(ClientOp::kRename, "/t/d/g");
+  rename->path2 = "/t/e/h";
+  mutate(rename);
+  mutate(request(ClientOp::kCreate, "/t/d/x"));
+  mutate(request(ClientOp::kDelete, "/t/d/x"));
+
+  for (const char* path :
+       {"/t", "/t/d", "/t/d/f", "/t/d/g", "/t/d/x", "/t/e", "/t/e/h"}) {
+    const auto replies = send(request(ClientOp::kGetFileInfo, path));
+    ASSERT_NE(replies[0], nullptr) << path;
+    const core::ClientResponseMsg& want = *replies[0];
+    for (std::size_t i = 1; i < replies.size(); ++i) {
+      ASSERT_NE(replies[i], nullptr) << names[i] << " " << path;
+      const core::ClientResponseMsg& got = *replies[i];
+      EXPECT_EQ(got.ok, want.ok) << names[i] << " " << path;
+      EXPECT_EQ(got.code, want.code) << names[i] << " " << path;
+      EXPECT_EQ(got.info.is_dir, want.info.is_dir) << names[i] << " " << path;
+      EXPECT_EQ(got.info.owner, want.info.owner) << names[i] << " " << path;
+      EXPECT_EQ(got.info.permission, want.info.permission)
+          << names[i] << " " << path;
+      EXPECT_EQ(got.info.replication, want.info.replication)
+          << names[i] << " " << path;
+      EXPECT_EQ(got.info.block_count, want.info.block_count)
+          << names[i] << " " << path;
+      EXPECT_EQ(got.info.complete, want.info.complete)
+          << names[i] << " " << path;
+    }
+  }
+  // And the agreed state is the one the stream asked for.
+  auto info = [&](const std::string& path) {
+    return send(request(ClientOp::kGetFileInfo, path))[0]->info;
+  };
+  EXPECT_EQ(info("/t/d/f").owner, "alice:staff");
+  EXPECT_EQ(info("/t/d/f").replication, 2u);
+  EXPECT_EQ(info("/t/d/f").block_count, 2u);
+  EXPECT_TRUE(info("/t/d/f").complete);
+  EXPECT_EQ(info("/t/d").permission, 0750);
+  EXPECT_EQ(info("/t/e/h").replication, 5u);
+  EXPECT_FALSE(info("/t/e/h").complete);
 }
 
 }  // namespace

@@ -17,11 +17,14 @@
 #include "check/shrink.hpp"
 #include "common/rng.hpp"
 #include "fsns/tree.hpp"
+#include "test_util.hpp"
 #include "workload/opstream.hpp"
 
 namespace mams::check {
 namespace {
 
+using journal::OpCode;
+using testutil::Rec;
 using workload::OpKind;
 
 // --- model vs tree cross-validation ----------------------------------------
@@ -51,13 +54,17 @@ StatusCode TreeApply(fsns::Tree& tree, const workload::Op& op,
     case OpKind::kCreate:
       return tree.Create(op.path, 3, 0, id).status().code();
     case OpKind::kMkdir:
-      return tree.Mkdir(op.path, 0, id).status().code();
+      return tree.Execute(Rec(OpCode::kMkdir, op.path, 0, id)).status().code();
     case OpKind::kDelete:
-      return tree.Delete(op.path, 0, id).status().code();
+      return tree.Execute(Rec(OpCode::kDelete, op.path, 0, id)).status().code();
     case OpKind::kRename:
-      return tree.Rename(op.path, op.path2, 0, id).status().code();
+      return tree.Execute(Rec(OpCode::kRename, op.path, 0, id, op.path2))
+          .status()
+          .code();
     case OpKind::kAddBlock:
-      return tree.AddBlock(op.path, 0, id).status().code();
+      return tree.Execute(Rec(OpCode::kAddBlock, op.path, 0, id))
+          .status()
+          .code();
     case OpKind::kGetFileInfo:
       return tree.GetFileInfo(op.path).status().code();
     case OpKind::kListDir:
@@ -115,10 +122,9 @@ TEST_P(ModelCrossValidationTest, AgreesWithTreeOnRandomOpStreams) {
         !created.empty() && rng.Below(10) == 0;
     if (complete_file) {
       const std::string& path = created[rng.Below(created.size())];
+      const ClientOpId id{.client_id = 1, .op_seq = ++op_seq};
       const StatusCode tree_code =
-          tree.CompleteFile(path, 0, {.client_id = 1, .op_seq = ++op_seq})
-              .status()
-              .code();
+          tree.Execute(Rec(OpCode::kCompleteFile, path, 0, id)).status().code();
       const StatusCode model_code = model.CompleteFile(path, nullptr);
       ASSERT_EQ(tree_code, model_code)
           << "completefile " << path << " (op " << i << ", seed " << seed

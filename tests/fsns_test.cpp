@@ -12,12 +12,14 @@
 #include "fsns/blockmap.hpp"
 #include "fsns/path.hpp"
 #include "fsns/tree.hpp"
+#include "test_util.hpp"
 
 namespace mams::fsns {
 namespace {
 
 using journal::LogRecord;
 using journal::OpCode;
+using testutil::Rec;
 
 // --- paths -----------------------------------------------------------------
 
@@ -127,7 +129,7 @@ class TreeTest : public ::testing::Test {
 };
 
 TEST_F(TreeTest, CreateAndStatFile) {
-  ASSERT_TRUE(tree_.Mkdir("/dir", 1, Op()).ok());
+  ASSERT_TRUE(tree_.Execute(Rec(OpCode::kMkdir, "/dir", 1, Op())).ok());
   ASSERT_TRUE(tree_.Create("/dir/f", 3, 2, Op()).ok());
   auto info = tree_.GetFileInfo("/dir/f");
   ASSERT_TRUE(info.ok());
@@ -162,7 +164,7 @@ TEST_F(TreeTest, CreateUnderFileFails) {
 }
 
 TEST_F(TreeTest, MkdirCreatesAncestors) {
-  ASSERT_TRUE(tree_.Mkdir("/a/b/c", 5, Op()).ok());
+  ASSERT_TRUE(tree_.Execute(Rec(OpCode::kMkdir, "/a/b/c", 5, Op())).ok());
   EXPECT_TRUE(tree_.Exists("/a"));
   EXPECT_TRUE(tree_.Exists("/a/b"));
   EXPECT_TRUE(tree_.Exists("/a/b/c"));
@@ -173,16 +175,16 @@ TEST_F(TreeTest, MkdirCreatesAncestors) {
 
 TEST_F(TreeTest, MkdirOverFileFails) {
   ASSERT_TRUE(tree_.Create("/f", 1, 1, Op()).ok());
-  EXPECT_FALSE(tree_.Mkdir("/f", 2, Op()).ok());
-  EXPECT_FALSE(tree_.Mkdir("/f/sub", 2, Op()).ok());
+  EXPECT_FALSE(tree_.Execute(Rec(OpCode::kMkdir, "/f", 2, Op())).ok());
+  EXPECT_FALSE(tree_.Execute(Rec(OpCode::kMkdir, "/f/sub", 2, Op())).ok());
 }
 
 TEST_F(TreeTest, DeleteRemovesSubtreeRecursively) {
-  ASSERT_TRUE(tree_.Mkdir("/a/b", 1, Op()).ok());
+  ASSERT_TRUE(tree_.Execute(Rec(OpCode::kMkdir, "/a/b", 1, Op())).ok());
   ASSERT_TRUE(tree_.Create("/a/b/f1", 1, 1, Op()).ok());
   ASSERT_TRUE(tree_.Create("/a/b/f2", 1, 1, Op()).ok());
   const auto before = tree_.inode_count();
-  ASSERT_TRUE(tree_.Delete("/a", 2, Op()).ok());
+  ASSERT_TRUE(tree_.Execute(Rec(OpCode::kDelete, "/a", 2, Op())).ok());
   EXPECT_FALSE(tree_.Exists("/a"));
   EXPECT_FALSE(tree_.Exists("/a/b/f1"));
   EXPECT_EQ(tree_.inode_count(), before - 4);
@@ -190,23 +192,24 @@ TEST_F(TreeTest, DeleteRemovesSubtreeRecursively) {
 }
 
 TEST_F(TreeTest, DeleteRootRejected) {
-  auto r = tree_.Delete("/", 1, Op());
+  auto r = tree_.Execute(Rec(OpCode::kDelete, "/", 1, Op()));
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST_F(TreeTest, RenameMovesSubtree) {
-  ASSERT_TRUE(tree_.Mkdir("/src/deep", 1, Op()).ok());
+  ASSERT_TRUE(tree_.Execute(Rec(OpCode::kMkdir, "/src/deep", 1, Op())).ok());
   ASSERT_TRUE(tree_.Create("/src/deep/f", 1, 1, Op()).ok());
-  ASSERT_TRUE(tree_.Mkdir("/dst", 1, Op()).ok());
-  ASSERT_TRUE(tree_.Rename("/src", "/dst/moved", 2, Op()).ok());
+  ASSERT_TRUE(tree_.Execute(Rec(OpCode::kMkdir, "/dst", 1, Op())).ok());
+  ASSERT_TRUE(
+      tree_.Execute(Rec(OpCode::kRename, "/src", 2, Op(), "/dst/moved")).ok());
   EXPECT_FALSE(tree_.Exists("/src"));
   EXPECT_TRUE(tree_.Exists("/dst/moved/deep/f"));
 }
 
 TEST_F(TreeTest, RenameUnderItselfRejected) {
-  ASSERT_TRUE(tree_.Mkdir("/a/b", 1, Op()).ok());
-  auto r = tree_.Rename("/a", "/a/b/c", 2, Op());
+  ASSERT_TRUE(tree_.Execute(Rec(OpCode::kMkdir, "/a/b", 1, Op())).ok());
+  auto r = tree_.Execute(Rec(OpCode::kRename, "/a", 2, Op(), "/a/b/c"));
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kFailedPrecondition);
 }
@@ -214,13 +217,13 @@ TEST_F(TreeTest, RenameUnderItselfRejected) {
 TEST_F(TreeTest, RenameOntoExistingRejected) {
   ASSERT_TRUE(tree_.Create("/a", 1, 1, Op()).ok());
   ASSERT_TRUE(tree_.Create("/b", 1, 1, Op()).ok());
-  auto r = tree_.Rename("/a", "/b", 2, Op());
+  auto r = tree_.Execute(Rec(OpCode::kRename, "/a", 2, Op(), "/b"));
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kAlreadyExists);
 }
 
 TEST_F(TreeTest, ListDirSortedNames) {
-  ASSERT_TRUE(tree_.Mkdir("/d", 1, Op()).ok());
+  ASSERT_TRUE(tree_.Execute(Rec(OpCode::kMkdir, "/d", 1, Op())).ok());
   for (const char* n : {"zebra", "alpha", "mid"}) {
     ASSERT_TRUE(tree_.Create(std::string("/d/") + n, 1, 1, Op()).ok());
   }
@@ -232,8 +235,8 @@ TEST_F(TreeTest, ListDirSortedNames) {
 
 TEST_F(TreeTest, AddBlockAllocatesMonotonicIds) {
   ASSERT_TRUE(tree_.Create("/f", 1, 1, Op()).ok());
-  auto r1 = tree_.AddBlock("/f", 2, Op());
-  auto r2 = tree_.AddBlock("/f", 3, Op());
+  auto r1 = tree_.Execute(Rec(OpCode::kAddBlock, "/f", 2, Op()));
+  auto r2 = tree_.Execute(Rec(OpCode::kAddBlock, "/f", 3, Op()));
   ASSERT_TRUE(r1.ok());
   ASSERT_TRUE(r2.ok());
   EXPECT_LT(r1.value().block, r2.value().block);
@@ -243,37 +246,57 @@ TEST_F(TreeTest, AddBlockAllocatesMonotonicIds) {
 
 TEST_F(TreeTest, CompleteFileMarksClosed) {
   ASSERT_TRUE(tree_.Create("/f", 1, 1, Op()).ok());
-  ASSERT_TRUE(tree_.CompleteFile("/f", 2, Op()).ok());
+  ASSERT_TRUE(tree_.Execute(Rec(OpCode::kCompleteFile, "/f", 2, Op())).ok());
   EXPECT_TRUE(tree_.GetFileInfo("/f").value().complete);
 }
 
 TEST_F(TreeTest, SetReplicationOnDirectoryFails) {
-  ASSERT_TRUE(tree_.Mkdir("/d", 1, Op()).ok());
-  EXPECT_FALSE(tree_.SetReplication("/d", 5, 2, Op()).ok());
+  ASSERT_TRUE(tree_.Execute(Rec(OpCode::kMkdir, "/d", 1, Op())).ok());
+  EXPECT_FALSE(
+      tree_.Execute(Rec(OpCode::kSetReplication, "/d", 2, Op(), {}, 5)).ok());
 }
 
 // --- duplicate suppression ----------------------------------------------------
 
 TEST_F(TreeTest, ResentOperationIsSuppressed) {
+  // Servers ask IsDuplicate before executing a request and answer a resend
+  // of an applied op without running it again.
   ClientOpId id{.client_id = 7, .op_seq = 1};
-  ASSERT_TRUE(tree_.Create("/f", 1, 1, id).ok());
-  auto dup = tree_.Create("/f", 1, 2, id);  // resend of the same op
-  ASSERT_FALSE(dup.ok());
-  EXPECT_EQ(dup.status().code(), StatusCode::kAborted);
-  EXPECT_EQ(dup.status().message(), "duplicate");
-  EXPECT_TRUE(tree_.IsDuplicate(id));
+  EXPECT_FALSE(tree_.IsDuplicate(id));
+  auto rec = tree_.Create("/f", 1, 1, id);
+  ASSERT_TRUE(rec.ok());
+  EXPECT_TRUE(tree_.IsDuplicate(id));  // resend of the same op
+  EXPECT_FALSE(tree_.IsDuplicate({.client_id = 7, .op_seq = 2}));
+  EXPECT_FALSE(tree_.IsDuplicate({.client_id = 8, .op_seq = 1}));
+  // A replica that replays the record answers the same resend.
+  Tree replica;
+  ASSERT_TRUE(replica.Apply(rec.value()).ok());
+  EXPECT_TRUE(replica.IsDuplicate(id));
+}
+
+TEST_F(TreeTest, ExecuteRefusesNonClientOps) {
+  // Shard and rename records are server bookkeeping: they enter a tree
+  // only through Apply, never as an executed client op.
+  ASSERT_TRUE(tree_.Create("/f", 1, 1, Op()).ok());
+  const ClientOpId id = Op();
+  auto r = tree_.Execute(Rec(OpCode::kShardErase, "/f", 2, id));
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_TRUE(tree_.Exists("/f"));
+  EXPECT_FALSE(tree_.IsDuplicate(id));
 }
 
 TEST_F(TreeTest, AnonymousClientNeverDeduped) {
   ClientOpId anon{};  // client_id 0
-  ASSERT_TRUE(tree_.Mkdir("/d", 1, anon).ok());
-  ASSERT_TRUE(tree_.Mkdir("/d", 2, anon).ok());  // mkdirs is naturally idempotent
+  ASSERT_TRUE(tree_.Execute(Rec(OpCode::kMkdir, "/d", 1, anon)).ok());
+  // mkdirs is naturally idempotent
+  ASSERT_TRUE(tree_.Execute(Rec(OpCode::kMkdir, "/d", 2, anon)).ok());
   EXPECT_FALSE(tree_.IsDuplicate(anon));
 }
 
 TEST_F(TreeTest, FailedOpIsNotRemembered) {
   ClientOpId id{.client_id = 7, .op_seq = 1};
-  ASSERT_FALSE(tree_.AddBlock("/missing/f", 1, id).ok());
+  ASSERT_FALSE(tree_.Execute(Rec(OpCode::kAddBlock, "/missing/f", 1, id)).ok());
   EXPECT_FALSE(tree_.IsDuplicate(id));  // retry may re-execute
 }
 
@@ -288,13 +311,14 @@ TEST_F(TreeTest, ReplayReproducesFingerprint) {
     tree_.set_last_txid(rec.txid);
     log.push_back(rec);
   };
-  run(tree_.Mkdir("/data/set1", 1, Op()));
+  run(tree_.Execute(Rec(OpCode::kMkdir, "/data/set1", 1, Op())));
   run(tree_.Create("/data/set1/a", 2, 2, Op()));
-  run(tree_.AddBlock("/data/set1/a", 3, Op()));
-  run(tree_.CompleteFile("/data/set1/a", 4, Op()));
-  run(tree_.Rename("/data/set1/a", "/data/set1/b", 5, Op()));
+  run(tree_.Execute(Rec(OpCode::kAddBlock, "/data/set1/a", 3, Op())));
+  run(tree_.Execute(Rec(OpCode::kCompleteFile, "/data/set1/a", 4, Op())));
+  run(tree_.Execute(
+      Rec(OpCode::kRename, "/data/set1/a", 5, Op(), "/data/set1/b")));
   run(tree_.Create("/data/set1/c", 1, 6, Op()));
-  run(tree_.Delete("/data/set1/c", 7, Op()));
+  run(tree_.Execute(Rec(OpCode::kDelete, "/data/set1/c", 7, Op())));
 
   Tree replica;
   for (const auto& rec : log) ASSERT_TRUE(replica.Apply(rec).ok());
@@ -319,7 +343,7 @@ TEST_F(TreeTest, ReplayedLiveInodeIdIsNotLinkedTwice) {
   // mutation re-applies old records) can be handed an inode id that is
   // already live. Reusing it here would make "/c" its own child, and every
   // later walk of the tree would loop.
-  ASSERT_TRUE(tree_.Mkdir("/c", 1, Op()).ok());
+  ASSERT_TRUE(tree_.Execute(Rec(OpCode::kMkdir, "/c", 1, Op())).ok());
   const InodeId c = tree_.FindInode("/c")->id;
   LogRecord rec;
   rec.op = OpCode::kMkdir;
@@ -345,9 +369,9 @@ TEST_F(TreeTest, ReplayDivergenceIsInternalError) {
 }
 
 TEST_F(TreeTest, ImageRoundTripPreservesEverything) {
-  ASSERT_TRUE(tree_.Mkdir("/x/y", 1, Op()).ok());
+  ASSERT_TRUE(tree_.Execute(Rec(OpCode::kMkdir, "/x/y", 1, Op())).ok());
   ASSERT_TRUE(tree_.Create("/x/y/f", 2, 2, Op()).ok());
-  ASSERT_TRUE(tree_.AddBlock("/x/y/f", 3, Op()).ok());
+  ASSERT_TRUE(tree_.Execute(Rec(OpCode::kAddBlock, "/x/y/f", 3, Op())).ok());
   tree_.set_last_txid(17);
 
   const auto bytes = tree_.SaveImage();
@@ -363,7 +387,7 @@ TEST_F(TreeTest, ImageRoundTripPreservesEverything) {
 }
 
 TEST_F(TreeTest, ImageChecksumDetectsCorruption) {
-  ASSERT_TRUE(tree_.Mkdir("/d", 1, Op()).ok());
+  ASSERT_TRUE(tree_.Execute(Rec(OpCode::kMkdir, "/d", 1, Op())).ok());
   auto bytes = tree_.SaveImage();
   bytes[bytes.size() / 2] ^= 1;
   Tree loaded;
@@ -371,7 +395,7 @@ TEST_F(TreeTest, ImageChecksumDetectsCorruption) {
 }
 
 TEST_F(TreeTest, ResetReturnsToEmptyRoot) {
-  ASSERT_TRUE(tree_.Mkdir("/d", 1, Op()).ok());
+  ASSERT_TRUE(tree_.Execute(Rec(OpCode::kMkdir, "/d", 1, Op())).ok());
   tree_.Reset();
   EXPECT_EQ(tree_.inode_count(), 1u);
   EXPECT_FALSE(tree_.Exists("/d"));
@@ -402,7 +426,7 @@ TEST_F(TreeTest, SiblingsListSortedThroughCreateRenameAndDelete) {
   for (const std::string& n : in_d) {
     ASSERT_TRUE(tree_.Create("/d/" + n, 1, 1, Op()).ok());
   }
-  ASSERT_TRUE(tree_.Mkdir("/e", 1, Op()).ok());
+  ASSERT_TRUE(tree_.Execute(Rec(OpCode::kMkdir, "/e", 1, Op())).ok());
   for (const std::string& n : ShuffledNames(16, 6)) {
     ASSERT_TRUE(tree_.Create("/e/m" + n, 1, 1, Op()).ok());
   }
@@ -415,8 +439,10 @@ TEST_F(TreeTest, SiblingsListSortedThroughCreateRenameAndDelete) {
 
   // Rename a third of the entries out, and the other directory's in.
   for (std::size_t i = 0; i < in_d.size(); i += 3) {
-    ASSERT_TRUE(
-        tree_.Rename("/d/" + in_d[i], "/e/" + in_d[i], 2, Op()).ok());
+    ASSERT_TRUE(tree_
+                    .Execute(Rec(OpCode::kRename, "/d/" + in_d[i], 2, Op(),
+                                 "/e/" + in_d[i]))
+                    .ok());
   }
   std::erase_if(in_d, [&](const std::string& n) {
     return tree_.Exists("/e/" + n);
@@ -425,14 +451,17 @@ TEST_F(TreeTest, SiblingsListSortedThroughCreateRenameAndDelete) {
   ASSERT_TRUE(in_e.ok());
   for (const std::string& n : in_e.value()) {
     if (n[0] != 'm') continue;
-    ASSERT_TRUE(tree_.Rename("/e/" + n, "/d/" + n, 3, Op()).ok());
+    ASSERT_TRUE(
+        tree_.Execute(Rec(OpCode::kRename, "/e/" + n, 3, Op(), "/d/" + n))
+            .ok());
     in_d.push_back(n);
   }
   expect_listings(in_d);
 
   // Delete every other entry, in shuffled order.
   for (std::size_t i = 0; i < in_d.size(); i += 2) {
-    ASSERT_TRUE(tree_.Delete("/d/" + in_d[i], 4, Op()).ok());
+    ASSERT_TRUE(
+        tree_.Execute(Rec(OpCode::kDelete, "/d/" + in_d[i], 4, Op())).ok());
   }
   std::erase_if(in_d, [&](const std::string& n) {
     return !tree_.Exists("/d/" + n);
@@ -452,13 +481,14 @@ TEST_F(TreeTest, ImagesAreByteIdenticalAcrossLoadAndReplay) {
   const std::vector<std::string> names = ShuffledNames(48, 9);
   for (const std::string& n : names) {
     run(tree_.Create("/a/" + n, 1, 1, Op()));
-    run(tree_.Mkdir("/b/" + n, 2, Op()));
+    run(tree_.Execute(Rec(OpCode::kMkdir, "/b/" + n, 2, Op())));
   }
   for (std::size_t i = 0; i < 12; ++i) {
-    run(tree_.Rename("/a/" + names[i], "/b/" + names[i] + "/f", 3, Op()));
+    run(tree_.Execute(Rec(OpCode::kRename, "/a/" + names[i], 3, Op(),
+                          "/b/" + names[i] + "/f")));
   }
   for (std::size_t i = 6; i < 18; ++i) {
-    run(tree_.Delete("/b/" + names[i], 4, Op()));
+    run(tree_.Execute(Rec(OpCode::kDelete, "/b/" + names[i], 4, Op())));
   }
   const std::vector<char> image = tree_.SaveImage();
 
@@ -481,8 +511,9 @@ TEST_F(TreeTest, FileInodesOwnNoChildStorage) {
   };
   ASSERT_TRUE(tree_.Create("/d/f", 1, 1, Op()).ok());
   no_index(tree_, "/d/f");
-  ASSERT_TRUE(tree_.Mkdir("/e", 1, Op()).ok());
-  ASSERT_TRUE(tree_.Rename("/d/f", "/e/g", 2, Op()).ok());
+  ASSERT_TRUE(tree_.Execute(Rec(OpCode::kMkdir, "/e", 1, Op())).ok());
+  ASSERT_TRUE(
+      tree_.Execute(Rec(OpCode::kRename, "/d/f", 2, Op(), "/e/g")).ok());
   no_index(tree_, "/e/g");
 
   LogRecord install;
@@ -549,22 +580,23 @@ TEST_P(ReplayPropertyTest, RandomWorkloadReplaysExactly) {
     } else if (roll < 50) {
       std::string path = "/d" + std::to_string(rng.Below(20)) + "/s" +
                          std::to_string(rng.Below(5));
-      auto r = primary.Mkdir(path, i, id);
+      auto r = primary.Execute(Rec(OpCode::kMkdir, path, i, id));
       if (r.ok()) dirs.push_back(path);
       journal_it(std::move(r));
     } else if (roll < 65 && !files.empty()) {
       const auto idx = rng.Below(files.size());
-      auto r = primary.Delete(files[idx], i, id);
+      auto r = primary.Execute(Rec(OpCode::kDelete, files[idx], i, id));
       if (r.ok()) files.erase(files.begin() + static_cast<long>(idx));
       journal_it(std::move(r));
     } else if (roll < 80 && !files.empty()) {
       const auto idx = rng.Below(files.size());
       std::string dst = files[idx] + "_r" + std::to_string(i);
-      auto r = primary.Rename(files[idx], dst, i, id);
+      auto r = primary.Execute(Rec(OpCode::kRename, files[idx], i, id, dst));
       if (r.ok()) files[idx] = dst;
       journal_it(std::move(r));
     } else if (!files.empty()) {
-      journal_it(primary.AddBlock(files[rng.Below(files.size())], i, id));
+      journal_it(primary.Execute(
+          Rec(OpCode::kAddBlock, files[rng.Below(files.size())], i, id)));
     }
   }
 
@@ -669,7 +701,8 @@ class MirroredFuzzer {
     const std::string path =
         JoinPath(dirs_[rng_.Below(dirs_.size())], "d" + std::to_string(++uid_));
     auto r = ApplyToAll([&](Tree& t, ClientOpId c) {
-      return t.Mkdir(path, static_cast<SimTime>(seq_), c);
+      return t.Execute(
+          Rec(OpCode::kMkdir, path, static_cast<SimTime>(seq_), c));
     });
     if (r.ok()) dirs_.push_back(path);
   }
@@ -687,7 +720,8 @@ class MirroredFuzzer {
     const std::string path = RandomKnownPath();
     if (path == "/") return;
     auto r = ApplyToAll([&](Tree& t, ClientOpId c) {
-      return t.Delete(path, static_cast<SimTime>(seq_), c);
+      return t.Execute(
+          Rec(OpCode::kDelete, path, static_cast<SimTime>(seq_), c));
     });
     if (r.ok()) Forget(path);
   }
@@ -699,7 +733,8 @@ class MirroredFuzzer {
         JoinPath(dirs_[rng_.Below(dirs_.size())], "r" + std::to_string(++uid_));
     if (IsPrefixPath(src, dst)) return;  // cannot move a dir under itself
     auto r = ApplyToAll([&](Tree& t, ClientOpId c) {
-      return t.Rename(src, dst, static_cast<SimTime>(seq_), c);
+      return t.Execute(
+          Rec(OpCode::kRename, src, static_cast<SimTime>(seq_), c, dst));
     });
     if (r.ok()) Redirect(src, dst);
   }
@@ -708,7 +743,8 @@ class MirroredFuzzer {
     if (files_.empty()) return;
     const std::string path = files_[rng_.Below(files_.size())];
     (void)ApplyToAll([&](Tree& t, ClientOpId c) {
-      return t.AddBlock(path, static_cast<SimTime>(seq_), c);
+      return t.Execute(
+          Rec(OpCode::kAddBlock, path, static_cast<SimTime>(seq_), c));
     });
   }
 
@@ -797,7 +833,7 @@ TEST(NamespaceReplayTest, FailoverImageLoadDropsStaleEntries) {
   // exactly the failover sequence. None of it may survive LoadImage.
   Tree junior;
   ClientOpId none{};
-  ASSERT_TRUE(junior.Mkdir("/stale", 1, none).ok());
+  ASSERT_TRUE(junior.Execute(Rec(OpCode::kMkdir, "/stale", 1, none)).ok());
   ASSERT_TRUE(junior.Create("/stale/old", 1, 1, none).ok());
   ASSERT_NE(junior.FindInode("/stale/old"), nullptr);
 
@@ -817,7 +853,7 @@ TEST(NamespaceReplayTest, DenseStructuralReplayMatchesLiveExecution) {
   // the directory the next records resolve through.
   Tree live;
   ClientOpId none{};
-  ASSERT_TRUE(live.Mkdir("/hot", 1, none).ok());
+  ASSERT_TRUE(live.Execute(Rec(OpCode::kMkdir, "/hot", 1, none)).ok());
   std::vector<LogRecord> records;
   TxId txid = 0;
   // Failed ops (e.g. renaming an already-deleted file) are not journaled —
@@ -829,14 +865,15 @@ TEST(NamespaceReplayTest, DenseStructuralReplayMatchesLiveExecution) {
     live.set_last_txid(rec.txid);
     records.push_back(std::move(rec));
   };
-  push(live.Mkdir("/hot", 1, none));  // idempotent mkdir lands in the journal
+  // An idempotent mkdir lands in the journal.
+  push(live.Execute(Rec(OpCode::kMkdir, "/hot", 1, none)));
   for (int i = 0; i < 200; ++i) {
     const std::string f = "/hot/f" + std::to_string(i);
     push(live.Create(f, 3, i, none));
-    if (i % 7 == 3) push(live.Delete(f, i, none));
+    if (i % 7 == 3) push(live.Execute(Rec(OpCode::kDelete, f, i, none)));
     if (i % 11 == 5) {
-      push(live.Rename("/hot/f" + std::to_string(i - 1),
-                       "/hot/g" + std::to_string(i), i, none));
+      push(live.Execute(Rec(OpCode::kRename, "/hot/f" + std::to_string(i - 1),
+                            i, none, "/hot/g" + std::to_string(i))));
     }
   }
   ASSERT_GT(records.size(), 200u);

@@ -18,6 +18,9 @@
 namespace mams::core {
 namespace {
 
+using journal::OpCode;
+using testutil::Rec;
+
 class RecoveryTest : public ::testing::Test {
  protected:
   RecoveryTest() : sim_(41), net_(sim_) {
@@ -177,17 +180,18 @@ TEST_F(RecoveryTest, BatchCutAtEveryTxidMatchesRecordByRecordReplay) {
     live.set_last_txid(rec.txid);
     records.push_back(std::move(rec));
   };
-  push(live.Mkdir("/d", 1, none));
-  push(live.Mkdir("/e", 2, none));
+  push(live.Execute(Rec(OpCode::kMkdir, "/d", 1, none)));
+  push(live.Execute(Rec(OpCode::kMkdir, "/e", 2, none)));
   push(live.Create("/d/seed", 1, 3, none));
-  push(live.Rename("/d/seed", "/e/seed", 4, none));
+  push(live.Execute(Rec(OpCode::kRename, "/d/seed", 4, none, "/e/seed")));
   for (int i = 0; i < 8; ++i) {
     const std::string dir = "/d/a" + std::to_string(i);
     const SimTime t = 10 * (i + 1);
     push(live.Create(dir + "/f", 1, t, none));
-    push(live.Rename(dir + "/f", "/e/f" + std::to_string(i), t + 1, none));
+    push(live.Execute(Rec(OpCode::kRename, dir + "/f", t + 1, none,
+                          "/e/f" + std::to_string(i))));
     push(live.Create(dir + "/g", 1, t + 2, none));
-    push(live.Delete(dir, t + 3, none));
+    push(live.Execute(Rec(OpCode::kDelete, dir, t + 3, none)));
   }
 
   storage::FileStore store;

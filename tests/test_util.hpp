@@ -1,6 +1,11 @@
-// Shared helpers for simulator-driven tests.
+// Shared test helpers: simulator polling and client-mutation records.
 #pragma once
 
+#include <cstdint>
+#include <string>
+#include <utility>
+
+#include "journal/record.hpp"
 #include "sim/simulator.hpp"
 
 namespace mams::testutil {
@@ -19,6 +24,23 @@ bool WaitFor(sim::Simulator& sim, Pred&& pred, SimTime budget,
     sim.RunUntil(std::min(deadline, sim.Now() + step));
   }
   return true;
+}
+
+/// The journal record a client mutation executes as (servers build it with
+/// core::RecordFor): `path2` is the rename destination or the owner, and
+/// `replication` the replication factor or the permission bits.
+inline journal::LogRecord Rec(journal::OpCode op, std::string path,
+                              SimTime mtime, ClientOpId client,
+                              std::string path2 = {},
+                              std::uint32_t replication = 1) {
+  journal::LogRecord rec;
+  rec.op = op;
+  rec.path = std::move(path);
+  rec.path2 = std::move(path2);
+  rec.replication = replication;
+  rec.mtime = mtime;
+  rec.client = client;
+  return rec;
 }
 
 }  // namespace mams::testutil
