@@ -103,7 +103,7 @@ struct ClusterRun {
 int main() {
   bench::PrintHeader(
       "micro_apply — serial journal replay + group commit",
-      "offline RebuildAt and seal-when-a-slot-frees 2PC");
+      "offline RebuildAt and group-commit 2PC");
 
   // --- Part 1: offline serial replay --------------------------------------
   // 32 closed-loop sessions overfill the commit window, so group commit

@@ -35,10 +35,15 @@ CommitPath::CommitPath(MdsServer& server)
   AddViewStandbys();
 }
 
+TxId CommitPath::Append(journal::LogRecord rec) {
+  if (writer_.pending_records() == 0) oldest_pending_at_ = s_.sim().Now();
+  return writer_.Append(std::move(rec));
+}
+
 void CommitPath::Commit(const ClientRequestMsg& req, journal::LogRecord rec,
                         const ReplyFn& reply) {
   s_.shard().CaptureMigrationDelta(rec);
-  const TxId txid = writer_.Append(std::move(rec));
+  const TxId txid = Append(std::move(rec));
   s_.mutable_tree().set_last_txid(txid);  // keep the active's replay cursor
   Await(txid, s_.reads().RevokeConflicting(req, txid, reply));
   SealIfSlotFree();
@@ -96,11 +101,27 @@ void CommitPath::RunCrossGroup(RequestPtr req, ReplyFn reply,
       });
 }
 
-bool CommitPath::SealIfSlotFree() {
+bool CommitPath::SealIfSlotFree(bool may_defer) {
   if (writer_.pending_records() == 0 ||
       pending_sync_.size() >= kCommitWindow) {
     return false;
   }
+  const SimTime backlog = s_.CpuBacklog();
+  if (may_defer && !pending_sync_.empty() && backlog > 0) {
+    if (!seal_armed_) {
+      seal_armed_ = true;
+      s_.AfterLocal(backlog, [life = weak_from_this()] {
+        if (auto self = life.lock()) {
+          self->seal_armed_ = false;
+          self->SealIfSlotFree(/*may_defer=*/false);
+        }
+      });
+    }
+    return false;
+  }
+  const SimTime waited = s_.sim().Now() - oldest_pending_at_;
+  s_.m().seal_wait_ns->Record(waited);
+  if (waited > 0) ++s_.mutable_counters().pipeline_deferred;
   writer_.Flush();
   return true;
 }
@@ -255,7 +276,7 @@ void CommitPath::FinalizeCompletedSyncs() {
   finalizing_syncs_ = false;
   // Group commit: the records that arrived while the window was full take
   // the slot this finalization freed.
-  if (SealIfSlotFree()) ++s_.mutable_counters().pipeline_deferred;
+  SealIfSlotFree();
 }
 
 void CommitPath::RetrySspAppend(SerialNumber sn) {

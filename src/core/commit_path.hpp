@@ -2,9 +2,11 @@
 // window. It exists exactly while its server is active: the step-down or
 // crash ending the tenure destroys it with every round in flight, and its
 // callbacks hold a weak_ptr and return once it expired. Pending records
-// seal into one batch when a 2PC slot is free (SealIfSlotFree, the one
-// sealing rule); a batch completes once every target standby answered and
-// the SSP copy is durable, and replies leave strictly in sn order.
+// seal into one batch when a 2PC slot is free and the batch's fan-out can
+// start: at once when no round is in flight or the CPU is idle, else when
+// the CPU backlog drains (SealIfSlotFree, the one sealing rule). A batch
+// completes once every target standby answered and the SSP copy is
+// durable, and replies leave strictly in sn order.
 #pragma once
 
 #include <deque>
@@ -29,7 +31,7 @@ class CommitPath : public std::enable_shared_from_this<CommitPath> {
   CommitPath& operator=(const CommitPath&) = delete;
 
   /// Journals a record the server already applied; returns its txid.
-  TxId Append(journal::LogRecord rec) { return writer_.Append(std::move(rec)); }
+  TxId Append(journal::LogRecord rec);
   /// `reply` gets an ok ClientResponseMsg once `txid`'s batch commits, or
   /// "server deposed" if the tenure ends first (FailPending).
   void Await(TxId txid, ReplyFn reply) {
@@ -44,9 +46,14 @@ class CommitPath : public std::enable_shared_from_this<CommitPath> {
   /// the server's ExecuteMutation.
   void RunCrossGroup(RequestPtr req, ReplyFn reply, GroupId participant);
   /// Seals every pending record into one batch when fewer than
-  /// kCommitWindow rounds are in flight; returns whether it sealed.
-  bool SealIfSlotFree();
-  /// 2PC rounds in flight, plus one while records wait for a slot.
+  /// kCommitWindow rounds are in flight and either none is or the CPU is
+  /// idle; returns whether it sealed. A batch sealed into a busy CPU would
+  /// not leave sooner (its fan-out queues behind the ops ahead of it), so
+  /// otherwise it arms one seal for the instant the current backlog drains,
+  /// which seals whatever is pending then (`may_defer` false) if a slot is
+  /// free.
+  bool SealIfSlotFree(bool may_defer = true);
+  /// 2PC rounds in flight, plus one while records wait to seal.
   std::size_t queue_depth() const noexcept {
     return pending_sync_.size() + (writer_.pending_records() > 0 ? 1 : 0);
   }
@@ -110,6 +117,8 @@ class CommitPath : public std::enable_shared_from_this<CommitPath> {
   journal::Writer writer_;
   std::map<SerialNumber, PendingSync> pending_sync_;
   bool finalizing_syncs_ = false;  ///< re-entrancy guard
+  bool seal_armed_ = false;        ///< a CPU-drain seal is scheduled
+  SimTime oldest_pending_at_ = 0;  ///< append time of the oldest pending record
   std::map<TxId, std::vector<ReplyFn>> pending_replies_;
   std::set<NodeId> targets_;  ///< peers included in 2PC
   std::shared_ptr<TxWindow> tx_ = std::make_shared<TxWindow>();

@@ -48,7 +48,8 @@ MdsServer::MdsServer(net::Network& network, std::string name,
         c("mds.leases_granted"), c("mds.leases_revoked"),
         c("mds.lease_replies_held"), c("mds.lease_barrier_expiries"),
         c("mds.migrations_completed"), c("mds.cross_group_renames"),
-        h("mds.sync_batch_ns"), h("mds.batch_records"), h("mds.resolve_ns"),
+        h("mds.sync_batch_ns"), h("mds.batch_records"),
+        h("mds.seal_wait_ns"), h("mds.cpu_wait_ns"), h("mds.resolve_ns"),
         h("mds.standby_read_staleness_sn"),
         metrics.gauge("mds.last_sn." + this->name())};
   renewal_ = std::make_unique<Renewal>(*this);
@@ -398,6 +399,7 @@ void MdsServer::HandleClientRequest(const net::Envelope&,
 
 void MdsServer::ProcessClientRequest(const RequestPtr& req,
                                      const ReplyFn& reply) {
+  m_.cpu_wait_ns->Record(CpuBacklog());
   AfterLocal(ChargeCpu(OpCost(options_.costs, req->op)), [this, req, reply] {
     if (!commit_) {
       ReplyStatus(reply, Status::Unavailable("not active"));

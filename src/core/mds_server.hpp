@@ -17,6 +17,7 @@
 // owner interface below; none is a friend.
 #pragma once
 
+#include <algorithm>
 #include <deque>
 #include <functional>
 #include <map>
@@ -100,7 +101,7 @@ class MdsServer : public net::Host {
   }
 
   /// Commit-path backlog: 2PC rounds in flight, plus one while records wait
-  /// for a slot. At most kCommitWindow + 1, and 0 unless active.
+  /// to seal. At most kCommitWindow + 1, and 0 unless active.
   std::size_t commit_queue_depth() const noexcept {
     return commit_ ? commit_->queue_depth() : 0;
   }
@@ -154,8 +155,8 @@ class MdsServer : public net::Host {
     std::uint64_t apply_waves = 0;             ///< records applied
     std::uint64_t apply_records = 0;           ///< records applied
     std::uint64_t apply_serial_fallbacks = 0;  ///< batches applied
-    /// Batches sealed by a finalization: their records arrived while all
-    /// kCommitWindow slots were busy and waited for one to free.
+    /// Batches whose oldest record waited before its seal: for a 2PC
+    /// window slot, or for the CPU to drain (CommitPath::SealIfSlotFree).
     std::uint64_t pipeline_deferred = 0;
     std::uint64_t migrations_started = 0;
     std::uint64_t migrations_completed = 0;
@@ -201,8 +202,8 @@ class MdsServer : public net::Host {
         *standby_reads_served, *standby_reads_parked, *standby_reads_bounced,
         *shard_bounces, *leases_granted, *leases_revoked, *lease_replies_held,
         *lease_barrier_expiries, *migrations_completed, *cross_group_renames;
-    obs::Histogram *sync_batch_ns, *batch_records, *resolve_ns,
-        *standby_read_staleness_sn;
+    obs::Histogram *sync_batch_ns, *batch_records, *seal_wait_ns,
+        *cpu_wait_ns, *resolve_ns, *standby_read_staleness_sn;
     obs::Gauge* last_sn;
   };
   const MetricHandles& m() const noexcept { return m_; }
@@ -231,6 +232,10 @@ class MdsServer : public net::Host {
 
   /// Queues `cost` of CPU behind earlier work; returns the delay until done.
   SimTime ChargeCpu(SimTime cost);
+  /// CPU work already queued: how long a charge made now waits to start.
+  SimTime CpuBacklog() const noexcept {
+    return std::max<SimTime>(cpu_free_at_ - sim().Now(), 0);
+  }
   /// A reply carrying `status`, stamped (StampReply) at this server's sn.
   std::shared_ptr<ClientResponseMsg> StatusReply(const Status& status) const;
   void ReplyStatus(const ReplyFn& reply, const Status& s) {

@@ -5,7 +5,8 @@
 // writer assigns txids as records arrive and seals everything pending into
 // one sn-stamped Batch when its owner calls Flush; it never decides on its
 // own when a batch seals (the MAMS active seals when a 2PC window slot is
-// free, see CommitPath::SealIfSlotFree). A writer re-seeded with the last
+// free and the batch's fan-out can start on its CPU, see
+// CommitPath::SealIfSlotFree). A writer re-seeded with the last
 // durable sn after failover continues the sequence.
 #pragma once
 

@@ -33,6 +33,7 @@ class Process {
   Process& operator=(const Process&) = delete;
 
   Simulator& sim() noexcept { return sim_; }
+  const Simulator& sim() const noexcept { return sim_; }
   const std::string& name() const noexcept { return name_; }
   bool alive() const noexcept { return alive_; }
   std::uint64_t incarnation() const noexcept { return incarnation_; }

@@ -1,7 +1,8 @@
 // Focused tests for MAMS core-protocol behaviours that the integration
 // suite doesn't pin down individually: checkpointing to the SSP, the
 // image-first renewing path, IO fencing of deposed actives, demotion of
-// unresponsive standbys, and failover-trace bookkeeping.
+// unresponsive standbys, failover-trace bookkeeping, and group commit's
+// sealing rule.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -436,6 +437,112 @@ TEST_F(CoreTest, BatchesSealOnlyIntoAFreeWindowSlot) {
     EXPECT_GT(mds.counters().apply_records, mds.counters().batches_applied)
         << mds.name();
   }
+}
+
+// CPU-aware group commit: a batch seals once its fan-out can start. The
+// fixture below issues `n` creates at once on a 1A3S group whose active is
+// idle, with no round in flight. Network jitter (30 us) is below a create's
+// CPU cost (45 us), so the later creates are all queued on the active's CPU
+// when the first one executes.
+class GroupCommitTest : public CoreTest {
+ protected:
+  void SetUp() override {
+    cluster::CfsConfig cfg;
+    cfg.groups = 1;
+    cfg.standbys_per_group = 3;
+    cfg.clients = 1;
+    cfg.data_servers = 1;
+    Build(cfg);
+    ASSERT_TRUE(CreateFile("/g/seed").ok());
+    Run(kSecond);
+    active_ = cfs_->FindActive(0);
+    ASSERT_NE(active_, nullptr);
+    sn0_ = active_->last_sn();
+    mutations0_ = active_->counters().mutations;
+  }
+
+  void IssueCreates(int n) {
+    for (int i = 0; i < n; ++i) {
+      cfs_->client(0).Create("/g/f" + std::to_string(i), [this](Status s) {
+        if (s.ok()) ++acked_;
+      });
+    }
+  }
+
+  /// Runs until the active executed `n` of the creates, at 1 us resolution.
+  bool WaitExecuted(std::uint64_t n) {
+    return testutil::WaitFor(
+        *sim_,
+        [&] { return active_->counters().mutations >= mutations0_ + n; },
+        kSecond, kMicrosecond);
+  }
+
+  std::size_t LastBatchRecords() const {
+    return active_->recent_batches().back()->records.size();
+  }
+
+  std::uint64_t BatchesSealed() {
+    return sim_->obs().metrics().histogram("mds.batch_records")->count();
+  }
+
+  MdsServer* active_ = nullptr;
+  SerialNumber sn0_ = 0;
+  std::uint64_t mutations0_ = 0;
+  int acked_ = 0;
+};
+
+TEST_F(GroupCommitTest, LoneCreateOnAnIdleActiveSealsAtOnce) {
+  IssueCreates(1);
+  ASSERT_TRUE(WaitExecuted(1));
+  // Sealed by the event that executed it, alone.
+  EXPECT_EQ(active_->last_sn(), sn0_ + 1);
+  EXPECT_EQ(LastBatchRecords(), 1u);
+  ASSERT_TRUE(testutil::WaitFor(*sim_, [&] { return acked_ == 1; }, kSecond));
+}
+
+TEST_F(GroupCommitTest, CreatesQueuedOnABusyCpuShareOneBatch) {
+  IssueCreates(4);
+  ASSERT_TRUE(WaitExecuted(4));
+  // The first create sealed alone; its round is in flight and its fan-out
+  // is queued behind the other three, so their records wait for the CPU.
+  EXPECT_EQ(active_->last_sn(), sn0_ + 1);
+  const SimTime backlog = active_->CpuBacklog();
+  ASSERT_GT(backlog, 0);
+  sim_->RunUntil(sim_->Now() + backlog);  // the instant the backlog drains
+  EXPECT_EQ(active_->last_sn(), sn0_ + 2);
+  EXPECT_EQ(LastBatchRecords(), 3u);
+  ASSERT_TRUE(testutil::WaitFor(*sim_, [&] { return acked_ == 4; }, kSecond));
+}
+
+TEST_F(GroupCommitTest, DeferredSealDiesWithACrashedTenure) {
+  IssueCreates(4);
+  ASSERT_TRUE(WaitExecuted(2));
+  // One round in flight, one record waiting for the CPU to drain.
+  ASSERT_EQ(active_->commit_queue_depth(), 2u);
+  const SimTime due = sim_->Now() + active_->CpuBacklog();
+  const std::uint64_t sealed = BatchesSealed();
+  active_->Crash();
+  sim_->RunUntil(due + kMillisecond);
+  EXPECT_EQ(BatchesSealed(), sealed);
+  // A successor takes over; the creates' retries commit there.
+  ASSERT_TRUE(testutil::WaitFor(*sim_, [&] { return acked_ == 4; },
+                                30 * kSecond));
+  EXPECT_NE(cfs_->FindActive(0), active_);
+}
+
+TEST_F(GroupCommitTest, DeferredSealDiesWithASteppedDownTenure) {
+  IssueCreates(4);
+  ASSERT_TRUE(WaitExecuted(2));
+  ASSERT_EQ(active_->commit_queue_depth(), 2u);
+  const SimTime due = sim_->Now() + active_->CpuBacklog();
+  const std::uint64_t sealed = BatchesSealed();
+  active_->StepDownFromActive("test");
+  // The server stays up: its deferred seal fires, and must find the tenure
+  // gone instead of sealing the deposed server's records.
+  sim_->RunUntil(due + kMillisecond);
+  EXPECT_EQ(BatchesSealed(), sealed);
+  EXPECT_EQ(active_->commit_queue_depth(), 0u);
+  EXPECT_EQ(active_->role(), ServerState::kJunior);
 }
 
 // A renewal run that ends by promotion while its SSP read is still out
