@@ -49,58 +49,6 @@ void CommitPath::Commit(const ClientRequestMsg& req, journal::LogRecord rec,
   SealIfSlotFree();
 }
 
-void CommitPath::RunCrossGroup(RequestPtr req, ReplyFn reply,
-                               GroupId participant) {
-  if (tx_->inflight >= kTxWindow) {
-    tx_->queue.emplace_back(std::move(req), std::move(reply));
-    return;
-  }
-  ++tx_->inflight;
-  ReplyFn wrapped = [&s = s_, tx = tx_, reply](net::MessagePtr out) {
-    reply(std::move(out));
-    --tx->inflight;
-    if (!tx->queue.empty() && tx->inflight < kTxWindow) {
-      auto [next_req, next_reply] = std::move(tx->queue.front());
-      tx->queue.pop_front();
-      s.ProcessClientRequest(next_req, next_reply);
-    }
-  };
-  // Cross-group prepare leg first (the paper's distributed transactions
-  // synchronize state among servers before commit).
-  if (s_.directory() == nullptr) {
-    s_.ReplyStatus(wrapped, Status::Unavailable("no group directory"));
-    return;
-  }
-  const NodeId peer = s_.directory()->Active(participant);
-  if (peer == kInvalidNode) {
-    s_.ReplyStatus(wrapped, Status::Unavailable("participant unknown"));
-    return;
-  }
-  auto leg = std::make_shared<ClientRequestMsg>(*req);
-  leg->tx_participant = true;
-  net::RpcCall::Start(
-      s_, peer, leg, MdsServer::kFetchRpc,
-      [&s = s_, life = weak_from_this(), req,
-       wrapped](Result<net::MessagePtr> r) {
-        if (!r.ok()) {
-          s.ReplyStatus(wrapped, Status::Unavailable("participant unreachable"));
-          return;
-        }
-        const auto& resp = net::Cast<ClientResponseMsg>(r.value());
-        if (!resp.ok) {
-          s.ReplyStatus(wrapped, Status::Unavailable(resp.error));
-          return;
-        }
-        // A step-down while the leg was out ended this tenure: the deposed
-        // server must not execute the mutation.
-        if (life.expired()) {
-          s.ReplyStatus(wrapped, Status::Unavailable("not active"));
-          return;
-        }
-        s.ExecuteMutation(req, wrapped);
-      });
-}
-
 bool CommitPath::SealIfSlotFree(bool may_defer) {
   if (writer_.pending_records() == 0 ||
       pending_sync_.size() >= kCommitWindow) {

@@ -1,15 +1,14 @@
-// CommitPath — the active's pipelined modified 2PC and cross-group leg
-// window. It exists exactly while its server is active: the step-down or
-// crash ending the tenure destroys it with every round in flight, and its
-// callbacks hold a weak_ptr and return once it expired. Pending records
-// seal into one batch when a 2PC slot is free and the batch's fan-out can
-// start: at once when no round is in flight or the CPU is idle, else when
-// the CPU backlog drains (SealIfSlotFree, the one sealing rule). A batch
-// completes once every target standby answered and the SSP copy is
-// durable, and replies leave strictly in sn order.
+// CommitPath — the active's pipelined modified 2PC. It exists exactly
+// while its server is active: the step-down or crash ending the tenure
+// destroys it with every round in flight, and its callbacks hold a
+// weak_ptr and return once it expired. Pending records seal into one batch
+// when a 2PC slot is free and the batch's fan-out can start: at once when
+// no round is in flight or the CPU is idle, else when the CPU backlog
+// drains (SealIfSlotFree, the one sealing rule). A batch completes once
+// every target standby answered and the SSP copy is durable, and replies
+// leave strictly in sn order.
 #pragma once
 
-#include <deque>
 #include <map>
 #include <memory>
 #include <set>
@@ -41,10 +40,6 @@ class CommitPath : public std::enable_shared_from_this<CommitPath> {
   /// leases it conflicts with, and replies once its batch commits.
   void Commit(const ClientRequestMsg& req, journal::LogRecord rec,
               const ReplyFn& reply);
-  /// A mutation whose other side lives in group `participant`: a prepare leg
-  /// to that group's active first (kTxWindow at once, the rest queue), then
-  /// the server's ExecuteMutation.
-  void RunCrossGroup(RequestPtr req, ReplyFn reply, GroupId participant);
   /// Seals every pending record into one batch when fewer than
   /// kCommitWindow rounds are in flight and either none is or the CPU is
   /// idle; returns whether it sealed. A batch sealed into a busy CPU would
@@ -77,8 +72,6 @@ class CommitPath : public std::enable_shared_from_this<CommitPath> {
 
   /// 2PC rounds in flight at most (the sweep is in docs/PERFORMANCE.md §3).
   static constexpr std::size_t kCommitWindow = 4;
-  /// Cross-group prepare legs in flight at most.
-  static constexpr int kTxWindow = 3;
 
  private:
   struct PendingSync {
@@ -91,14 +84,6 @@ class CommitPath : public std::enable_shared_from_this<CommitPath> {
     SimTime begin = 0;
     obs::TraceRecorder::Span span;
   };
-  /// Shared with every leg's reply wrapper: a leg that completes after a
-  /// step-down still frees its slot and starts the next queued request,
-  /// which then answers "not active".
-  struct TxWindow {
-    int inflight = 0;
-    std::deque<std::pair<RequestPtr, ReplyFn>> queue;
-  };
-
   /// The writer's sink: starts the round to every target and the SSP.
   void OnBatchSealed(journal::Batch batch, std::vector<char> bytes);
   void OnPrepareAck(NodeId peer, SerialNumber sn,
@@ -121,7 +106,6 @@ class CommitPath : public std::enable_shared_from_this<CommitPath> {
   SimTime oldest_pending_at_ = 0;  ///< append time of the oldest pending record
   std::map<TxId, std::vector<ReplyFn>> pending_replies_;
   std::set<NodeId> targets_;  ///< peers included in 2PC
-  std::shared_ptr<TxWindow> tx_ = std::make_shared<TxWindow>();
 };
 
 }  // namespace mams::core

@@ -347,33 +347,6 @@ void MdsServer::HandleClientRequest(const net::Envelope&,
                                     const ReplyFn& reply) {
   auto req = std::static_pointer_cast<const ClientRequestMsg>(msg);
 
-  if (req->tx_participant) {
-    // Cross-group coordination leg: validate and charge only.
-    if (!commit_) {
-      ReplyStatus(reply, Status::Unavailable("participant not active"));
-      return;
-    }
-    AfterLocal(ChargeCpu(options_.costs.tx_participant), [this, req, reply] {
-      if (!commit_) {
-        ReplyStatus(reply, Status::Unavailable("participant not active"));
-        return;
-      }
-      // The leg's validity rests on this group owning the other side of
-      // the transaction (the directory's children / rename destination);
-      // a moved slot bounces so the coordinator re-routes.
-      const shard::PartitionMap& map = shard_->map();
-      const std::uint32_t slot = req->op == ClientOp::kRename
-                                     ? map.SlotOf(req->path2)
-                                     : map.SlotOfDir(req->path);
-      if (!shard_->OwnsSlotForRead(slot)) {
-        shard_->Bounce(reply, "participant does not own slot");
-        return;
-      }
-      ReplyStatus(reply, Status::Ok());
-    });
-    return;
-  }
-
   if (upgrade_ && upgrade_->switching()) {
     // Step 3: reads are allowed; mutations are saved in memory and not
     // committed until the upgrade finishes.
@@ -411,23 +384,14 @@ void MdsServer::ProcessClientRequest(const RequestPtr& req,
     }
     // A distributed transaction is only genuinely distributed when the
     // other side of the operation (the rename destination's entry, or the
-    // directory's children) belongs to a different group; within a single
-    // partition it commutes with ordinary mutations (the 1A3S configuration
-    // of Figures 6/8 pays no transaction overhead).
-    GroupId participant = options_.group;
-    if (IsDistributedTx(req->op)) {
-      const shard::PartitionMap& map = shard_->map();
-      participant = req->op == ClientOp::kRename ? map.OwnerOf(req->path2)
-                                                 : map.OwnerOfDir(req->path);
-    }
-    if (participant == options_.group) {
+    // new directory's children) belongs to a different group; within a
+    // single partition it commutes with ordinary mutations (the 1A3S
+    // configuration of Figures 6/8 pays no transaction overhead).
+    const GroupId peer = shard_->PeerGroup(*req);
+    if (peer == options_.group) {
       ExecuteMutation(req, reply);
-    } else if (req->op == ClientOp::kRename) {
-      // Cross-group rename is a real two-group transaction (intent ->
-      // destination commit -> finish), not a validate-and-charge leg.
-      shard_->StartCrossGroupRename(req, participant, reply);
     } else {
-      commit_->RunCrossGroup(req, reply, participant);
+      shard_->StartTwoGroupTx(req, peer, reply);
     }
   });
 }

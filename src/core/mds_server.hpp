@@ -246,8 +246,6 @@ class MdsServer : public net::Host {
   void StampReply(ClientResponseMsg& out, SerialNumber applied_sn) const;
   /// Charges the op's CPU, then serves it as the active.
   void ProcessClientRequest(const RequestPtr& req, const ReplyFn& reply);
-  /// Shard admission and the tree mutation; CommitPath journals the rest.
-  void ExecuteMutation(const RequestPtr& req, const ReplyFn& reply);
   void BecomeRole(ServerState role);
   void StepDownFromActive(const char* why);
   /// Step 6, an abort or a lost election: destroys the Upgrade.
@@ -266,9 +264,9 @@ class MdsServer : public net::Host {
   std::uint64_t ApplyPoolRecords(
       const std::vector<storage::SspRecord>& records);
 
-  /// One-shot fetches (journal backfill, step-5 catch-up, cross-group tx
-  /// legs): callers have their own recovery story, so no retries here. The
-  /// shard protocol's legs reuse its attempt timeout (shard_engine.cpp).
+  /// One-shot fetches (journal backfill and step-5 catch-up): callers have
+  /// their own recovery story, so no retries here. The shard protocol's
+  /// legs reuse its attempt timeout (shard_engine.cpp).
   static constexpr net::RpcPolicy kFetchRpc{
       .attempt_timeout = kSecond,
       .max_attempts = 1,
@@ -291,6 +289,8 @@ class MdsServer : public net::Host {
                            const net::MessagePtr& msg, const ReplyFn& reply);
   void HandleJournalPrepare(const net::Envelope& env,
                             const net::MessagePtr& msg, const ReplyFn& reply);
+  /// Shard admission and the tree mutation; CommitPath journals the rest.
+  void ExecuteMutation(const RequestPtr& req, const ReplyFn& reply);
   void ApplyReadyBatches();
   void RequestBackfill(NodeId from);
   /// Applies a replicated batch record by record, in record order.

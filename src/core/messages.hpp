@@ -40,14 +40,6 @@ constexpr bool IsMutation(ClientOp op) noexcept {
   return op != ClientOp::kGetFileInfo && op != ClientOp::kListDir;
 }
 
-/// True for operations CFS executes as distributed transactions (Section
-/// IV.A: "delete, mkdir and rename belong to distributed transactions in
-/// the CFS") — they carry an extra cross-group coordination round.
-constexpr bool IsDistributedTx(ClientOp op) noexcept {
-  return op == ClientOp::kMkdir || op == ClientOp::kDelete ||
-         op == ClientOp::kRename;
-}
-
 struct ClientRequestMsg final : net::Message {
   ClientOp op = ClientOp::kGetFileInfo;
   std::string path;
@@ -62,12 +54,8 @@ struct ClientRequestMsg final : net::Message {
   ClientOpId client;
   /// Requesting client's node id; the active uses it to address directory
   /// lease grants and revocation pushes. kInvalidNode opts out of leases
-  /// (internal traffic: audits, migration legs, participant probes).
+  /// (internal traffic: audits and migration legs).
   NodeId requester = kInvalidNode;
-  /// Set on cross-group coordination legs (participant side of a tx);
-  /// participants only validate/charge, they do not mutate. The active
-  /// picks the participant group from its own partition map.
-  bool tx_participant = false;
 
   net::MsgType type() const noexcept override { return net::kClientRequest; }
   std::size_t ByteSize() const noexcept override {
@@ -268,7 +256,7 @@ enum class ShardControlKind : std::uint8_t {
                       ///< kShardAcquire; idempotent)
   kAbort = 2,         ///< src -> dst: migration abandoned, discard the slot
   kQuery = 3,         ///< dst -> src: what happened to migration_id?
-  kRenameCommit = 4,  ///< rename src-owner -> dst-owner: install dst entry
+  kTxCommit = 4,      ///< entry group -> peer group: install the entry
 };
 
 struct ShardControlMsg final : net::Message {
@@ -276,22 +264,17 @@ struct ShardControlMsg final : net::Message {
   GroupId from_group = 0;
   std::uint32_t slot = 0;
   TxId migration_id = 0;
-  // kRenameCommit payload: the entry to install at the destination group,
-  // carrying everything needed to rebuild the inode.
-  std::string rename_src;
-  std::string rename_dst;
+  // kTxCommit payload: the two-group transaction's client op and the
+  // install records (ShardEngine::AppendInstallRecords) the peer journals:
+  // the renamed file with its blocks, or the new directory.
   ClientOpId client;
-  std::uint32_t replication = 1;
-  std::uint16_t permission = 0644;
-  std::string owner;
-  SimTime mtime = 0;
-  bool complete = true;
-  std::vector<BlockId> blocks;
+  std::vector<journal::LogRecord> install;
 
   net::MsgType type() const noexcept override { return net::kShardControl; }
   std::size_t ByteSize() const noexcept override {
-    return 128 + rename_src.size() + rename_dst.size() + owner.size() +
-           blocks.size() * 8;
+    std::size_t n = 128;
+    for (const auto& r : install) n += r.EncodedSize();
+    return n;
   }
 };
 

@@ -22,7 +22,6 @@ struct OpCosts {
   SimTime getfileinfo = 18 * kMicrosecond;
   SimTime listdir = 30 * kMicrosecond;
   SimTime add_block = 30 * kMicrosecond;
-  SimTime tx_participant = 25 * kMicrosecond;  ///< cross-group prepare leg
   SimTime block_report_per_1k = 150 * kMicrosecond;
   /// Journal replication fan-out: per-sync-target CPU on the active
   /// (serialize + checksum + send) — base charge plus streaming rate.

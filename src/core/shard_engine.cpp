@@ -93,10 +93,10 @@ const char* ShardEngine::WriteRefusal(std::uint32_t slot) const {
   return nullptr;
 }
 
-bool ShardEngine::RenameFenced(const ClientRequestMsg& req) const {
-  for (const auto& [src, intent] : s_.tree().shard().rename_intents) {
+bool ShardEngine::TxFenced(const ClientRequestMsg& req) const {
+  for (const auto& [key, intent] : s_.tree().shard().tx_intents) {
     auto touches = [&](const std::string& p) {
-      return p == intent.dst || fsns::IsPrefixPath(p, src);
+      return p == intent.peer_path || fsns::IsPrefixPath(p, key);
     };
     if (touches(req.path) || (!req.path2.empty() && touches(req.path2))) {
       return true;
@@ -116,12 +116,12 @@ void ShardEngine::Bounce(const ReplyFn& reply, const char* why) {
 
 bool ShardEngine::AdmitRead(const ClientRequestMsg& req,
                             const ReplyFn& reply) {
-  if (RenameFenced(req)) {
+  if (TxFenced(req)) {
     // The entry is mid-flight between two groups; its linearization point
-    // is the destination commit, so neither side may answer for it yet. A
+    // is the peer's commit, so this side may not answer for it yet. A
     // bounce (not a bare Unavailable) so the client paces its retries
     // instead of burning its attempt budget against the fence.
-    Bounce(reply, "cross-group rename in progress");
+    Bounce(reply, "cross-group transaction in progress");
     return false;
   }
   // A listing enumerates the directory's children, which all hash by this
@@ -138,8 +138,8 @@ bool ShardEngine::AdmitRead(const ClientRequestMsg& req,
 
 bool ShardEngine::AdmitMutation(const ClientRequestMsg& req,
                                 const ReplyFn& reply) {
-  if (RenameFenced(req)) {
-    Bounce(reply, "cross-group rename in progress");
+  if (TxFenced(req)) {
+    Bounce(reply, "cross-group transaction in progress");
     return false;
   }
   const std::uint32_t slot = map_.SlotOf(req.path);
@@ -152,13 +152,22 @@ bool ShardEngine::AdmitMutation(const ClientRequestMsg& req,
     Bounce(reply, why);
     return false;
   }
-  // Structural restriction: deleting or renaming a *directory* relocates
-  // every descendant entry's slot, which the per-path snapshot/delta
-  // machinery cannot track mid-migration. Such ops stall until the
-  // namespace stops moving.
   if (req.op == ClientOp::kDelete || req.op == ClientOp::kRename) {
     const fsns::Inode* node = s_.tree().FindInode(req.path);
     if (node != nullptr && node->is_dir) {
+      // A directory's children live in its container group. Deleting it
+      // here would leave them behind there, so, like a cross-group
+      // directory rename, it is refused.
+      if (req.op == ClientOp::kDelete &&
+          map_.OwnerOfDir(req.path) != s_.group()) {
+        s_.ReplyStatus(reply, Status::FailedPrecondition(
+                                  "cross-group delete of a directory"));
+        return false;
+      }
+      // Structural restriction: deleting or renaming a *directory*
+      // relocates every descendant entry's slot, which the per-path
+      // snapshot/delta machinery cannot track mid-migration. Such ops
+      // stall until the namespace stops moving.
       const fsns::Tree::ShardState& sh = s_.tree().shard();
       if (!drives_.empty() || !sh.outbound.empty() || !sh.inbound.empty()) {
         Bounce(reply, "namespace repartitioning in progress");
@@ -763,9 +772,13 @@ void ShardEngine::HandleControl(const net::MessagePtr& msg,
     ack_status(Status::Unavailable("not active"));
     return;
   }
-  if (ctl->kind == ShardControlKind::kRenameCommit) {
-    s_.AfterLocal(s_.ChargeCpu(s_.options().costs.rename),
-                  [this, ctl, reply] { HandleRenameCommit(ctl, reply); });
+  if (ctl->kind == ShardControlKind::kTxCommit) {
+    // The peer's half costs what the op itself costs.
+    const OpCosts& costs = s_.options().costs;
+    const bool dir =
+        ctl->install.front().op == journal::OpCode::kShardInstallDir;
+    s_.AfterLocal(s_.ChargeCpu(dir ? costs.mkdir : costs.rename),
+                  [this, ctl, reply] { HandleTxCommit(ctl, reply); });
     return;
   }
 
@@ -799,130 +812,173 @@ void ShardEngine::HandleControl(const net::MessagePtr& msg,
   });
 }
 
-// --- cross-group rename -------------------------------------------------------
+// --- two-group transactions ---------------------------------------------------
+//
+// One protocol for every cross-group mutation: this group journals the
+// intent, the peer group installs the entry (install records plus the
+// kTxCommit dedup point), and this group's finish runs its own half. Only
+// those records depend on the op: a rename installs the file at its
+// destination and erases the source; a mkdir installs the directory at its
+// container group and runs the client's kMkdir record here.
 
-void ShardEngine::StartCrossGroupRename(RequestPtr req, GroupId dst_group,
-                                        const ReplyFn& reply) {
+GroupId ShardEngine::PeerGroup(const ClientRequestMsg& req) const {
+  switch (req.op) {
+    case ClientOp::kRename:
+      return map_.OwnerOf(req.path2);
+    case ClientOp::kMkdir:
+      return map_.OwnerOfDir(req.path);
+    default:
+      return s_.group();
+  }
+}
+
+Status ShardEngine::TxVerdict(const ClientRequestMsg& req) const {
+  const fsns::Tree& tree = s_.tree();
+  if (req.op == ClientOp::kMkdir) {
+    // mkdirs semantics, in the local order: a file at the path, then a file
+    // on an ancestor; an existing directory commits as a no-op.
+    if (!fsns::IsValidPath(req.path)) {
+      return Status::InvalidArgument("bad path: " + req.path);
+    }
+    const fsns::Inode* node = tree.FindInode(req.path);
+    if (node != nullptr && !node->is_dir) {
+      return Status::AlreadyExists(req.path + " is a file");
+    }
+    for (std::string_view p = fsns::ParentDir(req.path); p != "/";
+         p = fsns::ParentDir(p)) {
+      const fsns::Inode* anc = tree.FindInode(p);
+      if (anc != nullptr && !anc->is_dir) {
+        return Status::FailedPrecondition(std::string(p) + " is a file");
+      }
+    }
+    return Status::Ok();
+  }
+  // Rename: precedence mirrors the local rename (and the checker's model):
+  // argument validity, then rename-under-itself, then source existence.
+  if (!fsns::IsValidPath(req.path) || !fsns::IsValidPath(req.path2) ||
+      req.path == "/") {
+    return Status::InvalidArgument("bad rename path");
+  }
+  if (fsns::IsPrefixPath(req.path, req.path2)) {
+    return Status::FailedPrecondition("rename under its own subtree");
+  }
+  const fsns::Inode* node = tree.FindInode(req.path);
+  if (node == nullptr) return Status::NotFound(req.path);
+  if (node->is_dir) {
+    // A directory's descendants rehash under the new name across arbitrary
+    // groups; moving a subtree between groups is out of scope (mirrors
+    // real metadata services, which fence or forbid cross-volume renames).
+    return Status::FailedPrecondition("cross-group rename of a directory");
+  }
+  return Status::Ok();
+}
+
+void ShardEngine::StartTwoGroupTx(RequestPtr req, GroupId peer,
+                                  const ReplyFn& reply) {
   if (s_.tree().IsDuplicate(req->client)) {
-    // The rename finished in a previous life of this request.
+    // The transaction finished in a previous life of this request.
     s_.ReplyStatus(reply, Status::Ok());
     return;
   }
-  if (RenameFenced(*req)) {
-    Bounce(reply, "cross-group rename in progress");
+  if (TxFenced(*req)) {
+    Bounce(reply, "cross-group transaction in progress");
     return;
   }
   if (const char* why = WriteRefusal(map_.SlotOf(req->path))) {
     Bounce(reply, why);
     return;
   }
-  // Verdict precedence mirrors the local rename (and the checker's model):
-  // argument validity, then rename-under-itself, then source existence.
-  if (!fsns::IsValidPath(req->path) || !fsns::IsValidPath(req->path2) ||
-      req->path == "/") {
-    s_.ReplyStatus(reply, Status::InvalidArgument("bad rename path"));
-    return;
-  }
-  if (fsns::IsPrefixPath(req->path, req->path2)) {
-    s_.ReplyStatus(reply,
-                   Status::FailedPrecondition("rename under its own subtree"));
-    return;
-  }
-  const fsns::Inode* node = s_.tree().FindInode(req->path);
-  if (node == nullptr) {
-    s_.ReplyStatus(reply, Status::NotFound(req->path));
-    return;
-  }
-  if (node->is_dir) {
-    // A directory's descendants rehash under the new name across arbitrary
-    // groups; moving a subtree between groups is out of scope (mirrors
-    // real metadata services, which fence or forbid cross-volume renames).
-    s_.ReplyStatus(reply, Status::FailedPrecondition(
-                              "cross-group rename of a directory"));
+  if (Status verdict = TxVerdict(*req); !verdict.ok()) {
+    s_.ReplyStatus(reply, verdict);
     return;
   }
   // Prepare: journal the intent. From the moment it applies, the fences
-  // stall every request touching src or dst until the outcome commits.
+  // stall every request touching the entry (or the rename's destination)
+  // until the outcome commits.
+  const bool mkdir = req->op == ClientOp::kMkdir;
   journal::LogRecord rec;
-  rec.op = journal::OpCode::kRenameIntent;
+  rec.op = journal::OpCode::kTxIntent;
   rec.path = req->path;
-  rec.path2 = req->path2;
-  rec.replication = dst_group;
+  rec.path2 = mkdir ? req->path : req->path2;
+  rec.replication = peer;
+  rec.block = static_cast<BlockId>(mkdir ? journal::OpCode::kMkdir
+                                         : journal::OpCode::kRename);
   rec.mtime = s_.sim().Now();
   rec.client = req->client;
-  JournalShardRecord(std::move(rec), [this, src = req->path, reply](bool ok) {
+  JournalShardRecord(std::move(rec), [this, key = req->path, reply](bool ok) {
     if (!ok) {
       s_.ReplyStatus(reply, Status::Unavailable("server deposed"));
       return;
     }
-    rename_drives_[src].reply = reply;
-    SendRenameCommit(src);
+    tx_drives_[key].reply = reply;
+    SendTxCommit(key);
   });
 }
 
-void ShardEngine::SendRenameCommit(const std::string& src) {
-  auto it = rename_drives_.find(src);
-  if (it == rename_drives_.end()) return;
-  const auto& intents = s_.tree().shard().rename_intents;
-  auto in = intents.find(src);
+void ShardEngine::SendTxCommit(const std::string& key) {
+  auto it = tx_drives_.find(key);
+  if (it == tx_drives_.end()) return;
+  const auto& intents = s_.tree().shard().tx_intents;
+  auto in = intents.find(key);
   if (in == intents.end()) {
-    rename_drives_.erase(it);
+    tx_drives_.erase(it);
     return;
   }
-  const fsns::Tree::ShardState::RenameIntent& intent = in->second;
-  const fsns::Inode* node = s_.tree().FindInode(src);
-  if (node == nullptr || node->is_dir) {
-    // The fences make this unreachable in normal operation; abort rather
-    // than install garbage at the destination.
-    FinishRename(src, /*committed=*/false, Status::NotFound(src));
-    return;
-  }
+  const fsns::Tree::ShardState::TxIntent& intent = in->second;
   auto msg = std::make_shared<ShardControlMsg>();
-  msg->kind = ShardControlKind::kRenameCommit;
+  msg->kind = ShardControlKind::kTxCommit;
   msg->from_group = s_.group();
-  msg->slot = map_.SlotOf(intent.dst);
-  msg->rename_src = src;
-  msg->rename_dst = intent.dst;
   msg->client = intent.client;
-  msg->replication = node->replication;
-  msg->permission = node->permission;
-  msg->owner = node->owner;
-  msg->mtime = intent.mtime;
-  msg->complete = node->complete;
-  msg->blocks = node->blocks;
+  if (intent.op == journal::OpCode::kMkdir) {
+    msg->slot = map_.SlotOfDir(intent.peer_path);
+    fsns::Inode dir;
+    dir.is_dir = true;
+    AppendInstallRecords(intent.peer_path, dir, msg->install);
+  } else {
+    msg->slot = map_.SlotOf(intent.peer_path);
+    const fsns::Inode* node = s_.tree().FindInode(key);
+    if (node == nullptr || node->is_dir) {
+      // The fences make this unreachable in normal operation; abort rather
+      // than install garbage at the destination.
+      FinishTx(key, /*committed=*/false, Status::NotFound(key));
+      return;
+    }
+    AppendInstallRecords(intent.peer_path, *node, msg->install);
+  }
+  // The installed entry carries the transaction's timestamp.
+  for (journal::LogRecord& r : msg->install) r.mtime = intent.mtime;
   net::RpcHooks hooks;
-  // Unavailable means the destination is mid-failover or bouncing — not a
+  // Unavailable means the peer is mid-failover or bouncing — not a
   // verdict; any other ack decides the transaction.
   hooks.retry_response = [](const net::MessagePtr& m) {
     return net::Cast<ShardControlAckMsg>(m).code == StatusCode::kUnavailable;
   };
-  hooks.on_retry = [this, src](int, const Status& why) {
-    // A timed-out attempt is indeterminate: the destination may have
-    // committed and the ack was lost. The intent stays and the resend
-    // resolves it (the dedup point at the destination makes the commit
-    // idempotent); the waiting client is failed now — its own retry is
-    // idempotent too.
+  hooks.on_retry = [this, key](int, const Status& why) {
+    // A timed-out attempt is indeterminate: the peer may have committed and
+    // the ack was lost. The intent stays and the resend resolves it (the
+    // dedup point at the peer makes the commit idempotent); the waiting
+    // client is failed now — its own retry is idempotent too.
     if (why.code() != StatusCode::kTimedOut) return;
-    RenameDrive& drive = rename_drives_.at(src);
+    TxDrive& drive = tx_drives_.at(key);
     if (drive.reply) {
       s_.ReplyStatus(drive.reply,
-                     Status::Unavailable("rename destination unreachable"));
+                     Status::Unavailable("transaction peer unreachable"));
       drive.reply = nullptr;
     }
   };
   SendLeg<ShardControlAckMsg>(
-      intent.dst_group, std::move(msg), kRetryDelay,
-      [this, src] {
-        return !rename_drives_.contains(src) ||
-               !s_.tree().shard().rename_intents.contains(src);
+      intent.peer_group, std::move(msg), kRetryDelay,
+      [this, key] {
+        return !tx_drives_.contains(key) ||
+               !s_.tree().shard().tx_intents.contains(key);
       },
-      [this, src](const ShardControlAckMsg& ack) {
-        FinishRename(src, /*committed=*/ack.ok, Status(ack.code, ack.error));
+      [this, key](const ShardControlAckMsg& ack) {
+        FinishTx(key, /*committed=*/ack.ok, Status(ack.code, ack.error));
       },
       std::move(hooks));
 }
 
-void ShardEngine::HandleRenameCommit(
+void ShardEngine::HandleTxCommit(
     const std::shared_ptr<const ShardControlMsg>& ctl, const ReplyFn& reply) {
   auto ack_status = ControlAck(reply);
   const std::shared_ptr<CommitPath>& commit = s_.commit();
@@ -935,47 +991,43 @@ void ShardEngine::HandleRenameCommit(
     ack_status(Status::Ok());  // committed in a previous attempt
     return;
   }
-  if (const char* why = WriteRefusal(map_.SlotOf(ctl->rename_dst))) {
+  if (const char* why = WriteRefusal(ctl->slot)) {
     ack_status(Status::Unavailable(why));
     return;
   }
-  if (tree.FindInode(ctl->rename_dst) != nullptr) {
-    ack_status(Status::AlreadyExists(ctl->rename_dst));
+  const journal::LogRecord& entry = ctl->install.front();
+  const bool dir = entry.op == journal::OpCode::kShardInstallDir;
+  // A directory installs over a directory (mkdirs semantics); a renamed
+  // file needs a free name under an existing parent, as the local rename
+  // does — it never materializes ancestors.
+  const fsns::Inode* existing = tree.FindInode(entry.path);
+  if (existing != nullptr && !(dir && existing->is_dir)) {
+    ack_status(Status::AlreadyExists(entry.path));
     return;
   }
-  // Rename never materializes ancestors (unlike create): the destination's
-  // parent must already exist as a directory, same as the local path.
-  const std::string dst_parent(fsns::ParentDir(ctl->rename_dst));
-  const fsns::Inode* parent = tree.FindInode(dst_parent);
-  if (parent == nullptr || !parent->is_dir) {
-    ack_status(Status::NotFound(dst_parent));
-    return;
+  if (!dir) {
+    const std::string parent_path(fsns::ParentDir(entry.path));
+    const fsns::Inode* parent = tree.FindInode(parent_path);
+    if (parent == nullptr || !parent->is_dir) {
+      ack_status(Status::NotFound(parent_path));
+      return;
+    }
   }
   // Commit: install the entry (anonymous — the dedup point is the commit
   // record) and stamp the transaction with the real client id.
-  fsns::Inode file;
-  file.owner = ctl->owner;
-  file.mtime = ctl->mtime;
-  file.blocks = ctl->blocks;
-  file.replication = ctl->replication;
-  file.permission = ctl->permission;
-  file.complete = ctl->complete;
-  std::vector<journal::LogRecord> install;
-  AppendInstallRecords(ctl->rename_dst, file, install);
-  for (journal::LogRecord& r : install) AppendShardRecord(std::move(r));
+  for (const journal::LogRecord& r : ctl->install) AppendShardRecord(r);
   journal::LogRecord rec;
-  rec.op = journal::OpCode::kRenameCommitDst;
-  rec.path = ctl->rename_dst;
+  rec.op = journal::OpCode::kTxCommit;
+  rec.path = entry.path;
   rec.client = ctl->client;
-  rec.mtime = ctl->mtime;
+  rec.mtime = entry.mtime;
   const TxId txid = AppendShardRecord(std::move(rec));
-  // Installing the destination entry conflicts with leases on its parent
-  // (and, defensively, its subtree). Every holder is remote to this
-  // transaction — even the renaming client's own grant is pushed, which
-  // keeps read-your-writes: the push round-trip completes before the
-  // barrier lets the ack (and hence the client's reply at the source)
-  // leave.
-  s_.reads().RevokeUnder(ctl->rename_dst, txid);
+  // Installing the entry conflicts with leases on its parent (and,
+  // defensively, its subtree). Every holder is remote to this transaction —
+  // even the client's own grant is pushed, which keeps read-your-writes:
+  // the push round-trip completes before the barrier lets the ack (and
+  // hence the client's reply at the entry group) leave.
+  s_.reads().RevokeUnder(entry.path, txid);
   commit->Await(txid, [ack_status](net::MessagePtr m) {
     ack_status(net::Cast<ClientResponseMsg>(m).ok
                    ? Status::Ok()
@@ -984,43 +1036,70 @@ void ShardEngine::HandleRenameCommit(
   commit->SealIfSlotFree();
 }
 
-void ShardEngine::FinishRename(const std::string& src, bool committed,
-                               const Status& abort_status) {
-  const auto& intents = s_.tree().shard().rename_intents;
-  auto in = intents.find(src);
+void ShardEngine::FinishTx(const std::string& key, bool committed,
+                           const Status& abort_status) {
+  const auto& intents = s_.tree().shard().tx_intents;
+  auto in = intents.find(key);
   if (in == intents.end()) return;
+  const journal::OpCode op = in->second.op;
+  const ClientOpId client = in->second.client;
+  if (committed && op == journal::OpCode::kMkdir) {
+    // This group's half of the mkdir is the client's own record, executed
+    // and journaled like a local mkdir (the verdict checks and the fences
+    // guarantee it applies).
+    journal::LogRecord mk;
+    mk.op = journal::OpCode::kMkdir;
+    mk.path = key;
+    mk.mtime = in->second.mtime;
+    mk.client = client;
+    Result<journal::LogRecord> rec = s_.mutable_tree().Execute(std::move(mk));
+    if (rec.ok()) {
+      CaptureMigrationDelta(rec.value());
+      const TxId txid = s_.commit()->Append(std::move(rec).value());
+      s_.mutable_tree().set_last_txid(txid);
+    } else {
+      MAMS_ERROR("shard", "%s: mkdir finish failed: %s", s_.name().c_str(),
+                 rec.status().ToString().c_str());
+    }
+  } else if (committed) {
+    journal::LogRecord erase;
+    erase.op = journal::OpCode::kShardErase;
+    erase.path = key;
+    erase.mtime = s_.sim().Now();
+    AppendShardRecord(std::move(erase));
+  }
   journal::LogRecord rec;
-  rec.op = committed ? journal::OpCode::kRenameFinish
-                     : journal::OpCode::kRenameAbort;
-  rec.path = src;
-  rec.path2 = in->second.dst;
+  rec.op = committed ? journal::OpCode::kTxFinish : journal::OpCode::kTxAbort;
+  rec.path = key;
   rec.mtime = s_.sim().Now();
   // Finish remembers the real client (the transaction is now durable on
   // both sides); abort stays anonymous so the client's retry re-executes.
-  if (committed) rec.client = in->second.client;
+  if (committed) rec.client = client;
   const TxId txid = JournalShardRecord(
-      std::move(rec), [this, src, committed, abort_status](bool ok) {
-        auto it = rename_drives_.find(src);
-        if (it == rename_drives_.end()) return;
+      std::move(rec), [this, key, committed, op, abort_status](bool ok) {
+        auto it = tx_drives_.find(key);
+        if (it == tx_drives_.end()) return;
         ReplyFn reply = std::move(it->second.reply);
-        rename_drives_.erase(it);
+        tx_drives_.erase(it);
         if (!reply) return;  // crash-resumed drive: the client is long gone
         if (!ok) {
           s_.ReplyStatus(reply, Status::Unavailable("server deposed"));
           return;
         }
-        if (committed) {
+        if (!committed) {
+          s_.ReplyStatus(reply, abort_status);
+          return;
+        }
+        if (op == journal::OpCode::kRename) {
           Bump(s_.mutable_counters().cross_group_renames,
                s_.m().cross_group_renames);
-          s_.ReplyStatus(reply, Status::Ok());
-        } else {
-          s_.ReplyStatus(reply, abort_status);
         }
+        s_.ReplyStatus(reply, Status::Ok());
       });
-  // The source entry disappears: revoke leases on its parent (and subtree)
-  // and hold the client's reply on the barrier, mirroring the destination
-  // side of the transaction.
-  if (committed && txid != 0) s_.reads().RevokeUnder(src, txid);
+  // The entry appears (mkdir) or disappears (rename) here: revoke leases on
+  // its parent (and subtree) and hold the client's reply on the barrier,
+  // mirroring the peer side of the transaction.
+  if (committed && txid != 0) s_.reads().RevokeUnder(key, txid);
 }
 
 // --- failover resume ----------------------------------------------------------
@@ -1041,20 +1120,22 @@ void ShardEngine::Resume() {
   // completed faithfully — and nothing was promised to anyone yet.
   for (std::uint32_t slot : abort) AbortOutbound(slot);
   for (std::uint32_t slot : inbound) ArmInboundWatchdog(slot);
-  for (const auto& [src, intent] : sh.rename_intents) {
+  for (const auto& [key, intent] : sh.tx_intents) {
     // Re-drive the prepared transaction to its commit or abort. The client
     // reply is gone; its retry is answered by the dedup table either way.
-    rename_drives_[src];
-    SendRenameCommit(src);
+    tx_drives_[key];
+    SendTxCommit(key);
   }
 }
 
 void ShardEngine::Abandon() {
   drives_.clear();
-  for (auto& [src, rd] : rename_drives_) {
-    if (rd.reply) s_.ReplyStatus(rd.reply, Status::Unavailable("server deposed"));
+  for (auto& [key, drive] : tx_drives_) {
+    if (drive.reply) {
+      s_.ReplyStatus(drive.reply, Status::Unavailable("server deposed"));
+    }
   }
-  rename_drives_.clear();
+  tx_drives_.clear();
 }
 
 }  // namespace mams::core

@@ -1,5 +1,6 @@
 // ShardEngine — partition-map adoption and enforcement, the journal-backed
-// migration engine (both sides), and the two-group cross-group rename.
+// migration engine (both sides), and the two-group transaction that runs
+// every cross-group mutation (rename and mkdir).
 // Rebuilt with its server on a crash, which resets the map to the seed; the
 // map survives role changes, since every role routes by it.
 //
@@ -51,28 +52,32 @@ class ShardEngine {
   const std::vector<MigrationStats>& stats() const noexcept { return stats_; }
   void AdoptMap(std::uint64_t epoch, const std::vector<char>& bytes);
   void FetchMapFromCoord();
-  bool OwnsSlotForRead(std::uint32_t slot) const;
   /// Return false after a shard bounce (current map attached) when this
-  /// server must not serve the request; they also enforce the rename-intent
-  /// fences and the migration-time structural restriction.
+  /// server must not serve the request; they also enforce the transaction
+  /// fences and the migration-time structural restriction, and
+  /// AdmitMutation refuses a directory delete whose children live in
+  /// another group.
   bool AdmitRead(const ClientRequestMsg& req, const ReplyFn& reply);
   bool AdmitMutation(const ClientRequestMsg& req, const ReplyFn& reply);
-  void Bounce(const ReplyFn& reply, const char* why);
   /// While a migration captures, notes mutated paths in its slot (shipped
   /// in the final chunk).
   void CaptureMigrationDelta(const journal::LogRecord& rec);
 
   Status StartMigration(std::uint32_t slot, GroupId dst);
-  /// Destination side: chunks, and the activate/abort/query/rename legs.
+  /// The legs' receiving side: chunks, and the activate/abort/query/
+  /// transaction-commit controls.
   void HandleTransfer(const net::MessagePtr& msg, const ReplyFn& reply);
   void HandleControl(const net::MessagePtr& msg, const ReplyFn& reply);
-  /// Coordinator side: intent -> destination commit -> finish.
-  void StartCrossGroupRename(RequestPtr req, GroupId dst_group,
-                             const ReplyFn& reply);
+  /// The other group a mutation commits at too: a rename's destination
+  /// entry owner or a mkdir's container owner; otherwise this group.
+  GroupId PeerGroup(const ClientRequestMsg& req) const;
+  /// Entry-group side: intent -> peer commit -> finish.
+  void StartTwoGroupTx(RequestPtr req, GroupId peer, const ReplyFn& reply);
   /// On becoming active: outbound migrations roll forward past cutover or
-  /// abort before it, inbound ones arm the watchdog, rename intents resend.
+  /// abort before it, inbound ones arm the watchdog, intents resend.
   void Resume();
-  /// Step-down: drops the drives and fails the renames' waiting clients.
+  /// Step-down: drops the drives and fails the transactions' waiting
+  /// clients.
   void Abandon();
 
  private:
@@ -89,21 +94,24 @@ class ShardEngine {
     std::set<std::string> dirty;
     MigrationStats stats;
   };
-  /// The client reply a coordinated rename holds while its commit leg runs
-  /// (null after a crash-resume: the client is already gone).
-  struct RenameDrive {
+  /// The client reply a two-group transaction holds while its commit leg
+  /// runs (null after a crash-resume: the client is already gone).
+  struct TxDrive {
     ReplyFn reply;
   };
 
+  bool OwnsSlotForRead(std::uint32_t slot) const;
   bool OwnsSlotForWrite(std::uint32_t slot) const {
     auto it = drives_.find(slot);
     return OwnsSlotForRead(slot) && (it == drives_.end() || !it->second.fence);
   }
   /// Why this server must not write `slot` now, or null when it may.
   const char* WriteRefusal(std::uint32_t slot) const;
-  /// Path touches a pending cross-group rename (src, dst, or an ancestor
-  /// of a src) — such requests stall until the rename resolves.
-  bool RenameFenced(const ClientRequestMsg& req) const;
+  void Bounce(const ReplyFn& reply, const char* why);
+  /// Path touches a pending two-group transaction (its entry, an ancestor
+  /// of it, or what the peer installs) — such requests stall until the
+  /// transaction resolves.
+  bool TxFenced(const ClientRequestMsg& req) const;
   /// Journals one shard record, applies it to the tree, and notes it for a
   /// capturing migration. Returns its txid.
   TxId AppendShardRecord(journal::LogRecord rec);
@@ -127,7 +135,8 @@ class ShardEngine {
   }
 
   /// The install record(s) reconstructing `node` at `path` (dir, or file
-  /// plus its blocks); shared by snapshot, delta and rename commit.
+  /// plus its blocks); shared by snapshot, delta and the transaction
+  /// commit.
   static void AppendInstallRecords(const std::string& path,
                                    const fsns::Inode& node,
                                    std::vector<journal::LogRecord>& out);
@@ -145,16 +154,19 @@ class ShardEngine {
   /// While an inbound migration is pending, asks the source group what
   /// happened — covers a source that decided and crashed before telling us.
   void ArmInboundWatchdog(std::uint32_t slot);
-  void SendRenameCommit(const std::string& src);
-  void HandleRenameCommit(const std::shared_ptr<const ShardControlMsg>& ctl,
-                          const ReplyFn& reply);
-  void FinishRename(const std::string& src, bool committed,
-                    const Status& abort_status);
+  /// The op's own verdict at the entry group, before the intent.
+  Status TxVerdict(const ClientRequestMsg& req) const;
+  void SendTxCommit(const std::string& key);
+  void HandleTxCommit(const std::shared_ptr<const ShardControlMsg>& ctl,
+                      const ReplyFn& reply);
+  /// Journals this group's half (if committed) and the finish or abort.
+  void FinishTx(const std::string& key, bool committed,
+                const Status& abort_status);
 
   MdsServer& s_;
   shard::PartitionMap map_;  ///< newer maps arrive from coordination
   std::map<std::uint32_t, MigrationDrive> drives_;
-  std::map<std::string, RenameDrive> rename_drives_;
+  std::map<std::string, TxDrive> tx_drives_;  ///< by intent key
   std::vector<MigrationStats> stats_;
 };
 

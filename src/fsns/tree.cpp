@@ -468,21 +468,17 @@ Status Tree::ApplyShardControl(const journal::LogRecord& record) {
       shard_.inbound[slot] = ShardState::Inbound{
           static_cast<TxId>(record.mtime), record.replication};
       break;
-    case OpCode::kRenameIntent:
-      shard_.rename_intents[record.path] = ShardState::RenameIntent{
-          record.path2, record.replication, record.client, record.mtime};
+    case OpCode::kTxIntent:
+      shard_.tx_intents[record.path] = ShardState::TxIntent{
+          static_cast<OpCode>(record.block), record.path2, record.replication,
+          record.client, record.mtime};
       break;
-    case OpCode::kRenameFinish: {
-      Status s = DoErase(record.path, record.mtime);
-      if (!s.ok()) return s;
-      shard_.rename_intents.erase(record.path);
-      break;
-    }
-    case OpCode::kRenameAbort:
-      shard_.rename_intents.erase(record.path);
+    case OpCode::kTxFinish:
+    case OpCode::kTxAbort:
+      shard_.tx_intents.erase(record.path);
       break;
     default:
-      break;  // kRenameCommitDst: dedup entry only (generic path)
+      break;  // kTxCommit: dedup entry only (generic path)
   }
   return Status::Ok();
 }
@@ -547,10 +543,10 @@ Status Tree::Run(const LogRecord& record) {
     case OpCode::kShardAcquire:
     case OpCode::kShardDiscard:
     case OpCode::kShardInboundBegin:
-    case OpCode::kRenameIntent:
-    case OpCode::kRenameCommitDst:
-    case OpCode::kRenameFinish:
-    case OpCode::kRenameAbort:
+    case OpCode::kTxIntent:
+    case OpCode::kTxCommit:
+    case OpCode::kTxFinish:
+    case OpCode::kTxAbort:
       return ApplyShardControl(record);
   }
   return Status::Ok();
@@ -604,10 +600,10 @@ Status Tree::Apply(const journal::LogRecord& record) {
                             journal::OpCodeName(record.op) + " " + record.path +
                             "): " + s.ToString());
   }
-  // A rename intent is a *prepare*: the client op is not yet durable at the
-  // destination group, so a promoted active must not answer its retry as a
-  // duplicate success. The abort likewise must not poison the dedup table.
-  if (record.op != OpCode::kRenameIntent && record.op != OpCode::kRenameAbort) {
+  // An intent is a *prepare*: the client op is not yet durable at the peer
+  // group, so a promoted active must not answer its retry as a duplicate
+  // success. The abort likewise must not poison the dedup table.
+  if (record.op != OpCode::kTxIntent && record.op != OpCode::kTxAbort) {
     RememberApplied(record.client);
   }
   if (record.txid > last_txid_) last_txid_ = record.txid;
@@ -618,7 +614,7 @@ Status Tree::Apply(const journal::LogRecord& record) {
 
 namespace {
 constexpr std::uint32_t kImageMagic = 0x4d414d53;  // "MAMS"
-constexpr std::uint32_t kImageVersion = 5;  // v5 adds the shard state
+constexpr std::uint32_t kImageVersion = 6;  // v6 adds the intent's op
 }  // namespace
 
 std::vector<char> Tree::SaveImage() const {
@@ -689,11 +685,12 @@ std::vector<char> Tree::SaveImage() const {
     out.U64(ib.migration_id);
     out.U32(ib.from_group);
   }
-  out.U32(static_cast<std::uint32_t>(shard_.rename_intents.size()));
-  for (const auto& [src, intent] : shard_.rename_intents) {
+  out.U32(static_cast<std::uint32_t>(shard_.tx_intents.size()));
+  for (const auto& [src, intent] : shard_.tx_intents) {
     out.Str(src);
-    out.Str(intent.dst);
-    out.U32(intent.dst_group);
+    out.U8(static_cast<std::uint8_t>(intent.op));
+    out.Str(intent.peer_path);
+    out.U32(intent.peer_group);
     out.U64(intent.client.client_id);
     out.U64(intent.client.op_seq);
     out.I64(intent.mtime);
@@ -790,13 +787,14 @@ Status Tree::LoadImage(const std::vector<char>& bytes) {
   }
   for (std::uint32_t i = 0, n = in.U32(); i < n; ++i) {
     std::string src = in.Str();
-    ShardState::RenameIntent intent;
-    intent.dst = in.Str();
-    intent.dst_group = in.U32();
+    ShardState::TxIntent intent;
+    intent.op = static_cast<OpCode>(in.U8());
+    intent.peer_path = in.Str();
+    intent.peer_group = in.U32();
     intent.client.client_id = in.U64();
     intent.client.op_seq = in.U64();
     intent.mtime = in.I64();
-    fresh.shard_.rename_intents.emplace(std::move(src), std::move(intent));
+    fresh.shard_.tx_intents.emplace(std::move(src), std::move(intent));
   }
   for (std::uint32_t i = 0, n = in.U32(); i < n; ++i) {
     const std::uint32_t slot = in.U32();
@@ -863,10 +861,11 @@ std::uint64_t Tree::Fingerprint() const {
     const std::uint64_t vals[] = {slot, ib.migration_id, ib.from_group};
     h = Fnv1a(vals, sizeof(vals), h);
   }
-  for (const auto& [src, intent] : shard_.rename_intents) {
+  for (const auto& [src, intent] : shard_.tx_intents) {
     h = Fnv1a(src, h);
-    h = Fnv1a(intent.dst, h);
-    const std::uint64_t vals[] = {intent.dst_group, intent.client.client_id,
+    h = Fnv1a(intent.peer_path, h);
+    const std::uint64_t vals[] = {static_cast<std::uint64_t>(intent.op),
+                                  intent.peer_group, intent.client.client_id,
                                   intent.client.op_seq,
                                   static_cast<std::uint64_t>(intent.mtime)};
     h = Fnv1a(vals, sizeof(vals), h);

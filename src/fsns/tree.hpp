@@ -182,10 +182,10 @@ class Tree {
   // --- shard migration state -------------------------------------------------
   // Durable bookkeeping for the shard subsystem, replicated as part of the
   // tree itself: every replica (standby, junior, promoted active) derives
-  // migration/rename progress from its journal and image alone, so a
-  // failover never forgets an in-flight migration. Updated exclusively by
-  // Apply() on the kShard*/kRename* records; serialized in the image and
-  // folded into the fingerprint.
+  // migration and two-group transaction progress from its journal and
+  // image alone, so a failover never forgets an in-flight migration.
+  // Updated exclusively by Apply() on the kShard*/kTx* records; serialized
+  // in the image and folded into the fingerprint.
   struct ShardState {
     struct Outbound {
       TxId migration_id = 0;
@@ -196,9 +196,13 @@ class Tree {
       TxId migration_id = 0;
       GroupId from_group = 0;
     };
-    struct RenameIntent {
-      std::string dst;
-      GroupId dst_group = 0;
+    /// A prepared two-group transaction, keyed by the path whose entry
+    /// this group holds (a rename's source, a mkdir's directory).
+    struct TxIntent {
+      journal::OpCode op = journal::OpCode::kRename;  ///< or kMkdir
+      std::string peer_path;  ///< what the peer installs: rename dst, or
+                              ///< the mkdir path itself
+      GroupId peer_group = 0;
       ClientOpId client;
       SimTime mtime = 0;
     };
@@ -210,7 +214,7 @@ class Tree {
     std::set<std::uint32_t> migrated_out;  ///< slots given away (stale map)
     std::map<std::uint32_t, Outbound> outbound;  ///< migrations we source
     std::map<std::uint32_t, Inbound> inbound;    ///< migrations we receive
-    std::map<std::string, RenameIntent> rename_intents;  ///< by src path
+    std::map<std::string, TxIntent> tx_intents;
     std::map<std::uint32_t, History> history;    ///< finished, by slot
   };
   const ShardState& shard() const noexcept { return shard_; }

@@ -83,14 +83,14 @@ const char* OpCodeName(OpCode op) noexcept {
       return "shardDiscard";
     case OpCode::kShardInboundBegin:
       return "shardInboundBegin";
-    case OpCode::kRenameIntent:
-      return "renameIntent";
-    case OpCode::kRenameCommitDst:
-      return "renameCommitDst";
-    case OpCode::kRenameFinish:
-      return "renameFinish";
-    case OpCode::kRenameAbort:
-      return "renameAbort";
+    case OpCode::kTxIntent:
+      return "txIntent";
+    case OpCode::kTxCommit:
+      return "txCommit";
+    case OpCode::kTxFinish:
+      return "txFinish";
+    case OpCode::kTxAbort:
+      return "txAbort";
   }
   return "unknown";
 }

@@ -51,18 +51,20 @@ enum class OpCode : std::uint8_t {
                             ///< replication=slot_count
   kShardInboundBegin = 21,  ///< dst: first chunk seen; block=slot,
                             ///< replication=src group, mtime=migration id
-  // Cross-group rename transaction records.
-  kRenameIntent = 22,     ///< src group: path=src, path2=dst,
-                          ///< replication=dst group, client=real client
-  kRenameCommitDst = 23,  ///< dst group: dst entry installed; dedup point
-  kRenameFinish = 24,     ///< src group: delete src entry, remember client
-  kRenameAbort = 25,      ///< src group: intent abandoned
+  // Two-group transaction records (cross-group rename and mkdir).
+  kTxIntent = 22,  ///< entry group: path=rename source or mkdir path,
+                   ///< path2=the path the peer installs, replication=peer
+                   ///< group, block=client op (kRename/kMkdir),
+                   ///< client=real client
+  kTxCommit = 23,  ///< peer group: entry installed; dedup point
+  kTxFinish = 24,  ///< entry group: intent resolved, remember client
+  kTxAbort = 25,   ///< entry group: intent abandoned
 };
 
 const char* OpCodeName(OpCode op) noexcept;
 
 /// True for the ten ops a client request executes as (kCreate..kSetTimes);
-/// the shard and rename records after them are server bookkeeping.
+/// the shard and transaction records after them are server bookkeeping.
 constexpr bool IsClientOp(OpCode op) noexcept {
   return op >= OpCode::kCreate && op <= OpCode::kSetTimes;
 }

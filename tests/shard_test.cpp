@@ -151,27 +151,39 @@ class ShardClusterTest : public ::testing::Test {
 
   void Run(SimTime dt) { sim_->RunUntil(sim_->Now() + dt); }
 
-  Status CreateFile(const std::string& path, int client = 0) {
+  /// Issues one mutation through `issue(callback)` and waits for its answer.
+  template <class Issue>
+  Status MutateSync(Issue issue, SimTime limit = 60 * kSecond) {
     Status out = Status::TimedOut("no reply");
     bool done = false;
-    cluster_->client(client).Create(path, [&](Status s) {
+    issue([&](Status s) {
       out = s;
       done = true;
     });
-    testutil::WaitFor(*sim_, [&] { return done; }, 60 * kSecond);
+    testutil::WaitFor(*sim_, [&] { return done; }, limit);
     return out;
+  }
+
+  Status CreateFile(const std::string& path, int client = 0) {
+    return MutateSync(
+        [&](auto cb) { cluster_->client(client).Create(path, cb); });
+  }
+
+  Status MkdirSync(const std::string& path, int client = 0) {
+    return MutateSync(
+        [&](auto cb) { cluster_->client(client).Mkdir(path, cb); });
+  }
+
+  Status DeleteSync(const std::string& path, int client = 0) {
+    return MutateSync(
+        [&](auto cb) { cluster_->client(client).Delete(path, cb); });
   }
 
   Status RenameSync(const std::string& src, const std::string& dst,
                     int client = 0) {
-    Status out = Status::TimedOut("no reply");
-    bool done = false;
-    cluster_->client(client).Rename(src, dst, [&](Status s) {
-      out = s;
-      done = true;
-    });
-    testutil::WaitFor(*sim_, [&] { return done; }, 120 * kSecond);
-    return out;
+    return MutateSync(
+        [&](auto cb) { cluster_->client(client).Rename(src, dst, cb); },
+        120 * kSecond);
   }
 
   Result<fsns::FileInfo> StatSync(const std::string& path, int client = 0) {
@@ -212,6 +224,20 @@ class ShardClusterTest : public ::testing::Test {
         return d;
       }
     }
+  }
+
+  /// The first `n` "<parent>/xN" directories whose own children land in
+  /// group 1. With `parent` from DirOwnedBy(0), each entry lives in group 0,
+  /// so a mkdir of one is a two-group transaction coordinated by group 0.
+  static std::vector<std::string> SplitDirs(const std::string& parent,
+                                            std::size_t n) {
+    const shard::PartitionMap map = shard::PartitionMap::Seed(2);
+    std::vector<std::string> out;
+    for (int i = 0; out.size() < n; ++i) {
+      const std::string p = parent + "/x" + std::to_string(i);
+      if (map.OwnerOfDir(p) == 1) out.push_back(p);
+    }
+    return out;
   }
 
   /// A batch of paths that all live in one group-0-owned slot, so a single
@@ -372,24 +398,74 @@ TEST_F(ShardClusterTest, CrossGroupRenameIsAtomic) {
   EXPECT_EQ(RenameSync(src2, orphan).code(), StatusCode::kNotFound);
 }
 
-TEST_F(ShardClusterTest, CrossGroupTransactionsCommitThroughAFullWindow) {
+TEST_F(ShardClusterTest, CrossGroupMkdirIsListableAtItsContainerGroup) {
   Build();
-  // Entries of `hot` live in group 0. A child whose own directory slot
-  // belongs to group 1 makes a mkdir or delete of it a cross-group
-  // transaction coordinated by group 0's active.
+  // The entry of `dir` lives in group 0, its children (and so its listing)
+  // in group 1: the mkdir must install the directory at both.
+  const std::string dir = SplitDirs(DirOwnedBy(0, "/hot"), 1).front();
+  ASSERT_TRUE(MkdirSync(dir).ok());
+
+  const Result<std::vector<std::string>> listing = ListSync(dir);
+  ASSERT_TRUE(listing.ok()) << listing.status().ToString();
+  EXPECT_TRUE(listing.value().empty());
+  const Result<fsns::FileInfo> info = StatSync(dir);
+  ASSERT_TRUE(info.ok()) << info.status().ToString();
+  EXPECT_TRUE(info.value().is_dir);
+}
+
+TEST_F(ShardClusterTest, CrossGroupRenameIntoAnEmptyMkdirDirectoryCommits) {
+  Build();
+  const std::string dir = SplitDirs(DirOwnedBy(0, "/hot"), 1).front();
+  ASSERT_TRUE(MkdirSync(dir).ok());
+  // The source lives in group 0, the destination entry under `dir` in
+  // group 1, which holds no child of `dir` yet.
+  const std::string src = DirOwnedBy(0, "/mig") + "/f0";
+  ASSERT_TRUE(CreateFile(src).ok());
+
+  const Status renamed = RenameSync(src, dir + "/moved");
+  ASSERT_TRUE(renamed.ok()) << renamed.ToString();
+  EXPECT_TRUE(StatSync(dir + "/moved").ok());
+  const Result<std::vector<std::string>> listing = ListSync(dir);
+  ASSERT_TRUE(listing.ok()) << listing.status().ToString();
+  EXPECT_EQ(listing.value(), std::vector<std::string>{"moved"});
+}
+
+TEST_F(ShardClusterTest, FileDeleteIsSingleGroup) {
+  Build();
+  // The file's entry lives in group 0, while the slot its path would have
+  // as a directory belongs to group 1; group 1 holds nothing of it.
+  const std::string file = SplitDirs(DirOwnedBy(0, "/hot"), 1).front();
+  ASSERT_TRUE(CreateFile(file).ok());
+
+  const obs::Counter* sent =
+      sim_->obs().metrics().counter("net.sent.client_request");
+  const std::uint64_t before = sent->value;
+  ASSERT_TRUE(DeleteSync(file).ok());
+  EXPECT_EQ(sent->value, before + 1);
+  EXPECT_EQ(StatSync(file).status().code(), StatusCode::kNotFound);
+}
+
+TEST_F(ShardClusterTest, CrossGroupDirectoryDeleteIsRefused) {
+  Build();
+  // `dir`'s children live in group 1, its entry in group 0: a delete at
+  // group 0 cannot remove them, so it must not remove the entry either.
+  const std::string dir = SplitDirs(DirOwnedBy(0, "/hot"), 1).front();
+  ASSERT_TRUE(MkdirSync(dir).ok());
+  ASSERT_TRUE(CreateFile(dir + "/kid").ok());
+
+  EXPECT_EQ(DeleteSync(dir).code(), StatusCode::kFailedPrecondition);
+  EXPECT_TRUE(StatSync(dir).ok());
+  const Result<fsns::FileInfo> kid = StatSync(dir + "/kid");
+  EXPECT_TRUE(kid.ok()) << kid.status().ToString();
+}
+
+TEST_F(ShardClusterTest, CrossGroupMkdirsCommitThroughAFullCommitWindow) {
+  Build();
   const std::string hot = DirOwnedBy(0, "/hot");
-  const shard::PartitionMap map = shard::PartitionMap::Seed(2);
-  std::vector<std::string> cross;
-  for (int i = 0; cross.size() < 8; ++i) {
-    const std::string p = hot + "/x" + std::to_string(i);
-    if (map.OwnerOfDir(p) == 1) cross.push_back(p);
-  }
-  const std::vector<std::string> new_dirs(cross.begin(), cross.begin() + 4);
-  const std::vector<std::string> doomed(cross.begin() + 4, cross.end());
-  for (const std::string& p : doomed) ASSERT_TRUE(CreateFile(p).ok()) << p;
+  const std::vector<std::string> dirs = SplitDirs(hot, 8);
 
   // 32 closed-loop sessions creating in `hot` keep group 0's four commit
-  // slots busy, so the transactions' records wait for a slot to seal.
+  // slots busy, so the transactions' intents wait for a slot to seal.
   core::MdsServer* a0 = cluster_->FindActive(0);
   ASSERT_NE(a0, nullptr);
   bool load_on = true;
@@ -402,71 +478,48 @@ TEST_F(ShardClusterTest, CrossGroupTransactionsCommitThroughAFullWindow) {
   for (int s = 0; s < 32; ++s) load();
 
   int issued_into_full_window = 0;
-  auto run_tx = [&](bool mkdir, const std::string& path) {
-    const bool full = testutil::WaitFor(
-        *sim_, [&] { return a0->commit_queue_depth() >= 4; }, kSecond,
-        10 * kMicrosecond);
-    if (full) ++issued_into_full_window;
-    Status out = Status::TimedOut("no reply");
-    bool done = false;
-    auto cb = [&](Status s) {
-      out = s;
-      done = true;
-    };
-    if (mkdir) {
-      cluster_->client(0).Mkdir(path, cb);
-    } else {
-      cluster_->client(0).Delete(path, cb);
+  for (const std::string& p : dirs) {
+    if (testutil::WaitFor(
+            *sim_, [&] { return a0->commit_queue_depth() >= 4; }, kSecond,
+            10 * kMicrosecond)) {
+      ++issued_into_full_window;
     }
-    testutil::WaitFor(*sim_, [&] { return done; }, 30 * kSecond,
-                      kMillisecond);
-    return out;
-  };
-  for (const std::string& p : new_dirs) {
-    EXPECT_TRUE(run_tx(/*mkdir=*/true, p).ok()) << p;
-  }
-  for (const std::string& p : doomed) {
-    EXPECT_TRUE(run_tx(/*mkdir=*/false, p).ok()) << p;
+    EXPECT_TRUE(MutateSync(
+                    [&](auto cb) { cluster_->client(0).Mkdir(p, cb); },
+                    30 * kSecond)
+                    .ok())
+        << p;
   }
   load_on = false;
   Run(2 * kSecond);
 
   EXPECT_EQ(issued_into_full_window, 8);
   EXPECT_GT(a0->counters().pipeline_deferred, 0u);
-  for (const std::string& p : new_dirs) {
+  core::MdsServer* a1 = cluster_->FindActive(1);
+  ASSERT_NE(a1, nullptr);
+  for (const std::string& p : dirs) {
     EXPECT_TRUE(a0->tree().Exists(p)) << p;
+    EXPECT_TRUE(a1->tree().Exists(p)) << p;
     const Result<fsns::FileInfo> r = StatSync(p, /*client=*/1);
     ASSERT_TRUE(r.ok()) << p << ": " << r.status().ToString();
     EXPECT_TRUE(r.value().is_dir) << p;
-  }
-  for (const std::string& p : doomed) {
-    EXPECT_FALSE(a0->tree().Exists(p)) << p;
-    EXPECT_EQ(StatSync(p, /*client=*/1).status().code(),
-              StatusCode::kNotFound)
-        << p;
+    EXPECT_TRUE(ListSync(p, /*client=*/1).ok()) << p;
   }
 }
 
-TEST_F(ShardClusterTest, StepDownDuringParticipantLegDoesNotExecute) {
+TEST_F(ShardClusterTest, DeposedCoordinatorDoesNotInstallATwoGroupMkdir) {
   Build();
-  // A mkdir of `path` is a cross-group transaction coordinated by group 0:
-  // its entry lives in `hot` (group 0), its own slot belongs to group 1.
   const std::string hot = DirOwnedBy(0, "/hot");
   ASSERT_TRUE(CreateFile(hot + "/seed").ok());
-  const shard::PartitionMap map = shard::PartitionMap::Seed(2);
-  std::string path;
-  for (int i = 0; path.empty(); ++i) {
-    const std::string p = hot + "/x" + std::to_string(i);
-    if (map.OwnerOfDir(p) == 1) path = p;
-  }
+  const std::string path = SplitDirs(hot, 1).front();
   core::MdsServer* a0 = cluster_->FindActive(0);
   ASSERT_NE(a0, nullptr);
 
-  // The client's request and then a0's participant leg to group 1 are the
-  // next two client requests on the wire.
-  const obs::Counter* sent =
-      sim_->obs().metrics().counter("net.sent.client_request");
-  const std::uint64_t before = sent->value;
+  // Wait until a0 has journaled the intent and sent the commit leg to
+  // group 1.
+  const obs::Counter* legs =
+      sim_->obs().metrics().counter("net.sent.shard_control");
+  const std::uint64_t before = legs->value;
   Status out = Status::TimedOut("no reply");
   bool done = false;
   cluster_->client(0).Mkdir(path, [&](Status s) {
@@ -474,11 +527,12 @@ TEST_F(ShardClusterTest, StepDownDuringParticipantLegDoesNotExecute) {
     done = true;
   });
   ASSERT_TRUE(testutil::WaitFor(
-      *sim_, [&] { return sent->value >= before + 2; }, kSecond,
+      *sim_, [&] { return legs->value > before; }, kSecond,
       10 * kMicrosecond));
 
   // A registration round from a newer fence deposes a0 before the leg's ack
-  // returns; the ack must not execute the mkdir on the deposed server.
+  // returns; the ack must not run the entry group's half on the deposed
+  // server.
   net::Host rival(*net_, "rival");
   rival.Boot();
   auto reg = std::make_shared<core::GroupRegisterMsg>();
@@ -492,8 +546,29 @@ TEST_F(ShardClusterTest, StepDownDuringParticipantLegDoesNotExecute) {
 
   EXPECT_NE(a0->role(), ServerState::kActive);
   EXPECT_FALSE(a0->tree().Exists(path));
+  // The next group-0 active resumes the journaled intent; the client's
+  // retry is fenced until it finishes, then answered from the dedup table.
   ASSERT_TRUE(testutil::WaitFor(*sim_, [&] { return done; }, 60 * kSecond));
   EXPECT_TRUE(out.ok()) << out.ToString();
+  Run(5 * kSecond);  // let the finish replicate
+
+  core::MdsServer* g0 = cluster_->FindActive(0);
+  core::MdsServer* g1 = cluster_->FindActive(1);
+  ASSERT_NE(g0, nullptr);
+  ASSERT_NE(g1, nullptr);
+  EXPECT_TRUE(g0->tree().Exists(path));
+  EXPECT_TRUE(g1->tree().Exists(path));
+  // Exactly once: group 1 journaled one commit for the transaction.
+  int commits = 0;
+  for (const core::BatchPtr& b : g1->recent_batches()) {
+    for (const journal::LogRecord& rec : b->records) {
+      if (rec.op == journal::OpCode::kTxCommit && rec.path == path) ++commits;
+    }
+  }
+  EXPECT_EQ(commits, 1);
+  const Result<std::vector<std::string>> listing = ListSync(path);
+  ASSERT_TRUE(listing.ok()) << listing.status().ToString();
+  EXPECT_TRUE(listing.value().empty());
 }
 
 TEST_F(ShardClusterTest, CrossGroupRenameSurvivesDestinationCrash) {

@@ -196,14 +196,15 @@ int Sweep(const Args& args) {
   } else if (args.profile == "migrations" ||
              args.mutation == Mutation::kSkipCutoverFence) {
     // Two replica groups behind a seeded partition map; shard migrations
-    // fire mid-run and renames regularly cross the group boundary. No
-    // mkdir: directories stay implicit, so a rename source is never a
-    // directory (cross-group subtree moves are deliberately unsupported).
+    // fire mid-run and renames and mkdirs regularly cross the group
+    // boundary, so two-group intents of both kinds run under migrations
+    // and crash faults.
     profile.groups = 2;
     profile.migrations = 3;
     profile.mix.create = 0.40;
+    profile.mix.mkdir = 0.05;
     profile.mix.rename = 0.20;
-    profile.mix.remove = 0.15;
+    profile.mix.remove = 0.10;
     profile.mix.getfileinfo = 0.25;
   } else if (args.profile == "apply_race") {
     // Batch-replay pressure: every client mutates one shared tree, so
