@@ -212,15 +212,28 @@ TxId ShardEngine::JournalShardRecord(journal::LogRecord rec,
 
 void ShardEngine::CaptureMigrationDelta(const journal::LogRecord& rec) {
   if (drives_.empty()) return;
-  auto note = [this](const std::string& path) {
-    if (path.empty()) return;
-    auto it = drives_.find(map_.SlotOf(path));
+  auto note = [this](std::uint32_t slot, const std::string& path) {
+    auto it = drives_.find(slot);
     if (it != drives_.end() && it->second.capturing) {
       it->second.dirty.insert(path);
     }
   };
-  note(rec.path);
-  note(rec.path2);
+  if (!rec.path.empty()) note(map_.SlotOf(rec.path), rec.path);
+  if (!rec.path2.empty()) note(map_.SlotOf(rec.path2), rec.path2);
+  // A new directory also belongs to its container slot (see MigratesWith).
+  if (rec.op == journal::OpCode::kMkdir ||
+      rec.op == journal::OpCode::kShardInstallDir) {
+    note(map_.SlotOfDir(rec.path), rec.path);
+  }
+}
+
+bool ShardEngine::MigratesWith(std::uint32_t slot, const std::string& path,
+                               const fsns::Inode& node) const {
+  // A slot holds the entries hashed to it and, as their container, the
+  // directories whose children hash to it. An empty directory has no child
+  // whose install would materialize it, so it ships on its own.
+  return map_.SlotOf(path) == slot ||
+         (node.is_dir && map_.SlotOfDir(path) == slot);
 }
 
 template <class Ack>
@@ -309,7 +322,7 @@ Status ShardEngine::StartMigration(std::uint32_t slot, GroupId dst) {
   d.capturing = !s_.options().test_hooks.skip_cutover_fence;
   std::vector<journal::LogRecord> cur;
   s_.tree().ForEachNode([&](const std::string& path, const fsns::Inode& node) {
-    if (map_.SlotOf(path) != slot) return;
+    if (!MigratesWith(slot, path, node)) return;
     if (cur.size() >= kChunkRecords) {
       d.chunks.push_back(std::move(cur));
       cur.clear();
@@ -430,19 +443,19 @@ void ShardEngine::ShipFinalChunk(std::uint32_t slot) {
   msg->seq = d.next_seq;
   msg->final_chunk = true;
   // Delta records: for each path mutated since the snapshot, ship its
-  // current state (install) or its absence (erase). std::set iteration
-  // keeps the order deterministic.
+  // current state (install) or, for an entry of the slot, its absence
+  // (erase). std::set iteration keeps the order deterministic.
   const fsns::Tree& tree = s_.tree();
   for (const std::string& path : d.dirty) {
     const fsns::Inode* node = tree.FindInode(path);
-    if (node == nullptr) {
+    if (node != nullptr && MigratesWith(slot, path, *node)) {
+      AppendInstallRecords(path, *node, msg->records);
+    } else if (node == nullptr && map_.SlotOf(path) == slot) {
       journal::LogRecord er;
       er.op = journal::OpCode::kShardErase;
       er.path = path;
       er.mtime = s_.sim().Now();
       msg->records.push_back(std::move(er));
-    } else {
-      AppendInstallRecords(path, *node, msg->records);
     }
   }
   d.dirty.clear();
@@ -840,16 +853,12 @@ Status ShardEngine::TxVerdict(const ClientRequestMsg& req) const {
     if (!fsns::IsValidPath(req.path)) {
       return Status::InvalidArgument("bad path: " + req.path);
     }
-    const fsns::Inode* node = tree.FindInode(req.path);
-    if (node != nullptr && !node->is_dir) {
-      return Status::AlreadyExists(req.path + " is a file");
-    }
-    for (std::string_view p = fsns::ParentDir(req.path); p != "/";
-         p = fsns::ParentDir(p)) {
-      const fsns::Inode* anc = tree.FindInode(p);
-      if (anc != nullptr && !anc->is_dir) {
-        return Status::FailedPrecondition(std::string(p) + " is a file");
-      }
+    for (std::string_view p = req.path; p != "/"; p = fsns::ParentDir(p)) {
+      const fsns::Inode* node = tree.FindInode(p);
+      if (node == nullptr || node->is_dir) continue;
+      const std::string what = std::string(p) + " is a file";
+      return p == req.path ? Status::AlreadyExists(what)
+                           : Status::FailedPrecondition(what);
     }
     return Status::Ok();
   }
@@ -940,7 +949,7 @@ void ShardEngine::SendTxCommit(const std::string& key) {
     if (node == nullptr || node->is_dir) {
       // The fences make this unreachable in normal operation; abort rather
       // than install garbage at the destination.
-      FinishTx(key, /*committed=*/false, Status::NotFound(key));
+      FinishTx(key, Status::NotFound(key));
       return;
     }
     AppendInstallRecords(intent.peer_path, *node, msg->install);
@@ -973,7 +982,7 @@ void ShardEngine::SendTxCommit(const std::string& key) {
                !s_.tree().shard().tx_intents.contains(key);
       },
       [this, key](const ShardControlAckMsg& ack) {
-        FinishTx(key, /*committed=*/ack.ok, Status(ack.code, ack.error));
+        FinishTx(key, Status(ack.code, ack.error));
       },
       std::move(hooks));
 }
@@ -1006,6 +1015,17 @@ void ShardEngine::HandleTxCommit(
     return;
   }
   if (!dir) {
+    for (const auto& [key, intent] : tree.shard().tx_intents) {
+      // The name is promised to this group's own pending mkdir (of it, or
+      // beneath it). Not a verdict: the leg retries Unavailable and gets
+      // the real one once the mkdir resolves. Directory installs never
+      // wait, so two groups cannot wait on each other.
+      if (intent.op == journal::OpCode::kMkdir &&
+          fsns::IsPrefixPath(entry.path, key)) {
+        ack_status(Status::Unavailable("cross-group transaction in progress"));
+        return;
+      }
+    }
     const std::string parent_path(fsns::ParentDir(entry.path));
     const fsns::Inode* parent = tree.FindInode(parent_path);
     if (parent == nullptr || !parent->is_dir) {
@@ -1036,17 +1056,17 @@ void ShardEngine::HandleTxCommit(
   commit->SealIfSlotFree();
 }
 
-void ShardEngine::FinishTx(const std::string& key, bool committed,
-                           const Status& abort_status) {
+void ShardEngine::FinishTx(const std::string& key, Status outcome) {
   const auto& intents = s_.tree().shard().tx_intents;
   auto in = intents.find(key);
   if (in == intents.end()) return;
   const journal::OpCode op = in->second.op;
   const ClientOpId client = in->second.client;
-  if (committed && op == journal::OpCode::kMkdir) {
+  if (outcome.ok() && op == journal::OpCode::kMkdir) {
     // This group's half of the mkdir is the client's own record, executed
-    // and journaled like a local mkdir (the verdict checks and the fences
-    // guarantee it applies).
+    // and journaled like a local mkdir. The verdict checks, the fences and
+    // the peer-side wait in HandleTxCommit keep it applicable; should it
+    // fail anyway, the client gets the failure, never an Ok.
     journal::LogRecord mk;
     mk.op = journal::OpCode::kMkdir;
     mk.path = key;
@@ -1060,14 +1080,16 @@ void ShardEngine::FinishTx(const std::string& key, bool committed,
     } else {
       MAMS_ERROR("shard", "%s: mkdir finish failed: %s", s_.name().c_str(),
                  rec.status().ToString().c_str());
+      outcome = rec.status();
     }
-  } else if (committed) {
+  } else if (outcome.ok()) {
     journal::LogRecord erase;
     erase.op = journal::OpCode::kShardErase;
     erase.path = key;
     erase.mtime = s_.sim().Now();
     AppendShardRecord(std::move(erase));
   }
+  const bool committed = outcome.ok();
   journal::LogRecord rec;
   rec.op = committed ? journal::OpCode::kTxFinish : journal::OpCode::kTxAbort;
   rec.path = key;
@@ -1076,7 +1098,7 @@ void ShardEngine::FinishTx(const std::string& key, bool committed,
   // both sides); abort stays anonymous so the client's retry re-executes.
   if (committed) rec.client = client;
   const TxId txid = JournalShardRecord(
-      std::move(rec), [this, key, committed, op, abort_status](bool ok) {
+      std::move(rec), [this, key, op, outcome](bool ok) {
         auto it = tx_drives_.find(key);
         if (it == tx_drives_.end()) return;
         ReplyFn reply = std::move(it->second.reply);
@@ -1086,15 +1108,11 @@ void ShardEngine::FinishTx(const std::string& key, bool committed,
           s_.ReplyStatus(reply, Status::Unavailable("server deposed"));
           return;
         }
-        if (!committed) {
-          s_.ReplyStatus(reply, abort_status);
-          return;
-        }
-        if (op == journal::OpCode::kRename) {
+        if (outcome.ok() && op == journal::OpCode::kRename) {
           Bump(s_.mutable_counters().cross_group_renames,
                s_.m().cross_group_renames);
         }
-        s_.ReplyStatus(reply, Status::Ok());
+        s_.ReplyStatus(reply, outcome);
       });
   // The entry appears (mkdir) or disappears (rename) here: revoke leases on
   // its parent (and subtree) and hold the client's reply on the barrier,

@@ -140,6 +140,9 @@ class ShardEngine {
   static void AppendInstallRecords(const std::string& path,
                                    const fsns::Inode& node,
                                    std::vector<journal::LogRecord>& out);
+  /// Whether a migration of `slot` carries `node` at `path`.
+  bool MigratesWith(std::uint32_t slot, const std::string& path,
+                    const fsns::Inode& node) const;
   void SendNextChunk(std::uint32_t slot);
   void StartCutover(std::uint32_t slot);
   void DrainThenShip(std::uint32_t slot, int polls_left);
@@ -159,9 +162,10 @@ class ShardEngine {
   void SendTxCommit(const std::string& key);
   void HandleTxCommit(const std::shared_ptr<const ShardControlMsg>& ctl,
                       const ReplyFn& reply);
-  /// Journals this group's half (if committed) and the finish or abort.
-  void FinishTx(const std::string& key, bool committed,
-                const Status& abort_status);
+  /// On an ok `outcome` (the peer committed), journals this group's half
+  /// and the finish; otherwise, or when that half fails, the abort. The
+  /// client is answered with the outcome.
+  void FinishTx(const std::string& key, Status outcome);
 
   MdsServer& s_;
   shard::PartitionMap map_;  ///< newer maps arrive from coordination

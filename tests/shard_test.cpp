@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "cluster/cfs.hpp"
+#include "fsns/path.hpp"
 #include "net/network.hpp"
 #include "shard/partition_map.hpp"
 #include "sim/simulator.hpp"
@@ -240,6 +241,21 @@ class ShardClusterTest : public ::testing::Test {
     return out;
   }
 
+  /// A "<base>N/xM" directory of a `groups`-group seeded map whose entry
+  /// lives in group `entry` and whose children live in group `container`.
+  static std::string SplitDir(GroupId groups, GroupId entry,
+                              GroupId container, const std::string& base) {
+    const shard::PartitionMap map = shard::PartitionMap::Seed(groups);
+    for (int i = 0;; ++i) {
+      const std::string parent = base + std::to_string(i);
+      if (map.OwnerOfDir(parent) != entry) continue;
+      for (int j = 0; j < 64; ++j) {
+        const std::string d = parent + "/x" + std::to_string(j);
+        if (map.OwnerOfDir(d) == container) return d;
+      }
+    }
+  }
+
   /// A batch of paths that all live in one group-0-owned slot, so a single
   /// migration moves every one of them.
   static std::vector<std::string> SameSlotPaths(std::size_t n,
@@ -449,7 +465,8 @@ TEST_F(ShardClusterTest, CrossGroupDirectoryDeleteIsRefused) {
   Build();
   // `dir`'s children live in group 1, its entry in group 0: a delete at
   // group 0 cannot remove them, so it must not remove the entry either.
-  const std::string dir = SplitDirs(DirOwnedBy(0, "/hot"), 1).front();
+  const std::vector<std::string> dirs = SplitDirs(DirOwnedBy(0, "/hot"), 2);
+  const std::string& dir = dirs[0];
   ASSERT_TRUE(MkdirSync(dir).ok());
   ASSERT_TRUE(CreateFile(dir + "/kid").ok());
 
@@ -457,6 +474,93 @@ TEST_F(ShardClusterTest, CrossGroupDirectoryDeleteIsRefused) {
   EXPECT_TRUE(StatSync(dir).ok());
   const Result<fsns::FileInfo> kid = StatSync(dir + "/kid");
   EXPECT_TRUE(kid.ok()) << kid.status().ToString();
+
+  // Group 0 cannot see whether group 1 holds children, so an empty
+  // directory split across the two groups is refused too, and stays.
+  const std::string& empty = dirs[1];
+  ASSERT_TRUE(MkdirSync(empty).ok());
+  EXPECT_EQ(DeleteSync(empty).code(), StatusCode::kFailedPrecondition);
+  const Result<std::vector<std::string>> listing = ListSync(empty);
+  ASSERT_TRUE(listing.ok()) << listing.status().ToString();
+  EXPECT_TRUE(listing.value().empty());
+}
+
+TEST_F(ShardClusterTest, CrossGroupRenameWaitsForAPendingMkdirOfItsName) {
+  Build(7, [](CfsConfig& cfg) { cfg.groups = 3; });
+  // `dir`'s entry lives in group 0 and its children in group 2; the rename
+  // into `dir`'s name comes from group 1.
+  const std::string dir = SplitDir(3, 0, 2, "/w");
+  const shard::PartitionMap map = shard::PartitionMap::Seed(3);
+  std::string src;
+  for (int i = 0; src.empty(); ++i) {
+    const std::string d = "/s" + std::to_string(i);
+    if (map.OwnerOfDir(d) == 1) src = d + "/f";
+  }
+  ASSERT_TRUE(CreateFile(std::string(fsns::ParentDir(dir)) + "/seed").ok());
+  ASSERT_TRUE(CreateFile(src, /*client=*/1).ok());
+  core::MdsServer* a0 = cluster_->FindActive(0);
+  core::MdsServer* a2 = cluster_->FindActive(2);
+  ASSERT_NE(a0, nullptr);
+  ASSERT_NE(a2, nullptr);
+
+  // Group 0 cannot reach group 2, so the mkdir stays between its intent
+  // and its finish while the rename's commit reaches group 0.
+  net_->Partition(a0->id(), a2->id());
+  Status made = Status::TimedOut("no reply");
+  Status moved = Status::TimedOut("no reply");
+  bool made_done = false;
+  bool moved_done = false;
+  cluster_->client(0).Mkdir(dir, [&](Status s) {
+    made = s;
+    made_done = true;
+  });
+  ASSERT_TRUE(testutil::WaitFor(
+      *sim_, [&] { return a0->tree().shard().tx_intents.contains(dir); },
+      kSecond, 10 * kMicrosecond));
+  cluster_->client(1).Rename(src, dir, [&](Status s) {
+    moved = s;
+    moved_done = true;
+  });
+  Run(2 * kSecond);
+  // The name is promised to the directory: the file may not take it.
+  EXPECT_FALSE(moved_done);
+  EXPECT_FALSE(a0->tree().Exists(dir));
+
+  net_->HealAll();
+  ASSERT_TRUE(testutil::WaitFor(
+      *sim_, [&] { return made_done && moved_done; }, 120 * kSecond));
+  EXPECT_TRUE(made.ok()) << made.ToString();
+  EXPECT_EQ(moved.code(), StatusCode::kAlreadyExists) << moved.ToString();
+  const Result<fsns::FileInfo> info = StatSync(dir);
+  ASSERT_TRUE(info.ok()) << info.status().ToString();
+  EXPECT_TRUE(info.value().is_dir);
+  const Result<std::vector<std::string>> listing = ListSync(dir);
+  ASSERT_TRUE(listing.ok()) << listing.status().ToString();
+  EXPECT_TRUE(listing.value().empty());
+  EXPECT_TRUE(StatSync(src).ok());
+}
+
+TEST_F(ShardClusterTest, EmptyCrossGroupMkdirMovesWithItsContainerSlot) {
+  Build(7, [](CfsConfig& cfg) { cfg.groups = 3; });
+  // The entry stays in group 0; the container slot moves from group 1 to
+  // group 2, which must then answer the listing.
+  const std::string dir = SplitDir(3, 0, 1, "/e");
+  ASSERT_TRUE(MkdirSync(dir).ok());
+  const std::uint32_t slot = shard::PartitionMap::Seed(3).SlotOfDir(dir);
+
+  ASSERT_TRUE(cluster_->StartShardMigration(slot, /*dst=*/2).ok());
+  Run(10 * kSecond);
+
+  core::MdsServer* a1 = cluster_->FindActive(1);
+  core::MdsServer* a2 = cluster_->FindActive(2);
+  ASSERT_NE(a1, nullptr);
+  ASSERT_NE(a2, nullptr);
+  EXPECT_EQ(a1->counters().migrations_completed, 1u);
+  EXPECT_EQ(a2->partition_map().OwnerOfSlot(slot), 2u);
+  EXPECT_TRUE(a2->tree().Exists(dir));
+  const Result<std::vector<std::string>> listing = ListSync(dir, 1);
+  ASSERT_TRUE(listing.ok()) << listing.status().ToString();
+  EXPECT_TRUE(listing.value().empty());
 }
 
 TEST_F(ShardClusterTest, CrossGroupMkdirsCommitThroughAFullCommitWindow) {
