@@ -1,6 +1,7 @@
 #include "core/commit_path.hpp"
 
 #include <algorithm>
+#include <optional>
 
 #include "core/mds_server.hpp"
 #include "net/rpc.hpp"
@@ -47,6 +48,32 @@ void CommitPath::Commit(const ClientRequestMsg& req, journal::LogRecord rec,
   s_.mutable_tree().set_last_txid(txid);  // keep the active's replay cursor
   Await(txid, s_.reads().RevokeConflicting(req, txid, reply));
   SealIfSlotFree();
+}
+
+void CommitPath::AwaitResend(ClientOpId client, const ReplyFn& reply) {
+  // Unreleased records: the writer's pending tail, the rounds in flight and
+  // the held batches. Acking a resend before its original's batch leaves
+  // would promise what a failover can still lose.
+  auto holds = [client](const std::vector<journal::LogRecord>& records) {
+    auto it = std::find_if(records.begin(), records.end(),
+                           [client](const journal::LogRecord& rec) {
+                             return rec.client == client;
+                           });
+    return it == records.end() ? std::optional<TxId>() : it->txid;
+  };
+  std::optional<TxId> txid = holds(writer_.pending());
+  for (auto it = pending_sync_.begin(); !txid && it != pending_sync_.end();
+       ++it) {
+    txid = holds(it->second.batch->records);
+  }
+  for (auto it = held_.begin(); !txid && it != held_.end(); ++it) {
+    txid = holds(it->batch->records);
+  }
+  if (txid) {
+    Await(*txid, reply);
+  } else {
+    s_.ReplyStatus(reply, Status::Ok());
+  }
 }
 
 bool CommitPath::SealIfSlotFree(bool may_defer) {
@@ -191,56 +218,74 @@ void CommitPath::FinalizeCompletedSyncs() {
   // so acknowledged client work is a journal prefix only if replies and
   // committed_sn advance from the front. This keeps the loss on failover
   // prefix-closed exactly as in the stop-and-wait protocol.
-  while (!pending_sync_.empty() && pending_sync_.begin()->second.completed) {
-    const SerialNumber sn = pending_sync_.begin()->first;
-    PendingSync ps = std::move(pending_sync_.begin()->second);
-    pending_sync_.erase(pending_sync_.begin());
-    Bump(s_.mutable_counters().batches_synced, s_.m().batches_synced);
-    s_.NoteFinalized(sn, /*replicated=*/ps.acks > 0 || ps.ssp_ok);
-    if (!ps.ssp_ok) {
-      // The pool missed it. The SSP is what a future failover drains, and
-      // every later batch builds on this one — even one no standby acked
-      // either, which standbys backfill once they are reachable again. A
-      // hole here would end a junior's drain early and lose the committed
-      // batches behind it, so keep re-appending until the copy is durable
-      // (or we are deposed and the new active reconciles).
-      RetrySspAppend(sn);
-    }
-    for (const auto& rec : ps.batch->records) {
-      auto rit = pending_replies_.find(rec.txid);
-      if (rit == pending_replies_.end()) continue;
-      for (auto& reply : rit->second) {
-        // A mutation that revoked remote leases must not complete until
-        // every holder acked (or the last revoked grant expired): its ack
-        // is held on the txid barrier instead of leaving now.
-        s_.reads().RunOrHoldOnBarrier(
-            rec.txid, [&s = s_, reply = std::move(reply)] {
-              s.ReplyStatus(reply, Status::Ok());
-            });
+  do {
+    if (!pending_sync_.empty() && pending_sync_.begin()->second.completed) {
+      const SerialNumber sn = pending_sync_.begin()->first;
+      PendingSync ps = std::move(pending_sync_.begin()->second);
+      pending_sync_.erase(pending_sync_.begin());
+      Bump(s_.mutable_counters().batches_synced, s_.m().batches_synced);
+      const bool replicated = ps.acks > 0 || ps.ssp_ok;
+      s_.NoteFinalized(sn, replicated);
+      if (!ps.ssp_ok) {
+        // The pool missed it. The SSP is what a future failover drains, and
+        // every later batch builds on this one — even one no standby acked
+        // either, which standbys backfill once they are reachable again. A
+        // hole here would end a junior's drain early and lose the committed
+        // batches behind it, so keep re-appending until the copy is durable
+        // (or we are deposed and the new active reconciles).
+        RetrySspAppend(ps.batch);
       }
-      pending_replies_.erase(rit);
+      held_.push_back({std::move(ps.batch), replicated});
     }
-  }
+    // A batch that no standby acked and the pool missed exists only in
+    // this process: its replies, and every later batch's, wait for its
+    // re-append to stick. Acking it would promise work a failover loses.
+    while (!held_.empty() && held_.front().durable) {
+      const BatchPtr batch = std::move(held_.front().batch);
+      held_.pop_front();
+      for (const auto& rec : batch->records) {
+        auto rit = pending_replies_.find(rec.txid);
+        if (rit == pending_replies_.end()) continue;
+        for (auto& reply : rit->second) {
+          // A mutation that revoked remote leases must not complete until
+          // every holder acked (or the last revoked grant expired): its ack
+          // is held on the txid barrier instead of leaving now.
+          s_.reads().RunOrHoldOnBarrier(
+              rec.txid, [&s = s_, reply = std::move(reply)] {
+                s.ReplyStatus(reply, Status::Ok());
+              });
+        }
+        pending_replies_.erase(rit);
+      }
+    }
+  } while (!pending_sync_.empty() && pending_sync_.begin()->second.completed);
   finalizing_syncs_ = false;
   // Group commit: the records that arrived while the window was full take
   // the slot this finalization freed.
   SealIfSlotFree();
 }
 
-void CommitPath::RetrySspAppend(SerialNumber sn) {
-  s_.AfterLocal(kSspAppendRetry, [this, life = weak_from_this(), sn] {
+void CommitPath::RetrySspAppend(BatchPtr batch) {
+  s_.AfterLocal(kSspAppendRetry, [this, life = weak_from_this(), batch] {
     if (life.expired()) return;
-    const auto& recent = s_.recent_batches();
-    auto it = std::find_if(recent.begin(), recent.end(),
-                           [sn](const auto& b) { return b->sn == sn; });
-    if (it == recent.end()) return;  // evicted; peers cover the drain
     storage::SspRecord record;
-    record.sn = sn;
+    record.sn = batch->sn;
     record.fence = s_.fence();
-    record.bytes = (*it)->Serialize();
+    record.bytes = batch->Serialize();
     s_.ssp().Append(s_.JournalFile(), std::move(record),
-                    [this, life, sn](Status s) {
-                      if (!s.ok() && !life.expired()) RetrySspAppend(sn);
+                    [this, life, batch](Status s) {
+                      if (life.expired()) return;
+                      if (!s.ok()) {
+                        RetrySspAppend(batch);
+                        return;
+                      }
+                      auto it = std::find_if(
+                          held_.begin(), held_.end(),
+                          [&](const Held& h) { return h.batch == batch; });
+                      if (it == held_.end() || it->durable) return;
+                      it->durable = true;
+                      s_.NoteFinalized(batch->sn, /*replicated=*/true);
+                      FinalizeCompletedSyncs();  // releases what it unblocked
                     });
   });
 }

@@ -6,9 +6,11 @@
 // no round is in flight or the CPU is idle, else when the CPU backlog
 // drains (SealIfSlotFree, the one sealing rule). A batch completes once
 // every target standby answered and the SSP copy is durable, and replies
-// leave strictly in sn order.
+// leave strictly in sn order, each once its batch and every one before it
+// has a copy outside this process.
 #pragma once
 
+#include <deque>
 #include <map>
 #include <memory>
 #include <set>
@@ -36,6 +38,10 @@ class CommitPath : public std::enable_shared_from_this<CommitPath> {
   void Await(TxId txid, ReplyFn reply) {
     pending_replies_[txid].push_back(std::move(reply));
   }
+  /// A resend of a client op the tree already applied: `reply` gets ok
+  /// when the batch holding the op's record leaves, or at once when no
+  /// batch of this tenure still holds it.
+  void AwaitResend(ClientOpId client, const ReplyFn& reply);
   /// The append half of a client mutation: journals `rec`, revokes the
   /// leases it conflicts with, and replies once its batch commits.
   void Commit(const ClientRequestMsg& req, journal::LogRecord rec,
@@ -92,9 +98,9 @@ class CommitPath : public std::enable_shared_from_this<CommitPath> {
   /// Finalizes completed rounds strictly from the front (sn order), then
   /// seals what waited for the freed slot.
   void FinalizeCompletedSyncs();
-  /// Re-appends batch `sn` to the SSP after kSspAppendRetry, until it
-  /// sticks or the tenure ends.
-  void RetrySspAppend(SerialNumber sn);
+  /// Re-appends `batch` to the SSP after kSspAppendRetry, until it sticks
+  /// or the tenure ends; a held batch then turns durable.
+  void RetrySspAppend(BatchPtr batch);
   void DemoteUnresponsiveStandby(NodeId peer);
   void AddViewStandbys();
 
@@ -105,6 +111,14 @@ class CommitPath : public std::enable_shared_from_this<CommitPath> {
   bool seal_armed_ = false;        ///< a CPU-drain seal is scheduled
   SimTime oldest_pending_at_ = 0;  ///< append time of the oldest pending record
   std::map<TxId, std::vector<ReplyFn>> pending_replies_;
+  /// Finalized batches whose replies have not left, in sn order. One is
+  /// durable once a standby acked it or its SSP copy stuck; replies leave
+  /// from the front up to the first that is not.
+  struct Held {
+    BatchPtr batch;
+    bool durable = false;
+  };
+  std::deque<Held> held_;
   std::set<NodeId> targets_;  ///< peers included in 2PC
 };
 

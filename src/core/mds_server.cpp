@@ -348,13 +348,11 @@ void MdsServer::HandleClientRequest(const net::Envelope&,
   auto req = std::static_pointer_cast<const ClientRequestMsg>(msg);
 
   if (upgrade_ && upgrade_->switching()) {
-    // Step 3: reads are allowed; mutations are saved in memory and not
-    // committed until the upgrade finishes.
-    if (IsMutation(req->op)) {
-      upgrade_->Buffer(std::move(req), reply);
-    } else {
-      reads_->Execute(*req, reply);
-    }
+    // Step 3: requests are saved in memory until the upgrade finishes.
+    // Reads wait too: until steps 4 and 5 adopt the committed tail from the
+    // SSP and the registrants, this tree may miss acked work, and step 2
+    // already sends clients here.
+    upgrade_->Buffer(std::move(req), reply);
     return;
   }
 
@@ -404,9 +402,10 @@ void MdsServer::ExecuteMutation(const RequestPtr& req, const ReplyFn& reply) {
   Bump(counters_.ops_served, m_.ops_served);
   Bump(counters_.mutations, m_.mutations);
   if (tree_.IsDuplicate(req->client)) {
-    // Idempotent resend: the op already committed in a previous life of
-    // this request; acknowledge success without re-journaling.
-    ReplyStatus(reply, Status::Ok());
+    // Idempotent resend: the op already executed in a previous life of
+    // this request; acknowledge success once that execution commits,
+    // without re-journaling.
+    commit_->AwaitResend(req->client, reply);
     return;
   }
   Result<journal::LogRecord> rec = tree_.Execute(RecordFor(*req, sim().Now()));
@@ -474,6 +473,15 @@ void MdsServer::HandleJournalPrepare(const net::Envelope& env,
     StepDownFromActive("saw a newer fence in replication traffic");
   }
 
+  // The fence check above trusts our view. Once our coordination session
+  // may have expired (no confirmed contact for a session timeout), the
+  // group may have elected past that view and counts us down: a deposed
+  // active's batch accepted now would fork this replica from the new
+  // active's journal. Stay silent until the session is confirmed again.
+  if (!options_.test_hooks.disable_fencing && !commit_ &&
+      sim().Now() >= last_session_ack() + coord::kSessionTimeout) {
+    return;
+  }
   if (req.batch == nullptr) {  // malformed prepare; nothing to apply
     answer(false, false);
     return;

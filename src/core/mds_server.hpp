@@ -253,8 +253,9 @@ class MdsServer : public net::Host {
   /// `batch` is the newest applied or sealed batch: it sets last_sn_ and
   /// joins the recent window that backfills, re-flushes and renewals read.
   void AdvanceTo(BatchPtr batch);
-  /// A finalized 2PC round: a batch some standby or the SSP holds raises
-  /// committed_sn_; one only this process holds marks the namespace dirty.
+  /// A finalized 2PC round, or a held batch whose SSP re-append stuck: a
+  /// batch some standby or the SSP holds raises committed_sn_; one only
+  /// this process holds marks the namespace dirty.
   void NoteFinalized(SerialNumber sn, bool replicated);
   /// Folds the batches a journal fetch returned (backfill, step-5 catch-up,
   /// renewal final sync) into the intake queue and applies the ready ones.

@@ -420,9 +420,15 @@ void ShardEngine::DrainThenShip(std::uint32_t slot, int polls_left) {
   if (!drives_.contains(slot)) return;
   // Every fenced-out writer has already been bounced; what remains is the
   // journal pipeline — in-flight 2PC syncs and records waiting for a window
-  // slot. Once both are empty, every accepted slot write is committed and
-  // sits in `dirty`.
-  const bool drained = s_.commit_queue_depth() == 0;
+  // slot — and two-group transactions whose entry lives in the slot, whose
+  // finish still erases or installs it here. Once all are done, every
+  // accepted slot write is committed and sits in `dirty`.
+  const auto& intents = s_.tree().shard().tx_intents;
+  const bool drained =
+      s_.commit_queue_depth() == 0 &&
+      std::none_of(intents.begin(), intents.end(), [&](const auto& kv) {
+        return map_.SlotOf(kv.first) == slot;
+      });
   if (drained || polls_left <= 0) {
     MAMS_DEBUG("shard", "%s: slot %u drained (polls left %d); shipping final",
                s_.name().c_str(), slot, polls_left);
@@ -886,7 +892,7 @@ void ShardEngine::StartTwoGroupTx(RequestPtr req, GroupId peer,
                                   const ReplyFn& reply) {
   if (s_.tree().IsDuplicate(req->client)) {
     // The transaction finished in a previous life of this request.
-    s_.ReplyStatus(reply, Status::Ok());
+    s_.commit()->AwaitResend(req->client, reply);
     return;
   }
   if (TxFenced(*req)) {

@@ -21,8 +21,10 @@ constexpr net::RpcPolicy kElectionBid{
     .idempotent = false,
 };
 
-/// Step 5: the gather window, and one registration attempt per peer inside
-/// it — peers that miss it are picked up by the renewing scan.
+/// Step 5: one registration attempt per peer, and the bound on a round for
+/// a member that stays silent — a live member answers within a round trip,
+/// and the round settles on its answer. Peers that miss the bound are
+/// picked up by the renewing scan.
 constexpr SimTime kRegisterWait = 300 * kMillisecond;
 constexpr net::RpcPolicy kRegisterRpc{
     .attempt_timeout = 250 * kMillisecond,
@@ -155,6 +157,10 @@ void Upgrade::Step2FlipStates() {
         // was down during a write serves a stale-but-successful reply after
         // restart, which would end a single-read drain early and silently
         // lose the tail the other replica still holds.
+        //
+        // Each read carries our fence: a replica we drained refuses the
+        // previous active's late appends, which would otherwise land after
+        // the drain, stay unseen here, and be adopted by renewing juniors.
         Step4DrainReplica(0, /*progressed=*/false);
       });
 }
@@ -173,7 +179,7 @@ void Upgrade::Step4DrainReplica(std::size_t replica, bool progressed) {
     return;
   }
   s_.ssp().ReadAfterOn(
-      replicas[replica], s_.JournalFile(), s_.last_sn(),
+      replicas[replica], s_.JournalFile(), s_.last_sn(), s_.fence(),
       [this, life = weak_from_this(), replica, progressed](
           Result<std::shared_ptr<const storage::SspReadReplyMsg>> r) {
         if (life.expired()) return;
@@ -220,28 +226,22 @@ void Upgrade::Step4Reflush() {
 }
 
 void Upgrade::Step5Round(bool final_round) {
-  auto acks = std::make_shared<std::map<NodeId, SerialNumber>>();
-  auto req = std::make_shared<GroupRegisterMsg>();
-  req->group = s_.group();
-  req->new_active = s_.id();
-  req->fence = s_.fence();
-  req->active_sn = s_.last_sn();
-  req->discard_ahead = final_round;
-  for (NodeId peer : s_.members()) {
-    if (peer == s_.id()) continue;
-    net::RpcCall::Start(s_, peer, req, kRegisterRpc,
-                        [peer, acks](Result<net::MessagePtr> r) {
-                          if (!r.ok()) return;  // dead peer: stays Down
-                          (*acks)[peer] =
-                              net::Cast<GroupRegisterAckMsg>(r.value()).max_sn;
-                        });
-  }
-  s_.AfterLocal(kRegisterWait, [this, life = weak_from_this(), acks,
-                                final_round] {
-    if (life.expired()) return;
+  // The round settles on the last answer (ack or failed RPC) from the
+  // members the view does not mark down, or at kRegisterWait, whichever
+  // comes first; the crashed old active is down and never answers. Down
+  // members are still asked, and their acks count if they beat the settle.
+  struct Gather {
+    std::map<NodeId, SerialNumber> acks;
+    std::size_t awaited = 0;
+    bool settled = false;
+  };
+  auto gather = std::make_shared<Gather>();
+  auto settle = [this, life = weak_from_this(), gather, final_round] {
+    if (life.expired() || gather->settled) return;
+    gather->settled = true;
     NodeId source = kInvalidNode;
     SerialNumber target_sn = s_.last_sn();
-    for (const auto& [peer, sn] : *acks) {
+    for (const auto& [peer, sn] : gather->acks) {
       if (sn > target_sn) {
         target_sn = sn;
         source = peer;
@@ -250,11 +250,37 @@ void Upgrade::Step5Round(bool final_round) {
     // Nobody ahead: settle now — the second round (and its extra RTT) only
     // happens on the rare failover where committed state must be adopted.
     if (final_round || source == kInvalidNode) {
-      Step5Classify(*acks);
+      Step5Classify(gather->acks);
       return;
     }
     Step5CatchUp(source, target_sn);
-  });
+  };
+  auto req = std::make_shared<GroupRegisterMsg>();
+  req->group = s_.group();
+  req->new_active = s_.id();
+  req->fence = s_.fence();
+  req->active_sn = s_.last_sn();
+  req->discard_ahead = final_round;
+  for (NodeId peer : s_.members()) {
+    if (peer == s_.id()) continue;
+    const bool awaited = s_.view().StateOf(peer) != ServerState::kDown;
+    if (awaited) ++gather->awaited;
+    net::RpcCall::Start(
+        s_, peer, req, kRegisterRpc,
+        [peer, awaited, gather, settle](Result<net::MessagePtr> r) {
+          if (gather->settled) return;  // late: renewal picks the peer up
+          if (r.ok()) {
+            gather->acks[peer] =
+                net::Cast<GroupRegisterAckMsg>(r.value()).max_sn;
+          }
+          if (awaited && --gather->awaited == 0) settle();
+        });
+  }
+  if (gather->awaited == 0) {
+    settle();  // no live member to hear from
+  } else {
+    s_.AfterLocal(kRegisterWait, settle);
+  }
 }
 
 void Upgrade::Step5CatchUp(NodeId source, SerialNumber target_sn) {

@@ -30,8 +30,8 @@ class Upgrade : public std::enable_shared_from_this<Upgrade> {
   Upgrade& operator=(const Upgrade&) = delete;
 
   void BidForLock();
-  /// Step 3: true from the lock grant until step 6. Mutations then wait in
-  /// Buffer(); reads keep being served.
+  /// Step 3: true from the lock grant until step 6. Client requests, reads
+  /// included, then wait in Buffer().
   bool switching() const noexcept { return switching_; }
   void Buffer(RequestPtr req, ReplyFn reply);
   /// Closes every span still open (a crash ends the upgrade with ok=false).

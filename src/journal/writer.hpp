@@ -61,6 +61,7 @@ class Writer {
   }
 
   std::size_t pending_records() const noexcept { return pending_.size(); }
+  const std::vector<LogRecord>& pending() const noexcept { return pending_; }
 
  private:
   BatchSink sink_;

@@ -57,6 +57,7 @@ class PoolNode : public net::Host {
                                     const net::MessagePtr& msg,
                                     const ReplyFn& reply) {
       const auto& req = net::Cast<SspReadMsg>(msg);
+      if (req.fence != 0) store_.Open(req.file).RaiseFence(req.fence);
       auto out = std::make_shared<SspReadReplyMsg>();
       const SharedFile* file = store_.Find(req.file);
       if (file == nullptr) {

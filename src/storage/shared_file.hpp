@@ -11,6 +11,7 @@
 // equal. See EXPERIMENTS.md "image scaling".
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -73,6 +74,11 @@ class SharedFile {
   }
 
   FenceToken max_fence() const noexcept { return max_fence_; }
+  /// Fences off writers older than `fence` without appending (a new lock
+  /// holder reading the file before its first write).
+  void RaiseFence(FenceToken fence) noexcept {
+    max_fence_ = std::max(max_fence_, fence);
+  }
 
   const std::vector<SspRecord>& records() const noexcept { return records_; }
   std::size_t size() const noexcept { return records_.size(); }

@@ -130,13 +130,16 @@ class SspClient {
   /// different subsequences of a file (a pool node that was down during a
   /// write has a hole after restart) — recovery paths that must not trust
   /// a single, possibly stale replica use this to consult each member of
-  /// the placement in turn and merge.
+  /// the placement in turn and merge. The replica then refuses appends
+  /// from writers older than `fence` (0 fences nobody).
   void ReadAfterOn(NodeId replica, const std::string& file,
-                   SerialNumber after_sn, ReadCallback done) {
+                   SerialNumber after_sn, FenceToken fence,
+                   ReadCallback done) {
     auto msg = std::make_shared<SspReadMsg>();
     msg->file = file;
     msg->after_sn = after_sn;
     msg->max_bytes = kReadChunkBytes;
+    msg->fence = fence;
     reads_->Add();
     host_.Call(replica, std::move(msg), kReadTimeout,
                [done = std::move(done)](Result<net::MessagePtr> result) {

@@ -33,6 +33,9 @@ struct SspReadMsg final : net::Message {
   std::size_t from_index = 0;    ///< ... or from this index if nonzero use_index
   bool use_index = false;
   std::uint64_t max_bytes = 4u << 20;  ///< chunking for resumable fetches
+  /// Nonzero: the reader holds the file's lock under this token, and the
+  /// replica refuses appends from older writers from now on.
+  FenceToken fence = 0;
 
   net::MsgType type() const noexcept override { return net::kSspRead; }
 };

@@ -3,9 +3,11 @@
 // linearizability checker is exercised on hand-built histories covering
 // the violation taxonomy, and the mutation self-tests prove the end-to-end
 // fuzzer pipeline (sweep -> shrink -> .repro replay) actually catches
-// deliberately-broken servers.
+// deliberately-broken servers. Shrunk schedules of violations that were
+// fixed replay clean.
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -424,6 +426,201 @@ TEST(ReproTest, SpecFileRoundTrip) {
   ASSERT_TRUE(read.ok()) << read.status().message();
   EXPECT_EQ(SerializeSpec(read.value()), SerializeSpec(spec));
 }
+
+// --- regressions: shrunk schedules that once violated ----------------------
+
+struct Regression {
+  const char* name;
+  const char* spec;  ///< a shrunk .repro as mams_check wrote it
+};
+
+// Each schedule violated before the fix its comment names.
+const Regression kRegressions[] = {
+    // elastic seed 445: the new active, cut off from every peer and the pool,
+    // completed a batch on timeouts alone and acked a client's resend of it
+    // as a duplicate; the batch died when the active was deposed. Replies
+    // now wait until a standby or the pool holds the batch, and a resend
+    // waits for its original's batch.
+    {"Elastic445", R"(mams-repro v1
+seed=445
+clients=4
+groups=1
+standbys=2
+mutation=none
+standby_reads=1
+warmup_us=2000000000
+run_us=30000000000
+quiesce_us=45000000000
+autoscale=1
+op 3 3994000000 create /fuzz/c3/d0/f1
+fault crash 2391269721 0 7058000000 0
+fault crash 6539049921 2 2464000000 0
+fault crash_pool 7719829003 0 7511000000 0
+fault cut 13076586036 2 4214000000 0
+)"},
+    // elastic seed 1151: a stat reached the elected standby after step 2
+    // made it active in the view but before its step-4 drain adopted the
+    // committed tail, and was answered from the stale tree. Reads now wait
+    // in the step-3 buffer like mutations.
+    {"Elastic1151", R"(mams-repro v1
+seed=1151
+clients=4
+groups=1
+standbys=2
+mutation=none
+standby_reads=1
+warmup_us=2000000000
+run_us=30000000000
+quiesce_us=45000000000
+autoscale=1
+op 3 1745000000 stat /fuzz/c3
+op 3 3688000000 stat /fuzz/c3
+op 3 2809000000 create /fuzz/c3/d0/f0
+op 3 1960000000 list /fuzz/c3/d2
+op 3 3835000000 stat /fuzz/c3/d0/f0
+op 3 2136000000 stat /fuzz/c3/d0/f0
+op 3 3614000000 stat /fuzz/c3/d0/f0
+fault crash_active 4095121193 0 3035000000 0
+fault crash 8679301750 2 3437000000 0
+fault cut 15866594171 0 4024000000 0
+fault cut 19973645342 0 10809000000 0
+fault crash_active 23314473493 0 1624000000 0
+)"},
+    // elastic seed 421: the same stale read during the switch, behind a
+    // drain slowed by a crashed pool node.
+    {"Elastic421", R"(mams-repro v1
+seed=421
+clients=4
+groups=1
+standbys=2
+mutation=none
+standby_reads=1
+warmup_us=2000000000
+run_us=30000000000
+quiesce_us=45000000000
+autoscale=1
+op 2 1950000 create /fuzz/c2/d1/f0
+op 3 2468000000 create /fuzz/c3/d0/f0
+op 2 1961000 stat /fuzz/c2/d1/f0
+op 3 2620000000 stat /fuzz/c3/d0/f0
+op 2 1708000 stat /fuzz/c2/d1/f0
+op 3 1608000000 create /fuzz/c3/d0/f1
+op 2 423000 stat /fuzz/c2/d1/f0
+op 3 3455000000 list /fuzz/c3/d2
+op 0 1833000 delete /fuzz/c0/d3/f0
+op 1 1785000 list /fuzz/c1/d0
+op 2 1941000 create /fuzz/c2/d0/f1
+op 3 3012000000 stat /fuzz/c3/d0/f0
+op 3 2118000000 stat /fuzz/c3/d0/f1
+op 0 964000 list /fuzz/c0/d1
+op 1 780000 stat /fuzz/c1/d1/f1
+op 2 1236000 create /fuzz/c2/d1/f3
+op 0 1160000 stat /fuzz/c0/d0/f1
+op 1 1884000 stat /fuzz/c1/d0/f0
+op 2 786000 stat /fuzz/c2/d1/f3
+fault crash 3753465347 0 4954000000 0
+fault cut 20702499591 0 6118000000 0
+fault crash_active 20748288059 0 5598000000 0
+fault crash_pool 21668111001 2 9165000000 0
+)"},
+    // migrations seed 187: the deposed active's pool re-append landed after
+    // the new active had drained the pool without writing to it; a renewing
+    // junior then adopted the stale batch. The drain now fences each
+    // replica it reads.
+    {"Migrations187", R"(mams-repro v1
+seed=187
+clients=2
+groups=2
+standbys=2
+mutation=none
+standby_reads=0
+warmup_us=2000000000
+run_us=30000000000
+quiesce_us=45000000000
+fault cut 13649278792 0 4667000000 0
+fault migrate 13795120532 54 0 0
+)"},
+    // migrations seed 242: a standby whose coordination session had expired
+    // accepted a batch from the deposed active through its stale view, and
+    // forked from the new active's journal. Replicas now refuse journal
+    // traffic until their session is confirmed again.
+    {"Migrations242", R"(mams-repro v1
+seed=242
+clients=2
+groups=2
+standbys=2
+mutation=none
+standby_reads=0
+warmup_us=2000000000
+run_us=30000000000
+quiesce_us=45000000000
+fault cut 12478025925 5 6164000000 0
+fault cut 12927289262 3 5487000000 0
+fault migrate 15860041599 49 0 0
+)"},
+    // migrations seed 846: a slot migration shipped its final chunk while a
+    // cross-group rename out of the slot was still waiting for its peer
+    // group to fail over; the rename's finish then erased the source here,
+    // after the copy had left, and the file lived on at the destination.
+    // The cutover drain now also waits for the slot's two-group intents.
+    {"Migrations846", R"(mams-repro v1
+seed=846
+clients=2
+groups=2
+standbys=2
+mutation=none
+standby_reads=0
+warmup_us=2000000000
+run_us=30000000000
+quiesce_us=45000000000
+op 0 90000000 create /fuzz/c0/d1/f0
+op 1 2701000000 stat /fuzz/c1
+op 0 172000000 stat /fuzz/c0/d1/f0
+op 1 2855000000 create /fuzz/c1/d2/f0
+op 0 307000000 create /fuzz/c0/d3/f2
+op 0 316000000 stat /fuzz/c0/d1/f0
+op 0 148000000 mkdir /fuzz/c0/d0/sub12
+op 0 225000000 delete /fuzz/c0/d0/f1
+op 0 160000000 create /fuzz/c0/d0/f5
+op 0 115000000 create /fuzz/c0/d5/f6
+op 0 52000000 create /fuzz/c0/d2/f7
+op 0 96000000 create /fuzz/c0/d3/f8
+op 0 111000000 rename /fuzz/c0/d1/f0 /fuzz/c0/d0/r9
+op 0 360000000 rename /fuzz/c0/d0/r9 /fuzz/c0/d2/r10
+op 0 317000000 delete /fuzz/c0/d2/r10
+op 0 226000000 create /fuzz/c0/d0/f11
+op 0 240000000 mkdir /fuzz/c0/d0/sub858
+op 0 70000000 create /fuzz/c0/d0/f12
+op 0 155000000 rename /fuzz/c0/d2/r4 /fuzz/c0/d0/r13
+op 0 383000000 create /fuzz/c0/d0/f14
+op 0 375000000 stat /fuzz/c0/d0/r13
+op 0 228000000 rename /fuzz/c0/d3/f8 /fuzz/c0/d0/r15
+op 0 343000000 create /fuzz/c0/d0/f16
+op 0 377000000 rename /fuzz/c0/d0/f14 /fuzz/c0/d1/r17
+fault cut 6116495375 4 4664000000 0
+fault crash_active 9488600783 1 5639000000 0
+fault migrate 12770059320 54 0 0
+)"},
+};
+
+void PrintTo(const Regression& r, std::ostream* os) { *os << r.name; }
+
+class RegressionTest : public ::testing::TestWithParam<Regression> {};
+
+TEST_P(RegressionTest, ShrunkScheduleStaysClean) {
+  const Result<RunSpec> spec = ParseSpec(GetParam().spec);
+  ASSERT_TRUE(spec.ok()) << spec.status().message();
+  const RunResult result = RunSpecOnce(spec.value());
+  for (const Violation& v : result.violations) {
+    ADD_FAILURE() << FormatViolation(result.history, v);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Shrunk, RegressionTest, ::testing::ValuesIn(kRegressions),
+    [](const ::testing::TestParamInfo<Regression>& info) {
+      return std::string(info.param.name);
+    });
 
 // --- mutation self-tests: the checker must catch broken servers -------------
 
