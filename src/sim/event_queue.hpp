@@ -1,25 +1,17 @@
-// Timer core of the simulator: a three-tier calendar queue with stable
-// FIFO ordering at equal timestamps, sized for 10^5+ outstanding events.
-//
-//   * run    — the earliest bucket's entries, sorted, popped from the back.
-//   * wheel  — a ring of fixed-width buckets covering the near future; the
-//              mass of homogeneous session/RPC timers lands here with O(1)
-//              insertion and is sorted lazily one bucket at a time.
-//   * far    — a binary min-heap for events beyond the wheel horizon
-//              (election timeouts, long scans); refills the wheel when the
-//              ring drains.
+// Timer core of the simulator: one binary min-heap of events with stable
+// FIFO ordering at equal timestamps.
 //
 // Entries are 24-byte PODs; callbacks live in a slot slab indexed by the
 // entry, stored as SmallFn (48-byte inline buffer), so scheduling an event
 // performs no heap allocation in the steady state. Cancellation is lazy:
 // an EventHandle bumps the slot generation (freeing the callback
 // immediately) and the stale POD entry is skipped on pop. When tombstones
-// exceed half of all queued entries the containers are compacted in one
-// O(n) sweep, so a workload that schedules-and-cancels (RPC timeout
-// timers, retired sessions) cannot grow the queue without bound.
+// exceed half of all queued entries the heap is compacted in one O(n)
+// sweep, so a workload that schedules-and-cancels (RPC timeout timers,
+// retired sessions) cannot grow the queue without bound.
 //
-// Pop order is exactly (timestamp, schedule seq) — identical to the
-// earlier binary-heap implementation, so run digests are unchanged.
+// Pop order is exactly (timestamp, schedule seq), so run digests depend
+// only on the schedule, never on the queue's layout.
 #pragma once
 
 #include <algorithm>
@@ -95,15 +87,7 @@ class EventQueue {
     EventFn fn;
   };
 
-  /// `bucket_width` is the wheel granule; `buckets` the ring size. The
-  /// defaults give a 1 ms granule over a ~1 s horizon, matching the RPC
-  /// and session timer mass of the protocol stack.
-  explicit EventQueue(SimTime bucket_width = kMillisecond,
-                      std::size_t buckets = 1024)
-      : width_(bucket_width < 1 ? 1 : bucket_width),
-        buckets_(buckets < 2 ? 2 : buckets),
-        slab_(std::make_shared<detail::EventSlab>()),
-        wheel_(buckets_) {}
+  EventQueue() : slab_(std::make_shared<detail::EventSlab>()) {}
 
   /// Schedules `fn` at absolute virtual time `at`. Events at the same time
   /// fire in scheduling order.
@@ -112,20 +96,8 @@ class EventQueue {
     MaybeCompact();
     const std::uint32_t slot = AcquireSlot(std::move(fn));
     const Entry e{at, next_seq_++, slot, slab_->slots[slot].gen};
-    if (at < run_end_) {
-      // Belongs in the already-sorted earliest span: insert in place.
-      // `run_` holds at most one bucket's worth of entries, so the
-      // memmove is small; descending order keeps pops O(1) at the back.
-      auto it = std::lower_bound(run_.begin(), run_.end(), e, LaterFirst{});
-      run_.insert(it, e);
-    } else if (at < WheelEnd()) {
-      wheel_[BucketIndex(at)].push_back(e);
-      ++wheel_count_;
-    } else {
-      far_.push_back(e);
-      std::push_heap(far_.begin(), far_.end(), LaterFirst{});
-    }
-    ++entries_;
+    heap_.push_back(e);
+    std::push_heap(heap_.begin(), heap_.end(), LaterFirst{});
     return EventHandle{slab_, slot, e.gen};
   }
 
@@ -133,21 +105,21 @@ class EventQueue {
   bool empty() const noexcept { return live() == 0; }
 
   /// Number of live (non-cancelled, unfired) events.
-  std::uint64_t live() const noexcept { return entries_ - slab_->tombstones; }
+  std::uint64_t live() const noexcept {
+    return heap_.size() - slab_->tombstones;
+  }
 
   /// Time of the earliest pending event; must not be called when empty().
   SimTime NextTime() {
     EnsureFront();
-    return run_.back().at;
+    return heap_.front().at;
   }
 
   /// Removes and returns the earliest pending event. Caller advances the
   /// clock to `at` and then invokes `fn`.
   PoppedEvent Pop() {
     EnsureFront();
-    const Entry e = run_.back();
-    run_.pop_back();
-    --entries_;
+    const Entry e = PopFront();
     auto& slot = slab_->slots[e.slot];
     PoppedEvent out{e.at, std::move(slot.fn)};
     ++slot.gen;  // a handle held on this event now reads "not pending"
@@ -157,7 +129,7 @@ class EventQueue {
 
   // --- introspection (tests, debug tools) -------------------------------
   /// Entries physically queued, including not-yet-collected tombstones.
-  std::uint64_t entries() const noexcept { return entries_; }
+  std::uint64_t entries() const noexcept { return heap_.size(); }
   std::uint64_t tombstones() const noexcept { return slab_->tombstones; }
   std::uint64_t compactions() const noexcept { return compactions_; }
 
@@ -170,8 +142,8 @@ class EventQueue {
     std::uint32_t slot;
     std::uint32_t gen;
   };
-  /// Orders later events first: a descending std::sort for `run_` (pops
-  /// happen at the back) and the comparator making std::*_heap a min-heap.
+  /// Orders later events first: the comparator making std::*_heap a
+  /// min-heap on (at, seq).
   struct LaterFirst {
     bool operator()(const Entry& a, const Entry& b) const noexcept {
       if (a.at != b.at) return a.at > b.at;
@@ -181,15 +153,6 @@ class EventQueue {
 
   bool Alive(const Entry& e) const noexcept {
     return slab_->slots[e.slot].gen == e.gen;
-  }
-
-  std::size_t BucketIndex(SimTime at) const noexcept {
-    return static_cast<std::size_t>(
-        static_cast<std::uint64_t>(at / width_) % buckets_);
-  }
-
-  SimTime WheelEnd() const noexcept {
-    return static_cast<SimTime>((cursor_bucket_ + buckets_) * width_);
   }
 
   std::uint32_t AcquireSlot(EventFn fn) {
@@ -204,112 +167,39 @@ class EventQueue {
     return static_cast<std::uint32_t>(s.slots.size() - 1);
   }
 
-  /// Makes run_.back() the earliest live entry. Requires !empty().
+  Entry PopFront() {
+    std::pop_heap(heap_.begin(), heap_.end(), LaterFirst{});
+    const Entry e = heap_.back();
+    heap_.pop_back();
+    return e;
+  }
+
+  /// Makes heap_.front() the earliest live entry. Requires !empty().
   void EnsureFront() {
-    for (;;) {
-      while (!run_.empty()) {
-        if (Alive(run_.back())) return;
-        run_.pop_back();
-        --entries_;
-        --slab_->tombstones;
-      }
-      AdvanceWheel();
+    while (!Alive(heap_.front())) {
+      PopFront();
+      --slab_->tombstones;
     }
   }
 
-  /// Drains the next non-empty wheel bucket into `run_` (sorted, dead
-  /// entries dropped), refilling the wheel from `far_` when the ring is
-  /// exhausted. Requires at least one live entry in wheel or far tier.
-  void AdvanceWheel() {
-    for (;;) {
-      // Far entries the advancing horizon has caught up to must enter the
-      // ring before the cursor can pass their bucket, or they would fire
-      // out of order behind later wheel entries.
-      MigrateFarWithinHorizon();
-      if (wheel_count_ > 0) {
-        // Every wheel entry's absolute bucket lies in
-        // [cursor_bucket_, cursor_bucket_ + buckets_), so the overall
-        // scan is bounded by one lap of the ring.
-        auto& bucket =
-            wheel_[static_cast<std::size_t>(cursor_bucket_ % buckets_)];
-        ++cursor_bucket_;
-        run_end_ = static_cast<SimTime>(cursor_bucket_ * width_);
-        if (bucket.empty()) continue;
-        wheel_count_ -= bucket.size();
-        for (const Entry& e : bucket) {
-          if (Alive(e)) {
-            run_.push_back(e);
-          } else {
-            --entries_;
-            --slab_->tombstones;
-          }
-        }
-        bucket.clear();
-        if (!run_.empty()) {
-          std::sort(run_.begin(), run_.end(), LaterFirst{});
-          return;
-        }
-        continue;
-      }
-      // Ring is empty: jump the cursor straight to the far tier's
-      // earliest live entry (the next loop iteration migrates it in).
-      while (!far_.empty() && !Alive(far_.front())) {
-        std::pop_heap(far_.begin(), far_.end(), LaterFirst{});
-        far_.pop_back();
-        --entries_;
-        --slab_->tombstones;
-      }
-      cursor_bucket_ = static_cast<std::uint64_t>(far_.front().at / width_);
-      run_end_ = static_cast<SimTime>(cursor_bucket_ * width_);
-    }
-  }
-
-  void MigrateFarWithinHorizon() {
-    const SimTime horizon = WheelEnd();
-    while (!far_.empty() && far_.front().at < horizon) {
-      std::pop_heap(far_.begin(), far_.end(), LaterFirst{});
-      const Entry e = far_.back();
-      far_.pop_back();
-      if (!Alive(e)) {
-        --entries_;
-        --slab_->tombstones;
-        continue;
-      }
-      wheel_[BucketIndex(e.at)].push_back(e);
-      ++wheel_count_;
-    }
-  }
-
-  /// Cancelled entries used to sit in the heap until their deadline
-  /// popped them; sweep all tiers once tombstones exceed half the queue.
+  /// Sweeps cancelled entries out of the heap once tombstones exceed half
+  /// of it, so a far-future timer that was cancelled does not stay queued
+  /// until its deadline.
   void MaybeCompact() {
-    if (slab_->tombstones < 64 || slab_->tombstones * 2 <= entries_) return;
-    auto dead = [this](const Entry& e) { return !Alive(e); };
-    run_.erase(std::remove_if(run_.begin(), run_.end(), dead), run_.end());
-    for (auto& bucket : wheel_) {
-      const std::size_t before = bucket.size();
-      bucket.erase(std::remove_if(bucket.begin(), bucket.end(), dead),
-                   bucket.end());
-      wheel_count_ -= before - bucket.size();
+    if (slab_->tombstones < 64 || slab_->tombstones * 2 <= heap_.size()) {
+      return;
     }
-    far_.erase(std::remove_if(far_.begin(), far_.end(), dead), far_.end());
-    std::make_heap(far_.begin(), far_.end(), LaterFirst{});
-    entries_ = run_.size() + wheel_count_ + far_.size();
+    heap_.erase(std::remove_if(heap_.begin(), heap_.end(),
+                               [this](const Entry& e) { return !Alive(e); }),
+                heap_.end());
+    std::make_heap(heap_.begin(), heap_.end(), LaterFirst{});
     slab_->tombstones = 0;
     ++compactions_;
   }
 
-  SimTime width_;
-  std::size_t buckets_;
   std::shared_ptr<detail::EventSlab> slab_;
-  std::vector<Entry> run_;  // sorted descending; all entries < run_end_
-  SimTime run_end_ = 0;
-  std::vector<std::vector<Entry>> wheel_;
-  std::uint64_t cursor_bucket_ = 0;  // absolute bucket number of run_end_
-  std::size_t wheel_count_ = 0;
-  std::vector<Entry> far_;  // min-heap of entries at/after WheelEnd()
+  std::vector<Entry> heap_;  // min-heap on (at, seq), tombstones included
   std::uint64_t next_seq_ = 0;
-  std::uint64_t entries_ = 0;
   std::uint64_t compactions_ = 0;
 };
 

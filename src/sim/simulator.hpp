@@ -140,7 +140,6 @@ class PeriodicTimer {
 
   bool running() const noexcept { return running_; }
   SimTime period() const noexcept { return period_; }
-  void set_period(SimTime period) noexcept { period_ = period; }
 
  private:
   void Arm() {
@@ -152,7 +151,7 @@ class PeriodicTimer {
   }
 
   Simulator& sim_;
-  SimTime period_;
+  const SimTime period_;
   EventFn fn_;
   EventHandle handle_;
   bool running_ = false;

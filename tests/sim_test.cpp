@@ -63,11 +63,33 @@ TEST(EventQueueTest, DoubleCancelCountsOneTombstone) {
   EXPECT_EQ(q.Pop().at, 3);
 }
 
+TEST(EventQueueTest, CancellingTheFrontEntryExposesTheNext) {
+  // NextTime() has already looked at the front when it is cancelled: the
+  // next NextTime() and Pop() must skip the tombstone, not return it.
+  EventQueue q;
+  std::vector<int> order;
+  EventHandle first = q.Schedule(5, [&] { order.push_back(0); });
+  q.Schedule(10, [&] { order.push_back(1); });
+  q.Schedule(10, [&] { order.push_back(2); });
+  EXPECT_EQ(q.NextTime(), 5);
+  first.Cancel();
+  EXPECT_EQ(q.live(), 2u);
+  EXPECT_EQ(q.NextTime(), 10);
+  auto ev = q.Pop();
+  EXPECT_EQ(ev.at, 10);
+  ev.fn();
+  EXPECT_EQ(q.tombstones(), 0u);
+  EXPECT_EQ(q.entries(), 1u);
+  q.Pop().fn();
+  EXPECT_TRUE(q.empty());
+  EXPECT_EQ(order, (std::vector<int>{1, 2}));
+}
+
 TEST(EventQueueTest, CancelledEntriesAreCompactedNotRetained) {
-  // The satellite fix: cancelled entries used to sit in the heap until
-  // their deadline popped them. Schedule far-future timers, cancel nearly
-  // all — the sweep must reclaim them immediately (entries() shrinks and
-  // the closures were already freed by Cancel), not at pop time.
+  // Cancelled entries must not sit in the heap until their deadline pops
+  // them. Schedule far-future timers, cancel nearly all — the sweep must
+  // reclaim them immediately (entries() shrinks and the closures were
+  // already freed by Cancel), not at pop time.
   EventQueue q;
   std::vector<EventHandle> handles;
   handles.reserve(10'000);
@@ -86,8 +108,8 @@ TEST(EventQueueTest, CancelledEntriesAreCompactedNotRetained) {
 }
 
 TEST(EventQueueTest, StressPopOrderMatchesReferenceUnderCancellation) {
-  // 100k-event stress across all three tiers (run span ≫ wheel horizon)
-  // with interleaved cancellations: pop order must be exactly
+  // 100k-event stress over immediate to far-future timestamps with
+  // interleaved cancellations: pop order must be exactly
   // (timestamp, schedule seq) for every surviving event.
   constexpr int kEvents = 100'000;
   Rng rng(0xabcdef);
@@ -103,7 +125,7 @@ TEST(EventQueueTest, StressPopOrderMatchesReferenceUnderCancellation) {
   handles.reserve(kEvents);
   fired.reserve(kEvents);
   for (int i = 0; i < kEvents; ++i) {
-    // Mix of near (wheel), immediate (run), and far (heap) timestamps.
+    // Mix of immediate (< 10 ms), near (< 1 s) and far (< 120 s) times.
     SimTime at = 0;
     switch (rng.Below(4)) {
       case 0:
@@ -151,7 +173,7 @@ TEST(EventQueueTest, StressPopOrderMatchesReferenceUnderCancellation) {
 TEST(EventQueueTest, InterleavedScheduleAndPopKeepsOrder) {
   // Schedule-while-popping (the simulator's actual usage): events fire in
   // global (at, seq) order even when new events land mid-drain, including
-  // behind the wheel cursor and past the far horizon.
+  // ahead of entries that were queued earlier.
   EventQueue q;
   Rng rng(7);
   std::vector<SimTime> fired;

@@ -8,10 +8,17 @@
 //   mams_check --seeds 200                        # PR/nightly gate
 //   mams_check --seeds 60 --mutation fencing      # must find a violation
 //   mams_check --replay repro-seed42.repro        # re-run a reproducer
+//   mams_check --seeds 300 --digests              # behaviour fingerprint
 //
 // Replay mode executes a .repro twice and compares the simulator run
 // digests, proving the reproduction deterministic before printing the
 // violations it reproduces.
+//
+// Digest mode prints one line per seed — the seed, the simulator's
+// run_digest and a digest of the recorded history — and nothing else, so
+// a sweep's output can be diffed against a checked-in table
+// (tests/digests/). It neither shrinks nor writes reproducers, and exits 0
+// whatever the histories hold: it locks behaviour, the sweep gates it.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -19,6 +26,7 @@
 #include <vector>
 
 #include "check/fuzzer.hpp"
+#include "common/bytes.hpp"
 #include "check/repro.hpp"
 #include "check/shrink.hpp"
 
@@ -43,6 +51,7 @@ struct Args {
   std::string replay;
   std::string out_dir = ".";
   bool verbose = false;
+  bool digests = false;
 };
 
 void Usage() {
@@ -80,7 +89,10 @@ void Usage() {
       "  --shrink-runs N    shrink rerun budget (default 200)\n"
       "  --out-dir DIR      where .repro files go (default .)\n"
       "  --replay FILE      re-run a .repro file (twice; digests compared)\n"
-      "  --verbose          print per-seed progress and histories\n");
+      "  --verbose          print per-seed progress and histories\n"
+      "  --digests          print `seed run_digest history_digest` per\n"
+      "                     seed instead of the violation report\n"
+      "                     (exit 0)\n");
 }
 
 bool ParseArgs(int argc, char** argv, Args* args) {
@@ -129,6 +141,8 @@ bool ParseArgs(int argc, char** argv, Args* args) {
       args->out_dir = value();
     } else if (arg == "--replay") {
       args->replay = value();
+    } else if (arg == "--digests") {
+      args->digests = true;
     } else if (arg == "--verbose" || arg == "-v") {
       args->verbose = true;
     } else if (arg == "--help" || arg == "-h") {
@@ -140,6 +154,20 @@ bool ParseArgs(int argc, char** argv, Args* args) {
     }
   }
   return true;
+}
+
+/// Order-sensitive FNV-1a fold of every recorded event: its formatted line
+/// (op, paths, times, outcome, routing) plus the read view it observed.
+std::uint64_t HistoryDigest(const History& history) {
+  std::uint64_t h = kFnvOffset;
+  for (const Event& e : history.events()) {
+    h = Fnv1a(history.Format(e), h);
+    const std::uint64_t view[] = {e.view.replication, e.view.block_count,
+                                  e.view.complete ? 1u : 0u};
+    h = Fnv1a(view, sizeof(view), h);
+    for (const std::string& name : e.view.listing) h = Fnv1a(name, h);
+  }
+  return h;
 }
 
 void PrintViolations(const RunResult& result) {
@@ -271,6 +299,14 @@ int Sweep(const Args& args) {
     RunSpec spec = MakeSpec(seed, profile);
     spec.mutation = args.mutation;
     RunResult result = RunSpecOnce(spec);
+    if (args.digests) {
+      std::printf("%llu %016llx %016llx\n",
+                  static_cast<unsigned long long>(seed),
+                  static_cast<unsigned long long>(result.run_digest),
+                  static_cast<unsigned long long>(
+                      HistoryDigest(result.history)));
+      continue;
+    }
     total_events += result.history.size();
     if (args.verbose) {
       std::printf("seed %llu: %zu events, %llu states, %s\n",
@@ -314,6 +350,7 @@ int Sweep(const Args& args) {
       std::fprintf(stderr, "  %s\n", ws.ToString().c_str());
     }
   }
+  if (args.digests) return 0;
   std::printf(
       "%d/%d seeds violated (mutation=%s, %llu history events total)\n",
       violated_seeds, count, MutationName(args.mutation),
