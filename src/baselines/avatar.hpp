@@ -32,10 +32,8 @@ struct AvatarOptions {
 /// Active avatar: every journal batch is a synchronous NFS write.
 class AvatarActive : public NameNodeBase {
  public:
-  AvatarActive(net::Network& network, std::string name, NodeId nfs_filer,
-               core::OpCosts costs = {})
-      : NameNodeBase(network, std::move(name), costs),
-        nfs_(nfs_filer) {}
+  AvatarActive(net::Network& network, std::string name, NodeId nfs_filer)
+      : NameNodeBase(network, std::move(name)), nfs_(nfs_filer) {}
 
   static constexpr const char* kEditsFile = "avatar/edits";
 
@@ -62,8 +60,8 @@ class AvatarActive : public NameNodeBase {
 class AvatarStandby : public NameNodeBase {
  public:
   AvatarStandby(net::Network& network, std::string name, NodeId nfs_filer,
-                AvatarOptions options = {}, core::OpCosts costs = {})
-      : NameNodeBase(network, std::move(name), costs),
+                AvatarOptions options = {})
+      : NameNodeBase(network, std::move(name)),
         nfs_(nfs_filer),
         options_(options) {}
 

@@ -33,9 +33,8 @@ struct NnEditStreamMsg final : net::Message {
 /// Primary NameNode: local edit log + async stream to the backup.
 class BackupNodePrimary : public NameNodeBase {
  public:
-  BackupNodePrimary(net::Network& network, std::string name,
-                    core::OpCosts costs = {})
-      : NameNodeBase(network, std::move(name), costs) {}
+  BackupNodePrimary(net::Network& network, std::string name)
+      : NameNodeBase(network, std::move(name)) {}
 
   void SetBackup(NodeId backup) { backup_ = backup; }
 
@@ -68,9 +67,8 @@ class BackupNodePrimary : public NameNodeBase {
 /// The backup: replays the stream in memory; serves only after takeover.
 class BackupNodeServer : public NameNodeBase {
  public:
-  BackupNodeServer(net::Network& network, std::string name,
-                   core::OpCosts costs = {})
-      : NameNodeBase(network, std::move(name), costs) {
+  BackupNodeServer(net::Network& network, std::string name)
+      : NameNodeBase(network, std::move(name)) {
     OnRequest(net::kNnEditStream,
               [this](const net::Envelope&, const net::MessagePtr& msg,
                      const ReplyFn&) {

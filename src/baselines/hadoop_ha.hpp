@@ -37,8 +37,8 @@ inline constexpr const char* kQjmEditsFile = "qjm/edits";
 class HadoopHaActive : public NameNodeBase {
  public:
   HadoopHaActive(net::Network& network, std::string name,
-                 std::vector<NodeId> journal_nodes, core::OpCosts costs = {})
-      : NameNodeBase(network, std::move(name), costs),
+                 std::vector<NodeId> journal_nodes)
+      : NameNodeBase(network, std::move(name)),
         journal_nodes_(std::move(journal_nodes)) {}
 
  protected:
@@ -75,8 +75,8 @@ class HadoopHaStandby : public NameNodeBase {
  public:
   HadoopHaStandby(net::Network& network, std::string name,
                   std::vector<NodeId> journal_nodes,
-                  HadoopHaOptions options = {}, core::OpCosts costs = {})
-      : NameNodeBase(network, std::move(name), costs),
+                  HadoopHaOptions options = {})
+      : NameNodeBase(network, std::move(name)),
         journal_nodes_(std::move(journal_nodes)),
         options_(options) {}
 

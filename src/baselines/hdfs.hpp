@@ -10,9 +10,8 @@ namespace mams::baselines {
 class HdfsNameNode : public NameNodeBase {
  public:
   HdfsNameNode(net::Network& network, std::string name,
-               core::OpCosts costs = {}, storage::DiskParams disk = {})
-      : NameNodeBase(network, std::move(name), costs),
-        disk_(disk) {}
+               storage::DiskParams disk = {})
+      : NameNodeBase(network, std::move(name)), disk_(disk) {}
 
  protected:
   bool Serving() const override { return alive(); }

@@ -33,9 +33,8 @@ namespace mams::baselines {
 
 class NameNodeBase : public net::Host {
  public:
-  NameNodeBase(net::Network& network, std::string name,
-               core::OpCosts costs = {})
-      : net::Host(network, std::move(name)), costs_(costs) {
+  NameNodeBase(net::Network& network, std::string name)
+      : net::Host(network, std::move(name)) {
     OnRequest(net::kClientRequest,
               [this](const net::Envelope&, const net::MessagePtr& msg,
                      const ReplyFn& reply) { HandleClient(msg, reply); });
@@ -70,7 +69,7 @@ class NameNodeBase : public net::Host {
   /// this to bill the expensive full-scan processing exactly once per
   /// data server (periodic re-reports are incremental and cheap).
   virtual SimTime BlockReportCost(const core::BlockReportMsg& report) {
-    return costs_.block_report_per_1k *
+    return core::kOpCosts.block_report_per_1k *
            static_cast<SimTime>(1 + report.EffectiveCount() / 1000);
   }
 
@@ -130,7 +129,6 @@ class NameNodeBase : public net::Host {
 
   fsns::Tree tree_;
   fsns::BlockMap blocks_;
-  core::OpCosts costs_;
   SerialNumber last_sn_ = 0;
 
  private:
@@ -140,7 +138,7 @@ class NameNodeBase : public net::Host {
       ReplyStatus(reply, Status::Unavailable("namenode not serving"));
       return;
     }
-    AfterLocal(ChargeCpu(core::OpCost(costs_, req->op)), [this, req, reply] {
+    AfterLocal(ChargeCpu(core::OpCost(req->op)), [this, req, reply] {
       if (!Serving()) {
         ReplyStatus(reply, Status::Unavailable("namenode not serving"));
         return;

@@ -22,9 +22,8 @@ namespace mams::baselines {
 /// Vanilla HDFS: one NameNode, no failover.
 class HdfsSystem {
  public:
-  HdfsSystem(net::Network& network, int clients = 4, int data_servers = 2,
-             core::OpCosts costs = {}) {
-    nn_ = std::make_unique<HdfsNameNode>(network, "hdfs-nn", costs);
+  HdfsSystem(net::Network& network, int clients = 4, int data_servers = 2) {
+    nn_ = std::make_unique<HdfsNameNode>(network, "hdfs-nn");
     for (int d = 0; d < data_servers; ++d) {
       dns_.push_back(std::make_unique<cluster::DataServer>(
           network, "hdfs-dn" + std::to_string(d)));
@@ -58,7 +57,6 @@ struct BackupNodeSystemOptions {
   SimTime recovery_ingest_per_block = 18 * kMicrosecond;
   FailureMonitor::Options monitor;
   BaselineClientOptions client;
-  core::OpCosts costs;
 };
 
 class BackupNodeSystem {
@@ -67,10 +65,8 @@ class BackupNodeSystem {
 
   BackupNodeSystem(net::Network& network, Options options = {})
       : options_(options) {
-    primary_ = std::make_unique<BackupNodePrimary>(network, "bn-primary",
-                                                   options.costs);
-    backup_ = std::make_unique<BackupNodeServer>(network, "bn-backup",
-                                                 options.costs);
+    primary_ = std::make_unique<BackupNodePrimary>(network, "bn-primary");
+    backup_ = std::make_unique<BackupNodeServer>(network, "bn-backup");
     primary_->SetBackup(backup_->id());
     backup_->SetRecoveryIngestCost(options.recovery_ingest_per_block);
 
@@ -135,7 +131,6 @@ struct AvatarSystemOptions {
   int data_servers = 4;
   AvatarOptions avatar;
   BaselineClientOptions client;
-  core::OpCosts costs;
 };
 
 class AvatarSystem {
@@ -150,9 +145,9 @@ class AvatarSystem {
     nfs_ = std::make_unique<storage::PoolNode>(network, "avatar-nfs",
                                                nfs_disk);
     active_ = std::make_unique<AvatarActive>(network, "avatar-active",
-                                             nfs_->id(), options.costs);
-    standby_ = std::make_unique<AvatarStandby>(
-        network, "avatar-standby", nfs_->id(), options.avatar, options.costs);
+                                             nfs_->id());
+    standby_ = std::make_unique<AvatarStandby>(network, "avatar-standby",
+                                               nfs_->id(), options.avatar);
     for (int d = 0; d < options.data_servers; ++d) {
       dns_.push_back(std::make_unique<cluster::DataServer>(
           network, "avatar-dn" + std::to_string(d)));
@@ -204,7 +199,6 @@ struct HadoopHaSystemOptions {
   int data_servers = 4;
   HadoopHaOptions ha;
   BaselineClientOptions client;
-  core::OpCosts costs;
 };
 
 class HadoopHaSystem {
@@ -221,11 +215,9 @@ class HadoopHaSystem {
           network, "ha-jn" + std::to_string(j), jn_disk));
       jn_ids.push_back(jns_.back()->id());
     }
-    active_ = std::make_unique<HadoopHaActive>(network, "ha-active", jn_ids,
-                                               options.costs);
+    active_ = std::make_unique<HadoopHaActive>(network, "ha-active", jn_ids);
     standby_ = std::make_unique<HadoopHaStandby>(network, "ha-standby",
-                                                 jn_ids, options.ha,
-                                                 options.costs);
+                                                 jn_ids, options.ha);
     for (int d = 0; d < options.data_servers; ++d) {
       dns_.push_back(std::make_unique<cluster::DataServer>(
           network, "ha-dn" + std::to_string(d)));

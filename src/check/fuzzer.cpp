@@ -6,7 +6,6 @@
 #include <memory>
 #include <set>
 
-#include "cluster/autoscaler.hpp"
 #include "cluster/cfs.hpp"
 #include "common/rng.hpp"
 #include "fsns/path.hpp"
@@ -86,6 +85,10 @@ const char* FaultKindName(FaultAction::Kind kind) {
       return "jitter";
     case FaultAction::Kind::kMigrateSlot:
       return "migrate";
+    case FaultAction::Kind::kAddStandby:
+      return "add_standby";
+    case FaultAction::Kind::kRetireStandby:
+      return "retire_standby";
   }
   return "?";
 }
@@ -94,7 +97,8 @@ bool ParseFaultKind(const std::string& name, FaultAction::Kind* out) {
   for (const FaultAction::Kind k :
        {FaultAction::Kind::kCutMember, FaultAction::Kind::kCrashMember,
         FaultAction::Kind::kCrashActive, FaultAction::Kind::kCrashPool,
-        FaultAction::Kind::kJitterBurst, FaultAction::Kind::kMigrateSlot}) {
+        FaultAction::Kind::kJitterBurst, FaultAction::Kind::kMigrateSlot,
+        FaultAction::Kind::kAddStandby, FaultAction::Kind::kRetireStandby}) {
     if (name == FaultKindName(k)) {
       *out = k;
       return true;
@@ -110,7 +114,6 @@ RunSpec MakeSpec(std::uint64_t seed, const FuzzProfile& profile) {
   spec.groups = std::max(1, profile.groups);
   spec.standby_reads = profile.standby_reads;
   spec.client_cache = profile.client_cache;
-  spec.autoscale = profile.autoscale;
   // Generation rng is decoupled from the execution seed so that replaying
   // a spec never re-consults it.
   Rng rng(seed * 0x9e3779b97f4a7c15ull + 0x66757a7aull);
@@ -245,6 +248,18 @@ RunSpec MakeSpec(std::uint64_t seed, const FuzzProfile& profile) {
       spec.faults.push_back(a);
     }
   }
+  // Membership changes draw after everything else, so a profile without
+  // them generates exactly the spec it did before they existed.
+  for (int m = 0; m < profile.membership_changes; ++m) {
+    FaultAction a;
+    a.kind = m % 2 == 0 ? FaultAction::Kind::kAddStandby
+                        : FaultAction::Kind::kRetireStandby;
+    a.at = spec.warmup +
+           static_cast<SimTime>(rng.Below(static_cast<std::uint64_t>(window)));
+    a.target =
+        static_cast<int>(rng.Below(static_cast<std::uint64_t>(spec.groups)));
+    spec.faults.push_back(a);
+  }
   std::sort(spec.faults.begin(), spec.faults.end(),
             [](const FaultAction& x, const FaultAction& y) {
               return x.at < y.at;
@@ -331,24 +346,7 @@ RunResult RunSpecOnce(const RunSpec& spec, CheckOptions check) {
 
   cluster::CfsCluster cfs(net, cfg);
   cfs.Start();
-
-  // Elastic sweeps run an aggressive controller so membership itself is a
-  // moving part of the schedule: low capacity and thresholds make both
-  // directions reachable under the light fuzz workload.
-  std::unique_ptr<cluster::Autoscaler> autoscaler;
-  if (spec.autoscale) {
-    cluster::AutoscalerOptions aopts;
-    aopts.evaluate_period = 250 * kMillisecond;
-    aopts.min_standbys = 1;
-    aopts.max_standbys = spec.standbys + 2;
-    aopts.reads_per_standby_capacity = 40.0;
-    aopts.scale_up_utilization = 0.5;
-    aopts.scale_down_utilization = 0.05;
-    aopts.breach_ticks = 2;
-    aopts.cooldown = 2 * kSecond;
-    autoscaler = std::make_unique<cluster::Autoscaler>(cfs, aopts);
-    autoscaler->Start();
-  }
+  RunResult result;
 
   HistoryRecorder recorder(sim);
   std::vector<std::unique_ptr<RecordingClient>> clients;
@@ -373,7 +371,7 @@ RunResult RunSpecOnce(const RunSpec& spec, CheckOptions check) {
   // Fault schedule.
   const int members = 1 + spec.standbys;
   for (const FaultAction& f : spec.faults) {
-    sim.At(f.at, [&cfs, &inject, f, members, groups] {
+    sim.At(f.at, [&cfs, &inject, &result, f, members, groups] {
       const GroupId fg = static_cast<GroupId>((f.target / members) % groups);
       switch (f.kind) {
         case FaultAction::Kind::kCutMember:
@@ -403,6 +401,18 @@ RunResult RunSpecOnce(const RunSpec& spec, CheckOptions check) {
           (void)cfs.StartShardMigration(static_cast<std::uint32_t>(
               f.target % static_cast<int>(shard::PartitionMap::kDefaultSlots)));
           break;
+        case FaultAction::Kind::kAddStandby:
+          (void)cfs.AddStandby(static_cast<GroupId>(f.target % groups));
+          ++result.standbys_added;
+          break;
+        case FaultAction::Kind::kRetireStandby:
+          // Refused while no standby is drained or the group is
+          // mid-failover; like a refused migration, part of the schedule.
+          if (cfs.RemoveStandby(static_cast<GroupId>(f.target % groups))
+                  .ok()) {
+            ++result.standbys_retired;
+          }
+          break;
       }
     });
   }
@@ -410,11 +420,7 @@ RunResult RunSpecOnce(const RunSpec& spec, CheckOptions check) {
   // Heal everything after the op/fault phase and force any still-dead
   // process back up, so the audit runs against a fully recovered cluster.
   const SimTime heal_at = spec.warmup + spec.run_for;
-  sim.At(heal_at, [&cfs, &inject, members, groups,
-                   as = autoscaler.get()] {
-    // Freeze elasticity first: the audit must run against a stable fleet,
-    // not race a scale decision.
-    if (as != nullptr) as->Stop();
+  sim.At(heal_at, [&cfs, &inject, members, groups] {
     inject.HealEverything();
     // Members(g) covers elastic additions and retirees too, not just the
     // configured membership.
@@ -452,8 +458,6 @@ RunResult RunSpecOnce(const RunSpec& spec, CheckOptions check) {
     audit->ops.push_back(std::move(entry));
   }
   sim.At(audit_at, [audit] { audit->Step(); });
-
-  RunResult result;
 
   // Run the schedule out. The audit client is closed-loop, so give it a
   // bounded window after audit_at; workload stragglers that still have

@@ -14,6 +14,8 @@
 //   * crash/restart of an MDS replica or the current active
 //   * storage-pool node loss (crash + restart)
 //   * delivery-jitter burst (clock-independent queueing noise)
+// Profiles may add deterministic counts of shard migrations and of
+// membership changes (a standby admitted to, or retired from, a group).
 #pragma once
 
 #include <cstdint>
@@ -62,12 +64,15 @@ struct FaultAction {
     kCrashPool,    ///< storage-pool node `target` loss
     kJitterBurst,  ///< extra delivery jitter `param` for `duration`
     kMigrateSlot,  ///< kick off a shard migration of slot `target`
+    kAddStandby,   ///< grow group `target` by one standby
+    kRetireStandby,  ///< retire one drained standby of group `target`
   };
   Kind kind = Kind::kCutMember;
   SimTime at = 0;        ///< absolute virtual time
   /// Member / pool-node / slot index (kind-dependent). With multiple
   /// groups, member faults decode as group = (target / members) % groups,
-  /// member = target % members; kCrashActive decodes target % groups.
+  /// member = target % members; kCrashActive, kAddStandby and
+  /// kRetireStandby decode target % groups.
   int target = 0;
   SimTime duration = 0;  ///< outage length / restart delay / burst length
   SimTime param = 0;     ///< jitter amount (kJitterBurst)
@@ -100,11 +105,6 @@ struct RunSpec {
   /// per-directory leases on reads and clients answer repeat reads locally
   /// while the lease lives. Audit reads bypass the cache (require_active).
   bool client_cache = false;
-  /// Run an aggressive cluster::Autoscaler over the whole op/fault phase,
-  /// so elastic membership (junior promotion, standby retirement, member
-  /// reuse) interleaves with the fault schedule. Stopped at heal time so
-  /// the audit sees a stable fleet.
-  bool autoscale = false;
   SimTime warmup = 2 * kSecond;     ///< boot -> first op
   SimTime run_for = 30 * kSecond;   ///< op/fault phase -> heal
   SimTime quiesce = 45 * kSecond;   ///< heal -> audit reads
@@ -129,8 +129,6 @@ struct FuzzProfile {
   bool standby_reads = false;
   /// Copied into RunSpec::client_cache by MakeSpec.
   bool client_cache = false;
-  /// Copied into RunSpec::autoscale by MakeSpec.
-  bool autoscale = false;
   /// Copied into RunSpec::groups by MakeSpec.
   int groups = 1;
   /// Shard migrations to schedule as kMigrateSlot faults (in addition to
@@ -138,6 +136,10 @@ struct FuzzProfile {
   /// than a roll in the fault palette — guarantees every seed actually
   /// exercises migrations.
   int migrations = 0;
+  /// Membership changes to schedule (in addition to `faults`), alternately
+  /// kAddStandby and kRetireStandby on a uniform group. Like `migrations`,
+  /// a deterministic count: every seed changes its membership.
+  int membership_changes = 0;
   /// All clients work one shared directory tree instead of disjoint
   /// per-client roots. Disjoint roots make every same-batch record pair
   /// conflict-free, which is exactly the case where the apply planner has
@@ -160,6 +162,10 @@ struct RunResult {
   History history;
   std::uint64_t run_digest = 0;
   SimTime virtual_end = 0;
+  /// Membership changes that took effect. A retire is refused when the
+  /// group has no drained standby (CfsCluster::PickDemotable).
+  int standbys_added = 0;
+  int standbys_retired = 0;
 
   bool violated() const noexcept { return !violations.empty(); }
 };

@@ -47,9 +47,6 @@ std::string SerializeSpec(const RunSpec& spec) {
   if (spec.client_cache) {
     out << "client_cache=1\n";
   }
-  if (spec.autoscale) {
-    out << "autoscale=1\n";
-  }
   for (const OpEntry& e : spec.ops) {
     out << "op " << e.client << " " << e.think << " " << OpKindName(e.op.kind)
         << " " << e.op.path;
@@ -126,8 +123,6 @@ Result<RunSpec> ParseSpec(const std::string& text) {
           spec.standby_reads = std::stoi(value) != 0;
         } else if (key == "client_cache") {
           spec.client_cache = std::stoi(value) != 0;
-        } else if (key == "autoscale") {
-          spec.autoscale = std::stoi(value) != 0;
         } else if (key == "warmup_us") {
           spec.warmup = std::stoll(value);
         } else if (key == "run_us") {

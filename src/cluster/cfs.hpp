@@ -160,9 +160,10 @@ class CfsCluster {
 
   // --- membership API -----------------------------------------------------
   //
-  // Typed elastic-membership surface. Scenario commands, tests, and the
-  // Autoscaler all go through these four calls; nothing outside CfsCluster
-  // reaches into the member vectors to mutate group composition.
+  // Typed elastic-membership surface. Scenario commands, the checker's
+  // membership faults and tests all go through these four calls; nothing
+  // outside CfsCluster reaches into the member vectors to mutate group
+  // composition.
 
   /// One row of a group-membership snapshot. `role` is the member's *local*
   /// role (kDown when the process is not running), which can briefly differ
@@ -232,8 +233,7 @@ class CfsCluster {
 
   /// The standby RemoveStandby(g) would retire right now, or null when no
   /// standby is safely demotable (none drained, or the group has no settled
-  /// active). Exposed so the Autoscaler can check before acting and tests
-  /// can assert on the demotion policy.
+  /// active). Exposed so tests can assert on the demotion policy.
   core::MdsServer* PickDemotable(GroupId g, NodeId id = kInvalidNode) {
     const NodeId active_id = coord_.frontend().PeekView(g).FindActive();
     if (active_id == kInvalidNode) return nullptr;  // mid-failover: hands off

@@ -4,7 +4,6 @@
 #include <cstdio>
 #include <sstream>
 
-#include "cluster/autoscaler.hpp"
 #include "workload/load_engine.hpp"
 
 namespace mams::cluster {
@@ -252,11 +251,6 @@ void ScenarioRunner::RegisterBuiltins() {
   add("print-view", "print-view <group>",
       "Prints the group's coordination view row, lock and fence.",
       [this](const std::vector<std::string>& a) { return CmdPrintView(a); });
-  add("autoscale",
-      "autoscale on|off [period=500ms] [min=N] [max=N] [capacity=R] "
-      "[up=U] [down=U] [breach=N] [cooldown=D] [park_bounce=R]",
-      "Starts or stops the elastic standby controller on the cluster.",
-      [this](const std::vector<std::string>& a) { return CmdAutoscale(a); });
   add("load",
       "load open [rate=R] [flash_mult=M] [flash_start=D] [flash_len=D] "
       "[create=F] [think=D] [dirs=N] [ops=N] [hot_group=G] [hot_weight=W] "
@@ -361,9 +355,8 @@ Status ScenarioRunner::CmdCluster(const std::vector<std::string>& args) {
       return Status::InvalidArgument("unknown cluster option: " + key);
     }
   }
-  // Re-running `cluster` rebuilds the world: drop the controllers first,
-  // they reference the old cluster.
-  autoscaler_.reset();
+  // Re-running `cluster` rebuilds the world: drop the load engine first,
+  // it references the old cluster.
   load_.reset();
   cluster_.reset();
   net_.reset();

@@ -22,9 +22,9 @@
 // Every command is registered once, in RegisterBuiltins, in a name-ordered
 // table (name -> usage + help + handler): `help` lists the table and an
 // unknown command suggests its nearest neighbour. The fault, membership
-// and elastic commands (`autoscale`, `load`, `slow-disk`, `asymmetry`,
-// `add-standby`, `remove-standby`, `promote`, `expect-standbys`,
-// `expect-metric`) are implemented in scenario_commands.cpp.
+// and load commands (`load`, `slow-disk`, `asymmetry`, `add-standby`,
+// `remove-standby`, `promote`, `expect-standbys`, `expect-metric`) are
+// implemented in scenario_commands.cpp.
 //
 // The runner executes commands sequentially, pumping the simulator as
 // needed; failed expectations are collected (not thrown) so a scenario
@@ -47,8 +47,6 @@ class LoadEngine;
 }  // namespace mams::workload
 
 namespace mams::cluster {
-
-class Autoscaler;
 
 struct ScenarioRunnerOptions {
   bool echo = false;  ///< print each command + outcome to stdout
@@ -141,7 +139,6 @@ class ScenarioRunner {
   Status CmdExpectProbesClean(const std::vector<std::string>& args);
   Status CmdPrintView(const std::vector<std::string>& args);
   // scenario_commands.cpp
-  Status CmdAutoscale(const std::vector<std::string>& args);
   Status CmdLoad(const std::vector<std::string>& args);
   Status CmdSlowDisk(const std::vector<std::string>& args);
   Status CmdAsymmetry(const std::vector<std::string>& args);
@@ -156,9 +153,8 @@ class ScenarioRunner {
   std::unique_ptr<sim::Simulator> sim_;
   std::unique_ptr<net::Network> net_;
   std::unique_ptr<CfsCluster> cluster_;
-  // Both reference the cluster: declared after it so they die first, and
-  // reset before it on a `cluster` rebuild.
-  std::unique_ptr<Autoscaler> autoscaler_;
+  // References the cluster: declared after it so it dies first, and reset
+  // before it on a `cluster` rebuild.
   std::unique_ptr<workload::LoadEngine> load_;
   std::vector<std::string> failures_;
   std::vector<std::string> log_;

@@ -1,68 +1,12 @@
-// ScenarioRunner's elastic and membership commands: the autoscaler, open-loop
-// load, gray and directional faults, typed membership changes, and metric
-// expectations. RegisterBuiltins registers them with the other builtins.
+// ScenarioRunner's load and membership commands: open-loop load, gray and
+// directional faults, typed membership changes, and metric expectations.
+// RegisterBuiltins registers them with the other builtins.
 #include <memory>
 
-#include "cluster/autoscaler.hpp"
 #include "cluster/scenario.hpp"
 #include "workload/load_engine.hpp"
 
 namespace mams::cluster {
-
-Status ScenarioRunner::CmdAutoscale(const std::vector<std::string>& args) {
-  if (args.empty()) {
-    return Status::InvalidArgument("autoscale on|off [key=value...]");
-  }
-  if (!RequireCluster("autoscale")) return Status::Ok();
-  if (args[0] == "off") {
-    if (!autoscaler_) {
-      Fail("autoscale off: autoscaler is not running");
-      return Status::Ok();
-    }
-    autoscaler_->Stop();
-    const auto& st = autoscaler_->stats();
-    Note("autoscale off: " + std::to_string(st.scale_ups) + " up, " +
-         std::to_string(st.scale_downs) + " down, " +
-         std::to_string(st.ticks) + " ticks");
-    return Status::Ok();
-  }
-  if (args[0] != "on") {
-    return Status::InvalidArgument("autoscale on|off [key=value...]");
-  }
-  AutoscalerOptions opts;
-  for (std::size_t i = 1; i < args.size(); ++i) {
-    std::string key, value;
-    if (!KeyValue(args[i], key, value)) {
-      return Status::InvalidArgument("expected key=value, got " + args[i]);
-    }
-    if (key == "period" || key == "cooldown") {
-      auto d = ParseDuration(value);
-      if (!d.ok()) return d.status();
-      (key == "period" ? opts.evaluate_period : opts.cooldown) = d.value();
-    } else if (key == "min" || key == "max" || key == "breach") {
-      auto n = ParseInt(value);
-      if (!n.ok()) return n.status();
-      if (key == "min") opts.min_standbys = n.value();
-      else if (key == "max") opts.max_standbys = n.value();
-      else opts.breach_ticks = n.value();
-    } else if (key == "capacity" || key == "up" || key == "down" ||
-               key == "park_bounce") {
-      auto x = ParseDouble(value);
-      if (!x.ok()) return x.status();
-      if (key == "capacity") opts.reads_per_standby_capacity = x.value();
-      else if (key == "up") opts.scale_up_utilization = x.value();
-      else if (key == "down") opts.scale_down_utilization = x.value();
-      else opts.park_bounce_rate_up = x.value();
-    } else {
-      return Status::InvalidArgument("unknown autoscale option: " + key);
-    }
-  }
-  autoscaler_ = std::make_unique<Autoscaler>(*cluster_, opts);
-  autoscaler_->Start();
-  Note("autoscale on: min=" + std::to_string(opts.min_standbys) +
-       " max=" + std::to_string(opts.max_standbys));
-  return Status::Ok();
-}
 
 Status ScenarioRunner::CmdLoad(const std::vector<std::string>& args) {
   if (args.empty()) {

@@ -4,8 +4,8 @@
 // script text). The library is the unit the nightly sweep iterates:
 // every scenario must hold its invariants across any seed.
 //
-//   flash_crowd     — open-loop flash crowd slams one group; the
-//                     autoscaler grows it while the cold group stays put.
+//   flash_crowd     — open-loop flash crowd slams one group; it grows by
+//                     one standby under load while the cold group stays put.
 //   rolling_upgrade — restart every member one at a time, active last;
 //                     no data loss, full strength after each step.
 //   rack_failure    — correlated loss of one member + its co-hosted pool

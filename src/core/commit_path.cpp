@@ -127,7 +127,7 @@ void CommitPath::OnBatchSealed(journal::Batch batch, std::vector<char> bytes) {
   // per-standby overhead Figure 5 quantifies (~4% per added standby on
   // transactional ops). Sends already queued go out even if the tenure ends
   // first; receivers fence them.
-  const OpCosts& costs = s_.options().costs;
+  const OpCosts& costs = kOpCosts;
   const auto per_target =
       costs.sync_cpu_base +
       static_cast<SimTime>(static_cast<double>(bytes.size()) /

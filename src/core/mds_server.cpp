@@ -371,7 +371,7 @@ void MdsServer::HandleClientRequest(const net::Envelope&,
 void MdsServer::ProcessClientRequest(const RequestPtr& req,
                                      const ReplyFn& reply) {
   m_.cpu_wait_ns->Record(CpuBacklog());
-  AfterLocal(ChargeCpu(OpCost(options_.costs, req->op)), [this, req, reply] {
+  AfterLocal(ChargeCpu(OpCost(req->op)), [this, req, reply] {
     if (!commit_) {
       ReplyStatus(reply, Status::Unavailable("not active"));
       return;
@@ -680,7 +680,7 @@ void MdsServer::RegisterHandlers() {
   });
   OnRequest(net::kBlockReport, [this](auto&, auto& msg, auto& reply) {
     const auto& report = net::Cast<BlockReportMsg>(msg);
-    const SimTime cost = options_.costs.block_report_per_1k *
+    const SimTime cost = kOpCosts.block_report_per_1k *
                          static_cast<SimTime>(1 + report.EffectiveCount() / 1000);
     AfterLocal(ChargeCpu(cost), [this, msg, reply] {
       const auto& rep = net::Cast<BlockReportMsg>(msg);

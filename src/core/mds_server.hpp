@@ -87,7 +87,7 @@ class MdsServer : public net::Host {
   /// rejoining rides Restart() -> junior -> renewing like any admission.
   void Retire();
 
-  /// Elastic scale-up nudge: the autoscaler runs the renew scan right after
+  /// Elastic scale-up nudge: CfsCluster runs the renew scan right after
   /// admitting a junior, so promotion takes one RPC round, not one scan
   /// period. No-op unless this server is the active.
   void KickRenewScan() {
@@ -95,7 +95,7 @@ class MdsServer : public net::Host {
   }
 
   /// Reads currently parked on this standby waiting for a journal batch
-  /// (the autoscaler's "drained" criterion for demotion candidates).
+  /// (CfsCluster's "drained" criterion for demotion candidates).
   std::size_t parked_read_count() const noexcept {
     return reads_->parked_count();
   }

@@ -72,7 +72,8 @@ void FillRead(const fsns::Tree& tree, const ClientRequestMsg& req,
   }
 }
 
-SimTime OpCost(const OpCosts& c, ClientOp op) {
+SimTime OpCost(ClientOp op) {
+  const OpCosts& c = kOpCosts;
   switch (op) {
     case ClientOp::kCreate: return c.create;
     case ClientOp::kMkdir: return c.mkdir;

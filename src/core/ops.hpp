@@ -20,6 +20,6 @@ void FillRead(const fsns::Tree& tree, const ClientRequestMsg& req,
               ClientResponseMsg& resp);
 
 /// CPU service time of `op` at a namespace server, before journaling.
-SimTime OpCost(const OpCosts& costs, ClientOp op);
+SimTime OpCost(ClientOp op);
 
 }  // namespace mams::core

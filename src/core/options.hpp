@@ -11,10 +11,11 @@
 
 namespace mams::core {
 
+/// Pure CPU service time per operation at a metadata server (MAMS and the
+/// baselines alike), before journaling/synchronization. Calibrated so a
+/// single server sustains on the order of 10^4 metadata ops/s, as
+/// HDFS-class namenodes do. A constant: kOpCosts is the only instance.
 struct OpCosts {
-  // Pure CPU service time per operation at the metadata server, before
-  // journaling/synchronization. Calibrated so a single server sustains on
-  // the order of 10^4 metadata ops/s, as HDFS-class namenodes do.
   SimTime create = 45 * kMicrosecond;
   SimTime mkdir = 55 * kMicrosecond;
   SimTime remove = 60 * kMicrosecond;
@@ -28,6 +29,7 @@ struct OpCosts {
   SimTime sync_cpu_base = 25 * kMicrosecond;
   double sync_bytes_per_sec = 500.0e6;
 };
+inline constexpr OpCosts kOpCosts{};
 
 /// Deliberate-fault switches for the checker's mutation self-tests
 /// (tests/check_test.cpp): each hook disables one safety mechanism so the
@@ -107,8 +109,6 @@ struct MdsOptions {
   /// benches emulate the paper's multi-GB images without materializing
   /// millions of inodes (EXPERIMENTS.md, "image scaling"). 1 = honest.
   double image_inflation = 1.0;
-
-  OpCosts costs;
 
   /// Session-consistent read offload to standbys (off by default; the
   /// paper's active serves all client traffic).

@@ -96,7 +96,7 @@ void ReadService::HandleStandbyRead(const RequestPtr& req,
 
 void ReadService::ServeStandbyRead(const RequestPtr& req,
                                    const ReplyFn& reply) {
-  const SimTime cost = OpCost(s_.options().costs, req->op);
+  const SimTime cost = OpCost(req->op);
   s_.m().cpu_wait_ns->Record(s_.CpuBacklog());
   s_.AfterLocal(s_.ChargeCpu(cost), [this, req, reply] {
     // Re-check: the role may have flipped while the read queued on the CPU.

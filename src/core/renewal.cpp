@@ -167,8 +167,11 @@ void Renewal::HandleCommand(const net::MessagePtr& msg) {
       {{"from_sn", static_cast<std::uint64_t>(last)},
        {"target_sn", static_cast<std::uint64_t>(cmd.active_sn)}});
 
+  // A fresh junior (last == 0) takes the image even when it sits at sn 0:
+  // a setup checkpoint of a preloaded namespace holds state that no
+  // journal record carries.
   const bool use_image =
-      !cmd.image_file.empty() && cmd.image_sn > last &&
+      !cmd.image_file.empty() && (cmd.image_sn > last || last == 0) &&
       (last == 0 || cmd.active_sn - last > s_.options().image_gap_threshold);
   if (use_image && cursor_.image_file != cmd.image_file) {
     cursor_.mode = RenewMode::kImageFirst;

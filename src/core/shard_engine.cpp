@@ -636,7 +636,7 @@ void ShardEngine::HandleTransfer(const net::MessagePtr& msg,
                                  const ReplyFn& reply) {
   auto req = std::static_pointer_cast<const ShardTransferMsg>(msg);
   // Applying a chunk costs CPU like the equivalent client writes would.
-  const SimTime cost = s_.options().costs.create *
+  const SimTime cost = kOpCosts.create *
                        static_cast<SimTime>(1 + req->records.size() / 4);
   s_.AfterLocal(s_.ChargeCpu(cost), [this, req, reply] {
     auto ack = [&reply](bool ok, const char* why) {
@@ -793,10 +793,9 @@ void ShardEngine::HandleControl(const net::MessagePtr& msg,
   }
   if (ctl->kind == ShardControlKind::kTxCommit) {
     // The peer's half costs what the op itself costs.
-    const OpCosts& costs = s_.options().costs;
     const bool dir =
         ctl->install.front().op == journal::OpCode::kShardInstallDir;
-    s_.AfterLocal(s_.ChargeCpu(dir ? costs.mkdir : costs.rename),
+    s_.AfterLocal(s_.ChargeCpu(dir ? kOpCosts.mkdir : kOpCosts.rename),
                   [this, ctl, reply] { HandleTxCommit(ctl, reply); });
     return;
   }

@@ -399,13 +399,48 @@ TEST(FuzzerTest, ReplayIsDeterministic) {
 }
 
 TEST(ReproTest, SerializeParseRoundTrip) {
-  RunSpec spec = MakeSpec(5);
+  FuzzProfile profile;
+  profile.membership_changes = 2;
+  RunSpec spec = MakeSpec(5, profile);
   spec.mutation = Mutation::kNoSnDedup;
   spec.standby_reads = true;
   const std::string text = SerializeSpec(spec);
+  EXPECT_NE(text.find("\nfault add_standby "), std::string::npos);
+  EXPECT_NE(text.find("\nfault retire_standby "), std::string::npos);
   const Result<RunSpec> parsed = ParseSpec(text);
   ASSERT_TRUE(parsed.ok()) << parsed.status().message();
   EXPECT_EQ(SerializeSpec(parsed.value()), text);
+}
+
+int MembershipChanges(const RunSpec& spec) {
+  int n = 0;
+  for (const FaultAction& f : spec.faults) {
+    n += f.kind == FaultAction::Kind::kAddStandby ||
+                 f.kind == FaultAction::Kind::kRetireStandby
+             ? 1
+             : 0;
+  }
+  return n;
+}
+
+TEST(ShrinkTest, DropsMembershipChangesTheViolationDoesNotNeed) {
+  // Membership changes are ordinary fault actions, so the shrinker can
+  // drop them. A violation from the sn_dedup mutation does not need them.
+  FuzzProfile profile;
+  profile.membership_changes = 2;
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    RunSpec spec = MakeSpec(seed, profile);
+    spec.mutation = Mutation::kNoSnDedup;
+    ASSERT_EQ(MembershipChanges(spec), 2);
+    if (!RunSpecOnce(spec).violated()) continue;
+    ShrinkOptions opts;
+    opts.max_runs = 40;
+    const ShrinkResult shrunk = Shrink(spec, opts);
+    ASSERT_TRUE(shrunk.result.violated()) << "seed " << seed;
+    EXPECT_LT(MembershipChanges(shrunk.spec), 2) << "seed " << seed;
+    return;
+  }
+  FAIL() << "no sn_dedup violation in seeds 1..20";
 }
 
 TEST(ReproTest, MalformedInputIsRejected) {
@@ -434,7 +469,10 @@ struct Regression {
   const char* spec;  ///< a shrunk .repro as mams_check wrote it
 };
 
-// Each schedule violated before the fix its comment names.
+// Each schedule violated before the fix its comment names. The elastic
+// schedules were shrunk when a load-driven controller changed membership;
+// in each it acted once, retiring group 0's standby at 0.75 s, which the
+// `retire_standby` fault now states explicitly.
 const Regression kRegressions[] = {
     // elastic seed 445: the new active, cut off from every peer and the pool,
     // completed a batch on timeouts alone and acked a client's resend of it
@@ -451,8 +489,8 @@ standby_reads=1
 warmup_us=2000000000
 run_us=30000000000
 quiesce_us=45000000000
-autoscale=1
 op 3 3994000000 create /fuzz/c3/d0/f1
+fault retire_standby 750000000 0 0 0
 fault crash 2391269721 0 7058000000 0
 fault crash 6539049921 2 2464000000 0
 fault crash_pool 7719829003 0 7511000000 0
@@ -472,7 +510,6 @@ standby_reads=1
 warmup_us=2000000000
 run_us=30000000000
 quiesce_us=45000000000
-autoscale=1
 op 3 1745000000 stat /fuzz/c3
 op 3 3688000000 stat /fuzz/c3
 op 3 2809000000 create /fuzz/c3/d0/f0
@@ -480,6 +517,7 @@ op 3 1960000000 list /fuzz/c3/d2
 op 3 3835000000 stat /fuzz/c3/d0/f0
 op 3 2136000000 stat /fuzz/c3/d0/f0
 op 3 3614000000 stat /fuzz/c3/d0/f0
+fault retire_standby 750000000 0 0 0
 fault crash_active 4095121193 0 3035000000 0
 fault crash 8679301750 2 3437000000 0
 fault cut 15866594171 0 4024000000 0
@@ -498,7 +536,6 @@ standby_reads=1
 warmup_us=2000000000
 run_us=30000000000
 quiesce_us=45000000000
-autoscale=1
 op 2 1950000 create /fuzz/c2/d1/f0
 op 3 2468000000 create /fuzz/c3/d0/f0
 op 2 1961000 stat /fuzz/c2/d1/f0
@@ -518,6 +555,7 @@ op 2 1236000 create /fuzz/c2/d1/f3
 op 0 1160000 stat /fuzz/c0/d0/f1
 op 1 1884000 stat /fuzz/c1/d0/f0
 op 2 786000 stat /fuzz/c2/d1/f3
+fault retire_standby 750000000 0 0 0
 fault crash 3753465347 0 4954000000 0
 fault cut 20702499591 0 6118000000 0
 fault crash_active 20748288059 0 5598000000 0
@@ -725,6 +763,38 @@ TEST(RenameDeleteStormSweepTest, StormsAcrossFailoverStayLinearizable) {
         << "seed " << seed << ": "
         << FormatViolation(result.history, result.violations[0]);
   }
+}
+
+// --- elastic membership under faults -----------------------------------------
+
+TEST(ElasticSweepTest, MembershipFaultsFifteenSeedsClean) {
+  // The elastic profile's shaping: standbys are admitted and retired all
+  // through the op/fault phase, interleaved with the random fault schedule,
+  // and every seed must stay linearizable and divergence-free.
+  FuzzProfile profile;
+  profile.clients = 4;
+  profile.ops_per_client = 25;
+  profile.standby_reads = true;
+  profile.membership_changes = 6;
+  profile.hot_clients = true;
+  profile.mix.create = 0.20;
+  profile.mix.remove = 0.05;
+  profile.mix.getfileinfo = 0.55;
+  profile.mix.listdir = 0.20;
+  int added = 0;
+  int retired = 0;
+  for (std::uint64_t seed = 1; seed <= 15; ++seed) {
+    const RunSpec spec = MakeSpec(seed, profile);
+    const RunResult result = RunSpecOnce(spec);
+    EXPECT_FALSE(result.violated())
+        << "seed " << seed << ": "
+        << FormatViolation(result.history, result.violations[0]);
+    added += result.standbys_added;
+    retired += result.standbys_retired;
+  }
+  // The sweep exercised both directions, not just refused retirements.
+  EXPECT_GE(added, 1);
+  EXPECT_GE(retired, 1);
 }
 
 }  // namespace

@@ -313,6 +313,43 @@ TEST_F(ClusterTest, DynamicBackupAdditionAtRuntime) {
   EXPECT_NE(cluster_->FindActive(0), nullptr);
 }
 
+TEST_F(ClusterTest, DemoteOnlyWhenDrainedAndNeverTheActive) {
+  Build(1, 2, /*seed=*/3);
+  Run(kSecond);
+  core::MdsServer* active = cluster_->FindActive(0);
+  ASSERT_NE(active, nullptr);
+
+  // A converged group: any standby is demotable, the active never is.
+  core::MdsServer* pick = cluster_->PickDemotable(0);
+  ASSERT_NE(pick, nullptr);
+  EXPECT_NE(pick, active);
+  EXPECT_EQ(pick->role(), ServerState::kStandby);
+
+  // Naming the active explicitly must refuse, not retire it.
+  EXPECT_FALSE(cluster_->RemoveStandby(0, active->id()).ok());
+  EXPECT_TRUE(active->alive());
+  EXPECT_EQ(cluster_->CountRole(0, ServerState::kStandby), 2);
+
+  // Cut one standby's cable and commit writes past it: the lagging
+  // replica must not be demoted (retiring it would be harmless, but the
+  // policy is to shed only fully caught-up capacity).
+  core::MdsServer* lagging = nullptr;
+  for (const auto& m : cluster_->Members(0)) {
+    if (m.role == ServerState::kStandby) {
+      lagging = m.server;
+      break;
+    }
+  }
+  ASSERT_NE(lagging, nullptr);
+  net_->SetLinkUp(lagging->id(), false);
+  ASSERT_TRUE(CreateFile("/after/cut1").ok());
+  ASSERT_TRUE(CreateFile("/after/cut2").ok());
+  pick = cluster_->PickDemotable(0);
+  ASSERT_NE(pick, nullptr);
+  EXPECT_NE(pick->id(), lagging->id());
+  net_->SetLinkUp(lagging->id(), true);
+}
+
 TEST_F(ClusterTest, BlockReportsReachActiveAndStandbys) {
   Build(1, 2);
   cluster_->data_server(0).AddBlock(101);

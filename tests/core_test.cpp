@@ -95,6 +95,48 @@ TEST_F(CoreTest, JuniorUsesImageWhenLagIsLarge) {
   EXPECT_TRUE(added.tree().Exists("/img/f0"));
 }
 
+TEST_F(CoreTest, StandbyAddedToAPreloadedGroupRenewsFromTheSetupImage) {
+  // A preloaded namespace reaches the pool only through the setup
+  // checkpoint, at sn 0; no journal record carries it. A fresh junior is
+  // also at sn 0, and must still take the image, or it renews into a
+  // standby that lacks every preloaded file.
+  cluster::CfsConfig cfg;
+  cfg.groups = 1;
+  cfg.standbys_per_group = 1;
+  cfg.clients = 1;
+  cfg.data_servers = 1;
+  cfg.mds.checkpoint_interval = 3600 * kSecond;  // only the forced one
+  Build(cfg);
+  constexpr int kFiles = 100;
+  cfs_->PreloadGroup(0, [](fsns::Tree& tree) {
+    for (int i = 0; i < kFiles; ++i) {
+      ClientOpId none{};
+      (void)tree.Create("/pre/f" + std::to_string(i), 3, 0, none);
+    }
+  });
+  MdsServer* active = cfs_->FindActive(0);
+  ASSERT_NE(active, nullptr);
+  active->CheckpointNow();
+  auto image_in_pool = [&] {
+    for (int p = 0; p < 2; ++p) {  // one pool node per member
+      if (!cfs_->pool_node(p).store().List("g0/image-").empty()) return true;
+    }
+    return false;
+  };
+  ASSERT_TRUE(testutil::WaitFor(*sim_, image_in_pool, 10 * kSecond));
+  Run(2 * kSecond);  // the last chunk lands and the image is advertised
+
+  auto& added = cfs_->AddStandby(0);
+  Run(30 * kSecond);
+  ASSERT_EQ(added.role(), ServerState::kStandby);
+  int present = 0;
+  for (int i = 0; i < kFiles; ++i) {
+    present += added.tree().Exists("/pre/f" + std::to_string(i)) ? 1 : 0;
+  }
+  EXPECT_EQ(present, kFiles);
+  EXPECT_EQ(added.tree().Fingerprint(), active->tree().Fingerprint());
+}
+
 TEST_F(CoreTest, DeposedActiveIsFencedByStandbys) {
   cluster::CfsConfig cfg;
   cfg.groups = 1;

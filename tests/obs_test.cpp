@@ -11,7 +11,6 @@
 #include <string>
 #include <vector>
 
-#include "cluster/autoscaler.hpp"
 #include "cluster/cfs.hpp"
 #include "coord/state_machine.hpp"
 #include "metrics/series.hpp"
@@ -279,9 +278,6 @@ std::string Family(const std::string& name) {
     if (name.starts_with(prefix)) return prefix + "<type>";
   }
   if (name.starts_with("mds.last_sn.")) return "mds.last_sn.<node>";
-  if (name.starts_with("autoscaler.g")) {
-    return "autoscaler.g<g>" + name.substr(name.find('.', 11));
-  }
   return name;
 }
 
@@ -311,9 +307,7 @@ TEST(MetricCatalogueTest, DocumentsExactlyWhatAClusterRegisters) {
   cfg.client.read_routing = ReadRouting::kRoundRobinStandby;
   cfg.client.cache.enabled = true;
   CfsCluster cfs(net, cfg);
-  Autoscaler scaler(cfs);
   cfs.Start();
-  scaler.Start();
   sim.RunUntil(sim.Now() + kSecond);
   for (int i = 0; i < 8; ++i) {
     const std::string path = "/cat/d" + std::to_string(i) + "/f";

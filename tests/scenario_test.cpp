@@ -128,7 +128,7 @@ TEST(ScenarioRegistryTest, HelpListsCommandsAndExplainsOne) {
   EXPECT_TRUE(runner.Run("help\n").ok());
   EXPECT_TRUE(runner.Run("help crash-active\n").ok());
   // The elastic commands are builtins: no registration step is needed.
-  EXPECT_TRUE(runner.Run("help autoscale\n").ok());
+  EXPECT_TRUE(runner.Run("help add-standby\n").ok());
   EXPECT_TRUE(runner.Run("help expect-metric\n").ok());
   // help for an unknown command is an error, with the same suggestion.
   Status s = runner.Run("help crash-actve\n");

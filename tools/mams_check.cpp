@@ -81,10 +81,10 @@ void Usage() {
       "                     replicas replay multi-record batches of\n"
       "                     dependent records; cache turns on the\n"
       "                     lease-protected client cache with a\n"
-      "                     mutation-heavy shared tree; elastic runs an\n"
-      "                     aggressive autoscaler\n"
-      "                     (with standby reads) so membership changes\n"
-      "                     interleave with the fault schedule\n"
+      "                     mutation-heavy shared tree; elastic adds six\n"
+      "                     membership changes per seed (add_standby and\n"
+      "                     retire_standby faults, with standby reads) to\n"
+      "                     the fault schedule\n"
       "  --no-shrink        skip schedule shrinking on violation\n"
       "  --shrink-runs N    shrink rerun budget (default 200)\n"
       "  --out-dir DIR      where .repro files go (default .)\n"
@@ -275,13 +275,12 @@ int Sweep(const Args& args) {
     profile.mix.getfileinfo = 0.30;
     profile.mix.listdir = 0.20;
   } else if (args.profile == "elastic") {
-    // Elastic membership as a fault-schedule ingredient: an aggressive
-    // autoscaler promotes, admits, and retires standbys all through the
-    // op/fault phase while crashes and flaps land on the same members.
-    // Standby reads are on so read routing chases the moving membership,
-    // and a read-heavy mix gives the controller a real signal to act on.
+    // Elastic membership as a fault-schedule ingredient: standbys are
+    // admitted and retired all through the op/fault phase while crashes
+    // and flaps land on the same members. Standby reads are on and the mix
+    // is read-heavy, so read routing chases the moving membership.
     profile.standby_reads = true;
-    profile.autoscale = true;
+    profile.membership_changes = 6;
     profile.hot_clients = true;
     profile.clients = std::max(args.clients, 4);
     profile.mix.create = 0.20;
@@ -294,6 +293,8 @@ int Sweep(const Args& args) {
   const int count = args.single_seed ? 1 : args.seeds;
   int violated_seeds = 0;
   std::uint64_t total_events = 0;
+  int standbys_added = 0;
+  int standbys_retired = 0;
   for (int i = 0; i < count; ++i) {
     const std::uint64_t seed = base + static_cast<std::uint64_t>(i);
     RunSpec spec = MakeSpec(seed, profile);
@@ -308,6 +309,8 @@ int Sweep(const Args& args) {
       continue;
     }
     total_events += result.history.size();
+    standbys_added += result.standbys_added;
+    standbys_retired += result.standbys_retired;
     if (args.verbose) {
       std::printf("seed %llu: %zu events, %llu states, %s\n",
                   static_cast<unsigned long long>(seed),
@@ -355,6 +358,10 @@ int Sweep(const Args& args) {
       "%d/%d seeds violated (mutation=%s, %llu history events total)\n",
       violated_seeds, count, MutationName(args.mutation),
       static_cast<unsigned long long>(total_events));
+  if (profile.membership_changes > 0) {
+    std::printf("membership changes: %d standbys added, %d retired\n",
+                standbys_added, standbys_retired);
+  }
   return violated_seeds > 0 ? 1 : 0;
 }
 
