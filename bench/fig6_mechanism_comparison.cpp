@@ -70,9 +70,9 @@ double RunBackupNode(std::uint64_t seed) {
 double RunAvatar(std::uint64_t seed) {
   sim::Simulator sim(seed);
   net::Network net(sim);
-  baselines::AvatarSystem::Options opts;
+  baselines::SharedEditsSystem::Options opts;
   opts.clients = kClients;
-  baselines::AvatarSystem sys(net, opts);
+  baselines::SharedEditsSystem sys(net, baselines::kAvatar, opts);
   sim.RunUntil(sim.Now() + 500 * kMillisecond);
   return MeasureMixed(
       sim, [&](int c) { return workload::MakeApi(sys.client(c)); }, seed);
@@ -81,9 +81,9 @@ double RunAvatar(std::uint64_t seed) {
 double RunHadoopHa(std::uint64_t seed) {
   sim::Simulator sim(seed);
   net::Network net(sim);
-  baselines::HadoopHaSystem::Options opts;
+  baselines::SharedEditsSystem::Options opts;
   opts.clients = kClients;
-  baselines::HadoopHaSystem sys(net, opts);
+  baselines::SharedEditsSystem sys(net, baselines::kHadoopHa, opts);
   sim.RunUntil(sim.Now() + 500 * kMillisecond);
   return MeasureMixed(
       sim, [&](int c) { return workload::MakeApi(sys.client(c)); }, seed);

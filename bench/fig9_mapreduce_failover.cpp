@@ -75,9 +75,7 @@ JobResult RunCfs(std::uint64_t seed, bool inject_failure) {
 JobResult RunBoom(std::uint64_t seed, bool inject_failure) {
   sim::Simulator sim(seed);
   net::Network net(sim);
-  baselines::BoomFsSystem::Options opts;
-  opts.clients = 1;
-  baselines::BoomFsSystem boom(net, opts);
+  baselines::BoomFsSystem boom(net, /*clients=*/1);
   sim.RunUntil(sim.Now() + kSecond);
 
   workload::MapReduceJob job(sim, workload::MakeApi(boom.client(0)), {}, seed);

@@ -96,11 +96,11 @@ double AvatarTrial(int image_mb, std::uint64_t seed) {
   (void)image_mb;  // flat: dual block reports + shared edits keep it warm
   sim::Simulator sim(seed);
   net::Network net(sim);
-  baselines::AvatarSystem::Options opts;
+  baselines::SharedEditsSystem::Options opts;
   opts.clients = 2;
   opts.client.max_attempts = 1;
   opts.client.rpc_timeout = kSecond;
-  baselines::AvatarSystem sys(net, opts);
+  baselines::SharedEditsSystem sys(net, baselines::kAvatar, opts);
   sim.RunUntil(sim.Now() + kSecond);
   return MeasureMttr(
       sim, [&] { return workload::MakeApi(sys.client(0)); },
@@ -111,11 +111,11 @@ double HadoopHaTrial(int image_mb, std::uint64_t seed) {
   (void)image_mb;  // flat: standby tails the quorum journal continuously
   sim::Simulator sim(seed);
   net::Network net(sim);
-  baselines::HadoopHaSystem::Options opts;
+  baselines::SharedEditsSystem::Options opts;
   opts.clients = 2;
   opts.client.max_attempts = 1;
   opts.client.rpc_timeout = kSecond;
-  baselines::HadoopHaSystem sys(net, opts);
+  baselines::SharedEditsSystem sys(net, baselines::kHadoopHa, opts);
   sim.RunUntil(sim.Now() + kSecond);
   return MeasureMttr(
       sim, [&] { return workload::MakeApi(sys.client(0)); },

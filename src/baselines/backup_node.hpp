@@ -18,7 +18,6 @@
 #include "baselines/namenode_base.hpp"
 #include "net/message_types.hpp"
 #include "sim/simulator.hpp"
-#include "storage/disk.hpp"
 
 namespace mams::baselines {
 
@@ -39,12 +38,7 @@ class BackupNodePrimary : public NameNodeBase {
   void SetBackup(NodeId backup) { backup_ = backup; }
 
  protected:
-  bool Serving() const override { return alive(); }
-
   void PersistBatch(journal::Batch batch) override {
-    const auto bytes = static_cast<std::uint64_t>(batch.EncodedSize());
-    const SimTime start = std::max(sim().Now(), disk_free_at_);
-    disk_free_at_ = start + disk_.AppendCost(bytes);
     // Async stream to the backup: no ack awaited (the paper's "incorrect
     // states ... without consistency guarantee" risk).
     if (backup_ != kInvalidNode) {
@@ -53,18 +47,15 @@ class BackupNodePrimary : public NameNodeBase {
       msg->batch = batch;
       Send(backup_, msg);
     }
-    AfterLocal(disk_free_at_ - sim().Now(), [this, batch = std::move(batch)] {
-      CompleteBatch(batch);
-    });
+    NameNodeBase::PersistBatch(std::move(batch));  // the local edit log
   }
 
  private:
-  storage::DiskModel disk_;
-  SimTime disk_free_at_ = 0;
   NodeId backup_ = kInvalidNode;
 };
 
-/// The backup: replays the stream in memory; serves only after takeover.
+/// The backup: replays the stream in memory; serves only after takeover,
+/// then journals to its local edit log like a vanilla NameNode.
 class BackupNodeServer : public NameNodeBase {
  public:
   BackupNodeServer(net::Network& network, std::string name)
@@ -81,11 +72,6 @@ class BackupNodeServer : public NameNodeBase {
 
   /// Blocks (synthetic count) that must be re-collected before serving.
   void SetExpectedBlocks(std::uint64_t blocks) { expected_blocks_ = blocks; }
-
-  /// Recovery-time per-block processing charge (Table I's slope).
-  void SetRecoveryIngestCost(SimTime per_block) {
-    recovery_ingest_per_block_ = per_block;
-  }
 
   /// Called by the monitor when the primary is declared dead. `redirect`
   /// makes every data server send a full report to this node.
@@ -104,15 +90,9 @@ class BackupNodeServer : public NameNodeBase {
  protected:
   bool Serving() const override { return alive() && serving_; }
 
-  void PersistBatch(journal::Batch batch) override {
-    // Once promoted, the backup journals locally like a vanilla NN.
-    const auto bytes = static_cast<std::uint64_t>(batch.EncodedSize());
-    const SimTime start = std::max(sim().Now(), disk_free_at_);
-    disk_free_at_ = start + disk_.AppendCost(bytes);
-    AfterLocal(disk_free_at_ - sim().Now(), [this, batch = std::move(batch)] {
-      CompleteBatch(batch);
-    });
-  }
+  /// Recovery-time per-block processing charge: Table I's slope (fits its
+  /// 142.5 s at 1 GB).
+  static constexpr SimTime kRecoveryIngestPerBlock = 18 * kMicrosecond;
 
   /// Bills the full-scan recollection cost exactly once per data server —
   /// the first (full) report after takeover pays blocks x per-block cost;
@@ -121,7 +101,7 @@ class BackupNodeServer : public NameNodeBase {
     SimTime cost = NameNodeBase::BlockReportCost(report);
     if (taking_over_ && !recovery_charged_.contains(report.data_server)) {
       recovery_charged_.insert(report.data_server);
-      cost += recovery_ingest_per_block_ *
+      cost += kRecoveryIngestPerBlock *
               static_cast<SimTime>(report.EffectiveCount());
     }
     return cost;
@@ -158,8 +138,6 @@ class BackupNodeServer : public NameNodeBase {
     }
   }
 
-  storage::DiskModel disk_;
-  SimTime disk_free_at_ = 0;
   std::map<SerialNumber, journal::Batch> pending_;
   bool serving_ = false;
   bool taking_over_ = false;
@@ -167,7 +145,6 @@ class BackupNodeServer : public NameNodeBase {
   std::uint64_t ingested_blocks_ = 0;
   std::set<NodeId> recovery_charged_;
   std::set<NodeId> recovery_ingested_;
-  SimTime recovery_ingest_per_block_ = 18 * kMicrosecond;
 };
 
 /// Failure monitor: pings the primary; after `misses` consecutive silent

@@ -21,24 +21,13 @@
 
 namespace mams::baselines {
 
-struct BoomFsOptions {
-  /// Post-detection master promotion cost: log recovery, repair-action
-  /// decision, lease re-establishment. Centralized in Boom-FS (paper,
-  /// Related Work: "centralizing repair action decisions and state
-  /// transition ... leads to additional failover time").
-  SimTime master_promotion_delay = 12 * kSecond;
-};
-
 class BoomFsServer : public paxos::Replica {
  public:
-  BoomFsServer(net::Network& network, std::string name,
-               BoomFsOptions options = {})
-      : paxos::Replica(
-            network, std::move(name),
-            [this](paxos::InstanceId inst, const paxos::Value& v) {
-              ApplyLogEntry(inst, v);
-            }),
-        options_(options) {
+  BoomFsServer(net::Network& network, std::string name)
+      : paxos::Replica(network, std::move(name),
+                       [this](paxos::InstanceId inst, const paxos::Value& v) {
+                         ApplyLogEntry(inst, v);
+                       }) {
     OnRequest(net::kClientRequest,
               [this](const net::Envelope&, const net::MessagePtr& msg,
                      const ReplyFn& reply) { HandleClient(msg, reply); });
@@ -50,10 +39,17 @@ class BoomFsServer : public paxos::Replica {
   void SetMaster(bool master) { master_ = master; }
   bool master() const noexcept { return master_; }
 
+  /// Post-detection master promotion cost: log recovery, repair-action
+  /// decision, lease re-establishment. Centralized in Boom-FS (paper,
+  /// Related Work: "centralizing repair action decisions and state
+  /// transition ... leads to additional failover time"); fits Figure 9's
+  /// map gap.
+  static constexpr SimTime kMasterPromotionDelay = 12 * kSecond;
+
   /// Promotes this replica to master after the centralized repair delay.
   void Promote(std::function<void()> on_ready = nullptr) {
     if (master_ || !alive()) return;
-    AfterLocal(options_.master_promotion_delay,
+    AfterLocal(kMasterPromotionDelay,
                [this, on_ready = std::move(on_ready)] {
                  master_ = true;
                  if (on_ready) on_ready();
@@ -147,7 +143,6 @@ class BoomFsServer : public paxos::Replica {
     pending_.erase(it);
   }
 
-  BoomFsOptions options_;
   fsns::Tree tree_;
   bool master_ = false;
   std::uint64_t next_token_ = 0;

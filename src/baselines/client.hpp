@@ -1,9 +1,9 @@
 // Client for the baseline systems: a fixed, ordered list of server
 // addresses (primary first). On timeout or "not serving" the client
-// advances to the next address after a configurable backoff — modelling
-// HDFS's ConfiguredFailoverProxyProvider / client-side reconfiguration.
-// The backoff constant differs per system and contributes the
-// client-visible share of each baseline's MTTR.
+// advances to the next address after a backoff — modelling HDFS's
+// ConfiguredFailoverProxyProvider / client-side reconfiguration. The
+// backoff is a per-system constant that each assembly passes in; it
+// contributes the client-visible share of each baseline's MTTR.
 #pragma once
 
 #include <functional>
@@ -20,7 +20,6 @@ namespace mams::baselines {
 
 struct BaselineClientOptions {
   SimTime rpc_timeout = 2 * kSecond;
-  SimTime failover_backoff = kSecond;  ///< wait before trying the next NN
   int max_attempts = 240;
 };
 
@@ -29,11 +28,13 @@ class BaselineClient : public net::Host {
   using OpCallback = std::function<void(Status)>;
   using Observer = std::function<void(const cluster::OpOutcome&)>;
 
+  /// `failover_backoff` is the wait before trying the next server.
   BaselineClient(net::Network& network, std::string name,
-                 std::vector<NodeId> servers,
+                 std::vector<NodeId> servers, SimTime failover_backoff,
                  BaselineClientOptions options = {})
       : net::Host(network, std::move(name)),
         servers_(std::move(servers)),
+        failover_backoff_(failover_backoff),
         options_(options) {}
 
   void set_observer(Observer observer) { observer_ = std::move(observer); }
@@ -94,9 +95,9 @@ class BaselineClient : public net::Host {
     net::RpcPolicy policy;
     policy.attempt_timeout = options_.rpc_timeout;
     policy.max_attempts = options_.max_attempts + 1;  // last one is cancelled
-    policy.backoff_base = options_.failover_backoff;
+    policy.backoff_base = failover_backoff_;
     policy.backoff_multiplier = 1.0;
-    policy.backoff_cap = options_.failover_backoff;
+    policy.backoff_cap = failover_backoff_;
     net::RpcHooks hooks;
     hooks.cancelled = [this, state] {
       return state->outcome.attempts > options_.max_attempts;
@@ -145,6 +146,7 @@ class BaselineClient : public net::Host {
   }
 
   std::vector<NodeId> servers_;
+  SimTime failover_backoff_;
   BaselineClientOptions options_;
   std::size_t current_ = 0;
   std::uint64_t op_seq_ = 0;

@@ -3,20 +3,23 @@
 // Hadoop HA). Each baseline subclass decides
 //
 //   * Serving():     whether client requests are accepted right now
-//                    (safemode / standby / recovering return Unavailable),
+//                    (safemode / standby / recovering return Unavailable);
+//                    the default serves whenever the node is up,
 //   * PersistBatch(): what makes a journal batch durable (local disk, NFS
 //                    filer, quorum of journal nodes, backup stream) — the
-//                    cost of this path is exactly what Figure 6 measures.
+//                    cost of this path is exactly what Figure 6 measures;
+//                    the default is vanilla HDFS's local edit-log append.
 //
 // Recovery paths may also override BlockReportCost() and
 // OnBlockReportIngested(). The base owns the namespace tree, CPU model,
-// journal writer and block-report ingestion, and serves clients on the op
-// path MdsServer uses (core/ops.hpp): RecordFor and Tree::Execute for
-// mutations (a resend the tree remembers is answered without executing it
-// again), FillRead for reads, OpCost for CPU. A mutation is answered once
-// its batch is durable.
+// local edit-log disk, journal writer and block-report ingestion, and
+// serves clients on the op path MdsServer uses (core/ops.hpp): RecordFor
+// and Tree::Execute for mutations (a resend the tree remembers is answered
+// without executing it again), FillRead for reads, OpCost for CPU. A
+// mutation is answered once its batch is durable.
 #pragma once
 
+#include <algorithm>
 #include <map>
 #include <memory>
 #include <vector>
@@ -56,11 +59,19 @@ class NameNodeBase : public net::Host {
 
  protected:
   /// Whether this node currently accepts client operations.
-  virtual bool Serving() const = 0;
+  virtual bool Serving() const { return alive(); }
 
   /// Makes the batch durable per the baseline's redundancy scheme; the
   /// implementation must call CompleteBatch(batch) exactly once when done.
-  virtual void PersistBatch(journal::Batch batch) = 0;
+  /// The default appends it to the local sequential edit log (one disk arm).
+  virtual void PersistBatch(journal::Batch batch) {
+    const auto bytes = static_cast<std::uint64_t>(batch.EncodedSize());
+    disk_free_at_ =
+        std::max(sim().Now(), disk_free_at_) + disk_.AppendCost(bytes);
+    AfterLocal(disk_free_at_ - sim().Now(), [this, batch = std::move(batch)] {
+      CompleteBatch(batch);
+    });
+  }
 
   /// Hook: a block report was ingested (recovery paths count them).
   virtual void OnBlockReportIngested(const core::BlockReportMsg&) {}
@@ -187,6 +198,8 @@ class NameNodeBase : public net::Host {
   std::unique_ptr<journal::Writer> writer_;
   std::map<TxId, std::vector<ReplyFn>> pending_replies_;
   SimTime cpu_free_at_ = 0;
+  storage::DiskModel disk_;
+  SimTime disk_free_at_ = 0;
   std::uint64_t ops_served_ = 0;
   int inflight_batches_ = 0;
 };

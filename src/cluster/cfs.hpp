@@ -32,21 +32,22 @@ struct CfsConfig {
   int juniors_per_group = 0;   ///< cold backups booted as juniors
   int data_servers = 4;
   int clients = 4;
-  SimTime block_report_interval = 3 * kSecond;
   core::MdsOptions mds;        ///< per-server tunables (group id overridden)
   coord::CoordOptions coord;
   FsClientOptions client;
-  int coord_replicas = 3;
-  /// Stagger between booting actives and backups (deployment realism).
-  SimTime backup_boot_delay = 50 * kMillisecond;
 };
 
 class CfsCluster {
  public:
+  static constexpr int kCoordReplicas = 3;
+  static constexpr SimTime kBlockReportInterval = 3 * kSecond;
+  /// Stagger between booting actives and backups (deployment realism).
+  static constexpr SimTime kBackupBootDelay = 50 * kMillisecond;
+
   CfsCluster(net::Network& network, CfsConfig config)
       : network_(network),
         config_(config),
-        coord_(network, config.coord_replicas, config.coord) {
+        coord_(network, kCoordReplicas, config.coord) {
     // The partition map is the one routing truth: every server and client
     // starts from the same seed unless the deployment brings its own.
     if (config_.mds.partition_map.empty()) {
@@ -86,7 +87,7 @@ class CfsCluster {
     }
     for (int d = 0; d < config_.data_servers; ++d) {
       data_servers_.push_back(std::make_unique<DataServer>(
-          network, "dn" + std::to_string(d), config_.block_report_interval));
+          network, "dn" + std::to_string(d), kBlockReportInterval));
       data_servers_.back()->SetMetadataNodes(all_mds_ids);
     }
 
@@ -117,7 +118,7 @@ class CfsCluster {
       group[0]->Start(ServerState::kActive);
     }
     auto& sim = network_.sim();
-    sim.After(config_.backup_boot_delay, [this] {
+    sim.After(kBackupBootDelay, [this] {
       for (auto& group : groups_) {
         for (std::size_t m = 1; m < group.size(); ++m) {
           const bool junior =

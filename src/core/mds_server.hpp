@@ -29,6 +29,7 @@
 #include "core/commit_path.hpp"
 #include "core/failover_trace.hpp"
 #include "core/options.hpp"
+#include "core/pool_files.hpp"
 #include "core/read_service.hpp"
 #include "core/renewal.hpp"
 #include "core/shard_engine.hpp"
@@ -226,9 +227,7 @@ class MdsServer : public net::Host {
   }
   Rng& rng() noexcept { return rng_; }
   FailoverTraceLog* failover_log() noexcept { return failover_log_; }
-  std::string JournalFile() const {
-    return "g" + std::to_string(options_.group) + "/journal";
-  }
+  std::string JournalFile() const { return pool_files::Journal(group()); }
 
   /// Queues `cost` of CPU behind earlier work; returns the delay until done.
   SimTime ChargeCpu(SimTime cost);

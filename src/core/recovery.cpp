@@ -2,19 +2,12 @@
 
 #include <algorithm>
 
+#include "core/pool_files.hpp"
 #include "journal/record.hpp"
 
 namespace mams::core {
 
 namespace {
-
-std::string JournalFileName(GroupId group) {
-  return "g" + std::to_string(group) + "/journal";
-}
-
-std::string ImagePrefix(GroupId group) {
-  return "g" + std::to_string(group) + "/image-";
-}
 
 /// Reassembles an image's chunk records into one byte buffer.
 std::vector<char> AssembleImage(const storage::SharedFile& file) {
@@ -30,7 +23,7 @@ std::vector<char> AssembleImage(const storage::SharedFile& file) {
 std::optional<RecoveryTool::ImageCandidate> RecoveryTool::BestImage(
     const storage::FileStore& store, GroupId group, TxId target_txid) {
   std::optional<ImageCandidate> best;
-  for (const auto& name : store.List(ImagePrefix(group))) {
+  for (const auto& name : store.List(pool_files::ImagePrefix(group))) {
     const storage::SharedFile* file = store.Find(name);
     if (file == nullptr || file->size() == 0) continue;
     fsns::Tree tree;
@@ -40,10 +33,7 @@ std::optional<RecoveryTool::ImageCandidate> RecoveryTool::BestImage(
       ImageCandidate candidate;
       candidate.file = name;
       candidate.tree = std::move(tree);
-      // Parse the folded sn out of "g<g>/image-<sn>-f<fence>".
-      const std::string rest = name.substr(ImagePrefix(group).size());
-      candidate.sn = static_cast<SerialNumber>(
-          std::strtoull(rest.c_str(), nullptr, 10));
+      candidate.sn = pool_files::ImageSn(group, name);
       best = std::move(candidate);
     }
   }
@@ -71,7 +61,7 @@ Result<fsns::Tree> RecoveryTool::RebuildAt(const storage::FileStore& store,
     local.base_image_file = image->file;
   }
 
-  const storage::SharedFile* journal = store.Find(JournalFileName(group));
+  const storage::SharedFile* journal = store.Find(pool_files::Journal(group));
   if (journal != nullptr) {
     for (std::size_t i = journal->FirstIndexAfter(from_sn);
          i < journal->size(); ++i) {
@@ -97,7 +87,7 @@ Result<fsns::Tree> RecoveryTool::RebuildAt(const storage::FileStore& store,
     }
   } else if (!local.base_image_sn) {
     // Nothing durable at all for this group.
-    if (store.List(ImagePrefix(group)).empty()) {
+    if (store.List(pool_files::ImagePrefix(group)).empty()) {
       if (tracer != nullptr) tracer->End(span, {{"ok", "false"}});
       return Status::NotFound("no journal or image for group " +
                               std::to_string(group));
@@ -119,7 +109,7 @@ Result<fsns::Tree> RecoveryTool::RebuildAt(const storage::FileStore& store,
 TxId RecoveryTool::LatestRecoverableTxid(const storage::FileStore& store,
                                          GroupId group) {
   TxId latest = 0;
-  const storage::SharedFile* journal = store.Find(JournalFileName(group));
+  const storage::SharedFile* journal = store.Find(pool_files::Journal(group));
   if (journal != nullptr) {
     for (std::size_t i = journal->size(); i-- > 0;) {
       auto batch = journal::Batch::Deserialize(journal->records()[i].bytes);
@@ -130,7 +120,7 @@ TxId RecoveryTool::LatestRecoverableTxid(const storage::FileStore& store,
       break;  // newest valid batch wins
     }
   }
-  for (const auto& name : store.List(ImagePrefix(group))) {
+  for (const auto& name : store.List(pool_files::ImagePrefix(group))) {
     const storage::SharedFile* file = store.Find(name);
     if (file == nullptr) continue;
     fsns::Tree tree;

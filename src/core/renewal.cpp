@@ -103,10 +103,7 @@ void Renewal::WriteCheckpoint() {
   const SerialNumber sn = s_.last_sn();
   if (latest_image_.has_value() && latest_image_->second == sn) return;
   auto write = std::make_shared<CheckpointWrite>();
-  // The fence suffix keeps two actives' checkpoints at the same sn from
-  // interleaving chunks in one shared file.
-  write->file = "g" + std::to_string(s_.group()) + "/image-" +
-                std::to_string(sn) + "-f" + std::to_string(s_.fence());
+  write->file = pool_files::Image(s_.group(), sn, s_.fence());
   write->sn = sn;
   write->bytes = s_.tree().SaveImage();
   // A previous checkpoint abandoned mid-write leaves its span open; close

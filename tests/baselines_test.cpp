@@ -1,9 +1,9 @@
-// Tests for the baseline systems: vanilla HDFS, BackupNode, AvatarNode,
-// Hadoop HA (QJM), and Boom-FS. Each baseline must serve metadata in the
-// failure-free case and recover per its own mechanism — with the cost
-// structure Table I and Figure 6 depend on (BackupNode's recollection
-// grows with block count; Avatar/HA are flat; Boom-FS pays consensus on
-// every op).
+// Tests for the baseline systems: vanilla HDFS, BackupNode, AvatarNode and
+// Hadoop HA (QJM) as one shared-edits NameNode, and Boom-FS. Each baseline
+// must serve metadata in the failure-free case and recover per its own
+// mechanism — with the cost structure Table I and Figure 6 depend on
+// (BackupNode's recollection grows with block count; Avatar/HA are flat;
+// Boom-FS pays consensus on every op).
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -115,10 +115,10 @@ TEST_F(BaselineTest, BackupNodeRecoveryScalesWithBlockCount) {
   EXPECT_GT(large, 3 * small);  // Table I's linear growth
 }
 
-// --- AvatarNode -----------------------------------------------------------
+// --- AvatarNode and Hadoop HA (one shared-edits NameNode) -----------------
 
 TEST_F(BaselineTest, AvatarStandbyTailsNfsEdits) {
-  AvatarSystem avatar(net_);
+  SharedEditsSystem avatar(net_, kAvatar);
   Run(kSecond);
   for (int i = 0; i < 10; ++i) {
     ASSERT_TRUE(CreateSync(avatar.client(0), "/a/f" + std::to_string(i)).ok());
@@ -129,7 +129,7 @@ TEST_F(BaselineTest, AvatarStandbyTailsNfsEdits) {
 }
 
 TEST_F(BaselineTest, AvatarFailoverIsFlatButSlow) {
-  AvatarSystem avatar(net_);
+  SharedEditsSystem avatar(net_, kAvatar);
   Run(kSecond);
   ASSERT_TRUE(CreateSync(avatar.client(0), "/pre").ok());
   const SimTime killed = sim_.Now();
@@ -142,10 +142,27 @@ TEST_F(BaselineTest, AvatarFailoverIsFlatButSlow) {
   EXPECT_TRUE(avatar.standby().tree().Exists("/pre"));
 }
 
-// --- Hadoop HA ------------------------------------------------------------
+TEST_F(BaselineTest, AvatarTakeoverWaitsUntilTheFinalTailReachesTheEnd) {
+  // The standby loses the filer right after an acknowledged create, before
+  // its periodic tail fetched it. A failed final read is not the end of
+  // the log: the standby must keep trying and serve only with /acked.
+  SharedEditsSystem avatar(net_, kAvatar);
+  Run(kSecond);
+  ASSERT_TRUE(CreateSync(avatar.client(0), "/acked").ok());
+  const NodeId standby = avatar.standby().id();
+  const NodeId filer = avatar.log_node(0).id();
+  net_.Partition(standby, filer);
+  avatar.KillPrimary();
+  Run(60 * kSecond);
+  EXPECT_FALSE(avatar.standby().serving());
+  net_.Heal(standby, filer);
+  Run(60 * kSecond);
+  EXPECT_TRUE(avatar.standby().serving());
+  EXPECT_TRUE(avatar.standby().tree().Exists("/acked"));
+}
 
 TEST_F(BaselineTest, HadoopHaQuorumWriteAndTail) {
-  HadoopHaSystem ha(net_);
+  SharedEditsSystem ha(net_, kHadoopHa);
   Run(kSecond);
   for (int i = 0; i < 10; ++i) {
     ASSERT_TRUE(CreateSync(ha.client(0), "/h/f" + std::to_string(i)).ok());
@@ -156,7 +173,7 @@ TEST_F(BaselineTest, HadoopHaQuorumWriteAndTail) {
 }
 
 TEST_F(BaselineTest, HadoopHaFailoverWithinPaperRange) {
-  HadoopHaSystem ha(net_);
+  SharedEditsSystem ha(net_, kHadoopHa);
   Run(kSecond);
   ASSERT_TRUE(CreateSync(ha.client(0), "/pre").ok());
   const SimTime killed = sim_.Now();
@@ -169,17 +186,46 @@ TEST_F(BaselineTest, HadoopHaFailoverWithinPaperRange) {
   EXPECT_TRUE(ha.standby().tree().Exists("/pre"));
 }
 
-TEST_F(BaselineTest, HadoopHaSurvivesOneJournalNodeFailure) {
-  HadoopHaSystem ha(net_);
+TEST_F(BaselineTest, HadoopHaTakeoverRetriesAfterEveryJournalNodeFailed) {
+  // The standby is cut from all four JournalNodes across its final tail.
+  // Once every node failed it must start over from the first one, and
+  // serve after the cut heals.
+  SharedEditsSystem ha(net_, kHadoopHa);
   Run(kSecond);
-  // Quorum (3/4) still reachable after one JN dies.
+  ASSERT_TRUE(CreateSync(ha.client(0), "/acked").ok());
+  const NodeId standby = ha.standby().id();
+  for (int j = 0; j < kHadoopHa.log_nodes; ++j) {
+    net_.Partition(standby, ha.log_node(j).id());
+  }
+  ha.KillPrimary();
+  Run(30 * kSecond);
+  EXPECT_FALSE(ha.standby().serving());
+  for (int j = 0; j < kHadoopHa.log_nodes; ++j) {
+    net_.Heal(standby, ha.log_node(j).id());
+  }
+  Run(60 * kSecond);
+  EXPECT_TRUE(ha.standby().serving());
+  EXPECT_TRUE(ha.standby().tree().Exists("/acked"));
+}
+
+TEST_F(BaselineTest, HadoopHaSurvivesOneJournalNodeFailure) {
+  SharedEditsSystem ha(net_, kHadoopHa);
+  Run(kSecond);
   ASSERT_TRUE(CreateSync(ha.client(0), "/before-jn-death").ok());
-  // Kill a journal node via the network (its Host is internal): unplug it.
-  // Writes must still complete on quorum.
-  // (The first JN id is right after the system's other nodes; easier: use
-  //  link-down on the standby's tail target is racy — instead kill via
-  //  pool node pointer is not exposed; emulate by partitioning.)
-  SUCCEED();  // exercised implicitly by quorum logic; kept as placeholder
+  // JournalNode 0 is the first node every standby tail pass reads.
+  ha.log_node(0).Crash();
+  // Creates commit on the 3 live nodes of 4 without waiting out the
+  // dead node's write timeout.
+  const SimTime start = sim_.Now();
+  for (int i = 0; i < 5; ++i) {
+    ASSERT_TRUE(CreateSync(ha.client(0), "/h/f" + std::to_string(i)).ok());
+  }
+  EXPECT_LT(sim_.Now() - start, 3 * kSecond);
+  // Each tail pass times out on JournalNode 0 and rotates to the next.
+  Run(10 * kSecond);
+  EXPECT_TRUE(ha.standby().tree().Exists("/h/f4"));
+  EXPECT_EQ(ha.standby().tree().Fingerprint(),
+            ha.active().tree().Fingerprint());
 }
 
 // --- Boom-FS ---------------------------------------------------------------

@@ -127,11 +127,11 @@ TEST(MttrOrderingTest, SmallScaleOrderingMatchesPaper) {
   auto ha = [] {
     sim::Simulator sim(82);
     net::Network net(sim);
-    baselines::HadoopHaSystem::Options opts;
+    baselines::SharedEditsSystem::Options opts;
     opts.clients = 1;
     opts.client.max_attempts = 1;
     opts.client.rpc_timeout = kSecond;
-    baselines::HadoopHaSystem sys(net, opts);
+    baselines::SharedEditsSystem sys(net, baselines::kHadoopHa, opts);
     sim.RunUntil(sim.Now() + kSecond);
     workload::LoadEngine::Options load;
     load.loop = workload::LoadEngine::Loop::kClosed;
@@ -151,11 +151,11 @@ TEST(MttrOrderingTest, SmallScaleOrderingMatchesPaper) {
   auto avatar = [] {
     sim::Simulator sim(83);
     net::Network net(sim);
-    baselines::AvatarSystem::Options opts;
+    baselines::SharedEditsSystem::Options opts;
     opts.clients = 1;
     opts.client.max_attempts = 1;
     opts.client.rpc_timeout = kSecond;
-    baselines::AvatarSystem sys(net, opts);
+    baselines::SharedEditsSystem sys(net, baselines::kAvatar, opts);
     sim.RunUntil(sim.Now() + kSecond);
     workload::LoadEngine::Options load;
     load.loop = workload::LoadEngine::Loop::kClosed;

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "cluster/cfs.hpp"
+#include "core/pool_files.hpp"
 #include "core/recovery.hpp"
 #include "journal/record.hpp"
 #include "net/network.hpp"
@@ -120,6 +121,14 @@ TEST_F(RecoveryTest, UsesCheckpointImageAsBase) {
   EXPECT_FALSE(report.base_image_file.empty());
   EXPECT_EQ(tree.value().Fingerprint(),
             cfs_->FindActive(0)->tree().Fingerprint());
+}
+
+TEST(PoolFilesTest, ImageNameFoldsItsSnUnderTheGroupPrefix) {
+  const std::string name = pool_files::Image(3, 1234, 7);
+  EXPECT_EQ(name, "g3/image-1234-f7");
+  EXPECT_EQ(name.rfind(pool_files::ImagePrefix(3), 0), 0u);
+  EXPECT_EQ(pool_files::ImageSn(3, name), 1234u);
+  EXPECT_EQ(pool_files::Journal(3), "g3/journal");
 }
 
 TEST_F(RecoveryTest, SurvivesWholeClusterLoss) {
