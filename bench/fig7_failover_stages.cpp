@@ -118,7 +118,7 @@ int main() {
     total.Record(t.total_ms);
   }
 
-  std::printf("\n%zu successful failovers:\n\n", ok_trials.size());
+  std::printf("\n%zu/%d failovers succeeded:\n\n", ok_trials.size(), trials);
   metrics::Table table({"stage", "mean (ms)", "min (ms)", "max (ms)",
                         "share of total"});
   auto add = [&](const char* name, metrics::Accumulator& acc) {

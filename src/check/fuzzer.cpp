@@ -54,6 +54,8 @@ const char* MutationName(Mutation m) {
       return "cutover_fence";
     case Mutation::kIgnoreLeaseRevoke:
       return "lease_revoke";
+    case Mutation::kSspOffCommitPath:
+      return "ssp_off_path";
   }
   return "?";
 }
@@ -62,7 +64,8 @@ bool ParseMutation(const std::string& name, Mutation* out) {
   for (const Mutation m : {Mutation::kNone, Mutation::kNoSnDedup,
                            Mutation::kNoFencing, Mutation::kIgnoreMinSn,
                            Mutation::kSkipCutoverFence,
-                           Mutation::kIgnoreLeaseRevoke}) {
+                           Mutation::kIgnoreLeaseRevoke,
+                           Mutation::kSspOffCommitPath}) {
     if (name == MutationName(m)) {
       *out = m;
       return true;
@@ -325,6 +328,9 @@ RunResult RunSpecOnce(const RunSpec& spec, CheckOptions check) {
       break;
     case Mutation::kIgnoreLeaseRevoke:
       cfg.client.cache.ignore_revoke = true;
+      break;
+    case Mutation::kSspOffCommitPath:
+      cfg.mds.test_hooks.ssp_off_commit_path = true;
       break;
   }
   // The min_sn mutation is only observable when standbys answer reads, so

@@ -44,6 +44,11 @@ namespace mams::check {
 /// entry that keeps serving the old value until TTL expiry — the
 /// checker's completed-mutation floor for cache-served reads must catch
 /// it (it implies client caching is enabled for the run).
+/// kSspOffCommitPath completes a batch on the standby acks alone, before
+/// its SSP copy is durable: a failover that drains the SSP can then come
+/// up below the committed watermark (a committed_sn_not_lost probe or a
+/// lost ack). It is rare: at the profiles' default fault counts only
+/// the migrations profile shows it.
 enum class Mutation : std::uint8_t {
   kNone,
   kNoSnDedup,
@@ -51,6 +56,7 @@ enum class Mutation : std::uint8_t {
   kIgnoreMinSn,
   kSkipCutoverFence,
   kIgnoreLeaseRevoke,
+  kSspOffCommitPath,
 };
 
 const char* MutationName(Mutation m);

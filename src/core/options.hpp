@@ -52,6 +52,12 @@ struct TestHooks {
   /// not exist: writes the source accepts during cutover never reach the
   /// destination and vanish when the slot is dropped.
   bool skip_cutover_fence = false;
+  /// A batch completes on the standby acks alone while its SSP copy is
+  /// still in flight, as if the SSP were not a participant of the modified
+  /// two-phase commit: a batch can count as committed before the pool
+  /// holds it, so a successor that drains the SSP (upgrade step 4) can
+  /// come up below the committed watermark.
+  bool ssp_off_commit_path = false;
 };
 
 /// Standby read offload (session-consistent reads against hot standbys).
@@ -92,11 +98,6 @@ struct MdsOptions {
   /// service; requests for slots the group does not own bounce with the
   /// server's current map attached.
   shard::PartitionMap partition_map;
-
-  /// When true (MAMS as specified) a batch completes only after the SSP
-  /// copy is durable; false writes the SSP copy asynchronously (the
-  /// ablation_ssp_vs_direct variant).
-  bool ssp_in_commit_path = true;
 
   // Renewing protocol (Section III.D).
   SimTime renew_scan_period = 1 * kSecond;

@@ -1,6 +1,6 @@
 // Availability bookkeeping: given a request-rate series, estimate outage
 // windows (rate collapsed) and compute availability over an interval.
-// Used by the scenario benches and by reliability-oriented tests.
+// Used by reliability-oriented tests.
 #pragma once
 
 #include <vector>

@@ -62,10 +62,11 @@ void Usage() {
       "  --seed-base B      first seed (default 1)\n"
       "  --seed S           run exactly one seed\n"
       "  --mutation M       none|sn_dedup|fencing|min_sn|cutover_fence|\n"
-      "                     lease_revoke (default none; cutover_fence\n"
-      "                     implies the migrations profile's two-group\n"
-      "                     topology; lease_revoke implies the cache\n"
-      "                     profile)\n"
+      "                     lease_revoke|ssp_off_path (default none;\n"
+      "                     cutover_fence implies the migrations profile's\n"
+      "                     two-group topology; lease_revoke implies the\n"
+      "                     cache profile; ssp_off_path shows under\n"
+      "                     --profile migrations)\n"
       "  --standby-reads    serve reads from standbys (session-consistent\n"
       "                     offload; min_sn mutation implies this)\n"
       "  --clients N        fuzz clients per run (default 2)\n"
