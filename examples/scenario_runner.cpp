@@ -4,7 +4,6 @@
 //   $ ./build/examples/scenario_runner --list
 //   $ ./build/examples/scenario_runner --scenario flash_crowd --seed 7
 //   $ ./build/examples/scenario_runner --all --seeds 5 --out-dir failures/
-//   $ ./build/examples/scenario_runner            # runs the built-in demo
 //
 // Script-file mode runs one hand-written script. Library mode
 // (--scenario / --all) runs scripts from the named scenario library
@@ -15,8 +14,9 @@
 // red nightly leaves a replayable artifact.
 //
 // The language (one command per line, '#' comments) is documented in
-// docs/SCENARIOS.md; the built-in demo reproduces the paper's Test A
-// (forced lock loss) followed by a crash/restart cycle.
+// docs/SCENARIOS.md. With neither a script nor a flag it prints usage and
+// exits 2; the paper's Table II tests run in examples/failover_tour and
+// bench/fig8_failover_scenarios.
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -29,40 +29,9 @@
 
 namespace {
 
-constexpr const char* kDemo = R"(
-# Demo: Table II's Test A, then a crash + restart (Test C), end converged.
-cluster groups=1 standbys=3 clients=2 seed=7
-run 1s
-mkdir /data
-create /data/one
-create /data/two
-expect-state 0 "A S S S"
-print-view 0
-
-# --- Test A: the active loses the distributed lock -------------------
-force-lock-release 0
-run 8s
-expect-active 0
-expect-exists /data/one
-print-view 0
-expect-counts 0 A=1 S=3 J=0
-
-# --- Test C: kill the new active, restart it later -------------------
-crash-active 0
-run 10s
-expect-active 0
-create /data/three
-restart 0 1
-run 25s
-expect-converged 0
-expect-exists /data/three
-print-view 0
-expect-ops-ok
-)";
-
 void Usage(const char* argv0) {
   std::fprintf(stderr,
-               "usage: %s [script.txt]                     run a script file\n"
+               "usage: %s <script.txt>                     run a script file\n"
                "       %s --list                           list named "
                "scenarios\n"
                "       %s --scenario <name> [--seed N]     run one named "
@@ -200,24 +169,21 @@ int main(int argc, char** argv) {
     return 0;
   }
   if (args.all || !args.scenario.empty()) return RunLibrary(args);
-
-  std::string script;
-  if (!args.script_path.empty()) {
-    std::ifstream in(args.script_path);
-    if (!in) {
-      std::fprintf(stderr, "cannot open %s\n", args.script_path.c_str());
-      return 2;
-    }
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    script = buf.str();
-  } else {
-    std::printf("(no script given; running the built-in demo)\n");
-    script = kDemo;
+  if (args.script_path.empty()) {
+    Usage(argv[0]);
+    return 2;
   }
 
+  std::ifstream in(args.script_path);
+  if (!in) {
+    std::fprintf(stderr, "cannot open %s\n", args.script_path.c_str());
+    return 2;
+  }
+  std::ostringstream script;
+  script << in.rdbuf();
+
   mams::cluster::ScenarioRunner runner({.echo = !args.quiet});
-  const mams::Status result = runner.Run(script);
+  const mams::Status result = runner.Run(script.str());
   if (!result.ok()) {
     std::printf("\nSCENARIO FAILED: %s\n", result.ToString().c_str());
     for (const auto& f : runner.failures()) {

@@ -110,6 +110,112 @@ bool ParseFaultKind(const std::string& name, FaultAction::Kind* out) {
   return false;
 }
 
+namespace {
+
+struct NamedProfile {
+  const char* name;
+  void (*shape)(FuzzProfile&);
+};
+
+constexpr NamedProfile kProfiles[] = {
+    {"default", [](FuzzProfile&) {}},
+    {"renames",
+     [](FuzzProfile& p) {
+       // Rename/delete storms: subtree moves and removals under replay.
+       p.mix.create = 0.30;
+       p.mix.rename = 0.25;
+       p.mix.remove = 0.20;
+       p.mix.getfileinfo = 0.15;
+       p.mix.listdir = 0.10;
+     }},
+    {"migrations",
+     [](FuzzProfile& p) {
+       // Two replica groups behind a seeded partition map; shard
+       // migrations fire mid-run and renames and mkdirs regularly cross
+       // the group boundary, so two-group intents of both kinds run under
+       // migrations and crash faults.
+       p.groups = 2;
+       p.migrations = 3;
+       p.mix.create = 0.40;
+       p.mix.mkdir = 0.05;
+       p.mix.rename = 0.20;
+       p.mix.remove = 0.10;
+       p.mix.getfileinfo = 0.25;
+     }},
+    {"apply_race",
+     [](FuzzProfile& p) {
+       // Batch-replay pressure: every client mutates one shared tree, so
+       // same-batch records collide on directories — the shape where a
+       // replica that applied a batch out of record order would diverge
+       // from the active. Batches only grow wide when the closed-loop
+       // backlog exceeds the four-slot commit window (a free slot seals
+       // every record alone), so the profile runs many sub-2ms clients:
+       // 24 replay about 1.5 records per batch.
+       p.clients = std::max(p.clients, 24);
+       p.shared_namespace = true;
+       p.hot_clients = true;
+       // create/add_block/remove-heavy: create->addBlock->delete chains on
+       // one file are the record pairs whose order a replica cannot fudge.
+       p.mix.create = 0.40;
+       p.mix.add_block = 0.20;
+       p.mix.remove = 0.20;
+       p.mix.rename = 0.10;
+       p.mix.getfileinfo = 0.10;
+     }},
+    {"cache",
+     [](FuzzProfile& p) {
+       // Lease-cache pressure: every client reads and mutates one shared
+       // tree, so directory leases are granted and revoked continuously
+       // and reads race mutations on the same directories — the window
+       // where a dropped or late revocation turns a cache hit stale. Hot
+       // clients keep revocation barriers live for most of the run, so the
+       // fault schedule (crashes, flaps, migrations) lands inside
+       // revocation windows instead of between them. Extra faults widen
+       // the failover coverage (lease flush on view change, TTL-expiry
+       // backstop).
+       p.clients = std::max(p.clients, 3);
+       p.shared_namespace = true;
+       p.hot_clients = true;
+       p.faults = std::max(p.faults, 7);
+       p.client_cache = true;
+       // Mutation-heavy with a strong read component: mutations drive
+       // revocations, reads re-populate the cache right behind them.
+       p.mix.create = 0.25;
+       p.mix.remove = 0.15;
+       p.mix.rename = 0.10;
+       p.mix.getfileinfo = 0.30;
+       p.mix.listdir = 0.20;
+     }},
+    {"elastic",
+     [](FuzzProfile& p) {
+       // Elastic membership as a fault-schedule ingredient: standbys are
+       // admitted and retired all through the op/fault phase while
+       // crashes and flaps land on the same members. Standby reads are on
+       // and the mix is read-heavy, so read routing chases the moving
+       // membership.
+       p.standby_reads = true;
+       p.membership_changes = 6;
+       p.hot_clients = true;
+       p.clients = std::max(p.clients, 4);
+       p.mix.create = 0.20;
+       p.mix.remove = 0.05;
+       p.mix.getfileinfo = 0.55;
+       p.mix.listdir = 0.20;
+     }},
+};
+
+}  // namespace
+
+bool ApplyProfile(const std::string& name, FuzzProfile* profile) {
+  for (const NamedProfile& p : kProfiles) {
+    if (name == p.name) {
+      p.shape(*profile);
+      return true;
+    }
+  }
+  return false;
+}
+
 RunSpec MakeSpec(std::uint64_t seed, const FuzzProfile& profile) {
   RunSpec spec;
   spec.seed = seed;

@@ -1,6 +1,7 @@
 #include "cluster/scenario.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cstdio>
 #include <sstream>
 
@@ -38,17 +39,42 @@ std::size_t EditDistance(const std::string& a, const std::string& b) {
   return row[b.size()];
 }
 
+/// max_args of a command whose argument list is open-ended.
+constexpr std::size_t kAnyArgs = ~std::size_t{0};
+
+/// Parses all of `s` as a T: "2x" is an error, not 2.
+template <typename T>
+Result<T> ParseWhole(const std::string& s, const char* what) {
+  T value{};
+  const char* end = s.data() + s.size();
+  const auto [at, ec] = std::from_chars(s.data(), end, value);
+  if (ec != std::errc() || at != end) {
+    return Status::InvalidArgument(std::string("bad ") + what + ": " + s);
+  }
+  return value;
+}
+
+/// A whole integer in [0, bound).
+Result<int> ParseIndex(const std::string& s, std::size_t bound,
+                       const char* what) {
+  auto n = ParseWhole<int>(s, "integer");
+  if (n.ok() &&
+      (n.value() < 0 || static_cast<std::size_t>(n.value()) >= bound)) {
+    return Status::InvalidArgument(std::string(what) + " " + s +
+                                   " out of range [0, " +
+                                   std::to_string(bound) + ")");
+  }
+  return n;
+}
+
 }  // namespace
 
 Result<SimTime> ScenarioRunner::ParseDuration(const std::string& s) {
-  std::size_t pos = 0;
   double value = 0;
-  try {
-    value = std::stod(s, &pos);
-  } catch (...) {
-    return Status::InvalidArgument("bad duration: " + s);
-  }
-  const std::string unit = s.substr(pos);
+  const auto [unit_at, ec] =
+      std::from_chars(s.data(), s.data() + s.size(), value);
+  if (ec != std::errc()) return Status::InvalidArgument("bad duration: " + s);
+  const std::string_view unit(unit_at, s.data() + s.size() - unit_at);
   if (unit == "s") return static_cast<SimTime>(value * kSecond);
   if (unit == "ms") return static_cast<SimTime>(value * kMillisecond);
   if (unit == "us") return static_cast<SimTime>(value * kMicrosecond);
@@ -56,19 +82,11 @@ Result<SimTime> ScenarioRunner::ParseDuration(const std::string& s) {
 }
 
 Result<int> ScenarioRunner::ParseInt(const std::string& s) {
-  try {
-    return std::stoi(s);
-  } catch (...) {
-    return Status::InvalidArgument("bad integer: " + s);
-  }
+  return ParseWhole<int>(s, "integer");
 }
 
 Result<double> ScenarioRunner::ParseDouble(const std::string& s) {
-  try {
-    return std::stod(s);
-  } catch (...) {
-    return Status::InvalidArgument("bad number: " + s);
-  }
+  return ParseWhole<double>(s, "number");
 }
 
 bool ScenarioRunner::KeyValue(const std::string& tok, std::string& key,
@@ -111,7 +129,7 @@ Status ScenarioRunner::Run(const std::string& script) {
 Status ScenarioRunner::Execute(const std::vector<std::string>& tokens,
                                int line_no) {
   const std::string& cmd = tokens[0];
-  const std::vector<std::string> args(tokens.begin() + 1, tokens.end());
+  const Args args(tokens.begin() + 1, tokens.end());
   if (options_.echo) {
     std::string joined = cmd;
     for (const auto& a : args) joined += " " + a;
@@ -125,7 +143,18 @@ Status ScenarioRunner::Execute(const std::vector<std::string>& tokens,
     msg += "; `help` lists all commands";
     return Status::InvalidArgument(msg);
   }
-  return it->second.handler(args);
+  const Command& row = it->second;
+  Status s = Status::Ok();
+  if (args.size() < row.min_args || args.size() > row.max_args) {
+    s = Status::InvalidArgument("got " + std::to_string(args.size()) +
+                                " argument(s)");
+  } else if (row.needs_cluster && !cluster_) {
+    Fail(cmd + ": no cluster (missing `cluster` command?)");
+  } else {
+    s = row.handler(*this, args);
+  }
+  if (s.ok()) return s;
+  return Status(s.code(), cmd + ": " + s.message() + "; usage: " + row.usage);
 }
 
 std::string ScenarioRunner::Suggest(const std::string& cmd) const {
@@ -144,153 +173,126 @@ std::string ScenarioRunner::Suggest(const std::string& cmd) const {
 }
 
 void ScenarioRunner::RegisterBuiltins() {
-  auto add = [this](const char* name, const std::string& usage,
-                    const char* help, Handler handler) {
-    commands_.emplace(name, Command{usage, help, std::move(handler)});
+  using R = ScenarioRunner;
+  // A row's name is the first word of its usage.
+  auto add = [this](const std::string& usage, std::size_t min_args,
+                    std::size_t max_args, const char* help, Handler handler,
+                    bool needs_cluster = true) {
+    commands_.emplace(usage.substr(0, usage.find(' ')),
+                      Command{usage, help, min_args, max_args, needs_cluster,
+                              std::move(handler)});
   };
 
-  add("cluster",
-      "cluster [groups=N] [standbys=N] [juniors=N] [clients=N] [seed=N] "
-      "[standby_reads=0|1]",
+  add("cluster [groups=N] [standbys=N] [juniors=N] [clients=N] [seed=N] "
+      "[standby_reads=0|1]", 0, 6,
       "Builds and boots the cluster under test. Must run before any other "
       "command. standby_reads=1 enables bounded-staleness standby reads "
       "with round-robin client routing.",
-      [this](const std::vector<std::string>& a) { return CmdCluster(a); });
-  add("run", "run <duration>",
-      "Advances virtual time, e.g. `run 2s`, `run 500ms`.",
-      [this](const std::vector<std::string>& a) { return CmdRun(a); });
+      &R::CmdCluster, /*needs_cluster=*/false);
+  add("run <duration>", 1, 1,
+      "Advances virtual time, e.g. `run 2s`, `run 500ms`.", &R::CmdRun);
   for (const char* op : {"create", "mkdir", "delete", "stat"}) {
-    add(op, std::string(op) + " <path>",
+    add(std::string(op) + " <path>", 1, 1,
         "Issues the client op through client 0 and waits for the reply. "
         "Failures are logged and counted, not fatal (see expect-ops-ok).",
-        [this, op = std::string(op)](const std::vector<std::string>& a) {
-          return CmdClientOp(op, a);
+        [op = std::string(op)](R& r, const Args& a) {
+          return r.CmdClientOp(op, a);
         });
   }
-  add("crash-active", "crash-active <group>",
+  add("crash-active <group>", 1, 1,
       "Kills the group's current active (the paper's failover trigger).",
-      [this](const std::vector<std::string>& a) { return CmdCrashActive(a); });
-  add("crash", "crash <group> <member>",
+      &R::CmdCrashActive);
+  add("crash <group> <member>", 2, 2,
       "Kills one specific member by group index.",
-      [this](const std::vector<std::string>& a) { return CmdCrash(a); });
-  add("restart", "restart <group> <member>",
+      [](R& r, const Args& a) { return r.CmdCrash(a, /*restart=*/false); });
+  add("restart <group> <member>", 2, 2,
       "Restarts a crashed member; it rejoins as a junior and is renewed.",
-      [this](const std::vector<std::string>& a) { return CmdRestart(a); });
-  add("crash-pool", "crash-pool <group> <member>",
+      [](R& r, const Args& a) { return r.CmdCrash(a, /*restart=*/true); });
+  add("crash-pool <group> <member>", 2, 2,
       "Kills the pool (SSP) node co-hosted with member (group, member).",
-      [this](const std::vector<std::string>& a) {
-        return CmdCrashPool(a, /*restart=*/false);
+      [](R& r, const Args& a) {
+        return r.CmdCrashPool(a, /*restart=*/false);
       });
-  add("restart-pool", "restart-pool <group> <member>",
+  add("restart-pool <group> <member>", 2, 2,
       "Restarts the co-hosted pool node killed by crash-pool.",
-      [this](const std::vector<std::string>& a) {
-        return CmdCrashPool(a, /*restart=*/true);
-      });
-  add("unplug", "unplug <group> <member>",
+      [](R& r, const Args& a) { return r.CmdCrashPool(a, /*restart=*/true); });
+  add("unplug <group> <member>", 2, 2,
       "Pulls the member's network cable (paper Test B); in-flight messages "
       "are lost.",
-      [this](const std::vector<std::string>& a) {
-        return CmdUnplug(a, /*up=*/false);
-      });
-  add("replug", "replug <group> <member>",
-      "Plugs the cable back in.",
-      [this](const std::vector<std::string>& a) {
-        return CmdUnplug(a, /*up=*/true);
-      });
-  add("force-lock-release", "force-lock-release <group>",
+      [](R& r, const Args& a) { return r.CmdUnplug(a, /*up=*/false); });
+  add("replug <group> <member>", 2, 2, "Plugs the cable back in.",
+      [](R& r, const Args& a) { return r.CmdUnplug(a, /*up=*/true); });
+  add("force-lock-release <group>", 1, 1,
       "Admin-releases the group lock (the paper's Test A injection).",
-      [this](const std::vector<std::string>& a) {
-        return CmdForceLockRelease(a);
-      });
-  add("add-backup", "add-backup <group>",
-      "Grows the group by one standby (joins as junior, renewed by the "
-      "active). Alias of add-standby.",
-      [this](const std::vector<std::string>& a) { return CmdAddStandby(a); });
-  add("help", "help [command]",
+      &R::CmdForceLockRelease);
+  add("help [command]", 0, 1,
       "Lists every registered command, or one command's usage and help.",
-      [this](const std::vector<std::string>& a) { return CmdHelp(a); });
-  add("expect-active", "expect-active <group>",
+      &R::CmdHelp, /*needs_cluster=*/false);
+  add("expect-active <group>", 1, 1,
       "Waits until the coordination view names an alive, serving active.",
-      [this](const std::vector<std::string>& a) { return CmdExpectActive(a); });
-  add("expect-exists", "expect-exists <path>",
+      &R::CmdExpectActive);
+  add("expect-exists <path>", 1, 1,
       "Asserts the path exists on its owner group's active.",
-      [this](const std::vector<std::string>& a) {
-        return CmdExpectExists(a, /*want=*/true);
-      });
-  add("expect-missing", "expect-missing <path>",
+      [](R& r, const Args& a) { return r.CmdExpectExists(a, /*want=*/true); });
+  add("expect-missing <path>", 1, 1,
       "Asserts the path does not exist on its owner group's active.",
-      [this](const std::vector<std::string>& a) {
-        return CmdExpectExists(a, /*want=*/false);
+      [](R& r, const Args& a) {
+        return r.CmdExpectExists(a, /*want=*/false);
       });
-  add("expect-converged", "expect-converged <group>",
+  add("expect-converged <group>", 1, 1,
       "Waits until every alive standby's namespace matches the active's.",
-      [this](const std::vector<std::string>& a) {
-        return CmdExpectConverged(a);
-      });
-  add("expect-state", "expect-state <group> <A|S|J|- ...>",
+      &R::CmdExpectConverged);
+  add("expect-state <group> <A|S|J|- ...>", 2, kAnyArgs,
       "Waits until the view row equals the given letters (Table II rows).",
-      [this](const std::vector<std::string>& a) { return CmdExpectState(a); });
-  add("expect-counts", "expect-counts <group> [A=n] [S=n] [J=n]",
+      &R::CmdExpectState);
+  add("expect-counts <group> [A=n] [S=n] [J=n]", 2, 4,
       "Waits until the view holds the given per-state counts.",
-      [this](const std::vector<std::string>& a) { return CmdExpectCounts(a); });
-  add("expect-ops-ok", "expect-ops-ok",
-      "Asserts no client op issued so far failed.",
-      [this](const std::vector<std::string>&) -> Status {
-        if (ops_failed_ > 0) {
-          Fail("expect-ops-ok: " + std::to_string(ops_failed_) +
-               " client op(s) failed");
+      &R::CmdExpectCounts);
+  add("expect-ops-ok", 0, 0, "Asserts no client op issued so far failed.",
+      [](R& r, const Args&) {
+        if (r.ops_failed_ > 0) {
+          r.Fail("expect-ops-ok: " + std::to_string(r.ops_failed_) +
+                 " client op(s) failed");
         }
         return Status::Ok();
-      });
-  add("expect-probes-clean", "expect-probes-clean",
+      },
+      /*needs_cluster=*/false);
+  add("expect-probes-clean", 0, 0,
       "Evaluates every safety probe now and asserts no invariant violation "
       "has been recorded in the whole run.",
-      [this](const std::vector<std::string>& a) {
-        return CmdExpectProbesClean(a);
-      });
-  add("print-view", "print-view <group>",
+      &R::CmdExpectProbesClean);
+  add("print-view <group>", 1, 1,
       "Prints the group's coordination view row, lock and fence.",
-      [this](const std::vector<std::string>& a) { return CmdPrintView(a); });
-  add("load",
-      "load open [rate=R] [flash_mult=M] [flash_start=D] [flash_len=D] "
+      &R::CmdPrintView);
+  add("load open [rate=R] [flash_mult=M] [flash_start=D] [flash_len=D] "
       "[create=F] [think=D] [dirs=N] [ops=N] [hot_group=G] [hot_weight=W] "
-      "| load stop",
+      "| load stop", 1, kAnyArgs,
       "Runs open-loop session load against the cluster; flash_* shapes a "
       "flash crowd, hot_group skews arrivals onto one group.",
-      [this](const std::vector<std::string>& a) { return CmdLoad(a); });
-  add("slow-disk", "slow-disk <group> <member> <factor|off>",
+      &R::CmdLoad);
+  add("slow-disk <group> <member> <factor|off>", 3, 3,
       "Gray failure: multiplies the co-hosted pool node's disk time.",
-      [this](const std::vector<std::string>& a) { return CmdSlowDisk(a); });
-  add("asymmetry", "asymmetry <group> <member> in|out|off",
+      &R::CmdSlowDisk);
+  add("asymmetry <group> <member> in|out|off", 3, 3,
       "Directional link failure: kill only the member's receive half "
       "(in), its transmit half (out), or restore both (off).",
-      [this](const std::vector<std::string>& a) { return CmdAsymmetry(a); });
-  add("add-standby", "add-standby <group>",
+      &R::CmdAsymmetry);
+  add("add-standby <group>", 1, 1,
       "Grows the group by one standby via the membership API.",
-      [this](const std::vector<std::string>& a) { return CmdAddStandby(a); });
-  add("remove-standby", "remove-standby <group>",
+      &R::CmdAddStandby);
+  add("remove-standby <group>", 1, 1,
       "Retires one drained standby via the membership API.",
-      [this](const std::vector<std::string>& a) {
-        return CmdRemoveStandby(a);
-      });
-  add("promote", "promote <group>",
+      &R::CmdRemoveStandby);
+  add("promote <group>", 1, 1,
       "Nudges the active to renew a junior into a standby now.",
-      [this](const std::vector<std::string>& a) { return CmdPromote(a); });
-  add("expect-standbys", "expect-standbys <group> <min> [max]",
+      &R::CmdPromote);
+  add("expect-standbys <group> <min> [max]", 2, 3,
       "Waits until the group's alive standby count is within [min, max].",
-      [this](const std::vector<std::string>& a) {
-        return CmdExpectStandbys(a);
-      });
-  add("expect-metric", "expect-metric <name> <op> <value>",
+      &R::CmdExpectStandbys);
+  add("expect-metric <name> <op> <value>", 3, 3,
       "Asserts on a counter, gauge, or histogram stat "
       "(name.p50/.p90/.p99/.mean/.count); ops: == >= <= > <.",
-      [this](const std::vector<std::string>& a) { return CmdExpectMetric(a); });
-}
-
-bool ScenarioRunner::RequireCluster(const char* cmd) {
-  if (cluster_) return true;
-  Fail(std::string(cmd) + ": no cluster (missing `cluster` command?)");
-  return false;
+      &R::CmdExpectMetric);
 }
 
 void ScenarioRunner::Fail(std::string what) {
@@ -312,22 +314,40 @@ bool ScenarioRunner::PumpUntil(const std::function<bool()>& done,
   return done();
 }
 
-storage::PoolNode* ScenarioRunner::PoolOf(int group, int member) {
+Result<GroupId> ScenarioRunner::Group(const std::string& g) const {
+  auto group = ParseIndex(g, cluster_->config().groups, "group");
+  if (!group.ok()) return group.status();
+  return static_cast<GroupId>(group.value());
+}
+
+Result<core::MdsServer*> ScenarioRunner::Member(const std::string& g,
+                                                const std::string& m) {
+  auto group = Group(g);
+  if (!group.ok()) return group.status();
+  auto member = ParseIndex(m, cluster_->group_size(group.value()), "member");
+  if (!member.ok()) return member.status();
+  return &cluster_->mds(group.value(), member.value());
+}
+
+Result<storage::PoolNode*> ScenarioRunner::PoolOf(const std::string& g,
+                                                  const std::string& m) {
   // Pool nodes are allocated one per initially-configured metadata node,
   // co-hosted in construction order: group-major, member-minor.
   const auto& cfg = cluster_->config();
   const int members = 1 + cfg.standbys_per_group + cfg.juniors_per_group;
-  if (group < 0 || group >= static_cast<int>(cfg.groups) || member < 0 ||
-      member >= members) {
-    return nullptr;
-  }
-  return &cluster_->pool_node(group * members + member);
+  auto group = Group(g);
+  if (!group.ok()) return group.status();
+  auto member = ParseIndex(m, members, "pool member");
+  if (!member.ok()) return member.status();
+  return &cluster_->pool_node(static_cast<int>(group.value()) * members +
+                              member.value());
 }
 
-Status ScenarioRunner::CmdCluster(const std::vector<std::string>& args) {
+Status ScenarioRunner::CmdCluster(const Args& args) {
   CfsConfig cfg;
   cfg.clients = 2;
   cfg.data_servers = 1;
+  int groups = 1;
   std::uint64_t seed = 1;
   for (const auto& tok : args) {
     std::string key, value;
@@ -337,7 +357,7 @@ Status ScenarioRunner::CmdCluster(const std::vector<std::string>& args) {
     auto num = ParseInt(value);
     if (!num.ok()) return num.status();
     if (key == "groups") {
-      cfg.groups = static_cast<GroupId>(num.value());
+      groups = num.value();
     } else if (key == "standbys") {
       cfg.standbys_per_group = num.value();
     } else if (key == "juniors") {
@@ -355,6 +375,12 @@ Status ScenarioRunner::CmdCluster(const std::vector<std::string>& args) {
       return Status::InvalidArgument("unknown cluster option: " + key);
     }
   }
+  if (groups < 1 || cfg.standbys_per_group < 0 || cfg.juniors_per_group < 0 ||
+      cfg.clients < 1) {
+    return Status::InvalidArgument(
+        "needs groups >= 1, standbys >= 0, juniors >= 0 and clients >= 1");
+  }
+  cfg.groups = static_cast<GroupId>(groups);
   // Re-running `cluster` rebuilds the world: drop the load engine first,
   // it references the old cluster.
   load_.reset();
@@ -370,19 +396,14 @@ Status ScenarioRunner::CmdCluster(const std::vector<std::string>& args) {
   return Status::Ok();
 }
 
-Status ScenarioRunner::CmdRun(const std::vector<std::string>& args) {
-  if (args.size() != 1) return Status::InvalidArgument("run <duration>");
-  if (!RequireCluster("run")) return Status::Ok();
+Status ScenarioRunner::CmdRun(const Args& args) {
   auto dt = ParseDuration(args[0]);
   if (!dt.ok()) return dt.status();
   sim_->RunUntil(sim_->Now() + dt.value());
   return Status::Ok();
 }
 
-Status ScenarioRunner::CmdClientOp(const std::string& op,
-                                   const std::vector<std::string>& args) {
-  if (args.size() != 1) return Status::InvalidArgument(op + " <path>");
-  if (!RequireCluster(op.c_str())) return Status::Ok();
+Status ScenarioRunner::CmdClientOp(const std::string& op, const Args& args) {
   const std::string path = args[0];
   ++pending_ops_;
   auto done = [this, op, path](Status s) {
@@ -413,13 +434,10 @@ Status ScenarioRunner::CmdClientOp(const std::string& op,
   return Status::Ok();
 }
 
-Status ScenarioRunner::CmdCrashActive(const std::vector<std::string>& args) {
-  if (args.size() != 1) return Status::InvalidArgument("crash-active <group>");
-  if (!RequireCluster("crash-active")) return Status::Ok();
-  auto g = ParseInt(args[0]);
+Status ScenarioRunner::CmdCrashActive(const Args& args) {
+  auto g = Group(args[0]);
   if (!g.ok()) return g.status();
-  core::MdsServer* active = cluster_->FindActive(
-      static_cast<GroupId>(g.value()));
+  core::MdsServer* active = cluster_->FindActive(g.value());
   if (active == nullptr) {
     Fail("crash-active: group " + args[0] + " has no active");
     return Status::Ok();
@@ -429,91 +447,50 @@ Status ScenarioRunner::CmdCrashActive(const std::vector<std::string>& args) {
   return Status::Ok();
 }
 
-Status ScenarioRunner::CmdCrash(const std::vector<std::string>& args) {
-  if (args.size() != 2) return Status::InvalidArgument("crash <group> <member>");
-  if (!RequireCluster("crash")) return Status::Ok();
-  auto g = ParseInt(args[0]);
-  auto m = ParseInt(args[1]);
-  if (!g.ok()) return g.status();
-  if (!m.ok()) return m.status();
-  cluster_->mds(static_cast<GroupId>(g.value()), m.value()).Crash();
-  return Status::Ok();
-}
-
-Status ScenarioRunner::CmdRestart(const std::vector<std::string>& args) {
-  if (args.size() != 2) {
-    return Status::InvalidArgument("restart <group> <member>");
-  }
-  if (!RequireCluster("restart")) return Status::Ok();
-  auto g = ParseInt(args[0]);
-  auto m = ParseInt(args[1]);
-  if (!g.ok()) return g.status();
-  if (!m.ok()) return m.status();
-  cluster_->mds(static_cast<GroupId>(g.value()), m.value()).Restart();
-  return Status::Ok();
-}
-
-Status ScenarioRunner::CmdCrashPool(const std::vector<std::string>& args,
-                                    bool restart) {
-  const char* name = restart ? "restart-pool" : "crash-pool";
-  if (args.size() != 2) {
-    return Status::InvalidArgument(std::string(name) + " <group> <member>");
-  }
-  if (!RequireCluster(name)) return Status::Ok();
-  auto g = ParseInt(args[0]);
-  auto m = ParseInt(args[1]);
-  if (!g.ok()) return g.status();
-  if (!m.ok()) return m.status();
-  storage::PoolNode* pool = PoolOf(g.value(), m.value());
-  if (pool == nullptr) {
-    return Status::InvalidArgument(std::string(name) + ": no such pool node");
-  }
+Status ScenarioRunner::CmdCrash(const Args& args, bool restart) {
+  auto mds = Member(args[0], args[1]);
+  if (!mds.ok()) return mds.status();
   if (restart) {
-    pool->Restart();
-    Note("restarted " + pool->name());
+    mds.value()->Restart();
   } else {
-    pool->Crash();
-    Note("crashed " + pool->name());
+    mds.value()->Crash();
   }
   return Status::Ok();
 }
 
-Status ScenarioRunner::CmdUnplug(const std::vector<std::string>& args,
-                                 bool up) {
-  const char* name = up ? "replug" : "unplug";
-  if (args.size() != 2) {
-    return Status::InvalidArgument(std::string(name) + " <group> <member>");
+Status ScenarioRunner::CmdCrashPool(const Args& args, bool restart) {
+  auto pool = PoolOf(args[0], args[1]);
+  if (!pool.ok()) return pool.status();
+  if (restart) {
+    pool.value()->Restart();
+    Note("restarted " + pool.value()->name());
+  } else {
+    pool.value()->Crash();
+    Note("crashed " + pool.value()->name());
   }
-  if (!RequireCluster(name)) return Status::Ok();
-  auto g = ParseInt(args[0]);
-  auto m = ParseInt(args[1]);
+  return Status::Ok();
+}
+
+Status ScenarioRunner::CmdUnplug(const Args& args, bool up) {
+  auto mds = Member(args[0], args[1]);
+  if (!mds.ok()) return mds.status();
+  cluster_->network().SetLinkUp(mds.value()->id(), up);
+  Note(std::string(up ? "replug " : "unplug ") + mds.value()->name());
+  return Status::Ok();
+}
+
+Status ScenarioRunner::CmdForceLockRelease(const Args& args) {
+  auto g = Group(args[0]);
   if (!g.ok()) return g.status();
-  if (!m.ok()) return m.status();
-  auto& mds = cluster_->mds(static_cast<GroupId>(g.value()), m.value());
-  cluster_->network().SetLinkUp(mds.id(), up);
-  Note(std::string(name) + " " + mds.name());
+  cluster_->coord().frontend().AdminForceReleaseLock(g.value());
   return Status::Ok();
 }
 
-Status ScenarioRunner::CmdForceLockRelease(
-    const std::vector<std::string>& args) {
-  if (args.size() != 1) {
-    return Status::InvalidArgument("force-lock-release <group>");
-  }
-  if (!RequireCluster("force-lock-release")) return Status::Ok();
-  auto g = ParseInt(args[0]);
-  if (!g.ok()) return g.status();
-  cluster_->coord().frontend().AdminForceReleaseLock(
-      static_cast<GroupId>(g.value()));
-  return Status::Ok();
-}
-
-Status ScenarioRunner::CmdHelp(const std::vector<std::string>& args) {
-  if (args.size() > 1) return Status::InvalidArgument("help [command]");
+Status ScenarioRunner::CmdHelp(const Args& args) {
   if (args.size() == 1) {
     const auto it = commands_.find(args[0]);
     if (it == commands_.end()) {
-      std::string msg = "help: unknown command " + args[0];
+      std::string msg = "unknown command " + args[0];
       const std::string near = Suggest(args[0]);
       if (!near.empty()) msg += " (did you mean `" + near + "`?)";
       return Status::InvalidArgument(msg);
@@ -527,31 +504,24 @@ Status ScenarioRunner::CmdHelp(const std::vector<std::string>& args) {
   return Status::Ok();
 }
 
-Status ScenarioRunner::CmdExpectActive(const std::vector<std::string>& args) {
-  if (args.size() != 1) return Status::InvalidArgument("expect-active <group>");
-  if (!RequireCluster("expect-active")) return Status::Ok();
-  auto g = ParseInt(args[0]);
+Status ScenarioRunner::CmdExpectActive(const Args& args) {
+  auto g = Group(args[0]);
   if (!g.ok()) return g.status();
-  const auto group = static_cast<GroupId>(g.value());
   // "Active" means EFFECTIVE active: the server the coordination view
   // names, alive and serving. A fenced ex-active that is still partitioned
   // away may believe otherwise — it is harmless (every peer and the pool
   // reject its stale fence) and corrects itself on its next heartbeat, so
   // believers are deliberately not counted here.
-  if (!PumpUntil(
-          [this, group] { return cluster_->FindActive(group) != nullptr; })) {
+  if (!PumpUntil([this, group = g.value()] {
+        return cluster_->FindActive(group) != nullptr;
+      })) {
     Fail("expect-active: group " + args[0] + " has no effective active");
   }
   return Status::Ok();
 }
 
-Status ScenarioRunner::CmdExpectExists(const std::vector<std::string>& args,
-                                       bool want) {
+Status ScenarioRunner::CmdExpectExists(const Args& args, bool want) {
   const char* name = want ? "expect-exists" : "expect-missing";
-  if (args.size() != 1) {
-    return Status::InvalidArgument(std::string(name) + " <path>");
-  }
-  if (!RequireCluster(name)) return Status::Ok();
   const GroupId group = cluster_->config().mds.partition_map.OwnerOf(args[0]);
   core::MdsServer* active = cluster_->FindActive(group);
   if (active == nullptr) {
@@ -566,15 +536,10 @@ Status ScenarioRunner::CmdExpectExists(const std::vector<std::string>& args,
   return Status::Ok();
 }
 
-Status ScenarioRunner::CmdExpectConverged(
-    const std::vector<std::string>& args) {
-  if (args.size() != 1) {
-    return Status::InvalidArgument("expect-converged <group>");
-  }
-  if (!RequireCluster("expect-converged")) return Status::Ok();
-  auto g = ParseInt(args[0]);
+Status ScenarioRunner::CmdExpectConverged(const Args& args) {
+  auto g = Group(args[0]);
   if (!g.ok()) return g.status();
-  const auto group = static_cast<GroupId>(g.value());
+  const GroupId group = g.value();
   core::MdsServer* active = cluster_->FindActive(group);
   if (active == nullptr) {
     Fail("expect-converged: group " + args[0] + " has no active");
@@ -594,12 +559,8 @@ Status ScenarioRunner::CmdExpectConverged(
   return Status::Ok();
 }
 
-Status ScenarioRunner::CmdExpectState(const std::vector<std::string>& args) {
-  if (args.size() < 2) {
-    return Status::InvalidArgument("expect-state <group> <A|S|J|- ...>");
-  }
-  if (!RequireCluster("expect-state")) return Status::Ok();
-  auto g = ParseInt(args[0]);
+Status ScenarioRunner::CmdExpectState(const Args& args) {
+  auto g = Group(args[0]);
   if (!g.ok()) return g.status();
   std::string want;
   for (std::size_t i = 1; i < args.size(); ++i) {
@@ -610,7 +571,7 @@ Status ScenarioRunner::CmdExpectState(const std::vector<std::string>& args) {
     if (!want.empty()) want += ' ';
     want += part;
   }
-  const auto group = static_cast<GroupId>(g.value());
+  const GroupId group = g.value();
   const bool ok = PumpUntil([this, group, &want] {
     return cluster_->coord().frontend().PeekView(group).Row() == want;
   });
@@ -622,15 +583,11 @@ Status ScenarioRunner::CmdExpectState(const std::vector<std::string>& args) {
   return Status::Ok();
 }
 
-Status ScenarioRunner::CmdExpectCounts(const std::vector<std::string>& args) {
+Status ScenarioRunner::CmdExpectCounts(const Args& args) {
   // expect-counts <group> A=1 S=3 J=0   (omitted letters are unchecked)
-  if (args.size() < 2) {
-    return Status::InvalidArgument("expect-counts <group> <X>=<n>...");
-  }
-  if (!RequireCluster("expect-counts")) return Status::Ok();
-  auto g = ParseInt(args[0]);
+  auto g = Group(args[0]);
   if (!g.ok()) return g.status();
-  const auto group = static_cast<GroupId>(g.value());
+  const GroupId group = g.value();
   struct Want {
     ServerState state;
     int count;
@@ -664,10 +621,7 @@ Status ScenarioRunner::CmdExpectCounts(const std::vector<std::string>& args) {
   return Status::Ok();
 }
 
-Status ScenarioRunner::CmdExpectProbesClean(
-    const std::vector<std::string>& args) {
-  if (!args.empty()) return Status::InvalidArgument("expect-probes-clean");
-  if (!RequireCluster("expect-probes-clean")) return Status::Ok();
+Status ScenarioRunner::CmdExpectProbesClean(const Args&) {
   auto& probes = sim_->obs().probes();
   probes.Evaluate();
   if (probes.violation_count() > 0) {
@@ -678,13 +632,10 @@ Status ScenarioRunner::CmdExpectProbesClean(
   return Status::Ok();
 }
 
-Status ScenarioRunner::CmdPrintView(const std::vector<std::string>& args) {
-  if (args.size() != 1) return Status::InvalidArgument("print-view <group>");
-  if (!RequireCluster("print-view")) return Status::Ok();
-  auto g = ParseInt(args[0]);
+Status ScenarioRunner::CmdPrintView(const Args& args) {
+  auto g = Group(args[0]);
   if (!g.ok()) return g.status();
-  const auto& view =
-      cluster_->coord().frontend().PeekView(static_cast<GroupId>(g.value()));
+  const auto& view = cluster_->coord().frontend().PeekView(g.value());
   std::printf("t=%s group %s view: [%s] lock=%s fence=%llu\n",
               FormatTime(sim_->Now()).c_str(), args[0].c_str(),
               view.Row().c_str(),

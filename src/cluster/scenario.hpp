@@ -19,12 +19,10 @@
 //   expect-state 0 "S A S S"  # Table II row
 //   print-view 0
 //
-// Every command is registered once, in RegisterBuiltins, in a name-ordered
-// table (name -> usage + help + handler): `help` lists the table and an
-// unknown command suggests its nearest neighbour. The fault, membership
-// and load commands (`load`, `slow-disk`, `asymmetry`, `add-standby`,
-// `remove-standby`, `promote`, `expect-standbys`, `expect-metric`) are
-// implemented in scenario_commands.cpp.
+// Every command is one row of a name-ordered table (RegisterBuiltins):
+// usage, help, arity and handler. Execute alone checks arity and that a
+// cluster exists, and ends every error with the row's usage. The load,
+// gray-fault and membership handlers live in scenario_commands.cpp.
 //
 // The runner executes commands sequentially, pumping the simulator as
 // needed; failed expectations are collected (not thrown) so a scenario
@@ -79,27 +77,26 @@ class ScenarioRunner {
   std::uint64_t ops_failed() const noexcept { return ops_failed_; }
 
  private:
-  using Handler = std::function<Status(const std::vector<std::string>& args)>;
+  using Args = std::vector<std::string>;
+  using Handler = std::function<Status(ScenarioRunner&, const Args&)>;
 
-  /// One entry in the command table. `usage` is the one-line synopsis
-  /// shown on arity errors and by `help`; `help` is the prose description.
+  /// One row of the command table: the one-line synopsis `help` shows and
+  /// every error of the command ends with, the prose help, the argument
+  /// counts Execute accepts, and whether the command needs a cluster.
   struct Command {
-    std::string usage;
-    std::string help;
+    std::string usage, help;
+    std::size_t min_args, max_args;
+    bool needs_cluster;
     Handler handler;
   };
 
   void RegisterBuiltins();
   Status Execute(const std::vector<std::string>& tokens, int line_no);
-  /// Closest registered command by edit distance, or "" when nothing is
-  /// close enough to be a plausible typo.
+  /// Closest registered name by edit distance, or "" if none is a likely typo.
   std::string Suggest(const std::string& cmd) const;
 
   // --- helpers for handlers ----------------------------------------------
 
-  /// True when a `cluster` command has run; otherwise records a failure
-  /// attributed to `cmd` and returns false.
-  bool RequireCluster(const char* cmd);
   /// Records an expectation failure (collected, not thrown).
   void Fail(std::string what);
   /// Records a log line (and echoes it when echo is on).
@@ -107,8 +104,12 @@ class ScenarioRunner {
   /// Pumps the simulator in 50 ms steps until `done` or the budget elapses.
   bool PumpUntil(const std::function<bool()>& done,
                  SimTime budget = 120 * kSecond);
-  /// The pool node co-hosted with member (group, member), or nullptr.
-  storage::PoolNode* PoolOf(int group, int member);
+
+  // Typed targets, parsed whole and bound-checked against the cluster;
+  // PoolOf is the pool node co-hosted with an initially configured member.
+  Result<GroupId> Group(const std::string& g) const;
+  Result<core::MdsServer*> Member(const std::string& g, const std::string& m);
+  Result<storage::PoolNode*> PoolOf(const std::string& g, const std::string& m);
 
   /// Parses "2s" / "500ms" / "250us" into virtual time.
   static Result<SimTime> ParseDuration(const std::string& s);
@@ -118,35 +119,33 @@ class ScenarioRunner {
   static bool KeyValue(const std::string& tok, std::string& key,
                        std::string& value);
 
-  // Command implementations (each returns a parse/shape error or OK;
-  // expectation outcomes go to failures_).
-  Status CmdCluster(const std::vector<std::string>& args);
-  Status CmdRun(const std::vector<std::string>& args);
-  Status CmdClientOp(const std::string& op,
-                     const std::vector<std::string>& args);
-  Status CmdCrashActive(const std::vector<std::string>& args);
-  Status CmdCrash(const std::vector<std::string>& args);
-  Status CmdRestart(const std::vector<std::string>& args);
-  Status CmdCrashPool(const std::vector<std::string>& args, bool restart);
-  Status CmdUnplug(const std::vector<std::string>& args, bool up);
-  Status CmdForceLockRelease(const std::vector<std::string>& args);
-  Status CmdHelp(const std::vector<std::string>& args);
-  Status CmdExpectActive(const std::vector<std::string>& args);
-  Status CmdExpectExists(const std::vector<std::string>& args, bool want);
-  Status CmdExpectConverged(const std::vector<std::string>& args);
-  Status CmdExpectState(const std::vector<std::string>& args);
-  Status CmdExpectCounts(const std::vector<std::string>& args);
-  Status CmdExpectProbesClean(const std::vector<std::string>& args);
-  Status CmdPrintView(const std::vector<std::string>& args);
+  // Command handlers: each runs on a checked argument count and returns a
+  // parse error or OK; expectation outcomes go to failures_.
+  Status CmdCluster(const Args& args);
+  Status CmdRun(const Args& args);
+  Status CmdClientOp(const std::string& op, const Args& args);
+  Status CmdCrashActive(const Args& args);
+  Status CmdCrash(const Args& args, bool restart);
+  Status CmdCrashPool(const Args& args, bool restart);
+  Status CmdUnplug(const Args& args, bool up);
+  Status CmdForceLockRelease(const Args& args);
+  Status CmdHelp(const Args& args);
+  Status CmdExpectActive(const Args& args);
+  Status CmdExpectExists(const Args& args, bool want);
+  Status CmdExpectConverged(const Args& args);
+  Status CmdExpectState(const Args& args);
+  Status CmdExpectCounts(const Args& args);
+  Status CmdExpectProbesClean(const Args& args);
+  Status CmdPrintView(const Args& args);
   // scenario_commands.cpp
-  Status CmdLoad(const std::vector<std::string>& args);
-  Status CmdSlowDisk(const std::vector<std::string>& args);
-  Status CmdAsymmetry(const std::vector<std::string>& args);
-  Status CmdAddStandby(const std::vector<std::string>& args);
-  Status CmdRemoveStandby(const std::vector<std::string>& args);
-  Status CmdPromote(const std::vector<std::string>& args);
-  Status CmdExpectStandbys(const std::vector<std::string>& args);
-  Status CmdExpectMetric(const std::vector<std::string>& args);
+  Status CmdLoad(const Args& args);
+  Status CmdSlowDisk(const Args& args);
+  Status CmdAsymmetry(const Args& args);
+  Status CmdAddStandby(const Args& args);
+  Status CmdRemoveStandby(const Args& args);
+  Status CmdPromote(const Args& args);
+  Status CmdExpectStandbys(const Args& args);
+  Status CmdExpectMetric(const Args& args);
 
   Options options_;
   std::map<std::string, Command> commands_;  ///< name-ordered, for `help`

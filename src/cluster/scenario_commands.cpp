@@ -1,19 +1,15 @@
 // ScenarioRunner's load and membership commands: open-loop load, gray and
 // directional faults, typed membership changes, and metric expectations.
-// RegisterBuiltins registers them with the other builtins.
+// Their rows (usage, arity) are in RegisterBuiltins with the other builtins.
 #include <memory>
+#include <optional>
 
 #include "cluster/scenario.hpp"
 #include "workload/load_engine.hpp"
 
 namespace mams::cluster {
 
-Status ScenarioRunner::CmdLoad(const std::vector<std::string>& args) {
-  if (args.empty()) {
-    return Status::InvalidArgument(
-        "load open [key=value...] | load stop");
-  }
-  if (!RequireCluster("load")) return Status::Ok();
+Status ScenarioRunner::CmdLoad(const Args& args) {
   if (args[0] == "stop") {
     if (!load_) {
       Fail("load stop: no load engine running");
@@ -25,13 +21,13 @@ Status ScenarioRunner::CmdLoad(const std::vector<std::string>& args) {
     return Status::Ok();
   }
   if (args[0] != "open") {
-    return Status::InvalidArgument("load open [key=value...] | load stop");
+    return Status::InvalidArgument("expected open or stop, got " + args[0]);
   }
 
   double rate = 500.0, flash_mult = 0.0, create_frac = 0.2, hot_weight = 8.0;
   SimTime flash_start = 0, flash_len = 0, think = 0;
   int dirs = 64, ops = 4;
-  int hot_group = -1;
+  std::optional<GroupId> hot_group;
   for (std::size_t i = 1; i < args.size(); ++i) {
     std::string key, value;
     if (!KeyValue(args[i], key, value)) {
@@ -51,12 +47,15 @@ Status ScenarioRunner::CmdLoad(const std::vector<std::string>& args) {
       if (key == "flash_start") flash_start = d.value();
       else if (key == "flash_len") flash_len = d.value();
       else think = d.value();
-    } else if (key == "dirs" || key == "ops" || key == "hot_group") {
+    } else if (key == "dirs" || key == "ops") {
       auto n = ParseInt(value);
       if (!n.ok()) return n.status();
       if (key == "dirs") dirs = n.value();
-      else if (key == "ops") ops = n.value();
-      else hot_group = n.value();
+      else ops = n.value();
+    } else if (key == "hot_group") {
+      auto g = Group(value);
+      if (!g.ok()) return g.status();
+      hot_group = g.value();
     } else {
       return Status::InvalidArgument("unknown load option: " + key);
     }
@@ -73,15 +72,13 @@ Status ScenarioRunner::CmdLoad(const std::vector<std::string>& args) {
   opts.ops_per_session = static_cast<std::uint32_t>(ops > 0 ? ops : 1);
   opts.think_time = think;
   opts.directories = dirs;
-  if (hot_group >= 0) {
+  if (hot_group) {
     // Skew arrivals toward one group: weight `hot_weight` for the hot
     // group, 1 for everyone else. A directory belongs to the group that
     // holds its children (the files the load touches), by the cluster map.
     const CfsConfig& config = cluster_->config();
     opts.group_weights.assign(config.groups, 1.0);
-    if (hot_group < static_cast<int>(config.groups)) {
-      opts.group_weights[static_cast<std::size_t>(hot_group)] = hot_weight;
-    }
+    opts.group_weights[*hot_group] = hot_weight;
     opts.group_of = [map = config.mds.partition_map](const std::string& dir) {
       return map.OwnerOfDir(dir);
     };
@@ -103,73 +100,51 @@ Status ScenarioRunner::CmdLoad(const std::vector<std::string>& args) {
   return Status::Ok();
 }
 
-Status ScenarioRunner::CmdSlowDisk(const std::vector<std::string>& args) {
-  if (args.size() != 3) {
-    return Status::InvalidArgument("slow-disk <group> <member> <factor|off>");
-  }
-  if (!RequireCluster("slow-disk")) return Status::Ok();
-  auto g = ParseInt(args[0]);
-  auto m = ParseInt(args[1]);
-  if (!g.ok()) return g.status();
-  if (!m.ok()) return m.status();
+Status ScenarioRunner::CmdSlowDisk(const Args& args) {
+  auto pool = PoolOf(args[0], args[1]);
+  if (!pool.ok()) return pool.status();
   double factor = 1.0;
   if (args[2] != "off") {
     auto x = ParseDouble(args[2]);
     if (!x.ok()) return x.status();
     factor = x.value();
   }
-  storage::PoolNode* pool = PoolOf(g.value(), m.value());
-  if (pool == nullptr) {
-    return Status::InvalidArgument("slow-disk: no such pool node");
-  }
-  pool->SetDiskSlowdown(factor);
-  Note("slow-disk " + pool->name() + " x" + std::to_string(factor));
+  pool.value()->SetDiskSlowdown(factor);
+  Note("slow-disk " + pool.value()->name() + " x" + std::to_string(factor));
   return Status::Ok();
 }
 
-Status ScenarioRunner::CmdAsymmetry(const std::vector<std::string>& args) {
-  if (args.size() != 3) {
-    return Status::InvalidArgument("asymmetry <group> <member> in|out|off");
-  }
-  if (!RequireCluster("asymmetry")) return Status::Ok();
-  auto g = ParseInt(args[0]);
-  auto m = ParseInt(args[1]);
-  if (!g.ok()) return g.status();
-  if (!m.ok()) return m.status();
-  auto& mds = cluster_->mds(static_cast<GroupId>(g.value()), m.value());
+Status ScenarioRunner::CmdAsymmetry(const Args& args) {
+  auto mds = Member(args[0], args[1]);
+  if (!mds.ok()) return mds.status();
+  const NodeId id = mds.value()->id();
   net::Network& net = cluster_->network();
   if (args[2] == "out") {
-    net.SetSendUp(mds.id(), false);  // hears the world, cannot answer
+    net.SetSendUp(id, false);  // hears the world, cannot answer
   } else if (args[2] == "in") {
-    net.SetRecvUp(mds.id(), false);
+    net.SetRecvUp(id, false);
   } else if (args[2] == "off") {
-    net.SetSendUp(mds.id(), true);
-    net.SetRecvUp(mds.id(), true);
+    net.SetSendUp(id, true);
+    net.SetRecvUp(id, true);
   } else {
-    return Status::InvalidArgument("asymmetry <group> <member> in|out|off");
+    return Status::InvalidArgument("expected in, out or off, got " + args[2]);
   }
-  Note("asymmetry " + mds.name() + " " + args[2]);
+  Note("asymmetry " + mds.value()->name() + " " + args[2]);
   return Status::Ok();
 }
 
-Status ScenarioRunner::CmdAddStandby(const std::vector<std::string>& args) {
-  if (args.size() != 1) return Status::InvalidArgument("add-standby <group>");
-  if (!RequireCluster("add-standby")) return Status::Ok();
-  auto g = ParseInt(args[0]);
+Status ScenarioRunner::CmdAddStandby(const Args& args) {
+  auto g = Group(args[0]);
   if (!g.ok()) return g.status();
-  auto& added = cluster_->AddStandby(static_cast<GroupId>(g.value()));
+  auto& added = cluster_->AddStandby(g.value());
   Note("added " + added.name());
   return Status::Ok();
 }
 
-Status ScenarioRunner::CmdRemoveStandby(const std::vector<std::string>& args) {
-  if (args.size() != 1) {
-    return Status::InvalidArgument("remove-standby <group>");
-  }
-  if (!RequireCluster("remove-standby")) return Status::Ok();
-  auto g = ParseInt(args[0]);
+Status ScenarioRunner::CmdRemoveStandby(const Args& args) {
+  auto g = Group(args[0]);
   if (!g.ok()) return g.status();
-  Status s = cluster_->RemoveStandby(static_cast<GroupId>(g.value()));
+  Status s = cluster_->RemoveStandby(g.value());
   if (!s.ok()) {
     Fail("remove-standby: " + s.ToString());
   } else {
@@ -178,22 +153,16 @@ Status ScenarioRunner::CmdRemoveStandby(const std::vector<std::string>& args) {
   return Status::Ok();
 }
 
-Status ScenarioRunner::CmdPromote(const std::vector<std::string>& args) {
-  if (args.size() != 1) return Status::InvalidArgument("promote <group>");
-  if (!RequireCluster("promote")) return Status::Ok();
-  auto g = ParseInt(args[0]);
+Status ScenarioRunner::CmdPromote(const Args& args) {
+  auto g = Group(args[0]);
   if (!g.ok()) return g.status();
-  Status s = cluster_->PromoteJunior(static_cast<GroupId>(g.value()));
+  Status s = cluster_->PromoteJunior(g.value());
   if (!s.ok()) Fail("promote: " + s.ToString());
   return Status::Ok();
 }
 
-Status ScenarioRunner::CmdExpectStandbys(const std::vector<std::string>& args) {
-  if (args.size() != 2 && args.size() != 3) {
-    return Status::InvalidArgument("expect-standbys <group> <min> [max]");
-  }
-  if (!RequireCluster("expect-standbys")) return Status::Ok();
-  auto g = ParseInt(args[0]);
+Status ScenarioRunner::CmdExpectStandbys(const Args& args) {
+  auto g = Group(args[0]);
   auto lo = ParseInt(args[1]);
   if (!g.ok()) return g.status();
   if (!lo.ok()) return lo.status();
@@ -203,7 +172,7 @@ Status ScenarioRunner::CmdExpectStandbys(const std::vector<std::string>& args) {
     if (!x.ok()) return x.status();
     hi = x.value();
   }
-  const auto group = static_cast<GroupId>(g.value());
+  const GroupId group = g.value();
   const bool ok = PumpUntil([this, group, lo = lo.value(), hi] {
     const int n = cluster_->CountRole(group, ServerState::kStandby);
     return n >= lo && n <= hi;
@@ -217,11 +186,7 @@ Status ScenarioRunner::CmdExpectStandbys(const std::vector<std::string>& args) {
   return Status::Ok();
 }
 
-Status ScenarioRunner::CmdExpectMetric(const std::vector<std::string>& args) {
-  if (args.size() != 3) {
-    return Status::InvalidArgument("expect-metric <name> <op> <value>");
-  }
-  if (!RequireCluster("expect-metric")) return Status::Ok();
+Status ScenarioRunner::CmdExpectMetric(const Args& args) {
   const std::string& name = args[0];
   const std::string& op = args[1];
   auto want = ParseDouble(args[2]);
@@ -268,7 +233,7 @@ Status ScenarioRunner::CmdExpectMetric(const std::vector<std::string>& args) {
   else if (op == "<=") ok = have <= want.value();
   else if (op == ">") ok = have > want.value();
   else if (op == "<") ok = have < want.value();
-  else return Status::InvalidArgument("expect-metric op must be == >= <= > <");
+  else return Status::InvalidArgument("op must be == >= <= > <, got " + op);
   if (!ok) {
     Fail("expect-metric: " + name + " = " + std::to_string(have) +
          ", wanted " + op + " " + args[2]);

@@ -750,11 +750,7 @@ TEST(RenameDeleteStormSweepTest, StormsAcrossFailoverStayLinearizable) {
   // Faults run concurrently, so the storms also cross failover replay.
   FuzzProfile profile;
   profile.ops_per_client = 30;
-  profile.mix.create = 0.30;
-  profile.mix.rename = 0.25;
-  profile.mix.remove = 0.20;
-  profile.mix.getfileinfo = 0.15;
-  profile.mix.listdir = 0.10;
+  ASSERT_TRUE(ApplyProfile("renames", &profile));
   for (std::uint64_t seed = 1; seed <= 15; ++seed) {
     const RunSpec spec = MakeSpec(seed, profile);
     const RunResult result = RunSpecOnce(spec);
@@ -768,19 +764,12 @@ TEST(RenameDeleteStormSweepTest, StormsAcrossFailoverStayLinearizable) {
 // --- elastic membership under faults -----------------------------------------
 
 TEST(ElasticSweepTest, MembershipFaultsFifteenSeedsClean) {
-  // The elastic profile's shaping: standbys are admitted and retired all
-  // through the op/fault phase, interleaved with the random fault schedule,
-  // and every seed must stay linearizable and divergence-free.
+  // The elastic profile: standbys are admitted and retired all through the
+  // op/fault phase, interleaved with the random fault schedule, and every
+  // seed must stay linearizable and divergence-free.
   FuzzProfile profile;
-  profile.clients = 4;
   profile.ops_per_client = 25;
-  profile.standby_reads = true;
-  profile.membership_changes = 6;
-  profile.hot_clients = true;
-  profile.mix.create = 0.20;
-  profile.mix.remove = 0.05;
-  profile.mix.getfileinfo = 0.55;
-  profile.mix.listdir = 0.20;
+  ASSERT_TRUE(ApplyProfile("elastic", &profile));
   int added = 0;
   int retired = 0;
   for (std::uint64_t seed = 1; seed <= 15; ++seed) {

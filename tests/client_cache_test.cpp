@@ -458,21 +458,13 @@ namespace mams::check {
 namespace {
 
 FuzzProfile CacheProfile() {
-  // Mirrors the mams_check `cache` profile: one shared tree, hot clients,
-  // mutation-heavy with a strong read component, so leases are granted
-  // and revoked continuously and faults land inside revocation windows.
+  // The mams_check `cache` profile at 30 ops per client: one shared tree,
+  // hot clients, mutation-heavy with a strong read component, so leases
+  // are granted and revoked continuously and faults land inside
+  // revocation windows.
   FuzzProfile profile;
-  profile.clients = 3;
   profile.ops_per_client = 30;
-  profile.faults = 7;
-  profile.client_cache = true;
-  profile.shared_namespace = true;
-  profile.hot_clients = true;
-  profile.mix.create = 0.25;
-  profile.mix.remove = 0.15;
-  profile.mix.rename = 0.10;
-  profile.mix.getfileinfo = 0.30;
-  profile.mix.listdir = 0.20;
+  ApplyProfile("cache", &profile);
   return profile;
 }
 

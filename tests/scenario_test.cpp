@@ -135,6 +135,77 @@ TEST(ScenarioRegistryTest, HelpListsCommandsAndExplainsOne) {
   ASSERT_FALSE(s.ok());
 }
 
+// The usage line `help <name>` prints for one command.
+std::string HelpUsage(const std::string& name) {
+  ScenarioRunner runner;
+  const Status s = runner.Run("help " + name + "\n");
+  return s.ok() && !runner.log().empty() ? runner.log().front() : "";
+}
+
+TEST(ScenarioValidationTest, BadTargetsAndSizesAreUsageErrors) {
+  // On a one-group, three-member cluster every command that takes a group
+  // or member, given one out of range, negative or not a whole integer,
+  // stops the script with its usage instead of indexing past the cluster.
+  // So do cluster sizes no cluster can have.
+  const char* lines[] = {
+      "crash 3 0",          "crash 0 -1",
+      "crash 0 2x",         "restart 0 9",
+      "crash-active 5",     "crash-pool 1 0",
+      "restart-pool 0 -1",  "unplug 0 7",
+      "replug -1 0",        "force-lock-release 1",
+      "expect-active 5",    "expect-converged 5",
+      "expect-state 2 A S", "expect-counts -1 A=1",
+      "print-view 1",       "slow-disk 0 3 5",
+      "asymmetry 2 0 out",  "add-standby 4",
+      "remove-standby -2",  "promote 5",
+      "expect-standbys 5 1", "load open hot_group=3",
+      "cluster groups=0",   "cluster groups=-1",
+      "cluster standbys=-1", "cluster juniors=-1",
+      "cluster clients=0",
+  };
+  for (const std::string line : lines) {
+    const std::string name = line.substr(0, line.find(' '));
+    const std::string usage = HelpUsage(name);
+    ASSERT_FALSE(usage.empty()) << name;
+    ScenarioRunner runner;
+    const Status s =
+        runner.Run("cluster groups=1 standbys=2 seed=3\n" + line + "\n");
+    ASSERT_FALSE(s.ok()) << line;
+    EXPECT_EQ(s.code(), StatusCode::kInvalidArgument)
+        << line << ": " << s.ToString();
+    EXPECT_NE(s.message().find("; usage: " + usage), std::string::npos)
+        << line << ": " << s.ToString();
+    EXPECT_TRUE(runner.failures().empty()) << line;
+  }
+}
+
+TEST(ScenarioValidationTest, ArityErrorsPrintTheHelpUsage) {
+  ScenarioRunner lister;
+  ASSERT_TRUE(lister.Run("help\n").ok());
+  // log(): "commands:", then one "  <usage>" line per command.
+  ASSERT_GT(lister.log().size(), 30u);
+  for (std::size_t i = 1; i < lister.log().size(); ++i) {
+    const std::string usage = lister.log()[i].substr(2);
+    const std::string name = usage.substr(0, usage.find(' '));
+    EXPECT_EQ(HelpUsage(name), usage);
+    // No command takes both zero and twelve arguments (cluster has six
+    // options, expect-state and load need at least one argument).
+    int arity_errors = 0;
+    for (const int argc : {0, 12}) {
+      std::string line = name;
+      for (int a = 0; a < argc; ++a) line += " x";
+      ScenarioRunner runner;
+      const Status s = runner.Run(line + "\n");
+      if (s.code() != StatusCode::kInvalidArgument) continue;
+      ++arity_errors;
+      EXPECT_EQ(s.message(), "line 1: " + name + ": got " +
+                                 std::to_string(argc) +
+                                 " argument(s); usage: " + usage);
+    }
+    EXPECT_GE(arity_errors, 1) << name;
+  }
+}
+
 TEST(ScenarioElasticPackTest, ExpectMetricReadsRegistryValues) {
   ScenarioRunner runner;
   Status s = runner.Run(R"(
@@ -211,7 +282,7 @@ TEST(ScenarioTest, AddBackupScenario) {
 cluster groups=1 standbys=1 seed=19
 run 1s
 create /grow
-add-backup 0
+add-standby 0
 run 30s
 expect-state 0 "A S S"
 expect-converged 0

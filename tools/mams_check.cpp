@@ -19,6 +19,7 @@
 // a sweep's output can be diffed against a checked-in table
 // (tests/digests/). It neither shrinks nor writes reproducers, and exits 0
 // whatever the histories hold: it locks behaviour, the sweep gates it.
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -41,13 +42,9 @@ struct Args {
   bool single_seed = false;
   std::uint64_t seed = 0;
   Mutation mutation = Mutation::kNone;
-  bool standby_reads = false;
-  int clients = 2;
-  int ops = 40;
-  int faults = 5;
+  FuzzProfile profile;  ///< sizes from the flags, shaped by --profile
   bool shrink = true;
   int shrink_runs = 200;
-  std::string profile = "default";
   std::string replay;
   std::string out_dir = ".";
   bool verbose = false;
@@ -96,7 +93,24 @@ void Usage() {
       "                     (exit 0)\n");
 }
 
+/// Parses `text` whole as an integer of at least `min` into *out; on
+/// failure says why and returns false.
+template <typename T>
+bool ParseNumber(const std::string& flag, const char* text, T min, T* out) {
+  const char* end = text + std::strlen(text);
+  T n{};
+  const auto [at, ec] = std::from_chars(text, end, n);
+  if (ec != std::errc() || at != end || n < min) {
+    std::fprintf(stderr, "%s needs a whole number >= %lld, got %s\n",
+                 flag.c_str(), static_cast<long long>(min), text);
+    return false;
+  }
+  *out = n;
+  return true;
+}
+
 bool ParseArgs(int argc, char** argv, Args* args) {
+  std::string profile = "default";
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     auto value = [&]() -> const char* {
@@ -106,38 +120,33 @@ bool ParseArgs(int argc, char** argv, Args* args) {
       }
       return argv[++i];
     };
+    bool ok = true;
     if (arg == "--seeds") {
-      args->seeds = std::atoi(value());
+      ok = ParseNumber(arg, value(), 1, &args->seeds);
     } else if (arg == "--seed-base") {
-      args->seed_base = std::strtoull(value(), nullptr, 10);
+      ok = ParseNumber(arg, value(), std::uint64_t{0}, &args->seed_base);
     } else if (arg == "--seed") {
       args->single_seed = true;
-      args->seed = std::strtoull(value(), nullptr, 10);
+      ok = ParseNumber(arg, value(), std::uint64_t{0}, &args->seed);
     } else if (arg == "--mutation") {
       if (!ParseMutation(value(), &args->mutation)) {
         std::fprintf(stderr, "unknown mutation\n");
         return false;
       }
     } else if (arg == "--standby-reads") {
-      args->standby_reads = true;
+      args->profile.standby_reads = true;
     } else if (arg == "--clients") {
-      args->clients = std::atoi(value());
+      ok = ParseNumber(arg, value(), 1, &args->profile.clients);
     } else if (arg == "--ops") {
-      args->ops = std::atoi(value());
+      ok = ParseNumber(arg, value(), 1, &args->profile.ops_per_client);
     } else if (arg == "--faults") {
-      args->faults = std::atoi(value());
+      ok = ParseNumber(arg, value(), 0, &args->profile.faults);
     } else if (arg == "--profile") {
-      args->profile = value();
-      if (args->profile != "default" && args->profile != "renames" &&
-          args->profile != "migrations" && args->profile != "apply_race" &&
-          args->profile != "cache" && args->profile != "elastic") {
-        std::fprintf(stderr, "unknown profile %s\n", args->profile.c_str());
-        return false;
-      }
+      profile = value();
     } else if (arg == "--no-shrink") {
       args->shrink = false;
     } else if (arg == "--shrink-runs") {
-      args->shrink_runs = std::atoi(value());
+      ok = ParseNumber(arg, value(), 1, &args->shrink_runs);
     } else if (arg == "--out-dir") {
       args->out_dir = value();
     } else if (arg == "--replay") {
@@ -153,6 +162,20 @@ bool ParseArgs(int argc, char** argv, Args* args) {
       std::fprintf(stderr, "unknown option %s\n", arg.c_str());
       return false;
     }
+    if (!ok) return false;
+  }
+  // cutover_fence needs the migrations profile's two groups and
+  // lease_revoke the cache profile's lease cache: each implies its profile
+  // unless --profile names another.
+  if (profile == "default" && args->mutation == Mutation::kSkipCutoverFence) {
+    profile = "migrations";
+  }
+  if (profile == "default" && args->mutation == Mutation::kIgnoreLeaseRevoke) {
+    profile = "cache";
+  }
+  if (!ApplyProfile(profile, &args->profile)) {
+    std::fprintf(stderr, "unknown profile %s\n", profile.c_str());
+    return false;
   }
   return true;
 }
@@ -211,85 +234,6 @@ int Replay(const Args& args) {
 }
 
 int Sweep(const Args& args) {
-  FuzzProfile profile;
-  profile.clients = args.clients;
-  profile.ops_per_client = args.ops;
-  profile.faults = args.faults;
-  profile.standby_reads = args.standby_reads;
-  if (args.profile == "renames") {
-    profile.mix.create = 0.30;
-    profile.mix.rename = 0.25;
-    profile.mix.remove = 0.20;
-    profile.mix.getfileinfo = 0.15;
-    profile.mix.listdir = 0.10;
-  } else if (args.profile == "migrations" ||
-             args.mutation == Mutation::kSkipCutoverFence) {
-    // Two replica groups behind a seeded partition map; shard migrations
-    // fire mid-run and renames and mkdirs regularly cross the group
-    // boundary, so two-group intents of both kinds run under migrations
-    // and crash faults.
-    profile.groups = 2;
-    profile.migrations = 3;
-    profile.mix.create = 0.40;
-    profile.mix.mkdir = 0.05;
-    profile.mix.rename = 0.20;
-    profile.mix.remove = 0.10;
-    profile.mix.getfileinfo = 0.25;
-  } else if (args.profile == "apply_race") {
-    // Batch-replay pressure: every client mutates one shared tree, so
-    // same-batch records collide on directories — the shape where a
-    // replica that applied a batch out of record order would diverge from
-    // the active. Batches only grow wide when the closed-loop backlog
-    // exceeds the four-slot commit window (a free slot seals every record
-    // alone), so the profile runs many sub-2ms clients: 24 replay about
-    // 1.5 records per batch.
-    profile.clients = std::max(args.clients, 24);
-    profile.shared_namespace = true;
-    profile.hot_clients = true;
-    // create/add_block/remove-heavy: create->addBlock->delete chains on
-    // one file are the record pairs whose order a replica cannot fudge.
-    profile.mix.create = 0.40;
-    profile.mix.add_block = 0.20;
-    profile.mix.remove = 0.20;
-    profile.mix.rename = 0.10;
-    profile.mix.getfileinfo = 0.10;
-  } else if (args.profile == "cache" ||
-             args.mutation == Mutation::kIgnoreLeaseRevoke) {
-    // Lease-cache pressure: every client reads and mutates one shared
-    // tree, so directory leases are granted and revoked continuously and
-    // reads race mutations on the same directories — the window where a
-    // dropped or late revocation turns a cache hit stale. Hot clients
-    // keep revocation barriers live for most of the run, so the fault
-    // schedule (crashes, flaps, migrations) lands inside revocation
-    // windows instead of between them. Extra faults widen the failover
-    // coverage (lease flush on view change, TTL-expiry backstop).
-    profile.clients = std::max(args.clients, 3);
-    profile.shared_namespace = true;
-    profile.hot_clients = true;
-    profile.faults = std::max(args.faults, 7);
-    profile.client_cache = true;
-    // Mutation-heavy with a strong read component: mutations drive
-    // revocations, reads re-populate the cache right behind them.
-    profile.mix.create = 0.25;
-    profile.mix.remove = 0.15;
-    profile.mix.rename = 0.10;
-    profile.mix.getfileinfo = 0.30;
-    profile.mix.listdir = 0.20;
-  } else if (args.profile == "elastic") {
-    // Elastic membership as a fault-schedule ingredient: standbys are
-    // admitted and retired all through the op/fault phase while crashes
-    // and flaps land on the same members. Standby reads are on and the mix
-    // is read-heavy, so read routing chases the moving membership.
-    profile.standby_reads = true;
-    profile.membership_changes = 6;
-    profile.hot_clients = true;
-    profile.clients = std::max(args.clients, 4);
-    profile.mix.create = 0.20;
-    profile.mix.remove = 0.05;
-    profile.mix.getfileinfo = 0.55;
-    profile.mix.listdir = 0.20;
-  }
-
   const std::uint64_t base = args.single_seed ? args.seed : args.seed_base;
   const int count = args.single_seed ? 1 : args.seeds;
   int violated_seeds = 0;
@@ -298,7 +242,7 @@ int Sweep(const Args& args) {
   int standbys_retired = 0;
   for (int i = 0; i < count; ++i) {
     const std::uint64_t seed = base + static_cast<std::uint64_t>(i);
-    RunSpec spec = MakeSpec(seed, profile);
+    RunSpec spec = MakeSpec(seed, args.profile);
     spec.mutation = args.mutation;
     RunResult result = RunSpecOnce(spec);
     if (args.digests) {
@@ -359,7 +303,7 @@ int Sweep(const Args& args) {
       "%d/%d seeds violated (mutation=%s, %llu history events total)\n",
       violated_seeds, count, MutationName(args.mutation),
       static_cast<unsigned long long>(total_events));
-  if (profile.membership_changes > 0) {
+  if (args.profile.membership_changes > 0) {
     std::printf("membership changes: %d standbys added, %d retired\n",
                 standbys_added, standbys_retired);
   }
