@@ -198,7 +198,7 @@ class CoordClient {
   }
 
   /// Publishes a partition map (one bounded attempt; callers retry — the
-  /// service treats stale epochs as idempotent success).
+  /// service answers a stale epoch with success).
   void PublishMap(std::uint64_t epoch, std::vector<char> bytes,
                   std::function<void(Status)> done) {
     auto req = std::make_shared<CoordRequestMsg>();
@@ -303,9 +303,10 @@ class CoordClient {
       .max_attempts = 1,
   };
   /// Session open. A node that cannot open its session cannot participate
-  /// at all, so registration keeps trying; the call is idempotent — the
-  /// service answers a retried register from its response cache instead
-  /// of opening a second session.
+  /// at all, so registration keeps trying. Every attempt that arrives is
+  /// executed: the service keeps one session per (node, group), so a retry
+  /// replaces the session an earlier attempt opened, and the session the
+  /// client finally hears about is the live one.
   static constexpr net::RpcPolicy kRegisterPolicy{
       .attempt_timeout = kRpcTimeout,
       .max_attempts = 0,
@@ -316,17 +317,15 @@ class CoordClient {
   };
   /// One election bid; BidLoop layers its own pacing on top. Replies wait
   /// out the service-side window, so the deadline is roomier than plain
-  /// RPCs. Bids are never deduped: each one carries a fresh random draw.
+  /// RPCs.
   static constexpr net::RpcPolicy kTryLockPolicy{
       .attempt_timeout = kRpcTimeout + 2 * kSecond,
       .max_attempts = 1,
-      .idempotent = false,
   };
   /// One per beat, never retried.
   static constexpr net::RpcPolicy kHeartbeatPolicy{
       .attempt_timeout = kHeartbeatInterval,
       .max_attempts = 1,
-      .idempotent = false,
   };
 
   /// The exchange behind every single-shot op: one attempt under

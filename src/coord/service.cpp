@@ -377,7 +377,7 @@ void CoordService::DoPublishMap(const CoordRequestMsg& req,
                                 const ReplyFn& reply) {
   if (req.map_epoch <= machine_.map_epoch()) {
     // Stale publication (a rolled-forward migration may re-publish a map
-    // the previous active already installed): idempotent success.
+    // the previous active already installed): a repeat, so success.
     auto out = std::make_shared<CoordResponseMsg>();
     out->ok = true;
     out->map_epoch = machine_.map_epoch();

@@ -253,7 +253,7 @@ struct ShardTransferAckMsg final : net::Message {
 
 enum class ShardControlKind : std::uint8_t {
   kActivate = 1,      ///< src -> dst: cutover done, own the slot (journals
-                      ///< kShardAcquire; idempotent)
+                      ///< kShardAcquire; safe to repeat)
   kAbort = 2,         ///< src -> dst: migration abandoned, discard the slot
   kQuery = 3,         ///< dst -> src: what happened to migration_id?
   kTxCommit = 4,      ///< entry group -> peer group: install the entry

@@ -615,7 +615,7 @@ void ShardEngine::RollForwardOutbound(std::uint32_t slot) {
   if (ob == sh.outbound.end() || !ob->second.cutover) return;
   // The previous active journaled the cutover, so the destination holds
   // the complete image: activation, map publication and the end record are
-  // all idempotent — drive them again from here.
+  // all safe to repeat — drive them again from here.
   MigrationDrive& d = drives_[slot];
   d.migration_id = ob->second.migration_id;
   d.dst = ob->second.dst_group;
@@ -970,8 +970,8 @@ void ShardEngine::SendTxCommit(const std::string& key) {
   hooks.on_retry = [this, key](int, const Status& why) {
     // A timed-out attempt is indeterminate: the peer may have committed and
     // the ack was lost. The intent stays and the resend resolves it (the
-    // dedup point at the peer makes the commit idempotent); the waiting
-    // client is failed now — its own retry is idempotent too.
+    // duplicate check at the peer makes a repeated commit harmless); the
+    // waiting client is failed now — its own retry is suppressed likewise.
     if (why.code() != StatusCode::kTimedOut) return;
     TxDrive& drive = tx_drives_.at(key);
     if (drive.reply) {

@@ -9,16 +9,15 @@ namespace mams::core {
 namespace {
 
 /// Algorithm-1 election bids. Unlimited attempts paced like the paper's
-/// periodic lock polling; not idempotent because every bid redraws its
-/// random number and refreshes max_sn. The attempt timeout must ride out
-/// the coordination service's election window plus the RPC budget.
+/// periodic lock polling; every bid redraws its random number and
+/// refreshes max_sn. The attempt timeout must ride out the coordination
+/// service's election window plus the RPC budget.
 constexpr net::RpcPolicy kElectionBid{
     .attempt_timeout = 4 * kSecond,
     .max_attempts = 0,
     .backoff_base = 200 * kMillisecond,
     .backoff_multiplier = 1.0,
     .jitter = 0.0,
-    .idempotent = false,
 };
 
 /// Step 5: one registration attempt per peer, and the bound on a round for
@@ -202,7 +201,7 @@ void Upgrade::Step4DrainReplica(std::size_t replica, bool progressed) {
 void Upgrade::Step4Reflush() {
   // Step 4: re-flush the last cached journals to the whole group so that
   // nothing the previous active half-replicated is missing anywhere.
-  // Receivers dedup by sn, so this is idempotent.
+  // Receivers drop an sn they already hold, so repeats are harmless.
   const auto& recent = s_.recent_batches();
   const std::size_t n = std::min<std::size_t>(recent.size(), 8);
   for (std::size_t i = recent.size() - n; i < recent.size(); ++i) {

@@ -7,26 +7,22 @@
 //   * typed request/response calls:   Call(to, msg, timeout, cb)
 //   * handler registration by type:   OnRequest(type, handler)
 //
-// Retried calls (net/rpc.hpp) carry a stable idempotency key alongside the
-// per-attempt rpc_id. The receiving Host keeps a bounded response cache
-// keyed by that idempotency key: a retry of an already-answered request is
-// served from the cache without re-executing the handler, and a retry of a
-// request whose handler is still running is parked as a waiter that shares
-// the eventual reply. This is what makes at-least-once delivery look
-// exactly-once to handlers.
+// Host delivers every attempt it receives to the handler: the transport
+// keeps no record of past requests. A retried call (net/rpc.hpp) is made
+// safe by the protocol that sends it — client-op duplicate suppression,
+// the standby's sn check, the SSP fence, shard-record upserts, read-only
+// fetches, and the coordination service's one session per (node, group)
+// (docs/NETWORKING.md lists which covers what).
 //
 // Crash semantics: when the process crashes, pending outbound RPCs are
 // forgotten (their callbacks never fire — they belonged to the dead
-// incarnation), the dedup cache is dropped (it was volatile memory), and
-// inbound deliveries bounce because EndpointAlive() is false. This is
-// exactly the externally observable behaviour of kill -9.
+// incarnation), and inbound deliveries bounce because EndpointAlive() is
+// false. This is exactly the externally observable behaviour of kill -9.
 #pragma once
 
-#include <deque>
 #include <functional>
 #include <unordered_map>
 #include <utility>
-#include <vector>
 
 #include "common/status.hpp"
 #include "net/message.hpp"
@@ -54,7 +50,6 @@ class Host : public sim::Process, public Endpoint {
     obs::Counter* attempts = nullptr;        ///< every Call() issued
     obs::Counter* retries = nullptr;         ///< re-attempts by RpcCall
     obs::Counter* timeouts = nullptr;        ///< attempts that hit their deadline
-    obs::Counter* dedup_hits = nullptr;      ///< requests absorbed by the cache
     obs::Counter* late_responses = nullptr;  ///< responses dropped at delivery
   };
 
@@ -65,26 +60,12 @@ class Host : public sim::Process, public Endpoint {
     rpc_counters_.attempts = metrics.counter("net.rpc.attempts");
     rpc_counters_.retries = metrics.counter("net.rpc.retries");
     rpc_counters_.timeouts = metrics.counter("net.rpc.timeouts");
-    rpc_counters_.dedup_hits = metrics.counter("net.rpc.dedup_hits");
     rpc_counters_.late_responses = metrics.counter("net.rpc.late_responses");
   }
 
   NodeId id() const noexcept { return id_; }
   Network& network() noexcept { return network_; }
   const RpcCounters& rpc_counters() const noexcept { return rpc_counters_; }
-
-  /// Completed-response cache capacity (entries). 0 disables caching;
-  /// in-flight request coalescing still applies.
-  void set_dedup_capacity(std::size_t n) noexcept { dedup_capacity_ = n; }
-  std::size_t dedup_capacity() const noexcept { return dedup_capacity_; }
-
-  /// Allocates an idempotency key for a logical call. Keys embed the node
-  /// id in the top bits and a never-reset sequence below, so they are
-  /// unique across hosts and across restarts of one host — a reborn client
-  /// must never have a call answered from a previous life's cache entry.
-  std::uint64_t NextIdemKey() noexcept {
-    return (static_cast<std::uint64_t>(id_ + 1) << 48) | ++next_idem_key_;
-  }
 
   // --- Endpoint -----------------------------------------------------------
   bool EndpointAlive() const override { return alive(); }
@@ -115,46 +96,12 @@ class Host : public sim::Process, public Endpoint {
                 name().c_str(), env.payload->type());
       return;
     }
-    ReplyFn reply;
+    ReplyFn reply = [](MessagePtr) {};
     if (env.rpc_id != 0) {
-      if (env.idem_key != 0) {
-        // Retried-request dedup. Three cases, in order: already answered
-        // (replay the cached response), still executing (park this attempt
-        // as a waiter on the in-flight execution), first sighting (run the
-        // handler and remember the reply).
-        if (auto done = dedup_done_.find(env.idem_key);
-            done != dedup_done_.end()) {
-          rpc_counters_.dedup_hits->Add();
-          SendResponse(env.from, env.rpc_id, done->second);
-          return;
-        }
-        if (auto inflight = dedup_inflight_.find(env.idem_key);
-            inflight != dedup_inflight_.end()) {
-          rpc_counters_.dedup_hits->Add();
-          inflight->second.push_back({env.from, env.rpc_id});
-          return;
-        }
-        dedup_inflight_.emplace(env.idem_key, std::vector<Waiter>{});
-        const Envelope req = env;  // copy addressing for the closure
-        reply = [this, req](MessagePtr response) {
-          auto inflight = dedup_inflight_.find(req.idem_key);
-          if (inflight != dedup_inflight_.end()) {
-            for (const Waiter& w : inflight->second) {
-              SendResponse(w.from, w.rpc_id, response);
-            }
-            dedup_inflight_.erase(inflight);
-            RememberResponse(req.idem_key, response);
-          }
-          SendResponse(req.from, req.rpc_id, std::move(response));
-        };
-      } else {
-        const Envelope req = env;  // copy addressing for the closure
-        reply = [this, req](MessagePtr response) {
-          SendResponse(req.from, req.rpc_id, std::move(response));
-        };
-      }
-    } else {
-      reply = [](MessagePtr) {};
+      const Envelope req = env;  // copy addressing for the closure
+      reply = [this, req](MessagePtr response) {
+        SendResponse(req.from, req.rpc_id, std::move(response));
+      };
     }
     it->second(env, env.payload, reply);
   }
@@ -170,11 +117,8 @@ class Host : public sim::Process, public Endpoint {
   }
 
   /// Request/response with timeout. The callback runs exactly once unless
-  /// this process crashes first (then never). `idem_key` != 0 marks the
-  /// request as a (possibly retried) idempotent operation eligible for
-  /// server-side dedup; plain calls pass 0 and are always executed.
-  void Call(NodeId to, MessagePtr msg, SimTime timeout, RpcCallback cb,
-            std::uint64_t idem_key = 0) {
+  /// this process crashes first (then never).
+  void Call(NodeId to, MessagePtr msg, SimTime timeout, RpcCallback cb) {
     const std::uint64_t rpc_id = ++next_rpc_id_;
     rpc_counters_.attempts->Add();
     PendingRpc rpc;
@@ -194,7 +138,6 @@ class Host : public sim::Process, public Endpoint {
     env.from = id_;
     env.to = to;
     env.rpc_id = rpc_id;
-    env.idem_key = idem_key;
     env.payload = std::move(msg);
     network_.Send(std::move(env));
   }
@@ -208,26 +151,13 @@ class Host : public sim::Process, public Endpoint {
   void OnCrash() override {
     // Volatile RPC state dies with the process. Timeout events are guarded
     // by AfterLocal and will no-op; dropping entries here frees callbacks.
-    // The dedup cache is volatile too: after a restart, retries of old
-    // requests re-execute against the recovered state — which is correct,
-    // because the pre-crash execution's effects were also volatile unless
-    // the handler persisted them.
     pending_.clear();
-    dedup_done_.clear();
-    dedup_fifo_.clear();
-    dedup_inflight_.clear();
   }
 
  private:
   struct PendingRpc {
     RpcCallback callback;
     sim::EventHandle timeout;
-  };
-
-  /// A retried attempt that arrived while the first execution was running.
-  struct Waiter {
-    NodeId from = kInvalidNode;
-    std::uint64_t rpc_id = 0;
   };
 
   void SendResponse(NodeId to, std::uint64_t rpc_id, MessagePtr payload) {
@@ -240,31 +170,12 @@ class Host : public sim::Process, public Endpoint {
     network_.Send(std::move(out));
   }
 
-  void RememberResponse(std::uint64_t idem_key, MessagePtr response) {
-    if (dedup_capacity_ == 0) return;
-    while (dedup_done_.size() >= dedup_capacity_ && !dedup_fifo_.empty()) {
-      dedup_done_.erase(dedup_fifo_.front());
-      dedup_fifo_.pop_front();
-    }
-    if (dedup_done_.emplace(idem_key, std::move(response)).second) {
-      dedup_fifo_.push_back(idem_key);
-    }
-  }
-
   Network& network_;
   NodeId id_ = kInvalidNode;
   RpcCounters rpc_counters_;
   std::unordered_map<std::uint64_t, PendingRpc> pending_;
   std::unordered_map<MsgType, RequestHandler> handlers_;
   std::uint64_t next_rpc_id_ = 0;
-  std::uint64_t next_idem_key_ = 0;
-
-  // Server-side response cache: completed replies (FIFO-bounded) plus
-  // attempts parked behind an in-flight execution of the same key.
-  std::size_t dedup_capacity_ = 1024;
-  std::unordered_map<std::uint64_t, MessagePtr> dedup_done_;
-  std::deque<std::uint64_t> dedup_fifo_;
-  std::unordered_map<std::uint64_t, std::vector<Waiter>> dedup_inflight_;
 };
 
 }  // namespace mams::net

@@ -37,17 +37,12 @@ const T& Cast(const MessagePtr& msg) {
   return static_cast<const T&>(*msg);
 }
 
-/// Wire envelope: addressing plus RPC correlation.
-///
-/// `rpc_id` correlates one attempt with its response and is fresh per
-/// attempt; `idem_key` names the logical operation and is stable across
-/// retries of the same call, letting the receiving Host replay a cached
-/// response instead of re-executing the handler (see Host::Deliver).
+/// Wire envelope: addressing plus RPC correlation. `rpc_id` correlates one
+/// attempt with its response and is fresh per attempt.
 struct Envelope {
   NodeId from = kInvalidNode;
   NodeId to = kInvalidNode;
-  std::uint64_t rpc_id = 0;    ///< 0 = one-way message
-  std::uint64_t idem_key = 0;  ///< 0 = not idempotent / no dedup
+  std::uint64_t rpc_id = 0;  ///< 0 = one-way message
   bool is_response = false;
   MessagePtr payload;
 };

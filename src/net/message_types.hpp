@@ -22,7 +22,6 @@ inline constexpr MsgType kPaxosLearn = 0x0105;
 // 0x02xx — journal synchronization (active <-> standby 2PC)
 inline constexpr MsgType kJournalPrepare = 0x0201;
 inline constexpr MsgType kJournalAck = 0x0202;
-inline constexpr MsgType kJournalCommit = 0x0203;
 
 // 0x03xx — SSP (shared storage pool)
 inline constexpr MsgType kSspWrite = 0x0301;
@@ -43,25 +42,13 @@ inline constexpr MsgType kRenewCommand = 0x0503;
 inline constexpr MsgType kRenewProgress = 0x0504;
 inline constexpr MsgType kRenewJournalFetch = 0x0505;
 inline constexpr MsgType kRenewJournalReply = 0x0506;
-inline constexpr MsgType kImageFetch = 0x0507;
-inline constexpr MsgType kImageChunk = 0x0508;
 
 // 0x06xx — data servers (block reports, heartbeats)
 inline constexpr MsgType kBlockReport = 0x0601;
 inline constexpr MsgType kBlockReportAck = 0x0602;
 
-// 0x07xx — baseline systems (HDFS NN, BackupNode, AvatarNode, QJM, BoomFS)
+// 0x07xx — baseline systems (the BackupNode edit stream)
 inline constexpr MsgType kNnEditStream = 0x0701;
-inline constexpr MsgType kNnEditAck = 0x0702;
-inline constexpr MsgType kQjmJournalWrite = 0x0703;
-inline constexpr MsgType kQjmJournalAck = 0x0704;
-inline constexpr MsgType kQjmRecover = 0x0705;
-inline constexpr MsgType kQjmRecoverReply = 0x0706;
-inline constexpr MsgType kNfsEditWrite = 0x0707;
-inline constexpr MsgType kNfsEditRead = 0x0708;
-inline constexpr MsgType kNfsEditReply = 0x0709;
-inline constexpr MsgType kRsmPropose = 0x070a;
-inline constexpr MsgType kRsmDecision = 0x070b;
 
 // 0x08xx — generic test payloads
 inline constexpr MsgType kTestPing = 0x0801;
@@ -93,7 +80,6 @@ inline const char* MsgTypeName(MsgType type) noexcept {
     case kPaxosLearn: return "paxos_learn";
     case kJournalPrepare: return "journal_prepare";
     case kJournalAck: return "journal_ack";
-    case kJournalCommit: return "journal_commit";
     case kSspWrite: return "ssp_write";
     case kSspWriteAck: return "ssp_write_ack";
     case kSspRead: return "ssp_read";
@@ -108,21 +94,9 @@ inline const char* MsgTypeName(MsgType type) noexcept {
     case kRenewProgress: return "renew_progress";
     case kRenewJournalFetch: return "renew_journal_fetch";
     case kRenewJournalReply: return "renew_journal_reply";
-    case kImageFetch: return "image_fetch";
-    case kImageChunk: return "image_chunk";
     case kBlockReport: return "block_report";
     case kBlockReportAck: return "block_report_ack";
     case kNnEditStream: return "nn_edit_stream";
-    case kNnEditAck: return "nn_edit_ack";
-    case kQjmJournalWrite: return "qjm_journal_write";
-    case kQjmJournalAck: return "qjm_journal_ack";
-    case kQjmRecover: return "qjm_recover";
-    case kQjmRecoverReply: return "qjm_recover_reply";
-    case kNfsEditWrite: return "nfs_edit_write";
-    case kNfsEditRead: return "nfs_edit_read";
-    case kNfsEditReply: return "nfs_edit_reply";
-    case kRsmPropose: return "rsm_propose";
-    case kRsmDecision: return "rsm_decision";
     case kTestPing: return "test_ping";
     case kTestPong: return "test_pong";
     case kShardTransfer: return "shard_transfer";

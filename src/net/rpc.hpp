@@ -4,9 +4,9 @@
 // timer-and-retry loop; this file replaces those with one policy object
 // (per-attempt timeout, bounded attempts, overall deadline, exponential
 // backoff with optional jitter) and one state machine (RpcCall) driven
-// entirely by the simulator clock. Each attempt gets a fresh rpc_id; all
-// attempts of one call share a stable idempotency key, which the receiving
-// Host uses to dedup re-executions (see host.hpp).
+// entirely by the simulator clock. Each attempt gets a fresh rpc_id and is
+// executed by the receiver; the protocol that sends a retried call makes
+// its re-execution safe (see host.hpp).
 //
 // Determinism: backoff jitter draws from the simulator's RNG, and only
 // when jitter > 0 — policies with jitter = 0 consume no randomness, so
@@ -49,13 +49,6 @@ struct RpcPolicy {
   /// Adds U(0, jitter * delay) on top of the computed backoff. 0 keeps the
   /// schedule exact (and consumes no RNG draws).
   double jitter = 0.0;
-  /// When true the call carries a Host idempotency key, so server-side
-  /// dedup may replay a cached response for retried attempts. Set false
-  /// for calls whose payload legitimately changes between attempts (e.g.
-  /// election bids with a fresh random draw). Ignored — no key is sent —
-  /// for single-attempt calls and for polling calls (a `retry_response`
-  /// hook), where a cached replay would pin the first answer forever.
-  bool idempotent = true;
 
   /// Backoff delay scheduled before attempt `attempt` (2-based: the wait
   /// between attempt 1 and attempt 2 is `backoff_base`).
@@ -121,16 +114,7 @@ class RpcCall : public std::enable_shared_from_this<RpcCall> {
         policy_(policy),
         done_(std::move(done)),
         hooks_(std::move(hooks)),
-        started_(host.sim().Now()),
-        // Single-attempt calls can never be retried, so a dedup key would
-        // only churn the receiver's cache. Polling calls (retry_response)
-        // must not carry one either: they retry *because* of the response,
-        // and a cached replay would hand back the same "not ready" answer
-        // forever.
-        idem_key_(policy.idempotent && policy.max_attempts != 1 &&
-                          !hooks_.retry_response
-                      ? host.NextIdemKey()
-                      : 0) {}
+        started_(host.sim().Now()) {}
 
   void Attempt() {
     if (hooks_.cancelled && hooks_.cancelled()) {
@@ -162,10 +146,8 @@ class RpcCall : public std::enable_shared_from_this<RpcCall> {
         {{"to", static_cast<std::uint64_t>(to)},
          {"attempt", static_cast<std::uint64_t>(attempt_)}});
     auto self = shared_from_this();
-    host_.Call(
-        to, msg_, timeout,
-        [self](Result<MessagePtr> r) { self->OnResult(std::move(r)); },
-        idem_key_);
+    host_.Call(to, msg_, timeout,
+               [self](Result<MessagePtr> r) { self->OnResult(std::move(r)); });
   }
 
   void OnResult(Result<MessagePtr> r) {
@@ -228,7 +210,6 @@ class RpcCall : public std::enable_shared_from_this<RpcCall> {
   Host::RpcCallback done_;
   RpcHooks hooks_;
   const SimTime started_;
-  const std::uint64_t idem_key_;
   int attempt_ = 0;
   MessagePtr last_retryable_;
   obs::TraceRecorder::Span span_;

@@ -41,7 +41,7 @@ class SharedFile {
  public:
   /// Appends keeping records sorted by sn. The network may reorder two
   /// in-flight writes, and a sender may retry one that was actually stored;
-  /// insertion-sort from the back plus sn-idempotence absorbs both.
+  /// insertion-sort from the back plus the same-sn check absorbs both.
   /// Fencing: appends from a writer older than the newest seen are
   /// rejected (returns false), and a same-sn record from a newer writer
   /// replaces the stale one — a deposed active's late flushes can neither
@@ -52,7 +52,7 @@ class SharedFile {
     if (record.sn != 0) {
       const std::size_t i = IndexOfSn(record.sn);
       if (i != records_.size()) {
-        if (records_[i].fence >= record.fence) return true;  // idempotent
+        if (records_[i].fence >= record.fence) return true;  // a repeat
         total_logical_ += record.TimedSize() - records_[i].TimedSize();
         records_[i] = std::move(record);  // newer writer wins the slot
         return true;

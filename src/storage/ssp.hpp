@@ -187,16 +187,12 @@ class SspClient {
 
   /// One read attempt per replica in `targets` order, no backoff between
   /// them — pool-node failover should be as fast as the timeout allows.
-  /// Each attempt goes to a *different* node, so server-side dedup would
-  /// never trigger; the policy marks the call non-idempotent to keep
-  /// replica caches out of the picture.
   net::RpcPolicy FailoverPolicy(std::size_t targets) const {
     net::RpcPolicy policy;
     policy.attempt_timeout = kReadTimeout;
     policy.max_attempts = static_cast<int>(targets);
     policy.backoff_base = 0;
     policy.backoff_cap = 0;
-    policy.idempotent = false;
     return policy;
   }
 

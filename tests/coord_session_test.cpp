@@ -88,6 +88,27 @@ TEST_F(SessionTest, ShortPartitionKeepsSessionAlive) {
   EXPECT_TRUE(host_->client().registered());
 }
 
+TEST_F(SessionTest, RetriedRegisterAfterLostReplyGetsALiveSession) {
+  // Every register attempt reaches the service for 8 s, but every reply is
+  // lost — longer than kSessionTimeout, so the session the first attempt
+  // opened expires unheard. Each retry re-runs the registration, which
+  // replaces the member's session, and the session the member finally
+  // hears about is live.
+  SessionHost late(net_, "late", ensemble_->frontend_id());
+  late.Boot();
+  net_.SetRecvUp(late.id(), false);
+  bool ok = false;
+  late.client().Register(0, ServerState::kStandby,
+                         [&](Result<GroupView> r) { ok = r.ok(); });
+  Run(8 * kSecond);
+  EXPECT_FALSE(ok);
+  net_.SetRecvUp(late.id(), true);
+  Run(10 * kSecond);
+  EXPECT_TRUE(ok);
+  EXPECT_EQ(late.session_lost_events, 0);
+  EXPECT_TRUE(late.client().registered());
+}
+
 TEST_F(SessionTest, AdminExpireFiresLostHandler) {
   ensemble_->frontend().AdminExpireNode(host_->id());
   Run(6 * kSecond);  // next heartbeat answers "expired"
