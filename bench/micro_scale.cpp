@@ -137,8 +137,8 @@ TierStats RunTier(std::uint64_t sessions, ArrivalKind kind,
       st.wall_seconds > 0
           ? static_cast<double>(engine.sessions_finished()) / st.wall_seconds
           : 0;
-  st.p50_ms = engine.latencies().Quantile(0.50);
-  st.p99_ms = engine.latencies().Quantile(0.99);
+  st.p50_ms = ToMillis(engine.latencies().Quantile(0.50));
+  st.p99_ms = ToMillis(engine.latencies().Quantile(0.99));
   st.digest = sim.run_digest();
   return st;
 }

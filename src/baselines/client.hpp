@@ -11,7 +11,6 @@
 #include <string>
 #include <vector>
 
-#include "cluster/client.hpp"
 #include "core/messages.hpp"
 #include "net/host.hpp"
 #include "net/rpc.hpp"
@@ -26,7 +25,6 @@ struct BaselineClientOptions {
 class BaselineClient : public net::Host {
  public:
   using OpCallback = std::function<void(Status)>;
-  using Observer = std::function<void(const cluster::OpOutcome&)>;
 
   /// `failover_backoff` is the wait before trying the next server.
   BaselineClient(net::Network& network, std::string name,
@@ -36,8 +34,6 @@ class BaselineClient : public net::Host {
         servers_(std::move(servers)),
         failover_backoff_(failover_backoff),
         options_(options) {}
-
-  void set_observer(Observer observer) { observer_ = std::move(observer); }
 
   void Create(const std::string& path, OpCallback done,
               std::uint32_t replication = 3) {
@@ -75,7 +71,7 @@ class BaselineClient : public net::Host {
   struct OpState {
     std::shared_ptr<core::ClientRequestMsg> request;
     OpCallback done;
-    cluster::OpOutcome outcome;
+    int attempts = 1;
     NodeId last_target = kInvalidNode;
   };
 
@@ -83,8 +79,6 @@ class BaselineClient : public net::Host {
     auto state = std::make_shared<OpState>();
     state->request = std::move(req);
     state->done = std::move(done);
-    state->outcome.op = state->request->op;
-    state->outcome.issued = sim().Now();
 
     // The whole failover-proxy loop as one policy-driven call: each failed
     // attempt rotates the shared server cursor and waits out the
@@ -100,7 +94,7 @@ class BaselineClient : public net::Host {
     policy.backoff_cap = failover_backoff_;
     net::RpcHooks hooks;
     hooks.cancelled = [this, state] {
-      return state->outcome.attempts > options_.max_attempts;
+      return state->attempts > options_.max_attempts;
     };
     hooks.target = [this, state](int) {
       state->last_target = servers_[current_];
@@ -111,7 +105,7 @@ class BaselineClient : public net::Host {
       return !resp.ok && resp.code == StatusCode::kUnavailable;
     };
     hooks.on_retry = [this, state](int, const Status&) {
-      ++state->outcome.attempts;
+      ++state->attempts;
       // Shared failover-proxy semantics: advance the cursor only if the
       // failed target is still the current one. Concurrent ops failing
       // against the same dead server must not rotate it twice (they would
@@ -139,9 +133,6 @@ class BaselineClient : public net::Host {
   }
 
   void Finish(const std::shared_ptr<OpState>& state, Status status) {
-    state->outcome.completed = sim().Now();
-    state->outcome.ok = status.ok();
-    if (observer_) observer_(state->outcome);
     state->done(std::move(status));
   }
 
@@ -150,7 +141,6 @@ class BaselineClient : public net::Host {
   BaselineClientOptions options_;
   std::size_t current_ = 0;
   std::uint64_t op_seq_ = 0;
-  Observer observer_;
 };
 
 }  // namespace mams::baselines

@@ -32,7 +32,7 @@
 // consistent (read-your-writes: a completed own mutation both raises the
 // token past older entries and invalidates the touched directories before
 // its callback runs). Conflicting mutations by other clients revoke the
-// lease — pushed through the coordination relay and acked here; the active
+// lease — pushed by the active and acked straight back to it; the active
 // holds the mutation's ack until that ack (or the lease TTL) — so a cache
 // entry can never be served after a conflicting mutation was observed
 // complete anywhere. Revoked lease ids are tombstoned until their TTL: a
@@ -91,15 +91,6 @@ struct ReadOptions {
   bool require_active = false;
 };
 
-/// Per-operation observation for MTTR and throughput measurement.
-struct OpOutcome {
-  core::ClientOp op;
-  SimTime issued = 0;     ///< first send
-  SimTime completed = 0;  ///< final response
-  bool ok = false;
-  int attempts = 1;
-};
-
 /// Session-consistency metadata of the most recently completed op (set
 /// just before its callback runs). Closed-loop harnesses — the history
 /// recorder, benches — read this to tag the op they just observed.
@@ -120,7 +111,6 @@ class FsClient : public net::Host {
   using OpCallback = std::function<void(Status)>;
   using InfoCallback = std::function<void(Result<fsns::FileInfo>)>;
   using ListCallback = std::function<void(Result<std::vector<std::string>>)>;
-  using Observer = std::function<void(const OpOutcome&)>;
 
   FsClient(net::Network& network, std::string name, NodeId coord,
            shard::PartitionMap map, FsClientOptions options = {})
@@ -135,11 +125,12 @@ class FsClient : public net::Host {
     m_cache_revocations_ = metrics.counter("client.cache_revocations");
     m_cache_expiries_ = metrics.counter("client.cache_expiries");
     OnRequest(net::kLeaseRevoke,
-              [this](const net::Envelope&, const net::MessagePtr& msg,
-                     const net::Host::ReplyFn&) { HandleLeaseRevoke(msg); });
+              [this](const net::Envelope& env, const net::MessagePtr& msg,
+                     const net::Host::ReplyFn&) {
+                HandleLeaseRevoke(env.from, msg);
+              });
   }
 
-  void set_observer(Observer observer) { observer_ = std::move(observer); }
   const shard::PartitionMap& partition_map() const noexcept { return map_; }
 
   /// Session metadata of the last completed op; see OpStamp.
@@ -309,7 +300,7 @@ class FsClient : public net::Host {
     std::shared_ptr<core::ClientRequestMsg> request;
     RawCallback done;
     GroupId group = 0;
-    OpOutcome outcome;
+    int attempts = 1;
     bool require_active = false;  ///< never offload this read
     bool force_active = false;    ///< offload failed once; stay on active
     bool via_standby = false;     ///< current attempt targets a standby
@@ -337,8 +328,6 @@ class FsClient : public net::Host {
       }
       done(Decode<T>(*r.value()));
     };
-    state->outcome.op = state->request->op;
-    state->outcome.issued = sim().Now();
     if (TryServeFromCache(state)) return;
     Attempt(state);
   }
@@ -350,7 +339,7 @@ class FsClient : public net::Host {
   }
 
   void Attempt(const std::shared_ptr<OpState>& state) {
-    if (state->outcome.attempts > options_.max_attempts) {
+    if (state->attempts > options_.max_attempts) {
       Finish(state, Status::Unavailable("retries exhausted"));
       return;
     }
@@ -386,7 +375,7 @@ class FsClient : public net::Host {
             // Timeout: the active may be gone. Re-resolve and resend.
             InvalidateActive(state->group, target);
             ++counters_.retries;
-            ++state->outcome.attempts;
+            ++state->attempts;
             Resolve(state);
             return;
           }
@@ -405,7 +394,7 @@ class FsClient : public net::Host {
             // active was deposed and answers as a standby now.
             InvalidateActive(state->group, target);
             ++counters_.retries;
-            ++state->outcome.attempts;
+            ++state->attempts;
             Resolve(state);
             return;
           }
@@ -421,7 +410,7 @@ class FsClient : public net::Host {
     auto fall_back = [this, state] {
       state->force_active = true;
       ++counters_.retries;
-      ++state->outcome.attempts;
+      ++state->attempts;
       Attempt(state);
     };
     if (!r.ok()) {
@@ -466,7 +455,7 @@ class FsClient : public net::Host {
                      const core::ClientResponseMsg& resp) {
     ++counters_.shard_bounces;
     ++counters_.retries;
-    ++state->outcome.attempts;
+    ++state->attempts;
     bool newer = false;
     if (resp.map_epoch > map_.epoch()) {
       auto m = shard::PartitionMap::Deserialize(resp.map_bytes);
@@ -631,15 +620,16 @@ class FsClient : public net::Host {
     }
   }
 
-  /// Revocation push (active -> coordination relay -> here). Always acked —
-  /// the ack releases the conflicting mutation's reply barrier at the
-  /// granter; even the ignore_revoke mutant acks, because its deliberate
-  /// bug is serving stale state *after* the mutation completes normally.
-  void HandleLeaseRevoke(const net::MessagePtr& msg) {
-    const auto& push = net::Cast<coord::LeaseRevokeMsg>(msg);
+  /// Revocation push from the `active` that granted the leases. Always
+  /// acked to it — the ack releases the conflicting mutation's reply barrier
+  /// at the granter; even the ignore_revoke mutant acks, because its
+  /// deliberate bug is serving stale state *after* the mutation completes
+  /// normally.
+  void HandleLeaseRevoke(NodeId active, const net::MessagePtr& msg) {
+    const auto& push = net::Cast<core::LeaseRevokeMsg>(msg);
     std::vector<std::uint64_t> acked;
     acked.reserve(push.leases.size());
-    for (const coord::LeaseRevocation& rev : push.leases) {
+    for (const core::LeaseRevocation& rev : push.leases) {
       acked.push_back(rev.lease_id);
       Tombstone(rev.lease_id);
       ++counters_.cache_revocations;
@@ -650,11 +640,10 @@ class FsClient : public net::Host {
         cache_.erase(it);
       }
     }
-    if (push.active != kInvalidNode && !acked.empty()) {
-      auto ack = std::make_shared<coord::LeaseRevokeAckMsg>();
-      ack->client = id();
+    if (!acked.empty()) {
+      auto ack = std::make_shared<core::LeaseRevokeAckMsg>();
       ack->lease_ids = std::move(acked);
-      Send(push.active, std::move(ack));
+      Send(active, std::move(ack));
     }
   }
 
@@ -729,17 +718,17 @@ class FsClient : public net::Host {
     policy.attempt_timeout = coord::CoordClient::kRpcTimeout;
     // Remaining op budget = remaining view polls; at least one.
     policy.max_attempts =
-        std::max(1, options_.max_attempts - state->outcome.attempts + 1);
+        std::max(1, options_.max_attempts - state->attempts + 1);
     policy.backoff_base = options_.resolve_poll;
     policy.backoff_multiplier = 1.0;
     policy.backoff_cap = options_.resolve_poll;
     policy.jitter = 1.0;  // decorrelates a reconnecting herd of clients
     coord_client_->WaitForActive(
         state->group, policy,
-        [state](int, const Status&) { ++state->outcome.attempts; },
+        [state](int, const Status&) { ++state->attempts; },
         [this, state](Result<coord::GroupView> r) {
           if (!r.ok()) {
-            ++state->outcome.attempts;  // the final fruitless poll
+            ++state->attempts;  // the final fruitless poll
             Finish(state, Status::Unavailable("no active (failing over)"));
             return;
           }
@@ -763,9 +752,7 @@ class FsClient : public net::Host {
   }
 
   void Finish(const std::shared_ptr<OpState>& state, Result<RespPtr> result) {
-    state->outcome.completed = sim().Now();
-    state->outcome.ok = result.ok() && result.value()->ok;
-    if (state->outcome.ok) {
+    if (result.ok() && result.value()->ok) {
       ++counters_.ops_ok;
     } else {
       ++counters_.ops_failed;
@@ -803,7 +790,6 @@ class FsClient : public net::Host {
         InvalidateForMutation(*state->request);
       }
     }
-    if (observer_) observer_(state->outcome);
     state->done(std::move(result));
   }
 
@@ -829,7 +815,6 @@ class FsClient : public net::Host {
   std::map<GroupId, SerialNumber> session_sn_;
   std::uint64_t rr_ = 0;  ///< round-robin cursor over standbys
   std::uint64_t op_seq_ = 0;
-  Observer observer_;
   OpStamp last_stamp_;
   Counters counters_;
   // Lease-protected namespace cache (see ClientCacheOptions).

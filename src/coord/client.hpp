@@ -209,19 +209,6 @@ class CoordClient {
     Exchange(std::move(req), std::move(done), Acked);
   }
 
-  /// Asks the frontend to push lease revocations to the listed client
-  /// nodes (one bounded attempt, fire-and-forget semantics: the caller's
-  /// reply barrier is released by client acks or by lease TTL, so a lost
-  /// relay only costs latency, never correctness).
-  void RelayLeaseRevokes(std::vector<RevokeTarget> targets,
-                         std::function<void(Status)> done) {
-    auto req = std::make_shared<CoordRequestMsg>();
-    req->op = CoordOp::kRelayRevoke;
-    req->subject = host_.id();
-    req->revoke_targets = std::move(targets);
-    Exchange(std::move(req), std::move(done), Acked);
-  }
-
   /// Fetches the currently published partition map (epoch 0: none yet).
   void GetMap(MapCallback done) {
     auto req = std::make_shared<CoordRequestMsg>();
@@ -296,7 +283,7 @@ class CoordClient {
   }
 
  private:
-  /// Single-shot ops (watch, view, state, release, map, relay): one
+  /// Single-shot ops (watch, view, state, release, map): one
   /// bounded attempt whose failure the owner handles.
   static constexpr net::RpcPolicy kRpcPolicy{
       .attempt_timeout = kRpcTimeout,

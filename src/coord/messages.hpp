@@ -17,7 +17,7 @@ using SessionId = std::uint64_t;
 /// Session timing (paper §IV.B), owned here and nowhere else: clients
 /// heartbeat every kHeartbeatInterval, and the service expires a session
 /// that stays silent for longer than kSessionTimeout. A metadata server's
-/// lease-grant guard (MdsServer::MaybeGrantLease) relies on the same
+/// lease-grant guard (ReadService::MaybeGrantLease) relies on the same
 /// timeout to bound how long any of its grants can outlive its tenure.
 inline constexpr SimTime kHeartbeatInterval = 2 * kSecond;
 inline constexpr SimTime kSessionTimeout = 5 * kSecond;
@@ -32,19 +32,6 @@ enum class CoordOp : std::uint8_t {
   kCloseSession,   ///< graceful shutdown
   kPublishMap,     ///< install a newer namespace partition map
   kGetMap,         ///< fetch the current partition map
-  kRelayRevoke,    ///< fan lease revocations out to client nodes
-};
-
-/// One revoked directory lease, as pushed to the client that holds it.
-struct LeaseRevocation {
-  std::string dir;            ///< leased directory path
-  std::uint64_t lease_id = 0;
-};
-
-/// kRelayRevoke: all revocations destined for one client node.
-struct RevokeTarget {
-  NodeId node = kInvalidNode;
-  std::vector<LeaseRevocation> leases;
 };
 
 struct CoordRequestMsg final : net::Message {
@@ -61,9 +48,6 @@ struct CoordRequestMsg final : net::Message {
   // to the coordination layer; ordered by epoch).
   std::uint64_t map_epoch = 0;
   std::vector<char> map_bytes;
-  // kRelayRevoke: per-client revocation batches; `subject` carries the
-  // revoking active's node id (clients ack to it directly).
-  std::vector<RevokeTarget> revoke_targets;
 
   net::MsgType type() const noexcept override { return net::kCoordRequest; }
 };
@@ -98,23 +82,6 @@ struct WatchEventMsg final : net::Message {
 struct HeartbeatMsg final : net::Message {
   SessionId session = 0;
   net::MsgType type() const noexcept override { return net::kCoordHeartbeat; }
-};
-
-/// Lease revocation push, relayed by the coordination frontend to the
-/// client node that holds the leases. The client drops the named cache
-/// entries and acks straight to `active` (not the relay): the ack is what
-/// releases the mutation's reply barrier on the granter.
-struct LeaseRevokeMsg final : net::Message {
-  NodeId active = kInvalidNode;  ///< granter to ack to
-  std::vector<LeaseRevocation> leases;
-  net::MsgType type() const noexcept override { return net::kLeaseRevoke; }
-};
-
-/// Client -> active: the pushed revocations have been applied locally.
-struct LeaseRevokeAckMsg final : net::Message {
-  NodeId client = kInvalidNode;
-  std::vector<std::uint64_t> lease_ids;
-  net::MsgType type() const noexcept override { return net::kLeaseRevokeAck; }
 };
 
 }  // namespace mams::coord

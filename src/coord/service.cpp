@@ -30,7 +30,6 @@ CoordService::CoordService(net::Network& network, std::string name,
   lock_grants_ = metrics.counter("coord.lock_grants");
   elections_ = metrics.counter("coord.elections");
   watch_events_ = metrics.counter("coord.watch_events");
-  revokes_relayed_ = metrics.counter("coord.revokes_relayed");
   sessions_gauge_ = metrics.gauge("coord.sessions");
   OnRequest(net::kCoordRequest,
             [this](const net::Envelope& env, const net::MessagePtr& msg,
@@ -120,22 +119,6 @@ void CoordService::HandleRequest(const net::Envelope& env,
       out->map_epoch = machine_.map_epoch();
       out->map_bytes = machine_.map_bytes();
       reply(out);
-      return;
-    }
-    case CoordOp::kRelayRevoke: {
-      // Sessionless, like kGetMap: revocation fan-out is soft state on the
-      // watch channel (clients hold no coordination sessions), and the
-      // safety of the lease protocol rests on client acks reaching the
-      // active plus the TTL backstop — not on this relay being reliable.
-      for (const RevokeTarget& target : req.revoke_targets) {
-        if (target.node == kInvalidNode || target.leases.empty()) continue;
-        auto push = std::make_shared<LeaseRevokeMsg>();
-        push->active = req.subject;
-        push->leases = target.leases;
-        revokes_relayed_->Add();
-        Send(target.node, push);
-      }
-      Reply(reply, req.group, true);
       return;
     }
   }

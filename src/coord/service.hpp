@@ -128,7 +128,6 @@ class CoordService : public paxos::Replica {
   obs::Counter* lock_grants_;
   obs::Counter* elections_;
   obs::Counter* watch_events_;
-  obs::Counter* revokes_relayed_;
   obs::Gauge* sessions_gauge_;
   std::map<GroupId, obs::TraceRecorder::Span> election_spans_;
 };

@@ -675,8 +675,8 @@ void MdsServer::RegisterHandlers() {
   OnRequest(net::kShardControl, [this](auto&, auto& msg, auto& reply) {
     shard_->HandleControl(msg, reply);
   });
-  OnRequest(net::kLeaseRevokeAck, [this](auto&, auto& msg, auto&) {
-    reads_->HandleRevokeAck(msg);
+  OnRequest(net::kLeaseRevokeAck, [this](auto& env, auto& msg, auto&) {
+    reads_->HandleRevokeAck(env.from, msg);
   });
   OnRequest(net::kBlockReport, [this](auto&, auto& msg, auto& reply) {
     const auto& report = net::Cast<BlockReportMsg>(msg);

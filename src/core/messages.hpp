@@ -104,7 +104,7 @@ struct ClientResponseMsg final : net::Message {
   FenceToken lease_epoch = 0;
   SimTime lease_expire_at = 0;
   /// Revocations piggybacked on the requester's own ack (its mutation
-  /// conflicted with leases it holds itself — no relay round needed).
+  /// conflicted with leases it holds itself — no push round needed).
   std::vector<std::uint64_t> revoke_lease_ids;
 
   net::MsgType type() const noexcept override { return net::kClientResponse; }
@@ -113,6 +113,27 @@ struct ClientResponseMsg final : net::Message {
     for (const auto& s : listing) n += s.size() + 8;
     return n;
   }
+};
+
+// --- directory lease revocation (active <-> client) --------------------------
+
+/// One revoked directory lease, as pushed to the client that holds it.
+struct LeaseRevocation {
+  std::string dir;            ///< leased directory path
+  std::uint64_t lease_id = 0;
+};
+
+/// Active -> holder: drop the named cache entries and ack to the sender.
+/// The ack is what releases the mutation's reply barrier on the granter.
+struct LeaseRevokeMsg final : net::Message {
+  std::vector<LeaseRevocation> leases;
+  net::MsgType type() const noexcept override { return net::kLeaseRevoke; }
+};
+
+/// Holder -> active: the pushed revocations have been applied locally.
+struct LeaseRevokeAckMsg final : net::Message {
+  std::vector<std::uint64_t> lease_ids;
+  net::MsgType type() const noexcept override { return net::kLeaseRevokeAck; }
 };
 
 // --- journal synchronization (active -> standbys) -----------------------------

@@ -212,8 +212,8 @@ ReplyFn ReadService::RevokeConflicting(const ClientRequestMsg& req, TxId txid,
                                        ReplyFn reply) {
   if (grants_.empty()) return reply;
   // The requester's own revocations ride its ack (it must drop/patch its
-  // cache before acting on the reply); remote holders are pushed through
-  // the coordination relay and gate the ack via the txid barrier.
+  // cache before acting on the reply); remote holders get a push straight
+  // from here and gate the ack via the txid barrier.
   Revocation r;
   CollectRevocations(req.path, req.requester, r);
   if (req.op == ClientOp::kRename && !req.path2.empty())
@@ -257,15 +257,12 @@ void ReadService::RevokeSlot(std::uint32_t slot, TxId migration_id) {
 }
 
 void ReadService::Revoke(Revocation r, TxId txid) {
-  if (!r.pushes.empty()) {
-    std::vector<coord::RevokeTarget> targets;
-    targets.reserve(r.pushes.size());
-    for (auto& [node, leases] : r.pushes)
-      targets.push_back({node, std::move(leases)});
-    // Fire-and-forget: a lost relay (or dead coordination frontend) costs
-    // the barrier its fast path, never correctness — the TTL backstop
-    // releases it.
-    s_.coord().RelayLeaseRevokes(std::move(targets), [](Status) {});
+  // Fire-and-forget: a lost push costs the barrier its fast path, never
+  // correctness — the TTL backstop releases it.
+  for (auto& [node, leases] : r.pushes) {
+    auto push = std::make_shared<LeaseRevokeMsg>();
+    push->leases = std::move(leases);
+    s_.Send(node, std::move(push));
   }
   if (r.barrier.outstanding.empty()) return;
   const SimTime release_at = r.barrier.release_at;
@@ -307,13 +304,13 @@ void ReadService::ReleaseBarrier(TxId txid, bool expired) {
   for (auto& action : held) action();
 }
 
-void ReadService::HandleRevokeAck(const net::MessagePtr& msg) {
-  const auto& ack = net::Cast<coord::LeaseRevokeAckMsg>(msg);
-  if (ack.client == kInvalidNode || ack.lease_ids.empty()) return;
+void ReadService::HandleRevokeAck(NodeId client, const net::MessagePtr& msg) {
+  const auto& ack = net::Cast<LeaseRevokeAckMsg>(msg);
+  if (ack.lease_ids.empty()) return;
   std::vector<TxId> drained;
   for (auto& [txid, barrier] : barriers_) {
     for (std::uint64_t id : ack.lease_ids)
-      barrier.outstanding.erase({ack.client, id});
+      barrier.outstanding.erase({client, id});
     if (barrier.outstanding.empty()) drained.push_back(txid);
   }
   for (TxId txid : drained) ReleaseBarrier(txid, /*expired=*/false);

@@ -20,7 +20,6 @@
 #include <string>
 #include <vector>
 
-#include "coord/messages.hpp"
 #include "core/messages.hpp"
 
 namespace mams::core {
@@ -59,7 +58,8 @@ class ReadService {
   void RevokeSlot(std::uint32_t slot, TxId migration_id);
   /// Runs `action` now, or holds it until `txid`'s barrier releases.
   void RunOrHoldOnBarrier(TxId txid, std::function<void()> action);
-  void HandleRevokeAck(const net::MessagePtr& msg);
+  /// `client`'s ack of the pushes it was sent (the envelope's sender).
+  void HandleRevokeAck(NodeId client, const net::MessagePtr& msg);
 
  private:
   struct ParkedRead {
@@ -83,7 +83,7 @@ class ReadService {
   /// What one revocation round collects.
   struct Revocation {
     std::vector<std::uint64_t> own;  ///< the requester's own grant ids
-    std::map<NodeId, std::vector<coord::LeaseRevocation>> pushes;
+    std::map<NodeId, std::vector<LeaseRevocation>> pushes;
     LeaseBarrier barrier;  ///< remote holders' acks to wait for
   };
 

@@ -90,8 +90,6 @@ class FaultInjector {
     net_.set_extra_jitter(0);
   }
 
-  Network& network() noexcept { return net_; }
-
  private:
   Network& net_;
   std::map<NodeId, std::uint64_t> cut_epoch_;

@@ -30,6 +30,7 @@
 
 #include "common/types.hpp"
 #include "metrics/series.hpp"
+#include "obs/metrics.hpp"
 #include "sim/simulator.hpp"
 #include "workload/arrival.hpp"
 #include "workload/client_api.hpp"
@@ -146,7 +147,8 @@ class LoadEngine {
   std::uint64_t completed() const noexcept { return completed_; }
   std::uint64_t failed() const noexcept { return failed_; }
   const metrics::RateSeries& rate() const noexcept { return rate_; }
-  metrics::Cdf& latencies() noexcept { return latencies_; }
+  /// Completed ops' latencies, virtual-time ns.
+  const obs::Histogram& latencies() const noexcept { return latencies_; }
 
   double Throughput() const {
     const double secs = ToSeconds(sim_.Now() - start_time_);
@@ -154,7 +156,6 @@ class LoadEngine {
   }
 
   const MttrProbe& mttr_probe() const noexcept { return probe_; }
-  void ResetMttrProbe() { probe_ = MttrProbe{}; }
 
   // --- open-loop scale counters ------------------------------------------
   std::uint64_t sessions_started() const noexcept { return started_; }
@@ -403,7 +404,7 @@ class LoadEngine {
     }
     ++completed_;
     rate_.Record(now);
-    latencies_.Record(ToMillis(now - issued));
+    latencies_.Record(now - issued);
     if (probe_.first_failure >= 0 && probe_.first_success_after < 0) {
       probe_.first_success_after = now;
     }
@@ -435,7 +436,7 @@ class LoadEngine {
   std::uint64_t completed_ = 0;
   std::uint64_t failed_ = 0;
   metrics::RateSeries rate_;
-  metrics::Cdf latencies_;
+  obs::Histogram latencies_;
   MttrProbe probe_;
 };
 

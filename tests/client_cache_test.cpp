@@ -1,7 +1,8 @@
 // End-to-end tests for the client-side lease-protected namespace cache:
-// revocation ordering against conflicting acks, the TTL backstop for lost
-// revocations, lease flush across failover, shard-migration invalidation,
-// and cached==uncached equivalence under the fuzzer's full fault palette
+// revocation ordering against conflicting acks, revocation pushes that
+// bypass the coordination service, the TTL backstop for lost revocations,
+// lease flush across failover, shard-migration invalidation, and
+// cached==uncached equivalence under the fuzzer's full fault palette
 // (with the lease_revoke mutant proving the checker would catch a cache
 // that serves past a revocation).
 #include <gtest/gtest.h>
@@ -174,6 +175,39 @@ TEST_F(ClientCacheTest, RevocationLandsBeforeTheConflictingAck) {
   EXPECT_GE(active->counters().leases_revoked, 1u);
 }
 
+TEST_F(ClientCacheTest, RevocationReachesHolderWithoutTheCoordinationService) {
+  // The active pushes each revocation straight to the holder, so a
+  // coordination frontend that is cut off stays off the mutation path:
+  // the conflicting create completes on the holder's ack, not on the
+  // lease-TTL backstop.
+  Build(1, 2);
+  ASSERT_TRUE(MkdirSync("/d").ok());
+  ASSERT_TRUE(CreateFile("/d/a").ok());
+  ASSERT_TRUE(MkdirSync("/e", 1).ok());  // client 1 learns the active
+  ASSERT_TRUE(ListSync("/d").ok());
+  ASSERT_TRUE(ListSync("/d").ok());
+  ASSERT_TRUE(cluster_->client(0).last_stamp().via_cache);
+  core::MdsServer* active = cluster_->FindActive(0);
+  ASSERT_NE(active, nullptr);
+
+  const NodeId coord = cluster_->coord().frontend_id();
+  net_->SetLinkUp(coord, false);
+  const SimTime start = sim_->Now();
+  SimTime finished = 0;
+  Status created = Status::TimedOut("no reply");
+  cluster_->client(1).Create("/d/b", [&](Status s) {
+    created = s;
+    finished = sim_->Now();  // WaitFor below steps in 100 ms
+  });
+  testutil::WaitFor(*sim_, [&] { return finished != 0; }, 5 * kSecond);
+  net_->SetLinkUp(coord, true);
+
+  ASSERT_TRUE(created.ok()) << created.ToString();
+  EXPECT_LT(finished - start, 50 * kMillisecond);
+  EXPECT_EQ(active->counters().lease_barrier_expiries, 0u);
+  EXPECT_GE(cluster_->client(0).counters().cache_revocations, 1u);
+}
+
 TEST_F(ClientCacheTest, OwnMutationsInvalidateTheCacheReadYourWrites) {
   Build(1, 2);
   ASSERT_TRUE(MkdirSync("/d").ok());
@@ -233,7 +267,7 @@ TEST_F(ClientCacheTest, ReTombstonedLeaseStaysDeadUntilItsLaterDeadline) {
   ASSERT_EQ(active->counters().leases_granted, 1u);
   FsClient& holder = cluster_->client(0);
   auto push_revoke = [&] {
-    auto push = std::make_shared<coord::LeaseRevokeMsg>();
+    auto push = std::make_shared<core::LeaseRevokeMsg>();
     push->leases.push_back({"/d", 1});
     net_->Send(net::Envelope{
         .from = active->id(), .to = holder.id(), .payload = push});
