@@ -1,9 +1,12 @@
 // micro_namespace — namespace hot-path microbenchmark (resolve / create /
 // list / rename) plus the heap cost of a file, measuring the fsns::Tree
 // directly with wall-clock time (no simulator in the loop). bytes_per_file
-// is the live-heap growth (glibc mallinfo2 in-use bytes) across populating
-// the namespace, divided by the file count: the inode, its slot in the
-// inode table and its entry in the parent's child index.
+// is the live-heap growth (HeapBytes: glibc's in-use arena bytes plus its
+// mmapped blocks) across populating the namespace, divided by the file
+// count: the inode's slot, its entry in the id index and its entry in the
+// parent's child index. churn_bytes_per_round is the heap growth per round
+// of creating and deleting the same names once the first round has run;
+// a namespace whose memory follows its live inodes reports about 0.
 //
 // Emits BENCH_namespace.json (override the path with MAMS_BENCH_OUT) and a
 // human-readable summary on stdout.
@@ -14,6 +17,7 @@
 //   MAMS_NS_DIRS          — leaf directories (default 64)
 //   MAMS_NS_FILES_PER_DIR — files per leaf directory (default 256)
 //   MAMS_NS_RESOLVE_OPS   — resolve ops per mode (default 2,000,000)
+#include <algorithm>
 #include <chrono>
 #include <cinttypes>
 #include <cstdio>
@@ -48,6 +52,15 @@ int EnvInt(const char* name, int fallback) {
   return v != nullptr ? std::atoi(v) : fallback;
 }
 
+/// Bytes glibc has handed out: arena chunks in use plus mmapped blocks,
+/// which large allocations (a big table or chunk) get instead of arena
+/// space. Counting only the arena would let a layout built on large arrays
+/// hide from the measurement.
+std::size_t HeapBytes() {
+  const struct mallinfo2 info = mallinfo2();
+  return info.uordblks + info.hblkhd;
+}
+
 double Now() {
   return std::chrono::duration<double>(
              std::chrono::steady_clock::now().time_since_epoch())
@@ -79,6 +92,20 @@ void Populate(Tree& tree, const std::vector<std::string>& paths) {
     mams::ClientOpId none{};
     if (!tree.Create(p, 3, 0, none).ok()) {
       std::fprintf(stderr, "populate failed at %s\n", p.c_str());
+      std::exit(1);
+    }
+  }
+}
+
+/// One round of the churn phase: create `names`, then delete each again.
+void ChurnRound(Tree& tree, const std::vector<std::string>& names) {
+  Populate(tree, names);
+  for (const auto& p : names) {
+    mams::journal::LogRecord rec;
+    rec.op = mams::journal::OpCode::kDelete;
+    rec.path = p;
+    if (!tree.Execute(std::move(rec)).ok()) {
+      std::fprintf(stderr, "churn delete failed at %s\n", p.c_str());
       std::exit(1);
     }
   }
@@ -131,11 +158,11 @@ int main() {
   double create_ops_per_sec = 0;
   double bytes_per_file = 0;
   {
-    const std::size_t heap_before = mallinfo2().uordblks;
+    const std::size_t heap_before = HeapBytes();
     const double begin = Now();
     Populate(tree, paths);
     const double elapsed = Now() - begin;
-    const std::size_t heap_after = mallinfo2().uordblks;
+    const std::size_t heap_after = HeapBytes();
     create_ops_per_sec =
         elapsed > 0 ? static_cast<double>(paths.size()) / elapsed : 0;
     bytes_per_file = static_cast<double>(heap_after - heap_before) /
@@ -178,8 +205,27 @@ int main() {
     return r.ok() ? std::uint64_t{1} : std::uint64_t{0};
   });
 
+  // --- churn: the same 1,000 names created and deleted, round after round --
+  constexpr int kChurnRounds = 200;
+  double churn_bytes_per_round = 0;
+  {
+    std::vector<std::string> names;
+    for (int i = 0; i < 1000; ++i) {
+      names.push_back("/churn/f" + std::to_string(i));
+    }
+    ChurnRound(tree, names);  // the first round sizes every table
+    const std::size_t heap_before = HeapBytes();
+    for (int round = 1; round < kChurnRounds; ++round) {
+      ChurnRound(tree, names);
+    }
+    churn_bytes_per_round =
+        (static_cast<double>(HeapBytes()) - static_cast<double>(heap_before)) /
+        (kChurnRounds - 1);
+  }
+
   std::printf("  create:            %12.0f ops/s\n", create_ops_per_sec);
   std::printf("  bytes per file:    %12.1f B\n", bytes_per_file);
+  std::printf("  churn per round:   %12.1f B\n", churn_bytes_per_round);
   std::printf("  resolve walk:      %12.0f ops/s (checksum %" PRIu64 ")\n",
               walk.ops_per_sec, walk.checksum + warm.checksum);
   std::printf("  listdir:           %12.0f ops/s\n", list.ops_per_sec);
@@ -198,12 +244,14 @@ int main() {
                "  \"namespace\": {\"depth\": %d, \"leaf_dirs\": %d, "
                "\"files\": %zu},\n"
                "  \"bytes_per_file\": %.1f,\n"
+               "  \"churn_bytes_per_round\": %.1f,\n"
                "  \"resolve\": {\"walk_ops_per_sec\": %.0f},\n"
                "  \"create_ops_per_sec\": %.0f,\n"
                "  \"listdir_ops_per_sec\": %.0f,\n"
                "  \"rename_ops_per_sec\": %.0f\n"
                "}\n",
-               depth, dirs, paths.size(), bytes_per_file, walk.ops_per_sec,
+               depth, dirs, paths.size(), bytes_per_file,
+               churn_bytes_per_round, walk.ops_per_sec,
                create_ops_per_sec, list.ops_per_sec, rename.ops_per_sec);
   std::fclose(out);
   std::printf("wrote %s\n", out_path);

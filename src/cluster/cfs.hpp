@@ -288,12 +288,19 @@ class CfsCluster {
   }
 
   /// Pre-populates every member of group g with the same namespace (bench
-  /// setup for Table I image scaling).
+  /// setup for Table I image scaling). `fn` builds it once, on the first
+  /// member; the others get a copy of that tree, the way a standby takes
+  /// its state from the active.
   void PreloadGroup(GroupId g,
                     const std::function<void(fsns::Tree&)>& fn,
                     SerialNumber base_sn = 0) {
-    for (auto& mds : groups_[g]) {
-      mds->Preload(fn);
+    const auto& members = groups_[g];
+    members.front()->Preload(fn);
+    const fsns::Tree& built = members.front()->tree();
+    for (auto& mds : members) {
+      if (mds != members.front()) {
+        mds->Preload([&built](fsns::Tree& tree) { tree = built; });
+      }
       if (base_sn != 0) mds->SetLastSn(base_sn);
     }
   }

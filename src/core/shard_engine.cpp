@@ -338,12 +338,12 @@ Status ShardEngine::StartMigration(std::uint32_t slot, GroupId dst) {
   return Status::Ok();
 }
 
-void ShardEngine::AppendInstallRecords(const std::string& path,
-                                       const fsns::Inode& node,
-                                       std::vector<journal::LogRecord>& out) {
+void ShardEngine::AppendInstallRecords(
+    const std::string& path, const fsns::Inode& node,
+    std::vector<journal::LogRecord>& out) const {
   journal::LogRecord rec;
   rec.path = path;
-  rec.path2 = node.owner;
+  rec.path2 = s_.tree().OwnerOf(node);
   rec.replication = node.replication;
   rec.mtime = node.mtime;
   if (node.is_dir) {

@@ -137,9 +137,8 @@ class ShardEngine {
   /// The install record(s) reconstructing `node` at `path` (dir, or file
   /// plus its blocks); shared by snapshot, delta and the transaction
   /// commit.
-  static void AppendInstallRecords(const std::string& path,
-                                   const fsns::Inode& node,
-                                   std::vector<journal::LogRecord>& out);
+  void AppendInstallRecords(const std::string& path, const fsns::Inode& node,
+                            std::vector<journal::LogRecord>& out) const;
   /// Whether a migration of `slot` carries `node` at `path`.
   bool MigratesWith(std::uint32_t slot, const std::string& path,
                     const fsns::Inode& node) const;

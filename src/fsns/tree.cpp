@@ -11,60 +11,188 @@ namespace mams::fsns {
 using journal::LogRecord;
 using journal::OpCode;
 
-std::vector<std::pair<std::string_view, InodeId>> Inode::SortedChildren()
-    const {
-  std::vector<std::pair<std::string_view, InodeId>> sorted;
-  if (child_index == nullptr) return sorted;
-  sorted.reserve(child_index->size());
-  for (const auto& [child_name, child_id] : *child_index) {
-    sorted.emplace_back(child_name, child_id);
-  }
-  std::sort(sorted.begin(), sorted.end(), [](const auto& a, const auto& b) {
-    return a.first < b.first;
-  });
-  return sorted;
+namespace {
+
+std::uint32_t NameHash(std::string_view name) {
+  return static_cast<std::uint32_t>(std::hash<std::string_view>{}(name));
 }
+
+/// Fibonacci hashing: ids are drawn from a counter, and the multiply
+/// spreads consecutive ones over the whole table.
+std::uint32_t IdHash(InodeId id) {
+  return static_cast<std::uint32_t>((id * 0x9e3779b97f4a7c15ull) >> 32);
+}
+
+}  // namespace
+
+// --- SlotIndex ---------------------------------------------------------------
+
+SlotIndex::SlotIndex(const SlotIndex& other) {
+  if (other.block_ != nullptr) {
+    const std::size_t n = other.capacity() + 1;
+    block_ = std::make_unique_for_overwrite<Entry[]>(n);
+    std::copy_n(other.block_.get(), n, block_.get());
+  }
+}
+
+SlotIndex& SlotIndex::operator=(const SlotIndex& other) {
+  if (this != &other) *this = SlotIndex(other);
+  return *this;
+}
+
+void SlotIndex::Insert(std::uint32_t slot, std::uint32_t hash) {
+  const std::size_t cap = capacity();
+  if ((size() + 1) * 4 > cap * 3) {
+    // Double (from 4) and re-place every entry by its stored hash.
+    const std::unique_ptr<Entry[]> old = std::move(block_);
+    const std::size_t grown = std::max<std::size_t>(4, cap * 2);
+    block_ = std::make_unique_for_overwrite<Entry[]>(grown + 1);
+    block_[0] = Entry{0, static_cast<std::uint32_t>(grown - 1)};
+    std::fill_n(block_.get() + 1, grown, Entry{kNone, 0});
+    for (std::size_t i = 1; i <= cap; ++i) {
+      if (old[i].slot != kNone) Insert(old[i].slot, old[i].hash);
+    }
+  }
+  const std::uint32_t mask = block_[0].hash;
+  std::uint32_t i = hash & mask;
+  while (block_[i + 1].slot != kNone) i = (i + 1) & mask;
+  block_[i + 1] = Entry{slot, hash};
+  ++block_[0].slot;
+}
+
+void SlotIndex::Erase(std::uint32_t slot, std::uint32_t hash) {
+  if (block_ == nullptr) return;
+  const std::uint32_t mask = block_[0].hash;
+  std::uint32_t hole = hash & mask;
+  for (;; hole = (hole + 1) & mask) {
+    if (block_[hole + 1].slot == slot) break;
+    if (block_[hole + 1].slot == kNone) return;  // absent
+  }
+  // Backward shift: pull each later entry of the probe run into the hole
+  // unless its home position lies after the hole (cyclically).
+  for (std::uint32_t j = (hole + 1) & mask; block_[j + 1].slot != kNone;
+       j = (j + 1) & mask) {
+    const std::uint32_t home = block_[j + 1].hash & mask;
+    if (((j - home) & mask) < ((j - hole) & mask)) continue;
+    block_[hole + 1] = block_[j + 1];
+    hole = j;
+  }
+  block_[hole + 1] = Entry{kNone, 0};
+  --block_[0].slot;
+}
+
+// --- storage ----------------------------------------------------------------
 
 Tree::Tree() { Reset(); }
 
 void Tree::Reset() {
-  inodes_.clear();
+  chunks_.clear();
+  free_slots_.clear();
+  slots_used_ = 0;
+  by_id_ = SlotIndex();
+  owners_.assign(1, "hdfs");
+  owner_ids_.clear();
+  owner_ids_.emplace(owners_[0], 0);
   client_table_.clear();
   shard_ = ShardState{};
   alloc_trace_.clear();
   alloc_script_ = nullptr;
   alloc_script_pos_ = 0;
-  Inode root;
-  root.id = kRootInode;
-  root.parent = kInvalidInode;
-  root.is_dir = true;
-  inodes_.emplace(kRootInode, std::move(root));
+  Place(kRootInode, nullptr, "").is_dir = true;
   next_inode_ = kRootInode + 1;
   next_block_ = 1;
   last_txid_ = 0;
   file_count_ = 0;
 }
 
+std::uint32_t Tree::SlotOf(InodeId id) const {
+  return by_id_.Find(IdHash(id),
+                     [&](std::uint32_t slot) { return Slot(slot).id == id; });
+}
+
+const Inode* Tree::Child(const Inode& dir, std::string_view name) const {
+  const std::uint32_t slot = dir.children.Find(
+      NameHash(name),
+      [&](std::uint32_t s) { return Slot(s).name == name; });
+  return slot == SlotIndex::kNone ? nullptr : &Slot(slot);
+}
+
+Inode& Tree::Place(InodeId id, Inode* parent, std::string_view name) {
+  std::uint32_t slot;
+  if (!free_slots_.empty()) {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+  } else {
+    if (slots_used_ == chunks_.size() * kSlotsPerChunk) {
+      chunks_.emplace_back(kSlotsPerChunk);
+    }
+    slot = slots_used_++;
+  }
+  Inode& node = Slot(slot);
+  node.id = id;
+  node.name = name;
+  by_id_.Insert(slot, IdHash(id));
+  if (parent != nullptr) {
+    node.parent = parent->id;
+    parent->children.Insert(slot, NameHash(name));
+  }
+  return node;
+}
+
+void Tree::Remove(Inode& node) {
+  const std::uint32_t top = SlotOf(node.id);
+  if (const std::uint32_t up = SlotOf(node.parent); up != SlotIndex::kNone) {
+    Slot(up).children.Erase(top, NameHash(node.name));
+  }
+  // The walk reads child indexes in table order: it only frees the
+  // subtree, and which slot is freed first is never observed.
+  std::vector<std::uint32_t> stack{top};
+  while (!stack.empty()) {
+    const std::uint32_t slot = stack.back();
+    stack.pop_back();
+    Inode& doomed = Slot(slot);
+    doomed.children.ForEach(
+        [&](std::uint32_t child) { stack.push_back(child); });
+    CountInode(doomed, -1);
+    by_id_.Erase(slot, IdHash(doomed.id));
+    doomed = Inode{};
+    free_slots_.push_back(slot);
+  }
+}
+
+std::uint32_t Tree::InternOwner(std::string_view owner) {
+  if (auto it = owner_ids_.find(owner); it != owner_ids_.end()) {
+    return it->second;
+  }
+  const auto id = static_cast<std::uint32_t>(owners_.size());
+  owners_.emplace_back(owner);
+  owner_ids_.emplace(owners_.back(), id);
+  return id;
+}
+
+std::vector<const Inode*> Tree::SortedChildren(const Inode& dir) const {
+  std::vector<const Inode*> sorted;
+  sorted.reserve(dir.children.size());
+  dir.children.ForEach(
+      [&](std::uint32_t slot) { sorted.push_back(&Slot(slot)); });
+  std::sort(sorted.begin(), sorted.end(),
+            [](const Inode* a, const Inode* b) { return a->name < b->name; });
+  return sorted;
+}
+
+// --- queries ----------------------------------------------------------------
+
 const Inode* Tree::Resolve(std::string_view path) const {
   if (!IsValidPath(path)) return nullptr;
-  if (path.size() == 1) return &inodes_.at(kRootInode);
-
   // Zero-allocation walk: component cursor over the original string_view,
-  // heterogeneous lookups into each directory's child index: one hash
-  // probe per component, and a pure read of the tree (docs/PERFORMANCE.md
-  // §1 explains why there is no path cache in front of it).
-  // Child ids are looked up with find, not at: a replica replaying a
-  // sabotaged history (checker mutations) can hold dangling child
-  // references, and resolution must treat those as absent rather than
-  // aborting the process.
-  const Inode* cur = &inodes_.at(kRootInode);
+  // one probe of each directory's child index per component, and a pure
+  // read of the tree (docs/PERFORMANCE.md §1 explains why there is no path
+  // cache in front of it).
+  const Inode* cur = &Root();
   for (std::string_view comp : PathComponents(path)) {
     if (!cur->is_dir) return nullptr;
-    const InodeId* child = cur->FindChild(comp);
-    if (child == nullptr) return nullptr;
-    auto it = inodes_.find(*child);
-    if (it == inodes_.end()) return nullptr;
-    cur = &it->second;
+    cur = Child(*cur, comp);
+    if (cur == nullptr) return nullptr;
   }
   return cur;
 }
@@ -78,8 +206,8 @@ const Inode* Tree::FindInode(std::string_view path) const {
 }
 
 const Inode* Tree::inode(InodeId id) const {
-  auto it = inodes_.find(id);
-  return it == inodes_.end() ? nullptr : &it->second;
+  const std::uint32_t slot = SlotOf(id);
+  return slot == SlotIndex::kNone ? nullptr : &Slot(slot);
 }
 
 bool Tree::Exists(std::string_view path) const {
@@ -99,7 +227,7 @@ Result<FileInfo> Tree::GetFileInfo(std::string_view path) const {
   info.is_dir = node->is_dir;
   info.replication = node->replication;
   info.permission = node->permission;
-  info.owner = node->owner;
+  info.owner = OwnerOf(*node);
   info.mtime = node->mtime;
   info.block_count = node->blocks.size();
   info.complete = node->complete;
@@ -112,10 +240,10 @@ Result<std::vector<std::string>> Tree::ListDir(std::string_view path) const {
   if (!node->is_dir) {
     return Status::FailedPrecondition(std::string(path) + " is not a directory");
   }
-  const auto entries = node->SortedChildren();
+  const std::vector<const Inode*> entries = SortedChildren(*node);
   std::vector<std::string> names;
   names.reserve(entries.size());
-  for (const auto& [name, id] : entries) names.emplace_back(name);
+  for (const Inode* child : entries) names.push_back(child->name);
   return names;
 }
 
@@ -155,11 +283,9 @@ Status Tree::DoCreate(std::string_view path, std::uint32_t replication,
   // answer as Resolve(path), without walking the shared prefix twice.
   const std::string_view parent_path = ParentDir(path);
   Inode* parent = ResolveMutable(parent_path);
-  if (parent != nullptr && parent->is_dir) {
-    const InodeId* existing = parent->FindChild(BaseName(path));
-    if (existing != nullptr && inodes_.contains(*existing)) {
-      return Status::AlreadyExists(std::string(path));
-    }
+  if (parent != nullptr && parent->is_dir &&
+      Child(*parent, BaseName(path)) != nullptr) {
+    return Status::AlreadyExists(std::string(path));
   }
   // HDFS create() semantics: missing ancestor directories are materialized.
   // This also lets a hash-partitioned group hold a file whose parent
@@ -173,18 +299,12 @@ Status Tree::DoCreate(std::string_view path, std::uint32_t replication,
   if (!parent->is_dir) {
     return Status::FailedPrecondition("parent is a file: " + std::string(path));
   }
-  Inode node;
-  node.id = AllocateInode();
-  node.parent = parent->id;
-  node.name = std::string(BaseName(path));
-  node.is_dir = false;
+  Inode& node = Place(AllocateInode(), parent, BaseName(path));
   node.replication = replication;
   node.mtime = mtime;
   node.complete = false;
-  parent->AddChild(node.name, node.id);
   parent->mtime = mtime;
   ++file_count_;
-  inodes_.emplace(node.id, std::move(node));
   return Status::Ok();
 }
 
@@ -202,35 +322,23 @@ Status Tree::DoMkdir(std::string_view path, SimTime mtime) {
   // Create missing ancestors (mkdir -p), walking down from the root with
   // the zero-allocation cursor; the failing prefix for the error message is
   // recovered from the cursor position instead of being built every step.
-  Inode* cur = &inodes_.at(kRootInode);
+  Inode* cur = &Root();
   const PathComponents comps(path);
   for (auto it = comps.begin(); it != comps.end(); ++it) {
     const std::string_view comp = *it;
-    if (const InodeId* existing_child = cur->FindChild(comp)) {
-      // find, not at: a replica replaying a sabotaged history (checker
-      // mutations) can hold dangling child references; re-materialize the
-      // component instead of aborting the process.
-      if (auto cit = inodes_.find(*existing_child); cit != inodes_.end()) {
-        Inode& child = cit->second;
-        if (!child.is_dir) {
-          return Status::FailedPrecondition(
-              std::string(path.substr(0, it.prefix_length())) + " is a file");
-        }
-        cur = &child;
-        continue;
+    if (Inode* child = Child(*cur, comp)) {
+      if (!child->is_dir) {
+        return Status::FailedPrecondition(
+            std::string(path.substr(0, it.prefix_length())) + " is a file");
       }
+      cur = child;
+      continue;
     }
-    Inode dir;
-    dir.id = AllocateInode();
-    dir.parent = cur->id;
-    dir.name = std::string(comp);
+    Inode& dir = Place(AllocateInode(), cur, comp);
     dir.is_dir = true;
     dir.mtime = mtime;
-    cur->AddChild(dir.name, dir.id);
     cur->mtime = mtime;
-    const InodeId id = dir.id;
-    inodes_.emplace(id, std::move(dir));
-    cur = &inodes_.at(id);
+    cur = &dir;
   }
   return Status::Ok();
 }
@@ -249,32 +357,8 @@ Status Tree::DoDelete(std::string_view path, SimTime mtime) {
   Inode* node = ResolveMutable(path);
   if (node == nullptr) return Status::NotFound(std::string(path));
   // Recursive delete (HDFS delete(path, true) semantics).
-  // Child ids resolve via find throughout: a sabotaged replay (checker
-  // mutations) can leave dangling references, which delete must tolerate.
-  // The walk reads the child index in hash order: it only collects the
-  // doomed set, whose order nothing observes.
-  std::vector<InodeId> stack{node->id};
-  std::vector<InodeId> doomed;
-  while (!stack.empty()) {
-    const InodeId id = stack.back();
-    stack.pop_back();
-    doomed.push_back(id);
-    auto it = inodes_.find(id);
-    if (it == inodes_.end() || it->second.child_index == nullptr) continue;
-    for (const auto& [name, child] : *it->second.child_index) {
-      stack.push_back(child);
-    }
-  }
-  if (auto pit = inodes_.find(node->parent); pit != inodes_.end()) {
-    pit->second.RemoveChild(node->name);
-    pit->second.mtime = mtime;
-  }
-  for (InodeId id : doomed) {
-    auto it = inodes_.find(id);
-    if (it == inodes_.end()) continue;
-    CountInode(it->second, -1);
-    inodes_.erase(it);
-  }
+  Slot(SlotOf(node->parent)).mtime = mtime;
+  Remove(*node);
   return Status::Ok();
 }
 
@@ -296,8 +380,9 @@ Status Tree::DoRename(std::string_view src, std::string_view dst,
   if (new_parent == nullptr || !new_parent->is_dir) {
     return Status::NotFound("destination parent of " + std::string(dst));
   }
-  Inode& old_parent = inodes_.at(node->parent);
-  old_parent.RemoveChild(node->name);
+  const std::uint32_t slot = SlotOf(node->id);
+  Inode& old_parent = Slot(SlotOf(node->parent));
+  old_parent.children.Erase(slot, NameHash(node->name));
   // Parent mtimes merge by max rather than overwrite, so a rename never
   // moves a directory's mtime backwards. Record mtimes are monotonic in
   // txid order, so in-order replay gives the same result as an overwrite.
@@ -305,7 +390,7 @@ Status Tree::DoRename(std::string_view src, std::string_view dst,
   node->name = std::string(BaseName(dst));
   node->parent = new_parent->id;
   node->mtime = mtime;
-  new_parent->AddChild(node->name, node->id);
+  new_parent->children.Insert(slot, NameHash(node->name));
   new_parent->mtime = std::max(new_parent->mtime, mtime);
   return Status::Ok();
 }
@@ -338,7 +423,7 @@ Status Tree::DoSetOwner(std::string_view path, std::string_view owner,
                         SimTime mtime) {
   Inode* node = ResolveMutable(path);
   if (node == nullptr) return Status::NotFound(std::string(path));
-  node->owner = std::string(owner);
+  node->owner_id = InternOwner(owner);
   node->mtime = mtime;
   return Status::Ok();
 }
@@ -383,7 +468,7 @@ Status Tree::DoInstallFile(const journal::LogRecord& record) {
   Status s = DoCreate(record.path, record.replication, record.mtime);
   if (!s.ok()) return s;
   Inode* node = ResolveMutable(record.path);
-  node->owner = record.path2;
+  node->owner_id = InternOwner(record.path2);
   node->permission = static_cast<std::uint16_t>(record.block >> 2);
   node->complete = (record.block & 0x2) != 0;
   node->mtime = record.mtime;
@@ -397,7 +482,7 @@ Status Tree::DoInstallDir(const journal::LogRecord& record) {
   if (node == nullptr || !node->is_dir) {
     return Status::FailedPrecondition(record.path + " is not a directory");
   }
-  node->owner = record.path2;
+  node->owner_id = InternOwner(record.path2);
   node->permission = static_cast<std::uint16_t>(record.block >> 2);
   node->mtime = record.mtime;
   return Status::Ok();
@@ -487,19 +572,16 @@ void Tree::ForEachNode(
     const std::function<void(const std::string&, const Inode&)>& fn) const {
   std::string path;
   std::function<void(const Inode&)> walk = [&](const Inode& node) {
-    for (const auto& [name, child_id] : node.SortedChildren()) {
-      auto it = inodes_.find(child_id);
-      if (it == inodes_.end()) continue;  // dangling (sabotaged replay)
-      const Inode& child = it->second;
+    for (const Inode* child : SortedChildren(node)) {
       const std::size_t mark = path.size();
       if (path.empty() || path.back() != '/') path.push_back('/');
-      path.append(name);
-      fn(path, child);
-      if (child.is_dir) walk(child);
+      path.append(child->name);
+      fn(path, *child);
+      if (child->is_dir) walk(*child);
       path.resize(mark);
     }
   };
-  walk(inodes_.at(kRootInode));
+  walk(Root());
 }
 
 // --- execution and replay ----------------------------------------------------
@@ -626,23 +708,8 @@ std::vector<char> Tree::SaveImage() const {
   out.U64(last_txid_);
   out.U64(file_count_);
   // Inodes in DFS order (children sorted by name) for a canonical layout.
-  // The declared count covers *reachable* inodes only: on a healthy tree
-  // that equals inodes_.size(), and on a sabotaged replica (checker
-  // mutations can orphan ids or dangle child references) the image stays
-  // self-consistent instead of under-running its own header.
-  std::vector<const Inode*> reachable;
-  std::function<void(const Inode&)> collect = [&](const Inode& node) {
-    reachable.push_back(&node);
-    for (const auto& [name, child] : node.SortedChildren()) {
-      if (auto it = inodes_.find(child); it != inodes_.end()) {
-        collect(it->second);
-      }
-    }
-  };
-  collect(inodes_.at(kRootInode));
-  out.U64(reachable.size());
-  for (const Inode* nodep : reachable) {
-    const Inode& node = *nodep;
+  out.U64(inode_count());
+  std::function<void(const Inode&)> write = [&](const Inode& node) {
     out.U64(node.id);
     out.U64(node.parent == kInvalidInode ? 0 : node.parent);
     out.Str(node.name);
@@ -650,11 +717,13 @@ std::vector<char> Tree::SaveImage() const {
     out.U8(node.complete ? 1 : 0);
     out.U32(node.replication);
     out.U32(node.permission);
-    out.Str(node.owner);
+    out.Str(OwnerOf(node));
     out.I64(node.mtime);
     out.U32(static_cast<std::uint32_t>(node.blocks.size()));
     for (BlockId b : node.blocks) out.U64(b);
-  }
+    for (const Inode* child : SortedChildren(node)) write(*child);
+  };
+  write(Root());
   // Client dedup table, sorted for canonical bytes.
   std::vector<std::pair<std::uint64_t, ClientEntry>> clients(
       client_table_.begin(), client_table_.end());
@@ -721,39 +790,58 @@ Status Tree::LoadImage(const std::vector<char>& bytes) {
                               std::to_string(version));
   }
   Tree fresh;
-  fresh.inodes_.clear();
   fresh.next_inode_ = in.U64();
   fresh.next_block_ = in.U64();
   fresh.last_txid_ = in.U64();
   fresh.file_count_ = in.U64();
   const std::uint64_t count = in.U64();
+  if (count == 0) return Status::Corruption("image missing root");
   for (std::uint64_t i = 0; i < count; ++i) {
-    Inode node;
-    node.id = in.U64();
-    node.parent = in.U64();
-    if (node.parent == 0) node.parent = kInvalidInode;
-    node.name = in.Str();
-    node.is_dir = in.U8() != 0;
-    node.complete = in.U8() != 0;
-    node.replication = in.U32();
-    node.permission = static_cast<std::uint16_t>(in.U32());
-    node.owner = in.Str();
-    node.mtime = in.I64();
-    const std::uint32_t nblocks = in.U32();
-    node.blocks.reserve(nblocks);
-    for (std::uint32_t b = 0; b < nblocks; ++b) node.blocks.push_back(in.U64());
+    const InodeId id = in.U64();
+    const InodeId parent = in.U64();
+    const std::string name = in.Str();
+    const bool is_dir = in.U8() != 0;
+    const bool complete = in.U8() != 0;
+    const std::uint32_t replication = in.U32();
+    const auto permission = static_cast<std::uint16_t>(in.U32());
+    const std::string owner = in.Str();
+    const SimTime mtime = in.I64();
+    std::vector<BlockId> blocks(in.U32());
+    for (BlockId& b : blocks) b = in.U64();
     if (!in.ok()) return Status::Corruption("truncated image inode");
-    const InodeId id = node.id;
-    const InodeId parent = node.parent;
-    const std::string name = node.name;
-    fresh.inodes_.emplace(id, std::move(node));
-    if (parent != kInvalidInode) {
-      auto pit = fresh.inodes_.find(parent);
-      if (pit == fresh.inodes_.end()) {
+    // The image is a DFS from the root, so every parent precedes its
+    // children; anything else would not load as a tree.
+    Inode* node = nullptr;
+    if (i == 0) {
+      if (id != kRootInode || parent != 0) {
+        return Status::Corruption("image missing root");
+      }
+      node = &fresh.Root();
+    } else {
+      const std::string what = "image inode " + std::to_string(id);
+      if (fresh.SlotOf(id) != SlotIndex::kNone) {
+        return Status::Corruption(what + " appears twice");
+      }
+      if (parent == id) return Status::Corruption(what + " is its own parent");
+      const std::uint32_t up = fresh.SlotOf(parent);
+      if (up == SlotIndex::kNone) {
         return Status::Corruption("image child precedes parent");
       }
-      pit->second.AddChild(name, id);
+      Inode& dir = fresh.Slot(up);
+      if (!dir.is_dir) return Status::Corruption(what + "'s parent is a file");
+      if (fresh.Child(dir, name) != nullptr) {
+        return Status::Corruption(what + " repeats a name in its directory");
+      }
+      node = &fresh.Place(id, &dir, name);
     }
+    node->name = name;
+    node->is_dir = is_dir;
+    node->complete = complete;
+    node->replication = replication;
+    node->permission = permission;
+    node->owner_id = fresh.InternOwner(owner);
+    node->mtime = mtime;
+    node->blocks = std::move(blocks);
   }
   const std::uint64_t nclients = in.U64();
   for (std::uint64_t i = 0; i < nclients; ++i) {
@@ -804,9 +892,6 @@ Status Tree::LoadImage(const std::vector<char>& bytes) {
     fresh.shard_.history.emplace(slot, h);
   }
   if (!in.ok()) return Status::Corruption("truncated image");
-  if (!fresh.inodes_.contains(kRootInode)) {
-    return Status::Corruption("image missing root");
-  }
   *this = std::move(fresh);
   return Status::Ok();
 }
@@ -825,22 +910,11 @@ std::uint64_t Tree::Fingerprint() const {
         node.blocks.size(),
     };
     h = Fnv1a(attrs, sizeof(attrs), h);
-    h = Fnv1a(node.owner, h);
+    h = Fnv1a(OwnerOf(node), h);
     for (BlockId b : node.blocks) h = Fnv1a(&b, sizeof(b), h);
-    for (const auto& [name, child] : node.SortedChildren()) {
-      auto it = inodes_.find(child);
-      if (it == inodes_.end()) {
-        // Dangling child (sabotaged replay): fold the hole into the hash —
-        // a replica in this state must never fingerprint-match a healthy
-        // one.
-        h = Fnv1a(name, h);
-        h = Fnv1a(&child, sizeof(child), h);
-        continue;
-      }
-      walk(it->second);
-    }
+    for (const Inode* child : SortedChildren(node)) walk(*child);
   };
-  walk(inodes_.at(kRootInode));
+  walk(Root());
   std::vector<std::pair<std::uint64_t, ClientEntry>> clients(
       client_table_.begin(), client_table_.end());
   std::sort(clients.begin(), clients.end(),

@@ -7,7 +7,16 @@
 // inode ids come from a counter carried in the image, timestamps come from
 // the records, and every walk whose order can be observed (listing, image,
 // fingerprint, migration snapshot) visits a directory's entries through
-// Inode::SortedChildren, never in the child index's hash order.
+// Tree::SortedChildren, never in the child index's hash order.
+//
+// Storage: inodes live in a chunked slot table (an Inode's address is
+// stable while it lives, and a freed slot is reused before the table
+// grows), found by id through a flat id index and by name through each
+// directory's child index. Both indexes hold slot numbers only: a name is
+// stored once, in its own inode, and an owner is an id into a per-tree
+// intern table. Which slot an inode occupies depends on the history that
+// built the tree (a loaded image packs them afresh), so, like hash order,
+// slot order is never observed.
 //
 // One op path: a client mutation is its journal record. The active runs
 // the record through Execute, replicas run the same record through Apply,
@@ -49,49 +58,84 @@ struct StringViewHash {
   }
 };
 
-/// A directory's entries: child name -> inode id, looked up by string_view.
-using ChildIndex =
-    std::unordered_map<std::string, InodeId, StringViewHash, std::equal_to<>>;
+/// An open-addressing hash index whose entries are slot numbers of the
+/// tree's slot table, each beside a 32-bit hash of its key. The keys
+/// themselves are not stored: a lookup whose hash matches asks the caller
+/// whether the slot's inode is the one sought (its `name` for a directory's
+/// entries, its `id` for the tree's id index). So a name lives once, in the
+/// child's own inode.
+///
+/// Linear probing at a load of at most 3/4; erase shifts the probe run back
+/// rather than leaving tombstones, so capacity follows the live peak. One
+/// heap block holds a header entry and the table; an index that never held
+/// an entry (a file's `children`) is one null pointer.
+class SlotIndex {
+ public:
+  static constexpr std::uint32_t kNone = UINT32_MAX;
+
+  SlotIndex() = default;
+  SlotIndex(const SlotIndex& other);
+  SlotIndex& operator=(const SlotIndex& other);
+  SlotIndex(SlotIndex&&) noexcept = default;
+  SlotIndex& operator=(SlotIndex&&) noexcept = default;
+
+  std::size_t size() const noexcept { return block_ ? block_[0].slot : 0; }
+  /// Entries the table has room for (0 until the first Insert).
+  std::size_t capacity() const noexcept {
+    return block_ ? std::size_t{block_[0].hash} + 1 : 0;
+  }
+
+  /// The slot stored under `hash` for which `is_key(slot)` holds, or kNone.
+  template <class IsKey>
+  std::uint32_t Find(std::uint32_t hash, IsKey&& is_key) const {
+    if (!block_) return kNone;
+    const std::uint32_t mask = block_[0].hash;
+    for (std::uint32_t i = hash & mask;; i = (i + 1) & mask) {
+      const Entry& e = block_[i + 1];
+      if (e.slot == kNone) return kNone;
+      if (e.hash == hash && is_key(e.slot)) return e.slot;
+    }
+  }
+  /// Adds `slot` under `hash`; the caller has checked its key is absent.
+  void Insert(std::uint32_t slot, std::uint32_t hash);
+  /// Removes `slot`, which was inserted under `hash`.
+  void Erase(std::uint32_t slot, std::uint32_t hash);
+  /// Calls fn(slot) for every entry, in table order. That order depends on
+  /// the insertion history, so no caller may let it be observed.
+  template <class Fn>
+  void ForEach(Fn&& fn) const {
+    for (std::size_t i = 1; i <= capacity(); ++i) {
+      if (block_[i].slot != kNone) fn(block_[i].slot);
+    }
+  }
+
+ private:
+  struct Entry {
+    std::uint32_t slot;
+    std::uint32_t hash;
+  };
+  /// block_[0] is the header {size, mask}; the table is block_[1..mask+1].
+  std::unique_ptr<Entry[]> block_;
+};
 
 /// One namespace entry. Every replica holds one per file and directory, so
 /// its size is paid once per inode per replica; the narrow fields sit at
-/// the end, where they pack into one word.
+/// the end, where they pack into two words.
 struct Inode {
-  InodeId id = kInvalidInode;
+  InodeId id = kInvalidInode;  ///< kInvalidInode marks a free slot
   InodeId parent = kInvalidInode;
-  std::string name;
-  std::string owner = "hdfs";        ///< "user:group"
+  std::string name;                  ///< the only copy of the entry's name
   SimTime mtime = 0;
   std::vector<BlockId> blocks;       ///< files only
-
-  // A directory's entries live in one hash index: O(1) heterogeneous
-  // string_view lookups on the resolve hot path, no sorted twin. The index
-  // is allocated by the first AddChild, so a file (and a directory that
-  // never had a child) carries a null pointer rather than a container.
-  // Hash order must never be observed: ordered walks use SortedChildren.
-  std::unique_ptr<ChildIndex> child_index;  ///< dirs only; null until used
+  /// A directory's entries, looked up by the child's name (Tree::Child).
+  /// Its order must never be observed: ordered walks use SortedChildren.
+  SlotIndex children;                ///< dirs only; no storage until used
 
   std::uint32_t replication = 1;
+  std::uint32_t owner_id = 0;        ///< Tree::OwnerOf; 0 is "hdfs"
   std::uint16_t permission = 0644;   ///< POSIX-style bits (HDFS FsPermission)
   bool is_dir = false;
   bool complete = true;              ///< files: closed vs under construction
-
-  const InodeId* FindChild(std::string_view name_sv) const {
-    if (child_index == nullptr) return nullptr;
-    auto it = child_index->find(name_sv);
-    return it == child_index->end() ? nullptr : &it->second;
-  }
-  void AddChild(const std::string& child_name, InodeId child_id) {
-    if (child_index == nullptr) child_index = std::make_unique<ChildIndex>();
-    child_index->emplace(child_name, child_id);
-  }
-  void RemoveChild(const std::string& child_name) {
-    if (child_index != nullptr) child_index->erase(child_name);
-  }
-  /// The directory's (name, id) entries sorted by name — the only order in
-  /// which the index may be observed. The views alias the index's keys and
-  /// stay valid until the directory's entries change.
-  std::vector<std::pair<std::string_view, InodeId>> SortedChildren() const;
 };
 
 struct FileInfo {
@@ -107,6 +151,9 @@ struct FileInfo {
 
 class Tree {
  public:
+  /// An empty namespace. A Tree copies as a value: the copy is an
+  /// independent replica of the whole state, as when a standby is preloaded
+  /// from its active's tree.
   Tree();
 
   // --- queries (never journaled) -----------------------------------------
@@ -115,8 +162,12 @@ class Tree {
   bool Exists(std::string_view path) const;
   const Inode* FindInode(std::string_view path) const;
   const Inode* inode(InodeId id) const;
+  /// The "user:group" string behind `node.owner_id`.
+  const std::string& OwnerOf(const Inode& node) const {
+    return owners_[node.owner_id];
+  }
 
-  std::size_t inode_count() const noexcept { return inodes_.size(); }
+  std::size_t inode_count() const noexcept { return by_id_.size(); }
   std::uint64_t file_count() const noexcept { return file_count_; }
 
   // --- execution ----------------------------------------------------------
@@ -226,8 +277,41 @@ class Tree {
       const std::function<void(const std::string&, const Inode&)>& fn) const;
 
  private:
+  /// Reads the slot table's and id index's sizes in the storage tests.
+  friend struct TreeStorageProbe;
+
   const Inode* Resolve(std::string_view path) const;
   Inode* ResolveMutable(std::string_view path);
+
+  // --- storage ---------------------------------------------------------------
+  /// Inodes per slot-table chunk; the table grows one chunk at a time.
+  static constexpr std::uint32_t kSlotsPerChunk = 1024;
+  Inode& Slot(std::uint32_t slot) {
+    return chunks_[slot / kSlotsPerChunk][slot % kSlotsPerChunk];
+  }
+  const Inode& Slot(std::uint32_t slot) const {
+    return chunks_[slot / kSlotsPerChunk][slot % kSlotsPerChunk];
+  }
+  /// The root is the first inode placed and never freed.
+  const Inode& Root() const { return Slot(0); }
+  Inode& Root() { return Slot(0); }
+  /// Slot of the live inode `id`, or SlotIndex::kNone.
+  std::uint32_t SlotOf(InodeId id) const;
+  /// `dir`'s entries sorted by name: the only order in which a directory
+  /// may be observed. The pointers stay valid until the tree changes.
+  std::vector<const Inode*> SortedChildren(const Inode& dir) const;
+  /// `dir`'s entry called `name`, or null.
+  const Inode* Child(const Inode& dir, std::string_view name) const;
+  Inode* Child(Inode& dir, std::string_view name) {
+    return const_cast<Inode*>(std::as_const(*this).Child(dir, name));
+  }
+  /// Places a new inode `id` called `name` under `parent` (null only for
+  /// the root itself) and returns it; the caller fills in the attributes.
+  Inode& Place(InodeId id, Inode* parent, std::string_view name);
+  /// Unlinks `node` from its parent and frees its whole subtree.
+  void Remove(Inode& node);
+  /// Id of `owner` in the intern table, adding it if new.
+  std::uint32_t InternOwner(std::string_view owner);
 
   /// Inode ids are normally drawn from `next_inode_`. Ids are fingerprinted
   /// and serialized in the image, so execution *records* its draws
@@ -247,7 +331,7 @@ class Tree {
     if (alloc_script_ != nullptr && alloc_script_pos_ < alloc_script_->size()) {
       id = (*alloc_script_)[alloc_script_pos_++];
       if (id >= next_inode_) next_inode_ = id + 1;
-      if (inodes_.contains(id)) id = next_inode_++;
+      if (SlotOf(id) != SlotIndex::kNone) id = next_inode_++;
     } else {
       id = next_inode_++;
     }
@@ -291,7 +375,23 @@ class Tree {
 
   void CountInode(const Inode& inode, int delta);
 
-  std::unordered_map<InodeId, Inode> inodes_;
+  /// The slot table: chunks of kSlotsPerChunk inodes, never resized, so an
+  /// Inode never moves while it lives. `free_slots_` holds freed slots,
+  /// reused (last freed first) before `slots_used_` grows into a new chunk.
+  /// (A std::deque<Inode> would do the same job in blocks of four inodes,
+  /// at about 9 more bytes per inode in allocator headers and its map.)
+  std::vector<std::vector<Inode>> chunks_;
+  std::vector<std::uint32_t> free_slots_;
+  std::uint32_t slots_used_ = 0;
+  SlotIndex by_id_;  ///< every live inode's slot, keyed by id
+  /// Owner intern table: owners_[Inode::owner_id], and its reverse. Entry 0
+  /// is "hdfs". Owners are user:group pairs, few per namespace, so the
+  /// table keeps every owner it has seen until Reset or LoadImage, as the
+  /// HDFS NameNode's user and group serial numbers do.
+  std::vector<std::string> owners_;
+  std::unordered_map<std::string, std::uint32_t, StringViewHash,
+                     std::equal_to<>>
+      owner_ids_;
   InodeId next_inode_ = kRootInode + 1;
   BlockId next_block_ = 1;
   TxId last_txid_ = 0;

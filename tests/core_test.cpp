@@ -95,6 +95,39 @@ TEST_F(CoreTest, JuniorUsesImageWhenLagIsLarge) {
   EXPECT_TRUE(added.tree().Exists("/img/f0"));
 }
 
+TEST_F(CoreTest, PreloadBuildsTheTreeOnceAndCopiesItToEveryMember) {
+  cluster::CfsConfig cfg;
+  cfg.groups = 2;
+  cfg.standbys_per_group = 2;
+  cfg.clients = 1;
+  cfg.data_servers = 1;
+  Build(cfg);
+  for (GroupId g = 0; g < 2; ++g) {
+    int runs = 0;
+    cfs_->PreloadGroup(g, [&](fsns::Tree& tree) {
+      ++runs;
+      for (int i = 0; i < 50; ++i) {
+        (void)tree.Create("/pre/g" + std::to_string(g) + "/f" +
+                              std::to_string(i),
+                          3, 0, ClientOpId{});
+      }
+      (void)tree.Execute(testutil::Rec(journal::OpCode::kSetOwner, "/pre", 1,
+                                       ClientOpId{}, "alice:staff"));
+    });
+    EXPECT_EQ(runs, 1) << "group " << g;
+    const auto members = cfs_->Members(g);
+    ASSERT_EQ(members.size(), 3u);
+    const fsns::Tree& first = members.front().server->tree();
+    EXPECT_EQ(first.file_count(), 50u);
+    for (const auto& m : members) {
+      EXPECT_EQ(m.server->tree().Fingerprint(), first.Fingerprint());
+      EXPECT_EQ(m.server->tree().SaveImage(), first.SaveImage());
+      EXPECT_EQ(m.server->tree().GetFileInfo("/pre").value().owner,
+                "alice:staff");
+    }
+  }
+}
+
 TEST_F(CoreTest, StandbyAddedToAPreloadedGroupRenewsFromTheSetupImage) {
   // A preloaded namespace reaches the pool only through the setup
   // checkpoint, at sn 0; no journal record carries it. A fresh junior is

@@ -15,6 +15,19 @@
 #include "test_util.hpp"
 
 namespace mams::fsns {
+
+/// The storage sizes Tree keeps private, for the churn test.
+struct TreeStorageProbe {
+  static constexpr std::size_t kSlotsPerChunk = Tree::kSlotsPerChunk;
+  static std::size_t SlotsUsed(const Tree& tree) { return tree.slots_used_; }
+  static std::size_t SlotCapacity(const Tree& tree) {
+    return tree.chunks_.size() * Tree::kSlotsPerChunk;
+  }
+  static std::size_t IdIndexCapacity(const Tree& tree) {
+    return tree.by_id_.capacity();
+  }
+};
+
 namespace {
 
 using journal::LogRecord;
@@ -507,7 +520,7 @@ TEST_F(TreeTest, FileInodesOwnNoChildStorage) {
     const Inode* node = tree.FindInode(path);
     ASSERT_NE(node, nullptr) << path;
     EXPECT_FALSE(node->is_dir) << path;
-    EXPECT_EQ(node->child_index, nullptr) << path;
+    EXPECT_EQ(node->children.capacity(), 0u) << path;
   };
   ASSERT_TRUE(tree_.Create("/d/f", 1, 1, Op()).ok());
   no_index(tree_, "/d/f");
@@ -535,15 +548,211 @@ TEST_F(TreeTest, FileInodesOwnNoChildStorage) {
   no_index(loaded, "/e/g");
   no_index(loaded, "/e/h");
   // A directory with entries owns one.
-  ASSERT_NE(loaded.FindInode("/e")->child_index, nullptr);
-  EXPECT_EQ(loaded.FindInode("/e")->child_index->size(), 2u);
+  EXPECT_NE(loaded.FindInode("/e")->children.capacity(), 0u);
+  EXPECT_EQ(loaded.FindInode("/e")->children.size(), 2u);
 }
 
 TEST(InodeLayoutTest, FileInodeCarriesOnePointerOfChildStorage) {
-  // Two strings, a block vector, the index pointer, three 8-byte scalars
-  // and one word of packed narrow fields. The two inline child containers
-  // this replaced added 104 bytes.
-  EXPECT_LE(sizeof(Inode), 128u);
+  // One string (the name, stored nowhere else), a block vector, the child
+  // index pointer, three 8-byte scalars and two words of narrow fields,
+  // the interned owner among them. The node-per-inode layout, with a
+  // second string for the owner, was 128 bytes.
+  EXPECT_EQ(sizeof(SlotIndex), sizeof(void*));
+  EXPECT_LE(sizeof(Inode), 104u);
+}
+
+// --- storage: slot table, copies, image validation -------------------------
+
+TEST_F(TreeTest, CopyIsAnIndependentReplica) {
+  ASSERT_TRUE(tree_.Create("/a/b/f", 3, 1, Op()).ok());
+  ASSERT_TRUE(
+      tree_.Execute(Rec(OpCode::kSetOwner, "/a/b", 2, Op(), "alice:staff"))
+          .ok());
+  Tree copy = tree_;
+  EXPECT_EQ(copy.Fingerprint(), tree_.Fingerprint());
+  EXPECT_EQ(copy.SaveImage(), tree_.SaveImage());
+  EXPECT_EQ(copy.GetFileInfo("/a/b").value().owner, "alice:staff");
+
+  // Mutating one side leaves the other as it was.
+  const std::vector<char> before = tree_.SaveImage();
+  ASSERT_TRUE(copy.Execute(Rec(OpCode::kDelete, "/a/b", 3, Op())).ok());
+  ASSERT_TRUE(copy.Create("/a/c", 1, 4, Op()).ok());
+  EXPECT_EQ(tree_.SaveImage(), before);
+  EXPECT_TRUE(tree_.Exists("/a/b/f"));
+  EXPECT_FALSE(tree_.Exists("/a/c"));
+}
+
+TEST(TreeStorageTest, ChurnStaysWithinOneChunkOfTheLivePeak) {
+  // Every round creates the same names and deletes them again. Ids keep
+  // growing, but freed slots are reused and the id index holds live ids
+  // only, so neither table may grow past the first round's size.
+  constexpr std::size_t kNames = 1000;
+  constexpr std::size_t kPeak = kNames + 2;  // plus the root and /churn
+  Tree tree;
+  std::size_t index = 0;
+  for (int round = 0; round < 50; ++round) {
+    for (std::size_t i = 0; i < kNames; ++i) {
+      ASSERT_TRUE(tree.Create("/churn/f" + std::to_string(i), 1, round,
+                              ClientOpId{})
+                      .ok());
+    }
+    ASSERT_EQ(tree.inode_count(), kPeak);
+    for (std::size_t i = 0; i < kNames; ++i) {
+      ASSERT_TRUE(tree.Execute(Rec(OpCode::kDelete,
+                                   "/churn/f" + std::to_string(i), round,
+                                   ClientOpId{}))
+                      .ok());
+    }
+    ASSERT_EQ(tree.inode_count(), 2u);
+    if (round == 0) index = TreeStorageProbe::IdIndexCapacity(tree);
+  }
+  EXPECT_EQ(TreeStorageProbe::SlotsUsed(tree), kPeak);
+  EXPECT_LE(TreeStorageProbe::SlotCapacity(tree),
+            kPeak + TreeStorageProbe::kSlotsPerChunk);
+  EXPECT_EQ(TreeStorageProbe::IdIndexCapacity(tree), index);
+  // At most 3/4 full before it doubles: under 8/3 entries per live inode.
+  EXPECT_LT(index * 3, kPeak * 8);
+  ASSERT_TRUE(tree.Create("/churn/again", 1, 99, ClientOpId{}).ok());
+  EXPECT_TRUE(tree.Exists("/churn/again"));
+  EXPECT_FALSE(tree.Exists("/churn/f0"));
+}
+
+/// One inode of a hand-built image.
+struct ImageRow {
+  InodeId id;
+  InodeId parent;  ///< 0: none
+  std::string name;
+  bool is_dir;
+};
+
+/// A checksummed v6 image holding `rows` and nothing else: the layout
+/// Tree::SaveImage writes, built by hand so it can be wrong on purpose.
+std::vector<char> HandBuiltImage(const std::vector<ImageRow>& rows) {
+  ByteWriter out;
+  out.U32(0x4d414d53);  // "MAMS"
+  out.U32(6);
+  out.U64(100);  // next inode
+  out.U64(1);    // next block
+  out.U64(0);    // last txid
+  out.U64(static_cast<std::uint64_t>(
+      std::count_if(rows.begin(), rows.end(),
+                    [](const ImageRow& r) { return !r.is_dir; })));
+  out.U64(rows.size());
+  for (const ImageRow& row : rows) {
+    out.U64(row.id);
+    out.U64(row.parent);
+    out.Str(row.name);
+    out.U8(row.is_dir ? 1 : 0);
+    out.U8(1);  // complete
+    out.U32(1);  // replication
+    out.U32(0644);
+    out.Str("hdfs");
+    out.I64(0);  // mtime
+    out.U32(0);  // blocks
+  }
+  out.U64(0);                          // dedup table
+  for (int i = 0; i < 6; ++i) out.U32(0);  // shard state
+  const std::uint64_t checksum = out.Checksum();
+  out.U64(checksum);
+  return std::move(out).Take();
+}
+
+TEST(ImageValidationTest, WellFormedHandBuiltImageLoads) {
+  Tree tree;
+  ASSERT_TRUE(tree.LoadImage(HandBuiltImage({{kRootInode, 0, "", true},
+                                             {2, kRootInode, "d", true},
+                                             {3, 2, "f", false},
+                                             {4, kRootInode, "g", false}}))
+                  .ok());
+  EXPECT_EQ(tree.inode_count(), 4u);
+  EXPECT_EQ(tree.ListDir("/d").value(), std::vector<std::string>{"f"});
+  EXPECT_EQ(tree.FindInode("/d/f")->id, 3u);
+}
+
+TEST(ImageValidationTest, StructurallyBadImagesAreCorrupt) {
+  const std::vector<std::pair<std::string, std::vector<ImageRow>>> bad = {
+      {"duplicate id",
+       {{kRootInode, 0, "", true}, {2, kRootInode, "a", false},
+        {2, kRootInode, "b", false}}},
+      {"parent is a file",
+       {{kRootInode, 0, "", true}, {2, kRootInode, "f", false},
+        {3, 2, "g", false}}},
+      {"own parent",
+       {{kRootInode, 0, "", true}, {2, 2, "loop", true}}},
+      {"duplicate name",
+       {{kRootInode, 0, "", true}, {2, kRootInode, "x", false},
+        {3, kRootInode, "x", true}}},
+  };
+  for (const auto& [what, rows] : bad) {
+    Tree tree;
+    ASSERT_TRUE(tree.Create("/kept", 1, 1, ClientOpId{}).ok());
+    const std::uint64_t before = tree.Fingerprint();
+    const Status s = tree.LoadImage(HandBuiltImage(rows));
+    EXPECT_EQ(s.code(), StatusCode::kCorruption)
+        << what << ": " << s.ToString();
+    // A refused image leaves the tree as it was.
+    EXPECT_EQ(tree.Fingerprint(), before) << what;
+  }
+}
+
+// The image format, byte for byte: one scripted tree, built through every
+// kind of client op from two clients, pinned by the FNV-1a hash of its
+// image and by its fingerprint. The storage behind the tree may change;
+// these two numbers may not (they are what every replica, checkpoint and
+// digest is made of).
+TEST(ImageFormatTest, ScriptedTreeKeepsItsImageAndFingerprint) {
+  constexpr std::size_t kGoldenImageBytes = 1108;
+  constexpr std::uint64_t kGoldenImageHash = 15334218063399140441ull;
+  constexpr std::uint64_t kGoldenFingerprint = 6053767988385006686ull;
+  Tree tree;
+  std::uint64_t seq[3] = {0, 0, 0};
+  auto op = [&](std::uint64_t client) {
+    return ClientOpId{.client_id = client, .op_seq = ++seq[client]};
+  };
+  SimTime now = 0;
+  auto run = [&](OpCode code, const std::string& path, std::uint64_t client,
+                 std::string path2 = {}, std::uint32_t replication = 1) {
+    ASSERT_TRUE(tree.Execute(Rec(code, path, ++now, op(client),
+                                 std::move(path2), replication))
+                    .ok())
+        << path;
+  };
+  run(OpCode::kMkdir, "/user/alice/logs", 1);
+  run(OpCode::kMkdir, "/user/bob", 2);
+  run(OpCode::kMkdir, "/tmp", 1);
+  for (int i = 0; i < 6; ++i) {
+    run(OpCode::kCreate, "/user/alice/logs/part-" + std::to_string(i),
+        1 + i % 2, {}, 3);
+  }
+  run(OpCode::kCreate, "/user/bob/notes.txt", 2, {}, 2);
+  run(OpCode::kCreate, "/tmp/scratch", 1);
+  run(OpCode::kAddBlock, "/user/alice/logs/part-0", 1);
+  run(OpCode::kAddBlock, "/user/alice/logs/part-0", 2);
+  run(OpCode::kAddBlock, "/user/bob/notes.txt", 2);
+  run(OpCode::kCompleteFile, "/user/alice/logs/part-0", 1);
+  run(OpCode::kRename, "/user/alice/logs/part-1", 2,
+      "/user/bob/part-1-moved");
+  run(OpCode::kRename, "/tmp/scratch", 1, "/user/alice/scratch");
+  run(OpCode::kDelete, "/user/alice/logs/part-5", 2);
+  run(OpCode::kDelete, "/tmp", 1);
+  run(OpCode::kSetOwner, "/user/alice", 1, "alice:staff");
+  run(OpCode::kSetOwner, "/user/bob/notes.txt", 2, "bob:eng");
+  run(OpCode::kSetOwner, "/user/alice/logs/part-2", 1, "alice:staff");
+  run(OpCode::kSetPermission, "/user/bob", 2, {}, 0700);
+  run(OpCode::kSetPermission, "/user/alice/logs/part-3", 1, {}, 0600);
+  run(OpCode::kSetReplication, "/user/alice/logs/part-4", 2, {}, 5);
+  run(OpCode::kSetTimes, "/user/alice/logs", 1);
+  run(OpCode::kMkdir, "/user/bob/empty", 2);
+
+  const std::vector<char> image = tree.SaveImage();
+  EXPECT_EQ(image.size(), kGoldenImageBytes);
+  EXPECT_EQ(Fnv1a(image.data(), image.size()), kGoldenImageHash);
+  EXPECT_EQ(tree.Fingerprint(), kGoldenFingerprint);
+
+  Tree loaded;
+  ASSERT_TRUE(loaded.LoadImage(image).ok());
+  EXPECT_EQ(loaded.SaveImage(), image);
+  EXPECT_EQ(loaded.Fingerprint(), kGoldenFingerprint);
 }
 
 // Property: a random interleaving of operations replayed from the journal
