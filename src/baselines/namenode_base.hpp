@@ -80,8 +80,7 @@ class NameNodeBase : public net::Host {
   /// this to bill the expensive full-scan processing exactly once per
   /// data server (periodic re-reports are incremental and cheap).
   virtual SimTime BlockReportCost(const core::BlockReportMsg& report) {
-    return core::kOpCosts.block_report_per_1k *
-           static_cast<SimTime>(1 + report.EffectiveCount() / 1000);
+    return core::BlockReportCost(report);
   }
 
   void OnStart() override {

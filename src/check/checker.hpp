@@ -44,12 +44,6 @@ struct Violation {
 const char* ViolationTypeName(Violation::Type type);
 std::string FormatViolation(const History& history, const Violation& v);
 
-struct CheckOptions {
-  /// Search-node budget; an exhausted budget reports "undecided", never a
-  /// false violation.
-  std::uint64_t max_states = 4'000'000;
-};
-
 struct CheckResult {
   bool linearizable = false;
   bool decided = true;  ///< false: budget exhausted before an answer
@@ -57,6 +51,6 @@ struct CheckResult {
   std::vector<Violation> violations;  ///< empty iff linearizable
 };
 
-CheckResult CheckHistory(const History& history, CheckOptions options = {});
+CheckResult CheckHistory(const History& history);
 
 }  // namespace mams::check

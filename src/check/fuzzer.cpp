@@ -32,6 +32,10 @@ workload::Mix DefaultMix() {
   return mix;
 }
 
+/// Longest link-flap outage; flaps longer than the 5 s session timeout
+/// depose the active while it keeps serving its last lease.
+constexpr SimTime kMaxOutage = 12 * kSecond;
+
 bool MixEmpty(const workload::Mix& m) {
   return m.create + m.mkdir + m.remove + m.rename + m.getfileinfo +
              m.listdir + m.add_block <=
@@ -41,33 +45,16 @@ bool MixEmpty(const workload::Mix& m) {
 }  // namespace
 
 const char* MutationName(Mutation m) {
-  switch (m) {
-    case Mutation::kNone:
-      return "none";
-    case Mutation::kNoSnDedup:
-      return "sn_dedup";
-    case Mutation::kNoFencing:
-      return "fencing";
-    case Mutation::kIgnoreMinSn:
-      return "min_sn";
-    case Mutation::kSkipCutoverFence:
-      return "cutover_fence";
-    case Mutation::kIgnoreLeaseRevoke:
-      return "lease_revoke";
-    case Mutation::kSspOffCommitPath:
-      return "ssp_off_path";
+  for (const NamedMutation& nm : kMutations) {
+    if (nm.mutation == m) return nm.name;
   }
   return "?";
 }
 
 bool ParseMutation(const std::string& name, Mutation* out) {
-  for (const Mutation m : {Mutation::kNone, Mutation::kNoSnDedup,
-                           Mutation::kNoFencing, Mutation::kIgnoreMinSn,
-                           Mutation::kSkipCutoverFence,
-                           Mutation::kIgnoreLeaseRevoke,
-                           Mutation::kSspOffCommitPath}) {
-    if (name == MutationName(m)) {
-      *out = m;
+  for (const NamedMutation& nm : kMutations) {
+    if (name == nm.name) {
+      *out = nm.mutation;
       return true;
     }
   }
@@ -252,15 +239,14 @@ RunSpec MakeSpec(std::uint64_t seed, const FuzzProfile& profile) {
   } else {
     // Per-client op schedules. Disjoint per-client roots keep the
     // checker's cross-client interleavings tractable while the cluster
-    // still serializes everything through the single active. The last
-    // client (when slow) works on multi-second think times: it spans
-    // failover windows with a stale active cache, the access pattern that
-    // exposes fencing bugs.
+    // still serializes everything through the single active. With more
+    // than one client the last is slow, on multi-second think times: it
+    // spans failover windows with a stale active cache, the access pattern
+    // that exposes fencing bugs.
     std::vector<std::vector<OpEntry>> per_client(
         static_cast<std::size_t>(spec.clients));
     for (int c = 0; c < spec.clients; ++c) {
-      const bool slow =
-          profile.slow_client && spec.clients > 1 && c == spec.clients - 1;
+      const bool slow = spec.clients > 1 && c == spec.clients - 1;
       workload::OpStream stream(
           mix,
           seed ^ (0x517cc1b727220a95ull * static_cast<std::uint64_t>(c + 1)),
@@ -312,7 +298,7 @@ RunSpec MakeSpec(std::uint64_t seed, const FuzzProfile& profile) {
       a.duration =
           static_cast<SimTime>(
               2000 + rng.Below(static_cast<std::uint64_t>(std::max<SimTime>(
-                         1, profile.max_outage / kMillisecond - 2000)))) *
+                         1, kMaxOutage / kMillisecond - 2000)))) *
           kMillisecond;
     } else if (roll < 0.55) {
       a.kind = FaultAction::Kind::kCrashMember;
@@ -405,7 +391,7 @@ struct ClientScript : std::enable_shared_from_this<ClientScript> {
 
 }  // namespace
 
-RunResult RunSpecOnce(const RunSpec& spec, CheckOptions check) {
+RunResult RunSpecOnce(const RunSpec& spec) {
   sim::Simulator sim(spec.seed);
   net::Network net(sim);
   net::FaultInjector inject(net);
@@ -417,28 +403,7 @@ RunResult RunSpecOnce(const RunSpec& spec, CheckOptions check) {
   cfg.juniors_per_group = 0;
   cfg.data_servers = 1;
   cfg.clients = spec.clients;
-  switch (spec.mutation) {
-    case Mutation::kNone:
-      break;
-    case Mutation::kNoSnDedup:
-      cfg.mds.test_hooks.disable_sn_dedup = true;
-      break;
-    case Mutation::kNoFencing:
-      cfg.mds.test_hooks.disable_fencing = true;
-      break;
-    case Mutation::kIgnoreMinSn:
-      cfg.mds.test_hooks.ignore_min_sn = true;
-      break;
-    case Mutation::kSkipCutoverFence:
-      cfg.mds.test_hooks.skip_cutover_fence = true;
-      break;
-    case Mutation::kIgnoreLeaseRevoke:
-      cfg.client.cache.ignore_revoke = true;
-      break;
-    case Mutation::kSspOffCommitPath:
-      cfg.mds.test_hooks.ssp_off_commit_path = true;
-      break;
-  }
+  cfg.mds.mutation = spec.mutation;
   // The min_sn mutation is only observable when standbys answer reads, so
   // it forces the offload on; .repro files then replay correctly even if
   // they predate the standby_reads field.
@@ -634,7 +599,7 @@ RunResult RunSpecOnce(const RunSpec& spec, CheckOptions check) {
   }
 
   result.history = recorder.history();
-  result.check = CheckHistory(result.history, check);
+  result.check = CheckHistory(result.history);
   for (const Violation& v : result.check.violations) {
     result.violations.push_back(v);
   }

@@ -25,38 +25,29 @@
 #include "check/checker.hpp"
 #include "check/history.hpp"
 #include "common/types.hpp"
+#include "core/options.hpp"
 #include "workload/opstream.hpp"
 
 namespace mams::check {
 
-/// Which deliberately-broken server configuration to run (the checker's
-/// mutation self-tests); kNone is the production configuration.
-/// kIgnoreMinSn makes standbys serve reads regardless of the session
-/// floor (it implies standby reads are enabled for the run).
-/// kSkipCutoverFence knocks out the snapshot-delta guarantee the cutover
-/// fence exists to close: the source never captures post-snapshot deltas
-/// and keeps admitting writes through the cutover, so any mutation
-/// accepted after the snapshot is acknowledged but vanishes when the
-/// shard is erased — a lost-write the checker must catch.
-/// kIgnoreLeaseRevoke makes the client cache drop lease-revocation pushes
-/// on the floor (it still acks them, so mutation replies are not held
-/// forever): a conflicting mutation's ack then races ahead of a cache
-/// entry that keeps serving the old value until TTL expiry — the
-/// checker's completed-mutation floor for cache-served reads must catch
-/// it (it implies client caching is enabled for the run).
-/// kSspOffCommitPath completes a batch on the standby acks alone, before
-/// its SSP copy is durable: a failover that drains the SSP can then come
-/// up below the committed watermark (a committed_sn_not_lost probe or a
-/// lost ack). It is rare: at the profiles' default fault counts only
-/// the migrations profile shows it.
-enum class Mutation : std::uint8_t {
-  kNone,
-  kNoSnDedup,
-  kNoFencing,
-  kIgnoreMinSn,
-  kSkipCutoverFence,
-  kIgnoreLeaseRevoke,
-  kSspOffCommitPath,
+/// Which safety mechanism a run switches off (core::Mutation documents
+/// each); kNone is the production configuration.
+using core::Mutation;
+
+/// Every mutation with its mams_check/.repro name. MutationName,
+/// ParseMutation and mams_check's usage all read it.
+struct NamedMutation {
+  Mutation mutation;
+  const char* name;
+};
+inline constexpr NamedMutation kMutations[] = {
+    {Mutation::kNone, "none"},
+    {Mutation::kNoSnDedup, "sn_dedup"},
+    {Mutation::kNoFencing, "fencing"},
+    {Mutation::kIgnoreMinSn, "min_sn"},
+    {Mutation::kSkipCutoverFence, "cutover_fence"},
+    {Mutation::kIgnoreLeaseRevoke, "lease_revoke"},
+    {Mutation::kSspOffCommitPath, "ssp_off_path"},
 };
 
 const char* MutationName(Mutation m);
@@ -101,7 +92,6 @@ struct RunSpec {
   /// kMigrateSlot faults then move live shards between groups mid-run.
   int groups = 1;
   int standbys = 2;
-  int pool_nodes = 3;
   Mutation mutation = Mutation::kNone;
   /// Serve reads from standbys (session-consistent offload) and route the
   /// fuzz clients' reads round-robin over them. Audit reads always go to
@@ -124,13 +114,6 @@ struct FuzzProfile {
   int ops_per_client = 40;
   int faults = 5;
   workload::Mix mix;   ///< zero-initialized: MakeSpec fills a default mix
-  /// One client issues ops with multi-second think times — an
-  /// infrequently-writing client holds a stale active cache across
-  /// failovers, which is what exposes fencing bugs.
-  bool slow_client = true;
-  /// Longest link-flap outage; flaps longer than the 5 s session timeout
-  /// depose the active while it keeps serving its last lease.
-  SimTime max_outage = 12 * kSecond;
   /// Copied into RunSpec::standby_reads by MakeSpec.
   bool standby_reads = false;
   /// Copied into RunSpec::client_cache by MakeSpec.
@@ -186,6 +169,6 @@ struct RunResult {
 /// Executes one spec end to end: boot, op/fault phase, heal, quiesce,
 /// audit reads of every touched path, replica-divergence audit, history
 /// check.
-RunResult RunSpecOnce(const RunSpec& spec, CheckOptions check = {});
+RunResult RunSpecOnce(const RunSpec& spec);
 
 }  // namespace mams::check

@@ -16,11 +16,10 @@ template <typename T>
 class ListMinimizer {
  public:
   ListMinimizer(RunSpec& spec, std::vector<T> RunSpec::* field,
-                const ShrinkOptions& options, int& runs,
-                RunResult& best_result)
+                int max_runs, int& runs, RunResult& best_result)
       : spec_(spec),
         field_(field),
-        options_(options),
+        max_runs_(max_runs),
         runs_(runs),
         best_(best_result) {}
 
@@ -32,7 +31,7 @@ class ListMinimizer {
       bool removed_any = false;
       std::size_t i = 0;
       while (i < (spec_.*field_).size()) {
-        if (runs_ >= options_.max_runs) return changed;
+        if (runs_ >= max_runs_) return changed;
         RunSpec candidate = spec_;
         auto& list = candidate.*field_;
         const std::size_t end =
@@ -40,7 +39,7 @@ class ListMinimizer {
         list.erase(list.begin() + static_cast<std::ptrdiff_t>(i),
                    list.begin() + static_cast<std::ptrdiff_t>(end));
         ++runs_;
-        RunResult r = RunSpecOnce(candidate, options_.check);
+        RunResult r = RunSpecOnce(candidate);
         if (r.violated()) {
           spec_ = std::move(candidate);
           best_ = std::move(r);
@@ -49,9 +48,6 @@ class ListMinimizer {
           // i stays: the next chunk shifted into place.
         } else {
           i += chunk;
-        }
-        if (options_.progress) {
-          options_.progress(spec_.ops.size(), spec_.faults.size(), runs_);
         }
       }
       if (chunk == 1) {
@@ -66,17 +62,17 @@ class ListMinimizer {
  private:
   RunSpec& spec_;
   std::vector<T> RunSpec::* field_;
-  const ShrinkOptions& options_;
+  int max_runs_;
   int& runs_;
   RunResult& best_;
 };
 
 }  // namespace
 
-ShrinkResult Shrink(const RunSpec& failing, ShrinkOptions options) {
+ShrinkResult Shrink(const RunSpec& failing, int max_runs) {
   ShrinkResult out;
   out.spec = failing;
-  out.result = RunSpecOnce(out.spec, options.check);
+  out.result = RunSpecOnce(out.spec);
   out.runs = 1;
   if (!out.result.violated()) {
     // Not reproducible as given — nothing to shrink.
@@ -84,11 +80,11 @@ ShrinkResult Shrink(const RunSpec& failing, ShrinkOptions options) {
   }
   // Faults first (each removed fault usually makes reruns faster), then
   // ops, repeated until neither list shrinks further.
-  while (out.runs < options.max_runs) {
-    ListMinimizer<FaultAction> faults(out.spec, &RunSpec::faults, options,
+  while (out.runs < max_runs) {
+    ListMinimizer<FaultAction> faults(out.spec, &RunSpec::faults, max_runs,
                                       out.runs, out.result);
     const bool f = faults.Minimize();
-    ListMinimizer<OpEntry> ops(out.spec, &RunSpec::ops, options, out.runs,
+    ListMinimizer<OpEntry> ops(out.spec, &RunSpec::ops, max_runs, out.runs,
                                out.result);
     const bool o = ops.Minimize();
     if (!f && !o) break;

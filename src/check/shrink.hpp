@@ -8,18 +8,9 @@
 // violation the final spec produces is reproduced exactly on replay.
 #pragma once
 
-#include <functional>
-
 #include "check/fuzzer.hpp"
 
 namespace mams::check {
-
-struct ShrinkOptions {
-  int max_runs = 200;  ///< rerun budget across the whole shrink
-  CheckOptions check;
-  /// Progress callback (ops left, faults left, runs used); may be null.
-  std::function<void(std::size_t, std::size_t, int)> progress;
-};
 
 struct ShrinkResult {
   RunSpec spec;       ///< the minimized schedule
@@ -27,6 +18,8 @@ struct ShrinkResult {
   int runs = 0;       ///< reruns consumed
 };
 
-ShrinkResult Shrink(const RunSpec& failing, ShrinkOptions options = {});
+/// Shrinks `failing` with at most `max_runs` reruns across the whole
+/// shrink.
+ShrinkResult Shrink(const RunSpec& failing, int max_runs);
 
 }  // namespace mams::check

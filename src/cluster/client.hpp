@@ -70,11 +70,6 @@ enum class ReadRouting : std::uint8_t {
 /// server-side grant switch core::ClientLeaseOptions::grant_leases.
 struct ClientCacheOptions {
   bool enabled = false;
-  /// Mutation self-test (check::Mutation::kIgnoreLeaseRevoke): keep
-  /// serving a pushed-revoked lease until its TTL, while still acking the
-  /// revocation so the conflicting mutation completes. Never set outside
-  /// the checker.
-  bool ignore_revoke = false;
 };
 
 struct FsClientOptions {
@@ -529,7 +524,7 @@ class FsClient : public net::Host {
     if (sim().Now() >= dc.expire_at) {
       // TTL: the lease is dead whether or not a revocation ever reached us
       // (this is the backstop for a lost push — and the window the
-      // ignore_revoke mutant exploits).
+      // lease_revoke mutation exploits).
       ++counters_.cache_expiries;
       m_cache_expiries_->Add();
       cache_.erase(it);
@@ -622,9 +617,7 @@ class FsClient : public net::Host {
 
   /// Revocation push from the `active` that granted the leases. Always
   /// acked to it — the ack releases the conflicting mutation's reply barrier
-  /// at the granter; even the ignore_revoke mutant acks, because its
-  /// deliberate bug is serving stale state *after* the mutation completes
-  /// normally.
+  /// at the granter.
   void HandleLeaseRevoke(NodeId active, const net::MessagePtr& msg) {
     const auto& push = net::Cast<core::LeaseRevokeMsg>(msg);
     std::vector<std::uint64_t> acked;
@@ -634,7 +627,6 @@ class FsClient : public net::Host {
       Tombstone(rev.lease_id);
       ++counters_.cache_revocations;
       m_cache_revocations_->Add();
-      if (options_.cache.ignore_revoke) continue;  // self-test mutant
       auto it = cache_.find(rev.dir);
       if (it != cache_.end() && it->second.lease_id == rev.lease_id) {
         cache_.erase(it);

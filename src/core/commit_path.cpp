@@ -113,7 +113,7 @@ void CommitPath::OnBatchSealed(journal::Batch batch, std::vector<char> bytes) {
   PendingSync& ps = pending_sync_[sn];
   ps.batch = owned;
   ps.awaiting = targets_;
-  ps.ssp_done = s_.options().test_hooks.ssp_off_commit_path;
+  ps.ssp_done = s_.options().mutation == Mutation::kSspOffCommitPath;
   ps.begin = s_.sim().Now();
   ps.span = s_.sim().obs().tracer().Begin(
       "mds", "sync_batch", s_.id(), s_.group(),

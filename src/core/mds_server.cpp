@@ -68,12 +68,12 @@ MdsServer::MdsServer(net::Network& network, std::string name,
     // if it holds uncommitted state); everyone rejoins as a junior and is
     // renewed back to standby by the current active.
     if (commit_) {
-      // Test hook: an active that ignores its own session expiry models
+      // kNoFencing: an active that ignores its own session expiry models
       // the classic fencing scenario (GC pause / stuck clock) — it keeps
       // serving while a successor is elected. Only the fence tokens stand
       // between that and split-brain, which is exactly what the checker's
       // fencing mutation has to demonstrate.
-      if (!options_.test_hooks.disable_fencing) {
+      if (options_.mutation != Mutation::kNoFencing) {
         StepDownFromActive("coordination session expired");
       }
     } else if (alive()) {
@@ -239,10 +239,10 @@ void MdsServer::OnWatchEvent(const coord::GroupView& view) {
   if (commit_) {
     // A deposed active stops immediately (Test A: lock stolen via the
     // global view; also covers fencing after a spurious session expiry).
-    // The fencing test hook keeps the oblivious active serving (see the
+    // The fencing mutation keeps the oblivious active serving (see the
     // session handler in the constructor).
     if (view.lock_holder != id()) {
-      if (!options_.test_hooks.disable_fencing) {
+      if (options_.mutation != Mutation::kNoFencing) {
         StepDownFromActive("lost the group lock");
       }
       return;
@@ -450,11 +450,11 @@ void MdsServer::HandleJournalPrepare(const net::Envelope& env,
   };
 
   // IO fencing: a sender with an older fence token than the view's is a
-  // deposed active; refuse it so it steps down. The disable_fencing test
-  // hook removes this whole layer (including the active-side collision
+  // deposed active; refuse it so it steps down. The kNoFencing mutation
+  // removes this whole layer (including the active-side collision
   // arbitration below) so the checker's mutation self-test can demonstrate
   // the split-brain/lost-ack anomalies fencing exists to prevent.
-  if (!options_.test_hooks.disable_fencing &&
+  if (options_.mutation != Mutation::kNoFencing &&
       req.fence < view_.fence_token) {
     Bump(counters_.fenced_rejections, m_.fenced_rejections);
     obs_->tracer().Instant(
@@ -464,7 +464,7 @@ void MdsServer::HandleJournalPrepare(const net::Envelope& env,
     answer(false, /*stale_fence=*/true);
     return;
   }
-  if (commit_ && !options_.test_hooks.disable_fencing) {
+  if (commit_ && options_.mutation != Mutation::kNoFencing) {
     // Two actives cannot coexist; the one with the newer fence wins.
     if (req.fence <= fence_) {
       answer(false, /*stale_fence=*/true);
@@ -478,7 +478,7 @@ void MdsServer::HandleJournalPrepare(const net::Envelope& env,
   // group may have elected past that view and counts us down: a deposed
   // active's batch accepted now would fork this replica from the new
   // active's journal. Stay silent until the session is confirmed again.
-  if (!options_.test_hooks.disable_fencing && !commit_ &&
+  if (options_.mutation != Mutation::kNoFencing && !commit_ &&
       sim().Now() >= last_session_ack() + coord::kSessionTimeout) {
     return;
   }
@@ -490,7 +490,7 @@ void MdsServer::HandleJournalPrepare(const net::Envelope& env,
   if (batch.sn <= last_sn_) {
     // "Only if sn from the active is larger than the current maximum serial
     // number, the standby applies journals" — duplicate, already applied.
-    if (options_.test_hooks.disable_sn_dedup) {
+    if (options_.mutation == Mutation::kNoSnDedup) {
       // Mutation self-test: re-apply the replayed batch as a broken
       // implementation without sn suppression would. The records carry
       // txid 0 so the tree's transaction-id replay guard cannot save us —
@@ -680,9 +680,7 @@ void MdsServer::RegisterHandlers() {
   });
   OnRequest(net::kBlockReport, [this](auto&, auto& msg, auto& reply) {
     const auto& report = net::Cast<BlockReportMsg>(msg);
-    const SimTime cost = kOpCosts.block_report_per_1k *
-                         static_cast<SimTime>(1 + report.EffectiveCount() / 1000);
-    AfterLocal(ChargeCpu(cost), [this, msg, reply] {
+    AfterLocal(ChargeCpu(BlockReportCost(report)), [this, msg, reply] {
       const auto& rep = net::Cast<BlockReportMsg>(msg);
       blocks_.IngestReport(rep.data_server, rep.blocks);
       reply(std::make_shared<BlockReportAckMsg>());

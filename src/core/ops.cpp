@@ -91,4 +91,9 @@ SimTime OpCost(ClientOp op) {
   return c.getfileinfo;
 }
 
+SimTime BlockReportCost(const BlockReportMsg& report) {
+  return kOpCosts.block_report_per_1k *
+         static_cast<SimTime>(1 + report.EffectiveCount() / 1000);
+}
+
 }  // namespace mams::core

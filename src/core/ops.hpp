@@ -22,4 +22,8 @@ void FillRead(const fsns::Tree& tree, const ClientRequestMsg& req,
 /// CPU service time of `op` at a namespace server, before journaling.
 SimTime OpCost(ClientOp op);
 
+/// CPU service time of ingesting `report` at a namespace server: one
+/// `block_report_per_1k` charge per started thousand blocks.
+SimTime BlockReportCost(const BlockReportMsg& report);
+
 }  // namespace mams::core

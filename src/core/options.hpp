@@ -31,33 +31,40 @@ struct OpCosts {
 };
 inline constexpr OpCosts kOpCosts{};
 
-/// Deliberate-fault switches for the checker's mutation self-tests
-/// (tests/check_test.cpp): each hook disables one safety mechanism so the
-/// history checker can prove it would catch that mechanism's absence.
-/// Production configurations never set these.
-struct TestHooks {
-  /// Skip the standby-side "sn must exceed current maximum" duplicate
-  /// check and re-apply replayed batches, as if the serial-number
+/// One deliberately broken safety mechanism, for the checker's mutation
+/// self-tests (docs/TESTING.md, "Mutation self-tests"): each value switches
+/// one mechanism off so the history checker can prove it would catch that
+/// mechanism's absence. Production configurations run kNone.
+enum class Mutation : std::uint8_t {
+  kNone,
+  /// A standby re-applies replayed batches instead of dropping those whose
+  /// sn does not exceed its current maximum, as if the serial-number
   /// suppression of Section III.C did not exist.
-  bool disable_sn_dedup = false;
-  /// Skip the fence-token comparison on journal intake, as if IO fencing
-  /// did not exist: a deposed active's replication traffic is accepted.
-  bool disable_fencing = false;
-  /// Standby serves reads regardless of the request's min_sn session floor,
-  /// as if the session-consistency token did not exist: a lagging standby
-  /// hands out stale state the client already wrote past.
-  bool ignore_min_sn = false;
-  /// Shard migration runs its cutover without the write fence (and without
-  /// capturing the writes as deltas), as if the unavailability window did
-  /// not exist: writes the source accepts during cutover never reach the
-  /// destination and vanish when the slot is dropped.
-  bool skip_cutover_fence = false;
+  kNoSnDedup,
+  /// IO fencing is off: replication traffic from a deposed active is
+  /// accepted, and an active that loses its session or the group lock
+  /// keeps serving (the GC-paused active of the classic fencing scenario).
+  kNoFencing,
+  /// A standby serves reads regardless of the request's min_sn session
+  /// floor, as if the session-consistency token did not exist: a lagging
+  /// standby hands out state the client already wrote past. The checker
+  /// turns standby reads on for it.
+  kIgnoreMinSn,
+  /// Shard migration runs its cutover without the write fence and without
+  /// capturing deltas: writes the source accepts after the snapshot are
+  /// acknowledged, never shipped, and vanish when the slot is dropped.
+  kSkipCutoverFence,
+  /// The active's lease revocation sends no push and installs no reply
+  /// barrier, as if every remote holder had acked at once (a lost push):
+  /// a conflicting mutation's ack races ahead of a client cache entry that
+  /// keeps serving the old value until its TTL. The checker turns the
+  /// client cache on for it.
+  kIgnoreLeaseRevoke,
   /// A batch completes on the standby acks alone while its SSP copy is
   /// still in flight, as if the SSP were not a participant of the modified
-  /// two-phase commit: a batch can count as committed before the pool
-  /// holds it, so a successor that drains the SSP (upgrade step 4) can
-  /// come up below the committed watermark.
-  bool ssp_off_commit_path = false;
+  /// two-phase commit: a successor that drains the SSP (upgrade step 4)
+  /// can come up below the committed watermark.
+  kSspOffCommitPath,
 };
 
 /// Standby read offload (session-consistent reads against hot standbys).
@@ -118,8 +125,8 @@ struct MdsOptions {
   /// Client-cache directory leases (off by default).
   ClientLeaseOptions client_leases;
 
-  /// Deliberate-fault switches for checker self-tests; see TestHooks.
-  TestHooks test_hooks;
+  /// The safety mechanism a checker self-test switches off; see Mutation.
+  Mutation mutation = Mutation::kNone;
 };
 
 }  // namespace mams::core

@@ -64,7 +64,7 @@ void ReadService::HandleStandbyRead(const RequestPtr& req,
                                     const ReplyFn& reply) {
   const SerialNumber last = s_.last_sn();
   const SerialNumber min_sn =
-      s_.options().test_hooks.ignore_min_sn ? 0 : req->min_sn;
+      s_.options().mutation == Mutation::kIgnoreMinSn ? 0 : req->min_sn;
   // Staleness as seen at arrival: how far this standby's applied journal
   // trails the client's session floor (0 when already caught up).
   s_.m().standby_read_staleness_sn->Record(
@@ -257,6 +257,9 @@ void ReadService::RevokeSlot(std::uint32_t slot, TxId migration_id) {
 }
 
 void ReadService::Revoke(Revocation r, TxId txid) {
+  // kIgnoreLeaseRevoke: every push is lost and every remote holder counts
+  // as acked at once, so the mutation's reply is never held.
+  if (s_.options().mutation == Mutation::kIgnoreLeaseRevoke) return;
   // Fire-and-forget: a lost push costs the barrier its fast path, never
   // correctness — the TTL backstop releases it.
   for (auto& [node, leases] : r.pushes) {

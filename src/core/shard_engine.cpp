@@ -319,7 +319,7 @@ Status ShardEngine::StartMigration(std::uint32_t slot, GroupId dst) {
   // same instant — nothing can slip between image and delta stream. The
   // cutover_fence mutation knocks out exactly this guarantee: accepted
   // writes are never captured, so everything after the snapshot is lost.
-  d.capturing = !s_.options().test_hooks.skip_cutover_fence;
+  d.capturing = s_.options().mutation != Mutation::kSkipCutoverFence;
   std::vector<journal::LogRecord> cur;
   s_.tree().ForEachNode([&](const std::string& path, const fsns::Inode& node) {
     if (!MigratesWith(slot, path, node)) return;
@@ -398,7 +398,7 @@ void ShardEngine::StartCutover(std::uint32_t slot) {
   auto it = drives_.find(slot);
   if (it == drives_.end()) return;
   MigrationDrive& d = it->second;
-  if (s_.options().test_hooks.skip_cutover_fence) {
+  if (s_.options().mutation == Mutation::kSkipCutoverFence) {
     // Mutation self-test: keep accepting writes through the cutover but
     // stop capturing them — they are acknowledged, never shipped, and
     // vanish when kShardMigrateEnd drops the slot. The checker must flag

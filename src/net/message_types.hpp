@@ -28,8 +28,6 @@ inline constexpr MsgType kSspWrite = 0x0301;
 inline constexpr MsgType kSspWriteAck = 0x0302;
 inline constexpr MsgType kSspRead = 0x0303;
 inline constexpr MsgType kSspReadReply = 0x0304;
-inline constexpr MsgType kSspList = 0x0305;
-inline constexpr MsgType kSspListReply = 0x0306;
 
 // 0x04xx — client <-> metadata server
 inline constexpr MsgType kClientRequest = 0x0401;
@@ -84,8 +82,6 @@ inline const char* MsgTypeName(MsgType type) noexcept {
     case kSspWriteAck: return "ssp_write_ack";
     case kSspRead: return "ssp_read";
     case kSspReadReply: return "ssp_read_reply";
-    case kSspList: return "ssp_list";
-    case kSspListReply: return "ssp_list_reply";
     case kClientRequest: return "client_request";
     case kClientResponse: return "client_response";
     case kGroupRegister: return "group_register";

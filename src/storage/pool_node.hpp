@@ -83,20 +83,6 @@ class PoolNode : public net::Host {
               : disk_.ReadCost(bytes);  // cold start: pay the seek
       WithDisk(cost, [reply, out] { reply(out); });
     });
-
-    OnRequest(net::kSspList, [this](const net::Envelope&,
-                                    const net::MessagePtr& msg,
-                                    const ReplyFn& reply) {
-      const auto& req = net::Cast<SspListMsg>(msg);
-      auto out = std::make_shared<SspListReplyMsg>();
-      for (const auto& name : store_.List(req.prefix)) {
-        const SharedFile* f = store_.Find(name);
-        out->entries.push_back(
-            {name, f->max_sn(), f->total_logical_bytes()});
-      }
-      WithDisk(disk_.params().sequential_latency,
-               [reply, out] { reply(out); });
-    });
   }
 
   /// Charges disk time, serializing through a single-arm busy cursor.

@@ -29,7 +29,7 @@ class SspClient {
   static constexpr int kReplication = 2;
   /// Deadline of each replica's append.
   static constexpr SimTime kWriteTimeout = 2 * kSecond;
-  /// Deadline of each read (or list) attempt before failing over.
+  /// Deadline of each read attempt before failing over.
   static constexpr SimTime kReadTimeout = 5 * kSecond;
   /// Bytes one read returns at most; callers resume from the reply.
   static constexpr std::uint64_t kReadChunkBytes = 4u << 20;
@@ -162,22 +162,6 @@ class SspClient {
     ReadWithFailover(file, std::move(msg), std::move(done));
   }
 
-  /// Lists files under a prefix (used to discover images/segments).
-  void List(const std::string& prefix,
-            std::function<void(Result<std::shared_ptr<const SspListReplyMsg>>)>
-                done) {
-    auto replicas = pool_;  // any pool node can answer for its own store;
-                            // union-of-replies is unnecessary because every
-                            // group file set is fully replicated rf-ways.
-    if (replicas.empty()) {
-      done(Status::Unavailable("ssp pool empty"));
-      return;
-    }
-    auto msg = std::make_shared<SspListMsg>();
-    msg->prefix = prefix;
-    ListWithFailover(std::move(msg), std::move(done));
-  }
-
  private:
   struct AppendState {
     std::size_t remaining = 0;
@@ -225,27 +209,6 @@ class SspClient {
             return;
           }
           done(std::static_pointer_cast<const SspReadReplyMsg>(
-              std::move(result).value()));
-        },
-        std::move(hooks));
-  }
-
-  void ListWithFailover(
-      std::shared_ptr<SspListMsg> msg,
-      std::function<void(Result<std::shared_ptr<const SspListReplyMsg>>)>
-          done) {
-    net::RpcHooks hooks;
-    hooks.target = [pool = pool_](int attempt) {
-      return pool[(static_cast<std::size_t>(attempt) - 1) % pool.size()];
-    };
-    net::RpcCall::Start(
-        host_, pool_.front(), std::move(msg), FailoverPolicy(pool_.size()),
-        [done = std::move(done)](Result<net::MessagePtr> result) {
-          if (!result.ok()) {
-            done(Status::Unavailable("all ssp pool nodes failed"));
-            return;
-          }
-          done(std::static_pointer_cast<const SspListReplyMsg>(
               std::move(result).value()));
         },
         std::move(hooks));

@@ -53,21 +53,4 @@ struct SspReadReplyMsg final : net::Message {
   }
 };
 
-struct SspListMsg final : net::Message {
-  std::string prefix;
-
-  net::MsgType type() const noexcept override { return net::kSspList; }
-};
-
-struct SspListReplyMsg final : net::Message {
-  struct Entry {
-    std::string name;
-    SerialNumber max_sn = 0;
-    std::uint64_t logical_bytes = 0;
-  };
-  std::vector<Entry> entries;
-
-  net::MsgType type() const noexcept override { return net::kSspListReply; }
-};
-
 }  // namespace mams::storage

@@ -1,14 +1,8 @@
-// Key-popularity distributions over directories for the load engine.
-// The metadata-server survey catalogs skewed, hotspot-heavy namespace
-// access as the norm; these pickers reproduce the three shapes the
-// benches sweep:
-//
-//   * uniform — every directory equally likely.
-//   * zipf    — exact Zipfian ranks via a precomputed inverse CDF
-//               (rank k drawn with probability ∝ 1/(k+1)^theta); binary
-//               search per sample, one table per picker.
-//   * hotspot — `hot_weight` of the traffic concentrated on the first
-//               `hot_fraction` of directories, the rest uniform.
+// Key popularity over directories for the load engine. The
+// metadata-server survey catalogs skewed, hotspot-heavy namespace access
+// as the norm; the picker draws exact Zipfian ranks via a precomputed
+// inverse CDF (rank k drawn with probability ∝ 1/(k+1)^theta), one
+// binary search per sample and one table per picker.
 //
 // A picker is deterministic given the caller's Rng and is shared by all
 // sessions of an engine — per-session state stays POD-sized.
@@ -23,79 +17,37 @@
 
 namespace mams::workload {
 
-enum class KeyDistKind : std::uint8_t { kUniform, kZipf, kHotspot };
-
 struct KeyDistSpec {
-  KeyDistKind kind = KeyDistKind::kUniform;
-  double zipf_theta = 0.99;    ///< skew exponent (YCSB-style default)
-  double hot_fraction = 0.05;  ///< share of directories that are hot
-  double hot_weight = 0.9;     ///< share of traffic the hot set receives
+  double zipf_theta = 0.99;  ///< skew exponent (YCSB-style default)
 
-  static KeyDistSpec Uniform() { return {}; }
-  static KeyDistSpec Zipf(double theta) {
-    KeyDistSpec s;
-    s.kind = KeyDistKind::kZipf;
-    s.zipf_theta = theta;
-    return s;
-  }
-  static KeyDistSpec Hotspot(double fraction, double weight) {
-    KeyDistSpec s;
-    s.kind = KeyDistKind::kHotspot;
-    s.hot_fraction = fraction;
-    s.hot_weight = weight;
-    return s;
-  }
+  static KeyDistSpec Zipf(double theta) { return {theta}; }
 };
 
 class KeyPicker {
  public:
-  KeyPicker(KeyDistSpec spec, std::uint32_t n) : spec_(spec), n_(n ? n : 1) {
-    if (spec_.kind == KeyDistKind::kZipf) {
-      // Exact inverse CDF: cdf_[k] = P(rank <= k). One-time O(n) build,
-      // O(log n) per sample.
-      cdf_.resize(n_);
-      double sum = 0.0;
-      for (std::uint32_t k = 0; k < n_; ++k) {
-        sum += 1.0 / std::pow(static_cast<double>(k + 1), spec_.zipf_theta);
-        cdf_[k] = sum;
-      }
-      for (double& c : cdf_) c /= sum;
+  KeyPicker(KeyDistSpec spec, std::uint32_t n) : n_(n ? n : 1) {
+    // Exact inverse CDF: cdf_[k] = P(rank <= k). One-time O(n) build,
+    // O(log n) per sample.
+    cdf_.resize(n_);
+    double sum = 0.0;
+    for (std::uint32_t k = 0; k < n_; ++k) {
+      sum += 1.0 / std::pow(static_cast<double>(k + 1), spec.zipf_theta);
+      cdf_[k] = sum;
     }
+    for (double& c : cdf_) c /= sum;
   }
-
-  std::uint32_t n() const noexcept { return n_; }
-  const KeyDistSpec& spec() const noexcept { return spec_; }
 
   /// Draws a directory index in [0, n).
   std::uint32_t Sample(Rng& rng) const {
-    switch (spec_.kind) {
-      case KeyDistKind::kUniform:
-        return static_cast<std::uint32_t>(rng.Below(n_));
-      case KeyDistKind::kZipf: {
-        const double u = rng.Uniform();
-        const auto it = std::lower_bound(cdf_.begin(), cdf_.end(), u);
-        const auto rank =
-            static_cast<std::uint32_t>(it - cdf_.begin());
-        return rank < n_ ? rank : n_ - 1;
-      }
-      case KeyDistKind::kHotspot: {
-        std::uint32_t hot = static_cast<std::uint32_t>(
-            spec_.hot_fraction * static_cast<double>(n_));
-        if (hot == 0) hot = 1;
-        if (hot >= n_) return static_cast<std::uint32_t>(rng.Below(n_));
-        if (rng.Uniform() < spec_.hot_weight) {
-          return static_cast<std::uint32_t>(rng.Below(hot));
-        }
-        return hot + static_cast<std::uint32_t>(rng.Below(n_ - hot));
-      }
-    }
-    return 0;
+    const double u = rng.Uniform();
+    const auto it = std::lower_bound(cdf_.begin(), cdf_.end(), u);
+    const auto rank = static_cast<std::uint32_t>(it - cdf_.begin());
+    return rank < n_ ? rank : n_ - 1;
   }
 
  private:
-  KeyDistSpec spec_;
   std::uint32_t n_;
-  std::vector<double> cdf_;  // zipf only
+  std::vector<double> cdf_;
 };
 
 }  // namespace mams::workload

@@ -1,6 +1,6 @@
 # Runs mams_check with one malformed flag and requires exit code 2: a
 # numeric value that is not a whole integer or lies below the flag's
-# minimum, or a profile the profile table does not name, must stop the run
+# minimum, or a profile or mutation its table does not name, must stop the run
 # before anything is swept.
 #
 #   cmake -DCHECK=<mams_check> -DFLAG=<--flag> -DVALUE=<value>

@@ -412,6 +412,23 @@ TEST(ReproTest, SerializeParseRoundTrip) {
   EXPECT_EQ(SerializeSpec(parsed.value()), text);
 }
 
+TEST(ReproTest, EveryMutationRoundTripsByName) {
+  for (const NamedMutation& nm : kMutations) {
+    Mutation parsed = Mutation::kNone;
+    ASSERT_TRUE(ParseMutation(nm.name, &parsed)) << nm.name;
+    EXPECT_EQ(parsed, nm.mutation) << nm.name;
+    EXPECT_STREQ(MutationName(nm.mutation), nm.name);
+
+    RunSpec spec = MakeSpec(2);
+    spec.mutation = nm.mutation;
+    const std::string text = SerializeSpec(spec);
+    const Result<RunSpec> back = ParseSpec(text);
+    ASSERT_TRUE(back.ok()) << nm.name << ": " << back.status().message();
+    EXPECT_EQ(back.value().mutation, nm.mutation) << nm.name;
+    EXPECT_EQ(SerializeSpec(back.value()), text) << nm.name;
+  }
+}
+
 int MembershipChanges(const RunSpec& spec) {
   int n = 0;
   for (const FaultAction& f : spec.faults) {
@@ -433,9 +450,7 @@ TEST(ShrinkTest, DropsMembershipChangesTheViolationDoesNotNeed) {
     spec.mutation = Mutation::kNoSnDedup;
     ASSERT_EQ(MembershipChanges(spec), 2);
     if (!RunSpecOnce(spec).violated()) continue;
-    ShrinkOptions opts;
-    opts.max_runs = 40;
-    const ShrinkResult shrunk = Shrink(spec, opts);
+    const ShrinkResult shrunk = Shrink(spec, /*max_runs=*/40);
     ASSERT_TRUE(shrunk.result.violated()) << "seed " << seed;
     EXPECT_LT(MembershipChanges(shrunk.spec), 2) << "seed " << seed;
     return;
@@ -672,9 +687,7 @@ void MutationSelfTest(Mutation mutation, std::uint64_t max_seed) {
     if (!result.violated()) continue;
 
     // Shrink: the minimized schedule must still violate.
-    ShrinkOptions opts;
-    opts.max_runs = 80;
-    const ShrinkResult shrunk = Shrink(spec, opts);
+    const ShrinkResult shrunk = Shrink(spec, /*max_runs=*/80);
     ASSERT_TRUE(shrunk.result.violated())
         << MutationName(mutation) << " seed " << seed
         << ": shrunk spec no longer violates";

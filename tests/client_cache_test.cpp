@@ -3,7 +3,7 @@
 // bypass the coordination service, the TTL backstop for lost revocations,
 // lease flush across failover, shard-migration invalidation, and
 // cached==uncached equivalence under the fuzzer's full fault palette
-// (with the lease_revoke mutant proving the checker would catch a cache
+// (with the lease_revoke mutation proving the checker would catch a cache
 // that serves past a revocation).
 #include <gtest/gtest.h>
 
@@ -227,11 +227,13 @@ TEST_F(ClientCacheTest, OwnMutationsInvalidateTheCacheReadYourWrites) {
 }
 
 TEST_F(ClientCacheTest, TtlExpiryBoundsALostRevocation) {
-  // The ignore_revoke mutant models a lost revocation push: the client
-  // acks it (so the mutator's reply is not held forever) but keeps
-  // serving the dead lease. The staleness window this opens must close
-  // at the lease TTL — nothing else revokes the entry.
-  Build(1, 2, 7, [](CfsConfig& cfg) { cfg.client.cache.ignore_revoke = true; });
+  // The lease_revoke mutation models a lost revocation push: the active
+  // sends none and holds no reply, so the holder keeps serving the dead
+  // lease. The staleness window this opens must close at the lease TTL —
+  // nothing else revokes the entry.
+  Build(1, 2, 7, [](CfsConfig& cfg) {
+    cfg.mds.mutation = core::Mutation::kIgnoreLeaseRevoke;
+  });
   ASSERT_TRUE(MkdirSync("/d").ok());
   ASSERT_TRUE(CreateFile("/d/a").ok());
   ASSERT_TRUE(ListSync("/d").ok());
@@ -538,8 +540,8 @@ TEST(ClientCacheSweepTest, ReproRoundTripKeepsClientCache) {
 }
 
 TEST(MutationSelfTest, IgnoredLeaseRevokeIsCaught) {
-  // A client that drops revocations keeps serving a dead lease until its
-  // TTL; a read served from it after a conflicting mutation's ack
+  // An active that never pushes revocations leaves a dead lease serving
+  // until its TTL; a read served from it after a conflicting mutation's ack
   // violates the checker's completed-mutation floor for cache hits. The
   // default profile keeps clients in disjoint trees (where the client's
   // own-ack invalidation hides the bug), so the self-test runs the
@@ -550,9 +552,7 @@ TEST(MutationSelfTest, IgnoredLeaseRevokeIsCaught) {
     RunResult result = RunSpecOnce(spec);
     if (!result.violated()) continue;
 
-    ShrinkOptions opts;
-    opts.max_runs = 80;
-    const ShrinkResult shrunk = Shrink(spec, opts);
+    const ShrinkResult shrunk = Shrink(spec, /*max_runs=*/80);
     ASSERT_TRUE(shrunk.result.violated())
         << "seed " << seed << ": shrunk spec no longer violates";
 
@@ -564,7 +564,7 @@ TEST(MutationSelfTest, IgnoredLeaseRevokeIsCaught) {
     return;
   }
   FAIL() << "lease_revoke produced no violation in seeds 1..40 — the "
-         << "checker would not catch a cache that ignores revocations";
+         << "checker would not catch a cache that serves past a revocation";
 }
 
 }  // namespace

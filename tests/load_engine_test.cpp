@@ -29,20 +29,6 @@ using workload::LoadEngine;
 
 // --- key distributions ----------------------------------------------------
 
-TEST(KeyPickerTest, UniformCoversEveryDirectoryEvenly) {
-  const std::uint32_t n = 16;
-  KeyPicker picker(KeyDistSpec::Uniform(), n);
-  Rng rng(0x5eed);
-  std::vector<int> counts(n, 0);
-  const int samples = 64'000;
-  for (int i = 0; i < samples; ++i) ++counts[picker.Sample(rng)];
-  const double mean = static_cast<double>(samples) / n;
-  for (std::uint32_t k = 0; k < n; ++k) {
-    EXPECT_GT(counts[k], mean * 0.8) << "dir " << k;
-    EXPECT_LT(counts[k], mean * 1.2) << "dir " << k;
-  }
-}
-
 TEST(KeyPickerTest, ZipfIsSkewedTowardLowRanks) {
   const std::uint32_t n = 64;
   KeyPicker picker(KeyDistSpec::Zipf(0.99), n);
@@ -64,28 +50,12 @@ TEST(KeyPickerTest, ZipfIsSkewedTowardLowRanks) {
   EXPECT_NEAR(counts[0], expected0, expected0 * 0.1);
 }
 
-TEST(KeyPickerTest, HotspotConcentratesConfiguredWeight) {
-  const std::uint32_t n = 100;
-  KeyPicker picker(KeyDistSpec::Hotspot(0.05, 0.9), n);
-  Rng rng(0x407);
-  const int samples = 50'000;
-  int hot_hits = 0;
-  for (int i = 0; i < samples; ++i) {
-    if (picker.Sample(rng) < 5) ++hot_hits;  // hot set = first 5% of 100
-  }
-  const double hot_share = static_cast<double>(hot_hits) / samples;
-  EXPECT_NEAR(hot_share, 0.9, 0.02);
-}
-
 TEST(KeyPickerTest, SamplingIsDeterministicForFixedSeed) {
-  for (const KeyDistSpec spec :
-       {KeyDistSpec::Uniform(), KeyDistSpec::Zipf(0.99),
-        KeyDistSpec::Hotspot(0.05, 0.9)}) {
-    KeyPicker a(spec, 64), b(spec, 64);
-    Rng ra(42), rb(42);
-    for (int i = 0; i < 1000; ++i) {
-      ASSERT_EQ(a.Sample(ra), b.Sample(rb)) << "draw " << i;
-    }
+  const KeyDistSpec spec = KeyDistSpec::Zipf(0.99);
+  KeyPicker a(spec, 64), b(spec, 64);
+  Rng ra(42), rb(42);
+  for (int i = 0; i < 1000; ++i) {
+    ASSERT_EQ(a.Sample(ra), b.Sample(rb)) << "draw " << i;
   }
 }
 

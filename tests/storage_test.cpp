@@ -191,23 +191,6 @@ TEST_F(SspTest, ChunkedReadIsResumable) {
   EXPECT_EQ(total, 10u);
 }
 
-TEST_F(SspTest, ListReportsMaxSnPerFile) {
-  ssp_->Append("g0/journal", Rec(7), [](Status) {});
-  ssp_->Append("g0/image", Rec(3, 123), [](Status) {});
-  sim_.RunAll();
-  std::vector<SspListReplyMsg::Entry> entries;
-  ssp_->List("g0/", [&](Result<std::shared_ptr<const SspListReplyMsg>> r) {
-    ASSERT_TRUE(r.ok());
-    entries = r.value()->entries;
-  });
-  sim_.RunAll();
-  ASSERT_EQ(entries.size(), 2u);
-  for (const auto& e : entries) {
-    if (e.name == "g0/journal") EXPECT_EQ(e.max_sn, 7u);
-    if (e.name == "g0/image") EXPECT_EQ(e.max_sn, 3u);
-  }
-}
-
 TEST_F(SspTest, LargeImageReadTakesProportionalTime) {
   // A 256 MB logical image must take on the order of seconds to stream.
   // Images are written chunked (8 MB records, sn = chunk ordinal) so that

@@ -52,18 +52,22 @@ struct Args {
 };
 
 void Usage() {
+  std::string mutations;
+  for (const NamedMutation& m : kMutations) {
+    if (!mutations.empty()) mutations += '|';
+    mutations += m.name;
+  }
   std::fprintf(
       stderr,
       "usage: mams_check [options]\n"
       "  --seeds N          seeds to sweep (default 50)\n"
       "  --seed-base B      first seed (default 1)\n"
       "  --seed S           run exactly one seed\n"
-      "  --mutation M       none|sn_dedup|fencing|min_sn|cutover_fence|\n"
-      "                     lease_revoke|ssp_off_path (default none;\n"
-      "                     cutover_fence implies the migrations profile's\n"
-      "                     two-group topology; lease_revoke implies the\n"
-      "                     cache profile; ssp_off_path shows under\n"
-      "                     --profile migrations)\n"
+      "  --mutation M       %s\n"
+      "                     (default none; cutover_fence implies the\n"
+      "                     migrations profile's two-group topology;\n"
+      "                     lease_revoke implies the cache profile;\n"
+      "                     ssp_off_path shows under --profile migrations)\n"
       "  --standby-reads    serve reads from standbys (session-consistent\n"
       "                     offload; min_sn mutation implies this)\n"
       "  --clients N        fuzz clients per run (default 2)\n"
@@ -90,7 +94,8 @@ void Usage() {
       "  --verbose          print per-seed progress and histories\n"
       "  --digests          print `seed run_digest history_digest` per\n"
       "                     seed instead of the violation report\n"
-      "                     (exit 0)\n");
+      "                     (exit 0)\n",
+      mutations.c_str());
 }
 
 /// Parses `text` whole as an integer of at least `min` into *out; on
@@ -273,9 +278,7 @@ int Sweep(const Args& args) {
 
     RunSpec to_write = spec;
     if (args.shrink) {
-      ShrinkOptions sopts;
-      sopts.max_runs = args.shrink_runs;
-      ShrinkResult shrunk = Shrink(spec, sopts);
+      ShrinkResult shrunk = Shrink(spec, args.shrink_runs);
       if (shrunk.result.violated()) {
         to_write = shrunk.spec;
         std::printf(
