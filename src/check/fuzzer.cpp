@@ -1,8 +1,6 @@
 #include "check/fuzzer.hpp"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
 #include <memory>
 #include <set>
 
@@ -62,35 +60,16 @@ bool ParseMutation(const std::string& name, Mutation* out) {
 }
 
 const char* FaultKindName(FaultAction::Kind kind) {
-  switch (kind) {
-    case FaultAction::Kind::kCutMember:
-      return "cut";
-    case FaultAction::Kind::kCrashMember:
-      return "crash";
-    case FaultAction::Kind::kCrashActive:
-      return "crash_active";
-    case FaultAction::Kind::kCrashPool:
-      return "crash_pool";
-    case FaultAction::Kind::kJitterBurst:
-      return "jitter";
-    case FaultAction::Kind::kMigrateSlot:
-      return "migrate";
-    case FaultAction::Kind::kAddStandby:
-      return "add_standby";
-    case FaultAction::Kind::kRetireStandby:
-      return "retire_standby";
+  for (const NamedFaultKind& nk : kFaultKinds) {
+    if (nk.kind == kind) return nk.name;
   }
   return "?";
 }
 
 bool ParseFaultKind(const std::string& name, FaultAction::Kind* out) {
-  for (const FaultAction::Kind k :
-       {FaultAction::Kind::kCutMember, FaultAction::Kind::kCrashMember,
-        FaultAction::Kind::kCrashActive, FaultAction::Kind::kCrashPool,
-        FaultAction::Kind::kJitterBurst, FaultAction::Kind::kMigrateSlot,
-        FaultAction::Kind::kAddStandby, FaultAction::Kind::kRetireStandby}) {
-    if (name == FaultKindName(k)) {
-      *out = k;
+  for (const NamedFaultKind& nk : kFaultKinds) {
+    if (name == nk.name) {
+      *out = nk.kind;
       return true;
     }
   }
@@ -548,26 +527,6 @@ RunResult RunSpecOnce(const RunSpec& spec) {
   result.virtual_end = sim.Now();
   result.run_digest = sim.run_digest();
 
-  // Debug aid: MAMS_FUZZ_DEBUG=1 dumps per-replica apply/pipeline counters
-  // after the run — the quick way to see whether a profile actually
-  // produced multi-record batches (apply_records >> batches_applied).
-  if (std::getenv("MAMS_FUZZ_DEBUG") != nullptr) {
-    for (int g = 0; g < groups; ++g) {
-      for (int m = 0; m < 1 + spec.standbys; ++m) {
-        const auto& c = cfs.mds(static_cast<GroupId>(g), m).counters();
-        core::MdsServer& mds = cfs.mds(static_cast<GroupId>(g), m);
-        std::fprintf(stderr,
-                     "dbg %s role=%d applied=%llu apply_records=%llu "
-                     "deferred=%llu synced=%llu fp=%016llx\n",
-                     mds.name().c_str(), static_cast<int>(mds.role()),
-                     (unsigned long long)c.batches_applied,
-                     (unsigned long long)c.apply_records,
-                     (unsigned long long)c.pipeline_deferred,
-                     (unsigned long long)c.batches_synced,
-                     (unsigned long long)mds.tree().Fingerprint());
-      }
-    }
-  }
   // Replica-divergence audit: at quiescence every standby must hold its
   // group active's exact namespace (same criterion the chaos tests use).
   for (int g = 0; g < groups; ++g) {

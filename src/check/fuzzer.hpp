@@ -75,6 +75,23 @@ struct FaultAction {
   SimTime param = 0;     ///< jitter amount (kJitterBurst)
 };
 
+/// Every fault kind with its .repro name. FaultKindName and ParseFaultKind
+/// read it.
+struct NamedFaultKind {
+  FaultAction::Kind kind;
+  const char* name;
+};
+inline constexpr NamedFaultKind kFaultKinds[] = {
+    {FaultAction::Kind::kCutMember, "cut"},
+    {FaultAction::Kind::kCrashMember, "crash"},
+    {FaultAction::Kind::kCrashActive, "crash_active"},
+    {FaultAction::Kind::kCrashPool, "crash_pool"},
+    {FaultAction::Kind::kJitterBurst, "jitter"},
+    {FaultAction::Kind::kMigrateSlot, "migrate"},
+    {FaultAction::Kind::kAddStandby, "add_standby"},
+    {FaultAction::Kind::kRetireStandby, "retire_standby"},
+};
+
 const char* FaultKindName(FaultAction::Kind kind);
 bool ParseFaultKind(const std::string& name, FaultAction::Kind* out);
 

@@ -29,7 +29,6 @@ enum class CoordOp : std::uint8_t {
   kReleaseLock,    ///< voluntary release
   kGetView,        ///< read-only snapshot
   kWatch,          ///< subscribe to group-view changes
-  kCloseSession,   ///< graceful shutdown
   kPublishMap,     ///< install a newer namespace partition map
   kGetMap,         ///< fetch the current partition map
 };

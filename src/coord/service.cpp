@@ -106,9 +106,6 @@ void CoordService::HandleRequest(const net::Envelope& env,
       Reply(reply, req.group, true);
       return;
     }
-    case CoordOp::kCloseSession:
-      DoCloseSession(req, reply);
-      return;
     case CoordOp::kPublishMap:
       DoPublishMap(req, reply);
       return;
@@ -339,23 +336,6 @@ void CoordService::DoReleaseLock(const CoordRequestMsg& req,
   });
 }
 
-void CoordService::DoCloseSession(const CoordRequestMsg& req,
-                                  const ReplyFn& reply) {
-  Session* s = FindSession(req.session);
-  if (s == nullptr) {
-    Reply(reply, req.group, false, "no such session");
-    return;
-  }
-  const Session copy = *s;
-  sessions_.erase(copy.id);
-  sessions_gauge_->Set(static_cast<std::int64_t>(sessions_.size()));
-  Command cmd{CmdKind::kExpire, copy.group, copy.node, ServerState::kDown};
-  Commit(cmd, [this, group = copy.group, reply](Status st) {
-    Reply(reply, group, st.ok(), st.ok() ? "" : st.ToString());
-    if (st.ok()) FireWatches(group);
-  });
-}
-
 void CoordService::DoPublishMap(const CoordRequestMsg& req,
                                 const ReplyFn& reply) {
   if (req.map_epoch <= machine_.map_epoch()) {
@@ -397,20 +377,22 @@ void CoordService::ScanSessions() {
       expired.push_back(s);
     }
   }
-  for (const Session& s : expired) {
-    sessions_.erase(s.id);
-    sessions_expired_->Add();
-    sessions_gauge_->Set(static_cast<std::int64_t>(sessions_.size()));
-    sim().obs().tracer().Instant(
-        "coord", "session_expired", s.node, s.group,
-        {{"session", static_cast<std::uint64_t>(s.id)}});
-    MAMS_INFO("coord", "session %llu (node %u, group %u) expired",
-              static_cast<unsigned long long>(s.id), s.node, s.group);
-    Command cmd{CmdKind::kExpire, s.group, s.node, ServerState::kDown};
-    Commit(cmd, [this, group = s.group](Status st) {
-      if (st.ok()) FireWatches(group);
-    });
-  }
+  for (const Session& s : expired) ExpireSession(s);
+}
+
+void CoordService::ExpireSession(const Session& s) {
+  sessions_.erase(s.id);
+  sessions_expired_->Add();
+  sessions_gauge_->Set(static_cast<std::int64_t>(sessions_.size()));
+  sim().obs().tracer().Instant(
+      "coord", "session_expired", s.node, s.group,
+      {{"session", static_cast<std::uint64_t>(s.id)}});
+  MAMS_INFO("coord", "session %llu (node %u, group %u) expired",
+            static_cast<unsigned long long>(s.id), s.node, s.group);
+  Command cmd{CmdKind::kExpire, s.group, s.node, ServerState::kDown};
+  Commit(cmd, [this, group = s.group](Status st) {
+    if (st.ok()) FireWatches(group);
+  });
 }
 
 void CoordService::FireWatches(GroupId group) {
@@ -442,13 +424,7 @@ void CoordService::AdminExpireNode(NodeId node) {
   for (const auto& [id, s] : sessions_) {
     if (s.node == node) doomed.push_back(s);
   }
-  for (const Session& s : doomed) {
-    sessions_.erase(s.id);
-    Command cmd{CmdKind::kExpire, s.group, s.node, ServerState::kDown};
-    Commit(cmd, [this, group = s.group](Status st) {
-      if (st.ok()) FireWatches(group);
-    });
-  }
+  for (const Session& s : doomed) ExpireSession(s);
 }
 
 // --- CoordEnsemble -----------------------------------------------------------

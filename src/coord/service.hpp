@@ -95,7 +95,6 @@ class CoordService : public paxos::Replica {
   void DoTryLock(const net::Envelope& env, const CoordRequestMsg& req,
                  const ReplyFn& reply);
   void DoReleaseLock(const CoordRequestMsg& req, const ReplyFn& reply);
-  void DoCloseSession(const CoordRequestMsg& req, const ReplyFn& reply);
   void DoPublishMap(const CoordRequestMsg& req, const ReplyFn& reply);
 
   /// Proposes a command; `after_commit` runs on the frontend once the
@@ -104,6 +103,9 @@ class CoordService : public paxos::Replica {
 
   void CloseElectionWindow(GroupId group);
   void ScanSessions();
+  /// Drops session `s` and commits its node's expiry (state kDown); the
+  /// heartbeat scan and AdminExpireNode both end sessions here.
+  void ExpireSession(const Session& s);
   void FireWatches(GroupId group);
   void Reply(const ReplyFn& reply, GroupId group, bool ok,
              std::string error = {});

@@ -1,6 +1,8 @@
 #include "core/renewal.hpp"
 
 #include <algorithm>
+#include <functional>
+#include <limits>
 
 #include "core/mds_server.hpp"
 
@@ -174,7 +176,7 @@ void Renewal::HandleCommand(const net::MessagePtr& msg) {
     cursor_.mode = RenewMode::kImageFirst;
     cursor_.image_file = cmd.image_file;
     cursor_.image_sn = cmd.image_sn;
-    cursor_.image_next_index = 0;
+    cursor_.image_chunks = 0;
     cursor_.image_bytes.clear();
   } else if (!use_image) {
     cursor_.mode = RenewMode::kJournalOnly;
@@ -188,10 +190,10 @@ void Renewal::HandleCommand(const net::MessagePtr& msg) {
 
   if (cursor_.mode == RenewMode::kImageFirst) {
     StartPhase("image_fetch");
-    FetchImageChunk();
+    FetchImage(cmd.active_sn);
   } else {
     StartPhase("journal_replay");
-    FetchJournal();
+    FetchJournal(cmd.active_sn);
   }
 }
 
@@ -205,30 +207,35 @@ void Renewal::SendProgress(bool failed) {
   s_.Send(active, msg);
 }
 
-void Renewal::FetchImageChunk() {
-  // Resumable: image_next_index is the checkpoint the paper describes —
+void Renewal::FetchImage(SerialNumber active_sn) {
+  // Image records carry their chunk ordinal as sn, so the cursor is the
+  // number of chunks assembled. It is the checkpoint the paper describes —
   // "the junior records the checkpoint that has been committed [and] can
-  // continue to recover from other replicas in the last position".
-  s_.ssp().ReadIndex(
-      cursor_.image_file, cursor_.image_next_index,
-      [this, run = run_](
-          Result<std::shared_ptr<const storage::SspReadReplyMsg>> r) {
+  // continue to recover from other replicas in the last position" — and
+  // survives the run, so a later run resumes where this one stopped.
+  s_.ssp().Drain(
+      cursor_.image_file, /*fence=*/0,
+      [this] { return cursor_.image_chunks; },
+      std::numeric_limits<SerialNumber>::max(),
+      [this, run = run_](const storage::SspReadReplyMsg& reply,
+                         std::function<void(bool)> next) {
         if (!Renewing(run)) return;
-        if (!r.ok() || !r.value()->found) {
+        const SerialNumber before = cursor_.image_chunks;
+        for (const auto& rec : reply.records) {
+          if (rec.sn != cursor_.image_chunks + 1) continue;
+          cursor_.image_bytes.insert(cursor_.image_bytes.end(),
+                                     rec.bytes.begin(), rec.bytes.end());
+          ++cursor_.image_chunks;
+        }
+        next(cursor_.image_chunks > before);
+      },
+      [this, run = run_, active_sn](Status st) {
+        if (!Renewing(run)) return;
+        if (!st.ok() || cursor_.image_chunks == 0) {
           // Pool unreachable or image gone: fall back to journal replay.
           cursor_.mode = RenewMode::kJournalOnly;
           StartPhase("journal_replay");
-          FetchJournal();
-          return;
-        }
-        const auto& reply = *r.value();
-        for (const auto& rec : reply.records) {
-          cursor_.image_bytes.insert(cursor_.image_bytes.end(),
-                                     rec.bytes.begin(), rec.bytes.end());
-        }
-        cursor_.image_next_index = reply.next_index;
-        if (!reply.eof) {
-          FetchImageChunk();
+          FetchJournal(active_sn);
           return;
         }
         // Whole image streamed: reconstruct the tree in memory. CPU cost
@@ -236,7 +243,7 @@ void Renewal::FetchImageChunk() {
         const SimTime load_cost = s_.ChargeCpu(static_cast<SimTime>(
             static_cast<double>(cursor_.image_bytes.size()) *
             s_.options().image_inflation / 300.0e6 * kSecond));
-        s_.AfterLocal(load_cost, [this, run] {
+        s_.AfterLocal(load_cost, [this, run, active_sn] {
           if (!Renewing(run)) return;
           Status st = s_.mutable_tree().LoadImage(cursor_.image_bytes);
           cursor_.image_bytes.clear();
@@ -251,39 +258,41 @@ void Renewal::FetchImageChunk() {
             s_.SetLastSn(cursor_.image_sn);
           }
           StartPhase("journal_replay");
-          FetchJournal();
+          FetchJournal(active_sn);
         });
       });
 }
 
-void Renewal::FetchJournal() {
-  s_.ssp().ReadAfter(
-      s_.JournalFile(), s_.last_sn(),
-      [this, run = run_](
-          Result<std::shared_ptr<const storage::SspReadReplyMsg>> r) {
+void Renewal::FetchJournal(SerialNumber active_sn) {
+  // Drained until the cursor reaches the active's sn at the command; the
+  // final sync fetches what the active committed since.
+  s_.ssp().Drain(
+      s_.JournalFile(), /*fence=*/0, [this] { return s_.last_sn(); },
+      active_sn,
+      [this, run = run_](const storage::SspReadReplyMsg& reply,
+                         std::function<void(bool)> next) {
         if (!Renewing(run)) return;
-        if (!r.ok()) {
-          SendProgress(/*failed=*/true);
-          EndRun("ssp_failed");
-          return;
-        }
-        const auto& reply = *r.value();
         const std::uint64_t applied_bytes = s_.ApplyPoolRecords(reply.records);
         // Replay CPU cost: serial apply at 200 MB/s of journal bytes.
         const SimTime cost = s_.ChargeCpu(static_cast<SimTime>(
             static_cast<double>(applied_bytes) / 200.0e6 * kSecond));
-        s_.AfterLocal(cost, [this, run, eof = reply.eof] {
-          if (!Renewing(run)) return;
-          if (!eof) {
-            FetchJournal();
-            return;
-          }
-          // SSP drained. Under live load the active has moved on; enter
-          // the final synchronization stage: fetch the tail directly from
-          // the active until the gap is small (Section III.D).
-          StartPhase("final_sync");
-          FinalSync();
+        s_.AfterLocal(cost, [this, run, next = std::move(next),
+                             advanced = applied_bytes > 0] {
+          if (Renewing(run)) next(advanced);
         });
+      },
+      [this, run = run_](Status st) {
+        if (!Renewing(run)) return;
+        if (!st.ok()) {
+          SendProgress(/*failed=*/true);
+          EndRun("ssp_failed");
+          return;
+        }
+        // SSP drained. Under live load the active has moved on; enter the
+        // final synchronization stage: fetch the tail directly from the
+        // active until the gap is small (Section III.D).
+        StartPhase("final_sync");
+        FinalSync();
       });
 }
 
@@ -304,11 +313,19 @@ void Renewal::FinalSync() {
   hooks.cancelled = [this, run = run_] { return !Renewing(run); };
   net::RpcCall::Start(
       s_, active, req, kRenewFetchRpc,
-      [this, run = run_](Result<net::MessagePtr> r) {
+      [this, run = run_, from = req->after_sn](Result<net::MessagePtr> r) {
         if (!Renewing(run) || !r.ok()) return;  // cancelled mid-retry
         const auto& resp = net::Cast<RenewJournalReplyMsg>(r.value());
         s_.ApplyFetchedBatches(resp);
         if (resp.active_sn > s_.last_sn() + kFinalSyncGap) {
+          if (s_.last_sn() == from) {
+            // The active's recent window no longer reaches our cursor (a
+            // stale pool replica left a gap wider than it): end the run so
+            // the active rescans and a new run drains the pool again.
+            SendProgress(/*failed=*/true);
+            EndRun("stalled");
+            return;
+          }
           FinalSync();  // still chasing the live stream
           return;
         }

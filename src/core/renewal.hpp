@@ -67,7 +67,7 @@ class Renewal {
     RenewMode mode = RenewMode::kJournalOnly;
     std::string image_file;
     SerialNumber image_sn = 0;
-    std::size_t image_next_index = 0;
+    SerialNumber image_chunks = 0;  ///< chunks 1..n of the image assembled
     std::vector<char> image_bytes;
   };
 
@@ -78,8 +78,9 @@ class Renewal {
   /// current one. A late reply of an ended run finds a newer id, or no run
   /// at all, and drops.
   bool Renewing(std::uint64_t run) const;
-  void FetchImageChunk();
-  void FetchJournal();
+  /// The run's phases; `active_sn` is the active's sn at the command.
+  void FetchImage(SerialNumber active_sn);
+  void FetchJournal(SerialNumber active_sn);
   void FinalSync();
   void SendProgress(bool failed = false);
   void StartPhase(std::string phase);

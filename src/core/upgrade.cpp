@@ -1,6 +1,8 @@
 #include "core/upgrade.hpp"
 
 #include <algorithm>
+#include <functional>
+#include <limits>
 
 #include "core/mds_server.hpp"
 
@@ -151,50 +153,25 @@ void Upgrade::Step2FlipStates() {
         // while every standby was transiently demoted). Acked operations
         // must never be lost.
         //
-        // The drain consults EVERY placement replica, not one read with
-        // failover: appends ack on the first replica, so a pool node that
-        // was down during a write serves a stale-but-successful reply after
-        // restart, which would end a single-read drain early and silently
-        // lose the tail the other replica still holds.
+        // The drain consults EVERY placement replica: appends ack on the
+        // first replica, so a pool node that was down during a write
+        // serves a stale-but-successful reply after restart, and the tail
+        // the other replica still holds must not be lost.
         //
         // Each read carries our fence: a replica we drained refuses the
         // previous active's late appends, which would otherwise land after
         // the drain, stay unseen here, and be adopted by renewing juniors.
-        Step4DrainReplica(0, /*progressed=*/false);
-      });
-}
-
-void Upgrade::Step4DrainReplica(std::size_t replica, bool progressed) {
-  const std::vector<NodeId> replicas = s_.ssp().Placement(s_.JournalFile());
-  if (replica >= replicas.size()) {
-    // A replica that advanced us may have exposed records another replica
-    // holds the successor of (holes interleave): re-scan until a full
-    // pass over the placement makes no progress.
-    if (progressed) {
-      Step4DrainReplica(0, false);
-    } else {
-      Step4Reflush();
-    }
-    return;
-  }
-  s_.ssp().ReadAfterOn(
-      replicas[replica], s_.JournalFile(), s_.last_sn(), s_.fence(),
-      [this, life = weak_from_this(), replica, progressed](
-          Result<std::shared_ptr<const storage::SspReadReplyMsg>> r) {
-        if (life.expired()) return;
-        bool advanced = false;
-        bool more = false;
-        if (r.ok() && r.value()->found) {
-          advanced = s_.ApplyPoolRecords(r.value()->records) > 0;
-          more = !r.value()->eof;
-        }
-        if (advanced && more) {
-          Step4DrainReplica(replica, true);  // keep draining this one
-        } else {
-          // Unreachable, stale, or a hole this replica cannot fill: move
-          // on; an unreadable replica behaves like an empty one.
-          Step4DrainReplica(replica + 1, progressed || advanced);
-        }
+        s_.ssp().Drain(
+            s_.JournalFile(), s_.fence(), [this] { return s_.last_sn(); },
+            std::numeric_limits<SerialNumber>::max(),
+            [this, life](const storage::SspReadReplyMsg& reply,
+                         std::function<void(bool)> next) {
+              if (life.expired()) return;
+              next(s_.ApplyPoolRecords(reply.records) > 0);
+            },
+            [this, life](Status) {
+              if (!life.expired()) Step4Reflush();
+            });
       });
 }
 

@@ -40,7 +40,6 @@ class Upgrade : public std::enable_shared_from_this<Upgrade> {
  private:
   void Step1CheckState();
   void Step2FlipStates();
-  void Step4DrainReplica(std::size_t replica, bool progressed);
   void Step4Reflush();
   void Step5Round(bool final_round);
   void Step5CatchUp(NodeId source, SerialNumber target_sn);

@@ -2,8 +2,8 @@
 //
 // Every request/response exchange in the system used to hand-roll its own
 // timer-and-retry loop; this file replaces those with one policy object
-// (per-attempt timeout, bounded attempts, overall deadline, exponential
-// backoff with optional jitter) and one state machine (RpcCall) driven
+// (per-attempt timeout, bounded attempts, exponential backoff with
+// optional jitter) and one state machine (RpcCall) driven
 // entirely by the simulator clock. Each attempt gets a fresh rpc_id and is
 // executed by the receiver; the protocol that sends a retried call makes
 // its re-execution safe (see host.hpp).
@@ -35,12 +35,9 @@ namespace mams::net {
 struct RpcPolicy {
   /// Deadline for each individual attempt.
   SimTime attempt_timeout = 2 * kSecond;
-  /// Total send budget; <= 0 means unlimited (bound it with
-  /// `overall_deadline` or a `cancelled` hook instead).
+  /// Total send budget; <= 0 means unlimited (bound it with a
+  /// `cancelled` hook instead).
   int max_attempts = 1;
-  /// Budget for the whole call measured from the first send; 0 = none.
-  /// The last attempt's timeout is clipped to the remaining budget.
-  SimTime overall_deadline = 0;
   /// Delay before the 2nd attempt; grows by `backoff_multiplier` per
   /// retry up to `backoff_cap`.
   SimTime backoff_base = 100 * kMillisecond;
@@ -113,8 +110,7 @@ class RpcCall : public std::enable_shared_from_this<RpcCall> {
         msg_(std::move(msg)),
         policy_(policy),
         done_(std::move(done)),
-        hooks_(std::move(hooks)),
-        started_(host.sim().Now()) {}
+        hooks_(std::move(hooks)) {}
 
   void Attempt() {
     if (hooks_.cancelled && hooks_.cancelled()) {
@@ -125,16 +121,6 @@ class RpcCall : public std::enable_shared_from_this<RpcCall> {
     if (hooks_.make_message) msg_ = hooks_.make_message(attempt_);
     const NodeId to = hooks_.target ? hooks_.target(attempt_) : to_;
 
-    SimTime timeout = policy_.attempt_timeout;
-    if (policy_.overall_deadline > 0) {
-      const SimTime remaining =
-          started_ + policy_.overall_deadline - host_.sim().Now();
-      if (remaining <= 0) {
-        Finish(Status::TimedOut("rpc deadline exceeded"));
-        return;
-      }
-      timeout = std::min(timeout, remaining);
-    }
     if (to == kInvalidNode) {
       HandleFailure(Status::Unavailable("no target for rpc attempt"));
       return;
@@ -146,7 +132,7 @@ class RpcCall : public std::enable_shared_from_this<RpcCall> {
         {{"to", static_cast<std::uint64_t>(to)},
          {"attempt", static_cast<std::uint64_t>(attempt_)}});
     auto self = shared_from_this();
-    host_.Call(to, msg_, timeout,
+    host_.Call(to, msg_, policy_.attempt_timeout,
                [self](Result<MessagePtr> r) { self->OnResult(std::move(r)); });
   }
 
@@ -184,11 +170,6 @@ class RpcCall : public std::enable_shared_from_this<RpcCall> {
     }
     const SimTime backoff =
         policy_.BackoffBeforeAttempt(attempt_ + 1, host_.sim().rng());
-    if (policy_.overall_deadline > 0 &&
-        host_.sim().Now() + backoff >= started_ + policy_.overall_deadline) {
-      Finish(Status::TimedOut("rpc deadline exceeded"));
-      return;
-    }
     host_.rpc_counters().retries->Add();
     if (hooks_.on_retry) hooks_.on_retry(attempt_ + 1, why);
     auto self = shared_from_this();
@@ -209,7 +190,6 @@ class RpcCall : public std::enable_shared_from_this<RpcCall> {
   const RpcPolicy policy_;
   Host::RpcCallback done_;
   RpcHooks hooks_;
-  const SimTime started_;
   int attempt_ = 0;
   MessagePtr last_retryable_;
   obs::TraceRecorder::Span span_;

@@ -32,14 +32,9 @@ class DiskModel {
     return params_.seek_latency + Stream(bytes, params_.write_bytes_per_sec);
   }
 
-  /// Cost of a sequential read of `bytes` starting cold (image load).
+  /// Cost of a sequential read of `bytes` starting cold (every pool read).
   SimTime ReadCost(std::uint64_t bytes) const noexcept {
     return params_.seek_latency + Stream(bytes, params_.read_bytes_per_sec);
-  }
-
-  /// Cost of a hot sequential read (journal tailing).
-  SimTime TailCost(std::uint64_t bytes) const noexcept {
-    return params_.sequential_latency + Stream(bytes, params_.read_bytes_per_sec);
   }
 
   const DiskParams& params() const noexcept { return params_; }

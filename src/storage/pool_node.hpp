@@ -65,23 +65,16 @@ class PoolNode : public net::Host {
                  [reply, out] { reply(out); });
         return;
       }
-      out->found = true;
-      std::size_t i = req.use_index ? req.from_index
-                                    : file->FirstIndexAfter(req.after_sn);
+      std::size_t i = file->FirstIndexAfter(req.after_sn);
       std::uint64_t bytes = 0;
       while (i < file->size() && bytes < req.max_bytes) {
         out->records.push_back(file->records()[i]);
         bytes += file->records()[i].TimedSize();
         ++i;
       }
-      out->next_index = i;
       out->eof = (i >= file->size());
       out->payload_bytes = bytes;
-      const SimTime cost =
-          req.use_index && req.from_index > 0
-              ? disk_.TailCost(bytes)   // resumed sequential scan
-              : disk_.ReadCost(bytes);  // cold start: pay the seek
-      WithDisk(cost, [reply, out] { reply(out); });
+      WithDisk(disk_.ReadCost(bytes), [reply, out] { reply(out); });
     });
   }
 

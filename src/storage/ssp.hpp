@@ -5,8 +5,9 @@
 // Appends go to every replica; the operation completes on the first ACK
 // (standby 2PC, not the SSP, is the primary redundancy path for journal
 // data — the pool is the catch-up medium for juniors, per Section III.A).
-// Reads try replicas in placement order and fall over on timeout, so a
-// junior can keep recovering while a pool node is down.
+// So one replica may hold a hole another fills: the one read, Drain,
+// consults every replica of the placement and merges them into the
+// caller's cursor, and an unreachable replica reads as an empty one.
 #pragma once
 
 #include <functional>
@@ -17,7 +18,6 @@
 
 #include "common/bytes.hpp"
 #include "net/host.hpp"
-#include "net/rpc.hpp"
 #include "obs/observability.hpp"
 #include "storage/ssp_messages.hpp"
 
@@ -29,7 +29,7 @@ class SspClient {
   static constexpr int kReplication = 2;
   /// Deadline of each replica's append.
   static constexpr SimTime kWriteTimeout = 2 * kSecond;
-  /// Deadline of each read attempt before failing over.
+  /// Deadline of each replica read; a silent replica then reads as empty.
   static constexpr SimTime kReadTimeout = 5 * kSecond;
   /// Bytes one read returns at most; callers resume from the reply.
   static constexpr std::uint64_t kReadChunkBytes = 4u << 20;
@@ -41,11 +41,9 @@ class SspClient {
         appends_(obs_->metrics().counter("ssp.append")),
         append_fails_(obs_->metrics().counter("ssp.append_fail")),
         append_ns_(obs_->metrics().histogram("ssp.append_ns")),
-        reads_(obs_->metrics().counter("ssp.read")),
-        read_failovers_(obs_->metrics().counter("ssp.read_failover")) {}
+        reads_(obs_->metrics().counter("ssp.read")) {}
 
   const std::vector<NodeId>& pool() const noexcept { return pool_; }
-  void set_pool(std::vector<NodeId> pool) { pool_ = std::move(pool); }
 
   /// Replica placement for a file (deterministic, membership-stable).
   std::vector<NodeId> Placement(const std::string& file) const {
@@ -111,55 +109,34 @@ class SspClient {
     }
   }
 
-  /// Reads records with sn > `after_sn`, one chunk per call. The reply's
-  /// next_index/eof let the caller resume (checkpointed recovery).
-  using ReadCallback =
-      std::function<void(Result<std::shared_ptr<const SspReadReplyMsg>>)>;
+  /// Applies one replica's reply: extends the caller's cursor with the
+  /// records that continue it, then calls `next(advanced)` — possibly
+  /// later, to pace the drain. A caller that is gone never calls `next`,
+  /// and the drain ends there. An unreachable replica arrives as an empty
+  /// reply at eof.
+  using Take = std::function<void(const SspReadReplyMsg& reply,
+                                  std::function<void(bool advanced)> next)>;
 
-  void ReadAfter(const std::string& file, SerialNumber after_sn,
-                 ReadCallback done) {
-    auto msg = std::make_shared<SspReadMsg>();
-    msg->file = file;
-    msg->after_sn = after_sn;
-    msg->max_bytes = kReadChunkBytes;
-    ReadWithFailover(file, std::move(msg), std::move(done));
-  }
-
-  /// Reads records after `after_sn` from ONE specific replica, with no
-  /// failover. Appends ack on the first replica, so replicas may hold
-  /// different subsequences of a file (a pool node that was down during a
-  /// write has a hole after restart) — recovery paths that must not trust
-  /// a single, possibly stale replica use this to consult each member of
-  /// the placement in turn and merge. The replica then refuses appends
-  /// from writers older than `fence` (0 fences nobody).
-  void ReadAfterOn(NodeId replica, const std::string& file,
-                   SerialNumber after_sn, FenceToken fence,
-                   ReadCallback done) {
-    auto msg = std::make_shared<SspReadMsg>();
-    msg->file = file;
-    msg->after_sn = after_sn;
-    msg->max_bytes = kReadChunkBytes;
-    msg->fence = fence;
-    reads_->Add();
-    host_.Call(replica, std::move(msg), kReadTimeout,
-               [done = std::move(done)](Result<net::MessagePtr> result) {
-                 if (!result.ok()) {
-                   done(result.status());
-                   return;
-                 }
-                 done(std::static_pointer_cast<const SspReadReplyMsg>(
-                     std::move(result).value()));
-               });
-  }
-
-  void ReadIndex(const std::string& file, std::size_t from_index,
-                 ReadCallback done) {
-    auto msg = std::make_shared<SspReadMsg>();
-    msg->file = file;
-    msg->use_index = true;
-    msg->from_index = from_index;
-    msg->max_bytes = kReadChunkBytes;
-    ReadWithFailover(file, std::move(msg), std::move(done));
+  /// Reads `file` into the caller's cursor (`cursor()`: records with sn at
+  /// or below it are held) from every placement replica in order, one
+  /// chunk per read. A replica is read on while it advances the cursor and
+  /// is not at eof. A pass that advanced may have exposed a record another
+  /// replica holds the successor of (holes interleave), so passes repeat
+  /// while the last one advanced and the cursor is below `until`. Each read
+  /// raises the replica's fence to `fence` (0 fences nobody). `done` gets
+  /// Unavailable when no replica answered at all.
+  void Drain(const std::string& file, FenceToken fence,
+             std::function<SerialNumber()> cursor, SerialNumber until,
+             Take take, std::function<void(Status)> done) {
+    auto drain = std::make_shared<DrainState>();
+    drain->file = file;
+    drain->fence = fence;
+    drain->cursor = std::move(cursor);
+    drain->until = until;
+    drain->take = std::move(take);
+    drain->done = std::move(done);
+    drain->replicas = Placement(file);
+    DrainNext(std::move(drain));
   }
 
  private:
@@ -169,49 +146,55 @@ class SspClient {
     std::function<void(Status)> done;
   };
 
-  /// One read attempt per replica in `targets` order, no backoff between
-  /// them — pool-node failover should be as fast as the timeout allows.
-  net::RpcPolicy FailoverPolicy(std::size_t targets) const {
-    net::RpcPolicy policy;
-    policy.attempt_timeout = kReadTimeout;
-    policy.max_attempts = static_cast<int>(targets);
-    policy.backoff_base = 0;
-    policy.backoff_cap = 0;
-    return policy;
-  }
+  struct DrainState {
+    std::string file;
+    FenceToken fence = 0;
+    std::function<SerialNumber()> cursor;
+    SerialNumber until = 0;
+    Take take;
+    std::function<void(Status)> done;
+    std::vector<NodeId> replicas;
+    std::size_t replica = 0;  ///< placement index being read
+    bool progressed = false;  ///< this pass advanced the cursor
+    bool answered = false;    ///< some replica replied
+  };
 
-  void ReadWithFailover(const std::string& file,
-                        std::shared_ptr<SspReadMsg> msg, ReadCallback done) {
-    auto replicas = Placement(file);
-    reads_->Add();
-    if (replicas.empty()) {
-      done(Status::Unavailable("all ssp replicas failed for " + file));
-      return;
+  void DrainNext(std::shared_ptr<DrainState> drain) {
+    if (drain->replica >= drain->replicas.size()) {
+      if (!drain->progressed || drain->cursor() >= drain->until) {
+        drain->done(drain->answered ? Status::Ok()
+                                    : Status::Unavailable(
+                                          "all ssp replicas failed for " +
+                                          drain->file));
+        return;
+      }
+      drain->replica = 0;
+      drain->progressed = false;
     }
-    net::RpcHooks hooks;
-    hooks.target = [replicas](int attempt) {
-      return replicas[(static_cast<std::size_t>(attempt) - 1) %
-                      replicas.size()];
-    };
-    hooks.on_retry = [this, file](int attempt, const Status&) {
-      read_failovers_->Add();
-      obs_->tracer().Instant(
-          "ssp", "read_failover", host_.id(), 0,
-          {{"file", file},
-           {"attempt", static_cast<std::uint64_t>(attempt - 1)}});
-    };
-    net::RpcCall::Start(
-        host_, replicas.front(), std::move(msg),
-        FailoverPolicy(replicas.size()),
-        [file, done = std::move(done)](Result<net::MessagePtr> result) {
-          if (!result.ok()) {
-            done(Status::Unavailable("all ssp replicas failed for " + file));
-            return;
+    auto msg = std::make_shared<SspReadMsg>();
+    msg->file = drain->file;
+    msg->after_sn = drain->cursor();
+    msg->max_bytes = kReadChunkBytes;
+    msg->fence = drain->fence;
+    reads_->Add();
+    host_.Call(
+        drain->replicas[drain->replica], std::move(msg), kReadTimeout,
+        [this, drain](Result<net::MessagePtr> result) {
+          static const SspReadReplyMsg kUnanswered;  // no records, eof
+          std::shared_ptr<const SspReadReplyMsg> reply;
+          if (result.ok()) {
+            drain->answered = true;
+            reply = std::static_pointer_cast<const SspReadReplyMsg>(
+                std::move(result).value());
           }
-          done(std::static_pointer_cast<const SspReadReplyMsg>(
-              std::move(result).value()));
-        },
-        std::move(hooks));
+          const SspReadReplyMsg& r = reply ? *reply : kUnanswered;
+          drain->take(r, [this, drain, eof = r.eof](bool advanced) {
+            drain->progressed = drain->progressed || advanced;
+            // Stale, drained, or a hole this replica cannot fill: move on.
+            if (!advanced || eof) ++drain->replica;
+            DrainNext(drain);
+          });
+        });
   }
 
   net::Host& host_;
@@ -221,7 +204,6 @@ class SspClient {
   obs::Counter* append_fails_;
   obs::Histogram* append_ns_;
   obs::Counter* reads_;
-  obs::Counter* read_failovers_;
 };
 
 }  // namespace mams::storage

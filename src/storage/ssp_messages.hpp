@@ -29,9 +29,7 @@ struct SspWriteAckMsg final : net::Message {
 
 struct SspReadMsg final : net::Message {
   std::string file;
-  SerialNumber after_sn = 0;     ///< return records with sn > after_sn ...
-  std::size_t from_index = 0;    ///< ... or from this index if nonzero use_index
-  bool use_index = false;
+  SerialNumber after_sn = 0;  ///< return records with sn > after_sn
   std::uint64_t max_bytes = 4u << 20;  ///< chunking for resumable fetches
   /// Nonzero: the reader holds the file's lock under this token, and the
   /// replica refuses appends from older writers from now on.
@@ -41,10 +39,8 @@ struct SspReadMsg final : net::Message {
 };
 
 struct SspReadReplyMsg final : net::Message {
-  bool found = false;
   std::vector<SspRecord> records;
-  std::size_t next_index = 0;  ///< resume cursor
-  bool eof = true;
+  bool eof = true;  ///< no record follows the last one returned
   std::uint64_t payload_bytes = 0;
 
   net::MsgType type() const noexcept override { return net::kSspReadReply; }

@@ -429,6 +429,18 @@ TEST(ReproTest, EveryMutationRoundTripsByName) {
   }
 }
 
+TEST(ReproTest, EveryFaultKindParsesBackFromItsName) {
+  // Every kind up to the last one declared has a name of its own.
+  const int last = static_cast<int>(FaultAction::Kind::kRetireStandby);
+  for (int k = 0; k <= last; ++k) {
+    const auto kind = static_cast<FaultAction::Kind>(k);
+    const char* name = FaultKindName(kind);
+    FaultAction::Kind parsed = FaultAction::Kind::kCutMember;
+    ASSERT_TRUE(ParseFaultKind(name, &parsed)) << k << " " << name;
+    EXPECT_EQ(parsed, kind) << name;
+  }
+}
+
 int MembershipChanges(const RunSpec& spec) {
   int n = 0;
   for (const FaultAction& f : spec.faults) {

@@ -115,6 +115,19 @@ TEST_F(SessionTest, AdminExpireFiresLostHandler) {
   EXPECT_EQ(host_->session_lost_events, 1);
 }
 
+TEST_F(SessionTest, AdminExpireKeepsTheSessionMetricsCurrent) {
+  // An admin expiry ends the session as the heartbeat scan does: the
+  // gauge follows the live count and the expiry is counted.
+  auto& metrics = sim_.obs().metrics();
+  CoordService& service = ensemble_->frontend();
+  ASSERT_EQ(service.session_count(), 1u);
+  service.AdminExpireNode(host_->id());
+  EXPECT_EQ(service.session_count(), 0u);
+  EXPECT_EQ(metrics.gauge("coord.sessions")->value,
+            static_cast<std::int64_t>(service.session_count()));
+  EXPECT_EQ(metrics.counter("coord.sessions_expired")->value, 1u);
+}
+
 TEST_F(SessionTest, BackendReplicasConvergeOnViewState) {
   // Drive a few view mutations, then check the Paxos log length is equal
   // across the ensemble (the RSM applied the same command stream).

@@ -16,6 +16,7 @@
 #include "core/failover_trace.hpp"
 #include "net/network.hpp"
 #include "sim/simulator.hpp"
+#include "storage/ssp.hpp"
 #include "test_util.hpp"
 #include "workload/load_engine.hpp"
 
@@ -757,10 +758,10 @@ TEST_F(GroupCommitTest, DeferredSealDiesWithASteppedDownTenure) {
   EXPECT_EQ(active_->role(), ServerState::kJunior);
 }
 
-// A renewal run that ends by promotion while its SSP read is still out
-// leaves that read's reply behind. When the junior is demoted and its next
-// run starts before the reply lands, the stale failure must not end the
-// new run.
+// A renewal run that ends by promotion while its SSP drain is still out
+// leaves that drain's read behind. When the junior is demoted and its next
+// run starts before the read times out, the stale failure must neither go
+// on draining nor end the new run.
 TEST_F(CoreTest, StaleSspReadOfAnEndedRenewalRunSparesTheNextRun) {
   cluster::CfsConfig cfg;
   cfg.groups = 1;
@@ -780,25 +781,25 @@ TEST_F(CoreTest, StaleSspReadOfAnEndedRenewalRunSparesTheNextRun) {
   constexpr SimTime kStep = 10 * kMillisecond;
 
   // The new member boots as a junior cut off from the pool, so its first
-  // run's journal read hangs for one timeout per replica. Its sn-0 progress
+  // run's journal drain hangs on its first replica read. Its sn-0 progress
   // report is within the final-sync gap of this short history, so the
   // active promotes it while that read is still out.
   const std::uint64_t reads = count("ssp.read");
-  const std::uint64_t failovers = count("ssp.read_failover");
   MdsServer& junior = cfs_->AddStandby(0);
   for (int p = 0; p < 3; ++p) {
     net_->Partition(junior.id(), cfs_->pool_node(p).id());
   }
   ASSERT_TRUE(testutil::WaitFor(
+      *sim_, [&] { return count("ssp.read") == reads + 1; }, 10 * kSecond,
+      kStep));
+  const SimTime stale_read_fails =
+      sim_->Now() + storage::SspClient::kReadTimeout;
+  ASSERT_TRUE(testutil::WaitFor(
       *sim_, [&] { return junior.role() == ServerState::kStandby; },
       10 * kSecond, kStep));
   ASSERT_EQ(count("ssp.read"), reads + 1);
 
-  // Once the stale read's last attempt is out, demote the new standby:
-  // cut it off from the active and commit a batch.
-  ASSERT_TRUE(testutil::WaitFor(
-      *sim_, [&] { return count("ssp.read_failover") == failovers + 1; },
-      10 * kSecond, kStep));
+  // Demote the new standby: cut it off from the active and commit a batch.
   net_->Partition(active->id(), junior.id());
   ASSERT_TRUE(CreateFile("/renew/b").ok());
   ASSERT_TRUE(testutil::WaitFor(
@@ -816,14 +817,19 @@ TEST_F(CoreTest, StaleSspReadOfAnEndedRenewalRunSparesTheNextRun) {
   ASSERT_TRUE(testutil::WaitFor(*sim_, [&] { return created == 40; },
                                 5 * kSecond, kStep));
 
-  // The active renews it again. The second run's read goes out, and is
-  // lost, before the stale read times out.
+  // The active renews it again. The second run's first read goes out, and
+  // is lost, before the stale read times out.
   net_->Heal(active->id(), junior.id());
   ASSERT_TRUE(testutil::WaitFor(
       *sim_, [&] { return count("ssp.read") == reads + 2; }, 10 * kSecond,
       kStep));
-  // The pool comes back. The second run's retry goes out after the stale
-  // read has failed, and succeeds.
+  ASSERT_LT(sim_->Now(), stale_read_fails);
+  // The stale read fails while the second run's read is still out; the
+  // ended run's drain stops there instead of reading the next replica.
+  sim_->RunUntil(stale_read_fails + kStep);
+  EXPECT_EQ(count("ssp.read"), reads + 2);
+  // The pool comes back. The second run's read of the next replica goes
+  // out once its first read times out, and succeeds.
   net_->HealAll();
   ASSERT_TRUE(testutil::WaitFor(
       *sim_, [&] { return junior.role() == ServerState::kStandby; },

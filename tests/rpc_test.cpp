@@ -103,30 +103,6 @@ TEST_F(RpcTest, RetryUntilSuccessAcrossHealedPartition) {
   EXPECT_GT(Metric("net.rpc.timeouts"), 0u);
 }
 
-TEST_F(RpcTest, OverallDeadlineCapsTheLastAttempt) {
-  server_.swallow = true;
-
-  RpcPolicy policy;
-  policy.attempt_timeout = 300 * kMillisecond;
-  policy.max_attempts = 0;  // unlimited; the deadline is the budget
-  policy.overall_deadline = kSecond;
-  policy.backoff_base = 100 * kMillisecond;
-  policy.backoff_multiplier = 1.0;
-
-  Status status = Status::Ok();
-  SimTime completed = -1;
-  RpcCall::Start(client_, server_.id(), std::make_shared<PingMsg>(), policy,
-                 [&](Result<MessagePtr> r) {
-                   status = r.status();
-                   completed = sim_.Now();
-                 });
-  sim_.RunAll();
-  // Attempts at 0/400/800 ms; the third is clipped to the 200 ms left, so
-  // the call concludes exactly at its deadline.
-  EXPECT_EQ(status.code(), StatusCode::kTimedOut);
-  EXPECT_EQ(completed, kSecond);
-}
-
 TEST_F(RpcTest, BackoffScheduleIsDeterministic) {
   server_.swallow = true;
 

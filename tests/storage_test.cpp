@@ -1,8 +1,12 @@
 // Tests for the storage substrate: disk model, shared files, pool nodes,
-// and the SSP client (placement, replication, failover reads).
+// and the SSP client (placement, replication, draining every replica).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+#include <limits>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "net/host.hpp"
@@ -80,6 +84,49 @@ class SspTest : public ::testing::Test {
     ssp_ = std::make_unique<SspClient>(client_host_, pool_ids_);
   }
 
+  /// What one Drain delivered: the sns it applied in order, the size of
+  /// each reply, and its final status.
+  struct Drained {
+    std::vector<SerialNumber> sns;
+    std::vector<std::size_t> reply_sizes;
+    Status status = Status::Unavailable("drain never finished");
+  };
+
+  /// Drains `file` into a cursor that starts at `after`, taking every
+  /// record that extends it by one. A take past `max_replies` stops the
+  /// drain as a caller that went away does.
+  Drained DrainFrom(const std::string& file, SerialNumber after,
+                    SerialNumber until = kNoBound,
+                    std::size_t max_replies = kNoBound) {
+    Drained out;
+    SerialNumber cursor = after;
+    ssp_->Drain(
+        file, /*fence=*/0, [&cursor] { return cursor; }, until,
+        [&](const SspReadReplyMsg& reply, std::function<void(bool)> next) {
+          out.reply_sizes.push_back(reply.records.size());
+          const SerialNumber before = cursor;
+          for (const auto& rec : reply.records) {
+            if (rec.sn != cursor + 1) continue;
+            out.sns.push_back(rec.sn);
+            ++cursor;
+          }
+          if (out.reply_sizes.size() < max_replies) next(cursor > before);
+        },
+        [&](Status st) { out.status = st; });
+    sim_.RunAll();
+    return out;
+  }
+
+  /// Pool node `i` of `file`'s placement.
+  PoolNode& Replica(const std::string& file, std::size_t i) {
+    const NodeId id = ssp_->Placement(file).at(i);
+    return **std::find_if(pool_.begin(), pool_.end(),
+                          [id](const auto& node) { return node->id() == id; });
+  }
+
+  static constexpr SerialNumber kNoBound =
+      std::numeric_limits<SerialNumber>::max();
+
   SspRecord Rec(SerialNumber sn, std::uint64_t logical = 0) {
     SspRecord r;
     r.sn = sn;
@@ -116,79 +163,88 @@ TEST_F(SspTest, AppendReplicatesToAllPlacementNodes) {
   EXPECT_EQ(copies, 2);
 }
 
-TEST_F(SspTest, ReadAfterReturnsOnlyNewerRecords) {
+TEST_F(SspTest, DrainReturnsOnlyNewerRecords) {
   for (SerialNumber sn = 1; sn <= 5; ++sn) {
     ssp_->Append("f", Rec(sn), [](Status) {});
   }
   sim_.RunAll();
-  std::vector<SerialNumber> got;
-  ssp_->ReadAfter("f", 2, [&](Result<std::shared_ptr<const SspReadReplyMsg>> r) {
-    ASSERT_TRUE(r.ok());
-    for (const auto& rec : r.value()->records) got.push_back(rec.sn);
-  });
-  sim_.RunAll();
-  EXPECT_EQ(got, (std::vector<SerialNumber>{3, 4, 5}));
+  const Drained d = DrainFrom("f", 2);
+  EXPECT_TRUE(d.status.ok());
+  EXPECT_EQ(d.sns, (std::vector<SerialNumber>{3, 4, 5}));
+  for (std::size_t size : d.reply_sizes) EXPECT_LE(size, 3u);
 }
 
 TEST_F(SspTest, ReadFailsOverWhenPrimaryReplicaDown) {
   ssp_->Append("f", Rec(1), [](Status) {});
   sim_.RunAll();
-  const auto placement = ssp_->Placement("f");
-  // Kill the first replica; the read must succeed from the second.
-  for (auto& node : pool_) {
-    if (node->id() == placement[0]) node->Crash();
-  }
-  bool ok = false;
-  ssp_->ReadAfter("f", 0, [&](Result<std::shared_ptr<const SspReadReplyMsg>> r) {
-    ok = r.ok() && r.value()->found;
-  });
+  // Kill the first replica; the drain must still get the record from the
+  // second.
+  Replica("f", 0).Crash();
+  const Drained d = DrainFrom("f", 0);
+  EXPECT_TRUE(d.status.ok());
+  EXPECT_EQ(d.sns, (std::vector<SerialNumber>{1}));
+}
+
+TEST_F(SspTest, DrainWithNoReplicaAnsweringIsUnavailable) {
+  ssp_->Append("f", Rec(1), [](Status) {});
   sim_.RunAll();
-  EXPECT_TRUE(ok);
+  Replica("f", 0).Crash();
+  Replica("f", 1).Crash();
+  const Drained d = DrainFrom("f", 0);
+  EXPECT_EQ(d.status.code(), StatusCode::kUnavailable);
+  EXPECT_TRUE(d.sns.empty());
 }
 
 TEST_F(SspTest, ReadOfMissingFileReportsNotFound) {
-  bool found = true;
-  ssp_->ReadAfter("nope", 0,
-                  [&](Result<std::shared_ptr<const SspReadReplyMsg>> r) {
-                    ASSERT_TRUE(r.ok());
-                    found = r.value()->found;
-                  });
-  sim_.RunAll();
-  EXPECT_FALSE(found);
+  const Drained d = DrainFrom("nope", 0);
+  EXPECT_TRUE(d.status.ok());  // the replicas answered, with no records
+  EXPECT_TRUE(d.sns.empty());
+  EXPECT_EQ(d.reply_sizes, (std::vector<std::size_t>{0, 0}));
 }
 
 TEST_F(SspTest, ChunkedReadIsResumable) {
-  // 10 records of 1 MB logical each with a 4 MB chunk limit: the first read
-  // returns a strict prefix plus a resume cursor.
+  // 10 records of 1 MB logical each with a 4 MB chunk limit: each read
+  // returns a strict prefix, and the cursor resumes the next one.
   for (SerialNumber sn = 1; sn <= 10; ++sn) {
     ssp_->Append("big", Rec(sn, 1 << 20), [](Status) {});
   }
   sim_.RunAll();
-  std::size_t first_count = 0, next_index = 0;
-  bool eof = true;
-  ssp_->ReadAfter("big", 0,
-                  [&](Result<std::shared_ptr<const SspReadReplyMsg>> r) {
-                    ASSERT_TRUE(r.ok());
-                    first_count = r.value()->records.size();
-                    next_index = r.value()->next_index;
-                    eof = r.value()->eof;
-                  });
-  sim_.RunAll();
-  EXPECT_LT(first_count, 10u);
-  EXPECT_FALSE(eof);
+  // A caller that stops after the first chunk keeps its cursor...
+  const Drained first = DrainFrom("big", 0, kNoBound, /*max_replies=*/1);
+  ASSERT_EQ(first.reply_sizes.size(), 1u);
+  EXPECT_GT(first.sns.size(), 0u);
+  EXPECT_LT(first.sns.size(), 10u);
+  // ... and a later drain from that cursor reads the rest, chunk by chunk.
+  const Drained rest = DrainFrom("big", first.sns.back());
+  EXPECT_TRUE(rest.status.ok());
+  EXPECT_EQ(first.sns.size() + rest.sns.size(), 10u);
+  EXPECT_EQ(rest.sns.back(), 10u);
+  for (std::size_t size : rest.reply_sizes) EXPECT_LE(size, 4u);
+}
 
-  std::size_t total = first_count;
-  while (!eof) {
-    ssp_->ReadIndex("big", next_index,
-                    [&](Result<std::shared_ptr<const SspReadReplyMsg>> r) {
-                      ASSERT_TRUE(r.ok());
-                      total += r.value()->records.size();
-                      next_index = r.value()->next_index;
-                      eof = r.value()->eof;
-                    });
-    sim_.RunAll();
-  }
-  EXPECT_EQ(total, 10u);
+TEST_F(SspTest, DrainMergesReplicasWithDisjointHoles) {
+  // Appends ack on the first replica, so each replica may miss records the
+  // other holds. Neither replica alone reaches past sn 2; together they
+  // hold 1..6.
+  SharedFile& a = Replica("f", 0).store().Open("f");
+  SharedFile& b = Replica("f", 1).store().Open("f");
+  for (SerialNumber sn : {1, 2, 4, 6}) a.Append(Rec(sn));
+  for (SerialNumber sn : {1, 3, 5, 6}) b.Append(Rec(sn));
+  const std::uint64_t& reads =
+      sim_.obs().metrics().counter("ssp.read")->value;
+
+  const std::uint64_t unbounded_from = reads;
+  const Drained all = DrainFrom("f", 0);
+  EXPECT_TRUE(all.status.ok());
+  EXPECT_EQ(all.sns, (std::vector<SerialNumber>{1, 2, 3, 4, 5, 6}));
+  // Two passes advance; a third finds nothing new and ends the drain.
+  EXPECT_EQ(reads - unbounded_from, 6u);
+
+  // Bounded at sn 6, the drain stops after the pass that reaches it.
+  const std::uint64_t bounded_from = reads;
+  const Drained bounded = DrainFrom("f", 0, /*until=*/6);
+  EXPECT_EQ(bounded.sns, all.sns);
+  EXPECT_EQ(reads - bounded_from, 4u);
 }
 
 TEST_F(SspTest, LargeImageReadTakesProportionalTime) {
@@ -200,21 +256,9 @@ TEST_F(SspTest, LargeImageReadTakesProportionalTime) {
   }
   sim_.RunAll();
   const SimTime start = sim_.Now();
-  bool done = false;
-  std::function<void(std::size_t)> read_all = [&](std::size_t index) {
-    ssp_->ReadIndex("img", index,
-                    [&](Result<std::shared_ptr<const SspReadReplyMsg>> r) {
-                      ASSERT_TRUE(r.ok());
-                      if (r.value()->eof) {
-                        done = true;
-                      } else {
-                        read_all(r.value()->next_index);
-                      }
-                    });
-  };
-  read_all(0);
-  sim_.RunAll();
-  EXPECT_TRUE(done);
+  const Drained d = DrainFrom("img", 0);
+  EXPECT_TRUE(d.status.ok());
+  EXPECT_EQ(d.sns.size(), 32u);
   const double secs = ToSeconds(sim_.Now() - start);
   EXPECT_GT(secs, 1.0);  // 256 MB at ~100 MB/s disk + GbE
 }
