@@ -265,7 +265,7 @@ void ScenarioRunner::RegisterBuiltins() {
       "Prints the group's coordination view row, lock and fence.",
       &R::CmdPrintView);
   add("load open [rate=R] [flash_mult=M] [flash_start=D] [flash_len=D] "
-      "[create=F] [think=D] [dirs=N] [ops=N] [hot_group=G] [hot_weight=W] "
+      "[create=F] [dirs=N] [ops=N] [hot_group=G] [hot_weight=W] "
       "| load stop", 1, kAnyArgs,
       "Runs open-loop session load against the cluster; flash_* shapes a "
       "flash crowd, hot_group skews arrivals onto one group.",

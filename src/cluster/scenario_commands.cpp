@@ -25,7 +25,7 @@ Status ScenarioRunner::CmdLoad(const Args& args) {
   }
 
   double rate = 500.0, flash_mult = 0.0, create_frac = 0.2, hot_weight = 8.0;
-  SimTime flash_start = 0, flash_len = 0, think = 0;
+  SimTime flash_start = 0, flash_len = 0;
   int dirs = 64, ops = 4;
   std::optional<GroupId> hot_group;
   for (std::size_t i = 1; i < args.size(); ++i) {
@@ -41,12 +41,11 @@ Status ScenarioRunner::CmdLoad(const Args& args) {
       else if (key == "flash_mult") flash_mult = x.value();
       else if (key == "create") create_frac = x.value();
       else hot_weight = x.value();
-    } else if (key == "flash_start" || key == "flash_len" || key == "think") {
+    } else if (key == "flash_start" || key == "flash_len") {
       auto d = ParseDuration(value);
       if (!d.ok()) return d.status();
       if (key == "flash_start") flash_start = d.value();
-      else if (key == "flash_len") flash_len = d.value();
-      else think = d.value();
+      else flash_len = d.value();
     } else if (key == "dirs" || key == "ops") {
       auto n = ParseInt(value);
       if (!n.ok()) return n.status();
@@ -70,7 +69,6 @@ Status ScenarioRunner::CmdLoad(const Args& args) {
                 flash_mult)
           : workload::ArrivalCurve::Constant(rate);
   opts.ops_per_session = static_cast<std::uint32_t>(ops > 0 ? ops : 1);
-  opts.think_time = think;
   opts.directories = dirs;
   if (hot_group) {
     // Skew arrivals toward one group: weight `hot_weight` for the hot

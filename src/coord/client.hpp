@@ -198,15 +198,16 @@ class CoordClient {
   }
 
   /// Publishes a partition map (one bounded attempt; callers retry — the
-  /// service answers a stale epoch with success).
+  /// service answers a stale epoch with success). `done` gets the map the
+  /// service holds once the publish is decided.
   void PublishMap(std::uint64_t epoch, std::vector<char> bytes,
-                  std::function<void(Status)> done) {
+                  MapCallback done) {
     auto req = std::make_shared<CoordRequestMsg>();
     req->op = CoordOp::kPublishMap;
     req->session = session_;
     req->map_epoch = epoch;
     req->map_bytes = std::move(bytes);
-    Exchange(std::move(req), std::move(done), Acked);
+    ExchangeMap(std::move(req), std::move(done));
   }
 
   /// Fetches the currently published partition map (epoch 0: none yet).
@@ -214,17 +215,7 @@ class CoordClient {
     auto req = std::make_shared<CoordRequestMsg>();
     req->op = CoordOp::kGetMap;
     req->session = session_;
-    // The response pointer lives for the duration of the callback.
-    Exchange(
-        std::move(req),
-        [done = std::move(done)](Result<const CoordResponseMsg*> r) {
-          if (!r.ok()) {
-            done(r.status(), 0, {});
-            return;
-          }
-          done(Status::Ok(), r.value()->map_epoch, r.value()->map_bytes);
-        },
-        [](const CoordResponseMsg& resp) { return &resp; });
+    ExchangeMap(std::move(req), std::move(done));
   }
 
   void GetView(GroupId group, ViewCallback done) {
@@ -331,6 +322,24 @@ class CoordClient {
           }
           done(decode(net::Cast<CoordResponseMsg>(r.value())));
         });
+  }
+
+  /// A map op's exchange: `done` gets the service's map, or the failure.
+  void ExchangeMap(std::shared_ptr<CoordRequestMsg> req, MapCallback done) {
+    // The response pointer lives for the duration of the callback.
+    Exchange(
+        std::move(req),
+        [done = std::move(done)](Result<const CoordResponseMsg*> r) {
+          if (r.ok() && !r.value()->ok) {
+            r = Status::Unavailable(r.value()->error);
+          }
+          if (!r.ok()) {
+            done(r.status(), 0, {});
+            return;
+          }
+          done(Status::Ok(), r.value()->map_epoch, r.value()->map_bytes);
+        },
+        [](const CoordResponseMsg& resp) { return &resp; });
   }
 
   /// Decodes a plain acknowledgement: ok, or the service's error.

@@ -135,7 +135,6 @@ void CommitPath::OnBatchSealed(journal::Batch batch, std::vector<char> bytes) {
                            static_cast<double>(kSecond));
 
   auto msg = std::make_shared<JournalPrepareMsg>();
-  msg->group = s_.group();
   msg->fence = s_.fence();
   msg->batch = std::move(owned);
   for (NodeId peer : ps.awaiting) {
@@ -331,25 +330,12 @@ void CommitPath::TrackView() {
 
 void CommitPath::Reconcile() {
   AddViewStandbys();
-  const auto& recent = s_.recent_batches();
-  if (recent.empty()) return;
-  auto nudge = std::make_shared<JournalPrepareMsg>();
-  nudge->group = s_.group();
-  nudge->fence = s_.fence();
-  nudge->batch = recent.back();
-  for (NodeId peer : targets_) s_.Send(peer, nudge);
+  s_.Resend({targets_.begin(), targets_.end()},
+            std::max<SerialNumber>(s_.last_sn(), 1) - 1);
 }
 
 void CommitPath::Include(NodeId junior, SerialNumber after_sn) {
-  if (!targets_.insert(junior).second) return;
-  for (const auto& b : s_.recent_batches()) {
-    if (b->sn <= after_sn) continue;
-    auto msg = std::make_shared<JournalPrepareMsg>();
-    msg->group = s_.group();
-    msg->fence = s_.fence();
-    msg->batch = b;
-    s_.Send(junior, msg);
-  }
+  if (targets_.insert(junior).second) s_.Resend({junior}, after_sn);
 }
 
 }  // namespace mams::core

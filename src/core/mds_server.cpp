@@ -203,6 +203,7 @@ void MdsServer::DiscardNamespace() {
   last_sn_ = 0;
   recent_batches_.clear();
   pending_batches_.clear();
+  ++discards_;
   renewal_->ForgetCursor();
   dirty_ = false;
 }
@@ -440,12 +441,9 @@ void MdsServer::HandleJournalPrepare(const net::Envelope& env,
                                      const net::MessagePtr& msg,
                                      const ReplyFn& reply) {
   const auto& req = net::Cast<JournalPrepareMsg>(msg);
-  // Every ack reports where this replica stands after the prepare.
-  auto answer = [this, &reply](bool applied, bool stale_fence) {
+  auto answer = [&reply](bool stale_fence = false) {
     auto ack = std::make_shared<JournalAckMsg>();
-    ack->applied = applied;
     ack->stale_fence = stale_fence;
-    ack->max_sn = last_sn_;
     reply(ack);
   };
 
@@ -461,13 +459,13 @@ void MdsServer::HandleJournalPrepare(const net::Envelope& env,
         "mds", "fenced_rejection", id(), options_.group,
         {{"stale_fence", static_cast<std::uint64_t>(req.fence)},
          {"view_fence", static_cast<std::uint64_t>(view_.fence_token)}});
-    answer(false, /*stale_fence=*/true);
+    answer(/*stale_fence=*/true);
     return;
   }
   if (commit_ && options_.mutation != Mutation::kNoFencing) {
     // Two actives cannot coexist; the one with the newer fence wins.
     if (req.fence <= fence_) {
-      answer(false, /*stale_fence=*/true);
+      answer(/*stale_fence=*/true);
       return;
     }
     StepDownFromActive("saw a newer fence in replication traffic");
@@ -483,7 +481,7 @@ void MdsServer::HandleJournalPrepare(const net::Envelope& env,
     return;
   }
   if (req.batch == nullptr) {  // malformed prepare; nothing to apply
-    answer(false, false);
+    answer();
     return;
   }
   const journal::Batch& batch = *req.batch;
@@ -503,13 +501,22 @@ void MdsServer::HandleJournalPrepare(const net::Envelope& env,
       }
     }
     Bump(counters_.duplicate_batches, m_.duplicate_batches);
-    answer(/*applied=*/true, false);
+    answer();
     return;
   }
   pending_batches_.emplace(batch.sn, req.batch);
   ApplyReadyBatches();
-  if (!pending_batches_.empty()) RequestBackfill(env.from);
-  answer(/*applied=*/pending_batches_.empty(), false);
+  if (!pending_batches_.empty() && !backfill_inflight_) {
+    // Backfill: pull from the sender until the buffered gap closes.
+    backfill_inflight_ = true;
+    CatchUp(
+        env.from,
+        [this](const RenewJournalReplyMsg&) {
+          return !pending_batches_.empty();
+        },
+        [this](Result<SerialNumber>) { backfill_inflight_ = false; });
+  }
+  answer();
 }
 
 void MdsServer::ApplyReadyBatches() {
@@ -547,19 +554,44 @@ void MdsServer::ApplyBatch(const BatchPtr& batch) {
   reads_->DrainParked();
 }
 
-void MdsServer::RequestBackfill(NodeId from) {
-  if (backfill_inflight_) return;
-  backfill_inflight_ = true;
+void MdsServer::CatchUp(NodeId from,
+                        std::function<bool(const RenewJournalReplyMsg&)> more,
+                        std::function<void(Result<SerialNumber>)> done) {
   auto req = std::make_shared<RenewJournalFetchMsg>();
-  req->group = options_.group;
   req->after_sn = last_sn_;
-  net::RpcCall::Start(*this, from, req, kFetchRpc,
-                      [this](Result<net::MessagePtr> r) {
-                        backfill_inflight_ = false;
-                        if (!r.ok()) return;
-                        ApplyFetchedBatches(
-                            net::Cast<RenewJournalReplyMsg>(r.value()));
-                      });
+  net::RpcCall::Start(
+      *this, from, req, kFetchRpc,
+      [this, from, more = std::move(more), done = std::move(done),
+       before = last_sn_,
+       discards = discards_](Result<net::MessagePtr> r) mutable {
+        if (r.ok() && discards != discards_) {
+          r = Status::Aborted("namespace discarded since the fetch");
+        }
+        if (!r.ok()) {
+          done(r.status());
+          return;
+        }
+        const auto& reply = net::Cast<RenewJournalReplyMsg>(r.value());
+        ApplyFetchedBatches(reply);
+        if (last_sn_ > before && more(reply)) {
+          CatchUp(from, std::move(more), std::move(done));
+          return;
+        }
+        done(reply.active_sn);
+      });
+}
+
+void MdsServer::Resend(const std::vector<NodeId>& peers,
+                       SerialNumber after_sn) {
+  for (const BatchPtr& batch : recent_batches_) {
+    if (batch->sn <= after_sn) continue;
+    auto msg = std::make_shared<JournalPrepareMsg>();
+    msg->fence = fence_;
+    msg->batch = batch;
+    for (NodeId peer : peers) {
+      if (peer != id()) Send(peer, msg);
+    }
+  }
 }
 
 void MdsServer::ApplyFetchedBatches(const RenewJournalReplyMsg& resp) {
@@ -618,7 +650,6 @@ void MdsServer::HandleGroupRegister(const net::Envelope&,
   auto ack_now = [this, reply] {
     auto ack = std::make_shared<GroupRegisterAckMsg>();
     ack->max_sn = last_sn_;
-    ack->previous_state = role_;
     reply(ack);
   };
   if (!coord_client_->registered()) {
@@ -660,10 +691,9 @@ void MdsServer::RegisterHandlers() {
     const auto& req = net::Cast<RenewJournalFetchMsg>(msg);
     auto out = std::make_shared<RenewJournalReplyMsg>();
     out->active_sn = last_sn_;
-    std::uint32_t n = 0;
     for (const auto& b : recent_batches_) {
       if (b->sn <= req.after_sn) continue;
-      if (n++ >= req.max_batches) break;
+      if (out->batches.size() >= kFetchBatchCap) break;
       out->payload_bytes += b->EncodedSize();
       out->batches.push_back(*b);
     }

@@ -256,17 +256,27 @@ class MdsServer : public net::Host {
   /// batch some standby or the SSP holds raises committed_sn_; one only
   /// this process holds marks the namespace dirty.
   void NoteFinalized(SerialNumber sn, bool replicated);
-  /// Folds the batches a journal fetch returned (backfill, step-5 catch-up,
-  /// renewal final sync) into the intake queue and applies the ready ones.
-  void ApplyFetchedBatches(const RenewJournalReplyMsg& resp);
+  /// Pulls the batches after last_sn_ from `from`'s recent window, one
+  /// kFetchRpc exchange at a time, through the intake queue: journal
+  /// backfill, step-5 catch-up and the renewal final sync. Fetches again
+  /// while an exchange advanced last_sn_ and `more(reply)` holds; `done`
+  /// gets the last reply's active_sn, or the failed exchange's status.
+  void CatchUp(NodeId from,
+               std::function<bool(const RenewJournalReplyMsg&)> more,
+               std::function<void(Result<SerialNumber>)> done);
+  /// Re-sends each recent batch after `after_sn` to each of `peers` but
+  /// this server, fire-and-forget and fenced: failover step 4, the active's
+  /// reconcile nudge and a junior's inclusion. Receivers drop an sn they
+  /// already hold.
+  void Resend(const std::vector<NodeId>& peers, SerialNumber after_sn);
   /// Applies the SSP journal records that extend last_sn_ contiguously
   /// (failover drain, junior replay); returns the bytes applied.
   std::uint64_t ApplyPoolRecords(
       const std::vector<storage::SspRecord>& records);
 
-  /// One-shot fetches (journal backfill and step-5 catch-up): callers have
-  /// their own recovery story, so no retries here. The shard protocol's
-  /// legs reuse its attempt timeout (shard_engine.cpp).
+  /// One CatchUp exchange: a single attempt, because every caller has its
+  /// own recovery story. The shard protocol's legs reuse its attempt
+  /// timeout (shard_engine.cpp).
   static constexpr net::RpcPolicy kFetchRpc{
       .attempt_timeout = kSecond,
       .max_attempts = 1,
@@ -292,7 +302,9 @@ class MdsServer : public net::Host {
   /// Shard admission and the tree mutation; CommitPath journals the rest.
   void ExecuteMutation(const RequestPtr& req, const ReplyFn& reply);
   void ApplyReadyBatches();
-  void RequestBackfill(NodeId from);
+  /// Folds the batches a CatchUp exchange returned into the intake queue
+  /// and applies the ready ones.
+  void ApplyFetchedBatches(const RenewJournalReplyMsg& resp);
   /// Applies a replicated batch record by record, in record order.
   void ApplyBatch(const BatchPtr& batch);
   /// Drops the namespace and everything derived from it (crash, a dirty
@@ -326,8 +338,13 @@ class MdsServer : public net::Host {
 
   std::deque<BatchPtr> recent_batches_;
   static constexpr std::size_t kRecentBatchCap = 2048;
+  /// The most batches one CatchUp reply carries.
+  static constexpr std::size_t kFetchBatchCap = 256;
   std::map<SerialNumber, BatchPtr> pending_batches_;
   bool backfill_inflight_ = false;
+  /// Bumped by DiscardNamespace: a CatchUp reply to a request sent before
+  /// the discard belongs to the dropped namespace and applies nothing.
+  std::uint64_t discards_ = 0;
 
   std::shared_ptr<CommitPath> commit_;  ///< while active
   std::shared_ptr<Upgrade> upgrade_;    ///< first bid .. step 6 or abort

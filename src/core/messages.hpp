@@ -142,7 +142,6 @@ struct LeaseRevokeAckMsg final : net::Message {
 /// decided; the standby applies iff the batch's sn exceeds its current
 /// maximum (the duplicate-suppression rule of failover step 4).
 struct JournalPrepareMsg final : net::Message {
-  GroupId group = 0;
   FenceToken fence = 0;             ///< sender's fencing token (IO fencing)
   /// Shared, immutable payload: the active fans one sealed batch out to
   /// every sync target (and keeps it in recent_batches_ / pending_sync_),
@@ -157,8 +156,6 @@ struct JournalPrepareMsg final : net::Message {
 };
 
 struct JournalAckMsg final : net::Message {
-  bool applied = false;
-  SerialNumber max_sn = 0;   ///< receiver's max sn after processing
   bool stale_fence = false;  ///< sender is deposed; stop sending
 
   net::MsgType type() const noexcept override { return net::kJournalAck; }
@@ -177,8 +174,6 @@ struct JournalAckMsg final : net::Message {
 /// a peer still ahead of `active_sn` holds only uncommitted partial
 /// replications and must discard them before the group settles.
 struct GroupRegisterMsg final : net::Message {
-  GroupId group = 0;
-  NodeId new_active = kInvalidNode;
   FenceToken fence = 0;
   SerialNumber active_sn = 0;
   bool discard_ahead = true;
@@ -188,7 +183,6 @@ struct GroupRegisterMsg final : net::Message {
 
 struct GroupRegisterAckMsg final : net::Message {
   SerialNumber max_sn = 0;
-  ServerState previous_state = ServerState::kDown;
 
   net::MsgType type() const noexcept override { return net::kGroupRegisterAck; }
 };
@@ -201,7 +195,6 @@ enum class RenewMode : std::uint8_t {
 };
 
 struct RenewCommandMsg final : net::Message {
-  GroupId group = 0;
   FenceToken fence = 0;
   std::string image_file;        ///< for kImageFirst: SSP file to load
   SerialNumber image_sn = 0;     ///< sn folded into that image
@@ -213,19 +206,16 @@ struct RenewCommandMsg final : net::Message {
 /// Junior -> active progress report ("the junior records the current sn and
 /// sends it to the active periodically").
 struct RenewProgressMsg final : net::Message {
-  GroupId group = 0;
   SerialNumber current_sn = 0;
   bool failed = false;
 
   net::MsgType type() const noexcept override { return net::kRenewProgress; }
 };
 
-/// Direct journal fetch from the active (used when the SSP lags or for the
-/// final synchronization stage).
+/// Pulls a peer's recent batches after `after_sn` (MdsServer::CatchUp:
+/// backfill, step-5 catch-up, renewal final sync).
 struct RenewJournalFetchMsg final : net::Message {
-  GroupId group = 0;
   SerialNumber after_sn = 0;
-  std::uint32_t max_batches = 256;
 
   net::MsgType type() const noexcept override {
     return net::kRenewJournalFetch;

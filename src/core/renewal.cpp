@@ -15,16 +15,6 @@ namespace {
 constexpr SerialNumber kFinalSyncGap = 32;
 constexpr SimTime kRenewProgressInterval = 200 * kMillisecond;
 
-/// Junior-side final-sync pulls against the active: retried until the
-/// junior catches up or the run ends.
-constexpr net::RpcPolicy kRenewFetchRpc{
-    .attempt_timeout = kSecond,
-    .max_attempts = 0,
-    .backoff_base = 500 * kMillisecond,
-    .backoff_multiplier = 1.0,
-    .jitter = 0.0,
-};
-
 }  // namespace
 
 // --- active side -----------------------------------------------------------------
@@ -52,7 +42,6 @@ void Renewal::Scan() {
     if (node == s_.id() || state != ServerState::kJunior) continue;
     target_ = node;
     auto cmd = std::make_shared<RenewCommandMsg>();
-    cmd->group = s_.group();
     cmd->fence = s_.fence();
     cmd->active_sn = s_.last_sn();
     if (latest_image_.has_value()) {
@@ -201,7 +190,6 @@ void Renewal::SendProgress(bool failed) {
   const NodeId active = s_.view().FindActive();
   if (active == kInvalidNode || active == s_.id()) return;
   auto msg = std::make_shared<RenewProgressMsg>();
-  msg->group = s_.group();
   msg->current_sn = s_.last_sn();
   msg->failed = failed;
   s_.Send(active, msg);
@@ -304,37 +292,29 @@ void Renewal::FinalSync() {
     EndRun("no_active");
     return;
   }
-  auto req = std::make_shared<RenewJournalFetchMsg>();
-  req->group = s_.group();
-  req->after_sn = s_.last_sn();
-  // Retried under kRenewFetchRpc until the active answers or the run ends;
-  // a crash forgets the call outright.
-  net::RpcHooks hooks;
-  hooks.cancelled = [this, run = run_] { return !Renewing(run); };
-  net::RpcCall::Start(
-      s_, active, req, kRenewFetchRpc,
-      [this, run = run_, from = req->after_sn](Result<net::MessagePtr> r) {
-        if (!Renewing(run) || !r.ok()) return;  // cancelled mid-retry
-        const auto& resp = net::Cast<RenewJournalReplyMsg>(r.value());
-        s_.ApplyFetchedBatches(resp);
-        if (resp.active_sn > s_.last_sn() + kFinalSyncGap) {
-          if (s_.last_sn() == from) {
-            // The active's recent window no longer reaches our cursor (a
-            // stale pool replica left a gap wider than it): end the run so
-            // the active rescans and a new run drains the pool again.
-            SendProgress(/*failed=*/true);
-            EndRun("stalled");
-            return;
-          }
-          FinalSync();  // still chasing the live stream
+  // Pull until within the final-sync gap of the active. A fetch that fails
+  // ends the run, as does one that applies nothing while still beyond the
+  // gap (a stale pool replica left a hole wider than the active's recent
+  // window): the failed report makes the active rescan, and a later run
+  // drains the pool again.
+  s_.CatchUp(
+      active,
+      [this, run = run_](const RenewJournalReplyMsg& reply) {
+        return Renewing(run) && reply.active_sn > s_.last_sn() + kFinalSyncGap;
+      },
+      [this, run = run_](Result<SerialNumber> active_sn) {
+        if (!Renewing(run)) return;
+        if (!active_sn.ok() ||
+            active_sn.value() > s_.last_sn() + kFinalSyncGap) {
+          SendProgress(/*failed=*/true);
+          EndRun(active_sn.ok() ? "stalled" : "unreachable");
           return;
         }
         // Close enough: report; the active folds us into live replication
         // and flips our state to standby.
         EndRun("caught_up");
         SendProgress();
-      },
-      std::move(hooks));
+      });
 }
 
 void Renewal::StartPhase(std::string phase) {

@@ -539,29 +539,27 @@ void ShardEngine::PublishMapForSlot(std::uint32_t slot) {
   shard::PartitionMap next = map_;
   next.Assign(slot, dst);
   s_.coord().PublishMap(
-      next.epoch(), next.Serialize(), [this, slot, mid, dst](Status) {
-        // Publish-then-verify: concurrent publishers can collide on the
-        // epoch and the service keeps the first arrival, silently dropping
-        // the loser. Read the decided map back; if our assignment lost,
-        // re-assign on the winner's map (newer epoch) and republish.
-        s_.coord().GetMap([this, slot, mid, dst](
-                              Status s, std::uint64_t epoch,
-                              const std::vector<char>& bytes) {
-          if (MigrationStale(slot, mid)) return;
-          if (s.ok()) AdoptMap(epoch, bytes);
-          if (map_.OwnerOfSlot(slot) == dst) {
-            drives_.at(slot).stats.publish_time = s_.sim().Now();
-            FinishMigration(slot);
-            return;
-          }
-          MAMS_DEBUG("shard",
-                     "%s: publish verify for slot %u: epoch %llu owner %u "
-                     "(want %u); retrying",
-                     s_.name().c_str(), slot, (unsigned long long)map_.epoch(),
-                     map_.OwnerOfSlot(slot), dst);
-          s_.AfterLocal(kRetryDelay, [this, slot, mid] {
-            if (!MigrationStale(slot, mid)) PublishMapForSlot(slot);
-          });
+      next.epoch(), next.Serialize(),
+      [this, slot, mid, dst](Status s, std::uint64_t epoch,
+                             const std::vector<char>& bytes) {
+        // Concurrent publishers can collide on the epoch and the service
+        // keeps the first arrival, silently dropping the loser. The reply
+        // carries the decided map; if our assignment lost, re-assign on the
+        // winner's map (newer epoch) and republish.
+        if (MigrationStale(slot, mid)) return;
+        if (s.ok()) AdoptMap(epoch, bytes);
+        if (map_.OwnerOfSlot(slot) == dst) {
+          drives_.at(slot).stats.publish_time = s_.sim().Now();
+          FinishMigration(slot);
+          return;
+        }
+        MAMS_DEBUG("shard",
+                   "%s: publish of slot %u left epoch %llu owner %u "
+                   "(want %u); retrying",
+                   s_.name().c_str(), slot, (unsigned long long)map_.epoch(),
+                   map_.OwnerOfSlot(slot), dst);
+        s_.AfterLocal(kRetryDelay, [this, slot, mid] {
+          if (!MigrationStale(slot, mid)) PublishMapForSlot(slot);
         });
       });
 }

@@ -176,20 +176,9 @@ void Upgrade::Step2FlipStates() {
 }
 
 void Upgrade::Step4Reflush() {
-  // Step 4: re-flush the last cached journals to the whole group so that
-  // nothing the previous active half-replicated is missing anywhere.
-  // Receivers drop an sn they already hold, so repeats are harmless.
-  const auto& recent = s_.recent_batches();
-  const std::size_t n = std::min<std::size_t>(recent.size(), 8);
-  for (std::size_t i = recent.size() - n; i < recent.size(); ++i) {
-    auto msg = std::make_shared<JournalPrepareMsg>();
-    msg->group = s_.group();
-    msg->fence = s_.fence();
-    msg->batch = recent[i];
-    for (NodeId peer : s_.members()) {
-      if (peer != s_.id()) s_.Send(peer, msg);
-    }
-  }
+  // Step 4: re-flush the last eight cached batches to the whole group so
+  // that nothing the previous active half-replicated is missing anywhere.
+  s_.Resend(s_.members(), std::max<SerialNumber>(s_.last_sn(), 8) - 8);
   StartStep("step5_gather_registrations");
   // Step 5: every group member registers with the elected standby, which
   // confirms each one's state from its journal position. The first round
@@ -229,11 +218,20 @@ void Upgrade::Step5Round(bool final_round) {
       Step5Classify(gather->acks);
       return;
     }
-    Step5CatchUp(source, target_sn);
+    // Adopt the committed tail from the peer furthest ahead. A failed or
+    // stalled fetch (peer gone, or its recent window no longer covers our
+    // gap) finalizes with what we have: the peer classifies as a junior
+    // and renewal reconciles it.
+    s_.CatchUp(
+        source,
+        [this, life, target_sn](const RenewJournalReplyMsg&) {
+          return !life.expired() && s_.last_sn() < target_sn;
+        },
+        [this, life](Result<SerialNumber>) {
+          if (!life.expired()) Step5Round(/*final_round=*/true);
+        });
   };
   auto req = std::make_shared<GroupRegisterMsg>();
-  req->group = s_.group();
-  req->new_active = s_.id();
   req->fence = s_.fence();
   req->active_sn = s_.last_sn();
   req->discard_ahead = final_round;
@@ -257,33 +255,6 @@ void Upgrade::Step5Round(bool final_round) {
   } else {
     s_.AfterLocal(kRegisterWait, settle);
   }
-}
-
-void Upgrade::Step5CatchUp(NodeId source, SerialNumber target_sn) {
-  if (s_.last_sn() >= target_sn) {
-    Step5Round(/*final_round=*/true);
-    return;
-  }
-  auto req = std::make_shared<RenewJournalFetchMsg>();
-  req->group = s_.group();
-  req->after_sn = s_.last_sn();
-  net::RpcCall::Start(
-      s_, source, req, MdsServer::kFetchRpc,
-      [this, life = weak_from_this(), source, target_sn,
-       before = s_.last_sn()](Result<net::MessagePtr> r) {
-        if (life.expired()) return;
-        if (r.ok()) {
-          s_.ApplyFetchedBatches(net::Cast<RenewJournalReplyMsg>(r.value()));
-        }
-        if (r.ok() && s_.last_sn() > before) {
-          Step5CatchUp(source, target_sn);  // next chunk
-          return;
-        }
-        // Fetch failed or stalled (peer gone, or its recent-batch window
-        // no longer covers our gap): finalize with what we have — the
-        // peer classifies as a junior and renewal reconciles it.
-        Step5Round(/*final_round=*/true);
-      });
 }
 
 void Upgrade::Step5Classify(const std::map<NodeId, SerialNumber>& acks) {

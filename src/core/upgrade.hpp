@@ -42,7 +42,6 @@ class Upgrade : public std::enable_shared_from_this<Upgrade> {
   void Step2FlipStates();
   void Step4Reflush();
   void Step5Round(bool final_round);
-  void Step5CatchUp(NodeId source, SerialNumber target_sn);
   void Step5Classify(const std::map<NodeId, SerialNumber>& acks);
   void Step6BecomeActive();
   void Abort(const std::string& why);

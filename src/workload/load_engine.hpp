@@ -53,7 +53,6 @@ struct LoadEngineOptions {
   ArrivalCurve arrival = ArrivalCurve::Constant(100.0);
   KeyDistSpec keys = KeyDistSpec::Zipf(0.99);
   std::uint32_t ops_per_session = 4;  ///< op program length per session
-  SimTime think_time = 0;             ///< virtual pause between a session's ops
   std::uint64_t max_sessions = 0;     ///< stop admitting after N arrivals (0 = ∞)
   int directories = 64;               ///< namespace fan-out for generated paths
   std::uint32_t files_per_dir = 0;    ///< preloaded read targets per directory
@@ -170,8 +169,8 @@ class LoadEngine {
 
  private:
   // 16-byte POD session. The generation guards slot reuse: a completion
-  // or think-timer that outlives its session (engine stopped, slot
-  // recycled) sees a mismatched gen and drops on the floor.
+  // that outlives its session (engine stopped, slot recycled) sees a
+  // mismatched gen and drops on the floor.
   struct Session {
     SimTime issued = 0;
     std::uint32_t gen = 0;
@@ -248,17 +247,7 @@ class LoadEngine {
       Retire(idx);
       return;
     }
-    if (options_.think_time > 0) {
-      const std::uint64_t token2 = token;  // gen unchanged while thinking
-      sim_.After(options_.think_time, [this, token2] {
-        const auto i = static_cast<std::uint32_t>(token2 >> 32);
-        const auto g = static_cast<std::uint32_t>(token2);
-        if (i >= sessions_.size() || sessions_[i].gen != g) return;
-        IssueOpen(i);
-      });
-    } else {
-      IssueOpen(idx);
-    }
+    IssueOpen(idx);
   }
 
   std::uint32_t AcquireSession() {

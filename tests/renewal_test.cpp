@@ -3,7 +3,8 @@
 // first replica, so a pool node that was down while the group committed
 // comes back with a hole the other replica fills; the junior's drain must
 // read past it, and a final sync that cannot close the gap must end its
-// run so a later one can.
+// run so a later one can. A final sync whose active dies ends its run too,
+// so the next active can renew the junior.
 #include <gtest/gtest.h>
 
 #include <functional>
@@ -95,6 +96,19 @@ class RenewalTest : public ::testing::Test {
     return n;
   }
 
+  /// Creates files one after another until StopLoad.
+  void StartLoad() {
+    next_create_ = [this](Status) {
+      if (loading_) {
+        cluster_->client(0).Create("/g" + std::to_string(created_++),
+                                   next_create_);
+      }
+    };
+    loading_ = true;
+    next_create_(Status::Ok());
+  }
+  void StopLoad() { loading_ = false; }
+
   bool BecomesStandby(core::MdsServer& junior, SimTime budget) {
     return testutil::WaitFor(
         *sim_, [&] { return junior.role() == ServerState::kStandby; },
@@ -105,6 +119,9 @@ class RenewalTest : public ::testing::Test {
   std::unique_ptr<net::Network> net_;
   std::unique_ptr<CfsCluster> cluster_;
   core::MdsServer* active_ = nullptr;
+  bool loading_ = false;
+  int created_ = 0;
+  std::function<void(Status)> next_create_;
 };
 
 TEST_F(RenewalTest, JuniorRenewsPastAStaleFirstPoolReplica) {
@@ -146,6 +163,40 @@ TEST_F(RenewalTest, FinalSyncThatAppliesNothingEndsTheRun) {
       << "junior stuck at sn " << junior.last_sn() << ", active at "
       << active_->last_sn();
   EXPECT_EQ(junior.tree().Fingerprint(), active_->tree().Fingerprint());
+}
+
+TEST_F(RenewalTest, JuniorRenewsAfterItsFinalSyncActiveDies) {
+  ASSERT_NE(active_, nullptr);
+  // The junior's drain waits out a read timeout on the down replica, so
+  // its final sync starts thousands of batches behind the loaded active.
+  storage::PoolNode& down = JournalReplica(1);
+  down.Crash();
+  StartLoad();
+  core::MdsServer& junior = RestartAStandby();
+
+  // The active dies for good as the junior's first final-sync fetch is on
+  // the wire, before it can answer.
+  auto* fetches =
+      sim_->obs().metrics().counter("net.sent.renew_journal_fetch");
+  const std::uint64_t before = fetches->value;
+  ASSERT_TRUE(testutil::WaitFor(
+      *sim_, [&] { return fetches->value > before; }, 60 * kSecond,
+      20 * kMicrosecond));
+  ASSERT_EQ(junior.role(), ServerState::kJunior);
+  const SerialNumber lost_active_sn = active_->last_sn();
+  active_->Crash();
+  StopLoad();
+  down.Restart();
+
+  // The failed fetch ends the run, so the next active's renew command
+  // starts a new one.
+  ASSERT_TRUE(BecomesStandby(junior, 30 * kSecond))
+      << "junior stuck at sn " << junior.last_sn()
+      << ", the active died at " << lost_active_sn;
+  core::MdsServer* next = cluster_->FindActive(0);
+  ASSERT_NE(next, nullptr);
+  EXPECT_NE(next, active_);
+  EXPECT_EQ(junior.tree().Fingerprint(), next->tree().Fingerprint());
 }
 
 }  // namespace

@@ -640,8 +640,6 @@ TEST_F(ShardClusterTest, DeposedCoordinatorDoesNotInstallATwoGroupMkdir) {
   net::Host rival(*net_, "rival");
   rival.Boot();
   auto reg = std::make_shared<core::GroupRegisterMsg>();
-  reg->group = 0;
-  reg->new_active = rival.id();
   reg->fence = a0->fence() + 1;
   reg->active_sn = a0->last_sn();
   reg->discard_ahead = false;
