@@ -62,11 +62,11 @@ Sample RunFailover(SimTime window, int standbys, bool kill_all_standbys,
       auto& mds = cfs.mds(0, static_cast<int>(m));
       if (mds.alive() && (mds.role() == ServerState::kActive ||
                           mds.role() == ServerState::kStandby)) {
-        mds.Crash();
+        cfs.faults().Crash(mds);
       }
     }
   } else {
-    cfs.FindActive(0)->Crash();
+    cfs.faults().CrashActive(0);
   }
 
   const SimTime cap = sim.Now() + 120 * kSecond;

@@ -82,15 +82,12 @@ double FailureMttr(int standbys, int extra_kills, std::uint64_t seed) {
   sim.RunUntil(sim.Now() + 2 * kSecond);
 
   int kills = 0;
-  if (auto* active = cfs.FindActive(0)) {
-    active->Crash();
-    ++kills;
-  }
+  if (cfs.faults().CrashActive(0) != nullptr) ++kills;
   for (std::size_t m = 0; m < cfs.group_size(0) && kills < 1 + extra_kills;
        ++m) {
     auto& mds = cfs.mds(0, static_cast<int>(m));
     if (mds.alive() && mds.role() == ServerState::kStandby) {
-      mds.Crash();
+      cfs.faults().Crash(mds);
       ++kills;
     }
   }

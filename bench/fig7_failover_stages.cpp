@@ -61,7 +61,7 @@ Trial RunTrial(std::uint64_t seed, const char* trace_out = nullptr) {
                               Mix::Only(OpKind::kCreate), seed, opts);
   driver.Start();
   sim.RunUntil(sim.Now() + 2 * kSecond);
-  cfs.FindActive(0)->Crash();
+  cfs.faults().CrashActive(0);
   const SimTime cap = sim.Now() + 60 * kSecond;
   while (!driver.mttr_probe().complete() && sim.Now() < cap) {
     sim.RunUntil(sim.Now() + 100 * kMillisecond);

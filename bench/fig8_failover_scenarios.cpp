@@ -129,9 +129,7 @@ int main() {
       "the deposed server re-registers as a standby.",
       [](sim::Simulator& sim, cluster::CfsCluster& cfs) {
         for (SimTime at : {60 * kSecond, 120 * kSecond, 180 * kSecond}) {
-          sim.After(at, [&cfs] {
-            cfs.coord().frontend().AdminForceReleaseLock(0);
-          });
+          sim.After(at, [&cfs] { cfs.faults().ForceLockRelease(0); });
         }
       }};
 
@@ -143,23 +141,19 @@ int main() {
       "sessions expire, a surviving standby takes over; when re-plugged the "
       "isolated servers re-register and are renewed to standbys.",
       [](sim::Simulator& sim, cluster::CfsCluster& cfs) {
-        auto& net = cfs.network();
-        sim.After(60 * kSecond, [&net, &cfs] {
-          net.SetLinkUp(cfs.mds(0, 0).id(), false);
-          net.SetLinkUp(cfs.mds(0, 1).id(), false);
-        });
-        sim.After(100 * kSecond, [&net, &cfs] {
-          net.SetLinkUp(cfs.mds(0, 0).id(), true);
-          net.SetLinkUp(cfs.mds(0, 1).id(), true);
-        });
-        sim.After(150 * kSecond, [&net, &cfs] {
-          net.SetLinkUp(cfs.mds(0, 2).id(), false);
-          net.SetLinkUp(cfs.mds(0, 3).id(), false);
-        });
-        sim.After(190 * kSecond, [&net, &cfs] {
-          net.SetLinkUp(cfs.mds(0, 2).id(), true);
-          net.SetLinkUp(cfs.mds(0, 3).id(), true);
-        });
+        // Members `first` and `first + 1` are out from `at` for 40 s.
+        auto pull_pair = [&sim, &cfs](SimTime at, int first) {
+          sim.After(at, [&cfs, first] {
+            cfs.faults().Unplug(cfs.mds(0, first).id());
+            cfs.faults().Unplug(cfs.mds(0, first + 1).id());
+          });
+          sim.After(at + 40 * kSecond, [&cfs, first] {
+            cfs.faults().Replug(cfs.mds(0, first).id());
+            cfs.faults().Replug(cfs.mds(0, first + 1).id());
+          });
+        };
+        pull_pair(60 * kSecond, 0);
+        pull_pair(150 * kSecond, 2);
       }};
 
   // Test C: kill processes and restart them later.
@@ -169,18 +163,9 @@ int main() {
       "as junior, renewed to standby); the new active is killed at 140 s "
       "and restarted at 155 s.",
       [](sim::Simulator& sim, cluster::CfsCluster& cfs) {
-        sim.After(60 * kSecond, [&cfs] {
-          if (auto* a = cfs.FindActive(0)) {
-            a->Crash();
-            a->Restart(15 * kSecond);
-          }
-        });
-        sim.After(140 * kSecond, [&cfs] {
-          if (auto* a = cfs.FindActive(0)) {
-            a->Crash();
-            a->Restart(15 * kSecond);
-          }
-        });
+        for (SimTime at : {60 * kSecond, 140 * kSecond}) {
+          sim.After(at, [&cfs] { cfs.faults().CrashActive(0, 15 * kSecond); });
+        }
       }};
 
   for (const auto& s : {test_a, test_b, test_c}) {

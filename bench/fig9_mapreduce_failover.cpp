@@ -54,7 +54,7 @@ JobResult RunCfs(std::uint64_t seed, bool inject_failure) {
     job.Run([&] { finished = true; });
     if (inject_failure) {
       sim.After(kFailAt, [&cfs, input_group] {
-        if (auto* active = cfs.FindActive(input_group)) active->Crash();
+        cfs.faults().CrashActive(input_group);
       });
     }
   });

@@ -71,9 +71,7 @@ double MamsTrial(int image_mb, std::uint64_t seed) {
 
   return MeasureMttr(
       sim, [&] { return workload::MakeApi(cfs.client(0)); },
-      [&] {
-        if (auto* active = cfs.FindActive(0)) active->Crash();
-      },
+      [&] { cfs.faults().CrashActive(0); },
       seed);
 }
 

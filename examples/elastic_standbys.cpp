@@ -65,8 +65,8 @@ int main() {
 
   // The grown group now survives a double failure.
   std::printf("\nkilling the active AND the original standby...\n");
-  cfs.FindActive(0)->Crash();
-  cfs.mds(0, 1).Crash();
+  cfs.faults().CrashActive(0);
+  cfs.faults().Crash(cfs.mds(0, 1));
   sim.RunUntil(sim.Now() + 12 * kSecond);
   auto* active = cfs.FindActive(0);
   std::printf("survivor elected: %s; view = [%s]\n",

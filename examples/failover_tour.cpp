@@ -71,7 +71,7 @@ int main() {
               [](sim::Simulator& sim, cluster::CfsCluster& cfs) {
                 sim.After(2 * kSecond, [&cfs] {
                   std::printf("  >> forcing lock release (global view edit)\n");
-                  cfs.coord().frontend().AdminForceReleaseLock(0);
+                  cfs.faults().ForceLockRelease(0);
                 });
               });
 
@@ -79,12 +79,12 @@ int main() {
               [](sim::Simulator& sim, cluster::CfsCluster& cfs) {
                 sim.After(2 * kSecond, [&sim, &cfs] {
                   std::printf("  >> unplugging active + one standby\n");
-                  cfs.network().SetLinkUp(cfs.mds(0, 0).id(), false);
-                  cfs.network().SetLinkUp(cfs.mds(0, 1).id(), false);
+                  cfs.faults().Unplug(cfs.mds(0, 0).id());
+                  cfs.faults().Unplug(cfs.mds(0, 1).id());
                   sim.After(20 * kSecond, [&cfs] {
                     std::printf("  >> plugging both back\n");
-                    cfs.network().SetLinkUp(cfs.mds(0, 0).id(), true);
-                    cfs.network().SetLinkUp(cfs.mds(0, 1).id(), true);
+                    cfs.faults().Replug(cfs.mds(0, 0).id());
+                    cfs.faults().Replug(cfs.mds(0, 1).id());
                   });
                 });
               });
@@ -93,9 +93,8 @@ int main() {
               [](sim::Simulator& sim, cluster::CfsCluster& cfs) {
                 sim.After(2 * kSecond, [&cfs] {
                   std::printf("  >> kill -9 the active\n");
-                  auto* active = cfs.FindActive(0);
-                  active->Crash();
-                  active->Restart(15 * kSecond);  // ops restarts it later
+                  // ops restarts it 15 s later
+                  cfs.faults().CrashActive(0, 15 * kSecond);
                 });
               });
   return 0;

@@ -39,7 +39,7 @@ double RunJob(bool inject_failure) {
     if (inject_failure) {
       sim.After(30 * kSecond, [&cfs] {
         std::printf("  >> active of group 0 crashes at t+30s\n");
-        if (auto* active = cfs.FindActive(0)) active->Crash();
+        cfs.faults().CrashActive(0);
       });
     }
   });

@@ -72,7 +72,7 @@ int main() {
   core::MdsServer* active = cfs.FindActive(0);
   std::printf("\ncrashing the active (%s) at t=%s...\n",
               active->name().c_str(), FormatTime(sim.Now()).c_str());
-  active->Crash();
+  cfs.faults().Crash(*active);
 
   // 5. The next operation spans the failover: the client library retries,
   //    reconnects to the new active, and the op succeeds — transparently.
@@ -94,7 +94,7 @@ int main() {
 
   // 6. The crashed server can come back: it rejoins as a junior and the
   //    renewing protocol upgrades it to a hot standby again.
-  active->Restart();
+  cfs.faults().Restart(*active);
   sim.RunUntil(sim.Now() + 20 * kSecond);
   std::printf("after restart + renewing: %s role = %s, view = [%s]\n",
               active->name().c_str(), ServerStateName(active->role()),

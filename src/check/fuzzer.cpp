@@ -7,7 +7,6 @@
 #include "cluster/cfs.hpp"
 #include "common/rng.hpp"
 #include "fsns/path.hpp"
-#include "net/fault.hpp"
 #include "net/network.hpp"
 #include "shard/partition_map.hpp"
 #include "sim/simulator.hpp"
@@ -373,7 +372,6 @@ struct ClientScript : std::enable_shared_from_this<ClientScript> {
 RunResult RunSpecOnce(const RunSpec& spec) {
   sim::Simulator sim(spec.seed);
   net::Network net(sim);
-  net::FaultInjector inject(net);
 
   cluster::CfsConfig cfg;
   const int groups = std::max(1, spec.groups);
@@ -427,28 +425,25 @@ RunResult RunSpecOnce(const RunSpec& spec) {
   // Fault schedule.
   const int members = 1 + spec.standbys;
   for (const FaultAction& f : spec.faults) {
-    sim.At(f.at, [&cfs, &inject, &result, f, members, groups] {
+    sim.At(f.at, [&cfs, &result, f, members, groups] {
       const GroupId fg = static_cast<GroupId>((f.target / members) % groups);
+      cluster::Faults& faults = cfs.faults();
       switch (f.kind) {
         case FaultAction::Kind::kCutMember:
-          inject.CutLinkFor(cfs.mds(fg, f.target % members).id(), f.duration);
+          faults.Unplug(cfs.mds(fg, f.target % members).id(), f.duration);
           break;
         case FaultAction::Kind::kCrashMember:
-          net::FaultInjector::CrashFor(cfs.mds(fg, f.target % members),
-                                       f.duration);
+          faults.Crash(cfs.mds(fg, f.target % members), f.duration);
           break;
         case FaultAction::Kind::kCrashActive:
-          if (core::MdsServer* active =
-                  cfs.FindActive(static_cast<GroupId>(f.target % groups))) {
-            net::FaultInjector::CrashFor(*active, f.duration);
-          }
+          faults.CrashActive(static_cast<GroupId>(f.target % groups),
+                             f.duration);
           break;
         case FaultAction::Kind::kCrashPool:
-          net::FaultInjector::CrashFor(cfs.pool_node(f.target % members),
-                                       f.duration);
+          faults.Crash(cfs.pool_node(f.target % members), f.duration);
           break;
         case FaultAction::Kind::kJitterBurst:
-          inject.JitterBurst(f.param, f.duration);
+          faults.Jitter(f.param, f.duration);
           break;
         case FaultAction::Kind::kMigrateSlot:
           // Best effort: the owning active may be down or mid-failover
@@ -473,22 +468,10 @@ RunResult RunSpecOnce(const RunSpec& spec) {
     });
   }
 
-  // Heal everything after the op/fault phase and force any still-dead
-  // process back up, so the audit runs against a fully recovered cluster.
+  // Heal everything after the op/fault phase and boot every dead process
+  // (retirees too), so the audit runs against a fully recovered cluster.
   const SimTime heal_at = spec.warmup + spec.run_for;
-  sim.At(heal_at, [&cfs, &inject, members, groups] {
-    inject.HealEverything();
-    // Members(g) covers elastic additions and retirees too, not just the
-    // configured membership.
-    for (int g = 0; g < groups; ++g) {
-      for (const auto& mi : cfs.Members(static_cast<GroupId>(g))) {
-        if (!mi.server->alive()) mi.server->Restart(0);
-      }
-    }
-    for (int m = 0; m < members; ++m) {
-      if (!cfs.pool_node(m).alive()) cfs.pool_node(m).Restart(0);
-    }
-  });
+  sim.At(heal_at, [&cfs] { cfs.faults().Heal(); });
 
   // Audit reads: after the quiesce window, stat every path the workload
   // ever touched. These are ordinary recorded history events — the
@@ -529,22 +512,16 @@ RunResult RunSpecOnce(const RunSpec& spec) {
 
   // Replica-divergence audit: at quiescence every standby must hold its
   // group active's exact namespace (same criterion the chaos tests use).
-  for (int g = 0; g < groups; ++g) {
-    core::MdsServer* active = cfs.FindActive(static_cast<GroupId>(g));
-    if (active == nullptr) continue;
-    const std::uint64_t want = active->tree().Fingerprint();
-    for (const auto& mi : cfs.Members(static_cast<GroupId>(g))) {
-      core::MdsServer& mds = *mi.server;
-      if (&mds == active || mi.role != ServerState::kStandby) continue;
-      if (mds.tree().Fingerprint() != want) {
-        result.violations.push_back(
-            {Violation::Type::kReplicaDivergence,
-             mds.name() + " fingerprint differs from active " +
-                 active->name() + " after quiesce (sn " +
-                 std::to_string(mds.last_sn()) + " vs " +
-                 std::to_string(active->last_sn()) + ")",
-             {}});
-      }
+  for (GroupId g = 0; g < static_cast<GroupId>(groups); ++g) {
+    for (core::MdsServer* mds : cfs.DivergedStandbys(g)) {
+      const core::MdsServer& active = *cfs.FindActive(g);
+      result.violations.push_back(
+          {Violation::Type::kReplicaDivergence,
+           mds->name() + " fingerprint differs from active " +
+               active.name() + " after quiesce (sn " +
+               std::to_string(mds->last_sn()) + " vs " +
+               std::to_string(active.last_sn()) + ")",
+           {}});
     }
   }
 

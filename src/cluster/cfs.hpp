@@ -17,6 +17,7 @@
 
 #include "cluster/client.hpp"
 #include "cluster/data_server.hpp"
+#include "cluster/faults.hpp"
 #include "coord/service.hpp"
 #include "core/failover_trace.hpp"
 #include "core/mds_server.hpp"
@@ -133,7 +134,6 @@ class CfsCluster {
   }
 
   // --- accessors ---------------------------------------------------------
-  net::Network& network() noexcept { return network_; }
   const CfsConfig& config() const noexcept { return config_; }
   coord::CoordEnsemble& coord() noexcept { return coord_; }
   core::GroupDirectory& directory() noexcept { return directory_; }
@@ -144,6 +144,13 @@ class CfsCluster {
   int client_count() const { return static_cast<int>(clients_.size()); }
   DataServer& data_server(int i) { return *data_servers_[i]; }
   storage::PoolNode& pool_node(int i) { return *pool_[i]; }
+  int pool_node_count() const { return static_cast<int>(pool_.size()); }
+  /// The pool node co-hosted with configured member `member` of group g.
+  storage::PoolNode& pool_node(GroupId g, int member) {
+    return *pool_[g * (pool_.size() / config_.groups) + member];
+  }
+  /// The one way to inject a fault into this cluster (cluster/faults.hpp).
+  Faults& faults() noexcept { return faults_; }
 
   /// The member currently acting as group g's active, or null mid-failover.
   /// Trusts the coordination view: a partitioned ex-active may still
@@ -157,6 +164,22 @@ class CfsCluster {
       fallback = mds.get();
     }
     return in_view == kInvalidNode ? fallback : nullptr;
+  }
+
+  /// The convergence audit: group g's alive standbys whose namespace
+  /// differs from its active's. Empty when the group has no active.
+  std::vector<core::MdsServer*> DivergedStandbys(GroupId g) {
+    std::vector<core::MdsServer*> out;
+    const core::MdsServer* active = FindActive(g);
+    if (active == nullptr) return out;
+    const std::uint64_t want = active->tree().Fingerprint();
+    for (const auto& m : Members(g)) {
+      if (m.role == ServerState::kStandby &&
+          m.server->tree().Fingerprint() != want) {
+        out.push_back(m.server);
+      }
+    }
+    return out;
   }
 
   // --- membership API -----------------------------------------------------
@@ -451,6 +474,7 @@ class CfsCluster {
   std::vector<std::vector<std::unique_ptr<core::MdsServer>>> groups_;
   std::vector<std::unique_ptr<DataServer>> data_servers_;
   std::vector<std::unique_ptr<FsClient>> clients_;
+  Faults faults_{*this, network_};
 
   // Probe bookkeeping (see InstallProbes).
   std::vector<obs::ProbeId> probe_ids_;

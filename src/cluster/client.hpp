@@ -210,14 +210,9 @@ class FsClient : public net::Host {
   }
 
   struct Counters {
-    std::uint64_t ops_ok = 0;
-    std::uint64_t ops_failed = 0;
-    std::uint64_t retries = 0;
-    std::uint64_t reconnects = 0;
     std::uint64_t reads_offloaded = 0;   ///< read attempts sent to a standby
     std::uint64_t read_bounces = 0;      ///< standby declined (behind floor)
     std::uint64_t read_fallbacks = 0;    ///< standby unresponsive/unavailable
-    std::uint64_t stale_epoch_rejections = 0;  ///< deposed-replica replies
     std::uint64_t shard_bounces = 0;     ///< re-routed after a map update
     // Lease-protected namespace cache.
     std::uint64_t cache_hits = 0;        ///< reads served locally
@@ -369,7 +364,6 @@ class FsClient : public net::Host {
           if (!r.ok()) {
             // Timeout: the active may be gone. Re-resolve and resend.
             InvalidateActive(state->group, target);
-            ++counters_.retries;
             ++state->attempts;
             Resolve(state);
             return;
@@ -388,7 +382,6 @@ class FsClient : public net::Host {
             // "not active" — the group is failing over, or the cached
             // active was deposed and answers as a standby now.
             InvalidateActive(state->group, target);
-            ++counters_.retries;
             ++state->attempts;
             Resolve(state);
             return;
@@ -404,7 +397,6 @@ class FsClient : public net::Host {
                            Result<net::MessagePtr> r) {
     auto fall_back = [this, state] {
       state->force_active = true;
-      ++counters_.retries;
       ++state->attempts;
       Attempt(state);
     };
@@ -421,7 +413,6 @@ class FsClient : public net::Host {
       // Deposed or renewing replica: its view predates what this client
       // already learned from the coordination service. Its answer may be
       // arbitrarily stale; drop it.
-      ++counters_.stale_epoch_rejections;
       fall_back();
       return;
     }
@@ -449,7 +440,6 @@ class FsClient : public net::Host {
   void OnShardBounce(const std::shared_ptr<OpState>& state,
                      const core::ClientResponseMsg& resp) {
     ++counters_.shard_bounces;
-    ++counters_.retries;
     ++state->attempts;
     bool newer = false;
     if (resp.map_epoch > map_.epoch()) {
@@ -732,7 +722,6 @@ class FsClient : public net::Host {
           targets.standbys = view.Standbys();
           targets.epoch = std::max(targets.epoch, view.fence_token);
           if (fresh) {
-            ++counters_.reconnects;
             // Latency-model charge for TCP + session setup on a fresh
             // connection — not a retry timer.
             AfterLocal(kReconnectCost,
@@ -744,11 +733,6 @@ class FsClient : public net::Host {
   }
 
   void Finish(const std::shared_ptr<OpState>& state, Result<RespPtr> result) {
-    if (result.ok() && result.value()->ok) {
-      ++counters_.ops_ok;
-    } else {
-      ++counters_.ops_failed;
-    }
     last_stamp_ = OpStamp{};
     last_stamp_.min_sn = state->request->min_sn;
     if (result.ok()) {

@@ -331,16 +331,14 @@ Result<core::MdsServer*> ScenarioRunner::Member(const std::string& g,
 
 Result<storage::PoolNode*> ScenarioRunner::PoolOf(const std::string& g,
                                                   const std::string& m) {
-  // Pool nodes are allocated one per initially-configured metadata node,
-  // co-hosted in construction order: group-major, member-minor.
-  const auto& cfg = cluster_->config();
-  const int members = 1 + cfg.standbys_per_group + cfg.juniors_per_group;
+  // One pool node per initially configured metadata node.
   auto group = Group(g);
   if (!group.ok()) return group.status();
-  auto member = ParseIndex(m, members, "pool member");
+  auto member = ParseIndex(
+      m, cluster_->pool_node_count() / cluster_->config().groups,
+      "pool member");
   if (!member.ok()) return member.status();
-  return &cluster_->pool_node(static_cast<int>(group.value()) * members +
-                              member.value());
+  return &cluster_->pool_node(group.value(), member.value());
 }
 
 Status ScenarioRunner::CmdCluster(const Args& args) {
@@ -437,44 +435,36 @@ Status ScenarioRunner::CmdClientOp(const std::string& op, const Args& args) {
 Status ScenarioRunner::CmdCrashActive(const Args& args) {
   auto g = Group(args[0]);
   if (!g.ok()) return g.status();
-  core::MdsServer* active = cluster_->FindActive(g.value());
-  if (active == nullptr) {
+  if (core::MdsServer* victim = cluster_->faults().CrashActive(g.value())) {
+    Note("crashing " + victim->name());
+  } else {
     Fail("crash-active: group " + args[0] + " has no active");
-    return Status::Ok();
   }
-  Note("crashing " + active->name());
-  active->Crash();
   return Status::Ok();
 }
 
 Status ScenarioRunner::CmdCrash(const Args& args, bool restart) {
   auto mds = Member(args[0], args[1]);
   if (!mds.ok()) return mds.status();
-  if (restart) {
-    mds.value()->Restart();
-  } else {
-    mds.value()->Crash();
-  }
+  Faults& faults = cluster_->faults();
+  restart ? faults.Restart(*mds.value()) : faults.Crash(*mds.value());
   return Status::Ok();
 }
 
 Status ScenarioRunner::CmdCrashPool(const Args& args, bool restart) {
   auto pool = PoolOf(args[0], args[1]);
   if (!pool.ok()) return pool.status();
-  if (restart) {
-    pool.value()->Restart();
-    Note("restarted " + pool.value()->name());
-  } else {
-    pool.value()->Crash();
-    Note("crashed " + pool.value()->name());
-  }
+  Faults& faults = cluster_->faults();
+  restart ? faults.Restart(*pool.value()) : faults.Crash(*pool.value());
+  Note((restart ? "restarted " : "crashed ") + pool.value()->name());
   return Status::Ok();
 }
 
 Status ScenarioRunner::CmdUnplug(const Args& args, bool up) {
   auto mds = Member(args[0], args[1]);
   if (!mds.ok()) return mds.status();
-  cluster_->network().SetLinkUp(mds.value()->id(), up);
+  Faults& faults = cluster_->faults();
+  up ? faults.Replug(mds.value()->id()) : faults.Unplug(mds.value()->id());
   Note(std::string(up ? "replug " : "unplug ") + mds.value()->name());
   return Status::Ok();
 }
@@ -482,7 +472,7 @@ Status ScenarioRunner::CmdUnplug(const Args& args, bool up) {
 Status ScenarioRunner::CmdForceLockRelease(const Args& args) {
   auto g = Group(args[0]);
   if (!g.ok()) return g.status();
-  cluster_->coord().frontend().AdminForceReleaseLock(g.value());
+  cluster_->faults().ForceLockRelease(g.value());
   return Status::Ok();
 }
 
@@ -540,20 +530,14 @@ Status ScenarioRunner::CmdExpectConverged(const Args& args) {
   auto g = Group(args[0]);
   if (!g.ok()) return g.status();
   const GroupId group = g.value();
-  core::MdsServer* active = cluster_->FindActive(group);
-  if (active == nullptr) {
+  if (cluster_->FindActive(group) == nullptr) {
     Fail("expect-converged: group " + args[0] + " has no active");
     return Status::Ok();
   }
   // Standbys may still be applying in-flight batches; give them a moment.
-  const bool ok = PumpUntil([this, group, active] {
-    for (const auto& m : cluster_->Members(group)) {
-      if (m.server == active || m.role != ServerState::kStandby) continue;
-      if (m.server->tree().Fingerprint() != active->tree().Fingerprint()) {
-        return false;
-      }
-    }
-    return true;
+  const bool ok = PumpUntil([this, group] {
+    return cluster_->FindActive(group) != nullptr &&
+           cluster_->DivergedStandbys(group).empty();
   });
   if (!ok) Fail("expect-converged: group " + args[0] + " diverged");
   return Status::Ok();

@@ -70,8 +70,6 @@ class ScenarioRunner {
 
   /// The cluster under test (valid after a `cluster` command ran).
   CfsCluster* cluster() noexcept { return cluster_.get(); }
-  sim::Simulator* simulator() noexcept { return sim_.get(); }
-  net::Network* network() noexcept { return net_.get(); }
 
   std::uint64_t ops_ok() const noexcept { return ops_ok_; }
   std::uint64_t ops_failed() const noexcept { return ops_failed_; }

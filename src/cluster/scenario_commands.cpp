@@ -107,7 +107,7 @@ Status ScenarioRunner::CmdSlowDisk(const Args& args) {
     if (!x.ok()) return x.status();
     factor = x.value();
   }
-  pool.value()->SetDiskSlowdown(factor);
+  cluster_->faults().SlowDisk(*pool.value(), factor);
   Note("slow-disk " + pool.value()->name() + " x" + std::to_string(factor));
   return Status::Ok();
 }
@@ -116,14 +116,13 @@ Status ScenarioRunner::CmdAsymmetry(const Args& args) {
   auto mds = Member(args[0], args[1]);
   if (!mds.ok()) return mds.status();
   const NodeId id = mds.value()->id();
-  net::Network& net = cluster_->network();
+  Faults& faults = cluster_->faults();
   if (args[2] == "out") {
-    net.SetSendUp(id, false);  // hears the world, cannot answer
+    faults.CutHalf(id, Faults::Half::kOut);
   } else if (args[2] == "in") {
-    net.SetRecvUp(id, false);
+    faults.CutHalf(id, Faults::Half::kIn);
   } else if (args[2] == "off") {
-    net.SetSendUp(id, true);
-    net.SetRecvUp(id, true);
+    faults.RestoreHalves(id);
   } else {
     return Status::InvalidArgument("expected in, out or off, got " + args[2]);
   }

@@ -241,9 +241,11 @@ void CoordService::DoTryLock(const net::Envelope&, const CoordRequestMsg& req,
   }
   const GroupView& view = machine_.view(req.group);
   if (view.lock_holder != kInvalidNode) {
+    // A bid from the holder itself is a retry whose grant reply was lost:
+    // grant it again with the fence it already holds.
     auto out = std::make_shared<CoordResponseMsg>();
     out->ok = true;
-    out->lock_granted = false;
+    out->lock_granted = view.lock_holder == s->node;
     out->lock_holder = view.lock_holder;
     out->fence_token = view.fence_token;
     out->view = view;

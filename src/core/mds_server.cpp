@@ -454,7 +454,7 @@ void MdsServer::HandleJournalPrepare(const net::Envelope& env,
   // the split-brain/lost-ack anomalies fencing exists to prevent.
   if (options_.mutation != Mutation::kNoFencing &&
       req.fence < view_.fence_token) {
-    Bump(counters_.fenced_rejections, m_.fenced_rejections);
+    m_.fenced_rejections->Add();
     obs_->tracer().Instant(
         "mds", "fenced_rejection", id(), options_.group,
         {{"stale_fence", static_cast<std::uint64_t>(req.fence)},
@@ -500,7 +500,7 @@ void MdsServer::HandleJournalPrepare(const net::Envelope& env,
         (void)tree_.Apply(rec);
       }
     }
-    Bump(counters_.duplicate_batches, m_.duplicate_batches);
+    m_.duplicate_batches->Add();
     answer();
     return;
   }

@@ -134,15 +134,8 @@ class MdsServer : public net::Host {
     std::uint64_t reads = 0;
     std::uint64_t batches_synced = 0;
     std::uint64_t batches_applied = 0;
-    std::uint64_t duplicate_batches = 0;
-    std::uint64_t elections_won = 0;
-    std::uint64_t elections_lost = 0;
-    std::uint64_t renews_completed = 0;
-    std::uint64_t fenced_rejections = 0;
-    std::uint64_t buffered_during_upgrade = 0;
     std::uint64_t standby_reads_served = 0;
     std::uint64_t standby_reads_parked = 0;
-    std::uint64_t standby_reads_bounced = 0;
     std::uint64_t shard_bounces = 0;
     /// Client-cache directory leases (active side).
     std::uint64_t leases_granted = 0;
@@ -159,9 +152,7 @@ class MdsServer : public net::Host {
     /// Batches whose oldest record waited before its seal: for a 2PC
     /// window slot, or for the CPU to drain (CommitPath::SealIfSlotFree).
     std::uint64_t pipeline_deferred = 0;
-    std::uint64_t migrations_started = 0;
     std::uint64_t migrations_completed = 0;
-    std::uint64_t migrations_aborted = 0;
     std::uint64_t cross_group_renames = 0;
   };
   const Counters& counters() const noexcept { return counters_; }

@@ -111,8 +111,7 @@ void ReadService::ServeStandbyRead(const RequestPtr& req,
 }
 
 void ReadService::BounceRead(const ReplyFn& reply, const char* why) {
-  Bump(s_.mutable_counters().standby_reads_bounced,
-       s_.m().standby_reads_bounced);
+  s_.m().standby_reads_bounced->Add();
   auto out = s_.StatusReply(Status::Unavailable(why));
   out->bounced = true;
   reply(out);

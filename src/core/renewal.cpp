@@ -81,7 +81,7 @@ void Renewal::HandleProgress(const net::Envelope& env,
       s_.group(), junior, ServerState::kStandby, s_.fence(),
       [this, junior](Result<coord::GroupView> r) {
         if (!r.ok()) return;
-        Bump(s_.mutable_counters().renews_completed, s_.m().renews_completed);
+        s_.m().renews_completed->Add();
         s_.sim().obs().tracer().Instant("renew", "junior_promoted", junior,
                                         s_.group());
         if (target_ == junior) target_ = kInvalidNode;

@@ -286,7 +286,6 @@ Status ShardEngine::StartMigration(std::uint32_t slot, GroupId dst) {
       sh.inbound.contains(slot)) {
     return Status::FailedPrecondition("migration already in flight");
   }
-  ++s_.mutable_counters().migrations_started;
   MigrationDrive& d = drives_[slot];
   d.dst = dst;
   d.stats.slot = slot;
@@ -303,7 +302,6 @@ Status ShardEngine::StartMigration(std::uint32_t slot, GroupId dst) {
         auto it = drives_.find(slot);
         if (it == drives_.end()) return;
         if (!ok) {
-          ++s_.mutable_counters().migrations_aborted;
           it->second.stats.aborted = true;
           stats_.push_back(it->second.stats);
           drives_.erase(it);
@@ -597,7 +595,6 @@ void ShardEngine::AbortOutbound(std::uint32_t slot) {
   rec.mtime = s_.sim().Now();
   JournalShardRecord(std::move(rec), [this, slot, mid, dst](bool ok) {
     if (!ok) return;
-    ++s_.mutable_counters().migrations_aborted;
     // Best effort: the destination's watchdog queries us and learns the
     // abort from our journal history even if this never gets through.
     auto msg = LegMsg<ShardControlMsg>(s_.group(), slot, mid);

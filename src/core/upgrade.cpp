@@ -59,8 +59,7 @@ void Upgrade::EndSpans(bool ok) {
 }
 
 void Upgrade::Buffer(RequestPtr req, ReplyFn reply) {
-  Bump(s_.mutable_counters().buffered_during_upgrade,
-       s_.m().buffered_during_upgrade);
+  s_.m().buffered_during_upgrade->Add();
   buffered_.emplace_back(std::move(req), std::move(reply));
 }
 
@@ -89,7 +88,7 @@ void Upgrade::BidForLock() {
         if (r.value().granted) {
           s_.set_fence(r.value().fence);
           trace_.lock_granted = s_.sim().Now();
-          Bump(s_.mutable_counters().elections_won, s_.m().elections_won);
+          s_.m().elections_won->Add();
           tracer.End(election_span_,
                      {{"won", "true"},
                       {"fence", static_cast<std::uint64_t>(s_.fence())}});
@@ -104,7 +103,7 @@ void Upgrade::BidForLock() {
         }
         // Someone else won; they will upgrade. Stop competing (the
         // coordination events notify us of the outcome).
-        Bump(s_.mutable_counters().elections_lost, s_.m().elections_lost);
+        s_.m().elections_lost->Add();
         tracer.End(election_span_, {{"won", "false"}});
         s_.EndUpgrade();
       });

@@ -118,7 +118,7 @@ class Network {
 
   /// Additional queueing noise applied on top of LinkParams::jitter to
   /// every non-loopback message until reset to 0 — a clock-independent
-  /// delivery-jitter fault (congested switch), injected by net::FaultInjector.
+  /// delivery-jitter fault (congested switch).
   void set_extra_jitter(SimTime extra) noexcept {
     extra_jitter_ = extra < 0 ? 0 : extra;
   }

@@ -61,18 +61,17 @@ TEST_P(ChaosTest, LinkFlapStormConvergesWithoutLoss) {
   }
   for (int round = 0; round < 4; ++round) {
     const NodeId victim = mds_ids[rng.Below(mds_ids.size())];
-    net.SetLinkUp(victim, false);
+    cfs.faults().Unplug(victim);
     sim.RunUntil(sim.Now() + static_cast<SimTime>(
                                  rng.Range(2, 8)) * kSecond);
-    net.SetLinkUp(victim, true);
+    cfs.faults().Replug(victim);
     sim.RunUntil(sim.Now() + static_cast<SimTime>(
                                  rng.Range(1, 4)) * kSecond);
     write_some(2);
   }
 
   // Heal everything and let the renewing protocol finish.
-  for (NodeId id : mds_ids) net.SetLinkUp(id, true);
-  net.HealAll();
+  cfs.faults().Heal();
   sim.RunUntil(sim.Now() + 40 * kSecond);
 
   // Convergence: exactly one live active holding the lock.
@@ -94,14 +93,10 @@ TEST_P(ChaosTest, LinkFlapStormConvergesWithoutLoss) {
   }
 
   // Every live standby converged to the active's namespace.
-  for (std::size_t m = 0; m < cfs.group_size(0); ++m) {
-    auto& mds = cfs.mds(0, static_cast<int>(m));
-    if (&mds == active || !mds.alive() ||
-        mds.role() != ServerState::kStandby) {
-      continue;
-    }
-    EXPECT_EQ(mds.tree().Fingerprint(), active->tree().Fingerprint())
-        << mds.name() << " seed " << seed;
+  ASSERT_EQ(cfs.FindActive(0), active) << "seed " << seed;
+  for (const core::MdsServer* mds : cfs.DivergedStandbys(0)) {
+    ADD_FAILURE() << mds->name() << " diverged from the active, seed "
+                  << seed;
   }
 
   // The cluster's invariant probes watched every view/role flip during the
@@ -142,13 +137,12 @@ TEST_P(PoolChaosTest, PoolNodeFailuresDontBlockRenewal) {
     ASSERT_TRUE(testutil::WaitFor(sim, [&] { return done; }, 30 * kSecond,
                                   50 * kMillisecond));
   }
-  cfs.pool_node(static_cast<int>(seed % 3)).Crash();
+  cfs.faults().Crash(cfs.pool_node(static_cast<int>(seed % 3)));
 
   // Restart a standby; its renewal must still complete via the surviving
   // SSP replica (reads fail over) or the active's direct journal fetch.
   auto& victim = cfs.mds(0, 1);
-  victim.Crash();
-  victim.Restart(kSecond);
+  cfs.faults().Crash(victim, kSecond);
   sim.RunUntil(sim.Now() + 60 * kSecond);
   EXPECT_EQ(victim.role(), ServerState::kStandby) << "seed " << seed;
   EXPECT_EQ(victim.tree().Fingerprint(),

@@ -191,7 +191,7 @@ TEST_F(ClientCacheTest, RevocationReachesHolderWithoutTheCoordinationService) {
   ASSERT_NE(active, nullptr);
 
   const NodeId coord = cluster_->coord().frontend_id();
-  net_->SetLinkUp(coord, false);
+  cluster_->faults().Unplug(coord);
   const SimTime start = sim_->Now();
   SimTime finished = 0;
   Status created = Status::TimedOut("no reply");
@@ -200,7 +200,7 @@ TEST_F(ClientCacheTest, RevocationReachesHolderWithoutTheCoordinationService) {
     finished = sim_->Now();  // WaitFor below steps in 100 ms
   });
   testutil::WaitFor(*sim_, [&] { return finished != 0; }, 5 * kSecond);
-  net_->SetLinkUp(coord, true);
+  cluster_->faults().Replug(coord);
 
   ASSERT_TRUE(created.ok()) << created.ToString();
   EXPECT_LT(finished - start, 50 * kMillisecond);
@@ -456,7 +456,7 @@ TEST_F(ClientCacheTest, MigrationActivationWaitsOnTheCutoverLeaseBarrier) {
                                   kMillisecond));
     const SimTime after = sim_->Now();
     const auto revocations = holder.counters().cache_revocations;
-    if (partitioned) net_->SetLinkUp(holder.id(), false);
+    if (partitioned) cluster_->faults().Unplug(holder.id());
 
     core::MdsServer* src = cluster_->FindActive(0);
     core::MdsServer* dst = cluster_->FindActive(1);
@@ -473,7 +473,7 @@ TEST_F(ClientCacheTest, MigrationActivationWaitsOnTheCutoverLeaseBarrier) {
       EXPECT_GE(activated, before + ttl);
       EXPECT_LE(activated, after + ttl + 5 * kMillisecond);
       EXPECT_EQ(src->counters().lease_barrier_expiries, 1u);
-      net_->SetLinkUp(holder.id(), true);
+      cluster_->faults().Replug(holder.id());
     } else {
       // The holder's ack releases the barrier; no TTL wait.
       EXPECT_LT(activated, before + ttl);

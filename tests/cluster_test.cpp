@@ -257,7 +257,7 @@ TEST_F(ClusterTest, LockLossForcesStepDownAndNewElection) {
   core::MdsServer* old_active = cluster_->FindActive(0);
   ASSERT_NE(old_active, nullptr);
 
-  cluster_->coord().frontend().AdminForceReleaseLock(0);
+  cluster_->faults().ForceLockRelease(0);
   Run(5 * kSecond);
 
   core::MdsServer* new_active = cluster_->FindActive(0);
@@ -341,13 +341,13 @@ TEST_F(ClusterTest, DemoteOnlyWhenDrainedAndNeverTheActive) {
     }
   }
   ASSERT_NE(lagging, nullptr);
-  net_->SetLinkUp(lagging->id(), false);
+  cluster_->faults().Unplug(lagging->id());
   ASSERT_TRUE(CreateFile("/after/cut1").ok());
   ASSERT_TRUE(CreateFile("/after/cut2").ok());
   pick = cluster_->PickDemotable(0);
   ASSERT_NE(pick, nullptr);
   EXPECT_NE(pick->id(), lagging->id());
-  net_->SetLinkUp(lagging->id(), true);
+  cluster_->faults().Replug(lagging->id());
 }
 
 TEST_F(ClusterTest, BlockReportsReachActiveAndStandbys) {
@@ -573,7 +573,7 @@ TEST_F(ClusterTest, DeposedActiveServingAsStandbyDoesNotAnswerActiveReads) {
 
   // Depose it; it rejoins as a standby that serves reads, while the idle
   // client still names it the group's active.
-  cluster_->coord().frontend().AdminForceReleaseLock(0);
+  cluster_->faults().ForceLockRelease(0);
   Run(25 * kSecond);
   ASSERT_EQ(old_active->role(), ServerState::kStandby);
   core::MdsServer* new_active = cluster_->FindActive(0);

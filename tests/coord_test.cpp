@@ -195,6 +195,43 @@ TEST_F(CoordTest, LockDeniedWhileHeld) {
   EXPECT_EQ(holder, members_[0]->id());
 }
 
+// An election winner whose grant reply was lost bids again. The service must
+// grant that re-bid with the fence the winner already holds; denying it makes
+// the winner give up the election while holding the lock, and the group stays
+// headless (nobody else bids while the lock is held).
+TEST_F(CoordTest, HolderRebidIsGrantedWithItsFence) {
+  Join(0, ServerState::kStandby);
+  Join(1, ServerState::kStandby);
+  FenceToken first = 0;
+  members_[0]->client().TryLock(0, 5, 0, [&](Result<CoordClient::LockResult> r) {
+    ASSERT_TRUE(r.ok());
+    ASSERT_TRUE(r.value().granted);
+    first = r.value().fence;
+  });
+  sim_.RunUntil(sim_.Now() + kSecond);
+  ASSERT_GT(first, 0u);
+
+  bool regranted = false;
+  FenceToken again = 0;
+  members_[0]->client().TryLock(0, 7, 0, [&](Result<CoordClient::LockResult> r) {
+    ASSERT_TRUE(r.ok());
+    regranted = r.value().granted;
+    again = r.value().fence;
+  });
+  bool denied = false;
+  members_[1]->client().TryLock(0, 999, 0,
+                                [&](Result<CoordClient::LockResult> r) {
+                                  ASSERT_TRUE(r.ok());
+                                  denied = !r.value().granted;
+                                });
+  sim_.RunUntil(sim_.Now() + kSecond);
+  EXPECT_TRUE(regranted);
+  EXPECT_EQ(again, first);
+  EXPECT_TRUE(denied);
+  EXPECT_EQ(ensemble_->frontend().PeekView(0).lock_holder, members_[0]->id());
+  EXPECT_EQ(ensemble_->frontend().PeekView(0).fence_token, first);
+}
+
 TEST_F(CoordTest, FenceTokenIncreasesPerGrant) {
   Join(0, ServerState::kStandby);
   Join(1, ServerState::kStandby);

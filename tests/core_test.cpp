@@ -584,9 +584,9 @@ TEST_F(CoreTest, BatchNoReplicaAckedStillReachesThePool) {
       *sim_, [&] { return active->counters().mutations > before; }, kSecond,
       kMicrosecond));
   const SerialNumber cut_sn = active->last_sn();
-  net_->SetLinkUp(active->id(), false);
+  cfs_->faults().Unplug(active->id());
   Run(2200 * kMillisecond);  // the round and the pool append time out
-  net_->SetLinkUp(active->id(), true);
+  cfs_->faults().Replug(active->id());
   ASSERT_EQ(cfs_->FindActive(0), active);
   for (int i = 0; i < 5; ++i) {
     ASSERT_TRUE(CreateFile("/hole/c" + std::to_string(i)).ok());

@@ -99,7 +99,7 @@ TEST_F(FencingClusterTest, IsolatedActiveCannotPolluteSspJournal) {
 
   // Isolate the active from everything (cable pull). Its session expires,
   // a standby takes over with a HIGHER fence, and serves new writes.
-  net_.SetLinkUp(old_active->id(), false);
+  cfs_->faults().Unplug(old_active->id());
   Run(10 * kSecond);
   core::MdsServer* new_active = cfs_->FindActive(0);
   ASSERT_NE(new_active, nullptr);
@@ -110,7 +110,7 @@ TEST_F(FencingClusterTest, IsolatedActiveCannotPolluteSspJournal) {
 
   // Re-plug the old active: any late SSP flush it attempts carries its
   // stale fence and is rejected by every pool node.
-  net_.SetLinkUp(old_active->id(), true);
+  cfs_->faults().Replug(old_active->id());
   Run(10 * kSecond);
   for (int p = 0; p < 4; ++p) {
     const auto* file = cfs_->pool_node(p).store().Find("g0/journal");
@@ -139,7 +139,7 @@ TEST_F(FencingClusterTest, DirtyDeposedActiveRebuildsAndConverges) {
   Run(450 * kMicrosecond);  // delivered + applied; sync still in flight
   ASSERT_TRUE(old_active->tree().Exists("/g/uncommitted"))
       << "test setup: the op must have been applied locally";
-  net_.SetLinkUp(old_active->id(), false);
+  cfs_->faults().Unplug(old_active->id());
 
   Run(12 * kSecond);
   core::MdsServer* new_active = cfs_->FindActive(0);
@@ -152,7 +152,7 @@ TEST_F(FencingClusterTest, DirtyDeposedActiveRebuildsAndConverges) {
   // Heal. The deposed active must discard its phantom state (it is dirty)
   // and rebuild through the junior path, ending byte-identical with the
   // new active — phantom replaced by the committed version.
-  net_.SetLinkUp(old_active->id(), true);
+  cfs_->faults().Replug(old_active->id());
   Run(30 * kSecond);
   EXPECT_EQ(old_active->role(), ServerState::kStandby);
   EXPECT_EQ(old_active->tree().Fingerprint(),

@@ -23,6 +23,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -91,7 +92,8 @@ void Usage() {
       "  --shrink-runs N    shrink rerun budget (default 200)\n"
       "  --out-dir DIR      where .repro files go (default .)\n"
       "  --replay FILE      re-run a .repro file (twice; digests compared)\n"
-      "  --verbose          print per-seed progress and histories\n"
+      "  --verbose          print per-seed progress, fault schedules\n"
+      "                     (as .repro `fault` lines) and histories\n"
       "  --digests          print `seed run_digest history_digest` per\n"
       "                     seed instead of the violation report\n"
       "                     (exit 0)\n",
@@ -199,6 +201,12 @@ std::uint64_t HistoryDigest(const History& history) {
   return h;
 }
 
+void PrintHistory(const History& history) {
+  for (const Event& e : history.events()) {
+    std::printf("  %s\n", history.Format(e).c_str());
+  }
+}
+
 void PrintViolations(const RunResult& result) {
   for (const Violation& v : result.violations) {
     std::printf("  %s\n", FormatViolation(result.history, v).c_str());
@@ -223,11 +231,7 @@ int Replay(const Args& args) {
   std::printf("deterministic replay: %s (digest %016llx)\n",
               deterministic ? "yes" : "NO",
               static_cast<unsigned long long>(first.run_digest));
-  if (args.verbose) {
-    for (const auto& e : first.history.events()) {
-      std::printf("  %s\n", first.history.Format(e).c_str());
-    }
-  }
+  if (args.verbose) PrintHistory(first.history);
   if (first.violated()) {
     std::printf("violations (%zu):\n", first.violations.size());
     PrintViolations(first);
@@ -268,6 +272,11 @@ int Sweep(const Args& args) {
                   static_cast<unsigned long long>(
                       result.check.states_explored),
                   result.violated() ? "VIOLATION" : "ok");
+      std::istringstream spec_lines(SerializeSpec(spec));
+      for (std::string line; std::getline(spec_lines, line);) {
+        if (line.starts_with("fault ")) std::printf("  %s\n", line.c_str());
+      }
+      PrintHistory(result.history);
     }
     if (!result.violated()) continue;
     ++violated_seeds;
