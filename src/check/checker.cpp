@@ -199,149 +199,179 @@ class Search {
 
   // --- session-consistency verification (standby + cache reads) -------------
 
+  /// The directory a cache-served read's answer lives under (the client's
+  /// cache line): the listing's own path, or the stat target's parent.
+  static std::string CacheDirOf(const Event& e) {
+    return e.kind == OpKind::kListDir ? e.path : fsns::ParentPath(e.path);
+  }
+
+  /// Whether `e`, if it executed, can change what a read of directory
+  /// `dir`'s line observes: a change to a child of `dir`, to `dir` or an
+  /// ancestor, or a create/mkdir below `dir` that materializes a child.
+  /// A read is relevant to the reads of its own line.
+  static bool Touches(const Event& e, const std::string& dir) {
+    if (e.is_read()) return CacheDirOf(e) == dir;
+    auto touches = [&](const std::string& path) {
+      if (path.empty()) return false;
+      if (fsns::ParentPath(path) == dir || fsns::IsPrefixPath(path, dir))
+        return true;
+      return (e.kind == OpKind::kCreate || e.kind == OpKind::kMkdir) &&
+             fsns::IsPrefixPath(dir, path);
+    };
+    return touches(e.path) || (e.kind == OpKind::kRename && touches(e.path2));
+  }
+
   /// Verifies every standby- or cache-served read against the witness
   /// linearization the core search produced (order_). Such a read is legal
-  /// iff some prefix of the witness explains its observation, where the
-  /// prefix
+  /// iff some prefix of the witness explains its observation.
+  ///
+  /// Standby reads are checked per client. The prefix
   ///   * includes every definite op this client completed before the read
   ///     was invoked (read-your-writes),
   ///   * is at least as long as the prefix chosen for the client's
-  ///     previous session read (monotonic reads),
-  ///   * for cache-served reads, includes every definite mutation — by ANY
-  ///     client — that completed before the read was invoked: a mutation's
-  ///     ack is barriered on lease revocation, so a cache entry consulted
-  ///     after the ack cannot predate the mutation, and
+  ///     previous standby read (monotonic reads), and
   ///   * contains no op invoked after the read completed (the server
   ///     cannot have applied the future).
+  ///
+  /// Cache-served reads are checked per (client, directory), since a
+  /// client's session floor is per directory line. Only the ops that touch
+  /// the directory (`Touches`) bound the prefix: the others cannot change
+  /// what the line shows, and a bound drawn from them would only test
+  /// which of several legal orders the witness happened to pick. The
+  /// prefix
+  ///   * includes every definite op touching the directory that this
+  ///     client completed before the read was invoked,
+  ///   * includes every definite mutation touching it that ANY client
+  ///     completed before the read was invoked: a mutation's ack is
+  ///     barriered on the lease patch or revocation, so a line consulted
+  ///     after the ack cannot predate the mutation,
+  ///   * is at least as long as the prefix chosen for the client's previous
+  ///     cache read of the directory, and
+  ///   * contains no op touching the directory invoked after the read
+  ///     completed.
   /// Greedy-smallest prefix selection is complete: if any non-decreasing
   /// assignment of prefixes exists, the greedy one does too.
   ///
   /// The wire-level token contract is checked first: a responder that
   /// stamped applied_sn below the read's min_sn served below the session
-  /// floor regardless of whether the value happened to match.
+  /// floor regardless of whether the value happened to match. A cache hit
+  /// stamps its line's floor as min_sn.
   void CheckSessionReads(std::vector<Violation>& out) {
     if (session_reads_.empty()) return;
     // Witness position of each linearized op, as a prefix length.
     std::unordered_map<std::uint32_t, std::size_t> pos;
     for (std::size_t i = 0; i < order_.size(); ++i) pos[order_[i]->id] = i + 1;
-    // prefix_invoke_max[p] = latest invoke among the first p witness ops;
-    // caps how much history a read completing at time t may have seen.
-    std::vector<SimTime> prefix_invoke_max(order_.size() + 1, 0);
-    for (std::size_t i = 0; i < order_.size(); ++i) {
-      prefix_invoke_max[i + 1] =
-          std::max(prefix_invoke_max[i], order_[i]->invoke);
+    // (client, directory) of a cache read; (client, "") of a standby read.
+    std::map<std::pair<int, std::string>, std::vector<const Event*>> groups;
+    for (const Event* r : session_reads_) {
+      groups[{r->client, r->via_cache ? CacheDirOf(*r) : std::string()}]
+          .push_back(r);
     }
-    // Completed-mutation floor for cache-served reads: sorted by complete
-    // time, with a running prefix-max of witness position, so "the latest
-    // witness position among mutations completed before t" is one binary
-    // search. Only definite mutations that actually linearized count.
-    std::vector<std::pair<SimTime, std::size_t>> mutation_floor;
-    for (const Event* e : ops_) {
-      if (!e->definite() || !e->is_mutation()) continue;
-      auto it = pos.find(e->id);
-      if (it == pos.end()) continue;
-      mutation_floor.emplace_back(e->complete, it->second);
-    }
-    std::sort(mutation_floor.begin(), mutation_floor.end());
-    for (std::size_t i = 1; i < mutation_floor.size(); ++i) {
-      mutation_floor[i].second =
-          std::max(mutation_floor[i].second, mutation_floor[i - 1].second);
-    }
-
-    std::map<int, std::vector<const Event*>> per_client;
-    for (const Event* r : session_reads_) per_client[r->client].push_back(r);
-    for (auto& [client, reads] : per_client) {
+    for (auto& [key, reads] : groups) {
       std::sort(reads.begin(), reads.end(),
                 [](const Event* a, const Event* b) {
                   return a->complete < b->complete;
                 });
-      std::size_t floor = 0;    // monotonic-reads cursor (prefix length)
-      Model model;
-      std::size_t applied = 0;  // witness ops already replayed into model
-      for (const Event* r : reads) {
-        const char* via = r->via_cache ? "cache" : "standby";
-        if (r->observed_sn < r->min_sn) {
-          out.push_back({Violation::Type::kStaleRead,
-                         std::string(via) + " answered " + r->path +
-                             " below the session floor (applied sn " +
-                             std::to_string(r->observed_sn) + " < min_sn " +
-                             std::to_string(r->min_sn) + ")",
-                         {r->id}});
-          continue;
+      const bool cache = reads.front()->via_cache;
+      const std::string& dir = key.second;
+      // Ops of the witness that bound this group's prefixes.
+      std::vector<bool> relevant(order_.size(), true);
+      if (cache) {
+        for (std::size_t i = 0; i < order_.size(); ++i)
+          relevant[i] = Touches(*order_[i], dir);
+      }
+      CheckReadGroup(reads, cache, relevant, pos, out);
+    }
+  }
+
+  /// One group of CheckSessionReads: a client's standby reads, or its
+  /// cache reads of one directory, in completion order.
+  void CheckReadGroup(
+      const std::vector<const Event*>& reads, bool cache,
+      const std::vector<bool>& relevant,
+      const std::unordered_map<std::uint32_t, std::size_t>& pos,
+      std::vector<Violation>& out) const {
+    std::size_t floor = 0;    // monotonic-reads cursor (prefix length)
+    Model model;
+    std::size_t applied = 0;  // witness ops already replayed into model
+    for (const Event* r : reads) {
+      const char* via = cache ? "cache" : "standby";
+      if (r->observed_sn < r->min_sn) {
+        out.push_back({Violation::Type::kStaleRead,
+                       std::string(via) + " answered " + r->path +
+                           " below the session floor (applied sn " +
+                           std::to_string(r->observed_sn) + " < min_sn " +
+                           std::to_string(r->min_sn) + ")",
+                       {r->id}});
+        continue;
+      }
+      // Read-your-writes, and for cache hits the lease barrier: the prefix
+      // must cover every bounding op completed when the read was invoked.
+      std::size_t lo = floor;
+      for (const Event* e : ops_) {
+        if (!e->definite() || e->complete > r->invoke) continue;
+        if (e->client != r->client && !(cache && e->is_mutation())) continue;
+        auto it = pos.find(e->id);
+        if (it != pos.end() && relevant[it->second - 1])
+          lo = std::max(lo, it->second);
+      }
+      // The longest prefix holding no bounding op invoked after the read
+      // completed.
+      std::size_t hi = 0;
+      while (hi < order_.size() &&
+             !(relevant[hi] && order_[hi]->invoke >= r->complete)) {
+        ++hi;
+      }
+      // Replay the witness up to lo, then extend one op at a time until
+      // some prefix reproduces the read's observation.
+      while (applied < lo) {
+        ReadView scratch;
+        model.Step(*order_[applied], nullptr, &scratch);
+        ++applied;
+      }
+      bool explained = false;
+      while (true) {
+        ReadView view;
+        const StatusCode code = r->kind == OpKind::kGetFileInfo
+                                    ? model.GetFileInfo(r->path, &view)
+                                    : model.ListDir(r->path, &view);
+        bool match = r->outcome == Outcome::kOk
+                         ? (code == StatusCode::kOk && view == r->view)
+                         : code == r->code;
+        // Same implicit-directory allowance as the core search: a stat
+        // of a dir that only materialized implicitly may answer NotFound.
+        if (!match && r->kind == OpKind::kGetFileInfo &&
+            r->outcome == Outcome::kError &&
+            r->code == StatusCode::kNotFound && code == StatusCode::kOk &&
+            model.IsImplicitDir(r->path)) {
+          match = true;
         }
-        // Read-your-writes: the prefix must cover every definite op this
-        // client had already completed when it invoked the read.
-        std::size_t lo = floor;
-        for (const Event* e : ops_) {
-          if (e->client != r->client || !e->definite()) continue;
-          if (e->complete > r->invoke) continue;
-          auto it = pos.find(e->id);
-          if (it != pos.end()) lo = std::max(lo, it->second);
+        if (match) {
+          explained = true;
+          break;
         }
-        // Lease barrier: a cache hit must reflect every mutation whose ack
-        // preceded the read's invoke, regardless of which client issued it.
-        if (r->via_cache && !mutation_floor.empty()) {
-          auto it = std::lower_bound(
-              mutation_floor.begin(), mutation_floor.end(),
-              std::make_pair(r->invoke, std::size_t{0}));
-          if (it != mutation_floor.begin()) {
-            lo = std::max(lo, std::prev(it)->second);
-          }
-        }
-        std::size_t hi = order_.size();
-        while (hi > lo && prefix_invoke_max[hi] >= r->complete) --hi;
-        // Replay the witness up to lo, then extend one op at a time until
-        // some prefix reproduces the read's observation.
-        while (applied < lo) {
-          ReadView scratch;
-          model.Step(*order_[applied], nullptr, &scratch);
-          ++applied;
-        }
-        bool explained = false;
-        while (true) {
-          ReadView view;
-          const StatusCode code =
-              r->kind == OpKind::kGetFileInfo
-                  ? model.GetFileInfo(r->path, &view)
-                  : model.ListDir(r->path, &view);
-          bool match = r->outcome == Outcome::kOk
-                           ? (code == StatusCode::kOk && view == r->view)
-                           : code == r->code;
-          // Same implicit-directory allowance as the core search: a stat
-          // of a dir that only materialized implicitly may answer NotFound.
-          if (!match && r->kind == OpKind::kGetFileInfo &&
-              r->outcome == Outcome::kError &&
-              r->code == StatusCode::kNotFound && code == StatusCode::kOk &&
-              model.IsImplicitDir(r->path)) {
-            match = true;
-          }
-          if (match) {
-            explained = true;
-            break;
-          }
-          if (applied >= hi) break;
-          ReadView scratch;
-          model.Step(*order_[applied], nullptr, &scratch);
-          ++applied;
-        }
-        if (!explained) {
-          out.push_back(
-              {Violation::Type::kStaleRead,
-               r->via_cache
-                   ? "cache-served read of " + r->path +
-                         " observed state older than a mutation acknowledged "
-                         "before it was invoked (lease revocation barrier "
-                         "violated) or no session-consistent prefix"
+        if (applied >= hi) break;
+        ReadView scratch;
+        model.Step(*order_[applied], nullptr, &scratch);
+        ++applied;
+      }
+      if (!explained) {
+        out.push_back(
+            {Violation::Type::kStaleRead,
+             cache ? "cache-served read of " + r->path +
+                         " observed state older than a mutation of its "
+                         "directory acknowledged before it was invoked "
+                         "(lease barrier violated) or no session-consistent "
+                         "prefix"
                    : "standby read of " + r->path +
                          " matches no session-consistent prefix of the "
                          "witness linearization (read-your-writes / "
                          "monotonic reads)",
-               {r->id}});
-        }
-        // Keep applied == floor so the next read's candidate scan starts
-        // at its own lower bound (also after a violation).
-        floor = applied;
+             {r->id}});
       }
+      // Keep applied == floor so the next read's candidate scan starts
+      // at its own lower bound (also after a violation).
+      floor = applied;
     }
   }
 

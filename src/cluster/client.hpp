@@ -25,27 +25,34 @@
 // active.
 //
 // Namespace cache: with ClientCacheOptions::enabled the client keeps a
-// per-directory cache (child FileInfo entries and the directory listing)
-// protected by leases the active grants on its read replies. A cache hit is
-// served locally only while the lease is live AND the entry's stamped sn
-// satisfies the client's session token, so cached reads stay session-
-// consistent (read-your-writes: a completed own mutation both raises the
-// token past older entries and invalidates the touched directories before
-// its callback runs). Conflicting mutations by other clients revoke the
-// lease — pushed by the active and acked straight back to it; the active
-// holds the mutation's ack until that ack (or the lease TTL) — so a cache
-// entry can never be served after a conflicting mutation was observed
-// complete anywhere. Revoked lease ids are tombstoned until their TTL: a
-// revocation and an in-flight reply carrying the same lease travel on
-// different channels, and the tombstone stops the reply from resurrecting
-// the grant.
+// per-directory line (child FileInfo entries, negative entries for names
+// a stat found missing, and the listing) under a lease the active grants
+// on its read replies. Each line holds one version of its directory: a
+// change to child `name` by another client arrives as a patch at the next
+// version, which drops only that entry (and the listing when the child
+// set changed); a version gap, a directory delete or rename, a shard move
+// or the client's own mutation drops the whole line. The active holds the
+// mutation's ack until every holder acked its patch (or the lease TTL),
+// so no cache serves a change's old state once the change is acked
+// anywhere. A hit needs a live lease AND the line's `valid_sn` — the
+// highest applied sn at which the active confirmed that version — at or
+// above the directory's floor, the highest sn this session observed for
+// the directory; it reports `valid_sn` as its applied sn. The floor is per
+// directory, so a write elsewhere in the group costs this line nothing,
+// while read-your-writes and monotonic reads hold per directory. Lines go
+// when their lease dies. A lease id the client knows at a newer version,
+// or revoked, is tombstoned with that version: a patch or revocation and
+// an in-flight reply travel on different channels, and the tombstone
+// keeps an older reply out.
 #pragma once
 
+#include <algorithm>
 #include <deque>
 #include <functional>
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <type_traits>
 #include <unordered_map>
 #include <utility>
@@ -53,6 +60,7 @@
 
 #include "coord/client.hpp"
 #include "core/messages.hpp"
+#include "core/options.hpp"
 #include "fsns/path.hpp"
 #include "net/host.hpp"
 #include "net/rpc.hpp"
@@ -117,6 +125,13 @@ class FsClient : public net::Host {
     auto& metrics = sim().obs().metrics();
     m_cache_hits_ = metrics.counter("client.cache_hits");
     m_cache_misses_ = metrics.counter("client.cache_misses");
+    m_cache_miss_reasons_[kNoLine] = metrics.counter("client.cache_miss_no_line");
+    m_cache_miss_reasons_[kNoEntry] =
+        metrics.counter("client.cache_miss_no_entry");
+    m_cache_miss_reasons_[kExpired] =
+        metrics.counter("client.cache_miss_expired");
+    m_cache_miss_reasons_[kBelowFloor] =
+        metrics.counter("client.cache_miss_below_floor");
     m_cache_revocations_ = metrics.counter("client.cache_revocations");
     m_cache_expiries_ = metrics.counter("client.cache_expiries");
     OnRequest(net::kLeaseRevoke,
@@ -130,6 +145,8 @@ class FsClient : public net::Host {
 
   /// Session metadata of the last completed op; see OpStamp.
   const OpStamp& last_stamp() const noexcept { return last_stamp_; }
+  /// Directory lines in the lease cache.
+  std::size_t cached_dirs() const noexcept { return cache_.size(); }
   /// This client's high-water applied sn for `group` (its session token).
   SerialNumber session_sn(GroupId group) const {
     auto it = session_sn_.find(group);
@@ -218,6 +235,7 @@ class FsClient : public net::Host {
     std::uint64_t cache_hits = 0;        ///< reads served locally
     std::uint64_t cache_misses = 0;      ///< reads that went to the wire
     std::uint64_t cache_revocations = 0; ///< leases dropped on server push/ack
+    std::uint64_t cache_patches = 0;     ///< patches applied to a line
     std::uint64_t cache_expiries = 0;    ///< leases dropped at their TTL
   };
   const Counters& counters() const noexcept { return counters_; }
@@ -233,7 +251,8 @@ class FsClient : public net::Host {
     // granter's TTL covers them).
     session_sn_.clear();
     cache_.clear();
-    revoked_leases_.clear();
+    sweep_armed_ = false;  // its timer dies with the incarnation
+    tombstones_.clear();
     tombstone_fifo_.clear();
     last_stamp_ = OpStamp{};
   }
@@ -470,46 +489,89 @@ class FsClient : public net::Host {
 
   // --- lease-protected namespace cache ---------------------------------------
 
-  struct CachedInfo {
-    fsns::FileInfo info;
-    SerialNumber sn = 0;  ///< applied sn the entry was read at
+  /// One cached child, packed: a FileInfo without its path (the request
+  /// names it) and with its owner interned, or a negative entry for a name
+  /// the directory lacks.
+  struct CachedEntry {
+    std::string name;
+    SimTime mtime = 0;
+    std::uint64_t block_count = 0;
+    std::uint32_t replication = 1;
+    std::uint32_t owner = 0;  ///< index into owners_
+    std::uint16_t permission = 0;
+    bool found = false;  ///< false: a stat here answers NotFound
+    bool is_dir = false;
+    bool complete = true;
   };
-  /// One leased directory: child stat entries plus (optionally) the listing.
+  /// One leased directory at one version: every entry and the listing
+  /// hold for the directory's state at `version`.
   struct DirCache {
     std::uint64_t lease_id = 0;
+    std::uint64_t version = 0;
+    /// Highest applied sn at which the active confirmed (lease_id,
+    /// version): no child changed between two such replies.
+    SerialNumber valid_sn = 0;
+    /// Highest sn this session observed for the directory (the group-wide
+    /// token when the line was made, an upper bound of it). A hit needs
+    /// valid_sn >= floor.
+    SerialNumber floor = 0;
     FenceToken epoch = 0;   ///< granter's view epoch, stamped onto hits
     SimTime expire_at = 0;  ///< absolute virtual-time lease deadline
     GroupId group = 0;      ///< owner group at fill time (shard bounces)
     bool has_listing = false;
     std::vector<std::string> listing;
-    SerialNumber listing_sn = 0;
-    std::map<std::string, CachedInfo> entries;  ///< by child basename
+    /// Sorted by name: a flat vector costs a line far less than a tree.
+    std::vector<CachedEntry> entries;
+
+    std::vector<CachedEntry>::iterator LowerBound(std::string_view name) {
+      return std::lower_bound(
+          entries.begin(), entries.end(), name,
+          [](const CachedEntry& e, std::string_view n) { return e.name < n; });
+    }
+    CachedEntry* Find(std::string_view name) {
+      auto it = LowerBound(name);
+      return it != entries.end() && it->name == name ? &*it : nullptr;
+    }
+    CachedEntry& Upsert(std::string_view name) {
+      auto it = LowerBound(name);
+      if (it == entries.end() || it->name != name)
+        it = entries.insert(it, CachedEntry{.name = std::string(name)});
+      return *it;
+    }
+    void Erase(std::string_view name) {
+      auto it = LowerBound(name);
+      if (it != entries.end() && it->name == name) entries.erase(it);
+    }
   };
+  using CacheMap = std::map<std::string, DirCache, std::less<>>;
 
   /// The directory a read's answer lives under: the listing's own path, or
   /// the stat target's parent — matching the server's grant key.
-  static std::string CacheDirOf(const core::ClientRequestMsg& req) {
-    return req.op == core::ClientOp::kListDir ? req.path
-                                              : fsns::ParentPath(req.path);
+  static std::string_view CacheDirOf(const core::ClientRequestMsg& req) {
+    return req.op == core::ClientOp::kListDir ? std::string_view(req.path)
+                                              : fsns::ParentDir(req.path);
   }
 
-  /// Serves the read locally when a live lease covers it AND the cached
-  /// value satisfies the session token (entry sn >= the read's min_sn) —
-  /// the same admission a standby applies, so cache hits inherit the
-  /// session-consistency story. Returns false to fall through to the wire.
+  enum MissReason : std::uint8_t { kNoLine, kNoEntry, kExpired, kBelowFloor };
+
+  /// Serves the read locally when a live lease covers it AND the line
+  /// meets its directory's session floor — so a hit never shows this
+  /// session less of the directory than it already saw. Returns false to
+  /// fall through to the wire.
   bool TryServeFromCache(const std::shared_ptr<OpState>& state) {
-    const core::ClientRequestMsg& req = *state->request;
+    core::ClientRequestMsg& req = *state->request;
     if (!options_.cache.enabled || core::IsMutation(req.op) ||
         state->require_active) {
       return false;
     }
-    auto miss = [this] {
+    auto miss = [this](MissReason why) {
       ++counters_.cache_misses;
       m_cache_misses_->Add();
+      m_cache_miss_reasons_[why]->Add();
       return false;
     };
     auto it = cache_.find(CacheDirOf(req));
-    if (it == cache_.end()) return miss();
+    if (it == cache_.end()) return miss(kNoLine);
     DirCache& dc = it->second;
     if (sim().Now() >= dc.expire_at) {
       // TTL: the lease is dead whether or not a revocation ever reached us
@@ -518,21 +580,32 @@ class FsClient : public net::Host {
       ++counters_.cache_expiries;
       m_cache_expiries_->Add();
       cache_.erase(it);
-      return miss();
+      return miss(kExpired);
     }
+    if (dc.valid_sn < dc.floor) return miss(kBelowFloor);
     auto resp = std::make_shared<core::ClientResponseMsg>();
     resp->ok = true;
-    resp->group_epoch = dc.epoch;
     if (req.op == core::ClientOp::kListDir) {
-      if (!dc.has_listing || dc.listing_sn < req.min_sn) return miss();
+      if (!dc.has_listing) return miss(kNoEntry);
       resp->listing = dc.listing;
-      resp->applied_sn = dc.listing_sn;
     } else {
-      auto e = dc.entries.find(std::string(fsns::BaseName(req.path)));
-      if (e == dc.entries.end() || e->second.sn < req.min_sn) return miss();
-      resp->info = e->second.info;
-      resp->applied_sn = e->second.sn;
+      const CachedEntry* c = dc.Find(fsns::BaseName(req.path));
+      if (c == nullptr) return miss(kNoEntry);
+      if (c->found) {
+        resp->info = {.path = req.path, .is_dir = c->is_dir,
+                      .replication = c->replication,
+                      .permission = c->permission, .owner = owners_[c->owner],
+                      .mtime = c->mtime, .block_count = c->block_count,
+                      .complete = c->complete};
+      } else {
+        resp->ok = false;
+        resp->code = StatusCode::kNotFound;
+        resp->error = req.path;
+      }
     }
+    resp->group_epoch = dc.epoch;
+    resp->applied_sn = dc.valid_sn;
+    req.min_sn = dc.floor;  // the floor this hit met, for the stamp
     ++counters_.cache_hits;
     m_cache_hits_->Add();
     state->via_cache = true;
@@ -541,29 +614,71 @@ class FsClient : public net::Host {
     return true;
   }
 
-  /// Folds an active-served read reply's grant and payload into the cache.
+  /// Folds a wire read's reply into its directory's line: a standby's
+  /// answer raises the floor, an active's leased answer is adopted, and an
+  /// unleased one ends the line (it may show a change the line cannot
+  /// prove it lacks).
+  void ObserveRead(const std::shared_ptr<OpState>& state,
+                   const core::ClientResponseMsg& resp) {
+    auto it = cache_.find(CacheDirOf(*state->request));
+    if (state->via_standby) {
+      if (it != cache_.end())
+        it->second.floor = std::max(it->second.floor, resp.applied_sn);
+      return;
+    }
+    if (resp.lease_id != 0) {
+      AdoptLease(state, resp);
+    } else if (it != cache_.end()) {
+      DropLine(it, /*past_version=*/true);
+    }
+  }
+
   void AdoptLease(const std::shared_ptr<OpState>& state,
                   const core::ClientResponseMsg& resp) {
     PruneTombstones();
-    // The grant raced a revocation push: the reply was serialized at the
-    // server before the conflicting mutation, the push after it — the push
-    // wins no matter which arrived here first (the server never reissues a
-    // revoked id, so the tombstone can't shadow a legitimate newer grant).
-    if (revoked_leases_.count(resp.lease_id) != 0) return;
     auto it = cache_.find(resp.lease_dir);
+    if (it != cache_.end())
+      it->second.floor = std::max(it->second.floor, resp.applied_sn);
+    // Dead on arrival: nothing it says may be served.
+    if (resp.lease_expire_at <= sim().Now()) return;
+    // A reply served before a patch or revocation this client already
+    // applied: the two travel on different channels, and the newer
+    // knowledge wins whichever arrived first.
+    auto t = tombstones_.find(resp.lease_id);
+    if (t != tombstones_.end() && resp.lease_version < t->second.version)
+      return;
     if (it == cache_.end()) {
       if (cache_.size() >= kMaxCachedDirs) EvictEarliest();
       it = cache_.emplace(resp.lease_dir, DirCache{}).first;
+      it->second.floor = session_sn(state->group);
+      ArmSweep();
     }
     DirCache& dc = it->second;
-    if (dc.lease_id != resp.lease_id) {
-      // Different id = different grant generation (the old lease lapsed or
-      // was revoked while we held stale state): drop everything the old
-      // lease was protecting before trusting the new one.
+    if (dc.lease_id == resp.lease_id && dc.epoch == resp.lease_epoch) {
+      if (resp.lease_version < dc.version) return;  // older than the line
+      if (resp.lease_version > dc.version) {
+        // Patches are still in flight: the reply alone is current.
+        dc.entries.clear();
+        dc.has_listing = false;
+        dc.listing.clear();
+        dc.version = resp.lease_version;
+        dc.valid_sn = 0;
+      }
+    } else {
+      // Grants are ordered by (epoch, id): an older one's reply was
+      // served before the newer grant existed.
+      if (dc.lease_id != 0 && std::pair(resp.lease_epoch, resp.lease_id) <
+                                  std::pair(dc.epoch, dc.lease_id)) {
+        return;
+      }
+      const SerialNumber floor = dc.floor;
       dc = DirCache{};
       dc.lease_id = resp.lease_id;
+      dc.version = resp.lease_version;
+      dc.epoch = resp.lease_epoch;
+      dc.floor = floor;
     }
-    dc.epoch = std::max(dc.epoch, resp.lease_epoch);
+    dc.valid_sn = std::max(dc.valid_sn, resp.applied_sn);
     // The server's recorded deadline is monotone per grant, so a reordered
     // pair of replies must not shorten the lease.
     dc.expire_at = std::max(dc.expire_at, resp.lease_expire_at);
@@ -572,11 +687,34 @@ class FsClient : public net::Host {
     if (req.op == core::ClientOp::kListDir) {
       dc.has_listing = true;
       dc.listing = resp.listing;
-      dc.listing_sn = resp.applied_sn;
-    } else if (req.op == core::ClientOp::kGetFileInfo) {
-      dc.entries[std::string(fsns::BaseName(req.path))] =
-          CachedInfo{resp.info, resp.applied_sn};
+      return;
     }
+    CachedEntry& e = dc.Upsert(fsns::BaseName(req.path));
+    e.found = resp.ok;
+    if (!resp.ok) return;
+    e.is_dir = resp.info.is_dir;
+    e.replication = resp.info.replication;
+    e.permission = resp.info.permission;
+    auto owner = std::find(owners_.begin(), owners_.end(), resp.info.owner);
+    if (owner == owners_.end())
+      owner = owners_.insert(owner, resp.info.owner);
+    e.owner = static_cast<std::uint32_t>(owner - owners_.begin());
+    e.mtime = resp.info.mtime;
+    e.block_count = resp.info.block_count;
+    e.complete = resp.info.complete;
+  }
+
+  /// Drops a line while its lease may live on: its version is remembered,
+  /// so a reply served before the patches the line applied stays out.
+  /// `past_version`: the client saw a change the line's version may not
+  /// cover yet, so replies at that version stay out too.
+  void DropLine(CacheMap::iterator it, bool past_version = false) {
+    const DirCache& dc = it->second;
+    const std::uint64_t version = dc.version + (past_version ? 1 : 0);
+    auto t = tombstones_.find(dc.lease_id);
+    if (t == tombstones_.end() || t->second.version < version)
+      Tombstone(dc.lease_id, version);
+    cache_.erase(it);
   }
 
   /// Read-your-writes: before a mutation's callback runs, every cache line
@@ -587,54 +725,83 @@ class FsClient : public net::Host {
     if (req.op == core::ClientOp::kRename && !req.path2.empty()) {
       InvalidatePath(req.path2);
     }
+    if (req.op == core::ClientOp::kCreate || req.op == core::ClientOp::kMkdir) {
+      // The ancestors it may have materialized: the server revoked this
+      // client's grants on their parents too.
+      for (std::string_view dir = fsns::ParentDir(fsns::ParentDir(req.path));
+           !dir.empty(); dir = fsns::ParentDir(dir)) {
+        auto it = cache_.find(dir);
+        if (it != cache_.end()) DropLine(it);
+      }
+    }
   }
 
   void InvalidatePath(const std::string& path) {
-    const std::string parent = fsns::ParentPath(path);
-    if (!parent.empty()) cache_.erase(parent);
+    auto it = cache_.find(fsns::ParentDir(path));
+    if (it != cache_.end()) DropLine(it);
     // `path` itself and any cached directory beneath it. The string-prefix
     // region is contiguous in the sorted map; IsPrefixPath filters
     // siblings ("/a/bc") that share the byte prefix of "/a/b".
-    for (auto it = cache_.lower_bound(path);
+    for (it = cache_.lower_bound(path);
          it != cache_.end() && it->first.compare(0, path.size(), path) == 0;) {
       if (it->first == path || fsns::IsPrefixPath(path, it->first)) {
-        it = cache_.erase(it);
+        DropLine(it++);
       } else {
         ++it;
       }
     }
   }
 
-  /// Revocation push from the `active` that granted the leases. Always
-  /// acked to it — the ack releases the conflicting mutation's reply barrier
-  /// at the granter.
+  /// Patches and revocations from the `active` that granted the leases.
+  /// Each is acked to it — the acks release the conflicting mutation's
+  /// reply barrier at the granter.
   void HandleLeaseRevoke(NodeId active, const net::MessagePtr& msg) {
     const auto& push = net::Cast<core::LeaseRevokeMsg>(msg);
-    std::vector<std::uint64_t> acked;
-    acked.reserve(push.leases.size());
+    auto ack = std::make_shared<core::LeaseRevokeAckMsg>();
+    ack->leases.reserve(push.leases.size());
     for (const core::LeaseRevocation& rev : push.leases) {
-      acked.push_back(rev.lease_id);
-      Tombstone(rev.lease_id);
-      ++counters_.cache_revocations;
-      m_cache_revocations_->Add();
+      ack->leases.emplace_back(rev.lease_id, rev.version);
       auto it = cache_.find(rev.dir);
-      if (it != cache_.end() && it->second.lease_id == rev.lease_id) {
-        cache_.erase(it);
+      const bool holds =
+          it != cache_.end() && it->second.lease_id == rev.lease_id;
+      if (rev.version == core::kLeaseRevoked) {
+        Tombstone(rev.lease_id, rev.version);
+        ++counters_.cache_revocations;
+        m_cache_revocations_->Add();
+        if (holds) cache_.erase(it);
+        continue;
       }
+      if (holds && rev.version <= it->second.version) continue;  // known
+      if (holds && rev.version == it->second.version + 1) {
+        // The next change in order: only the named child goes.
+        ++counters_.cache_patches;
+        DirCache& dc = it->second;
+        dc.version = rev.version;
+        dc.expire_at = std::max(dc.expire_at, rev.expire_at);
+        dc.Erase(rev.name);
+        if (rev.listing) {
+          dc.has_listing = false;
+          dc.listing.clear();
+        }
+        continue;
+      }
+      // No line, or a gap (an earlier patch is lost or still in flight):
+      // the line cannot be patched, and a reply served before this patch
+      // must not refill it.
+      Tombstone(rev.lease_id, rev.version);
+      if (holds) cache_.erase(it);
     }
-    if (!acked.empty()) {
-      auto ack = std::make_shared<core::LeaseRevokeAckMsg>();
-      ack->lease_ids = std::move(acked);
-      Send(active, std::move(ack));
-    }
+    if (!ack->leases.empty()) Send(active, std::move(ack));
   }
 
-  /// A revoked id stays dead past any possible grant lifetime, so a reply
-  /// that left the active before the revocation can never resurrect it.
-  void Tombstone(std::uint64_t lease_id) {
+  /// Remembers that `lease_id` reached `version` (kLeaseRevoked: ended)
+  /// past any possible lifetime of a reply still carrying an older one.
+  void Tombstone(std::uint64_t lease_id, std::uint64_t version) {
     if (lease_id == 0) return;
     const SimTime deadline = sim().Now() + kTombstoneLife;
-    revoked_leases_[lease_id] = deadline;
+    Tombstoned& t = tombstones_[lease_id];
+    t.deadline = deadline;
+    t.version = std::max(t.version, version);
     tombstone_fifo_.emplace_back(deadline, lease_id);
   }
 
@@ -647,9 +814,9 @@ class FsClient : public net::Host {
     while (!tombstone_fifo_.empty() && tombstone_fifo_.front().first <= now) {
       const auto [deadline, lease_id] = tombstone_fifo_.front();
       tombstone_fifo_.pop_front();
-      auto it = revoked_leases_.find(lease_id);
-      if (it != revoked_leases_.end() && it->second == deadline) {
-        revoked_leases_.erase(it);
+      auto it = tombstones_.find(lease_id);
+      if (it != tombstones_.end() && it->second.deadline == deadline) {
+        tombstones_.erase(it);
       }
     }
   }
@@ -660,7 +827,28 @@ class FsClient : public net::Host {
     for (auto it = std::next(cache_.begin()); it != cache_.end(); ++it) {
       if (it->second.expire_at < victim->second.expire_at) victim = it;
     }
-    cache_.erase(victim);
+    DropLine(victim);
+  }
+
+  /// A line goes when its lease dies, read again or not: one timer per
+  /// client, armed while the cache holds a line, sweeps the dead ones.
+  void ArmSweep() {
+    if (sweep_armed_) return;
+    sweep_armed_ = true;
+    AfterLocal(kSweepPeriod, [this] {
+      sweep_armed_ = false;
+      const SimTime now = sim().Now();
+      for (auto it = cache_.begin(); it != cache_.end();) {
+        if (it->second.expire_at > now) {
+          ++it;
+          continue;
+        }
+        ++counters_.cache_expiries;
+        m_cache_expiries_->Add();
+        it = cache_.erase(it);
+      }
+      if (!cache_.empty()) ArmSweep();
+    });
   }
 
   /// After adopting a newer partition map: a cached directory whose owner
@@ -674,7 +862,7 @@ class FsClient : public net::Host {
       if (map_.OwnerOfDir(it->first) != it->second.group) {
         ++counters_.cache_revocations;
         m_cache_revocations_->Add();
-        it = cache_.erase(it);
+        DropLine(it++);
       } else {
         ++it;
       }
@@ -753,13 +941,12 @@ class FsClient : public net::Host {
         // revoked. Tombstoned before the callback runs, so no in-flight
         // read reply can re-adopt them afterwards.
         for (std::uint64_t lease_id : resp.revoke_lease_ids) {
-          Tombstone(lease_id);
+          Tombstone(lease_id, core::kLeaseRevoked);
           ++counters_.cache_revocations;
           m_cache_revocations_->Add();
         }
-        if (!core::IsMutation(state->request->op) && resp.ok &&
-            resp.lease_id != 0 && !state->via_cache && !state->via_standby) {
-          AdoptLease(state, resp);
+        if (!core::IsMutation(state->request->op) && !state->via_cache) {
+          ObserveRead(state, resp);
         }
       }
       if (core::IsMutation(state->request->op)) {
@@ -794,11 +981,20 @@ class FsClient : public net::Host {
   OpStamp last_stamp_;
   Counters counters_;
   // Lease-protected namespace cache (see ClientCacheOptions).
-  std::map<std::string, DirCache> cache_;  ///< by leased directory path
-  /// Tombstones for revoked lease ids (id -> prune deadline): a revocation
+  CacheMap cache_;  ///< by leased directory path
+  /// Owner strings the cached entries name; few (the namespace's users),
+  /// kept across crashes like the partition map.
+  std::vector<std::string> owners_;
+  bool sweep_armed_ = false;
+  /// The newest version this client knows for a lease id it holds no line
+  /// for (kLeaseRevoked: revoked), until `deadline`. A patch or revocation
   /// and an in-flight grant-carrying reply race on different channels, and
-  /// the tombstone keeps the reply from resurrecting the dead lease.
-  std::unordered_map<std::uint64_t, SimTime> revoked_leases_;
+  /// the tombstone keeps an older reply from refilling the line.
+  struct Tombstoned {
+    SimTime deadline = 0;
+    std::uint64_t version = 0;
+  };
+  std::unordered_map<std::uint64_t, Tombstoned> tombstones_;
   /// (deadline, id) per Tombstone call, in call order: PruneTombstones pops
   /// expired entries from the front instead of scanning the map.
   std::deque<std::pair<SimTime, std::uint64_t>> tombstone_fifo_;
@@ -806,12 +1002,15 @@ class FsClient : public net::Host {
   /// Bound on cached directories; at capacity the earliest-expiring
   /// directory is evicted.
   static constexpr std::size_t kMaxCachedDirs = 4096;
+  /// How long a line may outlive its lease before the sweep drops it.
+  static constexpr SimTime kSweepPeriod = core::kLeaseTtl / 8;
   /// Latency-model charge for a locally served hit (no network hop).
   static constexpr SimTime kCacheHitLatency = 1 * kMicrosecond;
   /// Latency-model charge for TCP + session setup on a fresh connection.
   static constexpr SimTime kReconnectCost = 1500 * kMicrosecond;
   obs::Counter* m_cache_hits_ = nullptr;
   obs::Counter* m_cache_misses_ = nullptr;
+  obs::Counter* m_cache_miss_reasons_[4] = {};  ///< by MissReason
   obs::Counter* m_cache_revocations_ = nullptr;
   obs::Counter* m_cache_expiries_ = nullptr;
 };

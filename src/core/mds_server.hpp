@@ -144,6 +144,7 @@ class MdsServer : public net::Host {
     /// activations waiting on a migration cutover's barrier.
     std::uint64_t lease_replies_held = 0;
     std::uint64_t lease_barrier_expiries = 0;  ///< barriers released by TTL
+    std::uint64_t lease_patches = 0;  ///< per-entry patches pushed
     /// Replay counters. Apply is serial, so apply_waves counts records and
     /// apply_serial_fallbacks counts batches; bench/e2e reads all three.
     std::uint64_t apply_waves = 0;             ///< records applied
@@ -193,7 +194,8 @@ class MdsServer : public net::Host {
         *renews_completed, *fenced_rejections, *buffered_during_upgrade,
         *standby_reads_served, *standby_reads_parked, *standby_reads_bounced,
         *shard_bounces, *leases_granted, *leases_revoked, *lease_replies_held,
-        *lease_barrier_expiries, *migrations_completed, *cross_group_renames;
+        *lease_barrier_expiries, *lease_patches, *leases_refused,
+        *migrations_completed, *cross_group_renames;
     obs::Histogram *sync_batch_ns, *batch_records, *seal_wait_ns,
         *cpu_wait_ns, *resolve_ns, *standby_read_staleness_sn;
     obs::Gauge* last_sn;

@@ -8,6 +8,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/types.hpp"
@@ -99,8 +100,11 @@ struct ClientResponseMsg final : net::Message {
   // Directory lease grant riding on an active-served read (lease_id 0 = no
   // grant). The client may serve `lease_dir`'s cached entries locally until
   // `lease_expire_at` (absolute virtual time) or until the lease is revoked.
+  // `lease_version` is the directory's version when the read was served:
+  // every change to one of its children since the grant bumped it once.
   std::string lease_dir;
   std::uint64_t lease_id = 0;
+  std::uint64_t lease_version = 0;
   FenceToken lease_epoch = 0;
   SimTime lease_expire_at = 0;
   /// Revocations piggybacked on the requester's own ack (its mutation
@@ -117,22 +121,32 @@ struct ClientResponseMsg final : net::Message {
 
 // --- directory lease revocation (active <-> client) --------------------------
 
-/// One revoked directory lease, as pushed to the client that holds it.
+/// Version of a whole-grant revocation: above every patch version, so a
+/// revoked lease id rejects every reply still in flight for it.
+inline constexpr std::uint64_t kLeaseRevoked = ~std::uint64_t{0};
+
+/// One change to a leased directory, as pushed to a holder. A patch
+/// (`version` < kLeaseRevoked) says child `name` changed and the grant
+/// stays, now at `version`; a revocation (kLeaseRevoked) ends the grant.
 struct LeaseRevocation {
   std::string dir;            ///< leased directory path
   std::uint64_t lease_id = 0;
+  std::uint64_t version = kLeaseRevoked;
+  std::string name{};         ///< patch: the child whose entry changed
+  bool listing = false;       ///< patch: the child set changed too
+  SimTime expire_at = 0;      ///< the grant's deadline when it was sent
 };
 
-/// Active -> holder: drop the named cache entries and ack to the sender.
-/// The ack is what releases the mutation's reply barrier on the granter.
+/// Active -> holder: apply the patches and revocations, and ack each to
+/// the sender. The acks are what release the mutation's reply barrier.
 struct LeaseRevokeMsg final : net::Message {
   std::vector<LeaseRevocation> leases;
   net::MsgType type() const noexcept override { return net::kLeaseRevoke; }
 };
 
-/// Holder -> active: the pushed revocations have been applied locally.
+/// Holder -> active: the pushed (lease id, version) pairs are applied.
 struct LeaseRevokeAckMsg final : net::Message {
-  std::vector<std::uint64_t> lease_ids;
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> leases;
   net::MsgType type() const noexcept override { return net::kLeaseRevokeAck; }
 };
 

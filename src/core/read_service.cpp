@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <functional>
 
 #include "core/mds_server.hpp"
 #include "core/ops.hpp"
@@ -20,9 +21,16 @@ constexpr SerialNumber kMaxParkGap = 64;
 constexpr std::size_t kMaxParked = 64;
 constexpr SimTime kMaxParkWait = 500 * kMillisecond;
 
-/// Bound on outstanding (directory, client) lease grants; at the cap, reads
-/// are served without a lease rather than evicting someone else's.
-constexpr std::size_t kMaxLeaseGrants = 4096;
+/// Bound on live (directory, client) lease grants; at the cap, reads are
+/// served without a lease rather than evicting someone else's. Dead grants
+/// are reclaimed, so the cap only has to hold the working set: clients
+/// times the directories each one reads within a TTL.
+constexpr std::size_t kMaxLeaseGrants = 65536;
+
+bool ChangesChildSet(ClientOp op) {
+  return op == ClientOp::kCreate || op == ClientOp::kMkdir ||
+         op == ClientOp::kDelete || op == ClientOp::kRename;
+}
 
 }  // namespace
 
@@ -33,6 +41,7 @@ void ReadService::OnRole(ServerState role) {
   if (role != ServerState::kActive) {
     grants_.clear();
     grant_count_ = 0;
+    expiries_.clear();
   }
 }
 
@@ -135,8 +144,12 @@ void ReadService::FlushParked(const char* why) {
 
 void ReadService::MaybeGrantLease(const ClientRequestMsg& req,
                                   ClientResponseMsg& out) {
-  if (!s_.options().client_leases.grant_leases || !s_.commit() || !out.ok ||
-      req.requester == kInvalidNode) {
+  // A stat answering NotFound is a negative entry: the lease on its parent
+  // covers the child set, so whatever creates the name patches it away.
+  const bool negative = !out.ok && out.code == StatusCode::kNotFound &&
+                        req.op == ClientOp::kGetFileInfo;
+  if (!s_.options().client_leases.grant_leases || !s_.commit() ||
+      (!out.ok && !negative) || req.requester == kInvalidNode) {
     return;
   }
   // Never issue a grant that could outlive this node's tenure: the
@@ -151,36 +164,97 @@ void ReadService::MaybeGrantLease(const ClientRequestMsg& req,
                               ? req.path
                               : fsns::ParentPath(req.path);
   if (dir.empty()) return;  // stat of "/" has no parent directory to lease
-  auto& holders = grants_[dir];
-  auto it = holders.find(req.requester);
-  if (it == holders.end()) {
+  Reclaim();
+  auto d = grants_.find(dir);
+  LeaseGrant* grant = nullptr;
+  if (d != grants_.end()) {
+    auto h = d->second.holders.find(req.requester);
+    if (h != d->second.holders.end()) grant = &h->second;
+  }
+  if (grant == nullptr) {
     if (grant_count_ >= kMaxLeaseGrants) {
-      if (holders.empty()) grants_.erase(dir);
-      return;  // at capacity: serve unleased rather than evict someone else
+      // At capacity: serve unleased rather than evict someone else.
+      s_.m().leases_refused->Add();
+      return;
     }
+    if (d == grants_.end()) d = grants_.emplace(dir, LeasedDir{}).first;
     // Fresh grants always draw a fresh id — a revoked id is never reissued,
     // so a client-side tombstone on it can never collide with a live grant.
-    it = holders.emplace(req.requester, LeaseGrant{++next_lease_id_, 0}).first;
+    grant = &d->second.holders
+                 .emplace(req.requester, LeaseGrant{++next_lease_id_, 0})
+                 .first->second;
     ++grant_count_;
     Bump(s_.mutable_counters().leases_granted, s_.m().leases_granted);
+    // One heap entry per grant; Reclaim re-queues it past each renewal.
+    expiries_.push_back({now + kLeaseTtl, dir, req.requester, grant->id});
+    std::push_heap(expiries_.begin(), expiries_.end(), std::greater<>{});
   }
-  it->second.expire_at = std::max(it->second.expire_at, now + kLeaseTtl);
+  grant->expire_at = now + kLeaseTtl;
   out.lease_dir = dir;
-  out.lease_id = it->second.id;
+  out.lease_id = grant->id;
+  out.lease_version = d->second.version;
   out.lease_epoch = s_.view().fence_token;
-  out.lease_expire_at = it->second.expire_at;
+  out.lease_expire_at = grant->expire_at;
+}
+
+void ReadService::Reclaim() {
+  const SimTime now = s_.sim().Now();
+  while (!expiries_.empty() && expiries_.front().at <= now) {
+    std::pop_heap(expiries_.begin(), expiries_.end(), std::greater<>{});
+    Expiry e = std::move(expiries_.back());
+    expiries_.pop_back();
+    auto d = grants_.find(e.dir);
+    if (d == grants_.end()) continue;
+    auto it = d->second.holders.find(e.node);
+    if (it == d->second.holders.end() || it->second.id != e.id) continue;
+    if (it->second.expire_at > now) {  // renewed since: follow the deadline
+      e.at = it->second.expire_at;
+      expiries_.push_back(std::move(e));
+      std::push_heap(expiries_.begin(), expiries_.end(), std::greater<>{});
+      continue;
+    }
+    d->second.holders.erase(it);
+    --grant_count_;
+    if (d->second.holders.empty()) grants_.erase(d);
+  }
+}
+
+void ReadService::PatchDir(const std::string& dir, const std::string& name,
+                           bool listing, NodeId own, Revocation& r) {
+  auto it = grants_.find(dir);
+  if (it == grants_.end()) return;
+  LeasedDir& d = it->second;
+  ++d.version;
+  for (auto h = d.holders.begin(); h != d.holders.end();) {
+    const auto& [node, grant] = *h;
+    if (node == own) {
+      r.own.push_back(grant.id);
+      --grant_count_;
+      Bump(s_.mutable_counters().leases_revoked, s_.m().leases_revoked);
+      h = d.holders.erase(h);
+      continue;
+    }
+    r.pushes[node].push_back(
+        {dir, grant.id, d.version, name, listing, grant.expire_at});
+    r.barrier.outstanding.emplace(node, grant.id, d.version);
+    r.barrier.release_at = std::max(r.barrier.release_at, grant.expire_at);
+    Bump(s_.mutable_counters().lease_patches, s_.m().lease_patches);
+    ++h;
+  }
+  if (d.holders.empty()) grants_.erase(it);
 }
 
 void ReadService::RevokeDir(const std::string& dir, NodeId own,
                             Revocation& r) {
   auto it = grants_.find(dir);
   if (it == grants_.end()) return;
-  for (const auto& [node, grant] : it->second) {
+  for (const auto& [node, grant] : it->second.holders) {
     if (node == own) {
       r.own.push_back(grant.id);
     } else {
-      r.pushes[node].push_back({dir, grant.id});
-      r.barrier.outstanding.emplace(node, grant.id);
+      r.pushes[node].push_back(
+          {dir, grant.id, kLeaseRevoked, {}, false, grant.expire_at});
+      r.barrier.outstanding.emplace(node, grant.id, kLeaseRevoked);
       r.barrier.release_at = std::max(r.barrier.release_at, grant.expire_at);
     }
     --grant_count_;
@@ -189,16 +263,12 @@ void ReadService::RevokeDir(const std::string& dir, NodeId own,
   grants_.erase(it);
 }
 
-void ReadService::CollectRevocations(const std::string& path, NodeId own,
-                                     Revocation& r) {
-  // A mutation of `path` changes its parent's listing and the parent's view
-  // of the entry itself...
-  const std::string parent = fsns::ParentPath(path);
-  if (!parent.empty()) RevokeDir(parent, own, r);
-  // ...and, when `path` is a directory (delete/rename), invalidates every
-  // cached listing at or below it. Scan the contiguous string-prefix region
-  // of the sorted table; IsPrefixPath filters siblings like "/a/bc" that
-  // share the byte prefix without being under "/a/b".
+void ReadService::RevokeTree(const std::string& path, NodeId own,
+                             Revocation& r) {
+  // `path` itself and every cached listing below it. Scan the contiguous
+  // string-prefix region of the sorted table; IsPrefixPath filters
+  // siblings like "/a/bc" that share the byte prefix without being under
+  // "/a/b".
   for (auto it = grants_.lower_bound(path);
        it != grants_.end() && it->first.compare(0, path.size(), path) == 0;) {
     const std::string dir = it->first;
@@ -207,16 +277,42 @@ void ReadService::CollectRevocations(const std::string& path, NodeId own,
   }
 }
 
+void ReadService::PatchAncestors(const std::string& path, NodeId own,
+                                 Revocation& r) {
+  // mkdir -p semantics: a create or mkdir of /a/b/c may bring /a/b into
+  // being, which a negative entry for "b" under /a must not outlive.
+  for (std::string dir = fsns::ParentPath(path); dir.size() > 1;) {
+    std::string parent = fsns::ParentPath(dir);
+    PatchDir(parent, std::string(fsns::BaseName(dir)), /*listing=*/true, own,
+             r);
+    dir = std::move(parent);
+  }
+}
+
 ReplyFn ReadService::RevokeConflicting(const ClientRequestMsg& req, TxId txid,
                                        ReplyFn reply) {
   if (grants_.empty()) return reply;
-  // The requester's own revocations ride its ack (it must drop/patch its
-  // cache before acting on the reply); remote holders get a push straight
-  // from here and gate the ack via the txid barrier.
+  Reclaim();
+  // The parent of each named path gets a patch for that child; the path
+  // itself and its subtree lose their grants (a directory delete or
+  // rename ends every listing below it). The requester's own grants are
+  // revoked and their ids ride its ack (it must drop its lines before
+  // acting on the reply); remote holders get a push straight from here
+  // and gate the ack via the txid barrier.
   Revocation r;
-  CollectRevocations(req.path, req.requester, r);
-  if (req.op == ClientOp::kRename && !req.path2.empty())
-    CollectRevocations(req.path2, req.requester, r);
+  const bool listing = ChangesChildSet(req.op);
+  auto collect = [&](const std::string& path) {
+    const std::string parent = fsns::ParentPath(path);
+    if (!parent.empty()) {
+      PatchDir(parent, std::string(fsns::BaseName(path)), listing,
+               req.requester, r);
+    }
+    RevokeTree(path, req.requester, r);
+  };
+  collect(req.path);
+  if (req.op == ClientOp::kRename && !req.path2.empty()) collect(req.path2);
+  if (req.op == ClientOp::kCreate || req.op == ClientOp::kMkdir)
+    PatchAncestors(req.path, req.requester, r);
   std::vector<std::uint64_t> own = std::move(r.own);
   Revoke(std::move(r), txid);
   if (own.empty()) return reply;
@@ -233,8 +329,14 @@ ReplyFn ReadService::RevokeConflicting(const ClientRequestMsg& req, TxId txid,
 
 void ReadService::RevokeUnder(const std::string& path, TxId txid) {
   if (grants_.empty()) return;
+  Reclaim();
   Revocation r;
-  CollectRevocations(path, kInvalidNode, r);
+  // The parent, and every ancestor the install may have materialized.
+  for (std::string dir = fsns::ParentPath(path); !dir.empty();
+       dir = fsns::ParentPath(dir)) {
+    RevokeDir(dir, kInvalidNode, r);
+  }
+  RevokeTree(path, kInvalidNode, r);
   Revoke(std::move(r), txid);
 }
 
@@ -242,6 +344,7 @@ void ReadService::RevokeSlot(std::uint32_t slot, TxId migration_id) {
   // A lease on directory `dir` protects cached entries for `dir`'s
   // children, whose mutations all route by the container slot
   // SlotOfDir(dir) — exactly the unit a migration moves.
+  Reclaim();
   Revocation r;
   for (auto it = grants_.begin(); it != grants_.end();) {
     if (s_.shard().map().SlotOfDir(it->first) != slot) {
@@ -308,11 +411,11 @@ void ReadService::ReleaseBarrier(TxId txid, bool expired) {
 
 void ReadService::HandleRevokeAck(NodeId client, const net::MessagePtr& msg) {
   const auto& ack = net::Cast<LeaseRevokeAckMsg>(msg);
-  if (ack.lease_ids.empty()) return;
+  if (ack.leases.empty()) return;
   std::vector<TxId> drained;
   for (auto& [txid, barrier] : barriers_) {
-    for (std::uint64_t id : ack.lease_ids)
-      barrier.outstanding.erase({client, id});
+    for (const auto& [id, version] : ack.leases)
+      barrier.outstanding.erase({client, id, version});
     if (barrier.outstanding.empty()) drained.push_back(txid);
   }
   for (TxId txid : drained) ReleaseBarrier(txid, /*expired=*/false);

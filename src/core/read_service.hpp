@@ -6,18 +6,23 @@
 // session floor; one slightly ahead parks, one further ahead bounces.
 // Parked reads belong to the standby role.
 //
-// Active-served reads carry a per-(directory, client) lease. A conflicting
-// mutation revokes every overlapping grant (its own ids ride its ack, remote
-// holders get a push) and completes only once every remote holder acked or
-// the last revoked grant expired. The grant table belongs to the active
-// role; the barriers outlive a live step-down, since they hold committed
-// work that acks or the TTL release in any role.
+// Active-served reads, NotFound stats included, carry a per-(directory,
+// client) lease. Each leased directory has a version. A mutation of child
+// `name` bumps it and sends every remote holder a patch (the grant stays);
+// a directory delete or rename, a shard install and a migration revoke
+// whole grants, and so does a mutation for the requester's own grants
+// (their ids ride its ack). The mutation completes only once every remote
+// holder acked or its grant expired. A grant past its deadline is dead and
+// is reclaimed without a push. The grant table belongs to the active role;
+// the barriers outlive a live step-down, since they hold committed work
+// that acks or the TTL release in any role.
 #pragma once
 
 #include <functional>
 #include <map>
 #include <set>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "core/messages.hpp"
@@ -47,8 +52,9 @@ class ReadService {
   void FlushParked(const char* why);
   std::size_t parked_count() const noexcept { return parked_.size(); }
 
-  /// A mutation's revocations, with a barrier under `txid` when any remote
-  /// holder exists; returns `reply` carrying the requester's own ids.
+  /// A mutation's patches and revocations, with a barrier under `txid`
+  /// when any remote holder exists; returns `reply` carrying the
+  /// requester's own revoked ids.
   ReplyFn RevokeConflicting(const ClientRequestMsg& req, TxId txid,
                             ReplyFn reply);
   /// A shard install or removal at `path`: every holder is remote.
@@ -71,11 +77,25 @@ class ReadService {
     std::uint64_t id = 0;
     SimTime expire_at = 0;
   };
+  /// One leased directory: its version and its live holders.
+  struct LeasedDir {
+    std::uint64_t version = 0;
+    std::map<NodeId, LeaseGrant> holders;
+  };
+  /// A grant's deadline as last seen; `Reclaim` re-queues an extended one.
+  struct Expiry {
+    SimTime at = 0;
+    std::string dir;
+    NodeId node = kInvalidNode;
+    std::uint64_t id = 0;
+    bool operator>(const Expiry& o) const { return at > o.at; }
+  };
   struct LeaseBarrier {
-    /// (client node, lease id) acks still missing.
-    std::set<std::pair<NodeId, std::uint64_t>> outstanding;
-    /// Latest expire_at among the revoked grants: past this instant no
-    /// client can serve them anyway, so the barrier self-releases.
+    /// (client node, lease id, version) acks still missing.
+    std::set<std::tuple<NodeId, std::uint64_t, std::uint64_t>> outstanding;
+    /// Latest expire_at among the patched or revoked grants: past this
+    /// instant no client can serve them anyway, so the barrier
+    /// self-releases.
     SimTime release_at = 0;
     /// Deferred completions (client acks, cross-group legs) run on release.
     std::vector<std::function<void()>> held;
@@ -90,12 +110,23 @@ class ReadService {
   void ServeStandbyRead(const RequestPtr& req, const ReplyFn& reply);
   void BounceRead(const ReplyFn& reply, const char* why);
   void MaybeGrantLease(const ClientRequestMsg& req, ClientResponseMsg& out);
+  /// Drops every grant whose deadline has passed: no client serves it any
+  /// more, so it needs no push and no barrier.
+  void Reclaim();
+  /// Child `name` of `dir` changed: bumps the version and patches every
+  /// remote holder; `own`'s grant is revoked instead.
+  void PatchDir(const std::string& dir, const std::string& name,
+                bool listing, NodeId own, Revocation& r);
   /// Drops every grant on directory `dir`: `own`'s ids stay local, every
   /// other holder gets a push and a place on the barrier.
   void RevokeDir(const std::string& dir, NodeId own, Revocation& r);
-  /// RevokeDir over `path`'s parent, `path` itself, and its subtree.
-  void CollectRevocations(const std::string& path, NodeId own, Revocation& r);
-  /// Pushes the revocations and installs the barrier under `txid`.
+  /// RevokeDir over `path` itself and its subtree.
+  void RevokeTree(const std::string& path, NodeId own, Revocation& r);
+  /// A create or mkdir of `path` may materialize its missing ancestors:
+  /// patches each one's parent, from the grandparent of `path` up.
+  void PatchAncestors(const std::string& path, NodeId own, Revocation& r);
+  /// Pushes the patches and revocations and installs the barrier under
+  /// `txid`.
   void Revoke(Revocation r, TxId txid);
   void ReleaseBarrier(TxId txid, bool expired);
 
@@ -103,10 +134,12 @@ class ReadService {
   /// Keyed by the sn each read waits for.
   std::multimap<SerialNumber, ParkedRead> parked_;
   std::uint64_t parked_token_seq_ = 0;
-  /// Leased directory -> holder node -> grant. Never persisted or
+  /// Leased directory -> version and holders. Never persisted or
   /// replicated: no grant outlives the granter's session (see kLeaseTtl).
-  std::map<std::string, std::map<NodeId, LeaseGrant>> grants_;
+  std::map<std::string, LeasedDir> grants_;
   std::size_t grant_count_ = 0;
+  /// Min-heap (std::push_heap order) with one entry per live grant.
+  std::vector<Expiry> expiries_;
   std::uint64_t next_lease_id_ = 0;
   /// By txid (or migration id). A crash drops them with their held
   /// replies, which clients retry anyway.

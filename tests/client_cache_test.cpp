@@ -158,11 +158,11 @@ TEST_F(ClientCacheTest, RevocationLandsBeforeTheConflictingAck) {
   ASSERT_GE(cluster_->client(0).counters().cache_hits, 1u);
 
   // Another client mutates the leased directory. Its ack is barriered on
-  // client 0's revocation, so the instant it returns, client 0's cached
+  // client 0's patch, so the instant it returns, client 0's cached
   // listing is gone — the very next list must go to the wire and see the
   // new entry.
   ASSERT_TRUE(CreateFile("/d/b", 1).ok());
-  EXPECT_GE(cluster_->client(0).counters().cache_revocations, 1u);
+  EXPECT_GE(cluster_->client(0).counters().cache_patches, 1u);
 
   const Result<std::vector<std::string>> after = ListSync("/d");
   ASSERT_TRUE(after.ok());
@@ -172,7 +172,7 @@ TEST_F(ClientCacheTest, RevocationLandsBeforeTheConflictingAck) {
 
   core::MdsServer* active = cluster_->FindActive(0);
   ASSERT_NE(active, nullptr);
-  EXPECT_GE(active->counters().leases_revoked, 1u);
+  EXPECT_GE(active->counters().lease_patches, 1u);
 }
 
 TEST_F(ClientCacheTest, RevocationReachesHolderWithoutTheCoordinationService) {
@@ -205,7 +205,7 @@ TEST_F(ClientCacheTest, RevocationReachesHolderWithoutTheCoordinationService) {
   ASSERT_TRUE(created.ok()) << created.ToString();
   EXPECT_LT(finished - start, 50 * kMillisecond);
   EXPECT_EQ(active->counters().lease_barrier_expiries, 0u);
-  EXPECT_GE(cluster_->client(0).counters().cache_revocations, 1u);
+  EXPECT_GE(cluster_->client(0).counters().cache_patches, 1u);
 }
 
 TEST_F(ClientCacheTest, OwnMutationsInvalidateTheCacheReadYourWrites) {
@@ -265,7 +265,8 @@ TEST_F(ClientCacheTest, ReTombstonedLeaseStaysDeadUntilItsLaterDeadline) {
   core::MdsServer* active = cluster_->FindActive(0);
   ASSERT_NE(active, nullptr);
   // The active's first grant, so lease id 1: client 0 on /d. Later reads
-  // of /d are answered under the same grant, which nothing revokes.
+  // of /d are answered under the same grant, which nothing revokes as
+  // long as a read renews it within every TTL.
   ASSERT_EQ(active->counters().leases_granted, 1u);
   FsClient& holder = cluster_->client(0);
   auto push_revoke = [&] {
@@ -282,17 +283,25 @@ TEST_F(ClientCacheTest, ReTombstonedLeaseStaysDeadUntilItsLaterDeadline) {
     EXPECT_TRUE(ListSync("/d").ok());
     return holder.last_stamp().via_cache;
   };
+  // Runs until `t`, listing /d every half second to renew grant 1.
+  auto hold_grant_until = [&](SimTime t) {
+    while (sim_->Now() < t) {
+      EXPECT_TRUE(ListSync("/d").ok());
+      Run(std::min<SimTime>(500 * kMillisecond, t - sim_->Now()));
+    }
+  };
   ASSERT_TRUE(second_list_cached());
 
   const SimTime t0 = sim_->Now();
   push_revoke();  // tombstoned until t0 + 30 s
   EXPECT_FALSE(second_list_cached());
-  Run(20 * kSecond);
+  hold_grant_until(t0 + 20 * kSecond);
   push_revoke();  // tombstoned again, until t0 + 50 s
-  Run(t0 + 35 * kSecond - sim_->Now());
+  hold_grant_until(t0 + 35 * kSecond);
   EXPECT_FALSE(second_list_cached());  // prunes the t0 + 30 s entry only
-  Run(t0 + 51 * kSecond - sim_->Now());
+  hold_grant_until(t0 + 51 * kSecond);
   EXPECT_TRUE(second_list_cached());
+  EXPECT_EQ(active->counters().leases_granted, 1u);
 }
 
 TEST_F(ClientCacheTest, FailoverOutlivesEveryLeaseAndCacheRecovers) {
@@ -485,6 +494,197 @@ TEST_F(ClientCacheTest, MigrationActivationWaitsOnTheCutoverLeaseBarrier) {
     const Result<fsns::FileInfo> moved = StatSync(dir + "/f0");
     EXPECT_TRUE(moved.ok()) << moved.status().ToString();
   }
+}
+
+TEST_F(ClientCacheTest, ExpiredGrantsFreeTheirSlots) {
+  // The grant table is bounded; at the cap a read is served without a
+  // lease. A grant past its deadline is dead, so it must give its slot back
+  // without any revocation: fill the table from many holders, let every
+  // grant expire, and a new holder's read must be granted again.
+  Build(1, 2);
+  ASSERT_TRUE(MkdirSync("/d").ok());
+  ASSERT_TRUE(CreateFile("/d/a").ok());
+  core::MdsServer* active = cluster_->FindActive(0);
+  ASSERT_NE(active, nullptr);
+  net::Host reader(*net_, "lease-filler");
+  reader.Boot();
+  std::uint64_t seq = 0;
+  // One stat of /d/a per fake holder; returns how many came back unleased.
+  auto stat_as = [&](NodeId first, int holders) {
+    int unleased = 0;
+    int answered = 0;
+    for (int i = 0; i < holders; ++i) {
+      auto req = std::make_shared<core::ClientRequestMsg>();
+      req->op = core::ClientOp::kGetFileInfo;
+      req->path = "/d/a";
+      req->client = {.client_id = 2000, .op_seq = ++seq};
+      req->requester = first + static_cast<NodeId>(i);
+      reader.Call(active->id(), req, kSecond, [&](Result<net::MessagePtr> r) {
+        ++answered;
+        if (r.ok() && net::Cast<core::ClientResponseMsg>(r.value()).ok &&
+            net::Cast<core::ClientResponseMsg>(r.value()).lease_id == 0) {
+          ++unleased;
+        }
+      });
+    }
+    testutil::WaitFor(*sim_, [&] { return answered == holders; }, kSecond,
+                      kMillisecond);
+    EXPECT_EQ(answered, holders);
+    return unleased;
+  };
+  // Fill well inside one TTL: a batch costs the active's CPU ~37 ms.
+  constexpr int kBatch = 2048;
+  NodeId next = 10000;
+  bool full = false;
+  for (int batch = 0; batch < 40 && !full; ++batch, next += kBatch) {
+    full = stat_as(next, kBatch) > 0;
+  }
+  ASSERT_TRUE(full) << "the grant table never filled";
+  EXPECT_EQ(stat_as(next, 1), 1) << "the table should still be full";
+  ++next;
+
+  Run(core::kLeaseTtl);
+  EXPECT_EQ(stat_as(next, 1), 0) << "expired grants kept their slots";
+}
+
+TEST_F(ClientCacheTest, IdleClientDropsItsLinesWhenTheLeasesDie) {
+  // A line holds no more than its lease: an idle client must not keep
+  // entries for directories it stopped reading.
+  Build(1, 2);
+  for (const char* dir : {"/p", "/q", "/r"}) {
+    ASSERT_TRUE(CreateFile(std::string(dir) + "/f").ok());
+    ASSERT_TRUE(StatSync(std::string(dir) + "/f").ok());
+  }
+  EXPECT_EQ(cluster_->client(0).cached_dirs(), 3u);
+  // One TTL, plus the sweep's period (an eighth of it).
+  Run(core::kLeaseTtl + core::kLeaseTtl / 8 + kMillisecond);
+  EXPECT_EQ(cluster_->client(0).cached_dirs(), 0u);
+  EXPECT_GE(cluster_->client(0).counters().cache_expiries, 3u);
+}
+
+TEST_F(ClientCacheTest, NegativeEntryDiesWithTheCreateThatFillsIt) {
+  Build(1, 2);
+  ASSERT_TRUE(MkdirSync("/d").ok());
+  ASSERT_TRUE(MkdirSync("/e", 1).ok());  // client 1 learns the active
+  ASSERT_EQ(StatSync("/d/n").status().code(), StatusCode::kNotFound);
+  ASSERT_EQ(StatSync("/d/n").status().code(), StatusCode::kNotFound);
+  ASSERT_TRUE(cluster_->client(0).last_stamp().via_cache);
+
+  // A create elsewhere in the directory patches only its own name...
+  ASSERT_TRUE(CreateFile("/d/m", 1).ok());
+  ASSERT_EQ(StatSync("/d/n").status().code(), StatusCode::kNotFound);
+  EXPECT_TRUE(cluster_->client(0).last_stamp().via_cache);
+  // ...and the create of the name itself, or of a path under it, kills
+  // the negative entry before its ack.
+  ASSERT_TRUE(CreateFile("/d/n", 1).ok());
+  EXPECT_TRUE(StatSync("/d/n").ok());
+  EXPECT_FALSE(cluster_->client(0).last_stamp().via_cache);
+  ASSERT_EQ(StatSync("/d/k").status().code(), StatusCode::kNotFound);
+  ASSERT_EQ(StatSync("/d/k").status().code(), StatusCode::kNotFound);
+  ASSERT_TRUE(cluster_->client(0).last_stamp().via_cache);
+  ASSERT_TRUE(CreateFile("/d/k/deep", 1).ok());  // materializes /d/k
+  const Result<fsns::FileInfo> k = StatSync("/d/k");
+  ASSERT_TRUE(k.ok()) << k.status().ToString();
+  EXPECT_TRUE(k.value().is_dir);
+}
+
+// The three orderings of a patch against the other messages of its lease.
+// The active's first grant is lease id 1 at version 0, so a hand-made
+// patch can name it; it travels the same link as the reply it races.
+class PatchRaceTest : public ClientCacheTest {
+ protected:
+  void SendPatch(std::uint64_t version, const std::string& name) {
+    core::MdsServer* active = cluster_->FindActive(0);
+    ASSERT_NE(active, nullptr);
+    auto push = std::make_shared<core::LeaseRevokeMsg>();
+    push->leases.push_back({"/d", 1, version, name, true, 0});
+    net_->Send(net::Envelope{.from = active->id(),
+                             .to = cluster_->client(0).id(),
+                             .payload = push});
+  }
+};
+
+TEST_F(PatchRaceTest, ReplyServedBeforeAPatchButDeliveredAfterIt) {
+  Build(1, 2);
+  ASSERT_TRUE(MkdirSync("/d").ok());
+  ASSERT_TRUE(CreateFile("/d/a").ok());
+  ASSERT_TRUE(CreateFile("/d/b").ok());
+  ASSERT_TRUE(StatSync("/d/a").ok());  // line on /d: lease 1, version 0
+  ASSERT_EQ(cluster_->FindActive(0)->counters().leases_granted, 1u);
+
+  // The stat of /d/b is served at version 0; a patch for version 1 (a
+  // change to /d/b) sent now reaches the client first.
+  Result<fsns::FileInfo> b = Status::TimedOut("no reply");
+  bool done = false;
+  cluster_->client(0).GetFileInfo("/d/b", [&](Result<fsns::FileInfo> r) {
+    b = std::move(r);
+    done = true;
+  });
+  SendPatch(1, "b");
+  testutil::WaitFor(*sim_, [&] { return done; }, kSecond, kMillisecond);
+  ASSERT_TRUE(b.ok());
+  // The reply is older than the line: its /d/b must not be cached.
+  ASSERT_TRUE(StatSync("/d/b").ok());
+  EXPECT_FALSE(cluster_->client(0).last_stamp().via_cache);
+  // The entry the patch did not name survives it.
+  ASSERT_TRUE(StatSync("/d/a").ok());
+  EXPECT_TRUE(cluster_->client(0).last_stamp().via_cache);
+}
+
+TEST_F(PatchRaceTest, PatchArrivesBeforeTheClientHoldsTheLine) {
+  Build(1, 2);
+  ASSERT_TRUE(MkdirSync("/d").ok());
+  ASSERT_TRUE(CreateFile("/d/a").ok());
+  // The first read of /d draws lease 1 at version 0; a patch for version
+  // 1 overtakes its reply.
+  Result<fsns::FileInfo> a = Status::TimedOut("no reply");
+  bool done = false;
+  cluster_->client(0).GetFileInfo("/d/a", [&](Result<fsns::FileInfo> r) {
+    a = std::move(r);
+    done = true;
+  });
+  SendPatch(1, "a");
+  testutil::WaitFor(*sim_, [&] { return done; }, kSecond, kMillisecond);
+  ASSERT_TRUE(a.ok());
+  ASSERT_EQ(cluster_->FindActive(0)->counters().leases_granted, 1u);
+  // The patch left a tombstone at version 1: the version-0 reply that
+  // followed it must not fill a line.
+  EXPECT_EQ(cluster_->client(0).cached_dirs(), 0u);
+  ASSERT_TRUE(StatSync("/d/a").ok());
+  EXPECT_FALSE(cluster_->client(0).last_stamp().via_cache);
+}
+
+TEST_F(PatchRaceTest, LostPatchGapDropsTheLineAndTheBarrierWaitsOutTheTtl) {
+  Build(1, 2);
+  ASSERT_TRUE(MkdirSync("/d").ok());
+  ASSERT_TRUE(MkdirSync("/e", 1).ok());  // client 1 learns the active
+  FsClient& holder = cluster_->client(0);
+  const SimTime leased = sim_->Now();  // the grant expires after this + TTL
+  ASSERT_EQ(StatSync("/d/c").status().code(), StatusCode::kNotFound);
+  core::MdsServer* active = cluster_->FindActive(0);
+  ASSERT_NE(active, nullptr);
+
+  // The patch for /d/c (version 1) is lost on the way to the holder.
+  cluster_->faults().CutHalf(holder.id(), Faults::Half::kIn);
+  bool first = false;
+  cluster_->client(1).Create("/d/c", [&](Status s) { first = s.ok(); });
+  Run(10 * kMillisecond);
+  cluster_->faults().RestoreHalves(holder.id());
+  // The next one (version 2) arrives: the holder sees the gap and drops
+  // the whole line, negative /d/c included.
+  ASSERT_TRUE(CreateFile("/d/x", 1).ok());
+  EXPECT_FALSE(first) << "the lost patch's barrier must hold the ack";
+  // A fresh read re-leases /d at version 2, past the first barrier.
+  ASSERT_EQ(StatSync("/d/y").status().code(), StatusCode::kNotFound);
+
+  // The first create is acked once the lost patch's grant has expired.
+  ASSERT_TRUE(testutil::WaitFor(*sim_, [&] { return first; }, 5 * kSecond,
+                                kMillisecond));
+  EXPECT_GE(sim_->Now(), leased + core::kLeaseTtl);
+  EXPECT_EQ(active->counters().lease_barrier_expiries, 1u);
+  const Result<fsns::FileInfo> c = StatSync("/d/c");
+  EXPECT_TRUE(c.ok()) << "stale negative entry served after the ack";
+  EXPECT_FALSE(holder.last_stamp().via_cache);
 }
 
 }  // namespace

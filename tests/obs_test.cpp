@@ -323,6 +323,17 @@ TEST(MetricCatalogueTest, DocumentsExactlyWhatAClusterRegisters) {
   for (const auto& [name, m] : reg.histograms()) {
     registered.insert(Family(name));
   }
+  // The miss reasons split client.cache_misses exactly.
+  const auto& counters = reg.counters();
+  std::uint64_t reasons = 0;
+  for (const char* name :
+       {"client.cache_miss_no_line", "client.cache_miss_no_entry",
+        "client.cache_miss_expired", "client.cache_miss_below_floor"}) {
+    reasons += counters.at(name).value;
+  }
+  EXPECT_EQ(reasons, counters.at("client.cache_misses").value);
+  EXPECT_GT(reasons, 0u);
+
   const std::set<std::string> documented = DocumentedMetrics();
   ASSERT_FALSE(documented.empty());
   for (const std::string& name : registered) {
