@@ -25,25 +25,27 @@
 // active.
 //
 // Namespace cache: with ClientCacheOptions::enabled the client keeps a
-// per-directory line (child FileInfo entries, negative entries for names
-// a stat found missing, and the listing) under a lease the active grants
-// on its read replies. Each line holds one version of its directory: a
+// per-directory line under a lease the active grants on its read replies.
+// A leased reply carries the fill: the whole directory (every child's
+// attributes) at the lease's version, which the line keeps as it came. A
 // change to child `name` by another client arrives as a patch at the next
-// version, which drops only that entry (and the listing when the child
-// set changed); a version gap, a directory delete or rename, a shard move
-// or the client's own mutation drops the whole line. The active holds the
-// mutation's ack until every holder acked its patch (or the lease TTL),
-// so no cache serves a change's old state once the change is acked
-// anywhere. A hit needs a live lease AND the line's `valid_sn` — the
-// highest applied sn at which the active confirmed that version — at or
-// above the directory's floor, the highest sn this session observed for
-// the directory; it reports `valid_sn` as its applied sn. The floor is per
-// directory, so a write elsewhere in the group costs this line nothing,
-// while read-your-writes and monotonic reads hold per directory. Lines go
-// when their lease dies. A lease id the client knows at a newer version,
-// or revoked, is tombstoned with that version: a patch or revocation and
-// an in-flight reply travel on different channels, and the tombstone
-// keeps an older reply out.
+// version and leaves a hole for `name`; a stat of any other name is a hit,
+// and one the fill lacks answers NotFound. A listing hits while the line
+// has no holes, and any leased read of the directory refills the line. A
+// version gap, a directory delete or rename, a shard move or the client's
+// own mutation drops the whole line. The active holds the mutation's ack
+// until every holder acked its patch (or the lease TTL), so no cache
+// serves a change's old state once the change is acked anywhere. A hit
+// needs a live lease AND the line's `valid_sn` — the highest applied sn at
+// which the active confirmed that version — at or above the directory's
+// floor, the highest sn this session observed for the directory; it
+// reports `valid_sn` as its applied sn. The floor is per directory, so a
+// write elsewhere in the group costs this line nothing, while
+// read-your-writes and monotonic reads hold per directory. Lines go when
+// their lease dies. A lease id the client knows at a newer version, or
+// revoked, is tombstoned with that version: a patch or revocation and an
+// in-flight reply travel on different channels, and the tombstone keeps
+// an older reply out.
 #pragma once
 
 #include <algorithm>
@@ -147,6 +149,12 @@ class FsClient : public net::Host {
   const OpStamp& last_stamp() const noexcept { return last_stamp_; }
   /// Directory lines in the lease cache.
   std::size_t cached_dirs() const noexcept { return cache_.size(); }
+  /// The fill `dir`'s line serves from, or null without a line.
+  std::shared_ptr<const core::DirSnapshot> cached_fill(
+      std::string_view dir) const {
+    auto it = cache_.find(dir);
+    return it == cache_.end() ? nullptr : it->second.fill;
+  }
   /// This client's high-water applied sn for `group` (its session token).
   SerialNumber session_sn(GroupId group) const {
     auto it = session_sn_.find(group);
@@ -489,22 +497,8 @@ class FsClient : public net::Host {
 
   // --- lease-protected namespace cache ---------------------------------------
 
-  /// One cached child, packed: a FileInfo without its path (the request
-  /// names it) and with its owner interned, or a negative entry for a name
-  /// the directory lacks.
-  struct CachedEntry {
-    std::string name;
-    SimTime mtime = 0;
-    std::uint64_t block_count = 0;
-    std::uint32_t replication = 1;
-    std::uint32_t owner = 0;  ///< index into owners_
-    std::uint16_t permission = 0;
-    bool found = false;  ///< false: a stat here answers NotFound
-    bool is_dir = false;
-    bool complete = true;
-  };
-  /// One leased directory at one version: every entry and the listing
-  /// hold for the directory's state at `version`.
+  /// One leased directory at one version: the fill it was given, less the
+  /// children patched since.
   struct DirCache {
     std::uint64_t lease_id = 0;
     std::uint64_t version = 0;
@@ -518,30 +512,11 @@ class FsClient : public net::Host {
     FenceToken epoch = 0;   ///< granter's view epoch, stamped onto hits
     SimTime expire_at = 0;  ///< absolute virtual-time lease deadline
     GroupId group = 0;      ///< owner group at fill time (shard bounces)
-    bool has_listing = false;
-    std::vector<std::string> listing;
-    /// Sorted by name: a flat vector costs a line far less than a tree.
-    std::vector<CachedEntry> entries;
-
-    std::vector<CachedEntry>::iterator LowerBound(std::string_view name) {
-      return std::lower_bound(
-          entries.begin(), entries.end(), name,
-          [](const CachedEntry& e, std::string_view n) { return e.name < n; });
-    }
-    CachedEntry* Find(std::string_view name) {
-      auto it = LowerBound(name);
-      return it != entries.end() && it->name == name ? &*it : nullptr;
-    }
-    CachedEntry& Upsert(std::string_view name) {
-      auto it = LowerBound(name);
-      if (it == entries.end() || it->name != name)
-        it = entries.insert(it, CachedEntry{.name = std::string(name)});
-      return *it;
-    }
-    void Erase(std::string_view name) {
-      auto it = LowerBound(name);
-      if (it != entries.end() && it->name == name) entries.erase(it);
-    }
+    /// The directory as the last leased reply saw it; shared with every
+    /// other line and reply filled at that version.
+    std::shared_ptr<const core::DirSnapshot> fill;
+    /// Sorted names of the children patched since the fill.
+    std::vector<std::string> holes;
   };
   using CacheMap = std::map<std::string, DirCache, std::less<>>;
 
@@ -586,17 +561,17 @@ class FsClient : public net::Host {
     auto resp = std::make_shared<core::ClientResponseMsg>();
     resp->ok = true;
     if (req.op == core::ClientOp::kListDir) {
-      if (!dc.has_listing) return miss(kNoEntry);
-      resp->listing = dc.listing;
+      if (!dc.holes.empty()) return miss(kNoEntry);
+      resp->listing = dc.fill->Names();
     } else {
-      const CachedEntry* c = dc.Find(fsns::BaseName(req.path));
-      if (c == nullptr) return miss(kNoEntry);
-      if (c->found) {
-        resp->info = {.path = req.path, .is_dir = c->is_dir,
-                      .replication = c->replication,
-                      .permission = c->permission, .owner = owners_[c->owner],
-                      .mtime = c->mtime, .block_count = c->block_count,
-                      .complete = c->complete};
+      const std::string_view name = fsns::BaseName(req.path);
+      if (!fsns::IsValidPath(req.path) ||
+          std::binary_search(dc.holes.begin(), dc.holes.end(), name)) {
+        return miss(kNoEntry);
+      }
+      const std::size_t i = dc.fill->Find(name);
+      if (i < dc.fill->size()) {
+        resp->info = dc.fill->Info(i, req.path);
       } else {
         resp->ok = false;
         resp->code = StatusCode::kNotFound;
@@ -656,14 +631,8 @@ class FsClient : public net::Host {
     DirCache& dc = it->second;
     if (dc.lease_id == resp.lease_id && dc.epoch == resp.lease_epoch) {
       if (resp.lease_version < dc.version) return;  // older than the line
-      if (resp.lease_version > dc.version) {
-        // Patches are still in flight: the reply alone is current.
-        dc.entries.clear();
-        dc.has_listing = false;
-        dc.listing.clear();
-        dc.version = resp.lease_version;
-        dc.valid_sn = 0;
-      }
+      // A newer version: `valid_sn` confirmed the line's older one.
+      if (resp.lease_version > dc.version) dc.valid_sn = 0;
     } else {
       // Grants are ordered by (epoch, id): an older one's reply was
       // served before the newer grant existed.
@@ -674,34 +643,19 @@ class FsClient : public net::Host {
       const SerialNumber floor = dc.floor;
       dc = DirCache{};
       dc.lease_id = resp.lease_id;
-      dc.version = resp.lease_version;
       dc.epoch = resp.lease_epoch;
       dc.floor = floor;
     }
+    dc.version = resp.lease_version;
     dc.valid_sn = std::max(dc.valid_sn, resp.applied_sn);
     // The server's recorded deadline is monotone per grant, so a reordered
     // pair of replies must not shorten the lease.
     dc.expire_at = std::max(dc.expire_at, resp.lease_expire_at);
     dc.group = state->group;
-    const core::ClientRequestMsg& req = *state->request;
-    if (req.op == core::ClientOp::kListDir) {
-      dc.has_listing = true;
-      dc.listing = resp.listing;
-      return;
-    }
-    CachedEntry& e = dc.Upsert(fsns::BaseName(req.path));
-    e.found = resp.ok;
-    if (!resp.ok) return;
-    e.is_dir = resp.info.is_dir;
-    e.replication = resp.info.replication;
-    e.permission = resp.info.permission;
-    auto owner = std::find(owners_.begin(), owners_.end(), resp.info.owner);
-    if (owner == owners_.end())
-      owner = owners_.insert(owner, resp.info.owner);
-    e.owner = static_cast<std::uint32_t>(owner - owners_.begin());
-    e.mtime = resp.info.mtime;
-    e.block_count = resp.info.block_count;
-    e.complete = resp.info.complete;
+    // The fill is the whole directory at a version no older than the
+    // line's, every patch up to it included: it refills the line.
+    dc.fill = resp.fill;
+    dc.holes.clear();
   }
 
   /// Drops a line while its lease may live on: its version is remembered,
@@ -721,22 +675,13 @@ class FsClient : public net::Host {
   /// its paths could cover is dropped — on errors and indeterminate
   /// outcomes too, since the mutation may still have committed.
   void InvalidateForMutation(const core::ClientRequestMsg& req) {
-    InvalidatePath(req.path);
+    InvalidatePath(req.path, req.op);
     if (req.op == core::ClientOp::kRename && !req.path2.empty()) {
-      InvalidatePath(req.path2);
-    }
-    if (req.op == core::ClientOp::kCreate || req.op == core::ClientOp::kMkdir) {
-      // The ancestors it may have materialized: the server revoked this
-      // client's grants on their parents too.
-      for (std::string_view dir = fsns::ParentDir(fsns::ParentDir(req.path));
-           !dir.empty(); dir = fsns::ParentDir(dir)) {
-        auto it = cache_.find(dir);
-        if (it != cache_.end()) DropLine(it);
-      }
+      InvalidatePath(req.path2, req.op);
     }
   }
 
-  void InvalidatePath(const std::string& path) {
+  void InvalidatePath(const std::string& path, core::ClientOp op) {
     auto it = cache_.find(fsns::ParentDir(path));
     if (it != cache_.end()) DropLine(it);
     // `path` itself and any cached directory beneath it. The string-prefix
@@ -749,6 +694,17 @@ class FsClient : public net::Host {
       } else {
         ++it;
       }
+    }
+    if (!core::ChangesChildSet(op)) return;
+    // The grandparent's fill shows the parent's mtime, which this moved; a
+    // create or mkdir may also have materialized every missing ancestor.
+    // The server revoked this client's grants on them all.
+    const bool materialized = core::MaterializesAncestors(op);
+    for (std::string_view dir = fsns::ParentDir(fsns::ParentDir(path));
+         !dir.empty(); dir = fsns::ParentDir(dir)) {
+      it = cache_.find(dir);
+      if (it != cache_.end()) DropLine(it);
+      if (!materialized) return;
     }
   }
 
@@ -773,16 +729,15 @@ class FsClient : public net::Host {
       }
       if (holds && rev.version <= it->second.version) continue;  // known
       if (holds && rev.version == it->second.version + 1) {
-        // The next change in order: only the named child goes.
+        // The next change in order: a hole for the named child only.
         ++counters_.cache_patches;
         DirCache& dc = it->second;
         dc.version = rev.version;
         dc.expire_at = std::max(dc.expire_at, rev.expire_at);
-        dc.Erase(rev.name);
-        if (rev.listing) {
-          dc.has_listing = false;
-          dc.listing.clear();
-        }
+        auto hole =
+            std::lower_bound(dc.holes.begin(), dc.holes.end(), rev.name);
+        if (hole == dc.holes.end() || *hole != rev.name)
+          dc.holes.insert(hole, rev.name);
         continue;
       }
       // No line, or a gap (an earlier patch is lost or still in flight):
@@ -982,9 +937,6 @@ class FsClient : public net::Host {
   Counters counters_;
   // Lease-protected namespace cache (see ClientCacheOptions).
   CacheMap cache_;  ///< by leased directory path
-  /// Owner strings the cached entries name; few (the namespace's users),
-  /// kept across crashes like the partition map.
-  std::vector<std::string> owners_;
   bool sweep_armed_ = false;
   /// The newest version this client knows for a lease id it holds no line
   /// for (kLeaseRevoked: revoked), until `deadline`. A patch or revocation

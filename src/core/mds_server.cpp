@@ -52,7 +52,8 @@ MdsServer::MdsServer(net::Network& network, std::string name,
         h("mds.sync_batch_ns"), h("mds.batch_records"),
         h("mds.seal_wait_ns"), h("mds.cpu_wait_ns"), h("mds.resolve_ns"),
         h("mds.standby_read_staleness_sn"),
-        metrics.gauge("mds.last_sn." + this->name())};
+        metrics.gauge("mds.last_sn." + this->name()),
+        metrics.gauge("mds.fill_snapshot_bytes")};
   renewal_ = std::make_unique<Renewal>(*this);
   reads_ = std::make_unique<ReadService>(*this, /*last_lease_id=*/0);
   shard_ = std::make_unique<ShardEngine>(*this);

@@ -187,7 +187,7 @@ class MdsServer : public net::Host {
   }
 
   // --- owner interface: what the protocol owners use of their server --------
-  /// Registry twins of the counters, plus the mds.* histograms and gauge.
+  /// Registry twins of the counters, plus the mds.* histograms and gauges.
   struct MetricHandles {
     obs::Counter *ops_served, *mutations, *reads, *batches_synced,
         *batches_applied, *duplicate_batches, *elections_won, *elections_lost,
@@ -198,7 +198,7 @@ class MdsServer : public net::Host {
         *migrations_completed, *cross_group_renames;
     obs::Histogram *sync_batch_ns, *batch_records, *seal_wait_ns,
         *cpu_wait_ns, *resolve_ns, *standby_read_staleness_sn;
-    obs::Gauge* last_sn;
+    obs::Gauge *last_sn, *fill_snapshot_bytes;
   };
   const MetricHandles& m() const noexcept { return m_; }
   Counters& mutable_counters() noexcept { return counters_; }

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "common/types.hpp"
+#include "core/dir_snapshot.hpp"
 #include "fsns/tree.hpp"
 #include "journal/record.hpp"
 #include "net/message.hpp"
@@ -39,6 +40,19 @@ enum class ClientOp : std::uint8_t {
 /// True for operations that mutate the namespace (and hence journal).
 constexpr bool IsMutation(ClientOp op) noexcept {
   return op != ClientOp::kGetFileInfo && op != ClientOp::kListDir;
+}
+
+/// True for operations that add or remove a child, which moves the
+/// parent directory's mtime.
+constexpr bool ChangesChildSet(ClientOp op) noexcept {
+  return op == ClientOp::kCreate || op == ClientOp::kMkdir ||
+         op == ClientOp::kDelete || op == ClientOp::kRename;
+}
+
+/// True for operations that may bring missing ancestors into being
+/// (mkdir -p semantics), which a fill of each one's parent shows absent.
+constexpr bool MaterializesAncestors(ClientOp op) noexcept {
+  return op == ClientOp::kCreate || op == ClientOp::kMkdir;
 }
 
 struct ClientRequestMsg final : net::Message {
@@ -98,7 +112,7 @@ struct ClientResponseMsg final : net::Message {
   std::uint64_t map_epoch = 0;
   std::vector<char> map_bytes;
   // Directory lease grant riding on an active-served read (lease_id 0 = no
-  // grant). The client may serve `lease_dir`'s cached entries locally until
+  // grant). The client may serve `lease_dir` from `fill` locally until
   // `lease_expire_at` (absolute virtual time) or until the lease is revoked.
   // `lease_version` is the directory's version when the read was served:
   // every change to one of its children since the grant bumped it once.
@@ -107,6 +121,9 @@ struct ClientResponseMsg final : net::Message {
   std::uint64_t lease_version = 0;
   FenceToken lease_epoch = 0;
   SimTime lease_expire_at = 0;
+  /// The whole of `lease_dir` at `lease_version`, shared by every reply at
+  /// that version. A filled listing's names are the fill's.
+  std::shared_ptr<const DirSnapshot> fill;
   /// Revocations piggybacked on the requester's own ack (its mutation
   /// conflicted with leases it holds itself — no push round needed).
   std::vector<std::uint64_t> revoke_lease_ids;
@@ -114,6 +131,7 @@ struct ClientResponseMsg final : net::Message {
   net::MsgType type() const noexcept override { return net::kClientResponse; }
   std::size_t ByteSize() const noexcept override {
     std::size_t n = 128 + error.size();
+    if (fill) return n + fill->bytes();
     for (const auto& s : listing) n += s.size() + 8;
     return n;
   }
@@ -133,7 +151,6 @@ struct LeaseRevocation {
   std::uint64_t lease_id = 0;
   std::uint64_t version = kLeaseRevoked;
   std::string name{};         ///< patch: the child whose entry changed
-  bool listing = false;       ///< patch: the child set changed too
   SimTime expire_at = 0;      ///< the grant's deadline when it was sent
 };
 

@@ -24,13 +24,9 @@ constexpr SimTime kMaxParkWait = 500 * kMillisecond;
 /// Bound on live (directory, client) lease grants; at the cap, reads are
 /// served without a lease rather than evicting someone else's. Dead grants
 /// are reclaimed, so the cap only has to hold the working set: clients
-/// times the directories each one reads within a TTL.
-constexpr std::size_t kMaxLeaseGrants = 65536;
-
-bool ChangesChildSet(ClientOp op) {
-  return op == ClientOp::kCreate || op == ClientOp::kMkdir ||
-         op == ClientOp::kDelete || op == ClientOp::kRename;
-}
+/// times the directories each one reads within a TTL. Every grant costs a
+/// fill (kOpCosts.listdir), so one active issues at most ~66k per TTL.
+constexpr std::size_t kMaxLeaseGrants = 32768;
 
 }  // namespace
 
@@ -62,8 +58,17 @@ void ReadService::Execute(const ClientRequestMsg& req, const ReplyFn& reply,
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           std::chrono::steady_clock::now() - resolve_begin)
           .count());
-  MaybeGrantLease(req, *out);
+  const bool filled = MaybeGrantLease(req, *out);
   s_.StampReply(*out, s_.last_sn());
+  if (filled && req.op == ClientOp::kGetFileInfo) {
+    // A fill returns every child's attributes, as a getListing does: the
+    // stat was charged getfileinfo, so the rest of a listdir is charged
+    // here. Later requests queue behind it; this reply waits its length.
+    const SimTime extra = kOpCosts.listdir - kOpCosts.getfileinfo;
+    s_.ChargeCpu(extra);
+    s_.AfterLocal(extra, [reply, out] { reply(out); });
+    return;
+  }
   reply(out);
 }
 
@@ -142,15 +147,15 @@ void ReadService::FlushParked(const char* why) {
 
 // --- active: client-cache directory leases -----------------------------------
 
-void ReadService::MaybeGrantLease(const ClientRequestMsg& req,
+bool ReadService::MaybeGrantLease(const ClientRequestMsg& req,
                                   ClientResponseMsg& out) {
-  // A stat answering NotFound is a negative entry: the lease on its parent
-  // covers the child set, so whatever creates the name patches it away.
-  const bool negative = !out.ok && out.code == StatusCode::kNotFound &&
-                        req.op == ClientOp::kGetFileInfo;
+  // A stat answering NotFound is leased too: the fill shows the name
+  // absent, and whatever creates it patches the line.
+  const bool stat = req.op == ClientOp::kGetFileInfo;
   if (!s_.options().client_leases.grant_leases || !s_.commit() ||
-      (!out.ok && !negative) || req.requester == kInvalidNode) {
-    return;
+      req.requester == kInvalidNode ||
+      !(out.ok || (stat && out.code == StatusCode::kNotFound))) {
+    return false;
   }
   // Never issue a grant that could outlive this node's tenure: the
   // coordination service expires our session coord::kSessionTimeout after
@@ -159,11 +164,11 @@ void ReadService::MaybeGrantLease(const ClientRequestMsg& req,
   // under-approximates the contact instant, so this check is conservative
   // even while partitioned.
   const SimTime now = s_.sim().Now();
-  if (now + kLeaseTtl > s_.last_session_ack() + coord::kSessionTimeout) return;
-  const std::string dir = req.op == ClientOp::kListDir
-                              ? req.path
-                              : fsns::ParentPath(req.path);
-  if (dir.empty()) return;  // stat of "/" has no parent directory to lease
+  if (now + kLeaseTtl > s_.last_session_ack() + coord::kSessionTimeout) {
+    return false;
+  }
+  const std::string dir = stat ? fsns::ParentPath(req.path) : req.path;
+  if (dir.empty()) return false;  // stat of "/" has no parent directory
   Reclaim();
   auto d = grants_.find(dir);
   LeaseGrant* grant = nullptr;
@@ -171,16 +176,23 @@ void ReadService::MaybeGrantLease(const ClientRequestMsg& req,
     auto h = d->second.holders.find(req.requester);
     if (h != d->second.holders.end()) grant = &h->second;
   }
+  // The fill: this version's, or the directory to build it from.
+  const bool memoized = d != grants_.end() && d->second.fill;
+  const fsns::Inode* node = memoized ? nullptr : s_.tree().FindInode(dir);
+  const bool fillable = memoized || (node != nullptr && node->is_dir &&
+                                     node->children.size() <= kMaxFillChildren);
+  // Served unleased: no directory to fill or too much of one, or the table
+  // is full (rather than evict someone else's grant).
+  if (!fillable || (grant == nullptr && grant_count_ >= kMaxLeaseGrants)) {
+    s_.m().leases_refused->Add();
+    return false;
+  }
+  if (d == grants_.end()) d = grants_.emplace(dir, LeasedDir{}).first;
+  LeasedDir& leased = d->second;
   if (grant == nullptr) {
-    if (grant_count_ >= kMaxLeaseGrants) {
-      // At capacity: serve unleased rather than evict someone else.
-      s_.m().leases_refused->Add();
-      return;
-    }
-    if (d == grants_.end()) d = grants_.emplace(dir, LeasedDir{}).first;
     // Fresh grants always draw a fresh id — a revoked id is never reissued,
     // so a client-side tombstone on it can never collide with a live grant.
-    grant = &d->second.holders
+    grant = &leased.holders
                  .emplace(req.requester, LeaseGrant{++next_lease_id_, 0})
                  .first->second;
     ++grant_count_;
@@ -189,12 +201,18 @@ void ReadService::MaybeGrantLease(const ClientRequestMsg& req,
     expiries_.push_back({now + kLeaseTtl, dir, req.requester, grant->id});
     std::push_heap(expiries_.begin(), expiries_.end(), std::greater<>{});
   }
+  if (!memoized) {
+    leased.fill = std::make_shared<const DirSnapshot>(
+        s_.tree(), *node, *s_.m().fill_snapshot_bytes);
+  }
   grant->expire_at = now + kLeaseTtl;
   out.lease_dir = dir;
   out.lease_id = grant->id;
-  out.lease_version = d->second.version;
+  out.lease_version = leased.version;
   out.lease_epoch = s_.view().fence_token;
   out.lease_expire_at = grant->expire_at;
+  out.fill = leased.fill;
+  return true;
 }
 
 void ReadService::Reclaim() {
@@ -220,11 +238,12 @@ void ReadService::Reclaim() {
 }
 
 void ReadService::PatchDir(const std::string& dir, const std::string& name,
-                           bool listing, NodeId own, Revocation& r) {
+                           NodeId own, Revocation& r) {
   auto it = grants_.find(dir);
   if (it == grants_.end()) return;
   LeasedDir& d = it->second;
   ++d.version;
+  d.fill.reset();
   for (auto h = d.holders.begin(); h != d.holders.end();) {
     const auto& [node, grant] = *h;
     if (node == own) {
@@ -234,8 +253,7 @@ void ReadService::PatchDir(const std::string& dir, const std::string& name,
       h = d.holders.erase(h);
       continue;
     }
-    r.pushes[node].push_back(
-        {dir, grant.id, d.version, name, listing, grant.expire_at});
+    r.pushes[node].push_back({dir, grant.id, d.version, name, grant.expire_at});
     r.barrier.outstanding.emplace(node, grant.id, d.version);
     r.barrier.release_at = std::max(r.barrier.release_at, grant.expire_at);
     Bump(s_.mutable_counters().lease_patches, s_.m().lease_patches);
@@ -253,7 +271,7 @@ void ReadService::RevokeDir(const std::string& dir, NodeId own,
       r.own.push_back(grant.id);
     } else {
       r.pushes[node].push_back(
-          {dir, grant.id, kLeaseRevoked, {}, false, grant.expire_at});
+          {dir, grant.id, kLeaseRevoked, {}, grant.expire_at});
       r.barrier.outstanding.emplace(node, grant.id, kLeaseRevoked);
       r.barrier.release_at = std::max(r.barrier.release_at, grant.expire_at);
     }
@@ -277,14 +295,12 @@ void ReadService::RevokeTree(const std::string& path, NodeId own,
   }
 }
 
-void ReadService::PatchAncestors(const std::string& path, NodeId own,
-                                 Revocation& r) {
-  // mkdir -p semantics: a create or mkdir of /a/b/c may bring /a/b into
-  // being, which a negative entry for "b" under /a must not outlive.
+void ReadService::PatchAncestors(const std::string& path, bool materialized,
+                                 NodeId own, Revocation& r) {
   for (std::string dir = fsns::ParentPath(path); dir.size() > 1;) {
     std::string parent = fsns::ParentPath(dir);
-    PatchDir(parent, std::string(fsns::BaseName(dir)), /*listing=*/true, own,
-             r);
+    PatchDir(parent, std::string(fsns::BaseName(dir)), own, r);
+    if (!materialized) return;
     dir = std::move(parent);
   }
 }
@@ -300,19 +316,21 @@ ReplyFn ReadService::RevokeConflicting(const ClientRequestMsg& req, TxId txid,
   // acting on the reply); remote holders get a push straight from here
   // and gate the ack via the txid barrier.
   Revocation r;
-  const bool listing = ChangesChildSet(req.op);
   auto collect = [&](const std::string& path) {
     const std::string parent = fsns::ParentPath(path);
     if (!parent.empty()) {
-      PatchDir(parent, std::string(fsns::BaseName(path)), listing,
-               req.requester, r);
+      PatchDir(parent, std::string(fsns::BaseName(path)), req.requester, r);
     }
     RevokeTree(path, req.requester, r);
+    // A change to the child set moves the parent's mtime, which the
+    // grandparent's fill shows; a create or mkdir may also materialize
+    // every missing ancestor (mkdir -p).
+    if (ChangesChildSet(req.op)) {
+      PatchAncestors(path, MaterializesAncestors(req.op), req.requester, r);
+    }
   };
   collect(req.path);
   if (req.op == ClientOp::kRename && !req.path2.empty()) collect(req.path2);
-  if (req.op == ClientOp::kCreate || req.op == ClientOp::kMkdir)
-    PatchAncestors(req.path, req.requester, r);
   std::vector<std::uint64_t> own = std::move(r.own);
   Revoke(std::move(r), txid);
   if (own.empty()) return reply;
@@ -340,14 +358,28 @@ void ReadService::RevokeUnder(const std::string& path, TxId txid) {
   Revoke(std::move(r), txid);
 }
 
-void ReadService::RevokeSlot(std::uint32_t slot, TxId migration_id) {
+void ReadService::RevokeSlot(std::uint32_t slot, TxId txid, bool parents) {
   // A lease on directory `dir` protects cached entries for `dir`'s
   // children, whose mutations all route by the container slot
   // SlotOfDir(dir) — exactly the unit a migration moves.
   Reclaim();
+  const shard::PartitionMap& map = s_.shard().map();
+  auto contains_slot = [&](const std::string& dir) {
+    if (map.SlotOfDir(dir) == slot) return true;
+    if (!parents) return false;
+    const fsns::Inode* node = s_.tree().FindInode(dir);
+    if (node == nullptr || !node->is_dir) return false;
+    for (const fsns::Inode* child : s_.tree().SortedChildren(*node)) {
+      if (child->is_dir &&
+          map.SlotOfDir(fsns::JoinPath(dir, child->name)) == slot) {
+        return true;
+      }
+    }
+    return false;
+  };
   Revocation r;
   for (auto it = grants_.begin(); it != grants_.end();) {
-    if (s_.shard().map().SlotOfDir(it->first) != slot) {
+    if (!contains_slot(it->first)) {
       ++it;
       continue;
     }
@@ -355,7 +387,7 @@ void ReadService::RevokeSlot(std::uint32_t slot, TxId migration_id) {
     const std::string dir = (it++)->first;
     RevokeDir(dir, kInvalidNode, r);
   }
-  Revoke(std::move(r), migration_id);
+  Revoke(std::move(r), txid);
 }
 
 void ReadService::Revoke(Revocation r, TxId txid) {

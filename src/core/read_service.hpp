@@ -7,19 +7,21 @@
 // Parked reads belong to the standby role.
 //
 // Active-served reads, NotFound stats included, carry a per-(directory,
-// client) lease. Each leased directory has a version. A mutation of child
-// `name` bumps it and sends every remote holder a patch (the grant stays);
-// a directory delete or rename, a shard install and a migration revoke
-// whole grants, and so does a mutation for the requester's own grants
-// (their ids ride its ack). The mutation completes only once every remote
-// holder acked or its grant expired. A grant past its deadline is dead and
-// is reclaimed without a push. The grant table belongs to the active role;
-// the barriers outlive a live step-down, since they hold committed work
-// that acks or the TTL release in any role.
+// client) lease and a fill: the whole directory at the lease's version,
+// built once per version and shared by every reply at it. A mutation of
+// child `name` bumps the version and sends every remote holder a patch
+// (the grant stays); a directory delete or rename, a shard install and a
+// migration revoke whole grants, and so does a mutation for the
+// requester's own grants (their ids ride its ack). The mutation completes
+// only once every remote holder acked or its grant expired. A grant past
+// its deadline is dead and is reclaimed without a push. The grant table
+// belongs to the active role; the barriers outlive a live step-down, since
+// they hold committed work that acks or the TTL release in any role.
 #pragma once
 
 #include <functional>
 #include <map>
+#include <memory>
 #include <set>
 #include <string>
 #include <tuple>
@@ -33,6 +35,10 @@ class MdsServer;
 
 class ReadService {
  public:
+  /// Largest directory a lease fill ships whole: HDFS's getListing page
+  /// (`dfs.ls.limit`). A read of a larger one is served unleased.
+  static constexpr std::size_t kMaxFillChildren = 1000;
+
   /// Lease ids never repeat, not even across a crash (a client may still
   /// hold a tombstone for one): `last_lease_id` continues the sequence.
   ReadService(MdsServer& server, std::uint64_t last_lease_id)
@@ -59,9 +65,11 @@ class ReadService {
                             ReplyFn reply);
   /// A shard install or removal at `path`: every holder is remote.
   void RevokeUnder(const std::string& path, TxId txid);
-  /// Migration cutover: every grant under `slot`, barriered under the
-  /// migration id (a TxId, like a mutation's).
-  void RevokeSlot(std::uint32_t slot, TxId migration_id);
+  /// Every grant under `slot`, barriered under `txid`: at a migration's
+  /// cutover (under the migration id, a TxId like a mutation's), and where
+  /// the slot's files are dropped (`parents`: the grants on the slot's
+  /// directories' parents too, whose fills show the mtimes the drop moved).
+  void RevokeSlot(std::uint32_t slot, TxId txid, bool parents = false);
   /// Runs `action` now, or holds it until `txid`'s barrier releases.
   void RunOrHoldOnBarrier(TxId txid, std::function<void()> action);
   /// `client`'s ack of the pushes it was sent (the envelope's sender).
@@ -77,10 +85,13 @@ class ReadService {
     std::uint64_t id = 0;
     SimTime expire_at = 0;
   };
-  /// One leased directory: its version and its live holders.
+  /// One leased directory: its version, its live holders and the fill
+  /// every reply at this version shares (built on the first, dropped at
+  /// the next version).
   struct LeasedDir {
     std::uint64_t version = 0;
     std::map<NodeId, LeaseGrant> holders;
+    std::shared_ptr<const DirSnapshot> fill;
   };
   /// A grant's deadline as last seen; `Reclaim` re-queues an extended one.
   struct Expiry {
@@ -109,22 +120,26 @@ class ReadService {
 
   void ServeStandbyRead(const RequestPtr& req, const ReplyFn& reply);
   void BounceRead(const ReplyFn& reply, const char* why);
-  void MaybeGrantLease(const ClientRequestMsg& req, ClientResponseMsg& out);
+  /// Attaches a lease and its fill to an active-served read; true when it
+  /// did.
+  bool MaybeGrantLease(const ClientRequestMsg& req, ClientResponseMsg& out);
   /// Drops every grant whose deadline has passed: no client serves it any
   /// more, so it needs no push and no barrier.
   void Reclaim();
-  /// Child `name` of `dir` changed: bumps the version and patches every
-  /// remote holder; `own`'s grant is revoked instead.
-  void PatchDir(const std::string& dir, const std::string& name,
-                bool listing, NodeId own, Revocation& r);
+  /// Child `name` of `dir` changed: bumps the version, drops the fill and
+  /// patches every remote holder; `own`'s grant is revoked instead.
+  void PatchDir(const std::string& dir, const std::string& name, NodeId own,
+                Revocation& r);
   /// Drops every grant on directory `dir`: `own`'s ids stay local, every
   /// other holder gets a push and a place on the barrier.
   void RevokeDir(const std::string& dir, NodeId own, Revocation& r);
   /// RevokeDir over `path` itself and its subtree.
   void RevokeTree(const std::string& path, NodeId own, Revocation& r);
-  /// A create or mkdir of `path` may materialize its missing ancestors:
-  /// patches each one's parent, from the grandparent of `path` up.
-  void PatchAncestors(const std::string& path, NodeId own, Revocation& r);
+  /// Patches `path`'s parent's entry in the grandparent (its mtime moved)
+  /// and, when the mutation may have `materialized` missing ancestors,
+  /// each further ancestor's entry in its parent.
+  void PatchAncestors(const std::string& path, bool materialized, NodeId own,
+                      Revocation& r);
   /// Pushes the patches and revocations and installs the barrier under
   /// `txid`.
   void Revoke(Revocation r, TxId txid);

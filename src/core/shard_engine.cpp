@@ -190,6 +190,13 @@ TxId ShardEngine::AppendShardRecord(journal::LogRecord rec) {
     MAMS_ERROR("shard", "%s: shard record apply failed: %s",
                s_.name().c_str(), s.ToString().c_str());
   }
+  // A slot drop moves the mtimes of the slot's directories, which their
+  // parents' lease fills show, and no mutation patches them.
+  if (applied.op == journal::OpCode::kShardMigrateEnd ||
+      applied.op == journal::OpCode::kShardDiscard) {
+    s_.reads().RevokeSlot(static_cast<std::uint32_t>(applied.block), txid,
+                          /*parents=*/true);
+  }
   return txid;
 }
 
@@ -674,10 +681,20 @@ void ShardEngine::HandleTransfer(const net::MessagePtr& msg,
       begin.mtime = static_cast<SimTime>(req->migration_id);
       last = AppendShardRecord(std::move(begin));
     }
+    std::vector<std::string> changed;
     for (journal::LogRecord rec : req->records) {
       rec.txid = 0;  // assigned by our writer; source txids mean nothing here
+      if (rec.op == journal::OpCode::kShardInstallFile ||
+          rec.op == journal::OpCode::kShardInstallDir ||
+          rec.op == journal::OpCode::kShardErase) {
+        changed.push_back(rec.path);
+      }
       last = AppendShardRecord(std::move(rec));
     }
+    // An install may materialize ancestors (mkdir -p) and each change
+    // moves its parent's mtime, with no mutation to patch the leases that
+    // show them: revoke those, and ack the chunk once their holders have.
+    for (const std::string& path : changed) s_.reads().RevokeUnder(path, last);
     if (last == 0) {
       // Nothing new to make durable (an empty delta/dedup final chunk, or a
       // retried chunk whose records were all applied before): every earlier

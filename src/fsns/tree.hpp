@@ -6,8 +6,8 @@
 // empty trees yields byte-identical images and equal Fingerprint() values —
 // inode ids come from a counter carried in the image, timestamps come from
 // the records, and every walk whose order can be observed (listing, image,
-// fingerprint, migration snapshot) visits a directory's entries through
-// Tree::SortedChildren, never in the child index's hash order.
+// fingerprint, migration snapshot, lease fill) visits a directory's entries
+// through Tree::SortedChildren, never in the child index's hash order.
 //
 // Storage: inodes live in a chunked slot table (an Inode's address is
 // stable while it lives, and a freed slot is reused before the table
@@ -161,6 +161,9 @@ class Tree {
   Result<std::vector<std::string>> ListDir(std::string_view path) const;
   bool Exists(std::string_view path) const;
   const Inode* FindInode(std::string_view path) const;
+  /// `dir`'s entries sorted by name: the only order in which a directory
+  /// may be observed. The pointers stay valid until the tree changes.
+  std::vector<const Inode*> SortedChildren(const Inode& dir) const;
   const Inode* inode(InodeId id) const;
   /// The "user:group" string behind `node.owner_id`.
   const std::string& OwnerOf(const Inode& node) const {
@@ -297,9 +300,6 @@ class Tree {
   Inode& Root() { return Slot(0); }
   /// Slot of the live inode `id`, or SlotIndex::kNone.
   std::uint32_t SlotOf(InodeId id) const;
-  /// `dir`'s entries sorted by name: the only order in which a directory
-  /// may be observed. The pointers stay valid until the tree changes.
-  std::vector<const Inode*> SortedChildren(const Inode& dir) const;
   /// `dir`'s entry called `name`, or null.
   const Inode* Child(const Inode& dir, std::string_view name) const;
   Inode* Child(Inode& dir, std::string_view name) {

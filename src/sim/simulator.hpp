@@ -110,10 +110,12 @@ class Simulator {
 
   SimTime now_ = 0;
   std::uint64_t digest_ = 0xcbf29ce484222325ull;
-  EventQueue queue_;
   Rng rng_;
   const SimTime* prev_log_clock_ = nullptr;
   obs::Observability obs_;
+  /// Declared after obs_, so pending events (and the messages they carry)
+  /// are destroyed while the metrics they may update still exist.
+  EventQueue queue_;
 };
 
 /// Convenience: a repeating timer that reschedules itself until cancelled.

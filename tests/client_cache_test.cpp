@@ -11,6 +11,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "check/fuzzer.hpp"
@@ -83,28 +84,96 @@ class ClientCacheTest : public ::testing::Test {
     return out;
   }
 
-  Result<fsns::FileInfo> StatSync(const std::string& path, int client = 0) {
-    Result<fsns::FileInfo> out = Status::TimedOut("no reply");
+  Status DeleteSync(const std::string& path, int client = 0) {
+    Status out = Status::TimedOut("no reply");
     bool done = false;
-    cluster_->client(client).GetFileInfo(path, [&](Result<fsns::FileInfo> r) {
-      out = std::move(r);
+    cluster_->client(client).Delete(path, [&](Status s) {
+      out = s;
       done = true;
     });
     testutil::WaitFor(*sim_, [&] { return done; }, 60 * kSecond);
     return out;
   }
 
-  Result<std::vector<std::string>> ListSync(const std::string& path,
-                                            int client = 0) {
-    Result<std::vector<std::string>> out = Status::TimedOut("no reply");
+  Status RenameSync(const std::string& src, const std::string& dst,
+                    int client = 0) {
+    Status out = Status::TimedOut("no reply");
     bool done = false;
-    cluster_->client(client).ListDir(path,
-                                     [&](Result<std::vector<std::string>> r) {
-                                       out = std::move(r);
-                                       done = true;
-                                     });
+    cluster_->client(client).Rename(src, dst, [&](Status s) {
+      out = s;
+      done = true;
+    });
     testutil::WaitFor(*sim_, [&] { return done; }, 60 * kSecond);
     return out;
+  }
+
+  Result<fsns::FileInfo> StatSync(const std::string& path, int client = 0,
+                                  ReadOptions ro = {}) {
+    Result<fsns::FileInfo> out = Status::TimedOut("no reply");
+    bool done = false;
+    cluster_->client(client).GetFileInfo(
+        path,
+        [&](Result<fsns::FileInfo> r) {
+          out = std::move(r);
+          done = true;
+        },
+        ro);
+    testutil::WaitFor(*sim_, [&] { return done; }, 60 * kSecond);
+    return out;
+  }
+
+  Result<std::vector<std::string>> ListSync(const std::string& path,
+                                            int client = 0,
+                                            ReadOptions ro = {}) {
+    Result<std::vector<std::string>> out = Status::TimedOut("no reply");
+    bool done = false;
+    cluster_->client(client).ListDir(
+        path,
+        [&](Result<std::vector<std::string>> r) {
+          out = std::move(r);
+          done = true;
+        },
+        ro);
+    testutil::WaitFor(*sim_, [&] { return done; }, 60 * kSecond);
+    return out;
+  }
+
+  /// Stats `path` as `client`, and with require_active as the other
+  /// client (whose reply cannot refill `client`'s line), and expects the
+  /// same answer; returns whether `client`'s came from its cache.
+  bool StatMatchesActive(const std::string& path, int client = 0) {
+    const Result<fsns::FileInfo> got = StatSync(path, client);
+    const bool via_cache = cluster_->client(client).last_stamp().via_cache;
+    const Result<fsns::FileInfo> truth =
+        StatSync(path, 1 - client, {.require_active = true});
+    EXPECT_EQ(got.status().code(), truth.status().code()) << path;
+    if (got.ok() && truth.ok()) {
+      const fsns::FileInfo& a = got.value();
+      const fsns::FileInfo& b = truth.value();
+      EXPECT_EQ(std::tie(a.path, a.is_dir, a.replication, a.permission,
+                         a.owner, a.mtime, a.block_count, a.complete),
+                std::tie(b.path, b.is_dir, b.replication, b.permission,
+                         b.owner, b.mtime, b.block_count, b.complete))
+          << path;
+    }
+    return via_cache;
+  }
+
+  /// ListSync's counterpart of StatMatchesActive.
+  bool ListMatchesActive(const std::string& path, int client = 0) {
+    const Result<std::vector<std::string>> got = ListSync(path, client);
+    const bool via_cache = cluster_->client(client).last_stamp().via_cache;
+    const Result<std::vector<std::string>> truth =
+        ListSync(path, 1 - client, {.require_active = true});
+    EXPECT_TRUE(got.ok() && truth.ok()) << path;
+    if (got.ok() && truth.ok()) {
+      EXPECT_EQ(got.value(), truth.value()) << path;
+    }
+    return via_cache;
+  }
+
+  std::int64_t FillBytes() {
+    return sim_->obs().metrics().gauge("mds.fill_snapshot_bytes")->value;
   }
 
   static bool Contains(const std::vector<std::string>& names,
@@ -142,7 +211,7 @@ TEST_F(ClientCacheTest, RepeatReadsAreServedLocallyUnderLease) {
   EXPECT_TRUE(cluster_->client(0).last_stamp().via_cache);
   EXPECT_GE(TotalLeasesGranted(), 1u);
 
-  // Stats populate per-entry cache lines under the parent's lease too.
+  // The listing's fill answers stats of the children too.
   ASSERT_TRUE(StatSync("/d/a").ok());
   const auto hits = cluster_->client(0).counters().cache_hits;
   ASSERT_TRUE(StatSync("/d/a").ok());
@@ -496,6 +565,95 @@ TEST_F(ClientCacheTest, MigrationActivationWaitsOnTheCutoverLeaseBarrier) {
   }
 }
 
+TEST_F(ClientCacheTest, MigrationSlotDropRevokesTheGrandparentsLines) {
+  // `g`'s children route to group 0, and so do `g/h`'s, by another slot.
+  // Moving that slot away drops `g/h/f` at the source, which moves `g/h`'s
+  // mtime with no mutation to patch `g`'s holders: the drop revokes them.
+  Build(2, 2);
+  const shard::PartitionMap seedmap = shard::PartitionMap::Seed(2);
+  std::string g, h;
+  std::uint32_t slot = 0;
+  for (int i = 0; h.empty(); ++i) {
+    g = "/g" + std::to_string(i);
+    if (seedmap.OwnerOfSlot(seedmap.SlotOfDir(g)) != 0) continue;
+    for (int j = 0; j < 64 && h.empty(); ++j) {
+      const std::string c = g + "/h" + std::to_string(j);
+      slot = seedmap.SlotOfDir(c);
+      if (slot != seedmap.SlotOfDir(g) && seedmap.OwnerOfSlot(slot) == 0)
+        h = c;
+    }
+  }
+  ASSERT_TRUE(CreateFile(h + "/f").ok());
+  core::MdsServer* src = cluster_->FindActive(0);
+  ASSERT_NE(src, nullptr);
+  ASSERT_TRUE(StatSync(h).ok());
+  ASSERT_NE(cluster_->client(0).cached_fill(g), nullptr);
+
+  // Client 0 keeps its grant on `g` (and the fill's memo) alive with wire
+  // reads until the migration has ended.
+  ASSERT_TRUE(cluster_->StartShardMigration(slot, 1).ok());
+  for (int i = 0; i < 100 && src->counters().migrations_completed == 0; ++i) {
+    ASSERT_TRUE(StatSync(h, 0, {.require_active = true}).ok());
+    Run(200 * kMillisecond);
+  }
+  ASSERT_EQ(src->counters().migrations_completed, 1u);
+  const Result<fsns::FileInfo> truth = src->tree().GetFileInfo(h);
+  ASSERT_TRUE(truth.ok());
+  // The holder's line must not answer with `h`'s old mtime.
+  const Result<fsns::FileInfo> held = StatSync(h);
+  ASSERT_TRUE(held.ok()) << held.status().ToString();
+  EXPECT_EQ(held.value().mtime, truth.value().mtime);
+  // Client 1's first stat goes to the wire; the second is answered from
+  // the fill that reply carried, which the memo must not have predated.
+  ASSERT_TRUE(StatSync(h, 1).ok());
+  const Result<fsns::FileInfo> got = StatSync(h, 1);
+  ASSERT_TRUE(cluster_->client(1).last_stamp().via_cache);
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  EXPECT_EQ(got.value().mtime, truth.value().mtime);
+}
+
+TEST_F(ClientCacheTest, MigrationInstallRevokesTheMaterializedParentsLines) {
+  // `p`'s children route to group 1 and `p/a`'s to group 0. Creating
+  // `p/a/f` at group 0 leaves `p/a` absent from group 1's tree, so a fill
+  // of `p` there shows it absent. Moving `p/a`'s slot to group 1 installs
+  // `p/a/f` there, which materializes `p/a` with no mutation to patch
+  // `p`'s holders: the install revokes them.
+  Build(2, 2);
+  const shard::PartitionMap seedmap = shard::PartitionMap::Seed(2);
+  std::string p, a;
+  std::uint32_t slot = 0;
+  for (int i = 0; a.empty(); ++i) {
+    p = "/p" + std::to_string(i);
+    if (seedmap.OwnerOfDir(p) != 1) continue;
+    for (int j = 0; j < 64 && a.empty(); ++j) {
+      const std::string c = p + "/a" + std::to_string(j);
+      slot = seedmap.SlotOfDir(c);
+      if (seedmap.OwnerOfSlot(slot) == 0) a = c;
+    }
+  }
+  ASSERT_TRUE(CreateFile(p + "/y").ok());
+  ASSERT_TRUE(CreateFile(a + "/f").ok());
+  core::MdsServer* dst = cluster_->FindActive(1);
+  ASSERT_NE(dst, nullptr);
+  ASSERT_FALSE(dst->tree().Exists(a));
+  ASSERT_EQ(StatSync(a).status().code(), StatusCode::kNotFound);
+  ASSERT_NE(cluster_->client(0).cached_fill(p), nullptr);
+
+  // Client 0 keeps its grant on `p` (and the fill's memo) alive with wire
+  // reads until the slot is installed at group 1.
+  ASSERT_TRUE(cluster_->StartShardMigration(slot, 1).ok());
+  for (int i = 0; i < 100 && !dst->tree().shard().acquired.contains(slot);
+       ++i) {
+    ASSERT_TRUE(StatSync(p + "/y", 0, {.require_active = true}).ok());
+    Run(200 * kMillisecond);
+  }
+  ASSERT_TRUE(dst->tree().shard().acquired.contains(slot));
+  ASSERT_TRUE(dst->tree().Exists(a));
+  // The holder's line must not answer that `p/a` is absent.
+  EXPECT_TRUE(StatSync(a).ok());
+  EXPECT_TRUE(StatSync(a, 1).ok());
+}
+
 TEST_F(ClientCacheTest, ExpiredGrantsFreeTheirSlots) {
   // The grant table is bounded; at the cap a read is served without a
   // lease. A grant past its deadline is dead, so it must give its slot back
@@ -532,7 +690,8 @@ TEST_F(ClientCacheTest, ExpiredGrantsFreeTheirSlots) {
     EXPECT_EQ(answered, holders);
     return unleased;
   };
-  // Fill well inside one TTL: a batch costs the active's CPU ~37 ms.
+  // Fill well inside one TTL: a batch of filled stats costs the active's
+  // CPU ~61 ms.
   constexpr int kBatch = 2048;
   NodeId next = 10000;
   bool full = false;
@@ -574,8 +733,8 @@ TEST_F(ClientCacheTest, NegativeEntryDiesWithTheCreateThatFillsIt) {
   ASSERT_TRUE(CreateFile("/d/m", 1).ok());
   ASSERT_EQ(StatSync("/d/n").status().code(), StatusCode::kNotFound);
   EXPECT_TRUE(cluster_->client(0).last_stamp().via_cache);
-  // ...and the create of the name itself, or of a path under it, kills
-  // the negative entry before its ack.
+  // ...and the create of the name itself, or of a path under it, leaves a
+  // hole for it before its ack.
   ASSERT_TRUE(CreateFile("/d/n", 1).ok());
   EXPECT_TRUE(StatSync("/d/n").ok());
   EXPECT_FALSE(cluster_->client(0).last_stamp().via_cache);
@@ -588,6 +747,135 @@ TEST_F(ClientCacheTest, NegativeEntryDiesWithTheCreateThatFillsIt) {
   EXPECT_TRUE(k.value().is_dir);
 }
 
+TEST_F(ClientCacheTest, OneStatFillsTheWholeDirectory) {
+  Build(1, 2);
+  ASSERT_TRUE(CreateFile("/d/f0").ok());
+  ASSERT_TRUE(CreateFile("/d/f1").ok());
+  ASSERT_FALSE(StatMatchesActive("/d/f0"));  // the miss that fills /d
+  const auto misses = cluster_->client(0).counters().cache_misses;
+  // A sibling never fetched, a name never created and the listing: all
+  // hits, all equal to the active's answers.
+  EXPECT_TRUE(StatMatchesActive("/d/f1"));
+  ASSERT_EQ(StatSync("/d/never").status().code(), StatusCode::kNotFound);
+  EXPECT_TRUE(StatMatchesActive("/d/never"));
+  EXPECT_TRUE(ListMatchesActive("/d"));
+  EXPECT_EQ(cluster_->client(0).counters().cache_misses, misses);
+}
+
+TEST_F(ClientCacheTest, AnotherClientsCreateLeavesAHole) {
+  Build(1, 2);
+  ASSERT_TRUE(CreateFile("/d/f0").ok());
+  ASSERT_TRUE(CreateFile("/d/f1").ok());
+  ASSERT_TRUE(MkdirSync("/e", 1).ok());  // client 1 learns the active
+  ASSERT_FALSE(StatMatchesActive("/d/f0"));
+  ASSERT_TRUE(CreateFile("/d/x", 1).ok());
+  // The patch left a hole for x only.
+  EXPECT_TRUE(StatMatchesActive("/d/f1"));
+  EXPECT_FALSE(StatMatchesActive("/d/x"));
+  // Its reply refilled the line: the new file, and the listing, now hit.
+  EXPECT_TRUE(StatMatchesActive("/d/x"));
+  EXPECT_TRUE(ListMatchesActive("/d"));
+  // A listing misses while the line has a hole, and its reply refills it.
+  ASSERT_TRUE(CreateFile("/d/y", 1).ok());
+  EXPECT_TRUE(StatMatchesActive("/d/f1"));
+  EXPECT_FALSE(ListMatchesActive("/d"));
+  EXPECT_TRUE(ListMatchesActive("/d"));
+  EXPECT_TRUE(StatMatchesActive("/d/y"));
+}
+
+TEST_F(ClientCacheTest, FillsAtOneVersionShareOneSnapshot) {
+  Build(1, 2);
+  ASSERT_TRUE(CreateFile("/d/f0").ok());
+  ASSERT_TRUE(CreateFile("/d/f1").ok());
+  EXPECT_EQ(FillBytes(), 0);
+  ASSERT_TRUE(StatSync("/d/f0", 0).ok());
+  ASSERT_TRUE(StatSync("/d/f1", 1).ok());
+  const auto first = cluster_->client(0).cached_fill("/d");
+  ASSERT_NE(first, nullptr);
+  EXPECT_EQ(cluster_->client(1).cached_fill("/d"), first);
+  EXPECT_EQ(first->size(), 2u);
+  // Two lines and the active hold one snapshot, counted once.
+  EXPECT_EQ(FillBytes(), static_cast<std::int64_t>(first->bytes()));
+
+  // Client 0's create patches client 1's line (and ends client 0's own
+  // grant); the next fill is built afresh at the new version.
+  ASSERT_TRUE(CreateFile("/d/f2", 0).ok());
+  ASSERT_TRUE(StatSync("/d/f2", 1).ok());
+  EXPECT_FALSE(cluster_->client(1).last_stamp().via_cache);
+  const auto second = cluster_->client(1).cached_fill("/d");
+  ASSERT_NE(second, nullptr);
+  EXPECT_NE(second, first);
+  EXPECT_EQ(second->size(), 3u);
+  ASSERT_TRUE(StatSync("/d/f0", 0).ok());
+  EXPECT_EQ(cluster_->client(0).cached_fill("/d"), second);
+  // Only this test still holds the first snapshot.
+  EXPECT_EQ(first.use_count(), 1);
+  EXPECT_EQ(FillBytes(),
+            static_cast<std::int64_t>(first->bytes() + second->bytes()));
+}
+
+TEST_F(ClientCacheTest, DirectoryAboveTheFillCapIsServedUnleased) {
+  Build(1, 2);
+  const std::size_t cap = core::ReadService::kMaxFillChildren;
+  // Creates in rounds, well inside the server's per-client dedup window.
+  int done = 0;
+  for (std::size_t i = 0; i <= cap;) {
+    const int round = done;
+    int issued = 0;
+    for (; i <= cap && issued < 100; ++i, ++issued) {
+      cluster_->client(1).Create("/big/f" + std::to_string(i),
+                                 [&](Status s) { done += s.ok() ? 1 : 0; });
+    }
+    ASSERT_TRUE(testutil::WaitFor(
+        *sim_, [&] { return done == round + issued; }, 10 * kSecond,
+        kMillisecond));
+  }
+  obs::Counter* refused =
+      sim_->obs().metrics().counter("mds.leases_refused");
+  const std::uint64_t before = refused->value;
+  // cap + 1 children: served unleased, so the next stat misses too.
+  ASSERT_TRUE(StatSync("/big/f0").ok());
+  EXPECT_EQ(refused->value, before + 1);
+  EXPECT_EQ(cluster_->client(0).cached_dirs(), 0u);
+  EXPECT_FALSE(StatMatchesActive("/big/f1"));
+  // So is a stat whose parent is no directory.
+  ASSERT_EQ(StatSync("/nowhere/f").status().code(), StatusCode::kNotFound);
+  ASSERT_EQ(StatSync("/big/f0/f").status().code(), StatusCode::kNotFound);
+  EXPECT_EQ(cluster_->client(0).cached_dirs(), 0u);
+  // At the cap the directory is filled again.
+  ASSERT_TRUE(DeleteSync("/big/f0", 1).ok());
+  const std::uint64_t at_cap = refused->value;
+  ASSERT_TRUE(StatSync("/big/f1").ok());
+  EXPECT_EQ(refused->value, at_cap);
+  ASSERT_NE(cluster_->client(0).cached_fill("/big"), nullptr);
+  EXPECT_EQ(cluster_->client(0).cached_fill("/big")->size(), cap);
+  EXPECT_TRUE(StatMatchesActive("/big/f2"));
+}
+
+TEST_F(ClientCacheTest, DeleteOrRenameInsideADirectoryMovesItInTheGrandparent) {
+  // A delete or rename moves its parent's mtime, which the grandparent's
+  // line shows: a remote holder's line gets a patch, and the mutating
+  // client's own line goes.
+  Build(1, 2);
+  for (const char* f : {"/a/b/x", "/a/b/y", "/a/b/z", "/a/b/w"}) {
+    ASSERT_TRUE(CreateFile(f, 1).ok());
+  }
+  ASSERT_FALSE(StatMatchesActive("/a/b"));
+  EXPECT_TRUE(StatMatchesActive("/a/b"));
+  Run(10 * kMillisecond);
+  ASSERT_TRUE(DeleteSync("/a/b/x", 1).ok());
+  StatMatchesActive("/a/b");
+  Run(10 * kMillisecond);
+  ASSERT_TRUE(RenameSync("/a/b/y", "/a/b/y2", 1).ok());
+  StatMatchesActive("/a/b");
+  Run(10 * kMillisecond);
+  ASSERT_TRUE(DeleteSync("/a/b/z", 0).ok());
+  StatMatchesActive("/a/b");
+  Run(10 * kMillisecond);
+  ASSERT_TRUE(RenameSync("/a/b/w", "/a/b/w2", 0).ok());
+  StatMatchesActive("/a/b");
+}
+
 // The three orderings of a patch against the other messages of its lease.
 // The active's first grant is lease id 1 at version 0, so a hand-made
 // patch can name it; it travels the same link as the reply it races.
@@ -597,7 +885,7 @@ class PatchRaceTest : public ClientCacheTest {
     core::MdsServer* active = cluster_->FindActive(0);
     ASSERT_NE(active, nullptr);
     auto push = std::make_shared<core::LeaseRevokeMsg>();
-    push->leases.push_back({"/d", 1, version, name, true, 0});
+    push->leases.push_back({"/d", 1, version, name, 0});
     net_->Send(net::Envelope{.from = active->id(),
                              .to = cluster_->client(0).id(),
                              .payload = push});
@@ -612,18 +900,23 @@ TEST_F(PatchRaceTest, ReplyServedBeforeAPatchButDeliveredAfterIt) {
   ASSERT_TRUE(StatSync("/d/a").ok());  // line on /d: lease 1, version 0
   ASSERT_EQ(cluster_->FindActive(0)->counters().leases_granted, 1u);
 
-  // The stat of /d/b is served at version 0; a patch for version 1 (a
-  // change to /d/b) sent now reaches the client first.
+  // The stat of /d/b is served at version 0 (require_active: the line
+  // would answer it); a patch for version 1 (a change to /d/b) sent now
+  // reaches the client first.
   Result<fsns::FileInfo> b = Status::TimedOut("no reply");
   bool done = false;
-  cluster_->client(0).GetFileInfo("/d/b", [&](Result<fsns::FileInfo> r) {
-    b = std::move(r);
-    done = true;
-  });
+  cluster_->client(0).GetFileInfo(
+      "/d/b",
+      [&](Result<fsns::FileInfo> r) {
+        b = std::move(r);
+        done = true;
+      },
+      {.require_active = true});
   SendPatch(1, "b");
   testutil::WaitFor(*sim_, [&] { return done; }, kSecond, kMillisecond);
   ASSERT_TRUE(b.ok());
-  // The reply is older than the line: its /d/b must not be cached.
+  // The reply is older than the line: it must not refill the line over
+  // the hole for /d/b.
   ASSERT_TRUE(StatSync("/d/b").ok());
   EXPECT_FALSE(cluster_->client(0).last_stamp().via_cache);
   // The entry the patch did not name survives it.
@@ -671,20 +964,23 @@ TEST_F(PatchRaceTest, LostPatchGapDropsTheLineAndTheBarrierWaitsOutTheTtl) {
   Run(10 * kMillisecond);
   cluster_->faults().RestoreHalves(holder.id());
   // The next one (version 2) arrives: the holder sees the gap and drops
-  // the whole line, negative /d/c included.
+  // the whole line, its absent /d/c included.
   ASSERT_TRUE(CreateFile("/d/x", 1).ok());
   EXPECT_FALSE(first) << "the lost patch's barrier must hold the ack";
-  // A fresh read re-leases /d at version 2, past the first barrier.
+  // A fresh read re-leases /d at version 2, past the first barrier. The
+  // gap dropped the line, so it goes to the wire: a line patched across
+  // the gap would answer it from the fill at version 0.
   ASSERT_EQ(StatSync("/d/y").status().code(), StatusCode::kNotFound);
+  EXPECT_FALSE(holder.last_stamp().via_cache);
 
   // The first create is acked once the lost patch's grant has expired.
   ASSERT_TRUE(testutil::WaitFor(*sim_, [&] { return first; }, 5 * kSecond,
                                 kMillisecond));
   EXPECT_GE(sim_->Now(), leased + core::kLeaseTtl);
   EXPECT_EQ(active->counters().lease_barrier_expiries, 1u);
+  // The refill at version 2 already shows /d/c, so this may be a hit.
   const Result<fsns::FileInfo> c = StatSync("/d/c");
-  EXPECT_TRUE(c.ok()) << "stale negative entry served after the ack";
-  EXPECT_FALSE(holder.last_stamp().via_cache);
+  EXPECT_TRUE(c.ok()) << "stale absence served after the ack";
 }
 
 }  // namespace
