@@ -388,12 +388,7 @@ void MdsServer::ProcessClientRequest(const RequestPtr& req,
     // new directory's children) belongs to a different group; within a
     // single partition it commutes with ordinary mutations (the 1A3S
     // configuration of Figures 6/8 pays no transaction overhead).
-    const GroupId peer = shard_->PeerGroup(*req);
-    if (peer == options_.group) {
-      ExecuteMutation(req, reply);
-    } else {
-      shard_->StartTwoGroupTx(req, peer, reply);
-    }
+    if (!shard_->StartTwoGroupTx(req, reply)) ExecuteMutation(req, reply);
   });
 }
 

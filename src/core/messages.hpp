@@ -306,9 +306,10 @@ struct ShardControlMsg final : net::Message {
   GroupId from_group = 0;
   std::uint32_t slot = 0;
   TxId migration_id = 0;
-  // kTxCommit payload: the two-group transaction's client op and the
-  // install records (ShardEngine::AppendInstallRecords) the peer journals:
-  // the renamed file with its blocks, or the new directory.
+  // kTxCommit payload (the 128-byte header covers the op and the client):
+  // the two-group transaction's op, which names its ShardEngine::TwoGroupOp
+  // row, its client op, and the install records the peer journals.
+  journal::OpCode tx_op{};
   ClientOpId client;
   std::vector<journal::LogRecord> install;
 

@@ -1,11 +1,16 @@
 #include "core/shard_engine.hpp"
 
 #include <algorithm>
+#include <cstdlib>
+#include <utility>
 
 #include "core/mds_server.hpp"
+#include "core/ops.hpp"
 #include "fsns/path.hpp"
 
 namespace mams::core {
+
+using journal::OpCode;
 
 namespace {
 
@@ -32,6 +37,25 @@ std::function<void(const Status&)> ControlAck(ReplyFn reply) {
   };
 }
 
+/// A record of `op` on `path`, stamped `mtime`.
+journal::LogRecord Record(OpCode op, std::string path, SimTime mtime) {
+  journal::LogRecord rec;
+  rec.op = op;
+  rec.path = std::move(path);
+  rec.mtime = mtime;
+  return rec;
+}
+
+/// A record of `op` on `slot` (carried in `block`), stamped `mtime`, with
+/// the op's other argument, if any, in `replication`.
+journal::LogRecord SlotRecord(OpCode op, std::uint32_t slot, SimTime mtime,
+                              std::uint32_t replication = 1) {
+  journal::LogRecord rec = Record(op, {}, mtime);
+  rec.block = slot;
+  rec.replication = replication;
+  return rec;
+}
+
 /// A migration leg's message from `group` about `slot`'s migration `mid`.
 template <class Msg>
 std::shared_ptr<Msg> LegMsg(GroupId group, std::uint32_t slot, TxId mid) {
@@ -43,6 +67,51 @@ std::shared_ptr<Msg> LegMsg(GroupId group, std::uint32_t slot, TxId mid) {
 }
 
 }  // namespace
+
+/// One op that commits at two groups. Every cross-group mutation runs one
+/// protocol (the two-group transactions below): this group journals the
+/// intent, the peer group installs the entry (install records plus the
+/// kTxCommit dedup point), and this group's finish runs its own half. What
+/// depends on the op is its row, and the protocol never names an op: the
+/// entry group looks up its intent's row, the peer the row named on the leg.
+struct ShardEngine::TwoGroupOp {
+  using Intent = fsns::Tree::ShardState::TxIntent;
+  ClientOp client_op;
+  OpCode op;  ///< the intent's and the commit leg's op
+  /// The path the peer installs, and the slot that places it at the peer
+  /// (a file by its parent; a new directory as its children's container).
+  const std::string ClientRequestMsg::*peer_path;
+  std::uint32_t (shard::PartitionMap::*peer_slot)(std::string_view) const;
+  /// The op's verdict at the entry group, before the intent.
+  Status (*verdict)(const fsns::Tree&, const ClientRequestMsg&);
+  /// What the commit leg installs at the peer, from the entry group's tree;
+  /// null when it is gone, which aborts the transaction.
+  const fsns::Inode* (*shipped)(const fsns::Tree&, const std::string& key);
+  /// The peer half's check before it installs at `path`: a non-ok status is
+  /// the verdict, except Unavailable, which the leg retries.
+  Status (*admit)(const fsns::Tree&, const std::string& path);
+  /// Journals the entry group's half once the peer committed; a non-ok
+  /// status aborts the transaction instead.
+  Status (*finish)(ShardEngine&, const std::string& key, const Intent&);
+  /// The counter a committed transaction bumps at the entry group, if any.
+  std::uint64_t MdsServer::Counters::*count = nullptr;
+  obs::Counter* MdsServer::MetricHandles::*metric = nullptr;
+
+  static const TwoGroupOp kRows[2];
+  static const TwoGroupOp* Find(ClientOp op) {
+    for (const TwoGroupOp& row : kRows) {
+      if (row.client_op == op) return &row;
+    }
+    return nullptr;
+  }
+  /// The row of an intent or a commit leg, which only rows' ops reach.
+  static const TwoGroupOp& Of(OpCode op) {
+    for (const TwoGroupOp& row : kRows) {
+      if (row.op == op) return row;
+    }
+    std::abort();
+  }
+};
 
 ShardEngine::ShardEngine(MdsServer& server)
     : s_(server), map_(server.options().partition_map) {}
@@ -93,12 +162,18 @@ const char* ShardEngine::WriteRefusal(std::uint32_t slot) const {
   return nullptr;
 }
 
-bool ShardEngine::TxFenced(const ClientRequestMsg& req) const {
+bool ShardEngine::BounceTxFenced(const ClientRequestMsg& req,
+                                 const ReplyFn& reply) {
   for (const auto& [key, intent] : s_.tree().shard().tx_intents) {
     auto touches = [&](const std::string& p) {
       return p == intent.peer_path || fsns::IsPrefixPath(p, key);
     };
     if (touches(req.path) || (!req.path2.empty() && touches(req.path2))) {
+      // The entry is mid-flight between two groups; its linearization
+      // point is the peer's commit, so this side may not answer for it
+      // yet. A bounce (not a bare Unavailable) so the client paces its
+      // retries instead of burning its attempt budget against the fence.
+      Bounce(reply, "cross-group transaction in progress");
       return true;
     }
   }
@@ -116,14 +191,7 @@ void ShardEngine::Bounce(const ReplyFn& reply, const char* why) {
 
 bool ShardEngine::AdmitRead(const ClientRequestMsg& req,
                             const ReplyFn& reply) {
-  if (TxFenced(req)) {
-    // The entry is mid-flight between two groups; its linearization point
-    // is the peer's commit, so this side may not answer for it yet. A
-    // bounce (not a bare Unavailable) so the client paces its retries
-    // instead of burning its attempt budget against the fence.
-    Bounce(reply, "cross-group transaction in progress");
-    return false;
-  }
+  if (BounceTxFenced(req, reply)) return false;
   // A listing enumerates the directory's children, which all hash by this
   // directory; a stat resolves the entry itself, which hashes by its parent.
   const std::uint32_t slot = req.op == ClientOp::kListDir
@@ -138,10 +206,7 @@ bool ShardEngine::AdmitRead(const ClientRequestMsg& req,
 
 bool ShardEngine::AdmitMutation(const ClientRequestMsg& req,
                                 const ReplyFn& reply) {
-  if (TxFenced(req)) {
-    Bounce(reply, "cross-group transaction in progress");
-    return false;
-  }
+  if (BounceTxFenced(req, reply)) return false;
   const std::uint32_t slot = map_.SlotOf(req.path);
   const char* why = WriteRefusal(slot);
   if (why == nullptr && req.op == ClientOp::kRename) {
@@ -192,8 +257,8 @@ TxId ShardEngine::AppendShardRecord(journal::LogRecord rec) {
   }
   // A slot drop moves the mtimes of the slot's directories, which their
   // parents' lease fills show, and no mutation patches them.
-  if (applied.op == journal::OpCode::kShardMigrateEnd ||
-      applied.op == journal::OpCode::kShardDiscard) {
+  if (applied.op == OpCode::kShardMigrateEnd ||
+      applied.op == OpCode::kShardDiscard) {
     s_.reads().RevokeSlot(static_cast<std::uint32_t>(applied.block), txid,
                           /*parents=*/true);
   }
@@ -228,8 +293,7 @@ void ShardEngine::CaptureMigrationDelta(const journal::LogRecord& rec) {
   if (!rec.path.empty()) note(map_.SlotOf(rec.path), rec.path);
   if (!rec.path2.empty()) note(map_.SlotOf(rec.path2), rec.path2);
   // A new directory also belongs to its container slot (see MigratesWith).
-  if (rec.op == journal::OpCode::kMkdir ||
-      rec.op == journal::OpCode::kShardInstallDir) {
+  if (rec.op == OpCode::kMkdir || rec.op == OpCode::kShardInstallDir) {
     note(map_.SlotOfDir(rec.path), rec.path);
   }
 }
@@ -294,18 +358,11 @@ Status ShardEngine::StartMigration(std::uint32_t slot, GroupId dst) {
     return Status::FailedPrecondition("migration already in flight");
   }
   MigrationDrive& d = drives_[slot];
-  d.dst = dst;
-  d.stats.slot = slot;
-  d.stats.dst = dst;
-  d.stats.begin_time = s_.sim().Now();
+  d.stats = {.slot = slot, .dst = dst, .begin_time = s_.sim().Now()};
 
-  journal::LogRecord begin;
-  begin.op = journal::OpCode::kShardMigrateBegin;
-  begin.block = slot;
-  begin.replication = dst;
-  begin.mtime = s_.sim().Now();
   const TxId mid = JournalShardRecord(
-      std::move(begin), [this, slot](bool ok) {
+      SlotRecord(OpCode::kShardMigrateBegin, slot, s_.sim().Now(), dst),
+      [this, slot](bool ok) {
         auto it = drives_.find(slot);
         if (it == drives_.end()) return;
         if (!ok) {
@@ -318,7 +375,6 @@ Status ShardEngine::StartMigration(std::uint32_t slot, GroupId dst) {
         // destination's watchdog covers us if we die from here on.
         SendNextChunk(slot);
       });
-  d.migration_id = mid;
   d.stats.migration_id = mid;
   // Snapshot synchronously at the begin record and capture deltas from the
   // same instant — nothing can slip between image and delta stream. The
@@ -346,30 +402,20 @@ Status ShardEngine::StartMigration(std::uint32_t slot, GroupId dst) {
 void ShardEngine::AppendInstallRecords(
     const std::string& path, const fsns::Inode& node,
     std::vector<journal::LogRecord>& out) const {
-  journal::LogRecord rec;
-  rec.path = path;
+  journal::LogRecord rec = Record(
+      node.is_dir ? OpCode::kShardInstallDir : OpCode::kShardInstallFile, path,
+      node.mtime);
   rec.path2 = s_.tree().OwnerOf(node);
   rec.replication = node.replication;
-  rec.mtime = node.mtime;
-  if (node.is_dir) {
-    rec.op = journal::OpCode::kShardInstallDir;
-    rec.block = static_cast<BlockId>(node.permission) << 2;
-    out.push_back(std::move(rec));
-    return;
-  }
-  rec.op = journal::OpCode::kShardInstallFile;
   rec.block = (static_cast<BlockId>(node.permission) << 2) |
-              (node.complete ? 0x2u : 0x0u);
+              (!node.is_dir && node.complete ? 0x2u : 0x0u);
   out.push_back(std::move(rec));
-  // Blocks ride in the same chunk as their install record: a retried chunk
-  // re-runs install (which rebuilds the file from scratch) before re-adding
-  // them, so whole-chunk replay cannot duplicate blocks.
+  // A file's blocks ride in the same chunk as its install record: a retried
+  // chunk re-runs install (which rebuilds the file from scratch) before
+  // re-adding them, so whole-chunk replay cannot duplicate blocks.
   for (BlockId b : node.blocks) {
-    journal::LogRecord br;
-    br.op = journal::OpCode::kAddBlock;
-    br.path = path;
+    journal::LogRecord br = Record(OpCode::kAddBlock, path, node.mtime);
     br.block = b;
-    br.mtime = node.mtime;
     out.push_back(std::move(br));
   }
 }
@@ -382,13 +428,13 @@ void ShardEngine::SendNextChunk(std::uint32_t slot) {
     StartCutover(slot);
     return;
   }
-  const TxId mid = d.migration_id;
+  const TxId mid = d.stats.migration_id;
   auto msg = LegMsg<ShardTransferMsg>(s_.group(), slot, mid);
   msg->seq = d.next_seq;
   // Every resend carries this same message, so it owns the chunk now.
   msg->records = std::move(d.chunks[d.next_chunk]);
   SendLeg<ShardTransferAckMsg>(
-      d.dst, std::move(msg), kRetryDelay,
+      d.stats.dst, std::move(msg), kRetryDelay,
       [this, slot, mid] { return MigrationStale(slot, mid); },
       [this, slot](const ShardTransferAckMsg&) {
         MigrationDrive& d = drives_.at(slot);
@@ -416,7 +462,7 @@ void ShardEngine::StartCutover(std::uint32_t slot) {
   // revoked now: after cutover their mutations commit at the destination,
   // which cannot reach grants recorded here. SendActivate holds the
   // destination's activation on the revocations' barrier.
-  s_.reads().RevokeSlot(slot, d.migration_id);
+  s_.reads().RevokeSlot(slot, d.stats.migration_id);
   d.stats.fence_time = s_.sim().Now();
   DrainThenShip(slot, kDrainPolls);
 }
@@ -447,7 +493,7 @@ void ShardEngine::DrainThenShip(std::uint32_t slot, int polls_left) {
 
 void ShardEngine::ShipFinalChunk(std::uint32_t slot) {
   MigrationDrive& d = drives_.at(slot);
-  const TxId mid = d.migration_id;
+  const TxId mid = d.stats.migration_id;
   d.capturing = false;
 
   auto msg = LegMsg<ShardTransferMsg>(s_.group(), slot, mid);
@@ -462,11 +508,8 @@ void ShardEngine::ShipFinalChunk(std::uint32_t slot) {
     if (node != nullptr && MigratesWith(slot, path, *node)) {
       AppendInstallRecords(path, *node, msg->records);
     } else if (node == nullptr && map_.SlotOf(path) == slot) {
-      journal::LogRecord er;
-      er.op = journal::OpCode::kShardErase;
-      er.path = path;
-      er.mtime = s_.sim().Now();
-      msg->records.push_back(std::move(er));
+      msg->records.push_back(
+          Record(OpCode::kShardErase, path, s_.sim().Now()));
     }
   }
   d.dirty.clear();
@@ -480,8 +523,7 @@ void ShardEngine::ShipFinalChunk(std::uint32_t slot) {
   std::sort(clients.begin(), clients.end());
   for (std::uint64_t cid : clients) {
     for (std::uint64_t seq : tree.client_table().at(cid).recent) {
-      journal::LogRecord dr;
-      dr.op = journal::OpCode::kShardInstallDedup;
+      journal::LogRecord dr = Record(OpCode::kShardInstallDedup, {}, 0);
       dr.client = ClientOpId{cid, seq};
       msg->records.push_back(std::move(dr));
     }
@@ -490,32 +532,30 @@ void ShardEngine::ShipFinalChunk(std::uint32_t slot) {
   // Built once and resent verbatim: the dirty set is consumed above and
   // cannot be rebuilt.
   SendLeg<ShardTransferAckMsg>(
-      d.dst, std::move(msg), kRetryDelay,
+      d.stats.dst, std::move(msg), kRetryDelay,
       [this, slot, mid] { return MigrationStale(slot, mid); },
       [this, slot, mid](const ShardTransferAckMsg&) {
         ++drives_.at(slot).stats.chunks;
         // The destination holds the full image; make the hand-off durable
         // on our side. From the moment this record applies, reads for the
         // slot bounce too (OwnsSlotForRead checks outbound.cutover).
-        journal::LogRecord rec;
-        rec.op = journal::OpCode::kShardMigrateCutover;
-        rec.block = slot;
-        rec.mtime = s_.sim().Now();
-        JournalShardRecord(std::move(rec), [this, slot, mid](bool ok) {
-          // Not ok: deposed; the successor resumes off the journal.
-          if (!ok || MigrationStale(slot, mid)) return;
-          MAMS_DEBUG("shard", "%s: slot %u cutover durable; activating",
-                     s_.name().c_str(), slot);
-          SendActivate(slot);
-        });
+        JournalShardRecord(
+            SlotRecord(OpCode::kShardMigrateCutover, slot, s_.sim().Now()),
+            [this, slot, mid](bool ok) {
+              // Not ok: deposed; the successor resumes off the journal.
+              if (!ok || MigrationStale(slot, mid)) return;
+              MAMS_DEBUG("shard", "%s: slot %u cutover durable; activating",
+                         s_.name().c_str(), slot);
+              SendActivate(slot);
+            });
       });
 }
 
 void ShardEngine::SendActivate(std::uint32_t slot) {
   auto it = drives_.find(slot);
   if (it == drives_.end()) return;
-  const TxId mid = it->second.migration_id;
-  const GroupId dst = it->second.dst;
+  const TxId mid = it->second.stats.migration_id;
+  const GroupId dst = it->second.stats.dst;
   // The destination must not commit mutations for the slot while a client
   // could still serve a cached entry leased here, so activation is held on
   // the cutover's lease barrier until every revoked holder acks — bounded
@@ -539,8 +579,8 @@ void ShardEngine::SendActivate(std::uint32_t slot) {
 void ShardEngine::PublishMapForSlot(std::uint32_t slot) {
   auto it = drives_.find(slot);
   if (it == drives_.end()) return;
-  const TxId mid = it->second.migration_id;
-  const GroupId dst = it->second.dst;
+  const TxId mid = it->second.stats.migration_id;
+  const GroupId dst = it->second.stats.dst;
   shard::PartitionMap next = map_;
   next.Assign(slot, dst);
   s_.coord().PublishMap(
@@ -570,12 +610,9 @@ void ShardEngine::PublishMapForSlot(std::uint32_t slot) {
 }
 
 void ShardEngine::FinishMigration(std::uint32_t slot) {
-  const TxId mid = drives_.at(slot).migration_id;
-  journal::LogRecord rec;
-  rec.op = journal::OpCode::kShardMigrateEnd;
-  rec.block = slot;
-  rec.replication = map_.slot_count();
-  rec.mtime = s_.sim().Now();
+  const TxId mid = drives_.at(slot).stats.migration_id;
+  journal::LogRecord rec = SlotRecord(OpCode::kShardMigrateEnd, slot,
+                                      s_.sim().Now(), map_.slot_count());
   JournalShardRecord(std::move(rec), [this, slot, mid](bool ok) {
     // Not ok: deposed; the successor re-runs the end off the journal.
     if (!ok || MigrationStale(slot, mid)) return;
@@ -584,7 +621,7 @@ void ShardEngine::FinishMigration(std::uint32_t slot) {
     Bump(s_.mutable_counters().migrations_completed,
          s_.m().migrations_completed);
     MAMS_INFO("shard", "%s: migration %llu done: slot %u -> group %u",
-              s_.name().c_str(), (unsigned long long)mid, slot, d.dst);
+              s_.name().c_str(), (unsigned long long)mid, slot, d.stats.dst);
     stats_.push_back(d.stats);
     drives_.erase(slot);
   });
@@ -594,21 +631,18 @@ void ShardEngine::AbortOutbound(std::uint32_t slot) {
   const fsns::Tree::ShardState& sh = s_.tree().shard();
   auto ob = sh.outbound.find(slot);
   if (ob == sh.outbound.end() || ob->second.cutover) return;
-  const TxId mid = ob->second.migration_id;
-  const GroupId dst = ob->second.dst_group;
-  journal::LogRecord rec;
-  rec.op = journal::OpCode::kShardMigrateAbort;
-  rec.block = slot;
-  rec.mtime = s_.sim().Now();
-  JournalShardRecord(std::move(rec), [this, slot, mid, dst](bool ok) {
-    if (!ok) return;
-    // Best effort: the destination's watchdog queries us and learns the
-    // abort from our journal history even if this never gets through.
-    auto msg = LegMsg<ShardControlMsg>(s_.group(), slot, mid);
-    msg->kind = ShardControlKind::kAbort;
-    SendLeg<ShardControlAckMsg>(dst, std::move(msg), kRetryDelay, nullptr,
-                                [](const ShardControlAckMsg&) {});
-  });
+  JournalShardRecord(
+      SlotRecord(OpCode::kShardMigrateAbort, slot, s_.sim().Now()),
+      [this, slot, mid = ob->second.migration_id,
+       dst = ob->second.dst_group](bool ok) {
+        if (!ok) return;
+        // Best effort: the destination's watchdog queries us and learns the
+        // abort from our journal history even if this never gets through.
+        auto msg = LegMsg<ShardControlMsg>(s_.group(), slot, mid);
+        msg->kind = ShardControlKind::kAbort;
+        SendLeg<ShardControlAckMsg>(dst, std::move(msg), kRetryDelay, nullptr,
+                                    [](const ShardControlAckMsg&) {});
+      });
 }
 
 void ShardEngine::RollForwardOutbound(std::uint32_t slot) {
@@ -619,16 +653,14 @@ void ShardEngine::RollForwardOutbound(std::uint32_t slot) {
   // the complete image: activation, map publication and the end record are
   // all safe to repeat — drive them again from here.
   MigrationDrive& d = drives_[slot];
-  d.migration_id = ob->second.migration_id;
-  d.dst = ob->second.dst_group;
   d.stats.slot = slot;
-  d.stats.dst = d.dst;
-  d.stats.migration_id = d.migration_id;
+  d.stats.dst = ob->second.dst_group;
+  d.stats.migration_id = ob->second.migration_id;
   d.stats.begin_time = s_.sim().Now();  // resumed; source timings are gone
   d.stats.fence_time = s_.sim().Now();
   MAMS_INFO("shard", "%s: rolling migration %llu forward (slot %u -> %u)",
-            s_.name().c_str(), (unsigned long long)d.migration_id, slot,
-            d.dst);
+            s_.name().c_str(), (unsigned long long)d.stats.migration_id, slot,
+            d.stats.dst);
   SendActivate(slot);
 }
 
@@ -641,7 +673,8 @@ void ShardEngine::HandleTransfer(const net::MessagePtr& msg,
   const SimTime cost = kOpCosts.create *
                        static_cast<SimTime>(1 + req->records.size() / 4);
   s_.AfterLocal(s_.ChargeCpu(cost), [this, req, reply] {
-    auto ack = [&reply](bool ok, const char* why) {
+    // By value: the last ack fires from a journal-commit callback.
+    auto ack = [reply](bool ok, const std::string& why) {
       auto out = std::make_shared<ShardTransferAckMsg>();
       out->ok = ok;
       out->error = why;
@@ -660,33 +693,29 @@ void ShardEngine::HandleTransfer(const net::MessagePtr& msg,
       return;
     }
     auto ib = sh.inbound.find(req->slot);
-    if (ib != sh.inbound.end() &&
-        ib->second.migration_id != req->migration_id) {
+    const bool fresh = ib == sh.inbound.end();
+    if (!fresh && ib->second.migration_id != req->migration_id) {
       ack(false, "busy with another migration");
       return;
     }
-    if (ib == sh.inbound.end() && req->seq > 0) {
+    if (fresh && req->seq > 0) {
       // Mid-stream chunk with no inbound state: the migration this chunk
       // belongs to was discarded here. Refuse; the source re-queries.
       ack(false, "no inbound migration");
       return;
     }
-    const bool fresh = ib == sh.inbound.end();
     TxId last = 0;
     if (fresh) {
-      journal::LogRecord begin;
-      begin.op = journal::OpCode::kShardInboundBegin;
-      begin.block = req->slot;
-      begin.replication = req->from_group;
-      begin.mtime = static_cast<SimTime>(req->migration_id);
-      last = AppendShardRecord(std::move(begin));
+      last = AppendShardRecord(
+          SlotRecord(OpCode::kShardInboundBegin, req->slot,
+                     static_cast<SimTime>(req->migration_id), req->from_group));
     }
     std::vector<std::string> changed;
     for (journal::LogRecord rec : req->records) {
       rec.txid = 0;  // assigned by our writer; source txids mean nothing here
-      if (rec.op == journal::OpCode::kShardInstallFile ||
-          rec.op == journal::OpCode::kShardInstallDir ||
-          rec.op == journal::OpCode::kShardErase) {
+      if (rec.op == OpCode::kShardInstallFile ||
+          rec.op == OpCode::kShardInstallDir ||
+          rec.op == OpCode::kShardErase) {
         changed.push_back(rec.path);
       }
       last = AppendShardRecord(std::move(rec));
@@ -705,12 +734,9 @@ void ShardEngine::HandleTransfer(const net::MessagePtr& msg,
       ack(true, "");
       return;
     }
-    commit->Await(last, [reply](net::MessagePtr m) {
+    commit->Await(last, [ack](net::MessagePtr m) {
       const auto& resp = net::Cast<ClientResponseMsg>(m);
-      auto out = std::make_shared<ShardTransferAckMsg>();
-      out->ok = resp.ok;
-      out->error = resp.error;
-      reply(out);
+      ack(resp.ok, resp.error);
     });
     commit->SealIfSlotFree();
     if (fresh) ArmInboundWatchdog(req->slot);
@@ -764,17 +790,10 @@ void ShardEngine::ArmInboundWatchdog(std::uint32_t slot) {
           return ib == inbound.end() || ib->second.migration_id != mid;
         },
         [this, slot](const ShardControlAckMsg& ack) {
-          journal::LogRecord rec;
-          rec.block = slot;
-          rec.mtime = s_.sim().Now();
-          if (ack.outcome == MigrationOutcome::kEnded) {
-            // The source cut over; the image we journaled is authoritative.
-            rec.op = journal::OpCode::kShardAcquire;
-          } else {  // kAborted / kUnknown: drop the half-received slot
-            rec.op = journal::OpCode::kShardDiscard;
-            rec.replication = map_.slot_count();
-          }
-          JournalShardRecord(std::move(rec), nullptr);
+          // Ended: the source cut over, so the image we journaled is
+          // authoritative. Aborted or unknown: drop the half-received slot.
+          JournalInboundVerdict(
+              slot, ack.outcome == MigrationOutcome::kEnded, nullptr);
         },
         std::move(hooks));
   });
@@ -783,31 +802,22 @@ void ShardEngine::ArmInboundWatchdog(std::uint32_t slot) {
 void ShardEngine::HandleControl(const net::MessagePtr& msg,
                                 const ReplyFn& reply) {
   auto ctl = std::static_pointer_cast<const ShardControlMsg>(msg);
-  if (ctl->kind == ShardControlKind::kQuery) {
-    // Answered at the *source* active, from journal-derived state.
-    auto out = std::make_shared<ShardControlAckMsg>();
-    if (!s_.commit()) {
-      out->ok = false;
-      out->code = StatusCode::kUnavailable;
-      out->error = "not active";
-    } else {
-      out->ok = true;
-      out->outcome = AnswerMigrationQuery(ctl->slot, ctl->migration_id);
-    }
-    reply(out);
-    return;
-  }
-
   auto ack_status = ControlAck(reply);
   if (!s_.commit()) {
     ack_status(Status::Unavailable("not active"));
     return;
   }
+  if (ctl->kind == ShardControlKind::kQuery) {
+    // Answered at the *source* active, from journal-derived state.
+    auto out = std::make_shared<ShardControlAckMsg>();
+    out->ok = true;
+    out->outcome = AnswerMigrationQuery(ctl->slot, ctl->migration_id);
+    reply(out);
+    return;
+  }
   if (ctl->kind == ShardControlKind::kTxCommit) {
     // The peer's half costs what the op itself costs.
-    const bool dir =
-        ctl->install.front().op == journal::OpCode::kShardInstallDir;
-    s_.AfterLocal(s_.ChargeCpu(dir ? kOpCosts.mkdir : kOpCosts.rename),
+    s_.AfterLocal(s_.ChargeCpu(OpCost(TwoGroupOp::Of(ctl->tx_op).client_op)),
                   [this, ctl, reply] { HandleTxCommit(ctl, reply); });
     return;
   }
@@ -816,161 +826,214 @@ void ShardEngine::HandleControl(const net::MessagePtr& msg,
   auto ib = sh.inbound.find(ctl->slot);
   const bool matches =
       ib != sh.inbound.end() && ib->second.migration_id == ctl->migration_id;
-  journal::LogRecord rec;
-  rec.block = ctl->slot;
-  rec.mtime = s_.sim().Now();
-  if (ctl->kind == ShardControlKind::kActivate) {
-    if (sh.acquired.contains(ctl->slot)) {
-      ack_status(Status::Ok());  // duplicate after a lost ack
-      return;
-    }
-    if (!matches) {
-      ack_status(Status::FailedPrecondition("no matching inbound migration"));
-      return;
-    }
-    rec.op = journal::OpCode::kShardAcquire;
-  } else {  // kAbort
-    if (!matches) {
-      ack_status(Status::Ok());  // nothing to discard (already resolved)
-      return;
-    }
-    rec.op = journal::OpCode::kShardDiscard;
-    rec.replication = map_.slot_count();
+  const bool activate = ctl->kind == ShardControlKind::kActivate;
+  if (activate && sh.acquired.contains(ctl->slot)) {
+    ack_status(Status::Ok());  // duplicate after a lost ack
+    return;
   }
-  JournalShardRecord(std::move(rec), [ack_status](bool ok) {
+  if (!matches) {
+    // An abort with nothing to discard is already resolved.
+    ack_status(activate
+                   ? Status::FailedPrecondition("no matching inbound migration")
+                   : Status::Ok());
+    return;
+  }
+  JournalInboundVerdict(ctl->slot, activate, [ack_status](bool ok) {
     ack_status(ok ? Status::Ok() : Status::Unavailable("not committed"));
   });
 }
 
-// --- two-group transactions ---------------------------------------------------
-//
-// One protocol for every cross-group mutation: this group journals the
-// intent, the peer group installs the entry (install records plus the
-// kTxCommit dedup point), and this group's finish runs its own half. Only
-// those records depend on the op: a rename installs the file at its
-// destination and erases the source; a mkdir installs the directory at its
-// container group and runs the client's kMkdir record here.
-
-GroupId ShardEngine::PeerGroup(const ClientRequestMsg& req) const {
-  switch (req.op) {
-    case ClientOp::kRename:
-      return map_.OwnerOf(req.path2);
-    case ClientOp::kMkdir:
-      return map_.OwnerOfDir(req.path);
-    default:
-      return s_.group();
-  }
+void ShardEngine::JournalInboundVerdict(std::uint32_t slot, bool acquire,
+                                        std::function<void(bool)> done) {
+  JournalShardRecord(
+      SlotRecord(acquire ? OpCode::kShardAcquire : OpCode::kShardDiscard, slot,
+                 s_.sim().Now(), acquire ? 1 : map_.slot_count()),
+      std::move(done));
 }
 
-Status ShardEngine::TxVerdict(const ClientRequestMsg& req) const {
-  const fsns::Tree& tree = s_.tree();
-  if (req.op == ClientOp::kMkdir) {
-    // mkdirs semantics, in the local order: a file at the path, then a file
-    // on an ancestor; an existing directory commits as a no-op.
-    if (!fsns::IsValidPath(req.path)) {
-      return Status::InvalidArgument("bad path: " + req.path);
-    }
-    for (std::string_view p = req.path; p != "/"; p = fsns::ParentDir(p)) {
-      const fsns::Inode* node = tree.FindInode(p);
-      if (node == nullptr || node->is_dir) continue;
-      const std::string what = std::string(p) + " is a file";
-      return p == req.path ? Status::AlreadyExists(what)
-                           : Status::FailedPrecondition(what);
-    }
-    return Status::Ok();
-  }
-  // Rename: precedence mirrors the local rename (and the checker's model):
-  // argument validity, then rename-under-itself, then source existence.
-  if (!fsns::IsValidPath(req.path) || !fsns::IsValidPath(req.path2) ||
-      req.path == "/") {
-    return Status::InvalidArgument("bad rename path");
-  }
-  if (fsns::IsPrefixPath(req.path, req.path2)) {
-    return Status::FailedPrecondition("rename under its own subtree");
-  }
-  const fsns::Inode* node = tree.FindInode(req.path);
-  if (node == nullptr) return Status::NotFound(req.path);
-  if (node->is_dir) {
-    // A directory's descendants rehash under the new name across arbitrary
-    // groups; moving a subtree between groups is out of scope (mirrors
-    // real metadata services, which fence or forbid cross-volume renames).
-    return Status::FailedPrecondition("cross-group rename of a directory");
-  }
-  return Status::Ok();
-}
+// --- two-group transactions (TwoGroupOp) -------------------------------------
 
-void ShardEngine::StartTwoGroupTx(RequestPtr req, GroupId peer,
-                                  const ReplyFn& reply) {
+const ShardEngine::TwoGroupOp ShardEngine::TwoGroupOp::kRows[2] = {
+    {
+        // A file moves to its destination's group and leaves the source.
+        .client_op = ClientOp::kRename,
+        .op = OpCode::kRename,
+        .peer_path = &ClientRequestMsg::path2,
+        .peer_slot = &shard::PartitionMap::SlotOf,
+        .verdict = [](const fsns::Tree& tree, const ClientRequestMsg& req) {
+          // Precedence mirrors the local rename (and the checker's model):
+          // argument validity, then rename-under-itself, then source
+          // existence.
+          if (!fsns::IsValidPath(req.path) || !fsns::IsValidPath(req.path2) ||
+              req.path == "/") {
+            return Status::InvalidArgument("bad rename path");
+          }
+          if (fsns::IsPrefixPath(req.path, req.path2)) {
+            return Status::FailedPrecondition("rename under its own subtree");
+          }
+          const fsns::Inode* node = tree.FindInode(req.path);
+          if (node == nullptr) return Status::NotFound(req.path);
+          // A directory's descendants rehash under the new name across
+          // arbitrary groups; moving a subtree between groups is out of
+          // scope (mirrors real metadata services, which fence or forbid
+          // cross-volume renames).
+          return node->is_dir ? Status::FailedPrecondition(
+                                    "cross-group rename of a directory")
+                              : Status::Ok();
+        },
+        .shipped = [](const fsns::Tree& tree, const std::string& key) {
+          const fsns::Inode* node = tree.FindInode(key);
+          return node == nullptr || node->is_dir ? nullptr : node;
+        },
+        .admit = [](const fsns::Tree& tree, const std::string& path) {
+          // A renamed file needs a free name under an existing parent, as
+          // the local rename does — it never materializes ancestors.
+          if (tree.FindInode(path) != nullptr) {
+            return Status::AlreadyExists(path);
+          }
+          for (const auto& [key, intent] : tree.shard().tx_intents) {
+            // The name is promised to this group's own pending mkdir (of
+            // it, or beneath it). Not a verdict: the leg retries and gets
+            // the real one once the mkdir resolves. Directory installs
+            // never wait, so two groups cannot wait on each other.
+            if (intent.op == OpCode::kMkdir &&
+                fsns::IsPrefixPath(path, key)) {
+              return Status::Unavailable(
+                  "cross-group transaction in progress");
+            }
+          }
+          const std::string parent_path(fsns::ParentDir(path));
+          const fsns::Inode* parent = tree.FindInode(parent_path);
+          return parent == nullptr || !parent->is_dir
+                     ? Status::NotFound(parent_path)
+                     : Status::Ok();
+        },
+        .finish = [](ShardEngine& e, const std::string& key, const Intent&) {
+          e.AppendShardRecord(
+              Record(OpCode::kShardErase, key, e.s_.sim().Now()));
+          return Status::Ok();
+        },
+        .count = &MdsServer::Counters::cross_group_renames,
+        .metric = &MdsServer::MetricHandles::cross_group_renames,
+    },
+    {
+        // A directory is installed at its container group (where its
+        // children live) and made here, where its own entry lives.
+        .client_op = ClientOp::kMkdir,
+        .op = OpCode::kMkdir,
+        .peer_path = &ClientRequestMsg::path,
+        .peer_slot = &shard::PartitionMap::SlotOfDir,
+        .verdict = [](const fsns::Tree& tree, const ClientRequestMsg& req) {
+          // mkdirs semantics, in the local order: a file at the path, then
+          // a file on an ancestor; an existing directory commits as a no-op.
+          if (!fsns::IsValidPath(req.path)) {
+            return Status::InvalidArgument("bad path: " + req.path);
+          }
+          for (std::string_view p = req.path; p != "/";
+               p = fsns::ParentDir(p)) {
+            const fsns::Inode* node = tree.FindInode(p);
+            if (node == nullptr || node->is_dir) continue;
+            const std::string what = std::string(p) + " is a file";
+            return p == req.path ? Status::AlreadyExists(what)
+                                 : Status::FailedPrecondition(what);
+          }
+          return Status::Ok();
+        },
+        .shipped = [](const fsns::Tree&, const std::string&) {
+          static const fsns::Inode kNewDir{.is_dir = true};
+          return &kNewDir;
+        },
+        .admit = [](const fsns::Tree& tree, const std::string& path) {
+          // A directory installs over a directory (mkdirs semantics).
+          const fsns::Inode* existing = tree.FindInode(path);
+          return existing != nullptr && !existing->is_dir
+                     ? Status::AlreadyExists(path) : Status::Ok();
+        },
+        .finish = [](ShardEngine& e, const std::string& key,
+                     const Intent& intent) {
+          // This group's half is the client's own record, executed and
+          // journaled like a local mkdir. The verdict checks, the fences and
+          // the rename row's wait at the peer keep it applicable; should it
+          // fail anyway, the client gets the failure, never an Ok.
+          journal::LogRecord mk = Record(OpCode::kMkdir, key, intent.mtime);
+          mk.client = intent.client;
+          Result<journal::LogRecord> rec =
+              e.s_.mutable_tree().Execute(std::move(mk));
+          if (!rec.ok()) {
+            MAMS_ERROR("shard", "%s: mkdir finish failed: %s",
+                       e.s_.name().c_str(), rec.status().ToString().c_str());
+            return rec.status();
+          }
+          e.CaptureMigrationDelta(rec.value());
+          e.s_.mutable_tree().set_last_txid(
+              e.s_.commit()->Append(std::move(rec).value()));
+          return Status::Ok();
+        },
+    },
+};
+
+bool ShardEngine::StartTwoGroupTx(RequestPtr req, const ReplyFn& reply) {
+  const TwoGroupOp* row = TwoGroupOp::Find(req->op);
+  if (row == nullptr) return false;
+  const std::string& peer_path = (*req).*row->peer_path;
+  const GroupId peer = map_.OwnerOfSlot((map_.*row->peer_slot)(peer_path));
+  if (peer == s_.group()) return false;
   if (s_.tree().IsDuplicate(req->client)) {
     // The transaction finished in a previous life of this request.
     s_.commit()->AwaitResend(req->client, reply);
-    return;
+    return true;
   }
-  if (TxFenced(*req)) {
-    Bounce(reply, "cross-group transaction in progress");
-    return;
-  }
+  if (BounceTxFenced(*req, reply)) return true;
   if (const char* why = WriteRefusal(map_.SlotOf(req->path))) {
     Bounce(reply, why);
-    return;
+    return true;
   }
-  if (Status verdict = TxVerdict(*req); !verdict.ok()) {
+  if (Status verdict = row->verdict(s_.tree(), *req); !verdict.ok()) {
     s_.ReplyStatus(reply, verdict);
-    return;
+    return true;
   }
   // Prepare: journal the intent. From the moment it applies, the fences
-  // stall every request touching the entry (or the rename's destination)
+  // stall every request touching the entry (or what the peer installs)
   // until the outcome commits.
-  const bool mkdir = req->op == ClientOp::kMkdir;
-  journal::LogRecord rec;
-  rec.op = journal::OpCode::kTxIntent;
-  rec.path = req->path;
-  rec.path2 = mkdir ? req->path : req->path2;
+  journal::LogRecord rec = Record(OpCode::kTxIntent, req->path, s_.sim().Now());
+  rec.path2 = peer_path;
   rec.replication = peer;
-  rec.block = static_cast<BlockId>(mkdir ? journal::OpCode::kMkdir
-                                         : journal::OpCode::kRename);
-  rec.mtime = s_.sim().Now();
+  rec.block = static_cast<BlockId>(row->op);
   rec.client = req->client;
   JournalShardRecord(std::move(rec), [this, key = req->path, reply](bool ok) {
     if (!ok) {
       s_.ReplyStatus(reply, Status::Unavailable("server deposed"));
       return;
     }
-    tx_drives_[key].reply = reply;
+    tx_drives_[key] = reply;
     SendTxCommit(key);
   });
+  return true;
 }
 
 void ShardEngine::SendTxCommit(const std::string& key) {
-  auto it = tx_drives_.find(key);
-  if (it == tx_drives_.end()) return;
+  if (!tx_drives_.contains(key)) return;
   const auto& intents = s_.tree().shard().tx_intents;
   auto in = intents.find(key);
   if (in == intents.end()) {
-    tx_drives_.erase(it);
+    tx_drives_.erase(key);
     return;
   }
   const fsns::Tree::ShardState::TxIntent& intent = in->second;
-  auto msg = std::make_shared<ShardControlMsg>();
-  msg->kind = ShardControlKind::kTxCommit;
-  msg->from_group = s_.group();
-  msg->client = intent.client;
-  if (intent.op == journal::OpCode::kMkdir) {
-    msg->slot = map_.SlotOfDir(intent.peer_path);
-    fsns::Inode dir;
-    dir.is_dir = true;
-    AppendInstallRecords(intent.peer_path, dir, msg->install);
-  } else {
-    msg->slot = map_.SlotOf(intent.peer_path);
-    const fsns::Inode* node = s_.tree().FindInode(key);
-    if (node == nullptr || node->is_dir) {
-      // The fences make this unreachable in normal operation; abort rather
-      // than install garbage at the destination.
-      FinishTx(key, Status::NotFound(key));
-      return;
-    }
-    AppendInstallRecords(intent.peer_path, *node, msg->install);
+  const TwoGroupOp& row = TwoGroupOp::Of(intent.op);
+  const fsns::Inode* node = row.shipped(s_.tree(), key);
+  if (node == nullptr) {
+    // The fences make this unreachable in normal operation; abort rather
+    // than install garbage at the peer.
+    FinishTx(key, Status::NotFound(key));
+    return;
   }
+  auto msg = LegMsg<ShardControlMsg>(
+      s_.group(), (map_.*row.peer_slot)(intent.peer_path), 0);
+  msg->kind = ShardControlKind::kTxCommit;
+  msg->tx_op = intent.op;
+  msg->client = intent.client;
+  AppendInstallRecords(intent.peer_path, *node, msg->install);
   // The installed entry carries the transaction's timestamp.
   for (journal::LogRecord& r : msg->install) r.mtime = intent.mtime;
   net::RpcHooks hooks;
@@ -985,11 +1048,9 @@ void ShardEngine::SendTxCommit(const std::string& key) {
     // duplicate check at the peer makes a repeated commit harmless); the
     // waiting client is failed now — its own retry is suppressed likewise.
     if (why.code() != StatusCode::kTimedOut) return;
-    TxDrive& drive = tx_drives_.at(key);
-    if (drive.reply) {
-      s_.ReplyStatus(drive.reply,
+    if (ReplyFn reply = std::exchange(tx_drives_.at(key), nullptr)) {
+      s_.ReplyStatus(reply,
                      Status::Unavailable("transaction peer unreachable"));
-      drive.reply = nullptr;
     }
   };
   SendLeg<ShardControlAckMsg>(
@@ -1012,8 +1073,7 @@ void ShardEngine::HandleTxCommit(
     ack_status(Status::Unavailable("not active"));
     return;
   }
-  const fsns::Tree& tree = s_.tree();
-  if (tree.IsDuplicate(ctl->client)) {
+  if (s_.tree().IsDuplicate(ctl->client)) {
     ack_status(Status::Ok());  // committed in a previous attempt
     return;
   }
@@ -1022,42 +1082,16 @@ void ShardEngine::HandleTxCommit(
     return;
   }
   const journal::LogRecord& entry = ctl->install.front();
-  const bool dir = entry.op == journal::OpCode::kShardInstallDir;
-  // A directory installs over a directory (mkdirs semantics); a renamed
-  // file needs a free name under an existing parent, as the local rename
-  // does — it never materializes ancestors.
-  const fsns::Inode* existing = tree.FindInode(entry.path);
-  if (existing != nullptr && !(dir && existing->is_dir)) {
-    ack_status(Status::AlreadyExists(entry.path));
+  const TwoGroupOp& row = TwoGroupOp::Of(ctl->tx_op);
+  if (Status s = row.admit(s_.tree(), entry.path); !s.ok()) {
+    ack_status(s);
     return;
-  }
-  if (!dir) {
-    for (const auto& [key, intent] : tree.shard().tx_intents) {
-      // The name is promised to this group's own pending mkdir (of it, or
-      // beneath it). Not a verdict: the leg retries Unavailable and gets
-      // the real one once the mkdir resolves. Directory installs never
-      // wait, so two groups cannot wait on each other.
-      if (intent.op == journal::OpCode::kMkdir &&
-          fsns::IsPrefixPath(entry.path, key)) {
-        ack_status(Status::Unavailable("cross-group transaction in progress"));
-        return;
-      }
-    }
-    const std::string parent_path(fsns::ParentDir(entry.path));
-    const fsns::Inode* parent = tree.FindInode(parent_path);
-    if (parent == nullptr || !parent->is_dir) {
-      ack_status(Status::NotFound(parent_path));
-      return;
-    }
   }
   // Commit: install the entry (anonymous — the dedup point is the commit
   // record) and stamp the transaction with the real client id.
   for (const journal::LogRecord& r : ctl->install) AppendShardRecord(r);
-  journal::LogRecord rec;
-  rec.op = journal::OpCode::kTxCommit;
-  rec.path = entry.path;
+  journal::LogRecord rec = Record(OpCode::kTxCommit, entry.path, entry.mtime);
   rec.client = ctl->client;
-  rec.mtime = entry.mtime;
   const TxId txid = AppendShardRecord(std::move(rec));
   // Installing the entry conflicts with leases on its parent (and,
   // defensively, its subtree). Every holder is remote to this transaction —
@@ -1077,63 +1111,31 @@ void ShardEngine::FinishTx(const std::string& key, Status outcome) {
   const auto& intents = s_.tree().shard().tx_intents;
   auto in = intents.find(key);
   if (in == intents.end()) return;
-  const journal::OpCode op = in->second.op;
-  const ClientOpId client = in->second.client;
-  if (outcome.ok() && op == journal::OpCode::kMkdir) {
-    // This group's half of the mkdir is the client's own record, executed
-    // and journaled like a local mkdir. The verdict checks, the fences and
-    // the peer-side wait in HandleTxCommit keep it applicable; should it
-    // fail anyway, the client gets the failure, never an Ok.
-    journal::LogRecord mk;
-    mk.op = journal::OpCode::kMkdir;
-    mk.path = key;
-    mk.mtime = in->second.mtime;
-    mk.client = client;
-    Result<journal::LogRecord> rec = s_.mutable_tree().Execute(std::move(mk));
-    if (rec.ok()) {
-      CaptureMigrationDelta(rec.value());
-      const TxId txid = s_.commit()->Append(std::move(rec).value());
-      s_.mutable_tree().set_last_txid(txid);
-    } else {
-      MAMS_ERROR("shard", "%s: mkdir finish failed: %s", s_.name().c_str(),
-                 rec.status().ToString().c_str());
-      outcome = rec.status();
-    }
-  } else if (outcome.ok()) {
-    journal::LogRecord erase;
-    erase.op = journal::OpCode::kShardErase;
-    erase.path = key;
-    erase.mtime = s_.sim().Now();
-    AppendShardRecord(std::move(erase));
-  }
+  const TwoGroupOp& row = TwoGroupOp::Of(in->second.op);
+  if (outcome.ok()) outcome = row.finish(*this, key, in->second);
   const bool committed = outcome.ok();
-  journal::LogRecord rec;
-  rec.op = committed ? journal::OpCode::kTxFinish : journal::OpCode::kTxAbort;
-  rec.path = key;
-  rec.mtime = s_.sim().Now();
+  journal::LogRecord rec =
+      Record(committed ? OpCode::kTxFinish : OpCode::kTxAbort, key,
+             s_.sim().Now());
   // Finish remembers the real client (the transaction is now durable on
   // both sides); abort stays anonymous so the client's retry re-executes.
-  if (committed) rec.client = client;
+  if (committed) rec.client = in->second.client;
   const TxId txid = JournalShardRecord(
-      std::move(rec), [this, key, op, outcome](bool ok) {
-        auto it = tx_drives_.find(key);
-        if (it == tx_drives_.end()) return;
-        ReplyFn reply = std::move(it->second.reply);
-        tx_drives_.erase(it);
-        if (!reply) return;  // crash-resumed drive: the client is long gone
-        if (!ok) {
-          s_.ReplyStatus(reply, Status::Unavailable("server deposed"));
-          return;
+      std::move(rec), [this, key, row = &row, outcome](bool ok) {
+        // Counted whenever the finish commits, also for a resumed drive
+        // whose client is long gone.
+        if (ok && outcome.ok() && row->count != nullptr) {
+          Bump(s_.mutable_counters().*row->count, s_.m().*row->metric);
         }
-        if (outcome.ok() && op == journal::OpCode::kRename) {
-          Bump(s_.mutable_counters().cross_group_renames,
-               s_.m().cross_group_renames);
-        }
-        s_.ReplyStatus(reply, outcome);
+        auto drive = tx_drives_.extract(key);
+        // No reply: a crash-resumed drive, whose client is long gone.
+        if (!drive || !drive.mapped()) return;
+        s_.ReplyStatus(drive.mapped(),
+                       ok ? outcome : Status::Unavailable("server deposed"));
       });
-  // The entry appears (mkdir) or disappears (rename) here: revoke leases on
-  // its parent (and subtree) and hold the client's reply on the barrier,
-  // mirroring the peer side of the transaction.
+  // This group's half changed the entry here: revoke leases on its parent
+  // (and subtree) and hold the client's reply on the barrier, mirroring the
+  // peer side of the transaction.
   if (committed && txid != 0) s_.reads().RevokeUnder(key, txid);
 }
 
@@ -1144,17 +1146,15 @@ void ShardEngine::Resume() {
   const fsns::Tree::ShardState& sh = s_.tree().shard();
   std::vector<std::uint32_t> roll_forward;
   std::vector<std::uint32_t> abort;
-  std::vector<std::uint32_t> inbound;
   for (const auto& [slot, ob] : sh.outbound) {
     (ob.cutover ? roll_forward : abort).push_back(slot);
   }
-  for (const auto& [slot, ib] : sh.inbound) inbound.push_back(slot);
   for (std::uint32_t slot : roll_forward) RollForwardOutbound(slot);
   // Pre-cutover outbound migrations abort: the volatile snapshot/delta
   // state died with the previous active, so the transfer cannot be
   // completed faithfully — and nothing was promised to anyone yet.
   for (std::uint32_t slot : abort) AbortOutbound(slot);
-  for (std::uint32_t slot : inbound) ArmInboundWatchdog(slot);
+  for (const auto& [slot, ib] : sh.inbound) ArmInboundWatchdog(slot);
   for (const auto& [key, intent] : sh.tx_intents) {
     // Re-drive the prepared transaction to its commit or abort. The client
     // reply is gone; its retry is answered by the dedup table either way.
@@ -1165,10 +1165,8 @@ void ShardEngine::Resume() {
 
 void ShardEngine::Abandon() {
   drives_.clear();
-  for (auto& [key, drive] : tx_drives_) {
-    if (drive.reply) {
-      s_.ReplyStatus(drive.reply, Status::Unavailable("server deposed"));
-    }
+  for (auto& [key, reply] : tx_drives_) {
+    if (reply) s_.ReplyStatus(reply, Status::Unavailable("server deposed"));
   }
   tx_drives_.clear();
 }

@@ -1,6 +1,8 @@
 // ShardEngine — partition-map adoption and enforcement, the journal-backed
 // migration engine (both sides), and the two-group transaction that runs
-// every cross-group mutation (rename and mkdir).
+// every cross-group mutation. The transaction is one protocol; what each op
+// does at each of its steps is one row of a table (TwoGroupOp: rename and
+// mkdir), so adding a two-group op adds a row, not a branch.
 // Rebuilt with its server on a crash, which resets the map to the seed; the
 // map survives role changes, since every role routes by it.
 //
@@ -68,11 +70,11 @@ class ShardEngine {
   /// transaction-commit controls.
   void HandleTransfer(const net::MessagePtr& msg, const ReplyFn& reply);
   void HandleControl(const net::MessagePtr& msg, const ReplyFn& reply);
-  /// The other group a mutation commits at too: a rename's destination
-  /// entry owner or a mkdir's container owner; otherwise this group.
-  GroupId PeerGroup(const ClientRequestMsg& req) const;
-  /// Entry-group side: intent -> peer commit -> finish.
-  void StartTwoGroupTx(RequestPtr req, GroupId peer, const ReplyFn& reply);
+  /// Entry-group side (intent -> peer commit -> finish) of a mutation that
+  /// commits at another group too: a rename's destination entry owner or a
+  /// mkdir's container owner. False, with nothing done, when it commits
+  /// here alone.
+  bool StartTwoGroupTx(RequestPtr req, const ReplyFn& reply);
   /// On becoming active: outbound migrations roll forward past cutover or
   /// abort before it, inbound ones arm the watchdog, intents resend.
   void Resume();
@@ -84,21 +86,16 @@ class ShardEngine {
   /// Source-side engine state while this process drives a migration; the
   /// durable truth lives in the journal via the tree's ShardState.
   struct MigrationDrive {
-    TxId migration_id = 0;
-    GroupId dst = 0;
     std::vector<std::vector<journal::LogRecord>> chunks;
     std::size_t next_chunk = 0;
     std::uint32_t next_seq = 0;
     bool capturing = false;  ///< record mutated slot paths into `dirty`
     bool fence = false;      ///< cutover: bounce writes for this slot
     std::set<std::string> dirty;
-    MigrationStats stats;
+    MigrationStats stats;  ///< also the migration's id and destination
   };
-  /// The client reply a two-group transaction holds while its commit leg
-  /// runs (null after a crash-resume: the client is already gone).
-  struct TxDrive {
-    ReplyFn reply;
-  };
+  /// One row per op that commits at two groups (see shard_engine.cpp).
+  struct TwoGroupOp;
 
   bool OwnsSlotForRead(std::uint32_t slot) const;
   bool OwnsSlotForWrite(std::uint32_t slot) const {
@@ -108,10 +105,10 @@ class ShardEngine {
   /// Why this server must not write `slot` now, or null when it may.
   const char* WriteRefusal(std::uint32_t slot) const;
   void Bounce(const ReplyFn& reply, const char* why);
-  /// Path touches a pending two-group transaction (its entry, an ancestor
-  /// of it, or what the peer installs) — such requests stall until the
-  /// transaction resolves.
-  bool TxFenced(const ClientRequestMsg& req) const;
+  /// Bounces a request whose path touches a pending two-group transaction
+  /// (its entry, an ancestor of it, or what the peer installs): such
+  /// requests stall until the transaction resolves.
+  bool BounceTxFenced(const ClientRequestMsg& req, const ReplyFn& reply);
   /// Journals one shard record, applies it to the tree, and notes it for a
   /// capturing migration. Returns its txid.
   TxId AppendShardRecord(journal::LogRecord rec);
@@ -131,7 +128,8 @@ class ShardEngine {
   /// The slot's drive is gone or now drives a different migration.
   bool MigrationStale(std::uint32_t slot, TxId migration_id) const {
     auto it = drives_.find(slot);
-    return it == drives_.end() || it->second.migration_id != migration_id;
+    return it == drives_.end() ||
+           it->second.stats.migration_id != migration_id;
   }
 
   /// The install record(s) reconstructing `node` at `path` (dir, or file
@@ -153,11 +151,12 @@ class ShardEngine {
   void RollForwardOutbound(std::uint32_t slot);
   MigrationOutcome AnswerMigrationQuery(std::uint32_t slot,
                                         TxId migration_id) const;
+  /// Journals an inbound slot's verdict: kShardAcquire, or kShardDiscard.
+  void JournalInboundVerdict(std::uint32_t slot, bool acquire,
+                             std::function<void(bool)> done);
   /// While an inbound migration is pending, asks the source group what
   /// happened — covers a source that decided and crashed before telling us.
   void ArmInboundWatchdog(std::uint32_t slot);
-  /// The op's own verdict at the entry group, before the intent.
-  Status TxVerdict(const ClientRequestMsg& req) const;
   void SendTxCommit(const std::string& key);
   void HandleTxCommit(const std::shared_ptr<const ShardControlMsg>& ctl,
                       const ReplyFn& reply);
@@ -169,7 +168,9 @@ class ShardEngine {
   MdsServer& s_;
   shard::PartitionMap map_;  ///< newer maps arrive from coordination
   std::map<std::uint32_t, MigrationDrive> drives_;
-  std::map<std::string, TxDrive> tx_drives_;  ///< by intent key
+  /// By intent key: the client reply each two-group transaction holds while
+  /// its commit leg runs (null after a crash-resume: the client is gone).
+  std::map<std::string, ReplyFn> tx_drives_;
   std::vector<MigrationStats> stats_;
 };
 

@@ -124,12 +124,12 @@ class SlotIndex {
 struct Inode {
   InodeId id = kInvalidInode;  ///< kInvalidInode marks a free slot
   InodeId parent = kInvalidInode;
-  std::string name;                  ///< the only copy of the entry's name
+  std::string name{};                ///< the only copy of the entry's name
   SimTime mtime = 0;
-  std::vector<BlockId> blocks;       ///< files only
+  std::vector<BlockId> blocks{};     ///< files only
   /// A directory's entries, looked up by the child's name (Tree::Child).
   /// Its order must never be observed: ordered walks use SortedChildren.
-  SlotIndex children;                ///< dirs only; no storage until used
+  SlotIndex children{};              ///< dirs only; no storage until used
 
   std::uint32_t replication = 1;
   std::uint32_t owner_id = 0;        ///< Tree::OwnerOf; 0 is "hdfs"
@@ -253,7 +253,7 @@ class Tree {
     /// A prepared two-group transaction, keyed by the path whose entry
     /// this group holds (a rename's source, a mkdir's directory).
     struct TxIntent {
-      journal::OpCode op = journal::OpCode::kRename;  ///< or kMkdir
+      journal::OpCode op = journal::OpCode::kRename;  ///< its TwoGroupOp row
       std::string peer_path;  ///< what the peer installs: rename dst, or
                               ///< the mkdir path itself
       GroupId peer_group = 0;

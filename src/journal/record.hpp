@@ -51,11 +51,11 @@ enum class OpCode : std::uint8_t {
                             ///< replication=slot_count
   kShardInboundBegin = 21,  ///< dst: first chunk seen; block=slot,
                             ///< replication=src group, mtime=migration id
-  // Two-group transaction records (cross-group rename and mkdir).
-  kTxIntent = 22,  ///< entry group: path=rename source or mkdir path,
-                   ///< path2=the path the peer installs, replication=peer
-                   ///< group, block=client op (kRename/kMkdir),
-                   ///< client=real client
+  // Two-group transaction records (ShardEngine's TwoGroupOp rows).
+  kTxIntent = 22,  ///< entry group: path=the entry (rename source, mkdir
+                   ///< path), path2=the path the peer installs,
+                   ///< replication=peer group, block=the row's op
+                   ///< (kRename/kMkdir), client=real client
   kTxCommit = 23,  ///< peer group: entry installed; dedup point
   kTxFinish = 24,  ///< entry group: intent resolved, remember client
   kTxAbort = 25,   ///< entry group: intent abandoned

@@ -5,6 +5,7 @@
 
 #include <functional>
 #include <memory>
+#include <ostream>
 #include <set>
 #include <string>
 #include <vector>
@@ -209,6 +210,15 @@ class ShardClusterTest : public ::testing::Test {
         });
     testutil::WaitFor(*sim_, [&] { return done; }, 60 * kSecond);
     return out;
+  }
+
+  /// mds.cross_group_renames summed over group `g`'s servers.
+  std::uint64_t CrossGroupRenames(GroupId g) {
+    std::uint64_t n = 0;
+    for (const CfsCluster::MemberInfo& m : cluster_->Members(g)) {
+      n += m.server->counters().cross_group_renames;
+    }
+    return n;
   }
 
   /// First "<base>N" directory whose *children* land in a slot owned by `g`.
@@ -611,11 +621,37 @@ TEST_F(ShardClusterTest, CrossGroupMkdirsCommitThroughAFullCommitWindow) {
   }
 }
 
-TEST_F(ShardClusterTest, DeposedCoordinatorDoesNotInstallATwoGroupMkdir) {
+/// The two-group transaction's rows, each run through the entry group's
+/// failover: a mkdir whose children live in group 1, and a rename of a
+/// group-0 file into a group-1 directory.
+struct TwoGroupCase {
+  const char* name;
+  core::ClientOp op;
+};
+
+void PrintTo(const TwoGroupCase& c, std::ostream* os) { *os << c.name; }
+
+class DeposedCoordinatorTest
+    : public ShardClusterTest,
+      public ::testing::WithParamInterface<TwoGroupCase> {};
+
+TEST_P(DeposedCoordinatorTest, DoesNotRunTheEntryHalf) {
   Build();
-  const std::string hot = DirOwnedBy(0, "/hot");
-  ASSERT_TRUE(CreateFile(hot + "/seed").ok());
-  const std::string path = SplitDirs(hot, 1).front();
+  const bool rename = GetParam().op == core::ClientOp::kRename;
+  // `key` is the transaction's entry at group 0; group 1 installs `peer`.
+  std::string key;
+  std::string peer;
+  if (rename) {
+    const std::string rdir = DirOwnedBy(1, "/ren");
+    ASSERT_TRUE(CreateFile(rdir + "/seed").ok());
+    key = DirOwnedBy(0, "/mig") + "/f0";
+    ASSERT_TRUE(CreateFile(key).ok());
+    peer = rdir + "/moved";
+  } else {
+    const std::string hot = DirOwnedBy(0, "/hot");
+    ASSERT_TRUE(CreateFile(hot + "/seed").ok());
+    key = peer = SplitDirs(hot, 1).front();
+  }
   core::MdsServer* a0 = cluster_->FindActive(0);
   ASSERT_NE(a0, nullptr);
 
@@ -626,17 +662,22 @@ TEST_F(ShardClusterTest, DeposedCoordinatorDoesNotInstallATwoGroupMkdir) {
   const std::uint64_t before = legs->value;
   Status out = Status::TimedOut("no reply");
   bool done = false;
-  cluster_->client(0).Mkdir(path, [&](Status s) {
+  auto answer = [&](Status s) {
     out = s;
     done = true;
-  });
+  };
+  if (rename) {
+    cluster_->client(0).Rename(key, peer, answer);
+  } else {
+    cluster_->client(0).Mkdir(key, answer);
+  }
   ASSERT_TRUE(testutil::WaitFor(
       *sim_, [&] { return legs->value > before; }, kSecond,
       10 * kMicrosecond));
 
   // A registration round from a newer fence deposes a0 before the leg's ack
   // returns; the ack must not run the entry group's half on the deposed
-  // server.
+  // server: no mkdir there, and no erase of the rename's source.
   net::Host rival(*net_, "rival");
   rival.Boot();
   auto reg = std::make_shared<core::GroupRegisterMsg>();
@@ -647,7 +688,7 @@ TEST_F(ShardClusterTest, DeposedCoordinatorDoesNotInstallATwoGroupMkdir) {
   Run(50 * kMillisecond);
 
   EXPECT_NE(a0->role(), ServerState::kActive);
-  EXPECT_FALSE(a0->tree().Exists(path));
+  EXPECT_EQ(a0->tree().Exists(key), rename);
   // The next group-0 active resumes the journaled intent; the client's
   // retry is fenced until it finishes, then answered from the dedup table.
   ASSERT_TRUE(testutil::WaitFor(*sim_, [&] { return done; }, 60 * kSecond));
@@ -658,20 +699,36 @@ TEST_F(ShardClusterTest, DeposedCoordinatorDoesNotInstallATwoGroupMkdir) {
   core::MdsServer* g1 = cluster_->FindActive(1);
   ASSERT_NE(g0, nullptr);
   ASSERT_NE(g1, nullptr);
-  EXPECT_TRUE(g0->tree().Exists(path));
-  EXPECT_TRUE(g1->tree().Exists(path));
+  EXPECT_TRUE(g0->tree().shard().tx_intents.empty());
+  EXPECT_EQ(g0->tree().Exists(key), !rename);
+  EXPECT_TRUE(g1->tree().Exists(peer));
   // Exactly once: group 1 journaled one commit for the transaction.
   int commits = 0;
   for (const core::BatchPtr& b : g1->recent_batches()) {
     for (const journal::LogRecord& rec : b->records) {
-      if (rec.op == journal::OpCode::kTxCommit && rec.path == path) ++commits;
+      if (rec.op == journal::OpCode::kTxCommit && rec.path == peer) ++commits;
     }
   }
   EXPECT_EQ(commits, 1);
-  const Result<std::vector<std::string>> listing = ListSync(path);
-  ASSERT_TRUE(listing.ok()) << listing.status().ToString();
-  EXPECT_TRUE(listing.value().empty());
+  // The resumed finish counts the rename though its client is gone.
+  EXPECT_EQ(CrossGroupRenames(0), rename ? 1u : 0u);
+  if (rename) {
+    EXPECT_TRUE(StatSync(peer).ok());
+    EXPECT_EQ(StatSync(key).status().code(), StatusCode::kNotFound);
+  } else {
+    const Result<std::vector<std::string>> listing = ListSync(key);
+    ASSERT_TRUE(listing.ok()) << listing.status().ToString();
+    EXPECT_TRUE(listing.value().empty());
+  }
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    Ops, DeposedCoordinatorTest,
+    ::testing::Values(TwoGroupCase{"mkdir", core::ClientOp::kMkdir},
+                      TwoGroupCase{"rename", core::ClientOp::kRename}),
+    [](const ::testing::TestParamInfo<TwoGroupCase>& info) {
+      return std::string(info.param.name);
+    });
 
 TEST_F(ShardClusterTest, CrossGroupRenameSurvivesDestinationCrash) {
   Build();
@@ -702,6 +759,7 @@ TEST_F(ShardClusterTest, CrossGroupRenameSurvivesDestinationCrash) {
   ASSERT_NE(a1, nullptr);
   EXPECT_FALSE(a0->tree().Exists(src));
   EXPECT_TRUE(a1->tree().Exists(dst));
+  EXPECT_EQ(CrossGroupRenames(0), 1u);
   EXPECT_TRUE(StatSync(dst).ok());
   EXPECT_EQ(StatSync(src).status().code(), StatusCode::kNotFound);
 }
