@@ -24,39 +24,43 @@
 // comes from a deposed/renewing replica and is likewise retried at the
 // active.
 //
-// Namespace cache: with ClientCacheOptions::enabled the client keeps a
-// per-directory line under a lease the active grants on its read replies.
+// Namespace cache: with ClientCacheOptions::enabled the client keeps one
+// line per directory under a lease the active grants on its read replies.
 // A leased reply carries the fill: the whole directory (every child's
 // attributes) at the lease's version, which the line keeps as it came. A
 // change to child `name` by another client arrives as a patch at the next
 // version and leaves a hole for `name`; a stat of any other name is a hit,
 // and one the fill lacks answers NotFound. A listing hits while the line
-// has no holes, and any leased read of the directory refills the line. A
-// version gap, a directory delete or rename, a shard move or the client's
-// own mutation drops the whole line. The active holds the mutation's ack
-// until every holder acked its patch (or the lease TTL), so no cache
-// serves a change's old state once the change is acked anywhere. A hit
+// has no holes, and any leased read of the directory refills the line.
+// The active alone decides what a mutation conflicts with
+// (core::ForEachConflict): it pushes patches and revocations to the other
+// holders and holds the mutation's ack until every holder acked (or the
+// lease TTL), so no cache serves a change's old state once the change is
+// acked anywhere; its revocations of the mutator's own grants ride the
+// ack as the same records, and one function applies both. A hit
 // needs a live lease AND the line's `valid_sn` — the highest applied sn at
 // which the active confirmed that version — at or above the directory's
 // floor, the highest sn this session observed for the directory; it
 // reports `valid_sn` as its applied sn. The floor is per directory, so a
 // write elsewhere in the group costs this line nothing, while
 // read-your-writes and monotonic reads hold per directory. Lines go when
-// their lease dies. A lease id the client knows at a newer version, or
-// revoked, is tombstoned with that version: a patch or revocation and an
-// in-flight reply travel on different channels, and the tombstone keeps
-// an older reply out.
+// their lease dies. A revocation, a version gap, or a drop by the client
+// itself (the lines its own mutation conflicts with, an unleased reply)
+// leaves a dead line: no fill, only the grant's identity (epoch, lease id,
+// version) for kLeaseTtl. A patch or revocation and an in-flight reply
+// travel on different channels, and the dead line refuses every reply
+// served before it died; past its deadline each of those is dead on
+// arrival anyway.
 #pragma once
 
 #include <algorithm>
-#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
 #include <string>
 #include <string_view>
+#include <tuple>
 #include <type_traits>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -147,8 +151,10 @@ class FsClient : public net::Host {
 
   /// Session metadata of the last completed op; see OpStamp.
   const OpStamp& last_stamp() const noexcept { return last_stamp_; }
-  /// Directory lines in the lease cache.
-  std::size_t cached_dirs() const noexcept { return cache_.size(); }
+  /// Live directory lines in the lease cache.
+  std::size_t cached_dirs() const noexcept { return live_lines_; }
+  /// Every line the lease cache holds, live and dead.
+  std::size_t cache_lines() const noexcept { return cache_.size(); }
   /// The fill `dir`'s line serves from, or null without a line.
   std::shared_ptr<const core::DirSnapshot> cached_fill(
       std::string_view dir) const {
@@ -242,7 +248,7 @@ class FsClient : public net::Host {
     // Lease-protected namespace cache.
     std::uint64_t cache_hits = 0;        ///< reads served locally
     std::uint64_t cache_misses = 0;      ///< reads that went to the wire
-    std::uint64_t cache_revocations = 0; ///< leases dropped on server push/ack
+    std::uint64_t cache_revocations = 0; ///< revocations pushed or acked
     std::uint64_t cache_patches = 0;     ///< patches applied to a line
     std::uint64_t cache_expiries = 0;    ///< leases dropped at their TTL
   };
@@ -259,9 +265,8 @@ class FsClient : public net::Host {
     // granter's TTL covers them).
     session_sn_.clear();
     cache_.clear();
+    live_lines_ = 0;
     sweep_armed_ = false;  // its timer dies with the incarnation
-    tombstones_.clear();
-    tombstone_fifo_.clear();
     last_stamp_ = OpStamp{};
   }
 
@@ -286,7 +291,7 @@ class FsClient : public net::Host {
                    .op_seq = ++op_seq_};
     // Opting into the lease protocol: reads become grant-eligible, and the
     // server classifies this client's own grants as "own" on its mutations
-    // (revoked ids ride the ack instead of a push round-trip).
+    // (their revocations ride the ack instead of a push round-trip).
     if (options_.cache.enabled) req->requester = id();
     return req;
   }
@@ -450,7 +455,7 @@ class FsClient : public net::Host {
       OnShardBounce(state, *resp);
       return;
     }
-    if (resp->bounced || (!resp->ok && resp->code == StatusCode::kUnavailable)) {
+    if (!resp->ok && resp->code == StatusCode::kUnavailable) {
       // Behind the session floor, overloaded, or no longer a standby.
       ++counters_.read_bounces;
       fall_back();
@@ -486,9 +491,6 @@ class FsClient : public net::Host {
       }
     }
     if (newer) {
-      // Shard bounce with a newer map: cached directories whose slots moved
-      // to another group are no longer revocation-protected — drop them.
-      if (options_.cache.enabled) DropMovedCacheLines();
       Attempt(state);
     } else {
       AfterLocal(options_.resolve_poll, [this, state] { Attempt(state); });
@@ -497,9 +499,12 @@ class FsClient : public net::Host {
 
   // --- lease-protected namespace cache ---------------------------------------
 
-  /// One leased directory at one version: the fill it was given, less the
-  /// children patched since.
+  /// One directory's line. A live line serves its fill, less the children
+  /// patched since, under its lease. A dead line has no fill: it keeps its
+  /// grant's identity until `expire_at`, to refuse the replies served
+  /// before it died.
   struct DirCache {
+    FenceToken epoch = 0;  ///< granter's view epoch, stamped onto hits
     std::uint64_t lease_id = 0;
     std::uint64_t version = 0;
     /// Highest applied sn at which the active confirmed (lease_id,
@@ -509,14 +514,21 @@ class FsClient : public net::Host {
     /// token when the line was made, an upper bound of it). A hit needs
     /// valid_sn >= floor.
     SerialNumber floor = 0;
-    FenceToken epoch = 0;   ///< granter's view epoch, stamped onto hits
-    SimTime expire_at = 0;  ///< absolute virtual-time lease deadline
-    GroupId group = 0;      ///< owner group at fill time (shard bounces)
+    /// Absolute virtual time: the lease's deadline while live, the
+    /// identity's once dead.
+    SimTime expire_at = 0;
     /// The directory as the last leased reply saw it; shared with every
-    /// other line and reply filled at that version.
+    /// other line and reply filled at that version. Null: a dead line.
     std::shared_ptr<const core::DirSnapshot> fill;
     /// Sorted names of the children patched since the fill.
     std::vector<std::string> holes;
+
+    bool live() const noexcept { return fill != nullptr; }
+    /// Grants are ordered by (epoch, lease id), a grant's changes by
+    /// version: a reply below this was served before what the line knows.
+    auto identity() const noexcept {
+      return std::tie(epoch, lease_id, version);
+    }
   };
   using CacheMap = std::map<std::string, DirCache, std::less<>>;
 
@@ -546,7 +558,7 @@ class FsClient : public net::Host {
       return false;
     };
     auto it = cache_.find(CacheDirOf(req));
-    if (it == cache_.end()) return miss(kNoLine);
+    if (it == cache_.end() || !it->second.live()) return miss(kNoLine);
     DirCache& dc = it->second;
     if (sim().Now() >= dc.expire_at) {
       // TTL: the lease is dead whether or not a revocation ever reached us
@@ -554,6 +566,7 @@ class FsClient : public net::Host {
       // lease_revoke mutation exploits).
       ++counters_.cache_expiries;
       m_cache_expiries_->Add();
+      --live_lines_;
       cache_.erase(it);
       return miss(kExpired);
     }
@@ -604,108 +617,136 @@ class FsClient : public net::Host {
     if (resp.lease_id != 0) {
       AdoptLease(state, resp);
     } else if (it != cache_.end()) {
-      DropLine(it, /*past_version=*/true);
+      DropLine(it->second, /*past_version=*/true);
     }
   }
 
   void AdoptLease(const std::shared_ptr<OpState>& state,
                   const core::ClientResponseMsg& resp) {
-    PruneTombstones();
     auto it = cache_.find(resp.lease_dir);
     if (it != cache_.end())
       it->second.floor = std::max(it->second.floor, resp.applied_sn);
     // Dead on arrival: nothing it says may be served.
     if (resp.lease_expire_at <= sim().Now()) return;
-    // A reply served before a patch or revocation this client already
-    // applied: the two travel on different channels, and the newer
-    // knowledge wins whichever arrived first.
-    auto t = tombstones_.find(resp.lease_id);
-    if (t != tombstones_.end() && resp.lease_version < t->second.version)
+    // Older than the line, live or dead: served before a patch or
+    // revocation this client already applied. The two travel on different
+    // channels, and the newer knowledge wins whichever arrived first.
+    if (it != cache_.end() &&
+        std::tie(resp.lease_epoch, resp.lease_id, resp.lease_version) <
+            it->second.identity()) {
       return;
-    if (it == cache_.end()) {
-      if (cache_.size() >= kMaxCachedDirs) EvictEarliest();
-      it = cache_.emplace(resp.lease_dir, DirCache{}).first;
-      it->second.floor = session_sn(state->group);
+    }
+    const bool live = it != cache_.end() && it->second.live();
+    if (!live) {
+      // At the cap a new directory is not cached, as the active's grant
+      // table refuses a grant at its own.
+      if (live_lines_ >= kMaxCachedDirs) return;
+      if (it == cache_.end())
+        it = cache_.emplace(resp.lease_dir, DirCache{}).first;
+      ++live_lines_;
       ArmSweep();
     }
     DirCache& dc = it->second;
-    if (dc.lease_id == resp.lease_id && dc.epoch == resp.lease_epoch) {
-      if (resp.lease_version < dc.version) return;  // older than the line
-      // A newer version: `valid_sn` confirmed the line's older one.
-      if (resp.lease_version > dc.version) dc.valid_sn = 0;
-    } else {
-      // Grants are ordered by (epoch, id): an older one's reply was
-      // served before the newer grant existed.
-      if (dc.lease_id != 0 && std::pair(resp.lease_epoch, resp.lease_id) <
-                                  std::pair(dc.epoch, dc.lease_id)) {
-        return;
-      }
-      const SerialNumber floor = dc.floor;
+    if (!live || std::tie(dc.epoch, dc.lease_id) !=
+                     std::tie(resp.lease_epoch, resp.lease_id)) {
+      // A new line, or a newer grant: the line starts over. A new line's
+      // floor is the group's session token, an upper bound of the
+      // directory's.
+      const SerialNumber floor = live ? dc.floor : session_sn(state->group);
       dc = DirCache{};
-      dc.lease_id = resp.lease_id;
       dc.epoch = resp.lease_epoch;
+      dc.lease_id = resp.lease_id;
       dc.floor = floor;
+    } else if (resp.lease_version > dc.version) {
+      dc.valid_sn = 0;  // `valid_sn` confirmed the line's older version
     }
     dc.version = resp.lease_version;
     dc.valid_sn = std::max(dc.valid_sn, resp.applied_sn);
     // The server's recorded deadline is monotone per grant, so a reordered
     // pair of replies must not shorten the lease.
     dc.expire_at = std::max(dc.expire_at, resp.lease_expire_at);
-    dc.group = state->group;
     // The fill is the whole directory at a version no older than the
     // line's, every patch up to it included: it refills the line.
     dc.fill = resp.fill;
     dc.holes.clear();
   }
 
-  /// Drops a line while its lease may live on: its version is remembered,
-  /// so a reply served before the patches the line applied stays out.
-  /// `past_version`: the client saw a change the line's version may not
-  /// cover yet, so replies at that version stay out too.
-  void DropLine(CacheMap::iterator it, bool past_version = false) {
-    const DirCache& dc = it->second;
-    const std::uint64_t version = dc.version + (past_version ? 1 : 0);
-    auto t = tombstones_.find(dc.lease_id);
-    if (t == tombstones_.end() || t->second.version < version)
-      Tombstone(dc.lease_id, version);
-    cache_.erase(it);
-  }
-
-  /// Read-your-writes: before a mutation's callback runs, every cache line
-  /// its paths could cover is dropped — on errors and indeterminate
-  /// outcomes too, since the mutation may still have committed.
-  void InvalidateForMutation(const core::ClientRequestMsg& req) {
-    InvalidatePath(req.path, req.op);
-    if (req.op == core::ClientOp::kRename && !req.path2.empty()) {
-      InvalidatePath(req.path2, req.op);
+  /// Applies one record from the active that granted the lease: pushed, or
+  /// riding this client's own ack. A patch at a live line's next version
+  /// leaves a hole for its child. A revocation, a gap (an earlier patch is
+  /// lost or still in flight), no line, or a newer grant than the line's
+  /// (the active holds one grant per directory and client, so the line's
+  /// is dead there) leaves a dead line at the record's grant and version.
+  /// A record for an older grant, or one the line knows, changes nothing.
+  void ApplyRecord(const core::LeaseRevocation& rec) {
+    if (rec.version == core::kLeaseRevoked) {
+      ++counters_.cache_revocations;
+      m_cache_revocations_->Add();
     }
-  }
-
-  void InvalidatePath(const std::string& path, core::ClientOp op) {
-    auto it = cache_.find(fsns::ParentDir(path));
-    if (it != cache_.end()) DropLine(it);
-    // `path` itself and any cached directory beneath it. The string-prefix
-    // region is contiguous in the sorted map; IsPrefixPath filters
-    // siblings ("/a/bc") that share the byte prefix of "/a/b".
-    for (it = cache_.lower_bound(path);
-         it != cache_.end() && it->first.compare(0, path.size(), path) == 0;) {
-      if (it->first == path || fsns::IsPrefixPath(path, it->first)) {
-        DropLine(it++);
-      } else {
-        ++it;
+    auto [it, fresh] = cache_.try_emplace(rec.dir);
+    DirCache& dc = it->second;
+    const auto grant = std::tie(rec.epoch, rec.lease_id);
+    const auto held = std::tie(dc.epoch, dc.lease_id);
+    if (!fresh) {
+      if (grant < held || (grant == held && rec.version <= dc.version)) return;
+      if (grant == held && dc.live() && rec.version == dc.version + 1) {
+        ++counters_.cache_patches;
+        dc.version = rec.version;
+        dc.expire_at = std::max(dc.expire_at, rec.expire_at);
+        auto hole =
+            std::lower_bound(dc.holes.begin(), dc.holes.end(), rec.name);
+        if (hole == dc.holes.end() || *hole != rec.name)
+          dc.holes.insert(hole, rec.name);
+        return;
       }
     }
-    if (!core::ChangesChildSet(op)) return;
-    // The grandparent's fill shows the parent's mtime, which this moved; a
-    // create or mkdir may also have materialized every missing ancestor.
-    // The server revoked this client's grants on them all.
-    const bool materialized = core::MaterializesAncestors(op);
-    for (std::string_view dir = fsns::ParentDir(fsns::ParentDir(path));
-         !dir.empty(); dir = fsns::ParentDir(dir)) {
-      it = cache_.find(dir);
-      if (it != cache_.end()) DropLine(it);
-      if (!materialized) return;
-    }
+    dc.epoch = rec.epoch;
+    dc.lease_id = rec.lease_id;
+    Kill(dc, rec.version);
+  }
+
+  /// Drops a live line while its lease may live on: the dead line keeps
+  /// its version, so a reply served before the patches the line applied
+  /// stays out. `past_version`: the client saw a change the line's version
+  /// may not cover yet, so replies at that version stay out too.
+  void DropLine(DirCache& dc, bool past_version = false) {
+    if (dc.live()) Kill(dc, dc.version + (past_version ? 1 : 0));
+  }
+
+  /// Turns `dc` into a dead line at `version` of its grant for kLeaseTtl:
+  /// every reply it must refuse was served before now, so it is dead on
+  /// arrival past that.
+  void Kill(DirCache& dc, std::uint64_t version) {
+    if (dc.live()) --live_lines_;
+    dc.version = version;
+    dc.expire_at = sim().Now() + core::kLeaseTtl;
+    dc.fill.reset();
+    dc.holes.clear();
+  }
+
+  /// Read-your-writes: before a mutation's callback runs, every line it
+  /// conflicts with — by the active's own rule — is dropped, on errors and
+  /// indeterminate outcomes too, since the mutation may still have
+  /// committed.
+  void InvalidateForMutation(const core::ClientRequestMsg& req) {
+    core::ForEachConflict(
+        req,
+        [this](std::string_view dir, std::string_view) {
+          auto it = cache_.find(dir);
+          if (it != cache_.end()) DropLine(it->second);
+        },
+        [this](std::string_view path) {
+          // `path` itself and any cached directory beneath it. The
+          // string-prefix region is contiguous in the sorted map;
+          // IsPrefixPath filters siblings ("/a/bc") that share the byte
+          // prefix of "/a/b".
+          for (auto it = cache_.lower_bound(path);
+               it != cache_.end() &&
+               it->first.compare(0, path.size(), path) == 0;
+               ++it) {
+            if (fsns::IsPrefixPath(path, it->first)) DropLine(it->second);
+          }
+        });
   }
 
   /// Patches and revocations from the `active` that granted the leases.
@@ -715,78 +756,16 @@ class FsClient : public net::Host {
     const auto& push = net::Cast<core::LeaseRevokeMsg>(msg);
     auto ack = std::make_shared<core::LeaseRevokeAckMsg>();
     ack->leases.reserve(push.leases.size());
-    for (const core::LeaseRevocation& rev : push.leases) {
-      ack->leases.emplace_back(rev.lease_id, rev.version);
-      auto it = cache_.find(rev.dir);
-      const bool holds =
-          it != cache_.end() && it->second.lease_id == rev.lease_id;
-      if (rev.version == core::kLeaseRevoked) {
-        Tombstone(rev.lease_id, rev.version);
-        ++counters_.cache_revocations;
-        m_cache_revocations_->Add();
-        if (holds) cache_.erase(it);
-        continue;
-      }
-      if (holds && rev.version <= it->second.version) continue;  // known
-      if (holds && rev.version == it->second.version + 1) {
-        // The next change in order: a hole for the named child only.
-        ++counters_.cache_patches;
-        DirCache& dc = it->second;
-        dc.version = rev.version;
-        dc.expire_at = std::max(dc.expire_at, rev.expire_at);
-        auto hole =
-            std::lower_bound(dc.holes.begin(), dc.holes.end(), rev.name);
-        if (hole == dc.holes.end() || *hole != rev.name)
-          dc.holes.insert(hole, rev.name);
-        continue;
-      }
-      // No line, or a gap (an earlier patch is lost or still in flight):
-      // the line cannot be patched, and a reply served before this patch
-      // must not refill it.
-      Tombstone(rev.lease_id, rev.version);
-      if (holds) cache_.erase(it);
+    for (const core::LeaseRevocation& rec : push.leases) {
+      ack->leases.emplace_back(rec.lease_id, rec.version);
+      ApplyRecord(rec);
     }
     if (!ack->leases.empty()) Send(active, std::move(ack));
   }
 
-  /// Remembers that `lease_id` reached `version` (kLeaseRevoked: ended)
-  /// past any possible lifetime of a reply still carrying an older one.
-  void Tombstone(std::uint64_t lease_id, std::uint64_t version) {
-    if (lease_id == 0) return;
-    const SimTime deadline = sim().Now() + kTombstoneLife;
-    Tombstoned& t = tombstones_[lease_id];
-    t.deadline = deadline;
-    t.version = std::max(t.version, version);
-    tombstone_fifo_.emplace_back(deadline, lease_id);
-  }
-
-  /// Deadlines are `now + kTombstoneLife`, so the FIFO is sorted by
-  /// deadline and expired tombstones sit at its front. A re-tombstoned id
-  /// has a later deadline in the map than its older FIFO entry, and only
-  /// the entry whose deadline matches may erase it.
-  void PruneTombstones() {
-    const SimTime now = sim().Now();
-    while (!tombstone_fifo_.empty() && tombstone_fifo_.front().first <= now) {
-      const auto [deadline, lease_id] = tombstone_fifo_.front();
-      tombstone_fifo_.pop_front();
-      auto it = tombstones_.find(lease_id);
-      if (it != tombstones_.end() && it->second.deadline == deadline) {
-        tombstones_.erase(it);
-      }
-    }
-  }
-
-  void EvictEarliest() {
-    if (cache_.empty()) return;
-    auto victim = cache_.begin();
-    for (auto it = std::next(cache_.begin()); it != cache_.end(); ++it) {
-      if (it->second.expire_at < victim->second.expire_at) victim = it;
-    }
-    DropLine(victim);
-  }
-
-  /// A line goes when its lease dies, read again or not: one timer per
-  /// client, armed while the cache holds a line, sweeps the dead ones.
+  /// A line goes when its lease dies, read again or not, and a dead line
+  /// at its deadline: one timer per client, armed while the cache holds a
+  /// live line, sweeps both.
   void ArmSweep() {
     if (sweep_armed_) return;
     sweep_armed_ = true;
@@ -798,30 +777,15 @@ class FsClient : public net::Host {
           ++it;
           continue;
         }
-        ++counters_.cache_expiries;
-        m_cache_expiries_->Add();
+        if (it->second.live()) {
+          ++counters_.cache_expiries;
+          m_cache_expiries_->Add();
+          --live_lines_;
+        }
         it = cache_.erase(it);
       }
-      if (!cache_.empty()) ArmSweep();
+      if (live_lines_ > 0) ArmSweep();
     });
-  }
-
-  /// After adopting a newer partition map: a cached directory whose owner
-  /// group changed was leased by a group that can no longer see (or
-  /// revoke against) the mutations now committing at the new owner.
-  void DropMovedCacheLines() {
-    for (auto it = cache_.begin(); it != cache_.end();) {
-      // Children of `dir` route by its container slot, so the group that
-      // granted the lease (and executes conflicting mutations) is the
-      // dir-slot owner for stats and listings alike.
-      if (map_.OwnerOfDir(it->first) != it->second.group) {
-        ++counters_.cache_revocations;
-        m_cache_revocations_->Add();
-        DropLine(it++);
-      } else {
-        ++it;
-      }
-    }
   }
 
   /// The group a request is sent to, by the slot the server admits it by
@@ -892,14 +856,11 @@ class FsClient : public net::Host {
     if (options_.cache.enabled) {
       if (result.ok()) {
         const core::ClientResponseMsg& resp = *result.value();
-        // Own-ack piggyback: ids of this client's grants the mutation
-        // revoked. Tombstoned before the callback runs, so no in-flight
-        // read reply can re-adopt them afterwards.
-        for (std::uint64_t lease_id : resp.revoke_lease_ids) {
-          Tombstone(lease_id, core::kLeaseRevoked);
-          ++counters_.cache_revocations;
-          m_cache_revocations_->Add();
-        }
+        // Own-ack piggyback: this client's grants the mutation revoked,
+        // applied before the callback runs, so no in-flight read reply can
+        // re-adopt them afterwards.
+        for (const core::LeaseRevocation& rec : resp.revocations)
+          ApplyRecord(rec);
         if (!core::IsMutation(state->request->op) && !state->via_cache) {
           ObserveRead(state, resp);
         }
@@ -936,25 +897,14 @@ class FsClient : public net::Host {
   OpStamp last_stamp_;
   Counters counters_;
   // Lease-protected namespace cache (see ClientCacheOptions).
-  CacheMap cache_;  ///< by leased directory path
+  CacheMap cache_;  ///< by leased directory path, live and dead lines
+  std::size_t live_lines_ = 0;
   bool sweep_armed_ = false;
-  /// The newest version this client knows for a lease id it holds no line
-  /// for (kLeaseRevoked: revoked), until `deadline`. A patch or revocation
-  /// and an in-flight grant-carrying reply race on different channels, and
-  /// the tombstone keeps an older reply from refilling the line.
-  struct Tombstoned {
-    SimTime deadline = 0;
-    std::uint64_t version = 0;
-  };
-  std::unordered_map<std::uint64_t, Tombstoned> tombstones_;
-  /// (deadline, id) per Tombstone call, in call order: PruneTombstones pops
-  /// expired entries from the front instead of scanning the map.
-  std::deque<std::pair<SimTime, std::uint64_t>> tombstone_fifo_;
-  static constexpr SimTime kTombstoneLife = 30 * kSecond;
-  /// Bound on cached directories; at capacity the earliest-expiring
-  /// directory is evicted.
+  /// Bound on live lines; at the cap a reply for a new directory is not
+  /// cached.
   static constexpr std::size_t kMaxCachedDirs = 4096;
-  /// How long a line may outlive its lease before the sweep drops it.
+  /// How long a line may outlive its lease (or a dead line its deadline)
+  /// before the sweep drops it.
   static constexpr SimTime kSweepPeriod = core::kLeaseTtl / 8;
   /// Latency-model charge for a locally served hit (no network hop).
   static constexpr SimTime kCacheHitLatency = 1 * kMicrosecond;

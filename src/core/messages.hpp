@@ -8,11 +8,13 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
 #include "common/types.hpp"
 #include "core/dir_snapshot.hpp"
+#include "fsns/path.hpp"
 #include "fsns/tree.hpp"
 #include "journal/record.hpp"
 #include "net/message.hpp"
@@ -42,19 +44,6 @@ constexpr bool IsMutation(ClientOp op) noexcept {
   return op != ClientOp::kGetFileInfo && op != ClientOp::kListDir;
 }
 
-/// True for operations that add or remove a child, which moves the
-/// parent directory's mtime.
-constexpr bool ChangesChildSet(ClientOp op) noexcept {
-  return op == ClientOp::kCreate || op == ClientOp::kMkdir ||
-         op == ClientOp::kDelete || op == ClientOp::kRename;
-}
-
-/// True for operations that may bring missing ancestors into being
-/// (mkdir -p semantics), which a fill of each one's parent shows absent.
-constexpr bool MaterializesAncestors(ClientOp op) noexcept {
-  return op == ClientOp::kCreate || op == ClientOp::kMkdir;
-}
-
 struct ClientRequestMsg final : net::Message {
   ClientOp op = ClientOp::kGetFileInfo;
   std::string path;
@@ -78,10 +67,62 @@ struct ClientRequestMsg final : net::Message {
   }
 };
 using RequestPtr = std::shared_ptr<const ClientRequestMsg>;
+
+/// The leased directories a mutation conflicts with, in the order the
+/// active visits them, for each path it names (a rename names two):
+/// `patch(dir, name)` for a directory whose child `name` changed — the
+/// path's parent; then `revoke(path)` for the path itself and every
+/// directory below it; then, when the op adds or removes a child (which
+/// moves the parent's mtime), the parent's entry in the grandparent, and
+/// for a create or mkdir (`mkdir -p` may materialize missing ancestors)
+/// each further ancestor's entry in its parent. The active patches and
+/// revokes grants by it; the mutating client drops its lines by it.
+template <typename Patch, typename Revoke>
+void ForEachConflict(const ClientRequestMsg& req, Patch&& patch,
+                     Revoke&& revoke) {
+  const bool changes_child_set =
+      req.op == ClientOp::kCreate || req.op == ClientOp::kMkdir ||
+      req.op == ClientOp::kDelete || req.op == ClientOp::kRename;
+  const bool materializes =
+      req.op == ClientOp::kCreate || req.op == ClientOp::kMkdir;
+  auto visit = [&](std::string_view path) {
+    const std::string_view parent = fsns::ParentDir(path);
+    if (!parent.empty()) patch(parent, fsns::BaseName(path));
+    revoke(path);
+    if (!changes_child_set) return;
+    for (std::string_view dir = parent; dir.size() > 1;
+         dir = fsns::ParentDir(dir)) {
+      patch(fsns::ParentDir(dir), fsns::BaseName(dir));
+      if (!materializes) return;
+    }
+  };
+  visit(req.path);
+  if (req.op == ClientOp::kRename && !req.path2.empty()) visit(req.path2);
+}
+
+
 /// How a request handler answers (net::Host::ReplyFn).
 using ReplyFn = std::function<void(net::MessagePtr)>;
 /// A sealed batch, shared immutably by everything that holds it.
 using BatchPtr = std::shared_ptr<const journal::Batch>;
+
+/// Version of a whole-grant revocation: above every patch version, so a
+/// revoked grant rejects every reply still in flight for it.
+inline constexpr std::uint64_t kLeaseRevoked = ~std::uint64_t{0};
+
+/// One change to a leased directory, as the granter sends it to a holder
+/// (pushed, or riding the holder's own ack). A patch (`version` <
+/// kLeaseRevoked) says child `name` changed and the grant stays, now at
+/// `version`; a revocation (kLeaseRevoked) ends the grant. A grant is
+/// named by (epoch, lease_id), as on the reply that carried it.
+struct LeaseRevocation {
+  std::string dir;            ///< leased directory path
+  FenceToken epoch = 0;       ///< the granter's view epoch
+  std::uint64_t lease_id = 0;
+  std::uint64_t version = kLeaseRevoked;
+  std::string name{};         ///< patch: the child whose entry changed
+  SimTime expire_at = 0;      ///< the grant's deadline when it was sent
+};
 
 struct ClientResponseMsg final : net::Message {
   bool ok = false;
@@ -97,9 +138,6 @@ struct ClientResponseMsg final : net::Message {
   /// it). A reply stamped with an epoch older than the client's view of the
   /// group comes from a deposed/renewing replica and is rejected.
   FenceToken group_epoch = 0;
-  /// Standby could not serve the read at the requested min_sn and the
-  /// client should retry against the active.
-  bool bounced = false;
   /// The responder does not own the namespace shard for the request's path
   /// (the partition map moved it). The current map rides along so the
   /// client re-routes without an extra round trip — the shard analogue of
@@ -124,9 +162,9 @@ struct ClientResponseMsg final : net::Message {
   /// The whole of `lease_dir` at `lease_version`, shared by every reply at
   /// that version. A filled listing's names are the fill's.
   std::shared_ptr<const DirSnapshot> fill;
-  /// Revocations piggybacked on the requester's own ack (its mutation
-  /// conflicted with leases it holds itself — no push round needed).
-  std::vector<std::uint64_t> revoke_lease_ids;
+  /// The requester's own grants its mutation revoked, riding its ack as
+  /// the records a push carries (no push round needed).
+  std::vector<LeaseRevocation> revocations;
 
   net::MsgType type() const noexcept override { return net::kClientResponse; }
   std::size_t ByteSize() const noexcept override {
@@ -138,21 +176,6 @@ struct ClientResponseMsg final : net::Message {
 };
 
 // --- directory lease revocation (active <-> client) --------------------------
-
-/// Version of a whole-grant revocation: above every patch version, so a
-/// revoked lease id rejects every reply still in flight for it.
-inline constexpr std::uint64_t kLeaseRevoked = ~std::uint64_t{0};
-
-/// One change to a leased directory, as pushed to a holder. A patch
-/// (`version` < kLeaseRevoked) says child `name` changed and the grant
-/// stays, now at `version`; a revocation (kLeaseRevoked) ends the grant.
-struct LeaseRevocation {
-  std::string dir;            ///< leased directory path
-  std::uint64_t lease_id = 0;
-  std::uint64_t version = kLeaseRevoked;
-  std::string name{};         ///< patch: the child whose entry changed
-  SimTime expire_at = 0;      ///< the grant's deadline when it was sent
-};
 
 /// Active -> holder: apply the patches and revocations, and ack each to
 /// the sender. The acks are what release the mutation's reply barrier.

@@ -126,9 +126,7 @@ void ReadService::ServeStandbyRead(const RequestPtr& req,
 
 void ReadService::BounceRead(const ReplyFn& reply, const char* why) {
   s_.m().standby_reads_bounced->Add();
-  auto out = s_.StatusReply(Status::Unavailable(why));
-  out->bounced = true;
-  reply(out);
+  reply(s_.StatusReply(Status::Unavailable(why)));
 }
 
 void ReadService::DrainParked() {
@@ -191,7 +189,7 @@ bool ReadService::MaybeGrantLease(const ClientRequestMsg& req,
   LeasedDir& leased = d->second;
   if (grant == nullptr) {
     // Fresh grants always draw a fresh id — a revoked id is never reissued,
-    // so a client-side tombstone on it can never collide with a live grant.
+    // so a client's dead line for it can never refuse a live grant.
     grant = &leased.holders
                  .emplace(req.requester, LeaseGrant{++next_lease_id_, 0})
                  .first->second;
@@ -237,23 +235,26 @@ void ReadService::Reclaim() {
   }
 }
 
-void ReadService::PatchDir(const std::string& dir, const std::string& name,
+void ReadService::PatchDir(std::string_view dir, std::string_view name,
                            NodeId own, Revocation& r) {
   auto it = grants_.find(dir);
   if (it == grants_.end()) return;
   LeasedDir& d = it->second;
   ++d.version;
   d.fill.reset();
+  const FenceToken epoch = s_.view().fence_token;
   for (auto h = d.holders.begin(); h != d.holders.end();) {
     const auto& [node, grant] = *h;
     if (node == own) {
-      r.own.push_back(grant.id);
+      r.own.push_back(
+          {it->first, epoch, grant.id, kLeaseRevoked, {}, grant.expire_at});
       --grant_count_;
       Bump(s_.mutable_counters().leases_revoked, s_.m().leases_revoked);
       h = d.holders.erase(h);
       continue;
     }
-    r.pushes[node].push_back({dir, grant.id, d.version, name, grant.expire_at});
+    r.pushes[node].push_back({it->first, epoch, grant.id, d.version,
+                              std::string(name), grant.expire_at});
     r.barrier.outstanding.emplace(node, grant.id, d.version);
     r.barrier.release_at = std::max(r.barrier.release_at, grant.expire_at);
     Bump(s_.mutable_counters().lease_patches, s_.m().lease_patches);
@@ -266,12 +267,14 @@ void ReadService::RevokeDir(const std::string& dir, NodeId own,
                             Revocation& r) {
   auto it = grants_.find(dir);
   if (it == grants_.end()) return;
+  const FenceToken epoch = s_.view().fence_token;
   for (const auto& [node, grant] : it->second.holders) {
+    const LeaseRevocation rec{dir, epoch, grant.id, kLeaseRevoked, {},
+                              grant.expire_at};
     if (node == own) {
-      r.own.push_back(grant.id);
+      r.own.push_back(rec);
     } else {
-      r.pushes[node].push_back(
-          {dir, grant.id, kLeaseRevoked, {}, grant.expire_at});
+      r.pushes[node].push_back(rec);
       r.barrier.outstanding.emplace(node, grant.id, kLeaseRevoked);
       r.barrier.release_at = std::max(r.barrier.release_at, grant.expire_at);
     }
@@ -281,7 +284,7 @@ void ReadService::RevokeDir(const std::string& dir, NodeId own,
   grants_.erase(it);
 }
 
-void ReadService::RevokeTree(const std::string& path, NodeId own,
+void ReadService::RevokeTree(std::string_view path, NodeId own,
                              Revocation& r) {
   // `path` itself and every cached listing below it. Scan the contiguous
   // string-prefix region of the sorted table; IsPrefixPath filters
@@ -295,16 +298,6 @@ void ReadService::RevokeTree(const std::string& path, NodeId own,
   }
 }
 
-void ReadService::PatchAncestors(const std::string& path, bool materialized,
-                                 NodeId own, Revocation& r) {
-  for (std::string dir = fsns::ParentPath(path); dir.size() > 1;) {
-    std::string parent = fsns::ParentPath(dir);
-    PatchDir(parent, std::string(fsns::BaseName(dir)), own, r);
-    if (!materialized) return;
-    dir = std::move(parent);
-  }
-}
-
 ReplyFn ReadService::RevokeConflicting(const ClientRequestMsg& req, TxId txid,
                                        ReplyFn reply) {
   if (grants_.empty()) return reply;
@@ -312,32 +305,23 @@ ReplyFn ReadService::RevokeConflicting(const ClientRequestMsg& req, TxId txid,
   // The parent of each named path gets a patch for that child; the path
   // itself and its subtree lose their grants (a directory delete or
   // rename ends every listing below it). The requester's own grants are
-  // revoked and their ids ride its ack (it must drop its lines before
+  // revoked and their records ride its ack (it must drop its lines before
   // acting on the reply); remote holders get a push straight from here
   // and gate the ack via the txid barrier.
   Revocation r;
-  auto collect = [&](const std::string& path) {
-    const std::string parent = fsns::ParentPath(path);
-    if (!parent.empty()) {
-      PatchDir(parent, std::string(fsns::BaseName(path)), req.requester, r);
-    }
-    RevokeTree(path, req.requester, r);
-    // A change to the child set moves the parent's mtime, which the
-    // grandparent's fill shows; a create or mkdir may also materialize
-    // every missing ancestor (mkdir -p).
-    if (ChangesChildSet(req.op)) {
-      PatchAncestors(path, MaterializesAncestors(req.op), req.requester, r);
-    }
-  };
-  collect(req.path);
-  if (req.op == ClientOp::kRename && !req.path2.empty()) collect(req.path2);
-  std::vector<std::uint64_t> own = std::move(r.own);
+  ForEachConflict(
+      req,
+      [&](std::string_view dir, std::string_view name) {
+        PatchDir(dir, name, req.requester, r);
+      },
+      [&](std::string_view path) { RevokeTree(path, req.requester, r); });
+  std::vector<LeaseRevocation> own = std::move(r.own);
   Revoke(std::move(r), txid);
   if (own.empty()) return reply;
   return [reply, own = std::move(own)](net::MessagePtr out) {
     if (const auto* resp = dynamic_cast<const ClientResponseMsg*>(out.get())) {
       auto patched = std::make_shared<ClientResponseMsg>(*resp);
-      patched->revoke_lease_ids = own;
+      patched->revocations = own;
       reply(std::move(patched));
       return;
     }

@@ -8,15 +8,17 @@
 //
 // Active-served reads, NotFound stats included, carry a per-(directory,
 // client) lease and a fill: the whole directory at the lease's version,
-// built once per version and shared by every reply at it. A mutation of
-// child `name` bumps the version and sends every remote holder a patch
-// (the grant stays); a directory delete or rename, a shard install and a
+// built once per version and shared by every reply at it. A mutation
+// (core::ForEachConflict names the directories it touches) of child
+// `name` bumps the version and sends every remote holder a patch (the
+// grant stays); a directory delete or rename, a shard install and a
 // migration revoke whole grants, and so does a mutation for the
-// requester's own grants (their ids ride its ack). The mutation completes
-// only once every remote holder acked or its grant expired. A grant past
-// its deadline is dead and is reclaimed without a push. The grant table
-// belongs to the active role; the barriers outlive a live step-down, since
-// they hold committed work that acks or the TTL release in any role.
+// requester's own grants (their records ride its ack). The mutation
+// completes only once every remote holder acked or its grant expired. A
+// grant past its deadline is dead and is reclaimed without a push. The
+// grant table belongs to the active role; the barriers outlive a live
+// step-down, since they hold committed work that acks or the TTL release
+// in any role.
 #pragma once
 
 #include <functional>
@@ -24,6 +26,7 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <string_view>
 #include <tuple>
 #include <vector>
 
@@ -40,7 +43,7 @@ class ReadService {
   static constexpr std::size_t kMaxFillChildren = 1000;
 
   /// Lease ids never repeat, not even across a crash (a client may still
-  /// hold a tombstone for one): `last_lease_id` continues the sequence.
+  /// hold a dead line for one): `last_lease_id` continues the sequence.
   ReadService(MdsServer& server, std::uint64_t last_lease_id)
       : s_(server), next_lease_id_(last_lease_id) {}
   ReadService(const ReadService&) = delete;
@@ -58,9 +61,9 @@ class ReadService {
   void FlushParked(const char* why);
   std::size_t parked_count() const noexcept { return parked_.size(); }
 
-  /// A mutation's patches and revocations, with a barrier under `txid`
-  /// when any remote holder exists; returns `reply` carrying the
-  /// requester's own revoked ids.
+  /// A mutation's patches and revocations (core::ForEachConflict), with a
+  /// barrier under `txid` when any remote holder exists; returns `reply`
+  /// carrying the requester's own revocations.
   ReplyFn RevokeConflicting(const ClientRequestMsg& req, TxId txid,
                             ReplyFn reply);
   /// A shard install or removal at `path`: every holder is remote.
@@ -113,7 +116,7 @@ class ReadService {
   };
   /// What one revocation round collects.
   struct Revocation {
-    std::vector<std::uint64_t> own;  ///< the requester's own grant ids
+    std::vector<LeaseRevocation> own;  ///< the requester's own grants
     std::map<NodeId, std::vector<LeaseRevocation>> pushes;
     LeaseBarrier barrier;  ///< remote holders' acks to wait for
   };
@@ -128,18 +131,13 @@ class ReadService {
   void Reclaim();
   /// Child `name` of `dir` changed: bumps the version, drops the fill and
   /// patches every remote holder; `own`'s grant is revoked instead.
-  void PatchDir(const std::string& dir, const std::string& name, NodeId own,
+  void PatchDir(std::string_view dir, std::string_view name, NodeId own,
                 Revocation& r);
   /// Drops every grant on directory `dir`: `own`'s ids stay local, every
   /// other holder gets a push and a place on the barrier.
   void RevokeDir(const std::string& dir, NodeId own, Revocation& r);
   /// RevokeDir over `path` itself and its subtree.
-  void RevokeTree(const std::string& path, NodeId own, Revocation& r);
-  /// Patches `path`'s parent's entry in the grandparent (its mtime moved)
-  /// and, when the mutation may have `materialized` missing ancestors,
-  /// each further ancestor's entry in its parent.
-  void PatchAncestors(const std::string& path, bool materialized, NodeId own,
-                      Revocation& r);
+  void RevokeTree(std::string_view path, NodeId own, Revocation& r);
   /// Pushes the patches and revocations and installs the barrier under
   /// `txid`.
   void Revoke(Revocation r, TxId txid);
@@ -151,7 +149,7 @@ class ReadService {
   std::uint64_t parked_token_seq_ = 0;
   /// Leased directory -> version and holders. Never persisted or
   /// replicated: no grant outlives the granter's session (see kLeaseTtl).
-  std::map<std::string, LeasedDir> grants_;
+  std::map<std::string, LeasedDir, std::less<>> grants_;
   std::size_t grant_count_ = 0;
   /// Min-heap (std::push_heap order) with one entry per live grant.
   std::vector<Expiry> expiries_;

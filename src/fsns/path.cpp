@@ -1,7 +1,5 @@
 #include "fsns/path.hpp"
 
-#include <algorithm>
-
 namespace mams::fsns {
 
 bool IsValidPath(std::string_view path) {
@@ -19,18 +17,6 @@ bool IsValidPath(std::string_view path) {
     start = end + 1;
   }
   return true;
-}
-
-std::vector<std::string_view> SplitPath(std::string_view path) {
-  std::vector<std::string_view> parts;
-  if (path.size() <= 1) return parts;
-  // Every component is preceded by exactly one '/' in a valid path, so the
-  // slash count is a tight capacity bound (an overestimate only for the
-  // degenerate "//" inputs, whose empty components are skipped).
-  parts.reserve(static_cast<std::size_t>(
-      std::count(path.begin(), path.end(), '/')));
-  for (std::string_view comp : PathComponents(path)) parts.push_back(comp);
-  return parts;
 }
 
 std::string ParentPath(std::string_view path) {

@@ -1,16 +1,13 @@
 // Path utilities for the flat-string path API ("/a/b/c"). Paths are always
 // absolute; components never contain '/'; "/" is the root directory.
 //
-// Hot-path note: namespace resolution iterates components with
-// PathComponents (a zero-allocation cursor over the original string_view);
-// SplitPath materializes a vector and is kept for callers that need random
-// access or the component count up front.
+// Namespace resolution iterates components with PathComponents, a
+// zero-allocation cursor over the original string_view.
 #pragma once
 
 #include <cstddef>
 #include <string>
 #include <string_view>
-#include <vector>
 
 namespace mams::fsns {
 
@@ -79,10 +76,6 @@ class PathComponents {
  private:
   std::string_view path_;
 };
-
-/// Splits "/a/b/c" into {"a","b","c"}; root splits into {}. Empty
-/// components (repeated or trailing '/') are skipped.
-std::vector<std::string_view> SplitPath(std::string_view path);
 
 /// Parent of "/a/b/c" is "/a/b"; parent of "/a" is "/"; root has no parent
 /// (returns empty string).

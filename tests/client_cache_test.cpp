@@ -62,6 +62,27 @@ class ClientCacheTest : public ::testing::Test {
     return out;
   }
 
+  /// Creates `dir`/f0 .. f<n-1> as `client`, in rounds well inside the
+  /// server's per-client dedup window; true when every create succeeded.
+  bool CreateMany(const std::string& dir, int n, int client) {
+    int done = 0;
+    for (int i = 0; i < n;) {
+      const int round = done;
+      int issued = 0;
+      for (; i < n && issued < 100; ++i, ++issued) {
+        cluster_->client(client).Create(
+            dir + "/f" + std::to_string(i),
+            [&](Status s) { done += s.ok() ? 1 : 0; });
+      }
+      if (!testutil::WaitFor(
+              *sim_, [&] { return done == round + issued; }, 10 * kSecond,
+              kMillisecond)) {
+        return false;
+      }
+    }
+    return true;
+  }
+
   Status MkdirSync(const std::string& path, int client = 0) {
     Status out = Status::TimedOut("no reply");
     bool done = false;
@@ -286,9 +307,9 @@ TEST_F(ClientCacheTest, OwnMutationsInvalidateTheCacheReadYourWrites) {
   EXPECT_EQ(info.value().block_count, 0u);
   ASSERT_TRUE(StatSync("/d/a").ok());  // cached copy with block_count 0
 
-  // The client's own ack both tombstones the revoked lease ids it carries
-  // and drops the mutated paths, so the follow-up stat cannot serve the
-  // pre-mutation copy.
+  // The client's own ack carries the revocation of its grant on /d, and
+  // the client drops the lines its mutation conflicts with anyway, so the
+  // follow-up stat cannot serve the pre-mutation copy.
   ASSERT_TRUE(AddBlockSync("/d/a").ok());
   info = StatSync("/d/a");
   ASSERT_TRUE(info.ok());
@@ -323,54 +344,51 @@ TEST_F(ClientCacheTest, TtlExpiryBoundsALostRevocation) {
   EXPECT_GE(cluster_->client(0).counters().cache_expiries, 1u);
 }
 
-TEST_F(ClientCacheTest, ReTombstonedLeaseStaysDeadUntilItsLaterDeadline) {
-  // Tombstones expire 30 s after they are set and are pruned from the
-  // front of a FIFO in deadline order. An id tombstoned twice has two FIFO
-  // entries; pruning the older one must not lift the newer tombstone.
+TEST_F(ClientCacheTest, DeadLineRefusesItsGrantForOneTtlThenLeaves) {
+  // A revoked line stays as a dead line for kLeaseTtl after the kill, to
+  // refuse its grant's replies served before it: here a listing of /d
+  // served just before another client's rename of /d revokes the grant.
+  // Its fill is large, so the revocation overtakes it on the wire. Past
+  // the deadline every such reply is dead on arrival, and a sweep leaves
+  // the table, live and dead lines together, empty.
   Build(1, 2);
-  ASSERT_TRUE(MkdirSync("/d").ok());
-  ASSERT_TRUE(CreateFile("/d/a").ok());
-  ASSERT_TRUE(ListSync("/d").ok());
-  core::MdsServer* active = cluster_->FindActive(0);
-  ASSERT_NE(active, nullptr);
-  // The active's first grant, so lease id 1: client 0 on /d. Later reads
-  // of /d are answered under the same grant, which nothing revokes as
-  // long as a read renews it within every TTL.
-  ASSERT_EQ(active->counters().leases_granted, 1u);
+  ASSERT_TRUE(CreateMany("/d", 900, 1));
+  ASSERT_TRUE(CreateFile("/x/f", 1).ok());
   FsClient& holder = cluster_->client(0);
-  auto push_revoke = [&] {
-    auto push = std::make_shared<core::LeaseRevokeMsg>();
-    push->leases.push_back({"/d", 1});
-    net_->Send(net::Envelope{
-        .from = active->id(), .to = holder.id(), .payload = push});
-    Run(10 * kMillisecond);
-  };
-  // The first list adopts the reply's lease unless it is tombstoned; the
-  // second is then served locally.
-  auto second_list_cached = [&] {
-    EXPECT_TRUE(ListSync("/d").ok());
-    EXPECT_TRUE(ListSync("/d").ok());
-    return holder.last_stamp().via_cache;
-  };
-  // Runs until `t`, listing /d every half second to renew grant 1.
-  auto hold_grant_until = [&](SimTime t) {
-    while (sim_->Now() < t) {
-      EXPECT_TRUE(ListSync("/d").ok());
-      Run(std::min<SimTime>(500 * kMillisecond, t - sim_->Now()));
-    }
-  };
-  ASSERT_TRUE(second_list_cached());
+  ASSERT_TRUE(ListSync("/d").ok());
+  ASSERT_EQ(holder.cached_dirs(), 1u);
 
-  const SimTime t0 = sim_->Now();
-  push_revoke();  // tombstoned until t0 + 30 s
-  EXPECT_FALSE(second_list_cached());
-  hold_grant_until(t0 + 20 * kSecond);
-  push_revoke();  // tombstoned again, until t0 + 50 s
-  hold_grant_until(t0 + 35 * kSecond);
-  EXPECT_FALSE(second_list_cached());  // prunes the t0 + 30 s entry only
-  hold_grant_until(t0 + 51 * kSecond);
-  EXPECT_TRUE(second_list_cached());
-  EXPECT_EQ(active->counters().leases_granted, 1u);
+  bool listed = false;
+  holder.ListDir(
+      "/d", [&](Result<std::vector<std::string>> r) { listed = r.ok(); },
+      {.require_active = true});
+  Run(50 * kMicrosecond);  // the listing reaches the active first
+  bool renamed = false;
+  cluster_->client(1).Rename("/d", "/e", [&](Status s) { renamed = s.ok(); });
+  const auto revocations = holder.counters().cache_revocations;
+  ASSERT_TRUE(testutil::WaitFor(
+      *sim_, [&] { return holder.counters().cache_revocations > revocations; },
+      kSecond, 10 * kMicrosecond));
+  const SimTime killed = sim_->Now();
+  ASSERT_FALSE(listed) << "the revocation should overtake the listing";
+  ASSERT_TRUE(testutil::WaitFor(*sim_, [&] { return listed; }, kSecond,
+                                10 * kMicrosecond));
+  // The listing was served before the kill: the dead line refuses it.
+  EXPECT_EQ(holder.cached_dirs(), 0u);
+  EXPECT_EQ(holder.cache_lines(), 1u);
+  ASSERT_TRUE(testutil::WaitFor(*sim_, [&] { return renamed; }, kSecond));
+
+  // A live line elsewhere keeps the sweep running. The dead line outlives
+  // every pass before its deadline, and goes with the first one after it,
+  // as the live line does after its own.
+  ASSERT_TRUE(StatSync("/x/f").ok());
+  ASSERT_EQ(holder.cache_lines(), 2u);
+  Run(killed + core::kLeaseTtl - kMillisecond - sim_->Now());
+  EXPECT_EQ(holder.cache_lines(), 2u);
+  EXPECT_EQ(holder.cached_dirs(), 1u);
+  Run(core::kLeaseTtl / 8 + 10 * kMillisecond);
+  EXPECT_EQ(holder.cached_dirs(), 0u);
+  EXPECT_EQ(holder.cache_lines(), 0u);
 }
 
 TEST_F(ClientCacheTest, FailoverOutlivesEveryLeaseAndCacheRecovers) {
@@ -817,19 +835,7 @@ TEST_F(ClientCacheTest, FillsAtOneVersionShareOneSnapshot) {
 TEST_F(ClientCacheTest, DirectoryAboveTheFillCapIsServedUnleased) {
   Build(1, 2);
   const std::size_t cap = core::ReadService::kMaxFillChildren;
-  // Creates in rounds, well inside the server's per-client dedup window.
-  int done = 0;
-  for (std::size_t i = 0; i <= cap;) {
-    const int round = done;
-    int issued = 0;
-    for (; i <= cap && issued < 100; ++i, ++issued) {
-      cluster_->client(1).Create("/big/f" + std::to_string(i),
-                                 [&](Status s) { done += s.ok() ? 1 : 0; });
-    }
-    ASSERT_TRUE(testutil::WaitFor(
-        *sim_, [&] { return done == round + issued; }, 10 * kSecond,
-        kMillisecond));
-  }
+  ASSERT_TRUE(CreateMany("/big", static_cast<int>(cap) + 1, 1));
   obs::Counter* refused =
       sim_->obs().metrics().counter("mds.leases_refused");
   const std::uint64_t before = refused->value;
@@ -876,16 +882,18 @@ TEST_F(ClientCacheTest, DeleteOrRenameInsideADirectoryMovesItInTheGrandparent) {
   StatMatchesActive("/a/b");
 }
 
-// The three orderings of a patch against the other messages of its lease.
-// The active's first grant is lease id 1 at version 0, so a hand-made
-// patch can name it; it travels the same link as the reply it races.
+// The orderings of a patch against the other messages of its lease. The
+// active's first grant is lease id 1 at version 0, so a hand-made patch
+// can name it; it travels the same link as the reply it races.
 class PatchRaceTest : public ClientCacheTest {
  protected:
-  void SendPatch(std::uint64_t version, const std::string& name) {
+  void SendPatch(std::uint64_t version, const std::string& name,
+                 std::uint64_t lease_id = 1) {
     core::MdsServer* active = cluster_->FindActive(0);
     ASSERT_NE(active, nullptr);
     auto push = std::make_shared<core::LeaseRevokeMsg>();
-    push->leases.push_back({"/d", 1, version, name, 0});
+    push->leases.push_back(
+        {"/d", active->view().fence_token, lease_id, version, name, 0});
     net_->Send(net::Envelope{.from = active->id(),
                              .to = cluster_->client(0).id(),
                              .payload = push});
@@ -940,11 +948,55 @@ TEST_F(PatchRaceTest, PatchArrivesBeforeTheClientHoldsTheLine) {
   testutil::WaitFor(*sim_, [&] { return done; }, kSecond, kMillisecond);
   ASSERT_TRUE(a.ok());
   ASSERT_EQ(cluster_->FindActive(0)->counters().leases_granted, 1u);
-  // The patch left a tombstone at version 1: the version-0 reply that
+  // The patch left a dead line at version 1: the version-0 reply that
   // followed it must not fill a line.
   EXPECT_EQ(cluster_->client(0).cached_dirs(), 0u);
   ASSERT_TRUE(StatSync("/d/a").ok());
   EXPECT_FALSE(cluster_->client(0).last_stamp().via_cache);
+}
+
+TEST_F(PatchRaceTest, PushForANewerGrantKillsTheLineAndKeepsItsReplyOut) {
+  Build(1, 2);
+  ASSERT_TRUE(MkdirSync("/d").ok());
+  ASSERT_TRUE(CreateFile("/d/a").ok());
+  ASSERT_TRUE(StatSync("/d/a").ok());  // line on /d: lease 1, version 0
+  core::MdsServer* active = cluster_->FindActive(0);
+  ASSERT_NE(active, nullptr);
+  FsClient& holder = cluster_->client(0);
+
+  // The active ends grant 1 unheard by its holder: a create sent in the
+  // holder's name from another endpoint revokes it as the holder's own,
+  // and the revocation rides that endpoint's ack.
+  net::Host proxy(*net_, "proxy");
+  proxy.Boot();
+  auto req = std::make_shared<core::ClientRequestMsg>();
+  req->op = core::ClientOp::kCreate;
+  req->path = "/d/b";
+  req->client = {.client_id = 1000, .op_seq = 1};
+  req->requester = holder.id();
+  bool created = false;
+  proxy.Call(active->id(), req, kSecond, [&](Result<net::MessagePtr> r) {
+    created = r.ok() && net::Cast<core::ClientResponseMsg>(r.value()).ok;
+  });
+  ASSERT_TRUE(testutil::WaitFor(*sim_, [&] { return created; }, kSecond,
+                                kMillisecond));
+  ASSERT_EQ(holder.cached_dirs(), 1u);  // grant 1's line lives on
+
+  // A read draws grant 2 at version 0; a push naming grant 2 at version 1
+  // overtakes its reply.
+  bool done = false;
+  holder.GetFileInfo(
+      "/d/a", [&](Result<fsns::FileInfo>) { done = true; },
+      {.require_active = true});
+  SendPatch(1, "b", /*lease_id=*/2);
+  ASSERT_TRUE(testutil::WaitFor(*sim_, [&] { return done; }, kSecond,
+                                kMillisecond));
+  ASSERT_EQ(active->counters().leases_granted, 2u);
+  // The push killed grant 1's line, and the dead line took grant 2's
+  // identity at version 1, which keeps the version-0 reply out.
+  EXPECT_EQ(holder.cached_dirs(), 0u);
+  ASSERT_TRUE(StatSync("/d/a").ok());
+  EXPECT_FALSE(holder.last_stamp().via_cache);
 }
 
 TEST_F(PatchRaceTest, LostPatchGapDropsTheLineAndTheBarrierWaitsOutTheTtl) {

@@ -48,12 +48,18 @@ TEST(PathTest, Validity) {
   EXPECT_FALSE(IsValidPath("/a/../b"));
 }
 
+using Parts = std::vector<std::string_view>;
+
+/// The components PathComponents yields for `path`, in order.
+Parts Components(std::string_view path) {
+  Parts parts;
+  for (std::string_view comp : PathComponents(path)) parts.push_back(comp);
+  return parts;
+}
+
 TEST(PathTest, SplitAndJoin) {
-  auto parts = SplitPath("/a/b/c");
-  ASSERT_EQ(parts.size(), 3u);
-  EXPECT_EQ(parts[0], "a");
-  EXPECT_EQ(parts[2], "c");
-  EXPECT_TRUE(SplitPath("/").empty());
+  EXPECT_EQ(Components("/a/b/c"), (Parts{"a", "b", "c"}));
+  EXPECT_TRUE(Components("/").empty());
   EXPECT_EQ(JoinPath("/a", "b"), "/a/b");
   EXPECT_EQ(JoinPath("/", "b"), "/b");
 }
@@ -74,40 +80,28 @@ TEST(PathTest, PrefixRelation) {
 }
 
 TEST(PathTest, SplitEdgeCases) {
-  EXPECT_TRUE(SplitPath("/").empty());
-  EXPECT_TRUE(SplitPath("").empty());
-
-  auto single = SplitPath("/a");
-  ASSERT_EQ(single.size(), 1u);
-  EXPECT_EQ(single[0], "a");
-
+  EXPECT_TRUE(Components("/").empty());
+  EXPECT_TRUE(Components("").empty());
+  EXPECT_EQ(Components("/a"), (Parts{"a"}));
   // Inputs IsValidPath rejects still split sanely: empty components from
   // trailing or repeated '/' are skipped, never yielded.
-  auto trailing = SplitPath("/a/b/");
-  ASSERT_EQ(trailing.size(), 2u);
-  EXPECT_EQ(trailing[0], "a");
-  EXPECT_EQ(trailing[1], "b");
-
-  auto doubled = SplitPath("/a//b///c");
-  ASSERT_EQ(doubled.size(), 3u);
-  EXPECT_EQ(doubled[0], "a");
-  EXPECT_EQ(doubled[1], "b");
-  EXPECT_EQ(doubled[2], "c");
+  EXPECT_EQ(Components("/a/b/"), (Parts{"a", "b"}));
+  EXPECT_EQ(Components("/a//b///c"), (Parts{"a", "b", "c"}));
+  EXPECT_TRUE(Components("///").empty());
 }
 
 TEST(PathTest, ComponentsCursorMatchesSplit) {
   for (std::string_view path :
        {"/", "/a", "/a/b/c", "/deep/er/and/deep/er", "/a//b/", "///"}) {
-    const auto split = SplitPath(path);
-    std::vector<std::string_view> walked;
-    for (std::string_view comp : PathComponents(path)) walked.push_back(comp);
-    EXPECT_EQ(walked, split) << path;
     // Every component aliases the original buffer (zero-copy guarantee).
-    for (std::string_view comp : walked) {
+    for (std::string_view comp : Components(path)) {
       EXPECT_GE(comp.data(), path.data());
       EXPECT_LE(comp.data() + comp.size(), path.data() + path.size());
     }
   }
+  EXPECT_EQ(Components("/deep/er/and/deep/er"),
+            (Parts{"deep", "er", "and", "deep", "er"}));
+  EXPECT_EQ(Components("/a//b/"), (Parts{"a", "b"}));
 }
 
 TEST(PathTest, ComponentsPrefixLength) {
