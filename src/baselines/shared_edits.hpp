@@ -155,7 +155,7 @@ class SharedEditsNameNode : public NameNodeBase {
            }
            const auto& reply = net::Cast<storage::SspReadReplyMsg>(r.value());
            for (const auto& rec : reply.records) {
-             auto batch = journal::Batch::Deserialize(rec.bytes);
+             auto batch = journal::Batch::Deserialize(rec.bytes.vector());
              if (!batch.ok() || batch.value().sn != last_sn_ + 1) continue;
              for (const auto& lr : batch.value().records) ReplayRecord(lr);
              last_sn_ = batch.value().sn;

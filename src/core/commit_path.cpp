@@ -152,10 +152,12 @@ void CommitPath::OnBatchSealed(journal::Batch batch, std::vector<char> bytes) {
 
   // The SSP copy (journal segment shared file), fenced with our token. The
   // bytes are the seal-time serialization — no second pass over the records.
+  // The round keeps the same buffer for a re-append.
+  ps.payload = std::move(bytes);
   storage::SspRecord record;
   record.sn = sn;
   record.fence = s_.fence();
-  record.bytes = std::move(bytes);
+  record.bytes = ps.payload;
   s_.AfterLocal(s_.ChargeCpu(per_target), [this, &s = s_,
                                            life = weak_from_this(), sn,
                                            record = std::move(record)]() mutable {
@@ -232,7 +234,7 @@ void CommitPath::FinalizeCompletedSyncs() {
         // hole here would end a junior's drain early and lose the committed
         // batches behind it, so keep re-appending until the copy is durable
         // (or we are deposed and the new active reconciles).
-        RetrySspAppend(ps.batch);
+        RetrySspAppend(ps.batch, std::move(ps.payload));
       }
       held_.push_back({std::move(ps.batch), replicated});
     }
@@ -264,18 +266,19 @@ void CommitPath::FinalizeCompletedSyncs() {
   SealIfSlotFree();
 }
 
-void CommitPath::RetrySspAppend(BatchPtr batch) {
-  s_.AfterLocal(kSspAppendRetry, [this, life = weak_from_this(), batch] {
+void CommitPath::RetrySspAppend(BatchPtr batch, storage::Payload payload) {
+  s_.AfterLocal(kSspAppendRetry, [this, life = weak_from_this(), batch,
+                                  payload = std::move(payload)] {
     if (life.expired()) return;
     storage::SspRecord record;
     record.sn = batch->sn;
     record.fence = s_.fence();
-    record.bytes = batch->Serialize();
+    record.bytes = payload;
     s_.ssp().Append(s_.JournalFile(), std::move(record),
-                    [this, life, batch](Status s) {
+                    [this, life, batch, payload](Status s) {
                       if (life.expired()) return;
                       if (!s.ok()) {
-                        RetrySspAppend(batch);
+                        RetrySspAppend(batch, payload);
                         return;
                       }
                       auto it = std::find_if(

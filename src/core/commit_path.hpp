@@ -19,6 +19,7 @@
 #include "core/messages.hpp"
 #include "journal/writer.hpp"
 #include "obs/trace.hpp"
+#include "storage/shared_file.hpp"
 
 namespace mams::core {
 
@@ -82,6 +83,7 @@ class CommitPath : public std::enable_shared_from_this<CommitPath> {
  private:
   struct PendingSync {
     BatchPtr batch;
+    storage::Payload payload;   ///< the seal-time bytes the SSP copy holds
     std::set<NodeId> awaiting;  ///< standbys not yet acked
     int acks = 0;               ///< successful standby replications
     bool ssp_done = false;
@@ -98,9 +100,10 @@ class CommitPath : public std::enable_shared_from_this<CommitPath> {
   /// Finalizes completed rounds strictly from the front (sn order), then
   /// seals what waited for the freed slot.
   void FinalizeCompletedSyncs();
-  /// Re-appends `batch` to the SSP after kSspAppendRetry, until it sticks
-  /// or the tenure ends; a held batch then turns durable.
-  void RetrySspAppend(BatchPtr batch);
+  /// Re-appends `batch`'s sealed `payload` to the SSP after
+  /// kSspAppendRetry, until it sticks or the tenure ends; a held batch then
+  /// turns durable.
+  void RetrySspAppend(BatchPtr batch, storage::Payload payload);
   void DemoteUnresponsiveStandby(NodeId peer);
   void AddViewStandbys();
 

@@ -592,10 +592,8 @@ void MdsServer::Resend(const std::vector<NodeId>& peers,
 }
 
 void MdsServer::ApplyFetchedBatches(const RenewJournalReplyMsg& resp) {
-  for (const auto& b : resp.batches) {
-    if (b.sn > last_sn_) {
-      pending_batches_.emplace(b.sn, std::make_shared<const journal::Batch>(b));
-    }
+  for (const BatchPtr& b : resp.batches) {
+    if (b->sn > last_sn_) pending_batches_.emplace(b->sn, b);
   }
   ApplyReadyBatches();
 }
@@ -604,7 +602,7 @@ std::uint64_t MdsServer::ApplyPoolRecords(
     const std::vector<storage::SspRecord>& records) {
   std::uint64_t applied_bytes = 0;
   for (const auto& rec : records) {
-    auto batch = journal::Batch::Deserialize(rec.bytes);
+    auto batch = journal::Batch::Deserialize(rec.bytes.vector());
     if (!batch.ok()) {
       MAMS_ERROR("mds", "%s: corrupt journal batch sn=%llu", name().c_str(),
                  (unsigned long long)rec.sn);
@@ -692,7 +690,7 @@ void MdsServer::RegisterHandlers() {
       if (b->sn <= req.after_sn) continue;
       if (out->batches.size() >= kFetchBatchCap) break;
       out->payload_bytes += b->EncodedSize();
-      out->batches.push_back(*b);
+      out->batches.push_back(b);
     }
     reply(out);
   });

@@ -277,7 +277,7 @@ struct RenewJournalFetchMsg final : net::Message {
 };
 
 struct RenewJournalReplyMsg final : net::Message {
-  std::vector<journal::Batch> batches;
+  std::vector<BatchPtr> batches;  ///< the active's own immutable batches
   SerialNumber active_sn = 0;
   std::uint64_t payload_bytes = 0;
 

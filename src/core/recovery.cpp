@@ -65,7 +65,8 @@ Result<fsns::Tree> RecoveryTool::RebuildAt(const storage::FileStore& store,
   if (journal != nullptr) {
     for (std::size_t i = journal->FirstIndexAfter(from_sn);
          i < journal->size(); ++i) {
-      auto batch = journal::Batch::Deserialize(journal->records()[i].bytes);
+      auto batch =
+          journal::Batch::Deserialize(journal->records()[i].bytes.vector());
       if (!batch.ok()) {
         ++local.corrupt_batches_skipped;
         continue;
@@ -112,7 +113,8 @@ TxId RecoveryTool::LatestRecoverableTxid(const storage::FileStore& store,
   const storage::SharedFile* journal = store.Find(pool_files::Journal(group));
   if (journal != nullptr) {
     for (std::size_t i = journal->size(); i-- > 0;) {
-      auto batch = journal::Batch::Deserialize(journal->records()[i].bytes);
+      auto batch =
+          journal::Batch::Deserialize(journal->records()[i].bytes.vector());
       if (!batch.ok()) continue;
       for (const auto& rec : batch.value().records) {
         latest = std::max(latest, rec.txid);

@@ -129,8 +129,8 @@ void Renewal::WriteCheckpointChunk(
   rec.fence = s_.fence();
   const std::size_t lo = write->bytes.size() * i / write->chunks;
   const std::size_t hi = write->bytes.size() * (i + 1) / write->chunks;
-  rec.bytes.assign(write->bytes.begin() + static_cast<long>(lo),
-                   write->bytes.begin() + static_cast<long>(hi));
+  rec.bytes = std::vector<char>(write->bytes.begin() + static_cast<long>(lo),
+                                write->bytes.begin() + static_cast<long>(hi));
   rec.logical_bytes = write->logical / write->chunks;
   s_.ssp().Append(write->file, std::move(rec), [this, write, i](Status st) {
     if (!st.ok()) return;  // abandoned checkpoint; next timer tick retries

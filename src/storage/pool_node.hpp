@@ -42,11 +42,13 @@ class PoolNode : public net::Host {
     OnRequest(net::kSspWrite, [this](const net::Envelope&,
                                      const net::MessagePtr& msg,
                                      const ReplyFn& reply) {
-      const auto& req = net::Cast<SspWriteMsg>(msg);
-      const SimTime cost = disk_.AppendCost(req.record.TimedSize());
-      WithDisk(cost, [this, req, reply] {
+      const SimTime cost =
+          disk_.AppendCost(net::Cast<SspWriteMsg>(msg).record.TimedSize());
+      WithDisk(cost, [this, msg, reply] {
+        const auto& req = net::Cast<SspWriteMsg>(msg);
         auto& file = store_.Open(req.file);
         auto ack = std::make_shared<SspWriteAckMsg>();
+        // The stored record shares the message's payload.
         ack->ok = file.Append(req.record);  // false = writer fenced off
         ack->max_sn = file.max_sn();
         reply(ack);

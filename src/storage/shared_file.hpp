@@ -9,11 +9,19 @@
 // far above the real payload so that recovery timing matches the paper's
 // scale without materializing 7M inodes in RAM; unit tests keep the two
 // equal. See EXPERIMENTS.md "image scaling".
+//
+// A record's payload is immutable and shared: the write message sent to
+// each replica, every replica's stored record and every read reply hold
+// one buffer, so the pool keeps each byte once however many copies it
+// models. A replica's record changes only by replacing its buffer (a
+// same-sn append from a newer writer), never by writing through it.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
+#include <initializer_list>
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -21,9 +29,34 @@
 
 namespace mams::storage {
 
+/// An immutable, reference-counted byte buffer. Copies share the bytes;
+/// nothing writes through them.
+class Payload {
+ public:
+  Payload() = default;
+  /// Takes the bytes over (no copy).
+  Payload(std::vector<char> bytes)  // NOLINT: a serialized buffer assigns in
+      : buf_(std::make_shared<const std::vector<char>>(std::move(bytes))) {}
+  Payload(std::initializer_list<char> bytes)
+      : Payload(std::vector<char>(bytes)) {}
+
+  const std::vector<char>& vector() const noexcept {
+    static const std::vector<char> kEmpty;
+    return buf_ ? *buf_ : kEmpty;
+  }
+  const char* data() const noexcept { return vector().data(); }
+  std::size_t size() const noexcept { return buf_ ? buf_->size() : 0; }
+  auto begin() const noexcept { return vector().begin(); }
+  auto end() const noexcept { return vector().end(); }
+  char operator[](std::size_t i) const { return vector()[i]; }
+
+ private:
+  std::shared_ptr<const std::vector<char>> buf_;
+};
+
 struct SspRecord {
   SerialNumber sn = 0;
-  std::vector<char> bytes;          ///< real serialized payload
+  Payload bytes;                    ///< real serialized payload, shared
   std::uint64_t logical_bytes = 0;  ///< size used by the timing model
   /// Fencing token of the writer. The pool rejects appends from writers
   /// older than the newest it has seen per file, and a same-sn record from

@@ -59,8 +59,9 @@ class SspClient {
     return replicas;
   }
 
-  /// Appends a record to a shared file on all replicas; `done` fires on the
-  /// first ACK (or with an error after every replica failed).
+  /// Appends a record to a shared file on all replicas (their messages
+  /// share its payload); `done` fires on the first ACK (or with an error
+  /// after every replica failed).
   void Append(const std::string& file, SspRecord record,
               std::function<void(Status)> done) {
     auto replicas = Placement(file);

@@ -157,21 +157,47 @@ TEST_F(RecoveryTest, MissingGroupReportsNotFound) {
 TEST_F(RecoveryTest, RecoveryIgnoresCorruptJournalTail) {
   for (int i = 0; i < 8; ++i) CreateFileOk("/k/f" + std::to_string(i));
   Run(kSecond);
-  // Corrupt the newest journal record on the replica we read from.
-  storage::FileStore& store =
-      const_cast<storage::FileStore&>(JournalStore());
-  auto& file = store.Open("g0/journal");
+  // Corrupt the newest journal record on the replica we read from. The
+  // payload is shared with the other placement replica, so the corruption
+  // replaces this replica's buffer with a flipped copy, as a same-sn record
+  // from a newer writer would.
+  const storage::FileStore& read_from = JournalStore();
+  storage::FileStore* store = nullptr;
+  storage::FileStore* other = nullptr;
+  for (int p = 0; p < 3; ++p) {
+    storage::FileStore& s = cfs_->pool_node(p).store();
+    if (&s == &read_from) {
+      store = &s;
+    } else if (s.Exists("g0/journal")) {
+      other = &s;
+    }
+  }
+  ASSERT_NE(store, nullptr);
+  ASSERT_NE(other, nullptr);
+  auto& file = store->Open("g0/journal");
   ASSERT_GT(file.size(), 0u);
-  auto& bytes =
-      const_cast<storage::SspRecord&>(file.records().back()).bytes;
-  if (!bytes.empty()) bytes[bytes.size() / 2] ^= 0x10;
+  storage::SspRecord corrupt = file.records().back();
+  std::vector<char> bytes = corrupt.bytes.vector();
+  ASSERT_FALSE(bytes.empty());
+  bytes[bytes.size() / 2] ^= 0x10;
+  corrupt.bytes = std::move(bytes);
+  corrupt.fence = file.max_fence() + 1;
+  ASSERT_TRUE(file.Append(std::move(corrupt)));
 
   RecoveryReport report;
   auto tree = RecoveryTool::RebuildAt(
-      store, 0, std::numeric_limits<TxId>::max(), &report);
+      *store, 0, std::numeric_limits<TxId>::max(), &report);
   ASSERT_TRUE(tree.ok());
   EXPECT_EQ(report.corrupt_batches_skipped, 1u);
   EXPECT_GT(tree.value().file_count(), 0u);
+
+  // The other replica's copy of that record kept its bytes.
+  RecoveryReport intact;
+  auto rebuilt = RecoveryTool::RebuildAt(
+      *other, 0, std::numeric_limits<TxId>::max(), &intact);
+  ASSERT_TRUE(rebuilt.ok()) << rebuilt.status().ToString();
+  EXPECT_EQ(intact.corrupt_batches_skipped, 0u);
+  EXPECT_GT(rebuilt.value().file_count(), 0u);
 }
 
 TEST_F(RecoveryTest, BatchCutAtEveryTxidMatchesRecordByRecordReplay) {

@@ -163,6 +163,45 @@ TEST_F(SspTest, AppendReplicatesToAllPlacementNodes) {
   EXPECT_EQ(copies, 2);
 }
 
+TEST_F(SspTest, ReplicasAndReadsShareOnePayload) {
+  SspRecord rec = Rec(1);
+  rec.bytes = std::vector<char>{'a', 'b', 'c'};
+  const char* appended = rec.bytes.data();  // `rec` keeps the buffer alive
+  ssp_->Append("f", rec, [](Status) {});
+  sim_.RunAll();
+  const SharedFile& a = Replica("f", 0).store().Open("f");
+  const SharedFile& b = Replica("f", 1).store().Open("f");
+  ASSERT_EQ(a.size(), 1u);
+  ASSERT_EQ(b.size(), 1u);
+  EXPECT_EQ(a.records()[0].bytes.data(), appended);
+  EXPECT_EQ(b.records()[0].bytes.data(), appended);
+
+  // A read reply carries the stored buffer, not a copy of it.
+  auto read = std::make_shared<SspReadMsg>();
+  read->file = "f";
+  const char* served = nullptr;
+  client_host_.Call(Replica("f", 1).id(), read, SspClient::kReadTimeout,
+                    [&](Result<net::MessagePtr> r) {
+                      ASSERT_TRUE(r.ok());
+                      const auto& reply =
+                          net::Cast<SspReadReplyMsg>(r.value());
+                      ASSERT_EQ(reply.records.size(), 1u);
+                      served = reply.records[0].bytes.data();
+                    });
+  sim_.RunAll();
+  EXPECT_EQ(served, appended);
+
+  // A newer writer's record for the same sn replaces one replica's buffer;
+  // the other replica keeps the bytes it stored.
+  SspRecord newer = Rec(1);
+  newer.fence = 1;
+  newer.bytes = std::vector<char>{'x', 'y', 'z'};
+  ASSERT_TRUE(Replica("f", 0).store().Open("f").Append(newer));
+  EXPECT_EQ(a.records()[0].bytes.vector(), (std::vector<char>{'x', 'y', 'z'}));
+  EXPECT_EQ(b.records()[0].bytes.data(), appended);
+  EXPECT_EQ(b.records()[0].bytes.vector(), (std::vector<char>{'a', 'b', 'c'}));
+}
+
 TEST_F(SspTest, DrainReturnsOnlyNewerRecords) {
   for (SerialNumber sn = 1; sn <= 5; ++sn) {
     ssp_->Append("f", Rec(sn), [](Status) {});
