@@ -28,16 +28,17 @@
 // line per directory under a lease the active grants on its read replies.
 // A leased reply carries the fill: the whole directory (every child's
 // attributes) at the lease's version, which the line keeps as it came. A
-// change to child `name` by another client arrives as a patch at the next
-// version and leaves a hole for `name`; a stat of any other name is a hit,
-// and one the fill lacks answers NotFound. A listing hits while the line
-// has no holes, and any leased read of the directory refills the line.
-// The active alone decides what a mutation conflicts with
-// (core::ForEachConflict): it pushes patches and revocations to the other
-// holders and holds the mutation's ack until every holder acked (or the
-// lease TTL), so no cache serves a change's old state once the change is
-// acked anywhere; its revocations of the mutator's own grants ride the
-// ack as the same records, and one function applies both. A hit
+// change to child `name` arrives as a patch at the next version and leaves
+// a hole for `name`; a stat of any other name is a hit, and one the fill
+// lacks answers NotFound. A listing hits while the line has no holes, and
+// any leased read of the directory refills the line. The active alone
+// decides what a mutation conflicts with (core::ForEachConflict): it
+// pushes patches and revocations to the other holders and holds the
+// mutation's ack until every holder acked (or the lease TTL), so no cache
+// serves a change's old state once the change is acked anywhere. The
+// mutator's own records ride its ack, and one function applies both: so
+// a writer keeps its own lines, with a hole for each child it changed,
+// and drops only the lines no patch record on an ok ack covers. A hit
 // needs a live lease AND the line's `valid_sn` — the highest applied sn at
 // which the active confirmed that version — at or above the directory's
 // floor, the highest sn this session observed for the directory; it
@@ -45,12 +46,15 @@
 // write elsewhere in the group costs this line nothing, while
 // read-your-writes and monotonic reads hold per directory. Lines go when
 // their lease dies. A revocation, a version gap, or a drop by the client
-// itself (the lines its own mutation conflicts with, an unleased reply)
-// leaves a dead line: no fill, only the grant's identity (epoch, lease id,
-// version) for kLeaseTtl. A patch or revocation and an in-flight reply
-// travel on different channels, and the dead line refuses every reply
-// served before it died; past its deadline each of those is dead on
-// arrival anyway.
+// itself (the lines its own mutation conflicts with that no record
+// covers, an unleased reply) leaves a dead line: no fill, only the
+// grant's identity (epoch, lease id, version) for kLeaseTtl. A patch or
+// revocation and an in-flight reply travel on different channels, and
+// the dead line refuses every reply served before it died; past its
+// deadline each of those is dead on arrival anyway. One wire read per
+// directory refills it: a read bound for the active that misses while
+// another read of its directory is on the wire waits for that reply, then
+// tries the line once more, and goes to the wire only if it misses again.
 #pragma once
 
 #include <algorithm>
@@ -132,12 +136,15 @@ class FsClient : public net::Host {
     m_cache_hits_ = metrics.counter("client.cache_hits");
     m_cache_misses_ = metrics.counter("client.cache_misses");
     m_cache_miss_reasons_[kNoLine] = metrics.counter("client.cache_miss_no_line");
+    m_cache_miss_reasons_[kDeadLine] =
+        metrics.counter("client.cache_miss_dead_line");
     m_cache_miss_reasons_[kNoEntry] =
         metrics.counter("client.cache_miss_no_entry");
     m_cache_miss_reasons_[kExpired] =
         metrics.counter("client.cache_miss_expired");
     m_cache_miss_reasons_[kBelowFloor] =
         metrics.counter("client.cache_miss_below_floor");
+    m_cache_refill_waits_ = metrics.counter("client.cache_refill_waits");
     m_cache_revocations_ = metrics.counter("client.cache_revocations");
     m_cache_expiries_ = metrics.counter("client.cache_expiries");
     OnRequest(net::kLeaseRevoke,
@@ -248,6 +255,7 @@ class FsClient : public net::Host {
     // Lease-protected namespace cache.
     std::uint64_t cache_hits = 0;        ///< reads served locally
     std::uint64_t cache_misses = 0;      ///< reads that went to the wire
+    std::uint64_t cache_refill_waits = 0;  ///< misses that waited on a refill
     std::uint64_t cache_revocations = 0; ///< revocations pushed or acked
     std::uint64_t cache_patches = 0;     ///< patches applied to a line
     std::uint64_t cache_expiries = 0;    ///< leases dropped at their TTL
@@ -267,6 +275,7 @@ class FsClient : public net::Host {
     cache_.clear();
     live_lines_ = 0;
     sweep_armed_ = false;  // its timer dies with the incarnation
+    refills_.clear();      // and so do the reads waiting on a refill
     last_stamp_ = OpStamp{};
   }
 
@@ -327,6 +336,8 @@ class FsClient : public net::Host {
     bool force_active = false;    ///< offload failed once; stay on active
     bool via_standby = false;     ///< current attempt targets a standby
     bool via_cache = false;       ///< answered locally from the lease cache
+    bool refills = false;  ///< its reply releases its directory's waiters
+    bool waited = false;   ///< waited once on another read's refill
     NodeId target = kInvalidNode;
   };
 
@@ -539,26 +550,45 @@ class FsClient : public net::Host {
                                               : fsns::ParentDir(req.path);
   }
 
-  enum MissReason : std::uint8_t { kNoLine, kNoEntry, kExpired, kBelowFloor };
+  enum MissReason : std::uint8_t {
+    kNoLine, kDeadLine, kNoEntry, kExpired, kBelowFloor, kMissReasons
+  };
 
   /// Serves the read locally when a live lease covers it AND the line
   /// meets its directory's session floor — so a hit never shows this
-  /// session less of the directory than it already saw. Returns false to
-  /// fall through to the wire.
+  /// session less of the directory than it already saw. A read bound for
+  /// the active that misses while another read of its directory is on the
+  /// wire waits for that reply instead, once, and then tries again (see
+  /// ReleaseWaiters). Returns false to fall through to the wire.
   bool TryServeFromCache(const std::shared_ptr<OpState>& state) {
     core::ClientRequestMsg& req = *state->request;
     if (!options_.cache.enabled || core::IsMutation(req.op) ||
         state->require_active) {
       return false;
     }
-    auto miss = [this](MissReason why) {
+    const std::string_view dir = CacheDirOf(req);
+    auto miss = [&](MissReason why) {
+      if (!Offloadable(*state)) {
+        auto refill = refills_.find(dir);
+        if (refill == refills_.end()) {
+          refills_.emplace(std::string(dir), Waiters{});
+          state->refills = true;
+        } else if (!state->waited) {
+          state->waited = true;
+          ++counters_.cache_refill_waits;
+          m_cache_refill_waits_->Add();
+          refill->second.push_back(state);
+          return true;
+        }
+      }
       ++counters_.cache_misses;
       m_cache_misses_->Add();
       m_cache_miss_reasons_[why]->Add();
       return false;
     };
-    auto it = cache_.find(CacheDirOf(req));
-    if (it == cache_.end() || !it->second.live()) return miss(kNoLine);
+    auto it = cache_.find(dir);
+    if (it == cache_.end()) return miss(kNoLine);
+    if (!it->second.live()) return miss(kDeadLine);
     DirCache& dc = it->second;
     if (sim().Now() >= dc.expire_at) {
       // TTL: the lease is dead whether or not a revocation ever reached us
@@ -705,6 +735,19 @@ class FsClient : public net::Host {
     Kill(dc, rec.version);
   }
 
+  /// `state`'s wire read of its directory is over, and its reply adopted:
+  /// each read that waited on it tries the cache again, as a hit taken
+  /// after the reply would, and goes to the wire if it misses again.
+  void ReleaseWaiters(OpState& state) {
+    state.refills = false;
+    auto it = refills_.find(CacheDirOf(*state.request));
+    const Waiters waiters = std::move(it->second);
+    refills_.erase(it);
+    for (const auto& waiter : waiters) {
+      if (!TryServeFromCache(waiter)) Attempt(waiter);
+    }
+  }
+
   /// Drops a live line while its lease may live on: the dead line keeps
   /// its version, so a reply served before the patches the line applied
   /// stays out. `past_version`: the client saw a change the line's version
@@ -722,16 +765,29 @@ class FsClient : public net::Host {
     dc.expire_at = sim().Now() + core::kLeaseTtl;
     dc.fill.reset();
     dc.holes.clear();
+    ArmSweep();
   }
 
   /// Read-your-writes: before a mutation's callback runs, every line it
-  /// conflicts with — by the active's own rule — is dropped, on errors and
-  /// indeterminate outcomes too, since the mutation may still have
-  /// committed.
-  void InvalidateForMutation(const core::ClientRequestMsg& req) {
+  /// conflicts with — by the active's own rule — is dropped, on errors,
+  /// indeterminate outcomes and resends too, since the mutation may still
+  /// have committed. A writer keeps a line where a patch record on `ack`
+  /// (an ok ack to the mutation's only send) covers the child: applying
+  /// the record already left a hole for it, or killed the line.
+  void InvalidateForMutation(const core::ClientRequestMsg& req,
+                             const core::ClientResponseMsg* ack) {
+    auto patched = [ack](std::string_view dir, std::string_view name) {
+      return ack != nullptr &&
+             std::any_of(ack->revocations.begin(), ack->revocations.end(),
+                         [&](const core::LeaseRevocation& rec) {
+                           return rec.version != core::kLeaseRevoked &&
+                                  rec.dir == dir && rec.name == name;
+                         });
+    };
     core::ForEachConflict(
         req,
-        [this](std::string_view dir, std::string_view) {
+        [&](std::string_view dir, std::string_view name) {
+          if (patched(dir, name)) return;
           auto it = cache_.find(dir);
           if (it != cache_.end()) DropLine(it->second);
         },
@@ -765,7 +821,7 @@ class FsClient : public net::Host {
 
   /// A line goes when its lease dies, read again or not, and a dead line
   /// at its deadline: one timer per client, armed while the cache holds a
-  /// live line, sweeps both.
+  /// line, live or dead, sweeps both.
   void ArmSweep() {
     if (sweep_armed_) return;
     sweep_armed_ = true;
@@ -784,7 +840,7 @@ class FsClient : public net::Host {
         }
         it = cache_.erase(it);
       }
-      if (live_lines_ > 0) ArmSweep();
+      if (!cache_.empty()) ArmSweep();
     });
   }
 
@@ -854,20 +910,25 @@ class FsClient : public net::Host {
       last_stamp_.server = state->target;
     }
     if (options_.cache.enabled) {
+      const core::ClientResponseMsg* ack = nullptr;
       if (result.ok()) {
         const core::ClientResponseMsg& resp = *result.value();
-        // Own-ack piggyback: this client's grants the mutation revoked,
-        // applied before the callback runs, so no in-flight read reply can
-        // re-adopt them afterwards.
+        // Own-ack piggyback: the records of this client's grants the
+        // mutation touched, applied before the callback runs, so no
+        // in-flight read reply can re-adopt what they supersede.
         for (const core::LeaseRevocation& rec : resp.revocations)
           ApplyRecord(rec);
         if (!core::IsMutation(state->request->op) && !state->via_cache) {
           ObserveRead(state, resp);
         }
+        // Only an ok ack to the one send vouches for what its records
+        // cover: a resend's ack may have none for an earlier execution.
+        if (resp.ok && state->attempts == 1) ack = &resp;
       }
       if (core::IsMutation(state->request->op)) {
-        InvalidateForMutation(*state->request);
+        InvalidateForMutation(*state->request, ack);
       }
+      if (state->refills) ReleaseWaiters(*state);
     }
     state->done(std::move(result));
   }
@@ -898,6 +959,10 @@ class FsClient : public net::Host {
   Counters counters_;
   // Lease-protected namespace cache (see ClientCacheOptions).
   CacheMap cache_;  ///< by leased directory path, live and dead lines
+  using Waiters = std::vector<std::shared_ptr<OpState>>;
+  /// Directory -> the reads waiting on the wire read of it in flight (the
+  /// one OpState with `refills`).
+  std::map<std::string, Waiters, std::less<>> refills_;
   std::size_t live_lines_ = 0;
   bool sweep_armed_ = false;
   /// Bound on live lines; at the cap a reply for a new directory is not
@@ -912,7 +977,8 @@ class FsClient : public net::Host {
   static constexpr SimTime kReconnectCost = 1500 * kMicrosecond;
   obs::Counter* m_cache_hits_ = nullptr;
   obs::Counter* m_cache_misses_ = nullptr;
-  obs::Counter* m_cache_miss_reasons_[4] = {};  ///< by MissReason
+  obs::Counter* m_cache_miss_reasons_[kMissReasons] = {};  ///< by MissReason
+  obs::Counter* m_cache_refill_waits_ = nullptr;
   obs::Counter* m_cache_revocations_ = nullptr;
   obs::Counter* m_cache_expiries_ = nullptr;
 };

@@ -76,7 +76,8 @@ using RequestPtr = std::shared_ptr<const ClientRequestMsg>;
 /// moves the parent's mtime), the parent's entry in the grandparent, and
 /// for a create or mkdir (`mkdir -p` may materialize missing ancestors)
 /// each further ancestor's entry in its parent. The active patches and
-/// revokes grants by it; the mutating client drops its lines by it.
+/// revokes grants by it; the mutating client drops by it each line that no
+/// patch record on its ack covers.
 template <typename Patch, typename Revoke>
 void ForEachConflict(const ClientRequestMsg& req, Patch&& patch,
                      Revoke&& revoke) {
@@ -162,8 +163,10 @@ struct ClientResponseMsg final : net::Message {
   /// The whole of `lease_dir` at `lease_version`, shared by every reply at
   /// that version. A filled listing's names are the fill's.
   std::shared_ptr<const DirSnapshot> fill;
-  /// The requester's own grants its mutation revoked, riding its ack as
-  /// the records a push carries (no push round needed).
+  /// The records of the requester's own grants that its mutation touched,
+  /// riding its ack as a push would carry them (no push round needed): a
+  /// patch for a changed child (the requester applies it to its line and
+  /// keeps the line), or a revocation.
   std::vector<LeaseRevocation> revocations;
 
   net::MsgType type() const noexcept override { return net::kClientResponse; }

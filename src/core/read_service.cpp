@@ -243,24 +243,18 @@ void ReadService::PatchDir(std::string_view dir, std::string_view name,
   ++d.version;
   d.fill.reset();
   const FenceToken epoch = s_.view().fence_token;
-  for (auto h = d.holders.begin(); h != d.holders.end();) {
-    const auto& [node, grant] = *h;
+  for (const auto& [node, grant] : d.holders) {
+    LeaseRevocation rec{it->first, epoch, grant.id, d.version,
+                        std::string(name), grant.expire_at};
+    Bump(s_.mutable_counters().lease_patches, s_.m().lease_patches);
     if (node == own) {
-      r.own.push_back(
-          {it->first, epoch, grant.id, kLeaseRevoked, {}, grant.expire_at});
-      --grant_count_;
-      Bump(s_.mutable_counters().leases_revoked, s_.m().leases_revoked);
-      h = d.holders.erase(h);
+      r.own.push_back(std::move(rec));
       continue;
     }
-    r.pushes[node].push_back({it->first, epoch, grant.id, d.version,
-                              std::string(name), grant.expire_at});
+    r.pushes[node].push_back(std::move(rec));
     r.barrier.outstanding.emplace(node, grant.id, d.version);
     r.barrier.release_at = std::max(r.barrier.release_at, grant.expire_at);
-    Bump(s_.mutable_counters().lease_patches, s_.m().lease_patches);
-    ++h;
   }
-  if (d.holders.empty()) grants_.erase(it);
 }
 
 void ReadService::RevokeDir(const std::string& dir, NodeId own,
@@ -304,10 +298,10 @@ ReplyFn ReadService::RevokeConflicting(const ClientRequestMsg& req, TxId txid,
   Reclaim();
   // The parent of each named path gets a patch for that child; the path
   // itself and its subtree lose their grants (a directory delete or
-  // rename ends every listing below it). The requester's own grants are
-  // revoked and their records ride its ack (it must drop its lines before
-  // acting on the reply); remote holders get a push straight from here
-  // and gate the ack via the txid barrier.
+  // rename ends every listing below it). The requester's own records ride
+  // its ack (it applies them before acting on the reply), so its patched
+  // grants stay; remote holders get a push straight from here and gate
+  // the ack via the txid barrier.
   Revocation r;
   ForEachConflict(
       req,

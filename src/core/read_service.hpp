@@ -10,15 +10,15 @@
 // client) lease and a fill: the whole directory at the lease's version,
 // built once per version and shared by every reply at it. A mutation
 // (core::ForEachConflict names the directories it touches) of child
-// `name` bumps the version and sends every remote holder a patch (the
-// grant stays); a directory delete or rename, a shard install and a
-// migration revoke whole grants, and so does a mutation for the
-// requester's own grants (their records ride its ack). The mutation
-// completes only once every remote holder acked or its grant expired. A
-// grant past its deadline is dead and is reclaimed without a push. The
-// grant table belongs to the active role; the barriers outlive a live
-// step-down, since they hold committed work that acks or the TTL release
-// in any role.
+// `name` bumps the version and patches every holder, and the grants stay:
+// a remote holder by a push, the requester by the same record riding its
+// ack, so a writer keeps its own lines. A directory delete or rename, a
+// shard install and a migration revoke whole grants, the requester's
+// included. The mutation completes only once every remote holder acked or
+// its grant expired. A grant past its deadline is dead and is reclaimed
+// without a push. The grant table belongs to the active role; the
+// barriers outlive a live step-down, since they hold committed work that
+// acks or the TTL release in any role.
 #pragma once
 
 #include <functional>
@@ -63,7 +63,7 @@ class ReadService {
 
   /// A mutation's patches and revocations (core::ForEachConflict), with a
   /// barrier under `txid` when any remote holder exists; returns `reply`
-  /// carrying the requester's own revocations.
+  /// carrying the requester's own records.
   ReplyFn RevokeConflicting(const ClientRequestMsg& req, TxId txid,
                             ReplyFn reply);
   /// A shard install or removal at `path`: every holder is remote.
@@ -116,7 +116,7 @@ class ReadService {
   };
   /// What one revocation round collects.
   struct Revocation {
-    std::vector<LeaseRevocation> own;  ///< the requester's own grants
+    std::vector<LeaseRevocation> own;  ///< the requester's own records
     std::map<NodeId, std::vector<LeaseRevocation>> pushes;
     LeaseBarrier barrier;  ///< remote holders' acks to wait for
   };
@@ -130,7 +130,7 @@ class ReadService {
   /// more, so it needs no push and no barrier.
   void Reclaim();
   /// Child `name` of `dir` changed: bumps the version, drops the fill and
-  /// patches every remote holder; `own`'s grant is revoked instead.
+  /// patches every holder; `own`'s patch stays local, to ride its ack.
   void PatchDir(std::string_view dir, std::string_view name, NodeId own,
                 Revocation& r);
   /// Drops every grant on directory `dir`: `own`'s ids stay local, every

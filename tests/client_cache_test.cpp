@@ -1,7 +1,8 @@
 // End-to-end tests for the client-side lease-protected namespace cache:
 // revocation ordering against conflicting acks, revocation pushes that
 // bypass the coordination service, the TTL backstop for lost revocations,
-// lease flush across failover, shard-migration invalidation, and
+// lease flush across failover, shard-migration invalidation, a writer's
+// own patched lines, one refill in flight per directory, and
 // cached==uncached equivalence under the fuzzer's full fault palette
 // (with the lease_revoke mutation proving the checker would catch a cache
 // that serves past a revocation).
@@ -815,16 +816,21 @@ TEST_F(ClientCacheTest, FillsAtOneVersionShareOneSnapshot) {
   // Two lines and the active hold one snapshot, counted once.
   EXPECT_EQ(FillBytes(), static_cast<std::int64_t>(first->bytes()));
 
-  // Client 0's create patches client 1's line (and ends client 0's own
-  // grant); the next fill is built afresh at the new version.
+  // Client 0's create patches both lines, client 1's by a push and its
+  // own by its ack, and each keeps the first fill with a hole for f2. A
+  // stat of f2 refills a line with the next fill, built afresh at the new
+  // version and shared again.
   ASSERT_TRUE(CreateFile("/d/f2", 0).ok());
+  EXPECT_EQ(cluster_->client(0).cached_fill("/d"), first);
+  EXPECT_EQ(cluster_->client(1).cached_fill("/d"), first);
   ASSERT_TRUE(StatSync("/d/f2", 1).ok());
   EXPECT_FALSE(cluster_->client(1).last_stamp().via_cache);
   const auto second = cluster_->client(1).cached_fill("/d");
   ASSERT_NE(second, nullptr);
   EXPECT_NE(second, first);
   EXPECT_EQ(second->size(), 3u);
-  ASSERT_TRUE(StatSync("/d/f0", 0).ok());
+  ASSERT_TRUE(StatSync("/d/f2", 0).ok());
+  EXPECT_FALSE(cluster_->client(0).last_stamp().via_cache);
   EXPECT_EQ(cluster_->client(0).cached_fill("/d"), second);
   // Only this test still holds the first snapshot.
   EXPECT_EQ(first.use_count(), 1);
@@ -880,6 +886,171 @@ TEST_F(ClientCacheTest, DeleteOrRenameInsideADirectoryMovesItInTheGrandparent) {
   Run(10 * kMillisecond);
   ASSERT_TRUE(RenameSync("/a/b/w", "/a/b/w2", 0).ok());
   StatMatchesActive("/a/b");
+}
+
+TEST_F(ClientCacheTest, WriterKeepsItsLineWithAHoleForWhatItChanged) {
+  // The records of a writer's own grants ride its ack as patches, as a
+  // push would carry them to another holder: the grant stays, and the
+  // writer's line loses only the child it changed.
+  Build(1, 2);
+  ASSERT_TRUE(CreateFile("/d/y").ok());
+  ASSERT_FALSE(StatMatchesActive("/d/y"));  // the miss that fills /d
+  ASSERT_TRUE(CreateFile("/d/x").ok());
+  EXPECT_TRUE(StatMatchesActive("/d/y"));
+  EXPECT_FALSE(StatMatchesActive("/d/x"));  // refills the line
+  ASSERT_TRUE(CreateFile("/d/w").ok());
+  EXPECT_TRUE(StatMatchesActive("/d/y"));
+  EXPECT_FALSE(ListMatchesActive("/d"));
+  EXPECT_TRUE(StatMatchesActive("/d/w"));
+  EXPECT_EQ(cluster_->client(0).counters().cache_revocations, 0u);
+  EXPECT_EQ(cluster_->FindActive(0)->counters().leases_revoked, 0u);
+}
+
+TEST_F(ClientCacheTest, FailedOwnMutationStillDropsItsLines) {
+  // A create that fails commits nothing and its ack carries no record.
+  // The client still drops its lines, as on every outcome that no record
+  // vouches for.
+  Build(1, 2);
+  ASSERT_TRUE(CreateFile("/d/a").ok());
+  ASSERT_FALSE(StatMatchesActive("/d/b"));
+  ASSERT_TRUE(StatMatchesActive("/d/b"));
+  EXPECT_EQ(CreateFile("/d/a").code(), StatusCode::kAlreadyExists);
+  EXPECT_EQ(cluster_->client(0).cached_dirs(), 0u);
+  EXPECT_FALSE(StatMatchesActive("/d/b"));
+}
+
+TEST_F(ClientCacheTest, ResentOwnMutationStillDropsItsLines) {
+  // Only the ack to a mutation's one send vouches for its records: here
+  // the first send is lost, the resend executes and its ack carries the
+  // patch, and the writer still drops the line.
+  Build(1, 2, 7, [](CfsConfig& cfg) {
+    cfg.client.rpc_timeout = 100 * kMillisecond;
+  });
+  ASSERT_TRUE(CreateFile("/d/a").ok());
+  ASSERT_TRUE(StatSync("/d/a").ok());
+  FsClient& writer = cluster_->client(0);
+  ASSERT_EQ(writer.cached_dirs(), 1u);
+  cluster_->faults().CutHalf(writer.id(), Faults::Half::kOut);
+  bool created = false;
+  writer.Create("/d/b", [&](Status s) { created = s.ok(); });
+  Run(10 * kMillisecond);
+  cluster_->faults().RestoreHalves(writer.id());
+  ASSERT_TRUE(testutil::WaitFor(*sim_, [&] { return created; }, kSecond,
+                                kMillisecond));
+  EXPECT_EQ(writer.cached_dirs(), 0u);
+  EXPECT_FALSE(StatMatchesActive("/d/a"));
+}
+
+TEST_F(ClientCacheTest, IdleClientSweepsItsDeadLines) {
+  // A dead line keeps the sweep armed by itself: with no live line left
+  // and no further read, it still goes one TTL after its kill.
+  Build(1, 2);
+  ASSERT_TRUE(CreateFile("/d/a").ok());
+  ASSERT_TRUE(StatSync("/d/a").ok());
+  ASSERT_EQ(CreateFile("/d/a").code(), StatusCode::kAlreadyExists);
+  FsClient& idle = cluster_->client(0);
+  ASSERT_EQ(idle.cached_dirs(), 0u);
+  ASSERT_EQ(idle.cache_lines(), 1u);
+  Run(core::kLeaseTtl + core::kLeaseTtl / 8 + kMillisecond);
+  EXPECT_EQ(idle.cache_lines(), 0u);
+}
+
+TEST_F(ClientCacheTest, ConcurrentMissesOfOneDirectoryShareOneRefill) {
+  // Reads of a cold directory issued together: the first goes to the
+  // active, the others wait for its reply and are served from the line it
+  // fills. Each read counts one hit or one miss.
+  Build(1, 2);
+  constexpr int kReads = 8;
+  ASSERT_TRUE(CreateMany("/d", kReads, 1));
+  ASSERT_TRUE(MkdirSync("/e").ok());  // client 0 learns the active
+  core::MdsServer* active = cluster_->FindActive(0);
+  ASSERT_NE(active, nullptr);
+  FsClient& reader = cluster_->client(0);
+  const std::uint64_t reads = active->counters().reads;
+  const FsClient::Counters before = reader.counters();
+  int ok = 0;
+  for (int i = 0; i < kReads; ++i) {
+    reader.GetFileInfo("/d/f" + std::to_string(i),
+                       [&](Result<fsns::FileInfo> r) { ok += r.ok(); });
+  }
+  ASSERT_TRUE(testutil::WaitFor(*sim_, [&] { return ok == kReads; },
+                                kSecond, kMillisecond));
+  EXPECT_EQ(active->counters().reads - reads, 1u);
+  const FsClient::Counters& after = reader.counters();
+  EXPECT_EQ(after.cache_misses - before.cache_misses, 1u);
+  EXPECT_EQ(after.cache_hits - before.cache_hits, kReads - 1u);
+  EXPECT_EQ(after.cache_refill_waits - before.cache_refill_waits,
+            kReads - 1u);
+}
+
+TEST_F(ClientCacheTest, ClientCrashDropsItsRefillWaiters) {
+  // Reads waiting on a refill die with the client's incarnation, as the
+  // wire read they wait on does: after a restart, a read of the same
+  // directory is not left waiting on a reply that will never come.
+  Build(1, 2);
+  ASSERT_TRUE(CreateMany("/d", 4, 1));
+  ASSERT_TRUE(MkdirSync("/e").ok());  // client 0 learns the active
+  FsClient& reader = cluster_->client(0);
+  int answered = 0;
+  for (int i = 0; i < 4; ++i) {
+    reader.GetFileInfo("/d/f" + std::to_string(i),
+                       [&](Result<fsns::FileInfo>) { ++answered; });
+  }
+  ASSERT_EQ(reader.counters().cache_refill_waits, 3u);
+  reader.Crash();
+  Run(kSecond);
+  EXPECT_EQ(answered, 0);
+  reader.Restart();
+  Run(kMillisecond);
+  EXPECT_TRUE(StatSync("/d/f1").ok());
+}
+
+TEST_F(ClientCacheTest, UnackedHolderHoldsTheConflictingAck) {
+  // A holder that has not acked its patch holds the conflicting
+  // mutation's ack (mds.lease_replies_held), and its ack releases it at
+  // once, long before the TTL backstop.
+  Build(1, 2);
+  ASSERT_TRUE(CreateFile("/d/a").ok());
+  core::MdsServer* active = cluster_->FindActive(0);
+  ASSERT_NE(active, nullptr);
+  net::Host holder(*net_, "slow-holder");
+  std::vector<core::LeaseRevocation> pushed;
+  holder.OnRequest(net::kLeaseRevoke,
+                   [&](const net::Envelope&, const net::MessagePtr& msg,
+                       const net::Host::ReplyFn&) {
+                     for (const auto& rec :
+                          net::Cast<core::LeaseRevokeMsg>(msg).leases) {
+                       pushed.push_back(rec);
+                     }
+                   });
+  holder.Boot();
+  auto req = std::make_shared<core::ClientRequestMsg>();
+  req->op = core::ClientOp::kGetFileInfo;
+  req->path = "/d/a";
+  req->client = {.client_id = 3000, .op_seq = 1};
+  req->requester = holder.id();
+  bool leased = false;
+  holder.Call(active->id(), req, kSecond, [&](Result<net::MessagePtr> r) {
+    leased = r.ok() &&
+             net::Cast<core::ClientResponseMsg>(r.value()).lease_id != 0;
+  });
+  ASSERT_TRUE(testutil::WaitFor(*sim_, [&] { return leased; }, kSecond,
+                                kMillisecond));
+
+  const std::uint64_t held = active->counters().lease_replies_held;
+  bool created = false;
+  cluster_->client(0).Create("/d/b", [&](Status s) { created = s.ok(); });
+  Run(50 * kMillisecond);
+  ASSERT_EQ(pushed.size(), 1u);
+  EXPECT_FALSE(created);
+  EXPECT_EQ(active->counters().lease_replies_held - held, 1u);
+
+  auto ack = std::make_shared<core::LeaseRevokeAckMsg>();
+  ack->leases.emplace_back(pushed[0].lease_id, pushed[0].version);
+  holder.Send(active->id(), std::move(ack));
+  EXPECT_TRUE(testutil::WaitFor(*sim_, [&] { return created; },
+                                10 * kMillisecond, 10 * kMicrosecond));
+  EXPECT_EQ(active->counters().lease_barrier_expiries, 0u);
 }
 
 // The orderings of a patch against the other messages of its lease. The
@@ -964,21 +1135,21 @@ TEST_F(PatchRaceTest, PushForANewerGrantKillsTheLineAndKeepsItsReplyOut) {
   ASSERT_NE(active, nullptr);
   FsClient& holder = cluster_->client(0);
 
-  // The active ends grant 1 unheard by its holder: a create sent in the
-  // holder's name from another endpoint revokes it as the holder's own,
-  // and the revocation rides that endpoint's ack.
+  // The active ends grant 1 unheard by its holder: a setTimes of /d
+  // itself, sent in the holder's name from another endpoint, revokes it as
+  // the holder's own, and the revocation rides that endpoint's ack.
   net::Host proxy(*net_, "proxy");
   proxy.Boot();
   auto req = std::make_shared<core::ClientRequestMsg>();
-  req->op = core::ClientOp::kCreate;
-  req->path = "/d/b";
+  req->op = core::ClientOp::kSetTimes;
+  req->path = "/d";
   req->client = {.client_id = 1000, .op_seq = 1};
   req->requester = holder.id();
-  bool created = false;
+  bool touched = false;
   proxy.Call(active->id(), req, kSecond, [&](Result<net::MessagePtr> r) {
-    created = r.ok() && net::Cast<core::ClientResponseMsg>(r.value()).ok;
+    touched = r.ok() && net::Cast<core::ClientResponseMsg>(r.value()).ok;
   });
-  ASSERT_TRUE(testutil::WaitFor(*sim_, [&] { return created; }, kSecond,
+  ASSERT_TRUE(testutil::WaitFor(*sim_, [&] { return touched; }, kSecond,
                                 kMillisecond));
   ASSERT_EQ(holder.cached_dirs(), 1u);  // grant 1's line lives on
 

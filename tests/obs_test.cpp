@@ -327,8 +327,9 @@ TEST(MetricCatalogueTest, DocumentsExactlyWhatAClusterRegisters) {
   const auto& counters = reg.counters();
   std::uint64_t reasons = 0;
   for (const char* name :
-       {"client.cache_miss_no_line", "client.cache_miss_no_entry",
-        "client.cache_miss_expired", "client.cache_miss_below_floor"}) {
+       {"client.cache_miss_no_line", "client.cache_miss_dead_line",
+        "client.cache_miss_no_entry", "client.cache_miss_expired",
+        "client.cache_miss_below_floor"}) {
     reasons += counters.at(name).value;
   }
   EXPECT_EQ(reasons, counters.at("client.cache_misses").value);
