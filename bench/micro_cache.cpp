@@ -16,6 +16,12 @@
 // the cache and once with require_active (the active's authoritative
 // answer) and the two views must be identical.
 //
+// A separate phase runs the cache config alone on one hot directory of
+// 2,500 children, past one lease fill page (core::ReadService::
+// kMaxFillChildren), so clients hold it one page at a time. Its hit rate
+// must stay at or above 0.5, and its equivalence sample reads names from
+// every page, plus absent names that sort into each.
+//
 // Emits BENCH_cache.json (override the path with MAMS_BENCH_OUT). Exits
 // nonzero when the speedup, hit-rate, or cached==uncached assertions
 // fail, so CI can gate on it.
@@ -24,6 +30,7 @@
 //   MAMS_BENCH_SECONDS — measured window per run (default 6)
 //   MAMS_BENCH_SEED    — base RNG seed (default 42)
 //   MAMS_BENCH_OUT     — output JSON path (default BENCH_cache.json)
+#include <algorithm>
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -43,6 +50,8 @@ using workload::Mix;
 
 constexpr int kHotDirs = 16;
 constexpr int kFilesPerDir = 4;  // 64 hot files — one per session
+constexpr int kBigDirFiles = 2500;  ///< three lease fill pages
+constexpr std::size_t kSampleSize = 64;
 constexpr int kClients = 4;
 constexpr int kSessions = 64;  ///< total closed-loop fan-in, all configs
 constexpr int kStandbys = 3;
@@ -72,8 +81,23 @@ struct RunStats {
   std::uint64_t cache_revocations = 0;
   double hit_rate = 0;
   bool equivalent = true;      ///< cache-served == require_active views
+  std::size_t sampled = 0;         ///< equivalence reads
   std::uint64_t sampled_hits = 0;  ///< equivalence reads served from cache
 };
+
+/// About kSampleSize of `paths`, spread evenly in name order (the order
+/// lease fill pages hold them), and after every eighth an absent name that
+/// sorts right behind it.
+std::vector<std::string> EquivalenceSample(std::vector<std::string> paths) {
+  std::sort(paths.begin(), paths.end());
+  const std::size_t stride = (paths.size() + kSampleSize - 1) / kSampleSize;
+  std::vector<std::string> sample;
+  for (std::size_t i = 0; i < paths.size(); i += stride) {
+    sample.push_back(paths[i]);
+    if (i % (8 * stride) == 0) sample.push_back(paths[i] + "!");
+  }
+  return sample;
+}
 
 /// One synchronous GetFileInfo through `client`.
 Result<fsns::FileInfo> StatSync(sim::Simulator& sim,
@@ -94,7 +118,8 @@ Result<fsns::FileInfo> StatSync(sim::Simulator& sim,
   return out;
 }
 
-RunStats RunOnce(Config config, std::uint64_t seed) {
+RunStats RunOnce(Config config, std::uint64_t seed, int dirs,
+                 int files_per_dir) {
   sim::Simulator sim(seed);
   net::Network net(sim);
   cluster::CfsConfig cfg;
@@ -118,7 +143,7 @@ RunStats RunOnce(Config config, std::uint64_t seed) {
   cfs.Start();
   sim.RunUntil(sim.Now() + kSecond);
 
-  auto paths = bench::PreloadPathsPerDir(kHotDirs, kFilesPerDir);
+  auto paths = bench::PreloadPathsPerDir(dirs, files_per_dir);
   cfs.PreloadGroup(0, [&paths](fsns::Tree& tree) {
     bench::PreloadTree(tree, paths);
   });
@@ -148,22 +173,27 @@ RunStats RunOnce(Config config, std::uint64_t seed) {
                              static_cast<double>(looked)
                        : 0.0;
 
-  // cached == uncached: with the workload quiesced, read every hot path
-  // twice through the normal path (the second is a cache hit under a
+  // cached == uncached: with the workload quiesced, read each sampled
+  // path twice through the normal path (the second is a cache hit under a
   // fresh lease) and once with require_active; the locally-served view
   // and the active's authoritative view must agree exactly.
   if (config == Config::kCache) {
     cluster::FsClient& client = cfs.client(0);
-    for (const std::string& p : paths) {
+    for (const std::string& p : EquivalenceSample(paths)) {
       (void)StatSync(sim, client, p, false);  // populate
       const Result<fsns::FileInfo> cached = StatSync(sim, client, p, false);
+      ++stats.sampled;
       if (client.last_stamp().via_cache) ++stats.sampled_hits;
       const Result<fsns::FileInfo> truth = StatSync(sim, client, p, true);
-      if (!cached.ok() || !truth.ok() ||
-          cached.value().is_dir != truth.value().is_dir ||
-          cached.value().block_count != truth.value().block_count ||
-          cached.value().replication != truth.value().replication ||
-          cached.value().complete != truth.value().complete) {
+      const bool same_answer =
+          cached.status().code() == truth.status().code() &&
+          (!cached.ok() ||
+           (cached.value().is_dir == truth.value().is_dir &&
+            cached.value().block_count == truth.value().block_count &&
+            cached.value().replication == truth.value().replication &&
+            cached.value().complete == truth.value().complete));
+      if (cached.status().code() == StatusCode::kTimedOut ||
+          !same_answer) {
         std::fprintf(stderr, "cached view of %s diverges from active\n",
                      p.c_str());
         stats.equivalent = false;
@@ -180,9 +210,13 @@ int main() {
       "micro_cache — lease-protected client cache vs standby offload",
       "client-side namespace caching under directory leases");
 
-  const RunStats base = RunOnce(Config::kActiveOnly, BenchSeed());
-  const RunStats off = RunOnce(Config::kOffload, BenchSeed());
-  const RunStats cache = RunOnce(Config::kCache, BenchSeed());
+  const RunStats base =
+      RunOnce(Config::kActiveOnly, BenchSeed(), kHotDirs, kFilesPerDir);
+  const RunStats off =
+      RunOnce(Config::kOffload, BenchSeed(), kHotDirs, kFilesPerDir);
+  const RunStats cache =
+      RunOnce(Config::kCache, BenchSeed(), kHotDirs, kFilesPerDir);
+  const RunStats big = RunOnce(Config::kCache, BenchSeed(), 1, kBigDirFiles);
 
   metrics::Table table({"config", "op/s", "hits", "misses", "revoked",
                         "hit rate"});
@@ -195,6 +229,12 @@ int main() {
                 std::to_string(cache.cache_misses),
                 std::to_string(cache.cache_revocations),
                 std::to_string(cache.hit_rate)});
+  table.AddRow({"cache, one dir of " + std::to_string(kBigDirFiles),
+                std::to_string(big.ops_per_sec),
+                std::to_string(big.cache_hits),
+                std::to_string(big.cache_misses),
+                std::to_string(big.cache_revocations),
+                std::to_string(big.hit_rate)});
   table.Print();
 
   const double vs_offload =
@@ -203,10 +243,13 @@ int main() {
       base.ops_per_sec > 0 ? cache.ops_per_sec / base.ops_per_sec : 0.0;
   std::printf("\ncache speedup: %.2fx vs offload, %.2fx vs active-only\n",
               vs_offload, vs_active);
-  std::printf("equivalence sample: %llu/%d cache-served, %s\n",
-              static_cast<unsigned long long>(cache.sampled_hits),
-              kHotDirs * kFilesPerDir,
-              cache.equivalent ? "all views identical" : "DIVERGED");
+  for (const RunStats* run : {&cache, &big}) {
+    std::printf("equivalence sample%s: %llu/%zu cache-served, %s\n",
+                run == &big ? " (one large directory)" : "",
+                static_cast<unsigned long long>(run->sampled_hits),
+                run->sampled,
+                run->equivalent ? "all views identical" : "DIVERGED");
+  }
 
   const char* out_path = std::getenv("MAMS_BENCH_OUT");
   if (out_path == nullptr) out_path = "BENCH_cache.json";
@@ -229,22 +272,28 @@ int main() {
                "    \"speedup_cache_vs_active_only\": %.3f,\n"
                "    \"hit_rate\": %.4f,\n"
                "    \"revocations\": %llu,\n"
-               "    \"equivalence_ok\": %s\n"
+               "    \"equivalence_ok\": %s,\n"
+               "    \"big_dir_children\": %d,\n"
+               "    \"big_dir_ops_per_sec\": %.1f,\n"
+               "    \"big_dir_hit_rate\": %.4f,\n"
+               "    \"big_dir_equivalence_ok\": %s\n"
                "  }\n"
                "}\n",
                kSessions, kStandbys, base.ops_per_sec, off.ops_per_sec,
                cache.ops_per_sec, vs_offload, vs_active, cache.hit_rate,
                static_cast<unsigned long long>(cache.cache_revocations),
-               cache.equivalent ? "true" : "false");
+               cache.equivalent ? "true" : "false", kBigDirFiles,
+               big.ops_per_sec, big.hit_rate,
+               big.equivalent ? "true" : "false");
   std::fclose(out);
   std::printf("wrote %s\n", out_path);
 
   // Gate: the cache must actually pay for itself and must never lie.
-  if (!cache.equivalent) {
+  if (!cache.equivalent || !big.equivalent) {
     std::fprintf(stderr, "FAIL: cached views diverged from the active\n");
     return 1;
   }
-  if (cache.sampled_hits == 0) {
+  if (cache.sampled_hits == 0 || big.sampled_hits == 0) {
     std::fprintf(stderr, "FAIL: equivalence sample never hit the cache\n");
     return 1;
   }
@@ -255,6 +304,11 @@ int main() {
   }
   if (cache.hit_rate < 0.5) {
     std::fprintf(stderr, "FAIL: hit rate %.2f < 0.5\n", cache.hit_rate);
+    return 1;
+  }
+  if (big.hit_rate < 0.5) {
+    std::fprintf(stderr, "FAIL: large-directory hit rate %.2f < 0.5\n",
+                 big.hit_rate);
     return 1;
   }
   return 0;

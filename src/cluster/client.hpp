@@ -26,12 +26,16 @@
 //
 // Namespace cache: with ClientCacheOptions::enabled the client keeps one
 // line per directory under a lease the active grants on its read replies.
-// A leased reply carries the fill: the whole directory (every child's
-// attributes) at the lease's version, which the line keeps as it came. A
-// change to child `name` arrives as a patch at the next version and leaves
-// a hole for `name`; a stat of any other name is a hit, and one the fill
-// lacks answers NotFound. A listing hits while the line has no holes, and
-// any leased read of the directory refills the line. The active alone
+// A leased reply carries the fill: the page of the directory (every
+// child's attributes in one name range; a directory of up to 1,000
+// children is one whole page) at the lease's version that answers for the
+// read's name. The line keeps its pages as they came: a page at the line's
+// own version joins it, replacing any page it overlaps and the holes in
+// its range, and one at a newer version or from a newer grant replaces
+// them all. A change to child `name` arrives as a patch at the next
+// version and leaves a hole for `name`; a stat of any other name a page
+// covers is a hit, and one that page lacks answers NotFound. A listing
+// hits while the line is one whole page with no holes. The active alone
 // decides what a mutation conflicts with (core::ForEachConflict): it
 // pushes patches and revocations to the other holders and holds the
 // mutation's ack until every holder acked (or the lease TTL), so no cache
@@ -47,7 +51,7 @@
 // read-your-writes and monotonic reads hold per directory. Lines go when
 // their lease dies. A revocation, a version gap, or a drop by the client
 // itself (the lines its own mutation conflicts with that no record
-// covers, an unleased reply) leaves a dead line: no fill, only the
+// covers, an unleased reply) leaves a dead line: no page, only the
 // grant's identity (epoch, lease id, version) for kLeaseTtl. A patch or
 // revocation and an in-flight reply travel on different channels, and
 // the dead line refuses every reply served before it died; past its
@@ -144,6 +148,8 @@ class FsClient : public net::Host {
         metrics.counter("client.cache_miss_expired");
     m_cache_miss_reasons_[kBelowFloor] =
         metrics.counter("client.cache_miss_below_floor");
+    m_cache_miss_reasons_[kOffPage] =
+        metrics.counter("client.cache_miss_off_page");
     m_cache_refill_waits_ = metrics.counter("client.cache_refill_waits");
     m_cache_revocations_ = metrics.counter("client.cache_revocations");
     m_cache_expiries_ = metrics.counter("client.cache_expiries");
@@ -162,11 +168,12 @@ class FsClient : public net::Host {
   std::size_t cached_dirs() const noexcept { return live_lines_; }
   /// Every line the lease cache holds, live and dead.
   std::size_t cache_lines() const noexcept { return cache_.size(); }
-  /// The fill `dir`'s line serves from, or null without a line.
-  std::shared_ptr<const core::DirSnapshot> cached_fill(
+  /// The pages `dir`'s line serves from; none without a live line.
+  std::vector<std::shared_ptr<const core::DirSnapshot>> cached_pages(
       std::string_view dir) const {
     auto it = cache_.find(dir);
-    return it == cache_.end() ? nullptr : it->second.fill;
+    if (it == cache_.end()) return {};
+    return it->second.pages;
   }
   /// This client's high-water applied sn for `group` (its session token).
   SerialNumber session_sn(GroupId group) const {
@@ -510,8 +517,8 @@ class FsClient : public net::Host {
 
   // --- lease-protected namespace cache ---------------------------------------
 
-  /// One directory's line. A live line serves its fill, less the children
-  /// patched since, under its lease. A dead line has no fill: it keeps its
+  /// One directory's line. A live line serves its pages, less the children
+  /// patched since, under its lease. A dead line has no page: it keeps its
   /// grant's identity until `expire_at`, to refuse the replies served
   /// before it died.
   struct DirCache {
@@ -528,13 +535,14 @@ class FsClient : public net::Host {
     /// Absolute virtual time: the lease's deadline while live, the
     /// identity's once dead.
     SimTime expire_at = 0;
-    /// The directory as the last leased reply saw it; shared with every
-    /// other line and reply filled at that version. Null: a dead line.
-    std::shared_ptr<const core::DirSnapshot> fill;
-    /// Sorted names of the children patched since the fill.
+    /// Pages of the directory at `version` or older, with disjoint ranges,
+    /// as leased replies brought them; each shared with every other line
+    /// and reply filled at its version. None: a dead line.
+    std::vector<std::shared_ptr<const core::DirSnapshot>> pages;
+    /// Sorted names of the children patched since the pages.
     std::vector<std::string> holes;
 
-    bool live() const noexcept { return fill != nullptr; }
+    bool live() const noexcept { return !pages.empty(); }
     /// Grants are ordered by (epoch, lease id), a grant's changes by
     /// version: a reply below this was served before what the line knows.
     auto identity() const noexcept {
@@ -551,7 +559,8 @@ class FsClient : public net::Host {
   }
 
   enum MissReason : std::uint8_t {
-    kNoLine, kDeadLine, kNoEntry, kExpired, kBelowFloor, kMissReasons
+    kNoLine, kDeadLine, kNoEntry, kExpired, kBelowFloor, kOffPage,
+    kMissReasons
   };
 
   /// Serves the read locally when a live lease covers it AND the line
@@ -604,17 +613,20 @@ class FsClient : public net::Host {
     auto resp = std::make_shared<core::ClientResponseMsg>();
     resp->ok = true;
     if (req.op == core::ClientOp::kListDir) {
-      if (!dc.holes.empty()) return miss(kNoEntry);
-      resp->listing = dc.fill->Names();
+      if (!dc.pages[0]->whole() || !dc.holes.empty()) return miss(kNoEntry);
+      resp->listing = dc.pages[0]->Names();
     } else {
       const std::string_view name = fsns::BaseName(req.path);
-      if (!fsns::IsValidPath(req.path) ||
-          std::binary_search(dc.holes.begin(), dc.holes.end(), name)) {
+      if (!fsns::IsValidPath(req.path)) return miss(kNoEntry);
+      auto page = std::find_if(
+          dc.pages.begin(), dc.pages.end(),
+          [name](const auto& p) { return p->Covers(name); });
+      if (page == dc.pages.end()) return miss(kOffPage);
+      if (std::binary_search(dc.holes.begin(), dc.holes.end(), name))
         return miss(kNoEntry);
-      }
-      const std::size_t i = dc.fill->Find(name);
-      if (i < dc.fill->size()) {
-        resp->info = dc.fill->Info(i, req.path);
+      const std::size_t i = (*page)->Find(name);
+      if (i < (*page)->size()) {
+        resp->info = (*page)->Info(i, req.path);
       } else {
         resp->ok = false;
         resp->code = StatusCode::kNotFound;
@@ -689,16 +701,23 @@ class FsClient : public net::Host {
       dc.floor = floor;
     } else if (resp.lease_version > dc.version) {
       dc.valid_sn = 0;  // `valid_sn` confirmed the line's older version
+      dc.pages.clear();
+      dc.holes.clear();
     }
     dc.version = resp.lease_version;
     dc.valid_sn = std::max(dc.valid_sn, resp.applied_sn);
     // The server's recorded deadline is monotone per grant, so a reordered
     // pair of replies must not shorten the lease.
     dc.expire_at = std::max(dc.expire_at, resp.lease_expire_at);
-    // The fill is the whole directory at a version no older than the
-    // line's, every patch up to it included: it refills the line.
-    dc.fill = resp.fill;
-    dc.holes.clear();
+    // The page shows its range at the line's version, every patch up to
+    // it included. At a newer version or grant the line kept no page and
+    // no hole: the other pages' ranges may hide changes whose patches it
+    // still lacks.
+    const core::DirSnapshot& page = *resp.fill;
+    std::erase_if(dc.pages, [&](const auto& p) { return p->Overlaps(page); });
+    dc.pages.push_back(resp.fill);
+    std::erase_if(dc.holes,
+                  [&](const std::string& hole) { return page.Covers(hole); });
   }
 
   /// Applies one record from the active that granted the lease: pushed, or
@@ -763,7 +782,7 @@ class FsClient : public net::Host {
     if (dc.live()) --live_lines_;
     dc.version = version;
     dc.expire_at = sim().Now() + core::kLeaseTtl;
-    dc.fill.reset();
+    dc.pages.clear();
     dc.holes.clear();
     ArmSweep();
   }

@@ -5,12 +5,26 @@
 namespace mams::core {
 
 DirSnapshot::DirSnapshot(const fsns::Tree& tree, const fsns::Inode& dir,
+                         std::string_view name, std::size_t page_size,
                          obs::Gauge& live_bytes)
     : live_bytes_(live_bytes) {
   const std::vector<const fsns::Inode*> children = tree.SortedChildren(dir);
-  attrs_.reserve(children.size());
+  // The children that sort at or before `name`: the page holding the last
+  // of them answers for it (page 0 when there is none).
+  const std::size_t at_or_before =
+      std::upper_bound(children.begin(), children.end(), name,
+                       [](std::string_view n, const fsns::Inode* child) {
+                         return n < child->name;
+                       }) -
+      children.begin();
+  const std::size_t begin =
+      at_or_before == 0 ? 0 : (at_or_before - 1) / page_size * page_size;
+  const std::size_t end = std::min(begin + page_size, children.size());
+  first_page_ = begin == 0;
+  attrs_.reserve(end - begin);
   std::vector<std::uint32_t> owner_ids;  // tree owner id, by owners_ index
-  for (const fsns::Inode* child : children) {
+  for (std::size_t i = begin; i < end; ++i) {
+    const fsns::Inode* child = children[i];
     names_ += child->name;
     auto owner = std::find(owner_ids.begin(), owner_ids.end(), child->owner_id);
     if (owner == owner_ids.end()) {
@@ -27,9 +41,13 @@ DirSnapshot::DirSnapshot(const fsns::Tree& tree, const fsns::Inode& dir,
                       .is_dir = child->is_dir,
                       .complete = child->complete});
   }
+  if (end < children.size()) names_ += children[end]->name;
   names_.shrink_to_fit();
-  bytes_ = sizeof(*this) + names_.size() + attrs_.size() * sizeof(Attr);
-  for (const std::string& owner : owners_) bytes_ += owner.size();
+  std::size_t bytes =
+      sizeof(*this) + names_.size() + attrs_.size() * sizeof(Attr);
+  if (!first_page_) bytes += this->name(0).size();
+  for (const std::string& owner : owners_) bytes += owner.size();
+  bytes_ = static_cast<std::uint32_t>(bytes);
   live_bytes_.Add(static_cast<std::int64_t>(bytes_));
 }
 
@@ -40,6 +58,24 @@ DirSnapshot::~DirSnapshot() {
 std::string_view DirSnapshot::name(std::size_t i) const noexcept {
   const std::uint32_t begin = i == 0 ? 0 : attrs_[i - 1].name_end;
   return std::string_view(names_).substr(begin, attrs_[i].name_end - begin);
+}
+
+std::string_view DirSnapshot::next() const noexcept {
+  return std::string_view(names_).substr(
+      attrs_.empty() ? 0 : attrs_.back().name_end);
+}
+
+bool DirSnapshot::Covers(std::string_view name) const noexcept {
+  return (first_page_ || name >= this->name(0)) &&
+         (last_page() || name < next());
+}
+
+bool DirSnapshot::Before(const DirSnapshot& other) const noexcept {
+  return !last_page() && !other.first_page_ && next() <= other.name(0);
+}
+
+bool DirSnapshot::Overlaps(const DirSnapshot& other) const noexcept {
+  return !Before(other) && !other.Before(*this);
 }
 
 std::size_t DirSnapshot::Find(std::string_view name) const noexcept {

@@ -160,8 +160,10 @@ struct ClientResponseMsg final : net::Message {
   std::uint64_t lease_version = 0;
   FenceToken lease_epoch = 0;
   SimTime lease_expire_at = 0;
-  /// The whole of `lease_dir` at `lease_version`, shared by every reply at
-  /// that version. A filled listing's names are the fill's.
+  /// The page of `lease_dir` at `lease_version` that answers for the
+  /// read's name (a listing's is the first), shared by every reply at that
+  /// version. A directory of at most ReadService::kMaxFillChildren children
+  /// is one whole page, and a listing of it sends only the page's names.
   std::shared_ptr<const DirSnapshot> fill;
   /// The records of the requester's own grants that its mutation touched,
   /// riding its ack as a push would carry them (no push round needed): a
@@ -172,9 +174,9 @@ struct ClientResponseMsg final : net::Message {
   net::MsgType type() const noexcept override { return net::kClientResponse; }
   std::size_t ByteSize() const noexcept override {
     std::size_t n = 128 + error.size();
-    if (fill) return n + fill->bytes();
+    if (fill && fill->whole()) return n + fill->bytes();
     for (const auto& s : listing) n += s.size() + 8;
-    return n;
+    return fill ? n + fill->bytes() : n;
   }
 };
 

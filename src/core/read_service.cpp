@@ -60,11 +60,20 @@ void ReadService::Execute(const ClientRequestMsg& req, const ReplyFn& reply,
           .count());
   const bool filled = MaybeGrantLease(req, *out);
   s_.StampReply(*out, s_.last_sn());
-  if (filled && req.op == ClientOp::kGetFileInfo) {
-    // A fill returns every child's attributes, as a getListing does: the
-    // stat was charged getfileinfo, so the rest of a listdir is charged
-    // here. Later requests queue behind it; this reply waits its length.
-    const SimTime extra = kOpCosts.listdir - kOpCosts.getfileinfo;
+  // OpCost charged this read one getfileinfo or one listdir. A fill
+  // returns a page of children's attributes, as a getListing does, so a
+  // filled stat pays the rest of a listdir; a listing pays one listdir per
+  // page of names it returns. Later requests queue behind the charge; this
+  // reply waits its length.
+  SimTime extra = 0;
+  if (req.op == ClientOp::kGetFileInfo) {
+    if (filled) extra = kOpCosts.listdir - kOpCosts.getfileinfo;
+  } else if (!out->listing.empty()) {
+    extra = static_cast<SimTime>((out->listing.size() - 1) /
+                                 kMaxFillChildren) *
+            kOpCosts.listdir;
+  }
+  if (extra > 0) {
     s_.ChargeCpu(extra);
     s_.AfterLocal(extra, [reply, out] { reply(out); });
     return;
@@ -147,8 +156,8 @@ void ReadService::FlushParked(const char* why) {
 
 bool ReadService::MaybeGrantLease(const ClientRequestMsg& req,
                                   ClientResponseMsg& out) {
-  // A stat answering NotFound is leased too: the fill shows the name
-  // absent, and whatever creates it patches the line.
+  // A stat answering NotFound is leased too: the page covering the name
+  // shows it absent, and whatever creates it patches the line.
   const bool stat = req.op == ClientOp::kGetFileInfo;
   if (!s_.options().client_leases.grant_leases || !s_.commit() ||
       req.requester == kInvalidNode ||
@@ -167,21 +176,26 @@ bool ReadService::MaybeGrantLease(const ClientRequestMsg& req,
   }
   const std::string dir = stat ? fsns::ParentPath(req.path) : req.path;
   if (dir.empty()) return false;  // stat of "/" has no parent directory
+  // The page that answers for the read's name; a listing's is the first.
+  const std::string_view name =
+      stat ? fsns::BaseName(req.path) : std::string_view();
   Reclaim();
   auto d = grants_.find(dir);
   LeaseGrant* grant = nullptr;
+  std::shared_ptr<const DirSnapshot> page;
   if (d != grants_.end()) {
     auto h = d->second.holders.find(req.requester);
     if (h != d->second.holders.end()) grant = &h->second;
+    auto p = std::find_if(d->second.pages.begin(), d->second.pages.end(),
+                          [name](const auto& p) { return p->Covers(name); });
+    if (p != d->second.pages.end()) page = *p;
   }
-  // The fill: this version's, or the directory to build it from.
-  const bool memoized = d != grants_.end() && d->second.fill;
-  const fsns::Inode* node = memoized ? nullptr : s_.tree().FindInode(dir);
-  const bool fillable = memoized || (node != nullptr && node->is_dir &&
-                                     node->children.size() <= kMaxFillChildren);
-  // Served unleased: no directory to fill or too much of one, or the table
-  // is full (rather than evict someone else's grant).
-  if (!fillable || (grant == nullptr && grant_count_ >= kMaxLeaseGrants)) {
+  // The page: this version's, or the directory to build it from.
+  const fsns::Inode* node = page ? nullptr : s_.tree().FindInode(dir);
+  // Served unleased: no directory to fill, or the table is full (rather
+  // than evict someone else's grant).
+  if ((!page && (node == nullptr || !node->is_dir)) ||
+      (grant == nullptr && grant_count_ >= kMaxLeaseGrants)) {
     s_.m().leases_refused->Add();
     return false;
   }
@@ -199,9 +213,11 @@ bool ReadService::MaybeGrantLease(const ClientRequestMsg& req,
     expiries_.push_back({now + kLeaseTtl, dir, req.requester, grant->id});
     std::push_heap(expiries_.begin(), expiries_.end(), std::greater<>{});
   }
-  if (!memoized) {
-    leased.fill = std::make_shared<const DirSnapshot>(
-        s_.tree(), *node, *s_.m().fill_snapshot_bytes);
+  if (!page) {
+    page = std::make_shared<const DirSnapshot>(s_.tree(), *node, name,
+                                               kMaxFillChildren,
+                                               *s_.m().fill_snapshot_bytes);
+    leased.pages.push_back(page);
   }
   grant->expire_at = now + kLeaseTtl;
   out.lease_dir = dir;
@@ -209,7 +225,7 @@ bool ReadService::MaybeGrantLease(const ClientRequestMsg& req,
   out.lease_version = leased.version;
   out.lease_epoch = s_.view().fence_token;
   out.lease_expire_at = grant->expire_at;
-  out.fill = leased.fill;
+  out.fill = std::move(page);
   return true;
 }
 
@@ -241,7 +257,7 @@ void ReadService::PatchDir(std::string_view dir, std::string_view name,
   if (it == grants_.end()) return;
   LeasedDir& d = it->second;
   ++d.version;
-  d.fill.reset();
+  d.pages.clear();
   const FenceToken epoch = s_.view().fence_token;
   for (const auto& [node, grant] : d.holders) {
     LeaseRevocation rec{it->first, epoch, grant.id, d.version,

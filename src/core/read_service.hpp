@@ -7,7 +7,9 @@
 // Parked reads belong to the standby role.
 //
 // Active-served reads, NotFound stats included, carry a per-(directory,
-// client) lease and a fill: the whole directory at the lease's version,
+// client) lease and a fill: the page of the directory at the lease's
+// version that answers for the read's name (a listing's is the first; a
+// directory of at most kMaxFillChildren children is one whole page),
 // built once per version and shared by every reply at it. A mutation
 // (core::ForEachConflict names the directories it touches) of child
 // `name` bumps the version and patches every holder, and the grants stay:
@@ -38,8 +40,9 @@ class MdsServer;
 
 class ReadService {
  public:
-  /// Largest directory a lease fill ships whole: HDFS's getListing page
-  /// (`dfs.ls.limit`). A read of a larger one is served unleased.
+  /// Children per lease fill page, and per charged listdir: HDFS's
+  /// getListing page (`dfs.ls.limit`). A larger directory fills one page at
+  /// a time.
   static constexpr std::size_t kMaxFillChildren = 1000;
 
   /// Lease ids never repeat, not even across a crash (a client may still
@@ -88,13 +91,13 @@ class ReadService {
     std::uint64_t id = 0;
     SimTime expire_at = 0;
   };
-  /// One leased directory: its version, its live holders and the fill
-  /// every reply at this version shares (built on the first, dropped at
-  /// the next version).
+  /// One leased directory: its version, its live holders and the pages
+  /// of it every reply at this version shares (each built on the first
+  /// read it answers for, all dropped at the next version).
   struct LeasedDir {
     std::uint64_t version = 0;
     std::map<NodeId, LeaseGrant> holders;
-    std::shared_ptr<const DirSnapshot> fill;
+    std::vector<std::shared_ptr<const DirSnapshot>> pages;
   };
   /// A grant's deadline as last seen; `Reclaim` re-queues an extended one.
   struct Expiry {
@@ -123,13 +126,13 @@ class ReadService {
 
   void ServeStandbyRead(const RequestPtr& req, const ReplyFn& reply);
   void BounceRead(const ReplyFn& reply, const char* why);
-  /// Attaches a lease and its fill to an active-served read; true when it
-  /// did.
+  /// Attaches a lease and the page that answers for the read's name to an
+  /// active-served read; true when it did.
   bool MaybeGrantLease(const ClientRequestMsg& req, ClientResponseMsg& out);
   /// Drops every grant whose deadline has passed: no client serves it any
   /// more, so it needs no push and no barrier.
   void Reclaim();
-  /// Child `name` of `dir` changed: bumps the version, drops the fill and
+  /// Child `name` of `dir` changed: bumps the version, drops the pages and
   /// patches every holder; `own`'s patch stays local, to ride its ack.
   void PatchDir(std::string_view dir, std::string_view name, NodeId own,
                 Revocation& r);

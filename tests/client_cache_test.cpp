@@ -63,17 +63,34 @@ class ClientCacheTest : public ::testing::Test {
     return out;
   }
 
-  /// Creates `dir`/f0 .. f<n-1> as `client`, in rounds well inside the
-  /// server's per-client dedup window; true when every create succeeded.
+  /// Creates `dir`/f0 .. f<n-1> as `client`; true when every create
+  /// succeeded.
   bool CreateMany(const std::string& dir, int n, int client) {
+    return InRounds(n, [&](int i, FsClient::OpCallback done) {
+      cluster_->client(client).Create(dir + "/f" + std::to_string(i),
+                                      std::move(done));
+    });
+  }
+
+  /// Deletes each of `paths` as `client`; true when every delete succeeded.
+  bool DeleteMany(const std::vector<std::string>& paths, int client) {
+    return InRounds(static_cast<int>(paths.size()),
+                    [&](int i, FsClient::OpCallback done) {
+                      cluster_->client(client).Delete(paths[i],
+                                                      std::move(done));
+                    });
+  }
+
+  /// Runs mutations `op(0)` .. `op(n-1)` in rounds well inside the
+  /// server's per-client dedup window; true when every one succeeded.
+  bool InRounds(int n,
+                const std::function<void(int, FsClient::OpCallback)>& op) {
     int done = 0;
     for (int i = 0; i < n;) {
       const int round = done;
       int issued = 0;
       for (; i < n && issued < 100; ++i, ++issued) {
-        cluster_->client(client).Create(
-            dir + "/f" + std::to_string(i),
-            [&](Status s) { done += s.ok() ? 1 : 0; });
+        op(i, [&](Status s) { done += s.ok() ? 1 : 0; });
       }
       if (!testutil::WaitFor(
               *sim_, [&] { return done == round + issued; }, 10 * kSecond,
@@ -192,6 +209,25 @@ class ClientCacheTest : public ::testing::Test {
       EXPECT_EQ(got.value(), truth.value()) << path;
     }
     return via_cache;
+  }
+
+  /// The one page `client`'s line on `dir` serves from, or null.
+  std::shared_ptr<const core::DirSnapshot> CachedFill(const std::string& dir,
+                                                      int client) {
+    const auto pages = cluster_->client(client).cached_pages(dir);
+    return pages.size() == 1 ? pages[0] : nullptr;
+  }
+
+  /// The names CreateMany gives `n` children, in the order pages hold them.
+  static std::vector<std::string> SortedNames(int n) {
+    std::vector<std::string> names;
+    for (int i = 0; i < n; ++i) names.push_back("f" + std::to_string(i));
+    std::sort(names.begin(), names.end());
+    return names;
+  }
+
+  std::uint64_t CounterValue(const char* name) {
+    return sim_->obs().metrics().counter(name)->value;
   }
 
   std::int64_t FillBytes() {
@@ -606,7 +642,7 @@ TEST_F(ClientCacheTest, MigrationSlotDropRevokesTheGrandparentsLines) {
   core::MdsServer* src = cluster_->FindActive(0);
   ASSERT_NE(src, nullptr);
   ASSERT_TRUE(StatSync(h).ok());
-  ASSERT_NE(cluster_->client(0).cached_fill(g), nullptr);
+  ASSERT_EQ(cluster_->client(0).cached_pages(g).size(), 1u);
 
   // Client 0 keeps its grant on `g` (and the fill's memo) alive with wire
   // reads until the migration has ended.
@@ -656,7 +692,7 @@ TEST_F(ClientCacheTest, MigrationInstallRevokesTheMaterializedParentsLines) {
   ASSERT_NE(dst, nullptr);
   ASSERT_FALSE(dst->tree().Exists(a));
   ASSERT_EQ(StatSync(a).status().code(), StatusCode::kNotFound);
-  ASSERT_NE(cluster_->client(0).cached_fill(p), nullptr);
+  ASSERT_EQ(cluster_->client(0).cached_pages(p).size(), 1u);
 
   // Client 0 keeps its grant on `p` (and the fill's memo) alive with wire
   // reads until the slot is installed at group 1.
@@ -809,9 +845,9 @@ TEST_F(ClientCacheTest, FillsAtOneVersionShareOneSnapshot) {
   EXPECT_EQ(FillBytes(), 0);
   ASSERT_TRUE(StatSync("/d/f0", 0).ok());
   ASSERT_TRUE(StatSync("/d/f1", 1).ok());
-  const auto first = cluster_->client(0).cached_fill("/d");
+  const auto first = CachedFill("/d", 0);
   ASSERT_NE(first, nullptr);
-  EXPECT_EQ(cluster_->client(1).cached_fill("/d"), first);
+  EXPECT_EQ(CachedFill("/d", 1), first);
   EXPECT_EQ(first->size(), 2u);
   // Two lines and the active hold one snapshot, counted once.
   EXPECT_EQ(FillBytes(), static_cast<std::int64_t>(first->bytes()));
@@ -821,47 +857,129 @@ TEST_F(ClientCacheTest, FillsAtOneVersionShareOneSnapshot) {
   // stat of f2 refills a line with the next fill, built afresh at the new
   // version and shared again.
   ASSERT_TRUE(CreateFile("/d/f2", 0).ok());
-  EXPECT_EQ(cluster_->client(0).cached_fill("/d"), first);
-  EXPECT_EQ(cluster_->client(1).cached_fill("/d"), first);
+  EXPECT_EQ(CachedFill("/d", 0), first);
+  EXPECT_EQ(CachedFill("/d", 1), first);
   ASSERT_TRUE(StatSync("/d/f2", 1).ok());
   EXPECT_FALSE(cluster_->client(1).last_stamp().via_cache);
-  const auto second = cluster_->client(1).cached_fill("/d");
+  const auto second = CachedFill("/d", 1);
   ASSERT_NE(second, nullptr);
   EXPECT_NE(second, first);
   EXPECT_EQ(second->size(), 3u);
   ASSERT_TRUE(StatSync("/d/f2", 0).ok());
   EXPECT_FALSE(cluster_->client(0).last_stamp().via_cache);
-  EXPECT_EQ(cluster_->client(0).cached_fill("/d"), second);
+  EXPECT_EQ(CachedFill("/d", 0), second);
   // Only this test still holds the first snapshot.
   EXPECT_EQ(first.use_count(), 1);
   EXPECT_EQ(FillBytes(),
             static_cast<std::int64_t>(first->bytes() + second->bytes()));
 }
 
-TEST_F(ClientCacheTest, DirectoryAboveTheFillCapIsServedUnleased) {
+TEST_F(ClientCacheTest, LargeDirectoryIsLeasedPageByPage) {
+  // A directory past one page is leased one page at a time: the first stat
+  // into a page misses and brings that page, and later stats into it hit.
   Build(1, 2);
-  const std::size_t cap = core::ReadService::kMaxFillChildren;
-  ASSERT_TRUE(CreateMany("/big", static_cast<int>(cap) + 1, 1));
-  obs::Counter* refused =
-      sim_->obs().metrics().counter("mds.leases_refused");
-  const std::uint64_t before = refused->value;
-  // cap + 1 children: served unleased, so the next stat misses too.
-  ASSERT_TRUE(StatSync("/big/f0").ok());
-  EXPECT_EQ(refused->value, before + 1);
-  EXPECT_EQ(cluster_->client(0).cached_dirs(), 0u);
-  EXPECT_FALSE(StatMatchesActive("/big/f1"));
-  // So is a stat whose parent is no directory.
+  const std::size_t kPage = core::ReadService::kMaxFillChildren;
+  ASSERT_TRUE(CreateMany("/big", 2500, 1));
+  const std::vector<std::string> names = SortedNames(2500);
+  FsClient& reader = cluster_->client(0);
+  const std::uint64_t refused = CounterValue("mds.leases_refused");
+  const std::uint64_t off_page = CounterValue("client.cache_miss_off_page");
+  // Each sync step runs 100 ms, so the checks stay well inside the TTL
+  // of the last page's grant.
+  for (std::size_t page = 0; page < 3; ++page) {
+    EXPECT_FALSE(StatMatchesActive("/big/" + names[page * kPage + 1]));
+    ASSERT_EQ(reader.cached_pages("/big").size(), page + 1);
+    // Absent, and sorts between the page's last name and the next page's
+    // first.
+    const std::string& last =
+        names[std::min((page + 1) * kPage, names.size()) - 1];
+    EXPECT_TRUE(StatMatchesActive("/big/" + last + "!"));
+  }
+  EXPECT_TRUE(StatMatchesActive("/big/" + names[0]));
+  EXPECT_TRUE(StatMatchesActive("/big/" + names[kPage]));
+  // The first page's first stat found no line; the others' found the
+  // line without their page.
+  EXPECT_EQ(CounterValue("client.cache_miss_off_page") - off_page, 2u);
+  EXPECT_EQ(CounterValue("mds.leases_refused"), refused);
+  for (const auto& page : reader.cached_pages("/big")) {
+    EXPECT_FALSE(page->whole());
+  }
+  // A stat whose parent is no directory is still served unleased.
   ASSERT_EQ(StatSync("/nowhere/f").status().code(), StatusCode::kNotFound);
   ASSERT_EQ(StatSync("/big/f0/f").status().code(), StatusCode::kNotFound);
-  EXPECT_EQ(cluster_->client(0).cached_dirs(), 0u);
-  // At the cap the directory is filled again.
-  ASSERT_TRUE(DeleteSync("/big/f0", 1).ok());
-  const std::uint64_t at_cap = refused->value;
-  ASSERT_TRUE(StatSync("/big/f1").ok());
-  EXPECT_EQ(refused->value, at_cap);
-  ASSERT_NE(cluster_->client(0).cached_fill("/big"), nullptr);
-  EXPECT_EQ(cluster_->client(0).cached_fill("/big")->size(), cap);
-  EXPECT_TRUE(StatMatchesActive("/big/f2"));
+  EXPECT_EQ(CounterValue("mds.leases_refused") - refused, 2u);
+  EXPECT_EQ(reader.cached_dirs(), 1u);
+  // Down to one page, the directory is filled whole again.
+  std::vector<std::string> deleted;
+  for (std::size_t i = kPage; i < names.size(); ++i)
+    deleted.push_back("/big/" + names[i]);
+  ASSERT_TRUE(DeleteMany(deleted, 1));
+  EXPECT_FALSE(StatMatchesActive(deleted[0]));
+  const auto whole = CachedFill("/big", 0);
+  ASSERT_NE(whole, nullptr);
+  EXPECT_TRUE(whole->whole());
+  EXPECT_EQ(whole->size(), kPage);
+  EXPECT_TRUE(StatMatchesActive("/big/" + names[kPage - 1]));
+  EXPECT_TRUE(ListMatchesActive("/big"));
+}
+
+TEST_F(ClientCacheTest, ListingOfALargeDirectoryGoesToTheWireAndPaysPerPage) {
+  Build(1, 2);
+  ASSERT_TRUE(CreateMany("/d", 2500, 1));
+  const std::vector<std::string> names = SortedNames(2500);
+  FsClient& reader = cluster_->client(0);
+  ASSERT_FALSE(StatMatchesActive("/d/" + names[10]));
+  ASSERT_FALSE(StatMatchesActive("/d/" + names[1200]));
+  // The listing's page (the first) joins the line, which stays two pages
+  // and so never answers a listing.
+  EXPECT_FALSE(ListMatchesActive("/d"));
+  EXPECT_FALSE(ListMatchesActive("/d"));
+  EXPECT_EQ(reader.cached_pages("/d").size(), 2u);
+  EXPECT_TRUE(StatMatchesActive("/d/" + names[1200]));
+
+  // 2,500 names are three getListing pages: on top of the one listdir the
+  // server charged on arrival, Execute holds the reply two more, on the
+  // active and on a standby alike.
+  auto req = std::make_shared<core::ClientRequestMsg>();
+  req->op = core::ClientOp::kListDir;
+  req->path = "/d";
+  for (std::size_t m = 0; m < cluster_->group_size(0); ++m) {
+    core::MdsServer& server = cluster_->mds(0, static_cast<int>(m));
+    const bool standby = server.role() == ServerState::kStandby;
+    const SimTime start = sim_->Now();
+    SimTime replied = -1;
+    std::size_t listed = 0;
+    server.reads().Execute(
+        *req,
+        [&](net::MessagePtr out) {
+          replied = sim_->Now();
+          listed = net::Cast<core::ClientResponseMsg>(out).listing.size();
+        },
+        standby);
+    Run(kMillisecond);
+    EXPECT_EQ(listed, names.size()) << server.name();
+    EXPECT_EQ(replied - start, 2 * core::kOpCosts.listdir) << server.name();
+  }
+}
+
+TEST_F(ClientCacheTest, PageAtTheLinesVersionKeepsTheHolesOutsideItsRange) {
+  Build(1, 2);
+  ASSERT_TRUE(CreateMany("/d", 1500, 1));
+  const std::vector<std::string> names = SortedNames(1500);
+  const std::string a = "/d/" + names[10];
+  const std::string b = "/d/" + names[1200];
+  FsClient& reader = cluster_->client(0);
+  ASSERT_FALSE(StatMatchesActive(a));
+  ASSERT_FALSE(StatMatchesActive(b));
+  ASSERT_EQ(reader.cached_pages("/d").size(), 2u);
+  // Another client's addblock of `a` leaves a hole in the first page.
+  ASSERT_TRUE(AddBlockSync(a, 1).ok());
+  // A reply at the line's version brings the second page again: it joins,
+  // clearing only the holes in its own range.
+  ASSERT_TRUE(StatSync(b, 0, {.require_active = true}).ok());
+  EXPECT_EQ(reader.cached_pages("/d").size(), 2u);
+  EXPECT_TRUE(StatMatchesActive(b));
+  EXPECT_FALSE(StatMatchesActive(a));
 }
 
 TEST_F(ClientCacheTest, DeleteOrRenameInsideADirectoryMovesItInTheGrandparent) {
@@ -1168,6 +1286,36 @@ TEST_F(PatchRaceTest, PushForANewerGrantKillsTheLineAndKeepsItsReplyOut) {
   EXPECT_EQ(holder.cached_dirs(), 0u);
   ASSERT_TRUE(StatSync("/d/a").ok());
   EXPECT_FALSE(holder.last_stamp().via_cache);
+}
+
+TEST_F(PatchRaceTest, PageFromTheNextVersionOvertakesItsPatch) {
+  Build(1, 2);
+  ASSERT_TRUE(CreateMany("/d", 1500, 1));
+  const std::vector<std::string> names = SortedNames(1500);
+  const std::string a = "/d/" + names[10];
+  const std::string b = "/d/" + names[1200];
+  FsClient& holder = cluster_->client(0);
+  ASSERT_FALSE(StatMatchesActive(a));  // lease 1 at version 0
+  ASSERT_FALSE(StatMatchesActive(b));
+  ASSERT_EQ(holder.cached_pages("/d").size(), 2u);
+
+  // An addblock of `a` moves /d to version 1; its patch to the holder is
+  // held up (lost here, and sent again below).
+  cluster_->faults().CutHalf(holder.id(), Faults::Half::kIn);
+  cluster_->client(1).AddBlock(a, [](Status) {});
+  Run(10 * kMillisecond);
+  cluster_->faults().RestoreHalves(holder.id());
+  // A stat of `b` served at version 1 brings the second page first.
+  ASSERT_TRUE(StatSync(b, 0, {.require_active = true}).ok());
+  SendPatch(1, names[10]);
+  Run(kMillisecond);
+  // The line is at version 1 and keeps only that page: the first page, at
+  // version 0, would show `a` without its block.
+  ASSERT_EQ(holder.cached_pages("/d").size(), 1u);
+  const std::uint64_t off_page = CounterValue("client.cache_miss_off_page");
+  EXPECT_FALSE(StatMatchesActive(a));
+  EXPECT_EQ(CounterValue("client.cache_miss_off_page") - off_page, 1u);
+  EXPECT_TRUE(StatMatchesActive(b));
 }
 
 TEST_F(PatchRaceTest, LostPatchGapDropsTheLineAndTheBarrierWaitsOutTheTtl) {

@@ -329,7 +329,7 @@ TEST(MetricCatalogueTest, DocumentsExactlyWhatAClusterRegisters) {
   for (const char* name :
        {"client.cache_miss_no_line", "client.cache_miss_dead_line",
         "client.cache_miss_no_entry", "client.cache_miss_expired",
-        "client.cache_miss_below_floor"}) {
+        "client.cache_miss_below_floor", "client.cache_miss_off_page"}) {
     reasons += counters.at(name).value;
   }
   EXPECT_EQ(reasons, counters.at("client.cache_misses").value);
