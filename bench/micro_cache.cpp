@@ -12,9 +12,13 @@
 //                     live lease never leave the client)
 // The cache rows must clear 2x the offload-only rows — locally-served
 // hits cost a cache lookup, not a network round trip — and the run then
-// proves the hits were honest: every sampled path is read once through
-// the cache and once with require_active (the active's authoritative
-// answer) and the two views must be identical.
+// proves the hits were honest. The sample is spread over the preloaded
+// names, plus every name the mutation trickle created or add-blocked.
+// Each sampled path is read through the cache first as the window left
+// its line (patched in place by the trickle, or expired), then again
+// after a populating read, and each read is compared, field by field,
+// with another client's require_active read (the active's authoritative
+// answer): every view must be identical.
 //
 // A separate phase runs the cache config alone on one hot directory of
 // 2,500 children, past one lease fill page (core::ReadService::
@@ -33,7 +37,9 @@
 #include <algorithm>
 #include <cstdio>
 #include <memory>
+#include <set>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -83,6 +89,8 @@ struct RunStats {
   bool equivalent = true;      ///< cache-served == require_active views
   std::size_t sampled = 0;         ///< equivalence reads
   std::uint64_t sampled_hits = 0;  ///< equivalence reads served from cache
+  std::size_t mutated = 0;         ///< sampled names the trickle changed
+  std::uint64_t window_hits = 0;   ///< hits on the lines the window left
 };
 
 /// About kSampleSize of `paths`, spread evenly in name order (the order
@@ -97,6 +105,38 @@ std::vector<std::string> EquivalenceSample(std::vector<std::string> paths) {
     if (i % (8 * stride) == 0) sample.push_back(paths[i] + "!");
   }
   return sample;
+}
+
+/// Every child of `paths`' directories that the mutation trickle created
+/// or add-blocked: the preload stamps each file with mtime 0.
+std::vector<std::string> MutatedPaths(const fsns::Tree& tree,
+                                      const std::vector<std::string>& paths) {
+  std::set<std::string> dirs;
+  for (const std::string& p : paths) dirs.insert(fsns::ParentPath(p));
+  std::vector<std::string> mutated;
+  for (const std::string& dir : dirs) {
+    const fsns::Inode* node = tree.FindInode(dir);
+    if (node == nullptr) continue;
+    for (const fsns::Inode* child : tree.SortedChildren(*node)) {
+      if (child->mtime != 0)
+        mutated.push_back(fsns::JoinPath(dir, child->name));
+    }
+  }
+  return mutated;
+}
+
+/// Whether a cached read answered exactly as the active did: the same
+/// status and, when found, every FileInfo field.
+bool SameView(const Result<fsns::FileInfo>& cached,
+              const Result<fsns::FileInfo>& truth) {
+  if (cached.status().code() != truth.status().code()) return false;
+  if (!cached.ok()) return true;
+  const fsns::FileInfo& a = cached.value();
+  const fsns::FileInfo& b = truth.value();
+  return std::tie(a.path, a.is_dir, a.replication, a.permission, a.owner,
+                  a.mtime, a.block_count, a.complete) ==
+         std::tie(b.path, b.is_dir, b.replication, b.permission, b.owner,
+                  b.mtime, b.block_count, b.complete);
 }
 
 /// One synchronous GetFileInfo through `client`.
@@ -173,31 +213,37 @@ RunStats RunOnce(Config config, std::uint64_t seed, int dirs,
                              static_cast<double>(looked)
                        : 0.0;
 
-  // cached == uncached: with the workload quiesced, read each sampled
-  // path twice through the normal path (the second is a cache hit under a
-  // fresh lease) and once with require_active; the locally-served view
-  // and the active's authoritative view must agree exactly.
+  // cached == uncached, with the workload quiesced. Each sampled path is
+  // read through the cache as the window left its line, before any
+  // populating read, and then once more after one (a hit under a fresh
+  // lease); another client's require_active read, which leaves client 0's
+  // lines alone, gives the active's authoritative view for each.
   if (config == Config::kCache) {
     cluster::FsClient& client = cfs.client(0);
-    for (const std::string& p : EquivalenceSample(paths)) {
-      (void)StatSync(sim, client, p, false);  // populate
+    cluster::FsClient& auditor = cfs.client(1);
+    std::vector<std::string> sample = EquivalenceSample(paths);
+    const std::vector<std::string> mutated =
+        MutatedPaths(cfs.FindActive(0)->tree(), paths);
+    stats.mutated = mutated.size();
+    sample.insert(sample.end(), mutated.begin(), mutated.end());
+    auto compare = [&](const std::string& p, bool window) {
       const Result<fsns::FileInfo> cached = StatSync(sim, client, p, false);
+      const bool hit = client.last_stamp().via_cache;
       ++stats.sampled;
-      if (client.last_stamp().via_cache) ++stats.sampled_hits;
-      const Result<fsns::FileInfo> truth = StatSync(sim, client, p, true);
-      const bool same_answer =
-          cached.status().code() == truth.status().code() &&
-          (!cached.ok() ||
-           (cached.value().is_dir == truth.value().is_dir &&
-            cached.value().block_count == truth.value().block_count &&
-            cached.value().replication == truth.value().replication &&
-            cached.value().complete == truth.value().complete));
+      stats.sampled_hits += hit;
+      if (window) stats.window_hits += hit;
+      const Result<fsns::FileInfo> truth = StatSync(sim, auditor, p, true);
       if (cached.status().code() == StatusCode::kTimedOut ||
-          !same_answer) {
+          !SameView(cached, truth)) {
         std::fprintf(stderr, "cached view of %s diverges from active\n",
                      p.c_str());
         stats.equivalent = false;
       }
+    };
+    for (const std::string& p : sample) compare(p, /*window=*/true);
+    for (const std::string& p : sample) {
+      (void)StatSync(sim, client, p, false);  // populate
+      compare(p, /*window=*/false);
     }
   }
   return stats;
@@ -244,11 +290,13 @@ int main() {
   std::printf("\ncache speedup: %.2fx vs offload, %.2fx vs active-only\n",
               vs_offload, vs_active);
   for (const RunStats* run : {&cache, &big}) {
-    std::printf("equivalence sample%s: %llu/%zu cache-served, %s\n",
-                run == &big ? " (one large directory)" : "",
-                static_cast<unsigned long long>(run->sampled_hits),
-                run->sampled,
-                run->equivalent ? "all views identical" : "DIVERGED");
+    std::printf(
+        "equivalence sample%s: %llu/%zu cache-served (%llu on the lines "
+        "the window left), %zu names the trickle changed, %s\n",
+        run == &big ? " (one large directory)" : "",
+        static_cast<unsigned long long>(run->sampled_hits), run->sampled,
+        static_cast<unsigned long long>(run->window_hits), run->mutated,
+        run->equivalent ? "all views identical" : "DIVERGED");
   }
 
   const char* out_path = std::getenv("MAMS_BENCH_OUT");

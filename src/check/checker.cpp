@@ -54,7 +54,10 @@ bool MayHaveExecuted(const Event& e) {
 /// events ordered by id (== invoke order within a run).
 class Search {
  public:
-  explicit Search(const History& history) : history_(history) {}
+  /// `linearized`: session reads searched as linearizable core ops.
+  Search(const History& history,
+         const std::unordered_set<std::uint32_t>& linearized)
+      : history_(history), linearized_(linearized) {}
 
   CheckResult Run() {
     CheckResult result;
@@ -67,7 +70,8 @@ class Search {
       // verify them separately (read-your-writes + monotonic reads, plus
       // the lease revocation barrier for cache hits) against the witness
       // linearization the core search produces.
-      if (e.definite() && e.is_read() && (e.via_standby || e.via_cache)) {
+      if (e.definite() && e.is_read() && (e.via_standby || e.via_cache) &&
+          !linearized_.contains(e.id)) {
         session_reads_.push_back(&e);
         continue;
       }
@@ -98,6 +102,11 @@ class Search {
   }
 
   std::size_t best_depth() const noexcept { return best_depth_; }
+  /// The session reads of every group in which a read matched no prefix
+  /// of the witness.
+  const std::vector<const Event*>& unexplained_groups() const noexcept {
+    return unexplained_groups_;
+  }
 
  private:
   bool Taken(std::size_t i) const {
@@ -280,13 +289,17 @@ class Search {
         for (std::size_t i = 0; i < order_.size(); ++i)
           relevant[i] = Touches(*order_[i], dir);
       }
-      CheckReadGroup(reads, cache, relevant, pos, out);
+      if (CheckReadGroup(reads, cache, relevant, pos, out)) {
+        unexplained_groups_.insert(unexplained_groups_.end(), reads.begin(),
+                                   reads.end());
+      }
     }
   }
 
   /// One group of CheckSessionReads: a client's standby reads, or its
-  /// cache reads of one directory, in completion order.
-  void CheckReadGroup(
+  /// cache reads of one directory, in completion order. True when the
+  /// group's only fault is a read that no prefix of the witness explains.
+  bool CheckReadGroup(
       const std::vector<const Event*>& reads, bool cache,
       const std::vector<bool>& relevant,
       const std::unordered_map<std::uint32_t, std::size_t>& pos,
@@ -294,6 +307,8 @@ class Search {
     std::size_t floor = 0;    // monotonic-reads cursor (prefix length)
     Model model;
     std::size_t applied = 0;  // witness ops already replayed into model
+    bool below_floor = false;
+    bool unexplained = false;
     for (const Event* r : reads) {
       const char* via = cache ? "cache" : "standby";
       if (r->observed_sn < r->min_sn) {
@@ -303,6 +318,7 @@ class Search {
                            std::to_string(r->observed_sn) + " < min_sn " +
                            std::to_string(r->min_sn) + ")",
                        {r->id}});
+        below_floor = true;
         continue;
       }
       // Read-your-writes, and for cache hits the lease barrier: the prefix
@@ -356,6 +372,7 @@ class Search {
         ++applied;
       }
       if (!explained) {
+        unexplained = true;
         out.push_back(
             {Violation::Type::kStaleRead,
              cache ? "cache-served read of " + r->path +
@@ -373,6 +390,7 @@ class Search {
       // at its own lower bound (also after a violation).
       floor = applied;
     }
+    return unexplained && !below_floor;
   }
 
   // --- classification -------------------------------------------------------
@@ -515,8 +533,10 @@ class Search {
   }
 
   const History& history_;
+  const std::unordered_set<std::uint32_t>& linearized_;
   std::vector<const Event*> ops_;
   std::vector<const Event*> session_reads_;  ///< session-checked, not core
+  std::vector<const Event*> unexplained_groups_;
   std::vector<const Event*> order_;  ///< witness linearization on success
   std::size_t n_ = 0;
   std::vector<std::uint64_t> done_;
@@ -562,8 +582,24 @@ std::string FormatViolation(const History& history, const Violation& v) {
 }
 
 CheckResult CheckHistory(const History& history) {
-  Search search(history);
-  return search.Run();
+  // The witness is one linearization of many, and a session read that no
+  // prefix of it explains may fit another order of the mutations it
+  // overlaps (two concurrent creates the server ran in the other order).
+  // Each group holding such a read is searched again as linearizable ops,
+  // which is stronger than session consistency; the history passes once a
+  // linearization exists and every remaining session read fits it. A read
+  // no linearization explains keeps the first search's violation.
+  std::unordered_set<std::uint32_t> linearized;
+  CheckResult first;
+  for (;;) {
+    Search search(history, linearized);
+    CheckResult result = search.Run();
+    if (result.linearizable) return result;
+    if (linearized.empty()) first = result;
+    const std::size_t before = linearized.size();
+    for (const Event* e : search.unexplained_groups()) linearized.insert(e->id);
+    if (linearized.size() == before) return first;
+  }
 }
 
 }  // namespace mams::check

@@ -30,18 +30,20 @@
 // child's attributes in one name range; a directory of up to 1,000
 // children is one whole page) at the lease's version that answers for the
 // read's name. The line keeps its pages as they came: a page at the line's
-// own version joins it, replacing any page it overlaps and the holes in
-// its range, and one at a newer version or from a newer grant replaces
-// them all. A change to child `name` arrives as a patch at the next
-// version and leaves a hole for `name`; a stat of any other name a page
-// covers is a hit, and one that page lacks answers NotFound. A listing
-// hits while the line is one whole page with no holes. The active alone
-// decides what a mutation conflicts with (core::ForEachConflict): it
+// own version joins it, replacing any page it overlaps and the patched
+// children in its range, and one at a newer version or from a newer grant
+// replaces them all. A change to child `name` arrives as a patch at the
+// next version carrying `name`'s new entry, or its absence, and the line
+// records it in place. A stat of a patched child answers from its entry;
+// one of any other name a page covers is a hit, and one that page lacks
+// answers NotFound. A listing hits while the line is one whole page: the
+// page's names, with the patched children added or removed. The active
+// alone decides what a mutation conflicts with (core::ForEachConflict): it
 // pushes patches and revocations to the other holders and holds the
 // mutation's ack until every holder acked (or the lease TTL), so no cache
 // serves a change's old state once the change is acked anywhere. The
 // mutator's own records ride its ack, and one function applies both: so
-// a writer keeps its own lines, with a hole for each child it changed,
+// a writer keeps its own lines, updated with each child it changed,
 // and drops only the lines no patch record on an ok ack covers. A hit
 // needs a live lease AND the line's `valid_sn` — the highest applied sn at
 // which the active confirmed that version — at or above the directory's
@@ -65,6 +67,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <tuple>
@@ -152,6 +155,7 @@ class FsClient : public net::Host {
         metrics.counter("client.cache_miss_off_page");
     m_cache_refill_waits_ = metrics.counter("client.cache_refill_waits");
     m_cache_revocations_ = metrics.counter("client.cache_revocations");
+    m_cache_patches_ = metrics.counter("client.cache_patches");
     m_cache_expiries_ = metrics.counter("client.cache_expiries");
     OnRequest(net::kLeaseRevoke,
               [this](const net::Envelope& env, const net::MessagePtr& msg,
@@ -517,10 +521,10 @@ class FsClient : public net::Host {
 
   // --- lease-protected namespace cache ---------------------------------------
 
-  /// One directory's line. A live line serves its pages, less the children
-  /// patched since, under its lease. A dead line has no page: it keeps its
-  /// grant's identity until `expire_at`, to refuse the replies served
-  /// before it died.
+  /// One directory's line. A live line serves its pages, updated by the
+  /// children patched since, under its lease. A dead line has no page: it
+  /// keeps its grant's identity until `expire_at`, to refuse the replies
+  /// served before it died.
   struct DirCache {
     FenceToken epoch = 0;  ///< granter's view epoch, stamped onto hits
     std::uint64_t lease_id = 0;
@@ -539,8 +543,9 @@ class FsClient : public net::Host {
     /// as leased replies brought them; each shared with every other line
     /// and reply filled at its version. None: a dead line.
     std::vector<std::shared_ptr<const core::DirSnapshot>> pages;
-    /// Sorted names of the children patched since the pages.
-    std::vector<std::string> holes;
+    /// The children patched since the pages, by name: each one's entry at
+    /// `version`, or none when the patch removed it.
+    std::map<std::string, std::optional<fsns::FileInfo>, std::less<>> patched;
 
     bool live() const noexcept { return !pages.empty(); }
     /// Grants are ordered by (epoch, lease id), a grant's changes by
@@ -613,20 +618,35 @@ class FsClient : public net::Host {
     auto resp = std::make_shared<core::ClientResponseMsg>();
     resp->ok = true;
     if (req.op == core::ClientOp::kListDir) {
-      if (!dc.pages[0]->whole() || !dc.holes.empty()) return miss(kNoEntry);
-      resp->listing = dc.pages[0]->Names();
+      if (!dc.pages[0]->whole()) return miss(kNoEntry);
+      // The page's names, with the patched children added or removed.
+      std::vector<std::string>& names = resp->listing = dc.pages[0]->Names();
+      for (const auto& [name, entry] : dc.patched) {
+        auto at = std::lower_bound(names.begin(), names.end(), name);
+        const bool listed = at != names.end() && *at == name;
+        if (entry && !listed) names.insert(at, name);
+        if (!entry && listed) names.erase(at);
+      }
     } else {
       const std::string_view name = fsns::BaseName(req.path);
       if (!fsns::IsValidPath(req.path)) return miss(kNoEntry);
-      auto page = std::find_if(
-          dc.pages.begin(), dc.pages.end(),
-          [name](const auto& p) { return p->Covers(name); });
-      if (page == dc.pages.end()) return miss(kOffPage);
-      if (std::binary_search(dc.holes.begin(), dc.holes.end(), name))
-        return miss(kNoEntry);
-      const std::size_t i = (*page)->Find(name);
-      if (i < (*page)->size()) {
-        resp->info = (*page)->Info(i, req.path);
+      // A patched child answers from its entry, any other from the page
+      // that covers it.
+      auto patched = dc.patched.find(name);
+      std::optional<fsns::FileInfo> entry;
+      if (patched != dc.patched.end()) {
+        entry = patched->second;
+      } else {
+        auto page = std::find_if(
+            dc.pages.begin(), dc.pages.end(),
+            [name](const auto& p) { return p->Covers(name); });
+        if (page == dc.pages.end()) return miss(kOffPage);
+        const std::size_t i = (*page)->Find(name);
+        if (i < (*page)->size()) entry = (*page)->Info(i, {});
+      }
+      if (entry) {
+        resp->info = std::move(*entry);
+        resp->info.path = req.path;
       } else {
         resp->ok = false;
         resp->code = StatusCode::kNotFound;
@@ -702,7 +722,7 @@ class FsClient : public net::Host {
     } else if (resp.lease_version > dc.version) {
       dc.valid_sn = 0;  // `valid_sn` confirmed the line's older version
       dc.pages.clear();
-      dc.holes.clear();
+      dc.patched.clear();
     }
     dc.version = resp.lease_version;
     dc.valid_sn = std::max(dc.valid_sn, resp.applied_sn);
@@ -711,21 +731,22 @@ class FsClient : public net::Host {
     dc.expire_at = std::max(dc.expire_at, resp.lease_expire_at);
     // The page shows its range at the line's version, every patch up to
     // it included. At a newer version or grant the line kept no page and
-    // no hole: the other pages' ranges may hide changes whose patches it
-    // still lacks.
+    // no patched child: the other pages' ranges may hide changes whose
+    // patches it still lacks.
     const core::DirSnapshot& page = *resp.fill;
     std::erase_if(dc.pages, [&](const auto& p) { return p->Overlaps(page); });
     dc.pages.push_back(resp.fill);
-    std::erase_if(dc.holes,
-                  [&](const std::string& hole) { return page.Covers(hole); });
+    std::erase_if(dc.patched,
+                  [&](const auto& p) { return page.Covers(p.first); });
   }
 
   /// Applies one record from the active that granted the lease: pushed, or
   /// riding this client's own ack. A patch at a live line's next version
-  /// leaves a hole for its child. A revocation, a gap (an earlier patch is
-  /// lost or still in flight), no line, or a newer grant than the line's
-  /// (the active holds one grant per directory and client, so the line's
-  /// is dead there) leaves a dead line at the record's grant and version.
+  /// records its child's new entry, or its absence. A revocation, a gap
+  /// (an earlier patch is lost or still in flight), no line, or a newer
+  /// grant than the line's (the active holds one grant per directory and
+  /// client, so the line's is dead there) leaves a dead line at the
+  /// record's grant and version.
   /// A record for an older grant, or one the line knows, changes nothing.
   void ApplyRecord(const core::LeaseRevocation& rec) {
     if (rec.version == core::kLeaseRevoked) {
@@ -740,12 +761,10 @@ class FsClient : public net::Host {
       if (grant < held || (grant == held && rec.version <= dc.version)) return;
       if (grant == held && dc.live() && rec.version == dc.version + 1) {
         ++counters_.cache_patches;
+        m_cache_patches_->Add();
         dc.version = rec.version;
         dc.expire_at = std::max(dc.expire_at, rec.expire_at);
-        auto hole =
-            std::lower_bound(dc.holes.begin(), dc.holes.end(), rec.name);
-        if (hole == dc.holes.end() || *hole != rec.name)
-          dc.holes.insert(hole, rec.name);
+        dc.patched[rec.name] = rec.entry;
         return;
       }
     }
@@ -783,7 +802,7 @@ class FsClient : public net::Host {
     dc.version = version;
     dc.expire_at = sim().Now() + core::kLeaseTtl;
     dc.pages.clear();
-    dc.holes.clear();
+    dc.patched.clear();
     ArmSweep();
   }
 
@@ -792,7 +811,7 @@ class FsClient : public net::Host {
   /// indeterminate outcomes and resends too, since the mutation may still
   /// have committed. A writer keeps a line where a patch record on `ack`
   /// (an ok ack to the mutation's only send) covers the child: applying
-  /// the record already left a hole for it, or killed the line.
+  /// the record already updated the child's entry, or killed the line.
   void InvalidateForMutation(const core::ClientRequestMsg& req,
                              const core::ClientResponseMsg* ack) {
     auto patched = [ack](std::string_view dir, std::string_view name) {
@@ -999,6 +1018,7 @@ class FsClient : public net::Host {
   obs::Counter* m_cache_miss_reasons_[kMissReasons] = {};  ///< by MissReason
   obs::Counter* m_cache_refill_waits_ = nullptr;
   obs::Counter* m_cache_revocations_ = nullptr;
+  obs::Counter* m_cache_patches_ = nullptr;
   obs::Counter* m_cache_expiries_ = nullptr;
 };
 

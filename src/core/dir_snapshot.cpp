@@ -1,6 +1,7 @@
 #include "core/dir_snapshot.hpp"
 
 #include <algorithm>
+#include <utility>
 
 namespace mams::core {
 
@@ -25,21 +26,22 @@ DirSnapshot::DirSnapshot(const fsns::Tree& tree, const fsns::Inode& dir,
   std::vector<std::uint32_t> owner_ids;  // tree owner id, by owners_ index
   for (std::size_t i = begin; i < end; ++i) {
     const fsns::Inode* child = children[i];
+    fsns::FileInfo info = tree.InfoOf(*child);
     names_ += child->name;
     auto owner = std::find(owner_ids.begin(), owner_ids.end(), child->owner_id);
     if (owner == owner_ids.end()) {
-      owners_.push_back(tree.OwnerOf(*child));
+      owners_.push_back(std::move(info.owner));
       owner = owner_ids.insert(owner, child->owner_id);
     }
-    attrs_.push_back({.mtime = child->mtime,
-                      .block_count = child->blocks.size(),
+    attrs_.push_back({.mtime = info.mtime,
+                      .block_count = info.block_count,
                       .name_end = static_cast<std::uint32_t>(names_.size()),
-                      .replication = child->replication,
+                      .replication = info.replication,
                       .owner = static_cast<std::uint32_t>(
                           owner - owner_ids.begin()),
-                      .permission = child->permission,
-                      .is_dir = child->is_dir,
-                      .complete = child->complete});
+                      .permission = info.permission,
+                      .is_dir = info.is_dir,
+                      .complete = info.complete});
   }
   if (end < children.size()) names_ += children[end]->name;
   names_.shrink_to_fit();

@@ -7,7 +7,8 @@
 // page's first child's name: page 0 from the beginning, the last page to
 // the end. A directory of at most page_size children is one whole page.
 // Names sort as Tree::ListDir lists them, and each child's attributes are
-// the fields Tree::GetFileInfo answers with. A snapshot never changes once
+// the fields Tree::GetFileInfo answers with (both read through
+// Tree::InfoOf, as a lease patch's entry is). A snapshot never changes once
 // built, so the active builds each page once per (directory, version), and
 // every reply at that version, and every client line filled from one,
 // shares it.

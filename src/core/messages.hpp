@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -113,9 +114,12 @@ inline constexpr std::uint64_t kLeaseRevoked = ~std::uint64_t{0};
 
 /// One change to a leased directory, as the granter sends it to a holder
 /// (pushed, or riding the holder's own ack). A patch (`version` <
-/// kLeaseRevoked) says child `name` changed and the grant stays, now at
-/// `version`; a revocation (kLeaseRevoked) ends the grant. A grant is
-/// named by (epoch, lease_id), as on the reply that carried it.
+/// kLeaseRevoked) says child `name` changed, and carries its new entry:
+/// what the granter's tree holds for it at `version` (the fields of
+/// Tree::InfoOf, path left empty), or none when the change removed it. The
+/// grant stays, now at `version`, and the holder updates its line in
+/// place. A revocation (kLeaseRevoked) ends the grant. A grant is named by
+/// (epoch, lease_id), as on the reply that carried it.
 struct LeaseRevocation {
   std::string dir;            ///< leased directory path
   FenceToken epoch = 0;       ///< the granter's view epoch
@@ -123,6 +127,14 @@ struct LeaseRevocation {
   std::uint64_t version = kLeaseRevoked;
   std::string name{};         ///< patch: the child whose entry changed
   SimTime expire_at = 0;      ///< the grant's deadline when it was sent
+  std::optional<fsns::FileInfo> entry{};  ///< patch: `name`'s new entry
+
+  /// Wire size: four 8-byte fields and the two strings, plus the entry's
+  /// packed attributes and owner.
+  std::size_t ByteSize() const noexcept {
+    return 32 + dir.size() + name.size() +
+           (entry ? 24 + entry->owner.size() : 0);
+  }
 };
 
 struct ClientResponseMsg final : net::Message {
@@ -174,6 +186,7 @@ struct ClientResponseMsg final : net::Message {
   net::MsgType type() const noexcept override { return net::kClientResponse; }
   std::size_t ByteSize() const noexcept override {
     std::size_t n = 128 + error.size();
+    for (const auto& rec : revocations) n += rec.ByteSize();
     if (fill && fill->whole()) return n + fill->bytes();
     for (const auto& s : listing) n += s.size() + 8;
     return fill ? n + fill->bytes() : n;
@@ -187,12 +200,20 @@ struct ClientResponseMsg final : net::Message {
 struct LeaseRevokeMsg final : net::Message {
   std::vector<LeaseRevocation> leases;
   net::MsgType type() const noexcept override { return net::kLeaseRevoke; }
+  std::size_t ByteSize() const noexcept override {
+    std::size_t n = 64;
+    for (const auto& rec : leases) n += rec.ByteSize();
+    return n;
+  }
 };
 
 /// Holder -> active: the pushed (lease id, version) pairs are applied.
 struct LeaseRevokeAckMsg final : net::Message {
   std::vector<std::pair<std::uint64_t, std::uint64_t>> leases;
   net::MsgType type() const noexcept override { return net::kLeaseRevokeAck; }
+  std::size_t ByteSize() const noexcept override {
+    return 64 + 16 * leases.size();
+  }
 };
 
 // --- journal synchronization (active -> standbys) -----------------------------

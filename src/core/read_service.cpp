@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <functional>
+#include <optional>
 
 #include "core/mds_server.hpp"
 #include "core/ops.hpp"
@@ -259,9 +260,14 @@ void ReadService::PatchDir(std::string_view dir, std::string_view name,
   ++d.version;
   d.pages.clear();
   const FenceToken epoch = s_.view().fence_token;
+  // The mutation already ran: the tree holds the child as of this version.
+  const fsns::Inode* child =
+      s_.tree().FindInode(fsns::JoinPath(it->first, name));
+  std::optional<fsns::FileInfo> entry;
+  if (child != nullptr) entry = s_.tree().InfoOf(*child);
   for (const auto& [node, grant] : d.holders) {
     LeaseRevocation rec{it->first, epoch, grant.id, d.version,
-                        std::string(name), grant.expire_at};
+                        std::string(name), grant.expire_at, entry};
     Bump(s_.mutable_counters().lease_patches, s_.m().lease_patches);
     if (node == own) {
       r.own.push_back(std::move(rec));

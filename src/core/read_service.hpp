@@ -12,11 +12,12 @@
 // directory of at most kMaxFillChildren children is one whole page),
 // built once per version and shared by every reply at it. A mutation
 // (core::ForEachConflict names the directories it touches) of child
-// `name` bumps the version and patches every holder, and the grants stay:
-// a remote holder by a push, the requester by the same record riding its
-// ack, so a writer keeps its own lines. A directory delete or rename, a
-// shard install and a migration revoke whole grants, the requester's
-// included. The mutation completes only once every remote holder acked or
+// `name` bumps the version and patches every holder with the child's new
+// entry, or its absence, and the grants stay: a remote holder by a push,
+// the requester by the same record riding its ack, so every holder
+// updates its line in place instead of reading it again. A directory
+// delete or rename, a shard install and a migration revoke whole grants,
+// the requester's included. The mutation completes only once every remote holder acked or
 // its grant expired. A grant past its deadline is dead and is reclaimed
 // without a push. The grant table belongs to the active role; the
 // barriers outlive a live step-down, since they hold committed work that
@@ -133,7 +134,8 @@ class ReadService {
   /// more, so it needs no push and no barrier.
   void Reclaim();
   /// Child `name` of `dir` changed: bumps the version, drops the pages and
-  /// patches every holder; `own`'s patch stays local, to ride its ack.
+  /// patches every holder with the entry the tree now holds for `name`;
+  /// `own`'s patch stays local, to ride its ack.
   void PatchDir(std::string_view dir, std::string_view name, NodeId own,
                 Revocation& r);
   /// Drops every grant on directory `dir`: `own`'s ids stay local, every

@@ -222,16 +222,19 @@ Result<FileInfo> Tree::GetFileInfo(std::string_view path) const {
   if (node == nullptr) {
     return Status::NotFound(std::string(path));
   }
-  FileInfo info;
+  FileInfo info = InfoOf(*node);
   info.path = std::string(path);
-  info.is_dir = node->is_dir;
-  info.replication = node->replication;
-  info.permission = node->permission;
-  info.owner = OwnerOf(*node);
-  info.mtime = node->mtime;
-  info.block_count = node->blocks.size();
-  info.complete = node->complete;
   return info;
+}
+
+FileInfo Tree::InfoOf(const Inode& node) const {
+  return {.is_dir = node.is_dir,
+          .replication = node.replication,
+          .permission = node.permission,
+          .owner = OwnerOf(node),
+          .mtime = node.mtime,
+          .block_count = node.blocks.size(),
+          .complete = node.complete};
 }
 
 Result<std::vector<std::string>> Tree::ListDir(std::string_view path) const {

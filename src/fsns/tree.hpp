@@ -158,6 +158,10 @@ class Tree {
 
   // --- queries (never journaled) -----------------------------------------
   Result<FileInfo> GetFileInfo(std::string_view path) const;
+  /// `node`'s attributes as GetFileInfo answers with them, path left
+  /// empty: the one place a stat's fields are read off an inode (lease
+  /// fills and patches use it too).
+  FileInfo InfoOf(const Inode& node) const;
   Result<std::vector<std::string>> ListDir(std::string_view path) const;
   bool Exists(std::string_view path) const;
   const Inode* FindInode(std::string_view path) const;

@@ -386,6 +386,54 @@ TEST(CheckerTest, StandbyReadsGoingBackwardsAreFlagged) {
   EXPECT_EQ(r.violations[0].type, Violation::Type::kStaleRead);
 }
 
+// --- cache-read session-consistency checks ---------------------------------
+
+/// A listing of /d that shows exactly `names`.
+ReadView Listing(std::vector<std::string> names) {
+  ReadView v;
+  v.is_dir = true;
+  v.listing = std::move(names);
+  return v;
+}
+
+TEST(CheckerTest, CacheReadMayShowTheLaterInvokedOfTwoConcurrentCreates) {
+  // Creates of a and b overlap, and the server ran b first: a holder's
+  // line, patched with b's entry, lists b without a. The core search's
+  // witness orders a first (the earlier invoke), so no prefix of it
+  // explains the listing; another linearization does, with the listing
+  // between b and a.
+  HistoryBuilder b;
+  b.Op(2, OpKind::kCreate, "/d/f", 0, 10, Outcome::kOk);
+  b.Op(0, OpKind::kCreate, "/d/a", 100, 500, Outcome::kOk);
+  b.Op(2, OpKind::kCreate, "/d/b", 110, 520, Outcome::kOk);
+  const std::uint32_t list = b.Op(1, OpKind::kListDir, "/d", 200, 201,
+                                  Outcome::kOk, StatusCode::kOk,
+                                  Listing({"b", "f"}));
+  b.history.events()[list].via_cache = true;
+  const CheckResult r = CheckHistory(b.history);
+  EXPECT_TRUE(r.decided);
+  EXPECT_TRUE(r.linearizable) << FormatViolation(
+      b.history, r.violations.empty() ? Violation{} : r.violations[0]);
+}
+
+TEST(CheckerTest, CacheReadMissingAnAckedCreateIsFlagged) {
+  // The lease barrier: once another client's create of b is acked, no
+  // line may list /d without it, under any order of the concurrent a.
+  HistoryBuilder b;
+  b.Op(2, OpKind::kCreate, "/d/f", 0, 10, Outcome::kOk);
+  b.Op(2, OpKind::kCreate, "/d/b", 20, 30, Outcome::kOk);
+  b.Op(0, OpKind::kCreate, "/d/a", 100, 500, Outcome::kOk);
+  const std::uint32_t list = b.Op(1, OpKind::kListDir, "/d", 200, 201,
+                                  Outcome::kOk, StatusCode::kOk,
+                                  Listing({"a", "f"}));
+  b.history.events()[list].via_cache = true;
+  const CheckResult r = CheckHistory(b.history);
+  ASSERT_TRUE(r.decided);
+  EXPECT_FALSE(r.linearizable);
+  ASSERT_FALSE(r.violations.empty());
+  EXPECT_EQ(r.violations[0].type, Violation::Type::kStaleRead);
+}
+
 // --- fuzzer determinism and .repro round-trips ------------------------------
 
 TEST(FuzzerTest, ReplayIsDeterministic) {

@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -286,8 +287,8 @@ TEST_F(ClientCacheTest, RevocationLandsBeforeTheConflictingAck) {
 
   // Another client mutates the leased directory. Its ack is barriered on
   // client 0's patch, so the instant it returns, client 0's cached
-  // listing is gone — the very next list must go to the wire and see the
-  // new entry.
+  // listing already shows the new entry — the very next list hits and
+  // sees it.
   ASSERT_TRUE(CreateFile("/d/b", 1).ok());
   EXPECT_GE(cluster_->client(0).counters().cache_patches, 1u);
 
@@ -295,7 +296,8 @@ TEST_F(ClientCacheTest, RevocationLandsBeforeTheConflictingAck) {
   ASSERT_TRUE(after.ok());
   EXPECT_TRUE(Contains(after.value(), "a"));
   EXPECT_TRUE(Contains(after.value(), "b"));
-  EXPECT_FALSE(cluster_->client(0).last_stamp().via_cache);
+  EXPECT_TRUE(cluster_->client(0).last_stamp().via_cache);
+  EXPECT_TRUE(ListMatchesActive("/d"));
 
   core::MdsServer* active = cluster_->FindActive(0);
   ASSERT_NE(active, nullptr);
@@ -788,11 +790,10 @@ TEST_F(ClientCacheTest, NegativeEntryDiesWithTheCreateThatFillsIt) {
   ASSERT_TRUE(CreateFile("/d/m", 1).ok());
   ASSERT_EQ(StatSync("/d/n").status().code(), StatusCode::kNotFound);
   EXPECT_TRUE(cluster_->client(0).last_stamp().via_cache);
-  // ...and the create of the name itself, or of a path under it, leaves a
-  // hole for it before its ack.
+  // ...and the create of the name itself, or of a path under it, patches
+  // its new entry in before its ack.
   ASSERT_TRUE(CreateFile("/d/n", 1).ok());
-  EXPECT_TRUE(StatSync("/d/n").ok());
-  EXPECT_FALSE(cluster_->client(0).last_stamp().via_cache);
+  EXPECT_TRUE(StatMatchesActive("/d/n"));
   ASSERT_EQ(StatSync("/d/k").status().code(), StatusCode::kNotFound);
   ASSERT_EQ(StatSync("/d/k").status().code(), StatusCode::kNotFound);
   ASSERT_TRUE(cluster_->client(0).last_stamp().via_cache);
@@ -800,6 +801,7 @@ TEST_F(ClientCacheTest, NegativeEntryDiesWithTheCreateThatFillsIt) {
   const Result<fsns::FileInfo> k = StatSync("/d/k");
   ASSERT_TRUE(k.ok()) << k.status().ToString();
   EXPECT_TRUE(k.value().is_dir);
+  EXPECT_TRUE(StatMatchesActive("/d/k"));
 }
 
 TEST_F(ClientCacheTest, OneStatFillsTheWholeDirectory) {
@@ -817,25 +819,26 @@ TEST_F(ClientCacheTest, OneStatFillsTheWholeDirectory) {
   EXPECT_EQ(cluster_->client(0).counters().cache_misses, misses);
 }
 
-TEST_F(ClientCacheTest, AnotherClientsCreateLeavesAHole) {
+TEST_F(ClientCacheTest, AnotherClientsCreatePatchesTheLineInPlace) {
   Build(1, 2);
   ASSERT_TRUE(CreateFile("/d/f0").ok());
   ASSERT_TRUE(CreateFile("/d/f1").ok());
   ASSERT_TRUE(MkdirSync("/e", 1).ok());  // client 1 learns the active
   ASSERT_FALSE(StatMatchesActive("/d/f0"));
+  const auto fill = CachedFill("/d", 0);
+  const std::uint64_t misses = cluster_->client(0).counters().cache_misses;
   ASSERT_TRUE(CreateFile("/d/x", 1).ok());
-  // The patch left a hole for x only.
+  // The patch carried x's entry: the line keeps its fill, and the new
+  // file, its siblings and the listing all hit.
   EXPECT_TRUE(StatMatchesActive("/d/f1"));
-  EXPECT_FALSE(StatMatchesActive("/d/x"));
-  // Its reply refilled the line: the new file, and the listing, now hit.
   EXPECT_TRUE(StatMatchesActive("/d/x"));
   EXPECT_TRUE(ListMatchesActive("/d"));
-  // A listing misses while the line has a hole, and its reply refills it.
   ASSERT_TRUE(CreateFile("/d/y", 1).ok());
-  EXPECT_TRUE(StatMatchesActive("/d/f1"));
-  EXPECT_FALSE(ListMatchesActive("/d"));
   EXPECT_TRUE(ListMatchesActive("/d"));
   EXPECT_TRUE(StatMatchesActive("/d/y"));
+  EXPECT_EQ(CachedFill("/d", 0), fill);
+  EXPECT_EQ(cluster_->client(0).counters().cache_misses, misses);
+  EXPECT_EQ(cluster_->client(0).counters().cache_patches, 2u);
 }
 
 TEST_F(ClientCacheTest, FillsAtOneVersionShareOneSnapshot) {
@@ -853,20 +856,21 @@ TEST_F(ClientCacheTest, FillsAtOneVersionShareOneSnapshot) {
   EXPECT_EQ(FillBytes(), static_cast<std::int64_t>(first->bytes()));
 
   // Client 0's create patches both lines, client 1's by a push and its
-  // own by its ack, and each keeps the first fill with a hole for f2. A
-  // stat of f2 refills a line with the next fill, built afresh at the new
-  // version and shared again.
+  // own by its ack, and each keeps the first fill with f2's entry beside
+  // it. A read at the new version (require_active: the line would answer
+  // it) refills a line with the next fill, built afresh at that version
+  // and shared again.
   ASSERT_TRUE(CreateFile("/d/f2", 0).ok());
   EXPECT_EQ(CachedFill("/d", 0), first);
   EXPECT_EQ(CachedFill("/d", 1), first);
   ASSERT_TRUE(StatSync("/d/f2", 1).ok());
-  EXPECT_FALSE(cluster_->client(1).last_stamp().via_cache);
+  EXPECT_TRUE(cluster_->client(1).last_stamp().via_cache);
+  ASSERT_TRUE(StatSync("/d/f2", 1, {.require_active = true}).ok());
   const auto second = CachedFill("/d", 1);
   ASSERT_NE(second, nullptr);
   EXPECT_NE(second, first);
   EXPECT_EQ(second->size(), 3u);
-  ASSERT_TRUE(StatSync("/d/f2", 0).ok());
-  EXPECT_FALSE(cluster_->client(0).last_stamp().via_cache);
+  ASSERT_TRUE(StatSync("/d/f2", 0, {.require_active = true}).ok());
   EXPECT_EQ(CachedFill("/d", 0), second);
   // Only this test still holds the first snapshot.
   EXPECT_EQ(first.use_count(), 1);
@@ -909,12 +913,16 @@ TEST_F(ClientCacheTest, LargeDirectoryIsLeasedPageByPage) {
   ASSERT_EQ(StatSync("/big/f0/f").status().code(), StatusCode::kNotFound);
   EXPECT_EQ(CounterValue("mds.leases_refused") - refused, 2u);
   EXPECT_EQ(reader.cached_dirs(), 1u);
-  // Down to one page, the directory is filled whole again.
+  // Down to one page, the directory is filled whole again. The line
+  // answers each deleted name from its patch, but it still holds pages
+  // of a larger directory, so a listing goes to the wire and its reply
+  // brings the one whole page.
   std::vector<std::string> deleted;
   for (std::size_t i = kPage; i < names.size(); ++i)
     deleted.push_back("/big/" + names[i]);
   ASSERT_TRUE(DeleteMany(deleted, 1));
-  EXPECT_FALSE(StatMatchesActive(deleted[0]));
+  EXPECT_TRUE(StatMatchesActive(deleted[0]));
+  EXPECT_FALSE(ListMatchesActive("/big"));
   const auto whole = CachedFill("/big", 0);
   ASSERT_NE(whole, nullptr);
   EXPECT_TRUE(whole->whole());
@@ -962,7 +970,7 @@ TEST_F(ClientCacheTest, ListingOfALargeDirectoryGoesToTheWireAndPaysPerPage) {
   }
 }
 
-TEST_F(ClientCacheTest, PageAtTheLinesVersionKeepsTheHolesOutsideItsRange) {
+TEST_F(ClientCacheTest, PageAtTheLinesVersionKeepsThePatchesOutsideItsRange) {
   Build(1, 2);
   ASSERT_TRUE(CreateMany("/d", 1500, 1));
   const std::vector<std::string> names = SortedNames(1500);
@@ -971,15 +979,18 @@ TEST_F(ClientCacheTest, PageAtTheLinesVersionKeepsTheHolesOutsideItsRange) {
   FsClient& reader = cluster_->client(0);
   ASSERT_FALSE(StatMatchesActive(a));
   ASSERT_FALSE(StatMatchesActive(b));
+  const auto first = reader.cached_pages("/d").front();
   ASSERT_EQ(reader.cached_pages("/d").size(), 2u);
-  // Another client's addblock of `a` leaves a hole in the first page.
+  // Another client's addblock of `a` patches its entry in the first page.
   ASSERT_TRUE(AddBlockSync(a, 1).ok());
   // A reply at the line's version brings the second page again: it joins,
-  // clearing only the holes in its own range.
+  // and the first page keeps `a`'s patched entry, which answers for it.
   ASSERT_TRUE(StatSync(b, 0, {.require_active = true}).ok());
   EXPECT_EQ(reader.cached_pages("/d").size(), 2u);
+  EXPECT_EQ(reader.cached_pages("/d").front(), first);
   EXPECT_TRUE(StatMatchesActive(b));
-  EXPECT_FALSE(StatMatchesActive(a));
+  EXPECT_TRUE(StatMatchesActive(a));
+  EXPECT_EQ(StatSync(a).value().block_count, 1u);
 }
 
 TEST_F(ClientCacheTest, DeleteOrRenameInsideADirectoryMovesItInTheGrandparent) {
@@ -1006,20 +1017,27 @@ TEST_F(ClientCacheTest, DeleteOrRenameInsideADirectoryMovesItInTheGrandparent) {
   StatMatchesActive("/a/b");
 }
 
-TEST_F(ClientCacheTest, WriterKeepsItsLineWithAHoleForWhatItChanged) {
+TEST_F(ClientCacheTest, WriterKeepsItsLineUpdatedWithWhatItChanged) {
   // The records of a writer's own grants ride its ack as patches, as a
   // push would carry them to another holder: the grant stays, and the
-  // writer's line loses only the child it changed.
+  // writer's line takes the entry of the child it changed.
   Build(1, 2);
   ASSERT_TRUE(CreateFile("/d/y").ok());
   ASSERT_FALSE(StatMatchesActive("/d/y"));  // the miss that fills /d
+  const std::uint64_t misses = cluster_->client(0).counters().cache_misses;
   ASSERT_TRUE(CreateFile("/d/x").ok());
   EXPECT_TRUE(StatMatchesActive("/d/y"));
-  EXPECT_FALSE(StatMatchesActive("/d/x"));  // refills the line
+  EXPECT_TRUE(StatMatchesActive("/d/x"));
   ASSERT_TRUE(CreateFile("/d/w").ok());
   EXPECT_TRUE(StatMatchesActive("/d/y"));
-  EXPECT_FALSE(ListMatchesActive("/d"));
+  EXPECT_TRUE(ListMatchesActive("/d"));
   EXPECT_TRUE(StatMatchesActive("/d/w"));
+  ASSERT_TRUE(AddBlockSync("/d/w").ok());
+  EXPECT_TRUE(StatMatchesActive("/d/w"));
+  ASSERT_TRUE(DeleteSync("/d/x").ok());
+  EXPECT_TRUE(StatMatchesActive("/d/x"));
+  EXPECT_TRUE(ListMatchesActive("/d"));
+  EXPECT_EQ(cluster_->client(0).counters().cache_misses, misses);
   EXPECT_EQ(cluster_->client(0).counters().cache_revocations, 0u);
   EXPECT_EQ(cluster_->FindActive(0)->counters().leases_revoked, 0u);
 }
@@ -1171,18 +1189,95 @@ TEST_F(ClientCacheTest, UnackedHolderHoldsTheConflictingAck) {
   EXPECT_EQ(active->counters().lease_barrier_expiries, 0u);
 }
 
+// A patch carries the changed child's entry as the active's tree holds it
+// after the change, so a holder's line answers for the child in place: the
+// holder's next reads of the directory hit and match the active.
+class PatchEntryTest : public ClientCacheTest {
+ protected:
+  /// /d holds f0..f2 and client 0 holds its whole page; client 1 writes.
+  void HoldD() {
+    Build(1, 2);
+    ASSERT_TRUE(CreateMany("/d", 3, 1));
+    ASSERT_FALSE(ListMatchesActive("/d"));
+    misses_ = cluster_->client(0).counters().cache_misses;
+  }
+  /// Client 0 missed no read since HoldD.
+  void ExpectNoMiss() {
+    EXPECT_EQ(cluster_->client(0).counters().cache_misses, misses_);
+  }
+  std::uint64_t misses_ = 0;
+};
+
+TEST_F(PatchEntryTest, AnotherClientsAddBlock) {
+  HoldD();
+  const fsns::FileInfo before = StatSync("/d/f1").value();
+  Run(kMillisecond);  // the addblock moves the file's mtime
+  ASSERT_TRUE(AddBlockSync("/d/f1", 1).ok());
+  EXPECT_TRUE(StatMatchesActive("/d/f1"));
+  const fsns::FileInfo after = StatSync("/d/f1").value();
+  EXPECT_EQ(after.block_count, before.block_count + 1);
+  EXPECT_GT(after.mtime, before.mtime);
+  EXPECT_TRUE(ListMatchesActive("/d"));
+  ExpectNoMiss();
+}
+
+TEST_F(PatchEntryTest, AnotherClientsCreate) {
+  HoldD();
+  ASSERT_TRUE(CreateFile("/d/a", 1).ok());
+  EXPECT_TRUE(StatMatchesActive("/d/a"));
+  EXPECT_TRUE(ListMatchesActive("/d"));
+  EXPECT_TRUE(Contains(ListSync("/d").value(), "a"));
+  ExpectNoMiss();
+}
+
+TEST_F(PatchEntryTest, AnotherClientsDelete) {
+  HoldD();
+  ASSERT_TRUE(DeleteSync("/d/f1", 1).ok());
+  EXPECT_TRUE(StatMatchesActive("/d/f1"));
+  EXPECT_EQ(StatSync("/d/f1").status().code(), StatusCode::kNotFound);
+  EXPECT_TRUE(ListMatchesActive("/d"));
+  EXPECT_FALSE(Contains(ListSync("/d").value(), "f1"));
+  ExpectNoMiss();
+}
+
+TEST_F(PatchEntryTest, AnotherClientsRename) {
+  HoldD();
+  ASSERT_TRUE(RenameSync("/d/f1", "/d/g", 1).ok());
+  EXPECT_TRUE(StatMatchesActive("/d/f1"));
+  EXPECT_EQ(StatSync("/d/f1").status().code(), StatusCode::kNotFound);
+  EXPECT_TRUE(StatMatchesActive("/d/g"));
+  EXPECT_TRUE(StatSync("/d/g").ok());
+  EXPECT_TRUE(ListMatchesActive("/d"));
+  ExpectNoMiss();
+}
+
+TEST_F(PatchEntryTest, CreatesParentMtimeReachesTheGrandparentsLine) {
+  // The create moves /a/b's mtime: /a's line takes b's new entry.
+  Build(1, 2);
+  ASSERT_TRUE(CreateFile("/a/b/x", 1).ok());
+  ASSERT_FALSE(StatMatchesActive("/a/b"));
+  const SimTime before = StatSync("/a/b").value().mtime;
+  const std::uint64_t misses = cluster_->client(0).counters().cache_misses;
+  Run(kMillisecond);
+  ASSERT_TRUE(CreateFile("/a/b/y", 1).ok());
+  EXPECT_TRUE(StatMatchesActive("/a/b"));
+  EXPECT_GT(StatSync("/a/b").value().mtime, before);
+  EXPECT_EQ(cluster_->client(0).counters().cache_misses, misses);
+}
+
 // The orderings of a patch against the other messages of its lease. The
 // active's first grant is lease id 1 at version 0, so a hand-made patch
 // can name it; it travels the same link as the reply it races.
 class PatchRaceTest : public ClientCacheTest {
  protected:
   void SendPatch(std::uint64_t version, const std::string& name,
-                 std::uint64_t lease_id = 1) {
+                 std::uint64_t lease_id = 1,
+                 std::optional<fsns::FileInfo> entry = {}) {
     core::MdsServer* active = cluster_->FindActive(0);
     ASSERT_NE(active, nullptr);
     auto push = std::make_shared<core::LeaseRevokeMsg>();
-    push->leases.push_back(
-        {"/d", active->view().fence_token, lease_id, version, name, 0});
+    push->leases.push_back({"/d", active->view().fence_token, lease_id,
+                            version, name, 0, std::move(entry)});
     net_->Send(net::Envelope{.from = active->id(),
                              .to = cluster_->client(0).id(),
                              .payload = push});
@@ -1198,8 +1293,11 @@ TEST_F(PatchRaceTest, ReplyServedBeforeAPatchButDeliveredAfterIt) {
   ASSERT_EQ(cluster_->FindActive(0)->counters().leases_granted, 1u);
 
   // The stat of /d/b is served at version 0 (require_active: the line
-  // would answer it); a patch for version 1 (a change to /d/b) sent now
-  // reaches the client first.
+  // would answer it); a patch for version 1 (an addblock of /d/b) sent
+  // now reaches the client first.
+  fsns::FileInfo added = StatSync("/d/b").value();
+  added.path.clear();
+  added.block_count = 1;
   Result<fsns::FileInfo> b = Status::TimedOut("no reply");
   bool done = false;
   cluster_->client(0).GetFileInfo(
@@ -1209,13 +1307,16 @@ TEST_F(PatchRaceTest, ReplyServedBeforeAPatchButDeliveredAfterIt) {
         done = true;
       },
       {.require_active = true});
-  SendPatch(1, "b");
+  SendPatch(1, "b", 1, added);
   testutil::WaitFor(*sim_, [&] { return done; }, kSecond, kMillisecond);
   ASSERT_TRUE(b.ok());
+  EXPECT_EQ(b.value().block_count, 0u);
   // The reply is older than the line: it must not refill the line over
-  // the hole for /d/b.
-  ASSERT_TRUE(StatSync("/d/b").ok());
-  EXPECT_FALSE(cluster_->client(0).last_stamp().via_cache);
+  // the patched entry for /d/b.
+  const Result<fsns::FileInfo> patched = StatSync("/d/b");
+  ASSERT_TRUE(patched.ok());
+  EXPECT_TRUE(cluster_->client(0).last_stamp().via_cache);
+  EXPECT_EQ(patched.value().block_count, 1u);
   // The entry the patch did not name survives it.
   ASSERT_TRUE(StatSync("/d/a").ok());
   EXPECT_TRUE(cluster_->client(0).last_stamp().via_cache);
@@ -1316,6 +1417,33 @@ TEST_F(PatchRaceTest, PageFromTheNextVersionOvertakesItsPatch) {
   EXPECT_FALSE(StatMatchesActive(a));
   EXPECT_EQ(CounterValue("client.cache_miss_off_page") - off_page, 1u);
   EXPECT_TRUE(StatMatchesActive(b));
+}
+
+TEST_F(PatchRaceTest, PageFromANewerVersionDropsThePatchedEntries) {
+  Build(1, 2);
+  ASSERT_TRUE(CreateMany("/d", 1500, 1));
+  const std::vector<std::string> names = SortedNames(1500);
+  const std::string a = "/d/" + names[10];
+  const std::string b = "/d/" + names[1200];
+  FsClient& holder = cluster_->client(0);
+  ASSERT_FALSE(StatMatchesActive(a));  // both pages at version 0
+  ASSERT_FALSE(StatMatchesActive(b));
+  // An addblock of `a` patches its entry in place (version 1).
+  ASSERT_TRUE(AddBlockSync(a, 1).ok());
+  ASSERT_TRUE(StatMatchesActive(a));
+  // A second addblock moves /d to version 2; its patch to the holder is
+  // lost.
+  cluster_->faults().CutHalf(holder.id(), Faults::Half::kIn);
+  cluster_->client(1).AddBlock(a, [](Status) {});
+  Run(10 * kMillisecond);
+  cluster_->faults().RestoreHalves(holder.id());
+  // A read served at version 2 brings `b`'s page: the line moves to it
+  // and drops the first page with `a`'s entry from version 1, so a stat
+  // of `a` goes to the wire and sees both blocks.
+  ASSERT_TRUE(StatSync(b, 0, {.require_active = true}).ok());
+  ASSERT_EQ(holder.cached_pages("/d").size(), 1u);
+  EXPECT_FALSE(StatMatchesActive(a));
+  EXPECT_EQ(StatSync(a).value().block_count, 2u);
 }
 
 TEST_F(PatchRaceTest, LostPatchGapDropsTheLineAndTheBarrierWaitsOutTheTtl) {

@@ -314,7 +314,19 @@ TEST(MetricCatalogueTest, DocumentsExactlyWhatAClusterRegisters) {
     cfs.client(0).Create(path, [](Status) {});
     cfs.client(1).GetFileInfo(path, [](Result<fsns::FileInfo>) {});
   }
-  sim.RunUntil(sim.Now() + 3 * kSecond);
+  sim.RunUntil(sim.Now() + kSecond);
+  // Client 0 leases each directory from its active, and a second create
+  // in each patches its own line.
+  for (int i = 0; i < 8; ++i) {
+    cfs.client(0).GetFileInfo(
+        "/cat/d" + std::to_string(i) + "/f", [](Result<fsns::FileInfo>) {},
+        {.require_active = true});
+  }
+  sim.RunUntil(sim.Now() + 100 * kMillisecond);
+  for (int i = 0; i < 8; ++i) {
+    cfs.client(0).Create("/cat/d" + std::to_string(i) + "/g", [](Status) {});
+  }
+  sim.RunUntil(sim.Now() + 2 * kSecond);
 
   std::set<std::string> registered;
   const obs::MetricsRegistry& reg = sim.obs().metrics();
@@ -334,6 +346,10 @@ TEST(MetricCatalogueTest, DocumentsExactlyWhatAClusterRegisters) {
   }
   EXPECT_EQ(reasons, counters.at("client.cache_misses").value);
   EXPECT_GT(reasons, 0u);
+  EXPECT_EQ(counters.at("client.cache_patches").value,
+            cfs.client(0).counters().cache_patches +
+                cfs.client(1).counters().cache_patches);
+  EXPECT_GT(counters.at("client.cache_patches").value, 0u);
 
   const std::set<std::string> documented = DocumentedMetrics();
   ASSERT_FALSE(documented.empty());
