@@ -82,6 +82,30 @@ struct NamedProfile {
   void (*shape)(FuzzProfile&);
 };
 
+void ShapeCache(FuzzProfile& p) {
+  // Lease-cache pressure: every client reads and mutates one shared
+  // tree, so directory leases are granted and revoked continuously
+  // and reads race mutations on the same directories — the window
+  // where a dropped or late revocation turns a cache hit stale. Hot
+  // clients keep revocation barriers live for most of the run, so the
+  // fault schedule (crashes, flaps, migrations) lands inside
+  // revocation windows instead of between them. Extra faults widen
+  // the failover coverage (lease flush on view change, TTL-expiry
+  // backstop).
+  p.clients = std::max(p.clients, 3);
+  p.shared_namespace = true;
+  p.hot_clients = true;
+  p.faults = std::max(p.faults, 7);
+  p.client_cache = true;
+  // Mutation-heavy with a strong read component: mutations drive
+  // revocations, reads re-populate the cache right behind them.
+  p.mix.create = 0.25;
+  p.mix.remove = 0.15;
+  p.mix.rename = 0.10;
+  p.mix.getfileinfo = 0.30;
+  p.mix.listdir = 0.20;
+}
+
 constexpr NamedProfile kProfiles[] = {
     {"default", [](FuzzProfile&) {}},
     {"renames",
@@ -127,29 +151,17 @@ constexpr NamedProfile kProfiles[] = {
        p.mix.rename = 0.10;
        p.mix.getfileinfo = 0.10;
      }},
-    {"cache",
+    {"cache", ShapeCache},
+    {"leases",
      [](FuzzProfile& p) {
-       // Lease-cache pressure: every client reads and mutates one shared
-       // tree, so directory leases are granted and revoked continuously
-       // and reads race mutations on the same directories — the window
-       // where a dropped or late revocation turns a cache hit stale. Hot
-       // clients keep revocation barriers live for most of the run, so the
-       // fault schedule (crashes, flaps, migrations) lands inside
-       // revocation windows instead of between them. Extra faults widen
-       // the failover coverage (lease flush on view change, TTL-expiry
-       // backstop).
-       p.clients = std::max(p.clients, 3);
-       p.shared_namespace = true;
-       p.hot_clients = true;
-       p.faults = std::max(p.faults, 7);
-       p.client_cache = true;
-       // Mutation-heavy with a strong read component: mutations drive
-       // revocations, reads re-populate the cache right behind them.
-       p.mix.create = 0.25;
-       p.mix.remove = 0.15;
-       p.mix.rename = 0.10;
-       p.mix.getfileinfo = 0.30;
-       p.mix.listdir = 0.20;
+       // `cache` at the default think times, read-heavy: a run spans
+       // several lease TTLs, so lines hit again and again live on by
+       // renewal while patches, revocations and faults land between
+       // renewals. `cache`'s hot clients finish inside one TTL.
+       ShapeCache(p);
+       p.hot_clients = false;
+       p.mix = {.create = 0.10, .remove = 0.05, .rename = 0.05,
+                .getfileinfo = 0.60, .listdir = 0.20};
      }},
     {"elastic",
      [](FuzzProfile& p) {

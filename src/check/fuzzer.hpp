@@ -163,10 +163,10 @@ struct FuzzProfile {
 RunSpec MakeSpec(std::uint64_t seed, const FuzzProfile& profile = {});
 
 /// Shapes `profile` as the named checker profile (mams_check --profile):
-/// default, renames, migrations, apply_race, cache or elastic. Set the
-/// sizes first; a profile that needs more clients or faults raises them
-/// to its floor. Returns false, leaving `profile` as it was, on an unknown
-/// name.
+/// default, renames, migrations, apply_race, cache, leases or elastic. Set
+/// the sizes first; a profile that needs more clients or faults raises
+/// them to its floor. Returns false, leaving `profile` as it was, on an
+/// unknown name.
 bool ApplyProfile(const std::string& name, FuzzProfile* profile);
 
 struct RunResult {

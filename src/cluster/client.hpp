@@ -61,6 +61,13 @@
 // directory refills it: a read bound for the active that misses while
 // another read of its directory is on the wire waits for that reply, then
 // tries the line once more, and goes to the wire only if it misses again.
+// A line hit since its grant or last renewal is renewed in bulk, as Gray
+// and Cheriton renew short leases: a read bound for the group's active
+// names up to kMaxRenewals such lines within kRenewWindow of their
+// deadline, by the grant identity each holds, and the active extends each
+// grant still at that identity. A line is renewed only while it has fewer
+// patched children than its pages hold, which bounds `patched` as the TTL
+// does without renewal.
 #pragma once
 
 #include <algorithm>
@@ -68,6 +75,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <set>
 #include <string>
 #include <string_view>
 #include <tuple>
@@ -157,6 +165,9 @@ class FsClient : public net::Host {
     m_cache_revocations_ = metrics.counter("client.cache_revocations");
     m_cache_patches_ = metrics.counter("client.cache_patches");
     m_cache_expiries_ = metrics.counter("client.cache_expiries");
+    m_cache_renewals_ = metrics.counter("client.cache_renewals");
+    m_cache_renewals_applied_ =
+        metrics.counter("client.cache_renewals_applied");
     OnRequest(net::kLeaseRevoke,
               [this](const net::Envelope& env, const net::MessagePtr& msg,
                      const net::Host::ReplyFn&) {
@@ -284,6 +295,7 @@ class FsClient : public net::Host {
     // granter's TTL covers them).
     session_sn_.clear();
     cache_.clear();
+    renewable_.clear();
     live_lines_ = 0;
     sweep_armed_ = false;  // its timer dies with the incarnation
     refills_.clear();      // and so do the reads waiting on a refill
@@ -349,6 +361,7 @@ class FsClient : public net::Host {
     bool via_cache = false;       ///< answered locally from the lease cache
     bool refills = false;  ///< its reply releases its directory's waiters
     bool waited = false;   ///< waited once on another read's refill
+    bool renewals_picked = false;  ///< named its renewals (resends keep them)
     NodeId target = kInvalidNode;
   };
 
@@ -400,6 +413,12 @@ class FsClient : public net::Host {
       ++counters_.reads_offloaded;
     }
     state->target = target;
+    if (!state->via_standby && !state->renewals_picked &&
+        options_.cache.enabled && !core::IsMutation(state->request->op)) {
+      // A standby holds no grants: only a read to the active carries them.
+      state->renewals_picked = true;
+      TakeRenewals(state->group, *state->request);
+    }
     // One bounded send per cached target: a failed exchange re-resolves
     // the active through the coordination service before resending, so
     // the retry loop lives in Resolve's view-poll policy, not here. The
@@ -546,6 +565,10 @@ class FsClient : public net::Host {
     /// The children patched since the pages, by name: each one's entry at
     /// `version`, or none when the patch removed it.
     std::map<std::string, std::optional<fsns::FileInfo>, std::less<>> patched;
+    GroupId group = 0;  ///< the group whose active granted it
+    /// Hit since its grant or its last renewal: a renewal candidate, filed
+    /// in its group's renewal index.
+    bool hit = false;
 
     bool live() const noexcept { return !pages.empty(); }
     /// Grants are ordered by (epoch, lease id), a grant's changes by
@@ -656,6 +679,10 @@ class FsClient : public net::Host {
     resp->group_epoch = dc.epoch;
     resp->applied_sn = dc.valid_sn;
     req.min_sn = dc.floor;  // the floor this hit met, for the stamp
+    if (!dc.hit) {
+      dc.hit = true;
+      renewable_[dc.group].emplace(dc.expire_at, it->first);
+    }
     ++counters_.cache_hits;
     m_cache_hits_->Add();
     state->via_cache = true;
@@ -719,6 +746,7 @@ class FsClient : public net::Host {
       dc.epoch = resp.lease_epoch;
       dc.lease_id = resp.lease_id;
       dc.floor = floor;
+      dc.group = state->group;
     } else if (resp.lease_version > dc.version) {
       dc.valid_sn = 0;  // `valid_sn` confirmed the line's older version
       dc.pages.clear();
@@ -771,6 +799,54 @@ class FsClient : public net::Host {
     dc.epoch = rec.epoch;
     dc.lease_id = rec.lease_id;
     Kill(dc, rec.version);
+  }
+
+  /// Names in `request` up to kMaxRenewals of `group`'s lines due for
+  /// renewal: walks the group's renewal index in deadline order up to
+  /// now + kRenewWindow, dropping each entry it passes. A line is due when
+  /// it is live, hit, unexpired, still at the deadline it was filed
+  /// under, and has fewer patched children than its pages hold; every
+  /// line passed stops being hit, so a later hit files it again, at the
+  /// deadline it then has (a fresh reply or a patch may have moved it).
+  void TakeRenewals(GroupId group, core::ClientRequestMsg& request) {
+    auto index = renewable_.find(group);
+    if (index == renewable_.end()) return;
+    RenewIndex& lines = index->second;
+    std::vector<core::LeaseRenewal>& out = request.renewals;
+    const SimTime now = sim().Now();
+    for (auto it = lines.begin(); it != lines.end() &&
+                                  it->first <= now + kRenewWindow &&
+                                  out.size() < kMaxRenewals;
+         it = lines.erase(it)) {
+      auto line = cache_.find(it->second);
+      // Filed before the line started over under another group's grant.
+      if (line == cache_.end() || line->second.group != group) continue;
+      DirCache& dc = line->second;
+      std::size_t children = 0;
+      for (const auto& page : dc.pages) children += page->size();
+      if (dc.hit && dc.expire_at == it->first && dc.expire_at > now &&
+          dc.patched.size() < children) {
+        out.push_back({line->first, dc.epoch, dc.lease_id, dc.version});
+      }
+      dc.hit = false;
+    }
+    m_cache_renewals_->Add(out.size());
+  }
+
+  /// Extends each line the active renewed, while it still holds the grant
+  /// identity the request named.
+  void ApplyRenewals(const core::ClientRequestMsg& req,
+                     const core::ClientResponseMsg& resp) {
+    for (std::uint32_t i : resp.renewed) {
+      const core::LeaseRenewal& r = req.renewals.at(i);
+      auto it = cache_.find(r.dir);
+      if (it == cache_.end() || !it->second.live() ||
+          it->second.identity() != std::tie(r.epoch, r.lease_id, r.version)) {
+        continue;
+      }
+      it->second.expire_at = std::max(it->second.expire_at, resp.renewed_until);
+      m_cache_renewals_applied_->Add();
+    }
   }
 
   /// `state`'s wire read of its directory is over, and its reply adopted:
@@ -957,6 +1033,7 @@ class FsClient : public net::Host {
         for (const core::LeaseRevocation& rec : resp.revocations)
           ApplyRecord(rec);
         if (!core::IsMutation(state->request->op) && !state->via_cache) {
+          if (!state->via_standby) ApplyRenewals(*state->request, resp);
           ObserveRead(state, resp);
         }
         // Only an ok ack to the one send vouches for what its records
@@ -997,6 +1074,13 @@ class FsClient : public net::Host {
   Counters counters_;
   // Lease-protected namespace cache (see ClientCacheOptions).
   CacheMap cache_;  ///< by leased directory path, live and dead lines
+  /// One group's hit lines by deadline: (deadline when filed, directory).
+  /// A hit that sets a line's `hit` bit files it; TakeRenewals drops the
+  /// entries it passes. A line files again only once a read to the active
+  /// passed it or a new grant restarted it, so the index stays within a
+  /// few entries per line held.
+  using RenewIndex = std::set<std::pair<SimTime, std::string>>;
+  std::map<GroupId, RenewIndex> renewable_;
   using Waiters = std::vector<std::shared_ptr<OpState>>;
   /// Directory -> the reads waiting on the wire read of it in flight (the
   /// one OpState with `refills`).
@@ -1009,6 +1093,11 @@ class FsClient : public net::Host {
   /// How long a line may outlive its lease (or a dead line its deadline)
   /// before the sweep drops it.
   static constexpr SimTime kSweepPeriod = core::kLeaseTtl / 8;
+  /// Renewal: a read names at most kMaxRenewals lines, each due within
+  /// kRenewWindow. A line is renewed about TTL / (TTL - window) times per
+  /// TTL: 1.33 at TTL/4, 2 at TTL/2.
+  static constexpr std::size_t kMaxRenewals = 16;
+  static constexpr SimTime kRenewWindow = core::kLeaseTtl / 4;
   /// Latency-model charge for a locally served hit (no network hop).
   static constexpr SimTime kCacheHitLatency = 1 * kMicrosecond;
   /// Latency-model charge for TCP + session setup on a fresh connection.
@@ -1020,6 +1109,8 @@ class FsClient : public net::Host {
   obs::Counter* m_cache_revocations_ = nullptr;
   obs::Counter* m_cache_patches_ = nullptr;
   obs::Counter* m_cache_expiries_ = nullptr;
+  obs::Counter* m_cache_renewals_ = nullptr;
+  obs::Counter* m_cache_renewals_applied_ = nullptr;
 };
 
 }  // namespace mams::cluster

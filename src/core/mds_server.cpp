@@ -48,6 +48,7 @@ MdsServer::MdsServer(net::Network& network, std::string name,
         c("mds.leases_granted"), c("mds.leases_revoked"),
         c("mds.lease_replies_held"), c("mds.lease_barrier_expiries"),
         c("mds.lease_patches"), c("mds.leases_refused"),
+        c("mds.lease_renewals"), c("mds.lease_renewals_refused"),
         c("mds.migrations_completed"), c("mds.cross_group_renames"),
         h("mds.sync_batch_ns"), h("mds.batch_records"),
         h("mds.seal_wait_ns"), h("mds.cpu_wait_ns"), h("mds.resolve_ns"),

@@ -195,6 +195,7 @@ class MdsServer : public net::Host {
         *standby_reads_served, *standby_reads_parked, *standby_reads_bounced,
         *shard_bounces, *leases_granted, *leases_revoked, *lease_replies_held,
         *lease_barrier_expiries, *lease_patches, *leases_refused,
+        *lease_renewals, *lease_renewals_refused,
         *migrations_completed, *cross_group_renames;
     obs::Histogram *sync_batch_ns, *batch_records, *seal_wait_ns,
         *cpu_wait_ns, *resolve_ns, *standby_read_staleness_sn;

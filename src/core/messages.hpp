@@ -45,6 +45,17 @@ constexpr bool IsMutation(ClientOp op) noexcept {
   return op != ClientOp::kGetFileInfo && op != ClientOp::kListDir;
 }
 
+/// A client's line, named for renewal by the grant identity it holds: the
+/// active extends the grant only while it is still at `version`.
+struct LeaseRenewal {
+  std::string dir;
+  FenceToken epoch = 0;
+  std::uint64_t lease_id = 0;
+  std::uint64_t version = 0;
+
+  std::size_t ByteSize() const noexcept { return 24 + dir.size(); }
+};
+
 struct ClientRequestMsg final : net::Message {
   ClientOp op = ClientOp::kGetFileInfo;
   std::string path;
@@ -61,10 +72,15 @@ struct ClientRequestMsg final : net::Message {
   /// lease grants and revocation pushes. kInvalidNode opts out of leases
   /// (internal traffic: audits and migration legs).
   NodeId requester = kInvalidNode;
+  /// A read bound for the active names the client's hot lines of the
+  /// group for the active to extend (FsClient::TakeRenewals).
+  std::vector<LeaseRenewal> renewals;
 
   net::MsgType type() const noexcept override { return net::kClientRequest; }
   std::size_t ByteSize() const noexcept override {
-    return 96 + path.size() + path2.size() + owner.size();
+    std::size_t n = 96 + path.size() + path2.size() + owner.size();
+    for (const auto& r : renewals) n += r.ByteSize();
+    return n;
   }
 };
 using RequestPtr = std::shared_ptr<const ClientRequestMsg>;
@@ -182,11 +198,16 @@ struct ClientResponseMsg final : net::Message {
   /// patch for a changed child (the requester applies it to its line and
   /// keeps the line), or a revocation.
   std::vector<LeaseRevocation> revocations;
+  /// The indices of the request's `renewals` the active extended, each to
+  /// `renewed_until` (absolute virtual time).
+  std::vector<std::uint32_t> renewed;
+  SimTime renewed_until = 0;
 
   net::MsgType type() const noexcept override { return net::kClientResponse; }
   std::size_t ByteSize() const noexcept override {
     std::size_t n = 128 + error.size();
     for (const auto& rec : revocations) n += rec.ByteSize();
+    if (!renewed.empty()) n += 8 + 4 * renewed.size();
     if (fill && fill->whole()) return n + fill->bytes();
     for (const auto& s : listing) n += s.size() + 8;
     return fill ? n + fill->bytes() : n;

@@ -23,6 +23,10 @@ struct OpCosts {
   SimTime getfileinfo = 18 * kMicrosecond;
   SimTime listdir = 30 * kMicrosecond;
   SimTime add_block = 30 * kMicrosecond;
+  /// One line of a read's lease renewals: checked, and its grant extended,
+  /// on a request that already paid for its decode, lookup and reply.
+  /// Measured against ReadService::Execute (docs/PERFORMANCE.md §8).
+  SimTime lease_renewal = 2 * kMicrosecond;
   SimTime block_report_per_1k = 150 * kMicrosecond;
   /// Journal replication fan-out: per-sync-target CPU on the active
   /// (serialize + checksum + send) — base charge plus streaming rate.

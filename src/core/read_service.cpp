@@ -60,19 +60,21 @@ void ReadService::Execute(const ClientRequestMsg& req, const ReplyFn& reply,
           std::chrono::steady_clock::now() - resolve_begin)
           .count());
   const bool filled = MaybeGrantLease(req, *out);
+  Renew(req, *out);
   s_.StampReply(*out, s_.last_sn());
   // OpCost charged this read one getfileinfo or one listdir. A fill
   // returns a page of children's attributes, as a getListing does, so a
   // filled stat pays the rest of a listdir; a listing pays one listdir per
-  // page of names it returns. Later requests queue behind the charge; this
-  // reply waits its length.
-  SimTime extra = 0;
+  // page of names it returns; each renewal line pays its check. Later
+  // requests queue behind the charge; this reply waits its length.
+  SimTime extra =
+      static_cast<SimTime>(req.renewals.size()) * kOpCosts.lease_renewal;
   if (req.op == ClientOp::kGetFileInfo) {
-    if (filled) extra = kOpCosts.listdir - kOpCosts.getfileinfo;
+    if (filled) extra += kOpCosts.listdir - kOpCosts.getfileinfo;
   } else if (!out->listing.empty()) {
-    extra = static_cast<SimTime>((out->listing.size() - 1) /
-                                 kMaxFillChildren) *
-            kOpCosts.listdir;
+    extra += static_cast<SimTime>((out->listing.size() - 1) /
+                                  kMaxFillChildren) *
+             kOpCosts.listdir;
   }
   if (extra > 0) {
     s_.ChargeCpu(extra);
@@ -160,21 +162,11 @@ bool ReadService::MaybeGrantLease(const ClientRequestMsg& req,
   // A stat answering NotFound is leased too: the page covering the name
   // shows it absent, and whatever creates it patches the line.
   const bool stat = req.op == ClientOp::kGetFileInfo;
-  if (!s_.options().client_leases.grant_leases || !s_.commit() ||
-      req.requester == kInvalidNode ||
+  if (!MayLease(req) ||
       !(out.ok || (stat && out.code == StatusCode::kNotFound))) {
     return false;
   }
-  // Never issue a grant that could outlive this node's tenure: the
-  // coordination service expires our session coord::kSessionTimeout after
-  // its last confirmed contact, and a successor active (which starts
-  // lease-free) can only be elected after that expiry. `last_ack_time()`
-  // under-approximates the contact instant, so this check is conservative
-  // even while partitioned.
   const SimTime now = s_.sim().Now();
-  if (now + kLeaseTtl > s_.last_session_ack() + coord::kSessionTimeout) {
-    return false;
-  }
   const std::string dir = stat ? fsns::ParentPath(req.path) : req.path;
   if (dir.empty()) return false;  // stat of "/" has no parent directory
   // The page that answers for the read's name; a listing's is the first.
@@ -228,6 +220,50 @@ bool ReadService::MaybeGrantLease(const ClientRequestMsg& req,
   out.lease_expire_at = grant->expire_at;
   out.fill = std::move(page);
   return true;
+}
+
+bool ReadService::MayLease(const ClientRequestMsg& req) const {
+  // Never issue or extend a grant that could outlive this node's tenure:
+  // the coordination service expires our session coord::kSessionTimeout
+  // after its last confirmed contact, and a successor active (which starts
+  // lease-free) can only be elected after that expiry. `last_ack_time()`
+  // under-approximates the contact instant, so this check is conservative
+  // even while partitioned.
+  return s_.options().client_leases.grant_leases && s_.commit() &&
+         req.requester != kInvalidNode &&
+         s_.sim().Now() + kLeaseTtl <=
+             s_.last_session_ack() + coord::kSessionTimeout;
+}
+
+void ReadService::Renew(const ClientRequestMsg& req, ClientResponseMsg& out) {
+  if (req.renewals.empty()) return;
+  const bool open = MayLease(req);
+  const SimTime now = s_.sim().Now();
+  if (open) Reclaim();
+  for (std::uint32_t i = 0; i < req.renewals.size(); ++i) {
+    const LeaseRenewal& r = req.renewals[i];
+    // The holder's grant, still unexpired, at the version the line holds.
+    // A grant whose patch the holder may lack is a version ahead: it keeps
+    // its deadline, which the patch's barrier waits out.
+    LeaseGrant* grant = nullptr;
+    auto d = grants_.find(r.dir);
+    if (open && r.epoch == s_.view().fence_token && d != grants_.end() &&
+        d->second.version == r.version) {
+      auto h = d->second.holders.find(req.requester);
+      if (h != d->second.holders.end() && h->second.id == r.lease_id &&
+          h->second.expire_at > now) {
+        grant = &h->second;
+      }
+    }
+    if (grant == nullptr) {
+      s_.m().lease_renewals_refused->Add();
+      continue;
+    }
+    grant->expire_at = now + kLeaseTtl;  // Reclaim re-queues its expiry
+    out.renewed.push_back(i);
+    s_.m().lease_renewals->Add();
+  }
+  if (!out.renewed.empty()) out.renewed_until = now + kLeaseTtl;
 }
 
 void ReadService::Reclaim() {

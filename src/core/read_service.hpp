@@ -19,7 +19,9 @@
 // delete or rename, a shard install and a migration revoke whole grants,
 // the requester's included. The mutation completes only once every remote holder acked or
 // its grant expired. A grant past its deadline is dead and is reclaimed
-// without a push. The grant table belongs to the active role; the
+// without a push. A holder's read may name its hot lines for renewal,
+// each by the grant and version it holds: a grant still at that version
+// lives another kLeaseTtl, one a patch moved on keeps its deadline. The grant table belongs to the active role; the
 // barriers outlive a live step-down, since they hold committed work that
 // acks or the TTL release in any role.
 #pragma once
@@ -130,6 +132,14 @@ class ReadService {
   /// Attaches a lease and the page that answers for the read's name to an
   /// active-served read; true when it did.
   bool MaybeGrantLease(const ClientRequestMsg& req, ClientResponseMsg& out);
+  /// The gate of every grant and renewal: leases are on, this server is
+  /// active, the client opted in, and a lease from now fits inside this
+  /// server's coordination session.
+  bool MayLease(const ClientRequestMsg& req) const;
+  /// Extends each of `req`'s renewals whose grant is the one the line
+  /// names, unexpired, at the version the line holds, to now + kLeaseTtl,
+  /// and lists it in `out.renewed`.
+  void Renew(const ClientRequestMsg& req, ClientResponseMsg& out);
   /// Drops every grant whose deadline has passed: no client serves it any
   /// more, so it needs no push and no barrier.
   void Reclaim();

@@ -2,10 +2,11 @@
 // revocation ordering against conflicting acks, revocation pushes that
 // bypass the coordination service, the TTL backstop for lost revocations,
 // lease flush across failover, shard-migration invalidation, a writer's
-// own patched lines, one refill in flight per directory, and
-// cached==uncached equivalence under the fuzzer's full fault palette
-// (with the lease_revoke mutation proving the checker would catch a cache
-// that serves past a revocation).
+// own patched lines, one refill in flight per directory, renewal of hot
+// lines on the reads bound for the active, and cached==uncached
+// equivalence under the fuzzer's full fault palette (with the lease_revoke
+// mutation proving the checker would catch a cache that serves past a
+// revocation).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -1480,6 +1481,246 @@ TEST_F(PatchRaceTest, LostPatchGapDropsTheLineAndTheBarrierWaitsOutTheTtl) {
   // The refill at version 2 already shows /d/c, so this may be a hit.
   const Result<fsns::FileInfo> c = StatSync("/d/c");
   EXPECT_TRUE(c.ok()) << "stale absence served after the ack";
+}
+
+// Renewal: a read bound for the active names the client's hit lines near
+// their deadline, and the active extends each grant still at the identity
+// the line holds.
+class RenewalTest : public ClientCacheTest {
+ protected:
+  /// A read bound for the active that touches no line: a carrier of
+  /// `client`'s renewals.
+  void Carry(int client = 0) {
+    EXPECT_EQ(StatSync("/carrier/x", client, {.require_active = true})
+                  .status()
+                  .code(),
+              StatusCode::kNotFound);
+  }
+  /// Carriers every 50 ms until `t`.
+  void CarryUntil(SimTime t) {
+    while (sim_->Now() < t) {
+      Carry();
+      Run(50 * kMillisecond);
+    }
+  }
+  /// A stat of `path` from a bare endpoint to server `to`, naming
+  /// `renewals`; the reply, or null.
+  std::shared_ptr<const core::ClientResponseMsg> RawStat(
+      net::Host& host, NodeId to, const std::string& path,
+      std::vector<core::LeaseRenewal> renewals = {}) {
+    auto req = std::make_shared<core::ClientRequestMsg>();
+    req->path = path;
+    req->client = {.client_id = 4000, .op_seq = ++raw_seq_};
+    req->requester = host.id();
+    req->renewals = std::move(renewals);
+    std::shared_ptr<const core::ClientResponseMsg> out;
+    bool done = false;
+    host.Call(to, req, kSecond, [&](Result<net::MessagePtr> r) {
+      if (r.ok()) {
+        out = std::static_pointer_cast<const core::ClientResponseMsg>(
+            std::move(r).value());
+      }
+      done = true;
+    });
+    // The call answers or times out within a second: inside this wait,
+    // so the callback never outlives `out` and `done`.
+    testutil::WaitFor(*sim_, [&] { return done; }, 2 * kSecond,
+                      10 * kMicrosecond);
+    return out;
+  }
+  std::uint64_t raw_seq_ = 0;
+};
+
+TEST_F(RenewalTest, HitLineLivesAcrossThreeTtlsAndMatchesTheActive) {
+  Build(1, 2);
+  ASSERT_TRUE(CreateMany("/d", 3, 1));
+  FsClient& holder = cluster_->client(0);
+  ASSERT_FALSE(StatMatchesActive("/d/f0"));
+  const std::uint64_t misses = holder.counters().cache_misses;
+  const SimTime end = sim_->Now() + 3 * core::kLeaseTtl;
+  for (int i = 0; sim_->Now() < end; ++i) {
+    EXPECT_TRUE(StatMatchesActive("/d/f" + std::to_string(i % 3)));
+    // A patch moves the line's version; renewals go on at the new one.
+    if (i == 20) {
+      ASSERT_TRUE(CreateFile("/d/g", 1).ok());
+    }
+    Carry();
+    Run(50 * kMillisecond);
+  }
+  EXPECT_TRUE(ListMatchesActive("/d"));
+  EXPECT_TRUE(StatMatchesActive("/d/g"));
+  EXPECT_EQ(holder.counters().cache_misses, misses);
+  EXPECT_GE(CounterValue("client.cache_renewals_applied"), 3u);
+}
+
+TEST_F(RenewalTest, LineNotHitSinceItsRenewalExpiresAtItsDeadline) {
+  Build(1, 2);
+  ASSERT_TRUE(CreateMany("/d", 3, 1));
+  FsClient& holder = cluster_->client(0);
+  const SimTime filled = sim_->Now();
+  ASSERT_FALSE(StatMatchesActive("/d/f0"));  // due at filled + TTL
+  ASSERT_TRUE(StatSync("/d/f1").ok());
+  ASSERT_TRUE(holder.last_stamp().via_cache);
+  // Renewed once, in the last kRenewWindow before that deadline: past it
+  // and a sweep, the line is still held.
+  CarryUntil(filled + core::kLeaseTtl + core::kLeaseTtl / 8 +
+             10 * kMillisecond);
+  EXPECT_EQ(CounterValue("client.cache_renewals_applied"), 1u);
+  EXPECT_EQ(holder.cached_pages("/d").size(), 1u);
+  // Not hit since: the renewed deadline ends it.
+  CarryUntil(filled + 2 * core::kLeaseTtl + core::kLeaseTtl / 8 +
+             10 * kMillisecond);
+  EXPECT_EQ(CounterValue("client.cache_renewals"), 1u);
+  EXPECT_TRUE(holder.cached_pages("/d").empty());
+  EXPECT_FALSE(StatMatchesActive("/d/f1"));
+}
+
+TEST_F(RenewalTest, LostPatchKeepsTheOldDeadlineAndTheAckWaitsOnlyForIt) {
+  // A push lost on the way leaves the grant a version ahead of the line:
+  // the renewal is refused, the line dies at its old deadline, and the
+  // barrier releases the conflicting ack at that deadline. Renewing over
+  // the gap would let the line serve the old absence past the ack.
+  Build(1, 2);
+  ASSERT_TRUE(CreateFile("/d/a", 1).ok());
+  FsClient& holder = cluster_->client(0);
+  const SimTime leased = sim_->Now();
+  ASSERT_EQ(StatSync("/d/c").status().code(), StatusCode::kNotFound);
+  ASSERT_EQ(StatSync("/d/c").status().code(), StatusCode::kNotFound);
+  ASSERT_TRUE(holder.last_stamp().via_cache);
+  const std::uint64_t refused = CounterValue("mds.lease_renewals_refused");
+
+  cluster_->faults().CutHalf(holder.id(), Faults::Half::kIn);
+  SimTime acked = 0;
+  cluster_->client(1).Create("/d/c", [&](Status s) {
+    if (s.ok()) acked = sim_->Now();
+  });
+  Run(10 * kMillisecond);
+  cluster_->faults().RestoreHalves(holder.id());
+  while (acked == 0 && sim_->Now() < leased + 2 * core::kLeaseTtl) {
+    Carry();
+    Run(10 * kMillisecond);
+  }
+  ASSERT_GT(acked, 0);
+  EXPECT_LE(acked, leased + core::kLeaseTtl + 5 * kMillisecond);
+  EXPECT_EQ(CounterValue("client.cache_renewals"), 1u);
+  EXPECT_EQ(CounterValue("client.cache_renewals_applied"), 0u);
+  EXPECT_EQ(CounterValue("mds.lease_renewals_refused") - refused, 1u);
+  const Result<fsns::FileInfo> c = StatSync("/d/c");
+  EXPECT_TRUE(c.ok()) << "stale absence served after the ack";
+  EXPECT_FALSE(holder.last_stamp().via_cache);
+}
+
+TEST_F(RenewalTest, RenewalIsRefusedAcrossAFailover) {
+  // The successor's grant, named with the deposed active's epoch, is
+  // refused: a lease id alone names no grant across a failover (each
+  // active numbers its own).
+  Build(1, 3);
+  ASSERT_TRUE(CreateFile("/d/a").ok());
+  net::Host holder(*net_, "raw-holder");
+  holder.Boot();
+  core::MdsServer* first = cluster_->FindActive(0);
+  ASSERT_NE(first, nullptr);
+  const auto granted = RawStat(holder, first->id(), "/d/a");
+  ASSERT_TRUE(granted && granted->lease_id != 0);
+  first->Crash();
+  Run(10 * kSecond);
+  core::MdsServer* second = cluster_->FindActive(0);
+  ASSERT_NE(second, nullptr);
+  ASSERT_NE(second, first);
+  const auto regranted = RawStat(holder, second->id(), "/d/a");
+  ASSERT_TRUE(regranted && regranted->lease_id != 0);
+  ASSERT_GT(regranted->lease_epoch, granted->lease_epoch);
+
+  const auto renewed = RawStat(
+      holder, second->id(), "/x",
+      {{"/d", granted->lease_epoch, granted->lease_id,
+        granted->lease_version},
+       {"/d", granted->lease_epoch, regranted->lease_id,
+        regranted->lease_version},
+       {"/d", regranted->lease_epoch, regranted->lease_id,
+        regranted->lease_version}});
+  ASSERT_TRUE(renewed);
+  EXPECT_EQ(renewed->renewed, std::vector<std::uint32_t>{2});
+  EXPECT_GT(renewed->renewed_until, regranted->lease_expire_at);
+}
+
+TEST_F(RenewalTest, RenewalIsRefusedOnceTheSessionGateCloses) {
+  // Cut only the active <-> coordination frontend pair: the active keeps
+  // serving while its session runs out. A renewal, like a grant, must
+  // expire inside that session.
+  Build(1, 2);
+  ASSERT_TRUE(CreateFile("/d/a").ok());
+  core::MdsServer* active = cluster_->FindActive(0);
+  ASSERT_NE(active, nullptr);
+  net::Host holder(*net_, "raw-holder");
+  holder.Boot();
+  const auto granted = RawStat(holder, active->id(), "/d/a");
+  ASSERT_TRUE(granted && granted->lease_id != 0);
+  const core::LeaseRenewal line{"/d", granted->lease_epoch,
+                                granted->lease_id, granted->lease_version};
+
+  const NodeId coord = cluster_->coord().frontend_id();
+  net_->Partition(active->id(), coord);
+  const SimTime ack = active->last_session_ack();
+  const SimTime stop = ack + coord::kSessionTimeout - core::kLeaseTtl;
+  int renewed = 0;
+  int refused = 0;
+  while (sim_->Now() < stop + 500 * kMillisecond) {
+    ASSERT_EQ(active->role(), ServerState::kActive);
+    const SimTime sent = sim_->Now();
+    const auto resp = RawStat(holder, active->id(), "/x", {line});
+    ASSERT_TRUE(resp);
+    if (!resp->renewed.empty()) {
+      ++renewed;
+      EXPECT_LE(resp->renewed_until, ack + coord::kSessionTimeout);
+    }
+    if (sent > stop) {
+      EXPECT_TRUE(resp->renewed.empty());
+      ++refused;
+    }
+    Run(400 * kMillisecond);
+  }
+  net_->Heal(active->id(), coord);
+  EXPECT_GE(renewed, 5);
+  EXPECT_GE(refused, 1);
+}
+
+TEST_F(RenewalTest, PatchedBoundStopsRenewal) {
+  // A line is renewed only while it has fewer patched children than its
+  // pages hold: renewal must not let `patched` outgrow the bound the TTL
+  // sets without it.
+  Build(1, 2);
+  ASSERT_TRUE(CreateMany("/d", 3, 1));
+  FsClient& holder = cluster_->client(0);
+  const SimTime filled = sim_->Now();
+  ASSERT_FALSE(ListMatchesActive("/d"));
+  ASSERT_TRUE(CreateFile("/d/x", 1).ok());  // 1 patched, 3 children
+  ASSERT_TRUE(ListMatchesActive("/d"));
+  CarryUntil(filled + core::kLeaseTtl + core::kLeaseTtl / 8 +
+             10 * kMillisecond);
+  ASSERT_EQ(CounterValue("client.cache_renewals_applied"), 1u);
+  ASSERT_TRUE(CreateFile("/d/y", 1).ok());
+  ASSERT_TRUE(CreateFile("/d/z", 1).ok());  // 3 patched, 3 children
+  ASSERT_TRUE(ListMatchesActive("/d"));
+  CarryUntil(filled + 2 * core::kLeaseTtl + core::kLeaseTtl / 8 +
+             10 * kMillisecond);
+  EXPECT_EQ(CounterValue("client.cache_renewals"), 1u);
+  EXPECT_TRUE(holder.cached_pages("/d").empty());
+  EXPECT_FALSE(ListMatchesActive("/d"));
+}
+
+TEST(LeaseRenewalWireTest, BothByteSizesCountRenewals) {
+  core::ClientRequestMsg req;
+  req.path = "/d/a";
+  const std::size_t bare = req.ByteSize();
+  req.renewals.push_back({"/dir", 1, 2, 3});
+  req.renewals.push_back({"/d", 1, 2, 3});
+  EXPECT_EQ(req.ByteSize(), bare + (24 + 4) + (24 + 2));
+  core::ClientResponseMsg resp;
+  const std::size_t plain = resp.ByteSize();
+  resp.renewed = {0, 1};
+  resp.renewed_until = kSecond;
+  EXPECT_EQ(resp.ByteSize(), plain + 8 + 2 * 4);
 }
 
 }  // namespace

@@ -312,6 +312,7 @@ TEST(MetricCatalogueTest, DocumentsExactlyWhatAClusterRegisters) {
   for (int i = 0; i < 8; ++i) {
     const std::string path = "/cat/d" + std::to_string(i) + "/f";
     cfs.client(0).Create(path, [](Status) {});
+    cfs.client(0).Create(path + "2", [](Status) {});
     cfs.client(1).GetFileInfo(path, [](Result<fsns::FileInfo>) {});
   }
   sim.RunUntil(sim.Now() + kSecond);
@@ -322,9 +323,23 @@ TEST(MetricCatalogueTest, DocumentsExactlyWhatAClusterRegisters) {
         "/cat/d" + std::to_string(i) + "/f", [](Result<fsns::FileInfo>) {},
         {.require_active = true});
   }
+  const SimTime leased = sim.Now();
   sim.RunUntil(sim.Now() + 100 * kMillisecond);
   for (int i = 0; i < 8; ++i) {
     cfs.client(0).Create("/cat/d" + std::to_string(i) + "/g", [](Status) {});
+  }
+  // Each line hit, then a read of each directory from its active in the
+  // lines' last quarter renews them (one patched child of two: renewable).
+  sim.RunUntil(sim.Now() + 100 * kMillisecond);
+  for (int i = 0; i < 8; ++i) {
+    cfs.client(0).GetFileInfo("/cat/d" + std::to_string(i) + "/f",
+                              [](Result<fsns::FileInfo>) {});
+  }
+  sim.RunUntil(leased + core::kLeaseTtl - core::kLeaseTtl / 8);
+  for (int i = 0; i < 8; ++i) {
+    cfs.client(0).GetFileInfo("/cat/d" + std::to_string(i) + "/h",
+                              [](Result<fsns::FileInfo>) {},
+                              {.require_active = true});
   }
   sim.RunUntil(sim.Now() + 2 * kSecond);
 
@@ -350,6 +365,11 @@ TEST(MetricCatalogueTest, DocumentsExactlyWhatAClusterRegisters) {
             cfs.client(0).counters().cache_patches +
                 cfs.client(1).counters().cache_patches);
   EXPECT_GT(counters.at("client.cache_patches").value, 0u);
+  const std::uint64_t renewed =
+      counters.at("client.cache_renewals_applied").value;
+  EXPECT_GT(renewed, 0u);
+  EXPECT_GE(counters.at("client.cache_renewals").value, renewed);
+  EXPECT_EQ(counters.at("mds.lease_renewals").value, renewed);
 
   const std::set<std::string> documented = DocumentedMetrics();
   ASSERT_FALSE(documented.empty());

@@ -75,7 +75,7 @@ void Usage() {
       "  --ops N            ops per client (default 40)\n"
       "  --faults N         faults per run (default 5)\n"
       "  --profile P        default|renames|migrations|apply_race|cache|\n"
-      "                     elastic — renames is rename/delete-heavy\n"
+      "                     leases|elastic — renames is rename/delete-heavy\n"
       "                     (subtree moves under replay); migrations runs two\n"
       "                     replica groups with live shard migrations and\n"
       "                     cross-group renames; apply_race points at\n"
@@ -84,7 +84,9 @@ void Usage() {
       "                     replicas replay multi-record batches of\n"
       "                     dependent records; cache turns on the\n"
       "                     lease-protected client cache with a\n"
-      "                     mutation-heavy shared tree; elastic adds six\n"
+      "                     mutation-heavy shared tree; leases runs it\n"
+      "                     read-heavy at slow think times, across several\n"
+      "                     lease TTLs, so lines are renewed; elastic adds six\n"
       "                     membership changes per seed (add_standby and\n"
       "                     retire_standby faults, with standby reads) to\n"
       "                     the fault schedule\n"
