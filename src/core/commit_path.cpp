@@ -122,11 +122,11 @@ void CommitPath::OnBatchSealed(journal::Batch batch, std::vector<char> bytes) {
        {"targets", static_cast<std::uint64_t>(ps.awaiting.size())}});
 
   // Replication fan-out costs CPU on the active: the batch was serialized
-  // and checksummed once at seal time and is sent once per target (plus the
-  // SSP copy), so sends are staggered through the CPU cursor. This is the
-  // per-standby overhead Figure 5 quantifies (~4% per added standby on
-  // transactional ops). Sends already queued go out even if the tenure ends
-  // first; receivers fence them.
+  // and checksummed once at seal time and is sent once per target (the SSP
+  // copy and each standby), so sends are staggered through the CPU cursor.
+  // This is the per-standby overhead Figure 5 quantifies (~4% per added
+  // standby on transactional ops). Sends already queued go out even if the
+  // tenure ends first; receivers fence them.
   const OpCosts& costs = kOpCosts;
   const auto per_target =
       costs.sync_cpu_base +
@@ -134,25 +134,12 @@ void CommitPath::OnBatchSealed(journal::Batch batch, std::vector<char> bytes) {
                            costs.sync_bytes_per_sec *
                            static_cast<double>(kSecond));
 
-  auto msg = std::make_shared<JournalPrepareMsg>();
-  msg->fence = s_.fence();
-  msg->batch = std::move(owned);
-  for (NodeId peer : ps.awaiting) {
-    s_.AfterLocal(s_.ChargeCpu(per_target), [&s = s_, life = weak_from_this(),
-                                             peer, sn, msg] {
-      net::RpcCall::Start(s, peer, msg, kSyncRpc,
-                          [life, peer, sn](Result<net::MessagePtr> r) {
-                            // Held: a stale-fence ack deposes this tenure.
-                            if (auto self = life.lock()) {
-                              self->OnPrepareAck(peer, sn, r);
-                            }
-                          });
-    });
-  }
-
-  // The SSP copy (journal segment shared file), fenced with our token. The
-  // bytes are the seal-time serialization — no second pass over the records.
-  // The round keeps the same buffer for a re-append.
+  // The SSP copy (journal segment shared file), fenced with our token, goes
+  // first: its leg is the only one with a disk write, so it is the slowest,
+  // and the round waits for its slowest leg. Queued behind the standby
+  // prepares it would start one per-target charge per standby later. The
+  // bytes are the seal-time serialization — no second pass over the
+  // records. The round keeps the same buffer for a re-append.
   ps.payload = std::move(bytes);
   storage::SspRecord record;
   record.sn = sn;
@@ -175,11 +162,29 @@ void CommitPath::OnBatchSealed(journal::Batch batch, std::vector<char> bytes) {
                      MaybeCompleteSync(sn);
                    });
   });
+
+  auto msg = std::make_shared<JournalPrepareMsg>();
+  msg->fence = s_.fence();
+  msg->batch = std::move(owned);
+  for (NodeId peer : ps.awaiting) {
+    s_.AfterLocal(s_.ChargeCpu(per_target), [&s = s_, life = weak_from_this(),
+                                             peer, sn, msg] {
+      const SimTime sent = s.sim().Now();
+      net::RpcCall::Start(s, peer, msg, kSyncRpc,
+                          [life, peer, sn, sent](Result<net::MessagePtr> r) {
+                            // Held: a stale-fence ack deposes this tenure.
+                            if (auto self = life.lock()) {
+                              self->OnPrepareAck(peer, sn, sent, r);
+                            }
+                          });
+    });
+  }
   MaybeCompleteSync(sn);
 }
 
-void CommitPath::OnPrepareAck(NodeId peer, SerialNumber sn,
+void CommitPath::OnPrepareAck(NodeId peer, SerialNumber sn, SimTime sent,
                               const Result<net::MessagePtr>& r) {
+  s_.m().prepare_ack_ns->Record(s_.sim().Now() - sent);
   auto it = pending_sync_.find(sn);
   if (it == pending_sync_.end()) return;
   if (!r.ok()) {

@@ -92,9 +92,11 @@ class CommitPath : public std::enable_shared_from_this<CommitPath> {
     SimTime begin = 0;
     obs::TraceRecorder::Span span;
   };
-  /// The writer's sink: starts the round to every target and the SSP.
+  /// The writer's sink: starts the round, the SSP copy first and then the
+  /// prepare to every target.
   void OnBatchSealed(journal::Batch batch, std::vector<char> bytes);
-  void OnPrepareAck(NodeId peer, SerialNumber sn,
+  /// A prepare sent at `sent` was answered (or failed) with `r`.
+  void OnPrepareAck(NodeId peer, SerialNumber sn, SimTime sent,
                     const Result<net::MessagePtr>& r);
   void MaybeCompleteSync(SerialNumber sn);
   /// Finalizes completed rounds strictly from the front (sn order), then

@@ -50,9 +50,9 @@ MdsServer::MdsServer(net::Network& network, std::string name,
         c("mds.lease_patches"), c("mds.leases_refused"),
         c("mds.lease_renewals"), c("mds.lease_renewals_refused"),
         c("mds.migrations_completed"), c("mds.cross_group_renames"),
-        h("mds.sync_batch_ns"), h("mds.batch_records"),
-        h("mds.seal_wait_ns"), h("mds.cpu_wait_ns"), h("mds.resolve_ns"),
-        h("mds.standby_read_staleness_sn"),
+        h("mds.sync_batch_ns"), h("mds.prepare_ack_ns"),
+        h("mds.batch_records"), h("mds.seal_wait_ns"), h("mds.cpu_wait_ns"),
+        h("mds.resolve_ns"), h("mds.standby_read_staleness_sn"),
         metrics.gauge("mds.last_sn." + this->name()),
         metrics.gauge("mds.fill_snapshot_bytes")};
   renewal_ = std::make_unique<Renewal>(*this);

@@ -197,8 +197,8 @@ class MdsServer : public net::Host {
         *lease_barrier_expiries, *lease_patches, *leases_refused,
         *lease_renewals, *lease_renewals_refused,
         *migrations_completed, *cross_group_renames;
-    obs::Histogram *sync_batch_ns, *batch_records, *seal_wait_ns,
-        *cpu_wait_ns, *resolve_ns, *standby_read_staleness_sn;
+    obs::Histogram *sync_batch_ns, *prepare_ack_ns, *batch_records,
+        *seal_wait_ns, *cpu_wait_ns, *resolve_ns, *standby_read_staleness_sn;
     obs::Gauge *last_sn, *fill_snapshot_bytes;
   };
   const MetricHandles& m() const noexcept { return m_; }

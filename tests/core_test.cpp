@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <functional>
 #include <memory>
 #include <set>
@@ -25,9 +26,10 @@ namespace {
 
 class CoreTest : public ::testing::Test {
  protected:
-  void Build(cluster::CfsConfig cfg, std::uint64_t seed = 17) {
+  void Build(cluster::CfsConfig cfg, std::uint64_t seed = 17,
+             net::LinkParams link = {}) {
     sim_ = std::make_unique<sim::Simulator>(seed);
-    net_ = std::make_unique<net::Network>(*sim_);
+    net_ = std::make_unique<net::Network>(*sim_, link);
     cfs_ = std::make_unique<cluster::CfsCluster>(*net_, cfg);
     cfs_->Start();
     sim_->RunUntil(sim_->Now() + kSecond);
@@ -614,7 +616,13 @@ TEST_F(CoreTest, BatchesSealOnlyIntoAFreeWindowSlot) {
   cfg.standbys_per_group = 3;
   cfg.clients = 2;
   cfg.data_servers = 1;
-  Build(cfg);
+  // On the default LAN link the CPU-aware rule keeps fewer than four
+  // rounds in flight: a round lasts barely longer than four batches'
+  // fan-out charges, and a batch seals only onto an idle CPU. A 500 us
+  // link stretches the round, so the backlog fills the window.
+  net::LinkParams link;
+  link.base_latency = 500 * kMicrosecond;
+  Build(cfg, /*seed=*/17, link);
   ASSERT_TRUE(CreateFile("/b/seed").ok());
 
   workload::Mix mix;
@@ -725,6 +733,64 @@ TEST_F(GroupCommitTest, CreatesQueuedOnABusyCpuShareOneBatch) {
   EXPECT_EQ(active_->last_sn(), sn0_ + 2);
   EXPECT_EQ(LastBatchRecords(), 3u);
   ASSERT_TRUE(testutil::WaitFor(*sim_, [&] { return acked_ == 4; }, kSecond));
+}
+
+// The pool copy's leg is the round's slowest (it holds a disk write), so it
+// leaves first: the round ends one fan-out charge after that leg began, not
+// one charge per standby later.
+TEST_F(GroupCommitTest, PoolCopyLeavesFirst) {
+  auto& metrics = sim_->obs().metrics();
+  const obs::Histogram& sync = *metrics.histogram("mds.sync_batch_ns");
+  const obs::Histogram& append = *metrics.histogram("ssp.append_ns");
+  auto sum = [](const obs::Histogram& h) {
+    return std::llround(h.Mean() * static_cast<double>(h.count()));
+  };
+  const std::uint64_t syncs0 = sync.count();
+  const std::uint64_t appends0 = append.count();
+  const std::int64_t sync_sum0 = sum(sync);
+  const std::int64_t append_sum0 = sum(append);
+  IssueCreates(1);
+  ASSERT_TRUE(testutil::WaitFor(*sim_, [&] { return acked_ == 1; }, kSecond));
+  ASSERT_EQ(sync.count(), syncs0 + 1);
+  ASSERT_EQ(append.count(), appends0 + 1);
+
+  const auto bytes = active_->recent_batches().back()->Serialize().size();
+  const SimTime per_target =
+      kOpCosts.sync_cpu_base +
+      static_cast<SimTime>(static_cast<double>(bytes) /
+                           kOpCosts.sync_bytes_per_sec *
+                           static_cast<double>(kSecond));
+  const std::int64_t round = sum(sync) - sync_sum0;
+  const std::int64_t pool_leg = sum(append) - append_sum0;
+  EXPECT_GE(round, pool_leg);
+  EXPECT_LE(round - pool_leg, per_target);
+}
+
+// A tenure that ends after the pool copy left but before the prepares did:
+// the queued prepares still go out under the old fence, so the standbys
+// take the batch and the successor serves the create.
+TEST_F(GroupCommitTest, PreparesQueuedBehindThePoolCopyOutliveTheTenure) {
+  const obs::Counter& appends = *sim_->obs().metrics().counter("ssp.append");
+  const std::uint64_t appends0 = appends.value;
+  IssueCreates(1);
+  ASSERT_TRUE(testutil::WaitFor(
+      *sim_, [&] { return appends.value > appends0; }, kSecond, kMicrosecond));
+  ASSERT_EQ(active_->last_sn(), sn0_ + 1);
+  active_->StepDownFromActive("test");
+  Run(10 * kMillisecond);
+  for (std::size_t m = 0; m < cfs_->group_size(0); ++m) {
+    auto& mds = cfs_->mds(0, static_cast<int>(m));
+    if (&mds == active_) continue;
+    EXPECT_EQ(mds.last_sn(), sn0_ + 1) << mds.name();
+  }
+  ASSERT_TRUE(testutil::WaitFor(
+      *sim_,
+      [&] {
+        const MdsServer* active = cfs_->FindActive(0);
+        return active != nullptr && active != active_;
+      },
+      30 * kSecond));
+  EXPECT_TRUE(cfs_->FindActive(0)->tree().Exists("/g/f0"));
 }
 
 TEST_F(GroupCommitTest, DeferredSealDiesWithACrashedTenure) {

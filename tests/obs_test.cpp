@@ -370,6 +370,10 @@ TEST(MetricCatalogueTest, DocumentsExactlyWhatAClusterRegisters) {
   EXPECT_GT(renewed, 0u);
   EXPECT_GE(counters.at("client.cache_renewals").value, renewed);
   EXPECT_EQ(counters.at("mds.lease_renewals").value, renewed);
+  // Each round sends one prepare per standby (two per group here).
+  const auto& histograms = reg.histograms();
+  EXPECT_EQ(histograms.at("mds.prepare_ack_ns").count(),
+            2 * histograms.at("mds.sync_batch_ns").count());
 
   const std::set<std::string> documented = DocumentedMetrics();
   ASSERT_FALSE(documented.empty());
